@@ -17,6 +17,7 @@ import (
 
 	"repro"
 	"repro/internal/analysis"
+	"repro/internal/anonymize"
 	"repro/internal/catalog"
 	"repro/internal/client"
 	"repro/internal/des"
@@ -442,16 +443,26 @@ func BenchmarkAblationStrategy(b *testing.B) {
 }
 
 // BenchmarkAnonymizationPipeline measures the manager's finalize-side
-// anonymization (step 2 + filenames + audit) on a realistic record set.
+// anonymization alone — the audit → renumber → filename stage chain with
+// its observe pass, over an in-memory record set — where
+// BenchmarkFinalize times the same stages behind a spill-store scan.
 func BenchmarkAnonymizationPipeline(b *testing.B) {
 	res, _ := distributed(b)
+	recs := res.Dataset.Records
+	threshold := manager.DefaultConfig().NameThreshold
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		recs := make([]logging.Record, len(res.Dataset.Records))
-		copy(recs, res.Dataset.Records)
-		_ = analysis.ComputeTableI(recs, len(res.HoneypotIDs), res.Days, len(res.Advertised))
+		na := anonymize.NewNameAnonymizer(threshold)
+		if err := na.ObserveIter(logging.NewSliceIter(recs)); err != nil {
+			b.Fatal(err)
+		}
+		it := na.AnonymizeIter(anonymize.NewRenumberer().RenumberIter(anonymize.AuditIter(logging.NewSliceIter(recs))))
+		if err := logging.Each(it, func(*logging.Record) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkAblationSourceOrderBias quantifies the design choice behind
@@ -747,9 +758,9 @@ func BenchmarkExecPlan(b *testing.B) {
 // becomes a []Record dataset) against the streaming pipeline (records
 // flow source→audit→renumber→anonymize one at a time) over the same
 // spill store. "streamed" drains the pipeline itself — its live state
-// is O(distinct peers + distinct words), not O(records) — and
-// "streamed-frame" lands it in the columnar frame, the at-scale
-// analysis path (19 B/record instead of whole records).
+// is O(distinct peers + distinct names + distinct words), not
+// O(records) — and "streamed-frame" lands it in the columnar frame, the
+// at-scale analysis path (19 B/record instead of whole records).
 func BenchmarkFinalize(b *testing.B) {
 	b.Run("materialized", func(b *testing.B) {
 		m := finalizeBenchManager(b)

@@ -13,9 +13,14 @@
 //     defeating the 2^32 dictionary attack the paper warns about.
 //  3. File names are anonymized by replacing every word that appears less
 //     often than a threshold with an integer token (NameAnonymizer), an
-//     explicitly two-pass stage: ObserveIter counts corpus-wide word
-//     frequencies over one pass of a re-iterable source, AnonymizeIter
-//     rewrites names on the second pass. State is O(distinct words).
+//     explicitly two-pass stage: ObserveIter counts the occurrences of
+//     each distinct name over one pass of a re-iterable source,
+//     AnonymizeIter rewrites names on the second pass. Names are
+//     tokenized once per distinct name, not per occurrence: the counts
+//     fold into corpus-wide word frequencies before the first rewrite,
+//     and each distinct name is rewritten once and served from a memo
+//     afterwards. State is O(distinct names + distinct words); the
+//     names are the strings the scan's intern pool already holds.
 //  4. AuditIter is a pass-through verifier: records flow unchanged while
 //     every PeerIP is checked for address leaks; a failure aborts the
 //     stream with an AuditError naming the offending record.
@@ -33,6 +38,7 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/logging"
 )
@@ -62,7 +68,8 @@ func (h *IPHasher) HashIP(addr netip.Addr) string {
 // Renumberer is the manager's step-2 pass: hash values become integers in
 // first-appearance order, coherently across all logs fed to it.
 type Renumberer struct {
-	m map[string]int
+	m   map[string]int
+	dec []string // dec[n] is n in decimal, shared by all of a peer's records
 }
 
 // NewRenumberer returns an empty renumberer.
@@ -78,22 +85,27 @@ func (r *Renumberer) Number(hash string) int {
 	}
 	n := len(r.m)
 	r.m[hash] = n
+	r.dec = append(r.dec, strconv.Itoa(n))
 	return n
 }
+
+// decimal returns Number(hash) as the decimal string records carry.
+func (r *Renumberer) decimal(hash string) string { return r.dec[r.Number(hash)] }
 
 // Count returns how many distinct hashes were seen.
 func (r *Renumberer) Count() int { return len(r.m) }
 
 // RenumberIter is the streaming step-2 stage: records flow through with
 // PeerIP rewritten from step-1 hashes to first-appearance integers
-// (decimal strings). The renumberer's state — one map entry per distinct
-// peer, never per record — accumulates across everything streamed, so one
-// Renumberer keeps the numbering coherent over all of a campaign's logs.
-// Count is final once the stream is drained.
+// (decimal strings). The renumberer's state — one map entry and one
+// decimal string per distinct peer, never per record — accumulates across
+// everything streamed, so one Renumberer keeps the numbering coherent
+// over all of a campaign's logs. Count is final once the stream is
+// drained.
 func (r *Renumberer) RenumberIter(src logging.Iterator) logging.Iterator {
 	return logging.Map(src, func(rec *logging.Record) error {
 		if rec.PeerIP != "" {
-			rec.PeerIP = strconv.Itoa(r.Number(rec.PeerIP))
+			rec.PeerIP = r.decimal(rec.PeerIP)
 		}
 		return nil
 	})
@@ -107,7 +119,7 @@ func (r *Renumberer) RenumberRecords(recs []logging.Record) int {
 		if recs[i].PeerIP == "" {
 			continue
 		}
-		recs[i].PeerIP = strconv.Itoa(r.Number(recs[i].PeerIP))
+		recs[i].PeerIP = r.decimal(recs[i].PeerIP)
 	}
 	return r.Count()
 }
@@ -117,12 +129,16 @@ func (r *Renumberer) RenumberRecords(recs []logging.Record) int {
 
 // NameAnonymizer replaces rare words in file names with integer tokens.
 // It is a two-pass stage: frequencies must be corpus-wide, so every name
-// is observed (pass 1) before any name is rewritten (pass 2).
+// is observed (pass 1) before any name is rewritten (pass 2). Both passes
+// tokenize per distinct name: Observe only counts occurrences, which fold
+// into word frequencies before the next rewrite, and Anonymize memoizes
+// each name's rewritten form. State is O(distinct names + distinct words).
 type NameAnonymizer struct {
 	threshold int
+	observed  map[string]int // occurrences per name not yet folded into freq
 	freq      map[string]int
-	mapping   map[string]string
-	next      int
+	mapping   map[string]string // rare word → token, numbered in assignment order
+	rewritten map[string]string // name → anonymized form under the current freq
 }
 
 // NewNameAnonymizer builds an anonymizer replacing words occurring fewer
@@ -130,47 +146,65 @@ type NameAnonymizer struct {
 func NewNameAnonymizer(threshold int) *NameAnonymizer {
 	return &NameAnonymizer{
 		threshold: threshold,
+		observed:  make(map[string]int),
 		freq:      make(map[string]int),
 		mapping:   make(map[string]string),
+		rewritten: make(map[string]string),
 	}
 }
 
-// splitWords cuts a file name into alternating word and separator runs,
-// starting with a (possibly empty) word.
-func splitWords(name string) []string {
-	var parts []string
-	cur := strings.Builder{}
-	isWord := true
-	for _, r := range name {
-		w := isWordRune(r)
-		if w != isWord {
-			parts = append(parts, cur.String())
-			cur.Reset()
-			isWord = w
+// nextWord returns the bounds of the first word run of name at or after
+// from; start == end == len(name) when there is none. name[from:start] is
+// the separator run before it. A word run is ASCII alphanumerics and
+// every byte of a non-ASCII rune, so the scan needs no decoding.
+func nextWord(name string, from int) (start, end int) {
+	start = from
+	for start < len(name) && !isWordByte(name[start]) {
+		start++
+	}
+	end = start
+	for end < len(name) && isWordByte(name[end]) {
+		end++
+	}
+	return start, end
+}
+
+func isWordByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c >= 0x80
+}
+
+// validName returns name with every byte that is not part of a valid
+// UTF-8 sequence replaced by U+FFFD, one per byte — the form word keys
+// and rewritten names carry.
+func validName(name string) string {
+	if utf8.ValidString(name) {
+		return name
+	}
+	return string([]rune(name))
+}
+
+// Observe counts one occurrence of a file name. All names must be
+// observed before any call to Anonymize so frequencies are corpus-wide.
+func (a *NameAnonymizer) Observe(name string) { a.observed[name]++ }
+
+// foldObserved adds the words of every name observed since the last fold
+// to the corpus frequencies, each weighted by the name's occurrences.
+// New frequencies can move a word across the threshold, so the rewritten
+// forms memoized under the old ones are dropped.
+func (a *NameAnonymizer) foldObserved() {
+	for name, n := range a.observed {
+		name = validName(name)
+		for s, e := nextWord(name, 0); s < e; s, e = nextWord(name, e) {
+			a.freq[strings.ToLower(name[s:e])] += n
 		}
-		cur.WriteRune(r)
 	}
-	parts = append(parts, cur.String())
-	return parts
-}
-
-func isWordRune(r rune) bool {
-	return r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r >= 0x80
-}
-
-// Observe counts the words of one file name. All names must be observed
-// before any call to Anonymize so frequencies are corpus-wide.
-func (a *NameAnonymizer) Observe(name string) {
-	for i, p := range splitWords(name) {
-		if i%2 == 0 && p != "" { // word positions
-			a.freq[strings.ToLower(p)]++
-		}
-	}
+	clear(a.observed)
+	clear(a.rewritten)
 }
 
 // ObserveIter is pass 1 of the streaming stage: it drains src, counting
-// the word frequencies of every file name (FileName fields and
-// shared-list entries). Memory is one counter per distinct word.
+// the occurrences of every file name (FileName fields and shared-list
+// entries). Memory is one counter per distinct name.
 func (a *NameAnonymizer) ObserveIter(src logging.Iterator) error {
 	return logging.Each(src, func(r *logging.Record) error {
 		if r.FileName != "" {
@@ -184,28 +218,46 @@ func (a *NameAnonymizer) ObserveIter(src logging.Iterator) error {
 }
 
 // Anonymize rewrites a name, replacing below-threshold words coherently.
+// Tokens are assigned in order of first encounter across calls.
 func (a *NameAnonymizer) Anonymize(name string) string {
-	parts := splitWords(name)
+	if len(a.observed) > 0 {
+		a.foldObserved()
+	}
+	out, ok := a.rewritten[name]
+	if !ok {
+		out = a.rewrite(validName(name))
+		a.rewritten[name] = out
+	}
+	return out
+}
+
+// rewrite tokenizes one name and replaces its below-threshold words.
+func (a *NameAnonymizer) rewrite(name string) string {
 	var b strings.Builder
-	for i, p := range parts {
-		if i%2 == 1 || p == "" {
-			b.WriteString(p)
-			continue
+	for from := 0; from < len(name); {
+		s, e := nextWord(name, from)
+		b.WriteString(name[from:s])
+		if s < e {
+			b.WriteString(a.published(name[s:e]))
 		}
-		key := strings.ToLower(p)
-		if a.freq[key] >= a.threshold {
-			b.WriteString(p)
-			continue
-		}
-		repl, ok := a.mapping[key]
-		if !ok {
-			repl = strconv.Itoa(a.next)
-			a.next++
-			a.mapping[key] = repl
-		}
-		b.WriteString(repl)
+		from = e
 	}
 	return b.String()
+}
+
+// published returns word itself when it is frequent enough, else its
+// token, assigned on first need.
+func (a *NameAnonymizer) published(word string) string {
+	key := strings.ToLower(word)
+	if a.freq[key] >= a.threshold {
+		return word
+	}
+	repl, ok := a.mapping[key]
+	if !ok {
+		repl = strconv.Itoa(len(a.mapping))
+		a.mapping[key] = repl
+	}
+	return repl
 }
 
 // AnonymizeIter is pass 2 of the streaming stage: records flow through
@@ -284,9 +336,13 @@ func auditRecord(i int, r *logging.Record) *AuditError {
 	if ip == "" {
 		return nil
 	}
-	if _, err := netip.ParseAddr(ip); err == nil {
-		return &AuditError{Index: i, Honeypot: r.Honeypot, Field: "peer_ip", Value: ip,
-			Reason: "leaks a raw address"}
+	// An address has a '.' or a ':' (a zone adds '%'); without one
+	// ParseAddr can only fail, allocating its error per record.
+	if strings.ContainsAny(ip, ".:%") {
+		if _, err := netip.ParseAddr(ip); err == nil {
+			return &AuditError{Index: i, Honeypot: r.Honeypot, Field: "peer_ip", Value: ip,
+				Reason: "leaks a raw address"}
+		}
 	}
 	if !looksHashed(ip) && !looksNumbered(ip) {
 		return &AuditError{Index: i, Honeypot: r.Honeypot, Field: "peer_ip", Value: ip,
@@ -325,8 +381,13 @@ func looksHashed(s string) bool {
 	if len(s) != 16 {
 		return false
 	}
-	_, err := hex.DecodeString(s)
-	return err == nil
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F') {
+			return false
+		}
+	}
+	return true
 }
 
 func looksNumbered(s string) bool {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"strconv"
@@ -94,19 +95,25 @@ func TestRenumberSkipsEmpty(t *testing.T) {
 }
 
 func TestSplitWordsAlternation(t *testing.T) {
-	parts := splitWords("some.movie (2008)-final.avi")
-	rebuilt := strings.Join(parts, "")
-	if rebuilt != "some.movie (2008)-final.avi" {
-		t.Errorf("split/join not lossless: %q", rebuilt)
+	const name = "some.movie (2008)-final.avi"
+	var words, seps []string
+	for from := 0; from < len(name); {
+		s, e := nextWord(name, from)
+		seps = append(seps, name[from:s])
+		if s < e {
+			words = append(words, name[s:e])
+		}
+		from = e
 	}
-	for i, p := range parts {
-		if p == "" {
-			continue
-		}
-		wantWord := i%2 == 0
-		if isWordRune(rune(p[0])) != wantWord {
-			t.Errorf("part %d %q in wrong position", i, p)
-		}
+	if want := []string{"some", "movie", "2008", "final", "avi"}; !reflect.DeepEqual(words, want) {
+		t.Errorf("words = %q, want %q", words, want)
+	}
+	if want := []string{"", ".", " (", ")-", "."}; !reflect.DeepEqual(seps, want) {
+		t.Errorf("separators = %q, want %q", seps, want)
+	}
+	// Past the last word the scanner reports an empty run at the end.
+	if s, e := nextWord("a..", 1); s != 3 || e != 3 {
+		t.Errorf("nextWord past the last word = (%d, %d), want (3, 3)", s, e)
 	}
 }
 
@@ -250,7 +257,7 @@ func TestQuickNoRareWordSurvives(t *testing.T) {
 func sanitize(s string) string {
 	var b strings.Builder
 	for _, r := range s {
-		if isWordRune(r) && r < 0x80 {
+		if r < 0x80 && isWordByte(byte(r)) {
 			b.WriteRune(r)
 		}
 	}
@@ -426,5 +433,295 @@ func TestAuditIterPassThrough(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatal("audit stage altered records")
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Per-distinct-name path against a per-occurrence reference.
+
+// naiveAnonymizer is the per-occurrence algorithm the NameAnonymizer must
+// stay byte-identical to: every Observe and every Anonymize call decodes
+// and tokenizes its name afresh, with no per-name state.
+type naiveAnonymizer struct {
+	threshold int
+	freq      map[string]int
+	mapping   map[string]string
+}
+
+// naiveSplit cuts a name into alternating word and separator runs,
+// starting with a (possibly empty) word, decoding rune by rune (so each
+// invalid byte becomes U+FFFD).
+func naiveSplit(name string) []string {
+	var parts []string
+	var cur strings.Builder
+	isWord := true
+	for _, r := range name {
+		w := r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r >= 0x80
+		if w != isWord {
+			parts = append(parts, cur.String())
+			cur.Reset()
+			isWord = w
+		}
+		cur.WriteRune(r)
+	}
+	return append(parts, cur.String())
+}
+
+func (a *naiveAnonymizer) observe(name string) {
+	for i, p := range naiveSplit(name) {
+		if i%2 == 0 && p != "" {
+			a.freq[strings.ToLower(p)]++
+		}
+	}
+}
+
+func (a *naiveAnonymizer) anonymize(name string) string {
+	var b strings.Builder
+	for i, p := range naiveSplit(name) {
+		key := strings.ToLower(p)
+		if i%2 == 1 || p == "" || a.freq[key] >= a.threshold {
+			b.WriteString(p)
+			continue
+		}
+		repl, ok := a.mapping[key]
+		if !ok {
+			repl = strconv.Itoa(len(a.mapping))
+			a.mapping[key] = repl
+		}
+		b.WriteString(repl)
+	}
+	return b.String()
+}
+
+// randomCorpus draws records whose names come from a small pool (so names
+// repeat) built from a small vocabulary in mixed case (so words repeat
+// across names), with empty names and shared lists mixed in.
+func randomCorpus(rng *rand.Rand) []logging.Record {
+	vocab := []string{"alpha", "Beta", "GAMMA", "delta", "x264", "2008", "été", "日本語", "cd1", "a"}
+	seps := []string{".", " ", "-", "_(", ")", "..", "[", "] "}
+	pool := make([]string, 1+rng.Intn(12))
+	for i := range pool {
+		var b strings.Builder
+		if rng.Intn(4) == 0 {
+			b.WriteString(seps[rng.Intn(len(seps))]) // leading separator
+		}
+		for w := rng.Intn(5); w > 0; w-- {
+			word := vocab[rng.Intn(len(vocab))]
+			if rng.Intn(3) == 0 {
+				word = strings.ToUpper(word)
+			}
+			b.WriteString(word)
+			b.WriteString(seps[rng.Intn(len(seps))])
+		}
+		pool[i] = b.String() // may be empty
+	}
+	recs := make([]logging.Record, rng.Intn(60))
+	for i := range recs {
+		if rng.Intn(5) > 0 {
+			recs[i].FileName = pool[rng.Intn(len(pool))]
+		}
+		if rng.Intn(6) == 0 {
+			for n := rng.Intn(4); n > 0; n-- {
+				recs[i].Files = append(recs[i].Files, logging.SharedFile{Name: pool[rng.Intn(len(pool))]})
+			}
+		}
+	}
+	return recs
+}
+
+// TestNameAnonymizerMatchesPerOccurrenceReference: on random corpora the
+// streaming stages (counting per distinct name, rewriting through the
+// memo) yield the reference's bytes, token assignment and replaced-word
+// count, and leave the source untouched.
+func TestNameAnonymizerMatchesPerOccurrenceReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		recs := randomCorpus(rng)
+		threshold := 1 + rng.Intn(3)
+
+		ref := &naiveAnonymizer{threshold: threshold, freq: map[string]int{}, mapping: map[string]string{}}
+		for _, r := range recs {
+			if r.FileName != "" {
+				ref.observe(r.FileName)
+			}
+			for _, f := range r.Files {
+				ref.observe(f.Name)
+			}
+		}
+		want := make([]logging.Record, len(recs))
+		for i, r := range recs {
+			want[i] = r
+			if r.FileName != "" {
+				want[i].FileName = ref.anonymize(r.FileName)
+			}
+			want[i].Files = nil
+			for _, f := range r.Files {
+				want[i].Files = append(want[i].Files, logging.SharedFile{Name: ref.anonymize(f.Name)})
+			}
+		}
+
+		a := NewNameAnonymizer(threshold)
+		if err := a.ObserveIter(logging.NewSliceIter(recs)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := drainAll(t, a.AnonymizeIter(logging.NewSliceIter(recs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d records out, want %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("seed %d threshold %d record %d (source %+v):\n got %+v\nwant %+v",
+					seed, threshold, i, recs[i], got[i], want[i])
+			}
+		}
+		if a.ReplacedWords() != len(ref.mapping) {
+			t.Fatalf("seed %d: ReplacedWords = %d, reference %d", seed, a.ReplacedWords(), len(ref.mapping))
+		}
+		if !reflect.DeepEqual(a.mapping, ref.mapping) {
+			t.Fatalf("seed %d: token assignment differs:\n got %v\nwant %v", seed, a.mapping, ref.mapping)
+		}
+	}
+}
+
+// TestNameAnonymizerInvalidUTF8AndMultiByte pins the bytes for names the
+// byte-wise scanner could get wrong: every byte outside a valid UTF-8
+// sequence is a word character that comes out as U+FFFD (one per byte),
+// and multi-byte runes are word characters compared case-insensitively.
+func TestNameAnonymizerInvalidUTF8AndMultiByte(t *testing.T) {
+	names := []string{
+		"film\xff\xfe.avi",  // two bad bytes inside a word
+		"\xe2\x82.café.avi", // truncated 3-byte sequence, then é
+		"CAFÉ.日本語.avi",
+		"\xff",
+		"\ufffd\ufffd.mkv", // already-valid replacement characters
+	}
+	a := NewNameAnonymizer(2)
+	ref := &naiveAnonymizer{threshold: 2, freq: map[string]int{}, mapping: map[string]string{}}
+	for _, n := range names {
+		a.Observe(n)
+		ref.observe(n)
+	}
+	want := []string{
+		"0.avi",                 // film\ufffd\ufffd occurs once
+		"\ufffd\ufffd.café.avi", // every word occurs twice or more (café ~ CAFÉ)
+		"CAFÉ.1.avi",
+		"2",
+		"\ufffd\ufffd.3",
+	}
+	for i, n := range names {
+		if got := ref.anonymize(n); got != want[i] {
+			t.Fatalf("reference drifted on %q: %q, pinned %q", n, got, want[i])
+		}
+		for pass := 0; pass < 2; pass++ { // second pass is served from the memo
+			if got := a.Anonymize(n); got != want[i] {
+				t.Errorf("Anonymize(%q) pass %d = %q, want %q", n, pass, got, want[i])
+			}
+		}
+	}
+	if a.ReplacedWords() != 4 {
+		t.Errorf("ReplacedWords = %d, want 4", a.ReplacedWords())
+	}
+}
+
+// TestObserveAfterAnonymize: frequencies keep accumulating after the first
+// rewrite, and a name rewritten under the old frequencies is rewritten
+// again rather than served stale; tokens already assigned stay assigned.
+func TestObserveAfterAnonymize(t *testing.T) {
+	a := NewNameAnonymizer(2)
+	a.Observe("common.once.avi")
+	a.Observe("common.other.avi")
+	if got := a.Anonymize("common.once.avi"); got != "common.0.avi" {
+		t.Fatalf("first rewrite = %q", got)
+	}
+	a.Observe("once.more")
+	if got := a.Anonymize("common.once.avi"); got != "common.once.avi" {
+		t.Errorf("after a second sighting of \"once\": %q, want the word kept", got)
+	}
+	if got := a.Anonymize("once.more"); got != "once.1" {
+		t.Errorf("new name = %q, want once.1", got)
+	}
+	if got := a.Anonymize("common.other.avi"); got != "common.2.avi" {
+		t.Errorf("token numbering did not continue: %q", got)
+	}
+	if a.ReplacedWords() != 3 { // "once" keeps its mapping entry, as before
+		t.Errorf("ReplacedWords = %d, want 3", a.ReplacedWords())
+	}
+}
+
+// TestAuditVerdictsAndAllocs: the address pre-check and the in-place hex
+// check keep every verdict ParseAddr and hex.DecodeString gave, and a
+// clean record costs no allocation.
+func TestAuditVerdictsAndAllocs(t *testing.T) {
+	cases := []struct {
+		ip     string
+		reason string // "" = passes
+	}{
+		{"", ""},
+		{"0", ""},
+		{"184467", ""},
+		{"0123456789abcdef", ""},
+		{"0123456789ABCDEF", ""},
+		{"192.0.2.55", "leaks a raw address"},
+		{"2001:db8::1", "leaks a raw address"},
+		{"fe80::1%eth0", "leaks a raw address"},
+		{"::ffff:192.0.2.1", "leaks a raw address"},
+		{"0123456789abcdeg", "is neither hashed nor renumbered"},
+		{"0123456789abcde", "is neither hashed nor renumbered"},
+		{"1.5", "is neither hashed nor renumbered"},
+		{"%", "is neither hashed nor renumbered"},
+		{"12:", "is neither hashed nor renumbered"},
+	}
+	for _, c := range cases {
+		err := auditRecord(0, &logging.Record{PeerIP: c.ip})
+		switch {
+		case c.reason == "" && err != nil:
+			t.Errorf("%q: unexpected %v", c.ip, err)
+		case c.reason != "" && (err == nil || err.Reason != c.reason):
+			t.Errorf("%q: got %v, want reason %q", c.ip, err, c.reason)
+		}
+	}
+	hashed := &logging.Record{PeerIP: NewIPHasher([]byte("k")).HashIP(netip.MustParseAddr("10.0.0.1"))}
+	numbered := &logging.Record{PeerIP: "4711"}
+	if n := testing.AllocsPerRun(100, func() {
+		if auditRecord(0, hashed) != nil || auditRecord(1, numbered) != nil {
+			t.Fatal("clean record failed the audit")
+		}
+	}); n != 0 {
+		t.Errorf("auditing clean records allocates %v objects per run", n)
+	}
+}
+
+// TestRenumberSharesDecimalStrings: a peer's records all carry the one
+// decimal string made when its number was assigned, also when Number was
+// called directly in between.
+func TestRenumberSharesDecimalStrings(t *testing.T) {
+	r := NewRenumberer()
+	if r.Number("direct") != 0 {
+		t.Fatal("first number must be 0")
+	}
+	recs := make([]logging.Record, 600)
+	for i := range recs {
+		recs[i].PeerIP = fmt.Sprintf("%016x", i%300)
+	}
+	out, err := drainAll(t, r.RenumberIter(logging.NewSliceIter(recs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range out {
+		if want := strconv.Itoa(1 + i%300); rec.PeerIP != want {
+			t.Fatalf("record %d numbered %q, want %q", i, rec.PeerIP, want)
+		}
+	}
+	// Known peers cost nothing per record: only the stage set-up allocates.
+	if n := testing.AllocsPerRun(10, func() {
+		err := logging.Each(r.RenumberIter(logging.NewSliceIter(recs)), func(*logging.Record) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}); n > 8 {
+		t.Errorf("renumbering %d records of known peers allocates %v objects", len(recs), n)
 	}
 }

@@ -65,7 +65,8 @@ func (s *MergeSource) Iter() (Iterator, error) { return MergeIter(s.logs...), ni
 
 // Map returns an iterator that applies fn to every record of src before
 // yielding it — the pipeline's transform stage. fn may mutate the
-// record in place; a non-nil error aborts the stream.
+// record in place but must not keep the pointer past the call: the stage
+// holds one record and reuses it. A non-nil error aborts the stream.
 func Map(src Iterator, fn func(*Record) error) Iterator {
 	return &mapIter{src: src, fn: fn}
 }
@@ -73,24 +74,28 @@ func Map(src Iterator, fn func(*Record) error) Iterator {
 type mapIter struct {
 	src Iterator
 	fn  func(*Record) error
+	cur Record // fn's argument lives here, not in a per-Next heap escape
 }
 
 // Next implements Iterator.
 func (m *mapIter) Next() (Record, error) {
-	r, err := m.src.Next()
-	if err != nil {
+	var err error
+	if m.cur, err = m.src.Next(); err != nil {
 		return Record{}, err
 	}
-	if err := m.fn(&r); err != nil {
+	if err := m.fn(&m.cur); err != nil {
 		return Record{}, err
 	}
-	return r, nil
+	return m.cur, nil
 }
 
 // Each drains src, invoking fn per record. fn errors abort the drain.
+// Like Map's, fn must not keep the pointer: every call gets the same one.
 func Each(src Iterator, fn func(*Record) error) error {
+	var r Record // one escape per drain, not per record
 	for {
-		r, err := src.Next()
+		var err error
+		r, err = src.Next()
 		if errors.Is(err, io.EOF) {
 			return nil
 		}

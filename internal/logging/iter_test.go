@@ -146,3 +146,97 @@ func TestCloseIter(t *testing.T) {
 		t.Fatalf("plain iterator close: %v", err)
 	}
 }
+
+// TestMapChainYieldsIndependentRecords: stages that mutate the record —
+// scalar fields and a cloned shared list — over a chain whose consumer
+// keeps every returned record (Drain) still yield each record's own
+// values, and leave the source untouched. The stages reuse one record
+// per stage, so a kept record must be a copy, never a view of it.
+func TestMapChainYieldsIndependentRecords(t *testing.T) {
+	src := make([]Record, 50)
+	for i := range src {
+		src[i] = Record{PeerIP: fmt.Sprintf("p%d", i), FileName: "name"}
+		if i%4 == 0 {
+			src[i].Files = []SharedFile{{Name: fmt.Sprintf("shared%d", i)}}
+		}
+	}
+	n := 0
+	it := Map(Map(Map(NewSliceIter(src),
+		func(r *Record) error { r.PeerIP += "/a"; return nil }),
+		func(r *Record) error {
+			r.FileName = fmt.Sprintf("%s-%d", r.FileName, n)
+			n++
+			return nil
+		}),
+		func(r *Record) error {
+			if len(r.Files) > 0 {
+				files := append([]SharedFile(nil), r.Files...)
+				files[0].Name += "/c"
+				r.Files = files
+			}
+			return nil
+		})
+	got, err := Drain(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(src) {
+		t.Fatalf("drained %d records, want %d", len(got), len(src))
+	}
+	for i, r := range got {
+		want := Record{PeerIP: fmt.Sprintf("p%d/a", i), FileName: fmt.Sprintf("name-%d", i)}
+		if i%4 == 0 {
+			want.Files = []SharedFile{{Name: fmt.Sprintf("shared%d/c", i)}}
+		}
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("record %d = %+v, want %+v", i, r, want)
+		}
+		if src[i].PeerIP != fmt.Sprintf("p%d", i) || src[i].FileName != "name" ||
+			(i%4 == 0 && src[i].Files[0].Name != fmt.Sprintf("shared%d", i)) {
+			t.Fatalf("source record %d was mutated: %+v", i, src[i])
+		}
+	}
+
+	// Each hands fn the same values, one record at a time.
+	i := 0
+	err = Each(Map(NewSliceIter(src), func(r *Record) error { r.PeerIP += "/a"; return nil }),
+		func(r *Record) error {
+			if want := fmt.Sprintf("p%d/a", i); r.PeerIP != want {
+				t.Fatalf("Each record %d PeerIP = %q, want %q", i, r.PeerIP, want)
+			}
+			r.PeerIP = "scribbled" // must not leak into the next record
+			i++
+			return nil
+		})
+	if err != nil || i != len(src) {
+		t.Fatalf("Each visited %d records, err %v", i, err)
+	}
+}
+
+// TestMapChainAllocsConstant: a three-stage Map chain over a SliceIter
+// drained by Each allocates for its set-up only — no Record escapes to
+// the heap per stage per record.
+func TestMapChainAllocsConstant(t *testing.T) {
+	run := func(n int) float64 {
+		src := make([]Record, n)
+		for i := range src {
+			src[i] = Record{PeerIP: "peer", FileName: "name", Honeypot: "hp"}
+		}
+		seen := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			stage := func(r *Record) error { r.PeerPort++; return nil }
+			it := Map(Map(Map(NewSliceIter(src), stage), stage), stage)
+			if err := Each(it, func(r *Record) error { seen += int(r.PeerPort); return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if seen == 0 && n > 0 {
+			t.Fatal("chain yielded nothing")
+		}
+		return allocs
+	}
+	small, large := run(10), run(5000)
+	if large > small || large > 10 {
+		t.Fatalf("chain allocates %v objects for 5000 records, %v for 10: want a small constant", large, small)
+	}
+}

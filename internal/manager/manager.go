@@ -611,12 +611,13 @@ type Dataset struct {
 
 // DatasetStream is the streaming form of Dataset: the unified,
 // anonymized, audited campaign log as an iterator. Records flow
-// source → renumber → filename-anonymize → audit one at a time; peak
-// pipeline memory is O(distinct peers + distinct filename words), never
-// O(records). The stats accessors (DistinctPeers, ReplacedWords,
-// PerHoneypot) are final only once Next has returned io.EOF. Close
-// releases the underlying store cursor, if any; consume and close the
-// stream before reusing or closing the manager's store.
+// source → audit → renumber → filename-anonymize one at a time; peak
+// pipeline memory is O(distinct peers + distinct file names + distinct
+// filename words) — the names being the strings the scan's intern pool
+// already holds — never O(records). The stats accessors (DistinctPeers,
+// ReplacedWords, PerHoneypot) are final only once Next has returned
+// io.EOF. Close releases the underlying store cursor, if any; consume and
+// close the stream before reusing or closing the manager's store.
 type DatasetStream struct {
 	it   logging.Iterator // full pipeline output
 	base logging.Iterator // the source cursor, for Close
@@ -770,7 +771,7 @@ func (s *stageIter) Next() (logging.Record, error) {
 
 // newDatasetStream assembles the finalize pipeline over the collected
 // logs: re-iterable source → (pass 1: observe filename corpus) →
-// renumber → anonymize names → audit.
+// audit → renumber → anonymize names.
 func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 	span := obs.StartSpan(m.met.finalizeDur)
 	src, perHP, err := m.datasetSource()

@@ -1097,3 +1097,63 @@ func TestFinalizeAuditFailureNamesRecord(t *testing.T) {
 		t.Fatalf("error %q lost the audit-failed wrapping", gotErr)
 	}
 }
+
+// TestFinalizeStreamAllocsPerRecord guards the finalize stage chain
+// (merge → audit → renumber → anonymize) against a per-record heap
+// escape: one whole FinalizeStream over an in-memory campaign, drained to
+// EOF, costs per-run set-up plus state per distinct peer, name and word,
+// so its allocations divided by the record count stay far below one.
+func TestFinalizeStreamAllocsPerRecord(t *testing.T) {
+	const (
+		perHoneypot = 2000
+		peers       = 40
+		names       = 25
+		budget      = 0.25 // allocs per record; a per-record escape costs ≥ 1
+	)
+	ids := []string{"hp-a", "hp-b", "hp-c"}
+	h := anonymize.NewIPHasher(secret)
+	loop := des.NewLoop(t0, 1)
+	m := New(netsim.New(loop, netsim.DefaultConfig()).NewHost("m-allocs"), DefaultConfig())
+	for hi, id := range ids {
+		recs := make([]logging.Record, perHoneypot)
+		for j := range recs {
+			ip, _ := netip.AddrFromSlice([]byte{10, 0, 0, byte((j + hi) % peers)})
+			recs[j] = logging.Record{
+				Time:     t0.Add(time.Duration(j) * time.Second),
+				Honeypot: id,
+				Kind:     logging.KindStartUpload,
+				PeerIP:   h.HashIP(ip),
+				FileName: "Common.bait-" + strconv.Itoa(j%names) + ".rare" + strconv.Itoa(j%names) + ".avi",
+			}
+		}
+		m.Add(&fakeHandle{id: id, recs: recs}, Assignment{})
+	}
+	m.CollectNow(nil)
+
+	drained := 0
+	perRun := testing.AllocsPerRun(5, func() {
+		var stream *DatasetStream
+		m.FinalizeStream(func(s *DatasetStream, err error) {
+			if err != nil {
+				t.Fatalf("FinalizeStream: %v", err)
+			}
+			stream = s
+		})
+		for drained = 0; ; drained++ {
+			if _, err := stream.Next(); err != nil {
+				if !errors.Is(err, io.EOF) {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+		stream.Close()
+	})
+	if want := perHoneypot * len(ids); drained != want {
+		t.Fatalf("drained %d records, want %d", drained, want)
+	}
+	if got := perRun / float64(drained); got > budget {
+		t.Fatalf("finalize allocates %.2f objects per record (%.0f per run over %d records), budget %.2f",
+			got, perRun, drained, budget)
+	}
+}
