@@ -35,6 +35,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -43,26 +44,38 @@ import (
 	"repro/internal/logging"
 )
 
-// IPHasher is the step-1 anonymizer held by each honeypot.
+// IPHasher is the step-1 anonymizer held by each honeypot. The honeypot
+// hashes a peer's address once per session, when the connection is
+// accepted and before any record of that session exists, and stamps the
+// result into each of the session's records — so nothing appended to a
+// log or sent to the manager ever carried a raw address (the paper's
+// step 1), and no table of raw addresses outlives a session.
+//
+// An IPHasher holds one keyed HMAC state that HashIP resets per call: it
+// is not safe for concurrent use. Its one owner, a honeypot, runs on a
+// single transport host executor.
 type IPHasher struct {
-	key []byte
+	mac  hash.Hash
+	addr [16]byte
+	sum  [sha256.Size]byte
 }
 
 // NewIPHasher builds a hasher from the campaign secret. Every honeypot of
 // a campaign must receive the same secret.
 func NewIPHasher(secret []byte) *IPHasher {
-	key := make([]byte, len(secret))
-	copy(key, secret)
-	return &IPHasher{key: key}
+	return &IPHasher{mac: hmac.New(sha256.New, secret)}
 }
 
 // HashIP returns the anonymized form of addr: the first 16 hex characters
 // of HMAC-SHA256(key, addr). One-way, keyed, and stable campaign-wide.
 func (h *IPHasher) HashIP(addr netip.Addr) string {
-	mac := hmac.New(sha256.New, h.key)
-	b := addr.As16()
-	mac.Write(b[:])
-	return hex.EncodeToString(mac.Sum(nil))[:16]
+	h.mac.Reset()
+	h.addr = addr.As16()
+	h.mac.Write(h.addr[:])
+	sum := h.mac.Sum(h.sum[:0])
+	var out [16]byte
+	hex.Encode(out[:], sum[:8])
+	return string(out[:])
 }
 
 // Renumberer is the manager's step-2 pass: hash values become integers in

@@ -1,6 +1,9 @@
 package anonymize
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -31,6 +34,34 @@ func TestHashIPStableAndKeyed(t *testing.T) {
 	}
 	if len(a.HashIP(ip)) != 16 {
 		t.Errorf("hash length %d", len(a.HashIP(ip)))
+	}
+}
+
+// HashIP reuses one HMAC state; every call must still equal a freshly
+// keyed HMAC-SHA256 over the 16-byte address, whatever was hashed before,
+// and the hasher must not alias the caller's secret.
+func TestHashIPMatchesFreshHMAC(t *testing.T) {
+	key := []byte("campaign-secret")
+	h := NewIPHasher(key)
+	key[0] ^= 0xff // the caller's slice is not the hasher's key
+	addrs := []string{"192.0.2.7", "10.0.0.1", "192.0.2.7", "2001:db8::1", "::ffff:192.0.2.7", "10.0.0.1"}
+	for _, a := range addrs {
+		addr := netip.MustParseAddr(a)
+		mac := hmac.New(sha256.New, []byte("campaign-secret"))
+		b := addr.As16()
+		mac.Write(b[:])
+		want := hex.EncodeToString(mac.Sum(nil))[:16]
+		if got := h.HashIP(addr); got != want {
+			t.Errorf("HashIP(%s) = %s, want %s", a, got, want)
+		}
+	}
+}
+
+func TestHashIPAllocs(t *testing.T) {
+	h := NewIPHasher([]byte("campaign"))
+	ip := netip.MustParseAddr("198.51.100.23")
+	if allocs := testing.AllocsPerRun(200, func() { h.HashIP(ip) }); allocs > 2 {
+		t.Errorf("HashIP: %.1f allocs per call, want <= 2", allocs)
 	}
 }
 

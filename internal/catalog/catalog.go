@@ -7,12 +7,14 @@
 package catalog
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
+	"sync"
 
 	"repro/internal/ed2k"
+	"repro/internal/md4"
 )
 
 // Kind is the media archetype of a file.
@@ -101,10 +103,12 @@ func DefaultConfig() Config {
 
 // Catalog is an immutable generated file universe.
 type Catalog struct {
-	files  []File
-	cum    []float64 // cumulative weights for popularity sampling
-	total  float64
-	byHash map[ed2k.Hash]int
+	files []File
+	cum   []float64 // cumulative weights for popularity sampling
+	total float64
+
+	byHashOnce sync.Once
+	byHash     map[ed2k.Hash]int // built by the first ByHash call
 }
 
 // kindMix is the archetype distribution; tuned so the mean size is a few
@@ -121,14 +125,32 @@ var kindMix = []struct {
 	{Distro, 0.02},
 }
 
+// MaxVocabulary is the number of distinct words mintWord can produce:
+// every sequence of 2, 3 or 4 syllables. No syllable is a prefix of
+// another, so distinct sequences spell distinct words and the count is
+// exact. Generate never returns for a Config.Vocabulary above it — the
+// vocabulary loop waits for a word that cannot exist — so callers that
+// take a Config from outside must reject larger values.
+const MaxVocabulary = numSyllables*numSyllables +
+	numSyllables*numSyllables*numSyllables +
+	numSyllables*numSyllables*numSyllables*numSyllables
+
+const numSyllables = len(syllables)
+
 // syllables used to mint pronounceable pseudo-words.
-var syllables = []string{
+var syllables = [...]string{
 	"ba", "co", "di", "fu", "ga", "he", "ki", "lo", "ma", "ne",
 	"or", "pa", "qui", "ra", "su", "ta", "ul", "ve", "wo", "xy",
 	"zen", "tor", "mir", "sal", "bre", "cla", "dro", "fle", "gri", "pla",
 }
 
 // Generate builds a catalog. It is deterministic in cfg.
+//
+// Each file costs one allocation, its name: the name is appended into a
+// reused buffer that already holds the synthetic-hash preimage
+// "repro/ed2k/synthetic:catalog/<seed>/<i>/", so the buffer's tail is the
+// name and the whole buffer is what ed2k.SyntheticHash would hash for
+// "catalog/<seed>/<i>/<name>".
 func Generate(cfg Config) *Catalog {
 	if cfg.NumFiles <= 0 {
 		panic("catalog: NumFiles must be positive")
@@ -157,50 +179,59 @@ func Generate(cfg Config) *Catalog {
 	wordZipf := rand.NewZipf(rng, 1.4, 1, uint64(cfg.Vocabulary-1))
 
 	c := &Catalog{
-		files:  make([]File, cfg.NumFiles),
-		cum:    make([]float64, cfg.NumFiles),
-		byHash: make(map[ed2k.Hash]int, cfg.NumFiles),
+		files: make([]File, cfg.NumFiles),
+		cum:   make([]float64, cfg.NumFiles),
 	}
+	buf := append(make([]byte, 0, 128), "repro/ed2k/synthetic:catalog/"...)
+	buf = strconv.AppendInt(buf, cfg.Seed, 10)
+	buf = append(buf, '/')
+	indexAt := len(buf)
 	for i := 0; i < cfg.NumFiles; i++ {
 		kind := sampleKind(rng)
+		buf = strconv.AppendInt(buf[:indexAt], int64(i), 10)
+		buf = append(buf, '/')
+		nameAt := len(buf)
+		buf = appendName(buf, rng, vocab, wordZipf, kind)
 		f := File{
 			Index:  i,
-			Kind:   kind,
-			Name:   mintName(rng, vocab, wordZipf, kind),
+			Hash:   md4.Sum(buf),
+			Name:   string(buf[nameAt:]),
 			Size:   sampleSize(rng, kind),
+			Kind:   kind,
 			Weight: 1.0 / math.Pow(float64(i+1), cfg.PopularityExp),
 		}
-		f.Hash = ed2k.SyntheticHash(fmt.Sprintf("catalog/%d/%d/%s", cfg.Seed, i, f.Name))
 		c.files[i] = f
 		c.total += f.Weight
 		c.cum[i] = c.total
-		c.byHash[f.Hash] = i
 	}
 	return c
 }
 
 func mintWord(rng *rand.Rand) string {
 	n := 2 + rng.Intn(3)
-	w := ""
+	var w [12]byte // 4 syllables of at most 3 letters
+	b := w[:0]
 	for i := 0; i < n; i++ {
-		w += syllables[rng.Intn(len(syllables))]
+		b = append(b, syllables[rng.Intn(len(syllables))]...)
 	}
-	return w
+	return string(b)
 }
 
-func mintName(rng *rand.Rand, vocab []string, wordZipf *rand.Zipf, kind Kind) string {
+// appendName appends one file name to buf: 2-5 Zipf-drawn vocabulary
+// words joined by dots, a year on 30 % of names, the kind's extension.
+func appendName(buf []byte, rng *rand.Rand, vocab []string, wordZipf *rand.Zipf, kind Kind) []byte {
 	n := 2 + rng.Intn(4)
-	name := ""
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			name += "."
+			buf = append(buf, '.')
 		}
-		name += vocab[int(wordZipf.Uint64())%len(vocab)]
+		buf = append(buf, vocab[int(wordZipf.Uint64())%len(vocab)]...)
 	}
 	if rng.Float64() < 0.3 {
-		name += fmt.Sprintf(".%d", 1995+rng.Intn(14))
+		buf = append(buf, '.')
+		buf = strconv.AppendInt(buf, int64(1995+rng.Intn(14)), 10)
 	}
-	return name + kind.extension()
+	return append(buf, kind.extension()...)
 }
 
 func sampleKind(rng *rand.Rand) Kind {
@@ -243,8 +274,15 @@ func (c *Catalog) Len() int { return len(c.files) }
 // File returns entry i.
 func (c *Catalog) File(i int) File { return c.files[i] }
 
-// ByHash finds a file by its ed2k hash.
+// ByHash finds a file by its ed2k hash. The index is built on the first
+// call, not by Generate: campaigns never look files up by hash.
 func (c *Catalog) ByHash(h ed2k.Hash) (File, bool) {
+	c.byHashOnce.Do(func() {
+		c.byHash = make(map[ed2k.Hash]int, len(c.files))
+		for i := range c.files {
+			c.byHash[c.files[i].Hash] = i
+		}
+	})
 	i, ok := c.byHash[h]
 	if !ok {
 		return File{}, false

@@ -1,9 +1,16 @@
 package catalog
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/ed2k"
 )
 
 func small() Config {
@@ -21,6 +28,86 @@ func TestGenerateDeterministic(t *testing.T) {
 		if fa.Hash != fb.Hash || fa.Name != fb.Name || fa.Size != fb.Size {
 			t.Fatalf("file %d differs between runs", i)
 		}
+	}
+}
+
+// digestCatalog hashes every field of every file in index order.
+func digestCatalog(c *Catalog) string {
+	h := sha256.New()
+	var b [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for i := 0; i < c.Len(); i++ {
+		f := c.File(i)
+		u64(uint64(f.Index))
+		h.Write(f.Hash[:])
+		u64(uint64(len(f.Name)))
+		h.Write([]byte(f.Name))
+		u64(uint64(f.Size))
+		u64(uint64(f.Kind))
+		u64(math.Float64bits(f.Weight))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGenerateGolden pins every byte Generate produces. The digests were
+// taken from the string-concatenating, fmt.Sprintf-hashing generator that
+// preceded the in-place one, so they are a pin, not a self-comparison.
+func TestGenerateGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"small", small(), "43a3e006c4c215ff97b58fa35a847c16fd55d5a0ac54ce15e44d439db2fbcdb6"},
+		{"default", DefaultConfig(), "a603ea11f8719d18fe0d973145845b9f1bc53ccf2784162b0dff411d6d3edd3e"},
+	} {
+		if got := digestCatalog(Generate(tc.cfg)); got != tc.want {
+			t.Errorf("%s catalog digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// Generate builds the synthetic-hash preimage in place; it must stay the
+// one ed2k.SyntheticHash would build from the documented seed string.
+func TestHashMatchesSyntheticHash(t *testing.T) {
+	for _, cfg := range []Config{small(), {NumFiles: 500, Vocabulary: 100, Seed: -12}} {
+		c := Generate(cfg)
+		for i := 0; i < c.Len(); i += 37 {
+			f := c.File(i)
+			want := ed2k.SyntheticHash(fmt.Sprintf("catalog/%d/%d/%s", cfg.Seed, i, f.Name))
+			if f.Hash != want {
+				t.Fatalf("seed %d file %d: hash %s, want %s", cfg.Seed, i, f.Hash, want)
+			}
+		}
+	}
+}
+
+// MaxVocabulary counts syllable sequences; it equals the number of
+// distinct words only while no syllable is a prefix of another.
+func TestSyllablesPrefixFree(t *testing.T) {
+	for i, a := range syllables {
+		for j, b := range syllables {
+			if i != j && strings.HasPrefix(b, a) {
+				t.Errorf("syllable %q is a prefix of %q", a, b)
+			}
+		}
+	}
+	if MaxVocabulary != 900+27_000+810_000 {
+		t.Errorf("MaxVocabulary = %d", MaxVocabulary)
+	}
+}
+
+func TestGenerateAllocsPerFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the 300,000-file default catalog")
+	}
+	cfg := DefaultConfig()
+	allocs := testing.AllocsPerRun(1, func() { Generate(cfg) })
+	if perFile := allocs / float64(cfg.NumFiles); perFile > 1.2 {
+		t.Errorf("Generate(DefaultConfig()): %.2f allocs per file, want <= 1.2", perFile)
 	}
 }
 
@@ -180,6 +267,14 @@ func TestKindString(t *testing.T) {
 
 func BenchmarkGenerate10k(b *testing.B) {
 	cfg := Config{NumFiles: 10000, Vocabulary: 2000, PopularityExp: 0.9, Seed: 1}
+	for i := 0; i < b.N; i++ {
+		Generate(cfg)
+	}
+}
+
+func BenchmarkGenerate300k(b *testing.B) {
+	cfg := DefaultConfig()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Generate(cfg)
 	}

@@ -113,6 +113,7 @@ type Honeypot struct {
 	hasher *anonymize.IPHasher
 
 	serverAddr netip.AddrPort
+	serverStr  string // serverAddr.String(), rendered once per ConnectServer
 	sink       logging.Sink
 	mem        *logging.MemorySink // non-nil when sink is the default buffer
 	logged     int                 // total records appended
@@ -142,8 +143,9 @@ func New(host transport.Host, cfg Config) *Honeypot {
 		cfg.KeepAlive = 30 * time.Minute
 	}
 	hp := &Honeypot{
-		cfg:    cfg,
-		hasher: anonymize.NewIPHasher(cfg.Secret),
+		cfg:       cfg,
+		hasher:    anonymize.NewIPHasher(cfg.Secret),
+		serverStr: netip.AddrPort{}.String(),
 	}
 	if cfg.Sink != nil {
 		hp.sink = cfg.Sink
@@ -190,6 +192,7 @@ func (hp *Honeypot) ConnectServer(server netip.AddrPort) {
 		hp.started = hp.cl.Host().Now()
 	}
 	hp.serverAddr = server
+	hp.serverStr = server.String()
 	hp.cl.ConnectServer(server, client.ServerHooks{})
 }
 
@@ -223,7 +226,7 @@ func (hp *Honeypot) Status() Status {
 		Connected:  hp.cl.Connected(),
 		ClientID:   uint32(hp.cl.ClientID()),
 		HighID:     !hp.cl.ClientID().Low(),
-		Server:     hp.serverAddr.String(),
+		Server:     hp.serverStr,
 		Records:    records,
 		Advertised: len(hp.cl.Shared()),
 		Stats:      hp.stats,
@@ -250,7 +253,7 @@ func (hp *Honeypot) Close() { hp.cl.Close() }
 func (hp *Honeypot) log(r logging.Record) {
 	r.Time = hp.cl.Host().Now()
 	r.Honeypot = hp.cfg.ID
-	r.Server = hp.serverAddr.String()
+	r.Server = hp.serverStr
 	hp.sink.Append(r)
 	hp.logged++
 	if hp.OnRecord != nil {
@@ -258,14 +261,29 @@ func (hp *Honeypot) log(r logging.Record) {
 	}
 }
 
-// base fills the per-peer fields shared by all record kinds.
-func (hp *Honeypot) base(ps *client.PeerSession) logging.Record {
+// peerStamp is what a peer session computes once and every record of the
+// session copies: the step-1 hashed address and the hex user hash.
+type peerStamp struct {
+	peerIP   string
+	userHash ed2k.Hash // the hash userHex renders; valid when userHex != ""
+	userHex  string
+}
+
+// base fills the per-peer fields shared by all record kinds. The hashed
+// address comes from the session's stamp; the hex user hash is rendered
+// on the first record and again only when a later HELLO declares a
+// different one, so an established session stamps records without
+// hashing or allocating.
+func (hp *Honeypot) base(ps *client.PeerSession, st *peerStamp) logging.Record {
 	info := ps.Remote()
+	if st.userHex == "" || st.userHash != info.UserHash {
+		st.userHash, st.userHex = info.UserHash, info.UserHash.String()
+	}
 	return logging.Record{
-		PeerIP:        hp.hasher.HashIP(ps.RemoteAddr().Addr()),
+		PeerIP:        st.peerIP,
 		PeerPort:      ps.RemoteAddr().Port(),
 		PeerName:      info.Name,
-		UserHash:      info.UserHash.String(),
+		UserHash:      st.userHex,
 		HighID:        !ed2k.ClientID(info.ClientID).Low(),
 		ClientVersion: info.Version,
 	}
@@ -273,10 +291,13 @@ func (hp *Honeypot) base(ps *client.PeerSession) logging.Record {
 
 func (hp *Honeypot) onPeerSession(ps *client.PeerSession) {
 	hp.stats.Connections++
+	// Step 1 of the paper's anonymization: hash the peer address on accept,
+	// before any record of the session exists. The raw address is not kept.
+	st := &peerStamp{peerIP: hp.hasher.HashIP(ps.RemoteAddr().Addr())}
 	ps.SetHooks(client.PeerHooks{
 		OnHello: func(info client.PeerInfo) {
 			hp.stats.Hello++
-			r := hp.base(ps)
+			r := hp.base(ps, st)
 			r.Kind = logging.KindHello
 			hp.log(r)
 			if hp.cfg.BrowseContacts {
@@ -285,7 +306,7 @@ func (hp *Honeypot) onPeerSession(ps *client.PeerSession) {
 		},
 		OnStartUpload: func(file ed2k.Hash) {
 			hp.stats.StartUpload++
-			r := hp.base(ps)
+			r := hp.base(ps, st)
 			r.Kind = logging.KindStartUpload
 			r.FileHash = file
 			if f, ok := hp.cl.SharedFile(file); ok {
@@ -298,7 +319,7 @@ func (hp *Honeypot) onPeerSession(ps *client.PeerSession) {
 		},
 		OnRequestParts: func(req *wire.RequestParts) {
 			hp.stats.RequestParts++
-			r := hp.base(ps)
+			r := hp.base(ps, st)
 			r.Kind = logging.KindRequestPart
 			r.FileHash = req.Hash
 			if f, ok := hp.cl.SharedFile(req.Hash); ok {
@@ -314,7 +335,7 @@ func (hp *Honeypot) onPeerSession(ps *client.PeerSession) {
 				return // peer has browsing disabled
 			}
 			hp.stats.SharedLists++
-			r := hp.base(ps)
+			r := hp.base(ps, st)
 			r.Kind = logging.KindSharedList
 			r.Files = make([]logging.SharedFile, 0, len(files))
 			for _, f := range files {

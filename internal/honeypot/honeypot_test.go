@@ -370,3 +370,103 @@ func TestMissingSecretPanics(t *testing.T) {
 	nw := netsim.New(loop, netsim.DefaultConfig())
 	New(nw.NewHost("x"), Config{ID: "x"})
 }
+
+// All records of one session carry the address hashed on accept and the
+// hex of the user hash the peer last declared; a second HELLO with another
+// user hash shows in the records after it and only those.
+func TestSessionStampFollowsHello(t *testing.T) {
+	w := newWorld(t)
+	hp := w.newHoneypot(t, Config{ID: "hp-s", Strategy: NoContent})
+	hp.Advertise(testFile)
+	peer := w.newPeer(t, "stamped", 4663, true)
+	first, second := ed2k.NewUserHash("stamped"), ed2k.NewUserHash("stamped/reinstalled")
+	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), hp.Config().Port), func(ps *client.PeerSession, err error) {
+		if err != nil {
+			t.Errorf("dial honeypot: %v", err)
+			return
+		}
+		ps.SendHello()
+		ps.StartUpload(testFile.Hash)
+		ps.RequestParts(testFile.Hash, [2]uint32{0, 180000})
+		ps.Send(&wire.Hello{UserHash: second, Port: 4663})
+		ps.StartUpload(testFile.Hash)
+		ps.RequestParts(testFile.Hash, [2]uint32{180000, 360000})
+	})
+	w.settle()
+	recs := hp.TakeRecords()
+	if len(recs) != 6 {
+		t.Fatalf("got %d records, want 6", len(recs))
+	}
+	wantIP := anonymize.NewIPHasher(secret).HashIP(peer.Host().Addr())
+	for i, r := range recs {
+		wantUser := first.String()
+		if i >= 3 {
+			wantUser = second.String()
+		}
+		if r.PeerIP != wantIP || r.UserHash != wantUser {
+			t.Errorf("record %d (%s): PeerIP %q UserHash %q, want %q %q", i, r.Kind, r.PeerIP, r.UserHash, wantIP, wantUser)
+		}
+	}
+}
+
+// Records logged before the honeypot was ever placed on a server carry
+// the zero AddrPort's rendering, as Status does.
+func TestRecordsBeforeConnectServer(t *testing.T) {
+	w := newWorld(t)
+	hp := New(w.net.NewHost("hp-pre"), Config{ID: "hp-pre", Port: 4662, Secret: secret})
+	if err := hp.Client().Listen(); err != nil {
+		t.Fatal(err)
+	}
+	peer := w.newPeer(t, "early", 4663, true)
+	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), func(ps *client.PeerSession, err error) {
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		ps.SendHello()
+	})
+	w.settle()
+	recs := hp.TakeRecords()
+	if len(recs) != 1 || recs[0].Server != "invalid AddrPort" {
+		t.Fatalf("pre-connect records: %+v", recs)
+	}
+	if got := hp.Status().Server; got != "invalid AddrPort" {
+		t.Errorf("pre-connect Status().Server = %q", got)
+	}
+	hp.ConnectServer(w.srv.Addr())
+	if got := hp.Status().Server; got != w.srv.Addr().String() {
+		t.Errorf("Status().Server = %q after ConnectServer", got)
+	}
+}
+
+type discardSink struct{}
+
+func (discardSink) Append(logging.Record) {}
+
+// On an established session, stamping and logging a record neither hashes
+// nor allocates: hashed address, hex user hash and server string are all
+// copied.
+func TestRecordStampAllocs(t *testing.T) {
+	w := newWorld(t)
+	hp := w.newHoneypot(t, Config{ID: "hp-z", Strategy: NoContent, Sink: discardSink{}})
+	hp.Advertise(testFile)
+	var session *client.PeerSession
+	hp.Client().OnPeerSession = func(ps *client.PeerSession) {
+		session = ps
+		hp.onPeerSession(ps)
+	}
+	driveContact(t, w, hp, "steady", 4663, true)
+	if session == nil {
+		t.Fatal("no session")
+	}
+	st := &peerStamp{peerIP: hp.hasher.HashIP(session.RemoteAddr().Addr())}
+	hp.base(session, st) // the session's first record renders the user hash
+	allocs := testing.AllocsPerRun(100, func() {
+		r := hp.base(session, st)
+		r.Kind = logging.KindRequestPart
+		hp.log(r)
+	})
+	if allocs != 0 {
+		t.Errorf("stamping a record on an established session: %.1f allocs, want 0", allocs)
+	}
+}

@@ -188,11 +188,14 @@ func EncodeRecord(dst []byte, r Record) []byte { return appendRecord(dst, r) }
 // DecodeRecord decodes one record previously encoded with EncodeRecord.
 func DecodeRecord(b []byte) (Record, error) { return decodeRecord(b, nil) }
 
-// DecodeRecordInterned is DecodeRecord with the low-cardinality string
-// columns — Honeypot, Server, PeerName, FileName (the honeypot's own
-// name for the concerned file) — deduplicated through pool: a scan over
-// a campaign allocates each such string once instead of once per
-// record. High-cardinality fields (PeerIP, UserHash) are never pooled.
+// DecodeRecordInterned is DecodeRecord with the recurring string columns
+// deduplicated through pool: Honeypot, Server, PeerName and FileName (the
+// honeypot's own name for the concerned file), one value per honeypot,
+// server, client build or advertised file, and PeerIP and UserHash, one
+// value per distinct peer — the order of state the anonymizer's
+// Renumberer holds anyway. A scan over a campaign allocates each such
+// string once instead of once per record. Shared-list file names, which
+// rarely recur, are never pooled.
 func DecodeRecordInterned(b []byte, pool *intern.Pool) (Record, error) {
 	return decodeRecord(b, pool)
 }
@@ -355,7 +358,8 @@ func (d *recDecoder) str(what string) string {
 }
 
 // strPooled is str through an interner; with a nil pool it behaves like
-// str. Only low-cardinality columns go through here.
+// str. Columns with one value per honeypot, server, client build,
+// advertised file or peer go through here.
 func (d *recDecoder) strPooled(what string, pool *intern.Pool) string {
 	if pool == nil {
 		return d.str(what)
@@ -380,10 +384,10 @@ func decodeRecord(b []byte, pool *intern.Pool) (Record, error) {
 	r.Time = time.Unix(0, int64(d.u64("time"))).UTC()
 	r.Honeypot = d.strPooled("honeypot", pool)
 	r.Kind = Kind(d.u8("kind"))
-	r.PeerIP = d.str("peer_ip")
+	r.PeerIP = d.strPooled("peer_ip", pool)
 	r.PeerPort = d.u16("peer_port")
 	r.PeerName = d.strPooled("peer_name", pool)
-	r.UserHash = d.str("user_hash")
+	r.UserHash = d.strPooled("user_hash", pool)
 	r.HighID = d.u8("high_id") != 0
 	r.ClientVersion = d.u32("client_version")
 	r.FileHash = d.hash("file_hash")

@@ -395,8 +395,12 @@ func TestJSONLFileRoundTrip(t *testing.T) {
 
 func TestDecodeRecordInternedMatchesPlain(t *testing.T) {
 	pool := intern.NewPool()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 6; i++ {
 		r := sampleRecord(i)
+		if i%2 == 1 { // a second peer: the per-peer columns are pooled too
+			r.PeerIP = "0011223344556677"
+			r.UserHash = ed2k.NewUserHash("v").String()
+		}
 		r.Files = []SharedFile{{Hash: ed2k.SyntheticHash("s"), Name: "s.bin", Size: 7}}
 		body := EncodeRecord(nil, r)
 		plain, err := DecodeRecord(body)
@@ -411,8 +415,9 @@ func TestDecodeRecordInternedMatchesPlain(t *testing.T) {
 			t.Fatalf("interned decode differs:\n got %+v\nwant %+v", pooled, plain)
 		}
 	}
-	// Honeypot, PeerName, FileName and Server are the pooled columns.
-	if pool.Len() != 4 {
-		t.Errorf("pool holds %d strings, want 4", pool.Len())
+	// Honeypot, PeerName, FileName and Server once, PeerIP and UserHash
+	// once per peer; shared-list names never.
+	if pool.Len() != 4+2*2 {
+		t.Errorf("pool holds %d strings, want 8", pool.Len())
 	}
 }

@@ -9,6 +9,7 @@ package md4
 import (
 	"encoding/binary"
 	"hash"
+	"math/bits"
 )
 
 // Size is the size of an MD4 checksum in bytes.
@@ -119,66 +120,92 @@ func (d *digest) checkSum(out *[Size]byte) {
 	binary.LittleEndian.PutUint32(out[12:], d.s[3])
 }
 
-var shift1 = [4]uint{3, 7, 11, 19}
-var shift2 = [4]uint{3, 5, 9, 13}
-var shift3 = [4]uint{3, 9, 11, 15}
-
-var xIndex2 = [16]uint{0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15}
-var xIndex3 = [16]uint{0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15}
-
-// block processes as many 64-byte blocks of p as are available.
-func block(d *digest, p []byte) {
-	a := d.s[0]
-	b := d.s[1]
-	c := d.s[2]
-	dd := d.s[3]
-	var x [16]uint32
+// block processes as many 64-byte blocks of p as are available. The three
+// rounds are unrolled over sixteen local message words so every rotation
+// is by a constant and no step indexes a table.
+func block(dig *digest, p []byte) {
+	a, b, c, d := dig.s[0], dig.s[1], dig.s[2], dig.s[3]
 	for len(p) >= BlockSize {
-		aa, bb, cc, ddd := a, b, c, dd
+		aa, bb, cc, dd := a, b, c, d
 
-		for i := 0; i < 16; i++ {
-			x[i] = binary.LittleEndian.Uint32(p[4*i:])
-		}
+		_ = p[BlockSize-1] // one bounds check for the sixteen loads
+		x0 := binary.LittleEndian.Uint32(p[0:])
+		x1 := binary.LittleEndian.Uint32(p[4:])
+		x2 := binary.LittleEndian.Uint32(p[8:])
+		x3 := binary.LittleEndian.Uint32(p[12:])
+		x4 := binary.LittleEndian.Uint32(p[16:])
+		x5 := binary.LittleEndian.Uint32(p[20:])
+		x6 := binary.LittleEndian.Uint32(p[24:])
+		x7 := binary.LittleEndian.Uint32(p[28:])
+		x8 := binary.LittleEndian.Uint32(p[32:])
+		x9 := binary.LittleEndian.Uint32(p[36:])
+		xa := binary.LittleEndian.Uint32(p[40:])
+		xb := binary.LittleEndian.Uint32(p[44:])
+		xc := binary.LittleEndian.Uint32(p[48:])
+		xd := binary.LittleEndian.Uint32(p[52:])
+		xe := binary.LittleEndian.Uint32(p[56:])
+		xf := binary.LittleEndian.Uint32(p[60:])
 
-		// Round 1: F(x,y,z) = (x & y) | (~x & z)
-		for i := uint(0); i < 16; i++ {
-			s := shift1[i%4]
-			f := ((c ^ dd) & b) ^ dd
-			a += f + x[i]
-			a = a<<s | a>>(32-s)
-			a, b, c, dd = dd, a, b, c
-		}
+		// Round 1: F(x,y,z) = (x & y) | (~x & z), as ((y ^ z) & x) ^ z.
+		a = bits.RotateLeft32(a+(((c^d)&b)^d)+x0, 3)
+		d = bits.RotateLeft32(d+(((b^c)&a)^c)+x1, 7)
+		c = bits.RotateLeft32(c+(((a^b)&d)^b)+x2, 11)
+		b = bits.RotateLeft32(b+(((d^a)&c)^a)+x3, 19)
+		a = bits.RotateLeft32(a+(((c^d)&b)^d)+x4, 3)
+		d = bits.RotateLeft32(d+(((b^c)&a)^c)+x5, 7)
+		c = bits.RotateLeft32(c+(((a^b)&d)^b)+x6, 11)
+		b = bits.RotateLeft32(b+(((d^a)&c)^a)+x7, 19)
+		a = bits.RotateLeft32(a+(((c^d)&b)^d)+x8, 3)
+		d = bits.RotateLeft32(d+(((b^c)&a)^c)+x9, 7)
+		c = bits.RotateLeft32(c+(((a^b)&d)^b)+xa, 11)
+		b = bits.RotateLeft32(b+(((d^a)&c)^a)+xb, 19)
+		a = bits.RotateLeft32(a+(((c^d)&b)^d)+xc, 3)
+		d = bits.RotateLeft32(d+(((b^c)&a)^c)+xd, 7)
+		c = bits.RotateLeft32(c+(((a^b)&d)^b)+xe, 11)
+		b = bits.RotateLeft32(b+(((d^a)&c)^a)+xf, 19)
 
-		// Round 2: G(x,y,z) = (x & y) | (x & z) | (y & z)
-		for i := uint(0); i < 16; i++ {
-			xi := xIndex2[i]
-			s := shift2[i%4]
-			g := (b & c) | (b & dd) | (c & dd)
-			a += g + x[xi] + 0x5a827999
-			a = a<<s | a>>(32-s)
-			a, b, c, dd = dd, a, b, c
-		}
+		// Round 2: G(x,y,z) = (x & y) | (x & z) | (y & z), as (x & y) | ((x | y) & z).
+		a = bits.RotateLeft32(a+((b&c)|((b|c)&d))+x0+0x5a827999, 3)
+		d = bits.RotateLeft32(d+((a&b)|((a|b)&c))+x4+0x5a827999, 5)
+		c = bits.RotateLeft32(c+((d&a)|((d|a)&b))+x8+0x5a827999, 9)
+		b = bits.RotateLeft32(b+((c&d)|((c|d)&a))+xc+0x5a827999, 13)
+		a = bits.RotateLeft32(a+((b&c)|((b|c)&d))+x1+0x5a827999, 3)
+		d = bits.RotateLeft32(d+((a&b)|((a|b)&c))+x5+0x5a827999, 5)
+		c = bits.RotateLeft32(c+((d&a)|((d|a)&b))+x9+0x5a827999, 9)
+		b = bits.RotateLeft32(b+((c&d)|((c|d)&a))+xd+0x5a827999, 13)
+		a = bits.RotateLeft32(a+((b&c)|((b|c)&d))+x2+0x5a827999, 3)
+		d = bits.RotateLeft32(d+((a&b)|((a|b)&c))+x6+0x5a827999, 5)
+		c = bits.RotateLeft32(c+((d&a)|((d|a)&b))+xa+0x5a827999, 9)
+		b = bits.RotateLeft32(b+((c&d)|((c|d)&a))+xe+0x5a827999, 13)
+		a = bits.RotateLeft32(a+((b&c)|((b|c)&d))+x3+0x5a827999, 3)
+		d = bits.RotateLeft32(d+((a&b)|((a|b)&c))+x7+0x5a827999, 5)
+		c = bits.RotateLeft32(c+((d&a)|((d|a)&b))+xb+0x5a827999, 9)
+		b = bits.RotateLeft32(b+((c&d)|((c|d)&a))+xf+0x5a827999, 13)
 
-		// Round 3: H(x,y,z) = x ^ y ^ z
-		for i := uint(0); i < 16; i++ {
-			xi := xIndex3[i]
-			s := shift3[i%4]
-			h := b ^ c ^ dd
-			a += h + x[xi] + 0x6ed9eba1
-			a = a<<s | a>>(32-s)
-			a, b, c, dd = dd, a, b, c
-		}
+		// Round 3: H(x,y,z) = x ^ y ^ z.
+		a = bits.RotateLeft32(a+(b^c^d)+x0+0x6ed9eba1, 3)
+		d = bits.RotateLeft32(d+(a^b^c)+x8+0x6ed9eba1, 9)
+		c = bits.RotateLeft32(c+(d^a^b)+x4+0x6ed9eba1, 11)
+		b = bits.RotateLeft32(b+(c^d^a)+xc+0x6ed9eba1, 15)
+		a = bits.RotateLeft32(a+(b^c^d)+x2+0x6ed9eba1, 3)
+		d = bits.RotateLeft32(d+(a^b^c)+xa+0x6ed9eba1, 9)
+		c = bits.RotateLeft32(c+(d^a^b)+x6+0x6ed9eba1, 11)
+		b = bits.RotateLeft32(b+(c^d^a)+xe+0x6ed9eba1, 15)
+		a = bits.RotateLeft32(a+(b^c^d)+x1+0x6ed9eba1, 3)
+		d = bits.RotateLeft32(d+(a^b^c)+x9+0x6ed9eba1, 9)
+		c = bits.RotateLeft32(c+(d^a^b)+x5+0x6ed9eba1, 11)
+		b = bits.RotateLeft32(b+(c^d^a)+xd+0x6ed9eba1, 15)
+		a = bits.RotateLeft32(a+(b^c^d)+x3+0x6ed9eba1, 3)
+		d = bits.RotateLeft32(d+(a^b^c)+xb+0x6ed9eba1, 9)
+		c = bits.RotateLeft32(c+(d^a^b)+x7+0x6ed9eba1, 11)
+		b = bits.RotateLeft32(b+(c^d^a)+xf+0x6ed9eba1, 15)
 
 		a += aa
 		b += bb
 		c += cc
-		dd += ddd
+		d += dd
 
 		p = p[BlockSize:]
 	}
-
-	d.s[0] = a
-	d.s[1] = b
-	d.s[2] = c
-	d.s[3] = dd
+	dig.s[0], dig.s[1], dig.s[2], dig.s[3] = a, b, c, d
 }

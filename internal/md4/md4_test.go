@@ -32,6 +32,38 @@ func TestRFCVectors(t *testing.T) {
 	}
 }
 
+// Digests at the padding and block boundaries (one block holds 55 bytes
+// plus padding, 56 spills into a second), taken from the loop-form block
+// function the unrolled one replaced. Input byte i is i*7+3.
+var boundaryVectors = []struct {
+	n   int
+	out string
+}{
+	{55, "04d44dc3dbdcf7604f259009de6e352f"},
+	{56, "cdbc435e37e7a468d04702cf9eba65bb"},
+	{57, "64bc5541e510813b3fbb341a858dde24"},
+	{63, "45a8744e99878276c47927b0164921f4"},
+	{64, "87733dbe6c3fc125ee30897c751bd9d6"},
+	{65, "82dd3042d4378ef1b420f15c61975b8b"},
+	{119, "2c38b59be6919f10ba8ba7353ef288f7"},
+	{120, "4414f924c8b7da56ae0dbe0896989660"},
+	{128, "15cb31f3af813097fd7a706b860c5e2e"},
+	{1000, "9a27d966bf4984d8597862b1c33bfbba"},
+}
+
+func TestBoundaryVectors(t *testing.T) {
+	for _, v := range boundaryVectors {
+		data := make([]byte, v.n)
+		for i := range data {
+			data[i] = byte(i*7 + 3)
+		}
+		got := Sum(data)
+		if hex.EncodeToString(got[:]) != v.out {
+			t.Errorf("Sum(%d bytes) = %x, want %s", v.n, got, v.out)
+		}
+	}
+}
+
 func TestHashInterface(t *testing.T) {
 	for _, v := range rfcVectors {
 		h := New()

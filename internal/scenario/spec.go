@@ -309,6 +309,12 @@ func (s Spec) Validate() error {
 	if s.Topology.Servers < 1 {
 		bad("topology.servers", "must be at least 1, got %d", s.Topology.Servers)
 	}
+	if s.Catalog.NumFiles < 1 {
+		bad("catalog.num_files", "must be at least 1, got %d", s.Catalog.NumFiles)
+	}
+	if s.Catalog.Vocabulary > catalog.MaxVocabulary {
+		bad("catalog.vocabulary", "must not exceed the %d mintable words, got %d (0 means the default)", catalog.MaxVocabulary, s.Catalog.Vocabulary)
+	}
 	if s.Collection.Every < 0 {
 		bad("collection.every", "must not be negative")
 	}

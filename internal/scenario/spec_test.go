@@ -40,6 +40,15 @@ func TestValidateAcceptsValidSpec(t *testing.T) {
 	if err := validSpec().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	// A zero vocabulary means catalog.Generate's default; the largest
+	// mintable vocabulary is still a vocabulary Generate can fill.
+	for _, v := range []int{0, catalog.MaxVocabulary} {
+		spec := validSpec()
+		spec.Catalog.Vocabulary = v
+		if err := spec.Validate(); err != nil {
+			t.Errorf("catalog.vocabulary %d rejected: %v", v, err)
+		}
+	}
 }
 
 // TestValidateFieldErrors breaks one field at a time and checks that
@@ -54,6 +63,9 @@ func TestValidateFieldErrors(t *testing.T) {
 		{"days", func(s *Spec) { s.Days = -3 }},
 		{"scale", func(s *Spec) { s.Scale = 0 }},
 		{"topology.servers", func(s *Spec) { s.Topology.Servers = 0 }},
+		{"catalog.num_files", func(s *Spec) { s.Catalog.NumFiles = 0 }},
+		{"catalog.num_files", func(s *Spec) { s.Catalog.NumFiles = -5 }},
+		{"catalog.vocabulary", func(s *Spec) { s.Catalog.Vocabulary = catalog.MaxVocabulary + 1 }},
 		{"collection.every", func(s *Spec) { s.Collection.Every = Duration(-time.Hour) }},
 		{"fleet", func(s *Spec) { s.Fleet = nil }},
 		{"fleet[0].id", func(s *Spec) { s.Fleet[0].ID = "" }},
