@@ -7,7 +7,10 @@ package repro_test
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -369,6 +372,65 @@ func BenchmarkLogstoreScan(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*float64(shards*perShard)/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkLogstoreOpen measures reopening a finished 24-shard store —
+// what every re-analysis of a stored dataset pays first. "sidecars" is
+// the store a clean Close leaves: each tail segment's index sits beside
+// it and no segment is read. "scan" is the same store after a crash took
+// the tail sidecars with it: every tail is decoded to rebuild its index,
+// which at this size (one segment per shard) is the whole store.
+func BenchmarkLogstoreOpen(b *testing.B) {
+	const shards, perShard = 24, 9_000 // ≈ the benchmark's distributed export
+	dir := b.TempDir()
+	store, err := logstore.Open(dir, logstore.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := logstoreBenchRecord()
+	base := r.Time
+	for s := 0; s < shards; s++ {
+		r.Honeypot = fmt.Sprintf("hp-%02d", s)
+		for i := 0; i < perShard; i++ {
+			r.Time = base.Add(time.Duration(i*shards+s) * time.Microsecond)
+			if err := store.AppendRecord(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := store.Close(); err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []string{"sidecars", "scan"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if mode == "scan" {
+					tails, err := filepath.Glob(filepath.Join(dir, "*", "*.idx"))
+					if err != nil || len(tails) != shards {
+						b.Fatalf("tail sidecars: %d (%v), want %d", len(tails), err, shards)
+					}
+					for _, idx := range tails {
+						os.Remove(idx)
+					}
+				}
+				b.StartTimer()
+				store, err := logstore.Open(dir, logstore.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if n := store.TotalRecords(); n != shards*perShard {
+					b.Fatalf("reopened %d records, want %d", n, shards*perShard)
+				}
+				if err := store.Close(); err != nil { // rewrites what "scan" removed
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
 }
 
 // BenchmarkCampaignDistributed measures the full distributed simulation

@@ -282,11 +282,11 @@ func TestReportRoundTrip(t *testing.T) {
 // executed-diff tests.
 func calTestSpec() scenario.Spec {
 	return scenario.Spec{
-		Name:    "cal-e2e",
-		Seed:    17,
-		Days:    3,
-		Scale:   0.5,
-		Catalog: catalog.Config{NumFiles: 1500, Vocabulary: 300, PopularityExp: 0.9, Seed: 3},
+		Name:     "cal-e2e",
+		Seed:     17,
+		Days:     3,
+		Scale:    0.5,
+		Catalog:  catalog.Config{NumFiles: 1500, Vocabulary: 300, PopularityExp: 0.9, Seed: 3},
 		Topology: scenario.Topology{Servers: 2},
 		Fleet: []scenario.HoneypotSpec{
 			{ID: "hp-a", Strategy: "random-content", Server: 0, Files: scenario.FilesSpec{Kind: "four-bait"}},

@@ -6,7 +6,39 @@ import (
 	"time"
 
 	"repro/internal/ed2k"
+	"repro/internal/intern"
 )
+
+// checkDecodeInto requires the in-place decoder, run over destinations
+// that already hold a record — the same one, and one differing in every
+// field — to leave exactly what DecodeRecord returns for the same bytes,
+// record and error, and to leave the old shared list's array alone.
+func checkDecodeInto(t *testing.T, data []byte) {
+	t.Helper()
+	want, wantErr := DecodeRecord(data)
+	other := Record{
+		Time: time.Unix(7, 7).UTC(), Honeypot: "hp-dirty", Kind: KindSharedList, PeerIP: "dirty-ip",
+		PeerPort: 1, PeerName: "dirty", UserHash: "dirty-uh", HighID: true, ClientVersion: 9,
+		FileHash: ed2k.SyntheticHash("dirty"), FileName: "dirty.avi", Server: "dirty:1",
+		Files: []SharedFile{{Name: "a", Size: 1}, {Name: "b", Size: 2}, {Name: "c", Size: 3}},
+	}
+	for _, pool := range []*intern.Pool{nil, intern.NewPool()} {
+		for _, dirty := range []Record{want, other} {
+			before := append([]SharedFile(nil), dirty.Files...)
+			got := dirty
+			err := DecodeRecordInto(&got, data, pool)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("DecodeRecordInto error %v, DecodeRecord error %v", err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("DecodeRecordInto over a dirty record:\n got %#v\nwant %#v", got, want)
+			}
+			if !reflect.DeepEqual(append([]SharedFile(nil), dirty.Files...), before) {
+				t.Fatal("DecodeRecordInto wrote into the previous record's shared list")
+			}
+		}
+	}
+}
 
 // FuzzRecordRoundTrip fuzzes the record-level codec (EncodeRecord →
 // DecodeRecord), complementing the wire-level fuzz tests: any record the
@@ -47,6 +79,10 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(got, r) {
 			t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, r)
 		}
+		// The in-place form agrees on the whole encoding and on a cut of
+		// it (an error case that leaves a partial record).
+		checkDecodeInto(t, enc)
+		checkDecodeInto(t, enc[:int(port)%(len(enc)+1)])
 	})
 }
 
@@ -56,6 +92,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeRecord(nil, Record{Time: time.Unix(0, 42).UTC(), Honeypot: "hp", PeerIP: "x"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeInto(t, data)
 		r, err := DecodeRecord(data)
 		if err != nil {
 			return

@@ -186,18 +186,13 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 func EncodeRecord(dst []byte, r Record) []byte { return appendRecord(dst, r) }
 
 // DecodeRecord decodes one record previously encoded with EncodeRecord.
-func DecodeRecord(b []byte) (Record, error) { return decodeRecord(b, nil) }
+func DecodeRecord(b []byte) (Record, error) { return DecodeRecordInterned(b, nil) }
 
 // DecodeRecordInterned is DecodeRecord with the recurring string columns
-// deduplicated through pool: Honeypot, Server, PeerName and FileName (the
-// honeypot's own name for the concerned file), one value per honeypot,
-// server, client build or advertised file, and PeerIP and UserHash, one
-// value per distinct peer — the order of state the anonymizer's
-// Renumberer holds anyway. A scan over a campaign allocates each such
-// string once instead of once per record. Shared-list file names, which
-// rarely recur, are never pooled.
-func DecodeRecordInterned(b []byte, pool *intern.Pool) (Record, error) {
-	return decodeRecord(b, pool)
+// deduplicated through pool (see DecodeRecordInto).
+func DecodeRecordInterned(b []byte, pool *intern.Pool) (r Record, err error) {
+	err = DecodeRecordInto(&r, b, pool)
+	return r, err
 }
 
 func appendString(b []byte, s string) []byte {
@@ -276,7 +271,7 @@ func (r *Reader) Read() (Record, error) {
 	if _, err := io.ReadFull(r.r, body); err != nil {
 		return Record{}, fmt.Errorf("logging: truncated record: %w", err)
 	}
-	return decodeRecord(body, r.pool)
+	return DecodeRecordInterned(body, r.pool)
 }
 
 // ReadAll drains the stream.
@@ -357,19 +352,23 @@ func (d *recDecoder) str(what string) string {
 	return string(d.take(n, what))
 }
 
-// strPooled is str through an interner; with a nil pool it behaves like
-// str. Columns with one value per honeypot, server, client build,
-// advertised file or peer go through here.
-func (d *recDecoder) strPooled(what string, pool *intern.Pool) string {
-	if pool == nil {
-		return d.str(what)
-	}
+// strInto decodes a recurring string column into *dst. When the bytes
+// equal what *dst already holds — the previous record of the same cursor,
+// which shares honeypot, server and usually peer — the string stays and
+// nothing is looked up; otherwise it comes from pool (nil: a fresh copy).
+func (d *recDecoder) strInto(dst *string, what string, pool *intern.Pool) {
 	n := int(d.u32(what))
 	if n > len(d.b) {
 		d.fail(what)
-		return ""
 	}
-	return pool.Get(d.take(n, what))
+	raw := d.take(n, what)
+	switch {
+	case string(raw) == *dst:
+	case pool != nil:
+		*dst = pool.Get(raw)
+	default:
+		*dst = string(raw)
+	}
 }
 
 func (d *recDecoder) hash(what string) ed2k.Hash {
@@ -378,24 +377,37 @@ func (d *recDecoder) hash(what string) ed2k.Hash {
 	return h
 }
 
-func decodeRecord(b []byte, pool *intern.Pool) (Record, error) {
+// DecodeRecordInto is the record decoder: it overwrites every field of
+// *r with the record encoded in b. The recurring string columns go
+// through pool when it is non-nil — Honeypot, Server, PeerName and
+// FileName (the honeypot's own name for the concerned file), one value
+// per honeypot, server, client build or advertised file, and PeerIP and
+// UserHash, one value per distinct peer, the order of state the
+// anonymizer's Renumberer holds anyway — so a scan over a campaign
+// allocates each such string once instead of once per record, and a
+// caller that decodes a stream into one Record skips even the lookup for
+// a column that repeats the previous record's. Shared-list file names,
+// which rarely recur, are never pooled, and r.Files never reuses its
+// previous backing array: a copy of *r taken before the next call stays
+// valid. On error *r holds the fields decoded so far, zero beyond them.
+func DecodeRecordInto(r *Record, b []byte, pool *intern.Pool) error {
 	d := recDecoder{b: b}
-	var r Record
+	r.Files = nil
 	r.Time = time.Unix(0, int64(d.u64("time"))).UTC()
-	r.Honeypot = d.strPooled("honeypot", pool)
+	d.strInto(&r.Honeypot, "honeypot", pool)
 	r.Kind = Kind(d.u8("kind"))
-	r.PeerIP = d.strPooled("peer_ip", pool)
+	d.strInto(&r.PeerIP, "peer_ip", pool)
 	r.PeerPort = d.u16("peer_port")
-	r.PeerName = d.strPooled("peer_name", pool)
-	r.UserHash = d.strPooled("user_hash", pool)
+	d.strInto(&r.PeerName, "peer_name", pool)
+	d.strInto(&r.UserHash, "user_hash", pool)
 	r.HighID = d.u8("high_id") != 0
 	r.ClientVersion = d.u32("client_version")
 	r.FileHash = d.hash("file_hash")
-	r.FileName = d.strPooled("file_name", pool)
-	r.Server = d.strPooled("server", pool)
+	d.strInto(&r.FileName, "file_name", pool)
+	d.strInto(&r.Server, "server", pool)
 	nf := int(d.u32("files"))
 	if nf > len(b) {
-		return r, fmt.Errorf("logging: shared list count %d implausible", nf)
+		return fmt.Errorf("logging: shared list count %d implausible", nf)
 	}
 	for i := 0; i < nf && d.err == nil; i++ {
 		var f SharedFile
@@ -405,12 +417,12 @@ func decodeRecord(b []byte, pool *intern.Pool) (Record, error) {
 		r.Files = append(r.Files, f)
 	}
 	if d.err != nil {
-		return r, d.err
+		return d.err
 	}
 	if d.off != len(b) {
-		return r, fmt.Errorf("logging: %d trailing bytes in record", len(b)-d.off)
+		return fmt.Errorf("logging: %d trailing bytes in record", len(b)-d.off)
 	}
-	return r, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------

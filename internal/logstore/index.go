@@ -11,11 +11,36 @@ import (
 	"repro/internal/faultfs"
 )
 
-// Index sidecars persist a sealed segment's SegmentInfo as one small JSON
-// object, so reopening a shard with thousands of segments costs one stat
-// and one tiny read per segment instead of a full scan. Sidecars are
-// advisory: a missing or stale one (size mismatch with the segment, e.g.
-// after a crash between seal and sidecar write) is rebuilt by scanning.
+// Index sidecars persist a segment's SegmentInfo as one small JSON
+// object, so reopening a shard costs one stat and one tiny read per
+// segment instead of a full scan. Rotation writes a sealed segment's; a
+// clean Shard.Close writes the tail's, which is what makes reopening a
+// finished store independent of its size.
+//
+// Trust model. A sidecar is advisory and size-validated: it is believed
+// exactly when it parses, names its segment and its Bytes equal the file's
+// size (readIndex) — for the tail as for a sealed segment — and a
+// missing, unparsable or stale one costs a scan, never data. What each
+// crash window leaves the tail:
+//
+//   - no Close at all (the process died): no sidecar, or the previous
+//     clean close's. Segments only grow, so a file at the recorded size
+//     still holds the recorded frames and that sidecar is right; once a
+//     flush has landed the sizes differ and the open scans, truncating
+//     whatever tore;
+//   - during Close's own write: an orphan .idx.tmp, or the old sidecar —
+//     the rename is atomic. Close writes only after its flush and file
+//     close succeeded and no append error is sticky, so no sidecar ever
+//     describes bytes that did not reach the file;
+//   - between a rotation's sidecar and its new segment: a sealed-looking
+//     sidecar on what recovery still calls the tail — matching, correct.
+//
+// What the size check cannot see is bytes changed in place under a
+// matching sidecar. No crash does that (a crash loses a suffix), so open
+// does not pay a read of every byte to look for it; the frame CRCs do,
+// at the first scan: Iterator and ReadSince fail with errCorrupt at the
+// damaged frame instead of ending early, and the dataset is never
+// silently shorter than its index says.
 
 // writeIndex persists info next to its segment, atomically via rename.
 func writeIndex(fsys faultfs.FS, dir string, info SegmentInfo) error {
@@ -30,24 +55,36 @@ func writeIndex(fsys faultfs.FS, dir string, info SegmentInfo) error {
 	return fsys.Rename(tmp, filepath.Join(dir, idxName(info.Seq)))
 }
 
-// loadIndex reads a sealed segment's sidecar and validates it against the
-// segment's size; on any mismatch it falls back to scanning the segment
-// (and repairs the sidecar). Rebuilds and recovery truncations report
-// through m.
+// readIndex reads segment seq's sidecar and reports whether it can be
+// trusted: it parses, names this segment and covers the file to its last
+// byte. size is the segment file's size either way.
+func readIndex(fsys faultfs.FS, dir string, seq uint64) (info SegmentInfo, size int64, ok bool, err error) {
+	st, err := fsys.Stat(filepath.Join(dir, segName(seq)))
+	if err != nil {
+		return info, 0, false, err
+	}
+	size = st.Size()
+	b, err := fsys.ReadFile(filepath.Join(dir, idxName(seq)))
+	if errors.Is(err, fs.ErrNotExist) {
+		return info, size, false, nil
+	}
+	if err != nil {
+		return info, size, false, err
+	}
+	if json.Unmarshal(b, &info) != nil || info.Seq != seq || info.Bytes != size {
+		return SegmentInfo{Seq: seq}, size, false, nil
+	}
+	return info, size, true, nil
+}
+
+// loadIndex returns a sealed segment's index from its sidecar; a missing
+// or stale one falls back to scanning the segment (and repairs the
+// sidecar). Rebuilds and recovery truncations report through m.
 func loadIndex(fsys faultfs.FS, dir string, seq uint64, m storeMetrics) (SegmentInfo, error) {
 	segPath := filepath.Join(dir, segName(seq))
-	st, err := fsys.Stat(segPath)
-	if err != nil {
-		return SegmentInfo{}, err
-	}
-	b, err := fsys.ReadFile(filepath.Join(dir, idxName(seq)))
-	if err == nil {
-		var info SegmentInfo
-		if jerr := json.Unmarshal(b, &info); jerr == nil && info.Seq == seq && info.Bytes == st.Size() {
-			return info, nil
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return SegmentInfo{}, err
+	info, size, ok, err := readIndex(fsys, dir, seq)
+	if ok || err != nil {
+		return info, err
 	}
 	// Missing or stale: rebuild from the segment itself.
 	m.rebuilds.Inc()
@@ -55,7 +92,7 @@ func loadIndex(fsys faultfs.FS, dir string, seq uint64, m storeMetrics) (Segment
 	if err != nil {
 		return SegmentInfo{}, fmt.Errorf("logstore: rebuilding index of %s: %w", segPath, err)
 	}
-	if good != st.Size() {
+	if good != size {
 		// A sealed segment normally has no torn tail (only the active one
 		// can), but a crash can still cut a sealed file short of its last
 		// flush. Truncate to the intact prefix so the sidecar stays valid.

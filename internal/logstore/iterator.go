@@ -1,7 +1,6 @@
 package logstore
 
 import (
-	"container/heap"
 	"errors"
 	"io"
 	"path/filepath"
@@ -19,9 +18,19 @@ import (
 // logging.Merge over per-honeypot slices.
 type Iterator struct {
 	cursors []*shardCursor
-	h       iterHeap
+	h       []iterKey // min-heap over the cursors that hold a record
 	inited  bool
 }
+
+// iterKey orders the merge: a cursor's current timestamp, then its
+// position. Each cursor appears at most once, so the order is total and
+// the records themselves never move while the heap is sifted.
+type iterKey struct {
+	ns  int64
+	src int
+}
+
+func (a iterKey) less(b iterKey) bool { return a.ns < b.ns || (a.ns == b.ns && a.src < b.src) }
 
 // newIterator builds a merged iterator over the given shards (already in
 // tie-break order), bounded to [from, to) when the bounds are non-zero.
@@ -48,89 +57,85 @@ func (it *Iterator) Next() (logging.Record, error) {
 	if !it.inited {
 		it.inited = true
 		for i, c := range it.cursors {
-			rec, err := c.next()
+			err := c.next()
 			if errors.Is(err, io.EOF) {
 				continue
 			}
 			if err != nil {
 				return logging.Record{}, err
 			}
-			it.h = append(it.h, iterItem{rec: rec, src: i})
+			it.h = append(it.h, iterKey{ns: c.rec.Time.UnixNano(), src: i})
 		}
-		heap.Init(&it.h)
+		for i := len(it.h)/2 - 1; i >= 0; i-- {
+			it.siftDown(i)
+		}
 	}
-	if it.h.Len() == 0 {
+	if len(it.h) == 0 {
 		return logging.Record{}, io.EOF
 	}
-	top := it.h[0]
-	rec, err := it.cursors[top.src].next()
+	c := it.cursors[it.h[0].src]
+	rec := c.rec
+	err := c.next()
 	switch {
 	case errors.Is(err, io.EOF):
-		heap.Pop(&it.h)
+		last := len(it.h) - 1
+		it.h[0] = it.h[last]
+		it.h = it.h[:last]
 	case err != nil:
 		return logging.Record{}, err
 	default:
-		it.h[0] = iterItem{rec: rec, src: top.src}
-		heap.Fix(&it.h, 0)
+		it.h[0].ns = c.rec.Time.UnixNano()
 	}
-	return top.rec, nil
+	it.siftDown(0)
+	return rec, nil
+}
+
+// siftDown restores the heap below position i.
+func (it *Iterator) siftDown(i int) {
+	h := it.h
+	for {
+		c := 2*i + 1 // the smaller child
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Close releases any open segment readers. The iterator is unusable
 // afterwards.
 func (it *Iterator) Close() error {
-	var first error
 	for _, c := range it.cursors {
-		if err := c.close(); err != nil && first == nil {
-			first = err
-		}
+		c.closeReader()
 	}
 	it.cursors = nil
 	it.h = nil
-	return first
-}
-
-type iterItem struct {
-	rec logging.Record
-	src int
-}
-
-type iterHeap []iterItem
-
-func (h iterHeap) Len() int { return len(h) }
-
-func (h iterHeap) Less(i, j int) bool {
-	if !h[i].rec.Time.Equal(h[j].rec.Time) {
-		return h[i].rec.Time.Before(h[j].rec.Time)
-	}
-	return h[i].src < h[j].src
-}
-
-func (h iterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *iterHeap) Push(x any) { *h = append(*h, x.(iterItem)) }
-
-func (h *iterHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return nil
 }
 
 // shardCursor streams one shard's records in append order within the
 // snapshot taken at iterator creation, skipping whole segments whose
-// index falls outside the time window.
+// index falls outside the time window. The current record lives in the
+// cursor and every decode overwrites it in place.
 type shardCursor struct {
 	sh       *Shard
 	segs     []SegmentInfo
 	from, to time.Time
 	seg      int // index into segs of the segment being read
 	r        *segmentReader
-	pool     *intern.Pool // shared across the iterator's cursors
+	pool     *intern.Pool   // shared across the iterator's cursors
+	rec      logging.Record // valid after a nil-error next
 }
 
-func (c *shardCursor) next() (logging.Record, error) {
+// next advances rec to the shard's next record inside the window.
+func (c *shardCursor) next() error {
 	for {
 		if c.r == nil {
 			// Advance to the next segment that can contain records in
@@ -139,7 +144,7 @@ func (c *shardCursor) next() (logging.Record, error) {
 				c.seg++
 			}
 			if c.seg >= len(c.segs) {
-				return logging.Record{}, io.EOF
+				return io.EOF
 			}
 			r, err := openSegmentReader(c.sh.fs, filepath.Join(c.sh.dir, segName(c.segs[c.seg].Seq)), 0, c.pool, c.sh.m)
 			if errors.Is(err, io.EOF) {
@@ -147,7 +152,7 @@ func (c *shardCursor) next() (logging.Record, error) {
 				continue
 			}
 			if err != nil {
-				return logging.Record{}, err
+				return err
 			}
 			c.r = r
 		}
@@ -157,22 +162,22 @@ func (c *shardCursor) next() (logging.Record, error) {
 			c.seg++
 			continue
 		}
-		rec, _, err := c.r.next()
+		_, err := c.r.next(&c.rec)
 		if errors.Is(err, io.EOF) {
 			c.closeReader()
 			c.seg++
 			continue
 		}
 		if err != nil {
-			return logging.Record{}, err
+			return err
 		}
-		if !c.from.IsZero() && rec.Time.Before(c.from) {
+		if !c.from.IsZero() && c.rec.Time.Before(c.from) {
 			continue
 		}
-		if !c.to.IsZero() && !rec.Time.Before(c.to) {
+		if !c.to.IsZero() && !c.rec.Time.Before(c.to) {
 			continue
 		}
-		return rec, nil
+		return nil
 	}
 }
 
@@ -181,9 +186,4 @@ func (c *shardCursor) closeReader() {
 		c.r.Close()
 		c.r = nil
 	}
-}
-
-func (c *shardCursor) close() error {
-	c.closeReader()
-	return nil
 }

@@ -14,13 +14,17 @@
 //	<dir>/<shard>/00000001.seg   CRC-framed records (logging binary codec)
 //	<dir>/<shard>/00000001.idx   sparse index sidecar of a sealed segment
 //	<dir>/<shard>/00000002.seg   active segment (tail of the shard)
+//	<dir>/<shard>/00000002.idx   its sidecar, once the shard closed cleanly
 //
 // Each segment frame is [u32 length][u32 crc32][body], body being the
 // exact bytes of logging.EncodeRecord. Segments rotate at a size
 // threshold; sealed segments get an index sidecar recording record count
 // and min/max timestamp, which lets time-bounded scans skip whole
-// segments. On open, a torn tail (crash mid-append) is detected by CRC
-// and truncated, and appends resume at the last good frame.
+// segments. A clean Close leaves the same sidecar beside the tail, so
+// reopening a finished store reads no segment at all (index.go has the
+// trust model). Without a matching one — after a crash — the tail is
+// scanned on open: a torn end (crash mid-append) is detected by CRC and
+// truncated, and appends resume at the last good frame.
 //
 // Readers address positions with Checkpoints (segment sequence + byte
 // offset); the control plane's incremental collection stores a checkpoint
@@ -32,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -61,8 +66,9 @@ type Options struct {
 	// honeypots, whose records must outlive the process.
 	FlushEvery time.Duration
 	// Metrics, when set, reports the store's activity (appends, bytes,
-	// segment rotations, index rebuilds, recovery truncations, scan
-	// records and bytes) into the registry under "logstore.*" names.
+	// segment rotations, index rebuilds, recovery tail scans and
+	// truncations, scan records and bytes) into the registry under
+	// "logstore.*" names.
 	// Counters are resolved once at open time, so the hot paths stay
 	// allocation-free; nil disables telemetry at one-branch cost.
 	Metrics *obs.Registry
@@ -116,10 +122,12 @@ type Store struct {
 
 // Open opens (or creates) a store rooted at dir. Existing shards are
 // recovered against the store manifest: each shard's sealed list and
-// tail come from the manifest, the tail segment is scanned and any torn
-// part truncated so appends resume cleanly, and segments the manifest
-// does not account for are quarantined (see Quarantined). A store
-// predating the manifest adopts every segment it finds and writes one.
+// tail come from the manifest, a tail segment without the sidecar of a
+// clean close is scanned and any torn part truncated so appends resume
+// cleanly, and segments the manifest does not account for are
+// quarantined (see Quarantined). A store predating the manifest adopts
+// every segment it finds and writes one. Opening a cleanly closed store
+// changes nothing on disk.
 func Open(dir string, opt Options) (*Store, error) {
 	opt = opt.withDefaults()
 	fsys := opt.FS
@@ -184,14 +192,17 @@ func Open(dir string, opt Options) (*Store, error) {
 			}
 		}
 	}
-	// Persist the reconciled view: what the shards actually recovered is
-	// the new truth.
+	// What the shards actually recovered is the new truth; persist it
+	// unless it is what the manifest already says, so that reopening an
+	// unchanged store writes nothing.
 	s.man = &manifestData{Shards: make(map[string]manifestShard, len(s.shards))}
 	for name, sh := range s.shards {
 		s.man.Shards[name] = manifestShard{Sealed: append([]SegmentInfo(nil), sh.sealed...), Tail: sh.active.Seq}
 	}
-	if err := writeManifest(fsys, dir, s.man); err != nil {
-		return nil, err
+	if !reflect.DeepEqual(man, s.man) {
+		if err := writeManifest(fsys, dir, s.man); err != nil {
+			return nil, err
+		}
 	}
 	if s.opt.FlushEvery > 0 {
 		s.flushStop = make(chan struct{})

@@ -462,3 +462,79 @@ func TestStoreIteratorEmpty(t *testing.T) {
 		t.Errorf("empty store yielded %d records", len(got))
 	}
 }
+
+func TestIteratorTieBreaks(t *testing.T) {
+	// Equal timestamps across shards resolve by shard name, inside one
+	// shard by append order — logging.Merge's contract, which is what
+	// makes a store scan and an in-memory merge the same dataset.
+	st, err := Open(t.TempDir(), smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	names := []string{"hp-00", "hp-01", "hp-02", "hp-03", "hp-04"}
+	perShard := make([][]logging.Record, len(names))
+	for i := 0; i < 400; i++ {
+		s := (i * 7) % len(names)
+		r := rec(names[s], i)
+		// Timestamps advance once per 16 appends, so each instant holds
+		// several records of every shard; PeerPort keeps append order.
+		r.Time = t0.Add(time.Duration(i/16) * time.Second)
+		perShard[s] = append(perShard[s], r)
+		sh, err := st.Shard(names[s])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sh.AppendRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	it, err := st.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := drain(t, it), logging.Merge(perShard...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged scan of %d records breaks the tie-break contract", len(want))
+	}
+}
+
+func TestIteratorScanAllocs(t *testing.T) {
+	// A scan holds one record per shard and decodes into it: what it
+	// allocates is per segment, per distinct string and per shared list,
+	// not per record.
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const n = 6000
+	for i := 0; i < n; i++ {
+		hp := []string{"hp-00", "hp-01", "hp-02"}[i%3]
+		r := rec(hp, i)
+		r.PeerIP = "peer-" + itoa(int64(i/5%40)) // 40 peers, a few records at a time
+		sh, _ := st.Shard(hp)
+		if err := sh.AppendRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func() {
+		it, err := st.Iterator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		for {
+			if _, err := it.Next(); err != nil {
+				if !errors.Is(err, io.EOF) {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+	}
+	perRecord := testing.AllocsPerRun(3, scan) / n
+	t.Logf("%.4f allocations per scanned record", perRecord)
+	if perRecord > 0.1 {
+		t.Errorf("a warm scan allocates %.2f times per record, want at most 0.1", perRecord)
+	}
+}

@@ -13,6 +13,7 @@ type storeMetrics struct {
 	rotations   *obs.Counter // logstore.segment.rotations
 	rebuilds    *obs.Counter // logstore.index.rebuilds
 	truncations *obs.Counter // logstore.recovery.truncations
+	tailScans   *obs.Counter // logstore.recovery.tail_scans
 	scanRecords *obs.Counter // logstore.scan.records
 	scanBytes   *obs.Counter // logstore.scan.bytes
 
@@ -35,6 +36,7 @@ func newStoreMetrics(r *obs.Registry) storeMetrics {
 		rotations:   r.Counter("logstore.segment.rotations"),
 		rebuilds:    r.Counter("logstore.index.rebuilds"),
 		truncations: r.Counter("logstore.recovery.truncations"),
+		tailScans:   r.Counter("logstore.recovery.tail_scans"),
 		scanRecords: r.Counter("logstore.scan.records"),
 		scanBytes:   r.Counter("logstore.scan.bytes"),
 

@@ -5,9 +5,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faultfs"
+	"repro/internal/logging"
 )
 
 // lastSegPath returns the active segment file of a single-shard store.
@@ -120,11 +122,19 @@ func TestRecoveryTornTailTruncated(t *testing.T) {
 }
 
 func TestRecoveryCorruptTailFrame(t *testing.T) {
-	// Flip a byte inside the last frame's body: the CRC catches it and
-	// recovery truncates that frame as a crash artifact.
+	// A crash mid-append persisted the last frame only in part: flip a
+	// byte inside its body. The CRC catches it and recovery truncates
+	// that frame as a crash artifact. The process that crashed never
+	// reached Close, so there is no sidecar over the tail — remove the
+	// one writeShard's clean close left (with it in place this would be
+	// in-place corruption of a closed store, which open does not look
+	// for: TestTrustedSidecarOverCorruptBytesFailsLoudly).
 	dir := t.TempDir()
 	writeShard(t, dir, 25)
 	path := lastSegPath(t, dir, "hp-00")
+	if err := os.Remove(strings.TrimSuffix(path, ".seg") + ".idx"); err != nil {
+		t.Fatal(err)
+	}
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -219,8 +229,9 @@ func TestScanCleanVsCorrupt(t *testing.T) {
 	}
 	defer r.Close()
 	n := 0
+	var rec logging.Record
 	for {
-		if _, _, err := r.next(); err != nil {
+		if _, err := r.next(&rec); err != nil {
 			if !errors.Is(err, io.EOF) {
 				t.Errorf("reader error on clean segment: %v", err)
 			}

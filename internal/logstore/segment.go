@@ -91,20 +91,22 @@ func openSegmentReader(fsys faultfs.FS, path string, off int64, pool *intern.Poo
 	return r, nil
 }
 
-// next returns the next record and the offset just past its frame.
-// io.EOF marks a clean end; a torn final frame also reads as io.EOF (the
-// writer side truncates it on recovery); a CRC mismatch is errCorrupt.
-func (r *segmentReader) next() (logging.Record, int64, error) {
+// next decodes the next record into *rec (see logging.DecodeRecordInto:
+// a caller that keeps one record per reader pays no lookup for a column
+// that repeats) and returns the offset just past its frame. io.EOF marks
+// a clean end; a torn final frame also reads as io.EOF (the writer side
+// truncates it on recovery); a CRC mismatch is errCorrupt.
+func (r *segmentReader) next(rec *logging.Record) (int64, error) {
 	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return logging.Record{}, r.off, io.EOF // torn header
+			return r.off, io.EOF // torn header
 		}
-		return logging.Record{}, r.off, err
+		return r.off, err
 	}
 	n := binary.LittleEndian.Uint32(r.hdr[:4])
 	sum := binary.LittleEndian.Uint32(r.hdr[4:])
 	if n > maxFrameBytes {
-		return logging.Record{}, r.off, errCorrupt
+		return r.off, errCorrupt
 	}
 	if cap(r.buf) < int(n) {
 		r.buf = make([]byte, n)
@@ -112,21 +114,20 @@ func (r *segmentReader) next() (logging.Record, int64, error) {
 	body := r.buf[:n]
 	if _, err := io.ReadFull(r.br, body); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return logging.Record{}, r.off, io.EOF // torn body
+			return r.off, io.EOF // torn body
 		}
-		return logging.Record{}, r.off, err
+		return r.off, err
 	}
 	if crc32.ChecksumIEEE(body) != sum {
-		return logging.Record{}, r.off, errCorrupt
+		return r.off, errCorrupt
 	}
-	rec, err := logging.DecodeRecordInterned(body, r.pool)
-	if err != nil {
-		return logging.Record{}, r.off, fmt.Errorf("%w: %v", errCorrupt, err)
+	if err := logging.DecodeRecordInto(rec, body, r.pool); err != nil {
+		return r.off, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
 	r.m.scanRecords.Inc()
 	r.m.scanBytes.Add(frameOverhead + uint64(n))
 	r.off += frameOverhead + int64(n)
-	return rec, r.off, nil
+	return r.off, nil
 }
 
 func (r *segmentReader) Close() error { return r.f.Close() }
@@ -146,8 +147,9 @@ func scanSegment(fsys faultfs.FS, path string, seq uint64) (SegmentInfo, int64, 
 	}
 	defer r.Close()
 	good := segHeaderSize
+	var rec logging.Record
 	for {
-		rec, off, err := r.next()
+		off, err := r.next(&rec)
 		if errors.Is(err, io.EOF) {
 			return info, good, nil
 		}

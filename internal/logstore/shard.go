@@ -33,11 +33,16 @@ type Shard struct {
 	mu     sync.Mutex
 	sealed []SegmentInfo // all segments before the active one
 	active SegmentInfo   // live index of the tail segment
-	f      faultfs.File  // active segment, positioned at its end
-	w      *bufio.Writer
-	buf    []byte // frame scratch: [8-byte header][encoded record]
-	closed bool
-	err    error // sticky I/O error (logging.Sink has no error return)
+	// f and w are the active segment open for appending, positioned at
+	// its end; both nil after a reopen until openActive needs them.
+	f faultfs.File
+	w *bufio.Writer
+	// indexed: the tail's sidecar on disk describes active exactly (a
+	// trusted reopen with no append since), so Close has nothing to write.
+	indexed bool
+	buf     []byte // frame scratch: [8-byte header][encoded record]
+	closed  bool
+	err     error // sticky I/O error (logging.Sink has no error return)
 
 	// Self-healing state: a sticky error is retried in place (rescan the
 	// tail, truncate the torn part, resume) so a transient disk fault
@@ -139,51 +144,62 @@ func openShard(fsys faultfs.FS, dir, name string, opt Options, man *manifestShar
 	return sh, quar, err
 }
 
-// openTail recovers the tail segment: scan it, truncate anything torn,
-// reopen for appending at the last intact frame. Caller holds mu (or is
-// the constructor).
+// openTail adopts the tail segment. A sidecar that matches the file
+// exactly — what a clean Close leaves — is trusted as loadIndex trusts a
+// sealed segment's, and the segment is neither read nor opened. Anything
+// else is what a crash leaves: scan the segment and truncate whatever
+// tore, so appends resume at the last intact frame. Caller holds mu (or
+// is the constructor).
 func (sh *Shard) openTail(seq uint64) (SegmentInfo, error) {
 	path := filepath.Join(sh.dir, segName(seq))
-	info, good, err := scanSegment(sh.fs, path, seq)
-	if err != nil && !errors.Is(err, errCorrupt) {
+	info, size, ok, err := readIndex(sh.fs, sh.dir, seq)
+	if err != nil {
 		return info, fmt.Errorf("logstore: recovering %s: %w", path, err)
 	}
-	if st, serr := sh.fs.Stat(path); serr == nil && st.Size() != good {
-		// The tail held torn or corrupt bytes the truncation below will
-		// drop — the crash-artifact case the recovery path exists for.
-		sh.m.truncations.Inc()
-	}
-	// A corrupt frame in the tail segment is a crash artifact (partially
-	// persisted append): recover by truncating at the last intact frame,
-	// exactly like a short tail.
-	f, err := sh.fs.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return info, err
-	}
-	if good == 0 {
-		// The crash even tore the header; rewrite it.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return info, err
+	if !ok {
+		sh.m.tailScans.Inc()
+		var good int64
+		info, good, err = scanSegment(sh.fs, path, seq)
+		if err != nil && !errors.Is(err, errCorrupt) {
+			return info, fmt.Errorf("logstore: recovering %s: %w", path, err)
 		}
-		if _, err := f.Write([]byte(segMagic)); err != nil {
-			f.Close()
-			return info, err
+		// A corrupt frame in the tail segment is a crash artifact
+		// (partially persisted append): recover by truncating at the last
+		// intact frame, exactly like a short tail.
+		if size != good {
+			sh.m.truncations.Inc()
 		}
-		good = segHeaderSize
-	} else if err := f.Truncate(good); err != nil {
-		f.Close()
-		return info, err
+		if good == 0 {
+			// The crash even tore the header; start the segment over.
+			return sh.active, sh.startSegment(seq)
+		}
+		if size > good {
+			if err := truncateFile(sh.fs, path, good); err != nil {
+				return info, err
+			}
+		}
+		info.Bytes = good
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return info, err
-	}
-	info.Bytes = good
-	sh.active = info
-	sh.f = f
-	sh.w = bufio.NewWriterSize(f, segBufSize)
+	sh.active, sh.indexed = info, ok
 	return info, nil
+}
+
+// openActive opens the tail segment for appending at its indexed end,
+// unless it is open already. Caller holds mu.
+func (sh *Shard) openActive() error {
+	if sh.w != nil {
+		return nil
+	}
+	f, err := sh.fs.OpenFile(filepath.Join(sh.dir, segName(sh.active.Seq)), os.O_RDWR, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Seek(sh.active.Bytes, io.SeekStart); err != nil {
+		f.Close()
+		return err
+	}
+	sh.f, sh.w = f, bufio.NewWriterSize(f, segBufSize)
+	return nil
 }
 
 // listSegments returns the shard's segment sequence numbers in order.
@@ -225,7 +241,7 @@ func (sh *Shard) startSegment(seq uint64) error {
 		f.Close()
 		return err
 	}
-	sh.active = SegmentInfo{Seq: seq, Bytes: segHeaderSize}
+	sh.active, sh.indexed = SegmentInfo{Seq: seq, Bytes: segHeaderSize}, false
 	sh.f = f
 	sh.w = bufio.NewWriterSize(f, segBufSize)
 	return nil
@@ -286,7 +302,11 @@ func (sh *Shard) AppendRecord(r logging.Record) error {
 	body := frame[frameOverhead:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-	if _, err := sh.w.Write(frame); err != nil {
+	err := sh.openActive()
+	if err == nil {
+		_, err = sh.w.Write(frame)
+	}
+	if err != nil {
 		sh.err = err
 		sh.dropped++
 		sh.m.dropped.Inc()
@@ -294,6 +314,7 @@ func (sh *Shard) AppendRecord(r logging.Record) error {
 	}
 	sh.m.appends.Inc()
 	sh.m.appendBytes.Add(uint64(len(frame)))
+	sh.indexed = false
 	sh.active.observe(r.Time)
 	sh.active.Bytes += int64(len(frame))
 	if sh.active.Bytes >= sh.opt.SegmentBytes {
@@ -358,6 +379,15 @@ func (sh *Shard) healLocked() error {
 		lost := before.Records - info.Records
 		sh.dropped += lost
 		sh.m.dropped.Add(lost)
+	}
+	// Appends are about to resume, so open the tail now; its fsync is the
+	// probe that the disk takes writes again — a heal that found nothing
+	// to truncate must still fail while the fault lasts.
+	if err := sh.openActive(); err != nil {
+		return err
+	}
+	if err := sh.f.Sync(); err != nil {
+		return err
 	}
 	if sh.store != nil {
 		// A failed rotation may have left the manifest note unwritten;
@@ -438,7 +468,10 @@ func (sh *Shard) Sync() error {
 	return sh.f.Sync()
 }
 
-// Close flushes and closes the shard.
+// Close flushes and closes the shard, then leaves the tail segment's
+// index beside it so the next open need not scan it. The sidecar is
+// only ever written over fully flushed bytes: not after a failed flush
+// or close, and not while an append error is sticky.
 func (sh *Shard) Close() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -446,15 +479,17 @@ func (sh *Shard) Close() error {
 		return nil
 	}
 	sh.closed = true
+	var err error
 	if sh.w != nil {
-		if err := sh.w.Flush(); err != nil {
-			return err
-		}
+		err = sh.w.Flush()
 	}
 	if sh.f != nil {
-		return sh.f.Close()
+		err = errors.Join(err, sh.f.Close())
 	}
-	return nil
+	if err == nil && sh.err == nil && !sh.indexed {
+		err = writeIndex(sh.fs, sh.dir, sh.active)
+	}
+	return err
 }
 
 // Count returns the total number of records in the shard.
@@ -571,8 +606,9 @@ func (sh *Shard) readSegment(si SegmentInfo, off int64, limit int, pool *intern.
 	}
 	defer r.Close()
 	n := 0
+	var rec logging.Record
 	for n < limit && r.off < si.Bytes {
-		rec, next, err := r.next()
+		next, err := r.next(&rec)
 		if errors.Is(err, io.EOF) {
 			break
 		}

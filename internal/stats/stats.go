@@ -3,9 +3,18 @@
 // the random-subset union estimator of Figures 10–12 (sample 100 random
 // subsets of n units, report average/min/max of the union of peers they
 // observed), parallelized across subset sizes.
+//
+// The estimator works on bitsets: each unit's peer set becomes one bit
+// per peer of the universe, built once per call, and a sample's union is
+// a word-wise OR of its units and a popcount — 64 peers per operation,
+// where walking the id lists touched one. Memory is units ×
+// ⌈universe/64⌉ × 8 bytes for the sets (Fig 10 at full scale: 24 × 110k
+// peers, 330 KiB; Figs 11–12 on the benchmark's greedy campaign: 100 ×
+// 4949, 62 KiB) plus one ⌈universe/64⌉-word accumulator per worker.
 package stats
 
 import (
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -209,6 +218,13 @@ type SubsetUnionConfig struct {
 	Parallel int
 }
 
+// listCost is the bitset/list break-even: a unit whose set holds fewer
+// than words/listCost elements stays a plain element list. A list
+// element costs two random read-modify-writes of the accumulator (set,
+// then count-and-clear), each about four sequential word ORs on this
+// class of machine, so a list wins below one element per eight words.
+const listCost = 8
+
 // UnionEstimate runs the estimator: sets[u] lists the element IDs observed
 // by unit u (a honeypot for Fig 10, an advertised file for Figs 11–12);
 // element IDs must be dense non-negative ints (the step-2 renumbering
@@ -218,6 +234,14 @@ type SubsetUnionConfig struct {
 // count toward unions. For each subset size n it draws cfg.Samples
 // random subsets of units and reports average, minimum and maximum union
 // cardinality.
+//
+// Each unit's set is turned into a bitset over the universe once per
+// call (units × ⌈universe/64⌉ × 8 bytes when every unit is dense); a
+// sample is the OR of its units into one accumulator and a popcount. A
+// unit sparser than one element per listCost words is used as the list
+// it came in, and a sample drawn from lists alone counts and clears only
+// the words its elements touch, so a sparse input never pays for the
+// width of its universe.
 //
 // Subset sizes are processed in parallel; the per-(n, sample) RNG streams
 // are derived deterministically, so results do not depend on scheduling.
@@ -241,6 +265,31 @@ func UnionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 		Max: make([]int, len(rows)),
 	}
 
+	// Each unit once per call, out-of-range ids dropped here and nowhere
+	// else: a bitset over the universe, or its in-range ids as they came.
+	words := (universe + 63) / 64
+	bitsets := make([][]uint64, nUnits)
+	lists := make([][]int32, nUnits)
+	listElems := 0
+	for u, set := range sets {
+		if len(set)*listCost < words {
+			for _, el := range set {
+				if uint(el) < uint(universe) {
+					lists[u] = append(lists[u], el)
+				}
+			}
+			listElems += len(lists[u])
+			continue
+		}
+		bs := make([]uint64, words)
+		for _, el := range set {
+			if uint(el) < uint(universe) {
+				bs[el>>6] |= 1 << (uint(el) & 63)
+			}
+		}
+		bitsets[u] = bs
+	}
+
 	workers := cfg.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -259,10 +308,8 @@ func UnionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Epoch-stamped scratch: mark[i] == stamp means element i is in
-			// the current union. Reused across samples without clearing.
-			mark := make([]int32, universe)
-			stamp := int32(0)
+			k := unionKernel{bitsets: bitsets, lists: lists,
+				acc: make([]uint64, words), touched: make([]int32, listElems)}
 			// perm is kept as the identity permutation between samples:
 			// the partial Fisher-Yates below records its swaps and undoes
 			// them afterwards, so each sample touches O(n) entries instead
@@ -277,25 +324,13 @@ func UnionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 				sum := 0.0
 				minU, maxU := -1, -1
 				for s := 0; s < cfg.Samples; s++ {
-					stamp++
 					// Partial Fisher-Yates: the first j.n entries are the sample.
 					for i := 0; i < j.n; i++ {
 						k := i + rng.Intn(nUnits-i)
 						perm[i], perm[k] = perm[k], perm[i]
 						swaps[i] = k
 					}
-					union := 0
-					for i := 0; i < j.n; i++ {
-						for _, el := range sets[perm[i]] {
-							if el < 0 || int(el) >= universe {
-								continue
-							}
-							if mark[el] != stamp {
-								mark[el] = stamp
-								union++
-							}
-						}
-					}
+					union := k.union(perm[:j.n])
 					// Undo the swaps in reverse to restore the identity.
 					for i := j.n - 1; i >= 0; i-- {
 						k := swaps[i]
@@ -324,6 +359,51 @@ func UnionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 	close(jobs)
 	wg.Wait()
 	return out
+}
+
+// unionKernel is one worker's view of a call's units plus its scratch.
+type unionKernel struct {
+	bitsets [][]uint64 // unit u as a bitset over the universe, or nil:
+	lists   [][]int32  // then its in-range ids
+	acc     []uint64   // the current sample's union; all-zero between samples
+	touched []int32    // words of acc the current sample's list units set
+}
+
+// union returns the cardinality of the union of the sampled units. It is
+// a function of its own so that its loops get registers of their own: the
+// same code inlined into the worker's closure ran a quarter slower.
+func (k *unionKernel) union(sample []int) int {
+	acc, touched := k.acc, k.touched
+	dense, nt := false, 0
+	for _, u := range sample {
+		if bs := k.bitsets[u]; bs != nil {
+			dense = true
+			for w, x := range bs[:len(acc)] {
+				acc[w] |= x
+			}
+			continue
+		}
+		for _, el := range k.lists[u] {
+			acc[el>>6] |= 1 << (uint(el) & 63)
+			touched[nt] = el >> 6
+			nt++
+		}
+	}
+	union := 0
+	if dense {
+		for w, x := range acc {
+			union += bits.OnesCount64(x)
+			acc[w] = 0
+		}
+		return union
+	}
+	// Lists alone: count and clear only the words they set. A word set
+	// twice is counted on its first visit and reads zero on the second.
+	for _, w := range touched[:nt] {
+		union += bits.OnesCount64(acc[w])
+		acc[w] = 0
+	}
+	return union
 }
 
 // TopKey returns the key with the most events and its count; ties break

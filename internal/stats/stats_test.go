@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -204,33 +206,53 @@ func TestQuickUnionBounds(t *testing.T) {
 	}
 }
 
-func BenchmarkUnionEstimate24x100(b *testing.B) {
-	// Fig 10 workload: 24 honeypots, 100 samples per subset size.
+// unionShape builds units sets over universe with sizes in [lo, hi).
+func unionShape(units, universe, lo, hi int) [][]int32 {
 	rng := rand.New(rand.NewSource(1))
-	sets := make([][]int32, 24)
+	sets := make([][]int32, units)
 	for i := range sets {
-		n := 10000 + rng.Intn(20000)
-		sets[i] = make([]int32, n)
+		sets[i] = make([]int32, lo+rng.Intn(hi-lo))
 		for j := range sets[i] {
-			sets[i][j] = int32(rng.Intn(110_000))
+			sets[i][j] = int32(rng.Intn(universe))
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		UnionEstimate(sets, 110_000, SubsetUnionConfig{Samples: 100, Seed: 9, IncludeZero: true})
+	return sets
+}
+
+// BenchmarkUnionEstimate runs the estimator and its mark/stamp reference
+// on the three shapes that matter: Figs 11/12 as measured on the
+// benchmark's greedy campaign (100 files × 4949 peers, ~80 peers each),
+// a sparse input where the universe dwarfs every set (lists only — the
+// bitset form must not lose here), and Fig 10 (24 honeypots × 110k
+// peers, ~30k each).
+func BenchmarkUnionEstimate(b *testing.B) {
+	shapes := []struct {
+		name            string
+		units, universe int
+		lo, hi          int
+	}{
+		{"100x4949x80", 100, 4949, 1, 160},
+		{"100x100kx5", 100, 100_000, 1, 10},
+		{"24x110kx30k", 24, 110_000, 20_000, 40_000},
+	}
+	for _, sh := range shapes {
+		sets := unionShape(sh.units, sh.universe, sh.lo, sh.hi)
+		cfg := SubsetUnionConfig{Samples: 100, Seed: 9, Parallel: 1}
+		b.Run(sh.name+"/bitset", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				UnionEstimate(sets, sh.universe, cfg)
+			}
+		})
+		b.Run(sh.name+"/reference", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				unionEstimateRef(sets, sh.universe, cfg)
+			}
+		})
 	}
 }
 
 func BenchmarkUnionEstimateSerialVsParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	sets := make([][]int32, 100)
-	for i := range sets {
-		n := 500 + rng.Intn(1500)
-		sets[i] = make([]int32, n)
-		for j := range sets[i] {
-			sets[i][j] = int32(rng.Intn(100_000))
-		}
-	}
+	sets := unionShape(100, 100_000, 500, 2000)
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			UnionEstimate(sets, 100_000, SubsetUnionConfig{Samples: 30, Seed: 9, Parallel: 1})
@@ -326,5 +348,170 @@ func TestUnionEstimateMatchesNaive(t *testing.T) {
 	want := naiveUnion(sets, universe, cfg)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("UnionEstimate diverged from per-sample reinit reference:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// unionEstimateRef is the estimator's previous kernel, kept verbatim as
+// the reference the bitset form is tested and benchmarked against: an
+// epoch-stamped mark array over the universe, one random access per
+// element of every sampled unit. Same RNG seeding, draws and undo.
+func unionEstimateRef(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUnion {
+	if cfg.Samples <= 0 {
+		cfg.Samples = 100
+	}
+	nUnits := len(sets)
+	lo := 1
+	if cfg.IncludeZero {
+		lo = 0
+	}
+	var rows []int
+	for n := lo; n <= nUnits; n++ {
+		rows = append(rows, n)
+	}
+	out := SubsetUnion{
+		N:   rows,
+		Avg: make([]float64, len(rows)),
+		Min: make([]int, len(rows)),
+		Max: make([]int, len(rows)),
+	}
+
+	workers := cfg.Parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(rows) {
+		workers = len(rows)
+	}
+	if workers < 1 {
+		workers = 1
+	}
+
+	type job struct{ row, n int }
+	jobs := make(chan job)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Epoch-stamped scratch: mark[i] == stamp means element i is in
+			// the current union. Reused across samples without clearing.
+			mark := make([]int32, universe)
+			stamp := int32(0)
+			// perm is kept as the identity permutation between samples:
+			// the partial Fisher-Yates below records its swaps and undoes
+			// them afterwards, so each sample touches O(n) entries instead
+			// of re-initializing all nUnits.
+			perm := make([]int, nUnits)
+			for i := range perm {
+				perm[i] = i
+			}
+			swaps := make([]int, nUnits)
+			for j := range jobs {
+				rng := rand.New(rand.NewSource(cfg.Seed + int64(j.n)*1_000_003))
+				sum := 0.0
+				minU, maxU := -1, -1
+				for s := 0; s < cfg.Samples; s++ {
+					stamp++
+					// Partial Fisher-Yates: the first j.n entries are the sample.
+					for i := 0; i < j.n; i++ {
+						k := i + rng.Intn(nUnits-i)
+						perm[i], perm[k] = perm[k], perm[i]
+						swaps[i] = k
+					}
+					union := 0
+					for i := 0; i < j.n; i++ {
+						for _, el := range sets[perm[i]] {
+							if el < 0 || int(el) >= universe {
+								continue
+							}
+							if mark[el] != stamp {
+								mark[el] = stamp
+								union++
+							}
+						}
+					}
+					// Undo the swaps in reverse to restore the identity.
+					for i := j.n - 1; i >= 0; i-- {
+						k := swaps[i]
+						perm[i], perm[k] = perm[k], perm[i]
+					}
+					sum += float64(union)
+					if minU < 0 || union < minU {
+						minU = union
+					}
+					if union > maxU {
+						maxU = union
+					}
+				}
+				if j.n == 0 {
+					minU, maxU = 0, 0
+				}
+				out.Avg[j.row] = sum / float64(cfg.Samples)
+				out.Min[j.row] = minU
+				out.Max[j.row] = maxU
+			}
+		}()
+	}
+	for i, n := range rows {
+		jobs <- job{row: i, n: n}
+	}
+	close(jobs)
+	wg.Wait()
+	return out
+}
+
+// Property: the bitset estimator equals the mark/stamp reference —
+// every row, bit for bit — over inputs that hit each representation
+// (bitset, list, mixed) and each edge: empty sets, negative and
+// ≥ universe ids, duplicate ids, universes of 0, 1 and off a word
+// boundary, 0 and 1 units, both IncludeZero settings, 1 and 8 workers.
+func TestUnionEstimateMatchesReference(t *testing.T) {
+	universes := []int{0, 1, 63, 64, 65, 200, 5000, 100_000}
+	for seed := int64(0); seed < 240; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		universe := universes[rng.Intn(len(universes))]
+		units := rng.Intn(12) // 0 and 1 included
+		if seed%20 == 0 {
+			units = int(seed/20) % 2
+		}
+		sets := make([][]int32, units)
+		for u := range sets {
+			// One unit in four is empty, one a handful of ids (a list
+			// on the wide universes), the rest up to 600 (bitsets, or
+			// lists again under the 100k universe's break-even of 196).
+			size := 0
+			switch rng.Intn(4) {
+			case 0:
+			case 1:
+				size = rng.Intn(8)
+			default:
+				size = rng.Intn(min(universe/4+8, 600))
+			}
+			for i := 0; i < size; i++ {
+				el := int32(rng.Intn(universe + 1))
+				switch rng.Intn(10) {
+				case 0:
+					el = -1 - int32(rng.Intn(5))
+				case 1:
+					el = int32(universe + rng.Intn(100))
+				case 2:
+					if len(sets[u]) > 0 {
+						el = sets[u][rng.Intn(len(sets[u]))] // duplicate
+					}
+				}
+				sets[u] = append(sets[u], el)
+			}
+		}
+		for _, zero := range []bool{false, true} {
+			for _, par := range []int{1, 8} {
+				cfg := SubsetUnionConfig{Samples: 12, Seed: seed, IncludeZero: zero, Parallel: par}
+				got := UnionEstimate(sets, universe, cfg)
+				want := unionEstimateRef(sets, universe, cfg)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d universe %d units %d zero %v parallel %d:\n got %+v\nwant %+v",
+						seed, universe, units, zero, par, got, want)
+				}
+			}
+		}
 	}
 }

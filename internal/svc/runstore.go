@@ -180,7 +180,7 @@ func OpenRunStore(root string) (*RunStore, error) {
 // Root returns the store's root directory.
 func (s *RunStore) Root() string { return s.root }
 
-func (s *RunStore) runsDir() string      { return filepath.Join(s.root, "runs") }
+func (s *RunStore) runsDir() string         { return filepath.Join(s.root, "runs") }
 func (s *RunStore) runDir(id string) string { return filepath.Join(s.runsDir(), id) }
 
 // DatasetDir is where a run's anonymized dataset logstore lives.
