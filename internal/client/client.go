@@ -81,6 +81,9 @@ type Client struct {
 	clientID    ed2k.ClientID
 	connected   bool
 	keepAlive   transport.Timer
+	// keepAliveTick is c.sendKeepAlive, bound by the first arm and
+	// reused by every re-arm.
+	keepAliveTick func()
 
 	shared      []SharedFile
 	sharedByKey map[ed2k.Hash]int
@@ -138,10 +141,7 @@ func (c *Client) Listen() error {
 
 // Close tears down the client: server link, listener, keep-alive.
 func (c *Client) Close() {
-	if c.keepAlive != nil {
-		c.keepAlive.Stop()
-		c.keepAlive = nil
-	}
+	c.keepAlive.Stop()
 	if c.serverConn != nil {
 		c.serverConn.Close()
 		c.serverConn = nil
@@ -173,10 +173,7 @@ func (c *Client) ConnectServer(addr netip.AddrPort, hooks ServerHooks) {
 			OnClose: func(err error) {
 				c.connected = false
 				c.serverConn = nil
-				if c.keepAlive != nil {
-					c.keepAlive.Stop()
-					c.keepAlive = nil
-				}
+				c.keepAlive.Stop()
 				if hooks.OnDisconnected != nil {
 					hooks.OnDisconnected(err)
 				}
@@ -227,15 +224,18 @@ func (c *Client) scheduleKeepAlive() {
 	if c.cfg.KeepAlive <= 0 {
 		return
 	}
-	if c.keepAlive != nil {
-		c.keepAlive.Stop()
+	if c.keepAliveTick == nil {
+		c.keepAliveTick = c.sendKeepAlive
 	}
-	c.keepAlive = c.host.After(c.cfg.KeepAlive, func() {
-		if c.connected && c.serverConn != nil {
-			c.serverConn.Send(&wire.OfferFiles{}) // keep-alive form
-			c.scheduleKeepAlive()
-		}
-	})
+	c.keepAlive.Stop()
+	c.keepAlive = c.host.After(c.cfg.KeepAlive, c.keepAliveTick)
+}
+
+func (c *Client) sendKeepAlive() {
+	if c.connected && c.serverConn != nil {
+		c.serverConn.Send(&wire.OfferFiles{}) // keep-alive form
+		c.scheduleKeepAlive()
+	}
 }
 
 func (c *Client) sendOffer(files []SharedFile) {

@@ -411,9 +411,7 @@ func (l *Link) onClose(error) {
 	l.closed = true
 	for seq, p := range l.pending {
 		delete(l.pending, seq)
-		if p.timer != nil {
-			p.timer.Stop()
-		}
+		p.timer.Stop()
 		p.cb(Envelope{}, ErrLinkClosed)
 	}
 }
@@ -428,9 +426,7 @@ func (l *Link) onMessage(m wire.Message) {
 		return // expired attempt's late answer; the retry owns the request now
 	}
 	delete(l.pending, env.Seq)
-	if p.timer != nil {
-		p.timer.Stop()
-	}
+	p.timer.Stop()
 	p.cb(env, nil)
 }
 

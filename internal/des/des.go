@@ -8,6 +8,15 @@
 // binary heap, retained as the equivalence oracle behind Options or the
 // REPRO_DES_SCHEDULER environment knob. Histories are bit-identical
 // under either; see docs/PERFORMANCE.md for the argument.
+//
+// An event has one callback form: a static func(recv, arg any) and its
+// two operands (AtCall/AfterCall); At/After(fn) are that form with fn as
+// arg. Pointers, funcs and interface values convert to any without
+// allocating, so a caller that passes a top-level function schedules
+// without a closure. The loop drops all three references when it
+// recycles an event — before the call runs, and when it reaps a
+// canceled one — so the free list never pins a fired callback's
+// operands, and a Timer held past its event reaches nothing.
 package des
 
 import (
@@ -18,17 +27,30 @@ import (
 	"time"
 )
 
-// event is one scheduled callback. Events are owned by the loop and
-// recycled through a free list after they fire or are reaped, so a
-// campaign's millions of timers cost a bounded set of allocations; the
-// generation counter makes handles held past an event's lifetime inert.
+// event is one scheduled callback: a static function and its two
+// operands (see Loop.AtCall). Events are owned by the loop and recycled
+// through a free list after they fire or are reaped, so a campaign's
+// millions of timers cost a bounded set of allocations; the generation
+// counter makes handles held past an event's lifetime inert.
 type event struct {
-	when     time.Time
-	seq      uint64
-	fn       func()
-	canceled bool
-	index    int    // heap position, -1 when popped (heap scheduler only)
-	gen      uint32 // bumped on recycle; stale Timers no longer match
+	when      time.Time
+	seq       uint64
+	call      func(recv, arg any)
+	recv, arg any
+	canceled  bool
+	index     int    // heap position, -1 when popped (heap scheduler only)
+	gen       uint32 // bumped on recycle; stale Timers no longer match
+}
+
+// StopTimer cancels the event if gen is still its generation and it has
+// not been canceled already, and reports whether it did: false once the
+// event has fired, been reaped or been stopped before.
+func (e *event) StopTimer(gen uint32) bool {
+	if e.gen != gen || e.canceled {
+		return false
+	}
+	e.canceled = true
+	return true
 }
 
 // Timer is a cancelable handle to a scheduled event, returned by
@@ -44,9 +66,19 @@ type Timer struct {
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled event is a no-op.
 func (t Timer) Cancel() {
-	if t.e != nil && t.e.gen == t.gen {
-		t.e.canceled = true
+	if t.e != nil {
+		t.e.StopTimer(t.gen)
 	}
+}
+
+// Handle splits the Timer into its event, as a pointer-shaped stopper,
+// and the generation to stop it under, so that a transport can carry the
+// pair in a value of its own without boxing. The zero Timer yields nil.
+func (t Timer) Handle() (stopper interface{ StopTimer(gen uint32) bool }, gen uint32) {
+	if t.e == nil {
+		return nil, 0
+	}
+	return t.e, t.gen
 }
 
 // Canceled reports whether Cancel was called and the cancellation is
@@ -216,7 +248,7 @@ func (l *Loop) NewRand(label string) *rand.Rand {
 }
 
 // alloc takes an event off the free list, or makes one.
-func (l *Loop) alloc(t time.Time, fn func()) *event {
+func (l *Loop) alloc(t time.Time, call func(recv, arg any), recv, arg any) *event {
 	var e *event
 	if n := len(l.free); n > 0 {
 		e = l.free[n-1]
@@ -227,27 +259,40 @@ func (l *Loop) alloc(t time.Time, fn func()) *event {
 		e = &event{}
 		l.allocated++
 	}
-	e.when, e.seq, e.fn, e.canceled = t, l.seq, fn, false
+	e.when, e.seq, e.canceled = t, l.seq, false
+	e.call, e.recv, e.arg = call, recv, arg
 	l.seq++
 	return e
 }
 
 // recycle invalidates outstanding handles and returns the event to the
-// free list. The callback reference is dropped so the loop never pins a
-// fired closure.
+// free list. The operands are dropped so the free list never pins a
+// fired closure, connection or message.
 func (l *Loop) recycle(e *event) {
-	e.fn = nil
+	e.call, e.recv, e.arg = nil, nil, nil
 	e.gen++
 	l.free = append(l.free, e)
 }
 
+// callFunc is the call of an event scheduled by At/After: arg is the
+// func() itself.
+func callFunc(_, arg any) { arg.(func())() }
+
 // At schedules fn at virtual time t. Scheduling in the past fires at the
 // current time (immediately on the next step), never backwards.
 func (l *Loop) At(t time.Time, fn func()) Timer {
+	return l.AtCall(t, callFunc, nil, fn)
+}
+
+// AtCall schedules call(recv, arg) at virtual time t, clamped like At.
+// With a top-level function for call and pointer-shaped operands
+// (pointers, funcs, interface values) the hot paths of the simulated
+// network schedule without allocating a closure per event.
+func (l *Loop) AtCall(t time.Time, call func(recv, arg any), recv, arg any) Timer {
 	if t.Before(l.now) {
 		t = l.now
 	}
-	e := l.alloc(t, fn)
+	e := l.alloc(t, call, recv, arg)
 	l.sched.schedule(e)
 	if p := l.sched.pending(); p > l.maxQueue {
 		l.maxQueue = p
@@ -257,10 +302,15 @@ func (l *Loop) At(t time.Time, fn func()) Timer {
 
 // After schedules fn d from now. Negative durations clamp to zero.
 func (l *Loop) After(d time.Duration, fn func()) Timer {
+	return l.AfterCall(d, callFunc, nil, fn)
+}
+
+// AfterCall is AtCall d from now. Negative durations clamp to zero.
+func (l *Loop) AfterCall(d time.Duration, call func(recv, arg any), recv, arg any) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return l.At(l.now.Add(d), fn)
+	return l.AtCall(l.now.Add(d), call, recv, arg)
 }
 
 // runNext pops and executes the earliest pending event, advancing the
@@ -284,9 +334,9 @@ func (l *Loop) runNext(deadline time.Time, bounded bool) bool {
 		}
 		l.now = e.when
 		l.executed++
-		fn := e.fn
-		l.recycle(e) // before fn: nested scheduling may reuse it
-		fn()
+		call, recv, arg := e.call, e.recv, e.arg
+		l.recycle(e) // before the call: nested scheduling may reuse it
+		call(recv, arg)
 		return true
 	}
 }

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -73,6 +74,35 @@ func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
 	l.Run()
 	if !fired {
 		t.Error("recycled event did not fire")
+	}
+}
+
+// TestAfterCallAndNoPinning: the payload form fires call(recv, arg) in
+// (when, seq) order with After(fn), cancels through the same Timer, and
+// a recycled event keeps no reference to the operands it fired with.
+func TestAfterCallAndNoPinning(t *testing.T) {
+	l := NewLoop(t0, 1)
+	var order []string
+	say := func(recv, arg any) { order = append(order, *recv.(*string)+arg.(string)) }
+	who := "x"
+	l.AfterCall(time.Second, say, &who, "1")
+	l.After(time.Second, func() { order = append(order, "fn") })
+	l.AfterCall(time.Second, say, &who, "3").Cancel()
+	l.AtCall(t0.Add(-time.Hour), say, &who, "0") // clamps to now, like At
+	l.Run()
+	if got := fmt.Sprint(order); got != "[x0 x1 fn]" {
+		t.Errorf("order = %s, want [x0 x1 fn]", got)
+	}
+	if len(l.free) == 0 {
+		t.Fatal("no event reached the free list")
+	}
+	for _, e := range l.free {
+		if e.call != nil || e.recv != nil || e.arg != nil {
+			t.Fatalf("free-listed event still holds call=%v recv=%v arg=%v", e.call != nil, e.recv, e.arg)
+		}
+	}
+	if s, _ := (Timer{}).Handle(); s != nil {
+		t.Error("zero Timer's Handle is not nil")
 	}
 }
 

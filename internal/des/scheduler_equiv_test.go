@@ -36,38 +36,56 @@ func opDelay(o op) time.Duration {
 	return (ms * time.Millisecond) << (o.c % 12) // up to ~37 virtual hours
 }
 
+// script is one run's state: callbacks deterministically schedule and
+// cancel more work, so a script exercises the nested paths too. Even
+// labels are scheduled as At(fn) closures, odd ones in the payload form
+// (AtCall over the script and the label), so both ways into the one
+// event representation share every history.
+type script struct {
+	l         *Loop
+	trace     []string
+	timers    []Timer
+	nextLabel int
+}
+
+func (s *script) schedule(when time.Time) {
+	label := s.nextLabel
+	s.nextLabel++
+	if label%2 == 0 {
+		s.timers = append(s.timers, s.l.At(when, func() { s.fire(label) }))
+	} else {
+		s.timers = append(s.timers, s.l.AtCall(when, fireScript, s, label))
+	}
+}
+
+func fireScript(recv, arg any) { recv.(*script).fire(arg.(int)) }
+
+func (s *script) fire(label int) {
+	s.trace = append(s.trace, fmt.Sprintf("%d@%d", label, s.l.Now().Sub(t0)))
+	if label%3 == 0 {
+		s.schedule(s.l.Now().Add(time.Duration(label%97) * 13 * time.Second))
+	}
+	if label%11 == 7 && len(s.timers) > 0 {
+		s.timers[(label*7)%len(s.timers)].Cancel()
+	}
+}
+
 // runScript executes the script on a fresh loop of the given kind and
 // returns the execution trace ("label@offset" per fired event) and the
-// final loop state. Callbacks deterministically schedule and cancel
-// more work, so the script exercises the nested paths too.
+// final loop state.
 func runScript(kind SchedulerKind, ops []op) (trace []string, now time.Time, stats Stats) {
 	l := NewLoopOpts(t0, 1, Options{Scheduler: kind})
-	var timers []Timer
-	nextLabel := 0
-	var schedule func(when time.Time)
-	schedule = func(when time.Time) {
-		label := nextLabel
-		nextLabel++
-		timers = append(timers, l.At(when, func() {
-			trace = append(trace, fmt.Sprintf("%d@%d", label, l.Now().Sub(t0)))
-			if label%3 == 0 {
-				schedule(l.Now().Add(time.Duration(label%97) * 13 * time.Second))
-			}
-			if label%11 == 7 && len(timers) > 0 {
-				timers[(label*7)%len(timers)].Cancel()
-			}
-		}))
-	}
+	s := &script{l: l}
 	for _, o := range ops {
 		switch o.kind {
 		case 0, 1, 2:
-			schedule(l.Now().Add(opDelay(o)))
+			s.schedule(l.Now().Add(opDelay(o)))
 		case 3:
 			// Absolute time, possibly in the past once the clock moved.
-			schedule(t0.Add(opDelay(o)))
+			s.schedule(t0.Add(opDelay(o)))
 		case 4:
-			if len(timers) > 0 {
-				timers[(int(o.a)<<8|int(o.b))%len(timers)].Cancel()
+			if len(s.timers) > 0 {
+				s.timers[(int(o.a)<<8|int(o.b))%len(s.timers)].Cancel()
 			}
 		case 5:
 			l.Step()
@@ -77,11 +95,11 @@ func runScript(kind SchedulerKind, ops []op) (trace []string, now time.Time, sta
 			// Far horizon: days to hundreds of days, reaching the
 			// outer wheel levels and the overflow list.
 			d := time.Duration(o.a)*24*time.Hour + time.Duration(o.b)*time.Second
-			schedule(l.Now().Add(d))
+			s.schedule(l.Now().Add(d))
 		}
 	}
 	l.Run()
-	return trace, l.Now(), l.Stats()
+	return s.trace, l.Now(), l.Stats()
 }
 
 // assertSchedulersAgree runs the script under both schedulers and

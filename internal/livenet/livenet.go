@@ -123,14 +123,17 @@ type liveTimer struct {
 	mu      sync.Mutex
 }
 
-func (lt *liveTimer) Stop() bool {
+// StopTimer implements transport.Stopper. A liveTimer is never reused,
+// so it has one generation.
+func (lt *liveTimer) StopTimer(uint32) bool {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	if lt.stopped {
 		return false
 	}
 	lt.stopped = true
-	return lt.t.Stop()
+	lt.t.Stop() // a callback already waiting on mu sees stopped and returns
+	return true
 }
 
 // After implements transport.Host.
@@ -146,7 +149,7 @@ func (h *Host) After(d time.Duration, fn func()) transport.Timer {
 		lt.mu.Unlock()
 		h.Post(fn)
 	})
-	return lt
+	return transport.NewTimer(lt, 0)
 }
 
 type listener struct {

@@ -322,12 +322,8 @@ func (m *Manager) Start() {
 // Stop halts the periodic work (already-issued requests finish).
 func (m *Manager) Stop() {
 	m.running = false
-	if m.collectTimer != nil {
-		m.collectTimer.Stop()
-	}
-	if m.healthTimer != nil {
-		m.healthTimer.Stop()
-	}
+	m.collectTimer.Stop()
+	m.healthTimer.Stop()
 }
 
 func (m *Manager) scheduleCollect() {

@@ -64,7 +64,7 @@ func New(loop *des.Loop, cfg Config) *Network {
 func (n *Network) Loop() *des.Loop { return n.loop }
 
 // NewHost creates a host with a fresh 10.x.y.z address. The label seeds
-// the host's private random stream.
+// the host's private random stream (see Host.Rand).
 func (n *Network) NewHost(label string) *Host {
 	for {
 		v := n.next
@@ -90,10 +90,9 @@ func (n *Network) addHost(label string, addr netip.Addr) *Host {
 	h := &Host{
 		net:       n,
 		addr:      addr,
+		label:     label,
 		up:        true,
-		rng:       n.loop.NewRand("host/" + label + "/" + addr.String()),
 		listeners: make(map[uint16]*listener),
-		conns:     make(map[*conn]struct{}),
 		nextPort:  50000,
 	}
 	n.hosts[addr] = h
@@ -135,11 +134,12 @@ func (n *Network) connLatency() time.Duration {
 type Host struct {
 	net       *Network
 	addr      netip.Addr
+	label     string
 	up        bool
-	linkDown  bool // uplink severed (host alive, unreachable)
-	rng       *rand.Rand
+	linkDown  bool       // uplink severed (host alive, unreachable)
+	rng       *rand.Rand // nil until the first Rand call
 	listeners map[uint16]*listener
-	conns     map[*conn]struct{}
+	conns     []*conn // open connections; conn.idx is the position here
 	nextPort  uint16
 }
 
@@ -151,8 +151,31 @@ func (h *Host) Addr() netip.Addr { return h.addr }
 // Now implements transport.Host.
 func (h *Host) Now() time.Time { return h.net.loop.Now() }
 
-// Rand implements transport.Host.
-func (h *Host) Rand() *rand.Rand { return h.rng }
+// Rand implements transport.Host. The stream is seeded by the first
+// call, from the loop's seed and the host's label and address alone, so
+// it is the same stream whenever that call comes; the simulated peers,
+// which never make it, are spared the 4.8 KiB source.
+func (h *Host) Rand() *rand.Rand {
+	if h.rng == nil {
+		h.rng = h.net.loop.NewRand("host/" + h.label + "/" + h.addr.String())
+	}
+	return h.rng
+}
+
+// track and untrack keep h.conns: a slice, not a map, so that Crash and
+// SetLinkDown close connections in an order the history alone decides.
+func (h *Host) track(c *conn) {
+	c.idx = len(h.conns)
+	h.conns = append(h.conns, c)
+}
+
+func (h *Host) untrack(c *conn) {
+	n := len(h.conns) - 1
+	last := h.conns[n]
+	h.conns[c.idx], last.idx = last, c.idx
+	h.conns[n] = nil
+	h.conns = h.conns[:n]
+}
 
 // Up reports whether the host is running.
 func (h *Host) Up() bool { return h.up }
@@ -173,50 +196,66 @@ func (h *Host) SetLinkDown(down bool) {
 	if !down {
 		return
 	}
-	for c := range h.conns {
+	for _, c := range h.conns {
 		c.closed = true
-		local, peer, lat := c, c.peer, c.latency
 		// The far side sees the break after one latency; the local side
 		// notices on its next tick (its TCP stack reports the reset).
-		h.net.loop.After(lat, func() {
-			peer.remoteClosed(transport.ErrHostDown)
-		})
-		h.net.loop.After(0, func() {
-			if local.hooks.OnClose != nil {
-				local.hooks.OnClose(transport.ErrHostDown)
-			}
-		})
+		h.net.loop.AfterCall(c.latency, remoteClosedEvent, c.peer, transport.ErrHostDown)
+		h.net.loop.AfterCall(0, localClosedEvent, c, transport.ErrHostDown)
 	}
-	h.conns = make(map[*conn]struct{})
+	h.conns = nil
 }
 
-type simTimer struct{ ev des.Timer }
+// The functions below are the calls of the events netsim schedules per
+// message, timer, post and close (des.Loop.AfterCall): top-level
+// functions over two pointer-shaped operands, where a closure would cost
+// an allocation each.
 
-func (t simTimer) Stop() bool {
-	if t.ev.Canceled() {
-		return false
+// hostEvent runs fn (arg) on h (recv) unless the host has crashed.
+func hostEvent(recv, arg any) {
+	if recv.(*Host).up {
+		arg.(func())()
 	}
-	t.ev.Cancel()
-	return true
+}
+
+// deliverEvent hands message arg to connection recv, one latency after
+// the far side's Send.
+func deliverEvent(recv, arg any) {
+	c := recv.(*conn)
+	if c.closed || !c.host.up {
+		return
+	}
+	m := arg.(wire.Message)
+	if !c.hooksSet {
+		c.buffered = append(c.buffered, m)
+		return
+	}
+	c.deliver(m)
+}
+
+// remoteClosedEvent tells connection recv that the far side closed
+// (nil arg) or failed with error arg.
+func remoteClosedEvent(recv, arg any) {
+	err, _ := arg.(error)
+	recv.(*conn).remoteClosed(err)
+}
+
+// localClosedEvent reports error arg to the hooks of connection recv,
+// whose own host severed it.
+func localClosedEvent(recv, arg any) {
+	if c := recv.(*conn); c.hooks.OnClose != nil {
+		c.hooks.OnClose(arg.(error))
+	}
 }
 
 // After implements transport.Host.
 func (h *Host) After(d time.Duration, fn func()) transport.Timer {
-	ev := h.net.loop.After(d, func() {
-		if h.up {
-			fn()
-		}
-	})
-	return simTimer{ev: ev}
+	return transport.NewTimer(h.net.loop.AfterCall(d, hostEvent, h, fn).Handle())
 }
 
 // Post implements transport.Host.
 func (h *Host) Post(fn func()) {
-	h.net.loop.After(0, func() {
-		if h.up {
-			fn()
-		}
-	})
+	h.net.loop.AfterCall(0, hostEvent, h, fn)
 }
 
 type listener struct {
@@ -293,8 +332,8 @@ func (h *Host) Dial(remote netip.AddrPort, space wire.Space, done func(transport
 		a := &conn{host: h, latency: lat, local: local, remote: remote, space: space}
 		b := &conn{host: target, latency: lat, local: remote, remote: local, space: l.space}
 		a.peer, b.peer = b, a
-		h.conns[a] = struct{}{}
-		target.conns[b] = struct{}{}
+		h.track(a)
+		target.track(b)
 		l.accept(b)
 		h.net.loop.After(lat, func() {
 			if h.up {
@@ -311,15 +350,11 @@ func (h *Host) Crash() {
 		return
 	}
 	h.up = false
-	for c := range h.conns {
+	for _, c := range h.conns {
 		c.closed = true
-		peer := c.peer
-		lat := c.latency
-		h.net.loop.After(lat, func() {
-			peer.remoteClosed(transport.ErrHostDown)
-		})
+		h.net.loop.AfterCall(c.latency, remoteClosedEvent, c.peer, transport.ErrHostDown)
 	}
-	h.conns = make(map[*conn]struct{})
+	h.conns = nil
 	h.listeners = make(map[uint16]*listener)
 }
 
@@ -329,6 +364,7 @@ func (h *Host) Restart() { h.up = true; h.linkDown = false }
 
 type conn struct {
 	host     *Host
+	idx      int // position in host.conns while open
 	peer     *conn
 	latency  time.Duration
 	space    wire.Space
@@ -378,17 +414,7 @@ func (c *conn) Send(m wire.Message) {
 		}
 		m = decoded
 	}
-	peer := c.peer
-	net.loop.After(c.latency, func() {
-		if peer.closed || !peer.host.up {
-			return
-		}
-		if !peer.hooksSet {
-			peer.buffered = append(peer.buffered, m)
-			return
-		}
-		peer.deliver(m)
-	})
+	net.loop.AfterCall(c.latency, deliverEvent, c.peer, m)
 }
 
 // Close implements transport.Conn.
@@ -397,11 +423,8 @@ func (c *conn) Close() {
 		return
 	}
 	c.closed = true
-	delete(c.host.conns, c)
-	peer := c.peer
-	c.host.net.loop.After(c.latency, func() {
-		peer.remoteClosed(nil)
-	})
+	c.host.untrack(c)
+	c.host.net.loop.AfterCall(c.latency, remoteClosedEvent, c.peer, nil)
 }
 
 // remoteClosed handles the peer's FIN or failure.
@@ -410,7 +433,7 @@ func (c *conn) remoteClosed(err error) {
 		return
 	}
 	c.closed = true
-	delete(c.host.conns, c)
+	c.host.untrack(c)
 	if c.hooks.OnClose != nil {
 		c.hooks.OnClose(err)
 	}

@@ -37,6 +37,7 @@ type peer struct {
 	cursor    int // rotation over silent sources: move on after failures
 	hardFails int
 	done      bool
+	roundTick func() // pe.round, bound once for every re-arm
 
 	// Daily activity window.
 	windowStartHour float64
@@ -107,6 +108,7 @@ func (p *Population) spawnHeavyHitter(rng *rand.Rand, idx int) {
 // start creates the host/client and begins the first session.
 func (pe *peer) start() {
 	p := pe.pop
+	pe.roundTick = pe.round
 	host := p.net.NewHost(fmt.Sprintf("%s/peer%d", p.cfg.Label, pe.id))
 	if pe.lowID {
 		p.stats.LowID++
@@ -307,7 +309,7 @@ func (pe *peer) nextAction(delay time.Duration) {
 			delay = 0
 		}
 	}
-	host.After(delay, pe.round)
+	host.After(delay, pe.roundTick)
 }
 
 // scheduleNextDay decides whether the user comes back tomorrow; heavy
@@ -427,9 +429,7 @@ func (pe *peer) contact(s *srcState) {
 		var timeout transport.Timer
 		var step func()
 		finish := func() {
-			if timeout != nil {
-				timeout.Stop()
-			}
+			timeout.Stop()
 			ps.Close()
 			s.gotData = s.gotData || gotData
 			pe.contactDone(s, !gotData)
@@ -466,9 +466,7 @@ func (pe *peer) contact(s *srcState) {
 			},
 			OnSendingPart: func(part *wire.SendingPart) {
 				gotData = true
-				if timeout != nil {
-					timeout.Stop()
-				}
+				timeout.Stop()
 				// Content-paced: simulate transfer/verify delay before the
 				// next request (variable, unlike the timeout path).
 				d := time.Duration(2+pe.rng.Intn(14)) * time.Second

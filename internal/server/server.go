@@ -82,6 +82,7 @@ type Server struct {
 
 	lowIDNext uint32
 	stats     Stats
+	reapTick  func() // s.reap, bound once for every re-arm
 }
 
 type fileRecord struct {
@@ -146,7 +147,8 @@ func (s *Server) Start() error {
 	}
 	s.listener = l
 	if s.cfg.SessionTimeout > 0 {
-		s.host.After(s.cfg.SessionTimeout/2, s.reap)
+		s.reapTick = s.reap
+		s.host.After(s.cfg.SessionTimeout/2, s.reapTick)
 	}
 	return nil
 }
@@ -168,7 +170,7 @@ func (s *Server) reap() {
 			delete(s.sessions, id)
 		}
 	}
-	s.host.After(s.cfg.SessionTimeout/2, s.reap)
+	s.host.After(s.cfg.SessionTimeout/2, s.reapTick)
 }
 
 func (s *Server) accept(conn transport.Conn) {

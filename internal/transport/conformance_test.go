@@ -273,9 +273,13 @@ func TestConformanceBufferingBeforeHooks(t *testing.T) {
 func TestConformanceTimers(t *testing.T) {
 	forEachFixture(t, func(t *testing.T, f *fixture) {
 		h := f.newHost("h")
+		var zero transport.Timer
+		if zero.Stop() {
+			t.Error("Stop on the zero Timer must report false")
+		}
 		var mu sync.Mutex
 		fired := 0
-		h.After(20*time.Millisecond, func() {
+		ran := h.After(20*time.Millisecond, func() {
 			mu.Lock()
 			fired++
 			mu.Unlock()
@@ -304,6 +308,9 @@ func TestConformanceTimers(t *testing.T) {
 		defer mu.Unlock()
 		if fired != 1 {
 			t.Errorf("fired = %d, want exactly 1 (stopped timer must not run)", fired)
+		}
+		if ran.Stop() {
+			t.Error("Stop after the callback ran must report false")
 		}
 	})
 }

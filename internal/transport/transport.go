@@ -61,12 +61,32 @@ type Listener interface {
 	Addr() netip.AddrPort
 }
 
-// Timer is a cancelable scheduled callback.
-type Timer interface {
-	// Stop cancels the timer; it reports whether the callback was
-	// prevented from running.
-	Stop() bool
+// Stopper is what a Host schedules a timer's callback on: the
+// simulation's event or the live host's time.Timer wrapper.
+type Stopper interface {
+	// StopTimer cancels the callback scheduled under generation gen and
+	// reports whether this call prevented it from running.
+	StopTimer(gen uint32) bool
 }
+
+// Timer is a cancelable scheduled callback, returned by Host.After. It
+// is a small value: a pointer-shaped Stopper and the generation it was
+// scheduled under, so handing one out allocates nothing and a handle
+// kept past its callback cannot reach whatever reuses the Stopper. The
+// zero Timer is inert.
+type Timer struct {
+	s   Stopper
+	gen uint32
+}
+
+// NewTimer is for Host implementations: s stops the callback, gen is
+// what s.StopTimer must be given. A nil s makes the zero Timer.
+func NewTimer(s Stopper, gen uint32) Timer { return Timer{s: s, gen: gen} }
+
+// Stop cancels the timer. It reports whether this call prevented the
+// callback from running: false for the zero Timer, once the callback has
+// run (or been queued to run), and on every Stop after the first.
+func (t Timer) Stop() bool { return t.s != nil && t.s.StopTimer(t.gen) }
 
 // Host is one network node with its own address, clock and executor.
 type Host interface {
