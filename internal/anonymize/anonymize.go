@@ -14,8 +14,9 @@
 //  3. File names are anonymized by replacing every word that appears less
 //     often than a threshold with an integer token (NameAnonymizer), an
 //     explicitly two-pass stage: ObserveIter counts the occurrences of
-//     each distinct name over one pass of a re-iterable source,
-//     AnonymizeIter rewrites names on the second pass. Names are
+//     each distinct name over one pass of a re-iterable source (or
+//     ObserveCount takes them from a source that kept count as it was
+//     written), AnonymizeIter rewrites names on the second pass. Names are
 //     tokenized once per distinct name, not per occurrence: the counts
 //     fold into corpus-wide word frequencies before the first rewrite,
 //     and each distinct name is rewritten once and served from a memo
@@ -200,6 +201,11 @@ func validName(name string) string {
 // observed before any call to Anonymize so frequencies are corpus-wide.
 func (a *NameAnonymizer) Observe(name string) { a.observed[name]++ }
 
+// ObserveCount counts n occurrences of a file name at once — the form in
+// which a source that already keeps per-name counts (logstore's names
+// sidecars) hands over its corpus without replaying it.
+func (a *NameAnonymizer) ObserveCount(name string, n int) { a.observed[name] += n }
+
 // foldObserved adds the words of every name observed since the last fold
 // to the corpus frequencies, each weighted by the name's occurrences.
 // New frequencies can move a word across the threshold, so the rewritten
@@ -274,8 +280,8 @@ func (a *NameAnonymizer) published(word string) string {
 }
 
 // AnonymizeIter is pass 2 of the streaming stage: records flow through
-// with every file name rewritten under the frequencies ObserveIter
-// gathered. Shared-list slices are cloned before rewriting, so the
+// with every file name rewritten under the frequencies observed so
+// far. Shared-list slices are cloned before rewriting, so the
 // source's records are never mutated — a re-iterable source stays
 // pristine for further passes.
 func (a *NameAnonymizer) AnonymizeIter(src logging.Iterator) logging.Iterator {

@@ -24,9 +24,10 @@ type Iterator interface {
 }
 
 // Source is a re-iterable record stream: each Iter call starts a fresh
-// pass over the same records in the same order. Multi-pass pipeline
-// stages (corpus-wide filename anonymization) scan a Source twice — a
-// logstore scans its segments again, in-memory logs re-merge.
+// pass over the same records in the same order. A multi-pass pipeline
+// stage (corpus-wide filename anonymization over in-memory logs, which
+// re-merge) iterates a Source more than once; a logstore-backed finalize
+// takes its first pass from the store's name tables and scans once.
 type Source interface {
 	Iter() (Iterator, error)
 }

@@ -13,13 +13,19 @@ import (
 // break by shard name, matching the finalize merge), ready for later
 // streaming analysis.
 func (s *Store) AppendRecord(r logging.Record) error {
-	name := r.Honeypot
-	if name == "" {
-		return fmt.Errorf("logstore: cannot shard a record with no honeypot id")
-	}
-	sh, err := s.Shard(name)
-	if err != nil {
-		return err
+	s.mu.Lock()
+	sh := s.shards[r.Honeypot]
+	s.mu.Unlock()
+	if sh == nil {
+		// First record of this honeypot: only now is its id a new name to
+		// validate and a shard to create.
+		if r.Honeypot == "" {
+			return fmt.Errorf("logstore: cannot shard a record with no honeypot id")
+		}
+		var err error
+		if sh, err = s.Shard(r.Honeypot); err != nil {
+			return err
+		}
 	}
 	return sh.AppendRecord(r)
 }

@@ -41,6 +41,30 @@ import (
 // at the first scan: Iterator and ReadSince fail with errCorrupt at the
 // damaged frame instead of ending early, and the dataset is never
 // silently shorter than its index says.
+//
+// The names sidecar (names.go: the segment's distinct file names and
+// their occurrence counts) stands under the same terms plus a checksum
+// of its own, since nothing like the frame scan would otherwise notice a
+// table with a flipped bit: it is believed exactly when its CRC holds, it
+// parses to its last byte, names its segment and its Bytes equal the
+// segment's size. It is written wherever the index sidecar is — at
+// rotation and at a clean Close, by the same tmp + rename, over the same
+// flushed bytes — and once more when a finalize folds the tables of a
+// store that is still open (Store.NameCounts writes a live tail's
+// sidecars so that every fold reads what a reopen would, and the shard
+// can let the table go). Open never reads one; only the fold does. The
+// windows above leave it what they leave the index: absent, orphaned as
+// .names.tmp, or an earlier write's — right if the segment is still
+// that size, stale and ignored otherwise. A shard counts names only for
+// a segment it saw from the first frame, so a tail adopted at open or
+// rescanned by a heal gets no table from memory, and appends past a
+// written table leave a stale one. Every such case — missing, torn,
+// stale, written by a store that predates the format — costs a recount
+// of that one segment from its CRC-checked frames
+// (logstore.names.rebuilds), never data and never the whole store; and
+// since the pass that rewrites names still decodes every frame, a table
+// trusted over bytes damaged in place fails that pass with errCorrupt
+// exactly as the index does.
 
 // writeIndex persists info next to its segment, atomically via rename.
 func writeIndex(fsys faultfs.FS, dir string, info SegmentInfo) error {
@@ -48,11 +72,17 @@ func writeIndex(fsys faultfs.FS, dir string, info SegmentInfo) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, idxName(info.Seq)+".tmp")
-	if err := fsys.WriteFile(tmp, b, 0o644); err != nil {
+	return replaceFile(fsys, filepath.Join(dir, idxName(info.Seq)), b)
+}
+
+// replaceFile writes a sidecar or the manifest whole or not at all: to
+// path.tmp, then renamed over path.
+func replaceFile(fsys faultfs.FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := fsys.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	return fsys.Rename(tmp, filepath.Join(dir, idxName(info.Seq)))
+	return fsys.Rename(tmp, path)
 }
 
 // readIndex reads segment seq's sidecar and reports whether it can be

@@ -13,8 +13,10 @@
 //
 //	<dir>/<shard>/00000001.seg   CRC-framed records (logging binary codec)
 //	<dir>/<shard>/00000001.idx   sparse index sidecar of a sealed segment
+//	<dir>/<shard>/00000001.names its distinct file names and their counts
 //	<dir>/<shard>/00000002.seg   active segment (tail of the shard)
-//	<dir>/<shard>/00000002.idx   its sidecar, once the shard closed cleanly
+//	<dir>/<shard>/00000002.idx   its sidecars, once the shard closed cleanly
+//	<dir>/<shard>/00000002.names
 //
 // Each segment frame is [u32 length][u32 crc32][body], body being the
 // exact bytes of logging.EncodeRecord. Segments rotate at a size
@@ -25,6 +27,12 @@
 // trust model). Without a matching one — after a crash — the tail is
 // scanned on open: a torn end (crash mid-append) is detected by CRC and
 // truncated, and appends resume at the last good frame.
+//
+// Each shard also counts the distinct file names of its active segment
+// as records are appended and leaves the table beside the segment with
+// the index. Store.NameCounts folds the tables, which gives the finalize
+// pipeline its corpus-wide name frequencies without a pass over the
+// records (names.go).
 //
 // Readers address positions with Checkpoints (segment sequence + byte
 // offset); the control plane's incremental collection stores a checkpoint
@@ -66,9 +74,9 @@ type Options struct {
 	// honeypots, whose records must outlive the process.
 	FlushEvery time.Duration
 	// Metrics, when set, reports the store's activity (appends, bytes,
-	// segment rotations, index rebuilds, recovery tail scans and
-	// truncations, scan records and bytes) into the registry under
-	// "logstore.*" names.
+	// segment rotations, index and name-table rebuilds, recovery tail
+	// scans and truncations, scan records and bytes) into the registry
+	// under "logstore.*" names.
 	// Counters are resolved once at open time, so the hot paths stay
 	// allocation-free; nil disables telemetry at one-branch cost.
 	Metrics *obs.Registry

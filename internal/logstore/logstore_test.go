@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -319,13 +320,33 @@ func TestShardNameValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	for _, bad := range []string{"", "a/b", `a\b`, ".", ".."} {
-		if _, err := st.Shard(bad); err == nil {
-			t.Errorf("Shard(%q) accepted", bad)
+	for _, bad := range []string{"", "a/b", `a\b`, ".", "..", quarantineDir, manifestName} {
+		want := fmt.Sprintf("logstore: invalid shard name %q", bad)
+		if _, err := st.Shard(bad); err == nil || err.Error() != want {
+			t.Errorf("Shard(%q) = %v, want %s", bad, err, want)
 		}
+		// The export path validates on the append that would create the
+		// shard, with the same verdicts.
+		if bad == "" {
+			want = "logstore: cannot shard a record with no honeypot id"
+		}
+		if err := st.AppendRecord(rec(bad, 0)); err == nil || err.Error() != want {
+			t.Errorf("AppendRecord(honeypot %q) = %v, want %s", bad, err, want)
+		}
+	}
+	if got := st.ShardNames(); len(got) != 0 {
+		t.Fatalf("rejected names created shards: %v", got)
 	}
 	if _, err := st.Shard("hp-00"); err != nil {
 		t.Errorf("Shard(hp-00): %v", err)
+	}
+	for i := 0; i < 3; i++ { // the first append creates hp-01, the rest find it
+		if err := st.AppendRecord(rec("hp-01", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := st.TotalRecords(); got != 3 {
+		t.Fatalf("stored %d records, want 3", got)
 	}
 }
 

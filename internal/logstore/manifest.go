@@ -115,17 +115,13 @@ func writeManifest(fsys faultfs.FS, dir string, m *manifestData) error {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(body))
 	b = append(b, body...)
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := fsys.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("logstore: writing manifest: %w", err)
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
+	if err := replaceFile(fsys, filepath.Join(dir, manifestName), b); err != nil {
 		return fmt.Errorf("logstore: writing manifest: %w", err)
 	}
 	return nil
 }
 
-// quarantineSegment moves one segment (and its sidecar, if any) from a
+// quarantineSegment moves one segment (and its sidecars, if any) from a
 // shard directory into <storeDir>/_quarantine/<shard>/.
 func quarantineSegment(fsys faultfs.FS, shardDir, shard string, seq uint64, reason string) (Quarantine, error) {
 	qdir := filepath.Join(filepath.Dir(shardDir), quarantineDir, shard)
@@ -136,9 +132,11 @@ func quarantineSegment(fsys faultfs.FS, shardDir, shard string, seq uint64, reas
 	if err := fsys.Rename(filepath.Join(shardDir, segName(seq)), dst); err != nil {
 		return Quarantine{}, fmt.Errorf("logstore: quarantining %s/%s: %w", shard, segName(seq), err)
 	}
-	// The sidecar follows its segment; it may legitimately not exist.
-	if err := fsys.Rename(filepath.Join(shardDir, idxName(seq)), filepath.Join(qdir, idxName(seq))); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return Quarantine{}, err
+	// The sidecars follow their segment; they may legitimately not exist.
+	for _, side := range []string{idxName(seq), namesName(seq)} {
+		if err := fsys.Rename(filepath.Join(shardDir, side), filepath.Join(qdir, side)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return Quarantine{}, err
+		}
 	}
 	return Quarantine{Shard: shard, Seq: seq, Path: dst, Reason: reason}, nil
 }

@@ -16,6 +16,9 @@ type storeMetrics struct {
 	tailScans   *obs.Counter // logstore.recovery.tail_scans
 	scanRecords *obs.Counter // logstore.scan.records
 	scanBytes   *obs.Counter // logstore.scan.bytes
+	// nameRebuilds counts segments whose file-name table had to be
+	// recounted by a scan because no trusted names sidecar covered them.
+	nameRebuilds *obs.Counter // logstore.names.rebuilds
 
 	manifestRebuilds *obs.Counter // logstore.manifest.rebuilds
 	quarantines      *obs.Counter // logstore.quarantines
@@ -39,6 +42,8 @@ func newStoreMetrics(r *obs.Registry) storeMetrics {
 		tailScans:   r.Counter("logstore.recovery.tail_scans"),
 		scanRecords: r.Counter("logstore.scan.records"),
 		scanBytes:   r.Counter("logstore.scan.bytes"),
+
+		nameRebuilds: r.Counter("logstore.names.rebuilds"),
 
 		manifestRebuilds: r.Counter("logstore.manifest.rebuilds"),
 		quarantines:      r.Counter("logstore.quarantines"),

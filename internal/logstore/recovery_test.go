@@ -24,7 +24,7 @@ func lastSegPath(t *testing.T, dir, shard string) string {
 
 // writeShard creates a store with n records in one shard and closes it,
 // returning the record set.
-func writeShard(t *testing.T, dir string, n int) []int {
+func writeShard(t testing.TB, dir string, n int) []int {
 	t.Helper()
 	st, err := Open(dir, smallOpts())
 	if err != nil {

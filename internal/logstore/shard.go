@@ -40,9 +40,14 @@ type Shard struct {
 	// indexed: the tail's sidecar on disk describes active exactly (a
 	// trusted reopen with no append since), so Close has nothing to write.
 	indexed bool
-	buf     []byte // frame scratch: [8-byte header][encoded record]
-	closed  bool
-	err     error // sticky I/O error (logging.Sink has no error return)
+	// names counts the file names of the active segment, from its first
+	// frame to active.Bytes; nil when the shard did not see all of those
+	// appended (an adopted tail), or once the table is on disk (names.go).
+	names    *nameTable
+	nameHint int    // distinct names of the last table written: sizes the next
+	buf      []byte // frame scratch: [8-byte header][encoded record]
+	closed   bool
+	err      error // sticky I/O error (logging.Sink has no error return)
 
 	// Self-healing state: a sticky error is retried in place (rescan the
 	// tail, truncate the torn part, resume) so a transient disk fault
@@ -151,6 +156,10 @@ func openShard(fsys faultfs.FS, dir, name string, opt Options, man *manifestShar
 // tore, so appends resume at the last intact frame. Caller holds mu (or
 // is the constructor).
 func (sh *Shard) openTail(seq uint64) (SegmentInfo, error) {
+	// Whatever table the shard held counted appends a recovery may be
+	// about to cut off; an adopted tail's names come from its sidecar or a
+	// rebuild, when someone asks.
+	sh.names = nil
 	path := filepath.Join(sh.dir, segName(seq))
 	info, size, ok, err := readIndex(sh.fs, sh.dir, seq)
 	if err != nil {
@@ -242,6 +251,7 @@ func (sh *Shard) startSegment(seq uint64) error {
 		return err
 	}
 	sh.active, sh.indexed = SegmentInfo{Seq: seq, Bytes: segHeaderSize}, false
+	sh.names = newNameTable(sh.nameHint)
 	sh.f = f
 	sh.w = bufio.NewWriterSize(f, segBufSize)
 	return nil
@@ -317,6 +327,9 @@ func (sh *Shard) AppendRecord(r logging.Record) error {
 	sh.indexed = false
 	sh.active.observe(r.Time)
 	sh.active.Bytes += int64(len(frame))
+	if sh.names != nil {
+		sh.names.observe(&r)
+	}
 	if sh.active.Bytes >= sh.opt.SegmentBytes {
 		if err := sh.rotateLocked(); err != nil {
 			sh.err = err
@@ -326,8 +339,8 @@ func (sh *Shard) AppendRecord(r logging.Record) error {
 	return nil
 }
 
-// rotateLocked seals the active segment (flush, optional fsync, index
-// sidecar) and starts the next one. Caller holds mu.
+// rotateLocked seals the active segment (flush, optional fsync, sidecars)
+// and starts the next one. Caller holds mu.
 func (sh *Shard) rotateLocked() error {
 	if err := sh.w.Flush(); err != nil {
 		return err
@@ -340,7 +353,7 @@ func (sh *Shard) rotateLocked() error {
 	if err := sh.f.Close(); err != nil {
 		return err
 	}
-	if err := writeIndex(sh.fs, sh.dir, sh.active); err != nil {
+	if err := sh.writeSidecarsLocked(); err != nil {
 		return err
 	}
 	prev := sh.active
@@ -469,9 +482,9 @@ func (sh *Shard) Sync() error {
 }
 
 // Close flushes and closes the shard, then leaves the tail segment's
-// index beside it so the next open need not scan it. The sidecar is
-// only ever written over fully flushed bytes: not after a failed flush
-// or close, and not while an append error is sticky.
+// sidecars beside it so the next open need not scan it. They are only
+// ever written over fully flushed bytes: not after a failed flush or
+// close, and not while an append error is sticky.
 func (sh *Shard) Close() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -487,9 +500,28 @@ func (sh *Shard) Close() error {
 		err = errors.Join(err, sh.f.Close())
 	}
 	if err == nil && sh.err == nil && !sh.indexed {
-		err = writeIndex(sh.fs, sh.dir, sh.active)
+		err = sh.writeSidecarsLocked()
 	}
 	return err
+}
+
+// writeSidecarsLocked leaves the active segment's index and, when the
+// shard counted all of it, its name table beside it; the caller has
+// flushed every byte they cover. The table is released the moment it is
+// on disk. Caller holds mu.
+func (sh *Shard) writeSidecarsLocked() error {
+	if err := writeIndex(sh.fs, sh.dir, sh.active); err != nil {
+		return err
+	}
+	if sh.names == nil {
+		return nil
+	}
+	if err := writeNames(sh.fs, sh.dir, sh.active.Seq, sh.active.Bytes, sh.names); err != nil {
+		return err
+	}
+	sh.nameHint = len(sh.names.counts)
+	sh.names = nil
+	return nil
 }
 
 // Count returns the total number of records in the shard.
@@ -507,10 +539,13 @@ func (sh *Shard) Count() uint64 {
 func (sh *Shard) Segments() []SegmentInfo {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return sh.segmentsLocked()
+}
+
+func (sh *Shard) segmentsLocked() []SegmentInfo {
 	out := make([]SegmentInfo, 0, len(sh.sealed)+1)
 	out = append(out, sh.sealed...)
-	out = append(out, sh.active)
-	return out
+	return append(out, sh.active)
 }
 
 // End returns the checkpoint just past the last appended record.
@@ -528,10 +563,7 @@ func (sh *Shard) snapshotFlushed() ([]SegmentInfo, error) {
 	if err := sh.flushLocked(); err != nil {
 		return nil, err
 	}
-	segs := make([]SegmentInfo, 0, len(sh.sealed)+1)
-	segs = append(segs, sh.sealed...)
-	segs = append(segs, sh.active)
-	return segs, nil
+	return sh.segmentsLocked(), nil
 }
 
 // ReadSince returns up to max records strictly after cp (the zero

@@ -4,24 +4,29 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/faultfs"
 )
 
 // The kill-point torture loop: run a fixed two-shard workload (small
-// segments, so it rotates, seals sidecars and swaps the manifest many
-// times), crash the filesystem at operation N for every N in a sampled
-// matrix, reopen on a healthy filesystem and require that (a) nothing
-// was quarantined — a pure crash must never look like foreign data —
-// (b) each shard holds a strict prefix of its appended records, and
-// (c) appends resume and round-trip.
+// segments, so it rotates, seals both sidecars and swaps the manifest
+// many times, and folds its name tables once mid-campaign), crash the
+// filesystem at operation N for every N in a sampled matrix, reopen on a
+// healthy filesystem and require that (a) nothing was quarantined — a
+// pure crash must never look like foreign data — (b) each shard holds a
+// strict prefix of its appended records, (c) no names sidecar that would
+// be trusted disagrees with its segment, and a fold of the tables equals
+// a count of the records, and (d) appends resume and round-trip.
 
 const tortureAppends = 400
 
 // tortureWorkload appends tortureAppends records alternating over two
-// shards and closes the store. With a crashing FS it returns the first
-// injected error, like a process dying mid-campaign.
+// shards — folding the name tables halfway, which writes the live tails'
+// sidecars and leaves the appends after it uncounted — and closes the
+// store. With a crashing FS it returns the first injected error, like a
+// process dying mid-campaign.
 func tortureWorkload(fsys faultfs.FS, dir string) error {
 	st, err := Open(dir, Options{SegmentBytes: 1 << 10, FS: fsys})
 	if err != nil {
@@ -36,11 +41,54 @@ func tortureWorkload(fsys faultfs.FS, dir string) error {
 		if err != nil {
 			return err
 		}
-		if err := sh.AppendRecord(rec(hp, i)); err != nil {
+		r := rec(hp, i)
+		r.FileName = "file." + itoa(int64(i%7)) + ".avi"
+		if err := sh.AppendRecord(r); err != nil {
 			return err
+		}
+		if i == tortureAppends/2 {
+			if err := st.NameCounts(func(string, int) {}); err != nil {
+				return err
+			}
 		}
 	}
 	return st.Close()
+}
+
+// verifyNames requires of a recovered store that every names sidecar a
+// fold would trust says what its segment holds, and that the fold as a
+// whole (sidecars, recounts and all) equals a count of the records.
+func verifyNames(t *testing.T, st *Store, tag string) {
+	t.Helper()
+	for _, hp := range st.ShardNames() {
+		sh, err := st.Shard(hp)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		for _, si := range sh.Segments() {
+			b, err := os.ReadFile(filepath.Join(sh.dir, namesName(si.Seq)))
+			if err != nil {
+				continue // none: the fold recounts
+			}
+			got := map[string]int{}
+			if !foldNamesFile(b, si.Seq, si.Bytes, func(name string, n int) { got[name] += n }) {
+				continue // untrusted: the fold recounts
+			}
+			tab, err := sh.rebuildNames(si)
+			if err != nil {
+				t.Fatalf("%s: recounting %s/%s: %v", tag, hp, segName(si.Seq), err)
+			}
+			want := map[string]int{}
+			tab.each(func(name string, n int) { want[name] += n })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s/%s is trusted but disagrees with its segment:\n got %v\nwant %v",
+					tag, hp, namesName(si.Seq), got, want)
+			}
+		}
+	}
+	if got, want := tableCounts(t, st), scanCounts(t, st); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: folded name tables disagree with a scan:\n got %v\nwant %v", tag, got, want)
+	}
 }
 
 // verifyRecovered reopens dir on the real filesystem and asserts the
@@ -77,6 +125,7 @@ func verifyRecovered(t *testing.T, dir, tag string) {
 			}
 		}
 	}
+	verifyNames(t, st, tag)
 	// Appends must resume and round-trip.
 	for _, hp := range []string{"hp-00", "hp-01"} {
 		sh, err := st.Shard(hp)

@@ -705,9 +705,10 @@ func (m *Manager) Finalize(done func(*Dataset, error)) {
 // caller pulls anonymized, audited records one at a time (feeding them
 // to analysis.BuildFrameIter, a JSONL export, or an on-disk store) and
 // no []Record for the campaign is ever allocated. The filename pass
-// observes word frequencies in a first scan of the source (the spill
-// store is scanned twice; in-memory logs are re-merged), so the stream
-// delivered to done is ready to yield final names immediately.
+// takes its word frequencies first — from the spill store's per-segment
+// name tables, so the store is scanned once, by the stream itself; from
+// a re-merge of in-memory logs otherwise — so the stream delivered to
+// done is ready to yield final names immediately.
 func (m *Manager) FinalizeStream(done func(*DatasetStream, error)) {
 	m.Stop()
 	m.CollectNow(func() {
@@ -766,8 +767,8 @@ func (s *stageIter) Next() (logging.Record, error) {
 }
 
 // newDatasetStream assembles the finalize pipeline over the collected
-// logs: re-iterable source → (pass 1: observe filename corpus) →
-// audit → renumber → anonymize names.
+// logs: (observe filename corpus) → source → audit → renumber →
+// anonymize names.
 func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 	span := obs.StartSpan(m.met.finalizeDur)
 	src, perHP, err := m.datasetSource()
@@ -778,16 +779,8 @@ func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 	var na *anonymize.NameAnonymizer
 	if m.cfg.NameThreshold > 0 {
 		na = anonymize.NewNameAnonymizer(m.cfg.NameThreshold)
-		pass1, err := src.Iter()
-		if err != nil {
+		if err := m.observeNames(na, src); err != nil {
 			return nil, err
-		}
-		obsErr := na.ObserveIter(m.stage(pass1, "observe"))
-		if cerr := logging.CloseIter(pass1); obsErr == nil {
-			obsErr = cerr
-		}
-		if obsErr != nil {
-			return nil, obsErr
 		}
 	}
 
@@ -817,6 +810,25 @@ func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 		ds.countHP = true
 	}
 	return ds, nil
+}
+
+// observeNames gives na the campaign's file-name corpus before the first
+// rewrite. The spill store counted names per segment as they were
+// appended, so its tables are folded and no record is read; in-memory
+// logs are re-merged and counted.
+func (m *Manager) observeNames(na *anonymize.NameAnonymizer, src logging.Source) error {
+	if m.store != nil {
+		return m.store.NameCounts(na.ObserveCount)
+	}
+	pass1, err := src.Iter()
+	if err != nil {
+		return err
+	}
+	err = na.ObserveIter(m.stage(pass1, "observe"))
+	if cerr := logging.CloseIter(pass1); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // datasetSource returns the re-iterable unified log: the spill store

@@ -19,6 +19,7 @@ import (
 	"repro/internal/logging"
 	"repro/internal/logstore"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -1155,5 +1156,97 @@ func TestFinalizeStreamAllocsPerRecord(t *testing.T) {
 	if got := perRun / float64(drained); got > budget {
 		t.Fatalf("finalize allocates %.2f objects per record (%.0f per run over %d records), budget %.2f",
 			got, perRun, drained, budget)
+	}
+}
+
+// TestStoreFinalizeFoldsNameTablesInOneScan: a store-backed finalize
+// takes its file-name corpus from the store's per-segment name tables —
+// the observe pass is never entered and the raw store is read once, by
+// the rewrite pass — and publishes the dataset a memory-mode finalize
+// (which counts names by re-merging its logs) publishes, byte for byte.
+func TestStoreFinalizeFoldsNameTablesInOneScan(t *testing.T) {
+	ids := []string{"hp-a", "hp-b", "hp-c"}
+	h := anonymize.NewIPHasher(secret)
+	logs := make(map[string][]logging.Record, len(ids))
+	total := 0
+	for hi, id := range ids {
+		for j := 0; j < 40; j++ {
+			ip, _ := netip.AddrFromSlice([]byte{10, 0, byte(hi), byte(j % 5)})
+			r := logging.Record{
+				Time:     t0.Add(time.Duration(j) * time.Minute),
+				Honeypot: id,
+				Kind:     logging.KindStartUpload,
+				PeerIP:   h.HashIP(ip),
+				// "shared" words reach the threshold only summed over
+				// honeypots; "rare" ones never do.
+				FileName: "Common.shared" + strconv.Itoa(j%20) + ".rare" + strconv.Itoa(hi*100+j) + ".avi",
+			}
+			if j%9 == 0 {
+				r.Kind = logging.KindSharedList
+				r.Files = []logging.SharedFile{{Name: "list.shared" + strconv.Itoa(j%20) + ".mp3"}, {Name: "list.only" + id + ".mp3"}}
+			}
+			logs[id] = append(logs[id], r)
+			total++
+		}
+	}
+	loop := des.NewLoop(t0, 1)
+	nw := netsim.New(loop, netsim.DefaultConfig())
+	digest := func(ds *Dataset) string {
+		var b []byte
+		for _, r := range ds.Records {
+			b = logging.EncodeRecord(b, r)
+		}
+		return strconv.Itoa(ds.ReplacedWords) + "/" + strconv.Itoa(ds.DistinctPeers) + "/" + string(b)
+	}
+
+	mem := New(nw.NewHost("m-mem"), DefaultConfig())
+	for _, id := range ids {
+		mem.Add(&fakeHandle{id: id, recs: append([]logging.Record(nil), logs[id]...)}, Assignment{})
+	}
+	mem.CollectNow(nil)
+	want := finalizeNow(t, mem)
+	if want.ReplacedWords == 0 || !strings.Contains(want.Records[0].FileName, "shared") {
+		t.Fatalf("the corpus does not exercise the threshold: %d replaced, first name %q", want.ReplacedWords, want.Records[0].FileName)
+	}
+
+	reg := obs.New()
+	store, err := logstore.Open(t.TempDir(), logstore.Options{SegmentBytes: 2 << 10, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	cfg := DefaultConfig()
+	cfg.Metrics = reg
+	ms := New(nw.NewHost("m-store"), cfg)
+	ms.SetStore(store)
+	for _, id := range ids {
+		sh, err := store.Shard(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range logs[id] {
+			if err := sh.AppendRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(sh.Segments()) < 3 {
+			t.Fatalf("shard %s has %d segments; the test wants sealed and live tables folded together", id, len(sh.Segments()))
+		}
+		ms.Add(&fakeStoreHandle{fakeHandle: fakeHandle{id: id}, shard: sh}, Assignment{})
+	}
+	ms.CollectNow(nil)
+	got := finalizeNow(t, ms)
+	if digest(got) != digest(want) {
+		t.Fatal("store-backed finalize (name tables) and memory-mode finalize (observe pass) publish different datasets")
+	}
+	snap := reg.Snapshot().Counters
+	if n := snap["logstore.scan.records"]; n != uint64(total) {
+		t.Errorf("finalize scanned %d records of a %d-record store, want exactly one scan", n, total)
+	}
+	if n := snap["finalize.observe.records"]; n != 0 {
+		t.Errorf("the observe pass read %d records on a store-backed finalize", n)
+	}
+	if n := snap["logstore.names.rebuilds"]; n != 0 {
+		t.Errorf("a fault-free store recounted %d segments", n)
 	}
 }
