@@ -5,7 +5,9 @@ package logging
 // per-honeypot logs, a logstore scan, a network drain) through transform
 // stages (renumbering, filename anonymization, auditing) into a consumer
 // (a columnar frame, a JSONL export, an on-disk store) one record at a
-// time: no stage ever materializes the stream.
+// time: no stage ever materializes the stream. Where a source and its
+// consumer should run at once, ReadAhead (readahead.go) puts the source
+// on a goroutine of its own, a fixed number of record batches ahead.
 
 import (
 	"bufio"

@@ -1,0 +1,203 @@
+package logging
+
+import (
+	"errors"
+	"io"
+	"reflect"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// countedIter yields n numbered records and then end (io.EOF when nil).
+// It fails the test if Next runs after Close — the read-ahead stage must
+// join its producer before it closes the source.
+type countedIter struct {
+	t      *testing.T
+	n      int
+	end    error
+	i      int
+	closed atomic.Bool
+	calls  atomic.Int64
+}
+
+func (c *countedIter) Next() (Record, error) {
+	c.calls.Add(1)
+	if c.closed.Load() {
+		c.t.Error("source Next after Close")
+	}
+	if c.n >= 0 && c.i >= c.n {
+		if c.end != nil {
+			return Record{}, c.end
+		}
+		return Record{}, io.EOF
+	}
+	c.i++
+	return Record{PeerPort: uint16(c.i), Files: []SharedFile{{Name: "f"}}}, nil
+}
+
+func (c *countedIter) Close() error { c.closed.Store(true); return nil }
+
+// fillingIter is a countedIter with a Fill method, which ReadAhead
+// drains a batch per call instead of a record.
+type fillingIter struct {
+	*countedIter
+	fills atomic.Int64
+}
+
+func (f *fillingIter) Fill(dst []Record) (int, error) {
+	f.fills.Add(1)
+	for n := range dst {
+		var err error
+		if dst[n], err = f.countedIter.Next(); err != nil {
+			return n, err
+		}
+	}
+	return len(dst), nil
+}
+
+// source returns c itself, or c behind a Fill method.
+func source(c *countedIter, filled bool) Iterator {
+	if filled {
+		return &fillingIter{countedIter: c}
+	}
+	return c
+}
+
+// waitGoroutines waits until the goroutine count is back to base: a
+// joined producer has closed its done channel but may take a moment to
+// unwind. It fails after a second.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d: the producer outlived its owner", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// sizes straddles the batch size, where handoffs begin and end.
+var sizes = []int{0, 1, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1, readAheadDepth*readAheadBatch + 7}
+
+func TestReadAheadDeliversTheSourceStream(t *testing.T) {
+	for _, filled := range []bool{false, true} {
+		for _, n := range sizes {
+			want, err := Drain(&countedIter{t: t, n: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &countedIter{t: t, n: n}
+			base := runtime.NumGoroutine()
+			ra := ReadAhead(source(src, filled))
+			got, err := Drain(ra)
+			if err != nil {
+				t.Fatalf("n=%d filled=%v: %v", n, filled, err)
+			}
+			if len(got) != n || (n > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("n=%d filled=%v: read-ahead delivered %d records, not the source's stream", n, filled, len(got))
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := ra.Next(); !errors.Is(err, io.EOF) {
+					t.Fatalf("n=%d filled=%v: Next after the end returned %v, want io.EOF again", n, filled, err)
+				}
+			}
+			if err := ra.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !src.closed.Load() {
+				t.Fatalf("n=%d filled=%v: Close did not close the source", n, filled)
+			}
+			waitGoroutines(t, base)
+		}
+	}
+}
+
+func TestReadAheadFillsABatchPerCall(t *testing.T) {
+	src := &fillingIter{countedIter: &countedIter{t: t, n: 2*readAheadBatch + 1}}
+	if _, err := Drain(ReadAhead(src)); err != nil {
+		t.Fatal(err)
+	}
+	if n := src.fills.Load(); n != 3 {
+		t.Fatalf("%d Fill calls for two full batches and a short one", n)
+	}
+}
+
+func TestReadAheadErrorKeepsItsPlace(t *testing.T) {
+	boom := errors.New("boom")
+	for _, k := range sizes {
+		ra := ReadAhead(source(&countedIter{t: t, n: k, end: boom}, k%2 == 0))
+		got := 0
+		for {
+			_, err := ra.Next()
+			if err != nil {
+				if !errors.Is(err, boom) {
+					t.Fatalf("k=%d: error %v, want the source's", k, err)
+				}
+				break
+			}
+			got++
+		}
+		if got != k {
+			t.Fatalf("k=%d: %d records before the error", k, got)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := ra.Next(); !errors.Is(err, boom) {
+				t.Fatalf("k=%d: call %d after the error returned %v, want it again", k, i, err)
+			}
+		}
+		ra.Close()
+	}
+}
+
+func TestReadAheadCloseUnreadStartsNothing(t *testing.T) {
+	src := &countedIter{t: t, n: 10}
+	base := runtime.NumGoroutine()
+	ra := ReadAhead(src)
+	if err := ra.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after closing an unread stage, want %d", n, base)
+	}
+	if !src.closed.Load() || src.calls.Load() != 0 {
+		t.Fatalf("unread stage: source closed %v, %d Next calls", src.closed.Load(), src.calls.Load())
+	}
+	if _, err := ra.Next(); err == nil || errors.Is(err, io.EOF) {
+		t.Fatalf("Next after Close returned %v, want an error that is not io.EOF", err)
+	}
+	if err := ra.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
+func TestReadAheadCloseJoinsProducer(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		src  *countedIter
+		read int
+	}{
+		{"mid-stream", &countedIter{t: t, n: -1}, 3}, // endless: the producer is always busy or waiting
+		{"after-error", &countedIter{t: t, n: 5, end: boom}, 6},
+		{"after-eof", &countedIter{t: t, n: 5}, 6},
+	} {
+		base := runtime.NumGoroutine()
+		ra := ReadAhead(tc.src)
+		for i := 0; i < tc.read; i++ {
+			ra.Next()
+		}
+		if err := ra.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !tc.src.closed.Load() {
+			t.Fatalf("%s: source not closed", tc.name)
+		}
+		waitGoroutines(t, base)
+		if _, err := ra.Next(); err == nil {
+			t.Fatalf("%s: Next after Close returned a record", tc.name)
+		}
+	}
+}

@@ -12,14 +12,55 @@ import (
 
 // Iterator streams the records of several shards k-way merged into
 // timestamp order without materializing them: memory use is one open
-// segment reader and one record per shard, regardless of campaign size.
-// Ties are broken by shard position (lexicographic shard name), then by
-// append order within a shard — the exact ordering contract of
-// logging.Merge over per-honeypot slices.
+// segment reader and one record per shard, plus the read-ahead stage's
+// fixed batches, regardless of campaign size. Ties are broken by shard
+// position (lexicographic shard name), then by append order within a
+// shard — the exact ordering contract of logging.Merge over
+// per-honeypot slices.
+//
+// The merge runs on the read-ahead stage's producer goroutine (see
+// logging.ReadAhead), so a caller's per-record work overlaps the scan.
+// One goroutine still runs the whole merge, which is what keeps the
+// order, the tie-breaks and the interning exactly those of a scan on the
+// caller's goroutine.
 type Iterator struct {
+	ra *logging.ReadAheadIter
+}
+
+// Next returns the next record in merged timestamp order; io.EOF marks
+// the end of the stream. An error is final: every record decoded before
+// it has been returned, and every later call returns it again.
+func (it *Iterator) Next() (logging.Record, error) { return it.ra.Next() }
+
+// Close stops the scan and releases any open segment readers. The
+// iterator is unusable afterwards.
+func (it *Iterator) Close() error { return it.ra.Close() }
+
+// newIterator builds a merged iterator over the given shards (already in
+// tie-break order), bounded to [from, to) when the bounds are non-zero.
+func newIterator(shards []*Shard, from, to time.Time) (*Iterator, error) {
+	m := &merger{}
+	// One interner spans the whole scan: every cursor's honeypot name,
+	// server address and client-name strings are allocated once per
+	// distinct value, not once per record.
+	pool := intern.NewPool()
+	for _, sh := range shards {
+		segs, err := sh.snapshotFlushed()
+		if err != nil {
+			m.Close()
+			return nil, err
+		}
+		m.cursors = append(m.cursors, &shardCursor{sh: sh, segs: segs, from: from, to: to, pool: pool})
+	}
+	return &Iterator{ra: logging.ReadAhead(m)}, nil
+}
+
+// merger is the k-way merge itself: the read-ahead stage's source.
+type merger struct {
 	cursors []*shardCursor
 	h       []iterKey // min-heap over the cursors that hold a record
 	inited  bool
+	err     error // sticky: the scan stops at its first error
 }
 
 // iterKey orders the merge: a cursor's current timestamp, then its
@@ -32,67 +73,68 @@ type iterKey struct {
 
 func (a iterKey) less(b iterKey) bool { return a.ns < b.ns || (a.ns == b.ns && a.src < b.src) }
 
-// newIterator builds a merged iterator over the given shards (already in
-// tie-break order), bounded to [from, to) when the bounds are non-zero.
-func newIterator(shards []*Shard, from, to time.Time) (*Iterator, error) {
-	it := &Iterator{}
-	// One interner spans the whole scan: every cursor's honeypot name,
-	// server address and client-name strings are allocated once per
-	// distinct value, not once per record.
-	pool := intern.NewPool()
-	for _, sh := range shards {
-		segs, err := sh.snapshotFlushed()
-		if err != nil {
-			it.Close()
-			return nil, err
-		}
-		it.cursors = append(it.cursors, &shardCursor{sh: sh, segs: segs, from: from, to: to, pool: pool})
-	}
-	return it, nil
-}
-
-// Next returns the next record in merged timestamp order; io.EOF marks
-// the end of the stream.
-func (it *Iterator) Next() (logging.Record, error) {
-	if !it.inited {
-		it.inited = true
-		for i, c := range it.cursors {
+// Fill merges the next records straight into dst, the read-ahead
+// stage's batch (see logging.ReadAhead): one copy per record from its
+// cursor, where a return through Next would make three.
+func (m *merger) Fill(dst []logging.Record) (int, error) {
+	if !m.inited {
+		m.inited = true
+		for i, c := range m.cursors {
 			err := c.next()
 			if errors.Is(err, io.EOF) {
 				continue
 			}
 			if err != nil {
-				return logging.Record{}, err
+				m.err = err
+				break
 			}
-			it.h = append(it.h, iterKey{ns: c.rec.Time.UnixNano(), src: i})
+			m.h = append(m.h, iterKey{ns: c.rec.Time.UnixNano(), src: i})
 		}
-		for i := len(it.h)/2 - 1; i >= 0; i-- {
-			it.siftDown(i)
+		for i := len(m.h)/2 - 1; i >= 0; i-- {
+			m.siftDown(i)
 		}
 	}
-	if len(it.h) == 0 {
-		return logging.Record{}, io.EOF
+	for n := range dst {
+		if m.err != nil {
+			return n, m.err
+		}
+		if len(m.h) == 0 {
+			return n, io.EOF
+		}
+		c := m.cursors[m.h[0].src]
+		dst[n] = c.rec
+		switch err := c.next(); {
+		case errors.Is(err, io.EOF):
+			last := len(m.h) - 1
+			m.h[0] = m.h[last]
+			m.h = m.h[:last]
+		case err != nil:
+			// The record was decoded before the cursor failed: it is
+			// delivered, and the error is returned from then on. The
+			// failed reader cannot resume (its buffer is past the bad
+			// frame), so there is no "after" to skip to.
+			m.err = err
+			return n + 1, err
+		default:
+			m.h[0].ns = c.rec.Time.UnixNano()
+		}
+		m.siftDown(0)
 	}
-	c := it.cursors[it.h[0].src]
-	rec := c.rec
-	err := c.next()
-	switch {
-	case errors.Is(err, io.EOF):
-		last := len(it.h) - 1
-		it.h[0] = it.h[last]
-		it.h = it.h[:last]
-	case err != nil:
+	return len(dst), nil
+}
+
+// Next implements logging.Iterator, one record at a time.
+func (m *merger) Next() (logging.Record, error) {
+	var r [1]logging.Record
+	if n, err := m.Fill(r[:]); n == 0 {
 		return logging.Record{}, err
-	default:
-		it.h[0].ns = c.rec.Time.UnixNano()
 	}
-	it.siftDown(0)
-	return rec, nil
+	return r[0], nil
 }
 
 // siftDown restores the heap below position i.
-func (it *Iterator) siftDown(i int) {
-	h := it.h
+func (m *merger) siftDown(i int) {
+	h := m.h
 	for {
 		c := 2*i + 1 // the smaller child
 		if c >= len(h) {
@@ -109,14 +151,13 @@ func (it *Iterator) siftDown(i int) {
 	}
 }
 
-// Close releases any open segment readers. The iterator is unusable
-// afterwards.
-func (it *Iterator) Close() error {
-	for _, c := range it.cursors {
+// Close releases any open segment readers.
+func (m *merger) Close() error {
+	for _, c := range m.cursors {
 		c.closeReader()
 	}
-	it.cursors = nil
-	it.h = nil
+	m.cursors = nil
+	m.h = nil
 	return nil
 }
 

@@ -1,0 +1,238 @@
+package logstore
+
+import (
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/intern"
+	"repro/internal/logging"
+)
+
+// Contract tests of the Iterator's read-ahead stage: the merge it runs
+// on its producer goroutine is the merge run inline, and no producer
+// outlives Close.
+
+// readAheadBatch mirrors logging's batch size: the record counts below
+// straddle it, where the stage's handoffs begin and end.
+const readAheadBatch = 256
+
+// plainMerge drains the k-way merge on the calling goroutine, with no
+// read-ahead stage: the reference the Iterator must reproduce.
+func plainMerge(t *testing.T, st *Store, from, to time.Time) []logging.Record {
+	t.Helper()
+	m := &merger{}
+	defer m.Close()
+	pool := intern.NewPool()
+	for _, name := range st.ShardNames() {
+		sh, _ := st.Shard(name)
+		segs, err := sh.snapshotFlushed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.cursors = append(m.cursors, &shardCursor{sh: sh, segs: segs, from: from, to: to, pool: pool})
+	}
+	var out []logging.Record
+	for {
+		r, err := m.Next()
+		if errors.Is(err, io.EOF) {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+	}
+}
+
+func TestIteratorMatchesPlainMerge(t *testing.T) {
+	names := []string{"hp-00", "hp-01", "hp-02"}
+	for _, n := range []int{0, 1, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1, 3*readAheadBatch + 7} {
+		st, err := Open(t.TempDir(), smallOpts()) // 1 KiB segments: many per shard
+		if err != nil {
+			t.Fatal(err)
+		}
+		perShard := make([][]logging.Record, len(names))
+		for i := 0; i < n; i++ {
+			s := (i * 5) % len(names)
+			r := rec(names[s], i)
+			r.Time = t0.Add(time.Duration(i/4) * time.Second) // ties across shards
+			perShard[s] = append(perShard[s], r)
+			sh, err := st.Shard(names[s])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sh.AppendRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		windows := [][2]time.Time{
+			{},
+			{t0.Add(time.Duration(n/16) * time.Second), t0.Add(time.Duration(n/5) * time.Second)},
+		}
+		for _, w := range windows {
+			it, err := st.IteratorRange(w[0], w[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := drain(t, it), plainMerge(t, st, w[0], w[1])
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("n=%d window %v: read-ahead scan yielded %d records, plain merge %d", n, w, len(got), len(want))
+			}
+			if w[0].IsZero() && len(want) > 0 && !reflect.DeepEqual(want, logging.Merge(perShard...)) {
+				t.Fatalf("n=%d: the plain merge breaks logging.Merge's order", n)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// waitGoroutines waits until the goroutine count is back to base: a
+// joined producer has closed its done channel but may take a moment to
+// unwind. It fails after a second.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d: the scan outlived its iterator", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+func TestIteratorCloseJoinsProducer(t *testing.T) {
+	dir := t.TempDir()
+	twoShardStore(t, dir, 4*readAheadBatch)
+	st, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, read := range []int{0, 1, readAheadBatch + 3, 4*readAheadBatch + 1} {
+		base := runtime.NumGoroutine()
+		it, err := st.Iterator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < read; i++ {
+			it.Next()
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if read == 0 && runtime.NumGoroutine() != base {
+			t.Fatalf("an iterator closed unread started a goroutine")
+		}
+		waitGoroutines(t, base)
+		// A closed scan may say io.EOF only if it had reached the end.
+		if _, err := it.Next(); err == nil || (read < 4*readAheadBatch && errors.Is(err, io.EOF)) {
+			t.Fatalf("Next after Close (read %d) returned %v", read, err)
+		}
+	}
+
+	// After a corrupt frame, too.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	corruptLastRecord(t, dir, "hp-01")
+	st, err = Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	base := runtime.NumGoroutine()
+	it, err := st.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := it.Next(); err != nil {
+			if !errors.Is(err, errCorrupt) {
+				t.Fatalf("scan over a corrupt frame ended with %v", err)
+			}
+			break
+		}
+	}
+	it.Close()
+	waitGoroutines(t, base)
+}
+
+// corruptLastRecord flips a byte inside the body of the last record of
+// a cleanly closed store's shard, leaving the segment's size — and so
+// its sidecar's trust — intact: the scan alone can catch it.
+func corruptLastRecord(t *testing.T, dir, shard string) {
+	t.Helper()
+	st, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, _ := st.Shard(shard)
+	segs := sh.Segments()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for len(segs) > 1 && segs[len(segs)-1].Records == 0 {
+		segs = segs[:len(segs)-1] // a tail that rotation left empty
+	}
+	path := filepath.Join(dir, shard, segName(segs[len(segs)-1].Seq))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-3] ^= 0xFF
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIteratorErrorIsFinalAndInPlace: a corrupt frame fails the scan
+// where it sits, on either side of a batch edge — every record before it
+// is delivered (the one the merge had already popped included), then
+// errCorrupt on every call: never a record after it, never io.EOF.
+func TestIteratorErrorIsFinalAndInPlace(t *testing.T) {
+	for _, k := range []int{0, 1, 24, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1} {
+		dir := t.TempDir()
+		writeShard(t, dir, k+1)
+		corruptLastRecord(t, dir, "hp-00")
+		st, err := Open(dir, smallOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := st.Iterator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for {
+			r, err := it.Next()
+			if err != nil {
+				if !errors.Is(err, errCorrupt) {
+					t.Fatalf("k=%d: scan ended with %v after %d records, want errCorrupt", k, err, n)
+				}
+				break
+			}
+			if int(r.PeerPort) != n {
+				t.Fatalf("k=%d: record %d is append %d", k, n, r.PeerPort)
+			}
+			n++
+		}
+		if n != k {
+			t.Fatalf("errCorrupt after %d records, want after the %d intact ones", n, k)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := it.Next(); !errors.Is(err, errCorrupt) {
+				t.Fatalf("k=%d: call %d after errCorrupt returned %v, want errCorrupt again", k, i, err)
+			}
+		}
+		it.Close()
+		st.Close()
+	}
+}

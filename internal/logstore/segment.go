@@ -24,13 +24,18 @@ const (
 	// maxFrameBytes bounds one record's encoding (matches the logging
 	// stream codec's limit); larger lengths mark a corrupt frame.
 	maxFrameBytes = 64 << 20
-	// segBufSize sizes the bufio layers on the segment hot paths, append
-	// and scan alike. Frames are ~150 bytes, so 256 KiB keeps the syscall
-	// rate (the paths' actual cost; see BenchmarkLogstoreIngest /
-	// BenchmarkLogstoreScan) three orders of magnitude below the record
-	// rate. Readers call Flush/snapshotFlushed, so write buffering never
-	// hides records from collection.
+	// segBufSize sizes the bufio layer on the append path. Frames are
+	// ~150 bytes, so 256 KiB keeps the syscall rate (the path's actual
+	// cost; see BenchmarkLogstoreIngest) three orders of magnitude below
+	// the record rate. Readers call Flush/snapshotFlushed, so write
+	// buffering never hides records from collection.
 	segBufSize = 256 << 10
+	// segReadBufSize sizes a segment reader's bufio layer. A scan holds
+	// one reader per shard at once — 24 for a distributed campaign — so
+	// the buffers are a scan's largest live allocation; 64 KiB still
+	// reads ≈ 400 frames per syscall (BenchmarkLogstoreScan within noise
+	// of 256 KiB) and keeps 24 of them at 1.5 MiB.
+	segReadBufSize = 64 << 10
 )
 
 // segName formats a segment's file name from its sequence number.
@@ -87,7 +92,7 @@ func openSegmentReader(fsys faultfs.FS, path string, off int64, pool *intern.Poo
 		return nil, err
 	}
 	r.off = off
-	r.br = bufio.NewReaderSize(f, segBufSize)
+	r.br = bufio.NewReaderSize(f, segReadBufSize)
 	return r, nil
 }
 

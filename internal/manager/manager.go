@@ -607,18 +607,28 @@ type Dataset struct {
 
 // DatasetStream is the streaming form of Dataset: the unified,
 // anonymized, audited campaign log as an iterator. Records flow
-// source → audit → renumber → filename-anonymize one at a time; peak
-// pipeline memory is O(distinct peers + distinct file names + distinct
-// filename words) — the names being the strings the scan's intern pool
-// already holds — never O(records). The stats accessors (DistinctPeers,
-// ReplacedWords, PerHoneypot) are final only once Next has returned
-// io.EOF. Close releases the underlying store cursor, if any; consume and
-// close the stream before reusing or closing the manager's store.
+// source → audit → renumber → filename-anonymize one at a time — from a
+// store, on a read-ahead stage's goroutine (logging.ReadAhead) a fixed
+// number of record batches ahead of the caller; peak pipeline memory is
+// O(distinct peers + distinct file names + distinct filename words) —
+// the names being the strings the scan's intern pool already holds —
+// plus those batches, never O(records). The stats accessors
+// (DistinctPeers, ReplacedWords, PerHoneypot) may be called at any time
+// from the goroutine calling Next and are final once Next has returned
+// io.EOF. Close stops the stage and releases the underlying store
+// cursor, if any; consume and close the stream before reusing or closing
+// the manager's store.
 type DatasetStream struct {
 	it   logging.Iterator // full pipeline output
 	base logging.Iterator // the source cursor, for Close
 	ren  *anonymize.Renumberer
 	na   *anonymize.NameAnonymizer // nil when name anonymization is off
+
+	// peers and replaced copy the renumberer's and the anonymizer's
+	// totals when the stream ends. On a store those two belong to the
+	// read-ahead stage's producer until then; the stage delivers an error
+	// only after its producer stopped calling into them.
+	peers, replaced int
 
 	perHP   map[string]int
 	countHP bool     // store mode: count honeypots while draining
@@ -631,6 +641,10 @@ type DatasetStream struct {
 func (d *DatasetStream) Next() (logging.Record, error) {
 	r, err := d.it.Next()
 	if err != nil {
+		d.peers = d.ren.Count()
+		if d.na != nil {
+			d.replaced = d.na.ReplacedWords()
+		}
 		if errors.Is(err, io.EOF) {
 			for _, id := range d.hps {
 				if _, ok := d.perHP[id]; !ok {
@@ -646,22 +660,20 @@ func (d *DatasetStream) Next() (logging.Record, error) {
 	return r, nil
 }
 
-// Close releases the stream's resources (the spill store's cursor, when
-// reading from disk). The stream is unusable afterwards.
-func (d *DatasetStream) Close() error { return logging.CloseIter(d.base) }
+// Close stops the pipeline's read-ahead stage, then releases the spill
+// store's cursor, when reading from disk. The stream is unusable
+// afterwards.
+func (d *DatasetStream) Close() error {
+	return errors.Join(logging.CloseIter(d.it), logging.CloseIter(d.base))
+}
 
-// DistinctPeers returns the number of distinct peers renumbered so far;
-// final after io.EOF.
-func (d *DatasetStream) DistinctPeers() int { return d.ren.Count() }
+// DistinctPeers returns the number of distinct peers renumbered: zero
+// until the stream ends, final after io.EOF.
+func (d *DatasetStream) DistinctPeers() int { return d.peers }
 
 // ReplacedWords returns how many distinct filename words were anonymized
-// away; final after io.EOF.
-func (d *DatasetStream) ReplacedWords() int {
-	if d.na == nil {
-		return 0
-	}
-	return d.na.ReplacedWords()
-}
+// away: zero until the stream ends, final after io.EOF.
+func (d *DatasetStream) ReplacedWords() int { return d.replaced }
 
 // PerHoneypot returns the record count each honeypot contributed; final
 // after io.EOF.
@@ -736,30 +748,38 @@ func wrapFinalizeErr(err error) error {
 // timing iterator — only when telemetry is on, so a disabled registry
 // leaves the pipeline exactly as it was. Durations are cumulative and
 // inclusive of upstream stages (subtract the upstream stage's nanos for
-// exclusive time).
-func (m *Manager) stage(it logging.Iterator, name string) logging.Iterator {
+// exclusive time). A stage behind the read-ahead (non-nil critical)
+// times only the pulls that start while the stream's consumer waits on
+// it — its share of the consumer's wall time — so these timers and the
+// consumer's own add up to no more than that wall time.
+func (m *Manager) stage(it logging.Iterator, name string, critical func() bool) logging.Iterator {
 	if m.cfg.Metrics == nil {
 		return it
 	}
 	return &stageIter{
-		up:      it,
-		records: m.cfg.Metrics.Counter("finalize." + name + ".records"),
-		nanos:   m.cfg.Metrics.Counter("finalize." + name + ".nanos"),
+		up:       it,
+		critical: critical,
+		records:  m.cfg.Metrics.Counter("finalize." + name + ".records"),
+		nanos:    m.cfg.Metrics.Counter("finalize." + name + ".nanos"),
 	}
 }
 
 // stageIter counts the records a stage yields and accumulates the wall
 // time spent pulling them (inclusive of upstream).
 type stageIter struct {
-	up      logging.Iterator
-	records *obs.Counter
-	nanos   *obs.Counter
+	up       logging.Iterator
+	critical func() bool
+	records  *obs.Counter
+	nanos    *obs.Counter
 }
 
 func (s *stageIter) Next() (logging.Record, error) {
+	timed := s.critical == nil || s.critical()
 	start := time.Now()
 	r, err := s.up.Next()
-	s.nanos.Add(uint64(time.Since(start)))
+	if timed {
+		s.nanos.Add(uint64(time.Since(start)))
+	}
 	if err == nil {
 		s.records.Inc()
 	}
@@ -768,7 +788,11 @@ func (s *stageIter) Next() (logging.Record, error) {
 
 // newDatasetStream assembles the finalize pipeline over the collected
 // logs: (observe filename corpus) → source → audit → renumber →
-// anonymize names.
+// anonymize names → read-ahead (store mode). The read-ahead stage puts
+// the chain on a goroutine of its own, so a store-backed finalize runs
+// as three stages at once: the scan (the store iterator's own
+// read-ahead), the chain, and whatever the caller does with each record
+// (export append, frame build).
 func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 	span := obs.StartSpan(m.met.finalizeDur)
 	src, perHP, err := m.datasetSource()
@@ -793,11 +817,26 @@ func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 	// after renumbering the check would be vacuous, since the renumberer
 	// normalizes even a raw address into an anonymous integer. A honeypot
 	// that ever shipped a raw address fails the whole finalize here.
+	//
+	// On a store the chain runs behind a read-ahead stage, beside the
+	// stream's consumer. In memory mode it does not: the source is a
+	// merge of slices with no scan to hide, and campaign-greedy's
+	// materialized Finalize, the memory path's benchmark, ran 9 of 10
+	// pairs slower with the stage.
 	ren := anonymize.NewRenumberer()
-	out := ren.RenumberIter(m.stage(anonymize.AuditIter(m.stage(base, "scan")), "audit"))
-	out = m.stage(out, "renumber")
+	var ra *logging.ReadAheadIter // set before its producer runs the chain
+	var critical func() bool
+	if m.store != nil {
+		critical = func() bool { return ra.Waiting() }
+	}
+	out := ren.RenumberIter(m.stage(anonymize.AuditIter(m.stage(base, "scan", critical)), "audit", critical))
+	out = m.stage(out, "renumber", critical)
 	if na != nil {
-		out = m.stage(na.AnonymizeIter(out), "anonymize")
+		out = m.stage(na.AnonymizeIter(out), "anonymize", critical)
+	}
+	if m.store != nil {
+		ra = logging.ReadAhead(out)
+		out = ra
 	}
 
 	ds := &DatasetStream{it: out, base: base, ren: ren, na: na, perHP: perHP}
@@ -824,7 +863,7 @@ func (m *Manager) observeNames(na *anonymize.NameAnonymizer, src logging.Source)
 	if err != nil {
 		return err
 	}
-	err = na.ObserveIter(m.stage(pass1, "observe"))
+	err = na.ObserveIter(m.stage(pass1, "observe", nil))
 	if cerr := logging.CloseIter(pass1); err == nil {
 		err = cerr
 	}

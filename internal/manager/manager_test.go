@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/netip"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -1248,5 +1249,220 @@ func TestStoreFinalizeFoldsNameTablesInOneScan(t *testing.T) {
 	}
 	if n := snap["logstore.names.rebuilds"]; n != 0 {
 		t.Errorf("a fault-free store recounted %d segments", n)
+	}
+}
+
+// stagedLogs fabricates n records per honeypot — several read-ahead
+// batches in all — over 50 peers, with file names whose rare words get
+// anonymized; rawAt >= 0 puts a raw address in hp-b's record rawAt.
+func stagedLogs(ids []string, n, rawAt int) map[string][]logging.Record {
+	h := anonymize.NewIPHasher(secret)
+	logs := make(map[string][]logging.Record, len(ids))
+	for hi, id := range ids {
+		for j := 0; j < n; j++ {
+			ip, _ := netip.AddrFromSlice([]byte{10, 0, 0, byte((j + hi) % 50)})
+			r := logging.Record{
+				Time:     t0.Add(time.Duration(j) * time.Second),
+				Honeypot: id,
+				Kind:     logging.KindStartUpload,
+				PeerIP:   h.HashIP(ip),
+				FileName: "Common.bait" + strconv.Itoa(j%30) + ".rare" + strconv.Itoa(hi*1000+j) + ".avi",
+			}
+			if id == "hp-b" && j == rawAt {
+				r.PeerIP = ip.String()
+			}
+			logs[id] = append(logs[id], r)
+		}
+	}
+	return logs
+}
+
+// storeStream finalizes logs through a store-backed manager (one shard
+// per honeypot, telemetry into reg when non-nil) and returns the stream.
+func storeStream(t *testing.T, ids []string, logs map[string][]logging.Record, reg *obs.Registry) *DatasetStream {
+	t.Helper()
+	store, err := logstore.Open(t.TempDir(), logstore.Options{SegmentBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	loop := des.NewLoop(t0, 1)
+	cfg := DefaultConfig()
+	cfg.Metrics = reg
+	m := New(netsim.New(loop, netsim.DefaultConfig()).NewHost("m-staged"), cfg)
+	m.SetStore(store)
+	for _, id := range ids {
+		sh, err := store.Shard(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range logs[id] {
+			if err := sh.AppendRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Add(&fakeStoreHandle{fakeHandle: fakeHandle{id: id}, shard: sh}, Assignment{})
+	}
+	m.CollectNow(nil)
+	var stream *DatasetStream
+	m.FinalizeStream(func(s *DatasetStream, err error) {
+		if err != nil {
+			t.Fatalf("FinalizeStream: %v", err)
+		}
+		stream = s
+	})
+	return stream
+}
+
+// waitGoroutines waits until the goroutine count is back to base: a
+// joined producer has closed its done channel but may take a moment to
+// unwind. It fails after a second.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, baseline %d: a pipeline stage outlived its stream", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestDatasetStreamStatsAcrossTheStage: the stats accessors read state
+// the read-ahead stage's producer mutates; called after every record
+// (under -race) they must not race, and after io.EOF they must be the
+// materialized dataset's.
+func TestDatasetStreamStatsAcrossTheStage(t *testing.T) {
+	ids := []string{"hp-a", "hp-b", "hp-c"}
+	logs := stagedLogs(ids, 400, -1)
+	mem := New(netsim.New(des.NewLoop(t0, 1), netsim.DefaultConfig()).NewHost("m-mem"), DefaultConfig())
+	for _, id := range ids {
+		mem.Add(&fakeHandle{id: id, recs: append([]logging.Record(nil), logs[id]...)}, Assignment{})
+	}
+	mem.CollectNow(nil)
+	want := finalizeNow(t, mem)
+	if want.ReplacedWords == 0 || want.DistinctPeers == 0 {
+		t.Fatalf("the corpus exercises nothing: %d peers, %d words", want.DistinctPeers, want.ReplacedWords)
+	}
+
+	base := runtime.NumGoroutine()
+	stream := storeStream(t, ids, logs, nil)
+	n := 0
+	for {
+		_, err := stream.Next()
+		stream.DistinctPeers()
+		stream.ReplacedWords()
+		for range stream.PerHoneypot() {
+		}
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	if n != len(want.Records) || stream.DistinctPeers() != want.DistinctPeers || stream.ReplacedWords() != want.ReplacedWords {
+		t.Fatalf("after EOF: %d records, %d peers, %d words; want %d, %d, %d",
+			n, stream.DistinctPeers(), stream.ReplacedWords(), len(want.Records), want.DistinctPeers, want.ReplacedWords)
+	}
+	for _, id := range ids {
+		if stream.PerHoneypot()[id] != want.PerHoneypot[id] {
+			t.Fatalf("per-honeypot[%s] = %d, want %d", id, stream.PerHoneypot()[id], want.PerHoneypot[id])
+		}
+	}
+	if err := stream.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestDatasetStreamCloseJoinsStages: on every way a store-backed stream
+// can end — closed unread, closed mid-stream by a failing consumer, or
+// failed by the audit deep into the scan — Close leaves no goroutine
+// behind, and the audit failure still reaches wrapFinalizeErr as an
+// *anonymize.AuditError, after every record before it.
+func TestDatasetStreamCloseJoinsStages(t *testing.T) {
+	ids := []string{"hp-a", "hp-b"}
+	base := runtime.NumGoroutine()
+
+	stream := storeStream(t, ids, stagedLogs(ids, 400, -1), nil)
+	if err := stream.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+
+	stream = storeStream(t, ids, stagedLogs(ids, 400, -1), nil)
+	stop := errors.New("consumer gave up")
+	seen := 0
+	err := logging.Each(stream, func(*logging.Record) error {
+		if seen++; seen == 300 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("consumer error lost: %v", err)
+	}
+	if err := stream.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+
+	// hp-b's record 350 sorts after hp-a's and hp-b's first 350 (equal
+	// instants break to hp-a): 701 records reach the consumer first.
+	stream = storeStream(t, ids, stagedLogs(ids, 400, 350), nil)
+	delivered := 0
+	err = logging.Each(stream, func(*logging.Record) error { delivered++; return nil })
+	var ae *anonymize.AuditError
+	if werr := wrapFinalizeErr(err); !errors.As(werr, &ae) || !strings.Contains(werr.Error(), "audit failed") {
+		t.Fatalf("audit failure through the stages: %v", werr)
+	}
+	if delivered != 701 || ae.Honeypot != "hp-b" {
+		t.Fatalf("audit failed after %d records on %q, want after 701 on hp-b", delivered, ae.Honeypot)
+	}
+	if _, err := stream.Next(); !errors.As(err, &ae) {
+		t.Fatalf("Next after the audit failure returned %v, want it again", err)
+	}
+	if err := stream.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestStageTimersFitTheConsumersTime: the finalize chain runs beside the
+// stream's consumer, so its stage timers count only what the consumer
+// waited for — a consumer slower than the chain, which seldom waits,
+// must not see the chain's busy time booked against its wall time (a
+// trace lays the timers end to end under the consumer's span).
+func TestStageTimersFitTheConsumersTime(t *testing.T) {
+	ids := []string{"hp-a", "hp-b", "hp-c"}
+	reg := obs.New()
+	stream := storeStream(t, ids, stagedLogs(ids, 400, -1), reg)
+	defer stream.Close()
+	var inNext time.Duration
+	n := 0
+	for {
+		start := time.Now()
+		_, err := stream.Next()
+		inNext += time.Since(start)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+		for spin := time.Now(); time.Since(spin) < 5*time.Microsecond; {
+		}
+	}
+	c := reg.Snapshot().Counters
+	for _, st := range []string{"scan", "audit", "renumber", "anonymize"} {
+		if got := c["finalize."+st+".records"]; got != uint64(n) {
+			t.Errorf("finalize.%s.records = %d, want %d", st, got, n)
+		}
+		if d := time.Duration(c["finalize."+st+".nanos"]); d > inNext {
+			t.Errorf("finalize.%s.nanos = %v, more than the %v the consumer spent waiting in Next", st, d, inNext)
+		}
 	}
 }
