@@ -180,9 +180,11 @@ func (w *Writer) Write(r Record) error {
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// EncodeRecord appends r's binary encoding — the frame body used by the
-// stream codec above and by logstore segment files — to dst and returns
-// the extended slice.
+// EncodeRecord appends r's binary encoding to dst and returns the
+// extended slice. It is the canonical, stateless form of a record: the
+// frame body of the stream codec above, and the bytes dataset digests
+// hash. (Logstore segments code each record against their earlier ones
+// instead; see package logstore.)
 func EncodeRecord(dst []byte, r Record) []byte { return appendRecord(dst, r) }
 
 // DecodeRecord decodes one record previously encoded with EncodeRecord.
@@ -377,19 +379,19 @@ func (d *recDecoder) hash(what string) ed2k.Hash {
 	return h
 }
 
-// DecodeRecordInto is the record decoder: it overwrites every field of
-// *r with the record encoded in b. The recurring string columns go
-// through pool when it is non-nil — Honeypot, Server, PeerName and
-// FileName (the honeypot's own name for the concerned file), one value
-// per honeypot, server, client build or advertised file, and PeerIP and
-// UserHash, one value per distinct peer, the order of state the
-// anonymizer's Renumberer holds anyway — so a scan over a campaign
-// allocates each such string once instead of once per record, and a
-// caller that decodes a stream into one Record skips even the lookup for
-// a column that repeats the previous record's. Shared-list file names,
-// which rarely recur, are never pooled, and r.Files never reuses its
-// previous backing array: a copy of *r taken before the next call stays
-// valid. On error *r holds the fields decoded so far, zero beyond them.
+// DecodeRecordInto is EncodeRecord's decoder (the stream codec's Reader
+// runs it per frame): it overwrites every field of *r with the record
+// encoded in b. The recurring string columns go through pool when it is
+// non-nil — Honeypot, Server, PeerName and FileName (the honeypot's own
+// name for the concerned file), one value per honeypot, server, client
+// build or advertised file, and PeerIP and UserHash, one value per
+// distinct peer — so a stream allocates each such string once instead
+// of once per record, and a caller that decodes a stream into one Record
+// skips even the lookup for a column that repeats the previous record's.
+// Shared-list file names, which rarely recur, are never pooled, and
+// r.Files never reuses its previous backing array: a copy of *r taken
+// before the next call stays valid. On error *r holds the fields decoded
+// so far, zero beyond them.
 func DecodeRecordInto(r *Record, b []byte, pool *intern.Pool) error {
 	d := recDecoder{b: b}
 	r.Files = nil

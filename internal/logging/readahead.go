@@ -3,6 +3,7 @@ package logging
 import (
 	"errors"
 	"sync/atomic"
+	"time"
 )
 
 // The read-ahead stage is the pipeline's one concurrency primitive: it
@@ -45,7 +46,8 @@ type ReadAheadIter struct {
 	i    int      // next record of recs
 	err  error    // sticky: returned by every Next once set
 
-	waiting atomic.Bool // the consumer is blocked on full; see Waiting
+	waiting atomic.Bool  // the consumer is blocked on full; see Waiting
+	busy    atomic.Int64 // nanoseconds the producer spent filling; see Busy
 }
 
 // raBatch is one handoff: records in stream order, then the error the
@@ -112,6 +114,14 @@ func (r *ReadAheadIter) nextBatch() (Record, error) {
 // critical path.
 func (r *ReadAheadIter) Waiting() bool { return r.waiting.Load() }
 
+// Busy returns the time the producer has spent pulling the source so
+// far, the clock read twice per batch. Beside the consumer's waits it
+// says how loaded the stage upstream is: a producer busy for nearly the
+// consumer's whole wall time is the pipeline's bottleneck, one the
+// consumer rarely waits for has room to spare. It may be called from any
+// goroutine and is final once Close has returned.
+func (r *ReadAheadIter) Busy() time.Duration { return time.Duration(r.busy.Load()) }
+
 // start allocates the batches and launches the producer.
 func (r *ReadAheadIter) start() {
 	r.full = make(chan *raBatch, readAheadDepth)
@@ -144,7 +154,9 @@ func (r *ReadAheadIter) produce() {
 			return
 		default:
 		}
+		start := time.Now()
 		n, err := fill(r.src, b.recs[:cap(b.recs)])
+		r.busy.Add(int64(time.Since(start)))
 		b.recs, b.err = b.recs[:n], err
 		r.waiting.Store(false) // this send ends the wait, not the consumer's wake-up
 		r.full <- b

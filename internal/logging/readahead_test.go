@@ -173,6 +173,34 @@ func TestReadAheadCloseUnreadStartsNothing(t *testing.T) {
 	}
 }
 
+// slowIter is a countedIter that takes a fixed time per record.
+type slowIter struct {
+	*countedIter
+	per time.Duration
+}
+
+func (s *slowIter) Next() (Record, error) {
+	time.Sleep(s.per)
+	return s.countedIter.Next()
+}
+
+func TestReadAheadBusyCountsTheProducersTime(t *testing.T) {
+	const n, per = readAheadBatch + 44, 100 * time.Microsecond
+	ra := ReadAhead(&slowIter{&countedIter{t: t, n: n}, per})
+	if ra.Busy() != 0 {
+		t.Fatalf("an unread stage was busy for %v", ra.Busy())
+	}
+	start := time.Now()
+	if _, err := Drain(ra); err != nil {
+		t.Fatal(err)
+	}
+	ra.Close()
+	wall := time.Since(start)
+	if busy := ra.Busy(); busy < n*per || busy > wall {
+		t.Fatalf("busy %v for %d records of %v each in a %v drain", busy, n, per, wall)
+	}
+}
+
 func TestReadAheadCloseJoinsProducer(t *testing.T) {
 	boom := errors.New("boom")
 	for _, tc := range []struct {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/intern"
 	"repro/internal/logging"
+	"repro/internal/obs"
 )
 
 // Iterator streams the records of several shards k-way merged into
@@ -24,7 +25,8 @@ import (
 // order, the tie-breaks and the interning exactly those of a scan on the
 // caller's goroutine.
 type Iterator struct {
-	ra *logging.ReadAheadIter
+	ra   *logging.ReadAheadIter
+	busy *obs.Counter // logstore.scan.busy_nanos; nil once reported
 }
 
 // Next returns the next record in merged timestamp order; io.EOF marks
@@ -32,17 +34,24 @@ type Iterator struct {
 // it has been returned, and every later call returns it again.
 func (it *Iterator) Next() (logging.Record, error) { return it.ra.Next() }
 
-// Close stops the scan and releases any open segment readers. The
-// iterator is unusable afterwards.
-func (it *Iterator) Close() error { return it.ra.Close() }
+// Close stops the scan and releases any open segment readers, then adds
+// the scan's busy time to logstore.scan.busy_nanos. The iterator is
+// unusable afterwards.
+func (it *Iterator) Close() error {
+	err := it.ra.Close()
+	it.busy.Add(uint64(it.ra.Busy()))
+	it.busy = nil
+	return err
+}
 
 // newIterator builds a merged iterator over the given shards (already in
-// tie-break order), bounded to [from, to) when the bounds are non-zero.
-func newIterator(shards []*Shard, from, to time.Time) (*Iterator, error) {
+// tie-break order), bounded to [from, to) when the bounds are non-zero;
+// busy receives the scan's busy time when the iterator closes.
+func newIterator(shards []*Shard, from, to time.Time, busy *obs.Counter) (*Iterator, error) {
 	m := &merger{}
-	// One interner spans the whole scan: every cursor's honeypot name,
-	// server address and client-name strings are allocated once per
-	// distinct value, not once per record.
+	// One interner spans the whole scan: a string a segment carries as a
+	// literal is allocated once per distinct value across all cursors,
+	// not once per segment.
 	pool := intern.NewPool()
 	for _, sh := range shards {
 		segs, err := sh.snapshotFlushed()
@@ -52,7 +61,7 @@ func newIterator(shards []*Shard, from, to time.Time) (*Iterator, error) {
 		}
 		m.cursors = append(m.cursors, &shardCursor{sh: sh, segs: segs, from: from, to: to, pool: pool})
 	}
-	return &Iterator{ra: logging.ReadAhead(m)}, nil
+	return &Iterator{ra: logging.ReadAhead(m), busy: busy}, nil
 }
 
 // merger is the k-way merge itself: the read-ahead stage's source.
@@ -187,7 +196,7 @@ func (c *shardCursor) next() error {
 			if c.seg >= len(c.segs) {
 				return io.EOF
 			}
-			r, err := openSegmentReader(c.sh.fs, filepath.Join(c.sh.dir, segName(c.segs[c.seg].Seq)), 0, c.pool, c.sh.m)
+			r, err := openSegmentReader(c.sh.fs, filepath.Join(c.sh.dir, segName(c.segs[c.seg].Seq)), c.pool, c.sh.m)
 			if errors.Is(err, io.EOF) {
 				c.seg++
 				continue

@@ -11,22 +11,38 @@
 //
 // Layout:
 //
-//	<dir>/<shard>/00000001.seg   CRC-framed records (logging binary codec)
+//	<dir>/MANIFEST               the shards' sealed segments and tails
+//	<dir>/<shard>/00000001.seg   CRC-framed records (codec.go)
 //	<dir>/<shard>/00000001.idx   sparse index sidecar of a sealed segment
 //	<dir>/<shard>/00000001.names its distinct file names and their counts
 //	<dir>/<shard>/00000002.seg   active segment (tail of the shard)
 //	<dir>/<shard>/00000002.idx   its sidecars, once the shard closed cleanly
 //	<dir>/<shard>/00000002.names
 //
-// Each segment frame is [u32 length][u32 crc32][body], body being the
-// exact bytes of logging.EncodeRecord. Segments rotate at a size
-// threshold; sealed segments get an index sidecar recording record count
-// and min/max timestamp, which lets time-bounded scans skip whole
-// segments. A clean Close leaves the same sidecar beside the tail, so
-// reopening a finished store reads no segment at all (index.go has the
-// trust model). Without a matching one — after a crash — the tail is
-// scanned on open: a torn end (crash mid-append) is detected by CRC and
-// truncated, and appends resume at the last good frame.
+// Each segment frame is [u32 length][u32 CRC-32C][body]. The body codes
+// one record against the state the segment's earlier frames leave behind
+// — the previous record and, per recurring column (honeypot, peer IP,
+// peer name, user hash, file hash, file name, server), a window of its
+// eight most recent values — so a column that repeats costs a bit and a
+// recent value one byte: 38 bytes a record on the distributed campaign,
+// where logging.EncodeRecord's stateless form (still the one for the
+// wire and for digests) takes 185. Every segment starts from an empty
+// state, so a torn tail recovers exactly as a stateless one would, and
+// the state at any frame is a replay of the frames before it: a writer
+// resuming on a tail it did not write replays it once, and ReadSince
+// parks its reader between calls so an in-order collector never replays
+// (Shard.ReadSince). The MANIFEST and segment magics carry the format
+// version (v2); Open refuses a store of another version with a
+// *FormatError and leaves it untouched.
+//
+// Segments rotate at a size threshold; sealed segments get an index
+// sidecar recording record count and min/max timestamp, which lets
+// time-bounded scans skip whole segments. A clean Close leaves the same
+// sidecar beside the tail, so reopening a finished store reads no
+// segment at all (index.go has the trust model). Without a matching one
+// — after a crash — the tail is scanned on open: a torn end (crash
+// mid-append) is detected by CRC and truncated, and appends resume at
+// the last good frame.
 //
 // Each shard also counts the distinct file names of its active segment
 // as records are appended and leaves the table beside the segment with
@@ -135,7 +151,8 @@ type Store struct {
 // cleanly, and segments the manifest does not account for are
 // quarantined (see Quarantined). A store predating the manifest adopts
 // every segment it finds and writes one. Opening a cleanly closed store
-// changes nothing on disk.
+// changes nothing on disk, and neither does opening a store of another
+// format version, which fails with a *FormatError.
 func Open(dir string, opt Options) (*Store, error) {
 	opt = opt.withDefaults()
 	fsys := opt.FS
@@ -361,5 +378,5 @@ func (s *Store) IteratorRange(from, to time.Time) (*Iterator, error) {
 		shards = append(shards, s.shards[n])
 	}
 	s.mu.Unlock()
-	return newIterator(shards, from, to)
+	return newIterator(shards, from, to, s.m.scanBusy)
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/ed2k"
 	"repro/internal/faultfs"
 	"repro/internal/logging"
+	"repro/internal/obs"
 )
 
 var t0 = time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
@@ -280,7 +281,7 @@ func TestIndexSidecarRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh, _ := st.Shard("hp-00")
-	for i := 0; i < 120; i++ {
+	for i := 0; i < 200; i++ {
 		sh.Append(rec("hp-00", i))
 	}
 	segs := sh.Segments()
@@ -303,8 +304,8 @@ func TestIndexSidecarRebuilt(t *testing.T) {
 	}
 	defer st2.Close()
 	sh2, _ := st2.Shard("hp-00")
-	if n := sh2.Count(); n != 120 {
-		t.Errorf("count after sidecar rebuild = %d, want 120", n)
+	if n := sh2.Count(); n != 200 {
+		t.Errorf("count after sidecar rebuild = %d, want 200", n)
 	}
 	segs2 := sh2.Segments()
 	for i := range segs2[:len(segs2)-1] {
@@ -394,6 +395,117 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 	}
 	if n := sh.Count(); n != writers*per {
 		t.Errorf("count = %d", n)
+	}
+}
+
+// TestReadSinceDrainMatchesIterator: a collector draining a shard in
+// order while a honeypot appends to it — rotations included — gets the
+// records a scan of the finished shard gets, byte for byte, and every
+// call resumes the reader the previous one parked: nothing is replayed.
+func TestReadSinceDrainMatchesIterator(t *testing.T) {
+	reg := obs.New()
+	st, err := Open(t.TempDir(), Options{SegmentBytes: 4 << 10, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sh, _ := st.Shard("hp-00")
+	const n = 3000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			_, r := tortureRec(2 * i)
+			if err := sh.AppendRecord(r); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var got []logging.Record
+	var cp Checkpoint
+	for finished := false; ; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		recs, next, err := sh.ReadSince(cp, 37)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, cp = append(got, recs...), next
+		if finished && len(recs) == 0 {
+			break
+		}
+	}
+	it, err := st.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := drain(t, it); len(want) != n {
+		t.Fatalf("scan holds %d records, want %d", len(want), n)
+	} else {
+		sameRecords(t, "ReadSince drain", got, want)
+	}
+	if len(sh.Segments()) < 3 {
+		t.Fatalf("%d segments: the drain must cross rotations", len(sh.Segments()))
+	}
+	if r := reg.Counter("logstore.scan.replayed").Load(); r != 0 {
+		t.Errorf("an in-order drain replayed %d frames", r)
+	}
+}
+
+// TestReadSinceResumesAnywhere: a checkpoint the shard did not just stop
+// at — an earlier one, or one from before a reopen — costs a replay of
+// its segment and reads exactly what follows it; a checkpoint inside a
+// frame is errCorrupt.
+func TestReadSinceResumesAnywhere(t *testing.T) {
+	reg := obs.New()
+	opt := smallOpts()
+	opt.Metrics = reg
+	st, err := Open(t.TempDir(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sh, _ := st.Shard("hp-00")
+	var all []logging.Record
+	for i := 0; i < 300; i++ {
+		_, r := tortureRec(2 * i)
+		all = append(all, r)
+		if err := sh.AppendRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cps := []Checkpoint{{}}
+	for {
+		recs, next, err := sh.ReadSince(cps[len(cps)-1], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			break
+		}
+		cps = append(cps, next)
+	}
+	for i := len(cps) - 1; i >= 0; i-- {
+		recs, _, err := sh.ReadSince(cps[i], 0)
+		if err != nil {
+			t.Fatalf("from checkpoint %d %+v: %v", i, cps[i], err)
+		}
+		sameRecords(t, "resumed at "+itoa(int64(i)), recs, all[i:])
+	}
+	if reg.Counter("logstore.scan.replayed").Load() == 0 {
+		t.Error("out-of-order checkpoints replayed nothing")
+	}
+	for _, cp := range cps[1:] {
+		if cp.Off > segHeaderSize {
+			bad := Checkpoint{Seg: cp.Seg, Off: cp.Off - 1}
+			if recs, _, err := sh.ReadSince(bad, 0); !errors.Is(err, errCorrupt) || len(recs) != 0 {
+				t.Fatalf("checkpoint %+v inside a frame: %d records, %v", bad, len(recs), err)
+			}
+		}
 	}
 }
 

@@ -31,14 +31,16 @@ import (
 // an unlisted directory) and at every rotation (after the new tail is
 // started, so a crash in between is recognized by the tail+1-on-disk
 // rule in openShard). File format: 8-byte magic, u32 length, u32 IEEE
-// CRC32, JSON body; replacement is write-temp + rename. A store without
-// a manifest (pre-manifest layout) adopts everything it finds and
-// writes one; a corrupt manifest is itself treated as a crash artifact
-// and rebuilt from the directory.
+// CRC32, JSON body; replacement is write-temp + rename. The magic's digit
+// is the store's format version (formatVersion, the segment format's):
+// a manifest of another version is a *FormatError and the store is left
+// untouched. A store without a manifest (pre-manifest layout) adopts
+// everything it finds and writes one; a corrupt manifest is itself
+// treated as a crash artifact and rebuilt from the directory.
 
 const (
 	manifestName  = "MANIFEST"
-	manifestMagic = "EDLMAN1\n"
+	manifestMagic = "EDLMAN2\n"
 	quarantineDir = "_quarantine"
 )
 
@@ -75,9 +77,11 @@ type Quarantine struct {
 }
 
 // readManifest loads <dir>/MANIFEST. A missing file returns (nil, nil);
-// bad magic, CRC or JSON returns errManifestCorrupt.
+// another format version's magic returns a *FormatError; bad magic,
+// CRC or JSON returns errManifestCorrupt.
 func readManifest(fsys faultfs.FS, dir string) (*manifestData, error) {
-	b, err := fsys.ReadFile(filepath.Join(dir, manifestName))
+	path := filepath.Join(dir, manifestName)
+	b, err := fsys.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
@@ -85,7 +89,12 @@ func readManifest(fsys faultfs.FS, dir string) (*manifestData, error) {
 		return nil, fmt.Errorf("logstore: reading manifest: %w", err)
 	}
 	hdr := len(manifestMagic) + 8
-	if len(b) < hdr || string(b[:len(manifestMagic)]) != manifestMagic {
+	switch err := checkMagic(path, b, manifestMagic); {
+	case err == errNotMagic:
+		return nil, errManifestCorrupt
+	case err != nil:
+		return nil, err // another format version
+	case len(b) < hdr:
 		return nil, errManifestCorrupt
 	}
 	n := binary.LittleEndian.Uint32(b[len(manifestMagic):])

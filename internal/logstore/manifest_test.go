@@ -49,7 +49,7 @@ func TestTruncatedIndexSidecarRebuilt(t *testing.T) {
 	// torn legacy store) must not poison recovery: the legacy adoption
 	// path rescans the segment and repairs the sidecar.
 	dir := t.TempDir()
-	writeShard(t, dir, 30)
+	writeShard(t, dir, 200)
 	seqs, err := listSegments(faultfs.OS{}, filepath.Join(dir, "hp-00"))
 	if err != nil || len(seqs) < 3 {
 		t.Fatalf("want several segments, got %d (%v)", len(seqs), err)
@@ -74,8 +74,8 @@ func TestTruncatedIndexSidecarRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if n := int(st.TotalRecords()); n != 30 {
-		t.Fatalf("recovered %d records, want 30", n)
+	if n := int(st.TotalRecords()); n != 200 {
+		t.Fatalf("recovered %d records, want 200", n)
 	}
 	if got := reg.Counter("logstore.index.rebuilds").Load(); got == 0 {
 		t.Error("truncated sidecar did not count as an index rebuild")
@@ -152,7 +152,7 @@ func TestSealedSegmentMissingQuarantine(t *testing.T) {
 	// The manifest promised a sealed segment the disk lost: the gap is
 	// reported (audited), the remainder stays readable.
 	dir := t.TempDir()
-	writeShard(t, dir, 40)
+	writeShard(t, dir, 200)
 	seqs, err := listSegments(faultfs.OS{}, filepath.Join(dir, "hp-00"))
 	if err != nil || len(seqs) < 3 {
 		t.Fatalf("want several segments, got %d (%v)", len(seqs), err)
@@ -179,8 +179,8 @@ func TestSealedSegmentMissingQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := drain(t, it)
-	if len(got) == 0 || len(got) >= 40 {
-		t.Fatalf("remainder streams %d records, want a proper nonzero subset of 40", len(got))
+	if len(got) == 0 || len(got) >= 200 {
+		t.Fatalf("remainder streams %d records, want a proper nonzero subset of 200", len(got))
 	}
 	last := -1
 	for _, r := range got {

@@ -16,6 +16,14 @@ type storeMetrics struct {
 	tailScans   *obs.Counter // logstore.recovery.tail_scans
 	scanRecords *obs.Counter // logstore.scan.records
 	scanBytes   *obs.Counter // logstore.scan.bytes
+	// scanBusy is the time a store iterator's read-ahead producer spent
+	// merging and decoding, added when the iterator closes; beside the
+	// consumer's waits it says how loaded the scan was.
+	scanBusy *obs.Counter // logstore.scan.busy_nanos
+	// replayed counts frames decoded only to rebuild codec state: a
+	// ReadSince that starts mid-segment other than where the shard's last
+	// one stopped, and a writer resuming on a tail it did not write.
+	replayed *obs.Counter // logstore.scan.replayed
 	// nameRebuilds counts segments whose file-name table had to be
 	// recounted by a scan because no trusted names sidecar covered them.
 	nameRebuilds *obs.Counter // logstore.names.rebuilds
@@ -42,6 +50,8 @@ func newStoreMetrics(r *obs.Registry) storeMetrics {
 		tailScans:   r.Counter("logstore.recovery.tail_scans"),
 		scanRecords: r.Counter("logstore.scan.records"),
 		scanBytes:   r.Counter("logstore.scan.bytes"),
+		scanBusy:    r.Counter("logstore.scan.busy_nanos"),
+		replayed:    r.Counter("logstore.scan.replayed"),
 
 		nameRebuilds: r.Counter("logstore.names.rebuilds"),
 

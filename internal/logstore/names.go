@@ -196,7 +196,7 @@ func (sh *Shard) rebuildNames(si SegmentInfo) (*nameTable, error) {
 	sh.m.nameRebuilds.Inc()
 	t := newNameTable(0)
 	path := filepath.Join(sh.dir, segName(si.Seq))
-	r, err := openSegmentReader(sh.fs, path, 0, intern.NewPool(), storeMetrics{})
+	r, err := openSegmentReader(sh.fs, path, intern.NewPool(), storeMetrics{})
 	if errors.Is(err, io.EOF) {
 		return t, nil // shorter than the magic: empty
 	}

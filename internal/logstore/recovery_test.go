@@ -223,7 +223,7 @@ func TestScanCleanVsCorrupt(t *testing.T) {
 	if _, _, err := scanSegment(faultfs.OS{}, path, 1); err != nil {
 		t.Errorf("clean segment scans with error: %v", err)
 	}
-	r, err := openSegmentReader(faultfs.OS{}, path, 0, nil, storeMetrics{})
+	r, err := openSegmentReader(faultfs.OS{}, path, nil, storeMetrics{})
 	if err != nil {
 		t.Fatal(err)
 	}

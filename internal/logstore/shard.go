@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -37,6 +36,18 @@ type Shard struct {
 	// its end; both nil after a reopen until openActive needs them.
 	f faultfs.File
 	w *bufio.Writer
+	// enc is the codec state the active segment's next frame is coded
+	// against (codec.go): reset by startSegment, nil for a tail the shard
+	// adopted until openActive replays it.
+	enc *segState
+	// parked is the reader the last ReadSince stopped with, positioned
+	// in segment parkedSeq at the checkpoint it returned, so that the
+	// next call from there resumes without replaying the segment.
+	// tailGen counts openTail calls: a reader taken before a recovery may
+	// have buffered bytes the recovery truncated, so it is not parked.
+	parked    *segmentReader
+	parkedSeq uint64
+	tailGen   uint64
 	// indexed: the tail's sidecar on disk describes active exactly (a
 	// trusted reopen with no append since), so Close has nothing to write.
 	indexed bool
@@ -156,10 +167,14 @@ func openShard(fsys faultfs.FS, dir, name string, opt Options, man *manifestShar
 // tore, so appends resume at the last intact frame. Caller holds mu (or
 // is the constructor).
 func (sh *Shard) openTail(seq uint64) (SegmentInfo, error) {
-	// Whatever table the shard held counted appends a recovery may be
-	// about to cut off; an adopted tail's names come from its sidecar or a
-	// rebuild, when someone asks.
-	sh.names = nil
+	// Whatever table and codec state the shard held counted appends a
+	// recovery may be about to cut off, and a parked reader may hold
+	// bytes it truncates; an adopted tail's names come from its sidecar or
+	// a rebuild, when someone asks, and its state from a replay, when the
+	// shard appends.
+	sh.names, sh.enc = nil, nil
+	sh.unpark()
+	sh.tailGen++
 	path := filepath.Join(sh.dir, segName(seq))
 	info, size, ok, err := readIndex(sh.fs, sh.dir, seq)
 	if err != nil {
@@ -194,12 +209,27 @@ func (sh *Shard) openTail(seq uint64) (SegmentInfo, error) {
 }
 
 // openActive opens the tail segment for appending at its indexed end,
-// unless it is open already. Caller holds mu.
+// unless it is open already, first replaying its frames for the codec
+// state if the shard did not write them. Caller holds mu.
 func (sh *Shard) openActive() error {
 	if sh.w != nil {
 		return nil
 	}
-	f, err := sh.fs.OpenFile(filepath.Join(sh.dir, segName(sh.active.Seq)), os.O_RDWR, 0o644)
+	path := filepath.Join(sh.dir, segName(sh.active.Seq))
+	if sh.enc == nil {
+		r, err := openSegmentReader(sh.fs, path, nil, sh.m)
+		if err != nil {
+			return err
+		}
+		err = r.skipTo(sh.active.Bytes)
+		r.Close()
+		if err != nil {
+			return fmt.Errorf("logstore: replaying %s: %w", path, err)
+		}
+		st := r.st // a copy: &r.st would keep the reader's buffer alive
+		sh.enc = &st
+	}
+	f, err := sh.fs.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
@@ -251,7 +281,7 @@ func (sh *Shard) startSegment(seq uint64) error {
 		return err
 	}
 	sh.active, sh.indexed = SegmentInfo{Seq: seq, Bytes: segHeaderSize}, false
-	sh.names = newNameTable(sh.nameHint)
+	sh.names, sh.enc = newNameTable(sh.nameHint), &segState{}
 	sh.f = f
 	sh.w = bufio.NewWriterSize(f, segBufSize)
 	return nil
@@ -304,16 +334,18 @@ func (sh *Shard) AppendRecord(r logging.Record) error {
 		sh.m.heals.Inc()
 		sh.healAt = 1
 	}
-	// Build the whole frame in one scratch buffer: header placeholder,
-	// then the record body, then backfill length and CRC.
-	frame := append(sh.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	frame = logging.EncodeRecord(frame, r)
-	sh.buf = frame
-	body := frame[frameOverhead:]
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
 	err := sh.openActive()
+	var frame []byte
 	if err == nil {
+		// Build the whole frame in one scratch buffer: header placeholder,
+		// then the body coded against the segment's state, then backfill
+		// length and CRC. A failed write leaves the state ahead of the
+		// file; the heal that clears the error replays the tail for it.
+		frame = sh.enc.appendRecord(append(sh.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0), &r)
+		sh.buf = frame
+		body := frame[frameOverhead:]
+		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
+		binary.LittleEndian.PutUint32(frame[4:8], frameCRC(body))
 		_, err = sh.w.Write(frame)
 	}
 	if err != nil {
@@ -492,6 +524,7 @@ func (sh *Shard) Close() error {
 		return nil
 	}
 	sh.closed = true
+	sh.unpark()
 	var err error
 	if sh.w != nil {
 		err = sh.w.Flush()
@@ -572,6 +605,13 @@ func (sh *Shard) snapshotFlushed() ([]SegmentInfo, error) {
 // checkpoint, so a crashed and restarted collector resumes exactly where
 // it left off and no record is delivered twice. Safe against concurrent
 // appends.
+//
+// A frame is coded against the segment's earlier frames, so reading from
+// cp needs the codec state there. The shard parks the reader each call
+// ends with, and a call that starts exactly where the last one stopped —
+// a collector draining the shard in order — resumes it; any other
+// checkpoint replays its segment's frames up to cp, every CRC checked
+// (logstore.scan.replayed). A checkpoint inside a frame is errCorrupt.
 func (sh *Shard) ReadSince(cp Checkpoint, max int) ([]logging.Record, Checkpoint, error) {
 	if max <= 0 {
 		max = 1 << 30
@@ -597,7 +637,7 @@ func (sh *Shard) ReadSince(cp Checkpoint, max int) ([]logging.Record, Checkpoint
 		cp.Off = last.Bytes
 	}
 	var out []logging.Record
-	pool := intern.NewPool() // shared across the batch's segments
+	pool := intern.NewPool() // shared across the batch's fresh readers
 	for _, si := range segs {
 		if len(out) >= max {
 			break
@@ -627,29 +667,83 @@ func (sh *Shard) ReadSince(cp Checkpoint, max int) ([]logging.Record, Checkpoint
 // readSegment appends records from one segment starting at byte offset
 // off, stopping after limit records or at the snapshot bound si.Bytes
 // (bytes appended after the snapshot wait for the next call). It returns
-// the offset just past the last record consumed.
+// the offset just past the last record consumed, and parks the reader
+// there for the next call.
 func (sh *Shard) readSegment(si SegmentInfo, off int64, limit int, pool *intern.Pool, out *[]logging.Record) (int64, error) {
-	r, err := openSegmentReader(sh.fs, filepath.Join(sh.dir, segName(si.Seq)), off, pool, sh.m)
+	r, gen, err := sh.resumeReader(si.Seq, off, pool)
 	if errors.Is(err, io.EOF) {
 		return off, nil
 	}
 	if err != nil {
 		return off, err
 	}
-	defer r.Close()
 	n := 0
 	var rec logging.Record
 	for n < limit && r.off < si.Bytes {
 		next, err := r.next(&rec)
 		if errors.Is(err, io.EOF) {
-			break
+			// A torn frame inside the snapshot: only damage does that, and
+			// a reader past one may have consumed part of it; keep none.
+			r.Close()
+			return off, nil
 		}
 		if err != nil {
+			r.Close()
 			return off, err
 		}
 		*out = append(*out, rec)
 		off = next
 		n++
 	}
+	sh.park(si.Seq, gen, r)
 	return off, nil
+}
+
+// resumeReader returns a reader of segment seq standing at off with the
+// codec state the frame there is coded against: the reader the last
+// ReadSince parked, if it stopped exactly there, else a fresh one that
+// replays the segment's frames up to off. gen is the tail generation it
+// was taken in, for park.
+func (sh *Shard) resumeReader(seq uint64, off int64, pool *intern.Pool) (*segmentReader, uint64, error) {
+	sh.mu.Lock()
+	gen := sh.tailGen
+	if r := sh.parked; r != nil && sh.parkedSeq == seq && r.off == off {
+		sh.parked = nil
+		sh.mu.Unlock()
+		r.pool = pool
+		return r, gen, nil
+	}
+	sh.mu.Unlock()
+	path := filepath.Join(sh.dir, segName(seq))
+	r, err := openSegmentReader(sh.fs, path, pool, sh.m)
+	if err != nil {
+		return nil, gen, err
+	}
+	if err := r.skipTo(off); err != nil {
+		r.Close()
+		return nil, gen, fmt.Errorf("logstore: resuming %s at %d: %w", path, off, err)
+	}
+	return r, gen, nil
+}
+
+// park keeps r, standing in segment seq, for the next ReadSince, closing
+// the reader it replaces — or r itself, once the shard is closed or has
+// recovered its tail since r was taken (tail generation gen).
+func (sh *Shard) park(seq, gen uint64, r *segmentReader) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.closed || gen != sh.tailGen {
+		r.Close()
+		return
+	}
+	sh.unpark()
+	sh.parked, sh.parkedSeq = r, seq
+}
+
+// unpark closes the parked reader, if any. Caller holds mu.
+func (sh *Shard) unpark() {
+	if sh.parked != nil {
+		sh.parked.Close()
+		sh.parked = nil
+	}
 }

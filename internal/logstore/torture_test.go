@@ -1,13 +1,16 @@
 package logstore
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/faultfs"
+	"repro/internal/logging"
 )
 
 // The kill-point torture loop: run a fixed two-shard workload (small
@@ -16,11 +19,48 @@ import (
 // filesystem at operation N for every N in a sampled matrix, reopen on a
 // healthy filesystem and require that (a) nothing was quarantined — a
 // pure crash must never look like foreign data — (b) each shard holds a
-// strict prefix of its appended records, (c) no names sidecar that would
-// be trusted disagrees with its segment, and a fold of the tables equals
-// a count of the records, and (d) appends resume and round-trip.
+// strict prefix of its appended records, byte for byte, (c) no names
+// sidecar that would be trusted disagrees with its segment, and a fold of
+// the tables equals a count of the records, and (d) appends resume on the
+// recovered tail — coded against the state replayed from it — and read
+// back byte for byte after another reopen.
 
-const tortureAppends = 400
+const (
+	tortureAppends = 400
+	// tortureSegmentBytes seals a segment every twenty-odd frames.
+	tortureSegmentBytes = 512
+)
+
+// tortureRec is the workload's i-th record and the shard it goes to: the
+// shards alternate, PeerPort carries i, and the columns change at
+// different rates — runs of six recurring peers broken by one-off ones,
+// seven file names, now and then a shared list — so frames mix repeats,
+// window hits and literals, and literals evict window values.
+func tortureRec(i int) (string, logging.Record) {
+	hp := "hp-00"
+	if i%2 == 1 {
+		hp = "hp-01"
+	}
+	r := rec(hp, i)
+	r.PeerIP = "peer-" + itoa(int64(i/3%6))
+	if i%17 == 0 {
+		r.PeerIP = "one-off-" + itoa(int64(i))
+	}
+	r.FileName = "file." + itoa(int64(i%7)) + ".avi"
+	if i%13 == 0 {
+		r.Kind = logging.KindSharedList
+		r.Files = []logging.SharedFile{{Name: "list." + itoa(int64(i)) + ".mp3", Size: int64(i)}}
+	}
+	return hp, r
+}
+
+// shardParity is the parity of the workload indexes shard hp receives.
+func shardParity(hp string) int {
+	if hp == "hp-01" {
+		return 1
+	}
+	return 0
+}
 
 // tortureWorkload appends tortureAppends records alternating over two
 // shards — folding the name tables halfway, which writes the live tails'
@@ -28,21 +68,16 @@ const tortureAppends = 400
 // store. With a crashing FS it returns the first injected error, like a
 // process dying mid-campaign.
 func tortureWorkload(fsys faultfs.FS, dir string) error {
-	st, err := Open(dir, Options{SegmentBytes: 1 << 10, FS: fsys})
+	st, err := Open(dir, Options{SegmentBytes: tortureSegmentBytes, FS: fsys})
 	if err != nil {
 		return err
 	}
 	for i := 0; i < tortureAppends; i++ {
-		hp := "hp-00"
-		if i%2 == 1 {
-			hp = "hp-01"
-		}
+		hp, r := tortureRec(i)
 		sh, err := st.Shard(hp)
 		if err != nil {
 			return err
 		}
-		r := rec(hp, i)
-		r.FileName = "file." + itoa(int64(i%7)) + ".avi"
 		if err := sh.AppendRecord(r); err != nil {
 			return err
 		}
@@ -91,20 +126,24 @@ func verifyNames(t *testing.T, st *Store, tag string) {
 	}
 }
 
-// verifyRecovered reopens dir on the real filesystem and asserts the
-// post-crash invariants; tag names the kill point in failures.
-func verifyRecovered(t *testing.T, dir, tag string) {
+// sameRecords fails unless got and want encode to the same bytes, record
+// by record.
+func sameRecords(t *testing.T, tag string, got, want []logging.Record) {
 	t.Helper()
-	st, err := Open(dir, Options{SegmentBytes: 1 << 10})
-	if err != nil {
-		t.Fatalf("%s: reopen after crash: %v", tag, err)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", tag, len(got), len(want))
 	}
-	defer st.Close()
-	if q := st.Quarantined(); len(q) != 0 {
-		t.Fatalf("%s: a crash must not quarantine anything, got %+v", tag, q)
+	for i := range got {
+		if g, w := logging.EncodeRecord(nil, got[i]), logging.EncodeRecord(nil, want[i]); !bytes.Equal(g, w) {
+			t.Fatalf("%s: record %d reads back as %+v, want %+v", tag, i, got[i], want[i])
+		}
 	}
-	// Every shard must hold a strict prefix of its appended sequence
-	// (shard hp-00 got the even i, hp-01 the odd — PeerPort carries i).
+}
+
+// readShards reads every shard of st whole.
+func readShards(t *testing.T, st *Store, tag string) map[string][]logging.Record {
+	t.Helper()
+	out := map[string][]logging.Record{}
 	for _, hp := range st.ShardNames() {
 		sh, err := st.Shard(hp)
 		if err != nil {
@@ -114,39 +153,61 @@ func verifyRecovered(t *testing.T, dir, tag string) {
 		if err != nil {
 			t.Fatalf("%s: reading %s: %v", tag, hp, err)
 		}
-		off := uint16(0)
-		if hp == "hp-01" {
-			off = 1
+		out[hp] = recs
+	}
+	return out
+}
+
+// verifyRecovered reopens dir on the real filesystem and asserts the
+// post-crash invariants; tag names the kill point in failures.
+func verifyRecovered(t *testing.T, dir, tag string) {
+	t.Helper()
+	st, err := Open(dir, Options{SegmentBytes: tortureSegmentBytes})
+	if err != nil {
+		t.Fatalf("%s: reopen after crash: %v", tag, err)
+	}
+	if q := st.Quarantined(); len(q) != 0 {
+		t.Fatalf("%s: a crash must not quarantine anything, got %+v", tag, q)
+	}
+	// Every shard must hold a strict prefix of its appended sequence
+	// (shard hp-00 got the even i, hp-01 the odd).
+	want := map[string][]logging.Record{}
+	for hp, recs := range readShards(t, st, tag) {
+		for j := range recs {
+			_, r := tortureRec(shardParity(hp) + 2*j)
+			want[hp] = append(want[hp], r)
 		}
-		for j, r := range recs {
-			if want := uint16(2*j) + off; r.PeerPort != want {
-				t.Fatalf("%s: shard %s record %d: got seq %d, want %d (not a prefix)",
-					tag, hp, j, r.PeerPort, want)
-			}
-		}
+		sameRecords(t, tag+" "+hp+" prefix", recs, want[hp])
 	}
 	verifyNames(t, st, tag)
-	// Appends must resume and round-trip.
+	// Appends must resume on the recovered tails, and read back byte for
+	// byte — now, and after a clean close and reopen.
 	for _, hp := range []string{"hp-00", "hp-01"} {
 		sh, err := st.Shard(hp)
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)
 		}
-		before := sh.Count()
-		if err := sh.AppendRecord(rec(hp, 9999)); err != nil {
-			t.Fatalf("%s: append after recovery on %s: %v", tag, hp, err)
+		for k := 0; k < 10; k++ {
+			_, r := tortureRec(9000 + shardParity(hp) + 2*k)
+			if err := sh.AppendRecord(r); err != nil {
+				t.Fatalf("%s: append after recovery on %s: %v", tag, hp, err)
+			}
+			want[hp] = append(want[hp], r)
 		}
-		if err := sh.Flush(); err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		recs, _, err := sh.ReadSince(Checkpoint{}, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		if uint64(len(recs)) != before+1 || recs[len(recs)-1].PeerPort != 9999 {
-			t.Fatalf("%s: post-recovery append did not round-trip on %s (%d records, want %d)",
-				tag, hp, len(recs), before+1)
-		}
+	}
+	for hp, recs := range readShards(t, st, tag) {
+		sameRecords(t, tag+" "+hp+" after appends", recs, want[hp])
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	st, err = Open(dir, Options{SegmentBytes: tortureSegmentBytes})
+	if err != nil {
+		t.Fatalf("%s: second reopen: %v", tag, err)
+	}
+	defer st.Close()
+	for hp, recs := range readShards(t, st, tag) {
+		sameRecords(t, tag+" "+hp+" after reopen", recs, want[hp])
 	}
 }
 
@@ -227,7 +288,7 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := faultfs.CrashAfter(0, 0)
-	st, err := Open(probe, Options{SegmentBytes: 1 << 10, FS: faultfs.Wrap(faultfs.OS{}, counter)})
+	st, err := Open(probe, Options{SegmentBytes: tortureSegmentBytes, FS: faultfs.Wrap(faultfs.OS{}, counter)})
 	if err != nil {
 		t.Fatalf("probe recovery: %v", err)
 	}
@@ -242,13 +303,132 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		inj := faultfs.CrashAfter(p, p)
-		st, err := Open(dir, Options{SegmentBytes: 1 << 10, FS: faultfs.Wrap(faultfs.OS{}, inj)})
+		st, err := Open(dir, Options{SegmentBytes: tortureSegmentBytes, FS: faultfs.Wrap(faultfs.OS{}, inj)})
 		if err == nil {
 			// Recovery got past its mutating ops before the kill point hit
 			// (op counts can shift on the copied layout); close and move on.
 			st.Close()
 		}
 		verifyRecovered(t, dir, "recovery-op="+itoa(p))
+	}
+}
+
+// oneFault fails the nth mutating operation after it is armed — tearing a
+// write halfway — and lets every other operation through: a transient
+// disk error the process lives on after, where a Crasher kills it. With
+// n <= 0 it only counts.
+type oneFault struct {
+	mu         sync.Mutex
+	n, seen    int64
+	armed, hit bool
+}
+
+func (f *oneFault) arm() { f.mu.Lock(); f.armed = true; f.mu.Unlock() }
+
+func (f *oneFault) Fault(op faultfs.Op) *faultfs.Fault {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.armed || !op.Kind.Mutating() {
+		return nil
+	}
+	f.seen++
+	if f.seen != f.n {
+		return nil
+	}
+	f.hit = true
+	return &faultfs.Fault{Err: faultfs.ErrInjected, Tear: op.N / 2}
+}
+
+// healWorkload runs the torture workload's appends through one injected
+// fault and carries on as a honeypot does: the shard that took it drops
+// what it must and heals on its own next append, and whatever is still
+// sticky at the end is healed before the store closes. It returns each
+// shard's attempted records and its Dropped count.
+func healWorkload(t *testing.T, dir string, inj *oneFault) (map[string][]logging.Record, map[string]uint64) {
+	t.Helper()
+	st, err := Open(dir, Options{SegmentBytes: tortureSegmentBytes, FS: faultfs.Wrap(faultfs.OS{}, inj)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The shards exist before the fault window opens: how a failed manifest
+	// note at shard creation resolves is a crash question, not a heal one.
+	shards := map[string]*Shard{}
+	for _, hp := range []string{"hp-00", "hp-01"} {
+		if shards[hp], err = st.Shard(hp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj.arm()
+	attempted := map[string][]logging.Record{}
+	for i := 0; i < tortureAppends; i++ {
+		hp, r := tortureRec(i)
+		shards[hp].AppendRecord(r) // a failure is counted in Dropped
+		attempted[hp] = append(attempted[hp], r)
+		if i == tortureAppends/2 {
+			st.NameCounts(func(string, int) {}) // may take the fault; the next fold recounts
+		}
+	}
+	dropped := map[string]uint64{}
+	for hp, sh := range shards {
+		// A fault in the last flush, or in a heal, costs one more round.
+		for k := 0; sh.Flush() != nil || sh.Err() != nil; k++ {
+			if k == 3 {
+				t.Fatalf("shard %s does not heal: %v", hp, sh.Err())
+			}
+			sh.Heal()
+		}
+		dropped[hp] = sh.Dropped()
+	}
+	st.Close() // a fault here costs the tail sidecars, never records
+	return attempted, dropped
+}
+
+// TestTransientFaultHealTorture fails one mutating operation of the
+// workload, for every operation of a sampled matrix, and lets the store
+// live on: the shard that took the fault heals by rescanning its tail,
+// and its later appends are coded against the state replayed from what
+// the heal kept. Reopened, each shard must read back its attempted
+// records minus exactly as many as it counted as dropped, in order and
+// byte for byte, with name tables that agree with the records.
+func TestTransientFaultHealTorture(t *testing.T) {
+	counter := &oneFault{}
+	healWorkload(t, t.TempDir(), counter)
+	total := counter.seen
+	stride := max(total/50, 1)
+	for p := int64(1); p <= total; p += stride {
+		dir := t.TempDir()
+		inj := &oneFault{n: p}
+		attempted, dropped := healWorkload(t, dir, inj)
+		tag := "fault-op=" + itoa(p)
+		if !inj.hit {
+			t.Fatalf("%s/%d never fired", tag, total)
+		}
+		st, err := Open(dir, Options{SegmentBytes: tortureSegmentBytes})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", tag, err)
+		}
+		if q := st.Quarantined(); len(q) != 0 {
+			t.Fatalf("%s: a healed fault must not quarantine anything, got %+v", tag, q)
+		}
+		for hp, got := range readShards(t, st, tag) {
+			want := attempted[hp]
+			if uint64(len(got)) != uint64(len(want))-dropped[hp] {
+				t.Fatalf("%s: %s reads back %d of %d records with %d dropped", tag, hp, len(got), len(want), dropped[hp])
+			}
+			j := 0
+			for i, r := range got {
+				for j < len(want) && want[j].PeerPort != r.PeerPort {
+					j++
+				}
+				if j == len(want) {
+					t.Fatalf("%s: %s record %d (seq %d) is out of order or was never appended", tag, hp, i, r.PeerPort)
+				}
+				sameRecords(t, tag+" "+hp, got[i:i+1], want[j:j+1])
+				j++
+			}
+		}
+		verifyNames(t, st, tag)
+		st.Close()
 	}
 }
 
@@ -347,7 +527,7 @@ func TestAppendPathHealsWithoutExplicitHeal(t *testing.T) {
 		sh.Append(rec("hp-00", i))
 	}
 	sw.Deny(deny)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 100; i++ {
 		sh.Append(rec("hp-00", 100+i))
 	}
 	sw.Allow(deny)

@@ -633,6 +633,12 @@ type DatasetStream struct {
 	perHP   map[string]int
 	countHP bool     // store mode: count honeypots while draining
 	hps     []string // known honeypot IDs, zero-filled at EOF
+
+	// ra is the read-ahead stage running the chain (store mode), whose
+	// producer's busy time Close adds to busy
+	// (finalize.chain.busy_nanos); both nil otherwise.
+	ra   *logging.ReadAheadIter
+	busy *obs.Counter
 }
 
 // Next implements logging.Iterator: it returns the next anonymized
@@ -661,10 +667,15 @@ func (d *DatasetStream) Next() (logging.Record, error) {
 }
 
 // Close stops the pipeline's read-ahead stage, then releases the spill
-// store's cursor, when reading from disk. The stream is unusable
-// afterwards.
+// store's cursor, when reading from disk; the stage's busy time goes to
+// finalize.chain.busy_nanos. The stream is unusable afterwards.
 func (d *DatasetStream) Close() error {
-	return errors.Join(logging.CloseIter(d.it), logging.CloseIter(d.base))
+	err := errors.Join(logging.CloseIter(d.it), logging.CloseIter(d.base))
+	if d.ra != nil {
+		d.busy.Add(uint64(d.ra.Busy()))
+		d.busy = nil
+	}
+	return err
 }
 
 // DistinctPeers returns the number of distinct peers renumbered: zero
@@ -839,7 +850,10 @@ func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 		out = ra
 	}
 
-	ds := &DatasetStream{it: out, base: base, ren: ren, na: na, perHP: perHP}
+	ds := &DatasetStream{it: out, base: base, ren: ren, na: na, perHP: perHP, ra: ra}
+	if ra != nil {
+		ds.busy = m.cfg.Metrics.Counter("finalize.chain.busy_nanos")
+	}
 	span.End()
 	for _, st := range m.hps {
 		ds.hps = append(ds.hps, st.Handle.ID())

@@ -1211,7 +1211,7 @@ func TestStoreFinalizeFoldsNameTablesInOneScan(t *testing.T) {
 	}
 
 	reg := obs.New()
-	store, err := logstore.Open(t.TempDir(), logstore.Options{SegmentBytes: 2 << 10, Metrics: reg})
+	store, err := logstore.Open(t.TempDir(), logstore.Options{SegmentBytes: 512, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1434,7 +1434,8 @@ func TestDatasetStreamCloseJoinsStages(t *testing.T) {
 // stream's consumer, so its stage timers count only what the consumer
 // waited for — a consumer slower than the chain, which seldom waits,
 // must not see the chain's busy time booked against its wall time (a
-// trace lays the timers end to end under the consumer's span).
+// trace lays the timers end to end under the consumer's span). The
+// chain's own busy time is reported beside them when the stream closes.
 func TestStageTimersFitTheConsumersTime(t *testing.T) {
 	ids := []string{"hp-a", "hp-b", "hp-c"}
 	reg := obs.New()
@@ -1442,6 +1443,7 @@ func TestStageTimersFitTheConsumersTime(t *testing.T) {
 	defer stream.Close()
 	var inNext time.Duration
 	n := 0
+	begin := time.Now()
 	for {
 		start := time.Now()
 		_, err := stream.Next()
@@ -1456,7 +1458,14 @@ func TestStageTimersFitTheConsumersTime(t *testing.T) {
 		for spin := time.Now(); time.Since(spin) < 5*time.Microsecond; {
 		}
 	}
+	if err := stream.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(begin)
 	c := reg.Snapshot().Counters
+	if busy := time.Duration(c["finalize.chain.busy_nanos"]); busy <= 0 || busy > wall {
+		t.Errorf("finalize.chain.busy_nanos = %v, want some of the stream's %v", busy, wall)
+	}
 	for _, st := range []string{"scan", "audit", "renumber", "anonymize"} {
 		if got := c["finalize."+st+".records"]; got != uint64(n) {
 			t.Errorf("finalize.%s.records = %d, want %d", st, got, n)

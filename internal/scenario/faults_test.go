@@ -141,15 +141,16 @@ func TestFaultFreeSpecUnwrapped(t *testing.T) {
 }
 
 // diskFaultSpec is a small spill-to-disk campaign whose hp-00 loses its
-// disk for a day in the middle.
+// disk for two days in the middle: long enough that its appends overflow
+// the shard's write buffer, whose flush then fails.
 func diskFaultSpec(dir string) Spec {
 	spec := FlakyLinks()
 	spec.Name = "disk-fault"
 	spec.Days = 4
-	spec.Scale = 0.05
+	spec.Scale = 0.1
 	spec.Faults = FaultSchedule{{
 		Kind: FaultDiskIOError, Honeypot: "hp-00",
-		At: Duration(24 * time.Hour), Downtime: Duration(24 * time.Hour),
+		At: Duration(24 * time.Hour), Downtime: Duration(48 * time.Hour),
 	}}
 	spec.Collection.StoreDir = dir
 	return spec
@@ -170,10 +171,10 @@ func TestDiskFaultCampaignAudited(t *testing.T) {
 		t.Fatalf("fault log: %+v", res.Faults)
 	}
 
-	// The outage window is a day of a four-day campaign: hp-00 must have
+	// The outage window is two days of a four-day campaign: hp-00 must have
 	// lost records, and the loss must be audited, not silent.
 	if res.DroppedRecords == 0 {
-		t.Fatal("a day-long disk outage dropped no records")
+		t.Fatal("a two-day disk outage dropped no records")
 	}
 	if res.StoredRecords == 0 {
 		t.Fatal("store kept nothing")
