@@ -9,7 +9,10 @@
 // suffix stripped), carrying iterations plus every reported metric:
 // ns/op, B/op, allocs/op and custom b.ReportMetric units such as
 // events/s or records/s. Repeated names (e.g. concatenated runs)
-// keep the last occurrence. Non-benchmark lines pass through silently.
+// keep the last occurrence. A benchmark run at several GOMAXPROCS
+// values (-cpu 1,2) keeps one entry per value instead, keyed
+// <name>/procs=<N>; a name without a suffix ran at GOMAXPROCS 1.
+// Non-benchmark lines pass through silently.
 package main
 
 import (
@@ -36,22 +39,35 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 // stripProcs removes the trailing -<GOMAXPROCS> that `go test` appends
 // to benchmark names, keeping sub-benchmark paths intact.
 func stripProcs(name string) string {
+	name, _ = splitProcs(name)
+	return name
+}
+
+// splitProcs splits a benchmark name into its base and the GOMAXPROCS
+// it ran at: `go test` appends no suffix at GOMAXPROCS 1.
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }
 
 // parseBench reads benchmark text output and collects the results in
 // encounter order (names returns that order with duplicates removed,
 // last value winning).
 func parseBench(r io.Reader) (map[string]BenchResult, []string, error) {
-	out := map[string]BenchResult{}
-	var names []string
+	type entry struct {
+		name  string
+		procs int
+		res   BenchResult
+	}
+	var entries []entry
+	procsSeen := map[string]map[int]bool{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -72,14 +88,27 @@ func parseBench(r io.Reader) (map[string]BenchResult, []string, error) {
 			}
 			res.Metrics[fields[i+1]] = v
 		}
-		name := stripProcs(m[1])
-		if _, seen := out[name]; !seen {
-			names = append(names, name)
+		name, procs := splitProcs(m[1])
+		if procsSeen[name] == nil {
+			procsSeen[name] = map[int]bool{}
 		}
-		out[name] = res
+		procsSeen[name][procs] = true
+		entries = append(entries, entry{name, procs, res})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
+	}
+	out := map[string]BenchResult{}
+	var names []string
+	for _, e := range entries {
+		key := e.name
+		if len(procsSeen[e.name]) > 1 {
+			key = fmt.Sprintf("%s/procs=%d", e.name, e.procs)
+		}
+		if _, seen := out[key]; !seen {
+			names = append(names, key)
+		}
+		out[key] = e.res
 	}
 	return out, names, nil
 }

@@ -75,6 +75,23 @@ func TestParseBenchLastWins(t *testing.T) {
 	}
 }
 
+// A benchmark run at -cpu 1,2 keeps both results, keyed by GOMAXPROCS;
+// one run at a single value keeps its plain name.
+func TestParseBenchSeveralProcs(t *testing.T) {
+	in := "BenchmarkG 5 300.0 ns/op\nBenchmarkG-2 5 150.0 ns/op\nBenchmarkH-2 5 7.0 ns/op\nBenchmarkG-2 9 140.0 ns/op\n"
+	got, names, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"BenchmarkG/procs=1", "BenchmarkG/procs=2", "BenchmarkH"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("names = %v, want %v", names, want)
+	}
+	if got["BenchmarkG/procs=1"].Metrics["ns/op"] != 300 || got["BenchmarkG/procs=2"].Metrics["ns/op"] != 140 {
+		t.Errorf("got %+v", got)
+	}
+}
+
 func TestStripProcs(t *testing.T) {
 	cases := map[string]string{
 		"BenchmarkFrameBuild-8":       "BenchmarkFrameBuild",

@@ -4,11 +4,18 @@
 // law. The paper's campaigns observed 28k (distributed) and 267k (greedy)
 // distinct files averaging ≈330 MB; the default archetype mix matches
 // that order of magnitude.
+//
+// Generate draws every file from one seeded RNG on the calling goroutine
+// and hands the hashing and the rest of each file to GOMAXPROCS workers,
+// so the default 300,000-file catalog builds on every core while staying
+// bit-for-bit a function of its Config alone.
 package catalog
 
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -125,7 +132,7 @@ var kindMix = []struct {
 	{Distro, 0.02},
 }
 
-// MaxVocabulary is the number of distinct words mintWord can produce:
+// MaxVocabulary is the number of distinct words drawVocabulary can produce:
 // every sequence of 2, 3 or 4 syllables. No syllable is a prefix of
 // another, so distinct sequences spell distinct words and the count is
 // exact. Generate never returns for a Config.Vocabulary above it — the
@@ -144,13 +151,45 @@ var syllables = [...]string{
 	"zen", "tor", "mir", "sal", "bre", "cla", "dro", "fle", "gri", "pla",
 }
 
-// Generate builds a catalog. It is deterministic in cfg.
+// MaxFiles is the largest Config.NumFiles callers that take a Config
+// from outside should accept: 14× the default, a catalog of ≈ 400 MB.
+// Generate allocates every file up front, so a larger value from an
+// untrusted spec would exhaust memory before any check could run.
+const MaxFiles = 1 << 22
+
+// chunkBytes bounds the name bytes of one chunk handed from the draw
+// stage to the mint workers; chunks in flight stay a few hundred KiB.
+const chunkBytes = 64 << 10
+
+// maxNameLen is the longest name appendName writes: five words of four
+// three-letter syllables, four dots, a ".yyyy" year and a four-byte
+// extension. A chunk is handed over before the next name could overflow
+// its buffer.
+const maxNameLen = 5*4*3 + 4 + 5 + 4
+
+// chunk carries consecutive files from the draw stage to a mint worker.
+type chunk struct {
+	first int     // index of the chunk's first file
+	names []byte  // the files' names, back to back
+	ends  []int32 // ends[k] is where file first+k's name ends in names
+}
+
+// Generate builds a catalog. It is deterministic in cfg: the result does
+// not depend on GOMAXPROCS.
 //
-// Each file costs one allocation, its name: the name is appended into a
-// reused buffer that already holds the synthetic-hash preimage
-// "repro/ed2k/synthetic:catalog/<seed>/<i>/", so the buffer's tail is the
-// name and the whole buffer is what ed2k.SyntheticHash would hash for
-// "catalog/<seed>/<i>/<name>".
+// It runs in two stages. The calling goroutine is the draw stage and the
+// only consumer of the seeded RNG: in index order, exactly as a serial
+// generator would, it draws each file's kind, name and size, storing the
+// kind and size in the file and the name into a chunk of at most
+// chunkBytes of names. GOMAXPROCS(0) mint workers take finished chunks
+// and complete their files: the hash over the synthetic-hash preimage
+// "repro/ed2k/synthetic:catalog/<seed>/<i>/<name>" (what
+// ed2k.SyntheticHash hashes for "catalog/<seed>/<i>/<name>"), the
+// popularity weight, and the name, sliced from one string per chunk.
+// Workers write disjoint files, and once they have all returned one
+// serial pass sums the weights in index order, so the cumulative table
+// is bit-for-bit what a serial generator computes. No goroutine outlives
+// the call.
 func Generate(cfg Config) *Catalog {
 	if cfg.NumFiles <= 0 {
 		panic("catalog: NumFiles must be positive")
@@ -162,19 +201,7 @@ func Generate(cfg Config) *Catalog {
 		cfg.PopularityExp = 0.9
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	vocab := make([]string, cfg.Vocabulary)
-	seen := make(map[string]bool, cfg.Vocabulary)
-	for i := range vocab {
-		for {
-			w := mintWord(rng)
-			if !seen[w] {
-				seen[w] = true
-				vocab[i] = w
-				break
-			}
-		}
-	}
+	vocab := drawVocabulary(rng, cfg.Vocabulary)
 	// Zipf over the vocabulary: word rank r has weight 1/(r+1)^1.0.
 	wordZipf := rand.NewZipf(rng, 1.4, 1, uint64(cfg.Vocabulary-1))
 
@@ -182,39 +209,128 @@ func Generate(cfg Config) *Catalog {
 		files: make([]File, cfg.NumFiles),
 		cum:   make([]float64, cfg.NumFiles),
 	}
-	buf := append(make([]byte, 0, 128), "repro/ed2k/synthetic:catalog/"...)
-	buf = strconv.AppendInt(buf, cfg.Seed, 10)
-	buf = append(buf, '/')
-	indexAt := len(buf)
-	for i := 0; i < cfg.NumFiles; i++ {
-		kind := sampleKind(rng)
-		buf = strconv.AppendInt(buf[:indexAt], int64(i), 10)
-		buf = append(buf, '/')
-		nameAt := len(buf)
-		buf = appendName(buf, rng, vocab, wordZipf, kind)
-		f := File{
-			Index:  i,
-			Hash:   md4.Sum(buf),
-			Name:   string(buf[nameAt:]),
-			Size:   sampleSize(rng, kind),
-			Kind:   kind,
-			Weight: 1.0 / math.Pow(float64(i+1), cfg.PopularityExp),
-		}
-		c.files[i] = f
-		c.total += f.Weight
+	prefix := strconv.AppendInt([]byte("repro/ed2k/synthetic:catalog/"), cfg.Seed, 10)
+	prefix = append(prefix, '/')
+
+	// Each worker can have a chunk queued behind the one it mints while
+	// the draw stage fills the next. free holds every chunk buffer ever
+	// made (at most 2*workers), so returning one never blocks.
+	workers := runtime.GOMAXPROCS(0)
+	full := make(chan *chunk, workers)
+	free := make(chan *chunk, 2*workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(pre []byte) {
+			defer wg.Done()
+			for ch := range full {
+				pre = mint(c.files, ch, pre, len(prefix), cfg.PopularityExp)
+				ch.names, ch.ends = ch.names[:0], ch.ends[:0]
+				free <- ch
+			}
+		}(slices.Clone(prefix))
+	}
+	draw(c.files, rng, vocab, wordZipf, full, free, 2*workers)
+	wg.Wait()
+
+	for i := range c.files {
+		c.total += c.files[i].Weight
 		c.cum[i] = c.total
 	}
 	return c
 }
 
-func mintWord(rng *rand.Rand) string {
-	n := 2 + rng.Intn(3)
-	var w [12]byte // 4 syllables of at most 3 letters
-	b := w[:0]
-	for i := 0; i < n; i++ {
-		b = append(b, syllables[rng.Intn(len(syllables))]...)
+// draw is the sequential stage of Generate: it draws every file's kind,
+// name and size in index order and sends the names to the mint workers
+// in chunks, taking at most maxChunks chunk buffers and recycling them
+// through free. It closes full when done.
+func draw(files []File, rng *rand.Rand, vocab []string, wordZipf *rand.Zipf, full chan<- *chunk, free <-chan *chunk, maxChunks int) {
+	defer close(full)
+	made := 0
+	next := func(first int) *chunk {
+		var ch *chunk
+		select {
+		case ch = <-free:
+		default:
+			if made < maxChunks {
+				made++
+				ch = &chunk{names: make([]byte, 0, chunkBytes), ends: make([]int32, 0, chunkBytes/16)}
+			} else {
+				ch = <-free
+			}
+		}
+		ch.first = first
+		return ch
 	}
-	return string(b)
+	ch := next(0)
+	for i := range files {
+		if len(ch.names) > chunkBytes-maxNameLen {
+			full <- ch
+			ch = next(i)
+		}
+		kind := sampleKind(rng)
+		ch.names = appendName(ch.names, rng, vocab, wordZipf, kind)
+		ch.ends = append(ch.ends, int32(len(ch.names)))
+		f := &files[i]
+		f.Index, f.Kind, f.Size = i, kind, sampleSize(rng, kind)
+	}
+	full <- ch
+}
+
+// mint completes the files of one chunk: hash, name and weight. pre
+// holds the synthetic-hash preimage prefix in its first prefixLen bytes
+// and is returned for reuse.
+func mint(files []File, ch *chunk, pre []byte, prefixLen int, exp float64) []byte {
+	names := string(ch.names)
+	start := 0
+	for k, end := range ch.ends {
+		i := ch.first + k
+		name := names[start:end]
+		pre = strconv.AppendInt(pre[:prefixLen], int64(i), 10)
+		pre = append(pre, '/')
+		pre = append(pre, name...)
+		f := &files[i]
+		f.Hash = md4.Sum(pre)
+		f.Name = name
+		f.Weight = 1.0 / math.Pow(float64(i+1), exp)
+		start = int(end)
+	}
+	return pre
+}
+
+// drawVocabulary draws n distinct words from rng. The words share one
+// backing string. A word is identified by its syllable sequence, coded
+// as digits 1..numSyllables in base numSyllables+1, so sequences of
+// different lengths never collide and four syllables fit in a uint32;
+// since no syllable is a prefix of another, distinct sequences are
+// distinct words.
+func drawVocabulary(rng *rand.Rand, n int) []string {
+	arena := make([]byte, 0, 8*n)
+	ends := make([]int, n)
+	seen := make(map[uint32]struct{}, n)
+	for i := 0; i < n; {
+		start, code := len(arena), uint32(0)
+		for k := 2 + rng.Intn(3); k > 0; k-- {
+			s := rng.Intn(numSyllables)
+			code = code*uint32(numSyllables+1) + uint32(s) + 1
+			arena = append(arena, syllables[s]...)
+		}
+		if _, dup := seen[code]; dup {
+			arena = arena[:start]
+			continue
+		}
+		seen[code] = struct{}{}
+		ends[i] = len(arena)
+		i++
+	}
+	words := string(arena)
+	vocab := make([]string, n)
+	start := 0
+	for i, end := range ends {
+		vocab[i] = words[start:end]
+		start = end
+	}
+	return vocab
 }
 
 // appendName appends one file name to buf: 2-5 Zipf-drawn vocabulary

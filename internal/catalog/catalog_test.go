@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ed2k"
 )
@@ -55,17 +57,72 @@ func digestCatalog(c *Catalog) string {
 // TestGenerateGolden pins every byte Generate produces. The digests were
 // taken from the string-concatenating, fmt.Sprintf-hashing generator that
 // preceded the in-place one, so they are a pin, not a self-comparison.
+// The catalog must not depend on how many mint workers built it.
 func TestGenerateGolden(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		want string
-	}{
-		{"small", small(), "43a3e006c4c215ff97b58fa35a847c16fd55d5a0ac54ce15e44d439db2fbcdb6"},
-		{"default", DefaultConfig(), "a603ea11f8719d18fe0d973145845b9f1bc53ccf2784162b0dff411d6d3edd3e"},
-	} {
-		if got := digestCatalog(Generate(tc.cfg)); got != tc.want {
-			t.Errorf("%s catalog digest %s, want %s", tc.name, got, tc.want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			name string
+			cfg  Config
+			want string
+		}{
+			{"small", small(), "43a3e006c4c215ff97b58fa35a847c16fd55d5a0ac54ce15e44d439db2fbcdb6"},
+			{"default", DefaultConfig(), "a603ea11f8719d18fe0d973145845b9f1bc53ccf2784162b0dff411d6d3edd3e"},
+		} {
+			if got := digestCatalog(Generate(tc.cfg)); got != tc.want {
+				t.Errorf("GOMAXPROCS %d: %s catalog digest %s, want %s", procs, tc.name, got, tc.want)
+			}
+		}
+	}
+}
+
+// The cumulative popularity table is summed in index order, so Sample
+// sees the same floats however many workers computed the weights.
+func TestCumulativeWeightsSerial(t *testing.T) {
+	c := Generate(small())
+	total := 0.0
+	for i := 0; i < c.Len(); i++ {
+		total += c.File(i).Weight
+		if math.Float64bits(c.cum[i]) != math.Float64bits(total) {
+			t.Fatalf("cum[%d] = %v, want %v", i, c.cum[i], total)
+		}
+	}
+	if c.total != total {
+		t.Errorf("total = %v, want %v", c.total, total)
+	}
+}
+
+// The mint workers are joined before Generate returns. A worker calls
+// wg.Done a moment before its goroutine exits, so the count is given a
+// second to settle; a worker left blocked would never let it.
+func TestGenerateLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, n := range []int{1, 10, 2000, 20000} {
+		Generate(Config{NumFiles: n, Vocabulary: 300, Seed: 3})
+		after := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); after != before && time.Now().Before(deadline); {
+			runtime.Gosched()
+			after = runtime.NumGoroutine()
+		}
+		if after != before {
+			t.Fatalf("NumFiles %d: %d goroutines after Generate, %d before", n, after, before)
+		}
+	}
+}
+
+// A chunk is handed over before a name could overflow its buffer only
+// while maxNameLen bounds every name appendName writes.
+func TestNamesFitMaxNameLen(t *testing.T) {
+	for _, s := range syllables {
+		if len(s) > 3 {
+			t.Errorf("syllable %q is longer than the three letters maxNameLen assumes", s)
+		}
+	}
+	c := Generate(Config{NumFiles: 20000, Vocabulary: 2000, Seed: 9})
+	for i := 0; i < c.Len(); i++ {
+		if name := c.File(i).Name; len(name) > maxNameLen {
+			t.Fatalf("file %d name %q is %d bytes, maxNameLen %d", i, name, len(name), maxNameLen)
 		}
 	}
 }
@@ -106,8 +163,8 @@ func TestGenerateAllocsPerFile(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	allocs := testing.AllocsPerRun(1, func() { Generate(cfg) })
-	if perFile := allocs / float64(cfg.NumFiles); perFile > 1.2 {
-		t.Errorf("Generate(DefaultConfig()): %.2f allocs per file, want <= 1.2", perFile)
+	if perFile := allocs / float64(cfg.NumFiles); perFile > 0.01 {
+		t.Errorf("Generate(DefaultConfig()): %.4f allocs per file, want <= 0.01", perFile)
 	}
 }
 

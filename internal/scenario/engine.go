@@ -190,7 +190,7 @@ func RunWith(spec Spec, opts RunOptions) (*Result, error) {
 		}
 		defer w.closeStore() // error paths; finish() closes on success
 	}
-	w.cat = catalog.Generate(spec.Catalog)
+	w.cat = w.generateCatalog(spec.Catalog)
 	secret := spec.secret()
 
 	env := &Env{

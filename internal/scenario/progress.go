@@ -17,6 +17,7 @@ package scenario
 import (
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/des"
 	"repro/internal/obs"
 	"repro/internal/peersim"
@@ -149,6 +150,9 @@ type engineMetrics struct {
 	fleetDown  *obs.Gauge // fleet.down
 	arrivals   *obs.Gauge // workload.arrivals (all workloads)
 	quits      *obs.Gauge // workload.quits
+
+	catalogNanos *obs.Counter // engine.build.catalog_nanos (wall time of catalog.Generate)
+	catalogFiles *obs.Gauge   // engine.catalog.files
 }
 
 func newEngineMetrics(r *obs.Registry) engineMetrics {
@@ -169,7 +173,24 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		fleetDown:  r.Gauge("fleet.down"),
 		arrivals:   r.Gauge("workload.arrivals"),
 		quits:      r.Gauge("workload.quits"),
+
+		catalogNanos: r.Counter("engine.build.catalog_nanos"),
+		catalogFiles: r.Gauge("engine.catalog.files"),
 	}
+}
+
+// generateCatalog builds the campaign's file universe and, when metrics
+// are on, records how long that took and how many files it holds.
+// Without a registry it reads no clock.
+func (w *world) generateCatalog(cfg catalog.Config) *catalog.Catalog {
+	if w.em.catalogNanos == nil {
+		return catalog.Generate(cfg)
+	}
+	start := time.Now()
+	c := catalog.Generate(cfg)
+	w.em.catalogNanos.Add(uint64(time.Since(start)))
+	w.em.catalogFiles.Set(int64(c.Len()))
+	return c
 }
 
 // advance drives the virtual clock to t. Untapped runs take one

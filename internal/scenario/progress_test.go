@@ -161,3 +161,22 @@ func TestTappedRunIdenticalDataset(t *testing.T) {
 		t.Error("workload.arrivals gauge never refreshed")
 	}
 }
+
+// TestCatalogBuildTelemetry pins the world-build counters: a run with a
+// registry records the catalog's build time and size, so -metrics-file
+// and GET /runs/{id}/metrics show what the world cost before the first
+// event.
+func TestCatalogBuildTelemetry(t *testing.T) {
+	spec := validSpec()
+	reg := obs.New()
+	if _, err := RunWith(spec, RunOptions{Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["engine.build.catalog_nanos"] == 0 {
+		t.Error("engine.build.catalog_nanos not recorded")
+	}
+	if got := snap.Gauges["engine.catalog.files"]; got != int64(spec.Catalog.NumFiles) {
+		t.Errorf("engine.catalog.files = %d, want %d", got, spec.Catalog.NumFiles)
+	}
+}

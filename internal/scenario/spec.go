@@ -311,6 +311,8 @@ func (s Spec) Validate() error {
 	}
 	if s.Catalog.NumFiles < 1 {
 		bad("catalog.num_files", "must be at least 1, got %d", s.Catalog.NumFiles)
+	} else if s.Catalog.NumFiles > catalog.MaxFiles {
+		bad("catalog.num_files", "must not exceed %d, got %d", catalog.MaxFiles, s.Catalog.NumFiles)
 	}
 	if s.Catalog.Vocabulary > catalog.MaxVocabulary {
 		bad("catalog.vocabulary", "must not exceed the %d mintable words, got %d (0 means the default)", catalog.MaxVocabulary, s.Catalog.Vocabulary)

@@ -65,6 +65,7 @@ func TestValidateFieldErrors(t *testing.T) {
 		{"topology.servers", func(s *Spec) { s.Topology.Servers = 0 }},
 		{"catalog.num_files", func(s *Spec) { s.Catalog.NumFiles = 0 }},
 		{"catalog.num_files", func(s *Spec) { s.Catalog.NumFiles = -5 }},
+		{"catalog.num_files", func(s *Spec) { s.Catalog.NumFiles = catalog.MaxFiles + 1 }},
 		{"catalog.vocabulary", func(s *Spec) { s.Catalog.Vocabulary = catalog.MaxVocabulary + 1 }},
 		{"collection.every", func(s *Spec) { s.Collection.Every = Duration(-time.Hour) }},
 		{"fleet", func(s *Spec) { s.Fleet = nil }},

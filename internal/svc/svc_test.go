@@ -550,3 +550,104 @@ func TestCalibrateEndpoint(t *testing.T) {
 		t.Errorf("calibrate of unknown run: got %v, want HTTP 404", err)
 	}
 }
+
+// postRaw posts body to the server and returns the status and the
+// decoded error body (empty on success).
+func postRaw(t *testing.T, base, path string, body []byte) (int, errorBody) {
+	t.Helper()
+	resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb errorBody
+	if resp.StatusCode >= 300 {
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatalf("POST %s: %d response body is not an errorBody: %v", path, resp.StatusCode, err)
+		}
+	}
+	return resp.StatusCode, eb
+}
+
+// TestRequestBodyLimit pins the daemon's body bound: every POST route
+// that reads a body answers one byte over maxRequestBody with 413 and
+// the usual error shape, while the largest body the repository's own
+// client sends — a registered spec plus its paper plan — goes through.
+func TestRequestBodyLimit(t *testing.T) {
+	s, client := newTestService(t, Config{Workers: 1, WallEvery: -1})
+	// Each body is valid JSON up to its last byte, so a decoder that
+	// stopped early could not pass for the bound.
+	over := func(prefix, suffix string) []byte {
+		pad := maxRequestBody + 1 - len(prefix) - len(suffix)
+		return []byte(prefix + strings.Repeat("x", pad) + suffix)
+	}
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{
+		{"/runs", over(`{"scenario":"`, `"}`)},
+		{"/runs/no-such-run/query", over(`{"queries":[],"pad":"`, `"}`)},
+		{"/runs/no-such-run/calibrate", over(`{"version":1,"pad":"`, `"}`)},
+	} {
+		if len(tc.body) != maxRequestBody+1 {
+			t.Fatalf("%s: body of %d bytes", tc.path, len(tc.body))
+		}
+		status, eb := postRaw(t, client.Base, tc.path, tc.body)
+		if status != http.StatusRequestEntityTooLarge || eb.Error == "" {
+			t.Errorf("POST %s with %d bytes: %d %.80q, want 413 with an error", tc.path, len(tc.body), status, eb.Error)
+		}
+	}
+
+	var largest []byte
+	for _, name := range scenario.Names() {
+		spec, err := scenario.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := analysis.CampaignMeta{Name: spec.Name}
+		for _, h := range spec.Fleet {
+			meta.HoneypotIDs = append(meta.HoneypotIDs, h.ID)
+		}
+		plan := analysis.PaperPlan(meta, analysis.QueryOptions{Seed: 1})
+		spec.Scale = 1e-4 // the body's size, not the campaign, is under test
+		body, err := json.Marshal(SubmitRequest{Spec: &spec, Plan: &plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) > len(largest) {
+			largest = body
+		}
+	}
+	resp, err := http.Post(client.Base+"/runs", "application/json", bytes.NewReader(largest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var run Run
+	if err := json.NewDecoder(resp.Body).Decode(&run); err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("largest client body (%d bytes): status %d, %v", len(largest), resp.StatusCode, err)
+	}
+	client.Abort(context.Background(), run.ID) // it may already have finished
+	waitTerminal(t, s, run.ID)
+}
+
+// TestSubmitRejectsHugeCatalog pins the catalog bound at the daemon's
+// door: a spec asking for more than catalog.MaxFiles files is a 400,
+// and the daemon, which would not survive building it, still answers.
+func TestSubmitRejectsHugeCatalog(t *testing.T) {
+	_, client := newTestService(t, Config{Workers: 1})
+	spec := testSpec("svc-huge-catalog", 1, 40, 2)
+	spec.Catalog.NumFiles = 4_000_000_000
+	if _, err := client.Submit(context.Background(), SubmitRequest{Spec: &spec}); err == nil ||
+		!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "catalog.num_files") {
+		t.Errorf("num_files 4e9: got %v, want HTTP 400 naming catalog.num_files", err)
+	}
+	resp, err := http.Get(client.Base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz after the rejected spec: %d", resp.StatusCode)
+	}
+}
