@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +17,7 @@ import (
 	"repro"
 	"repro/internal/analysis"
 	"repro/internal/logging"
+	"repro/internal/logstore"
 )
 
 // The golden table pins the determinism contract: for every registered
@@ -262,4 +265,54 @@ func firstDiff(a, b []logging.Record) string {
 		return fmt.Sprintf(": it has extra records from %d", len(a))
 	}
 	return ""
+}
+
+// equivScale is the scale every golden campaign runs at (the CI smoke
+// matrix runs every scenario at 0.02 too).
+const equivScale = 0.02
+
+// drainStore reopens an exported dataset store and drains its merged
+// iterator.
+func drainStore(t *testing.T, dir string) []logging.Record {
+	t.Helper()
+	store, err := logstore.Open(dir, logstore.Options{})
+	if err != nil {
+		t.Fatalf("reopening export store: %v", err)
+	}
+	defer store.Close()
+	it, err := store.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var out []logging.Record
+	for {
+		r, err := it.Next()
+		if errors.Is(err, io.EOF) {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+	}
+}
+
+// recordEqual compares two records field by field (shared lists by
+// content, so a nil and an empty list agree — the binary codec does not
+// distinguish them).
+func recordEqual(a, b logging.Record) bool {
+	if !a.Time.Equal(b.Time) || a.Honeypot != b.Honeypot || a.Kind != b.Kind ||
+		a.PeerIP != b.PeerIP || a.PeerPort != b.PeerPort || a.PeerName != b.PeerName ||
+		a.UserHash != b.UserHash || a.HighID != b.HighID ||
+		a.ClientVersion != b.ClientVersion || a.FileHash != b.FileHash ||
+		a.FileName != b.FileName || a.Server != b.Server || len(a.Files) != len(b.Files) {
+		return false
+	}
+	for i := range a.Files {
+		if a.Files[i] != b.Files[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -3,11 +3,10 @@
 // month-long measurement campaigns run as an ordered sequence of events in
 // seconds of CPU time, and identical seeds replay identical histories.
 //
-// Two schedulers implement the same (when, seq) total order: a
-// hierarchical timing wheel (the default hot path) and the original
-// binary heap, retained as the equivalence oracle behind Options or the
-// REPRO_DES_SCHEDULER environment knob. Histories are bit-identical
-// under either; see docs/PERFORMANCE.md for the argument.
+// Pending events live in a hierarchical timing wheel that pops them in
+// one total order, (when, seq): by time, and FIFO among simultaneous
+// events. The tests pin that order against a sorted-slice model; see
+// docs/PERFORMANCE.md for the argument.
 //
 // An event has one callback form: a static func(recv, arg any) and its
 // two operands (AtCall/AfterCall); At/After(fn) are that form with fn as
@@ -23,7 +22,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"os"
 	"time"
 )
 
@@ -38,7 +36,6 @@ type event struct {
 	call      func(recv, arg any)
 	recv, arg any
 	canceled  bool
-	index     int    // heap position, -1 when popped (heap scheduler only)
 	gen       uint32 // bumped on recycle; stale Timers no longer match
 }
 
@@ -88,64 +85,11 @@ func (t Timer) Canceled() bool {
 	return t.e != nil && t.e.gen == t.gen && t.e.canceled
 }
 
-// scheduler is the pending-event store behind the loop. Both
-// implementations pop events in identical (when, seq) order; they only
-// differ in how the order is maintained. Canceled events stay pending
-// until popped (the loop reaps them), so pending() counts them too.
-type scheduler interface {
-	schedule(e *event)
-	peek() *event // earliest pending event, nil when empty
-	pop() *event  // remove and return the earliest, nil when empty
-	pending() int
-	counters() (cascades, overflowScans uint64)
-}
-
-// SchedulerKind selects the pending-event store.
-type SchedulerKind string
-
-const (
-	// SchedulerWheel is the hierarchical timing wheel: O(1) schedule,
-	// amortized O(bucket) pop. The default.
-	SchedulerWheel SchedulerKind = "wheel"
-	// SchedulerHeap is the original container/heap queue, retained as
-	// the equivalence oracle.
-	SchedulerHeap SchedulerKind = "heap"
-)
-
-// SchedulerEnv overrides the default scheduler for loops that don't set
-// Options.Scheduler explicitly ("wheel" or "heap"); unrecognized values
-// are ignored so an ops typo cannot crash a campaign.
-const SchedulerEnv = "REPRO_DES_SCHEDULER"
-
-// Options configures a loop beyond its clock and seed. The zero value
-// picks the default scheduler (the timing wheel, unless SchedulerEnv
-// says otherwise). Scheduler choice can never change a campaign's
-// history — only its speed.
-type Options struct {
-	Scheduler SchedulerKind
-}
-
-func resolveScheduler(k SchedulerKind) SchedulerKind {
-	switch k {
-	case SchedulerWheel, SchedulerHeap:
-		return k
-	case "":
-	default:
-		panic(fmt.Sprintf("des: unknown scheduler %q", k))
-	}
-	switch SchedulerKind(os.Getenv(SchedulerEnv)) {
-	case SchedulerHeap:
-		return SchedulerHeap
-	}
-	return SchedulerWheel
-}
-
 // Loop is a single-threaded discrete-event loop. All callbacks run on the
 // goroutine that calls Run/RunUntil/Step, so event handlers never race.
 type Loop struct {
 	now       time.Time
-	sched     scheduler
-	kind      SchedulerKind
+	sched     *wheelScheduler
 	seq       uint64
 	seed      int64
 	rng       *rand.Rand
@@ -176,16 +120,14 @@ type Stats struct {
 	MaxPending int
 	// Cascades counts timing-wheel bucket redistributions (an outer
 	// level's bucket spilling into the level below it); OverflowScans
-	// counts events re-examined during overflow drains. Both are zero
-	// under the heap scheduler — they measure wheel bookkeeping, not
-	// campaign history.
+	// counts events re-examined during overflow drains. Both measure
+	// wheel bookkeeping, not campaign history.
 	Cascades      uint64
 	OverflowScans uint64
 }
 
 // Stats snapshots the loop's counters without exposing its internals.
 func (l *Loop) Stats() Stats {
-	cascades, overflowScans := l.sched.counters()
 	return Stats{
 		Executed:      l.executed,
 		Scheduled:     l.seq,
@@ -193,36 +135,21 @@ func (l *Loop) Stats() Stats {
 		Recycled:      l.recycled,
 		Pending:       l.sched.pending(),
 		MaxPending:    l.maxQueue,
-		Cascades:      cascades,
-		OverflowScans: overflowScans,
+		Cascades:      l.sched.cascades,
+		OverflowScans: l.sched.overflowScans,
 	}
 }
 
 // NewLoop returns a loop whose virtual clock starts at start and whose
-// random streams derive from seed, using the default scheduler.
+// random streams derive from seed.
 func NewLoop(start time.Time, seed int64) *Loop {
-	return NewLoopOpts(start, seed, Options{})
-}
-
-// NewLoopOpts is NewLoop with explicit Options.
-func NewLoopOpts(start time.Time, seed int64, opts Options) *Loop {
-	kind := resolveScheduler(opts.Scheduler)
-	l := &Loop{
-		now:  start,
-		kind: kind,
-		seed: seed,
-		rng:  rand.New(rand.NewSource(seed)),
+	return &Loop{
+		now:   start,
+		sched: newWheelScheduler(start),
+		seed:  seed,
+		rng:   rand.New(rand.NewSource(seed)),
 	}
-	if kind == SchedulerHeap {
-		l.sched = &heapScheduler{}
-	} else {
-		l.sched = newWheelScheduler(start)
-	}
-	return l
 }
-
-// Scheduler reports which pending-event store this loop runs on.
-func (l *Loop) Scheduler() SchedulerKind { return l.kind }
 
 // Now returns the current virtual time.
 func (l *Loop) Now() time.Time { return l.now }

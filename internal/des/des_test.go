@@ -111,7 +111,7 @@ func TestAfterCallAndNoPinning(t *testing.T) {
 func TestEventFreeList(t *testing.T) {
 	l := NewLoop(t0, 1)
 	fn := func() {}
-	for i := 0; i < 64; i++ { // warm the pool and the heap's capacity
+	for i := 0; i < 64; i++ { // warm the pool and the wheel's buckets
 		l.After(time.Millisecond, fn)
 	}
 	l.Run()

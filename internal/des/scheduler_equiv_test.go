@@ -4,15 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 )
 
-// This file pins the timing wheel to the retained heap scheduler: any
-// workload of At/After/Cancel/Step/RunUntil — including nested
+// This file pins the timing wheel to a model of the loop's contract:
+// any workload of At/After/Cancel/Step/RunUntil — including nested
 // scheduling and cancellation from inside callbacks — must execute the
-// same events at the same times in the same order, and land identical
-// Stats (minus the wheel's own bookkeeping counters).
+// same events at the same times in the same order as a sorted slice of
+// pending events, and land the same counters.
 
 // op is one scripted action against a loop.
 type op struct {
@@ -36,92 +37,169 @@ func opDelay(o op) time.Duration {
 	return (ms * time.Millisecond) << (o.c % 12) // up to ~37 virtual hours
 }
 
+// sim is what a script drives: the loop, or the model of it.
+type sim interface {
+	Now() time.Time
+	Step() bool
+	RunUntil(t time.Time)
+	Run()
+	// at schedules the script's label at t and returns its cancel.
+	at(t time.Time, s *script, label int) (cancel func())
+}
+
+// loopSim runs a script on the real loop. Even labels are scheduled as
+// At(fn) closures, odd ones in the payload form (AtCall over the script
+// and the label), so both ways into the one event representation share
+// every history.
+type loopSim struct{ *Loop }
+
+func (l loopSim) at(t time.Time, s *script, label int) func() {
+	if label%2 == 0 {
+		return l.At(t, func() { s.fire(label) }).Cancel
+	}
+	return l.AtCall(t, fireScript, s, label).Cancel
+}
+
+func fireScript(recv, arg any) { recv.(*script).fire(arg.(int)) }
+
+// model is the loop's contract with nothing else: pending events in one
+// slice sorted by (when, seq), canceled ones kept until popped.
+type model struct {
+	now                 time.Time
+	scheduled, executed uint64
+	pending             []*modelEvent
+	maxPending          int
+}
+
+type modelEvent struct {
+	when     time.Time
+	fire     func()
+	canceled bool
+}
+
+func (m *model) Now() time.Time { return m.now }
+
+func (m *model) at(t time.Time, s *script, label int) func() {
+	if t.Before(m.now) {
+		t = m.now
+	}
+	e := &modelEvent{when: t, fire: func() { s.fire(label) }}
+	m.scheduled++
+	// After every pending event at or before t: FIFO among ties.
+	i := sort.Search(len(m.pending), func(i int) bool { return m.pending[i].when.After(t) })
+	m.pending = slices.Insert(m.pending, i, e)
+	m.maxPending = max(m.maxPending, len(m.pending))
+	return func() { e.canceled = true }
+}
+
+func (m *model) next(deadline time.Time, bounded bool) bool {
+	for len(m.pending) > 0 && !(bounded && m.pending[0].when.After(deadline)) {
+		e := m.pending[0]
+		m.pending = m.pending[1:]
+		if !e.canceled {
+			m.now = e.when
+			m.executed++
+			e.fire()
+			return true
+		}
+	}
+	return false
+}
+
+func (m *model) Step() bool { return m.next(time.Time{}, false) }
+
+func (m *model) Run() {
+	for m.Step() {
+	}
+}
+
+func (m *model) RunUntil(t time.Time) {
+	for m.next(t, true) {
+	}
+	if t.After(m.now) {
+		m.now = t
+	}
+}
+
 // script is one run's state: callbacks deterministically schedule and
-// cancel more work, so a script exercises the nested paths too. Even
-// labels are scheduled as At(fn) closures, odd ones in the payload form
-// (AtCall over the script and the label), so both ways into the one
-// event representation share every history.
+// cancel more work, so a script exercises the nested paths too.
 type script struct {
-	l         *Loop
+	sim       sim
 	trace     []string
-	timers    []Timer
+	cancels   []func()
 	nextLabel int
 }
 
 func (s *script) schedule(when time.Time) {
 	label := s.nextLabel
 	s.nextLabel++
-	if label%2 == 0 {
-		s.timers = append(s.timers, s.l.At(when, func() { s.fire(label) }))
-	} else {
-		s.timers = append(s.timers, s.l.AtCall(when, fireScript, s, label))
-	}
+	s.cancels = append(s.cancels, s.sim.at(when, s, label))
 }
-
-func fireScript(recv, arg any) { recv.(*script).fire(arg.(int)) }
 
 func (s *script) fire(label int) {
-	s.trace = append(s.trace, fmt.Sprintf("%d@%d", label, s.l.Now().Sub(t0)))
+	s.trace = append(s.trace, fmt.Sprintf("%d@%d", label, s.sim.Now().Sub(t0)))
 	if label%3 == 0 {
-		s.schedule(s.l.Now().Add(time.Duration(label%97) * 13 * time.Second))
+		s.schedule(s.sim.Now().Add(time.Duration(label%97) * 13 * time.Second))
 	}
-	if label%11 == 7 && len(s.timers) > 0 {
-		s.timers[(label*7)%len(s.timers)].Cancel()
+	if label%11 == 7 && len(s.cancels) > 0 {
+		s.cancels[(label*7)%len(s.cancels)]()
 	}
 }
 
-// runScript executes the script on a fresh loop of the given kind and
-// returns the execution trace ("label@offset" per fired event) and the
-// final loop state.
-func runScript(kind SchedulerKind, ops []op) (trace []string, now time.Time, stats Stats) {
-	l := NewLoopOpts(t0, 1, Options{Scheduler: kind})
-	s := &script{l: l}
+// runScript executes the script on sim and returns the execution trace
+// ("label@offset" per fired event) and the final clock.
+func runScript(sm sim, ops []op) (trace []string, now time.Time) {
+	s := &script{sim: sm}
 	for _, o := range ops {
 		switch o.kind {
 		case 0, 1, 2:
-			s.schedule(l.Now().Add(opDelay(o)))
+			s.schedule(sm.Now().Add(opDelay(o)))
 		case 3:
 			// Absolute time, possibly in the past once the clock moved.
 			s.schedule(t0.Add(opDelay(o)))
 		case 4:
-			if len(s.timers) > 0 {
-				s.timers[(int(o.a)<<8|int(o.b))%len(s.timers)].Cancel()
+			if len(s.cancels) > 0 {
+				s.cancels[(int(o.a)<<8|int(o.b))%len(s.cancels)]()
 			}
 		case 5:
-			l.Step()
+			sm.Step()
 		case 6:
-			l.RunUntil(l.Now().Add(opDelay(o)))
+			sm.RunUntil(sm.Now().Add(opDelay(o)))
 		case 7:
 			// Far horizon: days to hundreds of days, reaching the
 			// outer wheel levels and the overflow list.
 			d := time.Duration(o.a)*24*time.Hour + time.Duration(o.b)*time.Second
-			s.schedule(l.Now().Add(d))
+			s.schedule(sm.Now().Add(d))
 		}
 	}
-	l.Run()
-	return s.trace, l.Now(), l.Stats()
+	sm.Run()
+	return s.trace, sm.Now()
 }
 
-// assertSchedulersAgree runs the script under both schedulers and
-// fails the test on any divergence in trace, clock, or counters.
+// assertSchedulersAgree runs the script on the loop and on the model
+// and fails the test on any divergence in trace, clock, or counters.
 func assertSchedulersAgree(t *testing.T, ops []op) {
 	t.Helper()
-	wTrace, wNow, wStats := runScript(SchedulerWheel, ops)
-	hTrace, hNow, hStats := runScript(SchedulerHeap, ops)
-	if !slices.Equal(wTrace, hTrace) {
+	l := NewLoop(t0, 1)
+	m := &model{now: t0}
+	wTrace, wNow := runScript(loopSim{l}, ops)
+	mTrace, mNow := runScript(m, ops)
+	if !slices.Equal(wTrace, mTrace) {
 		i := 0
-		for i < len(wTrace) && i < len(hTrace) && wTrace[i] == hTrace[i] {
+		for i < len(wTrace) && i < len(mTrace) && wTrace[i] == mTrace[i] {
 			i++
 		}
-		t.Fatalf("execution traces diverge at event %d: wheel %v vs heap %v (lens %d/%d)",
-			i, at(wTrace, i), at(hTrace, i), len(wTrace), len(hTrace))
+		t.Fatalf("execution traces diverge at event %d: wheel %v vs model %v (lens %d/%d)",
+			i, at(wTrace, i), at(mTrace, i), len(wTrace), len(mTrace))
 	}
-	if !wNow.Equal(hNow) {
-		t.Fatalf("final clocks diverge: wheel %v vs heap %v", wNow, hNow)
+	if !wNow.Equal(mNow) {
+		t.Fatalf("final clocks diverge: wheel %v vs model %v", wNow, mNow)
 	}
-	wStats.Cascades, wStats.OverflowScans = 0, 0 // wheel bookkeeping, not history
-	if wStats != hStats {
-		t.Fatalf("stats diverge: wheel %+v vs heap %+v", wStats, hStats)
+	st := l.Stats()
+	got := [4]uint64{st.Executed, st.Scheduled, uint64(st.Pending), uint64(st.MaxPending)}
+	want := [4]uint64{m.executed, m.scheduled, uint64(len(m.pending)), uint64(m.maxPending)}
+	if got != want {
+		t.Fatalf("executed/scheduled/pending/max-pending diverge: wheel %v vs model %v", got, want)
 	}
 }
 
@@ -145,7 +223,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	})
 }
 
-// TestSchedulerEquivalenceRandom drives both schedulers through many
+// TestSchedulerEquivalenceRandom drives the loop and the model through many
 // random workloads, weighted to hit every wheel level: near ticks,
 // cascades from the outer levels, the overflow list, RunUntil parking
 // the clock between events, and past-time clamping.
@@ -172,7 +250,7 @@ func TestSchedulerEquivalenceRandom(t *testing.T) {
 // spread of events beyond the outermost level's 208-day span must all
 // fire, in order, with overflow scans recorded.
 func TestWheelOverflowCascades(t *testing.T) {
-	l := NewLoopOpts(t0, 1, Options{Scheduler: SchedulerWheel})
+	l := NewLoop(t0, 1)
 	var got []int
 	for i, days := range []int{400, 1, 500, 250, 0, 209} {
 		i := i
@@ -197,49 +275,29 @@ func TestWheelOverflowCascades(t *testing.T) {
 	}
 }
 
-// TestSchedulerEnvKnob pins the ops override: loops built without
-// explicit Options obey REPRO_DES_SCHEDULER, and invalid values fall
-// back to the default wheel instead of crashing a campaign.
-func TestSchedulerEnvKnob(t *testing.T) {
-	t.Setenv(SchedulerEnv, "heap")
-	if k := NewLoop(t0, 1).Scheduler(); k != SchedulerHeap {
-		t.Errorf("env heap: got %q", k)
-	}
-	if k := NewLoopOpts(t0, 1, Options{Scheduler: SchedulerWheel}).Scheduler(); k != SchedulerWheel {
-		t.Errorf("explicit option must beat env: got %q", k)
-	}
-	t.Setenv(SchedulerEnv, "bogus")
-	if k := NewLoop(t0, 1).Scheduler(); k != SchedulerWheel {
-		t.Errorf("invalid env must fall back to wheel: got %q", k)
-	}
-}
-
 // BenchmarkScheduler measures steady-state events/sec at fixed queue
 // depths: each executed event schedules one replacement, so the
 // pending count stays at the target while b.N events drain. This is
-// the microbenchmark behind the wheel-vs-heap speedup claim in
-// docs/PERFORMANCE.md.
+// the microbenchmark behind the wheel's figures in docs/PERFORMANCE.md.
 func BenchmarkScheduler(b *testing.B) {
 	for _, pending := range []int{10_000, 100_000, 1_000_000} {
-		for _, kind := range []SchedulerKind{SchedulerHeap, SchedulerWheel} {
-			b.Run(fmt.Sprintf("%s/pending=%d", kind, pending), func(b *testing.B) {
-				l := NewLoopOpts(t0, 1, Options{Scheduler: kind})
-				rng := rand.New(rand.NewSource(7))
-				var tick func()
-				tick = func() {
-					l.After(time.Duration(rng.Int63n(int64(2*time.Hour))), tick)
-				}
-				for i := 0; i < pending; i++ {
-					l.After(time.Duration(rng.Int63n(int64(2*time.Hour))), tick)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					l.Step()
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-			})
-		}
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			l := NewLoop(t0, 1)
+			rng := rand.New(rand.NewSource(7))
+			var tick func()
+			tick = func() {
+				l.After(time.Duration(rng.Int63n(int64(2*time.Hour))), tick)
+			}
+			for i := 0; i < pending; i++ {
+				l.After(time.Duration(rng.Int63n(int64(2*time.Hour))), tick)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Step()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+		})
 	}
 }

@@ -40,8 +40,8 @@ const (
 // queue is kept sorted by (when, seq) — bucket collection sorts, and
 // late arrivals for ticks already reached binary-search into the
 // unpopped tail (they carry the largest seq yet issued, so FIFO among
-// simultaneous events is preserved). Pop order is therefore identical
-// to the heap's, and so are histories.
+// simultaneous events is preserved). Pop order is therefore the
+// (when, seq) order itself.
 type wheelScheduler struct {
 	epoch time.Time // tick origin: the loop's start time
 	cur   int64     // every event with tick <= cur has moved to ready
@@ -156,10 +156,6 @@ func (w *wheelScheduler) pop() *event {
 }
 
 func (w *wheelScheduler) pending() int { return w.pendingCount }
-
-func (w *wheelScheduler) counters() (uint64, uint64) {
-	return w.cascades, w.overflowScans
-}
 
 // nextBoundary returns the first multiple of 1<<bits strictly after cur.
 func nextBoundary(cur int64, bits uint) int64 {

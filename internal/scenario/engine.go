@@ -254,7 +254,7 @@ func RunWith(spec Spec, opts RunOptions) (*Result, error) {
 // buildWorld creates the federation, the manager and an empty fleet.
 func buildWorld(spec Spec, opts RunOptions) (*world, error) {
 	n := spec.Topology.Servers
-	loop := des.NewLoopOpts(CampaignStart, spec.Seed, des.Options{Scheduler: opts.Scheduler})
+	loop := des.NewLoop(CampaignStart, spec.Seed)
 	nw := netsim.New(loop, netsim.DefaultConfig())
 
 	hosts := make([]*netsim.Host, n)

@@ -116,12 +116,6 @@ type RunOptions struct {
 	// counters for any spill or export store, and the finalize
 	// pipeline's per-stage counters.
 	Metrics *obs.Registry
-	// Scheduler selects the event loop's pending-event store (empty =
-	// the des default, normally the timing wheel). Like the rest of
-	// RunOptions it cannot change a campaign's dataset: both stores
-	// pop events in the identical (when, seq) order, pinned by the
-	// scheduler equivalence tests.
-	Scheduler des.SchedulerKind
 }
 
 // cadence returns the chunk size, defaulted.

@@ -2,9 +2,6 @@ package repro_test
 
 import (
 	"math/rand"
-	"path/filepath"
-	"reflect"
-	"testing"
 
 	"repro"
 	"repro/internal/analysis"
@@ -17,8 +14,8 @@ import (
 // as the equivalence oracle for the query engine (the same pattern as
 // core/legacy_equiv_test.go for the scenario engine): one goroutine,
 // one hardcoded artifact menu, extractors called in a fixed order.
-// TestAnalyzePlanMatchesSerialReference pins the parallel plan-based
-// Analyze to it bit-for-bit.
+// TestGoldenDigests pins the parallel plan-based Analyze to it
+// bit-for-bit on every scenario.
 func serialAnalyzeFrame(res *repro.Result, f *analysis.Frame, opt repro.AnalyzeOptions) *repro.Report {
 	if opt.SubsetSamples <= 0 {
 		opt.SubsetSamples = 100
@@ -91,74 +88,4 @@ func serialAnalyzeFrame(res *repro.Result, f *analysis.Frame, opt repro.AnalyzeO
 		}
 	}
 	return rep
-}
-
-// TestAnalyzePlanMatchesSerialReference is the acceptance property of
-// the query-engine redesign: on every registered scenario, in both
-// collection modes (materialized in-memory and streamed logstore
-// spill), the full paper plan executed concurrently by analysis.Exec
-// must produce a Report bit-identical to the retained serial
-// reference's — and to the engine's own one-worker execution.
-func TestAnalyzePlanMatchesSerialReference(t *testing.T) {
-	for _, name := range repro.Scenarios() {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			base, err := repro.ScenarioSpec(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base.Scale *= equivScale
-
-			check := func(t *testing.T, res *repro.Result, f *analysis.Frame) {
-				opt := repro.DefaultAnalyzeOptions()
-				want := serialAnalyzeFrame(res, f, opt)
-				got := repro.AnalyzeFrame(res, f, opt)
-				if !reflect.DeepEqual(got, want) {
-					t.Error("parallel plan report differs from serial reference")
-				}
-				// The engine's own serial mode must agree with its
-				// parallel mode query by query.
-				meta := res.Meta()
-				plan := analysis.PaperPlan(meta, analysis.QueryOptions{
-					SubsetSamples: opt.SubsetSamples, FileSubsetSize: opt.FileSubsetSize, Seed: opt.Seed,
-				})
-				one, err := analysis.ExecWorkers(f, meta, plan, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				many, err := analysis.Exec(f, meta, plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, q := range one.Names() {
-					sv, _ := one.Value(q)
-					pv, _ := many.Value(q)
-					if !reflect.DeepEqual(sv, pv) {
-						t.Errorf("query %q differs between 1 worker and GOMAXPROCS", q)
-					}
-				}
-			}
-
-			t.Run("memory", func(t *testing.T) {
-				res, err := repro.RunSpec(base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(t, res, analysis.BuildFrame(res.Dataset.Records))
-			})
-			t.Run("store-stream", func(t *testing.T) {
-				spec := base
-				spec.Collection.StoreDir = filepath.Join(t.TempDir(), "spill")
-				spec.Collection.Stream = true
-				res, err := repro.RunSpec(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Frame == nil {
-					t.Fatal("streamed run built no frame")
-				}
-				check(t, res, res.Frame)
-			})
-		})
-	}
 }
