@@ -319,12 +319,10 @@ func writeMetrics(path string, reg *obs.Registry) {
 }
 
 // reportStore summarizes the campaign's on-disk store and re-derives the
-// distinct-peer count by streaming it — the at-scale path that never
-// materializes the campaign. TableI alone needs only StreamTableI's
-// O(distinct) maps; a full figure regeneration would stream the store
-// into a columnar frame instead (analysis.BuildFrameIter, 19 bytes per
-// record). (Distinct counts agree with the dataset because the step-2
-// renumbering is a bijection.)
+// distinct-peer count by streaming it into a columnar frame
+// (analysis.BuildFrameIter, 19 bytes per record) — the at-scale path
+// that never materializes the campaign. (Distinct counts agree with the
+// dataset because the step-2 renumbering is a bijection.)
 func reportStore(res *repro.Result) {
 	if res.StoreDir == "" {
 		return
@@ -339,10 +337,11 @@ func reportStore(res *repro.Result) {
 		log.Fatalf("store iterator: %v", err)
 	}
 	defer it.Close()
-	table, err := analysis.StreamTableI(it, len(res.HoneypotIDs), res.Days, len(res.Advertised))
+	f, err := analysis.BuildFrameIter(it)
 	if err != nil {
 		log.Fatalf("streaming store: %v", err)
 	}
+	table := f.TableI(len(res.HoneypotIDs), res.Days, len(res.Advertised))
 	fmt.Printf("store: %d records in %d shard(s) under %s; streamed re-count: %d distinct peers\n",
 		res.StoredRecords, len(store.ShardNames()), res.StoreDir, table.DistinctPeers)
 	if table.DistinctPeers != res.Dataset.DistinctPeers {

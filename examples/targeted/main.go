@@ -112,10 +112,11 @@ func main() {
 
 	// --- report ----------------------------------------------------------
 	fmt.Printf("observed %d distinct peers interested in topic %q\n", ds.DistinctPeers, kw)
-	growth := analysis.PeerGrowth(ds.Records, start, *days)
+	f := analysis.BuildFrame(ds.Records)
+	growth := f.PeerGrowth(start, *days)
 	fmt.Printf("peers/day: %s\n\n", analysis.Sparkline(growth.New))
 
-	ranked := analysis.QueriedFiles(ds.Records)
+	ranked := f.QueriedFiles()
 	names := map[string]string{}
 	for _, f := range topic {
 		names[f.Hash.String()] = f.Name

@@ -78,22 +78,53 @@ func (t TableI) String() string {
 
 // ComputeTableI derives Table I from a merged log.
 func ComputeTableI(recs []logging.Record, honeypots, days, sharedFiles int) TableI {
-	t, _ := StreamTableI(NewSliceIter(recs), honeypots, days, sharedFiles) // SliceIter never errors
-	return t
+	peers := map[string]bool{}
+	files := map[ed2k.Hash]int64{}
+	for i := range recs {
+		r := &recs[i]
+		if r.PeerIP != "" {
+			peers[r.PeerIP] = true
+		}
+		for _, f := range r.Files {
+			files[f.Hash] = f.Size
+		}
+	}
+	var space int64
+	for _, sz := range files {
+		space += sz
+	}
+	return TableI{
+		Honeypots:     honeypots,
+		DurationDays:  days,
+		SharedFiles:   sharedFiles,
+		DistinctPeers: len(peers),
+		DistinctFiles: len(files),
+		SpaceBytes:    space,
+	}
 }
 
 // PeerGrowth computes Fig 2 / Fig 3: per-day cumulative distinct peers
 // and per-day new peers, over all query records.
 func PeerGrowth(recs []logging.Record, start time.Time, days int) stats.GrowthCurve {
-	g, _ := StreamPeerGrowth(NewSliceIter(recs), start, days) // SliceIter never errors
-	return g
+	tr := stats.NewDistinctTracker(start, Day, days)
+	for i := range recs {
+		if recs[i].PeerIP != "" {
+			tr.Observe(recs[i].Time, recs[i].PeerIP)
+		}
+	}
+	return tr.Curve()
 }
 
 // HourlyHello computes Fig 4: HELLO messages received per hour over the
 // first `hours` hours.
 func HourlyHello(recs []logging.Record, start time.Time, hours int) []int {
-	counts, _ := StreamHourlyHello(NewSliceIter(recs), start, hours) // SliceIter never errors
-	return counts
+	b := stats.NewBuckets(start, time.Hour, hours)
+	for i := range recs {
+		if recs[i].Kind == logging.KindHello {
+			b.Add(recs[i].Time)
+		}
+	}
+	return b.Counts
 }
 
 // GroupSeries is a per-strategy-group daily series.

@@ -51,7 +51,7 @@ type Frame struct {
 
 	// Shared-file lists (KindSharedList) are aggregated at build time:
 	// one entry per distinct advertised hash, last-reported size winning,
-	// exactly like StreamTableI's map.
+	// exactly like ComputeTableI's map.
 	sharedTab   *intern.Table[ed2k.Hash]
 	sharedSizes []int64
 
@@ -116,9 +116,12 @@ func BuildFrame(recs []logging.Record) *Frame {
 // iterator over a spill-to-disk campaign — into columnar form without
 // ever materializing the records. Memory use is the frame itself: 19
 // bytes per record plus the intern tables.
-func BuildFrameIter(it RecordIter) (*Frame, error) {
+func BuildFrameIter(it logging.Iterator) (*Frame, error) {
 	f := newFrame(0)
-	err := each(it, f.add)
+	err := logging.Each(it, func(r *logging.Record) error {
+		f.add(r)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -16,8 +16,7 @@
 //   - Remote refusals. An agent that cannot serve a request answers with
 //     Envelope.Error (human-readable) and, for conditions callers branch
 //     on, Envelope.Code; the Link surfaces both as a *RemoteError. Only
-//     the code is contract: IsNoSource checks it first and falls back to
-//     message matching solely for agents predating the field.
+//     the code is contract: IsNoSource checks it and never the message.
 //   - Dead links. When the connection drops, every pending callback fails
 //     with ErrLinkClosed, and so does every later request on that Link.
 //     ErrLinkClosed matches transport.ErrClosed under errors.Is, so
@@ -42,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"strings"
 	"time"
 
 	"repro/internal/client"
@@ -91,18 +89,16 @@ func (linkClosedError) Is(target error) bool { return target == transport.ErrClo
 // callback once the link's connection is gone.
 var ErrLinkClosed error = linkClosedError{}
 
-// IsNoSource recognizes the no-record-source condition, including after
-// the error crossed the control plane. The typed Envelope.Code is
-// authoritative; the message-text fallback covers agents predating the
-// code field and is kept for one release. Other collection errors are
-// transient and must not demote a honeypot to the drain path.
+// IsNoSource recognizes the no-record-source condition: the typed
+// Envelope.Code once the error crossed the control plane, the sentinel
+// before it did. Other collection errors are transient and must not
+// demote a honeypot to the drain path.
 func IsNoSource(err error) bool {
 	var re *RemoteError
 	if errors.As(err, &re) {
-		return re.Code == CodeNoSource ||
-			(re.Code == "" && strings.Contains(re.Msg, "no record source"))
+		return re.Code == CodeNoSource
 	}
-	return err != nil && strings.Contains(err.Error(), "no record source")
+	return errors.Is(err, errNoSource)
 }
 
 // DefaultPort is the conventional control port.

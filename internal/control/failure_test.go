@@ -3,6 +3,7 @@ package control
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -48,12 +49,14 @@ func TestIsNoSourceFallbacks(t *testing.T) {
 	}{
 		// Typed code: authoritative.
 		{&RemoteError{Code: CodeNoSource, Msg: "whatever"}, true},
-		// Uncoded remote from an agent predating the field: text fallback.
-		{&RemoteError{Msg: "honeypot has no record source"}, true},
+		// Uncoded remote: the message text is not contract.
+		{&RemoteError{Msg: "honeypot has no record source"}, false},
 		// A code is present and says something else: text must not win.
 		{&RemoteError{Code: "other", Msg: "no record source"}, false},
-		// Plain local error, legacy text match.
+		// Local: the sentinel, wrapped or not, and never its text.
 		{errNoSource, true},
+		{fmt.Errorf("collect: %w", errNoSource), true},
+		{errors.New(errNoSource.Error()), false},
 		{errors.New("control: dial refused"), false},
 		{nil, false},
 	}

@@ -830,7 +830,8 @@ func TestIncrementalFallbackOnlyOnNoSource(t *testing.T) {
 
 	// No source: falls back to drain, once and onwards.
 	m := New(nw.NewHost("m1"), DefaultConfig())
-	noSrc := &fakeIncHandle{id: "hp-a", sinceErr: errors.New("control: honeypot has no record source")}
+	// The form a control.Link delivers when the agent has no store.
+	noSrc := &fakeIncHandle{id: "hp-a", sinceErr: &control.RemoteError{Code: control.CodeNoSource, Msg: "control: honeypot has no record source"}}
 	m.Add(noSrc, Assignment{})
 	m.CollectNow(nil)
 	st := m.States()[0]
