@@ -47,7 +47,8 @@ type CampaignMeta struct {
 // "paper defaults" everywhere; Exec normalizes before running.
 type QueryOptions struct {
 	// SubsetSamples is the number of random subsets per size drawn by
-	// the Fig 10-12 union estimators (paper: 100).
+	// the Fig 10-12 union estimators (paper: 100; at most
+	// MaxSubsetSamples).
 	SubsetSamples int `json:"subset_samples,omitempty"`
 	// FileSubsetSize is the file-set size of Figs 11-12 (paper: 100).
 	FileSubsetSize int `json:"file_subset_size,omitempty"`
@@ -186,9 +187,31 @@ func NewPlan(opt QueryOptions, names ...string) Plan {
 	return p
 }
 
+// MaxSubsetSamples bounds QueryOptions.SubsetSamples at 100 times the
+// paper's 100. The union estimators draw that many subsets per subset
+// size, so an unbounded value from a plan file or a daemon client would
+// pin a worker for hours.
+const MaxSubsetSamples = 10_000
+
+// Validate rejects, eagerly rather than at Exec time, unknown query
+// names and out-of-range options. ParsePlan and the daemon's submit
+// path both check plans here.
+func (p Plan) Validate() error {
+	for _, pq := range p.Queries {
+		if _, err := Lookup(pq.Name); err != nil {
+			return err
+		}
+		if pq.Opt.SubsetSamples > MaxSubsetSamples {
+			return fmt.Errorf("analysis: query %q: subset_samples %d exceeds %d",
+				pq.Name, pq.Opt.SubsetSamples, MaxSubsetSamples)
+		}
+	}
+	return nil
+}
+
 // ParsePlan decodes a plan from JSON, rejecting unknown fields (a
-// typoed option key must not silently fall back to defaults) and
-// (eagerly, rather than at Exec time) unknown query names.
+// typoed option key must not silently fall back to defaults) and plans
+// that fail Validate.
 func ParsePlan(data []byte) (Plan, error) {
 	var p Plan
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -196,10 +219,8 @@ func ParsePlan(data []byte) (Plan, error) {
 	if err := dec.Decode(&p); err != nil {
 		return Plan{}, fmt.Errorf("analysis: decoding plan: %w", err)
 	}
-	for _, pq := range p.Queries {
-		if _, err := Lookup(pq.Name); err != nil {
-			return Plan{}, err
-		}
+	if err := p.Validate(); err != nil {
+		return Plan{}, err
 	}
 	return p, nil
 }

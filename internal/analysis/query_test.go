@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -118,6 +119,62 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	if _, err := ParsePlan([]byte(`{"querys":[{"name":"table-i"}]}`)); err == nil {
 		t.Error("ParsePlan accepted an unknown top-level field")
 	}
+	bounded := func(samples int) []byte {
+		return []byte(fmt.Sprintf(`{"queries":[{"name":"honeypot-subsets","options":{"subset_samples":%d}}]}`, samples))
+	}
+	if _, err := ParsePlan(bounded(MaxSubsetSamples)); err != nil {
+		t.Errorf("ParsePlan rejected subset_samples at the bound: %v", err)
+	}
+	if _, err := ParsePlan(bounded(MaxSubsetSamples + 1)); err == nil || !strings.Contains(err.Error(), "subset_samples") {
+		t.Errorf("ParsePlan with subset_samples over the bound: %v, want an error naming subset_samples", err)
+	}
+}
+
+// FuzzParsePlan feeds ParsePlan arbitrary bytes. It must never panic;
+// a plan it accepts names only registered queries, stays within
+// MaxSubsetSamples, and is a fixed point of marshal then parse.
+func FuzzParsePlan(f *testing.F) {
+	opt := QueryOptions{SubsetSamples: 100, FileSubsetSize: 100, Seed: 1}
+	for _, meta := range []CampaignMeta{
+		{Name: "distributed", HoneypotIDs: []string{"hp-00", "hp-01", "hp-02"}},
+		{Name: "greedy", HoneypotIDs: []string{"hp-00"}},
+	} {
+		data, err := json.Marshal(PaperPlan(meta, opt))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"queries":[{"name":"table-i","options":{"seed":1}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlan(data)
+		if err != nil {
+			return
+		}
+		for _, pq := range p.Queries {
+			if _, err := Lookup(pq.Name); err != nil {
+				t.Fatalf("accepted plan names %q: %v", pq.Name, err)
+			}
+			if pq.Opt.SubsetSamples > MaxSubsetSamples {
+				t.Fatalf("accepted plan asks %q for %d subset samples", pq.Name, pq.Opt.SubsetSamples)
+			}
+		}
+		once, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("accepted plan does not marshal: %v", err)
+		}
+		back, err := ParsePlan(once)
+		if err != nil {
+			t.Fatalf("accepted plan's JSON %s does not parse: %v", once, err)
+		}
+		twice, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) || !reflect.DeepEqual(p, back) {
+			t.Fatalf("marshal/parse is not a fixed point:\n%s\n%s", once, twice)
+		}
+	})
 }
 
 // TestExecFullPlanParallelMatchesSerial is the engine's determinism

@@ -204,10 +204,8 @@ func (s *Service) rewrite(id string, spec *scenario.Spec) {
 // run's default analysis.
 func (s *Service) Submit(spec scenario.Spec, plan *analysis.Plan) (Run, error) {
 	if plan != nil {
-		for _, pq := range plan.Queries {
-			if _, err := analysis.Lookup(pq.Name); err != nil {
-				return Run{}, err
-			}
+		if err := plan.Validate(); err != nil {
+			return Run{}, err
 		}
 	}
 	// Validate the spec in its rewritten form — the one that will run —

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -649,5 +650,45 @@ func TestSubmitRejectsHugeCatalog(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("GET /healthz after the rejected spec: %d", resp.StatusCode)
+	}
+}
+
+// TestPlanSubsetSamplesBound pins analysis.MaxSubsetSamples at the
+// daemon's door: a plan asking for more subset samples than that is a
+// 400 on both routes that take a plan, one at the bound runs, and the
+// daemon, which would have spent hours in the estimator, still answers.
+func TestPlanSubsetSamplesBound(t *testing.T) {
+	s, client := newTestService(t, Config{Workers: 1, WallEvery: -1})
+	spec := testSpec("svc-subset-bound", 1, 40, 2)
+	run, err := client.Submit(context.Background(), SubmitRequest{Spec: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitTerminal(t, s, run.ID); got.State != StateDone {
+		t.Fatalf("run ended %s: %s", got.State, got.Error)
+	}
+	plan := func(samples int) string {
+		return fmt.Sprintf(`{"queries":[{"name":"honeypot-subsets","options":{"subset_samples":%d}}]}`, samples)
+	}
+	hostile := plan(2_000_000_000)
+	for _, tc := range []struct{ path, body string }{
+		{"/runs/" + run.ID + "/query", hostile},
+		{"/runs", `{"scenario":"distributed","scale":0.0001,"plan":` + hostile + `}`},
+	} {
+		status, eb := postRaw(t, client.Base, tc.path, []byte(tc.body))
+		if status != http.StatusBadRequest || !strings.Contains(eb.Error, "subset_samples") {
+			t.Errorf("POST %s with subset_samples 2e9: %d %q, want 400 naming subset_samples", tc.path, status, eb.Error)
+		}
+	}
+	if status, eb := postRaw(t, client.Base, "/runs/"+run.ID+"/query", []byte(plan(analysis.MaxSubsetSamples))); status != http.StatusOK {
+		t.Errorf("query at the bound: %d %q", status, eb.Error)
+	}
+	resp, err := http.Get(client.Base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz after the rejected plans: %d", resp.StatusCode)
 	}
 }
