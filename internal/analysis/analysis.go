@@ -34,8 +34,8 @@
 //
 // The slice-based functions in this file are the reference
 // implementations for the frame's extractors; frame_test.go pins the two
-// to bit-identical results, and the repro-level equivalence test pins
-// the parallel engine to the retained serial report assembly.
+// to bit-identical results, and the repro-level golden test pins the
+// parallel engine to the retained serial report assembly.
 package analysis
 
 import (
