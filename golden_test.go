@@ -61,7 +61,7 @@ var goldenModes = []struct {
 
 // datasetDigest hashes the records in order plus the dataset's
 // aggregate statistics.
-func datasetDigest(recs []logging.Record, ds *repro.Result) string {
+func datasetDigest(recs []logging.Record, res *repro.Result) string {
 	h := sha256.New()
 	var buf []byte
 	for _, r := range recs {
@@ -71,7 +71,7 @@ func datasetDigest(recs []logging.Record, ds *repro.Result) string {
 	agg, err := json.Marshal(struct {
 		DistinctPeers, ReplacedWords int
 		PerHoneypot                  map[string]int
-	}{ds.Dataset.DistinctPeers, ds.Dataset.ReplacedWords, ds.Dataset.PerHoneypot})
+	}{res.Dataset.DistinctPeers, res.Dataset.ReplacedWords, res.Dataset.PerHoneypot})
 	if err != nil {
 		panic(err)
 	}
