@@ -44,15 +44,18 @@ type goldenRow struct {
 	Events uint64 `json:"events"`
 }
 
-// goldenModes are the four runs of each scenario. The first three
-// share the registered seed, so they must also share their dataset and
-// report digests.
-var goldenModes = []struct {
+// goldenMode is one of the four ways each scenario runs.
+type goldenMode struct {
 	name       string
 	seedOffset int64
 	stream     bool // finalize through the stream into an export store
 	store      bool // spill collection into a raw logstore
-}{
+}
+
+// goldenModes lists the runs of each scenario. The first three share
+// the registered seed, so they must also share their dataset and report
+// digests.
+var goldenModes = []goldenMode{
 	{name: "memory"},
 	{name: "memory-stream", stream: true},
 	{name: "store-stream", stream: true, store: true},
@@ -89,11 +92,9 @@ func reportDigest(t *testing.T, rep *repro.Report) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// runGolden runs one scenario in one mode and returns its row and its
-// finalized records.
-func runGolden(t *testing.T, base repro.Spec, mode int) (goldenRow, []logging.Record) {
+// runGolden runs one scenario in one mode and returns its row.
+func runGolden(t *testing.T, base repro.Spec, m goldenMode) goldenRow {
 	t.Helper()
-	m := goldenModes[mode]
 	spec := base
 	spec.Seed += m.seedOffset
 	if m.store {
@@ -130,7 +131,7 @@ func runGolden(t *testing.T, base repro.Spec, mode int) (goldenRow, []logging.Re
 		Dataset: datasetDigest(recs, res),
 		Report:  reportDigest(t, rep),
 		Events:  res.Events,
-	}, recs
+	}
 }
 
 // checkAnalysisReferences pins the query engine to the pre-engine
@@ -167,6 +168,7 @@ func checkAnalysisReferences(t *testing.T, res *repro.Result, rep *repro.Report)
 // every collection mode and compares each run with its row in
 // testdata/golden.json.
 func TestGoldenDigests(t *testing.T) {
+	t.Parallel()
 	var want map[string]goldenRow
 	if !*updateGolden {
 		b, err := os.ReadFile(goldenFile)
@@ -193,31 +195,38 @@ func TestGoldenDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 			base.Scale *= equivScale
-			var first goldenRow
-			var firstRecs []logging.Record
-			for i, m := range goldenModes {
+			for _, m := range goldenModes {
 				key := name + "/" + m.name
 				t.Run(m.name, func(t *testing.T) {
-					row, recs := runGolden(t, base, i)
+					t.Parallel()
+					row := runGolden(t, base, m)
 					mu.Lock()
 					got[key] = row
 					mu.Unlock()
 					if w, ok := want[key]; !*updateGolden && (!ok || w != row) {
 						t.Errorf("%s drifted from %s:\n got  %+v\n want %+v", key, goldenFile, row, w)
 					}
-					switch {
-					case i == 0:
-						first, firstRecs = row, recs
-					case m.seedOffset == 0:
-						if row.Dataset != first.Dataset {
-							t.Errorf("%s dataset differs from %s/memory%s", key, name, firstDiff(firstRecs, recs))
-						}
-						if row.Report != first.Report {
-							t.Errorf("%s report differs from %s/memory", key, name)
-						}
-					}
 				})
 			}
+			// The modes at the registered seed must agree with each other
+			// whatever the table says. Cleanups run once the modes finish.
+			t.Cleanup(func() {
+				mu.Lock()
+				defer mu.Unlock()
+				ref, ok := got[name+"/memory"]
+				for _, m := range goldenModes[1:] {
+					row, ran := got[name+"/"+m.name]
+					if !ok || !ran || m.seedOffset != 0 {
+						continue
+					}
+					if row.Dataset != ref.Dataset {
+						t.Errorf("%s/%s dataset differs from %s/memory", name, m.name, name)
+					}
+					if row.Report != ref.Report {
+						t.Errorf("%s/%s report differs from %s/memory", name, m.name, name)
+					}
+				}
+			})
 		})
 	}
 	// Cleanups run once every parallel subtest has finished.
@@ -254,21 +263,6 @@ func TestGoldenDigests(t *testing.T) {
 			t.Errorf("%s has row %s, which no registered scenario and mode produces", goldenFile, key)
 		}
 	})
-}
-
-// firstDiff names the first record at which two datasets' encoded
-// forms, the ones the digest hashes, disagree ("" when the records are
-// equal and only the aggregates differ).
-func firstDiff(a, b []logging.Record) string {
-	for i := 0; i < min(len(a), len(b)); i++ {
-		if !bytes.Equal(logging.EncodeRecord(nil, a[i]), logging.EncodeRecord(nil, b[i])) {
-			return fmt.Sprintf(": first difference at record %d", i)
-		}
-	}
-	if len(a) != len(b) {
-		return fmt.Sprintf(": %d records against %d", len(b), len(a))
-	}
-	return ""
 }
 
 // equivScale is the scale every golden campaign runs at (the CI smoke

@@ -40,6 +40,7 @@ func smallGreedy() repro.GreedyConfig {
 // TestDistributedCampaignShape checks the qualitative claims of the
 // paper's evaluation on a scaled distributed campaign.
 func TestDistributedCampaignShape(t *testing.T) {
+	t.Parallel()
 	res, err := repro.RunDistributed(smallDistributed())
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +155,7 @@ func TestDistributedCampaignShape(t *testing.T) {
 
 // TestGreedyCampaignShape checks the greedy measurement's claims.
 func TestGreedyCampaignShape(t *testing.T) {
+	t.Parallel()
 	cfg := smallGreedy()
 	res, err := repro.RunGreedy(cfg)
 	if err != nil {

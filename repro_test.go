@@ -118,6 +118,7 @@ func TestAnalyzeGreedyFileSubsetsRespectOptions(t *testing.T) {
 // options actually reach the extractors (AnalyzeStream used to hardcode
 // the defaults), and a campaign that never streamed errors cleanly.
 func TestAnalyzeStreamWith(t *testing.T) {
+	t.Parallel()
 	spec, err := repro.ScenarioSpec("greedy")
 	if err != nil {
 		t.Fatal(err)
