@@ -1,47 +1,12 @@
 package repro_test
 
 import (
-	"errors"
-	"io"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro"
 	"repro/internal/logging"
-	"repro/internal/logstore"
 )
-
-// equivScale keeps the full registry sweep around the CI smoke
-// matrix's cost (it runs every scenario at 0.02 too).
-const equivScale = 0.02
-
-// drainStore reopens an exported dataset store and drains its merged
-// iterator.
-func drainStore(t *testing.T, dir string) []logging.Record {
-	t.Helper()
-	store, err := logstore.Open(dir, logstore.Options{})
-	if err != nil {
-		t.Fatalf("reopening export store: %v", err)
-	}
-	defer store.Close()
-	it, err := store.Iterator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var out []logging.Record
-	for {
-		r, err := it.Next()
-		if errors.Is(err, io.EOF) {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, r)
-	}
-}
 
 // recordEqual compares two records field by field (shared lists by
 // content, so a nil and an empty list agree — the binary codec does not
@@ -70,28 +35,18 @@ func recordEqual(a, b logging.Record) bool {
 // PerHoneypot — and the bit-identical analysis report, while never
 // materializing a []Record.
 func TestFinalizeStreamMatchesMaterializedOnAllScenarios(t *testing.T) {
+	shareCampaigns(t)
+	t.Parallel()
 	for _, name := range repro.Scenarios() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			base, err := repro.ScenarioSpec(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base.Scale *= equivScale
-
 			// Reference: materialized in-memory finalize.
-			ref, err := repro.RunSpec(base)
-			if err != nil {
-				t.Fatalf("materialized run: %v", err)
-			}
+			ref := runCampaign(t, name, goldenMemory).res
 			refRep := repro.Analyze(ref)
 
-			check := func(t *testing.T, spec repro.Spec) {
-				res, err := repro.RunSpec(spec)
-				if err != nil {
-					t.Fatalf("streamed run: %v", err)
-				}
+			check := func(t *testing.T, m goldenMode) {
+				c := runCampaign(t, name, m)
+				res := c.res
 				if res.Dataset.Records != nil {
 					t.Fatal("streamed run materialized records")
 				}
@@ -114,7 +69,7 @@ func TestFinalizeStreamMatchesMaterializedOnAllScenarios(t *testing.T) {
 				// Records: the export store holds the anonymized stream;
 				// replaying it must reproduce the materialized dataset
 				// record for record, in order.
-				got := drainStore(t, spec.Collection.ExportDir)
+				got := drainStore(t, res.ExportDir)
 				if uint64(len(got)) != res.ExportedRecords {
 					t.Fatalf("export store has %d records, finalize wrote %d", len(got), res.ExportedRecords)
 				}
@@ -138,17 +93,12 @@ func TestFinalizeStreamMatchesMaterializedOnAllScenarios(t *testing.T) {
 			}
 
 			t.Run("memory", func(t *testing.T) {
-				spec := base
-				spec.Collection.Stream = true
-				spec.Collection.ExportDir = filepath.Join(t.TempDir(), "export")
-				check(t, spec)
+				t.Parallel()
+				check(t, goldenMemoryStream)
 			})
 			t.Run("store", func(t *testing.T) {
-				spec := base
-				spec.Collection.StoreDir = filepath.Join(t.TempDir(), "spill")
-				spec.Collection.Stream = true
-				spec.Collection.ExportDir = filepath.Join(t.TempDir(), "export")
-				check(t, spec)
+				t.Parallel()
+				check(t, goldenStoreStream)
 			})
 		})
 	}

@@ -11,12 +11,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
 	"repro"
-	"repro/internal/analysis"
 	"repro/internal/logging"
 	"repro/internal/logstore"
 )
@@ -52,15 +50,18 @@ type goldenMode struct {
 	store      bool // spill collection into a raw logstore
 }
 
+// The modes of each scenario.
+var (
+	goldenMemory       = goldenMode{name: "memory"}
+	goldenMemoryStream = goldenMode{name: "memory-stream", stream: true}
+	goldenStoreStream  = goldenMode{name: "store-stream", stream: true, store: true}
+	goldenNextSeed     = goldenMode{name: "memory-next-seed", seedOffset: 1}
+)
+
 // goldenModes lists the runs of each scenario. The first three share
 // the registered seed, so they must also share their dataset and report
 // digests.
-var goldenModes = []goldenMode{
-	{name: "memory"},
-	{name: "memory-stream", stream: true},
-	{name: "store-stream", stream: true, store: true},
-	{name: "memory-next-seed", seedOffset: 1},
-}
+var goldenModes = []goldenMode{goldenMemory, goldenMemoryStream, goldenStoreStream, goldenNextSeed}
 
 // datasetDigest hashes the records in order plus the dataset's
 // aggregate statistics.
@@ -92,75 +93,152 @@ func reportDigest(t *testing.T, rep *repro.Report) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// runGolden runs one scenario in one mode and returns its row.
-func runGolden(t *testing.T, base repro.Spec, m goldenMode) goldenRow {
+// campaign is one scenario's run in one golden mode. TestGoldenDigests,
+// TestFinalizeStreamMatchesMaterializedOnAllScenarios and
+// TestAnalyzePlanMatchesSerialReference check the same runs, so each
+// campaign runs once, in whichever of them reaches it first, and the
+// others wait for it. It is dropped, and its directory removed, once
+// its last reader finishes.
+type campaign struct {
+	once sync.Once
+	mode goldenMode
+	dir  string // the run's spill and export stores
+	res  *repro.Result
+	err  error
+	// readers counts the tests still to finish with the run.
+	readers int
+}
+
+// campaignReaders is how many tests read each mode's run of a scenario.
+// A count too low only runs a campaign twice; one too high only keeps
+// it until the pass of tests ends.
+var campaignReaders = map[string]int{
+	goldenMemory.name:       3, // golden, plan reference, finalize reference
+	goldenMemoryStream.name: 2, // golden, finalize
+	goldenStoreStream.name:  3, // golden, plan reference, finalize
+	goldenNextSeed.name:     1, // golden
+}
+
+var (
+	campaignsMu sync.Mutex
+	campaigns   = map[string]*campaign{}
+	// campaignTests counts the running top-level tests that share
+	// campaigns.
+	campaignTests int
+)
+
+// shareCampaigns registers t, a top-level test, as a reader of the
+// shared campaigns; call it before t.Parallel. When the last such test
+// finishes, whatever a -run filter left unread is dropped, so each pass
+// of -count or -cpu runs its campaigns afresh.
+func shareCampaigns(t *testing.T) {
+	campaignsMu.Lock()
+	campaignTests++
+	campaignsMu.Unlock()
+	t.Cleanup(func() {
+		campaignsMu.Lock()
+		defer campaignsMu.Unlock()
+		if campaignTests--; campaignTests == 0 {
+			for key, c := range campaigns {
+				c.dropLocked(key)
+			}
+		}
+	})
+}
+
+// runCampaign returns the named scenario's run in mode m at
+// equivScale, running it on first use, and holds it until t finishes.
+func runCampaign(t *testing.T, name string, m goldenMode) *campaign {
 	t.Helper()
-	spec := base
-	spec.Seed += m.seedOffset
-	if m.store {
-		spec.Collection.StoreDir = filepath.Join(t.TempDir(), "spill")
+	key := name + "/" + m.name
+	campaignsMu.Lock()
+	c, ok := campaigns[key]
+	if !ok {
+		c = &campaign{mode: m, readers: campaignReaders[m.name]}
+		campaigns[key] = c
 	}
-	if m.stream {
-		spec.Collection.Stream = true
-		spec.Collection.ExportDir = filepath.Join(t.TempDir(), "export")
+	campaignsMu.Unlock()
+	t.Cleanup(func() {
+		campaignsMu.Lock()
+		defer campaignsMu.Unlock()
+		if c.readers--; c.readers == 0 && campaigns[key] == c {
+			c.dropLocked(key)
+		}
+	})
+	c.once.Do(func() { c.err = c.run(name) })
+	if c.err != nil {
+		t.Fatalf("%s run: %v", key, c.err)
 	}
-	res, err := repro.RunSpec(spec)
+	return c
+}
+
+// dropLocked forgets the campaign and removes its directory. The
+// caller holds campaignsMu.
+func (c *campaign) dropLocked(key string) {
+	delete(campaigns, key)
+	if c.dir != "" {
+		os.RemoveAll(c.dir)
+	}
+}
+
+// run runs the campaign. A streamed run's records stay in its export
+// store, which is smaller than the records, until a reader drains it.
+func (c *campaign) run(name string) error {
+	spec, err := repro.ScenarioSpec(name)
 	if err != nil {
-		t.Fatalf("%s run: %v", m.name, err)
+		return err
 	}
-	recs := res.Dataset.Records
-	rep := repro.Analyze(res)
+	spec.Scale *= equivScale
+	spec.Seed += c.mode.seedOffset
+	if c.mode.store || c.mode.stream {
+		if c.dir, err = os.MkdirTemp("", "repro-campaign-"); err != nil {
+			return err
+		}
+	}
+	if c.mode.store {
+		spec.Collection.StoreDir = filepath.Join(c.dir, "spill")
+	}
+	if c.mode.stream {
+		spec.Collection.Stream = true
+		spec.Collection.ExportDir = filepath.Join(c.dir, "export")
+	}
+	c.res, err = repro.RunSpec(spec)
+	return err
+}
+
+// records returns the finalized records: the dataset's own for a
+// materialized run, drained from the export store for a streamed one.
+func (c *campaign) records(t *testing.T) []logging.Record {
+	t.Helper()
+	if !c.mode.stream {
+		return c.res.Dataset.Records
+	}
+	return drainStore(t, c.res.ExportDir)
+}
+
+// runGolden runs one scenario in one mode and returns its row.
+func runGolden(t *testing.T, name string, m goldenMode) goldenRow {
+	t.Helper()
+	c := runCampaign(t, name, m)
+	res, recs := c.res, c.records(t)
 	if m.stream {
-		if recs != nil {
+		if res.Dataset.Records != nil {
 			t.Fatalf("%s run materialized records", m.name)
 		}
 		if res.Frame == nil {
 			t.Fatalf("%s run built no frame", m.name)
 		}
-		recs = drainStore(t, spec.Collection.ExportDir)
 		if uint64(len(recs)) != res.ExportedRecords {
 			t.Fatalf("%s: export store has %d records, finalize wrote %d", m.name, len(recs), res.ExportedRecords)
 		}
 		if res.Frame.Len() != len(recs) {
 			t.Fatalf("%s: frame has %d records, export %d", m.name, res.Frame.Len(), len(recs))
 		}
-	} else if m.seedOffset == 0 {
-		checkAnalysisReferences(t, res, rep)
 	}
 	return goldenRow{
 		Dataset: datasetDigest(recs, res),
-		Report:  reportDigest(t, rep),
+		Report:  reportDigest(t, repro.Analyze(res)),
 		Events:  res.Events,
-	}
-}
-
-// checkAnalysisReferences pins the query engine to the pre-engine
-// serial report and to its own one-worker execution, query by query.
-func checkAnalysisReferences(t *testing.T, res *repro.Result, rep *repro.Report) {
-	t.Helper()
-	f := analysis.BuildFrame(res.Dataset.Records)
-	opt := repro.DefaultAnalyzeOptions()
-	if !reflect.DeepEqual(rep, serialAnalyzeFrame(res, f, opt)) {
-		t.Error("plan report differs from the serial reference")
-	}
-	meta := res.Meta()
-	plan := analysis.PaperPlan(meta, analysis.QueryOptions{
-		SubsetSamples: opt.SubsetSamples, FileSubsetSize: opt.FileSubsetSize, Seed: opt.Seed,
-	})
-	one, err := analysis.ExecWorkers(f, meta, plan, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	many, err := analysis.Exec(f, meta, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range one.Names() {
-		sv, _ := one.Value(q)
-		pv, _ := many.Value(q)
-		if !reflect.DeepEqual(sv, pv) {
-			t.Errorf("query %q differs between 1 worker and GOMAXPROCS", q)
-		}
 	}
 }
 
@@ -168,6 +246,7 @@ func checkAnalysisReferences(t *testing.T, res *repro.Result, rep *repro.Report)
 // every collection mode and compares each run with its row in
 // testdata/golden.json.
 func TestGoldenDigests(t *testing.T) {
+	shareCampaigns(t)
 	t.Parallel()
 	var want map[string]goldenRow
 	if !*updateGolden {
@@ -190,16 +269,11 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			base, err := repro.ScenarioSpec(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base.Scale *= equivScale
 			for _, m := range goldenModes {
 				key := name + "/" + m.name
 				t.Run(m.name, func(t *testing.T) {
 					t.Parallel()
-					row := runGolden(t, base, m)
+					row := runGolden(t, name, m)
 					mu.Lock()
 					got[key] = row
 					mu.Unlock()
@@ -265,7 +339,7 @@ func TestGoldenDigests(t *testing.T) {
 	})
 }
 
-// equivScale is the scale every golden campaign runs at (the CI smoke
+// equivScale is the scale every shared campaign runs at (the CI smoke
 // matrix runs every scenario at 0.02 too).
 const equivScale = 0.02
 

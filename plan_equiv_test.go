@@ -2,6 +2,8 @@ package repro_test
 
 import (
 	"math/rand"
+	"reflect"
+	"testing"
 
 	"repro"
 	"repro/internal/analysis"
@@ -14,8 +16,8 @@ import (
 // as the equivalence oracle for the query engine (the same pattern as
 // core/legacy_equiv_test.go for the scenario engine): one goroutine,
 // one hardcoded artifact menu, extractors called in a fixed order.
-// TestGoldenDigests pins the parallel plan-based Analyze to it
-// bit-for-bit on every scenario.
+// TestAnalyzePlanMatchesSerialReference pins the parallel plan-based
+// Analyze to it bit-for-bit.
 func serialAnalyzeFrame(res *repro.Result, f *analysis.Frame, opt repro.AnalyzeOptions) *repro.Report {
 	if opt.SubsetSamples <= 0 {
 		opt.SubsetSamples = 100
@@ -88,4 +90,61 @@ func serialAnalyzeFrame(res *repro.Result, f *analysis.Frame, opt repro.AnalyzeO
 		}
 	}
 	return rep
+}
+
+// TestAnalyzePlanMatchesSerialReference checks, on every registered
+// scenario's materialized and store-streamed runs, that the plan-based
+// report equals the serial reference and that the engine's one-worker
+// execution equals its parallel one, query by query.
+func TestAnalyzePlanMatchesSerialReference(t *testing.T) {
+	shareCampaigns(t)
+	t.Parallel()
+	for _, name := range repro.Scenarios() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			check := func(t *testing.T, res *repro.Result, f *analysis.Frame) {
+				opt := repro.DefaultAnalyzeOptions()
+				want := serialAnalyzeFrame(res, f, opt)
+				got := repro.AnalyzeFrame(res, f, opt)
+				if !reflect.DeepEqual(got, want) {
+					t.Error("parallel plan report differs from serial reference")
+				}
+				// The engine's own serial mode must agree with its
+				// parallel mode query by query.
+				meta := res.Meta()
+				plan := analysis.PaperPlan(meta, analysis.QueryOptions{
+					SubsetSamples: opt.SubsetSamples, FileSubsetSize: opt.FileSubsetSize, Seed: opt.Seed,
+				})
+				one, err := analysis.ExecWorkers(f, meta, plan, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				many, err := analysis.Exec(f, meta, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range one.Names() {
+					sv, _ := one.Value(q)
+					pv, _ := many.Value(q)
+					if !reflect.DeepEqual(sv, pv) {
+						t.Errorf("query %q differs between 1 worker and GOMAXPROCS", q)
+					}
+				}
+			}
+
+			t.Run("memory", func(t *testing.T) {
+				t.Parallel()
+				res := runCampaign(t, name, goldenMemory).res
+				check(t, res, analysis.BuildFrame(res.Dataset.Records))
+			})
+			t.Run("store-stream", func(t *testing.T) {
+				t.Parallel()
+				res := runCampaign(t, name, goldenStoreStream).res
+				if res.Frame == nil {
+					t.Fatal("streamed run built no frame")
+				}
+				check(t, res, res.Frame)
+			})
+		})
+	}
 }
