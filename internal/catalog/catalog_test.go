@@ -95,9 +95,11 @@ func TestCumulativeWeightsSerial(t *testing.T) {
 
 // The mint workers are joined before Generate returns. A worker calls
 // wg.Done a moment before its goroutine exits, so the count is given a
-// second to settle; a worker left blocked would never let it.
+// second to settle; a worker left blocked would never let it. The
+// baseline settles first, so a goroutine an earlier test left exiting
+// is not counted in it.
 func TestGenerateLeavesNoGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	for _, n := range []int{1, 10, 2000, 20000} {
 		Generate(Config{NumFiles: n, Vocabulary: 300, Seed: 3})
 		after := runtime.NumGoroutine()
@@ -109,6 +111,22 @@ func TestGenerateLeavesNoGoroutine(t *testing.T) {
 			t.Fatalf("NumFiles %d: %d goroutines after Generate, %d before", n, after, before)
 		}
 	}
+}
+
+// settledGoroutines polls the goroutine count until it has held still
+// for 20 samples a millisecond apart (giving up after a second) and
+// returns it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for same, deadline := 0, time.Now().Add(time.Second); same < 20 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }
 
 // A chunk is handed over before a name could overflow its buffer only

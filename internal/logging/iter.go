@@ -1,8 +1,8 @@
 package logging
 
 // This file defines the canonical record-stream contract the dataset
-// pipeline is built on. A campaign flows from a source (in-memory
-// per-honeypot logs, a logstore scan, a network drain) through transform
+// pipeline is built on. A campaign flows from a source (a logstore scan,
+// a merge of per-honeypot slices, a network drain) through transform
 // stages (renumbering, filename anonymization, auditing) into a consumer
 // (a columnar frame, a JSONL export, an on-disk store) one record at a
 // time: no stage ever materializes the stream. Where a source and its
@@ -25,15 +25,6 @@ type Iterator interface {
 	Next() (Record, error)
 }
 
-// Source is a re-iterable record stream: each Iter call starts a fresh
-// pass over the same records in the same order. A multi-pass pipeline
-// stage (corpus-wide filename anonymization over in-memory logs, which
-// re-merge) iterates a Source more than once; a logstore-backed finalize
-// takes its first pass from the store's name tables and scans once.
-type Source interface {
-	Iter() (Iterator, error)
-}
-
 // SliceIter adapts an in-memory record slice to Iterator.
 type SliceIter struct {
 	recs []Record
@@ -52,19 +43,6 @@ func (s *SliceIter) Next() (Record, error) {
 	s.i++
 	return r, nil
 }
-
-// MergeSource is a re-iterable k-way merge over per-honeypot logs; each
-// Iter re-merges the same slices into the same order.
-type MergeSource struct {
-	logs [][]Record
-}
-
-// NewMergeSource builds a Source over per-honeypot logs (each already
-// in time order, as produced).
-func NewMergeSource(logs ...[]Record) *MergeSource { return &MergeSource{logs: logs} }
-
-// Iter implements Source.
-func (s *MergeSource) Iter() (Iterator, error) { return MergeIter(s.logs...), nil }
 
 // Map returns an iterator that applies fn to every record of src before
 // yielding it — the pipeline's transform stage. fn may mutate the

@@ -61,25 +61,17 @@ func TestMergeIterEmpty(t *testing.T) {
 	}
 }
 
-// TestMergeSourceReIterates: every Iter pass over a MergeSource yields
-// the same stream — the contract two-pass pipeline stages rely on.
+// TestMergeSourceReIterates: a second MergeIter over the same logs
+// yields the same stream — merging reads its inputs and never consumes
+// or reorders them.
 func TestMergeSourceReIterates(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	logs := randomLogs(rng, 3)
-	src := NewMergeSource(logs...)
-	it1, err := src.Iter()
+	first, err := Drain(MergeIter(logs...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := Drain(it1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it2, err := src.Iter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Drain(it2)
+	second, err := Drain(MergeIter(logs...))
 	if err != nil {
 		t.Fatal(err)
 	}

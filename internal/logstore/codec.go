@@ -273,9 +273,9 @@ type colOp struct {
 
 // decode overwrites *rec with the record body b codes against s and
 // advances s past it; a malformed body is errBody and leaves s (and rec)
-// as they were. Literal strings go through pool (nil: fresh copies);
-// window hits and repeated columns cost no lookup. rec.Files is nil or a
-// new slice, never the previous record's.
+// as they were. Literal strings and shared-list file names go through
+// pool (nil: fresh copies); window hits and repeated columns cost no
+// lookup. rec.Files is nil or a new slice, never the previous record's.
 func (s *segState) decode(rec *logging.Record, b []byte, pool *intern.Pool) error {
 	d := bodyReader{b: b}
 	mask := d.uvarint()
@@ -317,7 +317,11 @@ func (s *segState) decode(rec *logging.Record, b []byte, pool *intern.Pool) erro
 		for i := range files {
 			f := &files[i]
 			copy(f.Hash[:], d.bytes(uint64(len(f.Hash))))
-			f.Name = string(d.bytes(d.uvarint()))
+			if name := d.bytes(d.uvarint()); pool != nil {
+				f.Name = pool.Get(name)
+			} else {
+				f.Name = string(name)
+			}
 			f.Size = d.varint()
 		}
 	}

@@ -107,3 +107,47 @@ func TestCodecRejectsUnknownMaskBitsAndSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeInternsSharedListNames: with a pool, a shared list's file
+// names go through it like the string columns do, so decoding a segment
+// whose records repeat one list allocates the list's slice per record
+// and no string per name.
+func TestDecodeInternsSharedListNames(t *testing.T) {
+	const n = 100
+	files := []logging.SharedFile{
+		{Hash: ed2k.SyntheticHash("a"), Name: "a.avi", Size: 1},
+		{Hash: ed2k.SyntheticHash("b"), Name: "b.mp3", Size: 2},
+		{Hash: ed2k.SyntheticHash("c"), Name: "c.iso", Size: 3},
+	}
+	base := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
+	var enc segState
+	var bodies [][]byte
+	for i := 0; i < n; i++ {
+		r := logging.Record{
+			Time:     base.Add(time.Duration(i) * time.Second),
+			Honeypot: "hp-00",
+			Kind:     logging.KindSharedList,
+			PeerIP:   "peer-" + itoa(int64(i%7)),
+			Files:    files,
+		}
+		bodies = append(bodies, enc.appendRecord(nil, &r))
+	}
+	pool := intern.NewPool()
+	var rec logging.Record
+	decodeAll := func() {
+		var dec segState
+		for _, b := range bodies {
+			if err := dec.decode(&rec, b, pool); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	decodeAll() // the pool allocates each distinct string on first sight
+	if rec.Files[2].Name != "c.iso" {
+		t.Fatalf("decoded list %+v", rec.Files)
+	}
+	if got := testing.AllocsPerRun(10, decodeAll); got > n {
+		t.Fatalf("decoding %d records that repeat a %d-name shared list allocates %.0f objects, want at most %d (the list per record)",
+			n, len(files), got, n)
+	}
+}

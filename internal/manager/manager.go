@@ -12,12 +12,12 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
 	"time"
 
 	"repro/internal/anonymize"
 	"repro/internal/client"
 	"repro/internal/control"
+	"repro/internal/faultfs"
 	"repro/internal/honeypot"
 	"repro/internal/logging"
 	"repro/internal/logstore"
@@ -209,13 +209,12 @@ type Manager struct {
 
 	hps  []*HoneypotState
 	byID map[string]*HoneypotState
-	logs map[string][]logging.Record
 
-	// store, when set, is the on-disk event store: collected records
-	// spill into per-honeypot shards instead of the in-memory logs map,
-	// and Finalize streams them back through a merged iterator. Honeypots
-	// whose handle writes into this same store (StoreBackedHandle) are
-	// not copied at all.
+	// store holds what collection gathered, a shard per honeypot, and
+	// Finalize streams it back through a merged iterator: an in-memory
+	// store unless SetStore swapped in a durable one. Honeypots whose
+	// handle writes into this same store (StoreBackedHandle) are not
+	// copied at all.
 	store *logstore.Store
 
 	// Relaunch, when set, is invoked for a honeypot whose control path
@@ -254,7 +253,10 @@ func newMgrMetrics(r *obs.Registry) mgrMetrics {
 	}
 }
 
-// New creates a manager on host.
+// New creates a manager on host. It collects into a logstore on a fresh
+// in-memory filesystem (faultfs.Mem), so a campaign's records live in
+// memory as encoded segments until Finalize; SetStore swaps in a durable
+// store. Both take the same collection and finalize path.
 func New(host transport.Host, cfg Config) *Manager {
 	if cfg.CollectEvery <= 0 {
 		cfg.CollectEvery = time.Hour
@@ -262,25 +264,31 @@ func New(host transport.Host, cfg Config) *Manager {
 	if cfg.HealthEvery <= 0 {
 		cfg.HealthEvery = 10 * time.Minute
 	}
+	store, err := logstore.Open("manager", logstore.Options{FS: faultfs.NewMem()})
+	if err != nil {
+		panic(fmt.Sprintf("manager: opening the in-memory store: %v", err)) // an empty Mem cannot fail
+	}
 	return &Manager{
-		host: host,
-		cfg:  cfg,
-		byID: make(map[string]*HoneypotState),
-		logs: make(map[string][]logging.Record),
-		met:  newMgrMetrics(cfg.Metrics),
+		host:  host,
+		cfg:   cfg,
+		byID:  make(map[string]*HoneypotState),
+		store: store,
+		met:   newMgrMetrics(cfg.Metrics),
 	}
 }
 
 // Host returns the manager's transport host.
 func (m *Manager) Host() transport.Host { return m.host }
 
-// SetStore switches the manager to spill-to-disk collection: gathered
-// records land in per-honeypot shards of store and Finalize streams them
-// back instead of holding the campaign in memory. Set it before Add; the
-// caller keeps ownership of the store (and closes it after Finalize).
+// SetStore replaces the manager's in-memory store with a durable one
+// (spill-to-disk collection): gathered records land in per-honeypot
+// shards of store and Finalize streams them back from it. Set it before
+// Add; the caller keeps ownership of the store (and closes it after
+// Finalize).
 func (m *Manager) SetStore(store *logstore.Store) { m.store = store }
 
-// Store returns the spill store, if any.
+// Store returns the store collection gathers into: the in-memory one New
+// opened, or the one SetStore installed.
 func (m *Manager) Store() *logstore.Store { return m.store }
 
 // Add registers a honeypot and pushes its assignment (server first, then
@@ -378,20 +386,18 @@ func (m *Manager) CollectNow(done func()) {
 
 func (m *Manager) collectOne(st *HoneypotState, finish func()) {
 	// In-process store-backed honeypots append into our own store: the
-	// records are already durable and collected; refresh the counter.
-	if m.store != nil {
-		if sb, ok := st.Handle.(StoreBackedHandle); ok {
-			if sh := sb.Shard(); sh != nil && sh.Store() == m.store {
-				st.Collected = int(sh.Count())
-				// The honeypot appends through the error-less Sink
-				// interface; a sticky write error means records are being
-				// dropped — surface it as ill health.
-				if sh.Err() != nil {
-					st.Healthy = false
-				}
-				finish()
-				return
+	// records are already stored and collected; refresh the counter.
+	if sb, ok := st.Handle.(StoreBackedHandle); ok {
+		if sh := sb.Shard(); sh != nil && sh.Store() == m.store {
+			st.Collected = int(sh.Count())
+			// The honeypot appends through the error-less Sink interface;
+			// a sticky write error means records are being dropped —
+			// surface it as ill health.
+			if sh.Err() != nil {
+				st.Healthy = false
 			}
+			finish()
+			return
 		}
 	}
 	m.tryCollect(st, 0, finish)
@@ -496,26 +502,21 @@ func (m *Manager) collectIncremental(st *HoneypotState, ih IncrementalHandle, do
 	})
 }
 
-// ingest files gathered records under the honeypot's ID — into the spill
-// store when configured, in memory otherwise. On error nothing may be
-// acked: the batch is possibly only partially stored.
+// ingest files gathered records into the store shard named after the
+// honeypot. On error nothing may be acked: the batch is possibly only
+// partially stored.
 func (m *Manager) ingest(st *HoneypotState, recs []logging.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	id := st.Handle.ID()
-	if m.store != nil {
-		sh, err := m.store.Shard(id)
-		if err != nil {
+	sh, err := m.store.Shard(st.Handle.ID())
+	if err != nil {
+		return err
+	}
+	for _, r := range recs {
+		if err := sh.AppendRecord(r); err != nil {
 			return err
 		}
-		for _, r := range recs {
-			if err := sh.AppendRecord(r); err != nil {
-				return err
-			}
-		}
-	} else {
-		m.logs[id] = append(m.logs[id], recs...)
 	}
 	m.met.collectRecords.Add(uint64(len(recs)))
 	st.Collected += len(recs)
@@ -607,45 +608,39 @@ type Dataset struct {
 
 // DatasetStream is the streaming form of Dataset: the unified,
 // anonymized, audited campaign log as an iterator. Records flow
-// source → audit → renumber → filename-anonymize one at a time — from a
-// store, on a read-ahead stage's goroutine (logging.ReadAhead) a fixed
-// number of record batches ahead of the caller; peak pipeline memory is
+// store scan → audit → renumber → filename-anonymize one at a time, on a
+// read-ahead stage's goroutine (logging.ReadAhead) a fixed number of
+// record batches ahead of the caller; peak pipeline memory is
 // O(distinct peers + distinct file names + distinct filename words) —
 // the names being the strings the scan's intern pool already holds —
 // plus those batches, never O(records). The stats accessors
 // (DistinctPeers, ReplacedWords, PerHoneypot) may be called at any time
 // from the goroutine calling Next and are final once Next has returned
-// io.EOF. Close stops the stage and releases the underlying store
-// cursor, if any; consume and close the stream before reusing or closing
-// the manager's store.
+// io.EOF. Close stops the stage and releases the store cursor; consume
+// and close the stream before reusing or closing the manager's store.
 type DatasetStream struct {
-	it   logging.Iterator // full pipeline output
-	base logging.Iterator // the source cursor, for Close
+	ra   *logging.ReadAheadIter // the stage running the chain: the pipeline's output
+	base *logstore.Iterator     // the store cursor, for Close
 	ren  *anonymize.Renumberer
 	na   *anonymize.NameAnonymizer // nil when name anonymization is off
 
 	// peers and replaced copy the renumberer's and the anonymizer's
-	// totals when the stream ends. On a store those two belong to the
-	// read-ahead stage's producer until then; the stage delivers an error
-	// only after its producer stopped calling into them.
+	// totals when the stream ends. Those two belong to the read-ahead
+	// stage's producer until then; the stage delivers an error only
+	// after its producer stopped calling into them.
 	peers, replaced int
 
-	perHP   map[string]int
-	countHP bool     // store mode: count honeypots while draining
-	hps     []string // known honeypot IDs, zero-filled at EOF
+	perHP map[string]int // counted while draining
+	hps   []string       // known honeypot IDs, zero-filled at EOF
 
-	// ra is the read-ahead stage running the chain (store mode), whose
-	// producer's busy time Close adds to busy
-	// (finalize.chain.busy_nanos); both nil otherwise.
-	ra   *logging.ReadAheadIter
-	busy *obs.Counter
+	busy *obs.Counter // finalize.chain.busy_nanos: the stage's producer time, added at Close
 }
 
 // Next implements logging.Iterator: it returns the next anonymized
 // record, an *anonymize.AuditError if a leak is detected, or io.EOF at
 // the end of the campaign.
 func (d *DatasetStream) Next() (logging.Record, error) {
-	r, err := d.it.Next()
+	r, err := d.ra.Next()
 	if err != nil {
 		d.peers = d.ren.Count()
 		if d.na != nil {
@@ -660,21 +655,17 @@ func (d *DatasetStream) Next() (logging.Record, error) {
 		}
 		return logging.Record{}, err
 	}
-	if d.countHP {
-		d.perHP[r.Honeypot]++
-	}
+	d.perHP[r.Honeypot]++
 	return r, nil
 }
 
-// Close stops the pipeline's read-ahead stage, then releases the spill
-// store's cursor, when reading from disk; the stage's busy time goes to
-// finalize.chain.busy_nanos. The stream is unusable afterwards.
+// Close stops the pipeline's read-ahead stage, then releases the store's
+// cursor; the stage's busy time goes to finalize.chain.busy_nanos. The
+// stream is unusable afterwards.
 func (d *DatasetStream) Close() error {
-	err := errors.Join(logging.CloseIter(d.it), logging.CloseIter(d.base))
-	if d.ra != nil {
-		d.busy.Add(uint64(d.ra.Busy()))
-		d.busy = nil
-	}
+	err := errors.Join(d.ra.Close(), d.base.Close())
+	d.busy.Add(uint64(d.ra.Busy()))
+	d.busy = nil
 	return err
 }
 
@@ -702,17 +693,10 @@ func (m *Manager) Finalize(done func(*Dataset, error)) {
 			return
 		}
 		defer ds.Close()
-		var merged []logging.Record
-		for {
-			r, err := ds.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				done(nil, wrapFinalizeErr(err))
-				return
-			}
-			merged = append(merged, r)
+		merged, err := logging.Drain(ds)
+		if err != nil {
+			done(nil, wrapFinalizeErr(err))
+			return
 		}
 		done(&Dataset{
 			Records:       merged,
@@ -728,9 +712,9 @@ func (m *Manager) Finalize(done func(*Dataset, error)) {
 // caller pulls anonymized, audited records one at a time (feeding them
 // to analysis.BuildFrameIter, a JSONL export, or an on-disk store) and
 // no []Record for the campaign is ever allocated. The filename pass
-// takes its word frequencies first — from the spill store's per-segment
-// name tables, so the store is scanned once, by the stream itself; from
-// a re-merge of in-memory logs otherwise — so the stream delivered to
+// takes its word frequencies first, from the store's per-segment name
+// tables — the in-memory store and a durable one alike — so the store
+// is scanned once, by the stream itself, and the stream delivered to
 // done is ready to yield final names immediately.
 func (m *Manager) FinalizeStream(done func(*DatasetStream, error)) {
 	m.Stop()
@@ -759,10 +743,10 @@ func wrapFinalizeErr(err error) error {
 // timing iterator — only when telemetry is on, so a disabled registry
 // leaves the pipeline exactly as it was. Durations are cumulative and
 // inclusive of upstream stages (subtract the upstream stage's nanos for
-// exclusive time). A stage behind the read-ahead (non-nil critical)
-// times only the pulls that start while the stream's consumer waits on
-// it — its share of the consumer's wall time — so these timers and the
-// consumer's own add up to no more than that wall time.
+// exclusive time). The stages run behind the read-ahead, so each times
+// only the pulls that start while the stream's consumer waits on it
+// (critical) — its share of the consumer's wall time — and these timers
+// and the consumer's own add up to no more than that wall time.
 func (m *Manager) stage(it logging.Iterator, name string, critical func() bool) logging.Iterator {
 	if m.cfg.Metrics == nil {
 		return it
@@ -785,7 +769,7 @@ type stageIter struct {
 }
 
 func (s *stageIter) Next() (logging.Record, error) {
-	timed := s.critical == nil || s.critical()
+	timed := s.critical()
 	start := time.Now()
 	r, err := s.up.Next()
 	if timed {
@@ -797,29 +781,29 @@ func (s *stageIter) Next() (logging.Record, error) {
 	return r, err
 }
 
-// newDatasetStream assembles the finalize pipeline over the collected
-// logs: (observe filename corpus) → source → audit → renumber →
-// anonymize names → read-ahead (store mode). The read-ahead stage puts
-// the chain on a goroutine of its own, so a store-backed finalize runs
-// as three stages at once: the scan (the store iterator's own
-// read-ahead), the chain, and whatever the caller does with each record
-// (export append, frame build).
+// newDatasetStream assembles the finalize pipeline over the store:
+// (fold the name tables) → scan → audit → renumber → anonymize names →
+// read-ahead. The read-ahead stage puts the chain on a goroutine of its
+// own, so a finalize runs as three stages at once: the scan (the store
+// iterator's own read-ahead), the chain, and whatever the caller does
+// with each record (export append, frame build).
 func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 	span := obs.StartSpan(m.met.finalizeDur)
-	src, perHP, err := m.datasetSource()
-	if err != nil {
+	// A sticky append error means the store is missing records; a
+	// silently truncated dataset is worse than a failed finalize.
+	if err := m.store.Err(); err != nil {
 		return nil, err
 	}
-
 	var na *anonymize.NameAnonymizer
 	if m.cfg.NameThreshold > 0 {
+		// The store counted names per segment as they were appended:
+		// fold its tables, reading no record.
 		na = anonymize.NewNameAnonymizer(m.cfg.NameThreshold)
-		if err := m.observeNames(na, src); err != nil {
+		if err := m.store.NameCounts(na.ObserveCount); err != nil {
 			return nil, err
 		}
 	}
-
-	base, err := src.Iter()
+	base, err := m.store.Iterator()
 	if err != nil {
 		return nil, err
 	}
@@ -828,95 +812,24 @@ func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 	// after renumbering the check would be vacuous, since the renumberer
 	// normalizes even a raw address into an anonymous integer. A honeypot
 	// that ever shipped a raw address fails the whole finalize here.
-	//
-	// On a store the chain runs behind a read-ahead stage, beside the
-	// stream's consumer. In memory mode it does not: the source is a
-	// merge of slices with no scan to hide, and campaign-greedy's
-	// materialized Finalize, the memory path's benchmark, ran 9 of 10
-	// pairs slower with the stage.
 	ren := anonymize.NewRenumberer()
 	var ra *logging.ReadAheadIter // set before its producer runs the chain
-	var critical func() bool
-	if m.store != nil {
-		critical = func() bool { return ra.Waiting() }
-	}
+	critical := func() bool { return ra.Waiting() }
 	out := ren.RenumberIter(m.stage(anonymize.AuditIter(m.stage(base, "scan", critical)), "audit", critical))
 	out = m.stage(out, "renumber", critical)
 	if na != nil {
 		out = m.stage(na.AnonymizeIter(out), "anonymize", critical)
 	}
-	if m.store != nil {
-		ra = logging.ReadAhead(out)
-		out = ra
-	}
+	ra = logging.ReadAhead(out)
 
-	ds := &DatasetStream{it: out, base: base, ren: ren, na: na, perHP: perHP, ra: ra}
-	if ra != nil {
-		ds.busy = m.cfg.Metrics.Counter("finalize.chain.busy_nanos")
+	ds := &DatasetStream{
+		ra: ra, base: base, ren: ren, na: na,
+		perHP: make(map[string]int, len(m.hps)),
+		busy:  m.cfg.Metrics.Counter("finalize.chain.busy_nanos"),
 	}
 	span.End()
 	for _, st := range m.hps {
 		ds.hps = append(ds.hps, st.Handle.ID())
 	}
-	if ds.perHP == nil { // store mode: counted while draining
-		ds.perHP = make(map[string]int, len(m.hps))
-		ds.countHP = true
-	}
 	return ds, nil
 }
-
-// observeNames gives na the campaign's file-name corpus before the first
-// rewrite. The spill store counted names per segment as they were
-// appended, so its tables are folded and no record is read; in-memory
-// logs are re-merged and counted.
-func (m *Manager) observeNames(na *anonymize.NameAnonymizer, src logging.Source) error {
-	if m.store != nil {
-		return m.store.NameCounts(na.ObserveCount)
-	}
-	pass1, err := src.Iter()
-	if err != nil {
-		return err
-	}
-	err = na.ObserveIter(m.stage(pass1, "observe", nil))
-	if cerr := logging.CloseIter(pass1); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// datasetSource returns the re-iterable unified log: the spill store
-// (each Iter is a fresh k-way segment scan) or a re-mergeable view of
-// the in-memory per-honeypot logs. Memory-mode logs are ordered by
-// honeypot ID — the spill store's shard-name tie-break — so the two
-// modes produce identical streams no matter the order handles were
-// added in. The memory-mode per-honeypot counts are returned eagerly;
-// store mode returns nil and the counts are taken during the drain.
-func (m *Manager) datasetSource() (logging.Source, map[string]int, error) {
-	if m.store != nil {
-		// A sticky append error means the store is missing records; a
-		// silently truncated dataset is worse than a failed finalize.
-		if err := m.store.Err(); err != nil {
-			return nil, nil, err
-		}
-		return storeSource{m.store}, nil, nil
-	}
-	ids := make([]string, 0, len(m.hps))
-	for _, st := range m.hps {
-		ids = append(ids, st.Handle.ID())
-	}
-	sort.Strings(ids)
-	perHP := make(map[string]int, len(ids))
-	logs := make([][]logging.Record, 0, len(ids))
-	for _, id := range ids {
-		logs = append(logs, m.logs[id])
-		perHP[id] = len(m.logs[id])
-	}
-	return logging.NewMergeSource(logs...), perHP, nil
-}
-
-// storeSource adapts the spill store to the pipeline's re-iterable
-// source contract: every Iter is a fresh merged scan over all shards.
-type storeSource struct{ s *logstore.Store }
-
-// Iter implements logging.Source.
-func (ss storeSource) Iter() (logging.Iterator, error) { return ss.s.Iterator() }

@@ -470,13 +470,7 @@ func TestIncrementalCollectionTransfersEachRecordOnce(t *testing.T) {
 		}
 		return total
 	}
-	transferred := func() int {
-		total := 0
-		for _, recs := range w.mgr.logs {
-			total += len(recs)
-		}
-		return total
-	}
+	transferred := func() int { return int(w.mgr.Store().TotalRecords()) }
 	storeCount := func() int {
 		total := 0
 		for _, s := range stores {
@@ -518,15 +512,22 @@ func TestIncrementalCollectionTransfersEachRecordOnce(t *testing.T) {
 	}
 
 	// No record appears twice in the manager's logs.
+	it, err := w.mgr.Store().Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := logging.Drain(it)
+	it.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := map[string]bool{}
-	for id, recs := range w.mgr.logs {
-		for _, r := range recs {
-			key := id + "|" + r.Time.String() + "|" + r.PeerIP + "|" + r.Kind.String()
-			if seen[key] {
-				t.Fatalf("duplicate record in manager logs: %s", key)
-			}
-			seen[key] = true
+	for _, r := range recs {
+		key := r.Honeypot + "|" + r.Time.String() + "|" + r.PeerIP + "|" + r.Kind.String()
+		if seen[key] {
+			t.Fatalf("duplicate record in manager logs: %s", key)
 		}
+		seen[key] = true
 	}
 
 	// Finalize still produces a clean, audited dataset via the same path.
@@ -552,7 +553,14 @@ func TestIncrementalCollectionSurvivesRestart(t *testing.T) {
 	w.contact(t, w.hps[0], "peer-a")
 	w.mgr.CollectNow(nil)
 	w.settle()
-	before := len(w.mgr.logs["hp-0"])
+	collected := func() int {
+		sh, err := w.mgr.Store().Shard("hp-0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(sh.Count())
+	}
+	before := collected()
 	if before == 0 {
 		t.Fatal("nothing collected before restart")
 	}
@@ -608,7 +616,7 @@ func TestIncrementalCollectionSurvivesRestart(t *testing.T) {
 	// Collection resumes from the surviving checkpoint: no resend.
 	w.mgr.CollectNow(nil)
 	w.settle()
-	if got := len(w.mgr.logs["hp-0"]); got != before {
+	if got := collected(); got != before {
 		t.Fatalf("restart caused resend: %d -> %d records", before, got)
 	}
 	if st.Checkpoint != cpBefore {
@@ -619,7 +627,7 @@ func TestIncrementalCollectionSurvivesRestart(t *testing.T) {
 	w.contact(t, hp2, "peer-b")
 	w.mgr.CollectNow(nil)
 	w.settle()
-	if got := len(w.mgr.logs["hp-0"]); got <= before {
+	if got := collected(); got <= before {
 		t.Fatal("no records collected after restart")
 	}
 }
@@ -731,7 +739,10 @@ func TestSharedStoreLocalHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &world{loop: loop, net: nw, srv: srv}
-	w.mgr = New(nw.NewHost("manager"), DefaultConfig())
+	reg := obs.New()
+	cfg := DefaultConfig()
+	cfg.Metrics = reg
+	w.mgr = New(nw.NewHost("manager"), cfg)
 	w.mgr.SetStore(store)
 
 	assignments := SameServer(srv.Addr(), baitFiles, 2)
@@ -758,8 +769,8 @@ func TestSharedStoreLocalHandles(t *testing.T) {
 	w.mgr.CollectNow(nil)
 	w.settle()
 
-	if len(w.mgr.logs) != 0 {
-		t.Error("shared-store collection copied records into memory")
+	if n := reg.Snapshot().Counters["manager.collect.records"]; n != 0 {
+		t.Errorf("shared-store collection copied %d records", n)
 	}
 	total := 0
 	for _, st := range w.mgr.States() {
@@ -931,10 +942,10 @@ func finalizeNow(t *testing.T, m *Manager) *Dataset {
 }
 
 // TestFinalizeHandleOrderIrrelevant is the regression test for the
-// memory/store merge-equivalence guarantee: honeypot states are sorted
-// by ID at finalize, so adding handles out of shard-name order changes
-// nothing, and the in-memory dataset matches the spill store's
-// shard-name tie-break exactly.
+// memory/store merge-equivalence guarantee: equal timestamps resolve by
+// shard (honeypot ID) name, so adding handles out of that order changes
+// nothing, and the default in-memory store's dataset matches a spill
+// store's exactly.
 func TestFinalizeHandleOrderIrrelevant(t *testing.T) {
 	ids := []string{"hp-a", "hp-b", "hp-c"}
 	logs := tieLogs(ids)
@@ -1102,10 +1113,11 @@ func TestFinalizeAuditFailureNamesRecord(t *testing.T) {
 }
 
 // TestFinalizeStreamAllocsPerRecord guards the finalize stage chain
-// (merge → audit → renumber → anonymize) against a per-record heap
-// escape: one whole FinalizeStream over an in-memory campaign, drained to
-// EOF, costs per-run set-up plus state per distinct peer, name and word,
-// so its allocations divided by the record count stay far below one.
+// (scan → audit → renumber → anonymize → read-ahead) against a
+// per-record heap escape: one whole FinalizeStream over the manager's
+// in-memory store, drained to EOF, costs per-run set-up plus state per
+// distinct peer, name and word, so its allocations divided by the
+// record count stay far below one.
 func TestFinalizeStreamAllocsPerRecord(t *testing.T) {
 	const (
 		perHoneypot = 2000
@@ -1161,11 +1173,12 @@ func TestFinalizeStreamAllocsPerRecord(t *testing.T) {
 	}
 }
 
-// TestStoreFinalizeFoldsNameTablesInOneScan: a store-backed finalize
-// takes its file-name corpus from the store's per-segment name tables —
-// the observe pass is never entered and the raw store is read once, by
-// the rewrite pass — and publishes the dataset a memory-mode finalize
-// (which counts names by re-merging its logs) publishes, byte for byte.
+// TestStoreFinalizeFoldsNameTablesInOneScan: a finalize takes its
+// file-name corpus from the store's per-segment name tables — no record
+// is read for it and the raw store is read once, by the rewrite pass —
+// and a store of many small segments (sealed and live tables folded
+// together) publishes the dataset the manager's default in-memory store
+// (one live segment per shard) publishes, byte for byte.
 func TestStoreFinalizeFoldsNameTablesInOneScan(t *testing.T) {
 	ids := []string{"hp-a", "hp-b", "hp-c"}
 	h := anonymize.NewIPHasher(secret)
@@ -1239,14 +1252,14 @@ func TestStoreFinalizeFoldsNameTablesInOneScan(t *testing.T) {
 	ms.CollectNow(nil)
 	got := finalizeNow(t, ms)
 	if digest(got) != digest(want) {
-		t.Fatal("store-backed finalize (name tables) and memory-mode finalize (observe pass) publish different datasets")
+		t.Fatal("a many-segment store and the default in-memory store publish different datasets")
 	}
 	snap := reg.Snapshot().Counters
 	if n := snap["logstore.scan.records"]; n != uint64(total) {
 		t.Errorf("finalize scanned %d records of a %d-record store, want exactly one scan", n, total)
 	}
 	if n := snap["finalize.observe.records"]; n != 0 {
-		t.Errorf("the observe pass read %d records on a store-backed finalize", n)
+		t.Errorf("an observe pass read %d records on a store-backed finalize", n)
 	}
 	if n := snap["logstore.names.rebuilds"]; n != 0 {
 		t.Errorf("a fault-free store recounted %d segments", n)

@@ -291,8 +291,8 @@ func buildWorld(spec Spec, opts RunOptions) (*world, error) {
 }
 
 // attachStore switches the world to spill-to-disk mode: honeypots added
-// afterwards write through shards of a store at dir, and the manager
-// streams the store at finalize instead of holding logs in memory.
+// afterwards write through shards of a store at dir, which replaces the
+// manager's in-memory store, so there is nothing to collect hourly.
 func (w *world) attachStore(dir string) error {
 	opt := logstore.Options{Metrics: w.opts.Metrics}
 	for _, f := range w.spec.Faults {

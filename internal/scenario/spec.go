@@ -244,7 +244,9 @@ type Collection struct {
 	RetryBackoff Duration `json:"retry_backoff,omitempty"`
 	// StoreDir enables spill-to-disk mode: honeypots write through
 	// logstore shards under this directory and the manager streams them
-	// back at finalize. Empty keeps the in-memory path.
+	// back at finalize. Empty keeps the collection in memory: the
+	// manager gathers each honeypot's records hourly into its own
+	// logstore on an in-memory filesystem.
 	StoreDir string `json:"store_dir,omitempty"`
 	// Stream finalizes through the streaming record pipeline: the
 	// anonymized log flows straight into a columnar frame
