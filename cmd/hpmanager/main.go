@@ -156,7 +156,9 @@ func main() {
 			// re-ask for idempotent requests); the manager's retry budget
 			// handles whole failed rounds above it.
 			l.SetPolicy(control.Policy{Timeout: *collectTO, Attempts: 2})
-			mgr.Add(l, assignments[i])
+			if err := mgr.Add(l, assignments[i]); err != nil {
+				log.Fatal(err)
+			}
 		}
 		mgr.Start()
 	})

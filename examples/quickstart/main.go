@@ -96,7 +96,7 @@ func main() {
 	})
 	link := <-linkCh
 	mgrHost.Post(func() {
-		mgr.Add(link, manager.Assignment{Server: serverAddr, Files: []client.SharedFile{bait}})
+		must(mgr.Add(link, manager.Assignment{Server: serverAddr, Files: []client.SharedFile{bait}}))
 	})
 	// Wait until the honeypot reports a live server session.
 	for i := 0; i < 50; i++ {

@@ -84,7 +84,7 @@ func main() {
 			ID: id, Strategy: strat, Port: 4662, Secret: []byte("topic-secret"), BrowseContacts: true,
 		})
 		must(hp.Client().Listen())
-		mgr.Add(manager.NewLocalHandle(id, hp, mgr.Host()), assignments[i])
+		must(mgr.Add(manager.NewLocalHandle(id, hp, mgr.Host()), assignments[i]))
 		hps = append(hps, hp)
 	}
 	mgr.Start()

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -16,9 +15,11 @@ import (
 // a file's growable byte slice — under one mutex. It keeps the semantics
 // the logstore takes from a real disk: O_CREATE|O_EXCL, O_TRUNC,
 // O_APPEND, Truncate, Rename over an existing file, name-sorted ReadDir
-// and fs.ErrNotExist for missing paths. An open file keeps its contents
-// across a Rename or Remove of its name, as on POSIX, and everything is
-// lost with the process. Wrap layers injectors over it as over OS{}.
+// and fs.ErrNotExist for missing paths. It renames and removes files
+// only (EISDIR for a directory): the logstore never renames or removes a
+// directory it created itself. An open file keeps its contents across a Rename or
+// Remove of its name, as on POSIX, and everything is lost with the
+// process. Wrap layers injectors over it as over OS{}.
 type Mem struct {
 	mu    sync.Mutex
 	nodes map[string]*memNode
@@ -66,25 +67,18 @@ func (m *Mem) Open(name string) (File, error) { return m.OpenFile(name, os.O_RDO
 
 func (m *Mem) MkdirAll(path string, perm fs.FileMode) error {
 	defer m.lock()()
-	for p := filepath.Clean(path); !m.isDir(p); p = filepath.Dir(p) {
-		if m.nodes[p] != nil {
-			return pathErr("mkdir", p, syscall.ENOTDIR)
-		}
+	var missing []string
+	p := filepath.Clean(path)
+	for ; m.nodes[p] == nil; p = filepath.Dir(p) {
+		missing = append(missing, p)
+	}
+	if !m.nodes[p].dir {
+		return pathErr("mkdir", p, syscall.ENOTDIR)
+	}
+	for _, p := range missing {
 		m.nodes[p] = &memNode{dir: true}
 	}
 	return nil
-}
-
-// children lists the paths directly under dir, sorted. Caller holds mu.
-func (m *Mem) children(dir string) []string {
-	var out []string
-	for p := range m.nodes {
-		if p != dir && filepath.Dir(p) == dir {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // info describes the node at p (nil: none). Caller holds mu.
@@ -106,9 +100,12 @@ func (m *Mem) ReadDir(name string) ([]fs.DirEntry, error) {
 		return nil, pathErr("open", name, fs.ErrNotExist)
 	}
 	var out []fs.DirEntry
-	for _, p := range m.children(name) {
-		out = append(out, fs.FileInfoToDirEntry(m.info(p)))
+	for p := range m.nodes {
+		if p != name && filepath.Dir(p) == name {
+			out = append(out, fs.FileInfoToDirEntry(m.info(p)))
+		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out, nil
 }
 
@@ -121,8 +118,7 @@ func (m *Mem) Stat(name string) (fs.FileInfo, error) {
 	return nil, pathErr("stat", name, fs.ErrNotExist)
 }
 
-// Rename moves a file, replacing any file at newpath, or a directory
-// and everything under it to a newpath that does not exist yet.
+// Rename moves a file, replacing any file at newpath.
 func (m *Mem) Rename(oldpath, newpath string) error {
 	oldpath, newpath = filepath.Clean(oldpath), filepath.Clean(newpath)
 	defer m.lock()()
@@ -130,29 +126,23 @@ func (m *Mem) Rename(oldpath, newpath string) error {
 	switch {
 	case old == nil || !m.isDir(filepath.Dir(newpath)):
 		return pathErr("rename", oldpath, fs.ErrNotExist)
-	case dst != nil && (dst.dir || old.dir):
-		return pathErr("rename", newpath, fs.ErrExist)
-	case strings.HasPrefix(newpath, oldpath+"/"):
-		return pathErr("rename", newpath, syscall.EINVAL)
+	case old.dir || dst != nil && dst.dir:
+		return pathErr("rename", oldpath, syscall.EISDIR)
 	}
-	for p, n := range m.nodes {
-		if p == oldpath || strings.HasPrefix(p, oldpath+"/") {
-			delete(m.nodes, p)
-			m.nodes[newpath+p[len(oldpath):]] = n
-		}
-	}
+	delete(m.nodes, oldpath)
+	m.nodes[newpath] = old
 	return nil
 }
 
-// Remove deletes a file or an empty directory.
+// Remove deletes a file.
 func (m *Mem) Remove(name string) error {
 	name = filepath.Clean(name)
 	defer m.lock()()
 	switch n := m.nodes[name]; {
 	case n == nil:
 		return pathErr("remove", name, fs.ErrNotExist)
-	case n.dir && len(m.children(name)) > 0:
-		return pathErr("remove", name, syscall.ENOTEMPTY)
+	case n.dir:
+		return pathErr("remove", name, syscall.EISDIR)
 	}
 	delete(m.nodes, name)
 	return nil

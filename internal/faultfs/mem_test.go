@@ -116,10 +116,10 @@ func fsScript(fsys FS, root string) []string {
 	note("renamed: %s", read(p("a", "f")))
 	_, err = fsys.Stat(p("a", "b"))
 	note("old name: %s", class(err))
-	note("rename dir: %s", class(fsys.Rename(p("a", "sub"), p("moved"))))
-	note("moved file: %s", read(p("moved", "x")))
-	list(p("moved"))
 	note("rename missing: %s", class(fsys.Rename(p("a", "nope"), p("a", "f2"))))
+	note("mkdir under a file: %s", class(fsys.MkdirAll(p("a", "f", "sub"), 0o755)))
+	_, err = fsys.Stat(p("a", "f", "sub")) // the OS says ENOTDIR, Mem not-exist: only failing matters
+	note("stat under a file fails: %v", err != nil)
 
 	note("remove missing: %s", class(fsys.Remove(p("a", "missing"))))
 	_, err = fsys.Open(p("a", "missing"))
@@ -127,7 +127,6 @@ func fsScript(fsys FS, root string) []string {
 	note("read missing: %s", read(p("a", "missing")))
 	_, err = fsys.ReadDir(p("nodir"))
 	note("readdir missing: %s", class(err))
-	note("remove non-empty dir: %s", class(fsys.Remove(p("moved"))))
 	note("remove file: %s", class(fsys.Remove(p("a", "f"))))
 	list(p("a"))
 	return out

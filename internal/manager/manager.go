@@ -200,6 +200,8 @@ type HoneypotState struct {
 	// honeypot has no record source); collection falls back to the drain
 	// path. Reset on relaunch, since a replacement may gain a store.
 	noIncremental bool
+
+	shard *logstore.Shard // where ingest files this honeypot's records
 }
 
 // Manager coordinates a fleet of honeypots.
@@ -283,8 +285,8 @@ func (m *Manager) Host() transport.Host { return m.host }
 // SetStore replaces the manager's in-memory store with a durable one
 // (spill-to-disk collection): gathered records land in per-honeypot
 // shards of store and Finalize streams them back from it. Set it before
-// Add; the caller keeps ownership of the store (and closes it after
-// Finalize).
+// Add, which opens each honeypot's shard in the store then in place; the
+// caller keeps ownership of the store (and closes it after Finalize).
 func (m *Manager) SetStore(store *logstore.Store) { m.store = store }
 
 // Store returns the store collection gathers into: the in-memory one New
@@ -292,12 +294,19 @@ func (m *Manager) SetStore(store *logstore.Store) { m.store = store }
 func (m *Manager) Store() *logstore.Store { return m.store }
 
 // Add registers a honeypot and pushes its assignment (server first, then
-// the advertisement, mirroring the paper's setup order).
-func (m *Manager) Add(h Handle, a Assignment) {
-	st := &HoneypotState{Handle: h, Assignment: a, Healthy: true}
+// the advertisement, mirroring the paper's setup order). It opens the
+// store shard named after the honeypot first and refuses an ID the
+// store cannot name a shard by, before any of its records is taken.
+func (m *Manager) Add(h Handle, a Assignment) error {
+	sh, err := m.store.Shard(h.ID())
+	if err != nil {
+		return fmt.Errorf("manager: honeypot %s: %w", h.ID(), err)
+	}
+	st := &HoneypotState{Handle: h, Assignment: a, Healthy: true, shard: sh}
 	m.hps = append(m.hps, st)
 	m.byID[h.ID()] = st
 	m.push(st)
+	return nil
 }
 
 func (m *Manager) push(st *HoneypotState) {
@@ -506,15 +515,8 @@ func (m *Manager) collectIncremental(st *HoneypotState, ih IncrementalHandle, do
 // honeypot. On error nothing may be acked: the batch is possibly only
 // partially stored.
 func (m *Manager) ingest(st *HoneypotState, recs []logging.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	sh, err := m.store.Shard(st.Handle.ID())
-	if err != nil {
-		return err
-	}
 	for _, r := range recs {
-		if err := sh.AppendRecord(r); err != nil {
+		if err := st.shard.AppendRecord(r); err != nil {
 			return err
 		}
 	}
@@ -739,37 +741,22 @@ func wrapFinalizeErr(err error) error {
 	return fmt.Errorf("manager: merging collected logs: %w", err)
 }
 
-// stage wraps one finalize pipeline stage's output in a counting,
-// timing iterator — only when telemetry is on, so a disabled registry
-// leaves the pipeline exactly as it was. Durations are cumulative and
-// inclusive of upstream stages (subtract the upstream stage's nanos for
-// exclusive time). The stages run behind the read-ahead, so each times
-// only the pulls that start while the stream's consumer waits on it
-// (critical) — its share of the consumer's wall time — and these timers
-// and the consumer's own add up to no more than that wall time.
-func (m *Manager) stage(it logging.Iterator, name string, critical func() bool) logging.Iterator {
-	if m.cfg.Metrics == nil {
-		return it
-	}
-	return &stageIter{
-		up:       it,
-		critical: critical,
-		records:  m.cfg.Metrics.Counter("finalize." + name + ".records"),
-		nanos:    m.cfg.Metrics.Counter("finalize." + name + ".nanos"),
-	}
-}
-
-// stageIter counts the records a stage yields and accumulates the wall
-// time spent pulling them (inclusive of upstream).
+// stageIter counts the records one finalize stage yields and the wall
+// time spent pulling them, inclusive of upstream stages (subtract the
+// upstream stage's nanos for exclusive time). The stages run behind the
+// stream's read-ahead, so each times only the pulls that start while the
+// stream's consumer waits on it — its share of the consumer's wall time
+// — and these timers and the consumer's own add up to no more than that
+// wall time.
 type stageIter struct {
-	up       logging.Iterator
-	critical func() bool
-	records  *obs.Counter
-	nanos    *obs.Counter
+	up      logging.Iterator
+	ra      **logging.ReadAheadIter // the stream's read-ahead, set before its producer pulls
+	records *obs.Counter
+	nanos   *obs.Counter
 }
 
 func (s *stageIter) Next() (logging.Record, error) {
-	timed := s.critical()
+	timed := (*s.ra).Waiting()
 	start := time.Now()
 	r, err := s.up.Next()
 	if timed {
@@ -814,11 +801,23 @@ func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 	// that ever shipped a raw address fails the whole finalize here.
 	ren := anonymize.NewRenumberer()
 	var ra *logging.ReadAheadIter // set before its producer runs the chain
-	critical := func() bool { return ra.Waiting() }
-	out := ren.RenumberIter(m.stage(anonymize.AuditIter(m.stage(base, "scan", critical)), "audit", critical))
-	out = m.stage(out, "renumber", critical)
+	// stage times one stage's output only when telemetry is on, so a
+	// disabled registry leaves the pipeline exactly as it was.
+	stage := func(it logging.Iterator, name string) logging.Iterator {
+		if m.cfg.Metrics == nil {
+			return it
+		}
+		return &stageIter{
+			up:      it,
+			ra:      &ra,
+			records: m.cfg.Metrics.Counter("finalize." + name + ".records"),
+			nanos:   m.cfg.Metrics.Counter("finalize." + name + ".nanos"),
+		}
+	}
+	out := ren.RenumberIter(stage(anonymize.AuditIter(stage(base, "scan")), "audit"))
+	out = stage(out, "renumber")
 	if na != nil {
-		out = m.stage(na.AnonymizeIter(out), "anonymize", critical)
+		out = stage(na.AnonymizeIter(out), "anonymize")
 	}
 	ra = logging.ReadAhead(out)
 

@@ -356,10 +356,12 @@ func (w *world) addHoneypot(cfg honeypot.Config, files []client.SharedFile, on n
 	if err := hp.Client().Listen(); err != nil {
 		return nil, fmt.Errorf("scenario: honeypot %s: %w", cfg.ID, err)
 	}
-	w.mgr.Add(w.newHandle(cfg.ID, hp, shard), manager.Assignment{
+	if err := w.mgr.Add(w.newHandle(cfg.ID, hp, shard), manager.Assignment{
 		Server: on,
 		Files:  files,
-	})
+	}); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
 	w.hps = append(w.hps, hp)
 	w.ids = append(w.ids, cfg.ID)
 	w.info = append(w.info, launched{cfg: cfg, files: files, server: on, shard: shard})

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,6 +165,22 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 		var fe *FieldError
 		if !errors.As(err, &fe) {
 			t.Fatalf("Run error is not a FieldError: %v", err)
+		}
+	}
+}
+
+// TestRunRefusesUnnameableHoneypotID: a fleet ID that cannot name a
+// store shard fails the run when the world is built, in memory mode as
+// in store mode, instead of collecting a dataset with silent gaps.
+func TestRunRefusesUnnameableHoneypotID(t *testing.T) {
+	for _, store := range []bool{false, true} {
+		spec := validSpec()
+		spec.Fleet[1].ID = "eu/hp-1"
+		if store {
+			spec.Collection.StoreDir = t.TempDir()
+		}
+		if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "eu/hp-1") {
+			t.Errorf("store=%v: Run(fleet id eu/hp-1) = %v, want an error naming it", store, err)
 		}
 	}
 }
