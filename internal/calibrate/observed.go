@@ -170,9 +170,13 @@ type Dataset struct {
 	Campaigns map[string]*CampaignObserved `json:"campaigns"`
 }
 
-// Validate checks every expectation (see Expectation.validate).
+// Validate checks every expectation (see Expectation.validate) and
+// rejects a campaign that is null in JSON.
 func (ds *Dataset) Validate() error {
 	for _, name := range slices.Sorted(maps.Keys(ds.Campaigns)) {
+		if ds.Campaigns[name] == nil {
+			return fmt.Errorf("calibrate: campaign %q: no expectation list", name)
+		}
 		for _, e := range ds.Campaigns[name].Expect {
 			if err := e.validate(); err != nil {
 				return fmt.Errorf("campaign %q: %w", name, err)

@@ -4,10 +4,12 @@ package logging
 // pipeline is built on. A campaign flows from a source (a logstore scan,
 // a merge of per-honeypot slices, a network drain) through transform
 // stages (renumbering, filename anonymization, auditing) into a consumer
-// (a columnar frame, a JSONL export, an on-disk store) one record at a
-// time: no stage ever materializes the stream. Where a source and its
-// consumer should run at once, ReadAhead (readahead.go) puts the source
-// on a goroutine of its own, a fixed number of record batches ahead.
+// (a columnar frame, a JSONL export, an on-disk store) a batch of
+// records at a time (Filler, Fill): each stage works on the batch in
+// place, and no stage ever materializes the stream. Where a source and
+// its consumer should run at once, ReadAhead (readahead.go) puts the
+// source on a goroutine of its own, a fixed number of record batches
+// ahead.
 
 import (
 	"bufio"
@@ -44,10 +46,52 @@ func (s *SliceIter) Next() (Record, error) {
 	return r, nil
 }
 
+// Filler is a stage that can store its next records straight into a
+// slice, a batch per call: Fill stores up to len(dst) records in dst
+// and returns how many, stopping early only at an error, which then
+// follows the n records stored as it would follow them from Next. Its
+// errors are final: once Fill or Next has returned one (io.EOF
+// included), every later call returns it again and stores nothing. A
+// record filled in place skips the copy of a return through Next, so a
+// pipeline of Fillers moves each record in bulk, a batch at a time.
+type Filler interface {
+	Fill(dst []Record) (n int, err error)
+}
+
+// Fill stores src's next records in dst, through src's Fill when it is
+// a Filler and a Next per record when it is not. It is the one place a
+// pipeline stage picks between the two.
+func Fill(src Iterator, dst []Record) (int, error) {
+	if f, ok := src.(Filler); ok {
+		return f.Fill(dst)
+	}
+	for n := range dst {
+		var err error
+		if dst[n], err = src.Next(); err != nil {
+			return n, err
+		}
+	}
+	return len(dst), nil
+}
+
+// NextOf is the Next of a stage whose Fill is its one path: it fills
+// slot, a record the stage owns (so the call escapes nothing), and
+// returns it. A record filled alongside an error is returned now and
+// the error, final under Filler's contract, by the next call.
+func NextOf(f Filler, slot *[1]Record) (Record, error) {
+	if n, err := f.Fill(slot[:]); n == 0 {
+		return Record{}, err
+	}
+	return slot[0], nil
+}
+
 // Map returns an iterator that applies fn to every record of src before
-// yielding it — the pipeline's transform stage. fn may mutate the
-// record in place but must not keep the pointer past the call: the stage
-// holds one record and reuses it. A non-nil error aborts the stream.
+// yielding it — the pipeline's transform stage. Its Fill pulls a batch
+// from src into the caller's slice and runs fn on each record there, in
+// stream order; fn may mutate the record but must not keep the pointer
+// past the call. An error — src's or fn's — is final: the records
+// before it are delivered, the one fn failed on is not, and every later
+// call returns the error without pulling src again.
 func Map(src Iterator, fn func(*Record) error) Iterator {
 	return &mapIter{src: src, fn: fn}
 }
@@ -55,48 +99,77 @@ func Map(src Iterator, fn func(*Record) error) Iterator {
 type mapIter struct {
 	src Iterator
 	fn  func(*Record) error
-	cur Record // fn's argument lives here, not in a per-Next heap escape
+	err error     // sticky: src's or fn's first error
+	one [1]Record // Next's slot
+}
+
+// Fill implements Filler.
+func (m *mapIter) Fill(dst []Record) (int, error) {
+	if m.err != nil {
+		return 0, m.err
+	}
+	n, err := Fill(m.src, dst)
+	for i := range dst[:n] {
+		if ferr := m.fn(&dst[i]); ferr != nil {
+			m.err = ferr
+			return i, ferr
+		}
+	}
+	m.err = err
+	return n, err
 }
 
 // Next implements Iterator.
-func (m *mapIter) Next() (Record, error) {
-	var err error
-	if m.cur, err = m.src.Next(); err != nil {
-		return Record{}, err
-	}
-	if err := m.fn(&m.cur); err != nil {
-		return Record{}, err
-	}
-	return m.cur, nil
-}
+func (m *mapIter) Next() (Record, error) { return NextOf(m, &m.one) }
 
-// Each drains src, invoking fn per record. fn errors abort the drain.
-// Like Map's, fn must not keep the pointer: every call gets the same one.
+// Each drains src, invoking fn per record. It pulls src a batch at a
+// time (Fill) into one buffer it reuses, so fn sees a batch's records
+// after src has produced all of them. fn errors abort the drain; like
+// Map's, fn must not keep the pointer past the call.
 func Each(src Iterator, fn func(*Record) error) error {
-	var r Record // one escape per drain, not per record
+	buf := make([]Record, readAheadBatch) // one allocation per drain
 	for {
-		var err error
-		r, err = src.Next()
+		n, err := Fill(src, buf)
+		for i := range buf[:n] {
+			if ferr := fn(&buf[i]); ferr != nil {
+				return ferr
+			}
+		}
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if err := fn(&r); err != nil {
-			return err
-		}
 	}
 }
 
 // Drain materializes the remainder of src as a slice.
-func Drain(src Iterator) ([]Record, error) {
-	var out []Record
-	err := Each(src, func(r *Record) error {
-		out = append(out, *r)
-		return nil
-	})
-	return out, err
+func Drain(src Iterator) ([]Record, error) { return AppendAll(nil, src) }
+
+// AppendAll appends the remainder of src to dst and returns it, with the
+// records before the error on any error but io.EOF. It fills dst's
+// spare capacity in place (Fill) before it grows dst, so a dst made
+// with the stream's length as its capacity is filled with no copy and
+// no second allocation.
+func AppendAll(dst []Record, src Iterator) ([]Record, error) {
+	var probe [1]Record // asks a full dst's source whether it has ended
+	for {
+		var n int
+		var err error
+		if len(dst) < cap(dst) {
+			n, err = Fill(src, dst[len(dst):cap(dst)])
+			dst = dst[:len(dst)+n]
+		} else if n, err = Fill(src, probe[:]); n > 0 {
+			dst = append(dst, probe[0])
+		}
+		if errors.Is(err, io.EOF) {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
 }
 
 // CloseIter closes src if it holds resources (an io.Closer, like a

@@ -232,3 +232,143 @@ func TestMapChainAllocsConstant(t *testing.T) {
 		t.Fatalf("chain allocates %v objects for 5000 records, %v for 10: want a small constant", large, small)
 	}
 }
+
+// TestMapErrorIsFinal: once Map's stage has returned an error — fn's or
+// its source's — every later Next or Fill returns that error again and
+// never pulls the source: a caller that carries on past an audit leak
+// must not get the records after it, a silently shorter dataset.
+func TestMapErrorIsFinal(t *testing.T) {
+	leak := errors.New("leak")
+	for _, viaFill := range []bool{false, true} {
+		src := &countedIter{t: t, n: 10}
+		it := Map(src, func(r *Record) error {
+			if r.PeerPort == 4 {
+				return leak
+			}
+			return nil
+		})
+		var got []Record
+		var err error
+		if viaFill {
+			got, err = drainFill(t, it.(Filler), 2)
+		} else {
+			got, err = drainNext(it)
+		}
+		if !errors.Is(err, leak) || len(got) != 3 {
+			t.Fatalf("fill=%v: %d records, then %v; want 3, then fn's error", viaFill, len(got), err)
+		}
+		pulled := src.calls.Load()
+		for i := 0; i < 3; i++ {
+			if r, err := it.Next(); !errors.Is(err, leak) {
+				t.Fatalf("fill=%v: Next %d after fn's error returned record %d, %v", viaFill, i, r.PeerPort, err)
+			}
+			if n, err := it.(Filler).Fill(make([]Record, 4)); n != 0 || !errors.Is(err, leak) {
+				t.Fatalf("fill=%v: Fill %d after fn's error stored %d, %v", viaFill, i, n, err)
+			}
+		}
+		if src.calls.Load() != pulled {
+			t.Fatalf("fill=%v: the source was pulled %d more times after fn's error", viaFill, src.calls.Load()-pulled)
+		}
+	}
+
+	// A source that would go on after its error is not pulled again.
+	flaky := &flakyIter{failAt: 2}
+	it := Map(flaky, func(*Record) error { return nil })
+	if got, err := drainNext(it); len(got) != 2 || !errors.Is(err, errFlaky) {
+		t.Fatalf("%d records, then %v; want 2, then the source's error", len(got), err)
+	}
+	if _, err := it.Next(); !errors.Is(err, errFlaky) || flaky.calls != 3 {
+		t.Fatalf("Next after the source's error: %v after %d source calls, want errFlaky after 3", err, flaky.calls)
+	}
+}
+
+var errFlaky = errors.New("flaky")
+
+// flakyIter fails once, at record failAt, and would go on afterwards.
+type flakyIter struct{ failAt, calls int }
+
+func (f *flakyIter) Next() (Record, error) {
+	f.calls++
+	if f.calls-1 == f.failAt {
+		return Record{}, errFlaky
+	}
+	return Record{PeerPort: uint16(f.calls)}, nil
+}
+
+// TestMapFillMatchesNext: a Map chain drained through Fill, at any dst
+// length, is the chain drained through Next — the same records, and a
+// failing fn stops both after the same prefix.
+func TestMapFillMatchesNext(t *testing.T) {
+	leak := errors.New("leak")
+	for _, failAt := range []int{-1, 0, 300, 999} {
+		chain := func(filled bool) Iterator {
+			i := 0
+			return Map(Map(source(&countedIter{t: t, n: 1000}, filled),
+				func(r *Record) error { r.PeerIP = fmt.Sprint(r.PeerPort); return nil }),
+				func(r *Record) error {
+					if i++; i-1 == failAt {
+						return leak
+					}
+					r.PeerPort *= 2
+					return nil
+				})
+		}
+		want, wantErr := drainNext(chain(false))
+		for _, b := range fillSizes {
+			got, err := drainFill(t, chain(b%2 == 1).(Filler), b)
+			if !errors.Is(err, wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("failAt=%d b=%d: Fill gave %d records, then %v; Next %d, then %v", failAt, b, len(got), err, len(want), wantErr)
+			}
+		}
+	}
+}
+
+// constFiller is an endless source with a Fill that allocates nothing.
+type constFiller struct{ r Record }
+
+func (c *constFiller) Next() (Record, error) { return c.r, nil }
+
+func (c *constFiller) Fill(dst []Record) (int, error) {
+	for i := range dst {
+		dst[i] = c.r
+	}
+	return len(dst), nil
+}
+
+// TestMapFillAllocatesNothing: Map's Fill runs fn on the caller's
+// records in place — no record, batch or closure escapes per call.
+func TestMapFillAllocatesNothing(t *testing.T) {
+	seen := 0
+	it := Map(&constFiller{r: Record{PeerIP: "peer", Files: []SharedFile{{Name: "f"}}}},
+		func(r *Record) error { seen++; r.PeerPort++; return nil }).(Filler)
+	buf := make([]Record, readAheadBatch)
+	if allocs := testing.AllocsPerRun(100, func() { it.Fill(buf) }); allocs != 0 {
+		t.Fatalf("Map's Fill allocates %v objects per call, want 0", allocs)
+	}
+	if seen == 0 {
+		t.Fatal("fn never ran")
+	}
+}
+
+// TestAppendAllFillsCapacityInPlace: AppendAll fills a dst made at the
+// stream's length without moving it, grows a smaller one, and keeps the
+// prefix before an error.
+func TestAppendAllFillsCapacityInPlace(t *testing.T) {
+	const n = 700
+	want, _ := drainNext(&countedIter{t: t, n: n})
+	for _, c := range []int{0, 1, n - 1, n, n + 5} {
+		dst := make([]Record, 0, c)
+		got, err := AppendAll(dst, source(&countedIter{t: t, n: n}, c%2 == 0))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("cap %d: %d records, %v", c, len(got), err)
+		}
+		if c >= n && (&got[0] != &dst[:1][0] || cap(got) != c) {
+			t.Fatalf("cap %d: AppendAll moved a dst that had room for the stream", c)
+		}
+	}
+	boom := errors.New("boom")
+	got, err := AppendAll(make([]Record, 0, 10), &countedIter{t: t, n: 25, end: boom})
+	if !errors.Is(err, boom) || !reflect.DeepEqual(got, want[:25]) {
+		t.Fatalf("%d records, then %v; want 25, then boom", len(got), err)
+	}
+}

@@ -24,8 +24,8 @@ const (
 	readAheadDepth = 3
 )
 
-// errReadAheadClosed is what Next returns once Close has run.
-var errReadAheadClosed = errors.New("logging: Next on a closed read-ahead iterator")
+// errReadAheadClosed is what Fill and Next return once Close has run.
+var errReadAheadClosed = errors.New("logging: read from a closed read-ahead iterator")
 
 // ReadAheadIter is the read-ahead stage over a source iterator. It is
 // used by one goroutine, like any Iterator; the producer goroutine it
@@ -41,10 +41,11 @@ type ReadAheadIter struct {
 	stop       chan struct{} // closed by Close: the producer must exit
 	done       chan struct{} // closed by the producer as it exits
 
-	cur  *raBatch // the batch being read; nil before the first
-	recs []Record // cur.recs, nil once closed
-	i    int      // next record of recs
-	err  error    // sticky: returned by every Next once set
+	cur  *raBatch  // the batch being read; nil before the first
+	recs []Record  // cur.recs, nil once closed
+	i    int       // next record of recs
+	err  error     // sticky: returned by every Fill once set
+	one  [1]Record // Next's slot
 
 	waiting atomic.Bool  // the consumer is blocked on full; see Waiting
 	busy    atomic.Int64 // nanoseconds the producer spent filling; see Busy
@@ -58,55 +59,60 @@ type raBatch struct {
 }
 
 // ReadAhead returns src behind a read-ahead stage. The producer
-// goroutine starts on the first Next, so a stage closed unread never
-// starts one. Records keep their order and errors their position: every
-// record src produced before an error is delivered first, and the error
-// (io.EOF included) is then returned by every later Next. Close stops
-// the producer, waits for it and only then closes src, if src is an
-// io.Closer. Records are handed over by value, so src may reuse its
-// buffers between calls but must not mutate what a returned record
-// references (Files arrays, for one). A src with a method
-// Fill(dst []Record) (n int, err error) — storing up to len(dst) next
-// records in dst, then the error that stopped it, if any — is drained
-// through it, a batch per call.
+// goroutine starts on the first Fill or Next, so a stage closed unread
+// never starts one. The producer pulls src a batch at a time (Fill:
+// src's own Fill when src is a Filler) into the stage's batches, and
+// the stage's Fill copies them to its caller in bulk, whatever the
+// caller's dst length. Records keep their order and errors their
+// position: every record src produced before an error is delivered
+// first, and the error (io.EOF included) is then returned by every
+// later call. Close stops the producer, waits for it and only then
+// closes src, if src is an io.Closer. Records are handed over by value,
+// so src may reuse its buffers between calls but must not mutate what a
+// returned record references (Files arrays, for one).
 func ReadAhead(src Iterator) *ReadAheadIter { return &ReadAheadIter{src: src} }
 
+// Fill implements Filler: it copies records from the filled batches
+// into dst until dst is full or the stream's error is reached, waiting
+// for the producer when the batch it reads is drained.
+func (r *ReadAheadIter) Fill(dst []Record) (int, error) {
+	n := copy(dst, r.recs[r.i:])
+	r.i += n
+	for n < len(dst) {
+		if err := r.nextBatch(); err != nil {
+			return n, err
+		}
+		c := copy(dst[n:], r.recs)
+		r.i, n = c, n+c
+	}
+	return n, nil
+}
+
 // Next implements Iterator.
-func (r *ReadAheadIter) Next() (Record, error) {
-	if i := r.i; i < len(r.recs) {
-		r.i = i + 1
-		return r.recs[i], nil
+func (r *ReadAheadIter) Next() (Record, error) { return NextOf(r, &r.one) }
+
+// nextBatch replaces the drained batch with the next filled one, or
+// makes the error that ended the drained batch sticky and returns it.
+func (r *ReadAheadIter) nextBatch() error {
+	switch {
+	case r.err != nil:
+		return r.err
+	case r.cur == nil:
+		r.start()
+	case r.cur.err != nil:
+		r.err = r.cur.err
+		return r.err
+	default:
+		r.free <- r.cur
 	}
-	return r.nextBatch()
+	r.waiting.Store(true)
+	r.cur = <-r.full
+	r.waiting.Store(false)
+	r.recs, r.i = r.cur.recs, 0
+	return nil
 }
 
-// nextBatch replaces the drained batch with the next filled one and
-// returns its first record, or makes the error that ended the drained
-// batch sticky.
-func (r *ReadAheadIter) nextBatch() (Record, error) {
-	for r.i == len(r.recs) {
-		if r.err != nil {
-			return Record{}, r.err
-		}
-		switch {
-		case r.cur == nil:
-			r.start()
-		case r.cur.err != nil:
-			r.err = r.cur.err
-			return Record{}, r.err
-		default:
-			r.free <- r.cur
-		}
-		r.waiting.Store(true)
-		r.cur = <-r.full
-		r.waiting.Store(false)
-		r.recs, r.i = r.cur.recs, 0
-	}
-	r.i++
-	return r.recs[0], nil
-}
-
-// Waiting reports whether the consumer is blocked in Next, waiting for
+// Waiting reports whether the consumer is blocked in Fill, waiting for
 // the producer; it may be called from any goroutine. The consumer sets
 // it as it starts to wait and the producer clears it as it hands the
 // next batch over, so a call into src that starts while Waiting holds
@@ -155,7 +161,7 @@ func (r *ReadAheadIter) produce() {
 		default:
 		}
 		start := time.Now()
-		n, err := fill(r.src, b.recs[:cap(b.recs)])
+		n, err := Fill(r.src, b.recs[:cap(b.recs)])
 		r.busy.Add(int64(time.Since(start)))
 		b.recs, b.err = b.recs[:n], err
 		r.waiting.Store(false) // this send ends the wait, not the consumer's wake-up
@@ -166,30 +172,9 @@ func (r *ReadAheadIter) produce() {
 	}
 }
 
-// filler is a source that can also store its next records straight
-// into a slice: Fill fills dst, or stops early at an error, which then
-// follows the n records stored, as it would follow them from Next. A
-// record filled in place skips the copies of a return through Next.
-type filler interface {
-	Fill(dst []Record) (n int, err error)
-}
-
-// fill stores src's next records in dst, through Fill when src has it.
-func fill(src Iterator, dst []Record) (int, error) {
-	if f, ok := src.(filler); ok {
-		return f.Fill(dst)
-	}
-	for n := range dst {
-		var err error
-		if dst[n], err = src.Next(); err != nil {
-			return n, err
-		}
-	}
-	return len(dst), nil
-}
-
-// Close stops and joins the producer, then closes src. Next returns an
-// error afterwards; a second Close only closes src again.
+// Close stops and joins the producer, then closes src. Fill and Next
+// return an error afterwards, never io.EOF; a second Close only closes
+// src again.
 func (r *ReadAheadIter) Close() error {
 	if r.stop != nil {
 		close(r.stop)
@@ -198,8 +183,6 @@ func (r *ReadAheadIter) Close() error {
 	}
 	// Drop the batches with the channels that hold them.
 	r.cur, r.recs, r.i, r.full, r.free = nil, nil, 0, nil, nil
-	if r.err == nil {
-		r.err = errReadAheadClosed
-	}
+	r.err = errReadAheadClosed
 	return CloseIter(r.src)
 }

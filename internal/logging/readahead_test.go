@@ -229,3 +229,117 @@ func TestReadAheadCloseJoinsProducer(t *testing.T) {
 		}
 	}
 }
+
+// fillSizes are the dst lengths the batch-path tests Fill with: smaller
+// than, equal to, straddling and spanning the stage's own batches.
+var fillSizes = []int{1, 2, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1, 1000}
+
+// drainFill drains f through Fill with a dst of b records and returns
+// the records and the error that ended the stream. A short Fill without
+// an error breaks the Filler contract and fails the test.
+func drainFill(t *testing.T, f Filler, b int) ([]Record, error) {
+	t.Helper()
+	buf := make([]Record, b)
+	var out []Record
+	for {
+		n, err := f.Fill(buf)
+		out = append(out, buf[:n]...)
+		if err != nil {
+			return out, err
+		}
+		if n != b {
+			t.Fatalf("Fill stored %d of %d records and returned no error", n, b)
+		}
+	}
+}
+
+// drainNext drains it through Next, the reference drainFill must match.
+func drainNext(it Iterator) ([]Record, error) {
+	var out []Record
+	for {
+		r, err := it.Next()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, r)
+	}
+}
+
+func TestReadAheadFillMatchesNext(t *testing.T) {
+	for _, filled := range []bool{false, true} {
+		for _, n := range sizes {
+			want, wantErr := drainNext(ReadAhead(source(&countedIter{t: t, n: n}, filled)))
+			for _, b := range fillSizes {
+				src := &countedIter{t: t, n: n}
+				base := runtime.NumGoroutine()
+				ra := ReadAhead(source(src, filled))
+				got, err := drainFill(t, ra, b)
+				if !errors.Is(err, io.EOF) || !errors.Is(wantErr, io.EOF) {
+					t.Fatalf("n=%d b=%d filled=%v: Fill ended with %v, Next with %v", n, b, filled, err, wantErr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d b=%d filled=%v: Fill delivered %d records, Next %d, or other ones", n, b, filled, len(got), len(want))
+				}
+				if k, err := ra.Fill(make([]Record, b)); k != 0 || !errors.Is(err, io.EOF) {
+					t.Fatalf("n=%d b=%d: Fill after the end stored %d and returned %v, want io.EOF again", n, b, k, err)
+				}
+				if err := ra.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ra.Fill(make([]Record, b)); err == nil || errors.Is(err, io.EOF) {
+					t.Fatalf("n=%d b=%d: Fill after Close returned %v, want an error that is not io.EOF", n, b, err)
+				}
+				waitGoroutines(t, base)
+			}
+		}
+	}
+}
+
+func TestReadAheadFillErrorKeepsItsPlace(t *testing.T) {
+	boom := errors.New("boom")
+	for _, k := range sizes {
+		for _, b := range fillSizes {
+			ra := ReadAhead(source(&countedIter{t: t, n: k, end: boom}, b%2 == 0))
+			got, err := drainFill(t, ra, b)
+			if !errors.Is(err, boom) || len(got) != k {
+				t.Fatalf("k=%d b=%d: %d records, then %v; want %d, then the source's error", k, b, len(got), err, k)
+			}
+			for i, r := range got {
+				if int(r.PeerPort) != i+1 {
+					t.Fatalf("k=%d b=%d: record %d is the source's %d", k, b, i, r.PeerPort)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				if n, err := ra.Fill(make([]Record, b)); n != 0 || !errors.Is(err, boom) {
+					t.Fatalf("k=%d b=%d: Fill %d after the error stored %d and returned %v", k, b, i, n, err)
+				}
+			}
+			ra.Close()
+		}
+	}
+}
+
+func TestReadAheadFillAfterCloseIsAnError(t *testing.T) {
+	for _, read := range []int{0, 1, readAheadBatch + 3} {
+		base := runtime.NumGoroutine()
+		src := &countedIter{t: t, n: -1}
+		ra := ReadAhead(src)
+		if read > 0 {
+			if n, err := ra.Fill(make([]Record, read)); n != read || err != nil {
+				t.Fatalf("read %d: Fill stored %d, %v", read, n, err)
+			}
+		}
+		if err := ra.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitGoroutines(t, base)
+		for i := 0; i < 2; i++ {
+			if n, err := ra.Fill(make([]Record, 4)); n != 0 || err == nil || errors.Is(err, io.EOF) {
+				t.Fatalf("read %d: Fill after Close stored %d and returned %v, want an error that is not io.EOF", read, n, err)
+			}
+		}
+		if read == 0 && src.calls.Load() != 0 {
+			t.Fatalf("a stage closed unread pulled its source %d times", src.calls.Load())
+		}
+	}
+}

@@ -29,9 +29,15 @@ type Iterator struct {
 	busy *obs.Counter // logstore.scan.busy_nanos; nil once reported
 }
 
-// Next returns the next record in merged timestamp order; io.EOF marks
-// the end of the stream. An error is final: every record decoded before
-// it has been returned, and every later call returns it again.
+// Fill stores the next records in merged timestamp order in dst, a
+// batch copied in bulk from the read-ahead stage (logging.Filler);
+// io.EOF marks the end of the stream. An error is final: every record
+// decoded before it has been delivered, and every later call returns it
+// again. After Close it returns an error that is not io.EOF.
+func (it *Iterator) Fill(dst []logging.Record) (int, error) { return it.ra.Fill(dst) }
+
+// Next returns the next record in merged timestamp order: Fill of one
+// record.
 func (it *Iterator) Next() (logging.Record, error) { return it.ra.Next() }
 
 // Close stops the scan and releases any open segment readers, then adds

@@ -236,3 +236,148 @@ func TestIteratorErrorIsFinalAndInPlace(t *testing.T) {
 		st.Close()
 	}
 }
+
+// fillSizes are the dst lengths the batch-path tests Fill with: smaller
+// than, equal to, straddling and spanning the read-ahead's batches.
+var fillSizes = []int{1, 2, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1, 1000}
+
+// threeShardStore writes n records over three shards of a store with
+// 1 KiB segments, with timestamp ties across shards, and closes it.
+func threeShardStore(t *testing.T, dir string, n int) {
+	t.Helper()
+	names := []string{"hp-00", "hp-01", "hp-02"}
+	st, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		hp := names[(i*5)%len(names)]
+		r := rec(hp, i)
+		r.Time = t0.Add(time.Duration(i/4) * time.Second)
+		sh, err := st.Shard(hp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sh.AppendRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scanBoth drains a fresh Iterator over st through Next, then another
+// through Fill with a dst of b records, and returns both streams with
+// the errors that ended them.
+func scanBoth(t *testing.T, st *Store, b int) (next, fill []logging.Record, nextErr, fillErr error) {
+	t.Helper()
+	it, err := st.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		r, err := it.Next()
+		if err != nil {
+			nextErr = err
+			break
+		}
+		next = append(next, r)
+	}
+	it.Close()
+	if it, err = st.Iterator(); err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	buf := make([]logging.Record, b)
+	for {
+		n, err := it.Fill(buf)
+		fill = append(fill, buf[:n]...)
+		if err != nil {
+			fillErr = err
+			break
+		}
+		if n != b {
+			t.Fatalf("b=%d: Fill stored %d records and returned no error", b, n)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if n, err := it.Fill(buf); n != 0 || err != fillErr {
+			t.Fatalf("b=%d: Fill after the stream's end stored %d and returned %v, want %v again", b, n, err, fillErr)
+		}
+	}
+	return next, fill, nextErr, fillErr
+}
+
+// TestIteratorFillMatchesNext: a scan drained through Fill, at any dst
+// length, is the scan drained through Next.
+func TestIteratorFillMatchesNext(t *testing.T) {
+	dir := t.TempDir()
+	threeShardStore(t, dir, 3*readAheadBatch+7)
+	st, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, b := range fillSizes {
+		base := runtime.NumGoroutine()
+		next, fill, nextErr, fillErr := scanBoth(t, st, b)
+		if !errors.Is(nextErr, io.EOF) || !errors.Is(fillErr, io.EOF) {
+			t.Fatalf("b=%d: Next ended with %v, Fill with %v", b, nextErr, fillErr)
+		}
+		if len(next) != 3*readAheadBatch+7 || !reflect.DeepEqual(fill, next) {
+			t.Fatalf("b=%d: Fill delivered %d records, Next %d, or other ones", b, len(fill), len(next))
+		}
+		waitGoroutines(t, base)
+	}
+}
+
+// TestIteratorFillErrorIsFinalAndInPlace: a corrupt frame mid-scan ends
+// a Fill drain where it ends a Next drain — the same prefix, then the
+// same error, again on every call.
+func TestIteratorFillErrorIsFinalAndInPlace(t *testing.T) {
+	dir := t.TempDir()
+	threeShardStore(t, dir, 3*readAheadBatch+7)
+	corruptLastRecord(t, dir, "hp-01")
+	st, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, b := range fillSizes {
+		next, fill, nextErr, fillErr := scanBoth(t, st, b)
+		if !errors.Is(nextErr, errCorrupt) || !errors.Is(fillErr, errCorrupt) {
+			t.Fatalf("b=%d: Next ended with %v, Fill with %v; want errCorrupt", b, nextErr, fillErr)
+		}
+		if len(next) == 0 || len(next) >= 3*readAheadBatch+7 || !reflect.DeepEqual(fill, next) {
+			t.Fatalf("b=%d: Fill delivered %d records before errCorrupt, Next %d, or other ones", b, len(fill), len(next))
+		}
+	}
+}
+
+// TestIteratorFillAfterClose: Fill on a closed scan is an error — never
+// io.EOF, even when the scan had reached its end.
+func TestIteratorFillAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	threeShardStore(t, dir, readAheadBatch+3)
+	st, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, read := range []int{0, 1, readAheadBatch + 3, readAheadBatch + 4} {
+		it, err := st.Iterator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if read > 0 {
+			it.Fill(make([]logging.Record, read))
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := it.Fill(make([]logging.Record, 8)); n != 0 || err == nil || errors.Is(err, io.EOF) {
+			t.Fatalf("read %d: Fill after Close stored %d and returned %v, want an error that is not io.EOF", read, n, err)
+		}
+	}
+}

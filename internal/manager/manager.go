@@ -610,16 +610,18 @@ type Dataset struct {
 
 // DatasetStream is the streaming form of Dataset: the unified,
 // anonymized, audited campaign log as an iterator. Records flow
-// store scan → audit → renumber → filename-anonymize one at a time, on a
+// store scan → audit → renumber → filename-anonymize a batch at a time,
+// each stage working on the batch in place (logging.Filler), on a
 // read-ahead stage's goroutine (logging.ReadAhead) a fixed number of
 // record batches ahead of the caller; peak pipeline memory is
 // O(distinct peers + distinct file names + distinct filename words) —
 // the names being the strings the scan's intern pool already holds —
 // plus those batches, never O(records). The stats accessors
 // (DistinctPeers, ReplacedWords, PerHoneypot) may be called at any time
-// from the goroutine calling Next and are final once Next has returned
-// io.EOF. Close stops the stage and releases the store cursor; consume
-// and close the stream before reusing or closing the manager's store.
+// from the goroutine calling Fill or Next and are final once either has
+// returned io.EOF. Close stops the stage and releases the store cursor;
+// consume and close the stream before reusing or closing the manager's
+// store.
 type DatasetStream struct {
 	ra   *logging.ReadAheadIter // the stage running the chain: the pipeline's output
 	base *logstore.Iterator     // the store cursor, for Close
@@ -636,13 +638,19 @@ type DatasetStream struct {
 	hps   []string       // known honeypot IDs, zero-filled at EOF
 
 	busy *obs.Counter // finalize.chain.busy_nanos: the stage's producer time, added at Close
+
+	one [1]logging.Record // Next's slot
 }
 
-// Next implements logging.Iterator: it returns the next anonymized
-// record, an *anonymize.AuditError if a leak is detected, or io.EOF at
-// the end of the campaign.
-func (d *DatasetStream) Next() (logging.Record, error) {
-	r, err := d.ra.Next()
+// Fill implements logging.Filler: it stores the next anonymized records
+// in dst, copied in bulk from the chain's batches, and stops early at an
+// *anonymize.AuditError if a leak is detected or at io.EOF at the end of
+// the campaign. After Close it returns an error that is not io.EOF.
+func (d *DatasetStream) Fill(dst []logging.Record) (int, error) {
+	n, err := d.ra.Fill(dst)
+	for i := range dst[:n] {
+		d.perHP[dst[i].Honeypot]++
+	}
 	if err != nil {
 		d.peers = d.ren.Count()
 		if d.na != nil {
@@ -655,11 +663,12 @@ func (d *DatasetStream) Next() (logging.Record, error) {
 				}
 			}
 		}
-		return logging.Record{}, err
 	}
-	d.perHP[r.Honeypot]++
-	return r, nil
+	return n, err
 }
+
+// Next implements logging.Iterator: Fill of one record.
+func (d *DatasetStream) Next() (logging.Record, error) { return logging.NextOf(d, &d.one) }
 
 // Close stops the pipeline's read-ahead stage, then releases the store's
 // cursor; the stage's busy time goes to finalize.chain.busy_nanos. The
@@ -687,7 +696,9 @@ func (d *DatasetStream) PerHoneypot() map[string]int { return d.perHP }
 // k-way timestamp merge, coherent renumbering of hashed peer addresses,
 // filename anonymization, and the leak audit. The result is delivered to
 // done on the manager's executor. It is the materialized form of
-// FinalizeStream — the campaign must fit in memory.
+// FinalizeStream — the campaign must fit in memory. The records are
+// filled into one slice sized by the store's record count, taken after
+// the last collection.
 func (m *Manager) Finalize(done func(*Dataset, error)) {
 	m.FinalizeStream(func(ds *DatasetStream, err error) {
 		if err != nil {
@@ -695,7 +706,7 @@ func (m *Manager) Finalize(done func(*Dataset, error)) {
 			return
 		}
 		defer ds.Close()
-		merged, err := logging.Drain(ds)
+		merged, err := logging.AppendAll(make([]logging.Record, 0, m.store.TotalRecords()), ds)
 		if err != nil {
 			done(nil, wrapFinalizeErr(err))
 			return
@@ -743,30 +754,33 @@ func wrapFinalizeErr(err error) error {
 
 // stageIter counts the records one finalize stage yields and the wall
 // time spent pulling them, inclusive of upstream stages (subtract the
-// upstream stage's nanos for exclusive time). The stages run behind the
-// stream's read-ahead, so each times only the pulls that start while the
-// stream's consumer waits on it — its share of the consumer's wall time
-// — and these timers and the consumer's own add up to no more than that
-// wall time.
+// upstream stage's nanos for exclusive time), one batch per pull. The
+// stages run behind the stream's read-ahead, so each times only the
+// pulls that start while the stream's consumer waits on it — its share
+// of the consumer's wall time — and these timers and the consumer's own
+// add up to no more than that wall time.
 type stageIter struct {
 	up      logging.Iterator
 	ra      **logging.ReadAheadIter // the stream's read-ahead, set before its producer pulls
 	records *obs.Counter
 	nanos   *obs.Counter
+	one     [1]logging.Record // Next's slot
 }
 
-func (s *stageIter) Next() (logging.Record, error) {
+// Fill implements logging.Filler.
+func (s *stageIter) Fill(dst []logging.Record) (int, error) {
 	timed := (*s.ra).Waiting()
 	start := time.Now()
-	r, err := s.up.Next()
+	n, err := logging.Fill(s.up, dst)
 	if timed {
 		s.nanos.Add(uint64(time.Since(start)))
 	}
-	if err == nil {
-		s.records.Inc()
-	}
-	return r, err
+	s.records.Add(uint64(n))
+	return n, err
 }
+
+// Next implements logging.Iterator: Fill of one record.
+func (s *stageIter) Next() (logging.Record, error) { return logging.NextOf(s, &s.one) }
 
 // newDatasetStream assembles the finalize pipeline over the store:
 // (fold the name tables) → scan → audit → renumber → anonymize names →

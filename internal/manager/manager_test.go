@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/netip"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -1316,7 +1317,14 @@ func stagedLogs(ids []string, n, rawAt int) map[string][]logging.Record {
 // per honeypot, telemetry into reg when non-nil) and returns the stream.
 func storeStream(t *testing.T, ids []string, logs map[string][]logging.Record, reg *obs.Registry) *DatasetStream {
 	t.Helper()
-	store, err := logstore.Open(t.TempDir(), logstore.Options{SegmentBytes: 16 << 10})
+	return streamOf(t, storeManager(t, 16<<10, ids, logs, reg))
+}
+
+// storeManager is storeStream's manager, over segments of segBytes,
+// before it finalizes: each streamOf of it is a finalize of its own.
+func storeManager(t *testing.T, segBytes int64, ids []string, logs map[string][]logging.Record, reg *obs.Registry) *Manager {
+	t.Helper()
+	store, err := logstore.Open(t.TempDir(), logstore.Options{SegmentBytes: segBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1339,6 +1347,12 @@ func storeStream(t *testing.T, ids []string, logs map[string][]logging.Record, r
 		m.Add(&fakeStoreHandle{fakeHandle: fakeHandle{id: id}, shard: sh}, Assignment{})
 	}
 	m.CollectNow(nil)
+	return m
+}
+
+// streamOf finalizes m and returns its stream.
+func streamOf(t *testing.T, m *Manager) *DatasetStream {
+	t.Helper()
 	var stream *DatasetStream
 	m.FinalizeStream(func(s *DatasetStream, err error) {
 		if err != nil {
@@ -1508,5 +1522,168 @@ func TestStageTimersFitTheConsumersTime(t *testing.T) {
 		if d := time.Duration(c["finalize."+st+".nanos"]); d > inNext {
 			t.Errorf("finalize.%s.nanos = %v, more than the %v the consumer spent waiting in Next", st, d, inNext)
 		}
+	}
+}
+
+// fillSizes are the dst lengths the batch-path tests Fill with: smaller
+// than, equal to, straddling and spanning the read-ahead's batches.
+var fillSizes = []int{1, 2, 255, 256, 257, 1000}
+
+// drainStream drains s through Fill with a dst of b records, or through
+// Next when b is 0, and returns the records and the error that ended
+// the stream.
+func drainStream(t *testing.T, s *DatasetStream, b int) ([]logging.Record, error) {
+	t.Helper()
+	var out []logging.Record
+	if b == 0 {
+		for {
+			r, err := s.Next()
+			if err != nil {
+				return out, err
+			}
+			out = append(out, r)
+		}
+	}
+	buf := make([]logging.Record, b)
+	for {
+		n, err := s.Fill(buf)
+		out = append(out, buf[:n]...)
+		if err != nil {
+			return out, err
+		}
+		if n != b {
+			t.Fatalf("b=%d: Fill stored %d records and returned no error", b, n)
+		}
+	}
+}
+
+var finalizeStages = []string{"scan", "audit", "renumber", "anonymize"}
+
+// TestDatasetStreamFillMatchesNext: a finalize drained through Fill, at
+// any dst length and with the stage timers on or off, is the finalize
+// drained through Next — records, stats, per-stage record totals — over
+// a three-shard store of 1 KiB segments.
+func TestDatasetStreamFillMatchesNext(t *testing.T) {
+	ids := []string{"hp-a", "hp-b", "hp-c"}
+	logs := stagedLogs(ids, 400, -1)
+	for _, timed := range []bool{false, true} {
+		var reg *obs.Registry
+		if timed {
+			reg = obs.New()
+		}
+		m := storeManager(t, 1<<10, ids, logs, reg)
+		records := func() map[string]uint64 {
+			out := map[string]uint64{}
+			for _, st := range finalizeStages {
+				out[st] = reg.Counter("finalize." + st + ".records").Load()
+			}
+			return out
+		}
+		ref := streamOf(t, m)
+		want, err := drainStream(t, ref, 0)
+		if !errors.Is(err, io.EOF) || len(want) != 3*400 {
+			t.Fatalf("Next drain: %d records, then %v", len(want), err)
+		}
+		ref.Close()
+		wantTotals := records()
+		for _, b := range fillSizes {
+			before := records()
+			base := runtime.NumGoroutine()
+			s := streamOf(t, m)
+			got, err := drainStream(t, s, b)
+			if !errors.Is(err, io.EOF) || !recordsEqual(got, want) {
+				t.Fatalf("timed=%v b=%d: Fill gave %d records, then %v; Next %d", timed, b, len(got), err, len(want))
+			}
+			if s.DistinctPeers() != ref.DistinctPeers() || s.ReplacedWords() != ref.ReplacedWords() {
+				t.Fatalf("timed=%v b=%d: %d peers, %d words; Next drain %d, %d", timed, b,
+					s.DistinctPeers(), s.ReplacedWords(), ref.DistinctPeers(), ref.ReplacedWords())
+			}
+			for _, id := range ids {
+				if s.PerHoneypot()[id] != ref.PerHoneypot()[id] {
+					t.Fatalf("timed=%v b=%d: per-honeypot[%s] = %d, want %d", timed, b, id, s.PerHoneypot()[id], ref.PerHoneypot()[id])
+				}
+			}
+			if timed {
+				after := records()
+				for _, st := range finalizeStages {
+					if g, w := after[st]-before[st], wantTotals[st]; g != w || g != uint64(len(want)) {
+						t.Fatalf("b=%d: finalize.%s.records = %d through Fill, %d through Next, want %d", b, st, g, w, len(want))
+					}
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := s.Fill(buf1()); n != 0 || err == nil || errors.Is(err, io.EOF) {
+				t.Fatalf("b=%d: Fill after Close stored %d and returned %v, want an error that is not io.EOF", b, n, err)
+			}
+			waitGoroutines(t, base)
+		}
+	}
+}
+
+// buf1 is a one-record dst.
+func buf1() []logging.Record { return make([]logging.Record, 1) }
+
+// recordsEqual compares two record streams field by field.
+func recordsEqual(a, b []logging.Record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDatasetStreamFillAuditErrorInPlace: an audit leak in the middle of
+// a batch stops a Fill drain after the prefix a Next drain delivers,
+// with the same *anonymize.AuditError (record index and honeypot), and
+// every later Fill returns it again.
+func TestDatasetStreamFillAuditErrorInPlace(t *testing.T) {
+	ids := []string{"hp-a", "hp-b", "hp-c"}
+	logs := stagedLogs(ids, 400, 350)
+	m := storeManager(t, 1<<10, ids, logs, obs.New())
+	ref := streamOf(t, m)
+	want, err := drainStream(t, ref, 0)
+	var wantAE *anonymize.AuditError
+	if !errors.As(err, &wantAE) || len(want) != 3*350+1 {
+		t.Fatalf("Next drain: %d records, then %v; want %d, then an audit error", len(want), err, 3*350+1)
+	}
+	ref.Close()
+	for _, b := range fillSizes {
+		s := streamOf(t, m)
+		got, err := drainStream(t, s, b)
+		var ae *anonymize.AuditError
+		if !errors.As(err, &ae) || ae.Index != wantAE.Index || ae.Honeypot != wantAE.Honeypot {
+			t.Fatalf("b=%d: Fill drain ended with %v, want %v", b, err, wantAE)
+		}
+		if !recordsEqual(got, want) {
+			t.Fatalf("b=%d: Fill delivered %d records before the leak, Next %d, or other ones", b, len(got), len(want))
+		}
+		for i := 0; i < 2; i++ {
+			if n, err := s.Fill(make([]logging.Record, b)); n != 0 || !errors.As(err, &ae) {
+				t.Fatalf("b=%d: Fill %d after the leak stored %d and returned %v", b, i, n, err)
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestFinalizeSizesTheDatasetOnce: the materialized finalize allocates
+// its records once, at the store's record count, and fills them in
+// place.
+func TestFinalizeSizesTheDatasetOnce(t *testing.T) {
+	ids := []string{"hp-a", "hp-b", "hp-c"}
+	logs := stagedLogs(ids, 700, -1)
+	m := New(netsim.New(des.NewLoop(t0, 1), netsim.DefaultConfig()).NewHost("m-sized"), DefaultConfig())
+	for _, id := range ids {
+		m.Add(&fakeHandle{id: id, recs: append([]logging.Record(nil), logs[id]...)}, Assignment{})
+	}
+	ds := finalizeNow(t, m)
+	if len(ds.Records) != 3*700 || cap(ds.Records) != len(ds.Records) {
+		t.Fatalf("dataset of %d records in a slice of capacity %d, want both %d", len(ds.Records), cap(ds.Records), 3*700)
 	}
 }
