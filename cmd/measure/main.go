@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	measure [-scale 0.1] [-campaign both|distributed|greedy] [-out dir] [-seed 1]
+//	measure [-scale 0.1] [-out dir] [-seed N]  run both paper campaigns ("distributed" and "greedy")
 //	measure -scenario NAME [-scale 0.1]      run a registered scenario
 //	measure -scenario-file spec.json         run a campaign spec from disk
 //	measure -list-scenarios                  print the scenario registry and exit
@@ -18,12 +18,14 @@
 //	                                         dataset; nonzero exit when out of tolerance
 //	measure -scenario NAME -calibrate -calibration-file obs.json  custom observed dataset
 //
-// The -campaign path keeps the paper's two typed configs; -scenario and
-// -scenario-file run any declarative spec (federations, churn fleets,
-// flash crowds, ...) through the same engine. Terminal output
-// summarizes each artifact; with -out, the raw series are written as
-// CSV files (fig02.csv ... fig12.csv, table1.txt) that plot directly
-// with gnuplot.
+// Every campaign is a spec: a bare measure runs the registered
+// "distributed" and "greedy" specs, -scenario any registered one and
+// -scenario-file one decoded from JSON, all through the same engine and
+// the same report. Terminal output summarizes every artifact the report
+// carries; with -out, each is also written to a file named after the
+// scenario and the artifact's registered query (distributed_table-i.txt,
+// distributed_honeypot-subsets.csv, greedy_popular-file-subsets.csv, ...):
+// CSV series that plot directly with gnuplot.
 //
 // Analyses are declarative too: -queries (comma-separated registered
 // query names) or -plan-file (an analysis.Plan as JSON: query names
@@ -41,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -53,6 +56,7 @@ import (
 	"repro"
 	"repro/internal/analysis"
 	"repro/internal/anonymize"
+	"repro/internal/ed2k"
 	"repro/internal/logging"
 	"repro/internal/logstore"
 	"repro/internal/obs"
@@ -64,25 +68,23 @@ func main() {
 	log.SetPrefix("measure: ")
 	var (
 		scale       = flag.Float64("scale", 0.1, "arrival intensity scale; multiplies the spec's own scale (1.0 = paper magnitudes)")
-		campaign    = flag.String("campaign", "both", "campaign to run: distributed, greedy or both")
 		outDir      = flag.String("out", "", "directory for CSV series (optional)")
 		seed        = flag.Int64("seed", 1, "simulation seed")
 		jsonl       = flag.Bool("jsonl", false, "also dump the anonymized dataset as JSONL into -out")
-		servers     = flag.Int("servers", 1, "directory servers for the distributed campaign (1 = paper setup)")
 		storeDir    = flag.String("store", "", "spill records to a segmented on-disk logstore under this directory (per-campaign subdirectory)")
-		stream      = flag.Bool("stream", false, "finalize through the streaming record pipeline: the dataset flows straight into the columnar frame, never materializing records (scenario runs only)")
-		exportDir   = flag.String("export", "", "stream the anonymized dataset into an on-disk logstore under this directory for later analysis (per-scenario subdirectory; implies -stream, scenario runs only)")
-		scenName    = flag.String("scenario", "", "run a registered scenario by name instead of -campaign")
+		stream      = flag.Bool("stream", false, "finalize through the streaming record pipeline: the dataset flows straight into the columnar frame, never materializing records")
+		exportDir   = flag.String("export", "", "stream the anonymized dataset into an on-disk logstore under this directory for later analysis (per-scenario subdirectory; implies -stream)")
+		scenName    = flag.String("scenario", "", "run this registered scenario instead of the paper's two campaigns")
 		scenFile    = flag.String("scenario-file", "", "run a campaign spec decoded from this JSON file")
 		listScens   = flag.Bool("list-scenarios", false, "print registered scenario names and exit")
-		queries     = flag.String("queries", "", "extract only these analysis queries (comma-separated names; scenario runs only)")
-		planFile    = flag.String("plan-file", "", "extract the analysis plan decoded from this JSON file (scenario runs only)")
+		queries     = flag.String("queries", "", "extract only these analysis queries (comma-separated names; one campaign only)")
+		planFile    = flag.String("plan-file", "", "extract the analysis plan decoded from this JSON file (one campaign only)")
 		listQueries = flag.Bool("list-queries", false, "print registered analysis query names and exit")
 		reportPath  = flag.String("report", "", "write the executed plan's results as JSON to this file (default: stdout)")
-		progress    = flag.Bool("progress", false, "print periodic campaign progress to stderr (sim time, events/s, records, fleet health); Ctrl-C aborts cleanly into a partial dataset (scenario runs only)")
-		metricsFile = flag.String("metrics-file", "", "write the run's full telemetry registry (engine, logstore, finalize pipeline) as JSON to this file (scenario runs only)")
-		submitURL   = flag.String("submit", "", "submit the campaign to a running measured daemon at this base URL instead of executing locally; tails its SSE progress and fetches the report (scenario runs only)")
-		calibFlag   = flag.Bool("calibrate", false, "run the scenario and diff its artifacts against the paper's observed dataset, exiting nonzero on out-of-tolerance artifacts (scenario runs only)")
+		progress    = flag.Bool("progress", false, "print periodic campaign progress to stderr (sim time, events/s, records, fleet health); Ctrl-C aborts cleanly into a partial dataset")
+		metricsFile = flag.String("metrics-file", "", "write the run's full telemetry registry (engine, logstore, finalize pipeline) as JSON to this file (one campaign only)")
+		submitURL   = flag.String("submit", "", "submit the campaign to a running measured daemon at this base URL instead of executing locally; tails its SSE progress and fetches the report (one campaign only)")
+		calibFlag   = flag.Bool("calibrate", false, "run the scenario and diff its artifacts against the paper's observed dataset, exiting nonzero on out-of-tolerance artifacts (one campaign only)")
 		calibFile   = flag.String("calibration-file", "", "observed dataset (calibrate.Dataset JSON) to calibrate against instead of the built-in paper dataset (needs -calibrate)")
 	)
 	flag.Parse()
@@ -110,11 +112,17 @@ func main() {
 		}
 	}
 
-	if *scenName != "" || *scenFile != "" {
-		spec := loadSpec(*scenName, *scenFile)
+	var specs []repro.Spec
+	if *scenName == "" && *scenFile == "" {
+		specs = []repro.Spec{loadSpec("distributed", ""), loadSpec("greedy", "")}
+	} else {
+		specs = []repro.Spec{loadSpec(*scenName, *scenFile)}
+	}
+	seedSet := false
+	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
+	for i := range specs {
+		spec := &specs[i]
 		spec.Scale *= *scale
-		seedSet := false
-		flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
 		if seedSet {
 			spec.Seed = *seed
 		}
@@ -127,94 +135,44 @@ func main() {
 		if *exportDir != "" {
 			spec.Collection.ExportDir = filepath.Join(*exportDir, spec.Name)
 		}
-		if *submitURL != "" {
-			if *calibFlag || *calibFile != "" {
-				log.Fatal("-calibrate is a local run mode; calibrate a daemon run with POST /runs/{id}/calibrate instead")
-			}
-			if *storeDir != "" || *stream || *exportDir != "" || *outDir != "" || *jsonl || *progress || *metricsFile != "" {
-				log.Print("-store, -stream, -export, -out, -jsonl, -progress and -metrics-file ignored with -submit: the daemon owns collection output and progress streams over SSE")
-			}
-			submitRun(*submitURL, spec, loadPlan(*queries, *planFile, *seed), *reportPath)
-			return
+	}
+	if len(specs) > 1 && (*queries != "" || *planFile != "" || *metricsFile != "" || *submitURL != "" || *calibFlag || *calibFile != "") {
+		log.Fatal("-queries, -plan-file, -metrics-file, -submit and -calibrate act on one campaign; name it with -scenario NAME (the paper's campaigns are registered as \"distributed\" and \"greedy\")")
+	}
+	spec := specs[0]
+	if *submitURL != "" {
+		if *calibFlag || *calibFile != "" {
+			log.Fatal("-calibrate is a local run mode; calibrate a daemon run with POST /runs/{id}/calibrate instead")
 		}
-		opts := runOptions(*progress, *metricsFile)
-		if *calibFlag {
-			if *queries != "" || *planFile != "" {
-				log.Fatal("-calibrate runs the observed dataset's own queries; drop -queries/-plan-file")
-			}
-			if *outDir != "" || *jsonl {
-				log.Print("-out and -jsonl ignored: a calibration run emits only the report (use -report FILE)")
-			}
-			runCalibrate(spec, *calibFile, *reportPath, opts, *metricsFile)
-			return
+		if *storeDir != "" || *stream || *exportDir != "" || *outDir != "" || *jsonl || *progress || *metricsFile != "" {
+			log.Print("-store, -stream, -export, -out, -jsonl, -progress and -metrics-file ignored with -submit: the daemon owns collection output and progress streams over SSE")
 		}
-		if *calibFile != "" {
-			log.Fatal("-calibration-file needs -calibrate")
-		}
-		if plan := loadPlan(*queries, *planFile, *seed); plan != nil {
-			if *outDir != "" || *jsonl {
-				log.Print("-out and -jsonl ignored: a plan run emits only the selected queries as JSON (use -report FILE)")
-			}
-			runPlan(spec, *plan, *reportPath, opts, *metricsFile)
-			return
-		}
-		runScenario(spec, *outDir, *jsonl, opts, *metricsFile)
+		submitRun(*submitURL, spec, loadPlan(*queries, *planFile, *seed), *reportPath)
 		return
 	}
-
-	if *stream || *exportDir != "" || *queries != "" || *planFile != "" || *progress || *metricsFile != "" || *submitURL != "" || *calibFlag || *calibFile != "" {
-		log.Fatal("-stream, -export, -queries, -plan-file, -progress, -metrics-file, -submit and -calibrate need a scenario run; use -scenario NAME (the paper's campaigns are registered as \"distributed\" and \"greedy\")")
+	opts := runOptions(*progress, *metricsFile)
+	if *calibFlag {
+		if *queries != "" || *planFile != "" {
+			log.Fatal("-calibrate runs the observed dataset's own queries; drop -queries/-plan-file")
+		}
+		if *outDir != "" || *jsonl {
+			log.Print("-out and -jsonl ignored: a calibration run emits only the report (use -report FILE)")
+		}
+		runCalibrate(spec, *calibFile, *reportPath, opts, *metricsFile)
+		return
 	}
-	runD := *campaign == "both" || *campaign == "distributed"
-	runG := *campaign == "both" || *campaign == "greedy"
-	if !runD && !runG {
-		log.Fatalf("unknown campaign %q", *campaign)
+	if *calibFile != "" {
+		log.Fatal("-calibration-file needs -calibrate")
 	}
-
-	if runD {
-		cfg := repro.ScaledDistributed(*scale)
-		cfg.Seed = *seed
-		cfg.Servers = *servers
-		if *storeDir != "" {
-			cfg.StoreDir = filepath.Join(*storeDir, "distributed")
+	if plan := loadPlan(*queries, *planFile, *seed); plan != nil {
+		if *outDir != "" || *jsonl {
+			log.Print("-out and -jsonl ignored: a plan run emits only the selected queries as JSON (use -report FILE)")
 		}
-		fmt.Printf("=== distributed campaign (24 honeypots, %d days, scale %g, %d server(s)) ===\n",
-			cfg.Days, *scale, *servers)
-		start := time.Now()
-		res, err := repro.RunDistributed(cfg)
-		if err != nil {
-			fatalRun("distributed", err)
-		}
-		summarizeRun(res, len(res.Dataset.Records), time.Since(start))
-		reportStore(res)
-		fmt.Println()
-		rep := repro.Analyze(res)
-		printDistributed(res, rep)
-		if *outDir != "" {
-			writeDistributed(*outDir, res, rep, *jsonl)
-		}
+		runPlan(spec, *plan, *reportPath, opts, *metricsFile)
+		return
 	}
-
-	if runG {
-		cfg := repro.ScaledGreedy(*scale)
-		cfg.Seed = *seed + 1
-		if *storeDir != "" {
-			cfg.StoreDir = filepath.Join(*storeDir, "greedy")
-		}
-		fmt.Printf("=== greedy campaign (1 honeypot, %d days, scale %g) ===\n", cfg.Days, *scale)
-		start := time.Now()
-		res, err := repro.RunGreedy(cfg)
-		if err != nil {
-			fatalRun("greedy", err)
-		}
-		summarizeRun(res, len(res.Dataset.Records), time.Since(start))
-		reportStore(res)
-		fmt.Println()
-		rep := repro.Analyze(res)
-		printGreedy(res, rep)
-		if *outDir != "" {
-			writeGreedy(*outDir, res, rep, *jsonl)
-		}
+	for _, spec := range specs {
+		runScenario(spec, *outDir, *jsonl, opts, *metricsFile)
 	}
 }
 
@@ -493,9 +451,9 @@ func runPlan(spec repro.Spec, plan analysis.Plan, reportPath string, opts repro.
 	log.Printf("report written to %s", reportPath)
 }
 
-// runScenario executes one spec and prints a generic report: Table I
-// and peer growth always, the group figures when the fleet has several
-// members, the fault log when faults fired.
+// runScenario executes one spec, prints its run summary, fault log and
+// full paper report, and with -out writes the report's artifacts (and
+// with -jsonl the dataset) into outDir.
 func runScenario(spec repro.Spec, outDir string, jsonl bool, opts repro.RunOptions, metricsFile string) {
 	fmt.Printf("=== scenario %s (%d honeypot(s), %d server(s), %d workload(s), %d days, scale %g) ===\n",
 		spec.Name, len(spec.Fleet), spec.Topology.Servers, len(spec.Workloads), spec.Days, spec.Scale)
@@ -517,23 +475,55 @@ func runScenario(spec repro.Spec, outDir string, jsonl bool, opts repro.RunOptio
 	}
 	fmt.Println()
 
-	var rep *repro.Report
-	if res.Frame != nil {
-		// Streamed finalize: the report derives from the frame built
-		// while draining the pipeline — records never materialized.
-		if rep, err = repro.AnalyzeStream(res); err != nil {
-			log.Fatalf("%s: %v", spec.Name, err)
-		}
-	} else {
-		rep = repro.Analyze(res)
+	rep := repro.Analyze(res)
+	printReport(spec.Name, rep)
+	if outDir == "" {
+		return
 	}
-	fmt.Println("--- Table I ---")
+	writeReport(outDir, spec.Name, rep)
+	if !jsonl {
+		return
+	}
+	path := spec.Name + "_dataset.jsonl"
+	switch {
+	case res.Frame == nil:
+		mustWrite(outDir, path, func(w io.Writer) error {
+			return logging.WriteJSONL(w, res.Dataset.Records)
+		})
+	case res.ExportDir != "":
+		// Streamed finalize: the records live only in the export store —
+		// stream them out without materializing.
+		mustWrite(outDir, path, func(w io.Writer) error {
+			store, err := logstore.Open(res.ExportDir, logstore.Options{})
+			if err != nil {
+				return err
+			}
+			defer store.Close()
+			it, err := store.Iterator()
+			if err != nil {
+				return err
+			}
+			defer it.Close()
+			_, err = logging.WriteJSONLIter(w, it)
+			return err
+		})
+	default:
+		log.Print("-jsonl ignored: a -stream run keeps no records; add -export DIR to persist the dataset")
+	}
+}
+
+// printReport summarizes every artifact the report carries. Which ones
+// it carries depends on the campaign (analysis.PaperPlan): the strategy
+// groups, the busiest peer and the honeypot subsets need a fleet of
+// several honeypots, the file subsets the greedy campaign.
+func printReport(name string, rep *repro.Report) {
+	fmt.Printf("--- Table I (%s column) ---\n", name)
 	fmt.Println(rep.TableI)
 
 	g := rep.PeerGrowth
 	last := len(g.Cumulative) - 1
 	fmt.Println("\n--- distinct peers over time ---")
-	fmt.Printf("total peers: %d; new on last day: %d\n", g.Cumulative[last], g.New[last])
+	fmt.Printf("total peers: %d; new on first day: %d, on last day: %d\n", g.Cumulative[last], g.New[0], g.New[last])
 	fmt.Printf("new/day: %s\n", analysis.Sparkline(g.New))
 
 	fmt.Println("\n--- HELLO per hour, first week ---")
@@ -541,112 +531,39 @@ func runScenario(spec repro.Spec, outDir string, jsonl bool, opts repro.RunOptio
 	fmt.Printf("peak %d/hour, total %d HELLOs in the window\n",
 		slices.Max(rep.HourlyHello), sum(rep.HourlyHello))
 
-	if len(res.HoneypotIDs) > 1 {
-		fmt.Println("\n--- distinct peers by strategy group ---")
+	if len(rep.HelloPeersByGroup.Groups) > 0 {
+		fmt.Println("\n--- distinct peers and REQUEST-PART messages by strategy group ---")
 		printGroupFinal("HELLO", rep.HelloPeersByGroup)
 		printGroupFinal("START-UPLOAD", rep.StartUploadPeersByGroup)
 		printGroupFinal("REQUEST-PART", rep.RequestPartsByGroup)
 	}
-	fmt.Println()
-
-	if outDir != "" {
-		prefix := "scenario_" + spec.Name
-		mustWrite(outDir, prefix+"_table1.txt", func(f *os.File) error {
-			_, err := fmt.Fprintln(f, rep.TableI)
-			return err
-		})
-		mustWrite(outDir, prefix+"_peer_growth.csv", func(f *os.File) error {
-			return analysis.GrowthCSV(f, rep.PeerGrowth)
-		})
-		if jsonl {
-			switch {
-			case res.Frame == nil:
-				mustWrite(outDir, prefix+"_dataset.jsonl", func(f *os.File) error {
-					return logging.WriteJSONL(f, res.Dataset.Records)
-				})
-			case res.ExportDir != "":
-				// Streamed finalize: the records live only in the export
-				// store — stream them out without materializing.
-				mustWrite(outDir, prefix+"_dataset.jsonl", func(f *os.File) error {
-					store, err := logstore.Open(res.ExportDir, logstore.Options{})
-					if err != nil {
-						return err
-					}
-					defer store.Close()
-					it, err := store.Iterator()
-					if err != nil {
-						return err
-					}
-					defer it.Close()
-					_, err = logging.WriteJSONLIter(f, it)
-					return err
-				})
-			default:
-				log.Print("-jsonl ignored: a -stream run keeps no records; add -export DIR to persist the dataset")
-			}
+	if rep.TopPeer != "" {
+		fmt.Printf("\n--- busiest peer (#%s, %d queries) ---\n", rep.TopPeer, rep.TopPeerQueries)
+		printGroupFinal("top-peer START-UPLOAD", rep.TopPeerStartUpload)
+		printGroupFinal("top-peer REQUEST-PART", rep.TopPeerRequestParts)
+	}
+	for _, s := range []struct {
+		unit, title string
+		u           stats.SubsetUnion
+	}{
+		{"honeypot", "peers vs number of honeypots", rep.HoneypotSubsets},
+		{"file", "peers vs number of random files", rep.RandomFileSubsets},
+		{"file", "peers vs number of popular files", rep.PopularFileSubsets},
+	} {
+		if len(s.u.N) > 0 {
+			fmt.Printf("\n--- %s ---\n", s.title)
+			printSubsetSummary(s.u, s.unit)
 		}
 	}
-}
-
-func printDistributed(res *repro.Result, rep *repro.Report) {
-	fmt.Println("--- Table I (distributed column) ---")
-	fmt.Println(rep.TableI)
-
-	fmt.Println("\n--- Fig 2: distinct peers over time ---")
-	g := rep.PeerGrowth
-	last := len(g.Cumulative) - 1
-	fmt.Printf("total peers: %d; new on last day: %d\n", g.Cumulative[last], g.New[last])
-	fmt.Printf("new/day: %s\n", analysis.Sparkline(g.New))
-
-	fmt.Println("\n--- Fig 4: HELLO per hour, first week ---")
-	fmt.Printf("%s\n", analysis.Sparkline(rep.HourlyHello))
-	fmt.Printf("peak %d/hour, total %d HELLOs in the window\n",
-		slices.Max(rep.HourlyHello), sum(rep.HourlyHello))
-
-	fmt.Println("\n--- Fig 5/6: distinct peers by strategy group ---")
-	printGroupFinal("HELLO", rep.HelloPeersByGroup)
-	printGroupFinal("START-UPLOAD", rep.StartUploadPeersByGroup)
-
-	fmt.Println("\n--- Fig 7: REQUEST-PART messages by group ---")
-	printGroupFinal("REQUEST-PART", rep.RequestPartsByGroup)
-
-	fmt.Printf("\n--- Fig 8/9: busiest peer (#%s, %d queries) ---\n", rep.TopPeer, rep.TopPeerQueries)
-	printGroupFinal("top-peer START-UPLOAD", rep.TopPeerStartUpload)
-	printGroupFinal("top-peer REQUEST-PART", rep.TopPeerRequestParts)
-
-	fmt.Println("\n--- Fig 10: peers vs number of honeypots (100 subsets) ---")
-	u := rep.HoneypotSubsets
-	for _, n := range []int{1, len(res.HoneypotIDs) / 2, len(res.HoneypotIDs)} {
-		if i := indexOfN(u, n); i >= 0 {
-			fmt.Printf("n=%2d: avg %.0f  min %d  max %d\n", n, u.Avg[i], u.Min[i], u.Max[i])
-		}
-	}
-	fmt.Println()
-}
-
-func printGreedy(res *repro.Result, rep *repro.Report) {
-	fmt.Println("--- Table I (greedy column) ---")
-	fmt.Println(rep.TableI)
-
-	fmt.Println("\n--- Fig 3: distinct peers over time ---")
-	g := rep.PeerGrowth
-	last := len(g.Cumulative) - 1
-	fmt.Printf("total peers: %d; new on last day: %d (day 1 = init: %d)\n",
-		g.Cumulative[last], g.New[last], g.New[0])
-	fmt.Printf("new/day: %s\n", analysis.Sparkline(g.New))
-
-	fmt.Println("\n--- Fig 11: peers vs number of random files ---")
-	printSubsetSummary(rep.RandomFileSubsets)
-	fmt.Println("\n--- Fig 12: peers vs number of popular files ---")
-	printSubsetSummary(rep.PopularFileSubsets)
 
 	ci := rep.CoInterest
-	fmt.Println("\n--- Co-interest graph (paper §V future work) ---")
+	fmt.Println("\n--- co-interest graph (paper §V future work) ---")
 	fmt.Printf("peers %d, files %d, edges %d; %.1f files/peer, %.1f peers/file\n",
 		ci.Peers, ci.Files, ci.Edges, ci.MeanFilesPerPeer, ci.MeanPeersPerFile)
-	fmt.Printf("components %d, largest spans %d vertices (%.0f%% of the graph)\n",
-		ci.Components, ci.LargestComponent,
-		100*float64(ci.LargestComponent)/float64(ci.Peers+ci.Files))
+	if v := ci.Peers + ci.Files; v > 0 {
+		fmt.Printf("components %d, largest spans %d vertices (%.0f%% of the graph)\n",
+			ci.Components, ci.LargestComponent, 100*float64(ci.LargestComponent)/float64(v))
+	}
 	fmt.Println()
 }
 
@@ -658,91 +575,107 @@ func printGroupFinal(label string, gs analysis.GroupSeries) {
 	}
 }
 
-func printSubsetSummary(u stats.SubsetUnion) {
-	if len(u.N) == 0 {
-		fmt.Println("(no data)")
-		return
-	}
-	for _, n := range []int{1, len(u.N) / 2, len(u.N)} {
-		if i := indexOfN(u, n); i >= 0 {
-			fmt.Printf("n=%3d: avg %.0f  min %d  max %d\n", u.N[i], u.Avg[i], u.Min[i], u.Max[i])
+// printSubsetSummary prints a subset estimate at one unit, half the
+// units and all of them, and the peers each further unit adds.
+func printSubsetSummary(u stats.SubsetUnion, unit string) {
+	top := u.N[len(u.N)-1]
+	for _, n := range []int{1, top / 2, top} {
+		if i := slices.Index(u.N, n); i >= 0 {
+			fmt.Printf("n=%3d: avg %.0f  min %d  max %d\n", n, u.Avg[i], u.Min[i], u.Max[i])
 		}
 	}
-	lastAvg := u.Avg[len(u.Avg)-1]
-	fmt.Printf("≈ %.0f new peers per additional file\n", lastAvg/float64(u.N[len(u.N)-1]))
-}
-
-func indexOfN(u stats.SubsetUnion, n int) int {
-	for i, v := range u.N {
-		if v == n {
-			return i
-		}
+	if top > 0 {
+		fmt.Printf("≈ %.0f new peers per additional %s\n", u.Avg[len(u.Avg)-1]/float64(top), unit)
 	}
-	return -1
 }
 
-func writeDistributed(dir string, res *repro.Result, rep *repro.Report, jsonl bool) {
-	mustWrite(dir, "table1_distributed.txt", func(f *os.File) error {
-		_, err := fmt.Fprintln(f, rep.TableI)
+// writeReport writes every artifact the report carries into dir, one
+// file per registered query, named <scenario>_<query>: Table I as text,
+// everything else as CSV.
+func writeReport(dir, name string, rep *repro.Report) {
+	write := func(query, ext string, fn func(io.Writer) error) {
+		mustWrite(dir, name+"_"+query+ext, fn)
+	}
+	write(analysis.QueryTableI, ".txt", func(w io.Writer) error {
+		_, err := fmt.Fprintln(w, rep.TableI)
 		return err
 	})
-	mustWrite(dir, "fig02_peer_growth.csv", func(f *os.File) error {
-		return analysis.GrowthCSV(f, rep.PeerGrowth)
+	write(analysis.QueryPeerGrowth, ".csv", func(w io.Writer) error {
+		return analysis.GrowthCSV(w, rep.PeerGrowth)
 	})
-	mustWrite(dir, "fig04_hourly_hello.csv", func(f *os.File) error {
+	write(analysis.QueryHourlyHello, ".csv", func(w io.Writer) error {
 		rows := make([][]string, len(rep.HourlyHello))
 		for i, v := range rep.HourlyHello {
 			rows[i] = []string{fmt.Sprint(i), fmt.Sprint(v)}
 		}
-		return analysis.WriteCSV(f, []string{"hour", "hello"}, rows)
+		return analysis.WriteCSV(w, []string{"hour", "hello"}, rows)
 	})
-	mustWrite(dir, "fig05_hello_peers_by_group.csv", func(f *os.File) error {
-		return analysis.GroupCSV(f, rep.HelloPeersByGroup)
-	})
-	mustWrite(dir, "fig06_startupload_peers_by_group.csv", func(f *os.File) error {
-		return analysis.GroupCSV(f, rep.StartUploadPeersByGroup)
-	})
-	mustWrite(dir, "fig07_requestpart_by_group.csv", func(f *os.File) error {
-		return analysis.GroupCSV(f, rep.RequestPartsByGroup)
-	})
-	mustWrite(dir, "fig08_toppeer_startupload.csv", func(f *os.File) error {
-		return analysis.GroupCSV(f, rep.TopPeerStartUpload)
-	})
-	mustWrite(dir, "fig09_toppeer_requestpart.csv", func(f *os.File) error {
-		return analysis.GroupCSV(f, rep.TopPeerRequestParts)
-	})
-	mustWrite(dir, "fig10_honeypot_subsets.csv", func(f *os.File) error {
-		return analysis.SubsetCSV(f, rep.HoneypotSubsets)
-	})
-	if jsonl {
-		mustWrite(dir, "distributed_dataset.jsonl", func(f *os.File) error {
-			return logging.WriteJSONL(f, res.Dataset.Records)
+	write(analysis.QueryCoInterest, ".csv", func(w io.Writer) error {
+		ci := rep.CoInterest
+		return analysis.WriteCSV(w, []string{"metric", "value"}, [][]string{
+			{"peers", fmt.Sprint(ci.Peers)},
+			{"files", fmt.Sprint(ci.Files)},
+			{"edges", fmt.Sprint(ci.Edges)},
+			{"mean_files_per_peer", fmt.Sprint(ci.MeanFilesPerPeer)},
+			{"max_files_per_peer", fmt.Sprint(ci.MaxFilesPerPeer)},
+			{"mean_peers_per_file", fmt.Sprint(ci.MeanPeersPerFile)},
+			{"max_peers_per_file", fmt.Sprint(ci.MaxPeersPerFile)},
+			{"components", fmt.Sprint(ci.Components)},
+			{"largest_component", fmt.Sprint(ci.LargestComponent)},
 		})
+	})
+	if rep.TopPeer != "" {
+		write(analysis.QueryTopPeer, ".csv", func(w io.Writer) error {
+			return analysis.WriteCSV(w, []string{"peer", "queries"},
+				[][]string{{rep.TopPeer, fmt.Sprint(rep.TopPeerQueries)}})
+		})
+	}
+	for _, g := range []struct {
+		query string
+		gs    analysis.GroupSeries
+	}{
+		{analysis.QueryHelloPeersByGroup, rep.HelloPeersByGroup},
+		{analysis.QueryStartUploadPeersByGroup, rep.StartUploadPeersByGroup},
+		{analysis.QueryRequestPartsByGroup, rep.RequestPartsByGroup},
+		{analysis.QueryTopPeerStartUpload, rep.TopPeerStartUpload},
+		{analysis.QueryTopPeerRequestParts, rep.TopPeerRequestParts},
+	} {
+		if len(g.gs.Groups) > 0 {
+			write(g.query, ".csv", func(w io.Writer) error { return analysis.GroupCSV(w, g.gs) })
+		}
+	}
+	for _, s := range []struct {
+		query string
+		u     stats.SubsetUnion
+	}{
+		{analysis.QueryHoneypotSubsets, rep.HoneypotSubsets},
+		{analysis.QueryRandomFileSubsets, rep.RandomFileSubsets},
+		{analysis.QueryPopularFileSubsets, rep.PopularFileSubsets},
+	} {
+		if len(s.u.N) > 0 {
+			write(s.query, ".csv", func(w io.Writer) error { return analysis.SubsetCSV(w, s.u) })
+		}
+	}
+	for _, f := range []struct {
+		query  string
+		hashes []ed2k.Hash
+	}{
+		{analysis.QueryRandomFiles, rep.RandomFiles},
+		{analysis.QueryPopularFiles, rep.PopularFiles},
+	} {
+		if len(f.hashes) > 0 {
+			write(f.query, ".csv", func(w io.Writer) error {
+				rows := make([][]string, len(f.hashes))
+				for i, h := range f.hashes {
+					rows[i] = []string{h.String()}
+				}
+				return analysis.WriteCSV(w, []string{"hash"}, rows)
+			})
+		}
 	}
 }
 
-func writeGreedy(dir string, res *repro.Result, rep *repro.Report, jsonl bool) {
-	mustWrite(dir, "table1_greedy.txt", func(f *os.File) error {
-		_, err := fmt.Fprintln(f, rep.TableI)
-		return err
-	})
-	mustWrite(dir, "fig03_peer_growth.csv", func(f *os.File) error {
-		return analysis.GrowthCSV(f, rep.PeerGrowth)
-	})
-	mustWrite(dir, "fig11_random_files.csv", func(f *os.File) error {
-		return analysis.SubsetCSV(f, rep.RandomFileSubsets)
-	})
-	mustWrite(dir, "fig12_popular_files.csv", func(f *os.File) error {
-		return analysis.SubsetCSV(f, rep.PopularFileSubsets)
-	})
-	if jsonl {
-		mustWrite(dir, "greedy_dataset.jsonl", func(f *os.File) error {
-			return logging.WriteJSONL(f, res.Dataset.Records)
-		})
-	}
-}
-
-func mustWrite(dir, name string, fn func(*os.File) error) {
+func mustWrite(dir, name string, fn func(io.Writer) error) {
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {

@@ -24,12 +24,16 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "arrival intensity scale (1.0 = paper magnitudes)")
 	flag.Parse()
 
-	cfg := repro.ScaledDistributed(*scale)
+	spec, err := repro.ScenarioSpec("distributed")
+	if err != nil {
+		log.Fatal(err)
+	}
+	spec.Scale = *scale
 	fmt.Printf("running the distributed campaign: %d honeypots, %d days, scale %g ...\n",
-		cfg.Honeypots, cfg.Days, *scale)
+		len(spec.Fleet), spec.Days, *scale)
 
 	t0 := time.Now()
-	res, err := repro.RunDistributed(cfg)
+	res, err := repro.RunSpec(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,12 +24,16 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "arrival intensity scale (1.0 = paper magnitudes)")
 	flag.Parse()
 
-	cfg := repro.ScaledGreedy(*scale)
+	spec, err := repro.ScenarioSpec("greedy")
+	if err != nil {
+		log.Fatal(err)
+	}
+	spec.Scale = *scale
 	fmt.Printf("running the greedy campaign: 1 honeypot, %d days, adoption cap %d, scale %g ...\n",
-		cfg.Days, cfg.MaxAdopted, *scale)
+		spec.Days, spec.Fleet[0].GreedyMaxFiles, *scale)
 
 	t0 := time.Now()
-	res, err := repro.RunGreedy(cfg)
+	res, err := repro.RunSpec(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 
 	"repro"
 	"repro/internal/analysis"
+	"repro/internal/catalog"
 	"repro/internal/scenario"
 )
 
@@ -33,7 +34,7 @@ func main() {
 		Seed:     42,
 		Days:     7,
 		Scale:    *scale,
-		Catalog:  repro.DefaultDistributed().Catalog,
+		Catalog:  catalog.DefaultConfig(),
 		Topology: scenario.Topology{Servers: 2},
 		Fleet: []scenario.HoneypotSpec{
 			{ID: "hp-a", Strategy: "random-content", Server: 0, Files: scenario.FilesSpec{Kind: "four-bait"}, BrowseContacts: true},

@@ -83,11 +83,7 @@ func TestFinalizeStreamMatchesMaterializedOnAllScenarios(t *testing.T) {
 					}
 				}
 
-				rep, err := repro.AnalyzeStream(res)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(rep, refRep) {
+				if rep := repro.Analyze(res); !reflect.DeepEqual(rep, refRep) {
 					t.Error("streamed report differs from materialized report")
 				}
 			}

@@ -22,26 +22,48 @@ import (
 	"repro/internal/wire"
 )
 
-// smallDistributed is large enough for every figure to be meaningful but
-// runs in a couple of seconds.
-func smallDistributed() repro.DistributedConfig {
-	cfg := repro.ScaledDistributed(0.01)
-	cfg.Catalog = catalog.Config{NumFiles: 10_000, Vocabulary: 1_000, PopularityExp: 0.9, Seed: 1}
-	cfg.LibraryRegion = 3_000
-	return cfg
+// paperSpec returns a registered paper campaign at the given arrival
+// scale.
+func paperSpec(t *testing.T, name string, scale float64) repro.Spec {
+	t.Helper()
+	spec, err := repro.ScenarioSpec(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Scale = scale
+	return spec
 }
 
-func smallGreedy() repro.GreedyConfig {
-	cfg := repro.ScaledGreedy(0.01)
-	cfg.Catalog = catalog.Config{NumFiles: 10_000, Vocabulary: 1_000, PopularityExp: 0.9, Seed: 2}
-	return cfg
+// capGreedy bounds the greedy honeypot's advertised list at n files and
+// normalizes the arrival weights to a list of that size.
+func capGreedy(spec *repro.Spec, n int) {
+	spec.Fleet[0].GreedyMaxFiles = n
+	spec.Workloads[0].Targets.NormFiles = n
+}
+
+// smallDistributed is large enough for every figure to be meaningful but
+// runs in a couple of seconds.
+func smallDistributed(t *testing.T) repro.Spec {
+	spec := paperSpec(t, "distributed", 0.01)
+	spec.Catalog = catalog.Config{NumFiles: 10_000, Vocabulary: 1_000, PopularityExp: 0.9, Seed: 1}
+	spec.Workloads[0].LibraryRegion = 3_000
+	return spec
+}
+
+// smallGreedy caps the advertised list at 127 files, in proportion to
+// the scaled-down population that observes it.
+func smallGreedy(t *testing.T) repro.Spec {
+	spec := paperSpec(t, "greedy", 0.01)
+	spec.Catalog = catalog.Config{NumFiles: 10_000, Vocabulary: 1_000, PopularityExp: 0.9, Seed: 2}
+	capGreedy(&spec, 127)
+	return spec
 }
 
 // TestDistributedCampaignShape checks the qualitative claims of the
 // paper's evaluation on a scaled distributed campaign.
 func TestDistributedCampaignShape(t *testing.T) {
 	t.Parallel()
-	res, err := repro.RunDistributed(smallDistributed())
+	res, err := repro.RunSpec(smallDistributed(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +178,8 @@ func TestDistributedCampaignShape(t *testing.T) {
 // TestGreedyCampaignShape checks the greedy measurement's claims.
 func TestGreedyCampaignShape(t *testing.T) {
 	t.Parallel()
-	cfg := smallGreedy()
-	res, err := repro.RunGreedy(cfg)
+	spec := smallGreedy(t)
+	res, err := repro.RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +203,8 @@ func TestGreedyCampaignShape(t *testing.T) {
 	}
 
 	// Adoption grew the advertised list to the cap.
-	if len(res.Advertised) != cfg.MaxAdopted {
-		t.Errorf("advertised %d files, want cap %d", len(res.Advertised), cfg.MaxAdopted)
+	if want := spec.Fleet[0].GreedyMaxFiles; len(res.Advertised) != want {
+		t.Errorf("advertised %d files, want cap %d", len(res.Advertised), want)
 	}
 
 	// Table I: greedy sees many more peers and files than its seed count.

@@ -50,7 +50,7 @@ type Config struct {
 	// NoOffer suppresses OFFER-FILES announcements of the shared list to
 	// the server: the list is then only visible through browsing. The
 	// simulated population uses it so that honeypots remain the only
-	// indexed providers of the files they advertise (see DESIGN.md).
+	// indexed providers of the files they advertise.
 	NoOffer bool
 	// KeepAlive is the OFFER-FILES refresh interval (empty offer).
 	KeepAlive time.Duration

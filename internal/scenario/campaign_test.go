@@ -1,119 +1,57 @@
-package core
+package scenario
 
 import (
 	"errors"
 	"io"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/honeypot"
-	"repro/internal/logging"
 	"repro/internal/logstore"
 )
 
-// tinyDistributed returns a distributed campaign small enough for unit
-// tests (a few hundred peers) but with the paper's structure intact.
-func tinyDistributed() DistributedConfig {
-	cfg := DefaultDistributedConfig()
-	cfg.Days = 4
-	cfg.Honeypots = 6
-	cfg.Scale = 0.02
-	cfg.HeavyHitters = 1
-	cfg.Catalog = catalog.Config{NumFiles: 3000, Vocabulary: 500, PopularityExp: 0.9, Seed: 1}
-	cfg.LibraryRegion = 1000
-	return cfg
-}
-
-func tinyGreedy() GreedyConfig {
-	cfg := DefaultGreedyConfig()
-	cfg.Days = 3
-	cfg.Scale = 0.004
-	cfg.MaxAdopted = 200
-	cfg.Catalog = catalog.Config{NumFiles: 3000, Vocabulary: 500, PopularityExp: 0.9, Seed: 2}
-	return cfg
-}
-
-func TestRunDistributedSmoke(t *testing.T) {
-	res, err := RunDistributed(tinyDistributed())
+// tinyDistributed is the registered distributed campaign shrunk to unit
+// tests (a few hundred peers) with the paper's structure intact: six
+// honeypots alternating strategies on one server, the four bait files.
+func tinyDistributed(t *testing.T) Spec {
+	t.Helper()
+	spec, err := Lookup("distributed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Name != "distributed" || res.Days != 4 {
-		t.Errorf("metadata: %s/%d", res.Name, res.Days)
-	}
-	if len(res.HoneypotIDs) != 6 {
-		t.Fatalf("honeypots: %v", res.HoneypotIDs)
-	}
-	if res.Dataset.DistinctPeers < 50 {
-		t.Errorf("only %d distinct peers", res.Dataset.DistinctPeers)
-	}
-	if len(res.Advertised) != 4 {
-		t.Errorf("advertised %d files, want the paper's 4", len(res.Advertised))
-	}
-	// Both strategy groups must exist.
-	groups := map[string]int{}
-	for _, g := range res.GroupOf {
-		groups[g]++
-	}
-	if groups[honeypot.RandomContent.String()] != 3 || groups[honeypot.NoContent.String()] != 3 {
-		t.Errorf("groups: %v", groups)
-	}
-	// Records span multiple days.
-	last := res.Dataset.Records[len(res.Dataset.Records)-1]
-	if last.Time.Before(res.Start.Add(48 * time.Hour)) {
-		t.Error("campaign ended early")
-	}
-	// All four paper-visible kinds appear.
-	kinds := map[logging.Kind]int{}
-	for _, r := range res.Dataset.Records {
-		kinds[r.Kind]++
-	}
-	for _, k := range []logging.Kind{logging.KindHello, logging.KindStartUpload, logging.KindRequestPart, logging.KindSharedList} {
-		if kinds[k] == 0 {
-			t.Errorf("no %v records", k)
-		}
-	}
+	spec.Days = 4
+	spec.Scale = 0.02
+	spec.Fleet = AlternatingFleet(6, 1)
+	spec.Catalog = catalog.Config{NumFiles: 3000, Vocabulary: 500, PopularityExp: 0.9, Seed: 1}
+	spec.Workloads[0].LibraryRegion = 1000
+	return spec
 }
 
-func TestRunDistributedDeterministic(t *testing.T) {
-	cfg := tinyDistributed()
-	cfg.Days = 2
-	cfg.Scale = 0.01
-	a, err := RunDistributed(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunDistributed(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Dataset.DistinctPeers != b.Dataset.DistinctPeers ||
-		len(a.Dataset.Records) != len(b.Dataset.Records) ||
-		a.Events != b.Events {
-		t.Errorf("replay diverged: peers %d/%d records %d/%d events %d/%d",
-			a.Dataset.DistinctPeers, b.Dataset.DistinctPeers,
-			len(a.Dataset.Records), len(b.Dataset.Records),
-			a.Events, b.Events)
-	}
+// multiServer spreads a distributed spec's fleet round-robin over a
+// federation of n servers, its population logging into a random one:
+// the alternative placement strategy of the paper's §III-A.
+func multiServer(spec Spec, n int) Spec {
+	spec.Topology.Servers = n
+	spec.Fleet = AlternatingFleet(len(spec.Fleet), n)
+	spec.Workloads[0].Servers = serverIndices(n)
+	return spec
 }
 
 // TestRunDistributedWithStore is the acceptance check for spill-to-disk
-// campaigns: every record is persisted to segmented files, the logstore
-// Iterator streams them back in the exact timestamp order logging.Merge
-// gives the in-memory path, and the resulting dataset is identical.
+// campaigns finalized into a materialized dataset: every record is
+// persisted to segmented files, the logstore Iterator streams them back
+// in the dataset's order, and the dataset is the in-memory campaign's.
 func TestRunDistributedWithStore(t *testing.T) {
-	cfg := tinyDistributed()
-	cfg.Days = 2
-	cfg.Scale = 0.01
+	spec := tinyDistributed(t)
+	spec.Days = 2
+	spec.Scale = 0.01
 
-	mem, err := RunDistributed(cfg)
+	mem, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg.StoreDir = t.TempDir()
-	disk, err := RunDistributed(cfg)
+	spec.Collection.StoreDir = t.TempDir()
+	disk, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +63,7 @@ func TestRunDistributedWithStore(t *testing.T) {
 	}
 
 	// Same seed, same world: the spill-to-disk dataset must match the
-	// in-memory one record for record (renumbering included, since both
-	// merges order ties identically).
+	// in-memory one record for record, renumbering included.
 	if len(mem.Dataset.Records) != len(disk.Dataset.Records) {
 		t.Fatalf("record counts differ: memory %d, store %d", len(mem.Dataset.Records), len(disk.Dataset.Records))
 	}
@@ -148,8 +85,8 @@ func TestRunDistributedWithStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if len(store.ShardNames()) != cfg.Honeypots {
-		t.Errorf("store has %d shards, want %d", len(store.ShardNames()), cfg.Honeypots)
+	if len(store.ShardNames()) != len(spec.Fleet) {
+		t.Errorf("store has %d shards, want %d", len(store.ShardNames()), len(spec.Fleet))
 	}
 	it, err := store.Iterator()
 	if err != nil {
@@ -180,63 +117,37 @@ func TestRunDistributedWithStore(t *testing.T) {
 }
 
 func TestRunWithDirtyStoreRefused(t *testing.T) {
-	cfg := tinyDistributed()
-	cfg.Days = 2
-	cfg.Scale = 0.005
-	cfg.StoreDir = t.TempDir()
-	if _, err := RunDistributed(cfg); err != nil {
+	spec := tinyDistributed(t)
+	spec.Days = 2
+	spec.Scale = 0.005
+	spec.Collection.StoreDir = t.TempDir()
+	if _, err := Run(spec); err != nil {
 		t.Fatal(err)
 	}
 	// A second campaign into the same directory would double the
 	// dataset; it must be refused, not silently merged.
-	if _, err := RunDistributed(cfg); err == nil {
+	if _, err := Run(spec); err == nil {
 		t.Fatal("second campaign into a dirty store must fail")
 	}
 }
 
 func TestRunGreedyWithStoreSmoke(t *testing.T) {
-	cfg := tinyGreedy()
-	cfg.Days = 2
-	cfg.Scale = 0.002
-	cfg.StoreDir = t.TempDir()
-	res, err := RunGreedy(cfg)
+	spec, err := Lookup("greedy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Days = 2
+	spec.Scale = 0.002
+	spec.Fleet[0].GreedyMaxFiles = 200
+	spec.Workloads[0].Targets.NormFiles = 200
+	spec.Catalog = catalog.Config{NumFiles: 3000, Vocabulary: 500, PopularityExp: 0.9, Seed: 2}
+	spec.Collection.StoreDir = t.TempDir()
+	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if int(res.StoredRecords) != len(res.Dataset.Records) {
 		t.Errorf("store persisted %d records, dataset has %d", res.StoredRecords, len(res.Dataset.Records))
-	}
-}
-
-func TestRunGreedySmoke(t *testing.T) {
-	res, err := RunGreedy(tinyGreedy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.HoneypotIDs) != 1 {
-		t.Fatalf("honeypots: %v", res.HoneypotIDs)
-	}
-	// The greedy honeypot must have grown its advertised list well beyond
-	// the seed files.
-	if len(res.Advertised) < 20 {
-		t.Errorf("advertised only %d files; adoption failed", len(res.Advertised))
-	}
-	hpStats := res.HoneypotStats["hp-greedy"]
-	if hpStats.Adopted == 0 {
-		t.Error("no adoption recorded")
-	}
-	if res.Dataset.DistinctPeers < 20 {
-		t.Errorf("only %d distinct peers", res.Dataset.DistinctPeers)
-	}
-	// Peers must have queried more than the seed files.
-	queried := map[string]bool{}
-	for _, r := range res.Dataset.Records {
-		if r.Kind == logging.KindStartUpload && !r.FileHash.Zero() {
-			queried[r.FileHash.String()] = true
-		}
-	}
-	if len(queried) <= tinyGreedy().SeedFiles {
-		t.Errorf("queries hit only %d files", len(queried))
 	}
 }
 
@@ -261,22 +172,11 @@ func TestFourBaitFiles(t *testing.T) {
 	}
 }
 
-func TestInvalidConfigs(t *testing.T) {
-	if _, err := RunDistributed(DistributedConfig{}); err == nil {
-		t.Error("zero distributed config must fail")
-	}
-	if _, err := RunGreedy(GreedyConfig{}); err == nil {
-		t.Error("zero greedy config must fail")
-	}
-}
-
 // TestRunDistributedMultiServer exercises the paper's alternative
 // placement strategy: honeypots spread round-robin over several
 // directory servers, peers logging into a random one.
 func TestRunDistributedMultiServer(t *testing.T) {
-	cfg := tinyDistributed()
-	cfg.Servers = 3
-	res, err := RunDistributed(cfg)
+	res, err := Run(multiServer(tinyDistributed(t), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,15 +210,13 @@ func TestRunDistributedMultiServer(t *testing.T) {
 // honeypot sees a smaller share of the population than in the same-server
 // setup, because only peers of its own server can find it.
 func TestMultiServerPartitionsObservation(t *testing.T) {
-	base := tinyDistributed()
+	base := tinyDistributed(t)
 	base.Days = 3
-	single, err := RunDistributed(base)
+	single, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi := base
-	multi.Servers = 3
-	multiRes, err := RunDistributed(multi)
+	multiRes, err := Run(multiServer(base, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

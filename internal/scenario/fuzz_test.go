@@ -11,7 +11,8 @@ import (
 // FuzzSpecJSON throws arbitrary bytes at the spec decoder, as POST /runs
 // does with a client's "spec". Validate must never panic; a spec it
 // accepts must have a catalog Generate can build without exhausting
-// memory or looping, and must survive a marshal/unmarshal round trip
+// memory or looping, finite arrival intensities within MaxArrivalsPerDay
+// and MaxTargetWeight, and must survive a marshal/unmarshal round trip
 // with its JSON form unchanged.
 func FuzzSpecJSON(f *testing.F) {
 	for _, name := range Names() {
@@ -31,6 +32,11 @@ func FuzzSpecJSON(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// Intensities no campaign works through: a scale and a static
+	// target weight that pass a positivity check.
+	f.Add([]byte(`{"name":"x","days":1,"scale":1e300,"catalog":{"NumFiles":10},"topology":{"servers":1},` +
+		`"fleet":[{"id":"a","strategy":"no-content","files":{"kind":"four-bait"}}],` +
+		`"workloads":[{"label":"w","arrivals_per_day":10,"targets":{"kind":"static","weights":[1e300]}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec Spec
 		if json.Unmarshal(data, &spec) != nil {
@@ -44,6 +50,19 @@ func FuzzSpecJSON(f *testing.F) {
 		}
 		if v := spec.Catalog.Vocabulary; v > catalog.MaxVocabulary {
 			t.Fatalf("accepted catalog.vocabulary %d above %d", v, catalog.MaxVocabulary)
+		}
+		for _, w := range spec.Workloads {
+			if !finite(spec.Scale) || !finite(w.ArrivalsPerDay) || !finite(w.DecayPerDay) || !finite(w.Targets.Exp) {
+				t.Fatalf("accepted a non-finite intensity: scale %g, workload %+v", spec.Scale, w)
+			}
+			if perDay := spec.Scale * w.ArrivalsPerDay; perDay > MaxArrivalsPerDay {
+				t.Fatalf("accepted %g arrivals a day, above %d", perDay, MaxArrivalsPerDay)
+			}
+			for _, wgt := range w.Targets.Weights {
+				if !finite(wgt) || wgt > MaxTargetWeight {
+					t.Fatalf("accepted static target weight %g above %d", wgt, MaxTargetWeight)
+				}
+			}
 		}
 		enc, err := json.Marshal(spec)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ed2k"
 	"repro/internal/logging"
 )
 
@@ -43,6 +44,22 @@ func TestPaperDistributedSmoke(t *testing.T) {
 	if groups["random-content"] != 12 || groups["no-content"] != 12 {
 		t.Errorf("groups: %v", groups)
 	}
+	if len(res.Advertised) != 4 {
+		t.Errorf("advertised %d files, want the paper's 4", len(res.Advertised))
+	}
+	// Records span the campaign, and all four paper-visible kinds appear.
+	if last := res.Dataset.Records[len(res.Dataset.Records)-1]; last.Time.Before(res.Start.Add(31 * 24 * time.Hour)) {
+		t.Errorf("campaign ended early: last record at %v", last.Time)
+	}
+	kinds := map[logging.Kind]int{}
+	for _, r := range res.Dataset.Records {
+		kinds[r.Kind]++
+	}
+	for _, k := range []logging.Kind{logging.KindHello, logging.KindStartUpload, logging.KindRequestPart, logging.KindSharedList} {
+		if kinds[k] == 0 {
+			t.Errorf("no %v records", k)
+		}
+	}
 }
 
 func TestPaperGreedySmoke(t *testing.T) {
@@ -52,6 +69,16 @@ func TestPaperGreedySmoke(t *testing.T) {
 	}
 	if res.HoneypotStats["hp-greedy"].Adopted == 0 {
 		t.Error("no adoption recorded")
+	}
+	// Peers must have queried adopted files, not only the three seeds.
+	queried := map[ed2k.Hash]bool{}
+	for _, r := range res.Dataset.Records {
+		if r.Kind == logging.KindStartUpload && !r.FileHash.Zero() {
+			queried[r.FileHash] = true
+		}
+	}
+	if len(queried) <= 3 {
+		t.Errorf("queries hit only %d files", len(queried))
 	}
 }
 

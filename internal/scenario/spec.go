@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/catalog"
@@ -133,7 +134,8 @@ type WorkloadSpec struct {
 	Label string `json:"label"`
 	// ArrivalsPerDay is the arrival intensity per unit of target weight
 	// (with weights summing to 1 it is the total arrivals per day),
-	// before Scale and decay.
+	// before Scale and decay. Scale × ArrivalsPerDay is at most
+	// MaxArrivalsPerDay.
 	ArrivalsPerDay float64 `json:"arrivals_per_day"`
 	// DecayPerDay multiplies intensity once per elapsed day (0 = none).
 	DecayPerDay float64 `json:"decay_per_day,omitempty"`
@@ -175,7 +177,8 @@ type TargetsSpec struct {
 	// first).
 	Honeypot string `json:"honeypot,omitempty"`
 	// Weights are per-file weights for "static" (files beyond the list
-	// get 0.25; an empty list means uniform weight 1).
+	// get 0.25; an empty list means uniform weight 1), each within
+	// [0, MaxTargetWeight].
 	Weights []float64 `json:"weights,omitempty"`
 	// Exp shapes "advertised-ramp" rank weights: 1/(rank+1)^Exp.
 	Exp float64 `json:"exp,omitempty"`
@@ -276,6 +279,20 @@ func (s Spec) end() time.Time {
 	return CampaignStart.Add(time.Duration(s.Days) * 24 * time.Hour)
 }
 
+// Bounds on a spec's arrival intensities. A spec may come from outside
+// (a file, a POST /runs body), and an intensity no campaign can work
+// through ties up its process for good; Validate rejects anything above
+// these, as it rejects catalogs above catalog.MaxFiles.
+const (
+	// MaxArrivalsPerDay bounds every workload's scale × arrivals_per_day:
+	// 100 times the paper's greedy campaign (54,000 new peers a day).
+	MaxArrivalsPerDay = 100 * 54_000
+	// MaxTargetWeight bounds each static target weight, a file's
+	// multiplier on its workload's arrivals. The registered scenarios
+	// use at most 1.
+	MaxTargetWeight = 100
+)
+
 // FieldError reports one invalid spec field. Validate wraps every
 // problem it finds in one of these, so callers can tell exactly which
 // knob is wrong (errors.As unwraps them through the joined error).
@@ -305,8 +322,8 @@ func (s Spec) Validate() error {
 	if s.Days <= 0 {
 		bad("days", "must be positive, got %d", s.Days)
 	}
-	if s.Scale <= 0 {
-		bad("scale", "must be positive, got %g", s.Scale)
+	if !finite(s.Scale) || s.Scale <= 0 {
+		bad("scale", "must be positive and finite, got %g", s.Scale)
 	}
 	if s.Topology.Servers < 1 {
 		bad("topology.servers", "must be at least 1, got %d", s.Topology.Servers)
@@ -375,11 +392,13 @@ func (s Spec) Validate() error {
 			bad(field("label"), "duplicate label %q (labels seed random streams)", w.Label)
 		}
 		labels[w.Label] = true
-		if w.ArrivalsPerDay <= 0 {
-			bad(field("arrivals_per_day"), "must be positive, got %g", w.ArrivalsPerDay)
+		if !finite(w.ArrivalsPerDay) || w.ArrivalsPerDay <= 0 {
+			bad(field("arrivals_per_day"), "must be positive and finite, got %g", w.ArrivalsPerDay)
+		} else if perDay := s.Scale * w.ArrivalsPerDay; finite(s.Scale) && perDay > MaxArrivalsPerDay {
+			bad(field("arrivals_per_day"), "at scale %g gives %g arrivals a day, above the bound of %d", s.Scale, perDay, MaxArrivalsPerDay)
 		}
-		if w.DecayPerDay < 0 {
-			bad(field("decay_per_day"), "must not be negative")
+		if !finite(w.DecayPerDay) || w.DecayPerDay < 0 {
+			bad(field("decay_per_day"), "must be finite and not negative, got %g", w.DecayPerDay)
 		}
 		if w.StartOffset < 0 || time.Duration(w.StartOffset) >= campaign {
 			bad(field("start_offset"), "must fall inside the %d-day campaign", s.Days)
@@ -397,6 +416,14 @@ func (s Spec) Validate() error {
 		}
 		if w.Targets.Honeypot != "" && !ids[w.Targets.Honeypot] {
 			bad(field("targets.honeypot"), "no fleet member %q", w.Targets.Honeypot)
+		}
+		for j, wgt := range w.Targets.Weights {
+			if !(wgt >= 0 && wgt <= MaxTargetWeight) { // NaN fails both
+				bad(fmt.Sprintf("workloads[%d].targets.weights[%d]", i, j), "must be within [0, %d], got %g", MaxTargetWeight, wgt)
+			}
+		}
+		if !finite(w.Targets.Exp) {
+			bad(field("targets.exp"), "must be finite, got %g", w.Targets.Exp)
 		}
 	}
 
@@ -452,6 +479,9 @@ func (s Spec) Validate() error {
 
 	return errors.Join(errs...)
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // parseStrategy maps a spec strategy name to the honeypot type.
 func parseStrategy(s string) (honeypot.Strategy, error) {

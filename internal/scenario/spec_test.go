@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -49,6 +50,14 @@ func TestValidateAcceptsValidSpec(t *testing.T) {
 		if err := spec.Validate(); err != nil {
 			t.Errorf("catalog.vocabulary %d rejected: %v", v, err)
 		}
+	}
+	// Intensities at their bounds are still campaigns.
+	spec := validSpec()
+	spec.Scale = 2
+	spec.Workloads[0].ArrivalsPerDay = MaxArrivalsPerDay / 2
+	spec.Workloads[0].Targets.Weights = []float64{MaxTargetWeight, 0}
+	if err := spec.Validate(); err != nil {
+		t.Errorf("intensities at their bounds rejected: %v", err)
 	}
 }
 
@@ -112,6 +121,18 @@ func TestValidateFieldErrors(t *testing.T) {
 				At: Duration(13 * time.Hour), Downtime: Duration(2 * time.Hour),
 			})
 		}},
+		// Intensities a campaign could never work through.
+		{"scale", func(s *Spec) { s.Scale = math.NaN() }},
+		{"scale", func(s *Spec) { s.Scale = math.Inf(1) }},
+		{"workloads[0].arrivals_per_day", func(s *Spec) { s.Scale = 1e300 }},
+		{"workloads[0].arrivals_per_day", func(s *Spec) { s.Workloads[0].ArrivalsPerDay = math.NaN() }},
+		{"workloads[0].arrivals_per_day", func(s *Spec) { s.Workloads[0].ArrivalsPerDay = math.Inf(1) }},
+		{"workloads[0].arrivals_per_day", func(s *Spec) { s.Workloads[0].ArrivalsPerDay = MaxArrivalsPerDay + 1 }},
+		{"workloads[0].decay_per_day", func(s *Spec) { s.Workloads[0].DecayPerDay = math.NaN() }},
+		{"workloads[0].targets.weights[1]", func(s *Spec) { s.Workloads[0].Targets.Weights = []float64{1, math.NaN()} }},
+		{"workloads[0].targets.weights[0]", func(s *Spec) { s.Workloads[0].Targets.Weights = []float64{1e300} }},
+		{"workloads[0].targets.weights[0]", func(s *Spec) { s.Workloads[0].Targets.Weights = []float64{-1} }},
+		{"workloads[0].targets.exp", func(s *Spec) { s.Workloads[0].Targets.Exp = math.Inf(-1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {

@@ -653,6 +653,33 @@ func TestSubmitRejectsHugeCatalog(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnboundedIntensity pins scenario.MaxArrivalsPerDay
+// at the daemon's door: a spec whose scale × arrivals_per_day no
+// campaign could work through is a 400, named after the workload field,
+// whether the scale sits in the spec or in the request, instead of a
+// worker tied up for good.
+func TestSubmitRejectsUnboundedIntensity(t *testing.T) {
+	_, client := newTestService(t, Config{Workers: 1})
+	spec := testSpec("svc-huge-scale", 1, 40, 2)
+	spec.Scale = 1e300
+	if _, err := client.Submit(context.Background(), SubmitRequest{Spec: &spec}); err == nil ||
+		!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "arrivals_per_day") {
+		t.Errorf("scale 1e300 in the spec: got %v, want HTTP 400 naming arrivals_per_day", err)
+	}
+	status, eb := postRaw(t, client.Base, "/runs", []byte(`{"scenario":"flash-crowd","scale":1e300}`))
+	if status != http.StatusBadRequest || !strings.Contains(eb.Error, "arrivals_per_day") {
+		t.Errorf("scale 1e300 in the request: %d %q, want 400 naming arrivals_per_day", status, eb.Error)
+	}
+	resp, err := http.Get(client.Base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz after the rejected specs: %d", resp.StatusCode)
+	}
+}
+
 // TestPlanSubsetSamplesBound pins analysis.MaxSubsetSamples at the
 // daemon's door: a plan asking for more subset samples than that is a
 // 400 on both routes that take a plan, one at the bound runs, and the

@@ -19,11 +19,13 @@
 //	rep := repro.Analyze(res)
 //	fmt.Println(rep.TableI)
 //
-// The typed configs for the paper's two campaigns remain as a stable
-// façade: RunDistributed and RunGreedy lower a DistributedConfig or
-// GreedyConfig to its spec and run it through the same engine. Analyze
-// regenerates every table and figure of the paper's evaluation from
-// any campaign result.
+// The registered spec is the only definition of a paper campaign. The
+// three parameters the paper studies are its fields: Days (duration),
+// Fleet (number of honeypots) and the greedy honeypot's GreedyMaxFiles
+// (number of advertised files). Scale multiplies arrival intensity
+// only, so a scaled-down campaign keeps every other value of the
+// paper's. Analyze regenerates every table and figure of the paper's
+// evaluation from any campaign result.
 //
 // Analyses are declarative too: every artifact is a named query in a
 // registry (Queries lists them), any selection forms an analysis.Plan
@@ -36,15 +38,11 @@
 // The underlying platform — eDonkey wire protocol, directory server,
 // client engine, honeypots, manager, anonymization pipeline, the
 // behavioural peer population that substitutes for the live network,
-// and the scenario engine itself — lives in the internal packages; see
-// DESIGN.md for the inventory.
+// and the scenario engine itself — lives in the internal packages.
 package repro
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/ed2k"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -56,12 +54,8 @@ type (
 	// faults + collection. Build one directly, fetch a registered one
 	// with ScenarioSpec, or decode one from JSON.
 	Spec = scenario.Spec
-	// DistributedConfig parameterizes the 24-honeypot campaign.
-	DistributedConfig = core.DistributedConfig
-	// GreedyConfig parameterizes the shared-list-harvesting campaign.
-	GreedyConfig = core.GreedyConfig
 	// Result is a finished campaign.
-	Result = core.Result
+	Result = scenario.Result
 	// RunOptions is the engine's telemetry tap configuration: a progress
 	// callback (with early abort), its cadence, and a metrics registry.
 	RunOptions = scenario.RunOptions
@@ -88,46 +82,6 @@ func RunSpec(spec Spec) (*Result, error) { return scenario.Run(spec) }
 // record-for-record identical to an untapped one.
 func RunSpecWith(spec Spec, opts RunOptions) (*Result, error) {
 	return scenario.RunWith(spec, opts)
-}
-
-// DefaultDistributed returns the paper's distributed setup (scale 1).
-func DefaultDistributed() DistributedConfig { return core.DefaultDistributedConfig() }
-
-// DefaultGreedy returns the paper's greedy setup (scale 1).
-func DefaultGreedy() GreedyConfig { return core.DefaultGreedyConfig() }
-
-// ScaledDistributed returns the distributed setup at a reduced arrival
-// scale (durations and behaviour unchanged, so curve shapes hold).
-func ScaledDistributed(scale float64) DistributedConfig {
-	cfg := core.DefaultDistributedConfig()
-	cfg.Scale = scale
-	return cfg
-}
-
-// ScaledGreedy returns the greedy setup at a reduced arrival scale. The
-// adoption cap shrinks with scale so the advertised list stays in
-// proportion to the observing population.
-func ScaledGreedy(scale float64) GreedyConfig {
-	cfg := core.DefaultGreedyConfig()
-	cfg.Scale = scale
-	if scale < 1 {
-		cfg.MaxAdopted = int(float64(cfg.MaxAdopted) * scale * 4)
-		if cfg.MaxAdopted < 50 {
-			cfg.MaxAdopted = 50
-		}
-	}
-	return cfg
-}
-
-// RunDistributed executes the paper's distributed measurement in the
-// simulated world and returns the anonymized dataset.
-func RunDistributed(cfg DistributedConfig) (*Result, error) {
-	return core.RunDistributed(cfg)
-}
-
-// RunGreedy executes the paper's greedy measurement.
-func RunGreedy(cfg GreedyConfig) (*Result, error) {
-	return core.RunGreedy(cfg)
 }
 
 // Report regenerates the paper's evaluation artifacts from one campaign.
@@ -197,24 +151,6 @@ func AnalyzeWith(res *Result, opt AnalyzeOptions) *Report {
 		f = analysis.BuildFrame(res.Dataset.Records)
 	}
 	return AnalyzeFrame(res, f, opt)
-}
-
-// AnalyzeStream computes the full report, with default options, for a
-// campaign finalized through the streaming record pipeline: the report
-// derives entirely from the frame the engine built while draining the
-// anonymized stream, so the campaign's records never materialize. It
-// errors on a campaign that was not run with Collection.Stream or
-// Collection.ExportDir (use Analyze there).
-func AnalyzeStream(res *Result) (*Report, error) {
-	return AnalyzeStreamWith(res, DefaultAnalyzeOptions())
-}
-
-// AnalyzeStreamWith is AnalyzeStream with explicit options.
-func AnalyzeStreamWith(res *Result, opt AnalyzeOptions) (*Report, error) {
-	if res.Frame == nil {
-		return nil, fmt.Errorf("repro: campaign %q was not finalized through the streaming pipeline (set Collection.Stream or Collection.ExportDir)", res.Name)
-	}
-	return AnalyzeWith(res, opt), nil
 }
 
 // Queries lists the registered analysis query names, sorted. Any subset

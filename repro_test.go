@@ -8,38 +8,17 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/catalog"
 	"repro/internal/logging"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
-func TestScaledConfigs(t *testing.T) {
-	d := repro.ScaledDistributed(0.25)
-	if d.Scale != 0.25 || d.Honeypots != 24 || d.Days != 32 {
-		t.Errorf("ScaledDistributed: %+v", d)
-	}
-	g := repro.ScaledGreedy(0.1)
-	if g.Scale != 0.1 {
-		t.Errorf("ScaledGreedy scale: %v", g.Scale)
-	}
-	if g.MaxAdopted >= repro.DefaultGreedy().MaxAdopted {
-		t.Errorf("ScaledGreedy should shrink the adoption cap: %d", g.MaxAdopted)
-	}
-	tiny := repro.ScaledGreedy(0.001)
-	if tiny.MaxAdopted < 50 {
-		t.Errorf("adoption cap floor: %d", tiny.MaxAdopted)
-	}
-	full := repro.ScaledGreedy(1)
-	if full.MaxAdopted != repro.DefaultGreedy().MaxAdopted {
-		t.Errorf("scale 1 must keep the paper's cap: %d", full.MaxAdopted)
-	}
-}
-
 func TestAnalyzePopulatesDistributedReport(t *testing.T) {
-	cfg := repro.ScaledDistributed(0.005)
-	cfg.Days = 5
-	cfg.Honeypots = 6
-	cfg.Catalog = catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 3}
-	cfg.LibraryRegion = 800
-	res, err := repro.RunDistributed(cfg)
+	spec := paperSpec(t, "distributed", 0.005)
+	spec.Days = 5
+	spec.Fleet = scenario.AlternatingFleet(6, 1)
+	spec.Catalog = catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 3}
+	spec.Workloads[0].LibraryRegion = 800
+	res, err := repro.RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +27,11 @@ func TestAnalyzePopulatesDistributedReport(t *testing.T) {
 	if rep.TableI.DistinctPeers == 0 {
 		t.Error("TableI empty")
 	}
-	if len(rep.PeerGrowth.Cumulative) != cfg.Days {
+	if len(rep.PeerGrowth.Cumulative) != spec.Days {
 		t.Errorf("growth has %d days", len(rep.PeerGrowth.Cumulative))
 	}
-	if len(rep.HourlyHello) != cfg.Days*24 {
-		t.Errorf("hourly hello has %d buckets (want full %d-day window)", len(rep.HourlyHello), cfg.Days)
+	if len(rep.HourlyHello) != spec.Days*24 {
+		t.Errorf("hourly hello has %d buckets (want full %d-day window)", len(rep.HourlyHello), spec.Days)
 	}
 	for _, gs := range []struct {
 		name string
@@ -69,7 +48,7 @@ func TestAnalyzePopulatesDistributedReport(t *testing.T) {
 	if rep.TopPeer == "" || rep.TopPeerQueries == 0 {
 		t.Error("top peer not identified")
 	}
-	if len(rep.HoneypotSubsets.N) != cfg.Honeypots+1 { // includes n=0
+	if len(rep.HoneypotSubsets.N) != len(spec.Fleet)+1 { // includes n=0
 		t.Errorf("Fig10 rows: %d", len(rep.HoneypotSubsets.N))
 	}
 	// Greedy-only fields stay empty for distributed campaigns.
@@ -86,11 +65,11 @@ func TestAnalyzePopulatesDistributedReport(t *testing.T) {
 }
 
 func TestAnalyzeGreedyFileSubsetsRespectOptions(t *testing.T) {
-	cfg := repro.ScaledGreedy(0.004)
-	cfg.Days = 3
-	cfg.MaxAdopted = 120
-	cfg.Catalog = catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 4}
-	res, err := repro.RunGreedy(cfg)
+	spec := paperSpec(t, "greedy", 0.004)
+	spec.Days = 3
+	capGreedy(&spec, 120)
+	spec.Catalog = catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 4}
+	res, err := repro.RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,43 +93,26 @@ func TestAnalyzeGreedyFileSubsetsRespectOptions(t *testing.T) {
 	}
 }
 
-// TestAnalyzeStreamWith pins the streamed-analysis entry points: the
-// options actually reach the extractors (AnalyzeStream used to hardcode
-// the defaults), and a campaign that never streamed errors cleanly.
+// TestAnalyzeStreamWith pins that analysis options reach the
+// extractors when the report derives from the frame a streamed finalize
+// built, with no records materialized.
 func TestAnalyzeStreamWith(t *testing.T) {
 	t.Parallel()
-	spec, err := repro.ScenarioSpec("greedy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Scale *= 0.004
+	spec := paperSpec(t, "greedy", 0.004)
 	spec.Collection.Stream = true
 	res, err := repro.RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Frame == nil || res.Dataset.Records != nil {
+		t.Fatal("streamed campaign did not finalize into a frame alone")
+	}
 	opt := repro.DefaultAnalyzeOptions()
 	opt.FileSubsetSize = 12
-	rep, err := repro.AnalyzeStreamWith(res, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := repro.AnalyzeWith(res, opt)
 	if len(rep.RandomFiles) != 12 || len(rep.PopularFiles) != 12 {
 		t.Errorf("options ignored: %d random / %d popular files",
 			len(rep.RandomFiles), len(rep.PopularFiles))
-	}
-
-	spec.Collection.Stream = false
-	spec.Collection.ExportDir = ""
-	mres, err := repro.RunSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repro.AnalyzeStreamWith(mres, opt); err == nil {
-		t.Error("AnalyzeStreamWith accepted a materialized campaign")
-	}
-	if _, err := repro.AnalyzeStream(mres); err == nil {
-		t.Error("AnalyzeStream accepted a materialized campaign")
 	}
 }
 
@@ -158,12 +120,12 @@ func TestAnalyzeStreamWith(t *testing.T) {
 // the slice-based reference extractors on real simulated campaigns: the
 // report must be identical field by field.
 func TestAnalyzeMatchesReferenceExtractors(t *testing.T) {
-	cfg := repro.ScaledDistributed(0.004)
-	cfg.Days = 4
-	cfg.Honeypots = 6
-	cfg.Catalog = catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 9}
-	cfg.LibraryRegion = 800
-	res, err := repro.RunDistributed(cfg)
+	spec := paperSpec(t, "distributed", 0.004)
+	spec.Days = 4
+	spec.Fleet = scenario.AlternatingFleet(6, 1)
+	spec.Catalog = catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 9}
+	spec.Workloads[0].LibraryRegion = 800
+	res, err := repro.RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +166,11 @@ func TestAnalyzeMatchesReferenceExtractors(t *testing.T) {
 		t.Errorf("CoInterest:\n got %+v\nwant %+v", rep.CoInterest, want)
 	}
 
-	gcfg := repro.ScaledGreedy(0.004)
-	gcfg.Days = 3
-	gcfg.MaxAdopted = 120
-	gcfg.Catalog = catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 10}
-	gres, err := repro.RunGreedy(gcfg)
+	gspec := paperSpec(t, "greedy", 0.004)
+	gspec.Days = 3
+	capGreedy(&gspec, 120)
+	gspec.Catalog = catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 10}
+	gres, err := repro.RunSpec(gspec)
 	if err != nil {
 		t.Fatal(err)
 	}
