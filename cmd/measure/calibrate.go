@@ -1,54 +1,47 @@
 package main
 
-// The -calibrate run mode: execute the scenario, diff its artifacts
-// against an observed dataset (the built-in paper dataset, or
-// -calibration-file), print every expectation's verdict, and exit
-// nonzero naming the out-of-tolerance artifacts. The JSON report
-// (-report) is deterministic — byte-identical across runs of the same
-// seed — so the CI gate can pin it.
+// The -calibrate emitter: diff the run's artifacts against an observed
+// dataset (the built-in paper dataset, or -calibration-file), print
+// every expectation's verdict, and exit nonzero naming the
+// out-of-tolerance artifacts. The JSON report (-report) is
+// deterministic — byte-identical across runs of the same seed — so the
+// CI gate can pin it.
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"repro"
 	"repro/internal/calibrate"
 )
 
-// runCalibrate is the -calibrate entry point. The run summary and the
-// verdict lines go to stderr/stdout like the other modes: stdout holds
-// the human-readable verdict table (or, with -report unset, the JSON
-// report), stderr the run narration.
-func runCalibrate(spec repro.Spec, obsFile, reportPath string, opts repro.RunOptions, metricsFile string) {
-	ds := calibrate.PaperObserved()
-	if obsFile != "" {
-		data, err := os.ReadFile(obsFile)
-		if err != nil {
-			log.Fatalf("reading observed dataset: %v", err)
-		}
-		if ds, err = calibrate.ParseDataset(data); err != nil {
-			log.Fatalf("decoding %s: %v", obsFile, err)
-		}
+// loadDataset returns the observed dataset -calibration-file names, or
+// the built-in paper dataset.
+func loadDataset(file string) *calibrate.Dataset {
+	if file == "" {
+		return calibrate.PaperObserved()
 	}
-
-	start := time.Now()
-	rep, res, err := calibrate.Run(spec, nil, ds, opts)
+	data, err := os.ReadFile(file)
 	if err != nil {
-		fatalRun(spec.Name, err)
+		log.Fatalf("reading observed dataset: %v", err)
 	}
-	elapsed := time.Since(start)
-	records := 0
-	if res.Frame != nil {
-		records = res.Frame.Len()
+	ds, err := calibrate.ParseDataset(data)
+	if err != nil {
+		log.Fatalf("decoding %s: %v", file, err)
 	}
-	log.Printf("scenario %s: simulated %d events in %v; %d records, %d distinct peers",
-		spec.Name, res.Events, elapsed.Round(time.Millisecond), records, res.Dataset.DistinctPeers)
-	writeMetrics(metricsFile, opts.Metrics)
+	return ds
+}
 
+// emitCalibration prints the verdict table on stdout, writes the JSON
+// report when -report names a file, and fails on any out-of-tolerance
+// artifact.
+func emitCalibration(res *repro.Result, ds *calibrate.Dataset, reportPath string) {
+	rep, err := calibrate.Frame(res.Frame, res.Meta(), ds)
+	if err != nil {
+		log.Fatalf("%s: %v", res.Name, err)
+	}
 	fmt.Printf("calibration: %s vs dataset v%d (scale %g)\n", rep.Campaign, rep.DatasetVersion, rep.Scale)
 	for _, row := range rep.Rows {
 		status := map[string]string{
@@ -64,19 +57,9 @@ func runCalibrate(spec repro.Spec, obsFile, reportPath string, opts repro.RunOpt
 		fmt.Println(line)
 	}
 	fmt.Printf("calibration: %d passed, %d failed, %d skipped\n", rep.Passed, rep.Failed, rep.Skipped)
-
 	if reportPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatalf("encoding report: %v", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(reportPath, data, 0o644); err != nil {
-			log.Fatalf("writing report: %v", err)
-		}
-		log.Printf("report written to %s", reportPath)
+		writeJSON(reportPath, rep)
 	}
-
 	if !rep.Pass {
 		var names []string
 		for _, row := range rep.Failing() {

@@ -8,6 +8,7 @@
 //	measure -scenario NAME [-scale 0.1]      run a registered scenario
 //	measure -scenario-file spec.json         run a campaign spec from disk
 //	measure -list-scenarios                  print the scenario registry and exit
+//	measure -scenario NAME -out dir -jsonl   also write the anonymized dataset as JSONL
 //	measure -scenario NAME -queries a,b,c    extract only the named artifacts
 //	measure -scenario NAME -plan-file p.json extract an analysis plan from disk
 //	measure -list-queries                    print the query registry and exit
@@ -18,24 +19,18 @@
 //	                                         dataset; nonzero exit when out of tolerance
 //	measure -scenario NAME -calibrate -calibration-file obs.json  custom observed dataset
 //
-// Every campaign is a spec: a bare measure runs the registered
-// "distributed" and "greedy" specs, -scenario any registered one and
-// -scenario-file one decoded from JSON, all through the same engine and
-// the same report. Terminal output summarizes every artifact the report
-// carries; with -out, each is also written to a file named after the
-// scenario and the artifact's registered query (distributed_table-i.txt,
-// distributed_honeypot-subsets.csv, greedy_popular-file-subsets.csv, ...):
-// CSV series that plot directly with gnuplot.
-//
-// Analyses are declarative too: -queries (comma-separated registered
-// query names) or -plan-file (an analysis.Plan as JSON: query names
-// plus per-query options such as subset_samples and seed) select
-// exactly which artifacts to extract — dependencies are resolved
-// automatically and independent queries run in parallel, so asking for
-// one figure never computes the other eleven. The executed result set
-// is emitted as JSON, to stdout or to the -report file. Both flags
-// apply to scenario runs, including logstore-resident ones (-store /
-// -stream / -export).
+// Every campaign is a spec: a registered scenario or a JSON file (a
+// bare measure runs "distributed" and "greedy"). Each runs exactly once
+// and prints one run summary; the mode then emits from its result. The
+// report mode prints every artifact the report carries, and with -out
+// writes each to <scenario>_<query>.{txt,csv} (CSV plots directly with
+// gnuplot). -queries / -plan-file extract only the selected artifacts
+// and -calibrate diffs them against an observed dataset; these JSON
+// modes write their report to stdout or -report and the summary to
+// stderr. Every run finalizes straight into the columnar frame except a
+// -jsonl run without -export, the one output that needs the records in
+// memory; the logstores -store and -export leave are re-read and
+// checked against the dataset.
 package main
 
 import (
@@ -56,11 +51,13 @@ import (
 	"repro"
 	"repro/internal/analysis"
 	"repro/internal/anonymize"
+	"repro/internal/calibrate"
 	"repro/internal/ed2k"
 	"repro/internal/logging"
 	"repro/internal/logstore"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/svc"
 )
 
 func main() {
@@ -70,10 +67,9 @@ func main() {
 		scale       = flag.Float64("scale", 0.1, "arrival intensity scale; multiplies the spec's own scale (1.0 = paper magnitudes)")
 		outDir      = flag.String("out", "", "directory for CSV series (optional)")
 		seed        = flag.Int64("seed", 1, "simulation seed")
-		jsonl       = flag.Bool("jsonl", false, "also dump the anonymized dataset as JSONL into -out")
+		jsonl       = flag.Bool("jsonl", false, "also dump the anonymized dataset as JSONL into -out (without -export, the run keeps its records in memory for it)")
 		storeDir    = flag.String("store", "", "spill records to a segmented on-disk logstore under this directory (per-campaign subdirectory)")
-		stream      = flag.Bool("stream", false, "finalize through the streaming record pipeline: the dataset flows straight into the columnar frame, never materializing records")
-		exportDir   = flag.String("export", "", "stream the anonymized dataset into an on-disk logstore under this directory for later analysis (per-scenario subdirectory; implies -stream)")
+		exportDir   = flag.String("export", "", "stream the anonymized dataset into an on-disk logstore under this directory for later analysis (per-scenario subdirectory)")
 		scenName    = flag.String("scenario", "", "run this registered scenario instead of the paper's two campaigns")
 		scenFile    = flag.String("scenario-file", "", "run a campaign spec decoded from this JSON file")
 		listScens   = flag.Bool("list-scenarios", false, "print registered scenario names and exit")
@@ -106,18 +102,23 @@ func main() {
 		return
 	}
 
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			log.Fatalf("creating %s: %v", *outDir, err)
-		}
-	}
-
 	var specs []repro.Spec
 	if *scenName == "" && *scenFile == "" {
 		specs = []repro.Spec{loadSpec("distributed", ""), loadSpec("greedy", "")}
 	} else {
 		specs = []repro.Spec{loadSpec(*scenName, *scenFile)}
 	}
+	if len(specs) > 1 && (*queries != "" || *planFile != "" || *metricsFile != "" || *submitURL != "" || *calibFlag || *calibFile != "") {
+		log.Fatal("-queries, -plan-file, -metrics-file, -submit and -calibrate act on one campaign; name it with -scenario NAME (the paper's campaigns are registered as \"distributed\" and \"greedy\")")
+	}
+	plan := loadPlan(*queries, *planFile, *seed)
+	if *calibFile != "" && !*calibFlag {
+		log.Fatal("-calibration-file needs -calibrate")
+	}
+	if *calibFlag && plan != nil {
+		log.Fatal("-calibrate runs the observed dataset's own queries; drop -queries/-plan-file")
+	}
+
 	seedSet := false
 	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
 	for i := range specs {
@@ -129,50 +130,62 @@ func main() {
 		if *storeDir != "" {
 			spec.Collection.StoreDir = filepath.Join(*storeDir, spec.Name)
 		}
-		if *stream {
-			spec.Collection.Stream = true // a spec's own "stream": true also stands
-		}
 		if *exportDir != "" {
 			spec.Collection.ExportDir = filepath.Join(*exportDir, spec.Name)
 		}
 	}
-	if len(specs) > 1 && (*queries != "" || *planFile != "" || *metricsFile != "" || *submitURL != "" || *calibFlag || *calibFile != "") {
-		log.Fatal("-queries, -plan-file, -metrics-file, -submit and -calibrate act on one campaign; name it with -scenario NAME (the paper's campaigns are registered as \"distributed\" and \"greedy\")")
-	}
-	spec := specs[0]
+
 	if *submitURL != "" {
-		if *calibFlag || *calibFile != "" {
+		if *calibFlag {
 			log.Fatal("-calibrate is a local run mode; calibrate a daemon run with POST /runs/{id}/calibrate instead")
 		}
-		if *storeDir != "" || *stream || *exportDir != "" || *outDir != "" || *jsonl || *progress || *metricsFile != "" {
-			log.Print("-store, -stream, -export, -out, -jsonl, -progress and -metrics-file ignored with -submit: the daemon owns collection output and progress streams over SSE")
+		if *storeDir != "" || *exportDir != "" || *outDir != "" || *jsonl || *progress || *metricsFile != "" {
+			log.Print("-store, -export, -out, -jsonl, -progress and -metrics-file ignored with -submit: the daemon owns collection output and progress streams over SSE")
 		}
-		submitRun(*submitURL, spec, loadPlan(*queries, *planFile, *seed), *reportPath)
+		submitRun(*submitURL, specs[0], plan, *reportPath)
 		return
+	}
+
+	jsonMode := *calibFlag || plan != nil
+	if jsonMode && (*outDir != "" || *jsonl) {
+		log.Print("-out and -jsonl ignored: a plan or calibration run emits only its JSON report (use -report FILE)")
+		*outDir, *jsonl = "", false
+	}
+	if *jsonl && *outDir == "" {
+		log.Fatal("-jsonl writes the dataset into the -out directory; name one with -out DIR")
+	}
+
+	var ds *calibrate.Dataset
+	if *calibFlag {
+		ds = loadDataset(*calibFile)
+		// Fail a campaign the dataset does not cover before simulating it.
+		if _, err := ds.Plan(specs[0].Name, analysis.QueryOptions{Seed: 1}); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			log.Fatalf("creating %s: %v", *outDir, err)
+		}
+	}
+	summary := io.Writer(os.Stdout)
+	if jsonMode {
+		summary = os.Stderr // stdout carries the report
 	}
 	opts := runOptions(*progress, *metricsFile)
-	if *calibFlag {
-		if *queries != "" || *planFile != "" {
-			log.Fatal("-calibrate runs the observed dataset's own queries; drop -queries/-plan-file")
-		}
-		if *outDir != "" || *jsonl {
-			log.Print("-out and -jsonl ignored: a calibration run emits only the report (use -report FILE)")
-		}
-		runCalibrate(spec, *calibFile, *reportPath, opts, *metricsFile)
-		return
-	}
-	if *calibFile != "" {
-		log.Fatal("-calibration-file needs -calibrate")
-	}
-	if plan := loadPlan(*queries, *planFile, *seed); plan != nil {
-		if *outDir != "" || *jsonl {
-			log.Print("-out and -jsonl ignored: a plan run emits only the selected queries as JSON (use -report FILE)")
-		}
-		runPlan(spec, *plan, *reportPath, opts, *metricsFile)
-		return
-	}
 	for _, spec := range specs {
-		runScenario(spec, *outDir, *jsonl, opts, *metricsFile)
+		// Only a -jsonl run with no export to stream the dataset back out
+		// of keeps its records in memory.
+		spec.Collection.Stream = !*jsonl || spec.Collection.ExportDir != ""
+		res := runCampaign(summary, spec, opts, *metricsFile)
+		switch {
+		case *calibFlag:
+			emitCalibration(res, ds, *reportPath)
+		case plan != nil:
+			emitPlan(res, *plan, *reportPath)
+		default:
+			emitReport(res, *outDir, *jsonl)
+		}
 	}
 }
 
@@ -186,66 +199,125 @@ func runOptions(progress bool, metricsFile string) repro.RunOptions {
 	}
 	if progress {
 		var interrupted atomic.Bool
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		go func() {
-			<-sig
-			signal.Stop(sig) // a second Ctrl-C kills the process normally
+		onInterrupt(func() {
 			log.Print("interrupt: aborting campaign, finalizing records collected so far...")
 			interrupted.Store(true)
-		}()
+		})
 		opts.WallEvery = time.Second
 		opts.Progress = func(p repro.Progress) bool {
-			total := p.SimElapsed + p.SimEnd.Sub(p.SimTime)
-			elapsed := p.SimElapsed
-			if elapsed > total {
-				elapsed = total // the finalize drain runs past campaign end
-			}
-			pct := 0.0
-			if total > 0 {
-				pct = 100 * float64(elapsed) / float64(total)
-			}
-			log.Printf("progress: sim %s/%s (%3.0f%%)  events %d (%.0f/s)  records %d  fleet %d up / %d down",
-				elapsed.Round(time.Minute), total.Round(time.Minute), pct,
-				p.Events, p.EventsPerSec, p.RecordsCollected, p.FleetUp, p.FleetDown)
+			logProgress(svc.NewProgressEvent(0, p))
 			return !interrupted.Load()
 		}
 	}
 	return opts
 }
 
-// summarizeRun prints the end-of-run line every path shares: events,
-// records, distinct peers, elapsed wall time and throughput. It always
-// runs, -progress or not.
-func summarizeRun(res *repro.Result, records int, elapsed time.Duration) {
-	perSec := 0.0
+// runCampaign executes one spec — the only place any mode runs one —
+// and prints its summary to w: the run line, any degradation or abort,
+// the re-read of the stores it wrote, the fault log. It also writes
+// -metrics-file. The modes emit from the result it returns.
+func runCampaign(w io.Writer, spec repro.Spec, opts repro.RunOptions, metricsFile string) *repro.Result {
+	fmt.Fprintf(w, "=== scenario %s (%d honeypot(s), %d server(s), %d workload(s), %d days, scale %g) ===\n",
+		spec.Name, len(spec.Fleet), spec.Topology.Servers, len(spec.Workloads), spec.Days, spec.Scale)
+	start := time.Now()
+	res, err := repro.RunSpecWith(spec, opts)
+	if err != nil {
+		fatalRun(spec.Name, err)
+	}
+	summarizeRun(w, res, time.Since(start))
+	writeMetrics(metricsFile, opts.Metrics)
+	reread(w, res)
+	for _, f := range res.Faults {
+		fmt.Fprintf(w, "fault: %-18s %-12s at %s\n", f.Kind, f.Target, f.At.Format("2006-01-02 15:04"))
+	}
+	fmt.Fprintln(w)
+	return res
+}
+
+// onInterrupt runs fn on the first Ctrl-C; a second one kills the
+// process normally.
+func onInterrupt(fn func()) {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	go func() {
+		<-sig
+		signal.Stop(sig)
+		fn()
+	}()
+}
+
+// logProgress prints one progress snapshot to stderr, for a local run
+// (-progress) and a remote one's SSE stream (-submit) alike.
+func logProgress(e svc.ProgressEvent) {
+	elapsed := time.Duration(e.SimElapsedS * float64(time.Second))
+	total := time.Duration(e.SimTotalS * float64(time.Second))
+	log.Printf("progress: sim %s/%s (%3.0f%%)  events %d (%.0f/s)  records %d  fleet %d up / %d down",
+		elapsed.Round(time.Minute), total.Round(time.Minute), e.Percent,
+		e.Events, e.EventsPerSec, e.Records, e.FleetUp, e.FleetDown)
+}
+
+// summarizeRun prints the end-of-run lines: events, records, distinct
+// peers, elapsed wall time and throughput, and whether the campaign
+// was degraded or aborted.
+func summarizeRun(w io.Writer, res *repro.Result, elapsed time.Duration) {
+	records := len(res.Dataset.Records)
+	if res.Frame != nil {
+		records = res.Frame.Len() // streamed finalize: no []Record exists
+	}
+	perSec, eventsPerSec := 0.0, 0.0
 	if s := elapsed.Seconds(); s > 0 {
 		perSec = float64(records) / s
+		// Engine throughput comes from the loop's own counters: Executed
+		// equals res.Events, but Stats is the scheduler's authoritative view.
+		eventsPerSec = float64(res.Engine.Executed) / s
 	}
-	fmt.Printf("simulated %d events in %v; %d records, %d distinct peers\n",
-		res.Events, elapsed.Round(time.Millisecond),
-		records, res.Dataset.DistinctPeers)
-	// Degraded campaigns say so on stdout: the gap audit is part of the
-	// dataset's provenance, not a detail buried in a metrics file.
+	fmt.Fprintf(w, "simulated %d events in %v; %d records, %d distinct peers\n",
+		res.Events, elapsed.Round(time.Millisecond), records, res.Dataset.DistinctPeers)
+	// Degraded campaigns say so: the gap audit is part of the dataset's
+	// provenance, not a detail buried in a metrics file.
 	if len(res.CollectionGaps) > 0 || res.DroppedRecords > 0 {
 		gaps := 0
 		for _, n := range res.CollectionGaps {
 			gaps += n
 		}
-		fmt.Printf("degraded: collection gaps: %d round(s) across %d honeypot(s); dropped records: %d\n",
+		fmt.Fprintf(w, "degraded: collection gaps: %d round(s) across %d honeypot(s); dropped records: %d\n",
 			gaps, len(res.CollectionGaps), res.DroppedRecords)
 	}
-	// Engine throughput comes from the loop's own counters: Executed
-	// equals res.Events, but Stats is the scheduler's authoritative view.
-	eventsPerSec := 0.0
-	if s := elapsed.Seconds(); s > 0 {
-		eventsPerSec = float64(res.Engine.Executed) / s
-	}
-	fmt.Printf("wall %v; %.0f events/s simulated, %.0f records/s finalized\n",
+	fmt.Fprintf(w, "wall %v; %.0f events/s simulated, %.0f records/s finalized\n",
 		elapsed.Round(time.Millisecond), eventsPerSec, perSec)
 	if res.Aborted {
-		fmt.Printf("campaign ABORTED at %s (sim time); the dataset covers only records collected before the abort\n",
+		fmt.Fprintf(w, "campaign ABORTED at %s (sim time); the dataset covers only records collected before the abort\n",
 			res.AbortedAt.Format("2006-01-02 15:04"))
+	}
+}
+
+// reread reopens each logstore the campaign wrote — the raw spill
+// (-store) and the anonymized export (-export) — into a fresh frame
+// (analysis.OpenFrame, the reader every later analysis uses) and
+// requires it to hold the records the run says it wrote and the
+// dataset's distinct peers (equal across the two stores because the
+// step-2 renumbering is a bijection).
+func reread(w io.Writer, res *repro.Result) {
+	for _, s := range []struct {
+		name, dir string
+		records   uint64
+	}{
+		{"store", res.StoreDir, res.StoredRecords},
+		{"export", res.ExportDir, res.ExportedRecords},
+	} {
+		if s.dir == "" {
+			continue
+		}
+		f, err := analysis.OpenFrame(s.dir)
+		if err != nil {
+			log.Fatalf("re-reading %s %s: %v", s.name, s.dir, err)
+		}
+		fmt.Fprintf(w, "%s: %d records under %s; re-read: %d records, %d distinct peers\n",
+			s.name, s.records, s.dir, f.Len(), f.DistinctPeers())
+		if uint64(f.Len()) != s.records || f.DistinctPeers() != res.Dataset.DistinctPeers {
+			log.Fatalf("%s %s disagrees with the run: re-read %d records and %d distinct peers, want %d and %d",
+				s.name, s.dir, f.Len(), f.DistinctPeers(), s.records, res.Dataset.DistinctPeers)
+		}
 	}
 }
 
@@ -276,69 +348,26 @@ func writeMetrics(path string, reg *obs.Registry) {
 	log.Printf("metrics written to %s", path)
 }
 
-// reportStore summarizes the campaign's on-disk store and re-derives the
-// distinct-peer count by streaming it into a columnar frame
-// (analysis.BuildFrameIter, 19 bytes per record) — the at-scale path
-// that never materializes the campaign. (Distinct counts agree with the
-// dataset because the step-2 renumbering is a bijection.)
-func reportStore(res *repro.Result) {
-	if res.StoreDir == "" {
+// writeJSON writes v as indented JSON and a newline — the encoding the
+// daemon serves too — to path, or to stdout when path is empty. A
+// json.RawMessage passes through byte for byte when it already is in
+// that form.
+func writeJSON(path string, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		log.Fatalf("encoding report: %v", err)
+	}
+	data = append(data, '\n')
+	if path == "" {
+		if _, err := os.Stdout.Write(data); err != nil {
+			log.Fatalf("writing report: %v", err)
+		}
 		return
 	}
-	store, err := logstore.Open(res.StoreDir, logstore.Options{})
-	if err != nil {
-		log.Fatalf("reopening store: %v", err)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		log.Fatalf("writing report: %v", err)
 	}
-	defer store.Close()
-	it, err := store.Iterator()
-	if err != nil {
-		log.Fatalf("store iterator: %v", err)
-	}
-	defer it.Close()
-	f, err := analysis.BuildFrameIter(it)
-	if err != nil {
-		log.Fatalf("streaming store: %v", err)
-	}
-	table := f.TableI(len(res.HoneypotIDs), res.Days, len(res.Advertised))
-	fmt.Printf("store: %d records in %d shard(s) under %s; streamed re-count: %d distinct peers\n",
-		res.StoredRecords, len(store.ShardNames()), res.StoreDir, table.DistinctPeers)
-	if table.DistinctPeers != res.Dataset.DistinctPeers {
-		log.Fatalf("store stream disagrees with dataset: %d vs %d distinct peers",
-			table.DistinctPeers, res.Dataset.DistinctPeers)
-	}
-}
-
-// reportExport verifies the -export store round-trips: the anonymized
-// dataset written during the streamed finalize is reopened and streamed
-// into a fresh columnar frame — the "later analysis" path an exported
-// campaign exists for — and its stats must agree with the finalize's.
-func reportExport(res *repro.Result) {
-	if res.ExportDir == "" {
-		return
-	}
-	store, err := logstore.Open(res.ExportDir, logstore.Options{})
-	if err != nil {
-		log.Fatalf("reopening export store: %v", err)
-	}
-	defer store.Close()
-	it, err := store.Iterator()
-	if err != nil {
-		log.Fatalf("export store iterator: %v", err)
-	}
-	defer it.Close()
-	f, err := analysis.BuildFrameIter(it)
-	if err != nil {
-		log.Fatalf("streaming export store: %v", err)
-	}
-	fmt.Printf("export: %d anonymized records in %d shard(s) under %s; streamed re-read: %d distinct peers\n",
-		res.ExportedRecords, len(store.ShardNames()), res.ExportDir, f.DistinctPeers())
-	if uint64(f.Len()) != res.ExportedRecords {
-		log.Fatalf("export store re-read %d records, finalize wrote %d", f.Len(), res.ExportedRecords)
-	}
-	if f.DistinctPeers() != res.Dataset.DistinctPeers {
-		log.Fatalf("export store disagrees with dataset: %d vs %d distinct peers",
-			f.DistinctPeers(), res.Dataset.DistinctPeers)
-	}
+	log.Printf("report written to %s", path)
 }
 
 // loadSpec fetches a registered scenario or decodes a spec file.
@@ -393,123 +422,52 @@ func loadPlan(queries, file string, seed int64) *analysis.Plan {
 	return nil
 }
 
-// runPlan executes one spec, then extracts exactly the plan's queries —
-// dependencies resolved by the engine, independent artifacts in
-// parallel — and emits the result set as JSON to -report or stdout. The
-// run summary goes to stderr so stdout is clean JSON.
-func runPlan(spec repro.Spec, plan analysis.Plan, reportPath string, opts repro.RunOptions, metricsFile string) {
-	start := time.Now()
-	res, err := repro.RunSpecWith(spec, opts)
-	if err != nil {
-		fatalRun(spec.Name, err)
-	}
-	elapsed := time.Since(start)
-	records := len(res.Dataset.Records)
-	if res.Frame != nil {
-		records = res.Frame.Len() // streamed finalize: no []Record exists
-	}
-	perSec := 0.0
-	if s := elapsed.Seconds(); s > 0 {
-		perSec = float64(records) / s
-	}
-	eventsPerSec := 0.0
-	if s := elapsed.Seconds(); s > 0 {
-		eventsPerSec = float64(res.Engine.Executed) / s
-	}
-	log.Printf("scenario %s: simulated %d events in %v (%.0f events/s); %d records (%.0f records/s), %d distinct peers",
-		spec.Name, res.Events, elapsed.Round(time.Millisecond), eventsPerSec,
-		records, perSec, res.Dataset.DistinctPeers)
-	if res.Aborted {
-		log.Printf("campaign ABORTED at %s (sim time); the report covers only records collected before the abort",
-			res.AbortedAt.Format("2006-01-02 15:04"))
-	}
-
+// emitPlan extracts exactly the plan's queries — dependencies resolved
+// by the engine, independent artifacts in parallel — and writes the
+// result set as JSON to -report or stdout.
+func emitPlan(res *repro.Result, plan analysis.Plan, reportPath string) {
 	rs, err := repro.ExecPlan(res, plan)
 	if err != nil {
-		log.Fatalf("%s: %v", spec.Name, err)
+		log.Fatalf("%s: %v", res.Name, err)
 	}
 	es := rs.ExecStats()
-	log.Printf("executed queries: %s", strings.Join(rs.Names(), ", "))
-	log.Printf("analysis: %d queries in %v on %d worker(s), %.0f%% utilization; critical path %v: %s",
-		len(es.Queries), es.Wall.Round(time.Millisecond), es.Workers, 100*es.Utilization,
-		es.CriticalPathWall.Round(time.Millisecond), strings.Join(es.CriticalPath, " → "))
-	writeMetrics(metricsFile, opts.Metrics)
-	data, err := json.MarshalIndent(rs, "", "  ")
-	if err != nil {
-		log.Fatalf("encoding report: %v", err)
-	}
-	data = append(data, '\n')
-	if reportPath == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			log.Fatalf("writing report: %v", err)
-		}
-		return
-	}
-	if err := os.WriteFile(reportPath, data, 0o644); err != nil {
-		log.Fatalf("writing report: %v", err)
-	}
-	log.Printf("report written to %s", reportPath)
+	log.Printf("analysis: %s: %d queries in %v on %d worker(s), %.0f%% utilization; critical path %v: %s",
+		strings.Join(rs.Names(), ", "), len(es.Queries), es.Wall.Round(time.Millisecond), es.Workers,
+		100*es.Utilization, es.CriticalPathWall.Round(time.Millisecond), strings.Join(es.CriticalPath, " → "))
+	writeJSON(reportPath, rs)
 }
 
-// runScenario executes one spec, prints its run summary, fault log and
-// full paper report, and with -out writes the report's artifacts (and
-// with -jsonl the dataset) into outDir.
-func runScenario(spec repro.Spec, outDir string, jsonl bool, opts repro.RunOptions, metricsFile string) {
-	fmt.Printf("=== scenario %s (%d honeypot(s), %d server(s), %d workload(s), %d days, scale %g) ===\n",
-		spec.Name, len(spec.Fleet), spec.Topology.Servers, len(spec.Workloads), spec.Days, spec.Scale)
-	start := time.Now()
-	res, err := repro.RunSpecWith(spec, opts)
-	if err != nil {
-		fatalRun(spec.Name, err)
-	}
-	records := len(res.Dataset.Records)
-	if res.Frame != nil {
-		records = res.Frame.Len() // streamed finalize: no []Record exists
-	}
-	summarizeRun(res, records, time.Since(start))
-	writeMetrics(metricsFile, opts.Metrics)
-	reportStore(res)
-	reportExport(res)
-	for _, f := range res.Faults {
-		fmt.Printf("fault: %-18s %-12s at %s\n", f.Kind, f.Target, f.At.Format("2006-01-02 15:04"))
-	}
-	fmt.Println()
-
+// emitReport prints the full paper report, and with -out writes its
+// artifacts (and with -jsonl the dataset) into outDir.
+func emitReport(res *repro.Result, outDir string, jsonl bool) {
 	rep := repro.Analyze(res)
-	printReport(spec.Name, rep)
+	printReport(res.Name, rep)
 	if outDir == "" {
 		return
 	}
-	writeReport(outDir, spec.Name, rep)
+	writeArtifacts(outDir, res.Name, rep)
 	if !jsonl {
 		return
 	}
-	path := spec.Name + "_dataset.jsonl"
-	switch {
-	case res.Frame == nil:
-		mustWrite(outDir, path, func(w io.Writer) error {
+	mustWrite(outDir, res.Name+"_dataset.jsonl", func(w io.Writer) error {
+		if res.ExportDir == "" {
 			return logging.WriteJSONL(w, res.Dataset.Records)
-		})
-	case res.ExportDir != "":
-		// Streamed finalize: the records live only in the export store —
-		// stream them out without materializing.
-		mustWrite(outDir, path, func(w io.Writer) error {
-			store, err := logstore.Open(res.ExportDir, logstore.Options{})
-			if err != nil {
-				return err
-			}
-			defer store.Close()
-			it, err := store.Iterator()
-			if err != nil {
-				return err
-			}
-			defer it.Close()
-			_, err = logging.WriteJSONLIter(w, it)
+		}
+		// A streamed finalize kept no records: stream them back out of
+		// the export store.
+		store, err := logstore.Open(res.ExportDir, logstore.Options{})
+		if err != nil {
 			return err
-		})
-	default:
-		log.Print("-jsonl ignored: a -stream run keeps no records; add -export DIR to persist the dataset")
-	}
+		}
+		defer store.Close()
+		it, err := store.Iterator()
+		if err != nil {
+			return err
+		}
+		defer it.Close()
+		_, err = logging.WriteJSONLIter(w, it)
+		return err
+	})
 }
 
 // printReport summarizes every artifact the report carries. Which ones
@@ -528,8 +486,11 @@ func printReport(name string, rep *repro.Report) {
 
 	fmt.Println("\n--- HELLO per hour, first week ---")
 	fmt.Printf("%s\n", analysis.Sparkline(rep.HourlyHello))
-	fmt.Printf("peak %d/hour, total %d HELLOs in the window\n",
-		slices.Max(rep.HourlyHello), sum(rep.HourlyHello))
+	hellos := 0
+	for _, n := range rep.HourlyHello {
+		hellos += n
+	}
+	fmt.Printf("peak %d/hour, total %d HELLOs in the window\n", slices.Max(rep.HourlyHello), hellos)
 
 	if len(rep.HelloPeersByGroup.Groups) > 0 {
 		fmt.Println("\n--- distinct peers and REQUEST-PART messages by strategy group ---")
@@ -589,89 +550,72 @@ func printSubsetSummary(u stats.SubsetUnion, unit string) {
 	}
 }
 
-// writeReport writes every artifact the report carries into dir, one
+// writeArtifacts writes every artifact the report carries into dir, one
 // file per registered query, named <scenario>_<query>: Table I as text,
 // everything else as CSV.
-func writeReport(dir, name string, rep *repro.Report) {
-	write := func(query, ext string, fn func(io.Writer) error) {
-		mustWrite(dir, name+"_"+query+ext, fn)
+func writeArtifacts(dir, name string, rep *repro.Report) {
+	csv := func(header []string, rows ...[]string) func(io.Writer) error {
+		return func(w io.Writer) error { return analysis.WriteCSV(w, header, rows) }
 	}
-	write(analysis.QueryTableI, ".txt", func(w io.Writer) error {
-		_, err := fmt.Fprintln(w, rep.TableI)
-		return err
-	})
-	write(analysis.QueryPeerGrowth, ".csv", func(w io.Writer) error {
-		return analysis.GrowthCSV(w, rep.PeerGrowth)
-	})
-	write(analysis.QueryHourlyHello, ".csv", func(w io.Writer) error {
-		rows := make([][]string, len(rep.HourlyHello))
-		for i, v := range rep.HourlyHello {
-			rows[i] = []string{fmt.Sprint(i), fmt.Sprint(v)}
+	group := func(gs analysis.GroupSeries) func(io.Writer) error {
+		return func(w io.Writer) error { return analysis.GroupCSV(w, gs) }
+	}
+	subsets := func(u stats.SubsetUnion) func(io.Writer) error {
+		return func(w io.Writer) error { return analysis.SubsetCSV(w, u) }
+	}
+	hashes := func(hs []ed2k.Hash) func(io.Writer) error {
+		rows := make([][]string, len(hs))
+		for i, h := range hs {
+			rows[i] = []string{h.String()}
 		}
-		return analysis.WriteCSV(w, []string{"hour", "hello"}, rows)
-	})
-	write(analysis.QueryCoInterest, ".csv", func(w io.Writer) error {
-		ci := rep.CoInterest
-		return analysis.WriteCSV(w, []string{"metric", "value"}, [][]string{
-			{"peers", fmt.Sprint(ci.Peers)},
-			{"files", fmt.Sprint(ci.Files)},
-			{"edges", fmt.Sprint(ci.Edges)},
-			{"mean_files_per_peer", fmt.Sprint(ci.MeanFilesPerPeer)},
-			{"max_files_per_peer", fmt.Sprint(ci.MaxFilesPerPeer)},
-			{"mean_peers_per_file", fmt.Sprint(ci.MeanPeersPerFile)},
-			{"max_peers_per_file", fmt.Sprint(ci.MaxPeersPerFile)},
-			{"components", fmt.Sprint(ci.Components)},
-			{"largest_component", fmt.Sprint(ci.LargestComponent)},
-		})
-	})
-	if rep.TopPeer != "" {
-		write(analysis.QueryTopPeer, ".csv", func(w io.Writer) error {
-			return analysis.WriteCSV(w, []string{"peer", "queries"},
-				[][]string{{rep.TopPeer, fmt.Sprint(rep.TopPeerQueries)}})
-		})
+		return csv([]string{"hash"}, rows...)
 	}
-	for _, g := range []struct {
-		query string
-		gs    analysis.GroupSeries
+	hourly := make([][]string, len(rep.HourlyHello))
+	for i, v := range rep.HourlyHello {
+		hourly[i] = []string{fmt.Sprint(i), fmt.Sprint(v)}
+	}
+	ci := rep.CoInterest
+	for _, a := range []struct {
+		query   string
+		carried bool
+		write   func(io.Writer) error
 	}{
-		{analysis.QueryHelloPeersByGroup, rep.HelloPeersByGroup},
-		{analysis.QueryStartUploadPeersByGroup, rep.StartUploadPeersByGroup},
-		{analysis.QueryRequestPartsByGroup, rep.RequestPartsByGroup},
-		{analysis.QueryTopPeerStartUpload, rep.TopPeerStartUpload},
-		{analysis.QueryTopPeerRequestParts, rep.TopPeerRequestParts},
+		{analysis.QueryTableI, true, func(w io.Writer) error {
+			_, err := fmt.Fprintln(w, rep.TableI)
+			return err
+		}},
+		{analysis.QueryPeerGrowth, true, func(w io.Writer) error { return analysis.GrowthCSV(w, rep.PeerGrowth) }},
+		{analysis.QueryHourlyHello, true, csv([]string{"hour", "hello"}, hourly...)},
+		{analysis.QueryCoInterest, true, csv([]string{"metric", "value"},
+			[]string{"peers", fmt.Sprint(ci.Peers)},
+			[]string{"files", fmt.Sprint(ci.Files)},
+			[]string{"edges", fmt.Sprint(ci.Edges)},
+			[]string{"mean_files_per_peer", fmt.Sprint(ci.MeanFilesPerPeer)},
+			[]string{"max_files_per_peer", fmt.Sprint(ci.MaxFilesPerPeer)},
+			[]string{"mean_peers_per_file", fmt.Sprint(ci.MeanPeersPerFile)},
+			[]string{"max_peers_per_file", fmt.Sprint(ci.MaxPeersPerFile)},
+			[]string{"components", fmt.Sprint(ci.Components)},
+			[]string{"largest_component", fmt.Sprint(ci.LargestComponent)})},
+		{analysis.QueryTopPeer, rep.TopPeer != "", csv([]string{"peer", "queries"}, []string{rep.TopPeer, fmt.Sprint(rep.TopPeerQueries)})},
+		{analysis.QueryHelloPeersByGroup, len(rep.HelloPeersByGroup.Groups) > 0, group(rep.HelloPeersByGroup)},
+		{analysis.QueryStartUploadPeersByGroup, len(rep.StartUploadPeersByGroup.Groups) > 0, group(rep.StartUploadPeersByGroup)},
+		{analysis.QueryRequestPartsByGroup, len(rep.RequestPartsByGroup.Groups) > 0, group(rep.RequestPartsByGroup)},
+		{analysis.QueryTopPeerStartUpload, len(rep.TopPeerStartUpload.Groups) > 0, group(rep.TopPeerStartUpload)},
+		{analysis.QueryTopPeerRequestParts, len(rep.TopPeerRequestParts.Groups) > 0, group(rep.TopPeerRequestParts)},
+		{analysis.QueryHoneypotSubsets, len(rep.HoneypotSubsets.N) > 0, subsets(rep.HoneypotSubsets)},
+		{analysis.QueryRandomFileSubsets, len(rep.RandomFileSubsets.N) > 0, subsets(rep.RandomFileSubsets)},
+		{analysis.QueryPopularFileSubsets, len(rep.PopularFileSubsets.N) > 0, subsets(rep.PopularFileSubsets)},
+		{analysis.QueryRandomFiles, len(rep.RandomFiles) > 0, hashes(rep.RandomFiles)},
+		{analysis.QueryPopularFiles, len(rep.PopularFiles) > 0, hashes(rep.PopularFiles)},
 	} {
-		if len(g.gs.Groups) > 0 {
-			write(g.query, ".csv", func(w io.Writer) error { return analysis.GroupCSV(w, g.gs) })
+		if !a.carried {
+			continue
 		}
-	}
-	for _, s := range []struct {
-		query string
-		u     stats.SubsetUnion
-	}{
-		{analysis.QueryHoneypotSubsets, rep.HoneypotSubsets},
-		{analysis.QueryRandomFileSubsets, rep.RandomFileSubsets},
-		{analysis.QueryPopularFileSubsets, rep.PopularFileSubsets},
-	} {
-		if len(s.u.N) > 0 {
-			write(s.query, ".csv", func(w io.Writer) error { return analysis.SubsetCSV(w, s.u) })
+		ext := ".csv"
+		if a.query == analysis.QueryTableI {
+			ext = ".txt"
 		}
-	}
-	for _, f := range []struct {
-		query  string
-		hashes []ed2k.Hash
-	}{
-		{analysis.QueryRandomFiles, rep.RandomFiles},
-		{analysis.QueryPopularFiles, rep.PopularFiles},
-	} {
-		if len(f.hashes) > 0 {
-			write(f.query, ".csv", func(w io.Writer) error {
-				rows := make([][]string, len(f.hashes))
-				for i, h := range f.hashes {
-					rows[i] = []string{h.String()}
-				}
-				return analysis.WriteCSV(w, []string{"hash"}, rows)
-			})
-		}
+		mustWrite(dir, name+"_"+a.query+ext, a.write)
 	}
 }
 
@@ -685,13 +629,4 @@ func mustWrite(dir, name string, fn func(io.Writer) error) {
 	if err := fn(f); err != nil {
 		log.Fatalf("writing %s: %v", path, err)
 	}
-}
-
-// sum totals a series (the stdlib has slices.Max but no slices.Sum).
-func sum(xs []int) int {
-	s := 0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }

@@ -5,15 +5,14 @@ package main
 // applied, exactly as a local run would resolve them) is posted to a
 // running measured daemon, its SSE progress stream is tailed to stderr,
 // and the finished run's report is fetched and written like a local
-// -report — byte-identical to what the same spec and seed produce via
-// a local plan run, because the daemon serves cmd/measure's exact
-// report encoding.
+// -report (writeJSON) — byte-identical to what the same spec and seed
+// produce via a local plan run, because the daemon serves cmd/measure's
+// exact report encoding.
 
 import (
 	"context"
+	"encoding/json"
 	"log"
-	"os"
-	"os/signal"
 	"time"
 
 	"repro"
@@ -34,24 +33,14 @@ func submitRun(baseURL string, spec repro.Spec, plan *analysis.Plan, reportPath 
 	}
 	log.Printf("submitted run %s to %s (state: %s)", run.ID, client.Base, run.State)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	go func() {
-		<-sig
-		signal.Stop(sig) // a second Ctrl-C kills the process normally
+	onInterrupt(func() {
 		log.Printf("interrupt: aborting remote run %s...", run.ID)
 		if _, err := client.Abort(context.Background(), run.ID); err != nil {
 			log.Printf("abort: %v", err)
 		}
-	}()
-
-	final, err := client.Events(ctx, run.ID, func(e svc.ProgressEvent) {
-		elapsed := time.Duration(e.SimElapsedS * float64(time.Second))
-		total := time.Duration(e.SimTotalS * float64(time.Second))
-		log.Printf("progress: sim %s/%s (%3.0f%%)  events %d (%.0f/s)  records %d  fleet %d up / %d down",
-			elapsed.Round(time.Minute), total.Round(time.Minute), e.Percent,
-			e.Events, e.EventsPerSec, e.Records, e.FleetUp, e.FleetDown)
 	})
+
+	final, err := client.Events(ctx, run.ID, logProgress)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,14 +68,5 @@ func submitRun(baseURL string, spec repro.Spec, plan *analysis.Plan, reportPath 
 	if err != nil {
 		log.Fatal(err)
 	}
-	if reportPath == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			log.Fatalf("writing report: %v", err)
-		}
-		return
-	}
-	if err := os.WriteFile(reportPath, data, 0o644); err != nil {
-		log.Fatalf("writing report: %v", err)
-	}
-	log.Printf("report written to %s", reportPath)
+	writeJSON(reportPath, json.RawMessage(data))
 }

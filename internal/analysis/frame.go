@@ -13,8 +13,10 @@ package analysis
 // by distinct counts and output size, never by campaign length.
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"os"
 	"slices"
 	"sort"
 	"strconv"
@@ -24,6 +26,7 @@ import (
 	"repro/internal/ed2k"
 	"repro/internal/intern"
 	"repro/internal/logging"
+	"repro/internal/logstore"
 	"repro/internal/stats"
 )
 
@@ -126,6 +129,28 @@ func BuildFrameIter(it logging.Iterator) (*Frame, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// OpenFrame reopens the logstore under dir — a campaign's raw spill or
+// its anonymized export — and streams it into a frame with
+// BuildFrameIter: the one way a finished campaign's dataset is read
+// back for analysis. A missing directory is an error, not an empty
+// store.
+func OpenFrame(dir string) (*Frame, error) {
+	if _, err := os.Stat(dir); err != nil {
+		return nil, fmt.Errorf("analysis: opening frame: %w", err)
+	}
+	store, err := logstore.Open(dir, logstore.Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer store.Close()
+	it, err := store.Iterator()
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	return BuildFrameIter(it)
 }
 
 // Len returns the number of records in the frame.

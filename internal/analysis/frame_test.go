@@ -3,6 +3,8 @@ package analysis
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -230,6 +232,80 @@ func TestBuildFrameIterFromLogstore(t *testing.T) {
 	wantSets, wantU := direct.HoneypotPeerSets([]string{"rc0", "nc0"})
 	if gotU != wantU || !reflect.DeepEqual(gotSets, wantSets) {
 		t.Errorf("HoneypotPeerSets differs between streamed and direct frames")
+	}
+}
+
+// TestOpenFrame pins the reopen path every finished-campaign reader
+// shares: OpenFrame over a closed store is the frame BuildFrameIter
+// streams from the same store, a missing directory is an error (and
+// stays missing), and a corrupt segment fails the frame instead of
+// shortening it.
+func TestOpenFrame(t *testing.T) {
+	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
+	dir := t.TempDir()
+	store, err := logstore.Open(dir, logstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range frameSample(start, 600) {
+		r.Time = start.Add(time.Duration(i) * time.Second)
+		sh, err := store.Shard(fmt.Sprint("hp-", i%2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sh.AppendRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err = logstore.Open(dir, logstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := store.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := BuildFrameIter(it)
+	it.Close()
+	store.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := OpenFrame(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 600 || !reflect.DeepEqual(got, want) {
+		t.Errorf("OpenFrame gave %d records, a frame unlike BuildFrameIter's over the same store", got.Len())
+	}
+
+	missing := filepath.Join(dir, "no-such-store")
+	if _, err := OpenFrame(missing); err == nil {
+		t.Error("OpenFrame of a missing directory succeeded")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("OpenFrame created the missing directory: %v", err)
+	}
+
+	segs, err := filepath.Glob(filepath.Join(dir, "hp-1", "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment to corrupt: %v %v", segs, err)
+	}
+	seg := segs[len(segs)-1]
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-3] ^= 0xFF // inside the last record's body; the size still matches the sidecar
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := OpenFrame(dir); err == nil {
+		t.Errorf("OpenFrame over a corrupt segment gave %d records and no error", f.Len())
 	}
 }
 

@@ -8,6 +8,7 @@ package calibrate
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -431,23 +432,26 @@ func TestDiffEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunEndToEnd drives the one-call Run loop with a custom dataset
-// and pins that the full-path report matches a hand-assembled diff of
-// the same spec.
+// TestRunEndToEnd drives the one calibration entry, Frame, over a
+// finished campaign with a custom dataset and pins that its report is
+// the hand-assembled Plan → Exec → Diff of the same frame.
 func TestRunEndToEnd(t *testing.T) {
 	spec := calTestSpec()
+	spec.Collection.Stream = true
+	res, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ds := &Dataset{Version: 1, Campaigns: map[string]*CampaignObserved{
 		"cal-e2e": {Expect: []Expectation{
 			{Query: "table-i", Metric: "honeypots", Check: CheckValue, Value: 2},
 			{Query: "peer-growth", Series: "cumulative", Check: CheckNonDecreasing},
 		}},
 	}}
-	rep, res, err := Run(spec, nil, ds, scenario.RunOptions{})
+	meta := res.Meta()
+	rep, err := Frame(res.Frame, meta, ds)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res == nil || res.Frame == nil {
-		t.Fatal("Run returned no executed result")
 	}
 	if !rep.Pass || rep.Passed != 2 {
 		t.Fatalf("calibration run failed: %+v", rep.Failing())
@@ -455,11 +459,22 @@ func TestRunEndToEnd(t *testing.T) {
 	if rep.Campaign != "cal-e2e" || rep.Scale != 0.5 || rep.DatasetVersion != 1 {
 		t.Errorf("report header = %s/%g/v%d, want cal-e2e/0.5/v1", rep.Campaign, rep.Scale, rep.DatasetVersion)
 	}
-	// Run against a campaign the dataset does not cover surfaces the
-	// plan-derivation error before executing anything.
-	other := spec
+	plan, err := ds.Plan(meta.Name, analysis.QueryOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := analysis.Exec(res.Frame, meta, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := Diff(meta.Name, meta.Scale, rs, ds); err != nil || !reflect.DeepEqual(rep, want) {
+		t.Errorf("Frame report differs from the hand-assembled diff (%v):\n got %+v\nwant %+v", err, rep, want)
+	}
+	// A campaign the dataset does not cover surfaces the plan-derivation
+	// error before anything is executed: the nil frame is never touched.
+	other := meta
 	other.Name = "uncovered"
-	if _, _, err := Run(other, nil, ds, scenario.RunOptions{}); err == nil {
-		t.Error("Run for an uncovered campaign should error")
+	if _, err := Frame(nil, other, ds); !errors.Is(err, ErrUnknownCampaign) {
+		t.Errorf("Frame for an uncovered campaign: %v, want ErrUnknownCampaign", err)
 	}
 }

@@ -15,10 +15,11 @@
 // counts meaningless to extrapolate; reduced-scale runs lean on the
 // invariants and shape checks instead).
 //
-// Run executes a registered scenario through scenario.RunWith, Execs
-// exactly the queries the dataset references, and diffs — the engine of
-// cmd/measure -calibrate and the CI calibration gate. The service plane
-// exposes the same diff against a finished run's cached frame as
+// Frame calibrates a finished campaign's columnar frame: it Execs
+// exactly the queries the dataset references and diffs them. It is the
+// one calibration entry: cmd/measure -calibrate (and so the CI
+// calibration gate) calls it on the frame its run just built, and the
+// service plane on a finished run's cached frame, as
 // POST /runs/{id}/calibrate.
 //
 // docs/CALIBRATION.md documents the dataset format, the tolerance

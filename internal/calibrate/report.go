@@ -144,6 +144,30 @@ func Diff(campaign string, scale float64, rs analysis.ReportSet, ds *Dataset) (R
 	return rep, nil
 }
 
+// Frame calibrates a finished campaign: it derives the plan covering
+// exactly the dataset's expectations for meta.Name (seeded like
+// repro.DefaultAnalyzeOptions, so the artifacts match a default
+// analysis run's), executes it against the campaign's frame and Diffs
+// the result. A nil dataset means the built-in paper dataset; a
+// campaign the dataset does not cover is ErrUnknownCampaign, returned
+// before the frame is touched. The report's Pass flag, not the error,
+// carries the verdict. cmd/measure -calibrate and the service's
+// POST /runs/{id}/calibrate both calibrate through it.
+func Frame(f *analysis.Frame, meta analysis.CampaignMeta, ds *Dataset) (Report, error) {
+	if ds == nil {
+		ds = PaperObserved()
+	}
+	plan, err := ds.Plan(meta.Name, analysis.QueryOptions{Seed: 1})
+	if err != nil {
+		return Report{}, err
+	}
+	rs, err := analysis.Exec(f, meta, plan)
+	if err != nil {
+		return Report{}, fmt.Errorf("calibrate: executing plan: %w", err)
+	}
+	return Diff(meta.Name, meta.Scale, rs, ds)
+}
+
 // evaluate runs one expectation. Missing queries, metrics or series
 // fail the row rather than erroring the diff — an expectation the
 // campaign cannot satisfy is a calibration failure, and the report

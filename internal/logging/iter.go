@@ -2,7 +2,7 @@ package logging
 
 // This file defines the canonical record-stream contract the dataset
 // pipeline is built on. A campaign flows from a source (a logstore scan,
-// a merge of per-honeypot slices, a network drain) through transform
+// a slice of records, a network drain) through transform
 // stages (renumbering, filename anonymization, auditing) into a consumer
 // (a columnar frame, a JSONL export, an on-disk store) a batch of
 // records at a time (Filler, Fill): each stage works on the batch in
@@ -13,7 +13,6 @@ package logging
 
 import (
 	"bufio"
-	"container/heap"
 	"encoding/json"
 	"errors"
 	"io"
@@ -21,8 +20,7 @@ import (
 
 // Iterator is the canonical streaming record source: Next returns
 // records in merged timestamp order and io.EOF at the end of the
-// stream. logstore's Iterator, MergeIter and every pipeline stage
-// satisfy it.
+// stream. logstore's Iterator and every pipeline stage satisfy it.
 type Iterator interface {
 	Next() (Record, error)
 }
@@ -179,43 +177,6 @@ func CloseIter(src Iterator) error {
 		return c.Close()
 	}
 	return nil
-}
-
-// MergeIter combines per-honeypot logs (each already in time order)
-// into one stream ordered by timestamp without materializing it: the
-// streaming form of Merge, with O(logs) memory. Ties are broken by
-// source position, then append order — the ordering contract shared
-// with logstore's Iterator (whose sources are lexicographic shard
-// names).
-func MergeIter(logs ...[]Record) Iterator {
-	m := &mergeIter{logs: logs}
-	for i, l := range logs {
-		if len(l) > 0 {
-			m.h = append(m.h, mergeItem{rec: l[0], src: i, pos: 0})
-		}
-	}
-	heap.Init(&m.h)
-	return m
-}
-
-type mergeIter struct {
-	logs [][]Record
-	h    mergeHeap
-}
-
-// Next implements Iterator.
-func (m *mergeIter) Next() (Record, error) {
-	if m.h.Len() == 0 {
-		return Record{}, io.EOF
-	}
-	top := m.h[0]
-	if next := top.pos + 1; next < len(m.logs[top.src]) {
-		m.h[0] = mergeItem{rec: m.logs[top.src][next], src: top.src, pos: next}
-		heap.Fix(&m.h, 0)
-	} else {
-		heap.Pop(&m.h)
-	}
-	return top.rec, nil
 }
 
 // WriteJSONLIter writes the stream as one JSON object per line,

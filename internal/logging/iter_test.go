@@ -3,7 +3,6 @@ package logging
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -30,51 +29,14 @@ func randomLogs(rng *rand.Rand, n int) [][]Record {
 	return logs
 }
 
-// TestMergeIterMatchesMerge pins the streaming merge to the
-// materialized one: identical records, identical tie-break order.
-func TestMergeIterMatchesMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		logs := randomLogs(rng, 1+rng.Intn(5))
-		want := Merge(logs...)
-		got, err := Drain(MergeIter(logs...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d records streamed, %d merged", trial, len(got), len(want))
-		}
-		if !reflect.DeepEqual(got, want) && len(want) > 0 {
-			t.Fatalf("trial %d: streams differ", trial)
-		}
-	}
-}
-
-func TestMergeIterEmpty(t *testing.T) {
-	it := MergeIter(nil, []Record{})
-	if _, err := it.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("empty merge: %v", err)
-	}
-	// EOF is sticky.
-	if _, err := it.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("EOF not sticky: %v", err)
-	}
-}
-
-// TestMergeSourceReIterates: a second MergeIter over the same logs
-// yields the same stream — merging reads its inputs and never consumes
-// or reorders them.
+// TestMergeSourceReIterates: a second Merge of the same logs yields the
+// same log — merging reads its inputs and never consumes or reorders
+// them.
 func TestMergeSourceReIterates(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	logs := randomLogs(rng, 3)
-	first, err := Drain(MergeIter(logs...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Drain(MergeIter(logs...))
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := Merge(logs...)
+	second := Merge(logs...)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("second pass differs from first")
 	}

@@ -4,9 +4,9 @@
 // ID status, the concerned file, server identity, and timestamps), plus
 // the shared-file lists retrieved from contacting peers.
 //
-// Records travel as in-memory values inside simulations, as a compact
-// binary stream between honeypotd and the manager, and as JSONL for
-// humans. PeerIP never contains a raw address past the honeypot boundary:
+// Records travel as in-memory values inside simulations, as JSON over
+// the control plane between honeypotd and the manager, in logstore
+// segments on disk, and as JSONL for humans. PeerIP never contains a raw address past the honeypot boundary:
 // it carries the step-1 anonymization hash, then the step-2 coherent
 // number (see package anonymize).
 package logging
@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -136,54 +137,11 @@ func (m *MemorySink) Len() int {
 }
 
 // ---------------------------------------------------------------------------
-// Binary stream codec.
-
-const binMagic = "EDHP1\n"
-
-// streamBufSize sizes the codec's bufio layers explicitly: collection
-// streams carry millions of ~150-byte records, so a 256 KiB buffer keeps
-// the syscall rate three orders of magnitude below the record rate.
-const streamBufSize = 256 << 10
-
-var errBadMagic = errors.New("logging: bad stream magic")
-
-// Writer writes records as a binary stream.
-type Writer struct {
-	w     *bufio.Writer
-	wrote bool
-	buf   []byte
-}
-
-// NewWriter returns a binary log writer.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, streamBufSize)}
-}
-
-// Write appends one record.
-func (w *Writer) Write(r Record) error {
-	if !w.wrote {
-		if _, err := w.w.WriteString(binMagic); err != nil {
-			return err
-		}
-		w.wrote = true
-	}
-	w.buf = appendRecord(w.buf[:0], r)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(w.buf)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.w.Write(w.buf)
-	return err
-}
-
-// Flush flushes buffered output.
-func (w *Writer) Flush() error { return w.w.Flush() }
+// Binary record codec.
 
 // EncodeRecord appends r's binary encoding to dst and returns the
 // extended slice. It is the canonical, stateless form of a record: the
-// frame body of the stream codec above, and the bytes dataset digests
-// hash. (Logstore segments code each record against their earlier ones
+// bytes dataset digests hash. (Logstore segments code each record against their earlier ones
 // instead; see package logstore.)
 func EncodeRecord(dst []byte, r Record) []byte { return appendRecord(dst, r) }
 
@@ -226,69 +184,6 @@ func appendRecord(b []byte, r Record) []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(f.Size))
 	}
 	return b
-}
-
-// Reader reads a binary record stream. Low-cardinality string columns
-// are interned across records, and the frame body is read into a
-// growable scratch buffer reused between calls.
-type Reader struct {
-	r      *bufio.Reader
-	opened bool
-	buf    []byte
-	pool   *intern.Pool
-}
-
-// NewReader returns a binary log reader.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, streamBufSize), pool: intern.NewPool()}
-}
-
-// Read returns the next record; io.EOF at end of stream.
-func (r *Reader) Read() (Record, error) {
-	if !r.opened {
-		magic := make([]byte, len(binMagic))
-		if _, err := io.ReadFull(r.r, magic); err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return Record{}, errBadMagic
-			}
-			return Record{}, err
-		}
-		if string(magic) != binMagic {
-			return Record{}, errBadMagic
-		}
-		r.opened = true
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		return Record{}, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > 64<<20 {
-		return Record{}, fmt.Errorf("logging: record of %d bytes exceeds limit", n)
-	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
-	}
-	body := r.buf[:n]
-	if _, err := io.ReadFull(r.r, body); err != nil {
-		return Record{}, fmt.Errorf("logging: truncated record: %w", err)
-	}
-	return DecodeRecordInterned(body, r.pool)
-}
-
-// ReadAll drains the stream.
-func (r *Reader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		rec, err := r.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
 }
 
 type recDecoder struct {
@@ -461,51 +356,16 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 // ---------------------------------------------------------------------------
 // Merging.
 
-type mergeItem struct {
-	rec Record
-	src int
-	pos int
-}
-
-type mergeHeap []mergeItem
-
-func (h mergeHeap) Len() int { return len(h) }
-
-func (h mergeHeap) Less(i, j int) bool {
-	if !h[i].rec.Time.Equal(h[j].rec.Time) {
-		return h[i].rec.Time.Before(h[j].rec.Time)
-	}
-	return h[i].src < h[j].src // stable across sources
-}
-
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *mergeHeap) Push(x any) { *h = append(*h, x.(mergeItem)) }
-
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
 // Merge combines per-honeypot logs (each already in time order, as
-// produced) into one stream ordered by timestamp. This is the manager's
-// "merge and unify" step, materialized; MergeIter is the streaming form
-// it drains.
+// produced) into one log ordered by timestamp, ties broken by source
+// position, then append order — the ordering contract logstore's
+// Iterator streams (its sources are lexicographic shard names). A
+// stable sort of the logs laid end to end gives exactly that order.
 func Merge(logs ...[]Record) []Record {
-	total := 0
+	out := make([]Record, 0)
 	for _, l := range logs {
-		total += len(l)
+		out = append(out, l...)
 	}
-	out := make([]Record, 0, total)
-	it := MergeIter(logs...)
-	for {
-		r, err := it.Next()
-		if err != nil {
-			return out
-		}
-		out = append(out, r)
-	}
+	slices.SortStableFunc(out, func(a, b Record) int { return a.Time.Compare(b.Time) })
+	return out
 }

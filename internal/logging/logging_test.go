@@ -2,8 +2,6 @@ package logging
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -49,51 +47,26 @@ func TestBinaryRoundTrip(t *testing.T) {
 		},
 		{Time: t0.Add(time.Hour), Kind: KindHello, PeerIP: "bb", HighID: false},
 	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	for _, r := range recs {
-		if err := w.Write(r); err != nil {
+		got, err := DecodeRecord(EncodeRecord(nil, r))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, recs) {
-		t.Errorf("round trip mismatch:\n got %#v\nwant %#v", got, recs)
+		if !reflect.DeepEqual(got, r) {
+			t.Errorf("round trip mismatch:\n got %#v\nwant %#v", got, r)
+		}
 	}
 }
 
-func TestBinaryRejectsBadMagic(t *testing.T) {
-	_, err := NewReader(bytes.NewReader([]byte("NOTTHEMAGIC"))).Read()
-	if err == nil {
-		t.Error("want magic error")
-	}
-}
-
-func TestBinaryEmptyStream(t *testing.T) {
-	_, err := NewReader(bytes.NewReader(nil)).Read()
-	if !errors.Is(err, io.EOF) {
-		t.Errorf("empty stream: %v", err)
-	}
-}
-
+// TestBinaryTruncatedRecord: every proper prefix of an encoding — the
+// empty one included — fails to decode.
 func TestBinaryTruncatedRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Write(sampleRecord(0)); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	full := buf.Bytes()
-	for _, cut := range []int{len(full) - 1, len(full) / 2, len(binMagic) + 2} {
-		r := NewReader(bytes.NewReader(full[:cut]))
-		if _, err := r.Read(); err == nil {
-			t.Errorf("cut at %d: want error", cut)
+	r := sampleRecord(0)
+	r.Files = []SharedFile{{Hash: ed2k.SyntheticHash("s"), Name: "s.mp3", Size: 1 << 20}}
+	full := EncodeRecord(nil, r)
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := DecodeRecord(full[:cut]); err == nil {
+			t.Errorf("cut at %d of %d: want error", cut, len(full))
 		}
 	}
 }
@@ -240,7 +213,7 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// Property: arbitrary records survive the binary codec.
+// Property: arbitrary records survive the binary record codec.
 func TestQuickBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := func(hp, ip, name string, port uint16, high bool, nfiles uint8) bool {
@@ -251,14 +224,8 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		for i := 0; i < int(nfiles%5); i++ {
 			r.Files = append(r.Files, SharedFile{Hash: ed2k.SyntheticHash(name), Name: name, Size: int64(port)})
 		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		if err := w.Write(r); err != nil {
-			return false
-		}
-		w.Flush()
-		got, err := NewReader(&buf).ReadAll()
-		return err == nil && len(got) == 1 && reflect.DeepEqual(got[0], r)
+		got, err := DecodeRecord(EncodeRecord(nil, r))
+		return err == nil && reflect.DeepEqual(got, r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -295,16 +262,13 @@ func TestQuickMergeInvariants(t *testing.T) {
 	}
 }
 
-func BenchmarkBinaryWrite(b *testing.B) {
+func BenchmarkEncodeRecord(b *testing.B) {
 	r := sampleRecord(0)
-	w := NewWriter(io.Discard)
+	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := w.Write(r); err != nil {
-			b.Fatal(err)
-		}
+		buf = EncodeRecord(buf[:0], r)
 	}
-	w.Flush()
 }
 
 func BenchmarkMerge24Honeypots(b *testing.B) {
@@ -322,48 +286,6 @@ func BenchmarkMerge24Honeypots(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Merge(logs...)
-	}
-}
-
-func TestBinaryFileRoundTrip(t *testing.T) {
-	// Disk round trip: the path honeypotd uses to spool logs.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "hp.log")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWriter(f)
-	var want []Record
-	for i := 0; i < 500; i++ {
-		r := sampleRecord(i)
-		if i%50 == 0 {
-			r.Kind = KindSharedList
-			r.Files = []SharedFile{{Hash: ed2k.SyntheticHash("s"), Name: "s.mp3", Size: 1 << 20}}
-		}
-		want = append(want, r)
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	g, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	got, err := NewReader(g).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("file round trip mismatch")
 	}
 }
 

@@ -3,7 +3,9 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 )
@@ -11,9 +13,11 @@ import (
 // FuzzSpecJSON throws arbitrary bytes at the spec decoder, as POST /runs
 // does with a client's "spec". Validate must never panic; a spec it
 // accepts must have a catalog Generate can build without exhausting
-// memory or looping, finite arrival intensities within MaxArrivalsPerDay
-// and MaxTargetWeight, and must survive a marshal/unmarshal round trip
-// with its JSON form unchanged.
+// memory or looping, a duration that fits a time.Duration, finite
+// arrival intensities within MaxArrivalsPerDay (on its first day and,
+// decay applied, on its last) and MaxTargetWeight, finite rank weights,
+// and must survive a marshal/unmarshal round trip with its JSON form
+// unchanged.
 func FuzzSpecJSON(f *testing.F) {
 	for _, name := range Names() {
 		spec, err := Lookup(name)
@@ -37,6 +41,11 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"x","days":1,"scale":1e300,"catalog":{"NumFiles":10},"topology":{"servers":1},` +
 		`"fleet":[{"id":"a","strategy":"no-content","files":{"kind":"four-bait"}}],` +
 		`"workloads":[{"label":"w","arrivals_per_day":10,"targets":{"kind":"static","weights":[1e300]}}]}`))
+	// A campaign whose end overflows, a decay that grows past the bound
+	// and a rank exponent whose weights overflow.
+	f.Add([]byte(`{"name":"x","days":106752,"scale":1,"catalog":{"NumFiles":10},"topology":{"servers":1},` +
+		`"fleet":[{"id":"a","strategy":"no-content","files":{"kind":"four-bait"}}],` +
+		`"workloads":[{"label":"w","arrivals_per_day":10,"decay_per_day":1e6,"targets":{"kind":"advertised-ramp","exp":-1000}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec Spec
 		if json.Unmarshal(data, &spec) != nil {
@@ -48,6 +57,9 @@ func FuzzSpecJSON(f *testing.F) {
 		if n := spec.Catalog.NumFiles; n < 1 || n > catalog.MaxFiles {
 			t.Fatalf("accepted catalog.num_files %d outside [1, %d]", n, catalog.MaxFiles)
 		}
+		if end := time.Duration(spec.Days) * 24 * time.Hour; end <= 0 {
+			t.Fatalf("accepted %d days: the campaign ends at %v", spec.Days, end)
+		}
 		if v := spec.Catalog.Vocabulary; v > catalog.MaxVocabulary {
 			t.Fatalf("accepted catalog.vocabulary %d above %d", v, catalog.MaxVocabulary)
 		}
@@ -57,6 +69,15 @@ func FuzzSpecJSON(f *testing.F) {
 			}
 			if perDay := spec.Scale * w.ArrivalsPerDay; perDay > MaxArrivalsPerDay {
 				t.Fatalf("accepted %g arrivals a day, above %d", perDay, MaxArrivalsPerDay)
+			}
+			if w.DecayPerDay > 1 {
+				if last := spec.Scale * w.ArrivalsPerDay * math.Pow(w.DecayPerDay, float64(spec.Days-1)); last > MaxArrivalsPerDay {
+					t.Fatalf("accepted decay %g growing to %g arrivals a day, above %d", w.DecayPerDay, last, MaxArrivalsPerDay)
+				}
+			}
+			ranks := max(spec.Catalog.NumFiles, w.Targets.NormFiles)
+			if wgt := rankWeight(ranks-1, w.Targets.Exp); !finite(wgt) {
+				t.Fatalf("accepted targets.exp %g: rank %d weighs %g", w.Targets.Exp, ranks-1, wgt)
 			}
 			for _, wgt := range w.Targets.Weights {
 				if !finite(wgt) || wgt > MaxTargetWeight {

@@ -279,12 +279,16 @@ func (s Spec) end() time.Time {
 	return CampaignStart.Add(time.Duration(s.Days) * 24 * time.Hour)
 }
 
-// Bounds on a spec's arrival intensities. A spec may come from outside
-// (a file, a POST /runs body), and an intensity no campaign can work
-// through ties up its process for good; Validate rejects anything above
+// Bounds on a spec's duration and arrival intensities. A spec may come
+// from outside (a file, a POST /runs body), and a campaign no process
+// can work through ties it up for good; Validate rejects anything above
 // these, as it rejects catalogs above catalog.MaxFiles.
 const (
-	// MaxArrivalsPerDay bounds every workload's scale × arrivals_per_day:
+	// MaxDays bounds days: the longest campaign whose duration,
+	// days × 24h, still fits a time.Duration (106,751 days).
+	MaxDays = int(math.MaxInt64 / int64(24*time.Hour))
+	// MaxArrivalsPerDay bounds every workload's scale × arrivals_per_day,
+	// and the intensity its decay_per_day grows that to by the last day:
 	// 100 times the paper's greedy campaign (54,000 new peers a day).
 	MaxArrivalsPerDay = 100 * 54_000
 	// MaxTargetWeight bounds each static target weight, a file's
@@ -321,6 +325,8 @@ func (s Spec) Validate() error {
 	}
 	if s.Days <= 0 {
 		bad("days", "must be positive, got %d", s.Days)
+	} else if s.Days > MaxDays {
+		bad("days", "must not exceed %d (the campaign's end would overflow), got %d", MaxDays, s.Days)
 	}
 	if !finite(s.Scale) || s.Scale <= 0 {
 		bad("scale", "must be positive and finite, got %g", s.Scale)
@@ -399,6 +405,11 @@ func (s Spec) Validate() error {
 		}
 		if !finite(w.DecayPerDay) || w.DecayPerDay < 0 {
 			bad(field("decay_per_day"), "must be finite and not negative, got %g", w.DecayPerDay)
+		} else if perDay := s.Scale * w.ArrivalsPerDay; w.DecayPerDay > 1 && perDay <= MaxArrivalsPerDay {
+			// A growing workload peaks on the last day.
+			if peak := perDay * math.Pow(w.DecayPerDay, float64(s.Days-1)); peak > MaxArrivalsPerDay {
+				bad(field("decay_per_day"), "grows %g arrivals a day to %g by day %d, above the bound of %d", perDay, peak, s.Days, MaxArrivalsPerDay)
+			}
 		}
 		if w.StartOffset < 0 || time.Duration(w.StartOffset) >= campaign {
 			bad(field("start_offset"), "must fall inside the %d-day campaign", s.Days)
@@ -424,6 +435,11 @@ func (s Spec) Validate() error {
 		}
 		if !finite(w.Targets.Exp) {
 			bad(field("targets.exp"), "must be finite, got %g", w.Targets.Exp)
+		} else if ranks := max(s.Catalog.NumFiles, w.Targets.NormFiles, 1); !finite(rankWeight(ranks-1, w.Targets.Exp) * float64(ranks)) {
+			// Rank weights peak at the top rank a negative exponent can
+			// reach (an advertised list holds catalog files); the
+			// normalizing sum is at most ranks of them.
+			bad(field("targets.exp"), "gives rank weights that overflow over %d ranks, got %g", ranks, w.Targets.Exp)
 		}
 	}
 

@@ -59,6 +59,21 @@ func TestValidateAcceptsValidSpec(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Errorf("intensities at their bounds rejected: %v", err)
 	}
+	// So are the longest campaign, a growth that stays under the bound
+	// to the last day and a negative rank exponent whose weights fit.
+	spec = validSpec()
+	spec.Days = MaxDays
+	spec.Workloads[0].DecayPerDay = 0.5
+	spec.Workloads[0].Targets.Exp = -2
+	if err := spec.Validate(); err != nil {
+		t.Errorf("longest campaign rejected: %v", err)
+	}
+	spec = validSpec()
+	spec.Days = 30
+	spec.Workloads[0].DecayPerDay = 1.2 // 50 × 1.2^29 ≈ 10,000 a day
+	if err := spec.Validate(); err != nil {
+		t.Errorf("bounded growth rejected: %v", err)
+	}
 }
 
 // TestValidateFieldErrors breaks one field at a time and checks that
@@ -133,6 +148,15 @@ func TestValidateFieldErrors(t *testing.T) {
 		{"workloads[0].targets.weights[0]", func(s *Spec) { s.Workloads[0].Targets.Weights = []float64{1e300} }},
 		{"workloads[0].targets.weights[0]", func(s *Spec) { s.Workloads[0].Targets.Weights = []float64{-1} }},
 		{"workloads[0].targets.exp", func(s *Spec) { s.Workloads[0].Targets.Exp = math.Inf(-1) }},
+		// Values that overflow a run rather than a field.
+		{"days", func(s *Spec) { s.Days = MaxDays + 1 }},
+		{"workloads[0].decay_per_day", func(s *Spec) { s.Workloads[0].DecayPerDay = 1e6 }},
+		{"workloads[0].decay_per_day", func(s *Spec) { s.Days = 40; s.Workloads[0].DecayPerDay = 2 }},
+		{"workloads[0].targets.exp", func(s *Spec) { s.Workloads[0].Targets.Exp = -1000 }},
+		{"workloads[0].targets.exp", func(s *Spec) {
+			s.Workloads[0].Targets.Exp = -60
+			s.Workloads[0].Targets.NormFiles = 1 << 40
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {

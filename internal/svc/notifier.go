@@ -48,8 +48,9 @@ type ProgressEvent struct {
 	Final bool `json:"final"`
 }
 
-// progressEvent flattens one engine snapshot.
-func progressEvent(seq uint64, p scenario.Progress) ProgressEvent {
+// NewProgressEvent flattens one engine snapshot — the form the SSE
+// stream carries and cmd/measure prints, for local and remote runs alike.
+func NewProgressEvent(seq uint64, p scenario.Progress) ProgressEvent {
 	total := p.SimElapsed + p.SimEnd.Sub(p.SimTime)
 	elapsed := p.SimElapsed
 	if elapsed > total {
@@ -98,7 +99,7 @@ func (n *Notifier) Publish(p scenario.Progress) {
 		return
 	}
 	n.seq++
-	e := progressEvent(n.seq, p)
+	e := NewProgressEvent(n.seq, p)
 	n.last = &e
 	for ch := range n.subs {
 		for {

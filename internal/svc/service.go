@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/calibrate"
-	"repro/internal/logstore"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
@@ -386,18 +385,7 @@ func (s *Service) Calibrate(id string, ds *calibrate.Dataset) (calibrate.Report,
 	if err != nil {
 		return calibrate.Report{}, err
 	}
-	if ds == nil {
-		ds = calibrate.PaperObserved()
-	}
-	plan, err := ds.Plan(meta.Name, analysis.QueryOptions{Seed: 1})
-	if err != nil {
-		return calibrate.Report{}, err
-	}
-	rs, err := analysis.Exec(frame, meta, plan)
-	if err != nil {
-		return calibrate.Report{}, err
-	}
-	return calibrate.Diff(meta.Name, meta.Scale, rs, ds)
+	return calibrate.Frame(frame, meta, ds)
 }
 
 // frameFor returns the run's cached frame, building it from the
@@ -419,17 +407,7 @@ func (s *Service) frameFor(run Run) (*analysis.Frame, analysis.CampaignMeta, err
 	if run.Meta == nil {
 		return nil, analysis.CampaignMeta{}, fmt.Errorf("%w: run %q has no campaign metadata", ErrNotQueryable, run.ID)
 	}
-	store, err := logstore.Open(run.DatasetDir, logstore.Options{})
-	if err != nil {
-		return nil, analysis.CampaignMeta{}, fmt.Errorf("svc: opening dataset for %s: %w", run.ID, err)
-	}
-	defer store.Close()
-	it, err := store.Iterator()
-	if err != nil {
-		return nil, analysis.CampaignMeta{}, fmt.Errorf("svc: scanning dataset for %s: %w", run.ID, err)
-	}
-	defer it.Close()
-	frame, err := analysis.BuildFrameIter(it)
+	frame, err := analysis.OpenFrame(run.DatasetDir)
 	if err != nil {
 		return nil, analysis.CampaignMeta{}, fmt.Errorf("svc: building frame for %s: %w", run.ID, err)
 	}

@@ -680,6 +680,38 @@ func TestSubmitRejectsUnboundedIntensity(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOverflowingSpec pins the bounds on values that
+// overflow a run rather than a field — a duration past scenario.MaxDays,
+// a decay that grows arrivals past scenario.MaxArrivalsPerDay, a rank
+// exponent whose weights are infinite — at the daemon's door: each is a
+// 400 naming its field, and the daemon still answers.
+func TestSubmitRejectsOverflowingSpec(t *testing.T) {
+	_, client := newTestService(t, Config{Workers: 1})
+	for _, tc := range []struct {
+		field  string
+		break_ func(*scenario.Spec)
+	}{
+		{"days", func(s *scenario.Spec) { s.Days = scenario.MaxDays + 1 }},
+		{"decay_per_day", func(s *scenario.Spec) { s.Workloads[0].DecayPerDay = 1e6 }},
+		{"targets.exp", func(s *scenario.Spec) { s.Workloads[0].Targets.Exp = -1000 }},
+	} {
+		spec := testSpec("svc-overflow", 1, 40, 2)
+		tc.break_(&spec)
+		if _, err := client.Submit(context.Background(), SubmitRequest{Spec: &spec}); err == nil ||
+			!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("overflowing %s: got %v, want HTTP 400 naming it", tc.field, err)
+		}
+	}
+	resp, err := http.Get(client.Base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz after the rejected specs: %d", resp.StatusCode)
+	}
+}
+
 // TestPlanSubsetSamplesBound pins analysis.MaxSubsetSamples at the
 // daemon's door: a plan asking for more subset samples than that is a
 // 400 on both routes that take a plan, one at the bound runs, and the
