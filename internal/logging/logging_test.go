@@ -58,6 +58,29 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBinaryEmptyStream: an empty input, nil or zero-length, holds no
+// record: each decoder fails at the first field, and DecodeRecordInto
+// leaves nothing of the record it reuses behind in its shared list.
+func TestBinaryEmptyStream(t *testing.T) {
+	const want = "logging: truncated time at offset 0"
+	for _, b := range [][]byte{nil, {}} {
+		if _, err := DecodeRecord(b); err == nil || err.Error() != want {
+			t.Errorf("DecodeRecord(%#v): err %v, want %q", b, err, want)
+		}
+		if _, err := DecodeRecordInterned(b, intern.NewPool()); err == nil || err.Error() != want {
+			t.Errorf("DecodeRecordInterned(%#v): err %v, want %q", b, err, want)
+		}
+		r := sampleRecord(0)
+		r.Files = []SharedFile{{Hash: ed2k.SyntheticHash("s"), Name: "s.mp3", Size: 1 << 20}}
+		if err := DecodeRecordInto(&r, b, nil); err == nil || err.Error() != want {
+			t.Errorf("DecodeRecordInto(%#v): err %v, want %q", b, err, want)
+		}
+		if r.Files != nil {
+			t.Errorf("DecodeRecordInto(%#v) kept the old shared list %v", b, r.Files)
+		}
+	}
+}
+
 // TestBinaryTruncatedRecord: every proper prefix of an encoding — the
 // empty one included — fails to decode.
 func TestBinaryTruncatedRecord(t *testing.T) {
