@@ -1,13 +1,17 @@
 // Command honeypotd runs one real-TCP honeypot, remotely driven by the
 // manager (cmd/hpmanager) over the control protocol: the manager tells it
 // which directory server to join and which files to claim, polls its
-// status, and periodically drains its (already anonymized) log.
+// status, and periodically collects its (already anonymized) log from
+// the checkpoint it last acked.
 //
 // Usage:
 //
 //	honeypotd -id hp-00 [-ip 127.0.0.1] [-peer-port 4662] [-control-port 4700]
 //	          [-strategy random|none] -secret campaign-secret [-browse]
-//	          [-store DIR] [-debug-addr 127.0.0.1:8061]
+//	          -store DIR [-debug-addr 127.0.0.1:8061]
+//
+// -store DIR is required: the honeypot logs into a logstore shard there,
+// which survives a restart, so the manager's checkpoints stay valid.
 //
 // -debug-addr serves the daemon's telemetry over HTTP: /metrics (the
 // registry as JSON), /debug/vars (expvar) and /debug/pprof.
@@ -41,13 +45,19 @@ func main() {
 		secret    = flag.String("secret", "", "campaign anonymization secret (required)")
 		browse    = flag.Bool("browse", true, "retrieve shared lists of contacting peers")
 		statusIv  = flag.Duration("status", time.Minute, "status log interval (0 disables)")
-		storeDir  = flag.String("store", "", "durable record store directory: records land in segment files and the manager collects incrementally (take-records-since), surviving restarts")
+		storeDir  = flag.String("store", "", "durable record store directory (required): records land in segment files and the manager collects them by checkpoint (take-records-since), surviving restarts")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics (JSON snapshot), /debug/vars (expvar) and /debug/pprof on this address (e.g. 127.0.0.1:8061); empty disables")
 	)
 	flag.Parse()
 
 	if *secret == "" {
 		log.Fatal("-secret is required: honeypots never log raw addresses")
+	}
+	if *storeDir == "" {
+		// A log that died with the process would restart empty under the
+		// manager's old checkpoint, and the checkpoint read would skip the
+		// new records.
+		log.Fatal("-store is required: the manager collects by checkpoint, which needs a log that survives restarts")
 	}
 	addr, err := netip.ParseAddr(*ip)
 	if err != nil {
@@ -77,32 +87,30 @@ func main() {
 		log.Printf("debug server on http://%s (/metrics, /debug/vars, /debug/pprof)", dbg.Addr())
 	}
 
-	// With -store, records are durable: the store recovers torn tails
-	// from a previous crash, and the manager's checkpoints mean nothing
-	// already collected is ever re-sent.
-	var shard *logstore.Shard
-	if *storeDir != "" {
-		// FlushEvery bounds what a hard kill can lose to about a second
-		// of buffered records; a graceful shutdown loses nothing.
-		store, err := logstore.Open(*storeDir, logstore.Options{FlushEvery: time.Second, Metrics: reg})
-		if err != nil {
-			log.Fatalf("opening -store: %v", err)
-		}
-		defer store.Close()
-		// Quarantined segments mean recovery refused part of a previous
-		// run's data. A honeypot that kept logging would bury the evidence;
-		// exit and name the shard so the operator decides.
-		if q := store.Quarantined(); len(q) > 0 {
-			for _, e := range q {
-				log.Printf("-store %s: quarantined: shard %s seq %d: %s", *storeDir, e.Shard, e.Seq, e.Reason)
-			}
-			log.Fatalf("-store %s: %d quarantined segment(s), first in shard %s; inspect the store's _quarantine directory before logging into it", *storeDir, len(q), q[0].Shard)
-		}
-		if shard, err = store.Shard(*id); err != nil {
-			log.Fatalf("opening shard: %v", err)
-		}
-		log.Printf("store %s: resuming shard %s with %d records", *storeDir, *id, shard.Count())
+	// Records are durable: the store recovers torn tails from a previous
+	// crash, and the manager's checkpoints mean nothing already collected
+	// is ever re-sent. FlushEvery bounds what a hard kill can lose to
+	// about a second of buffered records; a graceful shutdown loses
+	// nothing.
+	store, err := logstore.Open(*storeDir, logstore.Options{FlushEvery: time.Second, Metrics: reg})
+	if err != nil {
+		log.Fatalf("opening -store: %v", err)
 	}
+	defer store.Close()
+	// Quarantined segments mean recovery refused part of a previous run's
+	// data. A honeypot that kept logging would bury the evidence; exit and
+	// name the shard so the operator decides.
+	if q := store.Quarantined(); len(q) > 0 {
+		for _, e := range q {
+			log.Printf("-store %s: quarantined: shard %s seq %d: %s", *storeDir, e.Shard, e.Seq, e.Reason)
+		}
+		log.Fatalf("-store %s: %d quarantined segment(s), first in shard %s; inspect the store's _quarantine directory before logging into it", *storeDir, len(q), q[0].Shard)
+	}
+	shard, err := store.Shard(*id)
+	if err != nil {
+		log.Fatalf("opening shard: %v", err)
+	}
+	log.Printf("store %s: resuming shard %s with %d records", *storeDir, *id, shard.Count())
 
 	host := livenet.NewHost(addr, time.Now().UnixNano())
 	defer host.Close()
@@ -115,22 +123,16 @@ func main() {
 			Port:           uint16(*peerPort),
 			Secret:         []byte(*secret),
 			BrowseContacts: *browse,
-		}
-		if shard != nil {
-			cfg.Sink = shard
+			Sink:           shard,
 		}
 		hp := honeypot.New(host, cfg)
 		if err := hp.Client().Listen(); err != nil {
 			errCh <- err
 			return
 		}
-		agent, err := control.NewAgent(host, hp, uint16(*ctlPort))
-		if err != nil {
+		if _, err := control.NewAgent(host, hp, shard, uint16(*ctlPort)); err != nil {
 			errCh <- err
 			return
-		}
-		if shard != nil {
-			agent.SetSource(shard)
 		}
 		if *statusIv > 0 {
 			// Status gauges refresh on the same tick as the status log;

@@ -275,13 +275,13 @@ func summarizeRun(w io.Writer, res *repro.Result, elapsed time.Duration) {
 		res.Events, elapsed.Round(time.Millisecond), records, res.Dataset.DistinctPeers)
 	// Degraded campaigns say so: the gap audit is part of the dataset's
 	// provenance, not a detail buried in a metrics file.
-	if len(res.CollectionGaps) > 0 || res.DroppedRecords > 0 {
+	if len(res.CollectionGaps) > 0 || res.DroppedRecords > 0 || res.HeldRecords > 0 {
 		gaps := 0
 		for _, n := range res.CollectionGaps {
 			gaps += n
 		}
-		fmt.Fprintf(w, "degraded: collection gaps: %d round(s) across %d honeypot(s); dropped records: %d\n",
-			gaps, len(res.CollectionGaps), res.DroppedRecords)
+		fmt.Fprintf(w, "degraded: collection gaps: %d round(s) across %d honeypot(s); dropped records: %d; held records: %d\n",
+			gaps, len(res.CollectionGaps), res.DroppedRecords, res.HeldRecords)
 	}
 	fmt.Fprintf(w, "wall %v; %.0f events/s simulated, %.0f records/s finalized\n",
 		elapsed.Round(time.Millisecond), eventsPerSec, perSec)

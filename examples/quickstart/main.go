@@ -19,8 +19,10 @@ import (
 	"repro/internal/client"
 	"repro/internal/control"
 	"repro/internal/ed2k"
+	"repro/internal/faultfs"
 	"repro/internal/honeypot"
 	"repro/internal/livenet"
+	"repro/internal/logstore"
 	"repro/internal/manager"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -55,6 +57,13 @@ func main() {
 	fmt.Printf("directory server on %s\n", serverAddr)
 
 	// --- Honeypot + control agent --------------------------------------
+	// The honeypot logs into a shard of an in-memory store (cmd/honeypotd
+	// puts it on disk); the agent serves it to the manager by checkpoint.
+	hpStore, err := logstore.Open("hp-00", logstore.Options{FS: faultfs.NewMem()})
+	must(err)
+	defer hpStore.Close()
+	shard, err := hpStore.Shard("hp-00")
+	must(err)
 	hpHost := livenet.NewHost(honeypotIP, 2)
 	defer hpHost.Close()
 	hpHost.Post(func() {
@@ -64,12 +73,13 @@ func main() {
 			Port:           14662,
 			Secret:         []byte("quickstart-secret"),
 			BrowseContacts: true,
+			Sink:           shard,
 		})
 		if err := hp.Client().Listen(); err != nil {
 			done <- err
 			return
 		}
-		_, err := control.NewAgent(hpHost, hp, 14700)
+		_, err := control.NewAgent(hpHost, hp, shard, 14700)
 		done <- err
 	})
 	must(<-done)

@@ -80,11 +80,16 @@ func main() {
 		if i%2 == 1 {
 			strat = honeypot.NoContent
 		}
+		// Each honeypot logs into its shard of the manager's in-memory
+		// store, so collection has nothing to transfer.
+		shard, err := mgr.Store().Shard(id)
+		must(err)
 		hp := honeypot.New(nw.NewHost(id), honeypot.Config{
 			ID: id, Strategy: strat, Port: 4662, Secret: []byte("topic-secret"), BrowseContacts: true,
+			Sink: shard,
 		})
 		must(hp.Client().Listen())
-		must(mgr.Add(manager.NewLocalHandle(id, hp, mgr.Host()), assignments[i]))
+		must(mgr.Add(manager.NewLocalHandle(id, hp, shard, mgr.Host()), assignments[i]))
 		hps = append(hps, hp)
 	}
 	mgr.Start()

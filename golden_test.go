@@ -37,8 +37,9 @@ type goldenRow struct {
 	// Report is the sha256 of the campaign's full paper report as JSON.
 	Report string `json:"report"`
 	// Events is the number of simulation events the campaign executed.
-	// It differs by collection mode: in-process store shards skip the
-	// collection exchange.
+	// Every collection mode runs the same events: each honeypot logs
+	// into a logstore shard, in the manager's store unless its link
+	// flaps, whatever store backs the manager.
 	Events uint64 `json:"events"`
 }
 
@@ -60,7 +61,7 @@ var (
 
 // goldenModes lists the runs of each scenario. The first three share
 // the registered seed, so they must also share their dataset and report
-// digests.
+// digests and their event count.
 var goldenModes = []goldenMode{goldenMemory, goldenMemoryStream, goldenStoreStream, goldenNextSeed}
 
 // datasetDigest hashes the records in order plus the dataset's
@@ -298,6 +299,9 @@ func TestGoldenDigests(t *testing.T) {
 					}
 					if row.Report != ref.Report {
 						t.Errorf("%s/%s report differs from %s/memory", name, m.name, name)
+					}
+					if row.Events != ref.Events {
+						t.Errorf("%s/%s ran %d events, %s/memory %d", name, m.name, row.Events, name, ref.Events)
 					}
 				}
 			})

@@ -14,9 +14,11 @@ import (
 	"repro/internal/client"
 	"repro/internal/control"
 	"repro/internal/ed2k"
+	"repro/internal/faultfs"
 	"repro/internal/honeypot"
 	"repro/internal/livenet"
 	"repro/internal/logging"
+	"repro/internal/logstore"
 	"repro/internal/manager"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -264,15 +266,28 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 			if i == 1 {
 				strat = honeypot.NoContent
 			}
+			// Each honeypot logs into a shard of its own in-memory store,
+			// which its agent serves by checkpoint.
+			id := fmt.Sprintf("it-hp-%d", i)
+			store, err := logstore.Open(id, logstore.Options{FS: faultfs.NewMem()})
+			if err != nil {
+				errCh <- err
+				return
+			}
+			shard, err := store.Shard(id)
+			if err != nil {
+				errCh <- err
+				return
+			}
 			hp := honeypot.New(host, honeypot.Config{
-				ID: fmt.Sprintf("it-hp-%d", i), Strategy: strat, Port: 24662,
-				Secret: []byte("it-secret"), BrowseContacts: true,
+				ID: id, Strategy: strat, Port: 24662,
+				Secret: []byte("it-secret"), BrowseContacts: true, Sink: shard,
 			})
 			if err := hp.Client().Listen(); err != nil {
 				errCh <- err
 				return
 			}
-			_, err := control.NewAgent(host, hp, 24700)
+			_, err = control.NewAgent(host, hp, shard, 24700)
 			errCh <- err
 		})
 		if err := <-errCh; err != nil {

@@ -2,10 +2,12 @@
 //
 // The paper's manager launches honeypots, tells them which server to join
 // and which files to advertise, polls their status, and periodically
-// gathers their logs. This package carries those four operations as JSON
-// envelopes inside eDonkey SERVER-MESSAGE frames on a dedicated port, so
-// the exact same control plane runs over the simulated network and over
-// real TCP (cmd/hpmanager driving cmd/honeypotd).
+// gathers their logs. This package carries those four operations — join a
+// server, advertise, status, and take-records-since, a read of the
+// honeypot's logstore shard after the checkpoint the manager last acked —
+// as JSON envelopes inside eDonkey SERVER-MESSAGE frames on a dedicated
+// port, so the exact same control plane runs over the simulated network
+// and over real TCP (cmd/hpmanager driving cmd/honeypotd).
 //
 // # Failure semantics
 //
@@ -14,17 +16,17 @@
 // typed identity:
 //
 //   - Remote refusals. An agent that cannot serve a request answers with
-//     Envelope.Error (human-readable) and, for conditions callers branch
-//     on, Envelope.Code; the Link surfaces both as a *RemoteError. Only
-//     the code is contract: IsNoSource checks it and never the message.
+//     Envelope.Error (human-readable); the Link surfaces it as a
+//     *RemoteError.
 //   - Dead links. When the connection drops, every pending callback fails
 //     with ErrLinkClosed, and so does every later request on that Link.
 //     ErrLinkClosed matches transport.ErrClosed under errors.Is, so
 //     callers watching either sentinel agree.
 //   - Silence. With a Policy set (SetPolicy), each request attempt runs
-//     under a deadline; on expiry the Link re-issues idempotent requests
-//     (everything but the destructive take-records drain) with jittered
-//     exponential backoff, and after the attempt budget fails the
+//     under a deadline; on expiry the Link re-issues the request (every
+//     request is idempotent: a record read names its checkpoint, so a
+//     re-read returns the same records) with jittered exponential
+//     backoff, and after the attempt budget fails the
 //     callback with an error wrapping ErrTimeout. Stale replies to an
 //     expired attempt are dropped by sequence number, so a retry can
 //     never double-apply. The zero Policy — no deadline, one attempt —
@@ -52,24 +54,10 @@ import (
 	"repro/internal/wire"
 )
 
-// errNoSource is reported (as CodeNoSource across the wire) when the
-// honeypot has no durable record source; the manager falls back to
-// take-records on seeing it.
-var errNoSource = errors.New("control: honeypot has no record source")
-
-// Error codes carried in Envelope.Code. Codes, not message text, are the
-// machine-readable contract for conditions callers branch on.
-const (
-	// CodeNoSource marks a take-records-since request against an agent
-	// with no durable record source.
-	CodeNoSource = "no-source"
-)
-
 // RemoteError is a refusal that crossed the control plane: the remote
 // agent answered, but with an error envelope.
 type RemoteError struct {
-	Code string // machine-readable code, "" for uncoded errors
-	Msg  string // human-readable message from the remote
+	Msg string // human-readable message from the remote
 }
 
 func (e *RemoteError) Error() string { return "control: " + e.Msg }
@@ -89,33 +77,19 @@ func (linkClosedError) Is(target error) bool { return target == transport.ErrClo
 // callback once the link's connection is gone.
 var ErrLinkClosed error = linkClosedError{}
 
-// IsNoSource recognizes the no-record-source condition: the typed
-// Envelope.Code once the error crossed the control plane, the sentinel
-// before it did. Other collection errors are transient and must not
-// demote a honeypot to the drain path.
-func IsNoSource(err error) bool {
-	var re *RemoteError
-	if errors.As(err, &re) {
-		return re.Code == CodeNoSource
-	}
-	return errors.Is(err, errNoSource)
-}
-
 // DefaultPort is the conventional control port.
 const DefaultPort = 4700
 
 // Request types.
 const (
-	TypeStatus      = "status"
-	TypeAdvertise   = "advertise"
-	TypeConnect     = "connect-server"
-	TypeTakeRecords = "take-records"
-	// TypeTakeRecordsSince is the incremental-collection pair of
-	// TypeTakeRecords: the manager sends the checkpoint it last acked and
-	// receives only records logged after it, plus the next checkpoint.
-	// Requires the honeypot to run a durable record source (a logstore
-	// shard); every record crosses the control plane at most once, even
-	// across honeypot restarts.
+	TypeStatus    = "status"
+	TypeAdvertise = "advertise"
+	TypeConnect   = "connect-server"
+	// TypeTakeRecordsSince is log collection: the manager sends the
+	// checkpoint it last acked and receives only records logged after
+	// it, plus the next checkpoint. The honeypot's record source (its
+	// logstore shard) serves it; every record crosses the control plane
+	// at most once, even across honeypot restarts.
 	TypeTakeRecordsSince = "take-records-since"
 	TypeResponse         = "response"
 )
@@ -125,7 +99,6 @@ type Envelope struct {
 	Seq     uint64          `json:"seq"`
 	Type    string          `json:"type"`
 	Error   string          `json:"error,omitempty"`
-	Code    string          `json:"code,omitempty"` // machine-readable error code
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
@@ -159,11 +132,6 @@ type AdvertiseRequest struct {
 // ConnectRequest carries the directory server to join.
 type ConnectRequest struct {
 	Server string `json:"server"`
-}
-
-// RecordsResponse carries drained log records.
-type RecordsResponse struct {
-	Records []logging.Record `json:"records"`
 }
 
 // SinceRequest asks for records after a checkpoint, at most Max (0 means
@@ -216,15 +184,14 @@ type Agent struct {
 	src      RecordSource
 }
 
-// SetSource attaches the durable record source serving take-records-since
-// requests (typically the logstore shard the honeypot's Sink writes to).
-// Call it right after NewAgent, on the host's executor.
-func (a *Agent) SetSource(src RecordSource) { a.src = src }
-
 // NewAgent starts serving control requests on the given port of the
-// honeypot's host.
-func NewAgent(host transport.Host, hp *honeypot.Honeypot, port uint16) (*Agent, error) {
-	a := &Agent{hp: hp}
+// honeypot's host; src serves take-records-since (the logstore shard
+// the honeypot's Sink writes to).
+func NewAgent(host transport.Host, hp *honeypot.Honeypot, src RecordSource, port uint16) (*Agent, error) {
+	if src == nil {
+		return nil, errors.New("control: an agent needs a record source")
+	}
+	a := &Agent{hp: hp, src: src}
 	l, err := host.Listen(port, wire.ServerSpace, a.accept)
 	if err != nil {
 		return nil, err
@@ -257,9 +224,6 @@ func (a *Agent) handle(req Envelope) Envelope {
 	resp := Envelope{Seq: req.Seq, Type: TypeResponse}
 	fail := func(err error) Envelope {
 		resp.Error = err.Error()
-		if errors.Is(err, errNoSource) {
-			resp.Code = CodeNoSource
-		}
 		return resp
 	}
 	switch req.Type {
@@ -293,16 +257,7 @@ func (a *Agent) handle(req Envelope) Envelope {
 			return fail(err)
 		}
 		a.hp.ConnectServer(addr)
-	case TypeTakeRecords:
-		b, err := json.Marshal(RecordsResponse{Records: a.hp.TakeRecords()})
-		if err != nil {
-			return fail(err)
-		}
-		resp.Payload = b
 	case TypeTakeRecordsSince:
-		if a.src == nil {
-			return fail(errNoSource)
-		}
 		var sr SinceRequest
 		if err := json.Unmarshal(req.Payload, &sr); err != nil {
 			return fail(err)
@@ -332,8 +287,7 @@ type Policy struct {
 	// Timeout is the per-attempt deadline. 0 waits forever.
 	Timeout time.Duration
 	// Attempts is the total attempt budget per request; values below 1
-	// mean one attempt. Only idempotent request types are re-issued:
-	// the destructive take-records drain always gets a single attempt.
+	// mean one attempt.
 	Attempts int
 	// Backoff is the delay before the second attempt, doubling per
 	// retry with jitter (half to full value). 0 means 2s.
@@ -462,15 +416,13 @@ func (l *Link) send(typ string, body json.RawMessage, attempt int, cb func(Envel
 
 // expire handles a per-attempt deadline firing: the attempt is
 // abandoned (its seq removed, so a late answer is dropped) and, if the
-// budget allows and the request is idempotent, re-issued after a
-// jittered exponential backoff. take-records is a destructive drain —
-// a lost answer may have drained the buffer — so it never retries.
+// budget allows, re-issued after a jittered exponential backoff.
 func (l *Link) expire(seq uint64, typ string, body json.RawMessage, attempt int, cb func(Envelope, error)) {
 	if _, ok := l.pending[seq]; !ok {
 		return // answered or failed before the timer ran
 	}
 	delete(l.pending, seq)
-	if attempt < l.policy.Attempts && typ != TypeTakeRecords && !l.closed {
+	if attempt < l.policy.Attempts && !l.closed {
 		l.host.After(l.retryDelay(attempt), func() {
 			l.send(typ, body, attempt+1, cb)
 		})
@@ -512,7 +464,7 @@ func (l *Link) Status(cb func(honeypot.Status, error)) {
 			return
 		}
 		if env.Error != "" {
-			cb(honeypot.Status{}, &RemoteError{Code: env.Code, Msg: env.Error})
+			cb(honeypot.Status{}, &RemoteError{Msg: env.Error})
 			return
 		}
 		var st honeypot.Status
@@ -552,7 +504,7 @@ func (l *Link) TakeRecordsSince(since logstore.Checkpoint, max int, cb func([]lo
 			return
 		}
 		if env.Error != "" {
-			cb(nil, since, &RemoteError{Code: env.Code, Msg: env.Error})
+			cb(nil, since, &RemoteError{Msg: env.Error})
 			return
 		}
 		var sr SinceResponse
@@ -564,32 +516,12 @@ func (l *Link) TakeRecordsSince(since logstore.Checkpoint, max int, cb func([]lo
 	})
 }
 
-// TakeRecords drains the honeypot's log buffer.
-func (l *Link) TakeRecords(cb func([]logging.Record, error)) {
-	l.request(TypeTakeRecords, nil, func(env Envelope, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		if env.Error != "" {
-			cb(nil, &RemoteError{Code: env.Code, Msg: env.Error})
-			return
-		}
-		var rr RecordsResponse
-		if err := json.Unmarshal(env.Payload, &rr); err != nil {
-			cb(nil, err)
-			return
-		}
-		cb(rr.Records, nil)
-	})
-}
-
 func respErr(env Envelope, err error) error {
 	if err != nil {
 		return err
 	}
 	if env.Error != "" {
-		return &RemoteError{Code: env.Code, Msg: env.Error}
+		return &RemoteError{Msg: env.Error}
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/des"
 	"repro/internal/ed2k"
+	"repro/internal/faultfs"
 	"repro/internal/honeypot"
 	"repro/internal/logging"
 	"repro/internal/logstore"
@@ -21,44 +22,48 @@ import (
 var t0 = time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
 
 type world struct {
-	loop *des.Loop
-	net  *netsim.Network
-	srv  *server.Server
-	hp   *honeypot.Honeypot
-	link *Link
+	loop  *des.Loop
+	net   *netsim.Network
+	srv   *server.Server
+	hp    *honeypot.Honeypot
+	shard *logstore.Shard // the honeypot's log, served to the link
+	link  *Link
 }
 
 func (w *world) settle() { w.loop.RunUntil(w.loop.Now().Add(time.Minute)) }
 
-func newWorld(t *testing.T) *world { return newWorldWithSink(t, nil, nil) }
-
-// newWorldWithSink builds the control test world; with a non-nil sink the
-// honeypot writes through it, and src (if non-nil) is attached to the
-// agent as the take-records-since source.
-func newWorldWithSink(t *testing.T, sink logging.Sink, src RecordSource) *world {
+// newWorld builds the control test world: a honeypot logging into a
+// shard of an in-memory store, its agent serving that shard, and a link
+// to the agent.
+func newWorld(t *testing.T) *world {
 	t.Helper()
+	store, err := logstore.Open("hp", logstore.Options{FS: faultfs.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	shard, err := store.Shard("hp-0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	loop := des.NewLoop(t0, 41)
 	nw := netsim.New(loop, netsim.DefaultConfig())
 	srv := server.New(nw.NewHost("server"), server.DefaultConfig("big"))
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	w := &world{loop: loop, net: nw, srv: srv}
+	w := &world{loop: loop, net: nw, srv: srv, shard: shard}
 
 	hpHost := nw.NewHost("hp")
 	w.hp = honeypot.New(hpHost, honeypot.Config{
 		ID: "hp-0", Strategy: honeypot.RandomContent, Port: 4662, Secret: []byte("s"),
-		Sink: sink,
+		Sink: shard,
 	})
 	if err := w.hp.Client().Listen(); err != nil {
 		t.Fatal(err)
 	}
-	agent, err := NewAgent(hpHost, w.hp, DefaultPort)
-	if err != nil {
+	if _, err := NewAgent(hpHost, w.hp, shard, DefaultPort); err != nil {
 		t.Fatal(err)
-	}
-	if src != nil {
-		agent.SetSource(src)
 	}
 
 	mgrHost := nw.NewHost("manager")
@@ -126,60 +131,6 @@ func TestAdvertiseViaControl(t *testing.T) {
 	}
 }
 
-func TestTakeRecordsViaControl(t *testing.T) {
-	w := newWorld(t)
-	w.link.ConnectServer(w.srv.Addr(), func(error) {})
-	w.settle()
-	bait := client.SharedFile{Hash: ed2k.SyntheticHash("bait"), Name: "bait.avi", Size: 1 << 20, Type: "Video"}
-	w.link.Advertise([]client.SharedFile{bait}, func(error) {})
-	w.settle()
-
-	// One peer contacts the honeypot.
-	peer := client.New(w.net.NewHost("peer"), client.Config{
-		Label: "peer", UserHash: ed2k.NewUserHash("peer"), Port: 4663,
-	})
-	if err := peer.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	hpAddr := netip.AddrPortFrom(w.hp.Client().Host().Addr(), 4662)
-	peer.DialPeer(hpAddr, func(ps *client.PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial hp: %v", err)
-			return
-		}
-		ps.SendHello()
-		ps.StartUpload(bait.Hash)
-	})
-	w.settle()
-
-	var recs []logging.Record
-	w.link.TakeRecords(func(r []logging.Record, err error) {
-		if err != nil {
-			t.Errorf("take: %v", err)
-			return
-		}
-		recs = r
-	})
-	w.settle()
-	if len(recs) < 2 {
-		t.Fatalf("collected %d records", len(recs))
-	}
-	// Records survive JSON: check the essential fields.
-	if recs[0].Kind != logging.KindHello || recs[0].PeerIP == "" {
-		t.Errorf("record 0: %+v", recs[0])
-	}
-	// Second take is empty (drained).
-	w.link.TakeRecords(func(r []logging.Record, err error) {
-		if err != nil {
-			t.Errorf("take2: %v", err)
-		}
-		if len(r) != 0 {
-			t.Errorf("second take returned %d", len(r))
-		}
-	})
-	w.settle()
-}
-
 // contact drives one HELLO + START-UPLOAD from a fresh peer.
 func (w *world) contact(t *testing.T, label string, file ed2k.Hash) {
 	t.Helper()
@@ -202,16 +153,7 @@ func (w *world) contact(t *testing.T, label string, file ed2k.Hash) {
 }
 
 func TestTakeRecordsSinceViaControl(t *testing.T) {
-	store, err := logstore.Open(t.TempDir(), logstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	shard, err := store.Shard("hp-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := newWorldWithSink(t, shard, shard)
+	w := newWorld(t)
 	w.link.ConnectServer(w.srv.Addr(), func(error) {})
 	w.settle()
 	bait := client.SharedFile{Hash: ed2k.SyntheticHash("bait"), Name: "bait.avi", Size: 1 << 20, Type: "Video"}
@@ -219,18 +161,6 @@ func TestTakeRecordsSinceViaControl(t *testing.T) {
 	w.settle()
 
 	w.contact(t, "peer-a", bait.Hash)
-
-	// With a store-backed sink the legacy drain has nothing: collection
-	// must go through checkpoints.
-	w.link.TakeRecords(func(r []logging.Record, err error) {
-		if err != nil {
-			t.Errorf("take: %v", err)
-		}
-		if len(r) != 0 {
-			t.Errorf("legacy drain returned %d records from a store-backed honeypot", len(r))
-		}
-	})
-	w.settle()
 
 	var got []logging.Record
 	var cp logstore.Checkpoint
@@ -260,7 +190,7 @@ func TestTakeRecordsSinceViaControl(t *testing.T) {
 		t.Errorf("pull after new contact transferred %d records", n)
 	}
 	// Everything transferred exactly matches the shard's content.
-	want, _, err := shard.ReadSince(logstore.Checkpoint{}, 0)
+	want, _, err := w.shard.ReadSince(logstore.Checkpoint{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,21 +201,6 @@ func TestTakeRecordsSinceViaControl(t *testing.T) {
 		if !got[i].Time.Equal(want[i].Time) || got[i].PeerIP != want[i].PeerIP || got[i].Kind != want[i].Kind {
 			t.Fatalf("record %d mismatch: %+v vs %+v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestTakeRecordsSinceWithoutSource(t *testing.T) {
-	w := newWorld(t)
-	var gotErr error
-	w.link.TakeRecordsSince(logstore.Checkpoint{}, 0, func(_ []logging.Record, _ logstore.Checkpoint, err error) {
-		gotErr = err
-	})
-	w.settle()
-	if gotErr == nil {
-		t.Fatal("take-records-since must fail without a record source")
-	}
-	if !strings.Contains(gotErr.Error(), "no record source") {
-		t.Errorf("unexpected error: %v", gotErr)
 	}
 }
 

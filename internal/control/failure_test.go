@@ -3,69 +3,19 @@ package control
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/netip"
 	"testing"
 	"time"
 
 	"repro/internal/des"
 	"repro/internal/honeypot"
-	"repro/internal/logging"
-	"repro/internal/logstore"
 	"repro/internal/netsim"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Tests for the package's failure semantics: typed remote errors, the
-// ErrLinkClosed identity, and the deadline/retry policy.
-
-func TestNoSourceCrossesWireAsTypedCode(t *testing.T) {
-	w := newWorldWithSink(t, nil, nil) // agent without a record source
-	var gotErr error = errNotCalled
-	w.link.TakeRecordsSince(logstore.Checkpoint{}, 0, func(_ []logging.Record, _ logstore.Checkpoint, err error) {
-		gotErr = err
-	})
-	w.settle()
-	if gotErr == nil || gotErr == errNotCalled {
-		t.Fatalf("take-records-since without source: err = %v", gotErr)
-	}
-	var re *RemoteError
-	if !errors.As(gotErr, &re) {
-		t.Fatalf("error is %T, want *RemoteError", gotErr)
-	}
-	if re.Code != CodeNoSource {
-		t.Errorf("code = %q, want %q", re.Code, CodeNoSource)
-	}
-	if !IsNoSource(gotErr) {
-		t.Error("IsNoSource misses the typed code")
-	}
-}
-
-func TestIsNoSourceFallbacks(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		// Typed code: authoritative.
-		{&RemoteError{Code: CodeNoSource, Msg: "whatever"}, true},
-		// Uncoded remote: the message text is not contract.
-		{&RemoteError{Msg: "honeypot has no record source"}, false},
-		// A code is present and says something else: text must not win.
-		{&RemoteError{Code: "other", Msg: "no record source"}, false},
-		// Local: the sentinel, wrapped or not, and never its text.
-		{errNoSource, true},
-		{fmt.Errorf("collect: %w", errNoSource), true},
-		{errors.New(errNoSource.Error()), false},
-		{errors.New("control: dial refused"), false},
-		{nil, false},
-	}
-	for i, c := range cases {
-		if got := IsNoSource(c.err); got != c.want {
-			t.Errorf("case %d (%v): IsNoSource = %v, want %v", i, c.err, got, c.want)
-		}
-	}
-}
+// Tests for the package's failure semantics: the ErrLinkClosed identity
+// and the deadline/retry policy.
 
 func TestCloseFailsPendingWithErrLinkClosed(t *testing.T) {
 	w := newWorld(t)
@@ -169,23 +119,6 @@ func TestRequestTimeoutExhaustsBudget(t *testing.T) {
 	}
 	if fa.seen != 2 {
 		t.Errorf("agent saw %d requests, want the full budget of 2", fa.seen)
-	}
-}
-
-func TestTakeRecordsNeverRetries(t *testing.T) {
-	// take-records drains destructively: a lost answer may have emptied
-	// the buffer, so re-issuing it could lose records. One attempt only.
-	loop, fa, link := flakyWorld(t, 1<<30, Policy{
-		Timeout: 2 * time.Second, Attempts: 3, Backoff: time.Second,
-	})
-	var gotErr error = errNotCalled
-	link.TakeRecords(func(_ []logging.Record, err error) { gotErr = err })
-	loop.RunUntil(loop.Now().Add(5 * time.Minute))
-	if !errors.Is(gotErr, ErrTimeout) {
-		t.Fatalf("silent drain got %v, want ErrTimeout", gotErr)
-	}
-	if fa.seen != 1 {
-		t.Errorf("agent saw %d drain requests, want exactly 1", fa.seen)
 	}
 }
 

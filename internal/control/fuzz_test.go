@@ -20,7 +20,8 @@ import (
 // envelope whose encoding is a marshal/unmarshal fixed point, and
 // Agent.handle answers every accepted envelope with a response to the
 // same sequence number that marshals. The seeds are one valid envelope
-// per request type.
+// per request type, plus a record read from a checkpoint past the
+// shard's end.
 func FuzzEnvelope(f *testing.F) {
 	payload := func(v any) json.RawMessage {
 		b, err := json.Marshal(v)
@@ -34,8 +35,8 @@ func FuzzEnvelope(f *testing.F) {
 		{Seq: 1, Type: TypeStatus},
 		{Seq: 2, Type: TypeAdvertise, Payload: payload(AdvertiseRequest{Files: []FileSpec{bait}})},
 		{Seq: 3, Type: TypeConnect, Payload: payload(ConnectRequest{Server: "10.0.0.1:4661"})},
-		{Seq: 4, Type: TypeTakeRecords},
-		{Seq: 5, Type: TypeTakeRecordsSince, Payload: payload(SinceRequest{Max: 2})},
+		{Seq: 4, Type: TypeTakeRecordsSince, Payload: payload(SinceRequest{Max: 2})},
+		{Seq: 5, Type: TypeTakeRecordsSince, Payload: payload(SinceRequest{Since: logstore.Checkpoint{Seg: 9, Off: 1 << 20}})},
 	} {
 		f.Add([]byte(marshalEnvelope(e).(*wire.ServerMessage).Text))
 	}
@@ -73,7 +74,7 @@ func FuzzEnvelope(f *testing.F) {
 		}
 
 		host := netsim.New(des.NewLoop(t0, 1), netsim.DefaultConfig()).NewHost("hp")
-		hp := honeypot.New(host, honeypot.Config{ID: "hp-0", Strategy: honeypot.NoContent, Port: 4662, Secret: []byte("s")})
+		hp := honeypot.New(host, honeypot.Config{ID: "hp-0", Strategy: honeypot.NoContent, Port: 4662, Secret: []byte("s"), Sink: shard})
 		a := &Agent{hp: hp, src: shard}
 		resp := a.handle(env)
 		if resp.Type != TypeResponse || resp.Seq != env.Seq {

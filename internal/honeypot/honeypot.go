@@ -74,10 +74,10 @@ type Config struct {
 	KeepAlive time.Duration
 	// MaxPartBytes caps bytes served per SENDING-PART reply.
 	MaxPartBytes int
-	// Sink, when set, receives every record as it is produced — e.g. a
-	// logstore shard, making the honeypot's log durable and incrementally
-	// collectable. When nil, records accumulate in an internal memory
-	// buffer drained by TakeRecords (the legacy collection path).
+	// Sink receives every record as it is produced. Mandatory: in every
+	// deployment it is a logstore shard, which the manager collects from
+	// by checkpoint (or owns outright, for an in-process honeypot whose
+	// shard lives in the manager's own store).
 	Sink logging.Sink
 }
 
@@ -114,9 +114,7 @@ type Honeypot struct {
 
 	serverAddr netip.AddrPort
 	serverStr  string // serverAddr.String(), rendered once per ConnectServer
-	sink       logging.Sink
-	mem        *logging.MemorySink // non-nil when sink is the default buffer
-	logged     int                 // total records appended
+	logged     int    // total records appended
 	stats      Stats
 	started    time.Time
 	greedyOver bool
@@ -136,6 +134,9 @@ func New(host transport.Host, cfg Config) *Honeypot {
 	if len(cfg.Secret) == 0 {
 		panic("honeypot: anonymization secret is mandatory")
 	}
+	if cfg.Sink == nil {
+		panic("honeypot: a record sink is mandatory")
+	}
 	if cfg.MaxPartBytes <= 0 {
 		cfg.MaxPartBytes = ed2k.BlockSize
 	}
@@ -146,12 +147,6 @@ func New(host transport.Host, cfg Config) *Honeypot {
 		cfg:       cfg,
 		hasher:    anonymize.NewIPHasher(cfg.Secret),
 		serverStr: netip.AddrPort{}.String(),
-	}
-	if cfg.Sink != nil {
-		hp.sink = cfg.Sink
-	} else {
-		hp.mem = &logging.MemorySink{}
-		hp.sink = hp.mem
 	}
 	hp.cl = client.New(host, client.Config{
 		Label:      cfg.ID,
@@ -214,34 +209,18 @@ func (hp *Honeypot) Advertise(files ...client.SharedFile) {
 func (hp *Honeypot) Advertised() []client.SharedFile { return hp.cl.Shared() }
 
 // Status implements the manager's health poll. Records is the number of
-// records awaiting collection (with an external sink, which keeps its own
-// inventory, it is the total produced so far).
+// records this honeypot process has logged so far.
 func (hp *Honeypot) Status() Status {
-	records := hp.logged
-	if hp.mem != nil {
-		records = hp.mem.Len()
-	}
 	return Status{
 		ID:         hp.cfg.ID,
 		Connected:  hp.cl.Connected(),
 		ClientID:   uint32(hp.cl.ClientID()),
 		HighID:     !hp.cl.ClientID().Low(),
 		Server:     hp.serverStr,
-		Records:    records,
+		Records:    hp.logged,
 		Advertised: len(hp.cl.Shared()),
 		Stats:      hp.stats,
 	}
-}
-
-// TakeRecords drains the honeypot's log buffer; the manager collects
-// periodically. Records carry step-1 hashed peer addresses only. With an
-// external sink there is no buffer to drain — collection then goes
-// through the sink's own reader (e.g. logstore checkpoints).
-func (hp *Honeypot) TakeRecords() []logging.Record {
-	if hp.mem == nil {
-		return nil
-	}
-	return hp.mem.Take()
 }
 
 // Stats returns the activity counters.
@@ -254,7 +233,7 @@ func (hp *Honeypot) log(r logging.Record) {
 	r.Time = hp.cl.Host().Now()
 	r.Honeypot = hp.cfg.ID
 	r.Server = hp.serverStr
-	hp.sink.Append(r)
+	hp.cfg.Sink.Append(r)
 	hp.logged++
 	if hp.OnRecord != nil {
 		hp.OnRecord(r)

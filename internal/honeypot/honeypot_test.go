@@ -38,10 +38,28 @@ func newWorld(t *testing.T) *world {
 
 func (w *world) settle() { w.loop.RunUntil(w.loop.Now().Add(time.Minute)) }
 
+// sliceSink is the tests' record sink: it keeps what the honeypot logs
+// until takeRecords hands it over.
+type sliceSink struct{ recs []logging.Record }
+
+func (s *sliceSink) Append(r logging.Record) { s.recs = append(s.recs, r) }
+
+// takeRecords returns what hp logged into its sliceSink since the last
+// call.
+func takeRecords(hp *Honeypot) []logging.Record {
+	s := hp.Config().Sink.(*sliceSink)
+	recs := s.recs
+	s.recs = nil
+	return recs
+}
+
 func (w *world) newHoneypot(t *testing.T, cfg Config) *Honeypot {
 	t.Helper()
 	if cfg.Port == 0 {
 		cfg.Port = 4662
+	}
+	if cfg.Sink == nil {
+		cfg.Sink = &sliceSink{}
 	}
 	cfg.Secret = secret
 	hp := New(w.net.NewHost(cfg.ID), cfg)
@@ -113,7 +131,7 @@ func TestNoContentStrategyLogsButStaysSilent(t *testing.T) {
 	if parts != 0 {
 		t.Errorf("no-content honeypot sent %d parts", parts)
 	}
-	recs := hp.TakeRecords()
+	recs := takeRecords(hp)
 	kinds := map[logging.Kind]int{}
 	for _, r := range recs {
 		kinds[r.Kind]++
@@ -146,7 +164,7 @@ func TestRecordsAreAnonymizedAtSource(t *testing.T) {
 	hp := w.newHoneypot(t, Config{ID: "hp-a", Strategy: NoContent})
 	hp.Advertise(testFile)
 	driveContact(t, w, hp, "peerX", 4663, true)
-	recs := hp.TakeRecords()
+	recs := takeRecords(hp)
 	if len(recs) == 0 {
 		t.Fatal("no records")
 	}
@@ -181,7 +199,7 @@ func TestSameIPHashesIdenticallyAcrossHoneypots(t *testing.T) {
 		})
 	}
 	w.settle()
-	r1, r2 := hp1.TakeRecords(), hp2.TakeRecords()
+	r1, r2 := takeRecords(hp1), takeRecords(hp2)
 	if len(r1) == 0 || len(r2) == 0 {
 		t.Fatal("missing records")
 	}
@@ -208,7 +226,7 @@ func TestBrowseHarvestsSharedLists(t *testing.T) {
 	})
 	w.settle()
 	var list *logging.Record
-	for _, r := range hp.TakeRecords() {
+	for _, r := range takeRecords(hp) {
 		if r.Kind == logging.KindSharedList {
 			rr := r
 			list = &rr
@@ -236,7 +254,7 @@ func TestBrowseDisabledPeerYieldsNoList(t *testing.T) {
 		ps.SendHello()
 	})
 	w.settle()
-	for _, r := range hp.TakeRecords() {
+	for _, r := range takeRecords(hp) {
 		if r.Kind == logging.KindSharedList {
 			t.Error("browse-disabled peer produced a SHARED-LIST record")
 		}
@@ -308,20 +326,22 @@ func TestGreedyWindowCloses(t *testing.T) {
 	}
 }
 
+// Every record reaches the sink exactly once, and Status counts every
+// record the honeypot logged, whoever has taken it since.
 func TestTakeRecordsDrains(t *testing.T) {
 	w := newWorld(t)
 	hp := w.newHoneypot(t, Config{ID: "hp-d", Strategy: NoContent})
 	hp.Advertise(testFile)
 	driveContact(t, w, hp, "p", 4663, true)
-	first := hp.TakeRecords()
+	first := takeRecords(hp)
 	if len(first) == 0 {
 		t.Fatal("no records")
 	}
-	if len(hp.TakeRecords()) != 0 {
-		t.Error("TakeRecords did not drain")
+	if len(takeRecords(hp)) != 0 {
+		t.Error("the sink received a record twice")
 	}
-	if hp.Status().Records != 0 {
-		t.Error("status still counts drained records")
+	if got := hp.Status().Records; got != len(first) {
+		t.Errorf("status counts %d records, the sink received %d", got, len(first))
 	}
 }
 
@@ -368,7 +388,18 @@ func TestMissingSecretPanics(t *testing.T) {
 	}()
 	loop := des.NewLoop(t0, 1)
 	nw := netsim.New(loop, netsim.DefaultConfig())
-	New(nw.NewHost("x"), Config{ID: "x"})
+	New(nw.NewHost("x"), Config{ID: "x", Sink: &sliceSink{}})
+}
+
+func TestMissingSinkPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("want panic without a sink")
+		}
+	}()
+	loop := des.NewLoop(t0, 1)
+	nw := netsim.New(loop, netsim.DefaultConfig())
+	New(nw.NewHost("x"), Config{ID: "x", Secret: secret})
 }
 
 // All records of one session carry the address hashed on accept and the
@@ -393,7 +424,7 @@ func TestSessionStampFollowsHello(t *testing.T) {
 		ps.RequestParts(testFile.Hash, [2]uint32{180000, 360000})
 	})
 	w.settle()
-	recs := hp.TakeRecords()
+	recs := takeRecords(hp)
 	if len(recs) != 6 {
 		t.Fatalf("got %d records, want 6", len(recs))
 	}
@@ -413,7 +444,7 @@ func TestSessionStampFollowsHello(t *testing.T) {
 // the zero AddrPort's rendering, as Status does.
 func TestRecordsBeforeConnectServer(t *testing.T) {
 	w := newWorld(t)
-	hp := New(w.net.NewHost("hp-pre"), Config{ID: "hp-pre", Port: 4662, Secret: secret})
+	hp := New(w.net.NewHost("hp-pre"), Config{ID: "hp-pre", Port: 4662, Secret: secret, Sink: &sliceSink{}})
 	if err := hp.Client().Listen(); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +457,7 @@ func TestRecordsBeforeConnectServer(t *testing.T) {
 		ps.SendHello()
 	})
 	w.settle()
-	recs := hp.TakeRecords()
+	recs := takeRecords(hp)
 	if len(recs) != 1 || recs[0].Server != "invalid AddrPort" {
 		t.Fatalf("pre-connect records: %+v", recs)
 	}

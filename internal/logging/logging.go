@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/ed2k"
@@ -103,37 +102,6 @@ type Record struct {
 // Sink receives records as they are produced.
 type Sink interface {
 	Append(r Record)
-}
-
-// MemorySink collects records in memory; the simulation campaigns use it.
-// It is safe for concurrent use: livenet honeypots append from multiple
-// connection goroutines.
-type MemorySink struct {
-	mu      sync.Mutex
-	Records []Record
-}
-
-// Append implements Sink.
-func (m *MemorySink) Append(r Record) {
-	m.mu.Lock()
-	m.Records = append(m.Records, r)
-	m.mu.Unlock()
-}
-
-// Take drains the sink, returning everything appended so far.
-func (m *MemorySink) Take() []Record {
-	m.mu.Lock()
-	out := m.Records
-	m.Records = nil
-	m.mu.Unlock()
-	return out
-}
-
-// Len returns the number of buffered records.
-func (m *MemorySink) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.Records)
 }
 
 // ---------------------------------------------------------------------------

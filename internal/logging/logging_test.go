@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -185,37 +184,6 @@ func TestMergeEmpty(t *testing.T) {
 	}
 	if got := Merge(nil, nil); len(got) != 0 {
 		t.Error("Merge(nil, nil) should be empty")
-	}
-}
-
-func TestMemorySink(t *testing.T) {
-	var s MemorySink
-	s.Append(sampleRecord(0))
-	s.Append(sampleRecord(1))
-	if len(s.Records) != 2 {
-		t.Errorf("sink holds %d", len(s.Records))
-	}
-}
-
-func TestMemorySinkConcurrentAppend(t *testing.T) {
-	var s MemorySink
-	const goroutines, per = 8, 500
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				s.Append(Record{Honeypot: "hp", PeerPort: uint16(g)})
-			}
-		}(g)
-	}
-	wg.Wait()
-	if s.Len() != goroutines*per {
-		t.Errorf("sink holds %d records, want %d", s.Len(), goroutines*per)
-	}
-	if got := s.Take(); len(got) != goroutines*per || s.Len() != 0 {
-		t.Error("Take did not drain the sink")
 	}
 }
 

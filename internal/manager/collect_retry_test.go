@@ -33,7 +33,6 @@ func (f *flakyIncHandle) Status(cb func(honeypot.Status, error))          { cb(h
 func (f *flakyIncHandle) Advertise(_ []client.SharedFile, cb func(error)) { cb(nil) }
 func (f *flakyIncHandle) ConnectServer(_ netip.AddrPort, cb func(error))  { cb(nil) }
 func (f *flakyIncHandle) Close()                                          {}
-func (f *flakyIncHandle) TakeRecords(cb func([]logging.Record, error))    { cb(nil, nil) }
 func (f *flakyIncHandle) TakeRecordsSince(cp logstore.Checkpoint, _ int, cb func([]logging.Record, logstore.Checkpoint, error)) {
 	f.attempts++
 	if f.attempts <= f.failures {

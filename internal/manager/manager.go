@@ -25,38 +25,43 @@ import (
 	"repro/internal/transport"
 )
 
-// Handle abstracts one controlled honeypot. control.Link implements it
-// for remote honeypots (live TCP and control-plane tests); LocalHandle
-// wraps an in-process honeypot for large simulated campaigns where
-// serializing millions of records through the control plane would be
-// pointless overhead.
+// Handle abstracts one controlled honeypot. Every honeypot logs into a
+// logstore shard, and its records leave that shard one way: by
+// checkpoint. So a handle must also be either a StoreBackedHandle whose
+// shard lives in the manager's own store, or an IncrementalHandle that
+// serves the shard by checkpoint; Manager.Add refuses any other.
+// control.Link is the remote form (live TCP and control-plane tests);
+// LocalHandle wraps an in-process honeypot.
 type Handle interface {
 	ID() string
 	Status(cb func(honeypot.Status, error))
 	Advertise(files []client.SharedFile, cb func(error))
 	ConnectServer(server netip.AddrPort, cb func(error))
-	TakeRecords(cb func([]logging.Record, error))
 	Close()
 }
 
-// IncrementalHandle is the optional collection upgrade: handles whose
-// honeypot logs into a durable store can serve records from a checkpoint,
-// so each record crosses the control plane at most once and a honeypot
-// restart never re-sends what the manager already acked. control.Link
-// implements it (backed by the take-records-since request).
+// IncrementalHandle serves a honeypot's shard from a checkpoint, so each
+// record crosses to the manager at most once and a honeypot restart
+// never re-sends what the manager already acked. A read names its
+// checkpoint, so a lost answer costs only a re-read. control.Link
+// implements it with the take-records-since request, LocalHandle with a
+// direct read of the shard.
 type IncrementalHandle interface {
 	TakeRecordsSince(since logstore.Checkpoint, max int, cb func([]logging.Record, logstore.Checkpoint, error))
 }
 
-// StoreBackedHandle is implemented by handles whose honeypot appends
-// directly into a shard of the manager's own store (in-process
-// campaigns): collection then has nothing to transfer at all.
+// StoreBackedHandle exposes the shard its honeypot appends into. When
+// that shard lives in the manager's own store, collection has nothing
+// to transfer at all.
 type StoreBackedHandle interface {
 	Shard() *logstore.Shard
 }
 
 // LocalHandle drives an in-process honeypot, hopping executors so the
-// actor contracts of both sides hold.
+// actor contracts of both sides hold. Its honeypot logs into shard:
+// when the shard lives in the manager's store the manager owns the
+// records as they are logged, and otherwise it collects them through
+// TakeRecordsSince.
 type LocalHandle struct {
 	id      string
 	hp      *honeypot.Honeypot
@@ -64,18 +69,13 @@ type LocalHandle struct {
 	mgrHost transport.Host
 }
 
-// NewLocalHandle wraps hp; callbacks run on mgrHost's executor.
-func NewLocalHandle(id string, hp *honeypot.Honeypot, mgrHost transport.Host) *LocalHandle {
-	return &LocalHandle{id: id, hp: hp, mgrHost: mgrHost}
-}
-
-// NewLocalHandleWithStore wraps a honeypot whose Sink is the given
-// logstore shard: the manager sees the records as already collected.
-func NewLocalHandleWithStore(id string, hp *honeypot.Honeypot, shard *logstore.Shard, mgrHost transport.Host) *LocalHandle {
+// NewLocalHandle wraps hp, whose Sink is shard; callbacks run on
+// mgrHost's executor.
+func NewLocalHandle(id string, hp *honeypot.Honeypot, shard *logstore.Shard, mgrHost transport.Host) *LocalHandle {
 	return &LocalHandle{id: id, hp: hp, shard: shard, mgrHost: mgrHost}
 }
 
-// Shard implements StoreBackedHandle (nil without a store).
+// Shard implements StoreBackedHandle.
 func (h *LocalHandle) Shard() *logstore.Shard { return h.shard }
 
 // ID implements Handle.
@@ -105,11 +105,12 @@ func (h *LocalHandle) ConnectServer(server netip.AddrPort, cb func(error)) {
 	})
 }
 
-// TakeRecords implements Handle.
-func (h *LocalHandle) TakeRecords(cb func([]logging.Record, error)) {
+// TakeRecordsSince implements IncrementalHandle: it reads the shard on
+// the honeypot's executor.
+func (h *LocalHandle) TakeRecordsSince(since logstore.Checkpoint, max int, cb func([]logging.Record, logstore.Checkpoint, error)) {
 	h.hp.Client().Host().Post(func() {
-		recs := h.hp.TakeRecords()
-		h.mgrHost.Post(func() { cb(recs, nil) })
+		recs, next, err := h.shard.ReadSince(since, max)
+		h.mgrHost.Post(func() { cb(recs, next, err) })
 	})
 }
 
@@ -192,14 +193,10 @@ type HoneypotState struct {
 	Checkpoint logstore.Checkpoint
 	// MissedRounds counts collection rounds this honeypot sat out after
 	// its retry budget ran dry — the per-honeypot gap audit of a
-	// degraded campaign. Records kept by a durable source are not lost,
-	// only late: the next successful round picks up from Checkpoint.
+	// degraded campaign. The records are not lost, only late: they stay
+	// in the honeypot's shard, and the next successful round picks up
+	// from Checkpoint.
 	MissedRounds int
-
-	// noIncremental is set when a take-records-since probe failed (the
-	// honeypot has no record source); collection falls back to the drain
-	// path. Reset on relaunch, since a replacement may gain a store.
-	noIncremental bool
 
 	shard *logstore.Shard // where ingest files this honeypot's records
 }
@@ -294,10 +291,15 @@ func (m *Manager) SetStore(store *logstore.Store) { m.store = store }
 func (m *Manager) Store() *logstore.Store { return m.store }
 
 // Add registers a honeypot and pushes its assignment (server first, then
-// the advertisement, mirroring the paper's setup order). It opens the
-// store shard named after the honeypot first and refuses an ID the
-// store cannot name a shard by, before any of its records is taken.
+// the advertisement, mirroring the paper's setup order). It refuses a
+// handle whose records it could not collect — one that neither logs
+// into the manager's store nor serves checkpoints — and an ID the store
+// cannot name a shard by; then it opens the store shard named after the
+// honeypot, before any of its records is taken.
 func (m *Manager) Add(h Handle, a Assignment) error {
+	if !m.collectable(h) {
+		return fmt.Errorf("manager: honeypot %s: its handle neither logs into the manager's store nor serves checkpoints", h.ID())
+	}
 	sh, err := m.store.Shard(h.ID())
 	if err != nil {
 		return fmt.Errorf("manager: honeypot %s: %w", h.ID(), err)
@@ -369,10 +371,9 @@ func (m *Manager) scheduleHealth() {
 const collectBatch = 2048
 
 // CollectNow gathers pending records from every honeypot; done (optional)
-// fires when all answered. Handles that serve checkpointed reads
-// (IncrementalHandle) transfer only records the manager has not acked
-// yet; handles writing straight into the manager's store transfer
-// nothing.
+// fires when all answered. Handles writing straight into the manager's
+// store transfer nothing; the others (IncrementalHandle) transfer only
+// records the manager has not acked yet.
 func (m *Manager) CollectNow(done func()) {
 	m.met.collectRounds.Inc()
 	remaining := len(m.hps)
@@ -393,28 +394,44 @@ func (m *Manager) CollectNow(done func()) {
 	}
 }
 
-func (m *Manager) collectOne(st *HoneypotState, finish func()) {
-	// In-process store-backed honeypots append into our own store: the
-	// records are already stored and collected; refresh the counter.
-	if sb, ok := st.Handle.(StoreBackedHandle); ok {
+// ownedShard returns the shard h's honeypot appends into when that
+// shard lives in the manager's own store, and nil otherwise.
+func (m *Manager) ownedShard(h Handle) *logstore.Shard {
+	if sb, ok := h.(StoreBackedHandle); ok {
 		if sh := sb.Shard(); sh != nil && sh.Store() == m.store {
-			st.Collected = int(sh.Count())
-			// The honeypot appends through the error-less Sink interface;
-			// a sticky write error means records are being dropped —
-			// surface it as ill health.
-			if sh.Err() != nil {
-				st.Healthy = false
-			}
-			finish()
-			return
+			return sh
 		}
+	}
+	return nil
+}
+
+// collectable reports whether the manager can collect h's records: it
+// owns h's shard, or h serves checkpoints.
+func (m *Manager) collectable(h Handle) bool {
+	_, ok := h.(IncrementalHandle)
+	return ok || m.ownedShard(h) != nil
+}
+
+func (m *Manager) collectOne(st *HoneypotState, finish func()) {
+	// In-process honeypots whose shard is in our own store: the records
+	// are already stored and collected; refresh the counter.
+	if sh := m.ownedShard(st.Handle); sh != nil {
+		st.Collected = int(sh.Count())
+		// The honeypot appends through the error-less Sink interface; a
+		// sticky write error means records are being dropped — surface
+		// it as ill health.
+		if sh.Err() != nil {
+			st.Healthy = false
+		}
+		finish()
+		return
 	}
 	m.tryCollect(st, 0, finish)
 }
 
 // tryCollect runs one collection attempt for st and, on failure, either
 // schedules a retry (within the config budget) or books the round as
-// missed. A degraded round is audited, not fatal: a durable source
+// missed. A degraded round is audited, not fatal: the honeypot's shard
 // re-serves everything after the checkpoint next round, so the gap is
 // latency, not loss.
 func (m *Manager) tryCollect(st *HoneypotState, attempt int, finish func()) {
@@ -438,11 +455,7 @@ func (m *Manager) tryCollect(st *HoneypotState, attempt int, finish func()) {
 		m.met.collectDegraded.Inc()
 		finish()
 	}
-	if ih, ok := st.Handle.(IncrementalHandle); ok && !st.noIncremental {
-		m.collectIncremental(st, ih, done)
-		return
-	}
-	m.collectDrain(st, done)
+	m.collectIncremental(st, st.Handle.(IncrementalHandle), done)
 }
 
 // retryDelay doubles the configured backoff per attempt (capped at one
@@ -465,34 +478,12 @@ func (m *Manager) retryDelay(attempt int) time.Duration {
 	return time.Duration(half + m.host.Rand().Int63n(half+1))
 }
 
-// collectDrain is the legacy path: drain the honeypot's whole buffer.
-func (m *Manager) collectDrain(st *HoneypotState, done func(error)) {
-	st.Handle.TakeRecords(func(recs []logging.Record, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		done(m.ingest(st, recs))
-	})
-}
-
 // collectIncremental pulls batches after the acked checkpoint until a
 // short batch signals the frontier.
 func (m *Manager) collectIncremental(st *HoneypotState, ih IncrementalHandle, done func(error)) {
 	ih.TakeRecordsSince(st.Checkpoint, collectBatch, func(recs []logging.Record, next logstore.Checkpoint, err error) {
-		if control.IsNoSource(err) {
-			// The honeypot has no durable record source: drain its memory
-			// buffer instead, this round and onwards.
-			st.noIncremental = true
-			m.collectDrain(st, done)
-			return
-		}
 		if err != nil {
-			// Transient (dead link, I/O hiccup): report and retry
-			// incrementally — falling back to the drain path would
-			// silently stop collecting from a store-backed honeypot
-			// forever, since its drain is always empty.
-			done(err)
+			done(err) // dead link, I/O hiccup: the round retries or degrades
 			return
 		}
 		if err := m.ingest(st, recs); err != nil {
@@ -567,16 +558,16 @@ func (m *Manager) HealthCheckNow(done func()) {
 // ReplaceHandle installs a fresh handle for honeypot id — a relaunched
 // process the caller rebuilt itself, e.g. the scenario engine's fault
 // injector — bumps its relaunch counter and re-pushes the assignment.
-// It reports whether the id was known.
+// It reports whether the id was known and the handle collectable (see
+// Add); otherwise nothing changes.
 func (m *Manager) ReplaceHandle(id string, h Handle) bool {
 	st := m.byID[id]
-	if st == nil {
+	if st == nil || !m.collectable(h) {
 		return false
 	}
 	st.Handle = h
 	st.Relaunches++
 	st.Healthy = true
-	st.noIncremental = false // the replacement may serve checkpoints
 	m.push(st)
 	return true
 }

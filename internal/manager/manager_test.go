@@ -17,6 +17,7 @@ import (
 	"repro/internal/control"
 	"repro/internal/des"
 	"repro/internal/ed2k"
+	"repro/internal/faultfs"
 	"repro/internal/honeypot"
 	"repro/internal/logging"
 	"repro/internal/logstore"
@@ -54,20 +55,41 @@ func newWorld(t *testing.T, nHoneypots int, cfg Config) *world {
 	w := &world{loop: loop, net: nw, srv: srv}
 	w.mgr = New(nw.NewHost("manager"), cfg)
 
-	assignments := SameServer(srv.Addr(), baitFiles, nHoneypots)
-	for i := 0; i < nHoneypots; i++ {
+	w.addLocal(t, nHoneypots)
+	return w
+}
+
+// addLocal adds n in-process honeypots, each logging into its shard of
+// the manager's store.
+func (w *world) addLocal(t *testing.T, n int) {
+	t.Helper()
+	assignments := SameServer(w.srv.Addr(), baitFiles, n)
+	for i := 0; i < n; i++ {
 		id := "hp-" + strconv.Itoa(i)
-		hp := honeypot.New(nw.NewHost(id), honeypot.Config{
-			ID: id, Strategy: honeypot.NoContent, Port: 4662, Secret: secret,
-		})
-		if err := hp.Client().Listen(); err != nil {
+		hp, shard := w.newLocalHoneypot(t, w.net.NewHost(id), id)
+		w.hps = append(w.hps, hp)
+		if err := w.mgr.Add(NewLocalHandle(id, hp, shard, w.mgr.Host()), assignments[i]); err != nil {
 			t.Fatal(err)
 		}
-		w.hps = append(w.hps, hp)
-		w.mgr.Add(NewLocalHandle(id, hp, w.mgr.Host()), assignments[i])
 	}
 	w.settle()
-	return w
+}
+
+// newLocalHoneypot starts honeypot id on host, logging into its shard of
+// the manager's store, and returns both.
+func (w *world) newLocalHoneypot(t *testing.T, host *netsim.Host, id string) (*honeypot.Honeypot, *logstore.Shard) {
+	t.Helper()
+	shard, err := w.mgr.Store().Shard(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp := honeypot.New(host, honeypot.Config{
+		ID: id, Strategy: honeypot.NoContent, Port: 4662, Secret: secret, Sink: shard,
+	})
+	if err := hp.Client().Listen(); err != nil {
+		t.Fatal(err)
+	}
+	return hp, shard
 }
 
 // newPeer creates a reusable peer client with its own host (one IP).
@@ -136,10 +158,10 @@ func TestPeriodicCollection(t *testing.T) {
 	if total == 0 {
 		t.Error("periodic collection gathered nothing")
 	}
-	// Honeypot buffers must be drained.
+	// Every record the honeypots logged is collected.
 	for i, hp := range w.hps {
-		if hp.Status().Records != 0 {
-			t.Errorf("hp %d still buffers records", i)
+		if got, want := states[i].Collected, hp.Status().Records; got != want {
+			t.Errorf("hp %d: collected %d of %d records", i, got, want)
 		}
 	}
 }
@@ -181,7 +203,11 @@ func TestRelaunchHook(t *testing.T) {
 	// Replace the handle with a control link so the death of the honeypot
 	// host is visible as a control failure.
 	hpHost := w.hps[0].Client().Host().(*netsim.Host)
-	if _, err := control.NewAgent(hpHost, w.hps[0], control.DefaultPort); err != nil {
+	shard, err := w.mgr.Store().Shard("hp-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := control.NewAgent(hpHost, w.hps[0], shard, control.DefaultPort); err != nil {
 		t.Fatal(err)
 	}
 	var link *control.Link
@@ -203,15 +229,9 @@ func TestRelaunchHook(t *testing.T) {
 		relaunched++
 		// Bring the host back with a fresh honeypot and agent.
 		hpHost.Restart()
-		hp2 := honeypot.New(hpHost, honeypot.Config{
-			ID: id, Strategy: honeypot.NoContent, Port: 4662, Secret: secret,
-		})
-		if err := hp2.Client().Listen(); err != nil {
-			done(nil, err)
-			return
-		}
+		hp2, shard := w.newLocalHoneypot(t, hpHost, id)
 		w.hps[0] = hp2
-		done(NewLocalHandle(id, hp2, w.mgr.Host()), nil)
+		done(NewLocalHandle(id, hp2, shard, w.mgr.Host()), nil)
 	}
 	w.mgr.Start()
 
@@ -239,18 +259,13 @@ func TestReplaceHandle(t *testing.T) {
 	hpHost.Crash()
 	w.settle()
 	hpHost.Restart()
-	hp2 := honeypot.New(hpHost, honeypot.Config{
-		ID: "hp-0", Strategy: honeypot.NoContent, Port: 4662, Secret: secret,
-	})
-	if err := hp2.Client().Listen(); err != nil {
-		t.Fatal(err)
-	}
+	hp2, shard := w.newLocalHoneypot(t, hpHost, "hp-0")
 	w.hps[0] = hp2
 
-	if w.mgr.ReplaceHandle("hp-9", NewLocalHandle("hp-9", hp2, w.mgr.Host())) {
+	if w.mgr.ReplaceHandle("hp-9", NewLocalHandle("hp-9", hp2, shard, w.mgr.Host())) {
 		t.Error("unknown id accepted")
 	}
-	if !w.mgr.ReplaceHandle("hp-0", NewLocalHandle("hp-0", hp2, w.mgr.Host())) {
+	if !w.mgr.ReplaceHandle("hp-0", NewLocalHandle("hp-0", hp2, shard, w.mgr.Host())) {
 		t.Fatal("known id rejected")
 	}
 	w.settle()
@@ -429,11 +444,9 @@ func newStoreWorld(t *testing.T, nHoneypots int, cfg Config) (*world, []*logstor
 		if err := hp.Client().Listen(); err != nil {
 			t.Fatal(err)
 		}
-		agent, err := control.NewAgent(hpHost, hp, control.DefaultPort)
-		if err != nil {
+		if _, err := control.NewAgent(hpHost, hp, shard, control.DefaultPort); err != nil {
 			t.Fatal(err)
 		}
-		agent.SetSource(shard)
 		w.hps = append(w.hps, hp)
 
 		var link *control.Link
@@ -590,11 +603,9 @@ func TestIncrementalCollectionSurvivesRestart(t *testing.T) {
 	if err := hp2.Client().Listen(); err != nil {
 		t.Fatal(err)
 	}
-	agent, err := control.NewAgent(hpHost, hp2, control.DefaultPort)
-	if err != nil {
+	if _, err := control.NewAgent(hpHost, hp2, shard, control.DefaultPort); err != nil {
 		t.Fatal(err)
 	}
-	agent.SetSource(shard)
 	w.hps[0] = hp2
 	var link *control.Link
 	control.Dial(w.mgr.Host(), "hp-0", netip.AddrPortFrom(hpHost.Addr(), control.DefaultPort), func(l *control.Link, err error) {
@@ -707,20 +718,7 @@ func newWorldWithStore(t *testing.T, nHoneypots int, cfg Config, store *logstore
 	w := &world{loop: loop, net: nw, srv: srv}
 	w.mgr = New(nw.NewHost("manager"), cfg)
 	w.mgr.SetStore(store)
-
-	assignments := SameServer(srv.Addr(), baitFiles, nHoneypots)
-	for i := 0; i < nHoneypots; i++ {
-		id := "hp-" + strconv.Itoa(i)
-		hp := honeypot.New(nw.NewHost(id), honeypot.Config{
-			ID: id, Strategy: honeypot.NoContent, Port: 4662, Secret: secret,
-		})
-		if err := hp.Client().Listen(); err != nil {
-			t.Fatal(err)
-		}
-		w.hps = append(w.hps, hp)
-		w.mgr.Add(NewLocalHandle(id, hp, w.mgr.Host()), assignments[i])
-	}
-	w.settle()
+	w.addLocal(t, nHoneypots)
 	return w
 }
 
@@ -761,7 +759,7 @@ func TestSharedStoreLocalHandles(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.hps = append(w.hps, hp)
-		w.mgr.Add(NewLocalHandleWithStore(id, hp, shard, w.mgr.Host()), assignments[i])
+		w.mgr.Add(NewLocalHandle(id, hp, shard, w.mgr.Host()), assignments[i])
 	}
 	w.settle()
 
@@ -805,76 +803,6 @@ func TestSharedStoreLocalHandles(t *testing.T) {
 	}
 }
 
-// fakeIncHandle scripts an IncrementalHandle with synchronous callbacks.
-type fakeIncHandle struct {
-	id        string
-	sinceErr  error
-	recs      []logging.Record
-	takeCalls int
-}
-
-func (f *fakeIncHandle) ID() string                                      { return f.id }
-func (f *fakeIncHandle) Status(cb func(honeypot.Status, error))          { cb(honeypot.Status{}, nil) }
-func (f *fakeIncHandle) Advertise(_ []client.SharedFile, cb func(error)) { cb(nil) }
-func (f *fakeIncHandle) ConnectServer(_ netip.AddrPort, cb func(error))  { cb(nil) }
-func (f *fakeIncHandle) Close()                                          {}
-func (f *fakeIncHandle) TakeRecords(cb func([]logging.Record, error)) {
-	f.takeCalls++
-	cb(nil, nil)
-}
-func (f *fakeIncHandle) TakeRecordsSince(cp logstore.Checkpoint, _ int, cb func([]logging.Record, logstore.Checkpoint, error)) {
-	if f.sinceErr != nil {
-		cb(nil, cp, f.sinceErr)
-		return
-	}
-	recs := f.recs
-	f.recs = nil
-	cb(recs, logstore.Checkpoint{Seg: cp.Seg + 1}, nil)
-}
-
-// TestIncrementalFallbackOnlyOnNoSource: only the no-record-source
-// condition demotes a honeypot to the drain path; transient errors keep
-// the incremental channel so a store-backed honeypot is never silently
-// abandoned.
-func TestIncrementalFallbackOnlyOnNoSource(t *testing.T) {
-	loop := des.NewLoop(t0, 1)
-	nw := netsim.New(loop, netsim.DefaultConfig())
-
-	// No source: falls back to drain, once and onwards.
-	m := New(nw.NewHost("m1"), DefaultConfig())
-	// The form a control.Link delivers when the agent has no store.
-	noSrc := &fakeIncHandle{id: "hp-a", sinceErr: &control.RemoteError{Code: control.CodeNoSource, Msg: "control: honeypot has no record source"}}
-	m.Add(noSrc, Assignment{})
-	m.CollectNow(nil)
-	st := m.States()[0]
-	if !st.noIncremental || noSrc.takeCalls != 1 {
-		t.Fatalf("no-source: noIncremental=%v drains=%d, want true/1", st.noIncremental, noSrc.takeCalls)
-	}
-
-	// Transient error: no drain fallback, unhealthy, retried next round.
-	m2 := New(nw.NewHost("m2"), DefaultConfig())
-	flaky := &fakeIncHandle{id: "hp-b", sinceErr: errors.New("control: link reset")}
-	m2.Add(flaky, Assignment{})
-	m2.CollectNow(nil)
-	st2 := m2.States()[0]
-	if st2.noIncremental {
-		t.Fatal("transient error demoted handle to drain path")
-	}
-	if flaky.takeCalls != 0 {
-		t.Fatalf("transient error drained the (empty) buffer %d times", flaky.takeCalls)
-	}
-	if st2.Healthy {
-		t.Fatal("transient error not reflected in health")
-	}
-	// Recovery: the next round collects incrementally again.
-	flaky.sinceErr = nil
-	flaky.recs = []logging.Record{{Time: t0, Honeypot: "hp-b", PeerIP: "x"}}
-	m2.CollectNow(nil)
-	if st2.Collected != 1 {
-		t.Fatalf("recovered round collected %d records, want 1", st2.Collected)
-	}
-}
-
 // TestAddRefusesUnnameableID: an ID the store cannot name a shard by is
 // refused when the honeypot is added, so none of its records is ever
 // taken and then lost to a failing ingest.
@@ -899,11 +827,74 @@ func TestAddRefusesUnnameableID(t *testing.T) {
 	}
 }
 
+// TestAddRefusesUncollectableHandle: a handle whose records the manager
+// could not collect — it serves no checkpoint reads, and its shard, if
+// any, lives outside the manager's store — is refused when added, and
+// never installed as a replacement.
+func TestAddRefusesUncollectableHandle(t *testing.T) {
+	nw := netsim.New(des.NewLoop(t0, 1), netsim.DefaultConfig())
+	m := New(nw.NewHost("m"), DefaultConfig())
+	other, err := logstore.Open("other", logstore.Options{FS: faultfs.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	foreign, err := other.Shard("hp-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := m.Store().Shard("hp-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		h  Handle
+		ok bool
+	}{
+		{bareHandle{"hp-1"}, false},
+		{shardHandle{bareHandle{"hp-2"}, foreign}, false},
+		{shardHandle{bareHandle{"hp-3"}, own}, true},
+		{&fakeHandle{id: "hp-4"}, true},
+	} {
+		if err := m.Add(c.h, Assignment{}); (err == nil) != c.ok {
+			t.Errorf("Add(%s): err = %v, want accepted = %v", c.h.ID(), err, c.ok)
+		}
+	}
+	if n := len(m.States()); n != 2 {
+		t.Fatalf("%d honeypots registered, want 2", n)
+	}
+	if m.ReplaceHandle("hp-3", bareHandle{"hp-3"}) {
+		t.Error("ReplaceHandle installed an uncollectable handle")
+	}
+	if m.States()[0].Relaunches != 0 {
+		t.Error("a refused replacement counted as a relaunch")
+	}
+	m.CollectNow(nil) // both remaining handles collect without a panic
+}
+
+// bareHandle is a Handle with nothing to collect from: no shard, no
+// checkpoint reads.
+type bareHandle struct{ id string }
+
+func (b bareHandle) ID() string                                      { return b.id }
+func (b bareHandle) Status(cb func(honeypot.Status, error))          { cb(honeypot.Status{}, nil) }
+func (b bareHandle) Advertise(_ []client.SharedFile, cb func(error)) { cb(nil) }
+func (b bareHandle) ConnectServer(_ netip.AddrPort, cb func(error))  { cb(nil) }
+func (b bareHandle) Close()                                          {}
+
+// shardHandle is a bareHandle whose honeypot logs into shard.
+type shardHandle struct {
+	bareHandle
+	shard *logstore.Shard
+}
+
+func (s shardHandle) Shard() *logstore.Shard { return s.shard }
+
 // ---------------------------------------------------------------------------
 // Streaming finalize.
 
-// fakeHandle is a minimal Handle whose callbacks run inline; TakeRecords
-// serves a scripted log once.
+// fakeHandle is a minimal IncrementalHandle whose callbacks run inline;
+// its first checkpoint read serves a scripted log.
 type fakeHandle struct {
 	id   string
 	recs []logging.Record
@@ -914,10 +905,10 @@ func (f *fakeHandle) Status(cb func(honeypot.Status, error))          { cb(honey
 func (f *fakeHandle) Advertise(_ []client.SharedFile, cb func(error)) { cb(nil) }
 func (f *fakeHandle) ConnectServer(_ netip.AddrPort, cb func(error))  { cb(nil) }
 func (f *fakeHandle) Close()                                          {}
-func (f *fakeHandle) TakeRecords(cb func([]logging.Record, error)) {
+func (f *fakeHandle) TakeRecordsSince(cp logstore.Checkpoint, _ int, cb func([]logging.Record, logstore.Checkpoint, error)) {
 	recs := f.recs
 	f.recs = nil
-	cb(recs, nil)
+	cb(recs, logstore.Checkpoint{Seg: cp.Seg + 1}, nil)
 }
 
 // fakeStoreHandle is a store-backed handle over a shard of the

@@ -29,6 +29,21 @@ type world struct {
 	bait catalog.File
 }
 
+// sliceSink is the tests' record sink: it keeps what a honeypot logs
+// until takeRecords hands it over.
+type sliceSink struct{ recs []logging.Record }
+
+func (s *sliceSink) Append(r logging.Record) { s.recs = append(s.recs, r) }
+
+// takeRecords returns what hp logged into its sliceSink since the last
+// call.
+func takeRecords(hp *honeypot.Honeypot) []logging.Record {
+	s := hp.Config().Sink.(*sliceSink)
+	recs := s.recs
+	s.recs = nil
+	return recs
+}
+
 // newWorld builds a server plus n honeypots advertising one bait file.
 func newWorld(t *testing.T, n int, strategies []honeypot.Strategy, seed int64) *world {
 	t.Helper()
@@ -49,7 +64,7 @@ func newWorld(t *testing.T, n int, strategies []honeypot.Strategy, seed int64) *
 		}
 		hp := honeypot.New(nw.NewHost(fmt.Sprintf("hp-%d", i)), honeypot.Config{
 			ID: fmt.Sprintf("hp-%d", i), Strategy: strat, Port: 4662,
-			Secret: []byte("s"), BrowseContacts: true,
+			Secret: []byte("s"), BrowseContacts: true, Sink: &sliceSink{},
 		})
 		if err := hp.Start(srv.Addr()); err != nil {
 			t.Fatal(err)
@@ -84,7 +99,7 @@ func collectKinds(hps []*honeypot.Honeypot) (map[logging.Kind]int, []logging.Rec
 	kinds := map[logging.Kind]int{}
 	var all []logging.Record
 	for _, hp := range hps {
-		recs := hp.TakeRecords()
+		recs := takeRecords(hp)
 		all = append(all, recs...)
 		for _, r := range recs {
 			kinds[r.Kind]++
@@ -143,7 +158,7 @@ func TestRandomContentOutdrawsNoContent(t *testing.T) {
 	peers := make([]map[string]bool, 2)
 	for i, hp := range w.hps {
 		peers[i] = map[string]bool{}
-		for _, r := range hp.TakeRecords() {
+		for _, r := range takeRecords(hp) {
 			if r.Kind == logging.KindRequestPart {
 				reqs[i]++
 			}
@@ -308,6 +323,7 @@ func TestDeterministicReplay(t *testing.T) {
 		w.bait = w.cat.File(0)
 		hp := honeypot.New(nw.NewHost("hp-0"), honeypot.Config{
 			ID: "hp-0", Strategy: honeypot.RandomContent, Port: 4662, Secret: []byte("s"),
+			Sink: &sliceSink{},
 		})
 		if err := hp.Start(srv.Addr()); err != nil {
 			t.Fatal(err)
@@ -317,7 +333,7 @@ func TestDeterministicReplay(t *testing.T) {
 		pop := New(nw, w.popConfig(1))
 		pop.Start()
 		loop.RunUntil(t0.Add(25 * time.Hour))
-		return pop.Stats(), len(hp.TakeRecords())
+		return pop.Stats(), len(takeRecords(hp))
 	}
 	s1, r1 := run()
 	s2, r2 := run()

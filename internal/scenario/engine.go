@@ -62,10 +62,16 @@ type Result struct {
 	Relaunches map[string]int
 	// CollectionGaps counts collection rounds the manager gave up on,
 	// by honeypot ID — the audit trail of every degraded round (link
-	// flaps, storage faults). Honeypots with no gaps are absent. With a
-	// durable source the records arrive late, not never; in-memory
-	// campaigns may genuinely lose what a crash took with it.
+	// flaps, storage faults). Honeypots with no gaps are absent. The
+	// records of a missed round stay in the honeypot's shard and arrive
+	// late, not never — unless the campaign ends first (HeldRecords).
 	CollectionGaps map[string]int
+	// HeldRecords counts records the fleet logged that the final
+	// collection did not reach — the honeypot-side shard counts minus
+	// what the manager collected, summed over the fleet — so they are
+	// missing from the dataset. Nonzero only when a honeypot's link was
+	// down as the campaign ended, e.g. a run aborted during a flap.
+	HeldRecords uint64
 	// DroppedRecords counts records the spill store failed to persist
 	// (disk-fault windows): appends that errored plus buffered records
 	// a heal's truncation could not save. Zero for in-memory campaigns.
@@ -137,7 +143,7 @@ type launched struct {
 	cfg    honeypot.Config
 	files  []client.SharedFile
 	server netip.AddrPort
-	shard  *logstore.Shard // non-nil in spill-to-disk mode
+	shard  *logstore.Shard // the honeypot's log: cfg.Sink
 }
 
 // world is the running campaign.
@@ -152,7 +158,11 @@ type world struct {
 	info  []launched
 	store *logstore.Store // non-nil in spill-to-disk mode
 	fsw   *faultfs.Switch // non-nil when the spec schedules disk faults
-	cat   *catalog.Catalog
+	// hpStore holds the shards of the honeypots whose link the spec
+	// flaps: their records live on the honeypot's side of the link, and
+	// the manager collects them across it. Nil until the first one.
+	hpStore *logstore.Store
+	cat     *catalog.Catalog
 
 	faultLog []FaultEvent
 
@@ -290,9 +300,9 @@ func buildWorld(spec Spec, opts RunOptions) (*world, error) {
 	return w, nil
 }
 
-// attachStore switches the world to spill-to-disk mode: honeypots added
-// afterwards write through shards of a store at dir, which replaces the
-// manager's in-memory store, so there is nothing to collect hourly.
+// attachStore switches the world to spill-to-disk mode: a store at dir
+// replaces the manager's in-memory store, and the honeypots added
+// afterwards log into it as they would into the in-memory one.
 func (w *world) attachStore(dir string) error {
 	opt := logstore.Options{Metrics: w.opts.Metrics}
 	for _, f := range w.spec.Faults {
@@ -344,14 +354,15 @@ func (w *world) serverAddrs() []netip.AddrPort {
 // addHoneypot creates, registers and places one honeypot on the given
 // directory server.
 func (w *world) addHoneypot(cfg honeypot.Config, files []client.SharedFile, on netip.AddrPort) (*honeypot.Honeypot, error) {
-	var shard *logstore.Shard
-	if w.store != nil {
-		var err error
-		if shard, err = w.store.Shard(cfg.ID); err != nil {
-			return nil, fmt.Errorf("scenario: honeypot %s: %w", cfg.ID, err)
-		}
-		cfg.Sink = shard
+	store, err := w.logStore(cfg.ID)
+	if err != nil {
+		return nil, err
 	}
+	shard, err := store.Shard(cfg.ID)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: honeypot %s: %w", cfg.ID, err)
+	}
+	cfg.Sink = shard
 	hp := honeypot.New(w.net.NewHost(cfg.ID), cfg)
 	if err := hp.Client().Listen(); err != nil {
 		return nil, fmt.Errorf("scenario: honeypot %s: %w", cfg.ID, err)
@@ -368,19 +379,42 @@ func (w *world) addHoneypot(cfg honeypot.Config, files []client.SharedFile, on n
 	return hp, nil
 }
 
-// newHandle builds the manager-side handle for fleet member id: plain
-// local, store-backed when a shard exists, and wrapped in a flakyHandle
-// when the schedule flaps this honeypot's link. Launch and relaunch
-// share it, so a relaunched honeypot keeps identical failure semantics.
-func (w *world) newHandle(id string, hp *honeypot.Honeypot, shard *logstore.Shard) manager.Handle {
-	var handle manager.Handle = manager.NewLocalHandle(id, hp, w.mgr.Host())
-	if shard != nil {
-		handle = manager.NewLocalHandleWithStore(id, hp, shard, w.mgr.Host())
-	}
+// flaps reports whether the spec flaps honeypot id's link.
+func (w *world) flaps(id string) bool {
 	for _, f := range w.spec.Faults {
 		if f.Kind == FaultLinkFlap && f.Honeypot == id {
-			return &flakyHandle{inner: handle, host: hp.Client().Host().(*netsim.Host)}
+			return true
 		}
+	}
+	return false
+}
+
+// logStore returns the store honeypot id logs into: the manager's own,
+// so collection transfers nothing — unless the spec flaps id's link.
+// Then it is the honeypot-side store, and the manager collects the
+// records by checkpoint across the link, which the flaps interrupt.
+func (w *world) logStore(id string) (*logstore.Store, error) {
+	if !w.flaps(id) {
+		return w.mgr.Store(), nil
+	}
+	if w.hpStore == nil {
+		store, err := logstore.Open("honeypots", logstore.Options{FS: faultfs.NewMem()})
+		if err != nil {
+			return nil, fmt.Errorf("scenario: opening the honeypot-side store: %w", err)
+		}
+		w.hpStore = store
+	}
+	return w.hpStore, nil
+}
+
+// newHandle builds the manager-side handle for fleet member id, whose
+// honeypot logs into shard, wrapped in a flakyHandle when the schedule
+// flaps this honeypot's link. Launch and relaunch share it, so a
+// relaunched honeypot keeps identical failure semantics.
+func (w *world) newHandle(id string, hp *honeypot.Honeypot, shard *logstore.Shard) manager.Handle {
+	handle := manager.NewLocalHandle(id, hp, shard, w.mgr.Host())
+	if w.flaps(id) {
+		return &flakyHandle{inner: handle, host: hp.Client().Host().(*netsim.Host)}
 	}
 	return handle
 }
@@ -392,7 +426,7 @@ func (w *world) newHandle(id string, hp *honeypot.Honeypot, shard *logstore.Shar
 // down every exchange fails with a timeout, exactly as a control.Link
 // behind a dead WAN path would after its retry budget.
 type flakyHandle struct {
-	inner manager.Handle
+	inner *manager.LocalHandle
 	host  *netsim.Host
 }
 
@@ -433,23 +467,14 @@ func (f *flakyHandle) ConnectServer(server netip.AddrPort, cb func(error)) {
 	f.inner.ConnectServer(server, cb)
 }
 
-// TakeRecords implements manager.Handle. A failed drain leaves the
-// honeypot's buffer untouched — the records wait out the flap.
-func (f *flakyHandle) TakeRecords(cb func([]logging.Record, error)) {
+// TakeRecordsSince implements manager.IncrementalHandle. A failed read
+// leaves the honeypot's shard untouched — the records wait out the flap.
+func (f *flakyHandle) TakeRecordsSince(since logstore.Checkpoint, max int, cb func([]logging.Record, logstore.Checkpoint, error)) {
 	if err := f.down(); err != nil {
-		cb(nil, err)
+		cb(nil, since, err)
 		return
 	}
-	f.inner.TakeRecords(cb)
-}
-
-// Shard implements manager.StoreBackedHandle by delegation (nil when
-// the inner handle is not store-backed).
-func (f *flakyHandle) Shard() *logstore.Shard {
-	if sb, ok := f.inner.(manager.StoreBackedHandle); ok {
-		return sb.Shard()
-	}
-	return nil
+	f.inner.TakeRecordsSince(since, max, cb)
 }
 
 // Close implements manager.Handle.
@@ -599,8 +624,8 @@ func (w *world) restartServer(idx int) error {
 	return nil
 }
 
-// crashHoneypot kills one fleet member's host; records not yet durable
-// or collected die with it, as they would on PlanetLab.
+// crashHoneypot kills one fleet member's host. Its shard outlives it,
+// as a disk would, and the relaunched honeypot logs on into it.
 func (w *world) crashHoneypot(id string) error {
 	i := w.fleetIndex(id)
 	if i < 0 {
@@ -633,8 +658,8 @@ func (w *world) relaunchHoneypot(id string) error {
 }
 
 // setLink partitions one honeypot from the network (down=true) or
-// restores it. The host keeps running — unlike a crash, its buffered
-// records and listeners survive; only the wire is gone. The honeypot's
+// restores it. The host keeps running — unlike a crash, its listeners
+// survive; only the wire is gone. The honeypot's
 // flakyHandle watches the same flag, so the manager's collection
 // exchanges degrade in lockstep with the peer traffic.
 func (w *world) setLink(id string, down bool) error {
@@ -671,10 +696,12 @@ func (w *world) setDiskFault(id string, broken bool) error {
 		return nil
 	}
 	w.fsw.Allow(prefix)
-	if sh := w.info[i].shard; sh != nil {
-		if err := sh.Heal(); err != nil {
-			return fmt.Errorf("scenario: fault: healing %s after disk restore: %w", id, err)
-		}
+	sh, err := w.store.Shard(id)
+	if err == nil {
+		err = sh.Heal()
+	}
+	if err != nil {
+		return fmt.Errorf("scenario: fault: healing %s after disk restore: %w", id, err)
 	}
 	w.faultLog = append(w.faultLog, FaultEvent{At: w.loop.Now(), Kind: "disk-restore", Target: id})
 	return nil
@@ -826,7 +853,8 @@ func (w *world) finish(spec Spec, pops []*peersim.Population) (*Result, error) {
 	if len(w.hps) > 0 {
 		res.Advertised = append([]client.SharedFile(nil), w.hps[0].Advertised()...)
 	}
-	for _, st := range w.mgr.States() {
+	for i, st := range w.mgr.States() {
+		res.HeldRecords += w.info[i].shard.Count() - uint64(st.Collected)
 		if st.Relaunches > 0 {
 			if res.Relaunches == nil {
 				res.Relaunches = make(map[string]int)

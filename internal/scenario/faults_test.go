@@ -119,6 +119,51 @@ func TestFlakyLinksDeterministic(t *testing.T) {
 	}
 }
 
+// TestAbortDuringFlapCountsHeldRecords: a campaign that ends while a
+// honeypot's link is down leaves that honeypot's newest records in its
+// shard, out of the dataset. Result.HeldRecords counts them, so the
+// frame plus the held records is every record the fleet logged.
+func TestAbortDuringFlapCountsHeldRecords(t *testing.T) {
+	spec, err := Lookup("flaky-links")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Scale = 0.05
+	spec.Collection.Stream = true
+	// Collect rarely, so records pile up in hp-02's shard before the
+	// flap cuts it off at day 2.
+	spec.Collection.Every = Duration(6 * time.Hour)
+	flap := spec.Faults[0]
+	if flap.Kind != FaultLinkFlap || flap.Honeypot != "hp-02" {
+		t.Fatalf("first fault is %+v, want hp-02's link flap", flap)
+	}
+	abortAt := time.Duration(flap.At) + time.Hour
+	res, err := RunWith(spec, RunOptions{Progress: func(p Progress) bool { return p.SimElapsed < abortAt }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Aborted {
+		t.Fatal("the campaign was not aborted")
+	}
+	if res.CollectionGaps["hp-02"] == 0 {
+		t.Errorf("the final collection reached hp-02 through its dead link: gaps %v", res.CollectionGaps)
+	}
+	if res.HeldRecords == 0 {
+		t.Fatal("an abort during a flap held no records")
+	}
+	// Each HELLO, START-UPLOAD, REQUEST-PART and shared list is one
+	// record in its honeypot's shard; no honeypot restarted, so the
+	// stats cover every record the fleet's shards hold.
+	logged := 0
+	for _, hs := range res.HoneypotStats {
+		logged += hs.Hello + hs.StartUpload + hs.RequestParts + hs.SharedLists
+	}
+	if got := res.Frame.Len() + int(res.HeldRecords); got != logged {
+		t.Errorf("frame %d + held %d = %d records, the fleet logged %d",
+			res.Frame.Len(), res.HeldRecords, got, logged)
+	}
+}
+
 // TestFaultFreeSpecUnwrapped pins the equivalence guarantee from the
 // other side: stripping the fault schedule removes every fault shim —
 // no flaky handles, no injectable filesystem — so the dataset matches a
@@ -344,8 +389,7 @@ func TestHoneypotCrashRelaunchInCampaign(t *testing.T) {
 	if res.HoneypotStats["hp-frail"].Hello == 0 {
 		t.Error("relaunched honeypot saw no HELLOs")
 	}
-	// Its pre-crash memory buffer died with the host, but collected
-	// records survived in the manager: the dataset spans both lives.
+	// Its shard outlived the host, so the dataset spans both lives.
 	kinds := map[logging.Kind]bool{}
 	for _, r := range res.Dataset.Records {
 		kinds[r.Kind] = true

@@ -184,7 +184,7 @@ func ChurnFleet() Spec {
 // FlakyLinks measures through network partitions rather than crashes:
 // two fleet members repeatedly fall off the network for hours at a time
 // (a congested exchange point, a mis-pushed route) while their hosts —
-// and their buffered records — keep running. The manager's collection
+// and the shards their records wait in — keep running. The manager's collection
 // rounds retry, then degrade and audit the gap; once a link returns,
 // the next round drains everything the flap delayed, so the dataset is
 // complete but its gap accounting is not empty.
