@@ -231,7 +231,7 @@ type Manager struct {
 // mgrMetrics is the manager's pre-resolved metric set (zero = disabled).
 type mgrMetrics struct {
 	collectRounds   *obs.Counter   // manager.collect.rounds
-	collectRecords  *obs.Counter   // manager.collect.records (transferred)
+	collectRecords  *obs.Counter   // manager.collect.records (entered the dataset, by any path)
 	collectRetries  *obs.Counter   // manager.collect.retries (re-attempts)
 	collectTimeouts *obs.Counter   // manager.collect.timeouts (attempts lost to silence)
 	collectDegraded *obs.Counter   // manager.collect.degraded (honeypot-rounds given up)
@@ -414,9 +414,14 @@ func (m *Manager) collectable(h Handle) bool {
 
 func (m *Manager) collectOne(st *HoneypotState, finish func()) {
 	// In-process honeypots whose shard is in our own store: the records
-	// are already stored and collected; refresh the counter.
+	// are already stored and collected; refresh the counters, so they
+	// read the same whichever path a honeypot's records take.
 	if sh := m.ownedShard(st.Handle); sh != nil {
-		st.Collected = int(sh.Count())
+		n := int(sh.Count())
+		if n > st.Collected {
+			m.met.collectRecords.Add(uint64(n - st.Collected))
+		}
+		st.Collected = n
 		// The honeypot appends through the error-less Sink interface; a
 		// sticky write error means records are being dropped — surface
 		// it as ill health.

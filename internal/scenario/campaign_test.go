@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/logstore"
+	"repro/internal/obs"
 )
 
 // tinyDistributed is the registered distributed campaign shrunk to unit
@@ -148,6 +149,36 @@ func TestRunGreedyWithStoreSmoke(t *testing.T) {
 	}
 	if int(res.StoredRecords) != len(res.Dataset.Records) {
 		t.Errorf("store persisted %d records, dataset has %d", res.StoredRecords, len(res.Dataset.Records))
+	}
+}
+
+// TestCollectedRecordsCountedOnEveryPath: manager.collect.records counts
+// every record that entered the dataset, so a memory and a -store run
+// of the same fault-free campaign read the same, although neither
+// copies a record (the honeypot logs into the manager's store).
+func TestCollectedRecordsCountedOnEveryPath(t *testing.T) {
+	for _, withStore := range []bool{false, true} {
+		spec, err := Lookup("greedy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Days = 2
+		spec.Scale = 0.002
+		spec.Fleet[0].GreedyMaxFiles = 200
+		spec.Workloads[0].Targets.NormFiles = 200
+		spec.Catalog = catalog.Config{NumFiles: 3000, Vocabulary: 500, PopularityExp: 0.9, Seed: 2}
+		if withStore {
+			spec.Collection.StoreDir = t.TempDir()
+		}
+		reg := obs.New()
+		res, err := RunWith(spec, RunOptions{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := reg.Snapshot().Counters["manager.collect.records"]
+		if n == 0 || n != uint64(len(res.Dataset.Records)) {
+			t.Errorf("store=%v: manager.collect.records = %d, dataset has %d", withStore, n, len(res.Dataset.Records))
+		}
 	}
 }
 

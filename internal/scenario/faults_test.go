@@ -138,7 +138,11 @@ func TestAbortDuringFlapCountsHeldRecords(t *testing.T) {
 		t.Fatalf("first fault is %+v, want hp-02's link flap", flap)
 	}
 	abortAt := time.Duration(flap.At) + time.Hour
-	res, err := RunWith(spec, RunOptions{Progress: func(p Progress) bool { return p.SimElapsed < abortAt }})
+	reg := obs.New()
+	res, err := RunWith(spec, RunOptions{
+		Metrics:  reg,
+		Progress: func(p Progress) bool { return p.SimElapsed < abortAt },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +165,9 @@ func TestAbortDuringFlapCountsHeldRecords(t *testing.T) {
 	if got := res.Frame.Len() + int(res.HeldRecords); got != logged {
 		t.Errorf("frame %d + held %d = %d records, the fleet logged %d",
 			res.Frame.Len(), res.HeldRecords, got, logged)
+	}
+	if n := reg.Snapshot().Counters["manager.collect.records"]; n != uint64(res.Frame.Len()) {
+		t.Errorf("manager.collect.records = %d, frame holds %d", n, res.Frame.Len())
 	}
 }
 

@@ -65,10 +65,11 @@ type RunSummary struct {
 	// ExportedRecords counts records persisted in the run's dataset
 	// logstore (equals Records unless the export itself degraded).
 	ExportedRecords uint64 `json:"exported_records"`
-	// CollectionGaps / DroppedRecords carry the campaign's degradation
-	// audit (see scenario.Result).
+	// CollectionGaps / DroppedRecords / HeldRecords carry the campaign's
+	// degradation audit (see scenario.Result).
 	CollectionGaps map[string]int `json:"collection_gaps,omitempty"`
 	DroppedRecords uint64         `json:"dropped_records,omitempty"`
+	HeldRecords    uint64         `json:"held_records,omitempty"`
 	// Faults counts executed fault-schedule entries.
 	Faults int `json:"faults,omitempty"`
 	// Aborted + AbortedAt mirror the Result's early-stop marker.

@@ -510,6 +510,7 @@ func (s *Service) execute(id string) {
 		ExportedRecords: res.ExportedRecords,
 		CollectionGaps:  res.CollectionGaps,
 		DroppedRecords:  res.DroppedRecords,
+		HeldRecords:     res.HeldRecords,
 		Faults:          len(res.Faults),
 		Aborted:         res.Aborted,
 		AbortedAt:       res.AbortedAt,

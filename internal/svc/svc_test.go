@@ -250,6 +250,49 @@ func TestDeleteAbortsIntoPartialResult(t *testing.T) {
 	}
 }
 
+// TestAbortDuringFlapPersistsHeldRecords: a run aborted while one
+// honeypot's link is down ends with that honeypot's newest records
+// still in its shard; the persisted summary counts them, as measure's
+// degraded line does.
+func TestAbortDuringFlapPersistsHeldRecords(t *testing.T) {
+	spec := testSpec("svc-abort-flap", 5, 240, 30)
+	// Collect every 6h, so hp-a logs for 5h after the 6h round before
+	// its link drops at 11h; the link stays down until day 29.
+	spec.Collection.Every = scenario.Duration(6 * time.Hour)
+	spec.Faults = scenario.FaultSchedule{{
+		Kind: scenario.FaultLinkFlap, Honeypot: "hp-a",
+		At: scenario.Duration(11 * time.Hour), Downtime: scenario.Duration(28 * 24 * time.Hour),
+	}}
+	_, client := newTestService(t, Config{Workers: 1, SimEvery: time.Hour, WallEvery: -1})
+	ctx := context.Background()
+
+	run, err := client.Submit(ctx, SubmitRequest{Spec: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aborted := false
+	final, err := client.Events(ctx, run.ID, func(e ProgressEvent) {
+		if !aborted && e.Seq >= 14 {
+			aborted = true
+			if _, err := client.Abort(ctx, run.ID); err != nil {
+				t.Errorf("abort: %v", err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateAborted {
+		t.Fatalf("run finished %s, want aborted (%s)", final.State, final.Error)
+	}
+	if final.Summary.CollectionGaps["hp-a"] == 0 {
+		t.Errorf("no collection gaps for the flapped honeypot: %v", final.Summary.CollectionGaps)
+	}
+	if final.Summary.HeldRecords == 0 {
+		t.Error("the summary of a run aborted during a flap holds no records")
+	}
+}
+
 // TestSubmitRewritesCollectionPaths pins the isolation rule: whatever
 // collection paths a client submits, the executed spec's spill and
 // export land under the run's own directory in the store.
