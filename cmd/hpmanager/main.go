@@ -151,6 +151,10 @@ func main() {
 
 	assignments := manager.SameServer(server, files, len(links))
 	host.Post(func() {
+		// A honeypotd restarted mid-campaign fails its next status poll;
+		// it is dialed again at its endpoint, under the same policy, and
+		// collected from where its checkpoint stands.
+		mgr.Relaunch = mgr.Redial
 		for i, l := range links {
 			// The link-level policy bounds each exchange (deadline + one
 			// re-ask for idempotent requests); the manager's retry budget

@@ -346,6 +346,19 @@ func (l *Link) Closed() bool { return l.closed }
 // the policy they started under.
 func (l *Link) SetPolicy(p Policy) { l.policy = p }
 
+// Redial closes l and dials its endpoint again under the same id and
+// policy — how a manager gets a restarted honeypot back. done runs on
+// the manager's executor.
+func (l *Link) Redial(done func(*Link, error)) {
+	l.Close()
+	Dial(l.host, l.id, l.addr, func(nl *Link, err error) {
+		if nl != nil {
+			nl.policy = l.policy
+		}
+		done(nl, err)
+	})
+}
+
 // Close tears the link down; pending requests fail with ErrLinkClosed.
 func (l *Link) Close() {
 	if !l.closed {

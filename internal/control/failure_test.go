@@ -37,6 +37,36 @@ func TestCloseFailsPendingWithErrLinkClosed(t *testing.T) {
 	}
 }
 
+func TestLinkRedialKeepsPolicy(t *testing.T) {
+	w := newWorld(t)
+	pol := Policy{Timeout: 5 * time.Second, Attempts: 3}
+	w.link.SetPolicy(pol)
+	var nl *Link
+	w.link.Redial(func(l *Link, err error) {
+		if err != nil {
+			t.Errorf("redial: %v", err)
+		}
+		nl = l
+	})
+	w.settle()
+	if nl == nil || nl == w.link {
+		t.Fatal("redial gave no new link")
+	}
+	if !w.link.Closed() {
+		t.Error("the old link is still open")
+	}
+	if nl.ID() != w.link.ID() || nl.Addr() != w.link.Addr() || nl.policy != pol {
+		t.Errorf("redialed link %s at %v under %+v, want %s at %v under %+v",
+			nl.ID(), nl.Addr(), nl.policy, w.link.ID(), w.link.Addr(), pol)
+	}
+	var status error = errNotCalled
+	nl.Status(func(_ honeypot.Status, err error) { status = err })
+	w.settle()
+	if status != nil {
+		t.Fatalf("status over the redialed link: %v", status)
+	}
+}
+
 // flakyAgent is a control responder that swallows the first drop
 // requests of each type and answers the rest, for exercising the
 // deadline/retry machinery without a honeypot.

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -110,10 +108,10 @@ func BenchmarkLogstoreScan(b *testing.B) {
 
 // BenchmarkLogstoreOpen measures reopening a finished 24-shard store —
 // what every re-analysis of a stored dataset pays first. "sidecars" is
-// the store a clean Close leaves: each tail segment's index sits beside
-// it and no segment is read. "scan" is the same store after a crash took
-// the tail sidecars with it: every tail is decoded to rebuild its index,
-// which at this size (one segment per shard) is the whole store.
+// the store a clean Close leaves: the manifest indexes each tail segment
+// and no segment is read. "scan" is the same store as a crash leaves it,
+// the manifest's tail entries gone: every tail is decoded to rebuild its
+// index, which at this size (one segment per shard) is the whole store.
 func BenchmarkLogstoreOpen(b *testing.B) {
 	const shards, perShard = 24, 9_000 // ≈ the benchmark's distributed export
 	dir := b.TempDir()
@@ -141,12 +139,8 @@ func BenchmarkLogstoreOpen(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				if mode == "scan" {
-					tails, err := filepath.Glob(filepath.Join(dir, "*", "*.idx"))
-					if err != nil || len(tails) != shards {
-						b.Fatalf("tail sidecars: %d (%v), want %d", len(tails), err, shards)
-					}
-					for _, idx := range tails {
-						os.Remove(idx)
+					if n := dropClosedTails(b, dir); n != shards {
+						b.Fatalf("dropped %d tail entries, want %d", n, shards)
 					}
 				}
 				b.StartTimer()
@@ -158,7 +152,7 @@ func BenchmarkLogstoreOpen(b *testing.B) {
 				if n := store.TotalRecords(); n != shards*perShard {
 					b.Fatalf("reopened %d records, want %d", n, shards*perShard)
 				}
-				if err := store.Close(); err != nil { // rewrites what "scan" removed
+				if err := store.Close(); err != nil { // records what "scan" dropped
 					b.Fatal(err)
 				}
 				b.StartTimer()

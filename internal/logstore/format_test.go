@@ -77,17 +77,15 @@ func TestFormatV1ManifestRefused(t *testing.T) {
 }
 
 func TestFormatV1SegmentRefused(t *testing.T) {
-	// A tail the open must scan: the crash took its sidecar.
+	// A tail the open must scan: no Close recorded it.
 	dir := t.TempDir()
 	writeShard(t, dir, 200)
 	path := lastSegPath(t, dir, "hp-00")
-	if err := os.Remove(strings.TrimSuffix(path, ".seg") + ".idx"); err != nil {
-		t.Fatal(err)
-	}
+	dropClosedTails(t, dir)
 	setVersion(t, path, '1')
 	wantFormatError(t, dir, path, 1)
 
-	// A sealed segment under trusted sidecars is not read at open, but no
+	// A sealed segment under a trusted entry is not read at open, but no
 	// scan reads it as data either.
 	dir = t.TempDir()
 	writeShard(t, dir, 200)

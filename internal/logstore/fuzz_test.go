@@ -1,7 +1,9 @@
 package logstore
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -18,27 +20,41 @@ import (
 	"repro/internal/obs"
 )
 
-// Both sidecars are trusted on what they say about themselves, so their
-// parsers read attacker-shaped bytes on the paths that skip a scan: the
-// reopen (readIndex) and the finalize's fold (foldNamesFile). Arbitrary
-// bytes must never panic either, and must be believed only when they
-// describe the segment they sit beside.
+// The manifest's segment entries and the names sidecars are trusted on
+// what they say about themselves, so their parsers read attacker-shaped
+// bytes on the paths that skip a scan: the reopen (an entry's extent)
+// and the finalize's fold (foldNamesFile). Arbitrary bytes must never
+// panic either, and must be believed only when they describe the
+// segment they stand for.
 
+// FuzzReadIndex opens a store whose MANIFEST is valid and CRC'd but
+// whose first sealed entry is arbitrary JSON: the SegmentInfo open
+// trusts instead of reading segment 1. The entry is believed exactly
+// when it names segment 1 at the file's size; any other parsed entry is
+// rebuilt from the segment, and a manifest that no longer parses, or
+// lists the shard's segments out of order, is rebuilt whole from the
+// directory.
 func FuzzReadIndex(f *testing.F) {
-	dir := f.TempDir()
-	writeShard(f, dir, 25)
-	shardDir := filepath.Join(dir, "hp-00")
-	seqs, err := listSegments(faultfs.OS{}, shardDir)
-	if err != nil || len(seqs) == 0 {
-		f.Fatalf("listing segments: %v (%d)", err, len(seqs))
+	tmpl := filepath.Join(f.TempDir(), "store")
+	writeShard(f, tmpl, 200)
+	man, err := readManifest(faultfs.OS{}, tmpl)
+	if err != nil || man == nil {
+		f.Fatalf("reading the manifest: %v", err)
 	}
-	seq := seqs[len(seqs)-1]
-	st, err := os.Stat(filepath.Join(shardDir, segName(seq)))
+	entry := man.Shards["hp-00"]
+	if len(entry.Sealed) < 2 || entry.Closed == nil {
+		f.Fatalf("want several sealed segments and a closed tail, got %+v", entry)
+	}
+	first := entry.Sealed[0]
+	rest, err := json.Marshal(entry.Sealed[1:])
 	if err != nil {
 		f.Fatal(err)
 	}
-	idxPath := filepath.Join(shardDir, idxName(seq))
-	good, err := os.ReadFile(idxPath)
+	closed, err := json.Marshal(entry.Closed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	good, err := json.Marshal(first)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -48,22 +64,55 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add([]byte(`{"seq":1e99}`))
 	f.Add([]byte("[]"))
 	f.Add([]byte{})
+	f.Add(bytes.Replace(good, []byte(`"records":`), []byte(`"records":9`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(idxPath, data, 0o644); err != nil {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(tmpl)); err != nil {
 			t.Fatal(err)
 		}
-		info, size, ok, err := readIndex(faultfs.OS{}, shardDir, seq)
+		body := `{"shards":{"hp-00":{"sealed":[` + string(data) + `,` + string(rest[1:]) +
+			`,"tail":` + itoa(int64(entry.Tail)) + `,"closed":` + string(closed) + `}}}`
+		if err := writeManifestBody(faultfs.OS{}, dir, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		parsed, parseErr := readManifest(faultfs.OS{}, dir)
+		reg := obs.New()
+		st, err := Open(dir, Options{SegmentBytes: 1 << 10, Metrics: reg})
+		if !json.Valid(data) && parseErr == nil {
+			// The bytes escaped the entry and reshaped the manifest around
+			// it: only surviving them is required.
+			if err == nil {
+				st.Close()
+			}
+			return
+		}
 		if err != nil {
-			t.Fatalf("readIndex over sidecar bytes %q: %v", data, err)
+			t.Fatalf("open under entry %q: %v", data, err)
 		}
-		if size != st.Size() {
-			t.Fatalf("size %d, want the segment's %d", size, st.Size())
+		defer st.Close()
+		sh, _ := st.Shard("hp-00")
+		got := sh.Segments()[0]
+		if parseErr != nil {
+			if n := reg.Counter("logstore.manifest.rebuilds").Load(); n != 1 {
+				t.Fatalf("entry %q: manifest rebuilds = %d, want 1", data, n)
+			}
+			if got != first || st.TotalRecords() != 200 {
+				t.Fatalf("entry %q: rebuilt store has %+v and %d records", data, got, st.TotalRecords())
+			}
+			return
 		}
-		if ok && (info.Seq != seq || info.Bytes != size) {
-			t.Fatalf("trusted %+v beside segment %d of %d bytes", info, seq, size)
+		e := parsed.Shards["hp-00"].Sealed[0]
+		if e.Seq == first.Seq && e.Bytes == first.Bytes {
+			if got != e {
+				t.Fatalf("an entry naming segment 1 at its size was not trusted: got %+v, entry %+v", got, e)
+			}
+			return
 		}
-		if !ok && info != (SegmentInfo{Seq: seq}) && info != (SegmentInfo{}) {
-			t.Fatalf("an untrusted sidecar leaked %+v to the caller", info)
+		if got != first {
+			t.Fatalf("entry %+v of segment 1 (%d bytes) was believed: got %+v", e, first.Bytes, got)
+		}
+		if n := reg.Counter("logstore.index.rebuilds").Load(); n == 0 {
+			t.Fatalf("entry %+v was replaced without a rebuild", e)
 		}
 	})
 }
@@ -339,9 +388,9 @@ func sealFrames(b []byte) []byte {
 }
 
 // plantSegment lays out a one-shard store whose segment 1 is seg: the
-// tail a crash left (no sidecar, so open scans it and truncates what
-// fails), or sealed under sidecars that describe it (trusted, so open
-// reads none of it and every byte meets the scan).
+// tail a crash left (no closed-tail entry, so open scans it and
+// truncates what fails), or sealed under a manifest entry that describes
+// it (trusted, so open reads none of it and every byte meets the scan).
 func plantSegment(t *testing.T, dir string, seg []byte, sealed bool) {
 	t.Helper()
 	shardDir := filepath.Join(dir, "hp-00")
@@ -358,12 +407,7 @@ func plantSegment(t *testing.T, dir string, seg []byte, sealed bool) {
 		if err := os.WriteFile(filepath.Join(shardDir, segName(2)), []byte(segMagic), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, si := range []SegmentInfo{info, tail} {
-			if err := writeIndex(faultfs.OS{}, shardDir, si); err != nil {
-				t.Fatal(err)
-			}
-		}
-		entry = manifestShard{Sealed: []SegmentInfo{info}, Tail: 2}
+		entry = manifestShard{Sealed: []SegmentInfo{info}, Tail: 2, Closed: &tail}
 	}
 	if err := writeManifest(faultfs.OS{}, dir, &manifestData{Shards: map[string]manifestShard{"hp-00": entry}}); err != nil {
 		t.Fatal(err)
@@ -371,7 +415,7 @@ func plantSegment(t *testing.T, dir string, seg []byte, sealed bool) {
 }
 
 // FuzzSegmentBytes plants arbitrary frames — with their CRCs fixed up or
-// not — as a tail segment and as a sealed one under trusted sidecars.
+// not — as a tail segment and as a sealed one under a trusted entry.
 // Open recovers the tail to its intact prefix; an Iterator and an
 // in-order ReadSince drain then deliver the same records and end the
 // same way, in io.EOF or errCorrupt, with no record after the error.

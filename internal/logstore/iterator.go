@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"path/filepath"
 	"time"
@@ -65,7 +66,9 @@ func newIterator(shards []*Shard, from, to time.Time, busy *obs.Counter) (*Itera
 			m.Close()
 			return nil, err
 		}
-		m.cursors = append(m.cursors, &shardCursor{sh: sh, segs: segs, from: from, to: to, pool: pool})
+		c := newCursor(sh, segs, Checkpoint{}, pool, sh.m)
+		c.from, c.to = from, to
+		m.cursors = append(m.cursors, c)
 	}
 	return &Iterator{ra: logging.ReadAhead(m), busy: busy}, nil
 }
@@ -97,6 +100,7 @@ func (m *merger) Fill(dst []logging.Record) (int, error) {
 		for i, c := range m.cursors {
 			err := c.next()
 			if errors.Is(err, io.EOF) {
+				c.closeReader()
 				continue
 			}
 			if err != nil {
@@ -120,6 +124,7 @@ func (m *merger) Fill(dst []logging.Record) (int, error) {
 		dst[n] = c.rec
 		switch err := c.next(); {
 		case errors.Is(err, io.EOF):
+			c.closeReader()
 			last := len(m.h) - 1
 			m.h[0] = m.h[last]
 			m.h = m.h[:last]
@@ -176,65 +181,107 @@ func (m *merger) Close() error {
 	return nil
 }
 
-// shardCursor streams one shard's records in append order within the
-// snapshot taken at iterator creation, skipping whole segments whose
-// index falls outside the time window. The current record lives in the
-// cursor and every decode overwrites it in place.
+// shardCursor is a shard's one reader: the Iterator runs one per shard,
+// ReadSince parks one between calls, the names recount walks a segment
+// with one. It streams records in append order within a snapshot of the
+// shard's segments, from a Checkpoint, and holds each segment to its
+// snapshot extent: a frame that fails its CRC or decode, or a segment
+// that ends before its Bytes, is errCorrupt. The current record lives
+// in the cursor and every decode overwrites it in place.
 type shardCursor struct {
 	sh       *Shard
 	segs     []SegmentInfo
-	from, to time.Time
-	seg      int // index into segs of the segment being read
-	r        *segmentReader
-	pool     *intern.Pool   // shared across the iterator's cursors
+	from, to time.Time      // time window (zero: open); segments outside it are skipped
+	seg      int            // index into segs of the segment being read
+	off      int64          // where the cursor stands in it: the next frame
+	r        *segmentReader // standing at off; nil until a frame is read
+	pool     *intern.Pool   // interns literal strings, often across cursors
+	m        storeMetrics   // scan telemetry (zero = disabled)
 	rec      logging.Record // valid after a nil-error next
 }
 
-// next advances rec to the shard's next record inside the window.
+// newCursor returns a cursor over segs (at least one: a shard always
+// has its tail) standing at cp: in the first segment numbered cp.Seg or
+// later, at cp.Off if it is cp.Seg's own.
+func newCursor(sh *Shard, segs []SegmentInfo, cp Checkpoint, pool *intern.Pool, m storeMetrics) *shardCursor {
+	c := &shardCursor{sh: sh, segs: segs, seg: len(segs) - 1, off: segHeaderSize, pool: pool, m: m}
+	for i, si := range segs {
+		if si.Seq >= cp.Seg {
+			c.seg = i
+			if si.Seq == cp.Seg && cp.Off > segHeaderSize {
+				c.off = cp.Off
+			}
+			break
+		}
+	}
+	return c
+}
+
+// pos returns the checkpoint the cursor stands at: just past the last
+// record next delivered, or the end of its snapshot once it is drained.
+func (c *shardCursor) pos() Checkpoint {
+	return Checkpoint{Seg: c.segs[c.seg].Seq, Off: c.off}
+}
+
+// next advances rec to the shard's next record inside the window. At the
+// end of the snapshot it returns io.EOF and stays in the last segment,
+// so that a later snapshot in which it grew can resume it.
 func (c *shardCursor) next() error {
 	for {
-		if c.r == nil {
-			// Advance to the next segment that can contain records in
-			// the window.
-			for c.seg < len(c.segs) && !c.segs[c.seg].overlaps(c.from, c.to) {
-				c.seg++
-			}
-			if c.seg >= len(c.segs) {
+		si := &c.segs[c.seg]
+		if c.off >= si.Bytes || (c.r == nil && !si.overlaps(c.from, c.to)) {
+			if c.seg == len(c.segs)-1 {
 				return io.EOF
 			}
-			r, err := openSegmentReader(c.sh.fs, filepath.Join(c.sh.dir, segName(c.segs[c.seg].Seq)), c.pool, c.sh.m)
-			if errors.Is(err, io.EOF) {
-				c.seg++
-				continue
-			}
-			if err != nil {
+			c.closeReader()
+			c.seg++
+			c.off = segHeaderSize
+			continue
+		}
+		if c.r == nil {
+			if err := c.open(); err != nil {
 				return err
 			}
-			c.r = r
 		}
-		si := c.segs[c.seg]
-		if c.r.off >= si.Bytes {
-			c.closeReader()
-			c.seg++
-			continue
-		}
-		_, err := c.r.next(&c.rec)
-		if errors.Is(err, io.EOF) {
-			c.closeReader()
-			c.seg++
-			continue
-		}
-		if err != nil {
+		if _, err := c.r.next(&c.rec); err != nil {
+			if errors.Is(err, io.EOF) {
+				return c.short(c.r.off)
+			}
 			return err
 		}
-		if !c.from.IsZero() && c.rec.Time.Before(c.from) {
-			continue
+		c.off = c.r.off
+		if (c.from.IsZero() || !c.rec.Time.Before(c.from)) && (c.to.IsZero() || c.rec.Time.Before(c.to)) {
+			return nil
 		}
-		if !c.to.IsZero() && !c.rec.Time.Before(c.to) {
-			continue
-		}
-		return nil
 	}
+}
+
+// open opens the current segment's reader and replays its frames up to
+// off, so that it stands there with the codec state the next frame is
+// coded against.
+func (c *shardCursor) open() error {
+	path := filepath.Join(c.sh.dir, segName(c.segs[c.seg].Seq))
+	r, err := openSegmentReader(c.sh.fs, path, c.pool, c.m)
+	if errors.Is(err, io.EOF) {
+		return c.short(0)
+	}
+	if err != nil {
+		return err
+	}
+	if err := r.skipTo(c.off); err != nil {
+		r.Close()
+		return fmt.Errorf("logstore: resuming %s at %d: %w", path, c.off, err)
+	}
+	c.r = r
+	return nil
+}
+
+// short is the error of a segment whose frames run out at byte end,
+// before the extent the snapshot gives it.
+func (c *shardCursor) short(end int64) error {
+	si := c.segs[c.seg]
+	return fmt.Errorf("%w: %s ends at byte %d of the %d its index covers",
+		errCorrupt, filepath.Join(c.sh.dir, segName(si.Seq)), end, si.Bytes)
 }
 
 func (c *shardCursor) closeReader() {

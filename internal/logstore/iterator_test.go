@@ -35,7 +35,9 @@ func plainMerge(t *testing.T, st *Store, from, to time.Time) []logging.Record {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.cursors = append(m.cursors, &shardCursor{sh: sh, segs: segs, from: from, to: to, pool: pool})
+		c := newCursor(sh, segs, Checkpoint{}, pool, sh.m)
+		c.from, c.to = from, to
+		m.cursors = append(m.cursors, c)
 	}
 	var out []logging.Record
 	for {

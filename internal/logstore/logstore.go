@@ -11,13 +11,11 @@
 //
 // Layout:
 //
-//	<dir>/MANIFEST               the shards' sealed segments and tails
-//	<dir>/<shard>/00000001.seg   CRC-framed records (codec.go)
-//	<dir>/<shard>/00000001.idx   sparse index sidecar of a sealed segment
+//	<dir>/MANIFEST               the index: every shard's segments and their extents
+//	<dir>/<shard>/00000001.seg   CRC-framed records (codec.go), a sealed segment
 //	<dir>/<shard>/00000001.names its distinct file names and their counts
 //	<dir>/<shard>/00000002.seg   active segment (tail of the shard)
-//	<dir>/<shard>/00000002.idx   its sidecars, once the shard closed cleanly
-//	<dir>/<shard>/00000002.names
+//	<dir>/<shard>/00000002.names its table, once the shard closed cleanly
 //
 // Each segment frame is [u32 length][u32 CRC-32C][body]. The body codes
 // one record against the state the segment's earlier frames leave behind
@@ -30,25 +28,27 @@
 // state, so a torn tail recovers exactly as a stateless one would, and
 // the state at any frame is a replay of the frames before it: a writer
 // resuming on a tail it did not write replays it once, and ReadSince
-// parks its reader between calls so an in-order collector never replays
+// parks its cursor between calls so an in-order collector never replays
 // (Shard.ReadSince). The MANIFEST and segment magics carry the format
 // version (v2); Open refuses a store of another version with a
 // *FormatError and leaves it untouched.
 //
-// Segments rotate at a size threshold; sealed segments get an index
-// sidecar recording record count and min/max timestamp, which lets
-// time-bounded scans skip whole segments. A clean Close leaves the same
-// sidecar beside the tail, so reopening a finished store reads no
-// segment at all (index.go has the trust model). Without a matching one
-// — after a crash — the tail is scanned on open: a torn end (crash
-// mid-append) is detected by CRC and truncated, and appends resume at
-// the last good frame.
+// Segments rotate at a size threshold. The MANIFEST records each sealed
+// segment's SegmentInfo (record count, min/max timestamp, bytes), which
+// lets time-bounded scans skip whole segments, and a clean Close records
+// the tail's, so reopening a finished store reads no segment at all
+// (manifest.go has the trust model). After a crash the tail is scanned
+// on open instead, its torn end truncated at the last good frame.
+//
+// Every read of records — the merged Iterator, ReadSince, the names
+// recount — goes through one cursor (shardCursor), which fails with
+// errCorrupt, naming the segment, at a frame that does not check and at
+// a segment that ends before its recorded extent.
 //
 // Each shard also counts the distinct file names of its active segment
-// as records are appended and leaves the table beside the segment with
-// the index. Store.NameCounts folds the tables, which gives the finalize
-// pipeline its corpus-wide name frequencies without a pass over the
-// records (names.go).
+// and leaves the table beside the segment when it is sealed or closed;
+// Store.NameCounts folds the tables into the finalize's corpus-wide name
+// frequencies without a pass over the records (names.go).
 //
 // Readers address positions with Checkpoints (segment sequence + byte
 // offset); the control plane's incremental collection stores a checkpoint
@@ -137,8 +137,9 @@ type Store struct {
 	shards map[string]*Shard
 	quar   []Quarantine // data refused at open; see Quarantined
 
-	manMu sync.Mutex // guards man and the MANIFEST file
-	man   *manifestData
+	manMu    sync.Mutex // guards man, manDirty and the MANIFEST file
+	man      *manifestData
+	manDirty bool // man holds changes the file does not (see noteTail)
 
 	flushStop chan struct{} // closes the background flusher, if any
 	flushDone chan struct{}
@@ -146,9 +147,10 @@ type Store struct {
 
 // Open opens (or creates) a store rooted at dir. Existing shards are
 // recovered against the store manifest: each shard's sealed list and
-// tail come from the manifest, a tail segment without the sidecar of a
-// clean close is scanned and any torn part truncated so appends resume
-// cleanly, and segments the manifest does not account for are
+// tail come from the manifest, a segment whose entry does not match its
+// file (a tail without the entry of a clean close) is scanned and any
+// torn part truncated so appends resume cleanly, and segments the
+// manifest does not account for are
 // quarantined (see Quarantined). A store predating the manifest adopts
 // every segment it finds and writes one. Opening a cleanly closed store
 // changes nothing on disk, and neither does opening a store of another
@@ -211,7 +213,7 @@ func Open(dir string, opt Options) (*Store, error) {
 			// The manifest promised a shard the disk lost. An empty entry
 			// (tail 1, nothing sealed) is the benign crash window of
 			// manifest-first shard creation; anything else is a gap.
-			if len(entry.Sealed) > 0 || entry.Tail > 1 {
+			if len(entry.Sealed) > 0 || entry.Tail > 1 || (entry.Closed != nil && entry.Closed.Records > 0) {
 				s.m.quarantines.Inc()
 				s.quar = append(s.quar, Quarantine{Shard: name, Reason: "shard directory missing"})
 			}
@@ -219,10 +221,17 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 	// What the shards actually recovered is the new truth; persist it
 	// unless it is what the manifest already says, so that reopening an
-	// unchanged store writes nothing.
+	// unchanged store writes nothing. A closed tail's entry stays only
+	// while it is still exactly what the tail holds.
 	s.man = &manifestData{Shards: make(map[string]manifestShard, len(s.shards))}
 	for name, sh := range s.shards {
-		s.man.Shards[name] = manifestShard{Sealed: append([]SegmentInfo(nil), sh.sealed...), Tail: sh.active.Seq}
+		entry := manifestShard{Sealed: append([]SegmentInfo(nil), sh.sealed...), Tail: sh.active.Seq}
+		if man != nil {
+			if c := man.Shards[name].Closed; c != nil && *c == sh.active {
+				entry.Closed = c
+			}
+		}
+		s.man.Shards[name] = entry
 	}
 	if !reflect.DeepEqual(man, s.man) {
 		if err := writeManifest(fsys, dir, s.man); err != nil {
@@ -341,7 +350,9 @@ func (s *Store) Flush() error {
 	return nil
 }
 
-// Close flushes and closes every shard. The store must not be used after.
+// Close flushes and closes every shard, then writes the manifest once if
+// a shard's closed-tail entry changed (see noteTail) or an earlier write
+// of it failed. The store must not be used after.
 func (s *Store) Close() error {
 	if s.flushStop != nil {
 		close(s.flushStop)
@@ -357,6 +368,13 @@ func (s *Store) Close() error {
 		}
 	}
 	s.shards = make(map[string]*Shard)
+	s.manMu.Lock()
+	defer s.manMu.Unlock()
+	if s.manDirty {
+		if err := s.saveManifestLocked(); err != nil && first == nil {
+			first = err
+		}
+	}
 	return first
 }
 
@@ -369,7 +387,7 @@ func (s *Store) Iterator() (*Iterator, error) {
 
 // IteratorRange is Iterator restricted to records with from ≤ t < to
 // (zero bounds are open). Whole segments outside the window are skipped
-// via the sparse per-segment indexes.
+// via the manifest's per-segment time bounds.
 func (s *Store) IteratorRange(from, to time.Time) (*Iterator, error) {
 	names := s.ShardNames()
 	shards := make([]*Shard, 0, len(names))

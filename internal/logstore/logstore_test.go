@@ -1,6 +1,7 @@
 package logstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -90,16 +91,21 @@ func TestAppendIterateRoundTrip(t *testing.T) {
 		t.Errorf("TotalRecords = %d, want 300", n)
 	}
 
-	// The volume must have rotated: multiple segments with sidecars.
+	// The volume must have rotated: multiple segments, each sealed one
+	// indexed in the manifest as the shard indexes it.
 	sh, _ := st.Shard("hp-00")
 	segs := sh.Segments()
 	if len(segs) < 2 {
 		t.Fatalf("expected rotation, got %d segments", len(segs))
 	}
+	man, err := readManifest(faultfs.OS{}, st.Dir())
+	if err != nil || man == nil {
+		t.Fatalf("reading the manifest: %v", err)
+	}
+	if sealed := man.Shards["hp-00"].Sealed; !reflect.DeepEqual(sealed, segs[:len(segs)-1]) {
+		t.Errorf("manifest indexes the sealed segments as\n %+v\nthe shard as\n %+v", sealed, segs[:len(segs)-1])
+	}
 	for _, si := range segs[:len(segs)-1] {
-		if _, err := os.Stat(filepath.Join(sh.dir, idxName(si.Seq))); err != nil {
-			t.Errorf("sealed segment %d lacks index sidecar: %v", si.Seq, err)
-		}
 		if si.Records == 0 || si.MinUnixNano > si.MaxUnixNano {
 			t.Errorf("segment %d index implausible: %+v", si.Seq, si)
 		}
@@ -275,6 +281,11 @@ func TestIteratorRangeSkipsAndBounds(t *testing.T) {
 }
 
 func TestIndexSidecarRebuilt(t *testing.T) {
+	// The manifest is the only index of a sealed segment. An edit the CRC
+	// catches costs a rebuild of the whole manifest from the segments; an
+	// entry under a valid CRC that no longer fits its file costs a
+	// rebuild of that one entry. Either way every entry comes back as the
+	// segments say, and nothing the edit claimed is believed.
 	dir := t.TempDir()
 	st, err := Open(dir, smallOpts())
 	if err != nil {
@@ -290,29 +301,57 @@ func TestIndexSidecarRebuilt(t *testing.T) {
 	}
 	st.Close()
 
-	// Delete one sidecar and corrupt another: reopen must rebuild both.
-	shardDir := filepath.Join(dir, "hp-00")
-	if err := os.Remove(filepath.Join(shardDir, idxName(segs[0].Seq))); err != nil {
-		t.Fatal(err)
+	reopen := func(t *testing.T, wantManifestRebuilds, wantIndexRebuilds uint64) {
+		t.Helper()
+		reg := obs.New()
+		opt := smallOpts()
+		opt.Metrics = reg
+		st, err := Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		sh, _ := st.Shard("hp-00")
+		if n := sh.Count(); n != 200 {
+			t.Errorf("count after rebuild = %d, want 200", n)
+		}
+		got := sh.Segments()
+		for i := range got[:len(got)-1] {
+			if got[i] != segs[i] {
+				t.Errorf("segment %d index after rebuild:\n got %+v\nwant %+v", i, got[i], segs[i])
+			}
+		}
+		if n := reg.Counter("logstore.manifest.rebuilds").Load(); n != wantManifestRebuilds {
+			t.Errorf("manifest rebuilds = %d, want %d", n, wantManifestRebuilds)
+		}
+		if n := reg.Counter("logstore.index.rebuilds").Load(); n != wantIndexRebuilds {
+			t.Errorf("index rebuilds = %d, want %d", n, wantIndexRebuilds)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(shardDir, idxName(segs[1].Seq)), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(dir, smallOpts())
+
+	// An edited record count fails the manifest's CRC: the open rebuilds
+	// the manifest, rescanning every sealed segment.
+	path := filepath.Join(dir, manifestName)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	sh2, _ := st2.Shard("hp-00")
-	if n := sh2.Count(); n != 200 {
-		t.Errorf("count after sidecar rebuild = %d, want 200", n)
+	count := fmt.Sprintf(`"records":%d,`, segs[0].Records)
+	if !bytes.Contains(b, []byte(count)) {
+		t.Fatalf("manifest does not carry %s", count)
 	}
-	segs2 := sh2.Segments()
-	for i := range segs2[:len(segs2)-1] {
-		if !reflect.DeepEqual(segs2[i], segs[i]) {
-			t.Errorf("segment %d index mismatch after rebuild:\n got %+v\nwant %+v", i, segs2[i], segs[i])
-		}
+	if err := os.WriteFile(path, bytes.Replace(b, []byte(count), []byte(`"records":9`+count[len(`"records":`):]), 1), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	reopen(t, 1, uint64(len(segs)-1))
+
+	// A stale extent under a valid CRC: only that entry is rebuilt.
+	editManifest(t, dir, func(m *manifestData) {
+		m.Shards["hp-00"].Sealed[1].Bytes++
+		m.Shards["hp-00"].Sealed[1].Records = 962
+	})
+	reopen(t, 0, 1)
+	reopen(t, 0, 0) // and written back: the next open trusts it again
 }
 
 func TestShardNameValidation(t *testing.T) {

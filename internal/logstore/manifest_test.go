@@ -44,26 +44,54 @@ func TestZeroLengthTailSegment(t *testing.T) {
 	reopenAndCount(t, dir, sealed)
 }
 
+// editManifest rewrites dir's MANIFEST through edit, CRC and all.
+func editManifest(t testing.TB, dir string, edit func(*manifestData)) {
+	t.Helper()
+	m, err := readManifest(faultfs.OS{}, dir)
+	if err != nil || m == nil {
+		t.Fatalf("reading the manifest: %v", err)
+	}
+	edit(m)
+	if err := writeManifest(faultfs.OS{}, dir, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dropClosedTails removes every closed-tail entry from dir's MANIFEST —
+// the manifest a crash leaves, where no Close recorded the tails — and
+// returns how many there were.
+func dropClosedTails(t testing.TB, dir string) int {
+	t.Helper()
+	n := 0
+	editManifest(t, dir, func(m *manifestData) {
+		for name, e := range m.Shards {
+			if e.Closed != nil {
+				n++
+			}
+			e.Closed = nil
+			m.Shards[name] = e
+		}
+	})
+	return n
+}
+
 func TestTruncatedIndexSidecarRebuilt(t *testing.T) {
-	// A sidecar cut mid-JSON (crash during the pre-rename write, or a
-	// torn legacy store) must not poison recovery: the legacy adoption
-	// path rescans the segment and repairs the sidecar.
+	// A manifest cut mid-JSON (a torn write of a filesystem that does not
+	// rename atomically, or a torn copy) must not poison recovery: the
+	// open rebuilds every entry from the segments and writes the manifest
+	// whole again.
 	dir := t.TempDir()
 	writeShard(t, dir, 200)
 	seqs, err := listSegments(faultfs.OS{}, filepath.Join(dir, "hp-00"))
 	if err != nil || len(seqs) < 3 {
 		t.Fatalf("want several segments, got %d (%v)", len(seqs), err)
 	}
-	idx := filepath.Join(dir, "hp-00", idxName(seqs[0]))
-	b, err := os.ReadFile(idx)
+	path := filepath.Join(dir, manifestName)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(idx, b[:len(b)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Drop the manifest so the reopen takes the sidecar-reading path.
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.New()
@@ -77,16 +105,13 @@ func TestTruncatedIndexSidecarRebuilt(t *testing.T) {
 	if n := int(st.TotalRecords()); n != 200 {
 		t.Fatalf("recovered %d records, want 200", n)
 	}
-	if got := reg.Counter("logstore.index.rebuilds").Load(); got == 0 {
-		t.Error("truncated sidecar did not count as an index rebuild")
+	if got := reg.Counter("logstore.index.rebuilds").Load(); got != uint64(len(seqs)-1) {
+		t.Errorf("index rebuilds = %d, want one per sealed segment (%d)", got, len(seqs)-1)
 	}
-	// The repaired sidecar must now parse as long as the original.
-	fixed, err := os.ReadFile(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fixed) <= len(b)/2 {
-		t.Error("sidecar was not rewritten")
+	// The rewritten manifest parses and indexes every sealed segment.
+	m, err := readManifest(faultfs.OS{}, dir)
+	if err != nil || m == nil || len(m.Shards["hp-00"].Sealed) != len(seqs)-1 {
+		t.Fatalf("manifest after the rebuild: %+v, %v", m, err)
 	}
 }
 

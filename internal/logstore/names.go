@@ -21,8 +21,8 @@ import (
 // names are low-cardinality, and the finalize pipeline needs their
 // corpus-wide counts before it rewrites the first one: folding these
 // tables (Store.NameCounts) replaces a scan of every record by a read of
-// a few kilobytes per segment. index.go has the trust model; the format
-// is
+// a few kilobytes per segment. manifest.go has the trust model; the
+// format is
 //
 //	"EDLNAM1\n" | u64 seq | u64 bytes | u32 entries |
 //	entries × (uvarint len, name, uvarint count) | u32 crc32
@@ -189,31 +189,25 @@ func (sh *Shard) foldSegmentNames(si SegmentInfo, fn func(name string, n int)) e
 	return nil
 }
 
-// rebuildNames recounts segment si's file names from its frames, every
-// one CRC-checked: damage inside the covered bytes is errCorrupt here as
-// it would be for the scan this table stands in for.
+// rebuildNames recounts segment si's file names from its frames through
+// a cursor, every frame CRC-checked: damage inside the covered bytes,
+// and a segment shorter than them, is errCorrupt here as it would be for
+// the scan this table stands in for.
 func (sh *Shard) rebuildNames(si SegmentInfo) (*nameTable, error) {
 	sh.m.nameRebuilds.Inc()
 	t := newNameTable(0)
-	path := filepath.Join(sh.dir, segName(si.Seq))
-	r, err := openSegmentReader(sh.fs, path, intern.NewPool(), storeMetrics{})
-	if errors.Is(err, io.EOF) {
-		return t, nil // shorter than the magic: empty
-	}
-	if err != nil {
-		return nil, fmt.Errorf("logstore: rebuilding names of %s: %w", path, err)
-	}
-	defer r.Close()
-	var rec logging.Record
-	for r.off < si.Bytes {
-		if _, err := r.next(&rec); errors.Is(err, io.EOF) {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("logstore: rebuilding names of %s: %w", path, err)
+	c := newCursor(sh, []SegmentInfo{si}, Checkpoint{}, intern.NewPool(), storeMetrics{})
+	defer c.closeReader()
+	for {
+		err := c.next()
+		if errors.Is(err, io.EOF) {
+			return t, nil
 		}
-		t.observe(&rec)
+		if err != nil {
+			return nil, fmt.Errorf("logstore: rebuilding names of %s/%s: %w", sh.name, segName(si.Seq), err)
+		}
+		t.observe(&c.rec)
 	}
-	return t, nil
 }
 
 // nameCounts folds the shard's segments' tables into fn. The tail's live
@@ -226,9 +220,7 @@ func (sh *Shard) nameCounts(fn func(name string, n int)) error {
 	var live *nameTable
 	if err == nil && sh.err == nil && !sh.closed && sh.names != nil {
 		live = sh.names
-		if sh.writeSidecarsLocked() == nil {
-			sh.indexed = true
-		}
+		_ = sh.writeNamesLocked()
 		// Written or not, the fold below owns the table now; one that
 		// could not be written is rebuilt by whoever needs it next.
 		sh.names = nil

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -125,16 +124,14 @@ func TestRecoveryCorruptTailFrame(t *testing.T) {
 	// A crash mid-append persisted the last frame only in part: flip a
 	// byte inside its body. The CRC catches it and recovery truncates
 	// that frame as a crash artifact. The process that crashed never
-	// reached Close, so there is no sidecar over the tail — remove the
-	// one writeShard's clean close left (with it in place this would be
+	// reached Close, so the manifest records no tail — drop the entry
+	// writeShard's clean close recorded (with it in place this would be
 	// in-place corruption of a closed store, which open does not look
 	// for: TestTrustedSidecarOverCorruptBytesFailsLoudly).
 	dir := t.TempDir()
 	writeShard(t, dir, 25)
 	path := lastSegPath(t, dir, "hp-00")
-	if err := os.Remove(strings.TrimSuffix(path, ".seg") + ".idx"); err != nil {
-		t.Fatal(err)
-	}
+	dropClosedTails(t, dir)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -52,11 +52,9 @@ func frameCRC(body []byte) uint32 { return crc32.Checksum(body, castagnoli) }
 // segName formats a segment's file name from its sequence number.
 func segName(seq uint64) string { return fmt.Sprintf("%08d.seg", seq) }
 
-// idxName formats the index sidecar name of a segment.
-func idxName(seq uint64) string { return fmt.Sprintf("%08d.idx", seq) }
-
-// errCorrupt marks a frame that is present but fails its CRC or bounds:
-// unlike a torn tail, this is real corruption mid-file.
+// errCorrupt marks a frame that is present but fails its CRC or bounds,
+// or a read that runs out of frames inside the extent the segment's
+// index promises: unlike a torn tail at recovery, this is real damage.
 var errCorrupt = errors.New("logstore: corrupt segment frame")
 
 // FormatError is what opening a store (or reading a segment) written in
@@ -266,7 +264,7 @@ type SegmentInfo struct {
 	MinUnixNano int64 `json:"min_unix_nano"`
 	MaxUnixNano int64 `json:"max_unix_nano"`
 	// Bytes is the segment file size covered by the index; a mismatch
-	// with the on-disk size marks the sidecar stale.
+	// with the on-disk size marks the manifest entry stale.
 	Bytes int64 `json:"bytes"`
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/intern"
 	"repro/internal/logging"
+	"repro/internal/obs"
 )
 
 // Shard is one honeypot's append-only log: a directory of segments. It
@@ -40,17 +41,13 @@ type Shard struct {
 	// against (codec.go): reset by startSegment, nil for a tail the shard
 	// adopted until openActive replays it.
 	enc *segState
-	// parked is the reader the last ReadSince stopped with, positioned
-	// in segment parkedSeq at the checkpoint it returned, so that the
-	// next call from there resumes without replaying the segment.
-	// tailGen counts openTail calls: a reader taken before a recovery may
-	// have buffered bytes the recovery truncated, so it is not parked.
-	parked    *segmentReader
-	parkedSeq uint64
-	tailGen   uint64
-	// indexed: the tail's sidecar on disk describes active exactly (a
-	// trusted reopen with no append since), so Close has nothing to write.
-	indexed bool
+	// parked is the cursor the last ReadSince stopped with, standing at
+	// the checkpoint it returned, so that the next call from there
+	// resumes without replaying the segment. tailGen counts openTail
+	// calls: a cursor taken before a recovery may have buffered bytes the
+	// recovery truncated, so it is not parked.
+	parked  *shardCursor
+	tailGen uint64
 	// names counts the file names of the active segment, from its first
 	// frame to active.Bytes; nil when the shard did not see all of those
 	// appended (an adopted tail), or once the table is on disk (names.go).
@@ -72,9 +69,10 @@ type Shard struct {
 // segment's torn tail if the last run crashed mid-append. With a
 // manifest entry, the manifest is the authority: segments it does not
 // list are quarantined (returned for the caller to surface), sealed
-// segments it lists but the disk lost are reported the same way. With
-// man == nil every segment found on disk is adopted (legacy stores,
-// brand-new shards).
+// segments it lists but the disk lost are reported the same way, and
+// each segment's extent is its entry's where that can be trusted
+// (manifest.go). With man == nil every segment found on disk is adopted
+// and scanned (legacy stores, brand-new shards).
 func openShard(fsys faultfs.FS, dir, name string, opt Options, man *manifestShard) (*Shard, []Quarantine, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("logstore: %w", err)
@@ -90,13 +88,13 @@ func openShard(fsys faultfs.FS, dir, name string, opt Options, man *manifestShar
 			return sh, nil, sh.startSegment(1)
 		}
 		for _, seq := range seqs[:len(seqs)-1] {
-			info, err := loadIndex(fsys, dir, seq, sh.m)
+			info, err := sh.adopt(seq, nil, sh.m.rebuilds, false)
 			if err != nil {
 				return nil, nil, err
 			}
 			sh.sealed = append(sh.sealed, info)
 		}
-		_, err := sh.openTail(seqs[len(seqs)-1])
+		_, err := sh.openTail(seqs[len(seqs)-1], nil)
 		return sh, nil, err
 	}
 
@@ -104,37 +102,38 @@ func openShard(fsys faultfs.FS, dir, name string, opt Options, man *manifestShar
 	for _, seq := range seqs {
 		have[seq] = true
 	}
-	sealedSeqs := make([]uint64, 0, len(man.Sealed)+1)
-	for _, si := range man.Sealed {
-		sealedSeqs = append(sealedSeqs, si.Seq)
-	}
-	tail := man.Tail
-	if tail == 0 {
-		tail = 1
-	}
-	if have[tail+1] {
-		// Crash between a rotation's new-segment create and its manifest
-		// note: the successor already exists on disk, so the manifest's
-		// tail is really sealed and the successor is the live tail.
-		sealedSeqs = append(sealedSeqs, tail)
-		tail++
-	}
 	var quar []Quarantine
-	known := make(map[uint64]bool, len(sealedSeqs)+1)
-	for _, seq := range sealedSeqs {
+	known := make(map[uint64]bool, len(man.Sealed)+2)
+	seal := func(seq uint64, entry *SegmentInfo) error {
 		known[seq] = true
 		if !have[seq] {
 			// The manifest promised a sealed segment the disk lost: its
 			// records are gone — surface the gap instead of hiding it.
 			sh.m.quarantines.Inc()
 			quar = append(quar, Quarantine{Shard: name, Seq: seq, Reason: "sealed segment missing from disk"})
-			continue
+			return nil
 		}
-		info, err := loadIndex(fsys, dir, seq, sh.m)
+		info, err := sh.adopt(seq, entry, sh.m.rebuilds, false)
 		if err != nil {
-			return nil, quar, err
+			return err
 		}
 		sh.sealed = append(sh.sealed, info)
+		return nil
+	}
+	for i := range man.Sealed {
+		if err := seal(man.Sealed[i].Seq, &man.Sealed[i]); err != nil {
+			return nil, quar, err
+		}
+	}
+	tail, closed := max(man.Tail, 1), man.Closed
+	if have[tail+1] {
+		// Crash between a rotation's new-segment create and its manifest
+		// note: the successor already exists on disk, so the manifest's
+		// tail is really sealed and the successor is the live tail.
+		if err := seal(tail, closed); err != nil {
+			return nil, quar, err
+		}
+		tail, closed = tail+1, nil
 	}
 	known[tail] = true
 	for _, seq := range seqs {
@@ -156,64 +155,76 @@ func openShard(fsys faultfs.FS, dir, name string, opt Options, man *manifestShar
 		// between the manifest note and the create): start it now.
 		return sh, quar, sh.startSegment(tail)
 	}
-	_, err = sh.openTail(tail)
+	_, err = sh.openTail(tail, closed)
 	return sh, quar, err
 }
 
-// openTail adopts the tail segment. A sidecar that matches the file
-// exactly — what a clean Close leaves — is trusted as loadIndex trusts a
-// sealed segment's, and the segment is neither read nor opened. Anything
-// else is what a crash leaves: scan the segment and truncate whatever
-// tore, so appends resume at the last intact frame. Caller holds mu (or
-// is the constructor).
-func (sh *Shard) openTail(seq uint64) (SegmentInfo, error) {
+// adopt returns segment seq's extent: entry (nil: none) when it can be
+// trusted — it names seq and covers the file to its last byte — else a
+// scan of the segment, counted in scans, truncated to its last intact
+// frame. Only a tail may end in a corrupt frame: that is a partially
+// persisted append, truncated like a short one. Caller holds mu (or is
+// the constructor).
+func (sh *Shard) adopt(seq uint64, entry *SegmentInfo, scans *obs.Counter, tail bool) (SegmentInfo, error) {
+	path := filepath.Join(sh.dir, segName(seq))
+	st, err := sh.fs.Stat(path)
+	if err != nil {
+		return SegmentInfo{}, fmt.Errorf("logstore: recovering %s: %w", path, err)
+	}
+	if entry != nil && entry.Seq == seq && entry.Bytes == st.Size() {
+		return *entry, nil
+	}
+	scans.Inc()
+	info, good, err := scanSegment(sh.fs, path, seq)
+	if err != nil && !(tail && errors.Is(err, errCorrupt)) {
+		return info, fmt.Errorf("logstore: recovering %s: %w", path, err)
+	}
+	if good != st.Size() {
+		sh.m.truncations.Inc()
+		if err := truncateFile(sh.fs, path, good); err != nil {
+			return info, err
+		}
+	}
+	info.Bytes = good
+	return info, nil
+}
+
+// openTail adopts the tail segment, trusting entry as adopt does: what a
+// clean Close records leaves the segment neither read nor opened, and
+// what a crash leaves is scanned and truncated, so appends resume at the
+// last intact frame. Caller holds mu (or is the constructor).
+func (sh *Shard) openTail(seq uint64, entry *SegmentInfo) (SegmentInfo, error) {
 	// Whatever table and codec state the shard held counted appends a
-	// recovery may be about to cut off, and a parked reader may hold
+	// recovery may be about to cut off, and a parked cursor may hold
 	// bytes it truncates; an adopted tail's names come from its sidecar or
 	// a rebuild, when someone asks, and its state from a replay, when the
 	// shard appends.
 	sh.names, sh.enc = nil, nil
 	sh.unpark()
 	sh.tailGen++
-	path := filepath.Join(sh.dir, segName(seq))
-	info, size, ok, err := readIndex(sh.fs, sh.dir, seq)
+	info, err := sh.adopt(seq, entry, sh.m.tailScans, true)
 	if err != nil {
-		return info, fmt.Errorf("logstore: recovering %s: %w", path, err)
+		return info, err
 	}
-	if !ok {
-		sh.m.tailScans.Inc()
-		var good int64
-		info, good, err = scanSegment(sh.fs, path, seq)
-		if err != nil && !errors.Is(err, errCorrupt) {
-			return info, fmt.Errorf("logstore: recovering %s: %w", path, err)
-		}
-		// A corrupt frame in the tail segment is a crash artifact
-		// (partially persisted append): recover by truncating at the last
-		// intact frame, exactly like a short tail.
-		if size != good {
-			sh.m.truncations.Inc()
-		}
-		if good == 0 {
-			// The crash even tore the header; start the segment over.
-			return sh.active, sh.startSegment(seq)
-		}
-		if size > good {
-			if err := truncateFile(sh.fs, path, good); err != nil {
-				return info, err
-			}
-		}
-		info.Bytes = good
+	if info.Bytes == 0 {
+		// The crash even tore the header; start the segment over.
+		return sh.active, sh.startSegment(seq)
 	}
-	sh.active, sh.indexed = info, ok
+	sh.active = info
 	return info, nil
 }
 
 // openActive opens the tail segment for appending at its indexed end,
 // unless it is open already, first replaying its frames for the codec
-// state if the shard did not write them. Caller holds mu.
+// state if the shard did not write them. From here on the tail may
+// change, so the manifest the store holds stops vouching for it. Caller
+// holds mu.
 func (sh *Shard) openActive() error {
 	if sh.w != nil {
 		return nil
+	}
+	if sh.store != nil {
+		sh.store.noteTail(sh.name, nil)
 	}
 	path := filepath.Join(sh.dir, segName(sh.active.Seq))
 	if sh.enc == nil {
@@ -280,7 +291,7 @@ func (sh *Shard) startSegment(seq uint64) error {
 		f.Close()
 		return err
 	}
-	sh.active, sh.indexed = SegmentInfo{Seq: seq, Bytes: segHeaderSize}, false
+	sh.active = SegmentInfo{Seq: seq, Bytes: segHeaderSize}
 	sh.names, sh.enc = newNameTable(sh.nameHint), &segState{}
 	sh.f = f
 	sh.w = bufio.NewWriterSize(f, segBufSize)
@@ -356,7 +367,6 @@ func (sh *Shard) AppendRecord(r logging.Record) error {
 	}
 	sh.m.appends.Inc()
 	sh.m.appendBytes.Add(uint64(len(frame)))
-	sh.indexed = false
 	sh.active.observe(r.Time)
 	sh.active.Bytes += int64(len(frame))
 	if sh.names != nil {
@@ -371,8 +381,8 @@ func (sh *Shard) AppendRecord(r logging.Record) error {
 	return nil
 }
 
-// rotateLocked seals the active segment (flush, optional fsync, sidecars)
-// and starts the next one. Caller holds mu.
+// rotateLocked seals the active segment (flush, optional fsync, names
+// sidecar) and starts the next one. Caller holds mu.
 func (sh *Shard) rotateLocked() error {
 	if err := sh.w.Flush(); err != nil {
 		return err
@@ -385,7 +395,7 @@ func (sh *Shard) rotateLocked() error {
 	if err := sh.f.Close(); err != nil {
 		return err
 	}
-	if err := sh.writeSidecarsLocked(); err != nil {
+	if err := sh.writeNamesLocked(); err != nil {
 		return err
 	}
 	prev := sh.active
@@ -416,7 +426,7 @@ func (sh *Shard) healLocked() error {
 	}
 	sh.f, sh.w = nil, nil
 	before := sh.active
-	info, err := sh.openTail(before.Seq)
+	info, err := sh.openTail(before.Seq, nil)
 	if err != nil {
 		return err
 	}
@@ -514,9 +524,10 @@ func (sh *Shard) Sync() error {
 }
 
 // Close flushes and closes the shard, then leaves the tail segment's
-// sidecars beside it so the next open need not scan it. They are only
-// ever written over fully flushed bytes: not after a failed flush or
-// close, and not while an append error is sticky.
+// names sidecar beside it and its extent in the store's manifest (which
+// Store.Close writes), so the next open need not scan it. Both only
+// ever describe fully flushed bytes: not after a failed flush or close,
+// and not while an append error is sticky.
 func (sh *Shard) Close() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -532,20 +543,25 @@ func (sh *Shard) Close() error {
 	if sh.f != nil {
 		err = errors.Join(err, sh.f.Close())
 	}
-	if err == nil && sh.err == nil && !sh.indexed {
-		err = sh.writeSidecarsLocked()
+	if err == nil && sh.err == nil {
+		err = sh.writeNamesLocked()
+	}
+	if sh.store != nil {
+		var tail *SegmentInfo
+		if err == nil && sh.err == nil {
+			active := sh.active
+			tail = &active
+		}
+		sh.store.noteTail(sh.name, tail)
 	}
 	return err
 }
 
-// writeSidecarsLocked leaves the active segment's index and, when the
-// shard counted all of it, its name table beside it; the caller has
-// flushed every byte they cover. The table is released the moment it is
-// on disk. Caller holds mu.
-func (sh *Shard) writeSidecarsLocked() error {
-	if err := writeIndex(sh.fs, sh.dir, sh.active); err != nil {
-		return err
-	}
+// writeNamesLocked leaves the active segment's name table beside it, when
+// the shard counted all of it; the caller has flushed every byte it
+// covers. The table is released the moment it is on disk. Caller holds
+// mu.
+func (sh *Shard) writeNamesLocked() error {
 	if sh.names == nil {
 		return nil
 	}
@@ -604,10 +620,11 @@ func (sh *Shard) snapshotFlushed() ([]SegmentInfo, error) {
 // time. It is the incremental-collection primitive: the caller owns the
 // checkpoint, so a crashed and restarted collector resumes exactly where
 // it left off and no record is delivered twice. Safe against concurrent
-// appends.
+// appends. On an error, the records and the checkpoint returned are
+// those read before it.
 //
 // A frame is coded against the segment's earlier frames, so reading from
-// cp needs the codec state there. The shard parks the reader each call
+// cp needs the codec state there. The shard parks the cursor each call
 // ends with, and a call that starts exactly where the last one stopped —
 // a collector draining the shard in order — resumes it; any other
 // checkpoint replays its segment's frames up to cp, every CRC checked
@@ -616,11 +633,39 @@ func (sh *Shard) ReadSince(cp Checkpoint, max int) ([]logging.Record, Checkpoint
 	if max <= 0 {
 		max = 1 << 30
 	}
-	segs, err := sh.snapshotFlushed()
+	c, gen, err := sh.cursorAt(cp)
 	if err != nil {
 		return nil, cp, err
 	}
-	// Reconcile a checkpoint the shard no longer covers.
+	var out []logging.Record
+	for len(out) < max {
+		err := c.next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			c.closeReader()
+			return out, c.pos(), err
+		}
+		out = append(out, c.rec)
+	}
+	sh.park(c, gen)
+	return out, c.pos(), nil
+}
+
+// cursorAt flushes the shard and returns a cursor over a snapshot of it,
+// standing at cp once cp is reconciled with what the shard holds: the
+// cursor the last ReadSince parked, if it stopped exactly there, else a
+// fresh one. gen is the tail generation it was taken in, for park. One
+// interner serves the call: parking does not keep a pool growing with
+// the campaign.
+func (sh *Shard) cursorAt(cp Checkpoint) (*shardCursor, uint64, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := sh.flushLocked(); err != nil {
+		return nil, 0, err
+	}
+	segs := sh.segmentsLocked()
 	last := segs[len(segs)-1]
 	if cp.Seg > last.Seq {
 		// Beyond the newest segment: only a wiped-and-recreated shard
@@ -636,114 +681,43 @@ func (sh *Shard) ReadSince(cp Checkpoint, max int) ([]logging.Record, Checkpoint
 		// shard and duplicate everything already collected.
 		cp.Off = last.Bytes
 	}
-	var out []logging.Record
-	pool := intern.NewPool() // shared across the batch's fresh readers
-	for _, si := range segs {
-		if len(out) >= max {
-			break
+	pool := intern.NewPool()
+	c := sh.parked
+	sh.parked = nil
+	if c != nil && c.pos() == cp {
+		// The segments it passed are unchanged; the one it stands in
+		// may have grown.
+		c.segs, c.pool = segs, pool
+		if c.r != nil {
+			c.r.pool = pool
 		}
-		if si.Seq < cp.Seg {
-			continue
+	} else {
+		if c != nil {
+			c.closeReader()
 		}
-		off := segHeaderSize
-		if si.Seq == cp.Seg && cp.Off > off {
-			off = cp.Off
-		}
-		if off < si.Bytes {
-			next, err := sh.readSegment(si, off, max-len(out), pool, &out)
-			if err != nil {
-				return out, cp, err
-			}
-			cp = Checkpoint{Seg: si.Seq, Off: next}
-			continue
-		}
-		// Empty or fully consumed segment: move the checkpoint past it so
-		// the next call starts at the successor.
-		cp = Checkpoint{Seg: si.Seq, Off: off}
+		c = newCursor(sh, segs, cp, pool, sh.m)
 	}
-	return out, cp, nil
+	return c, sh.tailGen, nil
 }
 
-// readSegment appends records from one segment starting at byte offset
-// off, stopping after limit records or at the snapshot bound si.Bytes
-// (bytes appended after the snapshot wait for the next call). It returns
-// the offset just past the last record consumed, and parks the reader
-// there for the next call.
-func (sh *Shard) readSegment(si SegmentInfo, off int64, limit int, pool *intern.Pool, out *[]logging.Record) (int64, error) {
-	r, gen, err := sh.resumeReader(si.Seq, off, pool)
-	if errors.Is(err, io.EOF) {
-		return off, nil
-	}
-	if err != nil {
-		return off, err
-	}
-	n := 0
-	var rec logging.Record
-	for n < limit && r.off < si.Bytes {
-		next, err := r.next(&rec)
-		if errors.Is(err, io.EOF) {
-			// A torn frame inside the snapshot: only damage does that, and
-			// a reader past one may have consumed part of it; keep none.
-			r.Close()
-			return off, nil
-		}
-		if err != nil {
-			r.Close()
-			return off, err
-		}
-		*out = append(*out, rec)
-		off = next
-		n++
-	}
-	sh.park(si.Seq, gen, r)
-	return off, nil
-}
-
-// resumeReader returns a reader of segment seq standing at off with the
-// codec state the frame there is coded against: the reader the last
-// ReadSince parked, if it stopped exactly there, else a fresh one that
-// replays the segment's frames up to off. gen is the tail generation it
-// was taken in, for park.
-func (sh *Shard) resumeReader(seq uint64, off int64, pool *intern.Pool) (*segmentReader, uint64, error) {
-	sh.mu.Lock()
-	gen := sh.tailGen
-	if r := sh.parked; r != nil && sh.parkedSeq == seq && r.off == off {
-		sh.parked = nil
-		sh.mu.Unlock()
-		r.pool = pool
-		return r, gen, nil
-	}
-	sh.mu.Unlock()
-	path := filepath.Join(sh.dir, segName(seq))
-	r, err := openSegmentReader(sh.fs, path, pool, sh.m)
-	if err != nil {
-		return nil, gen, err
-	}
-	if err := r.skipTo(off); err != nil {
-		r.Close()
-		return nil, gen, fmt.Errorf("logstore: resuming %s at %d: %w", path, off, err)
-	}
-	return r, gen, nil
-}
-
-// park keeps r, standing in segment seq, for the next ReadSince, closing
-// the reader it replaces — or r itself, once the shard is closed or has
-// recovered its tail since r was taken (tail generation gen).
-func (sh *Shard) park(seq, gen uint64, r *segmentReader) {
+// park keeps c for the next ReadSince, closing the cursor it replaces —
+// or c itself, once the shard is closed or has recovered its tail since
+// c was taken (tail generation gen).
+func (sh *Shard) park(c *shardCursor, gen uint64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed || gen != sh.tailGen {
-		r.Close()
+		c.closeReader()
 		return
 	}
 	sh.unpark()
-	sh.parked, sh.parkedSeq = r, seq
+	sh.parked = c
 }
 
-// unpark closes the parked reader, if any. Caller holds mu.
+// unpark closes the parked cursor, if any. Caller holds mu.
 func (sh *Shard) unpark() {
 	if sh.parked != nil {
-		sh.parked.Close()
+		sh.parked.closeReader()
 		sh.parked = nil
 	}
 }

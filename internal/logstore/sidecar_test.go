@@ -1,7 +1,9 @@
 package logstore
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -15,8 +17,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Tests of the tail sidecar: what a clean Close leaves, what the next
-// open may skip because of it, and every way the trust must give out.
+// Tests of the closed-tail entry: what a clean Close records in the
+// manifest, what the next open may skip because of it, and every way the
+// trust must give out.
 
 // opLog is a counting injector: it lets every operation through and
 // remembers it.
@@ -109,6 +112,16 @@ func TestCleanCloseReopensWithoutTailScan(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The close recorded every tail's extent, the empty one's too.
+	m, err := readManifest(faultfs.OS{}, dir)
+	if err != nil || m == nil {
+		t.Fatalf("reading the manifest: %v", err)
+	}
+	for hp, want := range before {
+		if c := m.Shards[hp].Closed; c == nil || *c != want.segs[len(want.segs)-1] {
+			t.Errorf("manifest records %s's tail as %+v, want %+v", hp, c, want.segs[len(want.segs)-1])
+		}
+	}
 
 	reg := obs.New()
 	opt := smallOpts()
@@ -195,8 +208,12 @@ func TestStaleTailSidecarFallsBackToScan(t *testing.T) {
 	if sh.End().Seg != tail {
 		t.Fatal("the appends rotated the tail; the test wants them inside it")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "hp-00", idxName(tail))); err != nil {
-		t.Fatalf("the crash must leave the previous close's sidecar behind: %v", err)
+	m, err := readManifest(faultfs.OS{}, dir)
+	if err != nil || m == nil {
+		t.Fatalf("reading the manifest: %v", err)
+	}
+	if c := m.Shards["hp-00"].Closed; c == nil || c.Seq != tail {
+		t.Fatalf("the crash must leave the previous close's tail entry behind, got %+v", c)
 	}
 
 	reg := obs.New()
@@ -208,7 +225,7 @@ func TestStaleTailSidecarFallsBackToScan(t *testing.T) {
 	}
 	defer st2.Close()
 	if n := tailScans(reg); n != 1 {
-		t.Errorf("tail scans = %d, want 1 (hp-00's sidecar is stale, hp-01's is not)", n)
+		t.Errorf("tail scans = %d, want 1 (hp-00's entry is stale, hp-01's is not)", n)
 	}
 	if n := st2.TotalRecords(); n != 55 {
 		t.Fatalf("recovered %d records, want every flushed one (55)", n)
@@ -219,12 +236,12 @@ func TestStaleTailSidecarFallsBackToScan(t *testing.T) {
 	}
 	got := drain(t, it)
 	if len(got) != 55 || got[54].PeerPort != 1002 {
-		t.Fatalf("stream after stale-sidecar recovery: %d records", len(got))
+		t.Fatalf("stream after stale-entry recovery: %d records", len(got))
 	}
 }
 
 func TestTrustedSidecarOverCorruptBytesFailsLoudly(t *testing.T) {
-	// In-place corruption under a matching sidecar is not a crash artifact
+	// In-place corruption under a matching entry is not a crash artifact
 	// (a crash never leaves one): open has no reason to look, and the scan
 	// must refuse the frame rather than stop early.
 	dir := t.TempDir()
@@ -247,7 +264,7 @@ func TestTrustedSidecarOverCorruptBytesFailsLoudly(t *testing.T) {
 	}
 	defer st.Close()
 	if tailScans(reg) != 0 || st.TotalRecords() != 25 {
-		t.Fatalf("open looked behind a matching sidecar (scans %d, records %d)", tailScans(reg), st.TotalRecords())
+		t.Fatalf("open looked behind a matching entry (scans %d, records %d)", tailScans(reg), st.TotalRecords())
 	}
 	it, err := st.Iterator()
 	if err != nil {
@@ -320,8 +337,15 @@ func TestCloseAfterFailedFlushReleasesFileAndWritesNoSidecar(t *testing.T) {
 	if open != 0 {
 		t.Errorf("Close left %d segment files open after its flush failed", open)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "hp-00", idxName(1))); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("a sidecar was written over an unflushed tail (stat: %v)", err)
+	m, err := readManifest(faultfs.OS{}, dir)
+	if err != nil || m == nil {
+		t.Fatalf("reading the manifest: %v", err)
+	}
+	if c := m.Shards["hp-00"].Closed; c != nil {
+		t.Errorf("a tail entry was recorded over an unflushed tail: %+v", c)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "hp-00", "*.names")); len(names) != 0 {
+		t.Errorf("a names sidecar was written over an unflushed tail: %v", names)
 	}
 	// The next open therefore scans, and finds what reached the disk.
 	reg := obs.New()
@@ -332,5 +356,131 @@ func TestCloseAfterFailedFlushReleasesFileAndWritesNoSidecar(t *testing.T) {
 	defer st2.Close()
 	if tailScans(reg) != 1 || st2.TotalRecords() != 0 {
 		t.Errorf("reopen after failed close: scans %d, records %d; want 1, 0", tailScans(reg), st2.TotalRecords())
+	}
+}
+
+func TestShortSegmentUnderTrustedExtentFailsLoudly(t *testing.T) {
+	// A sealed segment cut short after open, under the extent the
+	// manifest gave it: no crash does that, and every reader — the scan,
+	// the collector, the names recount — must say so instead of ending
+	// early with a shorter dataset.
+	dir := t.TempDir()
+	writeShard(t, dir, 200)
+	st, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sh, _ := st.Shard("hp-00")
+	segs := sh.Segments()
+	if len(segs) < 3 {
+		t.Fatalf("want several segments, got %d", len(segs))
+	}
+	path := filepath.Join(dir, "hp-00", segName(segs[0].Seq))
+	if err := os.Truncate(path, segs[0].Bytes/2); err != nil {
+		t.Fatal(err)
+	}
+	wantErr := func(who string, n int, err error) {
+		t.Helper()
+		if !errors.Is(err, errCorrupt) || !strings.Contains(err.Error(), segName(segs[0].Seq)) {
+			t.Fatalf("%s ended with %v after %d of 200 records, want errCorrupt naming %s", who, err, n, segName(segs[0].Seq))
+		}
+		if n >= int(segs[0].Records) {
+			t.Fatalf("%s delivered %d records out of a segment of %d cut in half", who, n, segs[0].Records)
+		}
+	}
+
+	it, err := st.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for {
+		r, err := it.Next()
+		if err != nil {
+			wantErr("Iterator", n, err)
+			break
+		}
+		if int(r.PeerPort) != n {
+			t.Fatalf("Iterator record %d is append %d", n, r.PeerPort)
+		}
+		n++
+	}
+	it.Close()
+
+	recs, _, err := sh.ReadSince(Checkpoint{}, 0)
+	wantErr("ReadSince", len(recs), err)
+	if len(recs) != n {
+		t.Fatalf("ReadSince delivered %d records before the damage, Iterator %d", len(recs), n)
+	}
+
+	_, err = sh.rebuildNames(segs[0])
+	wantErr("the names recount", 0, err)
+}
+
+func TestLegacyIndexSidecarsIgnored(t *testing.T) {
+	// A store an older build wrote: a manifest with no tail entries, and
+	// an NNNNNNNN.idx file beside every segment — one of them garbage,
+	// one claiming records the segment does not hold. The open reads
+	// none of them: it keeps every record, scans the tail once, and
+	// leaves the files alone.
+	dir := t.TempDir()
+	writeShard(t, dir, 200)
+	dropClosedTails(t, dir)
+	shardDir := filepath.Join(dir, "hp-00")
+	seqs, err := listSegments(faultfs.OS{}, shardDir)
+	if err != nil || len(seqs) < 3 {
+		t.Fatalf("want several segments, got %d (%v)", len(seqs), err)
+	}
+	idx := func(seq uint64) string { return filepath.Join(shardDir, fmt.Sprintf("%08d.idx", seq)) }
+	for i, seq := range seqs {
+		body := fmt.Sprintf(`{"seq":%d,"records":962,"min_unix_nano":0,"max_unix_nano":0,"bytes":8}`, seq)
+		if i == 1 {
+			body = "garbage"
+		}
+		if err := os.WriteFile(idx(seq), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := snapshotDir(t, dir)
+	reg := obs.New()
+	opt := smallOpts()
+	opt.Metrics = reg
+	st, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.TotalRecords(); n != 200 {
+		t.Fatalf("opened %d records, want 200", n)
+	}
+	if n := tailScans(reg); n != 1 {
+		t.Errorf("tail scans = %d, want 1: the tail had no entry", n)
+	}
+	it, err := st.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(t, it); len(got) != 200 {
+		t.Fatalf("scan of the older store: %d records, want 200", len(got))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := snapshotDir(t, dir)
+	for _, seq := range seqs {
+		if b, ok := after[idx(seq)]; !ok || !bytes.Equal(b, before[idx(seq)]) {
+			t.Errorf("%s moved or changed", idx(seq))
+		}
+	}
+	// The clean close recorded the tail: the next open scans nothing.
+	reg = obs.New()
+	opt.Metrics = reg
+	st, err = Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if n := tailScans(reg); n != 0 || st.TotalRecords() != 200 {
+		t.Errorf("second open: %d tail scans, %d records", n, st.TotalRecords())
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // The kill-point torture loop: run a fixed two-shard workload (small
-// segments, so it rotates, seals both sidecars and swaps the manifest
+// segments, so it rotates, writes names sidecars and swaps the manifest
 // many times, and folds its name tables once mid-campaign), crash the
 // filesystem at operation N for every N in a sampled matrix, reopen on a
 // healthy filesystem and require that (a) nothing was quarantined — a
@@ -379,7 +379,7 @@ func healWorkload(t *testing.T, dir string, inj *oneFault) (map[string][]logging
 		}
 		dropped[hp] = sh.Dropped()
 	}
-	st.Close() // a fault here costs the tail sidecars, never records
+	st.Close() // a fault here costs the tail entries and names sidecars, never records
 	return attempted, dropped
 }
 

@@ -217,8 +217,10 @@ type Manager struct {
 	store *logstore.Store
 
 	// Relaunch, when set, is invoked for a honeypot whose control path
-	// died; it must recreate the honeypot and return a fresh handle (the
-	// simulation restarts the crashed host; cmd/hpmanager re-dials).
+	// died; it must reach the honeypot again and return a fresh handle.
+	// cmd/hpmanager sets Redial. The simulation sets none: its fault
+	// injector restarts the crashed host itself and installs the new
+	// handle with ReplaceHandle.
 	Relaunch func(id string, done func(Handle, error))
 
 	running      bool
@@ -575,6 +577,29 @@ func (m *Manager) ReplaceHandle(id string, h Handle) bool {
 	st.Healthy = true
 	m.push(st)
 	return true
+}
+
+// Redial is the Relaunch hook of a fleet reached over control links: it
+// dials the dead link's endpoint again under the same policy
+// (control.Link.Redial). A honeypot restarted there reopens its store,
+// so collection resumes from the checkpoint the manager holds, with no
+// record sent twice. A honeypot not reached over a link fails.
+func (m *Manager) Redial(id string, done func(Handle, error)) {
+	var l *control.Link
+	if st := m.byID[id]; st != nil {
+		l, _ = st.Handle.(*control.Link)
+	}
+	if l == nil {
+		done(nil, fmt.Errorf("manager: honeypot %s has no control link to redial", id))
+		return
+	}
+	l.Redial(func(nl *control.Link, err error) {
+		if err != nil {
+			done(nil, err)
+			return
+		}
+		done(nl, nil)
+	})
 }
 
 func (m *Manager) relaunch(st *HoneypotState, finish func()) {

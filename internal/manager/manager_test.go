@@ -644,6 +644,79 @@ func TestIncrementalCollectionSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestRedialCollectsAfterRestart is cmd/hpmanager's restart: the
+// honeypot dies mid-campaign and comes back on the same endpoint with
+// its on-disk log intact, and the health check — not the test — reaches
+// it again, through the Redial hook. Records logged after the restart
+// reach the dataset, and none logged before it is sent twice.
+func TestRedialCollectsAfterRestart(t *testing.T) {
+	w, stores := newStoreWorld(t, 1, DefaultConfig())
+	w.mgr.Relaunch = w.mgr.Redial
+	hpHost := w.hps[0].Client().Host().(*netsim.Host)
+
+	w.contact(t, w.hps[0], "peer-a")
+	w.mgr.CollectNow(nil)
+	w.settle()
+	st := w.mgr.States()[0]
+	before, old := st.Collected, st.Handle
+	if before == 0 {
+		t.Fatal("nothing collected before restart")
+	}
+
+	// Crash and restart the honeypot host: the same store dir (the disk
+	// survived), a new honeypot and agent on the same endpoint.
+	hpHost.Crash()
+	w.settle()
+	hpHost.Restart()
+	dir := stores[0].Dir()
+	stores[0].Close()
+	store, err := logstore.Open(dir, logstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	shard, err := store.Shard("hp-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp2 := honeypot.New(hpHost, honeypot.Config{
+		ID: "hp-0", Strategy: honeypot.NoContent, Port: 4662, Secret: secret,
+		Sink: shard,
+	})
+	if err := hp2.Client().Listen(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := control.NewAgent(hpHost, hp2, shard, control.DefaultPort); err != nil {
+		t.Fatal(err)
+	}
+
+	w.mgr.HealthCheckNow(nil)
+	w.settle()
+	if st.Handle == old || st.Relaunches != 1 || !st.Healthy {
+		t.Fatalf("the health check did not redial: relaunches %d, healthy %v", st.Relaunches, st.Healthy)
+	}
+	if _, ok := st.Handle.(*control.Link); !ok {
+		t.Fatalf("redialed handle is a %T", st.Handle)
+	}
+
+	w.contact(t, hp2, "peer-b")
+	w.mgr.CollectNow(nil)
+	w.settle()
+	var ds *Dataset
+	var dsErr error
+	w.mgr.Finalize(func(d *Dataset, err error) { ds, dsErr = d, err })
+	w.settle()
+	if dsErr != nil || ds == nil {
+		t.Fatalf("finalize: %v", dsErr)
+	}
+	if want := int(shard.Count()); len(ds.Records) != want || st.Collected != want {
+		t.Fatalf("dataset holds %d records, collected %d, the honeypot's shard %d", len(ds.Records), st.Collected, want)
+	}
+	if st.Collected <= before {
+		t.Fatal("no record logged after the restart was collected")
+	}
+}
+
 // TestSpillStoreFinalize checks the manager's spill-to-disk mode:
 // collected records land in store shards, and Finalize streams them back
 // into the same dataset the in-memory path would produce.
