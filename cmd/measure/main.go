@@ -27,10 +27,10 @@
 // gnuplot). -queries / -plan-file extract only the selected artifacts
 // and -calibrate diffs them against an observed dataset; these JSON
 // modes write their report to stdout or -report and the summary to
-// stderr. Every run finalizes straight into the columnar frame except a
+// stderr. Every run finalizes straight into the columnar frame; a
 // -jsonl run without -export, the one output that needs the records in
-// memory; the logstores -store and -export leave are re-read and
-// checked against the dataset.
+// memory, also keeps them as they stream past. The logstores -store and
+// -export leave are re-read and checked against the dataset.
 package main
 
 import (
@@ -260,10 +260,7 @@ func logProgress(e svc.ProgressEvent) {
 // peers, elapsed wall time and throughput, and whether the campaign
 // was degraded or aborted.
 func summarizeRun(w io.Writer, res *repro.Result, elapsed time.Duration) {
-	records := len(res.Dataset.Records)
-	if res.Frame != nil {
-		records = res.Frame.Len() // streamed finalize: no []Record exists
-	}
+	records := res.Frame.Len()
 	perSec, eventsPerSec := 0.0, 0.0
 	if s := elapsed.Seconds(); s > 0 {
 		perSec = float64(records) / s

@@ -22,6 +22,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/honeypot"
 	"repro/internal/livenet"
+	"repro/internal/logging"
 	"repro/internal/logstore"
 	"repro/internal/manager"
 	"repro/internal/server"
@@ -132,24 +133,26 @@ func main() {
 	time.Sleep(500 * time.Millisecond)
 
 	// --- Collect, unify, print -----------------------------------------
-	dsCh := make(chan *manager.Dataset, 1)
+	streamCh := make(chan *manager.DatasetStream, 1)
 	mgrHost.Post(func() {
-		mgr.Finalize(func(ds *manager.Dataset, err error) {
+		mgr.FinalizeStream(func(s *manager.DatasetStream, err error) {
 			must(err)
-			dsCh <- ds
+			streamCh <- s
 		})
 	})
-	ds := <-dsCh
-	fmt.Printf("\ncollected %d records from %d distinct peers (anonymized):\n",
-		len(ds.Records), ds.DistinctPeers)
-	for _, r := range ds.Records {
+	stream := <-streamCh
+	defer stream.Close()
+	fmt.Printf("\ncollected %d records (anonymized):\n", stream.Len())
+	must(logging.Each(stream, func(r *logging.Record) error {
 		name := r.FileName
 		if name == "" && len(r.Files) > 0 {
 			name = fmt.Sprintf("[shared list: %d files]", len(r.Files))
 		}
 		fmt.Printf("  %s  %-12s peer=%s port=%-5d highID=%-5v client=%q %s\n",
 			r.Time.Format("15:04:05.000"), r.Kind, r.PeerIP, r.PeerPort, r.HighID, r.PeerName, name)
-	}
+		return nil
+	}))
+	fmt.Printf("from %d distinct peers\n", stream.DistinctPeers())
 }
 
 // runPeer performs one full peer contact and blocks until it finishes.

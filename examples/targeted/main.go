@@ -111,13 +111,19 @@ func main() {
 	loop.RunUntil(pcfg.End)
 	pop.Stop()
 
-	var ds *manager.Dataset
-	mgr.Finalize(func(d *manager.Dataset, err error) { must(err); ds = d })
+	var stream *manager.DatasetStream
+	mgr.FinalizeStream(func(s *manager.DatasetStream, err error) { must(err); stream = s })
 	loop.RunUntil(pcfg.End.Add(time.Hour))
+	defer stream.Close()
+	kinds := map[logging.Kind]int{}
+	f, err := analysis.BuildFrameIter(logging.Map(stream, func(r *logging.Record) error {
+		kinds[r.Kind]++
+		return nil
+	}))
+	must(err)
 
 	// --- report ----------------------------------------------------------
-	fmt.Printf("observed %d distinct peers interested in topic %q\n", ds.DistinctPeers, kw)
-	f := analysis.BuildFrame(ds.Records)
+	fmt.Printf("observed %d distinct peers interested in topic %q\n", stream.DistinctPeers(), kw)
 	growth := f.PeerGrowth(start, *days)
 	fmt.Printf("peers/day: %s\n\n", analysis.Sparkline(growth.New))
 
@@ -139,10 +145,6 @@ func main() {
 	fmt.Printf("\ntopic coverage: %d of %d advertised topic files received queries (%.0f%%)\n",
 		len(ranked), len(topic), 100*float64(len(ranked))/float64(len(topic)))
 
-	kinds := map[logging.Kind]int{}
-	for _, r := range ds.Records {
-		kinds[r.Kind]++
-	}
 	fmt.Printf("message mix: %d HELLO, %d START-UPLOAD, %d REQUEST-PART, %d shared lists\n",
 		kinds[logging.KindHello], kinds[logging.KindStartUpload],
 		kinds[logging.KindRequestPart], kinds[logging.KindSharedList])

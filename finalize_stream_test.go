@@ -40,7 +40,7 @@ func TestFinalizeStreamMatchesMaterializedOnAllScenarios(t *testing.T) {
 	for _, name := range repro.Scenarios() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			// Reference: materialized in-memory finalize.
+			// Reference: an in-memory run that keeps its records.
 			ref := runCampaign(t, name, goldenMemory).res
 			refRep := repro.Analyze(ref)
 

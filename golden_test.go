@@ -222,18 +222,18 @@ func runGolden(t *testing.T, name string, m goldenMode) goldenRow {
 	t.Helper()
 	c := runCampaign(t, name, m)
 	res, recs := c.res, c.records(t)
+	if res.Frame == nil {
+		t.Fatalf("%s run built no frame", m.name)
+	}
+	if res.Frame.Len() != len(recs) {
+		t.Fatalf("%s: frame has %d records, dataset %d", m.name, res.Frame.Len(), len(recs))
+	}
 	if m.stream {
 		if res.Dataset.Records != nil {
 			t.Fatalf("%s run materialized records", m.name)
 		}
-		if res.Frame == nil {
-			t.Fatalf("%s run built no frame", m.name)
-		}
 		if uint64(len(recs)) != res.ExportedRecords {
 			t.Fatalf("%s: export store has %d records, finalize wrote %d", m.name, len(recs), res.ExportedRecords)
-		}
-		if res.Frame.Len() != len(recs) {
-			t.Fatalf("%s: frame has %d records, export %d", m.name, res.Frame.Len(), len(recs))
 		}
 	}
 	return goldenRow{

@@ -167,7 +167,7 @@ func TestDistributedCampaignShape(t *testing.T) {
 	}
 
 	// Privacy: the merged dataset passes the audit and carries no raw IPs.
-	if err := anonymize.Audit(res.Dataset.Records); err != nil {
+	if _, err := logging.Drain(anonymize.AuditIter(logging.NewSliceIter(res.Dataset.Records))); err != nil {
 		t.Errorf("audit: %v", err)
 	}
 	for _, r := range res.Dataset.Records[:10] {
@@ -416,12 +416,12 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 
 	// Finalize through the control plane.
 	type finRes struct {
-		ds  *manager.Dataset
-		err error
+		stream *manager.DatasetStream
+		err    error
 	}
 	fin := make(chan finRes, 1)
 	mgrHost.Post(func() {
-		mgr.Finalize(func(ds *manager.Dataset, err error) { fin <- finRes{ds, err} })
+		mgr.FinalizeStream(func(s *manager.DatasetStream, err error) { fin <- finRes{s, err} })
 	})
 	var res finRes
 	select {
@@ -432,12 +432,17 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 	if res.err != nil {
 		t.Fatal(res.err)
 	}
-	if res.ds.DistinctPeers != 3 {
-		t.Errorf("distinct peers = %d, want 3", res.ds.DistinctPeers)
+	defer res.stream.Close()
+	recs, err := logging.Drain(res.stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.stream.DistinctPeers(); n != 3 {
+		t.Errorf("distinct peers = %d, want 3", n)
 	}
 	kinds := map[logging.Kind]int{}
 	perHP := map[string]int{}
-	for _, r := range res.ds.Records {
+	for _, r := range recs {
 		kinds[r.Kind]++
 		perHP[r.Honeypot]++
 	}
@@ -447,7 +452,7 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 	if len(perHP) != 2 {
 		t.Errorf("records from %d honeypots, want 2: %v", len(perHP), perHP)
 	}
-	if err := anonymize.Audit(res.ds.Records); err != nil {
+	if _, err := logging.Drain(anonymize.AuditIter(logging.NewSliceIter(recs))); err != nil {
 		t.Errorf("audit: %v", err)
 	}
 }

@@ -115,12 +115,13 @@ func BuildFrame(recs []logging.Record) *Frame {
 	return f
 }
 
-// BuildFrameIter compiles a record stream — typically a logstore
-// iterator over a spill-to-disk campaign — into columnar form without
+// BuildFrameIter compiles a record stream — typically a campaign's
+// finalize stream or a logstore iterator — into columnar form without
 // ever materializing the records. Memory use is the frame itself: 19
-// bytes per record plus the intern tables.
+// bytes per record plus the intern tables. A source that reports its
+// length (logging.Len) gets its columns allocated once, at that length.
 func BuildFrameIter(it logging.Iterator) (*Frame, error) {
-	f := newFrame(0)
+	f := newFrame(logging.Len(it))
 	err := logging.Each(it, func(r *logging.Record) error {
 		f.add(r)
 		return nil

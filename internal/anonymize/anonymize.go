@@ -13,10 +13,10 @@
 //     defeating the 2^32 dictionary attack the paper warns about.
 //  3. File names are anonymized by replacing every word that appears less
 //     often than a threshold with an integer token (NameAnonymizer), an
-//     explicitly two-pass stage: ObserveIter counts the occurrences of
-//     each distinct name over one pass of a re-iterable source (or
-//     ObserveCount takes them from a source that kept count as it was
-//     written), AnonymizeIter rewrites names on the second pass. Names are
+//     explicitly two-pass stage: Observe counts the occurrences of each
+//     distinct name over a first pass (or ObserveCount takes them from a
+//     source that kept count as it was written, as the manager's store
+//     does), AnonymizeIter rewrites names on the second pass. Names are
 //     tokenized once per distinct name, not per occurrence: the counts
 //     fold into corpus-wide word frequencies before the first rewrite,
 //     and each distinct name is rewritten once and served from a memo
@@ -26,9 +26,7 @@
 //     every PeerIP is checked for address leaks; a failure aborts the
 //     stream with an AuditError naming the offending record.
 //
-// The slice-based entry points (RenumberRecords, AnonymizeRecordNames,
-// Audit) remain for in-memory datasets and tests; they run the same
-// stages over a slice iterator.
+// An in-memory dataset runs the same stages over logging.NewSliceIter.
 package anonymize
 
 import (
@@ -125,19 +123,6 @@ func (r *Renumberer) RenumberIter(src logging.Iterator) logging.Iterator {
 	})
 }
 
-// RenumberRecords rewrites PeerIP in place from step-1 hashes to step-2
-// integers (decimal strings), and returns the number of distinct peers.
-// Records must already carry hashed (never raw) addresses.
-func (r *Renumberer) RenumberRecords(recs []logging.Record) int {
-	for i := range recs {
-		if recs[i].PeerIP == "" {
-			continue
-		}
-		recs[i].PeerIP = r.decimal(recs[i].PeerIP)
-	}
-	return r.Count()
-}
-
 // ---------------------------------------------------------------------------
 // Filename anonymization.
 
@@ -221,21 +206,6 @@ func (a *NameAnonymizer) foldObserved() {
 	clear(a.rewritten)
 }
 
-// ObserveIter is pass 1 of the streaming stage: it drains src, counting
-// the occurrences of every file name (FileName fields and shared-list
-// entries). Memory is one counter per distinct name.
-func (a *NameAnonymizer) ObserveIter(src logging.Iterator) error {
-	return logging.Each(src, func(r *logging.Record) error {
-		if r.FileName != "" {
-			a.Observe(r.FileName)
-		}
-		for _, f := range r.Files {
-			a.Observe(f.Name)
-		}
-		return nil
-	})
-}
-
 // Anonymize rewrites a name, replacing below-threshold words coherently.
 // Tokens are assigned in order of first encounter across calls.
 func (a *NameAnonymizer) Anonymize(name string) string {
@@ -304,25 +274,6 @@ func (a *NameAnonymizer) AnonymizeIter(src logging.Iterator) logging.Iterator {
 // ReplacedWords returns how many distinct words were replaced so far.
 func (a *NameAnonymizer) ReplacedWords() int { return len(a.mapping) }
 
-// AnonymizeRecordNames applies filename anonymization to every name in
-// the record set (FileName fields and shared-list entries), with corpus
-// frequencies computed over the whole set first.
-func AnonymizeRecordNames(recs []logging.Record, threshold int) *NameAnonymizer {
-	a := NewNameAnonymizer(threshold)
-	if err := a.ObserveIter(logging.NewSliceIter(recs)); err != nil {
-		panic("anonymize: slice iterator cannot fail: " + err.Error())
-	}
-	for i := range recs {
-		if recs[i].FileName != "" {
-			recs[i].FileName = a.Anonymize(recs[i].FileName)
-		}
-		for j := range recs[i].Files {
-			recs[i].Files[j].Name = a.Anonymize(recs[i].Files[j].Name)
-		}
-	}
-	return a
-}
-
 // ---------------------------------------------------------------------------
 // Audit.
 
@@ -372,7 +323,9 @@ func auditRecord(i int, r *logging.Record) *AuditError {
 
 // AuditIter is the pass-through verifier stage: records flow through
 // unchanged while every one is checked for raw-address leaks; the first
-// leak aborts the stream with an *AuditError.
+// PeerIP that parses as an IP address, or is neither a step-1 hash (16
+// hex chars) nor a step-2 integer, aborts the stream with an
+// *AuditError.
 func AuditIter(src logging.Iterator) logging.Iterator {
 	i := 0
 	return logging.Map(src, func(r *logging.Record) error {
@@ -382,18 +335,6 @@ func AuditIter(src logging.Iterator) logging.Iterator {
 		i++
 		return nil
 	})
-}
-
-// Audit verifies no raw IP address survived anonymization: it fails with
-// an *AuditError if any PeerIP field parses as an IP address or is
-// neither a step-1 hash (16 hex chars) nor a step-2 integer.
-func Audit(recs []logging.Record) error {
-	for i := range recs {
-		if err := auditRecord(i, &recs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func looksHashed(s string) bool {

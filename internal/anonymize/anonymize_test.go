@@ -97,9 +97,11 @@ func TestRenumberRecordsCoherentAcrossHoneypots(t *testing.T) {
 	log2 := []logging.Record{{PeerIP: ipB, Honeypot: "hp-1"}, {PeerIP: ipA, Honeypot: "hp-1"}}
 
 	r := NewRenumberer()
-	merged := append(append([]logging.Record{}, log1...), log2...)
-	n := r.RenumberRecords(merged)
-	if n != 2 {
+	merged, err := logging.Drain(r.RenumberIter(logging.NewSliceIter(append(log1, log2...))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Count(); n != 2 {
 		t.Fatalf("distinct peers = %d", n)
 	}
 	// Same original IP must map to the same number in both honeypot logs.
@@ -116,8 +118,11 @@ func TestRenumberRecordsCoherentAcrossHoneypots(t *testing.T) {
 
 func TestRenumberSkipsEmpty(t *testing.T) {
 	r := NewRenumberer()
-	recs := []logging.Record{{PeerIP: ""}}
-	if n := r.RenumberRecords(recs); n != 0 {
+	recs, err := logging.Drain(r.RenumberIter(logging.NewSliceIter([]logging.Record{{PeerIP: ""}})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Count(); n != 0 {
 		t.Errorf("count = %d", n)
 	}
 	if recs[0].PeerIP != "" {
@@ -198,7 +203,12 @@ func TestAnonymizeRecordNames(t *testing.T) {
 		{FileName: "popular.secret2.avi"},
 		{Files: []logging.SharedFile{{Name: "popular.secret3.avi"}}},
 	}
-	AnonymizeRecordNames(recs, 3)
+	a := NewNameAnonymizer(3)
+	observeNames(a, recs)
+	recs, err := logging.Drain(a.AnonymizeIter(logging.NewSliceIter(recs)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, want := range []string{"secret1", "secret2"} {
 		if strings.Contains(recs[i].FileName, want) {
 			t.Errorf("record %d still contains %q: %q", i, want, recs[i].FileName)
@@ -212,17 +222,36 @@ func TestAnonymizeRecordNames(t *testing.T) {
 	}
 }
 
+// observeNames is pass 1 of filename anonymization over an in-memory
+// dataset: every FileName and shared-list name is counted.
+func observeNames(a *NameAnonymizer, recs []logging.Record) {
+	for _, r := range recs {
+		if r.FileName != "" {
+			a.Observe(r.FileName)
+		}
+		for _, f := range r.Files {
+			a.Observe(f.Name)
+		}
+	}
+}
+
+// audit runs the audit stage over an in-memory dataset.
+func audit(recs []logging.Record) error {
+	_, err := logging.Drain(AuditIter(logging.NewSliceIter(recs)))
+	return err
+}
+
 func TestAuditCatchesRawIPs(t *testing.T) {
 	bad := []logging.Record{{PeerIP: "192.0.2.55"}}
-	if err := Audit(bad); err == nil {
+	if err := audit(bad); err == nil {
 		t.Error("raw IPv4 must fail audit")
 	}
 	bad6 := []logging.Record{{PeerIP: "2001:db8::1"}}
-	if err := Audit(bad6); err == nil {
+	if err := audit(bad6); err == nil {
 		t.Error("raw IPv6 must fail audit")
 	}
 	weird := []logging.Record{{PeerIP: "not-an-ip-nor-hash"}}
-	if err := Audit(weird); err == nil {
+	if err := audit(weird); err == nil {
 		t.Error("unclassifiable PeerIP must fail audit")
 	}
 }
@@ -233,11 +262,14 @@ func TestAuditAcceptsPipelineOutput(t *testing.T) {
 		{PeerIP: h.HashIP(netip.MustParseAddr("10.0.0.1"))},
 		{PeerIP: ""},
 	}
-	if err := Audit(recs); err != nil {
+	if err := audit(recs); err != nil {
 		t.Errorf("hashed records must pass: %v", err)
 	}
-	NewRenumberer().RenumberRecords(recs)
-	if err := Audit(recs); err != nil {
+	recs, err := logging.Drain(NewRenumberer().RenumberIter(logging.NewSliceIter(recs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := audit(recs); err != nil {
 		t.Errorf("renumbered records must pass: %v", err)
 	}
 }
@@ -313,9 +345,10 @@ func BenchmarkRenumber100k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cp := make([]logging.Record, len(recs))
-		copy(cp, recs)
-		NewRenumberer().RenumberRecords(cp)
+		if err := logging.Each(NewRenumberer().RenumberIter(logging.NewSliceIter(recs)),
+			func(*logging.Record) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -340,8 +373,9 @@ func drainAll(t *testing.T, it logging.Iterator) ([]logging.Record, error) {
 }
 
 // TestStagesMatchSlicePipeline pins the streaming pipeline (renumber →
-// observe/anonymize → audit) bit-identical to the slice-based one on
-// the same input.
+// observe/anonymize → audit) on a literal input: peers are numbered
+// coherently in first-appearance order, exactly the below-threshold
+// words are replaced, and the source records are never mutated.
 func TestStagesMatchSlicePipeline(t *testing.T) {
 	h := NewIPHasher([]byte("stage-secret"))
 	var recs []logging.Record
@@ -368,47 +402,44 @@ func TestStagesMatchSlicePipeline(t *testing.T) {
 		}
 		recs = append(recs, r)
 	}
+	src := make([]logging.Record, len(recs))
+	copy(src, recs)
 
-	// Slice path.
-	want := make([]logging.Record, len(recs))
-	copy(want, recs)
-	for i := range want { // deep-copy shared lists: the slice path mutates them
-		if len(want[i].Files) > 0 {
-			want[i].Files = append([]logging.SharedFile(nil), recs[i].Files...)
-		}
-	}
-	renA := NewRenumberer()
-	distinctWant := renA.RenumberRecords(want)
-	naA := AnonymizeRecordNames(want, 2)
-	if err := Audit(want); err != nil {
-		t.Fatal(err)
-	}
-
-	// Streaming path: two passes, each a slice iterator over recs.
-	renB := NewRenumberer()
-	naB := NewNameAnonymizer(2)
-	if err := naB.ObserveIter(logging.NewSliceIter(recs)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := drainAll(t, AuditIter(naB.AnonymizeIter(renB.RenumberIter(logging.NewSliceIter(recs)))))
+	// Every FileName word occurs at least 10 times; the shared list's
+	// "shared", "rarethree" and "iso" 6 times each, below the threshold.
+	ren := NewRenumberer()
+	na := NewNameAnonymizer(7)
+	observeNames(na, recs)
+	got, err := drainAll(t, AuditIter(na.AnonymizeIter(ren.RenumberIter(logging.NewSliceIter(recs)))))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed records differ from slice pipeline")
+	if len(got) != len(recs) {
+		t.Fatalf("streamed %d records, want %d", len(got), len(recs))
 	}
-	if renB.Count() != distinctWant {
-		t.Fatalf("distinct peers: streamed %d, slice %d", renB.Count(), distinctWant)
-	}
-	if naB.ReplacedWords() != naA.ReplacedWords() {
-		t.Fatalf("replaced words: streamed %d, slice %d", naB.ReplacedWords(), naA.ReplacedWords())
-	}
-	// The streaming stage must not have touched the source records.
-	for i := range recs {
-		if recs[i].PeerIP == want[i].PeerIP && want[i].PeerIP != "" {
-			t.Fatalf("record %d source PeerIP was rewritten in place", i)
+	for i, r := range got {
+		// Addresses cycle base, base+1, base+2: numbers 0, 1, 2.
+		if want := strconv.Itoa(i % 3); r.PeerIP != want {
+			t.Fatalf("record %d numbered %q, want %q", i, r.PeerIP, want)
 		}
+		if r.FileName != names[i%len(names)] {
+			t.Fatalf("record %d file name %q, want it kept as %q", i, r.FileName, names[i%len(names)])
+		}
+		if i%7 == 0 && (len(r.Files) != 1 || r.Files[0].Name != "popular.0.1.2") {
+			t.Fatalf("record %d shared list %+v, want one name popular.0.1.2", i, r.Files)
+		}
+	}
+	if ren.Count() != 3 {
+		t.Fatalf("distinct peers: %d, want 3", ren.Count())
+	}
+	if na.ReplacedWords() != 3 {
+		t.Fatalf("replaced words: %d, want 3", na.ReplacedWords())
+	}
+	// The streaming stages must not have touched the source records.
+	if !reflect.DeepEqual(recs, src) {
+		t.Fatal("source records rewritten in place")
+	}
+	for i := range recs {
 		for j := range recs[i].Files {
 			if recs[i].Files[j].Name != "popular.shared.rarethree.iso" {
 				t.Fatalf("record %d source shared list mutated: %q", i, recs[i].Files[j].Name)
@@ -424,7 +455,7 @@ func TestAuditErrorNamesOffendingRecord(t *testing.T) {
 		{Honeypot: "hp-0", PeerIP: "42"},
 		{Honeypot: "hp-7", PeerIP: "192.0.2.55"},
 	}
-	err := Audit(recs)
+	err := audit(recs)
 	if err == nil {
 		t.Fatal("raw address passed the audit")
 	}
@@ -441,15 +472,6 @@ func TestAuditErrorNamesOffendingRecord(t *testing.T) {
 		}
 	}
 
-	// The streaming verifier reports the same identification.
-	_, serr := drainAll(t, AuditIter(logging.NewSliceIter(recs)))
-	var sae *AuditError
-	if !errors.As(serr, &sae) {
-		t.Fatalf("stream audit error is %T, want *AuditError", serr)
-	}
-	if *sae != *ae {
-		t.Fatalf("stream AuditError %+v differs from slice %+v", sae, ae)
-	}
 }
 
 // TestAuditIterPassThrough: clean records flow unchanged.
@@ -589,9 +611,7 @@ func TestNameAnonymizerMatchesPerOccurrenceReference(t *testing.T) {
 		}
 
 		a := NewNameAnonymizer(threshold)
-		if err := a.ObserveIter(logging.NewSliceIter(recs)); err != nil {
-			t.Fatal(err)
-		}
+		observeNames(a, recs)
 		got, err := drainAll(t, a.AnonymizeIter(logging.NewSliceIter(recs)))
 		if err != nil {
 			t.Fatal(err)

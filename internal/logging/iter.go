@@ -120,6 +120,21 @@ func (m *mapIter) Fill(dst []Record) (int, error) {
 // Next implements Iterator.
 func (m *mapIter) Next() (Record, error) { return NextOf(m, &m.one) }
 
+// Len reports src's Len: a Map stage yields what its source does.
+func (m *mapIter) Len() int { return Len(m.src) }
+
+// Len returns how many records src says it will yield — through a
+// Len() int method, as a finalize stream and a Map over one have — and
+// 0 when it does not say. It is a sizing hint for a consumer's buffers:
+// the stream still ends at io.EOF, so a wrong Len costs memory, never
+// records.
+func Len(src Iterator) int {
+	if s, ok := src.(interface{ Len() int }); ok {
+		return max(s.Len(), 0)
+	}
+	return 0
+}
+
 // Each drains src, invoking fn per record. It pulls src a batch at a
 // time (Fill) into one buffer it reuses, so fn sees a batch's records
 // after src has produced all of them. fn errors abort the drain; like

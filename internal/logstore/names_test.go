@@ -149,7 +149,15 @@ func checkNames(t *testing.T, st *Store, reg *obs.Registry) uint64 {
 			return err
 		}
 		defer it.Close()
-		return na.ObserveIter(it)
+		return logging.Each(it, func(r *logging.Record) error {
+			if r.FileName != "" {
+				na.Observe(r.FileName)
+			}
+			for _, f := range r.Files {
+				na.Observe(f.Name)
+			}
+			return nil
+		})
 	})
 	if fromTables != fromScan {
 		t.Errorf("dataset finalized from name tables %s, from a scan %s", fromTables, fromScan)

@@ -155,7 +155,7 @@ type Config struct {
 	// HealthEvery is the status-poll period.
 	HealthEvery time.Duration
 	// NameThreshold is the filename anonymization threshold applied at
-	// Finalize (words rarer than this are replaced); 0 disables.
+	// FinalizeStream (words rarer than this are replaced); 0 disables.
 	NameThreshold int
 	// Metrics, when set, receives the manager's telemetry: collection
 	// round/record counters and the finalize pipeline's per-stage record
@@ -210,8 +210,8 @@ type Manager struct {
 	byID map[string]*HoneypotState
 
 	// store holds what collection gathered, a shard per honeypot, and
-	// Finalize streams it back through a merged iterator: an in-memory
-	// store unless SetStore swapped in a durable one. Honeypots whose
+	// FinalizeStream streams it back through a merged iterator: an
+	// in-memory store unless SetStore swapped in a durable one. Honeypots whose
 	// handle writes into this same store (StoreBackedHandle) are not
 	// copied at all.
 	store *logstore.Store
@@ -256,8 +256,8 @@ func newMgrMetrics(r *obs.Registry) mgrMetrics {
 
 // New creates a manager on host. It collects into a logstore on a fresh
 // in-memory filesystem (faultfs.Mem), so a campaign's records live in
-// memory as encoded segments until Finalize; SetStore swaps in a durable
-// store. Both take the same collection and finalize path.
+// memory as encoded segments until FinalizeStream; SetStore swaps in a
+// durable store. Both take the same collection and finalize path.
 func New(host transport.Host, cfg Config) *Manager {
 	if cfg.CollectEvery <= 0 {
 		cfg.CollectEvery = time.Hour
@@ -283,9 +283,10 @@ func (m *Manager) Host() transport.Host { return m.host }
 
 // SetStore replaces the manager's in-memory store with a durable one
 // (spill-to-disk collection): gathered records land in per-honeypot
-// shards of store and Finalize streams them back from it. Set it before
-// Add, which opens each honeypot's shard in the store then in place; the
-// caller keeps ownership of the store (and closes it after Finalize).
+// shards of store and FinalizeStream streams them back from it. Set it
+// before Add, which opens each honeypot's shard in the store then in
+// place; the caller keeps ownership of the store (and closes it after
+// the stream).
 func (m *Manager) SetStore(store *logstore.Store) { m.store = store }
 
 // Store returns the store collection gathers into: the in-memory one New
@@ -616,10 +617,13 @@ func (m *Manager) relaunch(st *HoneypotState, finish func()) {
 	})
 }
 
-// Dataset is the merged, anonymized output of a campaign.
+// Dataset is the merged, anonymized output of a campaign: a
+// DatasetStream's summary once drained, plus the records when its
+// consumer kept them.
 type Dataset struct {
 	// Records is the unified log, ordered by timestamp, with step-2 peer
-	// numbers and anonymized file names.
+	// numbers and anonymized file names — nil unless the consumer of the
+	// stream kept them.
 	Records []logging.Record
 	// DistinctPeers is the number of distinct peers observed.
 	DistinctPeers int
@@ -629,20 +633,23 @@ type Dataset struct {
 	PerHoneypot map[string]int
 }
 
-// DatasetStream is the streaming form of Dataset: the unified,
-// anonymized, audited campaign log as an iterator. Records flow
-// store scan → audit → renumber → filename-anonymize a batch at a time,
-// each stage working on the batch in place (logging.Filler), on a
-// read-ahead stage's goroutine (logging.ReadAhead) a fixed number of
-// record batches ahead of the caller; peak pipeline memory is
+// DatasetStream is the one way a campaign's dataset leaves the
+// manager: the unified, anonymized, audited log as an iterator, whose
+// consumer builds the frame, the export store or the kept records.
+// Records flow store scan → audit → renumber → filename-anonymize a
+// batch at a time, each stage working on the batch in place
+// (logging.Filler), on a read-ahead stage's goroutine
+// (logging.ReadAhead) a fixed number of record batches ahead of the
+// caller; peak pipeline memory is
 // O(distinct peers + distinct file names + distinct filename words) —
 // the names being the strings the scan's intern pool already holds —
 // plus those batches, never O(records). The stats accessors
 // (DistinctPeers, ReplacedWords, PerHoneypot) may be called at any time
 // from the goroutine calling Fill or Next and are final once either has
-// returned io.EOF. Close stops the stage and releases the store cursor;
-// consume and close the stream before reusing or closing the manager's
-// store.
+// returned io.EOF. Len is the stream's record count, known up front,
+// so a consumer can size what it fills. Close stops the stage and
+// releases the store cursor; consume and close the stream before
+// reusing or closing the manager's store.
 type DatasetStream struct {
 	ra   *logging.ReadAheadIter // the stage running the chain: the pipeline's output
 	base *logstore.Iterator     // the store cursor, for Close
@@ -657,6 +664,7 @@ type DatasetStream struct {
 
 	perHP map[string]int // counted while draining
 	hps   []string       // known honeypot IDs, zero-filled at EOF
+	n     int            // the store's record count at finalize: Len
 
 	busy *obs.Counter // finalize.chain.busy_nanos: the stage's producer time, added at Close
 
@@ -665,8 +673,9 @@ type DatasetStream struct {
 
 // Fill implements logging.Filler: it stores the next anonymized records
 // in dst, copied in bulk from the chain's batches, and stops early at an
-// *anonymize.AuditError if a leak is detected or at io.EOF at the end of
-// the campaign. After Close it returns an error that is not io.EOF.
+// error wrapping an *anonymize.AuditError if a leak is detected (see
+// wrapFinalizeErr) or at io.EOF at the end of the campaign. After Close
+// it returns an error that is not io.EOF.
 func (d *DatasetStream) Fill(dst []logging.Record) (int, error) {
 	n, err := d.ra.Fill(dst)
 	for i := range dst[:n] {
@@ -677,11 +686,12 @@ func (d *DatasetStream) Fill(dst []logging.Record) (int, error) {
 		if d.na != nil {
 			d.replaced = d.na.ReplacedWords()
 		}
-		if errors.Is(err, io.EOF) {
-			for _, id := range d.hps {
-				if _, ok := d.perHP[id]; !ok {
-					d.perHP[id] = 0
-				}
+		if !errors.Is(err, io.EOF) {
+			return n, wrapFinalizeErr(err)
+		}
+		for _, id := range d.hps {
+			if _, ok := d.perHP[id]; !ok {
+				d.perHP[id] = 0
 			}
 		}
 	}
@@ -701,6 +711,10 @@ func (d *DatasetStream) Close() error {
 	return err
 }
 
+// Len returns the number of records the stream yields: the manager's
+// store count after the last collection, which the stream scans whole.
+func (d *DatasetStream) Len() int { return d.n }
+
 // DistinctPeers returns the number of distinct peers renumbered: zero
 // until the stream ends, final after io.EOF.
 func (d *DatasetStream) DistinctPeers() int { return d.peers }
@@ -713,43 +727,17 @@ func (d *DatasetStream) ReplacedWords() int { return d.replaced }
 // after io.EOF.
 func (d *DatasetStream) PerHoneypot() map[string]int { return d.perHP }
 
-// Finalize runs a last collection, then merges and unifies all logs:
-// k-way timestamp merge, coherent renumbering of hashed peer addresses,
-// filename anonymization, and the leak audit. The result is delivered to
-// done on the manager's executor. It is the materialized form of
-// FinalizeStream — the campaign must fit in memory. The records are
-// filled into one slice sized by the store's record count, taken after
-// the last collection.
-func (m *Manager) Finalize(done func(*Dataset, error)) {
-	m.FinalizeStream(func(ds *DatasetStream, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		defer ds.Close()
-		merged, err := logging.AppendAll(make([]logging.Record, 0, m.store.TotalRecords()), ds)
-		if err != nil {
-			done(nil, wrapFinalizeErr(err))
-			return
-		}
-		done(&Dataset{
-			Records:       merged,
-			DistinctPeers: ds.DistinctPeers(),
-			ReplacedWords: ds.ReplacedWords(),
-			PerHoneypot:   ds.PerHoneypot(),
-		}, nil)
-	})
-}
-
-// FinalizeStream runs a last collection, then hands done the campaign as
-// a streaming record pipeline instead of a materialized dataset: the
-// caller pulls anonymized, audited records one at a time (feeding them
-// to analysis.BuildFrameIter, a JSONL export, or an on-disk store) and
-// no []Record for the campaign is ever allocated. The filename pass
-// takes its word frequencies first, from the store's per-segment name
-// tables — the in-memory store and a durable one alike — so the store
-// is scanned once, by the stream itself, and the stream delivered to
-// done is ready to yield final names immediately.
+// FinalizeStream runs a last collection, then hands done the campaign
+// as a streaming record pipeline — k-way timestamp merge, coherent
+// renumbering of hashed peer addresses, filename anonymization and the
+// leak audit. The caller pulls anonymized, audited records (feeding
+// them to analysis.BuildFrameIter, a JSONL export, or an on-disk store)
+// and no []Record for the campaign is allocated unless the caller keeps
+// them. The filename pass takes its word frequencies first, from the
+// store's per-segment name tables — the in-memory store and a durable
+// one alike — so the store is scanned once, by the stream itself, and
+// the stream delivered to done is ready to yield final names
+// immediately.
 func (m *Manager) FinalizeStream(done func(*DatasetStream, error)) {
 	m.Stop()
 	m.CollectNow(func() {
@@ -762,9 +750,10 @@ func (m *Manager) FinalizeStream(done func(*DatasetStream, error)) {
 	})
 }
 
-// wrapFinalizeErr keeps Finalize's historical error surface: audit
-// failures and pipeline/merge failures wrap differently so callers (and
-// operators reading logs) can tell a privacy leak from an I/O problem.
+// wrapFinalizeErr wraps every error a finalize hands out — FinalizeStream's
+// and its stream's — so that audit failures and pipeline/merge failures
+// read differently: callers (and operators reading logs) can tell a
+// privacy leak from an I/O problem.
 func wrapFinalizeErr(err error) error {
 	var ae *anonymize.AuditError
 	if errors.As(err, &ae) {
@@ -859,6 +848,7 @@ func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 	ds := &DatasetStream{
 		ra: ra, base: base, ren: ren, na: na,
 		perHP: make(map[string]int, len(m.hps)),
+		n:     int(m.store.TotalRecords()),
 		busy:  m.cfg.Metrics.Counter("finalize.chain.busy_nanos"),
 	}
 	span.End()

@@ -291,7 +291,7 @@ func TestFinalizePipeline(t *testing.T) {
 
 	var ds *Dataset
 	var dsErr error
-	w.mgr.Finalize(func(d *Dataset, err error) { ds, dsErr = d, err })
+	finalize(w.mgr, func(d *Dataset, err error) { ds, dsErr = d, err })
 	w.settle()
 	if dsErr != nil {
 		t.Fatal(dsErr)
@@ -335,7 +335,7 @@ func TestFinalizeAuditsRecords(t *testing.T) {
 	w := newWorld(t, 1, DefaultConfig())
 	w.contact(t, w.hps[0], "p")
 	var ds *Dataset
-	w.mgr.Finalize(func(d *Dataset, err error) {
+	finalize(w.mgr, func(d *Dataset, err error) {
 		if err != nil {
 			t.Errorf("finalize: %v", err)
 			return
@@ -350,6 +350,23 @@ func TestFinalizeAuditsRecords(t *testing.T) {
 		if _, err := strconv.Atoi(r.PeerIP); err != nil {
 			t.Fatalf("record PeerIP %q is not a step-2 number", r.PeerIP)
 		}
+	}
+
+	// A raw address that reached the store fails the next finalize with
+	// an *anonymize.AuditError, after every record before it.
+	sh, err := w.mgr.Store().Shard("hp-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.AppendRecord(logging.Record{Time: w.loop.Now(), Honeypot: "hp-0", PeerIP: "192.0.2.55"}); err != nil {
+		t.Fatal(err)
+	}
+	var leakErr error
+	finalize(w.mgr, func(_ *Dataset, err error) { leakErr = err })
+	w.settle()
+	var ae *anonymize.AuditError
+	if !errors.As(leakErr, &ae) || ae.Value != "192.0.2.55" || ae.Index != len(ds.Records) {
+		t.Fatalf("finalize over a leaked address: %v", leakErr)
 	}
 }
 
@@ -383,7 +400,7 @@ func TestCollectNowEmptyManager(t *testing.T) {
 		t.Error("CollectNow callback with zero honeypots")
 	}
 	var ds *Dataset
-	m.Finalize(func(d *Dataset, err error) { ds = d })
+	finalize(m, func(d *Dataset, err error) { ds = d })
 	loop.RunUntil(t0.Add(2 * time.Minute))
 	if ds == nil || len(ds.Records) != 0 {
 		t.Error("empty finalize")
@@ -544,10 +561,10 @@ func TestIncrementalCollectionTransfersEachRecordOnce(t *testing.T) {
 		seen[key] = true
 	}
 
-	// Finalize still produces a clean, audited dataset via the same path.
+	// The finalize still produces a clean, audited dataset via the same path.
 	var ds *Dataset
 	var dsErr error
-	w.mgr.Finalize(func(d *Dataset, err error) { ds, dsErr = d, err })
+	finalize(w.mgr, func(d *Dataset, err error) { ds, dsErr = d, err })
 	w.settle()
 	if dsErr != nil {
 		t.Fatal(dsErr)
@@ -704,7 +721,7 @@ func TestRedialCollectsAfterRestart(t *testing.T) {
 	w.settle()
 	var ds *Dataset
 	var dsErr error
-	w.mgr.Finalize(func(d *Dataset, err error) { ds, dsErr = d, err })
+	finalize(w.mgr, func(d *Dataset, err error) { ds, dsErr = d, err })
 	w.settle()
 	if dsErr != nil || ds == nil {
 		t.Fatalf("finalize: %v", dsErr)
@@ -718,7 +735,7 @@ func TestRedialCollectsAfterRestart(t *testing.T) {
 }
 
 // TestSpillStoreFinalize checks the manager's spill-to-disk mode:
-// collected records land in store shards, and Finalize streams them back
+// collected records land in store shards, and FinalizeStream streams them back
 // into the same dataset the in-memory path would produce.
 func TestSpillStoreFinalize(t *testing.T) {
 	// Reference run: plain in-memory collection.
@@ -728,7 +745,7 @@ func TestSpillStoreFinalize(t *testing.T) {
 	ref.contactFrom(t, shared, ref.hps[1])
 	ref.contact(t, ref.hps[1], "other-peer")
 	var want *Dataset
-	ref.mgr.Finalize(func(d *Dataset, err error) {
+	finalize(ref.mgr, func(d *Dataset, err error) {
 		if err != nil {
 			t.Fatalf("ref finalize: %v", err)
 		}
@@ -751,7 +768,7 @@ func TestSpillStoreFinalize(t *testing.T) {
 	w.contactFrom(t, shared2, w.hps[1])
 	w.contact(t, w.hps[1], "other-peer")
 	var got *Dataset
-	w.mgr.Finalize(func(d *Dataset, err error) {
+	finalize(w.mgr, func(d *Dataset, err error) {
 		if err != nil {
 			t.Fatalf("spill finalize: %v", err)
 		}
@@ -796,7 +813,7 @@ func newWorldWithStore(t *testing.T, nHoneypots int, cfg Config, store *logstore
 }
 
 // TestSharedStoreLocalHandles: honeypots write straight into the
-// manager's store; collection copies nothing, Finalize streams the lot.
+// manager's store; collection copies nothing, FinalizeStream streams the lot.
 func TestSharedStoreLocalHandles(t *testing.T) {
 	store, err := logstore.Open(t.TempDir(), logstore.Options{})
 	if err != nil {
@@ -861,7 +878,7 @@ func TestSharedStoreLocalHandles(t *testing.T) {
 	}
 
 	var ds *Dataset
-	w.mgr.Finalize(func(d *Dataset, err error) {
+	finalize(w.mgr, func(d *Dataset, err error) {
 		if err != nil {
 			t.Fatalf("finalize: %v", err)
 		}
@@ -1022,11 +1039,35 @@ func tieLogs(ids []string) map[string][]logging.Record {
 	return logs
 }
 
+// finalize drains m's FinalizeStream into a Dataset that keeps its
+// records, filled into a slice sized by the stream's Len, and hands it
+// to done.
+func finalize(m *Manager, done func(*Dataset, error)) {
+	m.FinalizeStream(func(s *DatasetStream, err error) {
+		if err != nil {
+			done(nil, err)
+			return
+		}
+		defer s.Close()
+		recs, err := logging.AppendAll(make([]logging.Record, 0, s.Len()), s)
+		if err != nil {
+			done(nil, err)
+			return
+		}
+		done(&Dataset{
+			Records:       recs,
+			DistinctPeers: s.DistinctPeers(),
+			ReplacedWords: s.ReplacedWords(),
+			PerHoneypot:   s.PerHoneypot(),
+		}, nil)
+	})
+}
+
 func finalizeNow(t *testing.T, m *Manager) *Dataset {
 	t.Helper()
 	var ds *Dataset
 	var dsErr error
-	m.Finalize(func(d *Dataset, err error) { ds, dsErr = d, err })
+	finalize(m, func(d *Dataset, err error) { ds, dsErr = d, err })
 	if dsErr != nil {
 		t.Fatal(dsErr)
 	}
@@ -1112,8 +1153,9 @@ func TestFinalizeHandleOrderIrrelevant(t *testing.T) {
 }
 
 // TestFinalizeStreamMatchesFinalize drains the streaming pipeline by
-// hand and pins it to the materialized dataset: records, stats, and the
-// after-EOF contract of the stats accessors.
+// hand, a Next per record, and pins it to the batched drain into a
+// sized slice (finalize): records, stats, and the after-EOF contract of
+// the stats accessors.
 func TestFinalizeStreamMatchesFinalize(t *testing.T) {
 	ids := []string{"hp-a", "hp-b"}
 	logs := tieLogs(ids)
@@ -1191,7 +1233,7 @@ func TestFinalizeAuditFailureNamesRecord(t *testing.T) {
 	}}, Assignment{})
 	m.CollectNow(nil)
 	var gotErr error
-	m.Finalize(func(d *Dataset, err error) { gotErr = err })
+	finalize(m, func(d *Dataset, err error) { gotErr = err })
 	if gotErr == nil {
 		t.Fatal("leaked address survived finalize")
 	}
@@ -1501,8 +1543,8 @@ func TestDatasetStreamStatsAcrossTheStage(t *testing.T) {
 // TestDatasetStreamCloseJoinsStages: on every way a store-backed stream
 // can end — closed unread, closed mid-stream by a failing consumer, or
 // failed by the audit deep into the scan — Close leaves no goroutine
-// behind, and the audit failure still reaches wrapFinalizeErr as an
-// *anonymize.AuditError, after every record before it.
+// behind, and the audit failure still surfaces, wrapped as an audit
+// failure, as an *anonymize.AuditError, after every record before it.
 func TestDatasetStreamCloseJoinsStages(t *testing.T) {
 	ids := []string{"hp-a", "hp-b"}
 	base := runtime.NumGoroutine()
@@ -1536,8 +1578,8 @@ func TestDatasetStreamCloseJoinsStages(t *testing.T) {
 	delivered := 0
 	err = logging.Each(stream, func(*logging.Record) error { delivered++; return nil })
 	var ae *anonymize.AuditError
-	if werr := wrapFinalizeErr(err); !errors.As(werr, &ae) || !strings.Contains(werr.Error(), "audit failed") {
-		t.Fatalf("audit failure through the stages: %v", werr)
+	if !errors.As(err, &ae) || !strings.Contains(err.Error(), "audit failed") {
+		t.Fatalf("audit failure through the stages: %v", err)
 	}
 	if delivered != 701 || ae.Honeypot != "hp-b" {
 		t.Fatalf("audit failed after %d records on %q, want after 701 on hp-b", delivered, ae.Honeypot)
@@ -1744,9 +1786,10 @@ func TestDatasetStreamFillAuditErrorInPlace(t *testing.T) {
 	}
 }
 
-// TestFinalizeSizesTheDatasetOnce: the materialized finalize allocates
-// its records once, at the store's record count, and fills them in
-// place.
+// TestFinalizeSizesTheDatasetOnce: the finalize stream's Len is its
+// record count — the store's, after the last collection — so a consumer
+// that sizes by it (finalize here, the frame builder, the engine's kept
+// records) allocates once and fills in place.
 func TestFinalizeSizesTheDatasetOnce(t *testing.T) {
 	ids := []string{"hp-a", "hp-b", "hp-c"}
 	logs := stagedLogs(ids, 700, -1)

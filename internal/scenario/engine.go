@@ -35,7 +35,9 @@ const settleDelay = 5 * time.Minute
 type Result struct {
 	// Name labels the campaign ("distributed", "greedy", ...).
 	Name string
-	// Dataset is the manager's merged, renumbered, audited output.
+	// Dataset is the manager's merged, renumbered, audited output. Its
+	// Records are kept only when neither Collection.Stream nor
+	// Collection.ExportDir is set.
 	Dataset *manager.Dataset
 	// Start and Days delimit the measurement window.
 	Start time.Time
@@ -86,10 +88,9 @@ type Result struct {
 	StoreDir string
 	// StoredRecords is the record count persisted in StoreDir.
 	StoredRecords uint64
-	// Frame is the columnar campaign image, built record-by-record from
-	// the streaming finalize pipeline when Collection.Stream (or
-	// ExportDir) is set — in that mode Dataset.Records is nil and every
-	// analysis derives from the frame. Nil for materialized campaigns.
+	// Frame is the columnar campaign image, built record by record from
+	// the finalize stream; every analysis derives from it. Every run
+	// carries one, aborted and degraded runs included.
 	Frame *analysis.Frame
 	// ExportDir, when Collection.ExportDir was set, is the logstore
 	// directory holding the anonymized dataset (one shard per
@@ -734,82 +735,77 @@ func (w *world) finish(spec Spec, pops []*peersim.Population) (*Result, error) {
 		}
 	}
 
-	var ds *manager.Dataset
-	var frame *analysis.Frame
-	var exported uint64
+	// The finalize has one consumer: the manager hands over the
+	// anonymized stream and the engine drains it into the columnar
+	// frame, through the export store and the kept records when asked.
+	var stream *manager.DatasetStream
 	var dsErr error
-	if spec.Collection.Stream || spec.Collection.ExportDir != "" {
-		// Streaming finalize: the manager hands over the anonymized
-		// pipeline and the engine drains it straight into the columnar
-		// frame (and the export store, when asked) — the campaign's
-		// records are never materialized.
-		var stream *manager.DatasetStream
-		w.mgr.FinalizeStream(func(s *manager.DatasetStream, err error) { stream, dsErr = s, err })
-		w.loop.RunUntil(drainUntil)
-		if dsErr != nil {
-			return nil, dsErr
-		}
-		if stream == nil {
-			return nil, fmt.Errorf("scenario: finalize did not complete")
-		}
-		defer stream.Close()
-		var it logging.Iterator = stream
-		var export *logstore.Store
-		if dir := spec.Collection.ExportDir; dir != "" {
-			var err error
-			if export, err = logstore.Open(dir, logstore.Options{Metrics: w.opts.Metrics}); err != nil {
-				return nil, fmt.Errorf("scenario: opening export store: %w", err)
-			}
-			defer export.Close()
-			if n := export.TotalRecords(); n > 0 {
-				return nil, fmt.Errorf("scenario: export store %s already holds %d records from a previous run; point it at a fresh directory", dir, n)
-			}
-			// The export tee is the pipeline's last stage; count and time
-			// it like the manager's stages (nil-safe counters make the
-			// disabled case one branch per record).
-			expRecs := w.opts.Metrics.Counter("finalize.export.records")
-			expNanos := w.opts.Metrics.Counter("finalize.export.nanos")
-			timed := w.opts.Metrics != nil
-			it = logging.Map(it, func(r *logging.Record) error {
-				var start time.Time
-				if timed {
-					start = time.Now()
-				}
-				if err := export.AppendRecord(*r); err != nil {
-					return err
-				}
-				if timed {
-					expNanos.Add(uint64(time.Since(start)))
-				}
-				expRecs.Inc()
-				exported++
-				return nil
-			})
-		}
+	w.mgr.FinalizeStream(func(s *manager.DatasetStream, err error) { stream, dsErr = s, err })
+	// Drain the finalize exchange (bounded: populations stopped).
+	w.loop.RunUntil(drainUntil)
+	if dsErr != nil {
+		return nil, dsErr
+	}
+	if stream == nil {
+		return nil, fmt.Errorf("scenario: finalize did not complete")
+	}
+	defer stream.Close()
+	var it logging.Iterator = stream
+	var export *logstore.Store
+	var exported uint64
+	if dir := spec.Collection.ExportDir; dir != "" {
 		var err error
-		if frame, err = analysis.BuildFrameIter(it); err != nil {
-			return nil, fmt.Errorf("scenario: streaming finalize: %w", err)
+		if export, err = logstore.Open(dir, logstore.Options{Metrics: w.opts.Metrics}); err != nil {
+			return nil, fmt.Errorf("scenario: opening export store: %w", err)
 		}
-		if export != nil {
-			if err := export.Close(); err != nil {
-				return nil, fmt.Errorf("scenario: closing export store: %w", err)
+		defer export.Close()
+		if n := export.TotalRecords(); n > 0 {
+			return nil, fmt.Errorf("scenario: export store %s already holds %d records from a previous run; point it at a fresh directory", dir, n)
+		}
+		// The export tee is the pipeline's last stage; count and time
+		// it like the manager's stages (nil-safe counters make the
+		// disabled case one branch per record).
+		expRecs := w.opts.Metrics.Counter("finalize.export.records")
+		expNanos := w.opts.Metrics.Counter("finalize.export.nanos")
+		timed := w.opts.Metrics != nil
+		it = logging.Map(it, func(r *logging.Record) error {
+			var start time.Time
+			if timed {
+				start = time.Now()
 			}
+			if err := export.AppendRecord(*r); err != nil {
+				return err
+			}
+			if timed {
+				expNanos.Add(uint64(time.Since(start)))
+			}
+			expRecs.Inc()
+			exported++
+			return nil
+		})
+	}
+	var recs []logging.Record
+	if !spec.Collection.Stream && spec.Collection.ExportDir == "" {
+		recs = make([]logging.Record, 0, stream.Len())
+		it = logging.Map(it, func(r *logging.Record) error {
+			recs = append(recs, *r)
+			return nil
+		})
+	}
+	frame, err := analysis.BuildFrameIter(it)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: finalize: %w", err)
+	}
+	if export != nil {
+		if err := export.Close(); err != nil {
+			return nil, fmt.Errorf("scenario: closing export store: %w", err)
 		}
-		ds = &manager.Dataset{
-			DistinctPeers: stream.DistinctPeers(),
-			ReplacedWords: stream.ReplacedWords(),
-			PerHoneypot:   stream.PerHoneypot(),
-		}
-	} else {
-		w.mgr.Finalize(func(d *manager.Dataset, err error) { ds, dsErr = d, err })
-		// Drain the finalize exchange (bounded: populations stopped).
-		w.loop.RunUntil(drainUntil)
-		if dsErr != nil {
-			return nil, dsErr
-		}
-		if ds == nil {
-			return nil, fmt.Errorf("scenario: finalize did not complete")
-		}
+	}
+	ds := &manager.Dataset{
+		Records:       recs,
+		DistinctPeers: stream.DistinctPeers(),
+		ReplacedWords: stream.ReplacedWords(),
+		PerHoneypot:   stream.PerHoneypot(),
 	}
 
 	groupOf := make(map[string]string, len(spec.Fleet))

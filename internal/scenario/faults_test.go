@@ -30,6 +30,9 @@ func TestFlakyLinksSmoke(t *testing.T) {
 	if len(res.Dataset.Records) == 0 {
 		t.Fatal("campaign produced no records")
 	}
+	if res.Frame == nil || res.Frame.Len() != len(res.Dataset.Records) {
+		t.Fatal("degraded run's frame does not hold its dataset")
+	}
 
 	// The schedule flaps hp-02 twice and hp-05 once: six paired events.
 	downs, ups := 0, 0

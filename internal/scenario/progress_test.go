@@ -103,6 +103,9 @@ func TestProgressEarlyAbort(t *testing.T) {
 	if len(res.Dataset.Records) == 0 {
 		t.Error("aborted run collected nothing; want a partial dataset")
 	}
+	if res.Frame == nil || res.Frame.Len() != len(res.Dataset.Records) {
+		t.Error("aborted run's frame does not hold its partial dataset")
+	}
 	if len(res.Dataset.Records) >= len(full.Dataset.Records) {
 		t.Errorf("aborted run has %d records, full run %d; want fewer",
 			len(res.Dataset.Records), len(full.Dataset.Records))

@@ -251,11 +251,13 @@ type Collection struct {
 	// manager gathers each honeypot's records hourly into its own
 	// logstore on an in-memory filesystem.
 	StoreDir string `json:"store_dir,omitempty"`
-	// Stream finalizes through the streaming record pipeline: the
-	// anonymized log flows straight into a columnar frame
-	// (Result.Frame) and Result.Dataset carries only the summary stats
-	// — no []Record is ever materialized. The at-scale mode for
-	// campaigns that do not fit in memory.
+	// Stream drops the records once the frame is built. Every campaign
+	// finalizes through one stream into its columnar frame
+	// (Result.Frame); a run that sets neither Stream nor ExportDir also
+	// keeps the records in Result.Dataset.Records, while with either
+	// set no []Record is ever materialized and Result.Dataset carries
+	// only the summary stats. The at-scale mode for campaigns that do
+	// not fit in memory.
 	Stream bool `json:"stream,omitempty"`
 	// ExportDir, when set, streams the anonymized dataset into a
 	// segmented logstore under this directory as it is finalized (one

@@ -17,7 +17,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
@@ -65,8 +64,7 @@ type GrowthCurve struct {
 	New []int
 }
 
-// DistinctTracker accumulates a GrowthCurve one event at a time — the
-// streaming core of Distinct. Feeding it from a disk-backed record
+// DistinctTracker accumulates a GrowthCurve one event at a time. Feeding it from a disk-backed record
 // iterator costs one map entry per distinct key, never one per event.
 type DistinctTracker struct {
 	start     time.Time
@@ -177,22 +175,6 @@ func (d *DenseDistinctTracker) Curve() GrowthCurve {
 		g.Cumulative[i] = run
 	}
 	return g
-}
-
-// Distinct computes a GrowthCurve over events (time, key). Events outside
-// [start, start+periods*width) are ignored.
-func Distinct(times []time.Time, keys []string, start time.Time, width time.Duration, periods int) GrowthCurve {
-	if len(times) != len(keys) {
-		panic("stats: times and keys length mismatch")
-	}
-	d := DistinctTracker{
-		start: start, width: width, periods: periods,
-		firstSeen: make(map[string]int, len(keys)/4+1),
-	}
-	for i, t := range times {
-		d.Observe(t, keys[i])
-	}
-	return d.Curve()
 }
 
 // SubsetUnion is the result of the random-subset union estimator.
@@ -423,36 +405,6 @@ func TopKey(keys []string) (string, int) {
 		bestN = 0
 	}
 	return best, bestN
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) using nearest-rank on a
-// sorted copy.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	i := int(q * float64(len(cp)-1))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(cp) {
-		i = len(cp) - 1
-	}
-	return cp[i]
 }
 
 // CumulativeInts turns per-period counts into a running total.

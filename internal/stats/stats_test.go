@@ -42,7 +42,11 @@ func TestDistinctGrowth(t *testing.T) {
 		t0.Add(50 * time.Hour), // day 2, peer c
 	}
 	keys := []string{"a", "a", "b", "a", "c"}
-	g := Distinct(times, keys, t0, day, 3)
+	d := NewDistinctTracker(t0, day, 3)
+	for i, at := range times {
+		d.Observe(at, keys[i])
+	}
+	g := d.Curve()
 	wantNew := []int{1, 1, 1}
 	wantCum := []int{1, 2, 3}
 	for i := range wantNew {
@@ -53,21 +57,13 @@ func TestDistinctGrowth(t *testing.T) {
 }
 
 func TestDistinctIgnoresOutOfRange(t *testing.T) {
-	g := Distinct(
-		[]time.Time{t0.Add(-time.Hour), t0.Add(100 * 24 * time.Hour)},
-		[]string{"x", "y"}, t0, 24*time.Hour, 2)
+	d := NewDistinctTracker(t0, 24*time.Hour, 2)
+	d.Observe(t0.Add(-time.Hour), "x")
+	d.Observe(t0.Add(100*24*time.Hour), "y")
+	g := d.Curve()
 	if g.Cumulative[1] != 0 {
 		t.Errorf("out-of-range events counted: %v", g.Cumulative)
 	}
-}
-
-func TestDistinctPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on length mismatch")
-		}
-	}()
-	Distinct([]time.Time{t0}, nil, t0, time.Hour, 1)
 }
 
 func TestUnionEstimateFullSubsetExact(t *testing.T) {
@@ -148,22 +144,6 @@ func TestTopKey(t *testing.T) {
 	k, _ = TopKey([]string{"z", "y"})
 	if k != "y" {
 		t.Errorf("tie break = %q", k)
-	}
-}
-
-func TestMeanQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if Mean(xs) != 2.5 {
-		t.Errorf("mean = %v", Mean(xs))
-	}
-	if Mean(nil) != 0 {
-		t.Error("mean of empty")
-	}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 4 {
-		t.Errorf("quantile extremes: %v %v", Quantile(xs, 0), Quantile(xs, 1))
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("quantile of empty")
 	}
 }
 

@@ -17,10 +17,10 @@ package svc
 //
 // Correctness hinges on two invariants the lower layers pin with
 // tests: the engine tap never perturbs a campaign (a tapped run's
-// dataset is record-for-record identical), and the streamed finalize
-// is bit-identical to the materialized one — so a run executed by the
-// daemon reports exactly what the same spec and seed produce under
-// cmd/measure.
+// dataset is record-for-record identical), and a run that streams its
+// dataset out is bit-identical to one that keeps its records — so a
+// run executed by the daemon reports exactly what the same spec and
+// seed produce under cmd/measure.
 
 import (
 	"errors"
@@ -419,9 +419,6 @@ func (s *Service) frameFor(run Run) (*analysis.Frame, analysis.CampaignMeta, err
 // seedFrame caches the frame the finalize already built, so the first
 // query pays nothing.
 func (s *Service) seedFrame(id string, frame *analysis.Frame, meta analysis.CampaignMeta) {
-	if frame == nil {
-		return
-	}
 	s.mu.Lock()
 	s.frames[id] = &frameCache{loaded: true, frame: frame, meta: meta}
 	s.mu.Unlock()
@@ -506,6 +503,7 @@ func (s *Service) execute(id string) {
 	meta := res.Meta()
 	summary := &RunSummary{
 		Events:          res.Events,
+		Records:         res.Frame.Len(),
 		DistinctPeers:   res.Dataset.DistinctPeers,
 		ExportedRecords: res.ExportedRecords,
 		CollectionGaps:  res.CollectionGaps,
@@ -515,9 +513,6 @@ func (s *Service) execute(id string) {
 		Aborted:         res.Aborted,
 		AbortedAt:       res.AbortedAt,
 		WallSeconds:     wall.Seconds(),
-	}
-	if res.Frame != nil {
-		summary.Records = res.Frame.Len()
 	}
 	s.seedFrame(id, res.Frame, meta)
 	state := StateDone

@@ -139,18 +139,11 @@ func Analyze(res *Result) *Report {
 	return AnalyzeWith(res, DefaultAnalyzeOptions())
 }
 
-// AnalyzeWith computes the full report. The dataset is compiled into a
-// columnar frame in exactly one pass over the records — or, for a
-// campaign finalized through the streaming pipeline (Collection.Stream
-// or Collection.ExportDir), the frame built during finalize is reused
-// and no records are ever touched; every artifact is then derived from
-// the frame's interned integer columns.
+// AnalyzeWith computes the full report from the frame the campaign's
+// finalize built (Result.Frame); no record is touched again, and every
+// artifact is derived from the frame's interned integer columns.
 func AnalyzeWith(res *Result, opt AnalyzeOptions) *Report {
-	f := res.Frame
-	if f == nil {
-		f = analysis.BuildFrame(res.Dataset.Records)
-	}
-	return AnalyzeFrame(res, f, opt)
+	return AnalyzeFrame(res, res.Frame, opt)
 }
 
 // Queries lists the registered analysis query names, sorted. Any subset
@@ -159,15 +152,10 @@ func Queries() []string { return analysis.Names() }
 
 // ExecPlan runs an analysis plan — any selection of registered queries,
 // e.g. exactly one figure — against a finished campaign, executing
-// independent queries concurrently. The campaign's frame is reused when
-// the streaming pipeline built one, otherwise compiled once from the
-// records.
+// independent queries concurrently, over the frame the campaign's
+// finalize built.
 func ExecPlan(res *Result, plan analysis.Plan) (analysis.ReportSet, error) {
-	f := res.Frame
-	if f == nil {
-		f = analysis.BuildFrame(res.Dataset.Records)
-	}
-	return analysis.Exec(f, res.Meta(), plan)
+	return analysis.Exec(res.Frame, res.Meta(), plan)
 }
 
 // AnalyzeFrame computes the full report from an already-built frame —
