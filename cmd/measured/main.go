@@ -40,6 +40,21 @@ import (
 	"repro/internal/svc"
 )
 
+// The daemon's connection limits. A client has readHeaderTimeout to
+// send a request's header, and a keep-alive connection may sit idle for
+// idleTimeout between requests. There is no write timeout: an SSE
+// progress stream stays open for as long as its campaign runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is the daemon's HTTP server over h, with its connection
+// limits.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 	dataDir := flag.String("data", "measured-data", "run store root directory")
@@ -72,7 +87,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	srv := &http.Server{Handler: svc.Handler(service)}
+	srv := newServer(svc.Handler(service))
 	log.Printf("serving on http://%s (run store: %s, %d workers)", ln.Addr(), *dataDir, *workers)
 
 	done := make(chan error, 1)

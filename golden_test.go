@@ -95,8 +95,9 @@ func reportDigest(t *testing.T, rep *repro.Report) string {
 }
 
 // campaign is one scenario's run in one golden mode. TestGoldenDigests,
-// TestFinalizeStreamMatchesMaterializedOnAllScenarios and
-// TestAnalyzePlanMatchesSerialReference check the same runs, so each
+// TestFinalizeStreamMatchesMaterializedOnAllScenarios,
+// TestAnalyzePlanMatchesSerialReference and
+// TestEveryReadPathBuildsTheSameFrame check the same runs, so each
 // campaign runs once, in whichever of them reaches it first, and the
 // others wait for it. It is dropped, and its directory removed, once
 // its last reader finishes.
@@ -116,7 +117,7 @@ type campaign struct {
 var campaignReaders = map[string]int{
 	goldenMemory.name:       3, // golden, plan reference, finalize reference
 	goldenMemoryStream.name: 2, // golden, finalize
-	goldenStoreStream.name:  3, // golden, plan reference, finalize
+	goldenStoreStream.name:  4, // golden, plan reference, finalize, frame read paths
 	goldenNextSeed.name:     1, // golden
 }
 

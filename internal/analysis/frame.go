@@ -120,7 +120,12 @@ func BuildFrame(recs []logging.Record) *Frame {
 // ever materializing the records. Memory use is the frame itself: 19
 // bytes per record plus the intern tables. A source that reports its
 // length (logging.Len) gets its columns allocated once, at that length.
+// A source with a DropText method (a logstore.Iterator that nothing
+// else reads) is asked to leave out the text the frame never keeps.
 func BuildFrameIter(it logging.Iterator) (*Frame, error) {
+	if d, ok := it.(interface{ DropText() bool }); ok {
+		d.DropText()
+	}
 	f := newFrame(logging.Len(it))
 	err := logging.Each(it, func(r *logging.Record) error {
 		f.add(r)
@@ -156,6 +161,21 @@ func OpenFrame(dir string) (*Frame, error) {
 
 // Len returns the number of records in the frame.
 func (f *Frame) Len() int { return len(f.times) }
+
+// Equal reports whether f and g hold the same records in the same
+// columnar form: every column, every intern table in first-seen order
+// and the shared-file sizes. The lazily built caches are not compared,
+// so Equal may run while queries execute over either frame.
+func (f *Frame) Equal(g *Frame) bool {
+	return slices.Equal(f.times, g.times) && slices.Equal(f.kinds, g.kinds) &&
+		slices.Equal(f.peers, g.peers) && slices.Equal(f.hps, g.hps) &&
+		slices.Equal(f.files, g.files) &&
+		slices.Equal(f.peerTab.Values(), g.peerTab.Values()) &&
+		slices.Equal(f.hpTab.Values(), g.hpTab.Values()) &&
+		slices.Equal(f.fileTab.Values(), g.fileTab.Values()) &&
+		slices.Equal(f.sharedTab.Values(), g.sharedTab.Values()) &&
+		slices.Equal(f.sharedSizes, g.sharedSizes)
+}
 
 // DistinctPeers returns the number of distinct peer identifiers.
 func (f *Frame) DistinctPeers() int { return f.peerTab.Len() }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -363,5 +364,108 @@ func TestFramePeerSetFallback(t *testing.T) {
 	wantSets, wantU := HoneypotPeerSets(recs, []string{"a", "b"})
 	if gotU != wantU || !reflect.DeepEqual(gotSets, wantSets) {
 		t.Errorf("fallback path: got %v/%d want %v/%d", gotSets, gotU, wantSets, wantU)
+	}
+}
+
+// textStore writes recs round-robin over three shards of a store under
+// dir, at increasing timestamps so that the merged scan replays recs in
+// order, gives every record text of its own in each column the frame
+// drops, so that a scan that keeps the text allocates for each, and
+// closes the store. It returns the records as stored.
+func textStore(t *testing.T, dir string, recs []logging.Record, opts logstore.Options) []logging.Record {
+	t.Helper()
+	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
+	store, err := logstore.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]logging.Record, len(recs))
+	for i, r := range recs {
+		r.Time = start.Add(time.Duration(i) * time.Second)
+		r.Honeypot = fmt.Sprint("hp-", i%3)
+		r.PeerName = fmt.Sprint("eMule v0.49b #", i)
+		r.UserHash = fmt.Sprintf("%032x", i)
+		r.FileName = fmt.Sprint("some.popular.movie.", i, ".avi")
+		r.Server = fmt.Sprint("10.0.", i%7, ".1:4661")
+		r.Files = slices.Clone(r.Files)
+		for j := range r.Files {
+			r.Files[j].Name = fmt.Sprint("shared.", i, ".", j, ".mp3")
+		}
+		if err := store.AppendRecord(r); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = r
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestOpenFrameAllocs: OpenFrame allocates each column once and nothing
+// per record for the text it drops — as many allocations as BuildFrame
+// over the same records plus what opening and scanning the store costs
+// whatever its length — though every record carries text of its own.
+func TestOpenFrameAllocs(t *testing.T) {
+	recs := frameSample(time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC), 4000)
+	for i := range recs {
+		recs[i].Files = nil // a shared list is a slice per record, kept or not
+	}
+	dir := t.TempDir()
+	recs = textStore(t, dir, recs, logstore.Options{})
+	want := testing.AllocsPerRun(3, func() { BuildFrame(recs) })
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := OpenFrame(dir); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("OpenFrame: %.0f allocations, BuildFrame %.0f", got, want)
+	// The difference, ≈ 300 at any length, is opening the store, the
+	// scan's buffers and one string per distinct peer. Four text columns
+	// of 4,000 records would cost 16,000 strings more, and growing five
+	// columns by append about a hundred allocations.
+	if got > want+350 {
+		t.Errorf("OpenFrame: %.0f allocations, BuildFrame %.0f: the scan interned text or grew the columns", got, want)
+	}
+}
+
+// TestBuildFrameIterMapKeepsText: a store scan behind a stage — here a
+// logging.Map that also reads the text — is not asked to drop it: the
+// stage sees every field, and the frame is the same.
+func TestBuildFrameIterMapKeepsText(t *testing.T) {
+	dir := t.TempDir()
+	recs := textStore(t, dir, frameSample(time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC), 1000), logstore.Options{SegmentBytes: 4 << 10})
+	store, err := logstore.Open(dir, logstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	it, err := store.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	i := 0
+	f, err := BuildFrameIter(logging.Map(it, func(r *logging.Record) error {
+		w := &recs[i]
+		if r.PeerName != w.PeerName || r.FileName != w.FileName || r.UserHash != w.UserHash || r.Server != w.Server {
+			return fmt.Errorf("record %d reached the stage as %+v, want %+v", i, *r, *w)
+		}
+		for j := range r.Files {
+			if r.Files[j].Name != w.Files[j].Name {
+				return fmt.Errorf("record %d: shared file %d reached the stage named %q, want %q", i, j, r.Files[j].Name, w.Files[j].Name)
+			}
+		}
+		i++
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != len(recs) || !reflect.DeepEqual(f, BuildFrame(recs)) {
+		t.Errorf("the stage saw %d of %d records, or the frame differs from BuildFrame's", i, len(recs))
+	}
+	if it.DropText() {
+		t.Error("DropText accepted after BuildFrameIter drained the scan")
 	}
 }

@@ -77,6 +77,10 @@ const (
 
 var strBit = [strCols]uint64{bitFileName, bitPeerIP, bitPeerName, bitUserHash, bitServer, bitHoneypot}
 
+// textCol marks the string columns a dropText decode applies as "": the
+// text an analysis frame never reads. PeerIP and Honeypot are kept.
+var textCol = [strCols]bool{colFileName: true, colPeerName: true, colUserHash: true, colServer: true}
+
 // strValues lists r's string columns in body order.
 func strValues(r *logging.Record) [strCols]string {
 	return [strCols]string{r.FileName, r.PeerIP, r.PeerName, r.UserHash, r.Server, r.Honeypot}
@@ -276,7 +280,14 @@ type colOp struct {
 // as they were. Literal strings and shared-list file names go through
 // pool (nil: fresh copies); window hits and repeated columns cost no
 // lookup. rec.Files is nil or a new slice, never the previous record's.
-func (s *segState) decode(rec *logging.Record, b []byte, pool *intern.Pool) error {
+//
+// With dropText, the text columns (textCol) and every shared-list file
+// name are delivered as "": their literals are parsed and checked as
+// always but enter the window as "", so nothing is allocated or
+// interned for them. Parsing does not depend on dropText, so a body is
+// accepted or rejected the same either way, and every other field is
+// decoded identically.
+func (s *segState) decode(rec *logging.Record, b []byte, pool *intern.Pool, dropText bool) error {
 	d := bodyReader{b: b}
 	mask := d.uvarint()
 	delta := d.varint()
@@ -317,9 +328,11 @@ func (s *segState) decode(rec *logging.Record, b []byte, pool *intern.Pool) erro
 		for i := range files {
 			f := &files[i]
 			copy(f.Hash[:], d.bytes(uint64(len(f.Hash))))
-			if name := d.bytes(d.uvarint()); pool != nil {
+			switch name := d.bytes(d.uvarint()); {
+			case dropText:
+			case pool != nil:
 				f.Name = pool.Get(name)
-			} else {
+			default:
 				f.Name = string(name)
 			}
 			f.Size = d.varint()
@@ -345,6 +358,8 @@ func (s *segState) decode(rec *logging.Record, b []byte, pool *intern.Pool) erro
 		switch op := &ops[c]; {
 		case op.slot > 0:
 			s.str[c].hit(op.slot)
+		case dropText && textCol[c]:
+			s.str[c].push("")
 		case pool != nil:
 			s.str[c].push(pool.Get(op.lit))
 		default:

@@ -54,7 +54,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	for i, r := range codecRecords() {
 		b = enc.appendRecord(b[:0], &r)
 		var got logging.Record
-		if err := dec.decode(&got, b, pool); err != nil {
+		if err := dec.decode(&got, b, pool, false); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if g, w := logging.EncodeRecord(nil, got), logging.EncodeRecord(nil, r); !bytes.Equal(g, w) {
@@ -80,7 +80,7 @@ func TestCodecDecodeIsAllOrNothing(t *testing.T) {
 		}
 		for _, c := range cases {
 			before, rec := dec, logging.Record{PeerIP: "untouched"}
-			if err := dec.decode(&rec, c, nil); !errors.Is(err, errCorrupt) {
+			if err := dec.decode(&rec, c, nil, false); !errors.Is(err, errCorrupt) {
 				t.Fatalf("record %d: a %d-byte cut of a %d-byte body decoded with %v", i, len(c), len(body), err)
 			}
 			if dec != before || rec.PeerIP != "untouched" {
@@ -88,7 +88,7 @@ func TestCodecDecodeIsAllOrNothing(t *testing.T) {
 			}
 		}
 		var rec logging.Record
-		if err := dec.decode(&rec, body, nil); err != nil {
+		if err := dec.decode(&rec, body, nil, false); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestCodecRejectsUnknownMaskBitsAndSlots(t *testing.T) {
 	} {
 		var s segState
 		var rec logging.Record
-		if err := s.decode(&rec, body, nil); !errors.Is(err, errCorrupt) {
+		if err := s.decode(&rec, body, nil, false); !errors.Is(err, errCorrupt) {
 			t.Errorf("body %x decoded with %v, want errCorrupt", body, err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestDecodeInternsSharedListNames(t *testing.T) {
 	decodeAll := func() {
 		var dec segState
 		for _, b := range bodies {
-			if err := dec.decode(&rec, b, pool); err != nil {
+			if err := dec.decode(&rec, b, pool, false); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -418,7 +418,9 @@ func plantSegment(t *testing.T, dir string, seg []byte, sealed bool) {
 // not — as a tail segment and as a sealed one under a trusted entry.
 // Open recovers the tail to its intact prefix; an Iterator and an
 // in-order ReadSince drain then deliver the same records and end the
-// same way, in io.EOF or errCorrupt, with no record after the error.
+// same way, in io.EOF or errCorrupt, with no record after the error. A
+// second Iterator, told to DropText, ends with the same error after the
+// same records, each the full scan's without its text.
 func FuzzSegmentBytes(f *testing.F) {
 	seg := realSegment(f)[len(segMagic):]
 	flipped := append([]byte(nil), seg...)
@@ -464,6 +466,16 @@ func FuzzSegmentBytes(f *testing.F) {
 		if !errors.Is(scanErr, io.EOF) && !errors.Is(scanErr, errCorrupt) {
 			t.Fatalf("scan ended with %v, want io.EOF or errCorrupt", scanErr)
 		}
+
+		dropped, dropErr := scanText(t, st, true)
+		if dropErr.Error() != scanErr.Error() {
+			t.Fatalf("the DropText scan ended with %v, the full scan with %v", dropErr, scanErr)
+		}
+		want := make([]logging.Record, len(scanned))
+		for i, r := range scanned {
+			want[i] = withoutText(r)
+		}
+		sameRecords(t, "DropText scan vs full scan", dropped, want)
 
 		sh, _ := st.Shard("hp-00")
 		var read []logging.Record

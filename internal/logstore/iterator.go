@@ -26,8 +26,11 @@ import (
 // order, the tie-breaks and the interning exactly those of a scan on the
 // caller's goroutine.
 type Iterator struct {
-	ra   *logging.ReadAheadIter
-	busy *obs.Counter // logstore.scan.busy_nanos; nil once reported
+	ra      *logging.ReadAheadIter
+	m       *merger
+	n       int          // records in the snapshot; 0 for a time-bounded scan
+	started bool         // Fill, Next or Close has run: DropText refuses
+	busy    *obs.Counter // logstore.scan.busy_nanos; nil once reported
 }
 
 // Fill stores the next records in merged timestamp order in dst, a
@@ -35,16 +38,49 @@ type Iterator struct {
 // io.EOF marks the end of the stream. An error is final: every record
 // decoded before it has been delivered, and every later call returns it
 // again. After Close it returns an error that is not io.EOF.
-func (it *Iterator) Fill(dst []logging.Record) (int, error) { return it.ra.Fill(dst) }
+func (it *Iterator) Fill(dst []logging.Record) (int, error) {
+	it.started = true
+	return it.ra.Fill(dst)
+}
 
 // Next returns the next record in merged timestamp order: Fill of one
 // record.
-func (it *Iterator) Next() (logging.Record, error) { return it.ra.Next() }
+func (it *Iterator) Next() (logging.Record, error) {
+	it.started = true
+	return it.ra.Next()
+}
+
+// Len returns the number of records the scan delivers: the record count
+// of the segments it snapshotted, so a consumer that sizes its buffers
+// through logging.Len allocates them once. A scan bounded in time
+// (IteratorRange) reports 0, as it cannot say without reading.
+func (it *Iterator) Len() int { return it.n }
+
+// DropText makes the scan deliver PeerName, UserHash, FileName, Server
+// and every Files[].Name as "", for a consumer that keeps none of them
+// (analysis.BuildFrameIter). Their bytes are still read, CRC-checked
+// and parsed, but never allocated or interned, so the scan accepts and
+// rejects exactly the bytes a full one does, and every other field is
+// the same. It must be called before the first Fill or Next: once the
+// scan has started it changes nothing and returns false. No wrapping
+// stage (logging.Map, ReadAhead, a finalize stream) forwards it, so a
+// pipeline that passes records on gets every field.
+func (it *Iterator) DropText() bool {
+	if it.started {
+		return false
+	}
+	// The cursors are the producer's once the first Fill starts it.
+	for _, c := range it.m.cursors {
+		c.dropText = true
+	}
+	return true
+}
 
 // Close stops the scan and releases any open segment readers, then adds
 // the scan's busy time to logstore.scan.busy_nanos. The iterator is
 // unusable afterwards.
 func (it *Iterator) Close() error {
+	it.started = true
 	err := it.ra.Close()
 	it.busy.Add(uint64(it.ra.Busy()))
 	it.busy = nil
@@ -60,17 +96,24 @@ func newIterator(shards []*Shard, from, to time.Time, busy *obs.Counter) (*Itera
 	// literal is allocated once per distinct value across all cursors,
 	// not once per segment.
 	pool := intern.NewPool()
+	var n uint64
 	for _, sh := range shards {
 		segs, err := sh.snapshotFlushed()
 		if err != nil {
 			m.Close()
 			return nil, err
 		}
+		for _, si := range segs {
+			n += si.Records
+		}
 		c := newCursor(sh, segs, Checkpoint{}, pool, sh.m)
 		c.from, c.to = from, to
 		m.cursors = append(m.cursors, c)
 	}
-	return &Iterator{ra: logging.ReadAhead(m), busy: busy}, nil
+	if !from.IsZero() || !to.IsZero() {
+		n = 0
+	}
+	return &Iterator{ra: logging.ReadAhead(m), m: m, n: int(n), busy: busy}, nil
 }
 
 // merger is the k-way merge itself: the read-ahead stage's source.
@@ -197,6 +240,7 @@ type shardCursor struct {
 	r        *segmentReader // standing at off; nil until a frame is read
 	pool     *intern.Pool   // interns literal strings, often across cursors
 	m        storeMetrics   // scan telemetry (zero = disabled)
+	dropText bool           // segmentReader.dropText for every segment it opens
 	rec      logging.Record // valid after a nil-error next
 }
 
@@ -268,6 +312,7 @@ func (c *shardCursor) open() error {
 	if err != nil {
 		return err
 	}
+	r.dropText = c.dropText
 	if err := r.skipTo(c.off); err != nil {
 		r.Close()
 		return fmt.Errorf("logstore: resuming %s at %d: %w", path, c.off, err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ed2k"
 	"repro/internal/intern"
 	"repro/internal/logging"
 )
@@ -381,5 +382,175 @@ func TestIteratorFillAfterClose(t *testing.T) {
 		if n, err := it.Fill(make([]logging.Record, 8)); n != 0 || err == nil || errors.Is(err, io.EOF) {
 			t.Fatalf("read %d: Fill after Close stored %d and returned %v, want an error that is not io.EOF", read, n, err)
 		}
+	}
+}
+
+// textStore writes n records over three shards of a store with 1 KiB
+// segments, every text column set — every third record with a shared
+// list — and closes it.
+func textStore(t *testing.T, dir string, n int) {
+	t.Helper()
+	names := []string{"hp-00", "hp-01", "hp-02"}
+	st, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		r := rec(names[i%len(names)], i)
+		r.Time = t0.Add(time.Duration(i/4) * time.Second)
+		r.PeerName = "client-" + itoa(int64(i%7))
+		r.FileName = "movie-" + itoa(int64(i%11)) + ".avi"
+		if i%3 == 0 {
+			r.Kind = logging.KindSharedList
+			r.Files = []logging.SharedFile{
+				{Hash: ed2k.SyntheticHash(itoa(int64(i))), Name: "shared-" + itoa(int64(i)), Size: int64(i) << 10},
+				{Hash: ed2k.SyntheticHash("common"), Name: "common.iso", Size: 700 << 20},
+			}
+		}
+		if err := st.AppendRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// withoutText is r as a DropText scan delivers it.
+func withoutText(r logging.Record) logging.Record {
+	r.PeerName, r.UserHash, r.FileName, r.Server = "", "", "", ""
+	if r.Files != nil {
+		r.Files = append([]logging.SharedFile(nil), r.Files...)
+		for i := range r.Files {
+			r.Files[i].Name = ""
+		}
+	}
+	return r
+}
+
+// scanText drains a fresh Iterator over st through Fill, after calling
+// DropText when drop is set, and returns the records with the error
+// that ended them.
+func scanText(t *testing.T, st *Store, drop bool) ([]logging.Record, error) {
+	t.Helper()
+	it, err := st.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	if drop && !it.DropText() {
+		t.Fatal("DropText refused before the scan started")
+	}
+	var out []logging.Record
+	buf := make([]logging.Record, 100)
+	for {
+		n, err := it.Fill(buf)
+		out = append(out, buf[:n]...)
+		if err != nil {
+			return out, err
+		}
+	}
+}
+
+// TestIteratorLen: a whole-store scan reports the records of the
+// segments it snapshotted, the buffered ones of a live tail included;
+// a scan bounded in time reports none.
+func TestIteratorLen(t *testing.T) {
+	const n = 3*readAheadBatch + 7
+	dir := t.TempDir()
+	threeShardStore(t, dir, n)
+	st, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 5; i++ {
+		if err := st.AppendRecord(rec("hp-01", n+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	it, err := st.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := it.Len(); got != n+5 {
+		t.Errorf("Iterator.Len = %d, want %d", got, n+5)
+	}
+	if got := len(drain(t, it)); got != n+5 {
+		t.Errorf("the scan delivered %d records, want %d", got, n+5)
+	}
+	if it, err = st.IteratorRange(t0.Add(10*time.Second), t0.Add(50*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := it.Len(); got != 0 {
+		t.Errorf("IteratorRange.Len = %d, want 0", got)
+	}
+	if got := len(drain(t, it)); got == 0 {
+		t.Error("the bounded scan delivered no records")
+	}
+}
+
+// TestIteratorDropText: a scan told to drop the text before it starts
+// delivers a full scan's records with PeerName, UserHash, FileName,
+// Server and the shared-file names empty, and ends with the same error
+// at the same record; once a scan has started, DropText refuses and the
+// scan keeps its text.
+func TestIteratorDropText(t *testing.T) {
+	const n = 3*readAheadBatch + 7
+	for _, corrupt := range []bool{false, true} {
+		dir := t.TempDir()
+		textStore(t, dir, n)
+		if corrupt {
+			corruptLastRecord(t, dir, "hp-01")
+		}
+		st, err := Open(dir, smallOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, fullErr := scanText(t, st, false)
+		dropped, dropErr := scanText(t, st, true)
+		if fullErr.Error() != dropErr.Error() {
+			t.Fatalf("corrupt=%v: the full scan ended with %v, the DropText scan with %v", corrupt, fullErr, dropErr)
+		}
+		if errors.Is(fullErr, errCorrupt) != corrupt {
+			t.Fatalf("corrupt=%v: the scan ended with %v", corrupt, fullErr)
+		}
+		if corrupt == (len(full) == n) || full[1].PeerName == "" || full[0].Files[0].Name == "" {
+			t.Fatalf("corrupt=%v: the full scan delivered %d records, or no text", corrupt, len(full))
+		}
+		want := make([]logging.Record, len(full))
+		for i, r := range full {
+			want[i] = withoutText(r)
+		}
+		if !reflect.DeepEqual(dropped, want) {
+			t.Fatalf("corrupt=%v: the DropText scan is not the full scan without its text", corrupt)
+		}
+		st.Close()
+	}
+
+	dir := t.TempDir()
+	textStore(t, dir, n)
+	st, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	it, err := st.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make([]logging.Record, 1)
+	if _, err := it.Fill(first); err != nil {
+		t.Fatal(err)
+	}
+	if it.DropText() {
+		t.Error("DropText accepted after the first Fill")
+	}
+	rest := drain(t, it)
+	if it.DropText() {
+		t.Error("DropText accepted after Close")
+	}
+	if len(rest) != n-1 || rest[len(rest)-1].PeerName == "" || rest[len(rest)-1].FileName == "" {
+		t.Fatalf("after a refused DropText the scan delivered %d records, or lost their text", len(rest))
 	}
 }

@@ -103,6 +103,9 @@ type segmentReader struct {
 	st   segState
 	pool *intern.Pool // nil: decode without interning
 	m    storeMetrics // scan telemetry (zero = disabled)
+	// dropText delivers the text columns as "" (segState.decode); the
+	// codec state and every check are a full decode's.
+	dropText bool
 }
 
 // openSegmentReader opens the segment at path positioned at its first
@@ -185,7 +188,7 @@ func (r *segmentReader) next(rec *logging.Record) (int64, error) {
 	if err != nil {
 		return r.off, err
 	}
-	if err := r.st.decode(rec, body, r.pool); err != nil {
+	if err := r.st.decode(rec, body, r.pool, r.dropText); err != nil {
 		return r.off, err
 	}
 	r.m.scanRecords.Inc()
@@ -209,7 +212,7 @@ func (r *segmentReader) skipTo(off int64) error {
 		if err != nil {
 			return err
 		}
-		if err := r.st.decode(&rec, body, r.pool); err != nil {
+		if err := r.st.decode(&rec, body, r.pool, r.dropText); err != nil {
 			return err
 		}
 		r.m.replayed.Inc()
