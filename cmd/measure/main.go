@@ -448,7 +448,8 @@ func emitReport(res *repro.Result, outDir string, jsonl bool) {
 	}
 	mustWrite(outDir, res.Name+"_dataset.jsonl", func(w io.Writer) error {
 		if res.ExportDir == "" {
-			return logging.WriteJSONL(w, res.Dataset.Records)
+			_, err := logging.WriteJSONLIter(w, logging.NewSliceIter(res.Dataset.Records))
+			return err
 		}
 		// A streamed finalize kept no records: stream them back out of
 		// the export store.

@@ -167,7 +167,7 @@ func TestDistributedCampaignShape(t *testing.T) {
 	}
 
 	// Privacy: the merged dataset passes the audit and carries no raw IPs.
-	if _, err := logging.Drain(anonymize.AuditIter(logging.NewSliceIter(res.Dataset.Records))); err != nil {
+	if _, err := logging.AppendAll(nil, anonymize.AuditIter(logging.NewSliceIter(res.Dataset.Records))); err != nil {
 		t.Errorf("audit: %v", err)
 	}
 	for _, r := range res.Dataset.Records[:10] {
@@ -433,7 +433,7 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 		t.Fatal(res.err)
 	}
 	defer res.stream.Close()
-	recs, err := logging.Drain(res.stream)
+	recs, err := logging.AppendAll(nil, res.stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 	if len(perHP) != 2 {
 		t.Errorf("records from %d honeypots, want 2: %v", len(perHP), perHP)
 	}
-	if _, err := logging.Drain(anonymize.AuditIter(logging.NewSliceIter(recs))); err != nil {
+	if _, err := logging.AppendAll(nil, anonymize.AuditIter(logging.NewSliceIter(recs))); err != nil {
 		t.Errorf("audit: %v", err)
 	}
 }

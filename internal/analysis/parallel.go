@@ -20,12 +20,12 @@ import (
 // 0 means GOMAXPROCS with automatic scale-down for small inputs.
 var rowWorkers atomic.Int32
 
-// SetRowWorkers sets the number of workers row-splittable queries use:
+// setRowWorkers sets the number of workers row-splittable queries use:
 // 0 restores the automatic default, 1 forces serial execution, any
 // other value is used as-is (the equivalence tests sweep it to prove
 // results don't depend on it). Safe to call concurrently with queries;
 // each query reads the knob once at its start.
-func SetRowWorkers(n int) {
+func setRowWorkers(n int) {
 	if n < 0 {
 		n = 0
 	}

@@ -19,7 +19,7 @@ import (
 // GOMAXPROCS. Runs under -race in CI, which also proves the phases
 // share no unsynchronized state.
 func TestRowParallelQueriesMatchSerial(t *testing.T) {
-	defer SetRowWorkers(0)
+	defer setRowWorkers(0)
 	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
 	recs := frameSample(start, 20000)
 	honeypots := []string{"rc0", "rc1", "nc0", "nc1", "stray", "absent"}
@@ -40,7 +40,7 @@ func TestRowParallelQueriesMatchSerial(t *testing.T) {
 		popular  []FilePopularity
 	}
 	snap := func(workers int) snapshot {
-		SetRowWorkers(workers)
+		setRowWorkers(workers)
 		f := BuildFrame(recs) // fresh frame: the pair index caches per frame
 		var s snapshot
 		s.grouped, s.off, s.cnt = f.queryPairs()
@@ -83,7 +83,7 @@ func TestRowParallelQueriesMatchSerial(t *testing.T) {
 // collector's hash-set mode (negative peer numbers disable the dense
 // bitsets) and checks the per-worker map merge against serial.
 func TestRowParallelMapFallback(t *testing.T) {
-	defer SetRowWorkers(0)
+	defer setRowWorkers(0)
 	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
 	recs := frameSample(start, 6000)
 	for i := range recs {
@@ -97,12 +97,12 @@ func TestRowParallelMapFallback(t *testing.T) {
 		files = append(files, ed2k.SyntheticHash(fmt.Sprint("file-", i)))
 	}
 
-	SetRowWorkers(1)
+	setRowWorkers(1)
 	fs := BuildFrame(recs)
 	wantHP, wantHPU := fs.HoneypotPeerSets(honeypots)
 	wantF, wantFU := fs.FilePeerSets(files)
 
-	SetRowWorkers(4)
+	setRowWorkers(4)
 	fp := BuildFrame(recs)
 	gotHP, gotHPU := fp.HoneypotPeerSets(honeypots)
 	gotF, gotFU := fp.FilePeerSets(files)

@@ -97,7 +97,7 @@ func TestRenumberRecordsCoherentAcrossHoneypots(t *testing.T) {
 	log2 := []logging.Record{{PeerIP: ipB, Honeypot: "hp-1"}, {PeerIP: ipA, Honeypot: "hp-1"}}
 
 	r := NewRenumberer()
-	merged, err := logging.Drain(r.RenumberIter(logging.NewSliceIter(append(log1, log2...))))
+	merged, err := logging.AppendAll(nil, r.RenumberIter(logging.NewSliceIter(append(log1, log2...))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRenumberRecordsCoherentAcrossHoneypots(t *testing.T) {
 
 func TestRenumberSkipsEmpty(t *testing.T) {
 	r := NewRenumberer()
-	recs, err := logging.Drain(r.RenumberIter(logging.NewSliceIter([]logging.Record{{PeerIP: ""}})))
+	recs, err := logging.AppendAll(nil, r.RenumberIter(logging.NewSliceIter([]logging.Record{{PeerIP: ""}})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestAnonymizeRecordNames(t *testing.T) {
 	}
 	a := NewNameAnonymizer(3)
 	observeNames(a, recs)
-	recs, err := logging.Drain(a.AnonymizeIter(logging.NewSliceIter(recs)))
+	recs, err := logging.AppendAll(nil, a.AnonymizeIter(logging.NewSliceIter(recs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func observeNames(a *NameAnonymizer, recs []logging.Record) {
 
 // audit runs the audit stage over an in-memory dataset.
 func audit(recs []logging.Record) error {
-	_, err := logging.Drain(AuditIter(logging.NewSliceIter(recs)))
+	_, err := logging.AppendAll(nil, AuditIter(logging.NewSliceIter(recs)))
 	return err
 }
 
@@ -265,7 +265,7 @@ func TestAuditAcceptsPipelineOutput(t *testing.T) {
 	if err := audit(recs); err != nil {
 		t.Errorf("hashed records must pass: %v", err)
 	}
-	recs, err := logging.Drain(NewRenumberer().RenumberIter(logging.NewSliceIter(recs)))
+	recs, err := logging.AppendAll(nil, NewRenumberer().RenumberIter(logging.NewSliceIter(recs)))
 	if err != nil {
 		t.Fatal(err)
 	}

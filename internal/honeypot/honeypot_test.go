@@ -168,7 +168,7 @@ func TestRecordsAreAnonymizedAtSource(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no records")
 	}
-	if _, err := logging.Drain(anonymize.AuditIter(logging.NewSliceIter(recs))); err != nil {
+	if _, err := logging.AppendAll(nil, anonymize.AuditIter(logging.NewSliceIter(recs))); err != nil {
 		t.Errorf("audit: %v", err)
 	}
 	// Metadata the paper says is logged must be present.

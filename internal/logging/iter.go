@@ -157,9 +157,6 @@ func Each(src Iterator, fn func(*Record) error) error {
 	}
 }
 
-// Drain materializes the remainder of src as a slice.
-func Drain(src Iterator) ([]Record, error) { return AppendAll(nil, src) }
-
 // AppendAll appends the remainder of src to dst and returns it, with the
 // records before the error on any error but io.EOF. It fills dst's
 // spare capacity in place (Fill) before it grows dst, so a dst made
@@ -195,8 +192,8 @@ func CloseIter(src Iterator) error {
 }
 
 // WriteJSONLIter writes the stream as one JSON object per line,
-// returning the number of records written — the streaming form of
-// WriteJSONL, for datasets too large to materialize.
+// returning the number of records written. A slice goes through
+// NewSliceIter.
 func WriteJSONLIter(w io.Writer, src Iterator) (int, error) {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

@@ -1,6 +1,7 @@
 package logging
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -52,7 +53,7 @@ func TestMapTransformsAndAborts(t *testing.T) {
 		r.PeerIP = strings.ToUpper(r.PeerIP)
 		return nil
 	})
-	got, err := Drain(it)
+	got, err := AppendAll(nil, it)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
@@ -65,12 +66,19 @@ func TestMapTransformsAndAborts(t *testing.T) {
 	}
 }
 
+// TestWriteJSONLIterMatchesWriteJSONL: the streaming writer emits, line
+// for line, what marshalling each record of the materialized slice emits.
 func TestWriteJSONLIterMatchesWriteJSONL(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	recs := Merge(randomLogs(rng, 2)...)
 	var a, b strings.Builder
-	if err := WriteJSONL(&a, recs); err != nil {
-		t.Fatal(err)
+	for i := range recs {
+		line, err := json.Marshal(&recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Write(line)
+		a.WriteByte('\n')
 	}
 	n, err := WriteJSONLIter(&b, NewSliceIter(recs))
 	if err != nil {
@@ -103,7 +111,7 @@ func TestCloseIter(t *testing.T) {
 
 // TestMapChainYieldsIndependentRecords: stages that mutate the record —
 // scalar fields and a cloned shared list — over a chain whose consumer
-// keeps every returned record (Drain) still yield each record's own
+// keeps every returned record (AppendAll) still yield each record's own
 // values, and leave the source untouched. The stages reuse one record
 // per stage, so a kept record must be a copy, never a view of it.
 func TestMapChainYieldsIndependentRecords(t *testing.T) {
@@ -130,7 +138,7 @@ func TestMapChainYieldsIndependentRecords(t *testing.T) {
 			}
 			return nil
 		})
-	got, err := Drain(it)
+	got, err := AppendAll(nil, it)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,9 @@ package logging
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/ed2k"
-	"repro/internal/intern"
 )
 
 var t0 = time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
@@ -34,79 +36,99 @@ func sampleRecord(i int) Record {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	recs := []Record{
-		sampleRecord(0),
-		{
-			Time: t0, Honeypot: "hp-00", Kind: KindSharedList, PeerIP: "aa",
-			Files: []SharedFile{
-				{Hash: ed2k.SyntheticHash("a"), Name: "a.mp3", Size: 5 << 20},
-				{Hash: ed2k.SyntheticHash("b"), Name: "b.avi", Size: 700 << 20},
-			},
-		},
-		{Time: t0.Add(time.Hour), Kind: KindHello, PeerIP: "bb", HighID: false},
+// TestEncodeRecordCoversEveryField: changing any one field of a Record,
+// or of a SharedFile in its list, changes the digest form. A field added
+// to either struct but not to EncodeRecord fails here, before two
+// datasets that differ in it can share a digest.
+func TestEncodeRecordCoversEveryField(t *testing.T) {
+	base := sampleRecord(0)
+	base.Files = []SharedFile{{Hash: ed2k.SyntheticHash("s"), Name: "s.mp3", Size: 1 << 20}}
+	want := EncodeRecord(nil, base)
+	check := func(name string, r Record) {
+		t.Helper()
+		if bytes.Equal(EncodeRecord(nil, r), want) {
+			t.Errorf("changing %s leaves EncodeRecord's bytes unchanged", name)
+		}
 	}
-	for _, r := range recs {
-		got, err := DecodeRecord(EncodeRecord(nil, r))
+	rt := reflect.TypeOf(base)
+	for i := 0; i < rt.NumField(); i++ {
+		r := base
+		r.Files = append([]SharedFile(nil), base.Files...)
+		if rt.Field(i).Name == "Files" {
+			r.Files = append(r.Files, SharedFile{})
+		} else {
+			perturb(t, rt.Field(i).Name, reflect.ValueOf(&r).Elem().Field(i))
+		}
+		check(rt.Field(i).Name, r)
+	}
+	ft := reflect.TypeOf(SharedFile{})
+	for i := 0; i < ft.NumField(); i++ {
+		r := base
+		r.Files = append([]SharedFile(nil), base.Files...)
+		perturb(t, "Files[0]."+ft.Field(i).Name, reflect.ValueOf(&r.Files[0]).Elem().Field(i))
+		check("Files[0]."+ft.Field(i).Name, r)
+	}
+}
+
+// perturb sets v, a field named name, to a value other than the one it
+// holds.
+func perturb(t *testing.T, name string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Array:
+		e := v.Index(0)
+		e.SetUint(e.Uint() + 1)
+	default:
+		tm, ok := v.Addr().Interface().(*time.Time)
+		if !ok {
+			t.Fatalf("field %s of kind %v: teach perturb to change it", name, v.Kind())
+		}
+		*tm = tm.Add(time.Nanosecond)
+	}
+}
+
+// readJSONL decodes a JSONL stream with a plain json.Decoder, one
+// record per value, the way a consumer of measure's -jsonl reads it.
+func readJSONL(t testing.TB, r io.Reader) []Record {
+	t.Helper()
+	var out []Record
+	for dec := json.NewDecoder(r); ; {
+		var rec Record
+		err := dec.Decode(&rec)
+		if errors.Is(err, io.EOF) {
+			return out
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, r) {
-			t.Errorf("round trip mismatch:\n got %#v\nwant %#v", got, r)
-		}
-	}
-}
-
-// TestBinaryEmptyStream: an empty input, nil or zero-length, holds no
-// record: each decoder fails at the first field, and DecodeRecordInto
-// leaves nothing of the record it reuses behind in its shared list.
-func TestBinaryEmptyStream(t *testing.T) {
-	const want = "logging: truncated time at offset 0"
-	for _, b := range [][]byte{nil, {}} {
-		if _, err := DecodeRecord(b); err == nil || err.Error() != want {
-			t.Errorf("DecodeRecord(%#v): err %v, want %q", b, err, want)
-		}
-		if _, err := DecodeRecordInterned(b, intern.NewPool()); err == nil || err.Error() != want {
-			t.Errorf("DecodeRecordInterned(%#v): err %v, want %q", b, err, want)
-		}
-		r := sampleRecord(0)
-		r.Files = []SharedFile{{Hash: ed2k.SyntheticHash("s"), Name: "s.mp3", Size: 1 << 20}}
-		if err := DecodeRecordInto(&r, b, nil); err == nil || err.Error() != want {
-			t.Errorf("DecodeRecordInto(%#v): err %v, want %q", b, err, want)
-		}
-		if r.Files != nil {
-			t.Errorf("DecodeRecordInto(%#v) kept the old shared list %v", b, r.Files)
-		}
-	}
-}
-
-// TestBinaryTruncatedRecord: every proper prefix of an encoding — the
-// empty one included — fails to decode.
-func TestBinaryTruncatedRecord(t *testing.T) {
-	r := sampleRecord(0)
-	r.Files = []SharedFile{{Hash: ed2k.SyntheticHash("s"), Name: "s.mp3", Size: 1 << 20}}
-	full := EncodeRecord(nil, r)
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeRecord(full[:cut]); err == nil {
-			t.Errorf("cut at %d of %d: want error", cut, len(full))
-		}
+		out = append(out, rec)
 	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
-	recs := []Record{sampleRecord(0), sampleRecord(1)}
+	rng := rand.New(rand.NewSource(3))
+	recs := Merge(randomLogs(rng, 2)...)
+	recs = append(recs, sampleRecord(0), sampleRecord(1))
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL(&buf)
+	n, err := WriteJSONLIter(&buf, NewSliceIter(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("got %d records", len(got))
+	if n != len(recs) {
+		t.Fatalf("wrote %d records, want %d", n, len(recs))
 	}
-	if !got[0].Time.Equal(recs[0].Time) || got[0].PeerIP != recs[0].PeerIP {
+	if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != len(recs) {
+		t.Fatalf("%d lines for %d records", lines, len(recs))
+	}
+	if got := readJSONL(t, &buf); !reflect.DeepEqual(got, recs) {
 		t.Error("JSONL round trip mismatch")
 	}
 }
@@ -204,25 +226,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// Property: arbitrary records survive the binary record codec.
-func TestQuickBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := func(hp, ip, name string, port uint16, high bool, nfiles uint8) bool {
-		r := Record{
-			Time: t0.Add(time.Duration(rng.Intn(1e6)) * time.Millisecond), Honeypot: hp,
-			Kind: KindRequestPart, PeerIP: ip, PeerPort: port, PeerName: name, HighID: high,
-		}
-		for i := 0; i < int(nfiles%5); i++ {
-			r.Files = append(r.Files, SharedFile{Hash: ed2k.SyntheticHash(name), Name: name, Size: int64(port)})
-		}
-		got, err := DecodeRecord(EncodeRecord(nil, r))
-		return err == nil && reflect.DeepEqual(got, r)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: merge of sorted inputs is sorted and length-preserving.
 func TestQuickMergeInvariants(t *testing.T) {
 	f := func(lens [3]uint8) bool {
@@ -288,7 +291,7 @@ func TestJSONLFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSONL(f, recs); err != nil {
+	if _, err := WriteJSONLIter(f, NewSliceIter(recs)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -297,40 +300,7 @@ func TestJSONLFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	got, err := ReadJSONL(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1].UserHash != recs[1].UserHash {
+	if got := readJSONL(t, g); len(got) != 2 || got[1].UserHash != recs[1].UserHash {
 		t.Error("JSONL file round trip mismatch")
-	}
-}
-
-func TestDecodeRecordInternedMatchesPlain(t *testing.T) {
-	pool := intern.NewPool()
-	for i := 0; i < 6; i++ {
-		r := sampleRecord(i)
-		if i%2 == 1 { // a second peer: the per-peer columns are pooled too
-			r.PeerIP = "0011223344556677"
-			r.UserHash = ed2k.NewUserHash("v").String()
-		}
-		r.Files = []SharedFile{{Hash: ed2k.SyntheticHash("s"), Name: "s.bin", Size: 7}}
-		body := EncodeRecord(nil, r)
-		plain, err := DecodeRecord(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pooled, err := DecodeRecordInterned(body, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, pooled) {
-			t.Fatalf("interned decode differs:\n got %+v\nwant %+v", pooled, plain)
-		}
-	}
-	// Honeypot, PeerName, FileName and Server once, PeerIP and UserHash
-	// once per peer; shared-list names never.
-	if pool.Len() != 4+2*2 {
-		t.Errorf("pool holds %d strings, want 8", pool.Len())
 	}
 }

@@ -85,14 +85,14 @@ var sizes = []int{0, 1, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1, 
 func TestReadAheadDeliversTheSourceStream(t *testing.T) {
 	for _, filled := range []bool{false, true} {
 		for _, n := range sizes {
-			want, err := Drain(&countedIter{t: t, n: n})
+			want, err := AppendAll(nil, &countedIter{t: t, n: n})
 			if err != nil {
 				t.Fatal(err)
 			}
 			src := &countedIter{t: t, n: n}
 			base := runtime.NumGoroutine()
 			ra := ReadAhead(source(src, filled))
-			got, err := Drain(ra)
+			got, err := AppendAll(nil, ra)
 			if err != nil {
 				t.Fatalf("n=%d filled=%v: %v", n, filled, err)
 			}
@@ -117,7 +117,7 @@ func TestReadAheadDeliversTheSourceStream(t *testing.T) {
 
 func TestReadAheadFillsABatchPerCall(t *testing.T) {
 	src := &fillingIter{countedIter: &countedIter{t: t, n: 2*readAheadBatch + 1}}
-	if _, err := Drain(ReadAhead(src)); err != nil {
+	if _, err := AppendAll(nil, ReadAhead(src)); err != nil {
 		t.Fatal(err)
 	}
 	if n := src.fills.Load(); n != 3 {
@@ -191,7 +191,7 @@ func TestReadAheadBusyCountsTheProducersTime(t *testing.T) {
 		t.Fatalf("an unread stage was busy for %v", ra.Busy())
 	}
 	start := time.Now()
-	if _, err := Drain(ra); err != nil {
+	if _, err := AppendAll(nil, ra); err != nil {
 		t.Fatal(err)
 	}
 	ra.Close()

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -402,7 +401,7 @@ func plantSegment(t *testing.T, dir string, seg []byte, sealed bool) {
 	}
 	entry := manifestShard{Tail: 1}
 	if sealed {
-		info := SegmentInfo{Seq: 1, Records: 1, MinUnixNano: math.MinInt64, MaxUnixNano: math.MaxInt64, Bytes: int64(len(seg))}
+		info := SegmentInfo{Seq: 1, Records: 1, Bytes: int64(len(seg))}
 		tail := SegmentInfo{Seq: 2, Bytes: segHeaderSize}
 		if err := os.WriteFile(filepath.Join(shardDir, segName(2)), []byte(segMagic), 0o644); err != nil {
 			t.Fatal(err)

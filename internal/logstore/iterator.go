@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"time"
 
 	"repro/internal/intern"
 	"repro/internal/logging"
@@ -28,7 +27,7 @@ import (
 type Iterator struct {
 	ra      *logging.ReadAheadIter
 	m       *merger
-	n       int          // records in the snapshot; 0 for a time-bounded scan
+	n       int          // records in the snapshot
 	started bool         // Fill, Next or Close has run: DropText refuses
 	busy    *obs.Counter // logstore.scan.busy_nanos; nil once reported
 }
@@ -52,8 +51,7 @@ func (it *Iterator) Next() (logging.Record, error) {
 
 // Len returns the number of records the scan delivers: the record count
 // of the segments it snapshotted, so a consumer that sizes its buffers
-// through logging.Len allocates them once. A scan bounded in time
-// (IteratorRange) reports 0, as it cannot say without reading.
+// through logging.Len allocates them once.
 func (it *Iterator) Len() int { return it.n }
 
 // DropText makes the scan deliver PeerName, UserHash, FileName, Server
@@ -88,9 +86,9 @@ func (it *Iterator) Close() error {
 }
 
 // newIterator builds a merged iterator over the given shards (already in
-// tie-break order), bounded to [from, to) when the bounds are non-zero;
-// busy receives the scan's busy time when the iterator closes.
-func newIterator(shards []*Shard, from, to time.Time, busy *obs.Counter) (*Iterator, error) {
+// tie-break order); busy receives the scan's busy time when the iterator
+// closes.
+func newIterator(shards []*Shard, busy *obs.Counter) (*Iterator, error) {
 	m := &merger{}
 	// One interner spans the whole scan: a string a segment carries as a
 	// literal is allocated once per distinct value across all cursors,
@@ -106,12 +104,7 @@ func newIterator(shards []*Shard, from, to time.Time, busy *obs.Counter) (*Itera
 		for _, si := range segs {
 			n += si.Records
 		}
-		c := newCursor(sh, segs, Checkpoint{}, pool, sh.m)
-		c.from, c.to = from, to
-		m.cursors = append(m.cursors, c)
-	}
-	if !from.IsZero() || !to.IsZero() {
-		n = 0
+		m.cursors = append(m.cursors, newCursor(sh, segs, Checkpoint{}, pool, sh.m))
 	}
 	return &Iterator{ra: logging.ReadAhead(m), m: m, n: int(n), busy: busy}, nil
 }
@@ -234,7 +227,6 @@ func (m *merger) Close() error {
 type shardCursor struct {
 	sh       *Shard
 	segs     []SegmentInfo
-	from, to time.Time      // time window (zero: open); segments outside it are skipped
 	seg      int            // index into segs of the segment being read
 	off      int64          // where the cursor stands in it: the next frame
 	r        *segmentReader // standing at off; nil until a frame is read
@@ -267,13 +259,14 @@ func (c *shardCursor) pos() Checkpoint {
 	return Checkpoint{Seg: c.segs[c.seg].Seq, Off: c.off}
 }
 
-// next advances rec to the shard's next record inside the window. At the
-// end of the snapshot it returns io.EOF and stays in the last segment,
-// so that a later snapshot in which it grew can resume it.
+// next advances rec to the shard's next record. At the end of the
+// snapshot it returns io.EOF and stays in the last segment, so that a
+// later snapshot in which it grew can resume it. A segment with no
+// record is never opened: its extent is its header.
 func (c *shardCursor) next() error {
 	for {
 		si := &c.segs[c.seg]
-		if c.off >= si.Bytes || (c.r == nil && !si.overlaps(c.from, c.to)) {
+		if c.off >= si.Bytes {
 			if c.seg == len(c.segs)-1 {
 				return io.EOF
 			}
@@ -294,9 +287,7 @@ func (c *shardCursor) next() error {
 			return err
 		}
 		c.off = c.r.off
-		if (c.from.IsZero() || !c.rec.Time.Before(c.from)) && (c.to.IsZero() || c.rec.Time.Before(c.to)) {
-			return nil
-		}
+		return nil
 	}
 }
 

@@ -25,7 +25,7 @@ const readAheadBatch = 256
 
 // plainMerge drains the k-way merge on the calling goroutine, with no
 // read-ahead stage: the reference the Iterator must reproduce.
-func plainMerge(t *testing.T, st *Store, from, to time.Time) []logging.Record {
+func plainMerge(t *testing.T, st *Store) []logging.Record {
 	t.Helper()
 	m := &merger{}
 	defer m.Close()
@@ -36,9 +36,7 @@ func plainMerge(t *testing.T, st *Store, from, to time.Time) []logging.Record {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newCursor(sh, segs, Checkpoint{}, pool, sh.m)
-		c.from, c.to = from, to
-		m.cursors = append(m.cursors, c)
+		m.cursors = append(m.cursors, newCursor(sh, segs, Checkpoint{}, pool, sh.m))
 	}
 	var out []logging.Record
 	for {
@@ -74,22 +72,16 @@ func TestIteratorMatchesPlainMerge(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		windows := [][2]time.Time{
-			{},
-			{t0.Add(time.Duration(n/16) * time.Second), t0.Add(time.Duration(n/5) * time.Second)},
+		it, err := st.Iterator()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, w := range windows {
-			it, err := st.IteratorRange(w[0], w[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, want := drain(t, it), plainMerge(t, st, w[0], w[1])
-			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("n=%d window %v: read-ahead scan yielded %d records, plain merge %d", n, w, len(got), len(want))
-			}
-			if w[0].IsZero() && len(want) > 0 && !reflect.DeepEqual(want, logging.Merge(perShard...)) {
-				t.Fatalf("n=%d: the plain merge breaks logging.Merge's order", n)
-			}
+		got, want := drain(t, it), plainMerge(t, st)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("n=%d: read-ahead scan yielded %d records, plain merge %d", n, len(got), len(want))
+		}
+		if len(want) > 0 && !reflect.DeepEqual(want, logging.Merge(perShard...)) {
+			t.Fatalf("n=%d: the plain merge breaks logging.Merge's order", n)
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
@@ -452,9 +444,8 @@ func scanText(t *testing.T, st *Store, drop bool) ([]logging.Record, error) {
 	}
 }
 
-// TestIteratorLen: a whole-store scan reports the records of the
-// segments it snapshotted, the buffered ones of a live tail included;
-// a scan bounded in time reports none.
+// TestIteratorLen: a scan reports the records of the segments it
+// snapshotted, the buffered ones of a live tail included.
 func TestIteratorLen(t *testing.T) {
 	const n = 3*readAheadBatch + 7
 	dir := t.TempDir()
@@ -478,15 +469,6 @@ func TestIteratorLen(t *testing.T) {
 	}
 	if got := len(drain(t, it)); got != n+5 {
 		t.Errorf("the scan delivered %d records, want %d", got, n+5)
-	}
-	if it, err = st.IteratorRange(t0.Add(10*time.Second), t0.Add(50*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if got := it.Len(); got != 0 {
-		t.Errorf("IteratorRange.Len = %d, want 0", got)
-	}
-	if got := len(drain(t, it)); got == 0 {
-		t.Error("the bounded scan delivered no records")
 	}
 }
 

@@ -23,8 +23,8 @@
 // peer name, user hash, file hash, file name, server), a window of its
 // eight most recent values — so a column that repeats costs a bit and a
 // recent value one byte: 38 bytes a record on the distributed campaign,
-// where logging.EncodeRecord's stateless form (still the one for the
-// wire and for digests) takes 185. Every segment starts from an empty
+// where logging.EncodeRecord's stateless form (the one dataset digests
+// hash) takes 185. Every segment starts from an empty
 // state, so a torn tail recovers exactly as a stateless one would, and
 // the state at any frame is a replay of the frames before it: a writer
 // resuming on a tail it did not write replays it once, and ReadSince
@@ -34,10 +34,9 @@
 // *FormatError and leaves it untouched.
 //
 // Segments rotate at a size threshold. The MANIFEST records each sealed
-// segment's SegmentInfo (record count, min/max timestamp, bytes), which
-// lets time-bounded scans skip whole segments, and a clean Close records
-// the tail's, so reopening a finished store reads no segment at all
-// (manifest.go has the trust model). After a crash the tail is scanned
+// segment's SegmentInfo (record count and byte extent), and a clean
+// Close records the tail's, so reopening a finished store reads no
+// segment at all (manifest.go has the trust model). After a crash the tail is scanned
 // on open instead, its torn end truncated at the last good frame.
 //
 // Every read of records — the merged Iterator, ReadSince, the names
@@ -72,7 +71,8 @@ import (
 
 // DefaultSegmentBytes is the rotation threshold when Options.SegmentBytes
 // is zero: large enough to amortize file overhead, small enough that a
-// sparse index skips meaningful chunks of a campaign.
+// tail scan after a crash, a names recount or a codec replay covers a
+// short stretch of the campaign.
 const DefaultSegmentBytes = 4 << 20
 
 // Options tunes a Store.
@@ -382,13 +382,6 @@ func (s *Store) Close() error {
 // timestamp order (ties broken by shard name, then shard append order) —
 // the streaming equivalent of logging.Merge over per-honeypot logs.
 func (s *Store) Iterator() (*Iterator, error) {
-	return s.IteratorRange(time.Time{}, time.Time{})
-}
-
-// IteratorRange is Iterator restricted to records with from ≤ t < to
-// (zero bounds are open). Whole segments outside the window are skipped
-// via the manifest's per-segment time bounds.
-func (s *Store) IteratorRange(from, to time.Time) (*Iterator, error) {
 	names := s.ShardNames()
 	shards := make([]*Shard, 0, len(names))
 	s.mu.Lock()
@@ -396,5 +389,5 @@ func (s *Store) IteratorRange(from, to time.Time) (*Iterator, error) {
 		shards = append(shards, s.shards[n])
 	}
 	s.mu.Unlock()
-	return newIterator(shards, from, to, s.m.scanBusy)
+	return newIterator(shards, s.m.scanBusy)
 }

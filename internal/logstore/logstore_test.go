@@ -106,7 +106,7 @@ func TestAppendIterateRoundTrip(t *testing.T) {
 		t.Errorf("manifest indexes the sealed segments as\n %+v\nthe shard as\n %+v", sealed, segs[:len(segs)-1])
 	}
 	for _, si := range segs[:len(segs)-1] {
-		if si.Records == 0 || si.MinUnixNano > si.MaxUnixNano {
+		if si.Records == 0 || si.Bytes <= segHeaderSize {
 			t.Errorf("segment %d index implausible: %+v", si.Seq, si)
 		}
 	}
@@ -247,36 +247,6 @@ func TestReadSinceSurvivesReopen(t *testing.T) {
 	}
 	if rest[0].PeerPort != 20 {
 		t.Errorf("resumed read starts at record %d, want 20", rest[0].PeerPort)
-	}
-}
-
-func TestIteratorRangeSkipsAndBounds(t *testing.T) {
-	st, err := Open(t.TempDir(), smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	sh, _ := st.Shard("hp-00")
-	var all []logging.Record
-	for i := 0; i < 200; i++ {
-		r := rec("hp-00", i)
-		all = append(all, r)
-		sh.Append(r)
-	}
-	from, to := t0.Add(30*time.Second), t0.Add(90*time.Second)
-	it, err := st.IteratorRange(from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, it)
-	var want []logging.Record
-	for _, r := range all {
-		if !r.Time.Before(from) && r.Time.Before(to) {
-			want = append(want, r)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("range iterator: got %d records, want %d", len(got), len(want))
 	}
 }
 

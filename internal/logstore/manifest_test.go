@@ -1,10 +1,13 @@
 package logstore
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faultfs"
 	"repro/internal/obs"
@@ -138,6 +141,81 @@ func TestManifestDeletedLegacyAdoption(t *testing.T) {
 		t.Fatalf("manifest not rewritten after adoption: %v", err)
 	}
 	reopenAndCount(t, dir, 40)
+}
+
+// TestManifestWithTimeBoundsOpensTrusted: every store written before
+// SegmentInfo lost its time bounds carries min_unix_nano and
+// max_unix_nano in each MANIFEST entry. Such a manifest, under a valid
+// CRC, is still believed whole: the reopen rebuilds no entry, scans no
+// tail and reads the same records.
+func TestManifestWithTimeBoundsOpensTrusted(t *testing.T) {
+	dir := t.TempDir()
+	threeShardStore(t, dir, 3*readAheadBatch+7)
+	st, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := st.Iterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drain(t, it)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Shards map[string]map[string]any `json:"shards"`
+	}
+	if err := json.Unmarshal(b[len(manifestMagic)+8:], &body); err != nil {
+		t.Fatal(err)
+	}
+	bound := func(e any) {
+		e.(map[string]any)["min_unix_nano"] = t0.UnixNano()
+		e.(map[string]any)["max_unix_nano"] = t0.Add(time.Hour).UnixNano()
+	}
+	entries := 0
+	for _, sh := range body.Shards {
+		for _, e := range sh["sealed"].([]any) {
+			bound(e)
+			entries++
+		}
+		bound(sh["closed"])
+		entries++
+	}
+	old, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(old), "min_unix_nano"); got != entries || entries <= len(body.Shards) {
+		t.Fatalf("%d of %d entries carry time bounds; want every one, sealed segments included", got, entries)
+	}
+	if err := writeManifestBody(faultfs.OS{}, dir, old); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.New()
+	opt := smallOpts()
+	opt.Metrics = reg
+	if st, err = Open(dir, opt); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, c := range []string{"logstore.index.rebuilds", "logstore.recovery.tail_scans", "logstore.manifest.rebuilds"} {
+		if got := reg.Counter(c).Load(); got != 0 {
+			t.Errorf("%s = %d, want 0", c, got)
+		}
+	}
+	if it, err = st.Iterator(); err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(t, it); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened store yields %d records, %d before the rewrite", len(got), len(want))
+	}
 }
 
 func TestManifestCorruptRebuilt(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"time"
 
 	"repro/internal/faultfs"
 	"repro/internal/intern"
@@ -250,55 +249,19 @@ func scanSegment(fsys faultfs.FS, path string, seq uint64) (SegmentInfo, int64, 
 		if err != nil {
 			return info, good, err
 		}
-		info.observe(rec.Time)
+		info.Records++
 		good = off
 	}
 }
 
-// SegmentInfo is the sparse index of one segment: enough to skip it
-// during time-bounded scans and to size collection batches.
+// SegmentInfo is the index entry of one segment: its extent, and the
+// record count that sizes scans (Iterator.Len) and collection batches.
 type SegmentInfo struct {
 	// Seq is the segment's sequence number within its shard.
 	Seq uint64 `json:"seq"`
 	// Records is the number of intact records.
 	Records uint64 `json:"records"`
-	// MinUnixNano and MaxUnixNano bound the record timestamps (both zero
-	// when the segment is empty).
-	MinUnixNano int64 `json:"min_unix_nano"`
-	MaxUnixNano int64 `json:"max_unix_nano"`
 	// Bytes is the segment file size covered by the index; a mismatch
 	// with the on-disk size marks the manifest entry stale.
 	Bytes int64 `json:"bytes"`
-}
-
-func (si *SegmentInfo) observe(t time.Time) {
-	ns := t.UnixNano()
-	if si.Records == 0 || ns < si.MinUnixNano {
-		si.MinUnixNano = ns
-	}
-	if si.Records == 0 || ns > si.MaxUnixNano {
-		si.MaxUnixNano = ns
-	}
-	si.Records++
-}
-
-// MinTime returns the earliest record timestamp.
-func (si SegmentInfo) MinTime() time.Time { return time.Unix(0, si.MinUnixNano).UTC() }
-
-// MaxTime returns the latest record timestamp.
-func (si SegmentInfo) MaxTime() time.Time { return time.Unix(0, si.MaxUnixNano).UTC() }
-
-// overlaps reports whether any record in [MinTime, MaxTime] can fall in
-// the half-open window [from, to); zero bounds are open.
-func (si SegmentInfo) overlaps(from, to time.Time) bool {
-	if si.Records == 0 {
-		return false
-	}
-	if !from.IsZero() && si.MaxUnixNano < from.UnixNano() {
-		return false
-	}
-	if !to.IsZero() && si.MinUnixNano >= to.UnixNano() {
-		return false
-	}
-	return true
 }

@@ -367,7 +367,7 @@ func (sh *Shard) AppendRecord(r logging.Record) error {
 	}
 	sh.m.appends.Inc()
 	sh.m.appendBytes.Add(uint64(len(frame)))
-	sh.active.observe(r.Time)
+	sh.active.Records++
 	sh.active.Bytes += int64(len(frame))
 	if sh.names != nil {
 		sh.names.observe(&r)

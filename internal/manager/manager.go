@@ -154,9 +154,6 @@ type Config struct {
 	CollectEvery time.Duration
 	// HealthEvery is the status-poll period.
 	HealthEvery time.Duration
-	// NameThreshold is the filename anonymization threshold applied at
-	// FinalizeStream (words rarer than this are replaced); 0 disables.
-	NameThreshold int
 	// Metrics, when set, receives the manager's telemetry: collection
 	// round/record counters and the finalize pipeline's per-stage record
 	// counts and cumulative durations (finalize.<stage>.records /
@@ -177,8 +174,12 @@ type Config struct {
 
 // DefaultConfig returns the cadence used by the campaigns.
 func DefaultConfig() Config {
-	return Config{CollectEvery: time.Hour, HealthEvery: 10 * time.Minute, NameThreshold: 3}
+	return Config{CollectEvery: time.Hour, HealthEvery: 10 * time.Minute}
 }
+
+// nameThreshold is the file-name anonymization threshold every finalize
+// applies: words occurring fewer times than this are replaced.
+const nameThreshold = 3
 
 // HoneypotState is the manager's view of one honeypot.
 type HoneypotState struct {
@@ -654,7 +655,7 @@ type DatasetStream struct {
 	ra   *logging.ReadAheadIter // the stage running the chain: the pipeline's output
 	base *logstore.Iterator     // the store cursor, for Close
 	ren  *anonymize.Renumberer
-	na   *anonymize.NameAnonymizer // nil when name anonymization is off
+	na   *anonymize.NameAnonymizer
 
 	// peers and replaced copy the renumberer's and the anonymizer's
 	// totals when the stream ends. Those two belong to the read-ahead
@@ -683,9 +684,7 @@ func (d *DatasetStream) Fill(dst []logging.Record) (int, error) {
 	}
 	if err != nil {
 		d.peers = d.ren.Count()
-		if d.na != nil {
-			d.replaced = d.na.ReplacedWords()
-		}
+		d.replaced = d.na.ReplacedWords()
 		if !errors.Is(err, io.EOF) {
 			return n, wrapFinalizeErr(err)
 		}
@@ -805,14 +804,11 @@ func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 	if err := m.store.Err(); err != nil {
 		return nil, err
 	}
-	var na *anonymize.NameAnonymizer
-	if m.cfg.NameThreshold > 0 {
-		// The store counted names per segment as they were appended:
-		// fold its tables, reading no record.
-		na = anonymize.NewNameAnonymizer(m.cfg.NameThreshold)
-		if err := m.store.NameCounts(na.ObserveCount); err != nil {
-			return nil, err
-		}
+	// The store counted names per segment as they were appended: fold
+	// its tables, reading no record.
+	na := anonymize.NewNameAnonymizer(nameThreshold)
+	if err := m.store.NameCounts(na.ObserveCount); err != nil {
+		return nil, err
 	}
 	base, err := m.store.Iterator()
 	if err != nil {
@@ -840,9 +836,7 @@ func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 	}
 	out := ren.RenumberIter(stage(anonymize.AuditIter(stage(base, "scan")), "audit"))
 	out = stage(out, "renumber")
-	if na != nil {
-		out = stage(na.AnonymizeIter(out), "anonymize")
-	}
+	out = stage(na.AnonymizeIter(out), "anonymize")
 	ra = logging.ReadAhead(out)
 
 	ds := &DatasetStream{

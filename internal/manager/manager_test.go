@@ -547,7 +547,7 @@ func TestIncrementalCollectionTransfersEachRecordOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := logging.Drain(it)
+	recs, err := logging.AppendAll(nil, it)
 	it.Close()
 	if err != nil {
 		t.Fatal(err)
