@@ -21,8 +21,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"net/netip"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -219,8 +221,14 @@ func main() {
 	}
 	log.Printf("wrote %d records (%d distinct peers) to %s",
 		n, res.ds.DistinctPeers(), *out)
-	for id, c := range res.ds.PerHoneypot() {
-		log.Printf("  %s contributed %d records", id, c)
+	logContributions(res.ds.PerHoneypot())
+}
+
+// logContributions logs each honeypot's record count in honeypot ID
+// order, so that identical runs print identical summaries.
+func logContributions(perHP map[string]int) {
+	for _, id := range slices.Sorted(maps.Keys(perHP)) {
+		log.Printf("  %s contributed %d records", id, perHP[id])
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/ed2k"
 	"repro/internal/logging"
+	"repro/internal/randsrc"
 	"repro/internal/stats"
 )
 
@@ -170,7 +171,7 @@ func init() {
 		Run: func(qc *QueryContext) (any, error) {
 			// Drawn from the advertised list, as the paper drew from its
 			// 3,175 shared files.
-			rng := rand.New(rand.NewSource(qc.Opt.Seed))
+			rng := rand.New(randsrc.New(qc.Opt.Seed))
 			perm := rng.Perm(len(qc.Meta.Advertised))
 			n := qc.Opt.FileSubsetSize
 			if n > len(perm) {

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/ed2k"
 	"repro/internal/md4"
+	"repro/internal/randsrc"
 )
 
 // Kind is the media archetype of a file.
@@ -200,7 +201,7 @@ func Generate(cfg Config) *Catalog {
 	if cfg.PopularityExp <= 0 {
 		cfg.PopularityExp = 0.9
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(randsrc.New(cfg.Seed))
 	vocab := drawVocabulary(rng, cfg.Vocabulary)
 	// Zipf over the vocabulary: word rank r has weight 1/(r+1)^1.0.
 	wordZipf := rand.NewZipf(rng, 1.4, 1, uint64(cfg.Vocabulary-1))

@@ -23,6 +23,8 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"time"
+
+	"repro/internal/randsrc"
 )
 
 // event is one scheduled callback: a static function and its two
@@ -147,7 +149,7 @@ func NewLoop(start time.Time, seed int64) *Loop {
 		now:   start,
 		sched: newWheelScheduler(start),
 		seed:  seed,
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   rand.New(randsrc.New(seed)),
 	}
 }
 
@@ -171,7 +173,7 @@ func (l *Loop) Rand() *rand.Rand { return l.rng }
 func (l *Loop) NewRand(label string) *rand.Rand {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d/%s", l.seed, label)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return rand.New(randsrc.New(int64(h.Sum64())))
 }
 
 // alloc takes an event off the free list, or makes one.

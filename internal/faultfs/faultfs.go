@@ -33,6 +33,8 @@ import (
 	"os"
 	"strings"
 	"sync"
+
+	"repro/internal/randsrc"
 )
 
 // Errors reported by the built-in injectors. Faults injected by
@@ -280,7 +282,7 @@ type Crasher struct {
 // counts mutating operations (Ops), which sizes a torture loop's
 // kill-point range. The seed drives the tear point of a doomed write.
 func CrashAfter(n int64, seed int64) *Crasher {
-	return &Crasher{n: n, rng: rand.New(rand.NewSource(seed))}
+	return &Crasher{n: n, rng: rand.New(randsrc.New(seed))}
 }
 
 func (c *Crasher) Fault(op Op) *Fault {
@@ -375,7 +377,7 @@ type Flaky struct {
 // NewFlaky returns a Flaky injector failing roughly rate (0..1) of
 // mutating operations.
 func NewFlaky(seed int64, rate float64) *Flaky {
-	return &Flaky{rng: rand.New(rand.NewSource(seed)), rate: rate}
+	return &Flaky{rng: rand.New(randsrc.New(seed)), rate: rate}
 }
 
 func (f *Flaky) Fault(op Op) *Fault {

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/randsrc"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -41,7 +42,7 @@ var _ transport.Host = (*Host)(nil)
 func NewHost(addr netip.Addr, seed int64) *Host {
 	h := &Host{
 		addr:      addr,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       rand.New(randsrc.New(seed)),
 		listeners: make(map[*listener]struct{}),
 		conns:     make(map[*conn]struct{}),
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/ed2k"
 	"repro/internal/netsim"
+	"repro/internal/randsrc"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -60,7 +61,7 @@ func (p *Population) spawnPeer(rng *rand.Rand) {
 		lowID: rng.Float64() < p.cfg.LowIDFraction,
 		wants: []TargetFile{target},
 	}
-	pe.rng = rand.New(rand.NewSource(rng.Int63()))
+	pe.rng = rand.New(randsrc.New(rng.Int63()))
 	if p.cfg.WantsMax > 1 {
 		n := 1 + pe.rng.Intn(p.cfg.WantsMax)
 		for len(pe.wants) < n {
@@ -101,7 +102,7 @@ func (p *Population) spawnHeavyHitter(rng *rand.Rand, idx int) {
 		heavy: true,
 		wants: []TargetFile{target},
 	}
-	pe.rng = rand.New(rand.NewSource(rng.Int63() ^ int64(idx)))
+	pe.rng = rand.New(randsrc.New(rng.Int63() ^ int64(idx)))
 	pe.start()
 }
 

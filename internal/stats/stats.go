@@ -19,6 +19,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"repro/internal/randsrc"
 )
 
 // Buckets counts events into fixed-width time buckets.
@@ -302,7 +304,7 @@ func UnionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 			}
 			swaps := make([]int, nUnits)
 			for j := range jobs {
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(j.n)*1_000_003))
+				rng := rand.New(randsrc.New(cfg.Seed + int64(j.n)*1_000_003))
 				sum := 0.0
 				minU, maxU := -1, -1
 				for s := 0; s < cfg.Samples; s++ {
