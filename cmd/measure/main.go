@@ -35,7 +35,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,7 +49,6 @@ import (
 
 	"repro"
 	"repro/internal/analysis"
-	"repro/internal/anonymize"
 	"repro/internal/calibrate"
 	"repro/internal/ed2k"
 	"repro/internal/logging"
@@ -222,7 +220,7 @@ func runCampaign(w io.Writer, spec repro.Spec, opts repro.RunOptions, metricsFil
 	start := time.Now()
 	res, err := repro.RunSpecWith(spec, opts)
 	if err != nil {
-		fatalRun(spec.Name, err)
+		log.Fatalf("%s: %v", spec.Name, err)
 	}
 	summarizeRun(w, res, time.Since(start))
 	writeMetrics(metricsFile, opts.Metrics)
@@ -316,17 +314,6 @@ func reread(w io.Writer, res *repro.Result) {
 				s.name, s.dir, f.Len(), f.DistinctPeers(), s.records, res.Dataset.DistinctPeers)
 		}
 	}
-}
-
-// fatalRun exits nonzero on a campaign error, naming the finalize stage
-// when the anonymization audit is what failed — an operator grepping
-// logs must be able to tell a privacy leak from an I/O problem.
-func fatalRun(name string, err error) {
-	var ae *anonymize.AuditError
-	if errors.As(err, &ae) {
-		log.Fatalf("%s: finalize stage audit failed: %v", name, err)
-	}
-	log.Fatalf("%s: %v", name, err)
 }
 
 // writeMetrics dumps the registry snapshot collected over the run.

@@ -3,7 +3,6 @@ package repro_test
 import (
 	"fmt"
 	"net/netip"
-	"strconv"
 	"testing"
 	"time"
 
@@ -171,8 +170,8 @@ func TestDistributedCampaignShape(t *testing.T) {
 		t.Errorf("audit: %v", err)
 	}
 	for _, r := range res.Dataset.Records[:10] {
-		if _, err := strconv.Atoi(r.PeerIP); err != nil {
-			t.Fatalf("PeerIP %q not renumbered", r.PeerIP)
+		if r.PeerIP.Kind() != logging.PeerNumbered {
+			t.Fatalf("PeerIP %v not renumbered", r.PeerIP)
 		}
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/ed2k"
@@ -78,11 +77,11 @@ func (t TableI) String() string {
 
 // ComputeTableI derives Table I from a merged log.
 func ComputeTableI(recs []logging.Record, honeypots, days, sharedFiles int) TableI {
-	peers := map[string]bool{}
+	peers := map[logging.PeerID]bool{}
 	files := map[ed2k.Hash]int64{}
 	for i := range recs {
 		r := &recs[i]
-		if r.PeerIP != "" {
+		if !r.PeerIP.IsZero() {
 			peers[r.PeerIP] = true
 		}
 		for _, f := range r.Files {
@@ -108,8 +107,8 @@ func ComputeTableI(recs []logging.Record, honeypots, days, sharedFiles int) Tabl
 func PeerGrowth(recs []logging.Record, start time.Time, days int) stats.GrowthCurve {
 	tr := stats.NewDistinctTracker(start, Day, days)
 	for i := range recs {
-		if recs[i].PeerIP != "" {
-			tr.Observe(recs[i].Time, recs[i].PeerIP)
+		if !recs[i].PeerIP.IsZero() {
+			tr.Observe(recs[i].Time, recs[i].PeerIP.String())
 		}
 	}
 	return tr.Curve()
@@ -136,10 +135,10 @@ type GroupSeries struct {
 // GroupDistinctPeers computes Figs 5-6: cumulative distinct peers sending
 // messages of the given kind to each strategy group, per day.
 func GroupDistinctPeers(recs []logging.Record, groupOf map[string]string, kind logging.Kind, start time.Time, days int) GroupSeries {
-	perGroup := map[string]map[string]int{} // group -> peer -> first day
+	perGroup := map[string]map[logging.PeerID]int{} // group -> peer -> first day
 	for i := range recs {
 		r := &recs[i]
-		if r.Kind != kind || r.PeerIP == "" {
+		if r.Kind != kind || r.PeerIP.IsZero() {
 			continue
 		}
 		g, ok := groupOf[r.Honeypot]
@@ -152,7 +151,7 @@ func GroupDistinctPeers(recs []logging.Record, groupOf map[string]string, kind l
 		}
 		m := perGroup[g]
 		if m == nil {
-			m = map[string]int{}
+			m = map[logging.PeerID]int{}
 			perGroup[g] = m
 		}
 		if prev, seen := m[r.PeerIP]; !seen || d < prev {
@@ -198,8 +197,8 @@ func TopPeer(recs []logging.Record) (string, int) {
 	for i := range recs {
 		switch recs[i].Kind {
 		case logging.KindHello, logging.KindStartUpload, logging.KindRequestPart:
-			if recs[i].PeerIP != "" {
-				keys = append(keys, recs[i].PeerIP)
+			if !recs[i].PeerIP.IsZero() {
+				keys = append(keys, recs[i].PeerIP.String())
 			}
 		}
 	}
@@ -212,7 +211,7 @@ func TopPeerSeries(recs []logging.Record, groupOf map[string]string, peer string
 	perDay := map[string][]int{}
 	for i := range recs {
 		r := &recs[i]
-		if r.Kind != kind || r.PeerIP != peer {
+		if r.Kind != kind || r.PeerIP.String() != peer {
 			continue
 		}
 		g, ok := groupOf[r.Honeypot]
@@ -251,13 +250,10 @@ func HoneypotPeerSets(recs []logging.Record, honeypotIDs []string) (sets [][]int
 	for i := range recs {
 		r := &recs[i]
 		hi, ok := idx[r.Honeypot]
-		if !ok || r.PeerIP == "" {
+		if !ok || r.PeerIP.Kind() != logging.PeerNumbered {
 			continue
 		}
-		n, err := strconv.Atoi(r.PeerIP)
-		if err != nil {
-			continue
-		}
+		n := int(r.PeerIP.Value())
 		if n > maxID {
 			maxID = n
 		}
@@ -293,13 +289,10 @@ func FilePeerSets(recs []logging.Record, files []ed2k.Hash) (sets [][]int32, uni
 			continue
 		}
 		fi, ok := idx[r.FileHash]
-		if !ok || r.PeerIP == "" {
+		if !ok || r.PeerIP.Kind() != logging.PeerNumbered {
 			continue
 		}
-		n, err := strconv.Atoi(r.PeerIP)
-		if err != nil {
-			continue
-		}
+		n := int(r.PeerIP.Value())
 		if n > maxID {
 			maxID = n
 		}
@@ -327,18 +320,18 @@ type FilePopularity struct {
 
 // QueriedFiles ranks queried files by distinct peers.
 func QueriedFiles(recs []logging.Record) []FilePopularity {
-	perFile := map[ed2k.Hash]map[string]bool{}
+	perFile := map[ed2k.Hash]map[logging.PeerID]bool{}
 	for i := range recs {
 		r := &recs[i]
 		if r.Kind != logging.KindStartUpload && r.Kind != logging.KindRequestPart {
 			continue
 		}
-		if r.FileHash.Zero() || r.PeerIP == "" {
+		if r.FileHash.Zero() || r.PeerIP.IsZero() {
 			continue
 		}
 		m := perFile[r.FileHash]
 		if m == nil {
-			m = map[string]bool{}
+			m = map[logging.PeerID]bool{}
 			perFile[r.FileHash] = m
 		}
 		m[r.PeerIP] = true
@@ -373,7 +366,7 @@ func dayAxis(days int) []int {
 	return out
 }
 
-func cumulateFirstDays(perGroup map[string]map[string]int, days int) GroupSeries {
+func cumulateFirstDays(perGroup map[string]map[logging.PeerID]int, days int) GroupSeries {
 	out := GroupSeries{Days: dayAxis(days), Groups: map[string][]int{}}
 	for g, firstDay := range perGroup {
 		news := make([]int, days)

@@ -14,9 +14,18 @@ import (
 var t0 = time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
 
 // rec builds a test record at hour h.
+// pid parses a peer identity's text form.
+func pid(s string) logging.PeerID {
+	var p logging.PeerID
+	if err := p.UnmarshalText([]byte(s)); err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func rec(h int, hp string, kind logging.Kind, peer string, file string) logging.Record {
 	r := logging.Record{
-		Time: t0.Add(time.Duration(h) * time.Hour), Honeypot: hp, Kind: kind, PeerIP: peer,
+		Time: t0.Add(time.Duration(h) * time.Hour), Honeypot: hp, Kind: kind, PeerIP: pid(peer),
 	}
 	if file != "" {
 		r.FileHash = ed2k.SyntheticHash(file)
@@ -30,14 +39,14 @@ func TestComputeTableI(t *testing.T) {
 		rec(2, "a", logging.KindHello, "1", ""),
 		rec(3, "b", logging.KindHello, "0", ""),
 		{
-			Time: t0.Add(4 * time.Hour), Honeypot: "a", Kind: logging.KindSharedList, PeerIP: "1",
+			Time: t0.Add(4 * time.Hour), Honeypot: "a", Kind: logging.KindSharedList, PeerIP: logging.NumberedPeer(1),
 			Files: []logging.SharedFile{
 				{Hash: ed2k.SyntheticHash("x"), Name: "x", Size: 100},
 				{Hash: ed2k.SyntheticHash("y"), Name: "y", Size: 200},
 			},
 		},
 		{
-			Time: t0.Add(5 * time.Hour), Honeypot: "b", Kind: logging.KindSharedList, PeerIP: "0",
+			Time: t0.Add(5 * time.Hour), Honeypot: "b", Kind: logging.KindSharedList, PeerIP: logging.NumberedPeer(0),
 			Files: []logging.SharedFile{
 				{Hash: ed2k.SyntheticHash("x"), Name: "x", Size: 100}, // duplicate file
 			},
@@ -174,10 +183,10 @@ func TestHoneypotPeerSets(t *testing.T) {
 func TestFilePeerSets(t *testing.T) {
 	fa, fb := ed2k.SyntheticHash("fa"), ed2k.SyntheticHash("fb")
 	recs := []logging.Record{
-		{Time: t0, Kind: logging.KindStartUpload, PeerIP: "0", FileHash: fa},
-		{Time: t0, Kind: logging.KindRequestPart, PeerIP: "1", FileHash: fa},
-		{Time: t0, Kind: logging.KindStartUpload, PeerIP: "1", FileHash: fb},
-		{Time: t0, Kind: logging.KindHello, PeerIP: "2", FileHash: fa}, // HELLO ignored
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(0), FileHash: fa},
+		{Time: t0, Kind: logging.KindRequestPart, PeerIP: logging.NumberedPeer(1), FileHash: fa},
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(1), FileHash: fb},
+		{Time: t0, Kind: logging.KindHello, PeerIP: logging.NumberedPeer(2), FileHash: fa}, // HELLO ignored
 	}
 	sets, universe := FilePeerSets(recs, []ed2k.Hash{fa, fb})
 	if universe != 2 {
@@ -191,9 +200,9 @@ func TestFilePeerSets(t *testing.T) {
 func TestQueriedFiles(t *testing.T) {
 	fa, fb := ed2k.SyntheticHash("fa"), ed2k.SyntheticHash("fb")
 	recs := []logging.Record{
-		{Time: t0, Kind: logging.KindStartUpload, PeerIP: "0", FileHash: fa},
-		{Time: t0, Kind: logging.KindStartUpload, PeerIP: "1", FileHash: fa},
-		{Time: t0, Kind: logging.KindStartUpload, PeerIP: "0", FileHash: fb},
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(0), FileHash: fa},
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(1), FileHash: fa},
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(0), FileHash: fb},
 	}
 	ranked := QueriedFiles(recs)
 	if len(ranked) != 2 {

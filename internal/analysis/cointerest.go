@@ -32,17 +32,18 @@ func BuildInterestGraph(recs []logging.Record) *InterestGraph {
 		if r.Kind != logging.KindStartUpload && r.Kind != logging.KindRequestPart {
 			continue
 		}
-		if r.PeerIP == "" || r.FileHash.Zero() {
+		if r.PeerIP.IsZero() || r.FileHash.Zero() {
 			continue
 		}
-		if pf[r.PeerIP] == nil {
-			pf[r.PeerIP] = map[ed2k.Hash]bool{}
+		peer := r.PeerIP.String()
+		if pf[peer] == nil {
+			pf[peer] = map[ed2k.Hash]bool{}
 		}
-		pf[r.PeerIP][r.FileHash] = true
+		pf[peer][r.FileHash] = true
 		if fp[r.FileHash] == nil {
 			fp[r.FileHash] = map[string]bool{}
 		}
-		fp[r.FileHash][r.PeerIP] = true
+		fp[r.FileHash][peer] = true
 	}
 	g := &InterestGraph{
 		PeerFiles: make(map[string][]ed2k.Hash, len(pf)),
@@ -85,6 +86,23 @@ func (f *Frame) InterestGraph() *InterestGraph {
 		PeerFiles: map[string][]ed2k.Hash{},
 		FilePeers: map[ed2k.Hash][]string{},
 	}
+	// The graph is keyed by the peers' text: render each querying
+	// peer's once into one buffer, before the workers share it, and
+	// slice it — one string for the graph, not one per peer.
+	var text []byte
+	start, end := make([]int, nPeers), make([]int, nPeers)
+	for _, p := range grouped {
+		if end[p] == 0 { // no peer's text is empty
+			start[p] = len(text)
+			text, _ = f.peerTab.Value(p).AppendText(text)
+			end[p] = len(text)
+		}
+	}
+	all := string(text)
+	peerStr := make([]string, nPeers)
+	for p := range peerStr {
+		peerStr[p] = all[start[p]:end[p]]
+	}
 
 	// Phase 1: dedupe each file's querying peers and emit its edges.
 	type edge struct{ peer, file uint32 }
@@ -114,7 +132,7 @@ func (f *Frame) InterestGraph() *InterestGraph {
 			for _, p := range grouped[off[sym] : off[sym]+n] {
 				if mark[p] != int32(sym) {
 					mark[p] = int32(sym)
-					ps = append(ps, f.peerTab.Value(p))
+					ps = append(ps, peerStr[p])
 					edges = append(edges, edge{peer: p, file: uint32(sym)})
 					perPeer[p]++
 				}
@@ -194,7 +212,7 @@ func (f *Frame) InterestGraph() *InterestGraph {
 	})
 	for _, la := range localPeers {
 		for _, a := range la {
-			g.PeerFiles[f.peerTab.Value(a.p)] = a.fs
+			g.PeerFiles[peerStr[a.p]] = a.fs
 		}
 	}
 	return g

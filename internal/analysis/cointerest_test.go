@@ -11,15 +11,15 @@ func interestRecs() []logging.Record {
 	fa, fb, fc := ed2k.SyntheticHash("fa"), ed2k.SyntheticHash("fb"), ed2k.SyntheticHash("fc")
 	fd := ed2k.SyntheticHash("fd") // isolated island with peer 9
 	return []logging.Record{
-		{Time: t0, Kind: logging.KindStartUpload, PeerIP: "0", FileHash: fa},
-		{Time: t0, Kind: logging.KindRequestPart, PeerIP: "0", FileHash: fa}, // dup edge
-		{Time: t0, Kind: logging.KindStartUpload, PeerIP: "0", FileHash: fb},
-		{Time: t0, Kind: logging.KindStartUpload, PeerIP: "1", FileHash: fb},
-		{Time: t0, Kind: logging.KindStartUpload, PeerIP: "1", FileHash: fc},
-		{Time: t0, Kind: logging.KindStartUpload, PeerIP: "2", FileHash: fa},
-		{Time: t0, Kind: logging.KindStartUpload, PeerIP: "9", FileHash: fd},
-		{Time: t0, Kind: logging.KindHello, PeerIP: "5"},      // no file: ignored
-		{Time: t0, Kind: logging.KindSharedList, PeerIP: "6"}, // ignored kind
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(0), FileHash: fa},
+		{Time: t0, Kind: logging.KindRequestPart, PeerIP: logging.NumberedPeer(0), FileHash: fa}, // dup edge
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(0), FileHash: fb},
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(1), FileHash: fb},
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(1), FileHash: fc},
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(2), FileHash: fa},
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(9), FileHash: fd},
+		{Time: t0, Kind: logging.KindHello, PeerIP: logging.NumberedPeer(5)},      // no file: ignored
+		{Time: t0, Kind: logging.KindSharedList, PeerIP: logging.NumberedPeer(6)}, // ignored kind
 	}
 }
 
@@ -92,7 +92,7 @@ func BenchmarkInterestGraph(b *testing.B) {
 		for f := 0; f < 3; f++ {
 			recs = append(recs, logging.Record{
 				Time: t0, Kind: logging.KindStartUpload,
-				PeerIP:   itoa(p),
+				PeerIP:   logging.NumberedPeer(uint64(p)),
 				FileHash: ed2k.SyntheticHash(itoa((p * 7 * (f + 1)) % 900)),
 			})
 		}

@@ -6,9 +6,9 @@ package analysis
 // runs over flat integer columns. The slice-based extractors in
 // analysis.go remain as the reference implementations (and the API for
 // one-off calls); the Frame versions return bit-identical results while
-// replacing per-record map lookups, strconv parses and time.Time
-// arithmetic with array indexing, and hash-map distinct-tracking with
-// epoch-stamped dense arrays and bitsets. Memory per record is 19 bytes
+// replacing per-record map lookups and time.Time arithmetic with array
+// indexing, and hash-map distinct-tracking with epoch-stamped dense
+// arrays and bitsets. Memory per record is 19 bytes
 // regardless of string sizes, and per-extractor allocations are bounded
 // by distinct counts and output size, never by campaign length.
 
@@ -19,7 +19,6 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -30,13 +29,9 @@ import (
 	"repro/internal/stats"
 )
 
-// NoPeer marks a record whose PeerIP was empty (connection-level events
+// NoPeer marks a record whose PeerIP was zero (connection-level events
 // carry no peer identity).
 const NoPeer = ^uint32(0)
-
-// noNum marks an interned peer identifier that does not parse as a
-// step-2 decimal number (e.g. a step-1 hex hash).
-const noNum = math.MinInt64
 
 // Frame is a campaign's merged log in columnar form. Build it once with
 // BuildFrame or BuildFrameIter, then derive every table and figure from
@@ -48,8 +43,8 @@ type Frame struct {
 	hps   []uint16 // honeypot symbol
 	files []uint32 // concerned-file symbol (the zero hash interns too)
 
-	peerTab *intern.Strings
-	hpTab   *intern.Strings
+	peerTab *intern.Table[logging.PeerID]
+	hpTab   *intern.Table[string]
 	fileTab *intern.Table[ed2k.Hash]
 
 	// Shared-file lists (KindSharedList) are aggregated at build time:
@@ -58,13 +53,11 @@ type Frame struct {
 	sharedTab   *intern.Table[ed2k.Hash]
 	sharedSizes []int64
 
-	// The two lazy caches are sync.Once-guarded: the query engine
+	// The lazy query index is sync.Once-guarded: the query engine
 	// (exec.go) runs extractors concurrently over one shared frame, and
-	// these are the frame's only post-build mutations.
-	peerNumsOnce sync.Once
-	peerNums     []int64 // parsed step-2 number per peer symbol, noNum if not decimal
-	pairsOnce    sync.Once
-	pairs        *queryIndex
+	// it is the frame's only post-build mutation.
+	pairsOnce sync.Once
+	pairs     *queryIndex
 }
 
 func newFrame(capacity int) *Frame {
@@ -74,8 +67,8 @@ func newFrame(capacity int) *Frame {
 		peers:     make([]uint32, 0, capacity),
 		hps:       make([]uint16, 0, capacity),
 		files:     make([]uint32, 0, capacity),
-		peerTab:   intern.NewStrings(),
-		hpTab:     intern.NewStrings(),
+		peerTab:   intern.NewTable[logging.PeerID](),
+		hpTab:     intern.NewTable[string](),
 		fileTab:   intern.NewTable[ed2k.Hash](),
 		sharedTab: intern.NewTable[ed2k.Hash](),
 	}
@@ -85,7 +78,7 @@ func (f *Frame) add(r *logging.Record) {
 	f.times = append(f.times, r.Time.UnixNano())
 	f.kinds = append(f.kinds, uint8(r.Kind))
 	p := NoPeer
-	if r.PeerIP != "" {
+	if !r.PeerIP.IsZero() {
 		p = f.peerTab.ID(r.PeerIP)
 	}
 	f.peers = append(f.peers, p)
@@ -180,26 +173,14 @@ func (f *Frame) Equal(g *Frame) bool {
 // DistinctPeers returns the number of distinct peer identifiers.
 func (f *Frame) DistinctPeers() int { return f.peerTab.Len() }
 
-// peerNumbers parses each distinct peer identifier as a step-2 decimal
-// number exactly once, caching the column for every later extractor.
-// Safe under concurrent extractions.
-func (f *Frame) peerNumbers() []int64 {
-	f.peerNumsOnce.Do(func() {
-		if f.peerTab.Len() == 0 {
-			return
-		}
-		nums := make([]int64, f.peerTab.Len())
-		for id, s := range f.peerTab.Values() {
-			n, err := strconv.Atoi(s)
-			if err != nil {
-				nums[id] = noNum
-			} else {
-				nums[id] = int64(n)
-			}
-		}
-		f.peerNums = nums
-	})
-	return f.peerNums
+// peerNumber returns peer symbol p's step-2 number; ok is false for no
+// peer and for a step-1 hash.
+func (f *Frame) peerNumber(p uint32) (n int64, ok bool) {
+	if p == NoPeer {
+		return 0, false
+	}
+	id := f.peerTab.Value(p)
+	return int64(id.Value()), id.Kind() == logging.PeerNumbered
 }
 
 // TableI derives the frame's row of the paper's Table I. O(distinct
@@ -367,7 +348,8 @@ func (f *Frame) GroupMessageCounts(groupOf map[string]string, kind logging.Kind,
 
 // TopPeer finds the peer with the most queries (HELLO + START-UPLOAD +
 // REQUEST-PART) via one dense counting array; ties break toward the
-// lexicographically smallest identifier, as in stats.TopKey.
+// lexicographically smallest text form ("10" before "9"), as in
+// stats.TopKey.
 func (f *Frame) TopPeer() (string, int) {
 	counts := make([]int, f.peerTab.Len())
 	for i, k := range f.kinds {
@@ -378,26 +360,26 @@ func (f *Frame) TopPeer() (string, int) {
 			}
 		}
 	}
-	best, bestN := "", -1
+	var best, text []byte
+	bestN := 0
 	for id, n := range counts {
-		if n == 0 {
+		if n == 0 || n < bestN {
 			continue
 		}
-		if s := f.peerTab.Value(uint32(id)); n > bestN || (n == bestN && s < best) {
-			best, bestN = s, n
+		text, _ = f.peerTab.Value(uint32(id)).AppendText(text[:0])
+		if n > bestN || string(text) < string(best) {
+			best, text, bestN = text, best, n
 		}
 	}
-	if bestN < 0 {
-		bestN = 0
-	}
-	return best, bestN
+	return string(best), bestN
 }
 
 // TopPeerSeries computes Figs 8-9 from the frame.
 func (f *Frame) TopPeerSeries(groupOf map[string]string, peer string, kind logging.Kind, start time.Time, days int) GroupSeries {
 	target, ok := NoPeer, peer == "" // "" matches records without a peer
-	if peer != "" {
-		target, ok = f.peerTab.Lookup(peer)
+	var id logging.PeerID
+	if !ok && id.UnmarshalText([]byte(peer)) == nil {
+		target, ok = f.peerTab.Lookup(id)
 	}
 	hpGroup, names := f.groupIndex(groupOf)
 	startNs := start.UnixNano()
@@ -578,8 +560,7 @@ func (b *numBounds) merge(o numBounds) {
 }
 
 // HoneypotPeerSets builds Fig 10's per-honeypot distinct peer-number
-// sets from the frame. Peer identifiers are parsed once per distinct
-// peer (cached on the frame), distinctness is tracked in one bitset per
+// sets from the frame. Distinctness is tracked in one bitset per
 // honeypot, and both scans split across row ranges.
 func (f *Frame) HoneypotPeerSets(honeypotIDs []string) (sets [][]int32, universe int) {
 	pos := make([]int32, f.hpTab.Len())
@@ -591,21 +572,10 @@ func (f *Frame) HoneypotPeerSets(honeypotIDs []string) (sets [][]int32, universe
 			pos[sym] = int32(i)
 		}
 	}
-	nums := f.peerNumbers()
 	match := func(i int) (int, int64, bool) {
-		p := f.peers[i]
-		if p == NoPeer {
-			return 0, 0, false
-		}
 		hi := pos[f.hps[i]]
-		if hi < 0 {
-			return 0, 0, false
-		}
-		n := nums[p]
-		if n == noNum {
-			return 0, 0, false
-		}
-		return int(hi), n, true
+		n, ok := f.peerNumber(f.peers[i])
+		return int(hi), n, ok && hi >= 0
 	}
 	n := len(f.peers)
 	workers := resolveWorkers(n)
@@ -647,21 +617,14 @@ func (f *Frame) FilePeerSets(files []ed2k.Hash) (sets [][]int32, universe int) {
 			pos[sym] = int32(i)
 		}
 	}
-	nums := f.peerNumbers()
 	match := func(i int) (int, int64, bool) {
 		k := logging.Kind(f.kinds[i])
 		if k != logging.KindStartUpload && k != logging.KindRequestPart {
 			return 0, 0, false
 		}
 		fi := pos[f.files[i]]
-		if fi < 0 || f.peers[i] == NoPeer {
-			return 0, 0, false
-		}
-		n := nums[f.peers[i]]
-		if n == noNum {
-			return 0, 0, false
-		}
-		return int(fi), n, true
+		n, ok := f.peerNumber(f.peers[i])
+		return int(fi), n, ok && fi >= 0
 	}
 	n := len(f.kinds)
 	workers := resolveWorkers(n)

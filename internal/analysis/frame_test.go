@@ -37,10 +37,10 @@ func frameSample(start time.Time, n int) []logging.Record {
 		}
 		switch rng.Intn(10) {
 		case 0: // connection event without a peer
-		case 1: // step-1 hex leftover (does not parse as a number)
-			r.PeerIP = fmt.Sprintf("%08x", rng.Intn(50))
-		default: // step-2 decimal number (sparse: not every int appears)
-			r.PeerIP = fmt.Sprint(rng.Intn(60) * 3)
+		case 1: // step-1 hash leftover (not a number)
+			r.PeerIP = logging.HashedPeer(uint64(rng.Intn(50)))
+		default: // step-2 number (sparse: not every int appears)
+			r.PeerIP = logging.NumberedPeer(uint64(rng.Intn(60) * 3))
 		}
 		if rng.Intn(3) != 0 {
 			r.FileHash = ed2k.SyntheticHash(fmt.Sprint("file-", rng.Intn(25)))
@@ -354,10 +354,10 @@ func TestOpenFrame(t *testing.T) {
 func TestFramePeerSetFallback(t *testing.T) {
 	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
 	recs := []logging.Record{
-		{Time: start, Honeypot: "a", Kind: logging.KindHello, PeerIP: "999999999"},
-		{Time: start, Honeypot: "a", Kind: logging.KindHello, PeerIP: "3"},
-		{Time: start, Honeypot: "b", Kind: logging.KindHello, PeerIP: "-7"},
-		{Time: start, Honeypot: "b", Kind: logging.KindHello, PeerIP: "999999999"},
+		{Time: start, Honeypot: "a", Kind: logging.KindHello, PeerIP: logging.NumberedPeer(999999999)},
+		{Time: start, Honeypot: "a", Kind: logging.KindHello, PeerIP: logging.NumberedPeer(3)},
+		{Time: start, Honeypot: "b", Kind: logging.KindHello, PeerIP: logging.NumberedPeer(1<<64 - 7)},
+		{Time: start, Honeypot: "b", Kind: logging.KindHello, PeerIP: logging.NumberedPeer(999999999)},
 	}
 	f := BuildFrame(recs)
 	gotSets, gotU := f.HoneypotPeerSets([]string{"a", "b"})
@@ -384,7 +384,7 @@ func textStore(t *testing.T, dir string, recs []logging.Record, opts logstore.Op
 		r.Time = start.Add(time.Duration(i) * time.Second)
 		r.Honeypot = fmt.Sprint("hp-", i%3)
 		r.PeerName = fmt.Sprint("eMule v0.49b #", i)
-		r.UserHash = fmt.Sprintf("%032x", i)
+		r.UserHash = logging.UserHash(ed2k.SyntheticHash(fmt.Sprint("user-", i)))
 		r.FileName = fmt.Sprint("some.popular.movie.", i, ".avi")
 		r.Server = fmt.Sprint("10.0.", i%7, ".1:4661")
 		r.Files = slices.Clone(r.Files)
@@ -420,10 +420,10 @@ func TestOpenFrameAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("OpenFrame: %.0f allocations, BuildFrame %.0f", got, want)
-	// The difference, ≈ 300 at any length, is opening the store, the
-	// scan's buffers and one string per distinct peer. Four text columns
-	// of 4,000 records would cost 16,000 strings more, and growing five
-	// columns by append about a hundred allocations.
+	// The difference, ≈ 300 at any length, is opening the store and the
+	// scan's buffers. Three text columns of 4,000 records would cost
+	// 12,000 strings more, and growing five columns by append about a
+	// hundred allocations.
 	if got > want+350 {
 		t.Errorf("OpenFrame: %.0f allocations, BuildFrame %.0f: the scan interned text or grew the columns", got, want)
 	}
@@ -467,5 +467,21 @@ func TestBuildFrameIterMapKeepsText(t *testing.T) {
 	}
 	if it.DropText() {
 		t.Error("DropText accepted after BuildFrameIter drained the scan")
+	}
+}
+
+// TestTopPeerTieBreaksOnText: peers 9 and 10 tie, and both the frame and
+// the slice reference pick "10", the smaller text — the order Figs 8-9
+// have always selected by, which numeric order would flip.
+func TestTopPeerTieBreaksOnText(t *testing.T) {
+	var recs []logging.Record
+	for _, n := range []uint64{9, 10, 10, 9, 3} {
+		recs = append(recs, logging.Record{Time: t0, Honeypot: "a", Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(n)})
+	}
+	if peer, n := BuildFrame(recs).TopPeer(); peer != "10" || n != 2 {
+		t.Errorf("frame TopPeer = %q/%d, want \"10\"/2", peer, n)
+	}
+	if peer, n := TopPeer(recs); peer != "10" || n != 2 {
+		t.Errorf("reference TopPeer = %q/%d, want \"10\"/2", peer, n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ed2k"
+	"repro/internal/logging"
 )
 
 // TestRowParallelQueriesMatchSerial pins the intra-query parallelism
@@ -80,15 +81,15 @@ func TestRowParallelQueriesMatchSerial(t *testing.T) {
 }
 
 // TestRowParallelMapFallback drives the peer-set builds through the
-// collector's hash-set mode (negative peer numbers disable the dense
-// bitsets) and checks the per-worker map merge against serial.
+// collector's hash-set mode (peer numbers past MaxInt64, negative as int64,
+// disable the dense bitsets) and checks the per-worker map merge against serial.
 func TestRowParallelMapFallback(t *testing.T) {
 	defer setRowWorkers(0)
 	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
 	recs := frameSample(start, 6000)
 	for i := range recs {
 		if i%17 == 0 {
-			recs[i].PeerIP = fmt.Sprint(-1 - i%40) // negative step-2 numbers
+			recs[i].PeerIP = logging.NumberedPeer(uint64(-1 - i%40)) // negative as int64
 		}
 	}
 	honeypots := []string{"rc0", "rc1", "nc0", "nc1", "stray"}

@@ -23,8 +23,11 @@
 //     afterwards. State is O(distinct names + distinct words); the
 //     names are the strings the scan's intern pool already holds.
 //  4. AuditIter is a pass-through verifier: records flow unchanged while
-//     every PeerIP is checked for address leaks; a failure aborts the
-//     stream with an AuditError naming the offending record.
+//     every PeerIP's kind is checked; a failure aborts the stream with an
+//     error naming the offending record. A raw address never gets
+//     this far: a logging.PeerID has no form for one, so a record
+//     carrying one fails to decode wherever it enters (the control
+//     plane's JSON, a JSONL file).
 //
 // An in-memory dataset runs the same stages over logging.NewSliceIter.
 package anonymize
@@ -32,7 +35,7 @@ package anonymize
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
 	"fmt"
 	"hash"
 	"net/netip"
@@ -65,59 +68,54 @@ func NewIPHasher(secret []byte) *IPHasher {
 	return &IPHasher{mac: hmac.New(sha256.New, secret)}
 }
 
-// HashIP returns the anonymized form of addr: the first 16 hex characters
-// of HMAC-SHA256(key, addr). One-way, keyed, and stable campaign-wide.
-func (h *IPHasher) HashIP(addr netip.Addr) string {
+// HashIP returns the anonymized form of addr: the first 8 bytes of
+// HMAC-SHA256(key, addr), big-endian. One-way, keyed, and stable
+// campaign-wide.
+func (h *IPHasher) HashIP(addr netip.Addr) logging.PeerID {
 	h.mac.Reset()
 	h.addr = addr.As16()
 	h.mac.Write(h.addr[:])
 	sum := h.mac.Sum(h.sum[:0])
-	var out [16]byte
-	hex.Encode(out[:], sum[:8])
-	return string(out[:])
+	return logging.HashedPeer(binary.BigEndian.Uint64(sum[:8]))
 }
 
-// Renumberer is the manager's step-2 pass: hash values become integers in
-// first-appearance order, coherently across all logs fed to it.
+// Renumberer is the manager's step-2 pass: peer identities become
+// integers in first-appearance order, coherently across all logs fed to
+// it. It keys on the whole identity, so an earlier run's numbers are
+// renumbered like any hash.
 type Renumberer struct {
-	m   map[string]int
-	dec []string // dec[n] is n in decimal, shared by all of a peer's records
+	m map[logging.PeerID]logging.PeerID
 }
 
 // NewRenumberer returns an empty renumberer.
 func NewRenumberer() *Renumberer {
-	return &Renumberer{m: make(map[string]int)}
+	return &Renumberer{m: make(map[logging.PeerID]logging.PeerID)}
 }
 
-// Number returns the integer assigned to hash, allocating the next one on
-// first sight.
-func (r *Renumberer) Number(hash string) int {
-	if n, ok := r.m[hash]; ok {
-		return n
+// Number returns the step-2 identity assigned to p, allocating the next
+// number on first sight.
+func (r *Renumberer) Number(p logging.PeerID) logging.PeerID {
+	n, ok := r.m[p]
+	if !ok {
+		n = logging.NumberedPeer(uint64(len(r.m)))
+		r.m[p] = n
 	}
-	n := len(r.m)
-	r.m[hash] = n
-	r.dec = append(r.dec, strconv.Itoa(n))
 	return n
 }
 
-// decimal returns Number(hash) as the decimal string records carry.
-func (r *Renumberer) decimal(hash string) string { return r.dec[r.Number(hash)] }
-
-// Count returns how many distinct hashes were seen.
+// Count returns how many distinct identities were seen.
 func (r *Renumberer) Count() int { return len(r.m) }
 
 // RenumberIter is the streaming step-2 stage: records flow through with
-// PeerIP rewritten from step-1 hashes to first-appearance integers
-// (decimal strings). The renumberer's state — one map entry and one
-// decimal string per distinct peer, never per record — accumulates across
-// everything streamed, so one Renumberer keeps the numbering coherent
-// over all of a campaign's logs. Count is final once the stream is
-// drained.
+// PeerIP rewritten from step-1 hashes to first-appearance numbers. The
+// renumberer's state — one map entry per distinct peer, never per
+// record — accumulates across everything streamed, so one Renumberer
+// keeps the numbering coherent over all of a campaign's logs. Count is
+// final once the stream is drained.
 func (r *Renumberer) RenumberIter(src logging.Iterator) logging.Iterator {
 	return logging.Map(src, func(rec *logging.Record) error {
-		if rec.PeerIP != "" {
-			rec.PeerIP = r.decimal(rec.PeerIP)
+		if !rec.PeerIP.IsZero() {
+			rec.PeerIP = r.Number(rec.PeerIP)
 		}
 		return nil
 	})
@@ -277,80 +275,18 @@ func (a *NameAnonymizer) ReplacedWords() int { return len(a.mapping) }
 // ---------------------------------------------------------------------------
 // Audit.
 
-// AuditError reports exactly which record leaked: its position in the
-// merged stream, the collecting honeypot, and the offending field and
-// value, so an operator can trace the leak to its source instead of
-// re-running the pipeline under a debugger.
-type AuditError struct {
-	// Index is the record's position in the audited stream (0-based).
-	Index int
-	// Honeypot is the record's collecting honeypot.
-	Honeypot string
-	// Field names the leaking record field (e.g. "peer_ip").
-	Field string
-	// Value is the offending field content.
-	Value string
-	// Reason says what is wrong with it.
-	Reason string
-}
-
-// Error implements error.
-func (e *AuditError) Error() string {
-	return fmt.Sprintf("anonymize: record %d (honeypot %q) field %s = %q %s",
-		e.Index, e.Honeypot, e.Field, e.Value, e.Reason)
-}
-
-// auditRecord checks one record for address leaks.
-func auditRecord(i int, r *logging.Record) *AuditError {
-	ip := r.PeerIP
-	if ip == "" {
-		return nil
-	}
-	// An address has a '.' or a ':' (a zone adds '%'); without one
-	// ParseAddr can only fail, allocating its error per record.
-	if strings.ContainsAny(ip, ".:%") {
-		if _, err := netip.ParseAddr(ip); err == nil {
-			return &AuditError{Index: i, Honeypot: r.Honeypot, Field: "peer_ip", Value: ip,
-				Reason: "leaks a raw address"}
-		}
-	}
-	if !looksHashed(ip) && !looksNumbered(ip) {
-		return &AuditError{Index: i, Honeypot: r.Honeypot, Field: "peer_ip", Value: ip,
-			Reason: "is neither hashed nor renumbered"}
-	}
-	return nil
-}
-
 // AuditIter is the pass-through verifier stage: records flow through
-// unchanged while every one is checked for raw-address leaks; the first
-// PeerIP that parses as an IP address, or is neither a step-1 hash (16
-// hex chars) nor a step-2 integer, aborts the stream with an
-// *AuditError.
+// unchanged while every PeerIP's kind is checked; the first that is
+// none of no peer, a step-1 hash and a step-2 number aborts the stream
+// with an error naming the record.
 func AuditIter(src logging.Iterator) logging.Iterator {
 	i := 0
 	return logging.Map(src, func(r *logging.Record) error {
-		if err := auditRecord(i, r); err != nil {
-			return err
+		switch r.PeerIP.Kind() {
+		case logging.PeerNone, logging.PeerHashed, logging.PeerNumbered:
+			i++
+			return nil
 		}
-		i++
-		return nil
+		return fmt.Errorf("anonymize: record %d (honeypot %q) has a peer_ip of unknown kind %d", i, r.Honeypot, r.PeerIP.Kind())
 	})
-}
-
-func looksHashed(s string) bool {
-	if len(s) != 16 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F') {
-			return false
-		}
-	}
-	return true
-}
-
-func looksNumbered(s string) bool {
-	_, err := strconv.Atoi(s)
-	return err == nil
 }

@@ -52,7 +52,7 @@ func FuzzEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		r := logging.Record{Time: t0.Add(time.Duration(i) * time.Second), Honeypot: "hp-0", PeerIP: "peer"}
+		r := logging.Record{Time: t0.Add(time.Duration(i) * time.Second), Honeypot: "hp-0", PeerIP: logging.HashedPeer(uint64(i))}
 		if err := shard.AppendRecord(r); err != nil {
 			f.Fatal(err)
 		}

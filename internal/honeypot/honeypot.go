@@ -240,29 +240,15 @@ func (hp *Honeypot) log(r logging.Record) {
 	}
 }
 
-// peerStamp is what a peer session computes once and every record of the
-// session copies: the step-1 hashed address and the hex user hash.
-type peerStamp struct {
-	peerIP   string
-	userHash ed2k.Hash // the hash userHex renders; valid when userHex != ""
-	userHex  string
-}
-
-// base fills the per-peer fields shared by all record kinds. The hashed
-// address comes from the session's stamp; the hex user hash is rendered
-// on the first record and again only when a later HELLO declares a
-// different one, so an established session stamps records without
-// hashing or allocating.
-func (hp *Honeypot) base(ps *client.PeerSession, st *peerStamp) logging.Record {
+// base fills the per-peer fields shared by all record kinds; peer is
+// the session's step-1 hashed address.
+func (hp *Honeypot) base(ps *client.PeerSession, peer logging.PeerID) logging.Record {
 	info := ps.Remote()
-	if st.userHex == "" || st.userHash != info.UserHash {
-		st.userHash, st.userHex = info.UserHash, info.UserHash.String()
-	}
 	return logging.Record{
-		PeerIP:        st.peerIP,
+		PeerIP:        peer,
 		PeerPort:      ps.RemoteAddr().Port(),
 		PeerName:      info.Name,
-		UserHash:      st.userHex,
+		UserHash:      logging.UserHash(info.UserHash),
 		HighID:        !ed2k.ClientID(info.ClientID).Low(),
 		ClientVersion: info.Version,
 	}
@@ -272,11 +258,11 @@ func (hp *Honeypot) onPeerSession(ps *client.PeerSession) {
 	hp.stats.Connections++
 	// Step 1 of the paper's anonymization: hash the peer address on accept,
 	// before any record of the session exists. The raw address is not kept.
-	st := &peerStamp{peerIP: hp.hasher.HashIP(ps.RemoteAddr().Addr())}
+	peer := hp.hasher.HashIP(ps.RemoteAddr().Addr())
 	ps.SetHooks(client.PeerHooks{
 		OnHello: func(info client.PeerInfo) {
 			hp.stats.Hello++
-			r := hp.base(ps, st)
+			r := hp.base(ps, peer)
 			r.Kind = logging.KindHello
 			hp.log(r)
 			if hp.cfg.BrowseContacts {
@@ -285,7 +271,7 @@ func (hp *Honeypot) onPeerSession(ps *client.PeerSession) {
 		},
 		OnStartUpload: func(file ed2k.Hash) {
 			hp.stats.StartUpload++
-			r := hp.base(ps, st)
+			r := hp.base(ps, peer)
 			r.Kind = logging.KindStartUpload
 			r.FileHash = file
 			if f, ok := hp.cl.SharedFile(file); ok {
@@ -298,7 +284,7 @@ func (hp *Honeypot) onPeerSession(ps *client.PeerSession) {
 		},
 		OnRequestParts: func(req *wire.RequestParts) {
 			hp.stats.RequestParts++
-			r := hp.base(ps, st)
+			r := hp.base(ps, peer)
 			r.Kind = logging.KindRequestPart
 			r.FileHash = req.Hash
 			if f, ok := hp.cl.SharedFile(req.Hash); ok {
@@ -314,7 +300,7 @@ func (hp *Honeypot) onPeerSession(ps *client.PeerSession) {
 				return // peer has browsing disabled
 			}
 			hp.stats.SharedLists++
-			r := hp.base(ps, st)
+			r := hp.base(ps, peer)
 			r.Kind = logging.KindSharedList
 			r.Files = make([]logging.SharedFile, 0, len(files))
 			for _, f := range files {

@@ -173,7 +173,7 @@ func TestRecordsAreAnonymizedAtSource(t *testing.T) {
 	}
 	// Metadata the paper says is logged must be present.
 	r := recs[0]
-	if r.PeerName == "" || r.UserHash == "" || r.PeerPort == 0 || r.Server == "" || r.Honeypot != "hp-a" {
+	if r.PeerName == "" || r.UserHash.IsZero() || r.PeerPort == 0 || r.Server == "" || r.Honeypot != "hp-a" {
 		t.Errorf("metadata incomplete: %+v", r)
 	}
 	if r.Time.Before(t0) {
@@ -403,7 +403,7 @@ func TestMissingSinkPanics(t *testing.T) {
 }
 
 // All records of one session carry the address hashed on accept and the
-// hex of the user hash the peer last declared; a second HELLO with another
+// user hash the peer last declared; a second HELLO with another
 // user hash shows in the records after it and only those.
 func TestSessionStampFollowsHello(t *testing.T) {
 	w := newWorld(t)
@@ -430,12 +430,12 @@ func TestSessionStampFollowsHello(t *testing.T) {
 	}
 	wantIP := anonymize.NewIPHasher(secret).HashIP(peer.Host().Addr())
 	for i, r := range recs {
-		wantUser := first.String()
+		wantUser := logging.UserHash(first)
 		if i >= 3 {
-			wantUser = second.String()
+			wantUser = logging.UserHash(second)
 		}
 		if r.PeerIP != wantIP || r.UserHash != wantUser {
-			t.Errorf("record %d (%s): PeerIP %q UserHash %q, want %q %q", i, r.Kind, r.PeerIP, r.UserHash, wantIP, wantUser)
+			t.Errorf("record %d (%s): PeerIP %v UserHash %v, want %v %v", i, r.Kind, r.PeerIP, r.UserHash, wantIP, wantUser)
 		}
 	}
 }
@@ -475,7 +475,7 @@ type discardSink struct{}
 func (discardSink) Append(logging.Record) {}
 
 // On an established session, stamping and logging a record neither hashes
-// nor allocates: hashed address, hex user hash and server string are all
+// nor allocates: hashed address, user hash and server string are all
 // copied.
 func TestRecordStampAllocs(t *testing.T) {
 	w := newWorld(t)
@@ -490,10 +490,9 @@ func TestRecordStampAllocs(t *testing.T) {
 	if session == nil {
 		t.Fatal("no session")
 	}
-	st := &peerStamp{peerIP: hp.hasher.HashIP(session.RemoteAddr().Addr())}
-	hp.base(session, st) // the session's first record renders the user hash
+	peer := hp.hasher.HashIP(session.RemoteAddr().Addr())
 	allocs := testing.AllocsPerRun(100, func() {
-		r := hp.base(session, st)
+		r := hp.base(session, peer)
 		r.Kind = logging.KindRequestPart
 		hp.log(r)
 	})

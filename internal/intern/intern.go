@@ -1,5 +1,5 @@
 // Package intern provides the symbol tables behind the columnar analysis
-// engine: dense-ID interning for recurring values (peer identifiers,
+// engine: dense-ID interning for recurring values (peer identities,
 // honeypot names, file hashes) and a byte-slice-to-string pool that lets
 // decoders reuse one string per distinct value instead of allocating one
 // per record.
@@ -49,36 +49,11 @@ func (t *Table[K]) Value(id uint32) K { return t.vals[id] }
 // table's backing store: read-only for callers.
 func (t *Table[K]) Values() []K { return t.vals }
 
-// Strings is a Table[string] that can also intern directly from byte
-// slices without allocating for already-seen values.
-type Strings struct {
-	Table[string]
-}
-
-// NewStrings returns an empty string table.
-func NewStrings() *Strings {
-	return &Strings{Table[string]{ids: make(map[string]uint32)}}
-}
-
-// IDBytes is ID for a transient byte slice: the map probe does not
-// allocate, and the bytes are copied into a string only on first sight.
-func (t *Strings) IDBytes(b []byte) uint32 {
-	if id, ok := t.ids[string(b)]; ok {
-		return id
-	}
-	s := string(b)
-	id := uint32(len(t.vals))
-	t.ids[s] = id
-	t.vals = append(t.vals, s)
-	return id
-}
-
 // Pool deduplicates strings decoded from transient byte buffers: Get
 // returns the previously-interned string when the bytes were seen
-// before, allocating only on first sight. It is the decode-side
-// companion of Strings for low-cardinality columns (honeypot names,
-// server addresses, client names) where the caller wants strings, not
-// IDs.
+// before, allocating only on first sight. It serves low-cardinality
+// columns (honeypot names, server addresses, client names) where the
+// caller wants strings, not IDs.
 type Pool struct {
 	m map[string]string
 }

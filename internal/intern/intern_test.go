@@ -22,25 +22,6 @@ func TestTableDenseFirstSeenOrder(t *testing.T) {
 	}
 }
 
-func TestStringsIDBytes(t *testing.T) {
-	s := NewStrings()
-	if s.IDBytes([]byte("hp-00")) != 0 || s.ID("hp-01") != 1 {
-		t.Error("IDs not dense")
-	}
-	if s.IDBytes([]byte("hp-00")) != 0 || s.ID("hp-00") != 0 {
-		t.Error("bytes and string forms must share IDs")
-	}
-	if s.Value(1) != "hp-01" || s.Len() != 2 {
-		t.Errorf("table state: %v", s.Values())
-	}
-	// A re-probe of a known value must not allocate.
-	b := []byte("hp-01")
-	allocs := testing.AllocsPerRun(100, func() { s.IDBytes(b) })
-	if allocs != 0 {
-		t.Errorf("IDBytes allocated %.1f per known-value probe", allocs)
-	}
-}
-
 func TestPoolReusesAllocations(t *testing.T) {
 	p := NewPool()
 	a := p.Get([]byte("server-a"))

@@ -23,7 +23,7 @@ func randomLogs(rng *rand.Rand, n int) [][]Record {
 				Time:     t,
 				Honeypot: fmt.Sprintf("hp-%d", i),
 				Kind:     KindHello,
-				PeerIP:   fmt.Sprintf("%016x", rng.Uint64()),
+				PeerIP:   HashedPeer(rng.Uint64()),
 			})
 		}
 	}
@@ -44,24 +44,24 @@ func TestMergeSourceReIterates(t *testing.T) {
 }
 
 func TestMapTransformsAndAborts(t *testing.T) {
-	recs := []Record{{PeerIP: "a"}, {PeerIP: "b"}, {PeerIP: "boom"}, {PeerIP: "c"}}
+	recs := []Record{{PeerName: "a"}, {PeerName: "b"}, {PeerName: "boom"}, {PeerName: "c"}}
 	sentinel := errors.New("bad record")
 	it := Map(NewSliceIter(recs), func(r *Record) error {
-		if r.PeerIP == "boom" {
+		if r.PeerName == "boom" {
 			return sentinel
 		}
-		r.PeerIP = strings.ToUpper(r.PeerIP)
+		r.PeerName = strings.ToUpper(r.PeerName)
 		return nil
 	})
 	got, err := AppendAll(nil, it)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
-	if len(got) != 2 || got[0].PeerIP != "A" || got[1].PeerIP != "B" {
+	if len(got) != 2 || got[0].PeerName != "A" || got[1].PeerName != "B" {
 		t.Fatalf("transformed prefix = %+v", got)
 	}
 	// Map must not mutate the source slice.
-	if recs[0].PeerIP != "a" {
+	if recs[0].PeerName != "a" {
 		t.Fatal("Map mutated its source")
 	}
 }
@@ -117,14 +117,14 @@ func TestCloseIter(t *testing.T) {
 func TestMapChainYieldsIndependentRecords(t *testing.T) {
 	src := make([]Record, 50)
 	for i := range src {
-		src[i] = Record{PeerIP: fmt.Sprintf("p%d", i), FileName: "name"}
+		src[i] = Record{PeerName: fmt.Sprintf("p%d", i), FileName: "name"}
 		if i%4 == 0 {
 			src[i].Files = []SharedFile{{Name: fmt.Sprintf("shared%d", i)}}
 		}
 	}
 	n := 0
 	it := Map(Map(Map(NewSliceIter(src),
-		func(r *Record) error { r.PeerIP += "/a"; return nil }),
+		func(r *Record) error { r.PeerName += "/a"; return nil }),
 		func(r *Record) error {
 			r.FileName = fmt.Sprintf("%s-%d", r.FileName, n)
 			n++
@@ -146,14 +146,14 @@ func TestMapChainYieldsIndependentRecords(t *testing.T) {
 		t.Fatalf("drained %d records, want %d", len(got), len(src))
 	}
 	for i, r := range got {
-		want := Record{PeerIP: fmt.Sprintf("p%d/a", i), FileName: fmt.Sprintf("name-%d", i)}
+		want := Record{PeerName: fmt.Sprintf("p%d/a", i), FileName: fmt.Sprintf("name-%d", i)}
 		if i%4 == 0 {
 			want.Files = []SharedFile{{Name: fmt.Sprintf("shared%d/c", i)}}
 		}
 		if !reflect.DeepEqual(r, want) {
 			t.Fatalf("record %d = %+v, want %+v", i, r, want)
 		}
-		if src[i].PeerIP != fmt.Sprintf("p%d", i) || src[i].FileName != "name" ||
+		if src[i].PeerName != fmt.Sprintf("p%d", i) || src[i].FileName != "name" ||
 			(i%4 == 0 && src[i].Files[0].Name != fmt.Sprintf("shared%d", i)) {
 			t.Fatalf("source record %d was mutated: %+v", i, src[i])
 		}
@@ -161,12 +161,12 @@ func TestMapChainYieldsIndependentRecords(t *testing.T) {
 
 	// Each hands fn the same values, one record at a time.
 	i := 0
-	err = Each(Map(NewSliceIter(src), func(r *Record) error { r.PeerIP += "/a"; return nil }),
+	err = Each(Map(NewSliceIter(src), func(r *Record) error { r.PeerName += "/a"; return nil }),
 		func(r *Record) error {
-			if want := fmt.Sprintf("p%d/a", i); r.PeerIP != want {
-				t.Fatalf("Each record %d PeerIP = %q, want %q", i, r.PeerIP, want)
+			if want := fmt.Sprintf("p%d/a", i); r.PeerName != want {
+				t.Fatalf("Each record %d PeerName = %q, want %q", i, r.PeerName, want)
 			}
-			r.PeerIP = "scribbled" // must not leak into the next record
+			r.PeerName = "scribbled" // must not leak into the next record
 			i++
 			return nil
 		})
@@ -182,7 +182,7 @@ func TestMapChainAllocsConstant(t *testing.T) {
 	run := func(n int) float64 {
 		src := make([]Record, n)
 		for i := range src {
-			src[i] = Record{PeerIP: "peer", FileName: "name", Honeypot: "hp"}
+			src[i] = Record{PeerIP: NumberedPeer(7), FileName: "name", Honeypot: "hp"}
 		}
 		seen := 0
 		allocs := testing.AllocsPerRun(5, func() {
@@ -274,7 +274,7 @@ func TestMapFillMatchesNext(t *testing.T) {
 		chain := func(filled bool) Iterator {
 			i := 0
 			return Map(Map(source(&countedIter{t: t, n: 1000}, filled),
-				func(r *Record) error { r.PeerIP = fmt.Sprint(r.PeerPort); return nil }),
+				func(r *Record) error { r.PeerIP = NumberedPeer(uint64(r.PeerPort)); return nil }),
 				func(r *Record) error {
 					if i++; i-1 == failAt {
 						return leak
@@ -309,7 +309,7 @@ func (c *constFiller) Fill(dst []Record) (int, error) {
 // records in place — no record, batch or closure escapes per call.
 func TestMapFillAllocatesNothing(t *testing.T) {
 	seen := 0
-	it := Map(&constFiller{r: Record{PeerIP: "peer", Files: []SharedFile{{Name: "f"}}}},
+	it := Map(&constFiller{r: Record{PeerIP: NumberedPeer(1), Files: []SharedFile{{Name: "f"}}}},
 		func(r *Record) error { seen++; r.PeerPort++; return nil }).(Filler)
 	buf := make([]Record, readAheadBatch)
 	if allocs := testing.AllocsPerRun(100, func() { it.Fill(buf) }); allocs != 0 {

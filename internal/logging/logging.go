@@ -6,10 +6,12 @@
 //
 // Records travel as in-memory values inside simulations, as JSON over
 // the control plane between honeypotd and the manager, in logstore
-// segments on disk, and as JSONL for humans. PeerIP never contains a raw
-// address past the honeypot boundary: it carries the step-1
-// anonymization hash, then the step-2 coherent number (see package
-// anonymize).
+// segments on disk, and as JSONL for humans. A record's peer identity
+// is a PeerID, the step-1 anonymization hash and then the step-2
+// coherent number (see package anonymize), and its user hash a
+// UserHash: fixed-width values, rendered as text only at the edges
+// (JSON, JSONL, the digest form). No raw address has a PeerID form, so
+// none can pass the honeypot boundary.
 package logging
 
 import (
@@ -71,16 +73,17 @@ type Record struct {
 	Honeypot string `json:"honeypot"`
 	// Kind is the message type.
 	Kind Kind `json:"kind"`
-	// PeerIP is the anonymized peer identity: a step-1 hash digest (hex)
-	// as written by the honeypot, rewritten to a small decimal number by
-	// the manager's step-2 pass.
-	PeerIP string `json:"peer_ip"`
+	// PeerIP is the anonymized peer identity: a step-1 hash as written
+	// by the honeypot, replaced by a small number in the manager's
+	// step-2 pass; zero for records that name no peer.
+	PeerIP PeerID `json:"peer_ip"`
 	// PeerPort is the peer's TCP port.
 	PeerPort uint16 `json:"peer_port"`
 	// PeerName is the peer's self-reported client name.
 	PeerName string `json:"peer_name,omitempty"`
-	// UserHash is the peer's cross-session user hash (hex).
-	UserHash string `json:"user_hash,omitempty"`
+	// UserHash is the peer's declared cross-session user hash, zero if
+	// none.
+	UserHash UserHash `json:"user_hash,omitzero"`
 	// HighID records the peer's ID status.
 	HighID bool `json:"high_id"`
 	// ClientVersion is the peer's protocol version tag.
@@ -112,10 +115,10 @@ func EncodeRecord(b []byte, r Record) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Time.UnixNano()))
 	b = appendString(b, r.Honeypot)
 	b = append(b, byte(r.Kind))
-	b = appendString(b, r.PeerIP)
+	b = appendText(b, r.PeerIP)
 	b = binary.LittleEndian.AppendUint16(b, r.PeerPort)
 	b = appendString(b, r.PeerName)
-	b = appendString(b, r.UserHash)
+	b = appendText(b, r.UserHash)
 	if r.HighID {
 		b = append(b, 1)
 	} else {
@@ -137,6 +140,14 @@ func EncodeRecord(b []byte, r Record) []byte {
 func appendString(b []byte, s string) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
 	return append(b, s...)
+}
+
+// appendText appends t's text form as appendString appends a string.
+func appendText[T interface{ AppendText([]byte) ([]byte, error) }](b []byte, t T) []byte {
+	at := len(b)
+	b, _ = t.AppendText(append(b, 0, 0, 0, 0))
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
 }
 
 // ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ func sampleRecord(i int) Record {
 		Time:          t0.Add(time.Duration(i) * time.Second),
 		Honeypot:      "hp-03",
 		Kind:          KindStartUpload,
-		PeerIP:        "4fa1b2c3d4e5f607",
+		PeerIP:        HashedPeer(0x4fa1b2c3d4e5f607),
 		PeerPort:      4662,
 		PeerName:      "aMule 2.2.2",
-		UserHash:      ed2k.NewUserHash("u").String(),
+		UserHash:      UserHash(ed2k.NewUserHash("u")),
 		HighID:        true,
 		ClientVersion: 0x3C,
 		FileHash:      ed2k.SyntheticHash("f"),
@@ -87,11 +87,14 @@ func perturb(t *testing.T, name string, v reflect.Value) {
 		e := v.Index(0)
 		e.SetUint(e.Uint() + 1)
 	default:
-		tm, ok := v.Addr().Interface().(*time.Time)
-		if !ok {
+		switch p := v.Addr().Interface().(type) {
+		case *time.Time:
+			*p = p.Add(time.Nanosecond)
+		case *PeerID:
+			*p = HashedPeer(p.Value() + 1)
+		default:
 			t.Fatalf("field %s of kind %v: teach perturb to change it", name, v.Kind())
 		}
-		*tm = tm.Add(time.Nanosecond)
 	}
 }
 
@@ -168,7 +171,7 @@ func TestMergeStableAcrossEqualTimestampRuns(t *testing.T) {
 	mk := func(hp string, secs ...int) []Record {
 		out := make([]Record, len(secs))
 		for i, s := range secs {
-			out[i] = Record{Time: t0.Add(time.Duration(s) * time.Second), Honeypot: hp, PeerIP: hp + "-" + string(rune('0'+i))}
+			out[i] = Record{Time: t0.Add(time.Duration(s) * time.Second), Honeypot: hp, PeerName: hp + "-" + string(rune('0'+i))}
 		}
 		return out
 	}
@@ -193,8 +196,8 @@ func TestMergeStableAcrossEqualTimestampRuns(t *testing.T) {
 	// Per-source order preserved.
 	pos := map[string]int{}
 	for _, r := range merged {
-		if want := string(rune('0' + pos[r.Honeypot])); r.PeerIP[len(r.PeerIP)-1:] != want {
-			t.Errorf("source %s record %q out of append order (want index %s)", r.Honeypot, r.PeerIP, want)
+		if want := string(rune('0' + pos[r.Honeypot])); r.PeerName[len(r.PeerName)-1:] != want {
+			t.Errorf("source %s record %q out of append order (want index %s)", r.Honeypot, r.PeerName, want)
 		}
 		pos[r.Honeypot]++
 	}

@@ -18,10 +18,10 @@ func benchRecord() logging.Record {
 		Time:          time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC),
 		Honeypot:      "hp-00",
 		Kind:          logging.KindStartUpload,
-		PeerIP:        "4fa1b2c3d4e5f607",
+		PeerIP:        logging.HashedPeer(0x4fa1b2c3d4e5f607),
 		PeerPort:      4662,
 		PeerName:      "aMule 2.2.2",
-		UserHash:      ed2k.NewUserHash("bench").String(),
+		UserHash:      logging.UserHash(ed2k.NewUserHash("bench")),
 		HighID:        true,
 		ClientVersion: 0x3C,
 		FileHash:      ed2k.SyntheticHash("bench-file"),

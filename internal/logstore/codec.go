@@ -10,7 +10,7 @@ import (
 	"repro/internal/logging"
 )
 
-// The segment body codec (format v2). A frame's body codes its record
+// The segment body codec (format v3). A frame's body codes its record
 // against the state the segment's earlier frames leave behind — the
 // previous record, and for each recurring column a window of its
 // windowSlots most recent values, most recent first — so the
@@ -20,22 +20,28 @@ import (
 //
 //	uvarint mask | varint time delta (ns, zigzag) |
 //	kind byte    if bitKind  | uvarint port    if bitPort |
-//	uvarint version if bitVersion | hash column if bitFileHash |
+//	uvarint version if bitVersion |
+//	hash columns in hashCols order, each if its bit is set |
+//	peer column if bitPeerIP |
 //	string columns in strCols order, each if its bit is set |
 //	uvarint n, n × (16-byte hash, uvarint len, name, varint size)
 //	                 if bitFiles
 //
-// A set hash or string column is one slot byte: 1..windowSlots-1 names
-// the window slot holding the value, which moves to the front; 0 means a
-// literal follows (16 raw bytes for the hash, uvarint length + bytes for
-// a string), which enters the window's front and pushes the oldest value
-// out. Slot 0 of every window is the previous record's value, so a set
-// bit always means "changed", and a column whose bit is clear repeats
-// the previous record's. bitHighID carries HighID's value and bitFiles
-// says a non-empty shared list follows; neither is coded against
-// anything. Every segment starts from the zero state: a zero previous
-// record (time 0, every string empty, every hash zero) and windows full
-// of zero values.
+// There are two hash columns (FileHash, UserHash), one peer column
+// (PeerIP) and four string columns. A set window column is one slot
+// byte: 1..windowSlots-1 names the window slot holding the value, which
+// moves to the front; 0 means a literal follows, which enters the
+// window's front and pushes the oldest value out. A hash literal is its
+// 16 raw bytes; a peer literal is its logging.PeerKind byte, then 8
+// big-endian bytes for a step-1 hash, a uvarint for a step-2 number and
+// nothing for no peer (another kind byte is a malformed body); a string
+// literal is a uvarint length and the bytes. Slot 0 of every window is
+// the previous record's value, so a set bit always means "changed", and
+// a column whose bit is clear repeats the previous record's. bitHighID
+// carries HighID's value and bitFiles says a non-empty shared list
+// follows; neither is coded against anything. Every segment starts from
+// the zero state: a zero previous record (time 0, every string empty,
+// every hash and the peer zero) and windows full of zero values.
 //
 // The state is a function of the segment's frames alone, so a reader
 // that starts at a frame boundary other than the first must replay the
@@ -64,26 +70,38 @@ const (
 	maskBits = 1<<iota - 1
 )
 
+// The hash columns, in body order.
+const (
+	hashFile = iota
+	hashUser
+	hashCols
+)
+
+var hashBit = [hashCols]uint64{bitFileHash, bitUserHash}
+
 // The string columns, in body order.
 const (
 	colFileName = iota
-	colPeerIP
 	colPeerName
-	colUserHash
 	colServer
 	colHoneypot
 	strCols
 )
 
-var strBit = [strCols]uint64{bitFileName, bitPeerIP, bitPeerName, bitUserHash, bitServer, bitHoneypot}
+var strBit = [strCols]uint64{bitFileName, bitPeerName, bitServer, bitHoneypot}
 
 // textCol marks the string columns a dropText decode applies as "": the
-// text an analysis frame never reads. PeerIP and Honeypot are kept.
-var textCol = [strCols]bool{colFileName: true, colPeerName: true, colUserHash: true, colServer: true}
+// text an analysis frame never reads. Honeypot is kept.
+var textCol = [strCols]bool{colFileName: true, colPeerName: true, colServer: true}
+
+// hashValues lists r's hash columns in body order.
+func hashValues(r *logging.Record) [hashCols]ed2k.Hash {
+	return [hashCols]ed2k.Hash{r.FileHash, ed2k.Hash(r.UserHash)}
+}
 
 // strValues lists r's string columns in body order.
 func strValues(r *logging.Record) [strCols]string {
-	return [strCols]string{r.FileName, r.PeerIP, r.PeerName, r.UserHash, r.Server, r.Honeypot}
+	return [strCols]string{r.FileName, r.PeerName, r.Server, r.Honeypot}
 }
 
 // window holds a column's recent values, most recent first: slot 0 is
@@ -121,13 +139,42 @@ type segState struct {
 	kind    logging.Kind
 	port    uint16
 	version uint32
-	hash    window[ed2k.Hash]
+	hash    [hashCols]window[ed2k.Hash]
+	peer    window[logging.PeerID]
 	str     [strCols]window[string]
+}
+
+// appendCol codes v against window w into b, advancing w past it: a
+// hit's slot byte, or 0 and then the literal lit appends.
+func appendCol[T comparable](b []byte, w *window[T], v T, lit func([]byte, T) []byte) []byte {
+	if i := w.find(v); i > 0 {
+		w.hit(i)
+		return append(b, byte(i))
+	}
+	w.push(v)
+	return lit(append(b, 0), v)
+}
+
+func appendHash(b []byte, h ed2k.Hash) []byte { return append(b, h[:]...) }
+
+func appendPeer(b []byte, p logging.PeerID) []byte {
+	b = append(b, byte(p.Kind()))
+	switch p.Kind() {
+	case logging.PeerHashed:
+		return binary.BigEndian.AppendUint64(b, p.Value())
+	case logging.PeerNumbered:
+		return binary.AppendUvarint(b, p.Value())
+	}
+	return b
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // appendRecord codes r against s into b, advancing s past it.
 func (s *segState) appendRecord(b []byte, r *logging.Record) []byte {
-	vals := strValues(r)
+	hashes, strs := hashValues(r), strValues(r)
 	var mask uint64
 	if r.Kind != s.kind {
 		mask |= bitKind
@@ -138,12 +185,17 @@ func (s *segState) appendRecord(b []byte, r *logging.Record) []byte {
 	if r.ClientVersion != s.version {
 		mask |= bitVersion
 	}
-	if r.FileHash != s.hash[0] {
-		mask |= bitFileHash
+	for c, v := range hashes {
+		if v != s.hash[c][0] {
+			mask |= hashBit[c]
+		}
 	}
-	for i, v := range vals {
-		if v != s.str[i][0] {
-			mask |= strBit[i]
+	if r.PeerIP != s.peer[0] {
+		mask |= bitPeerIP
+	}
+	for c, v := range strs {
+		if v != s.str[c][0] {
+			mask |= strBit[c]
 		}
 	}
 	if r.HighID {
@@ -168,26 +220,17 @@ func (s *segState) appendRecord(b []byte, r *logging.Record) []byte {
 		b = binary.AppendUvarint(b, uint64(r.ClientVersion))
 		s.version = r.ClientVersion
 	}
-	if mask&bitFileHash != 0 {
-		if i := s.hash.find(r.FileHash); i > 0 {
-			s.hash.hit(i)
-			b = append(b, byte(i))
-		} else {
-			s.hash.push(r.FileHash)
-			b = append(append(b, 0), r.FileHash[:]...)
+	for c, v := range hashes {
+		if mask&hashBit[c] != 0 {
+			b = appendCol(b, &s.hash[c], v, appendHash)
 		}
 	}
-	for c, v := range vals {
-		if mask&strBit[c] == 0 {
-			continue
-		}
-		if i := s.str[c].find(v); i > 0 {
-			s.str[c].hit(i)
-			b = append(b, byte(i))
-		} else {
-			s.str[c].push(v)
-			b = binary.AppendUvarint(append(b, 0), uint64(len(v)))
-			b = append(b, v...)
+	if mask&bitPeerIP != 0 {
+		b = appendCol(b, &s.peer, r.PeerIP, appendPeer)
+	}
+	for c, v := range strs {
+		if mask&strBit[c] != 0 {
+			b = appendCol(b, &s.str[c], v, appendStr)
 		}
 	}
 	if mask&bitFiles != 0 {
@@ -195,8 +238,7 @@ func (s *segState) appendRecord(b []byte, r *logging.Record) []byte {
 		for i := range r.Files {
 			f := &r.Files[i]
 			b = append(b, f.Hash[:]...)
-			b = binary.AppendUvarint(b, uint64(len(f.Name)))
-			b = append(b, f.Name...)
+			b = appendStr(b, f.Name)
 			b = binary.AppendVarint(b, f.Size)
 		}
 	}
@@ -269,6 +311,26 @@ func (d *bodyReader) slot(n int) (int, []byte) {
 	}
 }
 
+// peer reads a peer column literal (see appendPeer).
+func (d *bodyReader) peer() logging.PeerID {
+	k := d.bytes(1)
+	if k == nil {
+		return logging.PeerID{}
+	}
+	switch logging.PeerKind(k[0]) {
+	case logging.PeerNone:
+	case logging.PeerHashed:
+		if v := d.bytes(8); v != nil {
+			return logging.HashedPeer(binary.BigEndian.Uint64(v))
+		}
+	case logging.PeerNumbered:
+		return logging.NumberedPeer(d.uvarint())
+	default:
+		d.bad = true
+	}
+	return logging.PeerID{}
+}
+
 // colOp is one window column's change, parsed but not yet applied.
 type colOp struct {
 	slot int    // 1..windowSlots-1: a hit; 0: lit enters the window
@@ -307,9 +369,18 @@ func (s *segState) decode(rec *logging.Record, b []byte, pool *intern.Pool, drop
 		version = uint32(v)
 		d.bad = d.bad || v > 0xFFFFFFFF
 	}
-	var hashOp colOp
-	if mask&bitFileHash != 0 {
-		hashOp.slot, hashOp.lit = d.slot(len(ed2k.Hash{}))
+	var hashOps [hashCols]colOp
+	for c := range hashOps {
+		if mask&hashBit[c] != 0 {
+			hashOps[c].slot, hashOps[c].lit = d.slot(len(ed2k.Hash{}))
+		}
+	}
+	var peerSlot int
+	var peer logging.PeerID
+	if mask&bitPeerIP != 0 {
+		if peerSlot, _ = d.slot(0); peerSlot == 0 {
+			peer = d.peer()
+		}
 	}
 	var ops [strCols]colOp
 	for c := range ops {
@@ -344,12 +415,21 @@ func (s *segState) decode(rec *logging.Record, b []byte, pool *intern.Pool, drop
 
 	s.ns += delta
 	s.kind, s.port, s.version = kind, port, version
-	if mask&bitFileHash != 0 {
-		if hashOp.slot > 0 {
-			s.hash.hit(hashOp.slot)
-		} else {
-			s.hash.push(ed2k.Hash(hashOp.lit))
+	for c, op := range hashOps {
+		switch {
+		case mask&hashBit[c] == 0:
+		case op.slot > 0:
+			s.hash[c].hit(op.slot)
+		default:
+			s.hash[c].push(ed2k.Hash(op.lit))
 		}
+	}
+	switch {
+	case mask&bitPeerIP == 0:
+	case peerSlot > 0:
+		s.peer.hit(peerSlot)
+	default:
+		s.peer.push(peer)
 	}
 	for c := range ops {
 		if mask&strBit[c] == 0 {
@@ -370,13 +450,13 @@ func (s *segState) decode(rec *logging.Record, b []byte, pool *intern.Pool, drop
 	rec.Time = time.Unix(0, s.ns).UTC()
 	rec.Honeypot = s.str[colHoneypot][0]
 	rec.Kind = s.kind
-	rec.PeerIP = s.str[colPeerIP][0]
+	rec.PeerIP = s.peer[0]
 	rec.PeerPort = s.port
 	rec.PeerName = s.str[colPeerName][0]
-	rec.UserHash = s.str[colUserHash][0]
+	rec.UserHash = logging.UserHash(s.hash[hashUser][0])
 	rec.HighID = mask&bitHighID != 0
 	rec.ClientVersion = s.version
-	rec.FileHash = s.hash[0]
+	rec.FileHash = s.hash[hashFile][0]
 	rec.FileName = s.str[colFileName][0]
 	rec.Server = s.str[colServer][0]
 	rec.Files = files

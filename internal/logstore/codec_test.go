@@ -25,10 +25,10 @@ func codecRecords() []logging.Record {
 			Time:          base.Add(time.Duration(i%5-2) * time.Hour),
 			Honeypot:      "hp-00",
 			Kind:          logging.Kind(i % 7),
-			PeerIP:        "peer-" + itoa(int64(i%11)),
+			PeerIP:        codecPeer(i % 11),
 			PeerPort:      uint16(i * 4093),
 			PeerName:      []string{"", "eMule", "aMule"}[i%3],
-			UserHash:      ed2k.NewUserHash(itoa(int64(i % 9))).String(),
+			UserHash:      logging.UserHash(ed2k.NewUserHash(itoa(int64(i % 9)))),
 			HighID:        i%2 == 0,
 			ClientVersion: uint32(i%3) * 0x7FFFFFFF,
 			FileHash:      ed2k.SyntheticHash(itoa(int64(i % 10))),
@@ -45,6 +45,22 @@ func codecRecords() []logging.Record {
 	out[9].Time = time.Unix(0, math.MinInt64)
 	out[10].PeerPort, out[10].ClientVersion = math.MaxUint16, math.MaxUint32
 	return out
+}
+
+// codecPeer is the k-th of a set of peer identities of every kind, the
+// extremes included.
+func codecPeer(k int) logging.PeerID {
+	switch {
+	case k == 0:
+		return logging.PeerID{}
+	case k == 1:
+		return logging.HashedPeer(math.MaxUint64)
+	case k == 2:
+		return logging.NumberedPeer(math.MaxUint64)
+	case k%2 == 0:
+		return logging.NumberedPeer(uint64(k))
+	}
+	return logging.HashedPeer(uint64(k) << 40)
 }
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -79,11 +95,11 @@ func TestCodecDecodeIsAllOrNothing(t *testing.T) {
 			cases = append(cases, body[:n])
 		}
 		for _, c := range cases {
-			before, rec := dec, logging.Record{PeerIP: "untouched"}
+			before, rec := dec, logging.Record{PeerName: "untouched"}
 			if err := dec.decode(&rec, c, nil, false); !errors.Is(err, errCorrupt) {
 				t.Fatalf("record %d: a %d-byte cut of a %d-byte body decoded with %v", i, len(c), len(body), err)
 			}
-			if dec != before || rec.PeerIP != "untouched" {
+			if dec != before || rec.PeerName != "untouched" {
 				t.Fatalf("record %d: a failed decode changed the state or the record", i)
 			}
 		}
@@ -98,6 +114,7 @@ func TestCodecRejectsUnknownMaskBitsAndSlots(t *testing.T) {
 	for _, body := range [][]byte{
 		{0x80, 0x40, 0},             // mask bit 13: no such column
 		{bitPeerIP, 0, windowSlots}, // a slot past the window
+		{bitPeerIP, 0, 0, 3},        // a peer literal of no known kind
 		{bitFiles, 0, 0},            // a shared list of no files
 	} {
 		var s segState
@@ -127,7 +144,7 @@ func TestDecodeInternsSharedListNames(t *testing.T) {
 			Time:     base.Add(time.Duration(i) * time.Second),
 			Honeypot: "hp-00",
 			Kind:     logging.KindSharedList,
-			PeerIP:   "peer-" + itoa(int64(i%7)),
+			PeerIP:   codecPeer(i % 7),
 			Files:    files,
 		}
 		bodies = append(bodies, enc.appendRecord(nil, &r))

@@ -67,7 +67,7 @@ func wantFormatError(t *testing.T, dir, path string, v int) {
 }
 
 func TestFormatV1ManifestRefused(t *testing.T) {
-	for _, v := range []byte{'1', '3'} {
+	for _, v := range []byte{'1', '2', '4'} {
 		dir := t.TempDir()
 		writeShard(t, dir, 200)
 		path := filepath.Join(dir, manifestName)
@@ -77,37 +77,41 @@ func TestFormatV1ManifestRefused(t *testing.T) {
 }
 
 func TestFormatV1SegmentRefused(t *testing.T) {
-	// A tail the open must scan: no Close recorded it.
-	dir := t.TempDir()
-	writeShard(t, dir, 200)
-	path := lastSegPath(t, dir, "hp-00")
-	dropClosedTails(t, dir)
-	setVersion(t, path, '1')
-	wantFormatError(t, dir, path, 1)
+	// Every earlier version, v2 (text peer and user hash columns)
+	// included: no second decoder reads it.
+	for _, v := range []byte{'1', '2'} {
+		// A tail the open must scan: no Close recorded it.
+		dir := t.TempDir()
+		writeShard(t, dir, 200)
+		path := lastSegPath(t, dir, "hp-00")
+		dropClosedTails(t, dir)
+		setVersion(t, path, v)
+		wantFormatError(t, dir, path, int(v-'0'))
 
-	// A sealed segment under a trusted entry is not read at open, but no
-	// scan reads it as data either.
-	dir = t.TempDir()
-	writeShard(t, dir, 200)
-	first := filepath.Join(dir, "hp-00", segName(1))
-	setVersion(t, first, '1')
-	st, err := Open(dir, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	var fe *FormatError
-	it, err := st.Iterator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := it.Next(); !errors.As(err, &fe) || fe.Path != first {
-		t.Fatalf("scan of a v1 segment returned %v, want a *FormatError", err)
-	}
-	it.Close()
-	sh, _ := st.Shard("hp-00")
-	if recs, _, err := sh.ReadSince(Checkpoint{}, 0); !errors.As(err, &fe) || len(recs) != 0 {
-		t.Fatalf("ReadSince over a v1 segment returned %d records, %v", len(recs), err)
+		// A sealed segment under a trusted entry is not read at open, but
+		// no scan reads it as data either.
+		dir = t.TempDir()
+		writeShard(t, dir, 200)
+		first := filepath.Join(dir, "hp-00", segName(1))
+		setVersion(t, first, v)
+		st, err := Open(dir, smallOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fe *FormatError
+		it, err := st.Iterator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := it.Next(); !errors.As(err, &fe) || fe.Path != first || fe.Version != int(v-'0') {
+			t.Fatalf("scan of a v%c segment returned %v, want a *FormatError", v, err)
+		}
+		it.Close()
+		sh, _ := st.Shard("hp-00")
+		if recs, _, err := sh.ReadSince(Checkpoint{}, 0); !errors.As(err, &fe) || len(recs) != 0 {
+			t.Fatalf("ReadSince over a v%c segment returned %d records, %v", v, len(recs), err)
+		}
+		st.Close()
 	}
 }
 

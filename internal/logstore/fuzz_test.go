@@ -202,10 +202,10 @@ func (s *script) record(hp string, at *time.Time) logging.Record {
 		Time:          *at,
 		Honeypot:      hp,
 		Kind:          logging.Kind(s.next() % 8),
-		PeerIP:        "peer-" + itoa(int64(s.next()%12)),
+		PeerIP:        codecPeer(int(s.next() % 12)),
 		PeerPort:      uint16(s.next())<<8 | uint16(s.next()),
 		PeerName:      s.pick("", "eMule v0.49b", "aMule 2.2.2"),
-		UserHash:      ed2k.NewUserHash(itoa(int64(s.next() % 10))).String(),
+		UserHash:      logging.UserHash(ed2k.NewUserHash(itoa(int64(s.next() % 10)))),
 		HighID:        c&0x20 != 0,
 		ClientVersion: uint32(s.next()%3) * 0x3C,
 		FileHash:      ed2k.SyntheticHash(itoa(int64(s.next() % 10))),

@@ -54,8 +54,8 @@ func (it *Iterator) Next() (logging.Record, error) {
 // through logging.Len allocates them once.
 func (it *Iterator) Len() int { return it.n }
 
-// DropText makes the scan deliver PeerName, UserHash, FileName, Server
-// and every Files[].Name as "", for a consumer that keeps none of them
+// DropText makes the scan deliver PeerName, FileName, Server and every
+// Files[].Name as "", for a consumer that keeps none of them
 // (analysis.BuildFrameIter). Their bytes are still read, CRC-checked
 // and parsed, but never allocated or interned, so the scan accepts and
 // rejects exactly the bytes a full one does, and every other field is

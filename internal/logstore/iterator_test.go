@@ -410,7 +410,7 @@ func textStore(t *testing.T, dir string, n int) {
 
 // withoutText is r as a DropText scan delivers it.
 func withoutText(r logging.Record) logging.Record {
-	r.PeerName, r.UserHash, r.FileName, r.Server = "", "", "", ""
+	r.PeerName, r.FileName, r.Server = "", "", ""
 	if r.Files != nil {
 		r.Files = append([]logging.SharedFile(nil), r.Files...)
 		for i := range r.Files {
@@ -473,8 +473,9 @@ func TestIteratorLen(t *testing.T) {
 }
 
 // TestIteratorDropText: a scan told to drop the text before it starts
-// delivers a full scan's records with PeerName, UserHash, FileName,
-// Server and the shared-file names empty, and ends with the same error
+// delivers a full scan's records with PeerName, FileName, Server and
+// the shared-file names empty (UserHash is a fixed-width value and is
+// kept), and ends with the same error
 // at the same record; once a scan has started, DropText refuses and the
 // scan keeps its text.
 func TestIteratorDropText(t *testing.T) {

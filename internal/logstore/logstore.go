@@ -19,18 +19,19 @@
 //
 // Each segment frame is [u32 length][u32 CRC-32C][body]. The body codes
 // one record against the state the segment's earlier frames leave behind
-// — the previous record and, per recurring column (honeypot, peer IP,
-// peer name, user hash, file hash, file name, server), a window of its
+// — the previous record and, per recurring column (file hash, user hash,
+// peer identity, honeypot, peer name, file name, server), a window of its
 // eight most recent values — so a column that repeats costs a bit and a
-// recent value one byte: 38 bytes a record on the distributed campaign,
+// recent value one byte: 37 bytes a record on the distributed campaign,
 // where logging.EncodeRecord's stateless form (the one dataset digests
-// hash) takes 185. Every segment starts from an empty
+// hash) takes 185. The hashes and the peer identity are fixed-width
+// values, not text. Every segment starts from an empty
 // state, so a torn tail recovers exactly as a stateless one would, and
 // the state at any frame is a replay of the frames before it: a writer
 // resuming on a tail it did not write replays it once, and ReadSince
 // parks its cursor between calls so an in-order collector never replays
 // (Shard.ReadSince). The MANIFEST and segment magics carry the format
-// version (v2); Open refuses a store of another version with a
+// version (v3); Open refuses a store of another version with a
 // *FormatError and leaves it untouched.
 //
 // Segments rotate at a size threshold. The MANIFEST records each sealed

@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -22,13 +23,14 @@ var t0 = time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
 
 // rec builds a deterministic record for shard hp at sequence i.
 func rec(hp string, i int) logging.Record {
+	peer := ed2k.SyntheticHash("peer-" + hp)
 	return logging.Record{
 		Time:     t0.Add(time.Duration(i) * time.Second),
 		Honeypot: hp,
 		Kind:     logging.KindHello,
-		PeerIP:   "peer-" + hp,
+		PeerIP:   logging.HashedPeer(binary.BigEndian.Uint64(peer[:])),
 		PeerPort: uint16(i),
-		UserHash: ed2k.NewUserHash(hp).String(),
+		UserHash: logging.UserHash(ed2k.NewUserHash(hp)),
 		FileHash: ed2k.SyntheticHash(hp),
 		FileName: "file.avi",
 		Server:   "10.0.0.1:4661",
@@ -653,7 +655,7 @@ func TestIteratorScanAllocs(t *testing.T) {
 	for i := 0; i < n; i++ {
 		hp := []string{"hp-00", "hp-01", "hp-02"}[i%3]
 		r := rec(hp, i)
-		r.PeerIP = "peer-" + itoa(int64(i/5%40)) // 40 peers, a few records at a time
+		r.PeerIP = logging.NumberedPeer(uint64(i / 5 % 40)) // 40 peers, a few records at a time
 		sh, _ := st.Shard(hp)
 		if err := sh.AppendRecord(r); err != nil {
 			t.Fatal(err)

@@ -75,7 +75,7 @@ import (
 
 const (
 	manifestName  = "MANIFEST"
-	manifestMagic = "EDLMAN2\n"
+	manifestMagic = "EDLMAN3\n"
 	quarantineDir = "_quarantine"
 )
 

@@ -13,7 +13,7 @@ import (
 	"repro/internal/logging"
 )
 
-// Segment file format v2: an 8-byte magic, then a sequence of CRC frames.
+// Segment file format v3: an 8-byte magic, then a sequence of CRC frames.
 // Frame: [u32 little-endian body length][u32 CRC-32C of body][body], the
 // body coding one record against the state the segment's earlier frames
 // leave behind (codec.go). A reader therefore starts at a segment's first
@@ -22,8 +22,8 @@ import (
 // below 64 bytes the IEEE implementation falls back to table slicing
 // while Castagnoli stays one instruction per 8 bytes.
 const (
-	formatVersion = 2
-	segMagic      = "EDLSEG2\n"
+	formatVersion = 3
+	segMagic      = "EDLSEG3\n"
 	segHeaderSize = int64(len(segMagic))
 	frameOverhead = 8
 	// maxFrameBytes bounds one record's encoding (matches the logging
@@ -58,7 +58,7 @@ var errCorrupt = errors.New("logstore: corrupt segment frame")
 
 // FormatError is what opening a store (or reading a segment) written in
 // another on-disk format version returns. The store is left exactly as
-// it was found: this build reads format v2 only, and nothing converts.
+// it was found: this build reads format v3 only, and nothing converts.
 type FormatError struct {
 	// Path is the MANIFEST or segment file that carries the version.
 	Path string

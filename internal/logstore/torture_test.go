@@ -42,9 +42,9 @@ func tortureRec(i int) (string, logging.Record) {
 		hp = "hp-01"
 	}
 	r := rec(hp, i)
-	r.PeerIP = "peer-" + itoa(int64(i/3%6))
+	r.PeerIP = codecPeer(i / 3 % 6)
 	if i%17 == 0 {
-		r.PeerIP = "one-off-" + itoa(int64(i))
+		r.PeerIP = logging.HashedPeer(uint64(i))
 	}
 	r.FileName = "file." + itoa(int64(i%7)) + ".avi"
 	if i%13 == 0 {

@@ -1,9 +1,11 @@
 package manager
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +17,8 @@ import (
 	"repro/internal/logstore"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // flakyIncHandle fails its first `failures` take-records-since calls
@@ -57,7 +61,7 @@ func TestCollectRetriesWithinRound(t *testing.T) {
 	h := &flakyIncHandle{
 		id: "hp-a", failures: 2,
 		err:  fmt.Errorf("collect: %w", control.ErrTimeout),
-		recs: []logging.Record{{Time: t0, Honeypot: "hp-a", PeerIP: "x"}},
+		recs: []logging.Record{{Time: t0, Honeypot: "hp-a", PeerIP: logging.NumberedPeer(1)}},
 	}
 	m.Add(h, Assignment{})
 	doneRan := false
@@ -125,7 +129,7 @@ func TestCollectDegradesAfterBudget(t *testing.T) {
 
 	// The fault clears: the next round recovers everything.
 	h.failures = 0
-	h.recs = []logging.Record{{Time: t0, Honeypot: "hp-a", PeerIP: "x"}}
+	h.recs = []logging.Record{{Time: t0, Honeypot: "hp-a", PeerIP: logging.NumberedPeer(1)}}
 	m.CollectNow(nil)
 	loop.RunUntil(loop.Now().Add(10 * time.Minute))
 	if st.Collected != 1 {
@@ -133,5 +137,86 @@ func TestCollectDegradesAfterBudget(t *testing.T) {
 	}
 	if st.MissedRounds != 1 {
 		t.Errorf("missed rounds changed to %d after recovery, want still 1", st.MissedRounds)
+	}
+}
+
+// TestCollectRefusesRawAddress: a honeypot whose control agent serves a
+// raw address ("peer_ip":"192.0.2.55") over a real control link gets no
+// record into the manager: the take-records-since answer fails to decode
+// with an error naming the value, the round degrades like any failed
+// collection (one more MissedRounds), and neither the store nor the
+// dataset holds a record of that batch.
+func TestCollectRefusesRawAddress(t *testing.T) {
+	loop := des.NewLoop(t0, 1)
+	nw := netsim.New(loop, netsim.DefaultConfig())
+	settle := func() { loop.RunUntil(loop.Now().Add(time.Minute)) }
+	hpHost := nw.NewHost("hp-leak")
+	const leak = `{"records":[{"time":"2008-10-01T00:00:00Z","honeypot":"hp-leak","kind":1,` +
+		`"peer_ip":"192.0.2.55","peer_port":4662}]}`
+	_, err := hpHost.Listen(control.DefaultPort, wire.ServerSpace, func(conn transport.Conn) {
+		conn.SetHooks(transport.ConnHooks{OnMessage: func(msg wire.Message) {
+			var req control.Envelope
+			if err := json.Unmarshal([]byte(msg.(*wire.ServerMessage).Text), &req); err != nil {
+				t.Errorf("agent: %v", err)
+				return
+			}
+			resp := control.Envelope{Seq: req.Seq, Type: control.TypeResponse, Payload: json.RawMessage(`{}`)}
+			if req.Type == control.TypeTakeRecordsSince {
+				resp.Payload = json.RawMessage(leak)
+			}
+			b, _ := json.Marshal(resp)
+			conn.Send(&wire.ServerMessage{Text: string(b)})
+		}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(nw.NewHost("mgr"), DefaultConfig())
+	var link *control.Link
+	control.Dial(m.Host(), "hp-leak", netip.AddrPortFrom(hpHost.Addr(), control.DefaultPort), func(l *control.Link, err error) {
+		if err != nil {
+			t.Errorf("dial: %v", err)
+		}
+		link = l
+	})
+	settle()
+	if link == nil {
+		t.Fatal("no link")
+	}
+
+	var decodeErr error
+	link.TakeRecordsSince(logstore.Checkpoint{}, 0, func(recs []logging.Record, _ logstore.Checkpoint, err error) {
+		if len(recs) != 0 {
+			t.Errorf("the link delivered %d records", len(recs))
+		}
+		decodeErr = err
+	})
+	settle()
+	if decodeErr == nil || !strings.Contains(decodeErr.Error(), "192.0.2.55") {
+		t.Fatalf("decoding the leaked answer: %v, want an error naming the address", decodeErr)
+	}
+
+	if err := m.Add(link, Assignment{}); err != nil {
+		t.Fatal(err)
+	}
+	m.CollectNow(nil)
+	settle()
+	st := m.States()[0]
+	if st.MissedRounds != 1 || st.Collected != 0 {
+		t.Fatalf("missed rounds %d, collected %d; want 1 and 0", st.MissedRounds, st.Collected)
+	}
+	if n := m.Store().TotalRecords(); n != 0 {
+		t.Fatalf("the store holds %d records", n)
+	}
+	var ds *Dataset
+	finalize(m, func(d *Dataset, err error) {
+		if err != nil {
+			t.Errorf("finalize: %v", err)
+		}
+		ds = d
+	})
+	settle()
+	if ds == nil || len(ds.Records) != 0 {
+		t.Fatalf("the dataset is %v, want one without records", ds)
 	}
 }

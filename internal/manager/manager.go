@@ -674,8 +674,7 @@ type DatasetStream struct {
 
 // Fill implements logging.Filler: it stores the next anonymized records
 // in dst, copied in bulk from the chain's batches, and stops early at an
-// error wrapping an *anonymize.AuditError if a leak is detected (see
-// wrapFinalizeErr) or at io.EOF at the end of the campaign. After Close
+// error (see wrapFinalizeErr) or at io.EOF at the end of the campaign. After Close
 // it returns an error that is not io.EOF.
 func (d *DatasetStream) Fill(dst []logging.Record) (int, error) {
 	n, err := d.ra.Fill(dst)
@@ -750,14 +749,8 @@ func (m *Manager) FinalizeStream(done func(*DatasetStream, error)) {
 }
 
 // wrapFinalizeErr wraps every error a finalize hands out — FinalizeStream's
-// and its stream's — so that audit failures and pipeline/merge failures
-// read differently: callers (and operators reading logs) can tell a
-// privacy leak from an I/O problem.
+// and its stream's.
 func wrapFinalizeErr(err error) error {
-	var ae *anonymize.AuditError
-	if errors.As(err, &ae) {
-		return fmt.Errorf("manager: anonymization audit failed: %w", err)
-	}
 	return fmt.Errorf("manager: merging collected logs: %w", err)
 }
 
@@ -814,11 +807,12 @@ func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The leak audit verifies the pipeline's *input*: every PeerIP must
-	// already be a step-1 hash (or an earlier run's step-2 number) —
-	// after renumbering the check would be vacuous, since the renumberer
-	// normalizes even a raw address into an anonymous integer. A honeypot
-	// that ever shipped a raw address fails the whole finalize here.
+	// The audit checks the pipeline's *input*: every PeerIP is no peer,
+	// a step-1 hash or an earlier run's step-2 number. A raw address
+	// cannot reach it: logging.PeerID has no form for one, so a
+	// take-records-since response carrying one fails to decode, none of
+	// that batch reaches the store, and the round takes the retry/degrade
+	// path (MissedRounds).
 	ren := anonymize.NewRenumberer()
 	var ra *logging.ReadAheadIter // set before its producer runs the chain
 	// stage times one stage's output only when telemetry is on, so a

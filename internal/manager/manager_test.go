@@ -1,9 +1,11 @@
 package manager
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/netip"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -304,7 +306,7 @@ func TestFinalizePipeline(t *testing.T) {
 		t.Errorf("distinct peers = %d, want 2", ds.DistinctPeers)
 	}
 	// Same peer must carry the same number across honeypot logs.
-	seen := map[string]map[string]bool{} // peerNum -> set of honeypots
+	seen := map[logging.PeerID]map[string]bool{} // peer number -> set of honeypots
 	for _, r := range ds.Records {
 		if seen[r.PeerIP] == nil {
 			seen[r.PeerIP] = map[string]bool{}
@@ -347,26 +349,9 @@ func TestFinalizeAuditsRecords(t *testing.T) {
 		t.Fatal("no dataset")
 	}
 	for _, r := range ds.Records {
-		if _, err := strconv.Atoi(r.PeerIP); err != nil {
-			t.Fatalf("record PeerIP %q is not a step-2 number", r.PeerIP)
+		if r.PeerIP.Kind() != logging.PeerNumbered {
+			t.Fatalf("record PeerIP %v is not a step-2 number", r.PeerIP)
 		}
-	}
-
-	// A raw address that reached the store fails the next finalize with
-	// an *anonymize.AuditError, after every record before it.
-	sh, err := w.mgr.Store().Shard("hp-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.AppendRecord(logging.Record{Time: w.loop.Now(), Honeypot: "hp-0", PeerIP: "192.0.2.55"}); err != nil {
-		t.Fatal(err)
-	}
-	var leakErr error
-	finalize(w.mgr, func(_ *Dataset, err error) { leakErr = err })
-	w.settle()
-	var ae *anonymize.AuditError
-	if !errors.As(leakErr, &ae) || ae.Value != "192.0.2.55" || ae.Index != len(ds.Records) {
-		t.Fatalf("finalize over a leaked address: %v", leakErr)
 	}
 }
 
@@ -554,7 +539,7 @@ func TestIncrementalCollectionTransfersEachRecordOnce(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, r := range recs {
-		key := r.Honeypot + "|" + r.Time.String() + "|" + r.PeerIP + "|" + r.Kind.String()
+		key := r.Honeypot + "|" + r.Time.String() + "|" + r.PeerIP.String() + "|" + r.Kind.String()
 		if seen[key] {
 			t.Fatalf("duplicate record in manager logs: %s", key)
 		}
@@ -908,7 +893,7 @@ func TestAddRefusesUnnameableID(t *testing.T) {
 	nw := netsim.New(des.NewLoop(t0, 1), netsim.DefaultConfig())
 	m := New(nw.NewHost("m"), DefaultConfig())
 	for _, id := range []string{"eu/hp-1", `eu\hp-1`, ".", "..", "MANIFEST", "_quarantine"} {
-		h := &fakeHandle{id: id, recs: []logging.Record{{Time: t0, Honeypot: id, PeerIP: "x"}}}
+		h := &fakeHandle{id: id, recs: []logging.Record{{Time: t0, Honeypot: id, PeerIP: logging.NumberedPeer(1)}}}
 		if err := m.Add(h, Assignment{}); err == nil {
 			t.Errorf("Add(%q) accepted", id)
 		}
@@ -1222,33 +1207,6 @@ func TestFinalizeStreamMatchesFinalize(t *testing.T) {
 	}
 }
 
-// TestFinalizeAuditFailureNamesRecord: a leaked raw address aborts
-// finalize with an error identifying the offending record.
-func TestFinalizeAuditFailureNamesRecord(t *testing.T) {
-	loop := des.NewLoop(t0, 1)
-	nw := netsim.New(loop, netsim.DefaultConfig())
-	m := New(nw.NewHost("m-audit"), DefaultConfig())
-	m.Add(&fakeHandle{id: "hp-leak", recs: []logging.Record{
-		{Time: t0, Honeypot: "hp-leak", PeerIP: "192.0.2.55"},
-	}}, Assignment{})
-	m.CollectNow(nil)
-	var gotErr error
-	finalize(m, func(d *Dataset, err error) { gotErr = err })
-	if gotErr == nil {
-		t.Fatal("leaked address survived finalize")
-	}
-	var ae *anonymize.AuditError
-	if !errors.As(gotErr, &ae) {
-		t.Fatalf("finalize error %v does not wrap *anonymize.AuditError", gotErr)
-	}
-	if ae.Honeypot != "hp-leak" || ae.Index != 0 || ae.Value != "192.0.2.55" {
-		t.Fatalf("AuditError = %+v", ae)
-	}
-	if !strings.Contains(gotErr.Error(), "audit failed") {
-		t.Fatalf("error %q lost the audit-failed wrapping", gotErr)
-	}
-}
-
 // TestFinalizeStreamAllocsPerRecord guards the finalize stage chain
 // (scan → audit → renumber → anonymize → read-ahead) against a
 // per-record heap escape: one whole FinalizeStream over the manager's
@@ -1404,8 +1362,8 @@ func TestStoreFinalizeFoldsNameTablesInOneScan(t *testing.T) {
 
 // stagedLogs fabricates n records per honeypot — several read-ahead
 // batches in all — over 50 peers, with file names whose rare words get
-// anonymized; rawAt >= 0 puts a raw address in hp-b's record rawAt.
-func stagedLogs(ids []string, n, rawAt int) map[string][]logging.Record {
+// anonymized.
+func stagedLogs(ids []string, n int) map[string][]logging.Record {
 	h := anonymize.NewIPHasher(secret)
 	logs := make(map[string][]logging.Record, len(ids))
 	for hi, id := range ids {
@@ -1418,9 +1376,6 @@ func stagedLogs(ids []string, n, rawAt int) map[string][]logging.Record {
 				PeerIP:   h.HashIP(ip),
 				FileName: "Common.bait" + strconv.Itoa(j%30) + ".rare" + strconv.Itoa(hi*1000+j) + ".avi",
 			}
-			if id == "hp-b" && j == rawAt {
-				r.PeerIP = ip.String()
-			}
 			logs[id] = append(logs[id], r)
 		}
 	}
@@ -1432,6 +1387,37 @@ func stagedLogs(ids []string, n, rawAt int) map[string][]logging.Record {
 func storeStream(t *testing.T, ids []string, logs map[string][]logging.Record, reg *obs.Registry) *DatasetStream {
 	t.Helper()
 	return streamOf(t, storeManager(t, 16<<10, ids, logs, reg))
+}
+
+// corruptFrame flushes m's store and flips a body byte of shard's k-th
+// frame (0-based, counted across its segments), so that every scan
+// fails there with a corrupt-frame error.
+func corruptFrame(t *testing.T, m *Manager, shard string, k int) {
+	t.Helper()
+	if err := m.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(m.Store().Dir(), shard, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const magic, header = 8, 8 // segment magic; frame length and CRC
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := magic; off < len(b); off += header + int(binary.LittleEndian.Uint32(b[off:])) {
+			if k--; k < 0 {
+				b[off+header] ^= 0xFF
+				if err := os.WriteFile(seg, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+	}
+	t.Fatalf("shard %s has fewer frames than asked", shard)
 }
 
 // storeManager is storeStream's manager, over segments of segBytes,
@@ -1497,7 +1483,7 @@ func waitGoroutines(t *testing.T, base int) {
 // materialized dataset's.
 func TestDatasetStreamStatsAcrossTheStage(t *testing.T) {
 	ids := []string{"hp-a", "hp-b", "hp-c"}
-	logs := stagedLogs(ids, 400, -1)
+	logs := stagedLogs(ids, 400)
 	mem := New(netsim.New(des.NewLoop(t0, 1), netsim.DefaultConfig()).NewHost("m-mem"), DefaultConfig())
 	for _, id := range ids {
 		mem.Add(&fakeHandle{id: id, recs: append([]logging.Record(nil), logs[id]...)}, Assignment{})
@@ -1542,20 +1528,20 @@ func TestDatasetStreamStatsAcrossTheStage(t *testing.T) {
 
 // TestDatasetStreamCloseJoinsStages: on every way a store-backed stream
 // can end — closed unread, closed mid-stream by a failing consumer, or
-// failed by the audit deep into the scan — Close leaves no goroutine
-// behind, and the audit failure still surfaces, wrapped as an audit
-// failure, as an *anonymize.AuditError, after every record before it.
+// failed by a corrupt frame deep into the scan — Close leaves no
+// goroutine behind, and the scan failure still surfaces, wrapped as a
+// merge failure, after every record before it.
 func TestDatasetStreamCloseJoinsStages(t *testing.T) {
 	ids := []string{"hp-a", "hp-b"}
 	base := runtime.NumGoroutine()
 
-	stream := storeStream(t, ids, stagedLogs(ids, 400, -1), nil)
+	stream := storeStream(t, ids, stagedLogs(ids, 400), nil)
 	if err := stream.Close(); err != nil {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, base)
 
-	stream = storeStream(t, ids, stagedLogs(ids, 400, -1), nil)
+	stream = storeStream(t, ids, stagedLogs(ids, 400), nil)
 	stop := errors.New("consumer gave up")
 	seen := 0
 	err := logging.Each(stream, func(*logging.Record) error {
@@ -1573,19 +1559,21 @@ func TestDatasetStreamCloseJoinsStages(t *testing.T) {
 	waitGoroutines(t, base)
 
 	// hp-b's record 350 sorts after hp-a's and hp-b's first 350 (equal
-	// instants break to hp-a): 701 records reach the consumer first.
-	stream = storeStream(t, ids, stagedLogs(ids, 400, 350), nil)
+	// instants break to hp-a): 700 records reach the consumer first, and
+	// the merge must read hp-b's next frame before it yields hp-a's 350th.
+	m := storeManager(t, 16<<10, ids, stagedLogs(ids, 400), nil)
+	corruptFrame(t, m, "hp-b", 350)
+	stream = streamOf(t, m)
 	delivered := 0
 	err = logging.Each(stream, func(*logging.Record) error { delivered++; return nil })
-	var ae *anonymize.AuditError
-	if !errors.As(err, &ae) || !strings.Contains(err.Error(), "audit failed") {
-		t.Fatalf("audit failure through the stages: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "merging collected logs") || !strings.Contains(err.Error(), "corrupt segment frame") {
+		t.Fatalf("scan failure through the stages: %v", err)
 	}
-	if delivered != 701 || ae.Honeypot != "hp-b" {
-		t.Fatalf("audit failed after %d records on %q, want after 701 on hp-b", delivered, ae.Honeypot)
+	if delivered != 700 {
+		t.Fatalf("scan failed after %d records, want after 700", delivered)
 	}
-	if _, err := stream.Next(); !errors.As(err, &ae) {
-		t.Fatalf("Next after the audit failure returned %v, want it again", err)
+	if _, again := stream.Next(); again == nil || again.Error() != err.Error() {
+		t.Fatalf("Next after the scan failure returned %v, want %v again", again, err)
 	}
 	if err := stream.Close(); err != nil {
 		t.Fatal(err)
@@ -1602,7 +1590,7 @@ func TestDatasetStreamCloseJoinsStages(t *testing.T) {
 func TestStageTimersFitTheConsumersTime(t *testing.T) {
 	ids := []string{"hp-a", "hp-b", "hp-c"}
 	reg := obs.New()
-	stream := storeStream(t, ids, stagedLogs(ids, 400, -1), reg)
+	stream := storeStream(t, ids, stagedLogs(ids, 400), reg)
 	defer stream.Close()
 	var inNext time.Duration
 	n := 0
@@ -1679,7 +1667,7 @@ var finalizeStages = []string{"scan", "audit", "renumber", "anonymize"}
 // a three-shard store of 1 KiB segments.
 func TestDatasetStreamFillMatchesNext(t *testing.T) {
 	ids := []string{"hp-a", "hp-b", "hp-c"}
-	logs := stagedLogs(ids, 400, -1)
+	logs := stagedLogs(ids, 400)
 	for _, timed := range []bool{false, true} {
 		var reg *obs.Registry
 		if timed {
@@ -1752,34 +1740,33 @@ func recordsEqual(a, b []logging.Record) bool {
 	return true
 }
 
-// TestDatasetStreamFillAuditErrorInPlace: an audit leak in the middle of
-// a batch stops a Fill drain after the prefix a Next drain delivers,
-// with the same *anonymize.AuditError (record index and honeypot), and
-// every later Fill returns it again.
-func TestDatasetStreamFillAuditErrorInPlace(t *testing.T) {
+// TestDatasetStreamFillScanErrorInPlace: a corrupt frame in the middle
+// of a batch stops a Fill drain after the prefix a Next drain delivers,
+// with the same error, and every later Fill returns it again.
+func TestDatasetStreamFillScanErrorInPlace(t *testing.T) {
 	ids := []string{"hp-a", "hp-b", "hp-c"}
-	logs := stagedLogs(ids, 400, 350)
-	m := storeManager(t, 1<<10, ids, logs, obs.New())
+	m := storeManager(t, 1<<10, ids, stagedLogs(ids, 400), obs.New())
+	corruptFrame(t, m, "hp-b", 350)
 	ref := streamOf(t, m)
-	want, err := drainStream(t, ref, 0)
-	var wantAE *anonymize.AuditError
-	if !errors.As(err, &wantAE) || len(want) != 3*350+1 {
-		t.Fatalf("Next drain: %d records, then %v; want %d, then an audit error", len(want), err, 3*350+1)
+	want, wantErr := drainStream(t, ref, 0)
+	// The merge reads hp-b's frame 350 when it yields hp-b's 349th
+	// record, before hp-c's 349th.
+	if wantErr == nil || !strings.Contains(wantErr.Error(), "corrupt segment frame") || len(want) != 3*350-1 {
+		t.Fatalf("Next drain: %d records, then %v; want %d, then a corrupt frame", len(want), wantErr, 3*350-1)
 	}
 	ref.Close()
 	for _, b := range fillSizes {
 		s := streamOf(t, m)
 		got, err := drainStream(t, s, b)
-		var ae *anonymize.AuditError
-		if !errors.As(err, &ae) || ae.Index != wantAE.Index || ae.Honeypot != wantAE.Honeypot {
-			t.Fatalf("b=%d: Fill drain ended with %v, want %v", b, err, wantAE)
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("b=%d: Fill drain ended with %v, want %v", b, err, wantErr)
 		}
 		if !recordsEqual(got, want) {
-			t.Fatalf("b=%d: Fill delivered %d records before the leak, Next %d, or other ones", b, len(got), len(want))
+			t.Fatalf("b=%d: Fill delivered %d records before the corrupt frame, Next %d, or other ones", b, len(got), len(want))
 		}
 		for i := 0; i < 2; i++ {
-			if n, err := s.Fill(make([]logging.Record, b)); n != 0 || !errors.As(err, &ae) {
-				t.Fatalf("b=%d: Fill %d after the leak stored %d and returned %v", b, i, n, err)
+			if n, err := s.Fill(make([]logging.Record, b)); n != 0 || err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("b=%d: Fill %d after the corrupt frame stored %d and returned %v", b, i, n, err)
 			}
 		}
 		s.Close()
@@ -1792,7 +1779,7 @@ func TestDatasetStreamFillAuditErrorInPlace(t *testing.T) {
 // records) allocates once and fills in place.
 func TestFinalizeSizesTheDatasetOnce(t *testing.T) {
 	ids := []string{"hp-a", "hp-b", "hp-c"}
-	logs := stagedLogs(ids, 700, -1)
+	logs := stagedLogs(ids, 700)
 	m := New(netsim.New(des.NewLoop(t0, 1), netsim.DefaultConfig()).NewHost("m-sized"), DefaultConfig())
 	for _, id := range ids {
 		m.Add(&fakeHandle{id: id, recs: append([]logging.Record(nil), logs[id]...)}, Assignment{})

@@ -155,9 +155,9 @@ func TestRandomContentOutdrawsNoContent(t *testing.T) {
 	w.run(3)
 
 	reqs := make([]int, 2)
-	peers := make([]map[string]bool, 2)
+	peers := make([]map[logging.PeerID]bool, 2)
 	for i, hp := range w.hps {
-		peers[i] = map[string]bool{}
+		peers[i] = map[logging.PeerID]bool{}
 		for _, r := range takeRecords(hp) {
 			if r.Kind == logging.KindRequestPart {
 				reqs[i]++
@@ -223,8 +223,8 @@ func TestNewPeersKeepArriving(t *testing.T) {
 	w.run(3)
 
 	_, recs := collectKinds(w.hps)
-	byDay := map[int]map[string]bool{}
-	seen := map[string]bool{}
+	byDay := map[int]map[logging.PeerID]bool{}
+	seen := map[logging.PeerID]bool{}
 	for _, r := range recs {
 		if r.Kind != logging.KindHello {
 			continue
@@ -235,7 +235,7 @@ func TestNewPeersKeepArriving(t *testing.T) {
 		}
 		seen[r.PeerIP] = true
 		if byDay[d] == nil {
-			byDay[d] = map[string]bool{}
+			byDay[d] = map[logging.PeerID]bool{}
 		}
 		byDay[d][r.PeerIP] = true
 	}
@@ -290,7 +290,7 @@ func TestHeavyHitterDominates(t *testing.T) {
 	w.run(3)
 
 	_, recs := collectKinds(w.hps)
-	counts := map[string]int{}
+	counts := map[logging.PeerID]int{}
 	for _, r := range recs {
 		if r.Kind == logging.KindStartUpload {
 			counts[r.PeerIP]++

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/logging"
 	"repro/internal/logstore"
 	"repro/internal/obs"
 )
@@ -252,11 +253,11 @@ func TestMultiServerPartitionsObservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	share := func(res *Result) float64 {
-		perHP := map[string]map[string]bool{}
-		total := map[string]bool{}
+		perHP := map[string]map[logging.PeerID]bool{}
+		total := map[logging.PeerID]bool{}
 		for _, r := range res.Dataset.Records {
 			if perHP[r.Honeypot] == nil {
-				perHP[r.Honeypot] = map[string]bool{}
+				perHP[r.Honeypot] = map[logging.PeerID]bool{}
 			}
 			perHP[r.Honeypot][r.PeerIP] = true
 			total[r.PeerIP] = true

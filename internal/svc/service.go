@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/calibrate"
+	"repro/internal/logstore"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
@@ -408,6 +409,12 @@ func (s *Service) frameFor(run Run) (*analysis.Frame, analysis.CampaignMeta, err
 		return nil, analysis.CampaignMeta{}, fmt.Errorf("%w: run %q has no campaign metadata", ErrNotQueryable, run.ID)
 	}
 	frame, err := analysis.OpenFrame(run.DatasetDir)
+	if fe := (*logstore.FormatError)(nil); errors.As(err, &fe) {
+		// An older build wrote this run's dataset: it exists but cannot
+		// be read, which is a conflict, not a bad request.
+		return nil, analysis.CampaignMeta{}, fmt.Errorf("%w: run %q dataset is segment format v%d, unreadable by this build: %w",
+			ErrNotQueryable, run.ID, fe.Version, err)
+	}
 	if err != nil {
 		return nil, analysis.CampaignMeta{}, fmt.Errorf("svc: building frame for %s: %w", run.ID, err)
 	}

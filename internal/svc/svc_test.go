@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -792,5 +794,61 @@ func TestPlanSubsetSamplesBound(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("GET /healthz after the rejected plans: %d", resp.StatusCode)
+	}
+}
+
+// TestOldFormatRunNotQueryable: a finished run whose dataset an older
+// build wrote (a segment of format v2) is a conflict, not a bad
+// request: query and calibrate answer 409 naming the run and the
+// format version, and the daemon stays up.
+func TestOldFormatRunNotQueryable(t *testing.T) {
+	dataDir := t.TempDir()
+	spec := testSpec("svc-oldformat", 3, 40, 2)
+	s1, err := Open(Config{DataDir: dataDir, Workers: 1, WallEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := s1.Submit(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitTerminal(t, s1, run.ID); got.State != StateDone {
+		t.Fatalf("run ended %s: %s", got.State, got.Error)
+	}
+	run, err = s1.Run(run.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(run.DatasetDir, "*", "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no dataset segment under %s: %v", run.DatasetDir, err)
+	}
+	b, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len("EDLSEG")] = '2' // the magic's version digit
+	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, client := newTestService(t, Config{DataDir: dataDir, Workers: 1})
+	status, eb := postRaw(t, client.Base, "/runs/"+run.ID+"/query", nil)
+	if status != http.StatusConflict || !strings.Contains(eb.Error, run.ID) || !strings.Contains(eb.Error, "format v2") {
+		t.Errorf("query of a v2 run: %d %q, want 409 naming the run and format v2", status, eb.Error)
+	}
+	ds := &calibrate.Dataset{Version: 1, Campaigns: map[string]*calibrate.CampaignObserved{
+		spec.Name: {Expect: []calibrate.Expectation{{Query: "table-i", Metric: "honeypots", Check: calibrate.CheckValue, Value: 2}}},
+	}}
+	body, err := json.Marshal(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, eb = postRaw(t, client.Base, "/runs/"+run.ID+"/calibrate", body)
+	if status != http.StatusConflict || !strings.Contains(eb.Error, run.ID) || !strings.Contains(eb.Error, "format v2") {
+		t.Errorf("calibrate of a v2 run: %d %q, want 409 naming the run and format v2", status, eb.Error)
 	}
 }
