@@ -14,6 +14,11 @@
 // links.txt holds one ed2k://|file|name|size|hash|/ link per line: the
 // files the fleet will claim to have. Without -links, four synthetic bait
 // files are generated.
+//
+// With -export DIR the anonymized dataset is also streamed into a
+// logstore under DIR. Unlike a simulated campaign's export it carries no
+// frame file, because hpmanager builds no frame: a later
+// analysis.OpenFrame scans it.
 package main
 
 import (
@@ -192,36 +197,57 @@ func main() {
 	}
 	defer res.ds.Close()
 
-	var it logging.Iterator = res.ds
+	var export *logstore.Store
 	if *exportDir != "" {
-		export, err := logstore.Open(*exportDir, logstore.Options{Metrics: reg})
+		export, err = logstore.Open(*exportDir, logstore.Options{Metrics: reg})
 		if err != nil {
 			log.Fatalf("opening -export: %v", err)
 		}
-		defer export.Close()
 		// Appending a second campaign after a first would silently merge
 		// the two datasets on the next streamed analysis.
 		if n := export.TotalRecords(); n > 0 {
 			log.Fatalf("-export %s already holds %d records from a previous run; point it at a fresh directory", *exportDir, n)
 		}
-		it = logging.Map(it, func(r *logging.Record) error {
-			return export.AppendRecord(*r)
-		})
 		log.Printf("exporting anonymized dataset to %s", *exportDir)
 	}
-
-	f, err := os.Create(*out)
+	n, err := drain(*out, res.ds, export)
 	if err != nil {
-		log.Fatalf("creating %s: %v", *out, err)
-	}
-	defer f.Close()
-	n, err := logging.WriteJSONLIter(f, it)
-	if err != nil {
-		log.Fatalf("writing %s: %v", *out, err)
+		log.Fatal(err)
 	}
 	log.Printf("wrote %d records (%d distinct peers) to %s",
 		n, res.ds.DistinctPeers(), *out)
 	logContributions(res.ds.PerHoneypot())
+}
+
+// drain writes the finalized dataset it to the JSONL file at out and,
+// when export is set, tees every record into that store on the way.
+// Both are closed before it returns, and a failed close is the run's
+// error, naming the file: the export's Close is where each shard's last
+// buffered frames and the MANIFEST are written. The export gets no
+// frame file (nothing here builds a frame), so a later OpenFrame scans
+// it.
+func drain(out string, it logging.Iterator, export *logstore.Store) (n int, err error) {
+	if export != nil {
+		defer func() {
+			if cerr := export.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("closing -export %s: %w", export.Dir(), cerr)
+			}
+		}()
+		it = logging.Map(it, func(r *logging.Record) error {
+			return export.AppendRecord(*r)
+		})
+	}
+	f, err := os.Create(out)
+	if err != nil {
+		return 0, fmt.Errorf("creating %s: %w", out, err)
+	}
+	n, err = logging.WriteJSONLIter(f, it)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("closing %s: %w", out, cerr)
+	} else if err != nil {
+		err = fmt.Errorf("writing %s: %w", out, err)
+	}
+	return n, err
 }
 
 // logContributions logs each honeypot's record count in honeypot ID

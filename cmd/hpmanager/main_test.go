@@ -2,10 +2,19 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/faultfs"
+	"repro/internal/logging"
+	"repro/internal/logstore"
 )
 
 // TestLogContributionsSorted: the per-honeypot summary comes out in
@@ -30,5 +39,78 @@ func TestLogContributionsSorted(t *testing.T) {
 		if got := buf.String(); got != want {
 			t.Fatalf("run %d:\n%s\nwant\n%s", i, got, strings.TrimSpace(want))
 		}
+	}
+}
+
+// finalIter hands out its records one per Fill and, on the call after
+// the last one — when a stage above has passed every record on — runs
+// atEnd and reports io.EOF.
+type finalIter struct {
+	recs  []logging.Record
+	atEnd func()
+}
+
+func (it *finalIter) Fill(dst []logging.Record) (int, error) {
+	if len(it.recs) == 0 {
+		it.atEnd()
+		return 0, io.EOF
+	}
+	dst[0] = it.recs[0]
+	it.recs = it.recs[1:]
+	return 1, nil
+}
+
+func (it *finalIter) Next() (logging.Record, error) {
+	var r [1]logging.Record
+	_, err := it.Fill(r[:])
+	return r[0], err
+}
+
+// TestDrainFailsOnExportClose: the export's last records sit in its
+// shards' write buffers until Close flushes them, so a disk that fails
+// then loses them; drain must return that error naming the export, not
+// report success.
+func TestDrainFailsOnExportClose(t *testing.T) {
+	sw := faultfs.NewSwitch()
+	dir := "/export"
+	export, err := logstore.Open(dir, logstore.Options{FS: faultfs.Wrap(faultfs.NewMem(), sw)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
+	var recs []logging.Record
+	for i := 0; i < 50; i++ {
+		recs = append(recs, logging.Record{
+			Time: start.Add(time.Duration(i) * time.Second), Honeypot: fmt.Sprintf("hp-%02d", i%3),
+			Kind: logging.KindHello, PeerIP: logging.NumberedPeer(uint64(i % 7)),
+		})
+	}
+	// Every record is buffered by the time the stream ends; from then on
+	// segment writes fail.
+	it := &finalIter{recs: recs, atEnd: func() { sw.Deny(".seg") }}
+	out := filepath.Join(t.TempDir(), "dataset.jsonl")
+	n, err := drain(out, it, export)
+	if err == nil {
+		t.Fatalf("drain wrote %d records and succeeded although the export's final flush failed", n)
+	}
+	if !strings.Contains(err.Error(), dir) || !errors.Is(err, faultfs.ErrInjected) {
+		t.Errorf("drain's error does not name the export or its cause: %v", err)
+	}
+
+	// The same stream into a healthy export succeeds, and the JSONL holds
+	// every record.
+	healthy, err := logstore.Open(t.TempDir(), logstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err = drain(out, &finalIter{recs: recs, atEnd: func() {}}, healthy); err != nil || n != len(recs) {
+		t.Fatalf("healthy drain: %d records, %v", n, err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(data), "\n"); lines != len(recs) {
+		t.Errorf("JSONL holds %d lines, want %d", lines, len(recs))
 	}
 }

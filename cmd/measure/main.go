@@ -291,7 +291,9 @@ func summarizeRun(w io.Writer, res *repro.Result, elapsed time.Duration) {
 // (analysis.OpenFrame, the reader every later analysis uses) and
 // requires it to hold the records the run says it wrote and the
 // dataset's distinct peers (equal across the two stores because the
-// step-2 renumbering is a bijection).
+// step-2 renumbering is a bijection). The line says how the frame was
+// built: the export loads the frame file the campaign wrote beside it,
+// and the raw store, which has none, is scanned.
 func reread(w io.Writer, res *repro.Result) {
 	for _, s := range []struct {
 		name, dir string
@@ -303,12 +305,15 @@ func reread(w io.Writer, res *repro.Result) {
 		if s.dir == "" {
 			continue
 		}
-		f, err := analysis.OpenFrame(s.dir)
+		if s.name == "export" && res.FrameFileErr != nil {
+			fmt.Fprintf(w, "export: frame file not written: %v\n", res.FrameFileErr)
+		}
+		f, via, err := analysis.OpenFrame(s.dir)
 		if err != nil {
 			log.Fatalf("re-reading %s %s: %v", s.name, s.dir, err)
 		}
-		fmt.Fprintf(w, "%s: %d records under %s; re-read: %d records, %d distinct peers\n",
-			s.name, s.records, s.dir, f.Len(), f.DistinctPeers())
+		fmt.Fprintf(w, "%s: %d records under %s; re-read from %s: %d records, %d distinct peers\n",
+			s.name, s.records, s.dir, via, f.Len(), f.DistinctPeers())
 		if uint64(f.Len()) != s.records || f.DistinctPeers() != res.Dataset.DistinctPeers {
 			log.Fatalf("%s %s disagrees with the run: re-read %d records and %d distinct peers, want %d and %d",
 				s.name, s.dir, f.Len(), f.DistinctPeers(), s.records, res.Dataset.DistinctPeers)

@@ -10,7 +10,9 @@
 //   - The Frame (frame.go) is the substrate: a campaign compiled once,
 //     via BuildFrame or the streaming BuildFrameIter, into a columnar
 //     struct-of-arrays image with every string interned to a dense ID.
-//     Every extractor runs over its flat integer columns.
+//     Every extractor runs over its flat integer columns. A campaign's
+//     export carries its frame as a frame file (framefile.go), which
+//     BuildFrameIter loads instead of scanning when it binds.
 //
 //   - A Query (query.go, queries.go) is a named, registered artifact
 //     extractor over the frame: declared inputs (frame columns plus a

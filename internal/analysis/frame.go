@@ -113,9 +113,36 @@ func BuildFrame(recs []logging.Record) *Frame {
 // ever materializing the records. Memory use is the frame itself: 19
 // bytes per record plus the intern tables. A source that reports its
 // length (logging.Len) gets its columns allocated once, at that length.
-// A source with a DropText method (a logstore.Iterator that nothing
-// else reads) is asked to leave out the text the frame never keeps.
+//
+// A logstore.Iterator that nothing wraps is read the cheapest way it
+// offers, before its scan starts. First its store's frame file
+// (SaveFrame): when the store binds it to exactly the segments the scan
+// would read and this codec accepts it, the frame is loaded from its
+// columns and no record is decoded. Otherwise — no file, a stale or
+// damaged one, another version — the scan runs as if there were none,
+// told to DropText, the text the frame never keeps. Either way the frame
+// is the one a scan builds, reflect.DeepEqual to it. A wrapping stage
+// (logging.Map, ReadAhead, a finalize stream) hides both capabilities.
 func BuildFrameIter(it logging.Iterator) (*Frame, error) {
+	f, _, err := buildFrameIter(it)
+	return f, err
+}
+
+// ViaFrameFile is OpenFrame's account of a frame loaded from its store's
+// frame file.
+const ViaFrameFile = "frame file"
+
+// buildFrameIter is BuildFrameIter that also says how the frame was
+// built: ViaFrameFile, or "scan (<why the frame file was not loaded>)".
+func buildFrameIter(it logging.Iterator) (*Frame, string, error) {
+	via := "scan (the source offers no frame file)"
+	if ff, ok := it.(frameFiler); ok {
+		f, err := loadFrameFile(ff, logging.Len(it))
+		if err == nil {
+			return f, ViaFrameFile, nil
+		}
+		via = "scan (" + err.Error() + ")"
+	}
 	if d, ok := it.(interface{ DropText() bool }); ok {
 		d.DropText()
 	}
@@ -125,31 +152,34 @@ func BuildFrameIter(it logging.Iterator) (*Frame, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, via, err
 	}
-	return f, nil
+	return f, via, nil
 }
 
 // OpenFrame reopens the logstore under dir — a campaign's raw spill or
-// its anonymized export — and streams it into a frame with
-// BuildFrameIter: the one way a finished campaign's dataset is read
-// back for analysis. A missing directory is an error, not an empty
-// store.
-func OpenFrame(dir string) (*Frame, error) {
+// its anonymized export — and builds its frame with BuildFrameIter: the
+// one way a finished campaign's dataset is read back for analysis. An
+// export a campaign wrote carries its frame file, so this loads columns;
+// a raw spill store, an hpmanager export or a store appended to since
+// has none that binds, and is scanned. It also says which path built
+// the frame: ViaFrameFile, or "scan (<why the frame file was not
+// loaded>)". A missing directory is an error, not an empty store.
+func OpenFrame(dir string) (*Frame, string, error) {
 	if _, err := os.Stat(dir); err != nil {
-		return nil, fmt.Errorf("analysis: opening frame: %w", err)
+		return nil, "", fmt.Errorf("analysis: opening frame: %w", err)
 	}
 	store, err := logstore.Open(dir, logstore.Options{})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	defer store.Close()
 	it, err := store.Iterator()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	defer it.Close()
-	return BuildFrameIter(it)
+	return buildFrameIter(it)
 }
 
 // Len returns the number of records in the frame.

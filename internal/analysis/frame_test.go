@@ -314,7 +314,7 @@ func TestOpenFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := OpenFrame(dir)
+	got, _, err := OpenFrame(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestOpenFrame(t *testing.T) {
 	}
 
 	missing := filepath.Join(dir, "no-such-store")
-	if _, err := OpenFrame(missing); err == nil {
+	if _, _, err := OpenFrame(missing); err == nil {
 		t.Error("OpenFrame of a missing directory succeeded")
 	}
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {
@@ -343,7 +343,7 @@ func TestOpenFrame(t *testing.T) {
 	if err := os.WriteFile(seg, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := OpenFrame(dir); err == nil {
+	if f, _, err := OpenFrame(dir); err == nil {
 		t.Errorf("OpenFrame over a corrupt segment gave %d records and no error", f.Len())
 	}
 }
@@ -415,7 +415,7 @@ func TestOpenFrameAllocs(t *testing.T) {
 	recs = textStore(t, dir, recs, logstore.Options{})
 	want := testing.AllocsPerRun(3, func() { BuildFrame(recs) })
 	got := testing.AllocsPerRun(3, func() {
-		if _, err := OpenFrame(dir); err != nil {
+		if _, _, err := OpenFrame(dir); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -18,28 +18,37 @@ func (s fullScan) Next() (logging.Record, error)          { return s.it.Next() }
 func (s fullScan) Fill(dst []logging.Record) (int, error) { return s.it.Fill(dst) }
 func (s fullScan) Len() int                               { return s.it.Len() }
 
-// openFull is OpenFrame with the scan behind fullScan.
-func openFull(dir string) (*analysis.Frame, error) {
-	store, err := logstore.Open(dir, logstore.Options{})
-	if err != nil {
-		return nil, err
+// projectedScan forwards a store scan's DropText but not its frame
+// file: the scan OpenFrame falls back to.
+type projectedScan struct{ fullScan }
+
+func (s projectedScan) DropText() bool { return s.it.DropText() }
+
+// openWith is OpenFrame with the scan behind wrap.
+func openWith(wrap func(*logstore.Iterator) logging.Iterator) func(string) (*analysis.Frame, error) {
+	return func(dir string) (*analysis.Frame, error) {
+		store, err := logstore.Open(dir, logstore.Options{})
+		if err != nil {
+			return nil, err
+		}
+		defer store.Close()
+		it, err := store.Iterator()
+		if err != nil {
+			return nil, err
+		}
+		defer it.Close()
+		return analysis.BuildFrameIter(wrap(it))
 	}
-	defer store.Close()
-	it, err := store.Iterator()
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	return analysis.BuildFrameIter(fullScan{it})
 }
 
 // BenchmarkOpenFrame re-reads the exports of both paper campaigns — the
 // 24-shard distributed one at scale 0.03 and the greedy one at 0.05,
 // the stores the analysis-replay workload reopens — into frames: what
 // the daemon's first query after a restart and measure's check of its
-// stores pay too. "projected" is OpenFrame, whose scan leaves out the
-// text a frame never keeps; "full" is the same scan delivering every
-// field, as it does behind any stage.
+// stores pay too. "frame-file" is OpenFrame's route, which loads the
+// frame file each campaign wrote beside its export; "projected" is the
+// scan it falls back to, leaving out the text a frame never keeps; "full" is
+// the same scan delivering every field, as it does behind any stage.
 func BenchmarkOpenFrame(b *testing.B) {
 	var dirs []string
 	records := 0
@@ -64,7 +73,11 @@ func BenchmarkOpenFrame(b *testing.B) {
 	for _, m := range []struct {
 		name string
 		open func(string) (*analysis.Frame, error)
-	}{{"full", openFull}, {"projected", analysis.OpenFrame}} {
+	}{
+		{"full", openWith(func(it *logstore.Iterator) logging.Iterator { return fullScan{it} })},
+		{"projected", openWith(func(it *logstore.Iterator) logging.Iterator { return projectedScan{fullScan{it}} })},
+		{"frame-file", openWith(func(it *logstore.Iterator) logging.Iterator { return it })},
+	} {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

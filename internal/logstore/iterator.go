@@ -6,6 +6,7 @@ import (
 	"io"
 	"path/filepath"
 
+	"repro/internal/faultfs"
 	"repro/internal/intern"
 	"repro/internal/logging"
 	"repro/internal/obs"
@@ -25,6 +26,8 @@ import (
 // order, the tie-breaks and the interning exactly those of a scan on the
 // caller's goroutine.
 type Iterator struct {
+	dir     string     // the store's root, where its frame file lives
+	fs      faultfs.FS // the store's filesystem
 	ra      *logging.ReadAheadIter
 	m       *merger
 	n       int          // records in the snapshot
@@ -86,9 +89,9 @@ func (it *Iterator) Close() error {
 }
 
 // newIterator builds a merged iterator over the given shards (already in
-// tie-break order); busy receives the scan's busy time when the iterator
-// closes.
-func newIterator(shards []*Shard, busy *obs.Counter) (*Iterator, error) {
+// tie-break order) of the store rooted at dir on fsys; busy receives the
+// scan's busy time when the iterator closes.
+func newIterator(dir string, fsys faultfs.FS, shards []*Shard, busy *obs.Counter) (*Iterator, error) {
 	m := &merger{}
 	// One interner spans the whole scan: a string a segment carries as a
 	// literal is allocated once per distinct value across all cursors,
@@ -106,7 +109,7 @@ func newIterator(shards []*Shard, busy *obs.Counter) (*Iterator, error) {
 		}
 		m.cursors = append(m.cursors, newCursor(sh, segs, Checkpoint{}, pool, sh.m))
 	}
-	return &Iterator{ra: logging.ReadAhead(m), m: m, n: int(n), busy: busy}, nil
+	return &Iterator{dir: dir, fs: fsys, ra: logging.ReadAhead(m), m: m, n: int(n), busy: busy}, nil
 }
 
 // merger is the k-way merge itself: the read-ahead stage's source.
@@ -222,7 +225,8 @@ func (m *merger) Close() error {
 // with one. It streams records in append order within a snapshot of the
 // shard's segments, from a Checkpoint, and holds each segment to its
 // snapshot extent: a frame that fails its CRC or decode, or a segment
-// that ends before its Bytes, is errCorrupt. The current record lives
+// that ends before its Bytes, is errCorrupt, wrapped with the segment's
+// path and the byte offset of the frame. The current record lives
 // in the cursor and every decode overwrites it in place.
 type shardCursor struct {
 	sh       *Shard
@@ -284,7 +288,7 @@ func (c *shardCursor) next() error {
 			if errors.Is(err, io.EOF) {
 				return c.short(c.r.off)
 			}
-			return err
+			return fmt.Errorf("%w: %s, frame at byte %d", err, c.segPath(), c.r.off)
 		}
 		c.off = c.r.off
 		return nil
@@ -295,7 +299,7 @@ func (c *shardCursor) next() error {
 // off, so that it stands there with the codec state the next frame is
 // coded against.
 func (c *shardCursor) open() error {
-	path := filepath.Join(c.sh.dir, segName(c.segs[c.seg].Seq))
+	path := c.segPath()
 	r, err := openSegmentReader(c.sh.fs, path, c.pool, c.m)
 	if errors.Is(err, io.EOF) {
 		return c.short(0)
@@ -312,12 +316,16 @@ func (c *shardCursor) open() error {
 	return nil
 }
 
+// segPath is the file of the segment the cursor stands in.
+func (c *shardCursor) segPath() string {
+	return filepath.Join(c.sh.dir, segName(c.segs[c.seg].Seq))
+}
+
 // short is the error of a segment whose frames run out at byte end,
 // before the extent the snapshot gives it.
 func (c *shardCursor) short(end int64) error {
-	si := c.segs[c.seg]
 	return fmt.Errorf("%w: %s ends at byte %d of the %d its index covers",
-		errCorrupt, filepath.Join(c.sh.dir, segName(si.Seq)), end, si.Bytes)
+		errCorrupt, c.segPath(), end, c.segs[c.seg].Bytes)
 }
 
 func (c *shardCursor) closeReader() {

@@ -12,6 +12,7 @@
 // Layout:
 //
 //	<dir>/MANIFEST               the index: every shard's segments and their extents
+//	<dir>/FRAME                  optional: a derived image bound to the segments (framefile.go)
 //	<dir>/<shard>/00000001.seg   CRC-framed records (codec.go), a sealed segment
 //	<dir>/<shard>/00000001.names its distinct file names and their counts
 //	<dir>/<shard>/00000002.seg   active segment (tail of the shard)
@@ -42,8 +43,21 @@
 //
 // Every read of records — the merged Iterator, ReadSince, the names
 // recount — goes through one cursor (shardCursor), which fails with
-// errCorrupt, naming the segment, at a frame that does not check and at
-// a segment that ends before its recorded extent.
+// errCorrupt, naming the segment and the byte offset of the frame, at a
+// frame that does not check and at a segment that ends before its
+// recorded extent.
+//
+// A store whose records are final may also carry a frame file: a body
+// its owner writes once (Store.WriteFrameFile; in practice the analysis
+// frame a campaign built from the same records), bound to exactly the
+// segment bytes a scan of the store reads — every segment's seq,
+// extent, record count and CRC-32C. An Iterator that has not started
+// hands the body back (Iterator.FrameFile) only when that binding
+// holds for its own snapshot, and the body's reader fails at its end
+// unless the file's checksum holds, so a reader can load the derived
+// image instead of decoding the records; any mismatch is a refusal
+// with a reason, and the reader scans. The file sits in the store root, which
+// Open ignores but for shard directories.
 //
 // Each shard also counts the distinct file names of its active segment
 // and leaves the table beside the segment when it is sealed or closed;
@@ -269,7 +283,7 @@ func (s *Store) Dir() string { return s.dir }
 // to directories, so they must not contain path separators.
 func (s *Store) Shard(name string) (*Shard, error) {
 	if name == "" || strings.ContainsAny(name, "/\\") || name == "." || name == ".." ||
-		name == quarantineDir || name == manifestName {
+		name == quarantineDir || name == manifestName || name == frameFileName {
 		return nil, fmt.Errorf("logstore: invalid shard name %q", name)
 	}
 	s.mu.Lock()
@@ -390,5 +404,5 @@ func (s *Store) Iterator() (*Iterator, error) {
 		shards = append(shards, s.shards[n])
 	}
 	s.mu.Unlock()
-	return newIterator(shards, s.m.scanBusy)
+	return newIterator(s.dir, s.fs, shards, s.m.scanBusy)
 }

@@ -332,7 +332,7 @@ func TestShardNameValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	for _, bad := range []string{"", "a/b", `a\b`, ".", "..", quarantineDir, manifestName} {
+	for _, bad := range []string{"", "a/b", `a\b`, ".", "..", quarantineDir, manifestName, frameFileName} {
 		want := fmt.Sprintf("logstore: invalid shard name %q", bad)
 		if _, err := st.Shard(bad); err == nil || err.Error() != want {
 			t.Errorf("Shard(%q) = %v, want %s", bad, err, want)

@@ -97,6 +97,10 @@ type Result struct {
 	// honeypot); ExportedRecords is the record count written there.
 	ExportDir       string
 	ExportedRecords uint64
+	// FrameFileErr is why the export's frame file could not be written
+	// (nil when it was, or there is no export). The export itself is
+	// whole; a re-analysis of it scans the segments instead.
+	FrameFileErr error
 	// Engine is the event loop's final internal counters.
 	Engine des.Stats
 	// Aborted reports that a progress callback stopped the campaign
@@ -796,7 +800,13 @@ func (w *world) finish(spec Spec, pops []*peersim.Population) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: finalize: %w", err)
 	}
+	var frameFileErr error
 	if export != nil {
+		// The export carries its frame, so that every later re-analysis
+		// loads columns instead of decoding the segments again. The file
+		// is a derived cache: without it a re-analysis scans, so a failed
+		// write is reported on the Result, not as the run's failure.
+		frameFileErr = analysis.SaveFrame(export, frame)
 		if err := export.Close(); err != nil {
 			return nil, fmt.Errorf("scenario: closing export store: %w", err)
 		}
@@ -818,6 +828,7 @@ func (w *world) finish(spec Spec, pops []*peersim.Population) (*Result, error) {
 		Frame:           frame,
 		ExportDir:       spec.Collection.ExportDir,
 		ExportedRecords: exported,
+		FrameFileErr:    frameFileErr,
 		Start:           CampaignStart,
 		Days:            spec.Days,
 		Scale:           spec.Scale,

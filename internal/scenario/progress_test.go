@@ -1,10 +1,14 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/obs"
 )
 
@@ -181,5 +185,63 @@ func TestCatalogBuildTelemetry(t *testing.T) {
 	}
 	if got := snap.Gauges["engine.catalog.files"]; got != int64(spec.Catalog.NumFiles) {
 		t.Errorf("engine.catalog.files = %d, want %d", got, spec.Catalog.NumFiles)
+	}
+}
+
+// TestAbortedRunExportsItsFrame: an aborted campaign with an export
+// still writes its frame file, and reopening the export loads it —
+// reflect.DeepEqual to the run's own frame — instead of scanning.
+func TestAbortedRunExportsItsFrame(t *testing.T) {
+	spec := validSpec()
+	spec.Collection.ExportDir = filepath.Join(t.TempDir(), "export")
+	res, err := RunWith(spec, RunOptions{
+		SimEvery: 3 * time.Hour,
+		Progress: func(p Progress) bool { return p.SimElapsed < 12*time.Hour },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Aborted || res.Frame.Len() == 0 {
+		t.Fatalf("want an aborted run with records, got aborted=%v and %d records", res.Aborted, res.Frame.Len())
+	}
+	f, via, err := analysis.OpenFrame(res.ExportDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if via != analysis.ViaFrameFile {
+		t.Errorf("the aborted run's export was read via %q", via)
+	}
+	if !reflect.DeepEqual(f, res.Frame) {
+		t.Error("the frame loaded from the export differs from the run's")
+	}
+}
+
+// TestFrameFileWriteFailureKeepsTheRun: a frame file that cannot be
+// written (here its name is taken by a directory, so the rename fails)
+// does not fail the campaign: the Result says why, and the export, whole,
+// reopens by a scan into the run's frame.
+func TestFrameFileWriteFailureKeepsTheRun(t *testing.T) {
+	spec := validSpec()
+	spec.Collection.ExportDir = filepath.Join(t.TempDir(), "export")
+	if err := os.MkdirAll(filepath.Join(spec.Collection.ExportDir, "FRAME", "taken"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatalf("a failed frame file write failed the run: %v", err)
+	}
+	if res.FrameFileErr == nil {
+		t.Fatal("the Result does not report the failed frame file write")
+	}
+	f, via, err := analysis.OpenFrame(res.ExportDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(via, "scan (") {
+		t.Errorf("an export without a frame file was read via %q", via)
+	}
+	t.Logf("frame file: %v; read via %s", res.FrameFileErr, via)
+	if !reflect.DeepEqual(f, res.Frame) {
+		t.Error("the export's scanned frame differs from the run's")
 	}
 }

@@ -262,7 +262,12 @@ type Collection struct {
 	// ExportDir, when set, streams the anonymized dataset into a
 	// segmented logstore under this directory as it is finalized (one
 	// shard per honeypot), so the published dataset can be re-analyzed
-	// later without re-running the campaign. Implies Stream. Must
+	// later without re-running the campaign. The store also gets the
+	// campaign's frame as its frame file (analysis.SaveFrame), so a
+	// re-analysis loads columns instead of decoding every segment;
+	// aborted and degraded runs write it too. A failed write of that
+	// derived file does not fail the run (Result.FrameFileErr); the
+	// export is then scanned. Implies Stream. Must
 	// differ from StoreDir, which holds the raw (hashed, un-renumbered)
 	// records.
 	ExportDir string `json:"export_dir,omitempty"`

@@ -390,7 +390,9 @@ func (s *Service) Calibrate(id string, ds *calibrate.Dataset) (calibrate.Report,
 }
 
 // frameFor returns the run's cached frame, building it from the
-// dataset logstore when this process has not seen it yet.
+// dataset logstore when this process has not seen it yet: from the frame
+// file the campaign wrote beside its export, or by a scan when there is
+// none that binds (the log line says which).
 func (s *Service) frameFor(run Run) (*analysis.Frame, analysis.CampaignMeta, error) {
 	s.mu.Lock()
 	fc := s.frames[run.ID]
@@ -408,7 +410,7 @@ func (s *Service) frameFor(run Run) (*analysis.Frame, analysis.CampaignMeta, err
 	if run.Meta == nil {
 		return nil, analysis.CampaignMeta{}, fmt.Errorf("%w: run %q has no campaign metadata", ErrNotQueryable, run.ID)
 	}
-	frame, err := analysis.OpenFrame(run.DatasetDir)
+	frame, via, err := analysis.OpenFrame(run.DatasetDir)
 	if fe := (*logstore.FormatError)(nil); errors.As(err, &fe) {
 		// An older build wrote this run's dataset: it exists but cannot
 		// be read, which is a conflict, not a bad request.
@@ -419,7 +421,7 @@ func (s *Service) frameFor(run Run) (*analysis.Frame, analysis.CampaignMeta, err
 		return nil, analysis.CampaignMeta{}, fmt.Errorf("svc: building frame for %s: %w", run.ID, err)
 	}
 	fc.frame, fc.meta, fc.loaded = frame, *run.Meta, true
-	s.cfg.Logf("run %s: dataset frame rebuilt from %s (%d records)", run.ID, run.DatasetDir, frame.Len())
+	s.cfg.Logf("run %s: dataset frame read from %s via %s (%d records)", run.ID, run.DatasetDir, via, frame.Len())
 	return fc.frame, fc.meta, nil
 }
 
@@ -507,6 +509,9 @@ func (s *Service) execute(id string) {
 		return
 	}
 
+	if res.FrameFileErr != nil {
+		s.cfg.Logf("run %s: dataset kept without its frame file (queries after a restart scan it): %v", id, res.FrameFileErr)
+	}
 	meta := res.Meta()
 	summary := &RunSummary{
 		Events:          res.Events,

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -358,7 +359,16 @@ func TestRunStoreRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(Config{DataDir: dataDir, Workers: 1})
+	var (
+		logMu sync.Mutex
+		logs  []string
+	)
+	logf := func(format string, args ...any) {
+		logMu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}
+	s2, err := Open(Config{DataDir: dataDir, Workers: 1, Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,6 +401,19 @@ func TestRunStoreRecovery(t *testing.T) {
 	data = append(data, '\n')
 	if !bytes.Equal(data, want) {
 		t.Error("reloaded run's report differs from the pre-restart one")
+	}
+	// The campaign wrote its frame file beside the export, so the
+	// restarted daemon loaded columns instead of scanning.
+	logMu.Lock()
+	read := ""
+	for _, l := range logs {
+		if strings.Contains(l, "dataset frame read from") {
+			read = l
+		}
+	}
+	logMu.Unlock()
+	if !strings.Contains(read, "via frame file") {
+		t.Errorf("the reloaded run's frame was not read from its frame file: %q", read)
 	}
 
 	// New IDs continue past the reloaded sequence.
