@@ -160,3 +160,40 @@ func BenchmarkLogstoreOpen(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLogstoreExport measures writing a 24-shard export through
+// Store.AppendRecord, one operation per store from Open to Close: the
+// records interleaved across shards as a finalize stream delivers them,
+// plus every file the store makes beside its segments.
+func BenchmarkLogstoreExport(b *testing.B) {
+	const shards, perShard = 24, 9_000 // ≈ the benchmark's distributed export
+	recs := make([]logging.Record, shards)
+	for s := range recs {
+		recs[s] = benchRecord()
+		recs[s].Honeypot = fmt.Sprintf("hp-%02d", s)
+	}
+	base := recs[0].Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		b.StartTimer()
+		store, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < shards*perShard; j++ {
+			r := &recs[j%shards]
+			r.Time = base.Add(time.Duration(j) * time.Microsecond)
+			if err := store.AppendRecord(*r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := store.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*shards*perShard/b.Elapsed().Seconds(), "records/s")
+}

@@ -18,6 +18,8 @@
 //	<dir>/<shard>/00000002.seg   active segment (tail of the shard)
 //	<dir>/<shard>/00000002.names its table, once the shard closed cleanly
 //
+// (A shard of an export keeps no .names files; see below.)
+//
 // Each segment frame is [u32 length][u32 CRC-32C][body]. The body codes
 // one record against the state the segment's earlier frames leave behind
 // — the previous record and, per recurring column (file hash, user hash,
@@ -59,10 +61,23 @@
 // with a reason, and the reader scans. The file sits in the store root, which
 // Open ignores but for shard directories.
 //
-// Each shard also counts the distinct file names of its active segment
-// and leaves the table beside the segment when it is sealed or closed;
-// Store.NameCounts folds the tables into the finalize's corpus-wide name
-// frequencies without a pass over the records (names.go).
+// A collection shard (one Store.Shard creates, written through
+// Shard.Append or Shard.AppendRecord) also counts the distinct file
+// names of its active segment and leaves the table beside the segment
+// when it is sealed or closed; Store.NameCounts folds the tables into
+// the finalize's corpus-wide name frequencies without a pass over the
+// records (names.go). An export shard (one Store.AppendRecord creates)
+// keeps no table: nothing reads an export's name counts, and a fold
+// over one recounts each segment and leaves the sidecar behind.
+//
+// A new shard starts in memory. Store.Shard notes it in the manifest the
+// store holds, and the shard buffers its appends; its directory and
+// first segment are created when it first flushes — its write buffer
+// spills, or Flush, Sync, Close, a rotation or a reader's snapshot needs
+// its bytes — right after one MANIFEST write that lists every shard
+// noted since the last. So a 24-shard export makes its shards with one
+// manifest write, and a crash leaves either nothing or a listed shard
+// with no directory, which Open treats as an empty shard.
 //
 // Readers address positions with Checkpoints (segment sequence + byte
 // offset); the control plane's incremental collection stores a checkpoint
@@ -73,11 +88,13 @@ package logstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultfs"
@@ -151,10 +168,16 @@ type Store struct {
 	mu     sync.Mutex
 	shards map[string]*Shard
 	quar   []Quarantine // data refused at open; see Quarantined
+	closed bool         // Close has run: no shard is created or found
+	// view is a copy of shards that Store.AppendRecord reads without mu:
+	// never modified, only replaced under mu when a shard is created and
+	// emptied by Close.
+	view atomic.Pointer[map[string]*Shard]
 
-	manMu    sync.Mutex // guards man, manDirty and the MANIFEST file
+	manMu    sync.Mutex // guards man, manDirty, manNoted and the MANIFEST file
 	man      *manifestData
 	manDirty bool // man holds changes the file does not (see noteTail)
+	manNoted bool // man lists a shard the file does not (see noteShard)
 
 	flushStop chan struct{} // closes the background flusher, if any
 	flushDone chan struct{}
@@ -249,10 +272,11 @@ func Open(dir string, opt Options) (*Store, error) {
 		s.man.Shards[name] = entry
 	}
 	if !reflect.DeepEqual(man, s.man) {
-		if err := writeManifest(fsys, dir, s.man); err != nil {
+		if err := s.saveManifestLocked(); err != nil {
 			return nil, err
 		}
 	}
+	s.publishLocked()
 	if s.opt.FlushEvery > 0 {
 		s.flushStop = make(chan struct{})
 		s.flushDone = make(chan struct{})
@@ -280,29 +304,42 @@ func (s *Store) flushLoop() {
 func (s *Store) Dir() string { return s.dir }
 
 // Shard returns the named shard, creating it if needed. Shard names map
-// to directories, so they must not contain path separators.
-func (s *Store) Shard(name string) (*Shard, error) {
+// to directories, so they must not contain path separators. A new shard
+// exists in memory until it first flushes (see Shard.createLocked), and
+// keeps a names table per segment.
+func (s *Store) Shard(name string) (*Shard, error) { return s.shard(name, false) }
+
+// errStoreClosed is what creating or finding a shard of a closed store
+// returns: an append there could never reach the disk.
+var errStoreClosed = errors.New("logstore: store is closed")
+
+// shard is Shard; a shard it creates for export (Store.AppendRecord)
+// keeps no names tables.
+func (s *Store) shard(name string, export bool) (*Shard, error) {
 	if name == "" || strings.ContainsAny(name, "/\\") || name == "." || name == ".." ||
 		name == quarantineDir || name == manifestName || name == frameFileName {
 		return nil, fmt.Errorf("logstore: invalid shard name %q", name)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil, errStoreClosed
+	}
 	if sh, ok := s.shards[name]; ok {
 		return sh, nil
 	}
-	// Manifest first, directory second: see noteShard on why this order
-	// makes the crash window benign.
-	if err := s.noteShard(name); err != nil {
-		return nil, err
-	}
-	sh, _, err := openShard(s.fs, filepath.Join(s.dir, name), name, s.opt, nil)
-	if err != nil {
-		return nil, err
-	}
-	sh.store = s
+	s.noteShard(name)
+	sh := newPendingShard(s, name, export)
 	s.shards[name] = sh
+	s.publishLocked()
 	return sh, nil
+}
+
+// publishLocked replaces view with a copy of shards. Caller holds mu (or
+// is Open).
+func (s *Store) publishLocked() {
+	view := maps.Clone(s.shards)
+	s.view.Store(&view)
 }
 
 // ShardNames lists existing shards in lexicographic order — the tie-break
@@ -367,7 +404,8 @@ func (s *Store) Flush() error {
 
 // Close flushes and closes every shard, then writes the manifest once if
 // a shard's closed-tail entry changed (see noteTail) or an earlier write
-// of it failed. The store must not be used after.
+// of it failed. After it, Shard and AppendRecord fail with "logstore:
+// store is closed".
 func (s *Store) Close() error {
 	if s.flushStop != nil {
 		close(s.flushStop)
@@ -383,6 +421,8 @@ func (s *Store) Close() error {
 		}
 	}
 	s.shards = make(map[string]*Shard)
+	s.closed = true
+	s.publishLocked()
 	s.manMu.Lock()
 	defer s.manMu.Unlock()
 	if s.manDirty {

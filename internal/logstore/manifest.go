@@ -24,17 +24,18 @@ import (
 // skewing the campaign, as is a shard directory it does not list; a
 // segment it promised but the disk lost is reported as a Quarantine.
 //
-// It is written at shard creation (before the directory exists, so the
-// crash window leaves a benign empty entry), at every rotation (after
-// the new tail is started, so a crash in between is recognized by the
-// tail+1-on-disk rule in openShard), and by a Store.Close that changed
-// a closed tail's entry: one write for the store, none when nothing
-// changed. Format: 8-byte magic, u32 length, u32 IEEE CRC32, JSON body,
-// replaced by write-temp + rename. The magic's digit is the format
-// version (formatVersion): another version is a *FormatError and the
-// store is left untouched. A store without a manifest adopts every
-// segment it finds, scanning each, and writes one; a manifest that fails
-// its CRC or lists a shard's segments out of order is rebuilt that way.
+// It is written before a new shard's directory is created (so the crash
+// window leaves a benign empty entry; one write lists every shard noted
+// since the last), at every rotation (after the new tail is started, so
+// a crash in between is recognized by the tail+1-on-disk rule in
+// openShard), and by a Store.Close that changed a closed tail's entry:
+// one write for the store, none when nothing changed. Format: 8-byte
+// magic, u32 length, u32 IEEE CRC32, JSON body, replaced by write-temp
+// + rename. The magic's digit is the format version (formatVersion):
+// another version is a *FormatError and the store is left untouched.
+// A store without a manifest adopts every segment it finds, scanning
+// each, and writes one; a manifest that fails its CRC or lists a
+// shard's segments out of order is rebuilt that way.
 //
 // Trust model. An entry is believed exactly when it names its segment
 // and its Bytes equal the file's size, for a sealed segment as for a
@@ -61,14 +62,15 @@ import (
 // The names sidecar (names.go) stands under the same terms plus a CRC of
 // its own: it is believed exactly when the CRC holds, it parses to its
 // last byte, names its segment and its Bytes equal the segment's size.
-// It is written by tmp + rename over flushed bytes at rotation, at a
-// clean Close, and when Store.NameCounts folds a live tail (so every
-// fold reads what a reopen would, and the shard can drop the table).
-// Only the fold reads one. A tail adopted at open or rescanned by a heal
-// has no table in memory, and appends past a written table leave it
-// stale; a missing, torn or stale table costs a recount of that one
-// segment through the cursor (logstore.names.rebuilds), which fails
-// with errCorrupt over damaged bytes as a scan does.
+// A collection shard writes it by tmp + rename over flushed bytes at
+// rotation, at a clean Close, and when Store.NameCounts folds a live
+// tail (so every fold reads what a reopen would, and the shard can drop
+// the table). Only the fold reads one. An export shard keeps no table,
+// a tail adopted at open or rescanned by a heal has none in memory, and
+// appends past a written table leave it stale; a missing, torn or stale
+// table costs a recount of that one segment through the cursor
+// (logstore.names.rebuilds), which fails with errCorrupt over damaged
+// bytes as a scan does.
 //
 // Older stores left an NNNNNNNN.idx file beside each segment and no tail
 // entries; the .idx files are ignored, and the first open scans tails.
@@ -244,20 +246,31 @@ func quarantineShardDir(fsys faultfs.FS, dir, shard string) (Quarantine, error) 
 	return Quarantine{Shard: shard, Path: dst, Reason: "shard directory not in manifest"}, nil
 }
 
-// noteShard records a brand-new shard in the manifest. Called before
-// the shard directory exists: the crash window then leaves a manifest
-// entry pointing at a missing, empty shard — benign, recreated on
-// demand — instead of an unlisted directory open would quarantine.
-func (s *Store) noteShard(name string) error {
+// noteShard records a brand-new shard in the manifest in memory only.
+// The shard's first flush writes it (listNoted) before it creates the
+// directory: the crash window then leaves a manifest entry pointing at a
+// missing, empty shard — benign, recreated on demand — instead of an
+// unlisted directory open would quarantine, and a store that notes
+// many shards before any flushes lists them all in one write.
+func (s *Store) noteShard(name string) {
 	s.manMu.Lock()
 	defer s.manMu.Unlock()
-	if s.man == nil {
-		s.man = &manifestData{Shards: make(map[string]manifestShard)}
-	}
 	if _, ok := s.man.Shards[name]; ok {
-		return nil
+		return
 	}
 	s.man.Shards[name] = manifestShard{Tail: 1}
+	s.manDirty, s.manNoted = true, true
+}
+
+// listNoted writes the manifest if the file does not list every noted
+// shard yet: a pending shard's creation calls it before the directory
+// exists.
+func (s *Store) listNoted() error {
+	s.manMu.Lock()
+	defer s.manMu.Unlock()
+	if !s.manNoted {
+		return nil
+	}
 	return s.saveManifestLocked()
 }
 
@@ -305,12 +318,17 @@ func (s *Store) rewriteManifest() error {
 	return s.saveManifestLocked()
 }
 
-// saveManifestLocked writes the in-memory manifest; manDirty says
-// whether the file is behind it. Caller holds manMu.
+// saveManifestLocked writes the in-memory manifest, counted in
+// logstore.manifest.writes; manDirty and manNoted say whether the file
+// is behind it. Caller holds manMu (or is Open).
 func (s *Store) saveManifestLocked() error {
-	err := writeManifest(s.fs, s.dir, s.man)
-	s.manDirty = err != nil
-	return err
+	if err := writeManifest(s.fs, s.dir, s.man); err != nil {
+		s.manDirty = true
+		return err
+	}
+	s.manDirty, s.manNoted = false, false
+	s.m.manifestWrites.Inc()
+	return nil
 }
 
 // Quarantined lists the data this store refused to adopt when it was

@@ -27,6 +27,11 @@ type storeMetrics struct {
 	// nameRebuilds counts segments whose file-name table had to be
 	// recounted by a scan because no trusted names sidecar covered them.
 	nameRebuilds *obs.Counter // logstore.names.rebuilds
+	// namesWrites and manifestWrites count the names sidecars and the
+	// MANIFEST files written whole: the write path's file work beside
+	// its segment bytes.
+	namesWrites    *obs.Counter // logstore.names.writes
+	manifestWrites *obs.Counter // logstore.manifest.writes
 
 	manifestRebuilds *obs.Counter // logstore.manifest.rebuilds
 	quarantines      *obs.Counter // logstore.quarantines
@@ -53,7 +58,9 @@ func newStoreMetrics(r *obs.Registry) storeMetrics {
 		scanBusy:    r.Counter("logstore.scan.busy_nanos"),
 		replayed:    r.Counter("logstore.scan.replayed"),
 
-		nameRebuilds: r.Counter("logstore.names.rebuilds"),
+		nameRebuilds:   r.Counter("logstore.names.rebuilds"),
+		namesWrites:    r.Counter("logstore.names.writes"),
+		manifestWrites: r.Counter("logstore.manifest.writes"),
 
 		manifestRebuilds: r.Counter("logstore.manifest.rebuilds"),
 		quarantines:      r.Counter("logstore.quarantines"),

@@ -21,8 +21,12 @@ import (
 // names are low-cardinality, and the finalize pipeline needs their
 // corpus-wide counts before it rewrites the first one: folding these
 // tables (Store.NameCounts) replaces a scan of every record by a read of
-// a few kilobytes per segment. manifest.go has the trust model; the
-// format is
+// a few kilobytes per segment. Only collection shards keep tables: the
+// shards Store.Shard creates, whose every segment gets one at rotation
+// and at a clean close. An export shard (Store.AppendRecord) writes
+// none, so its tables are exactly those of an adopted tail: absent, and
+// recounted (then written) by the first fold that asks. manifest.go has
+// the trust model; the format is
 //
 //	"EDLNAM1\n" | u64 seq | u64 bytes | u32 entries |
 //	entries × (uvarint len, name, uvarint count) | u32 crc32
@@ -168,6 +172,16 @@ func writeNames(fsys faultfs.FS, dir string, seq uint64, size int64, t *nameTabl
 	return replaceFile(fsys, filepath.Join(dir, namesName(seq)), t.encode(seq, size))
 }
 
+// writeNames is writeNames into the shard's directory, counted in
+// logstore.names.writes.
+func (sh *Shard) writeNames(seq uint64, size int64, t *nameTable) error {
+	if err := writeNames(sh.fs, sh.dir, seq, size, t); err != nil {
+		return err
+	}
+	sh.m.namesWrites.Inc()
+	return nil
+}
+
 // foldSegmentNames folds the file-name counts of segment si (the first
 // si.Bytes of it) into fn: from its sidecar when that can be trusted,
 // else from a scan of this one segment, which also repairs the sidecar.
@@ -184,7 +198,7 @@ func (sh *Shard) foldSegmentNames(si SegmentInfo, fn func(name string, n int)) e
 		return err
 	}
 	// A failed repair costs the next fold this scan again, nothing else.
-	_ = writeNames(sh.fs, sh.dir, si.Seq, si.Bytes, t)
+	_ = sh.writeNames(si.Seq, si.Bytes, t)
 	t.each(fn)
 	return nil
 }

@@ -50,12 +50,18 @@ type Shard struct {
 	tailGen uint64
 	// names counts the file names of the active segment, from its first
 	// frame to active.Bytes; nil when the shard did not see all of those
-	// appended (an adopted tail), or once the table is on disk (names.go).
+	// appended (an adopted tail), once the table is on disk, and always in
+	// a shard that keeps no tables (names.go).
 	names    *nameTable
-	nameHint int    // distinct names of the last table written: sizes the next
-	buf      []byte // frame scratch: [8-byte header][encoded record]
-	closed   bool
-	err      error // sticky I/O error (logging.Sink has no error return)
+	nameHint int  // distinct names of the last table written: sizes the next
+	noNames  bool // an export shard (Store.AppendRecord): no names tables
+	// pending marks a shard the store has noted but not yet created: its
+	// directory and tail segment reach the disk at its first flush
+	// (createLocked), until when w buffers into a pendingFile and f is nil.
+	pending bool
+	buf     []byte // frame scratch: [8-byte header][encoded record]
+	closed  bool
+	err     error // sticky I/O error (logging.Sink has no error return)
 
 	// Self-healing state: a sticky error is retried in place (rescan the
 	// tail, truncate the torn part, resume) so a transient disk fault
@@ -72,7 +78,7 @@ type Shard struct {
 // segments it lists but the disk lost are reported the same way, and
 // each segment's extent is its entry's where that can be trusted
 // (manifest.go). With man == nil every segment found on disk is adopted
-// and scanned (legacy stores, brand-new shards).
+// and scanned (a store without a manifest).
 func openShard(fsys faultfs.FS, dir, name string, opt Options, man *manifestShard) (*Shard, []Quarantine, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("logstore: %w", err)
@@ -157,6 +163,53 @@ func openShard(fsys faultfs.FS, dir, name string, opt Options, man *manifestShar
 	}
 	_, err = sh.openTail(tail, closed)
 	return sh, quar, err
+}
+
+// newPendingShard returns a new shard of s that exists in memory only:
+// the store has noted it in its manifest, and createLocked brings it to
+// disk when it first flushes. A shard created for export (noNames) keeps
+// no names tables.
+func newPendingShard(s *Store, name string, noNames bool) *Shard {
+	sh := &Shard{fs: s.fs, dir: filepath.Join(s.dir, name), name: name, opt: s.opt, store: s, m: s.m,
+		healAt: 1, noNames: noNames, pending: true}
+	sh.resetSegment(1)
+	sh.w = bufio.NewWriterSize(pendingFile{sh}, segBufSize)
+	return sh
+}
+
+// pendingFile is the writer under a pending shard's buffer: the buffer's
+// first spill creates the shard, and every later one goes to its file.
+type pendingFile struct{ sh *Shard }
+
+func (p pendingFile) Write(b []byte) (int, error) {
+	if err := p.sh.createLocked(); err != nil {
+		return 0, err
+	}
+	return p.sh.f.Write(b)
+}
+
+// createLocked brings a pending shard to disk: the manifest first — one
+// write lists every shard noted since the last — then its directory,
+// then its tail segment. A crash before the manifest write leaves
+// nothing on disk, one after it an entry with no directory, which Open
+// treats as benign. A no-op for a shard already on disk. Caller holds
+// mu.
+func (sh *Shard) createLocked() error {
+	if !sh.pending {
+		return nil
+	}
+	if err := sh.store.listNoted(); err != nil {
+		return err
+	}
+	if err := sh.fs.MkdirAll(sh.dir, 0o755); err != nil {
+		return fmt.Errorf("logstore: %w", err)
+	}
+	f, err := sh.createSegment(sh.active.Seq)
+	if err != nil {
+		return err
+	}
+	sh.f, sh.pending = f, false
+	return nil
 }
 
 // adopt returns segment seq's extent: entry (nil: none) when it can be
@@ -277,6 +330,23 @@ func listSegments(fsys faultfs.FS, dir string) ([]uint64, error) {
 // startSegment creates and opens a fresh segment file. Caller holds mu
 // (or is the constructor).
 func (sh *Shard) startSegment(seq uint64) error {
+	f, err := sh.createSegment(seq)
+	if err != nil {
+		return err
+	}
+	sh.resetSegment(seq)
+	sh.f = f
+	if sh.w == nil {
+		sh.w = bufio.NewWriterSize(f, segBufSize)
+	} else {
+		sh.w.Reset(f) // a rotation's: flushed into the segment it sealed
+	}
+	return nil
+}
+
+// createSegment creates segment seq's file holding just its magic and
+// returns it open for appending.
+func (sh *Shard) createSegment(seq uint64) (faultfs.File, error) {
 	path := filepath.Join(sh.dir, segName(seq))
 	f, err := sh.fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if errors.Is(err, os.ErrExist) {
@@ -285,17 +355,24 @@ func (sh *Shard) startSegment(seq uint64) error {
 		f, err = sh.fs.OpenFile(path, os.O_RDWR|os.O_TRUNC, 0o644)
 	}
 	if err != nil {
-		return fmt.Errorf("logstore: %w", err)
+		return nil, fmt.Errorf("logstore: %w", err)
 	}
 	if _, err := f.Write([]byte(segMagic)); err != nil {
 		f.Close()
-		return err
+		return nil, err
 	}
+	return f, nil
+}
+
+// resetSegment makes segment seq the empty active segment: no records,
+// a fresh codec state and, unless the shard keeps none, an empty names
+// table. Caller holds mu (or is the constructor).
+func (sh *Shard) resetSegment(seq uint64) {
 	sh.active = SegmentInfo{Seq: seq, Bytes: segHeaderSize}
-	sh.names, sh.enc = newNameTable(sh.nameHint), &segState{}
-	sh.f = f
-	sh.w = bufio.NewWriterSize(f, segBufSize)
-	return nil
+	sh.names, sh.enc = nil, &segState{}
+	if !sh.noNames {
+		sh.names = newNameTable(sh.nameHint)
+	}
 }
 
 // Name returns the shard's name (the honeypot ID).
@@ -311,14 +388,23 @@ func (sh *Shard) Store() *Store { return sh.store }
 // relies on it exactly like logging.Merge relies on sorted inputs. I/O
 // failures stick and are reported by Err.
 func (sh *Shard) Append(r logging.Record) {
-	_ = sh.AppendRecord(r) // error is sticky; Err() reports it
+	_ = sh.append(&r) // error is sticky; Err() reports it
 }
 
 // AppendRecord appends one record, rotating the active segment when it
 // exceeds the size threshold.
-func (sh *Shard) AppendRecord(r logging.Record) error {
+func (sh *Shard) AppendRecord(r logging.Record) error { return sh.append(&r) }
+
+// append is Append and AppendRecord, and Store.AppendRecord's write.
+func (sh *Shard) append(r *logging.Record) error {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	err := sh.appendLocked(r)
+	sh.mu.Unlock()
+	return err
+}
+
+// appendLocked appends *r. Caller holds mu.
+func (sh *Shard) appendLocked(r *logging.Record) error {
 	if sh.closed {
 		return fmt.Errorf("logstore: shard %s is closed", sh.name)
 	}
@@ -352,7 +438,7 @@ func (sh *Shard) AppendRecord(r logging.Record) error {
 		// then the body coded against the segment's state, then backfill
 		// length and CRC. A failed write leaves the state ahead of the
 		// file; the heal that clears the error replays the tail for it.
-		frame = sh.enc.appendRecord(append(sh.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0), &r)
+		frame = sh.enc.appendRecord(append(sh.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0), r)
 		sh.buf = frame
 		body := frame[frameOverhead:]
 		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
@@ -370,7 +456,7 @@ func (sh *Shard) AppendRecord(r logging.Record) error {
 	sh.active.Records++
 	sh.active.Bytes += int64(len(frame))
 	if sh.names != nil {
-		sh.names.observe(&r)
+		sh.names.observe(r)
 	}
 	if sh.active.Bytes >= sh.opt.SegmentBytes {
 		if err := sh.rotateLocked(); err != nil {
@@ -384,6 +470,9 @@ func (sh *Shard) AppendRecord(r logging.Record) error {
 // rotateLocked seals the active segment (flush, optional fsync, names
 // sidecar) and starts the next one. Caller holds mu.
 func (sh *Shard) rotateLocked() error {
+	if err := sh.createLocked(); err != nil {
+		return err
+	}
 	if err := sh.w.Flush(); err != nil {
 		return err
 	}
@@ -426,9 +515,21 @@ func (sh *Shard) healLocked() error {
 	}
 	sh.f, sh.w = nil, nil
 	before := sh.active
-	info, err := sh.openTail(before.Seq, nil)
-	if err != nil {
-		return err
+	var info SegmentInfo
+	if sh.pending {
+		// The shard never reached the disk, and what its writer buffered
+		// is gone with the writer: create it with an empty tail.
+		if err := sh.createLocked(); err != nil {
+			return err
+		}
+		sh.resetSegment(before.Seq)
+		sh.w = bufio.NewWriterSize(sh.f, segBufSize)
+		info = sh.active
+	} else {
+		var err error
+		if info, err = sh.openTail(before.Seq, nil); err != nil {
+			return err
+		}
 	}
 	if before.Records > info.Records {
 		lost := before.Records - info.Records
@@ -490,7 +591,8 @@ func (sh *Shard) Err() error {
 	return sh.err
 }
 
-// Flush pushes buffered appends to the OS so readers observe them.
+// Flush pushes buffered appends to the OS so readers observe them; a
+// pending shard reaches the disk here if it has not yet.
 func (sh *Shard) Flush() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -501,7 +603,11 @@ func (sh *Shard) flushLocked() error {
 	if sh.closed || sh.w == nil {
 		return nil
 	}
-	if err := sh.w.Flush(); err != nil {
+	err := sh.createLocked()
+	if err == nil {
+		err = sh.w.Flush()
+	}
+	if err != nil {
 		if sh.err == nil {
 			sh.err = err
 		}
@@ -538,7 +644,9 @@ func (sh *Shard) Close() error {
 	sh.unpark()
 	var err error
 	if sh.w != nil {
-		err = sh.w.Flush()
+		if err = sh.createLocked(); err == nil {
+			err = sh.w.Flush()
+		}
 	}
 	if sh.f != nil {
 		err = errors.Join(err, sh.f.Close())
@@ -565,7 +673,7 @@ func (sh *Shard) writeNamesLocked() error {
 	if sh.names == nil {
 		return nil
 	}
-	if err := writeNames(sh.fs, sh.dir, sh.active.Seq, sh.active.Bytes, sh.names); err != nil {
+	if err := sh.writeNames(sh.active.Seq, sh.active.Bytes, sh.names); err != nil {
 		return err
 	}
 	sh.nameHint = len(sh.names.counts)

@@ -321,6 +321,9 @@ func TestCloseAfterFailedFlushReleasesFileAndWritesNoSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh, _ := st.Shard("hp-00")
+	if err := sh.Flush(); err != nil { // a new shard reaches the disk at its first flush
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ { // buffered: nothing reaches the file before Close
 		if err := sh.AppendRecord(rec("hp-00", i)); err != nil {
 			t.Fatal(err)

@@ -350,8 +350,9 @@ func healWorkload(t *testing.T, dir string, inj *oneFault) (map[string][]logging
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The shards exist before the fault window opens: how a failed manifest
-	// note at shard creation resolves is a crash question, not a heal one.
+	// The shards are noted before the fault window opens; each reaches the
+	// disk at its first flush, inside the window, so the fault may hit its
+	// creation and heals like any other.
 	shards := map[string]*Shard{}
 	for _, hp := range []string{"hp-00", "hp-01"} {
 		if shards[hp], err = st.Shard(hp); err != nil {
