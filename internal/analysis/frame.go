@@ -9,8 +9,11 @@ package analysis
 // replacing per-record map lookups and time.Time arithmetic with array
 // indexing, and hash-map distinct-tracking with epoch-stamped dense
 // arrays and bitsets. Memory per record is 19 bytes
-// regardless of string sizes, and per-extractor allocations are bounded
-// by distinct counts and output size, never by campaign length.
+// regardless of string sizes; the peer table is 16 bytes per peer, with
+// no map while the peers are step-2 numbers in first-seen order (every
+// finalize stream and exported frame file: see peerTable). Per-extractor
+// allocations are bounded by distinct counts and output size, never by
+// campaign length.
 
 import (
 	"fmt"
@@ -43,7 +46,7 @@ type Frame struct {
 	hps   []uint16 // honeypot symbol
 	files []uint32 // concerned-file symbol (the zero hash interns too)
 
-	peerTab *intern.Table[logging.PeerID]
+	peerTab peerTable
 	hpTab   *intern.Table[string]
 	fileTab *intern.Table[ed2k.Hash]
 
@@ -67,7 +70,6 @@ func newFrame(capacity int) *Frame {
 		peers:     make([]uint32, 0, capacity),
 		hps:       make([]uint16, 0, capacity),
 		files:     make([]uint32, 0, capacity),
-		peerTab:   intern.NewTable[logging.PeerID](),
 		hpTab:     intern.NewTable[string](),
 		fileTab:   intern.NewTable[ed2k.Hash](),
 		sharedTab: intern.NewTable[ed2k.Hash](),

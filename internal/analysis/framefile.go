@@ -260,7 +260,6 @@ func decodeFrame(r io.Reader, size int64) (*Frame, error) {
 		peers:     make([]uint32, m),
 		hps:       make([]uint16, m),
 		files:     make([]uint32, m),
-		peerTab:   intern.NewTable[logging.PeerID](),
 		hpTab:     intern.NewTable[string](),
 		fileTab:   intern.NewTable[ed2k.Hash](),
 		sharedTab: intern.NewTable[ed2k.Hash](),

@@ -263,6 +263,22 @@ func TestFrameFileFallbacks(t *testing.T) {
 		resum(b)
 		cases = append(cases, fallback{name: at.what + " of format v2", reason: "format v2", mutate: writeFrame(b)})
 	}
+	// A peer table of step-2 numbers in order but one, which repeats the
+	// number before it (0, 1, 1, 3, ...): the map-free interning that
+	// reads such a table refuses it as a table with a repeated value.
+	{
+		b := bytes.Clone(file)
+		for i, off := 0, cuts[8]; off < cuts[9]; i, off = i+1, off+9 {
+			v := uint64(i)
+			if i == 2 {
+				v = 1
+			}
+			b[off] = byte(logging.PeerNumbered)
+			binary.LittleEndian.PutUint64(b[off+1:], v)
+		}
+		resum(b)
+		cases = append(cases, fallback{name: "peer table repeats a number", reason: "peer table repeats a value", mutate: writeFrame(b)})
+	}
 	cases = append(cases, fallback{name: "stale after an append", reason: "stale", mutate: func(t *testing.T, dir string) {
 		st, err := logstore.Open(dir, logstore.Options{SegmentBytes: 2 << 10})
 		if err != nil {

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"hash"
 	"net/netip"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -81,30 +82,43 @@ func (h *IPHasher) HashIP(addr netip.Addr) logging.PeerID {
 
 // Renumberer is the manager's step-2 pass: peer identities become
 // integers in first-appearance order, coherently across all logs fed to
-// it. It keys on the whole identity, so an earlier run's numbers are
-// renumbered like any hash.
+// it. It keys on the whole identity — one map per kind, each keyed by
+// the 64-bit value — so an earlier run's numbers are renumbered like
+// any hash, and a hash never meets a number of the same value.
 type Renumberer struct {
-	m map[logging.PeerID]logging.PeerID
+	hashed, numbered map[uint64]uint64
 }
 
 // NewRenumberer returns an empty renumberer.
 func NewRenumberer() *Renumberer {
-	return &Renumberer{m: make(map[logging.PeerID]logging.PeerID)}
+	return &Renumberer{hashed: make(map[uint64]uint64), numbered: make(map[uint64]uint64)}
 }
 
 // Number returns the step-2 identity assigned to p, allocating the next
-// number on first sight.
+// number on first sight. p names a peer: a step-1 hash or a number.
 func (r *Renumberer) Number(p logging.PeerID) logging.PeerID {
-	n, ok := r.m[p]
-	if !ok {
-		n = logging.NumberedPeer(uint64(len(r.m)))
-		r.m[p] = n
+	m := r.hashed
+	if p.Kind() == logging.PeerNumbered {
+		m = r.numbered
 	}
-	return n
+	n, ok := m[p.Value()]
+	if !ok {
+		n = uint64(r.Count())
+		m[p.Value()] = n
+	}
+	return logging.NumberedPeer(n)
 }
 
 // Count returns how many distinct identities were seen.
-func (r *Renumberer) Count() int { return len(r.m) }
+func (r *Renumberer) Count() int { return len(r.hashed) + len(r.numbered) }
+
+// Renumber rewrites rec's peer to its step-2 identity; a record without
+// a peer keeps none.
+func (r *Renumberer) Renumber(rec *logging.Record) {
+	if !rec.PeerIP.IsZero() {
+		rec.PeerIP = r.Number(rec.PeerIP)
+	}
+}
 
 // RenumberIter is the streaming step-2 stage: records flow through with
 // PeerIP rewritten from step-1 hashes to first-appearance numbers. The
@@ -114,9 +128,7 @@ func (r *Renumberer) Count() int { return len(r.m) }
 // final once the stream is drained.
 func (r *Renumberer) RenumberIter(src logging.Iterator) logging.Iterator {
 	return logging.Map(src, func(rec *logging.Record) error {
-		if !rec.PeerIP.IsZero() {
-			rec.PeerIP = r.Number(rec.PeerIP)
-		}
+		r.Renumber(rec)
 		return nil
 	})
 }
@@ -218,17 +230,27 @@ func (a *NameAnonymizer) Anonymize(name string) string {
 	return out
 }
 
-// rewrite tokenizes one name and replaces its below-threshold words.
+// rewrite tokenizes one name and replaces its below-threshold words. A
+// name none of whose words is replaced is returned as it is, so the
+// common case allocates nothing.
 func (a *NameAnonymizer) rewrite(name string) string {
 	var b strings.Builder
+	done := 0 // name[:done] is in b
 	for from := 0; from < len(name); {
 		s, e := nextWord(name, from)
-		b.WriteString(name[from:s])
 		if s < e {
-			b.WriteString(a.published(name[s:e]))
+			if pub := a.published(name[s:e]); pub != name[s:e] {
+				b.WriteString(name[done:s])
+				b.WriteString(pub)
+				done = e
+			}
 		}
 		from = e
 	}
+	if done == 0 {
+		return name
+	}
+	b.WriteString(name[done:])
 	return b.String()
 }
 
@@ -249,20 +271,27 @@ func (a *NameAnonymizer) published(word string) string {
 
 // AnonymizeIter is pass 2 of the streaming stage: records flow through
 // with every file name rewritten under the frequencies observed so
-// far. Shared-list slices are cloned before rewriting, so the
+// far. A shared list is cloned at its first name that changes, so the
 // source's records are never mutated — a re-iterable source stays
-// pristine for further passes.
+// pristine for further passes — and a list that keeps every name is
+// passed on as it is.
 func (a *NameAnonymizer) AnonymizeIter(src logging.Iterator) logging.Iterator {
 	return logging.Map(src, func(r *logging.Record) error {
 		if r.FileName != "" {
 			r.FileName = a.Anonymize(r.FileName)
 		}
-		if len(r.Files) > 0 {
-			files := make([]logging.SharedFile, len(r.Files))
-			copy(files, r.Files)
-			for i := range files {
-				files[i].Name = a.Anonymize(files[i].Name)
+		var files []logging.SharedFile
+		for i := range r.Files {
+			name := a.Anonymize(r.Files[i].Name)
+			if name == r.Files[i].Name {
+				continue
 			}
+			if files == nil {
+				files = slices.Clone(r.Files)
+			}
+			files[i].Name = name
+		}
+		if files != nil {
 			r.Files = files
 		}
 		return nil

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/logging"
 )
@@ -88,6 +89,48 @@ func TestRenumbererFirstAppearanceOrder(t *testing.T) {
 	}
 	if r.Count() != 3 {
 		t.Errorf("Count = %d", r.Count())
+	}
+}
+
+// TestRenumbererKindsAndIdempotence: a hash and a number of the same
+// value are two peers; numbers follow first appearance across both
+// kinds, and Count counts both. Renumbering an export — already
+// numbered in first-appearance order — reproduces its numbers.
+func TestRenumbererKindsAndIdempotence(t *testing.T) {
+	h, n := logging.HashedPeer, logging.NumberedPeer
+	in := []logging.PeerID{h(7), n(7), h(3), n(0), h(7), n(7), n(3), h(0)}
+	want := []logging.PeerID{n(0), n(1), n(2), n(3), n(0), n(1), n(4), n(5)}
+	r := NewRenumberer()
+	recs := make([]logging.Record, len(in)+1) // the last has no peer
+	for i, p := range in {
+		if got := r.Number(p); got != want[i] {
+			t.Fatalf("Number(%v) = %v at step %d, want %v", p, got, i, want[i])
+		}
+		recs[i].PeerIP = p
+	}
+	if r.Count() != 6 {
+		t.Fatalf("Count = %d, want 6", r.Count())
+	}
+
+	exported, err := logging.AppendAll(nil, NewRenumberer().RenumberIter(logging.NewSliceIter(recs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := NewRenumberer()
+	reread, err := logging.AppendAll(nil, again.RenumberIter(logging.NewSliceIter(exported)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range exported {
+		if i < len(want) && exported[i].PeerIP != want[i] {
+			t.Fatalf("record %d exported as %v, want %v", i, exported[i].PeerIP, want[i])
+		}
+		if reread[i].PeerIP != exported[i].PeerIP {
+			t.Fatalf("record %d: renumbering the export gave %v, the export holds %v", i, reread[i].PeerIP, exported[i].PeerIP)
+		}
+	}
+	if !reread[len(in)].PeerIP.IsZero() || again.Count() != 6 {
+		t.Fatalf("renumbering the export: last peer %v, Count %d; want none and 6", reread[len(in)].PeerIP, again.Count())
 	}
 }
 
@@ -432,6 +475,35 @@ func TestStagesMatchSlicePipeline(t *testing.T) {
 				t.Fatalf("record %d source shared list mutated: %q", i, recs[i].Files[j].Name)
 			}
 		}
+	}
+}
+
+// TestAnonymizeKeepsUnchangedNames: a name with no replaced word comes
+// back as the same string, and a shared list whose names all stay is
+// passed on without a copy; one changed name copies the list and leaves
+// the source's alone.
+func TestAnonymizeKeepsUnchangedNames(t *testing.T) {
+	na := NewNameAnonymizer(2)
+	kept, changed := "common.word.avi", "common.rare.avi"
+	na.ObserveCount(kept, 2)
+	na.ObserveCount(changed, 1)
+	if got := na.Anonymize(kept); unsafe.StringData(got) != unsafe.StringData(kept) {
+		t.Fatalf("Anonymize(%q) = a new string %q", kept, got)
+	}
+	if got := na.Anonymize(changed); got != "common.0.avi" {
+		t.Fatalf("Anonymize(%q) = %q, want common.0.avi", changed, got)
+	}
+	same := []logging.SharedFile{{Name: kept}, {Name: kept}}
+	mixed := []logging.SharedFile{{Name: kept}, {Name: changed}}
+	got, err := drainAll(t, na.AnonymizeIter(logging.NewSliceIter([]logging.Record{{Files: same}, {Files: mixed}})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0].Files[0] != &same[0] {
+		t.Error("a shared list with no changed name was copied")
+	}
+	if &got[1].Files[0] == &mixed[0] || got[1].Files[1].Name != "common.0.avi" || mixed[1].Name != changed {
+		t.Errorf("a shared list with a changed name: got %+v, source now %+v", got[1].Files, mixed)
 	}
 }
 

@@ -1,13 +1,14 @@
 // Package intern provides the symbol tables behind the columnar analysis
-// engine: dense-ID interning for recurring values (peer identities,
-// honeypot names, file hashes) and a byte-slice-to-string pool that lets
-// decoders reuse one string per distinct value instead of allocating one
-// per record.
+// engine: dense-ID interning for recurring values (honeypot names, file
+// hashes) and a byte-slice-to-string pool that lets decoders reuse one
+// string per distinct value instead of allocating one per record.
 //
 // A campaign log mentions each honeypot name millions of times and each
-// peer identifier dozens of times; interning once turns every later
+// file hash thousands of times; interning once turns every later
 // occurrence into an integer, and every per-record map lookup in the
-// analysis layer into an array index.
+// analysis layer into an array index. Peer identities have a table of
+// their own in package analysis, which needs no map while the peers are
+// step-2 numbers.
 package intern
 
 // Table assigns dense uint32 IDs (0, 1, 2, ...) to distinct comparable

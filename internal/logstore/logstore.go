@@ -389,17 +389,19 @@ func (s *Store) Err() error {
 	return nil
 }
 
-// Flush flushes every shard's buffered writes to the OS.
+// Flush flushes every shard's buffered writes to the OS, also past a
+// shard that fails, and returns the first failure.
 func (s *Store) Flush() error {
+	var first error
 	for _, name := range s.ShardNames() {
 		s.mu.Lock()
 		sh := s.shards[name]
 		s.mu.Unlock()
-		if err := sh.Flush(); err != nil {
-			return err
+		if err := sh.Flush(); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // Close flushes and closes every shard, then writes the manifest once if

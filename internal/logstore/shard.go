@@ -599,9 +599,15 @@ func (sh *Shard) Flush() error {
 	return sh.flushLocked()
 }
 
+// flushLocked is Flush. A shard without a writer has nothing buffered,
+// but a heal that failed left it so after discarding what was: its
+// sticky error, not success, is the answer then. Caller holds mu.
 func (sh *Shard) flushLocked() error {
-	if sh.closed || sh.w == nil {
+	if sh.closed {
 		return nil
+	}
+	if sh.w == nil {
+		return sh.err
 	}
 	err := sh.createLocked()
 	if err == nil {

@@ -547,6 +547,87 @@ func TestAppendPathHealsWithoutExplicitHeal(t *testing.T) {
 	}
 }
 
+// TestFlushReportsFailedHeal: a shard whose heal failed has discarded
+// its buffered records and holds no writer. Flush must then report the
+// sticky error, as Err and Sync do, not success; Store.Flush reports it
+// too, and still flushes the shards after the failing one.
+func TestFlushReportsFailedHeal(t *testing.T) {
+	dir := t.TempDir()
+	sw := faultfs.NewSwitch()
+	st, err := Open(dir, Options{SegmentBytes: 1 << 10, FS: faultfs.Wrap(faultfs.OS{}, sw)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	well, err := st.Shard("hp-01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := well.AppendRecord(rec("hp-01", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "hp-01", segName(1))
+	before, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// hp-00 first reaches the disk under the denial: the append that
+	// rotates fails to create it, the next one's heal fails too.
+	deny := string(filepath.Separator) + "hp-00"
+	sw.Deny(deny)
+	sick, err := st.Shard("hp-00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := 0
+	for sick.AppendRecord(rec("hp-00", appended)) == nil {
+		if appended++; appended > 10000 {
+			t.Fatal("appends under a denied disk never failed")
+		}
+	}
+	if err := sick.AppendRecord(rec("hp-00", appended+1)); err == nil {
+		t.Fatal("the append whose heal was denied succeeded")
+	}
+	if err := well.AppendRecord(rec("hp-01", 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	sticky := sick.Err()
+	if !errors.Is(sticky, faultfs.ErrInjected) {
+		t.Fatalf("Err() = %v after a failed heal", sticky)
+	}
+	if err := sick.Flush(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Errorf("Flush() = %v after a failed heal discarded the buffer; Err() = %v", err, sticky)
+	}
+	if err := sick.Sync(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Errorf("Sync() = %v after a failed heal; Err() = %v", err, sticky)
+	}
+	if err := st.Flush(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Errorf("Store.Flush() = %v over a shard whose heal failed; Err() = %v", err, sticky)
+	}
+	after, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() <= before.Size() {
+		t.Errorf("Store.Flush stopped at the failing shard: hp-01's segment stayed at %d bytes", after.Size())
+	}
+
+	sw.Allow(deny)
+	if err := sick.Heal(); err != nil {
+		t.Fatalf("heal after the fault cleared: %v", err)
+	}
+	for _, err := range []error{sick.Flush(), sick.Sync(), st.Flush()} {
+		if err != nil {
+			t.Fatalf("flushing after the heal: %v", err)
+		}
+	}
+}
+
 // TestSegmentMissingFromManifestQuarantined plants a segment the
 // manifest never heard of and requires open to move it aside, not
 // merge it into the campaign.

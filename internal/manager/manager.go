@@ -657,15 +657,16 @@ type DatasetStream struct {
 	ren  *anonymize.Renumberer
 	na   *anonymize.NameAnonymizer
 
-	// peers and replaced copy the renumberer's and the anonymizer's
-	// totals when the stream ends. Those two belong to the read-ahead
-	// stage's producer until then; the stage delivers an error only
-	// after its producer stopped calling into them.
+	// peers, replaced and perHP copy the renumberer's and the
+	// anonymizer's totals and the renumber stage's honeypot tally when
+	// the stream ends. Those three belong to the read-ahead stage's
+	// producer until then; the stage delivers an error only after its
+	// producer stopped calling into them.
 	peers, replaced int
+	perHP, tally    map[string]int
 
-	perHP map[string]int // counted while draining
-	hps   []string       // known honeypot IDs, zero-filled at EOF
-	n     int            // the store's record count at finalize: Len
+	hps []string // known honeypot IDs, zero-filled at EOF
+	n   int      // the store's record count at finalize: Len
 
 	busy *obs.Counter // finalize.chain.busy_nanos: the stage's producer time, added at Close
 
@@ -678,12 +679,10 @@ type DatasetStream struct {
 // it returns an error that is not io.EOF.
 func (d *DatasetStream) Fill(dst []logging.Record) (int, error) {
 	n, err := d.ra.Fill(dst)
-	for i := range dst[:n] {
-		d.perHP[dst[i].Honeypot]++
-	}
 	if err != nil {
 		d.peers = d.ren.Count()
 		d.replaced = d.na.ReplacedWords()
+		d.perHP = d.tally
 		if !errors.Is(err, io.EOF) {
 			return n, wrapFinalizeErr(err)
 		}
@@ -721,8 +720,8 @@ func (d *DatasetStream) DistinctPeers() int { return d.peers }
 // away: zero until the stream ends, final after io.EOF.
 func (d *DatasetStream) ReplacedWords() int { return d.replaced }
 
-// PerHoneypot returns the record count each honeypot contributed; final
-// after io.EOF.
+// PerHoneypot returns the record count each honeypot contributed: nil
+// until the stream ends, final after io.EOF.
 func (d *DatasetStream) PerHoneypot() map[string]int { return d.perHP }
 
 // FinalizeStream runs a last collection, then hands done the campaign
@@ -828,16 +827,22 @@ func (m *Manager) newDatasetStream() (*DatasetStream, error) {
 			nanos:   m.cfg.Metrics.Counter("finalize." + name + ".nanos"),
 		}
 	}
-	out := ren.RenumberIter(stage(anonymize.AuditIter(stage(base, "scan")), "audit"))
+	// The renumber stage also tallies each honeypot's records, on the
+	// chain's goroutine rather than the consumer's.
+	tally := make(map[string]int, len(m.hps))
+	out := logging.Map(stage(anonymize.AuditIter(stage(base, "scan")), "audit"), func(r *logging.Record) error {
+		tally[r.Honeypot]++
+		ren.Renumber(r)
+		return nil
+	})
 	out = stage(out, "renumber")
 	out = stage(na.AnonymizeIter(out), "anonymize")
 	ra = logging.ReadAhead(out)
 
 	ds := &DatasetStream{
-		ra: ra, base: base, ren: ren, na: na,
-		perHP: make(map[string]int, len(m.hps)),
-		n:     int(m.store.TotalRecords()),
-		busy:  m.cfg.Metrics.Counter("finalize.chain.busy_nanos"),
+		ra: ra, base: base, ren: ren, na: na, tally: tally,
+		n:    int(m.store.TotalRecords()),
+		busy: m.cfg.Metrics.Counter("finalize.chain.busy_nanos"),
 	}
 	span.End()
 	for _, st := range m.hps {

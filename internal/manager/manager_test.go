@@ -1205,6 +1205,14 @@ func TestFinalizeStreamMatchesFinalize(t *testing.T) {
 			t.Errorf("per-honeypot[%s]: %d vs %d", id, stream.PerHoneypot()[id], n)
 		}
 	}
+	// The tally is each honeypot's share of the records streamed.
+	counted := map[string]int{}
+	for _, r := range got {
+		counted[r.Honeypot]++
+	}
+	if !reflect.DeepEqual(stream.PerHoneypot(), counted) {
+		t.Errorf("per-honeypot %v, the streamed records %v", stream.PerHoneypot(), counted)
+	}
 }
 
 // TestFinalizeStreamAllocsPerRecord guards the finalize stage chain
