@@ -35,9 +35,10 @@
 // subset without computing the rest.
 //
 // The slice-based functions in this file are the reference
-// implementations for the frame's extractors; frame_test.go pins the two
-// to bit-identical results, and the repro-level golden test pins the
-// parallel engine to the retained serial report assembly.
+// implementations for the frame's extractors — BuildInterestGraph's
+// Stats for the frame's co-interest pass among them; frame_test.go pins
+// the two to bit-identical results, and the repro-level golden test pins
+// the parallel engine to the retained serial report assembly.
 package analysis
 
 import (
@@ -349,6 +350,152 @@ func QueriedFiles(recs []logging.Record) []FilePopularity {
 		return out[a].Hash.String() < out[b].Hash.String()
 	})
 	return out
+}
+
+// InterestGraph is the bipartite graph of peers and the files they
+// queried (START-UPLOAD / REQUEST-PART records). It keys a peer by its
+// text, so a step-2 number of 16 digits and the step-1 hash whose hex
+// spells them would be one vertex; the frame's InterestStats keeps them
+// apart, and step 2 never numbers a peer that high.
+type InterestGraph struct {
+	// PeerFiles maps peer number -> distinct files queried.
+	PeerFiles map[string][]ed2k.Hash
+	// FilePeers maps file -> distinct querying peers.
+	FilePeers map[ed2k.Hash][]string
+}
+
+// BuildInterestGraph extracts the bipartite graph from a merged log.
+func BuildInterestGraph(recs []logging.Record) *InterestGraph {
+	pf := map[string]map[ed2k.Hash]bool{}
+	fp := map[ed2k.Hash]map[string]bool{}
+	for i := range recs {
+		r := &recs[i]
+		if r.Kind != logging.KindStartUpload && r.Kind != logging.KindRequestPart {
+			continue
+		}
+		if r.PeerIP.IsZero() || r.FileHash.Zero() {
+			continue
+		}
+		peer := r.PeerIP.String()
+		if pf[peer] == nil {
+			pf[peer] = map[ed2k.Hash]bool{}
+		}
+		pf[peer][r.FileHash] = true
+		if fp[r.FileHash] == nil {
+			fp[r.FileHash] = map[string]bool{}
+		}
+		fp[r.FileHash][peer] = true
+	}
+	g := &InterestGraph{
+		PeerFiles: make(map[string][]ed2k.Hash, len(pf)),
+		FilePeers: make(map[ed2k.Hash][]string, len(fp)),
+	}
+	for p, files := range pf {
+		fs := make([]ed2k.Hash, 0, len(files))
+		for f := range files {
+			fs = append(fs, f)
+		}
+		sort.Slice(fs, func(a, b int) bool { return fs[a].String() < fs[b].String() })
+		g.PeerFiles[p] = fs
+	}
+	for f, peers := range fp {
+		ps := make([]string, 0, len(peers))
+		for p := range peers {
+			ps = append(ps, p)
+		}
+		sort.Strings(ps)
+		g.FilePeers[f] = ps
+	}
+	return g
+}
+
+// Stats computes the summary.
+func (g *InterestGraph) Stats() InterestStats {
+	st := InterestStats{Peers: len(g.PeerFiles), Files: len(g.FilePeers)}
+	for _, fs := range g.PeerFiles {
+		st.Edges += len(fs)
+		if len(fs) > st.MaxFilesPerPeer {
+			st.MaxFilesPerPeer = len(fs)
+		}
+	}
+	for _, ps := range g.FilePeers {
+		if len(ps) > st.MaxPeersPerFile {
+			st.MaxPeersPerFile = len(ps)
+		}
+	}
+	if st.Peers > 0 {
+		st.MeanFilesPerPeer = float64(st.Edges) / float64(st.Peers)
+	}
+	if st.Files > 0 {
+		st.MeanPeersPerFile = float64(st.Edges) / float64(st.Files)
+	}
+
+	// Connected components via union-find over peers ∪ files.
+	idx := map[string]int{}
+	n := 0
+	peerID := func(p string) int {
+		if i, ok := idx["p/"+p]; ok {
+			return i
+		}
+		idx["p/"+p] = n
+		n++
+		return n - 1
+	}
+	fileID := func(f ed2k.Hash) int {
+		key := "f/" + f.String()
+		if i, ok := idx[key]; ok {
+			return i
+		}
+		idx[key] = n
+		n++
+		return n - 1
+	}
+	parent := make([]int, 0, len(g.PeerFiles)+len(g.FilePeers))
+	var find func(int) int
+	find = func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	grow := func(to int) {
+		for len(parent) <= to {
+			parent = append(parent, len(parent))
+		}
+	}
+	union := func(a, b int) {
+		grow(a)
+		grow(b)
+		ra, rb := find(a), find(b)
+		if ra != rb {
+			parent[ra] = rb
+		}
+	}
+	// Deterministic iteration: sort peers.
+	peers := make([]string, 0, len(g.PeerFiles))
+	for p := range g.PeerFiles {
+		peers = append(peers, p)
+	}
+	sort.Strings(peers)
+	for _, p := range peers {
+		pid := peerID(p)
+		grow(pid)
+		for _, f := range g.PeerFiles[p] {
+			union(pid, fileID(f))
+		}
+	}
+	sizes := map[int]int{}
+	for i := 0; i < n; i++ {
+		sizes[find(i)]++
+	}
+	st.Components = len(sizes)
+	for _, s := range sizes {
+		if s > st.LargestComponent {
+			st.LargestComponent = s
+		}
+	}
+	return st
 }
 
 // helpers

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ed2k"
@@ -61,22 +62,6 @@ func TestInterestStats(t *testing.T) {
 	}
 }
 
-func TestRelatedFiles(t *testing.T) {
-	g := BuildInterestGraph(interestRecs())
-	fa, fb := ed2k.SyntheticHash("fa"), ed2k.SyntheticHash("fb")
-	rel := g.RelatedFiles(fa, 1)
-	// fa's peers are {0,2}; peer 0 also queried fb → fb overlaps once.
-	if len(rel) != 1 || rel[0].File != fb || rel[0].SharedPeers != 1 {
-		t.Errorf("related to fa: %+v", rel)
-	}
-	if got := g.RelatedFiles(fa, 2); len(got) != 0 {
-		t.Errorf("minShared=2 should filter: %+v", got)
-	}
-	if got := g.RelatedFiles(ed2k.SyntheticHash("unknown"), 1); len(got) != 0 {
-		t.Errorf("unknown file: %+v", got)
-	}
-}
-
 func TestInterestGraphEmpty(t *testing.T) {
 	g := BuildInterestGraph(nil)
 	st := g.Stats()
@@ -85,8 +70,78 @@ func TestInterestGraphEmpty(t *testing.T) {
 	}
 }
 
-func BenchmarkInterestGraph(b *testing.B) {
-	// A medium greedy-like dataset: 5k peers × ~3 files.
+// TestInterestStatsMatchesReference pins the frame's co-interest pass
+// to the record-slice graph: campaign-shaped samples of every size at
+// several row-worker counts (the pair index splits its rows by them),
+// the hand-built graph, an empty frame and a frame without any query
+// record.
+func TestInterestStatsMatchesReference(t *testing.T) {
+	defer setRowWorkers(0)
+	noQueries := []logging.Record{
+		{Time: t0, Kind: logging.KindHello, PeerIP: logging.NumberedPeer(1), FileHash: ed2k.SyntheticHash("fa")},
+		{Time: t0, Kind: logging.KindSharedList, PeerIP: logging.NumberedPeer(2)},
+		{Time: t0, Kind: logging.KindConnect},
+		{Time: t0, Kind: logging.KindStartUpload, FileHash: ed2k.SyntheticHash("fa")}, // no peer
+		{Time: t0, Kind: logging.KindRequestPart, PeerIP: logging.NumberedPeer(3)},    // zero file
+	}
+	cases := map[string][]logging.Record{
+		"empty":      nil,
+		"no-queries": noQueries,
+		"interest":   interestRecs(),
+	}
+	for _, n := range []int{0, 1, 10, 500, 20000} {
+		cases[fmt.Sprint("sample-", n)] = frameSample(t0, n)
+	}
+	for name, recs := range cases {
+		want := BuildInterestGraph(recs).Stats()
+		for _, workers := range []int{1, 2, 5} {
+			setRowWorkers(workers)
+			if got := BuildFrame(recs).InterestStats(); got != want {
+				t.Errorf("%s at %d workers:\n got %+v\nwant %+v", name, workers, got, want)
+			}
+		}
+	}
+	if st := BuildFrame(noQueries).InterestStats(); st != (InterestStats{}) {
+		t.Errorf("frame without queries: %+v", st)
+	}
+}
+
+// TestInterestStatsKeysPeersBySymbol: a peer is a frame symbol. The
+// text-keyed reference merges a step-2 number of 16 digits with the
+// step-1 hash whose hex spells the same digits; step 2 numbers peers
+// from 0, so it never produces such a number, and the frame keeps the
+// two apart as DistinctPeers does.
+func TestInterestStatsKeysPeersBySymbol(t *testing.T) {
+	recs := []logging.Record{
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(1000000000000031), FileHash: ed2k.SyntheticHash("fa")},
+		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.HashedPeer(0x1000000000000031), FileHash: ed2k.SyntheticHash("fb")},
+	}
+	if ref := BuildInterestGraph(recs).Stats(); ref.Peers != 1 {
+		t.Fatalf("reference peers = %d, want the two texts merged into 1", ref.Peers)
+	}
+	f := BuildFrame(recs)
+	st := f.InterestStats()
+	if st.Peers != f.DistinctPeers() || st.Peers != 2 || st.Components != 2 || st.LargestComponent != 2 {
+		t.Errorf("frame stats %+v, distinct peers %d", st, f.DistinctPeers())
+	}
+}
+
+// TestInterestStatsAllocs: once the pair index exists, the pass makes a
+// fixed number of allocations — its dense arrays — whatever the size.
+func TestInterestStatsAllocs(t *testing.T) {
+	for _, n := range []int{500, 20000} {
+		f := BuildFrame(frameSample(t0, n))
+		f.queryPairs()
+		if got := testing.AllocsPerRun(20, func() { f.InterestStats() }); got > 8 {
+			t.Errorf("%d records: %.0f allocs per InterestStats, want <= 8", n, got)
+		}
+	}
+}
+
+// BenchmarkInterestStats times the co-interest pass over a greedy-like
+// frame (5k peers × 3 files). The frame caches its pair index, built
+// once before the loop, so every iteration times the pass alone.
+func BenchmarkInterestStats(b *testing.B) {
 	var recs []logging.Record
 	for p := 0; p < 5000; p++ {
 		for f := 0; f < 3; f++ {
@@ -97,10 +152,11 @@ func BenchmarkInterestGraph(b *testing.B) {
 			})
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := BuildInterestGraph(recs)
-		g.Stats()
+	f := BuildFrame(recs)
+	f.queryPairs()
+	b.ReportAllocs()
+	for b.Loop() {
+		f.InterestStats()
 	}
 }
 

@@ -695,10 +695,10 @@ type queryIndex struct {
 }
 
 // queryPairs gathers the query records of the interest analyses (Figs
-// 11-12's ranking and the §V bipartite graph): START-UPLOAD and
+// 11-12's ranking and the §V co-interest statistics): START-UPLOAD and
 // REQUEST-PART records with a peer and a non-zero file, grouped by file
 // symbol via a counting sort. The index is computed once per frame and
-// shared by QueriedFiles and InterestGraph; safe under concurrent
+// shared by QueriedFiles and InterestStats; safe under concurrent
 // extractions.
 func (f *Frame) queryPairs() (groupedPeers []uint32, perFileOff []int32, perFileCnt []int32) {
 	f.pairsOnce.Do(f.buildQueryPairs)

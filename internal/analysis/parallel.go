@@ -2,8 +2,9 @@ package analysis
 
 // Intra-query row-range parallelism. The query engine (exec.go) already
 // runs independent queries concurrently; this file parallelizes the
-// *inside* of the heaviest single queries — the co-interest graph and
-// the Fig 10-12 peer-set builds — by splitting their row scans across
+// *inside* of the heaviest single queries — the query-pair index that
+// Figs 11-12's ranking and the co-interest statistics share, and the
+// Fig 10-12 peer-set builds — by splitting their row scans across
 // contiguous ranges of the frame's columns and merging deterministically.
 // The contract is the same bit-identical pinning as across-query
 // parallelism: worker count can never change a result, only its
@@ -11,7 +12,6 @@ package analysis
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -73,40 +73,6 @@ func parallelChunks(n, workers int, fn func(c, lo, hi int)) {
 			defer wg.Done()
 			lo, hi := chunkBounds(n, workers, c)
 			fn(c, lo, hi)
-		}(c)
-	}
-	wg.Wait()
-}
-
-// volumeCuts partitions a symbol space [0, nSyms) into len-balanced
-// contiguous ranges: off is the symbols' exclusive prefix over a
-// grouped array of the given total length, and each range receives
-// roughly total/workers grouped entries. cuts has workers+1 entries;
-// range c is [cuts[c], cuts[c+1]).
-func volumeCuts(off []int32, total, nSyms, workers int) []int {
-	cuts := make([]int, workers+1)
-	cuts[workers] = nSyms
-	for c := 1; c < workers; c++ {
-		target := int32(c * total / workers)
-		cuts[c] = sort.Search(nSyms, func(s int) bool { return off[s] >= target })
-	}
-	return cuts
-}
-
-// parallelCuts runs fn over the ranges of a volumeCuts partition,
-// inline when there is only one.
-func parallelCuts(cuts []int, fn func(c, lo, hi int)) {
-	workers := len(cuts) - 1
-	if workers <= 1 {
-		fn(0, cuts[0], cuts[workers])
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for c := 0; c < workers; c++ {
-		go func(c int) {
-			defer wg.Done()
-			fn(c, cuts[c], cuts[c+1])
 		}(c)
 	}
 	wg.Wait()

@@ -13,11 +13,11 @@ import (
 
 // TestRowParallelQueriesMatchSerial pins the intra-query parallelism
 // contract: the worker count can never change a result. Every
-// row-splittable query — the query-pair index, the co-interest graph,
-// and the Fig 10-12 peer-set builds — must be bit-identical between a
-// forced-serial run and any parallel worker count, including counts
-// that don't divide the row count evenly and counts exceeding
-// GOMAXPROCS. Runs under -race in CI, which also proves the phases
+// row-splittable query — the query-pair index and the Fig 10-12
+// peer-set builds — and the co-interest statistics read from that index
+// must be bit-identical between a forced-serial run and any parallel
+// worker count, including counts that don't divide the row count evenly
+// and counts exceeding GOMAXPROCS. Runs under -race in CI, which also proves the phases
 // share no unsynchronized state.
 func TestRowParallelQueriesMatchSerial(t *testing.T) {
 	defer setRowWorkers(0)
@@ -32,7 +32,6 @@ func TestRowParallelQueriesMatchSerial(t *testing.T) {
 	type snapshot struct {
 		grouped  []uint32
 		off, cnt []int32
-		graph    *InterestGraph
 		gstats   InterestStats
 		hpSets   [][]int32
 		hpUni    int
@@ -45,8 +44,7 @@ func TestRowParallelQueriesMatchSerial(t *testing.T) {
 		f := BuildFrame(recs) // fresh frame: the pair index caches per frame
 		var s snapshot
 		s.grouped, s.off, s.cnt = f.queryPairs()
-		s.graph = f.InterestGraph()
-		s.gstats = s.graph.Stats()
+		s.gstats = f.InterestStats()
 		s.hpSets, s.hpUni = f.HoneypotPeerSets(honeypots)
 		s.fileSets, s.fileUni = f.FilePeerSets(files)
 		s.popular = f.QueriedFiles()
@@ -61,11 +59,8 @@ func TestRowParallelQueriesMatchSerial(t *testing.T) {
 				!slices.Equal(got.off, serial.off) || !slices.Equal(got.cnt, serial.cnt) {
 				t.Error("query-pair index differs from serial")
 			}
-			if !reflect.DeepEqual(got.graph, serial.graph) {
-				t.Error("interest graph differs from serial")
-			}
 			if got.gstats != serial.gstats {
-				t.Errorf("graph stats differ: %+v vs %+v", got.gstats, serial.gstats)
+				t.Errorf("co-interest stats differ: %+v vs %+v", got.gstats, serial.gstats)
 			}
 			if !reflect.DeepEqual(got.hpSets, serial.hpSets) || got.hpUni != serial.hpUni {
 				t.Error("honeypot peer sets differ from serial")

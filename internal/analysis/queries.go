@@ -212,7 +212,7 @@ func init() {
 		Name: QueryCoInterest,
 		Doc:  "§V future work: bipartite peer-file interest graph statistics",
 		Run: func(qc *QueryContext) (any, error) {
-			return qc.Frame.InterestGraph().Stats(), nil
+			return qc.Frame.InterestStats(), nil
 		},
 	})
 }

@@ -117,16 +117,13 @@ func (c *Client) ClientID() ed2k.ClientID { return c.clientID }
 // Connected reports whether the server session is up.
 func (c *Client) Connected() bool { return c.connected }
 
-// ServerAddr returns the current server address.
-func (c *Client) ServerAddr() netip.AddrPort { return c.serverAddr }
-
 // Listen opens the peer port (no-op when cfg.Port is 0).
 func (c *Client) Listen() error {
 	if c.cfg.Port == 0 || c.listener != nil {
 		return nil
 	}
 	l, err := c.host.Listen(c.cfg.Port, wire.PeerSpace, func(conn transport.Conn) {
-		ps := c.newPeerSession(conn, true)
+		ps := c.newPeerSession(conn)
 		if c.OnPeerSession != nil {
 			c.OnPeerSession(ps)
 		}
@@ -334,10 +331,9 @@ type PeerHooks struct {
 
 // PeerSession is one client<->client conversation.
 type PeerSession struct {
-	client  *Client
-	conn    transport.Conn
-	inbound bool
-	hooks   PeerHooks
+	client *Client
+	conn   transport.Conn
+	hooks  PeerHooks
 
 	remote      PeerInfo
 	gotHello    bool
@@ -345,8 +341,8 @@ type PeerSession struct {
 	closed      bool
 }
 
-func (c *Client) newPeerSession(conn transport.Conn, inbound bool) *PeerSession {
-	return &PeerSession{client: c, conn: conn, inbound: inbound}
+func (c *Client) newPeerSession(conn transport.Conn) *PeerSession {
+	return &PeerSession{client: c, conn: conn}
 }
 
 // attach installs the connection hooks; called after the owner had a
@@ -371,9 +367,6 @@ func (ps *PeerSession) SetHooks(h PeerHooks) { ps.hooks = h }
 // Remote returns what the remote peer declared about itself.
 func (ps *PeerSession) Remote() PeerInfo { return ps.remote }
 
-// Inbound reports whether the remote peer initiated the session.
-func (ps *PeerSession) Inbound() bool { return ps.inbound }
-
 // RemoteAddr returns the remote endpoint.
 func (ps *PeerSession) RemoteAddr() netip.AddrPort { return ps.conn.RemoteAddr() }
 
@@ -396,7 +389,7 @@ func (c *Client) DialPeer(addr netip.AddrPort, done func(*PeerSession, error)) {
 			done(nil, err)
 			return
 		}
-		ps := c.newPeerSession(conn, false)
+		ps := c.newPeerSession(conn)
 		done(ps, nil)
 		ps.attach()
 	})

@@ -17,7 +17,6 @@ package logging
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/ed2k"
@@ -148,21 +147,4 @@ func appendText[T interface{ AppendText([]byte) ([]byte, error) }](b []byte, t T
 	b, _ = t.AppendText(append(b, 0, 0, 0, 0))
 	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	return b
-}
-
-// ---------------------------------------------------------------------------
-// Merging.
-
-// Merge combines per-honeypot logs (each already in time order, as
-// produced) into one log ordered by timestamp, ties broken by source
-// position, then append order — the ordering contract logstore's
-// Iterator streams (its sources are lexicographic shard names). A
-// stable sort of the logs laid end to end gives exactly that order.
-func Merge(logs ...[]Record) []Record {
-	out := make([]Record, 0)
-	for _, l := range logs {
-		out = append(out, l...)
-	}
-	slices.SortStableFunc(out, func(a, b Record) int { return a.Time.Compare(b.Time) })
-	return out
 }

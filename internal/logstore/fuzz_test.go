@@ -337,7 +337,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRecords(t, "Iterator", drain(t, it), logging.Merge(merged...))
+		sameRecords(t, "Iterator", drain(t, it), mergeLogs(merged...))
 		for _, hp := range st.ShardNames() {
 			sh, _ := st.Shard(hp)
 			cps, at := []Checkpoint{{}}, []int{0}

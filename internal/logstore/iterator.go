@@ -17,8 +17,8 @@ import (
 // segment reader and one record per shard, plus the read-ahead stage's
 // fixed batches, regardless of campaign size. Ties are broken by shard
 // position (lexicographic shard name), then by append order within a
-// shard — the exact ordering contract of logging.Merge over
-// per-honeypot slices.
+// shard — the order a stable sort by timestamp gives per-honeypot
+// slices laid end to end.
 //
 // The merge runs on the read-ahead stage's producer goroutine (see
 // logging.ReadAhead), so a caller's per-record work overlaps the scan.

@@ -80,8 +80,8 @@ func TestIteratorMatchesPlainMerge(t *testing.T) {
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("n=%d: read-ahead scan yielded %d records, plain merge %d", n, len(got), len(want))
 		}
-		if len(want) > 0 && !reflect.DeepEqual(want, logging.Merge(perShard...)) {
-			t.Fatalf("n=%d: the plain merge breaks logging.Merge's order", n)
+		if len(want) > 0 && !reflect.DeepEqual(want, mergeLogs(perShard...)) {
+			t.Fatalf("n=%d: the plain merge breaks mergeLogs' order", n)
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)

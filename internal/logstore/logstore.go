@@ -112,9 +112,6 @@ type Options struct {
 	// SegmentBytes is the size threshold at which the active segment is
 	// sealed and a new one started (0 = DefaultSegmentBytes).
 	SegmentBytes int64
-	// SyncOnRotate fsyncs a segment as it is sealed. Appends themselves
-	// never fsync: the recovery path makes torn tails safe.
-	SyncOnRotate bool
 	// FlushEvery, when positive, runs a background flusher that pushes
 	// buffered appends to the OS on this cadence, bounding what a crash
 	// can lose to roughly one period. Zero leaves flushing to rotation,
@@ -437,7 +434,7 @@ func (s *Store) Close() error {
 
 // Iterator streams every record of every shard, k-way merged into
 // timestamp order (ties broken by shard name, then shard append order) —
-// the streaming equivalent of logging.Merge over per-honeypot logs.
+// the streaming equivalent of a stable sort of per-honeypot logs.
 func (s *Store) Iterator() (*Iterator, error) {
 	names := s.ShardNames()
 	shards := make([]*Shard, 0, len(names))

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -39,6 +40,18 @@ func rec(hp string, i int) logging.Record {
 
 // smallOpts rotates aggressively so even small tests exercise multiple
 // segments.
+// mergeLogs is the Iterator's ordering contract over per-shard slices:
+// timestamp order, ties broken by shard position, then append order. A
+// stable sort of the slices laid end to end gives exactly that order.
+func mergeLogs(logs ...[]logging.Record) []logging.Record {
+	out := make([]logging.Record, 0)
+	for _, l := range logs {
+		out = append(out, l...)
+	}
+	slices.SortStableFunc(out, func(a, b logging.Record) int { return a.Time.Compare(b.Time) })
+	return out
+}
+
 func smallOpts() Options { return Options{SegmentBytes: 1 << 10} }
 
 func drain(t *testing.T, it *Iterator) []logging.Record {
@@ -80,14 +93,14 @@ func TestAppendIterateRoundTrip(t *testing.T) {
 		}
 	}
 
-	want := logging.Merge(perShard["hp-00"], perShard["hp-01"], perShard["hp-02"])
+	want := mergeLogs(perShard["hp-00"], perShard["hp-01"], perShard["hp-02"])
 	it, err := st.Iterator()
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := drain(t, it)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("iterator != logging.Merge: got %d records, want %d", len(got), len(want))
+		t.Fatalf("iterator != mergeLogs: got %d records, want %d", len(got), len(want))
 	}
 	if n := st.TotalRecords(); n != 300 {
 		t.Errorf("TotalRecords = %d, want 300", n)
@@ -609,7 +622,7 @@ func TestStoreIteratorEmpty(t *testing.T) {
 
 func TestIteratorTieBreaks(t *testing.T) {
 	// Equal timestamps across shards resolve by shard name, inside one
-	// shard by append order — logging.Merge's contract, which is what
+	// shard by append order — mergeLogs' contract, which is what
 	// makes a store scan and an in-memory merge the same dataset.
 	st, err := Open(t.TempDir(), smallOpts())
 	if err != nil {
@@ -637,7 +650,7 @@ func TestIteratorTieBreaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := drain(t, it), logging.Merge(perShard...); !reflect.DeepEqual(got, want) {
+	if got, want := drain(t, it), mergeLogs(perShard...); !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged scan of %d records breaks the tie-break contract", len(want))
 	}
 }

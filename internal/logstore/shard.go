@@ -385,8 +385,8 @@ func (sh *Shard) Store() *Store { return sh.store }
 
 // Append implements logging.Sink. Records are expected in non-decreasing
 // timestamp order (honeypots emit them that way); the merged Iterator
-// relies on it exactly like logging.Merge relies on sorted inputs. I/O
-// failures stick and are reported by Err.
+// relies on it to merge shards without sorting them. I/O failures stick
+// and are reported by Err.
 func (sh *Shard) Append(r logging.Record) {
 	_ = sh.append(&r) // error is sticky; Err() reports it
 }
@@ -467,19 +467,14 @@ func (sh *Shard) appendLocked(r *logging.Record) error {
 	return nil
 }
 
-// rotateLocked seals the active segment (flush, optional fsync, names
-// sidecar) and starts the next one. Caller holds mu.
+// rotateLocked seals the active segment (flush, names sidecar) and
+// starts the next one. Caller holds mu.
 func (sh *Shard) rotateLocked() error {
 	if err := sh.createLocked(); err != nil {
 		return err
 	}
 	if err := sh.w.Flush(); err != nil {
 		return err
-	}
-	if sh.opt.SyncOnRotate {
-		if err := sh.f.Sync(); err != nil {
-			return err
-		}
 	}
 	if err := sh.f.Close(); err != nil {
 		return err

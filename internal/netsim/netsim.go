@@ -77,15 +77,6 @@ func (n *Network) NewHost(label string) *Host {
 	}
 }
 
-// NewHostWithAddr creates a host with a specific address, e.g. to model a
-// well-known server. It panics if the address is taken.
-func (n *Network) NewHostWithAddr(label string, addr netip.Addr) *Host {
-	if _, taken := n.hosts[addr]; taken {
-		panic(fmt.Sprintf("netsim: address %v already in use", addr))
-	}
-	return n.addHost(label, addr)
-}
-
 func (n *Network) addHost(label string, addr netip.Addr) *Host {
 	h := &Host{
 		net:       n,

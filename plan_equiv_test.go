@@ -29,7 +29,7 @@ func serialAnalyzeFrame(res *repro.Result, f *analysis.Frame, opt repro.AnalyzeO
 		TableI: f.TableI(len(res.HoneypotIDs), res.Days, len(res.Advertised)),
 	}
 	rep.PeerGrowth = f.PeerGrowth(res.Start, res.Days)
-	rep.CoInterest = f.InterestGraph().Stats()
+	rep.CoInterest = f.InterestStats()
 
 	hours := res.Days * 24
 	if hours > 168 {
