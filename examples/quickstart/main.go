@@ -184,11 +184,11 @@ func runPeer(i int, serverAddr netip.AddrPort, bait client.SharedFile) {
 				}
 				target := sources[0].AddrPort()
 				fmt.Printf("peer-%d found %d source(s), contacting %s\n", i, len(sources), target)
-				peer.DialPeer(target, func(ps *client.PeerSession, err error) {
+				peer.DialPeer(target, client.PeerDialFunc(func(ps *client.PeerSession, err error) {
 					if err != nil {
 						log.Fatalf("peer %d dial honeypot: %v", i, err)
 					}
-					ps.SetHooks(client.PeerHooks{
+					ps.SetHandler(client.PeerHooks{
 						OnAcceptUpload: func() {
 							ps.RequestParts(bait.Hash, [2]uint32{0, 184320})
 						},
@@ -200,7 +200,7 @@ func runPeer(i int, serverAddr netip.AddrPort, bait client.SharedFile) {
 					})
 					ps.SendHello()
 					ps.StartUpload(bait.Hash)
-				})
+				}))
 			},
 		})
 	})

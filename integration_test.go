@@ -379,13 +379,13 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 					remaining := len(srcs)
 					for _, s := range srcs {
 						target := s.AddrPort()
-						peer.DialPeer(target, func(ps *client.PeerSession, err error) {
+						peer.DialPeer(target, client.PeerDialFunc(func(ps *client.PeerSession, err error) {
 							if err != nil {
 								t.Errorf("dial honeypot: %v", err)
 								remaining--
 								return
 							}
-							ps.SetHooks(client.PeerHooks{
+							ps.SetHandler(client.PeerHooks{
 								OnAcceptUpload: func() {
 									ps.RequestParts(bait.Hash, [2]uint32{0, 1000})
 									// Close shortly after; both strategies logged by now.
@@ -400,7 +400,7 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 							})
 							ps.SendHello()
 							ps.StartUpload(bait.Hash)
-						})
+						}))
 					}
 				},
 			})

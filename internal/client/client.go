@@ -7,10 +7,24 @@
 // The honeypot (package honeypot) and the simulated peer population
 // (package peersim) are both thin layers over this engine, mirroring how
 // the paper built its honeypot by modifying the aMule client core.
+//
+// Owners observe sessions through handler interfaces (ServerHandler,
+// PeerHandler, PeerDialer), which one owner struct per session or
+// contact implements, so a simulated campaign pays no closure per
+// session or message; embed NopPeerHandler to implement only some of a
+// peer session's events. ServerHooks, PeerHooks and PeerDialFunc adapt
+// plain funcs to the same interfaces for cold paths and tests.
+//
+// A shared file's wire entry is encoded once, the first time the list
+// is offered or browsed, and every later answer carries a snapshot of
+// the append-only entry list: receivers must treat the entries of an
+// OFFER-FILES or ASK-SHARED-FILES-ANSWER as read-only.
 package client
 
 import (
+	"bytes"
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/ed2k"
@@ -24,11 +38,6 @@ type SharedFile struct {
 	Name string
 	Size int64
 	Type string
-}
-
-// Entry converts to the wire representation.
-func (f SharedFile) Entry() wire.FileEntry {
-	return wire.NewFileEntry(f.Hash, f.Name, f.Size, f.Type)
 }
 
 // Config describes a client.
@@ -56,18 +65,63 @@ type Config struct {
 	KeepAlive time.Duration
 }
 
-// ServerHooks observe the server session.
+// ServerHandler observes the server session.
+type ServerHandler interface {
+	// HandleConnected fires after ID-CHANGE with the assigned ID.
+	HandleConnected(id ed2k.ClientID)
+	// HandleSources fires for each FOUND-SOURCES reply.
+	HandleSources(file ed2k.Hash, sources []wire.Endpoint)
+	// HandleSearchResult fires for each SEARCH-RESULT reply.
+	HandleSearchResult(files []wire.FileEntry)
+	// HandleStatus fires for SERVER-STATUS updates.
+	HandleStatus(users, files uint32)
+	// HandleDisconnected fires when the server link dies (nil =
+	// graceful) or cannot be dialed.
+	HandleDisconnected(err error)
+}
+
+// ServerHooks adapts funcs to a ServerHandler; nil members are skipped.
 type ServerHooks struct {
-	// OnConnected fires after ID-CHANGE with the assigned ID.
-	OnConnected func(id ed2k.ClientID)
-	// OnSources fires for each FOUND-SOURCES reply.
-	OnSources func(file ed2k.Hash, sources []wire.Endpoint)
-	// OnSearchResult fires for each SEARCH-RESULT reply.
+	OnConnected    func(id ed2k.ClientID)
+	OnSources      func(file ed2k.Hash, sources []wire.Endpoint)
 	OnSearchResult func(files []wire.FileEntry)
-	// OnStatus fires for SERVER-STATUS updates.
-	OnStatus func(users, files uint32)
-	// OnDisconnected fires when the server link dies (nil = graceful).
+	OnStatus       func(users, files uint32)
 	OnDisconnected func(err error)
+}
+
+// HandleConnected implements ServerHandler.
+func (h ServerHooks) HandleConnected(id ed2k.ClientID) {
+	if h.OnConnected != nil {
+		h.OnConnected(id)
+	}
+}
+
+// HandleSources implements ServerHandler.
+func (h ServerHooks) HandleSources(file ed2k.Hash, sources []wire.Endpoint) {
+	if h.OnSources != nil {
+		h.OnSources(file, sources)
+	}
+}
+
+// HandleSearchResult implements ServerHandler.
+func (h ServerHooks) HandleSearchResult(files []wire.FileEntry) {
+	if h.OnSearchResult != nil {
+		h.OnSearchResult(files)
+	}
+}
+
+// HandleStatus implements ServerHandler.
+func (h ServerHooks) HandleStatus(users, files uint32) {
+	if h.OnStatus != nil {
+		h.OnStatus(users, files)
+	}
+}
+
+// HandleDisconnected implements ServerHandler.
+func (h ServerHooks) HandleDisconnected(err error) {
+	if h.OnDisconnected != nil {
+		h.OnDisconnected(err)
+	}
 }
 
 // Client is the engine instance bound to one host.
@@ -75,22 +129,25 @@ type Client struct {
 	host transport.Host
 	cfg  Config
 
-	serverConn  transport.Conn
-	serverAddr  netip.AddrPort
-	serverHooks ServerHooks
-	clientID    ed2k.ClientID
-	connected   bool
-	keepAlive   transport.Timer
-	// keepAliveTick is c.sendKeepAlive, bound by the first arm and
-	// reused by every re-arm.
-	keepAliveTick func()
+	serverConn    transport.Conn
+	serverAddr    netip.AddrPort
+	serverHandler ServerHandler // nil: nobody listens
+	clientID      ed2k.ClientID
+	connected     bool
+	keepAlive     transport.Timer
+	// helloTags are the name and version tags every HELLO and
+	// HELLO-ANSWER carries, built once.
+	helloTags wire.Tags
 
 	shared      []SharedFile
 	sharedByKey map[ed2k.Hash]int
+	// entries[i] is shared[i]'s wire entry, encoded on first need
+	// (entryList); the slice is only ever appended to.
+	entries []wire.FileEntry
 
 	listener transport.Listener
 	// OnPeerSession is invoked for every inbound peer session right after
-	// creation, before any message is processed; install hooks there.
+	// creation, before any message is processed; install its handler there.
 	OnPeerSession func(ps *PeerSession)
 }
 
@@ -102,7 +159,15 @@ func New(host transport.Host, cfg Config) *Client {
 	if cfg.Version == 0 {
 		cfg.Version = 0x3C
 	}
-	return &Client{host: host, cfg: cfg, sharedByKey: make(map[ed2k.Hash]int)}
+	return &Client{
+		host: host,
+		cfg:  cfg,
+		helloTags: wire.Tags{
+			wire.StringTag(wire.TagName, cfg.Name),
+			wire.UintTag(wire.TagVersion, cfg.Version),
+		},
+		sharedByKey: make(map[ed2k.Hash]int),
+	}
 }
 
 // Host returns the underlying transport host.
@@ -153,39 +218,52 @@ func (c *Client) Close() {
 // ---------------------------------------------------------------------------
 // Server session.
 
-// ConnectServer dials the directory server and logs in.
-func (c *Client) ConnectServer(addr netip.AddrPort, hooks ServerHooks) {
+// ConnectServer dials the directory server and logs in; h (nil for
+// none) observes the session.
+func (c *Client) ConnectServer(addr netip.AddrPort, h ServerHandler) {
 	c.serverAddr = addr
-	c.serverHooks = hooks
-	c.host.Dial(addr, wire.ServerSpace, func(conn transport.Conn, err error) {
-		if err != nil {
-			if hooks.OnDisconnected != nil {
-				hooks.OnDisconnected(err)
-			}
-			return
+	c.serverHandler = h
+	c.host.Dial(addr, wire.ServerSpace, (*serverLink)(c))
+}
+
+// serverLink is the Client as the dial and connection handler of its
+// server session: a conversion, so the session costs no closure.
+type serverLink Client
+
+// HandleDial implements transport.DialHandler.
+func (s *serverLink) HandleDial(conn transport.Conn, err error) {
+	c := (*Client)(s)
+	if err != nil {
+		if c.serverHandler != nil {
+			c.serverHandler.HandleDisconnected(err)
 		}
-		c.serverConn = conn
-		conn.SetHooks(transport.ConnHooks{
-			OnMessage: c.onServerMessage,
-			OnClose: func(err error) {
-				c.connected = false
-				c.serverConn = nil
-				c.keepAlive.Stop()
-				if hooks.OnDisconnected != nil {
-					hooks.OnDisconnected(err)
-				}
-			},
-		})
-		conn.Send(&wire.LoginRequest{
-			UserHash: c.cfg.UserHash,
-			Port:     c.cfg.Port,
-			Tags: wire.Tags{
-				wire.StringTag(wire.TagName, c.cfg.Name),
-				wire.UintTag(wire.TagVersion, c.cfg.Version),
-				wire.UintTag(wire.TagPort, uint32(c.cfg.Port)),
-			},
-		})
+		return
+	}
+	c.serverConn = conn
+	conn.SetHandler(s)
+	conn.Send(&wire.LoginRequest{
+		UserHash: c.cfg.UserHash,
+		Port:     c.cfg.Port,
+		Tags: wire.Tags{
+			wire.StringTag(wire.TagName, c.cfg.Name),
+			wire.UintTag(wire.TagVersion, c.cfg.Version),
+			wire.UintTag(wire.TagPort, uint32(c.cfg.Port)),
+		},
 	})
+}
+
+// HandleMessage implements transport.ConnHandler.
+func (s *serverLink) HandleMessage(m wire.Message) { (*Client)(s).onServerMessage(m) }
+
+// HandleClose implements transport.ConnHandler.
+func (s *serverLink) HandleClose(err error) {
+	c := (*Client)(s)
+	c.connected = false
+	c.serverConn = nil
+	c.keepAlive.Stop()
+	if c.serverHandler != nil {
+		c.serverHandler.HandleDisconnected(err)
+	}
 }
 
 func (c *Client) onServerMessage(m wire.Message) {
@@ -194,23 +272,23 @@ func (c *Client) onServerMessage(m wire.Message) {
 		c.clientID = ed2k.ClientID(msg.ClientID)
 		c.connected = true
 		if len(c.shared) > 0 && !c.cfg.NoOffer {
-			c.sendOffer(c.shared)
+			c.sendOffer(0)
 		}
 		c.scheduleKeepAlive()
-		if c.serverHooks.OnConnected != nil {
-			c.serverHooks.OnConnected(c.clientID)
+		if c.serverHandler != nil {
+			c.serverHandler.HandleConnected(c.clientID)
 		}
 	case *wire.FoundSources:
-		if c.serverHooks.OnSources != nil {
-			c.serverHooks.OnSources(msg.Hash, msg.Sources)
+		if c.serverHandler != nil {
+			c.serverHandler.HandleSources(msg.Hash, msg.Sources)
 		}
 	case *wire.SearchResult:
-		if c.serverHooks.OnSearchResult != nil {
-			c.serverHooks.OnSearchResult(msg.Files)
+		if c.serverHandler != nil {
+			c.serverHandler.HandleSearchResult(msg.Files)
 		}
 	case *wire.ServerStatus:
-		if c.serverHooks.OnStatus != nil {
-			c.serverHooks.OnStatus(msg.Users, msg.Files)
+		if c.serverHandler != nil {
+			c.serverHandler.HandleStatus(msg.Users, msg.Files)
 		}
 	case *wire.ServerMessage, *wire.ServerIdent, *wire.ServerList, *wire.Reject:
 		// informational
@@ -221,45 +299,60 @@ func (c *Client) scheduleKeepAlive() {
 	if c.cfg.KeepAlive <= 0 {
 		return
 	}
-	if c.keepAliveTick == nil {
-		c.keepAliveTick = c.sendKeepAlive
-	}
 	c.keepAlive.Stop()
-	c.keepAlive = c.host.After(c.cfg.KeepAlive, c.keepAliveTick)
+	c.keepAlive = c.host.AfterCall(c.cfg.KeepAlive, keepAliveEvent, c, nil)
 }
 
-func (c *Client) sendKeepAlive() {
+// keepAliveOffer is the keep-alive: an empty OFFER-FILES. Receivers
+// only read messages, so every client sends this one.
+var keepAliveOffer = &wire.OfferFiles{}
+
+// keepAliveEvent is the keep-alive timer of client recv.
+func keepAliveEvent(recv, _ any) {
+	c := recv.(*Client)
 	if c.connected && c.serverConn != nil {
-		c.serverConn.Send(&wire.OfferFiles{}) // keep-alive form
+		c.serverConn.Send(keepAliveOffer)
 		c.scheduleKeepAlive()
 	}
 }
 
-func (c *Client) sendOffer(files []SharedFile) {
+// sendOffer announces the shared files from index from on.
+func (c *Client) sendOffer(from int) {
 	if c.serverConn == nil {
 		return
 	}
-	offer := &wire.OfferFiles{Files: make([]wire.FileEntry, 0, len(files))}
-	for _, f := range files {
-		offer.Files = append(offer.Files, f.Entry())
+	c.serverConn.Send(&wire.OfferFiles{Files: c.entryList()[from:]})
+}
+
+// entryList returns the wire entries of the whole shared list, encoding
+// the files shared since the last call. The result is a snapshot that
+// later Shares never touch: the list is append-only and the snapshot's
+// capacity ends at its length.
+func (c *Client) entryList() []wire.FileEntry {
+	fresh := c.shared[len(c.entries):]
+	c.entries = slices.Grow(c.entries, len(fresh))
+	tags := make(wire.Tags, 0, 3*len(fresh)) // one array for the new entries' tags
+	for _, f := range fresh {
+		n := len(tags)
+		tags = wire.AppendFileTags(tags, f.Name, f.Size, f.Type)
+		c.entries = append(c.entries, wire.FileEntry{Hash: f.Hash, Tags: tags[n:len(tags):len(tags)]})
 	}
-	c.serverConn.Send(offer)
+	return c.entries[:len(c.entries):len(c.entries)]
 }
 
 // Share adds files to the shared list and announces new ones to the
 // server. Duplicates (by hash) are ignored.
 func (c *Client) Share(files ...SharedFile) {
-	var fresh []SharedFile
+	from := len(c.shared)
 	for _, f := range files {
 		if _, dup := c.sharedByKey[f.Hash]; dup {
 			continue
 		}
 		c.sharedByKey[f.Hash] = len(c.shared)
 		c.shared = append(c.shared, f)
-		fresh = append(fresh, f)
 	}
-	if len(fresh) > 0 && c.connected && !c.cfg.NoOffer {
-		c.sendOffer(fresh)
+	if len(c.shared) > from && c.connected && !c.cfg.NoOffer {
+		c.sendOffer(from)
 	}
 }
 
@@ -312,9 +405,42 @@ func peerInfoFrom(h ed2k.Hash, id uint32, port uint16, tags wire.Tags, sip uint3
 	}
 }
 
-// PeerHooks observe and steer a peer session. All hooks are optional.
-// Built-in protocol behavior (HELLO-ANSWER, browse answers, file-name
-// answers, FILE-STATUS) runs first; hooks run after it.
+// PeerHandler observes and steers a peer session. Built-in protocol
+// behavior (HELLO-ANSWER, browse answers, file-name answers,
+// FILE-STATUS) runs first; the handler runs after it.
+type PeerHandler interface {
+	HandleHello(info PeerInfo)
+	HandleHelloAnswer(info PeerInfo)
+	HandleStartUpload(file ed2k.Hash)
+	HandleAcceptUpload()
+	HandleQueueRank(rank uint32)
+	HandleRequestParts(req *wire.RequestParts)
+	HandleSendingPart(part *wire.SendingPart)
+	HandleSharedList(files []wire.FileEntry)
+	HandleEndOfDownload(file ed2k.Hash)
+	// HandleMessage sees every message, after its specific handler.
+	HandleMessage(m wire.Message)
+	// HandleClose fires once when the session's connection dies.
+	HandleClose(err error)
+}
+
+// NopPeerHandler ignores every event. Embed it in an owner struct to
+// implement only the events it needs.
+type NopPeerHandler struct{}
+
+func (NopPeerHandler) HandleHello(PeerInfo)                  {}
+func (NopPeerHandler) HandleHelloAnswer(PeerInfo)            {}
+func (NopPeerHandler) HandleStartUpload(ed2k.Hash)           {}
+func (NopPeerHandler) HandleAcceptUpload()                   {}
+func (NopPeerHandler) HandleQueueRank(uint32)                {}
+func (NopPeerHandler) HandleRequestParts(*wire.RequestParts) {}
+func (NopPeerHandler) HandleSendingPart(*wire.SendingPart)   {}
+func (NopPeerHandler) HandleSharedList([]wire.FileEntry)     {}
+func (NopPeerHandler) HandleEndOfDownload(ed2k.Hash)         {}
+func (NopPeerHandler) HandleMessage(wire.Message)            {}
+func (NopPeerHandler) HandleClose(error)                     {}
+
+// PeerHooks adapts funcs to a PeerHandler; nil members are skipped.
 type PeerHooks struct {
 	OnHello         func(info PeerInfo)
 	OnHelloAnswer   func(info PeerInfo)
@@ -325,15 +451,96 @@ type PeerHooks struct {
 	OnSendingPart   func(part *wire.SendingPart)
 	OnSharedList    func(files []wire.FileEntry)
 	OnEndOfDownload func(file ed2k.Hash)
-	OnMessage       func(m wire.Message) // every message, after specific hooks
+	OnMessage       func(m wire.Message)
 	OnClose         func(err error)
 }
 
+// The Handle methods of PeerHooks implement PeerHandler.
+
+func (h PeerHooks) HandleHello(info PeerInfo) {
+	if h.OnHello != nil {
+		h.OnHello(info)
+	}
+}
+
+func (h PeerHooks) HandleHelloAnswer(info PeerInfo) {
+	if h.OnHelloAnswer != nil {
+		h.OnHelloAnswer(info)
+	}
+}
+
+func (h PeerHooks) HandleStartUpload(file ed2k.Hash) {
+	if h.OnStartUpload != nil {
+		h.OnStartUpload(file)
+	}
+}
+
+func (h PeerHooks) HandleAcceptUpload() {
+	if h.OnAcceptUpload != nil {
+		h.OnAcceptUpload()
+	}
+}
+
+func (h PeerHooks) HandleQueueRank(rank uint32) {
+	if h.OnQueueRank != nil {
+		h.OnQueueRank(rank)
+	}
+}
+
+func (h PeerHooks) HandleRequestParts(req *wire.RequestParts) {
+	if h.OnRequestParts != nil {
+		h.OnRequestParts(req)
+	}
+}
+
+func (h PeerHooks) HandleSendingPart(part *wire.SendingPart) {
+	if h.OnSendingPart != nil {
+		h.OnSendingPart(part)
+	}
+}
+
+func (h PeerHooks) HandleSharedList(files []wire.FileEntry) {
+	if h.OnSharedList != nil {
+		h.OnSharedList(files)
+	}
+}
+
+func (h PeerHooks) HandleEndOfDownload(file ed2k.Hash) {
+	if h.OnEndOfDownload != nil {
+		h.OnEndOfDownload(file)
+	}
+}
+
+func (h PeerHooks) HandleMessage(m wire.Message) {
+	if h.OnMessage != nil {
+		h.OnMessage(m)
+	}
+}
+
+func (h PeerHooks) HandleClose(err error) {
+	if h.OnClose != nil {
+		h.OnClose(err)
+	}
+}
+
+// PeerDialer receives the outcome of DialPeer: the session (its handler
+// not yet installed — install it here) or an error.
+type PeerDialer interface {
+	HandlePeerDial(ps *PeerSession, err error)
+}
+
+// PeerDialFunc adapts a func to a PeerDialer.
+type PeerDialFunc func(ps *PeerSession, err error)
+
+// HandlePeerDial implements PeerDialer.
+func (f PeerDialFunc) HandlePeerDial(ps *PeerSession, err error) { f(ps, err) }
+
 // PeerSession is one client<->client conversation.
 type PeerSession struct {
-	client *Client
-	conn   transport.Conn
-	hooks  PeerHooks
+	client  *Client
+	conn    transport.Conn
+	handler PeerHandler
+	dialer  PeerDialer // an outbound session's, until the dial resolves
 
 	remote      PeerInfo
 	gotHello    bool
@@ -342,27 +549,50 @@ type PeerSession struct {
 }
 
 func (c *Client) newPeerSession(conn transport.Conn) *PeerSession {
-	return &PeerSession{client: c, conn: conn}
+	return &PeerSession{client: c, conn: conn, handler: NopPeerHandler{}}
 }
 
-// attach installs the connection hooks; called after the owner had a
-// chance to set session hooks.
-func (ps *PeerSession) attach() {
-	ps.conn.SetHooks(transport.ConnHooks{
-		OnMessage: ps.onMessage,
-		OnClose: func(err error) {
-			ps.closed = true
-			if ps.hooks.OnClose != nil {
-				ps.hooks.OnClose(err)
-			}
-		},
-	})
+// sessionLink is a PeerSession as the dial and connection handler of
+// its transport: a conversion, so a session binds no closure.
+type sessionLink PeerSession
+
+// attach installs the connection handler; called after the owner had a
+// chance to set the session's handler.
+func (ps *PeerSession) attach() { ps.conn.SetHandler((*sessionLink)(ps)) }
+
+// HandleDial implements transport.DialHandler for an outbound session.
+func (l *sessionLink) HandleDial(conn transport.Conn, err error) {
+	ps := (*PeerSession)(l)
+	d := ps.dialer
+	ps.dialer = nil
+	if err != nil {
+		d.HandlePeerDial(nil, err)
+		return
+	}
+	ps.conn = conn
+	d.HandlePeerDial(ps, nil)
+	ps.attach()
 }
 
-// SetHooks installs the observer hooks. For inbound sessions call it from
-// Client.OnPeerSession; for outbound sessions call it before any reply
-// can arrive (immediately after DialPeer's callback fires).
-func (ps *PeerSession) SetHooks(h PeerHooks) { ps.hooks = h }
+// HandleMessage implements transport.ConnHandler.
+func (l *sessionLink) HandleMessage(m wire.Message) { (*PeerSession)(l).onMessage(m) }
+
+// HandleClose implements transport.ConnHandler.
+func (l *sessionLink) HandleClose(err error) {
+	ps := (*PeerSession)(l)
+	ps.closed = true
+	ps.handler.HandleClose(err)
+}
+
+// SetHandler installs the session's observer; nil ignores every event.
+// For inbound sessions call it from Client.OnPeerSession; for outbound
+// sessions call it before any reply can arrive (in the PeerDialer).
+func (ps *PeerSession) SetHandler(h PeerHandler) {
+	if h == nil {
+		h = NopPeerHandler{}
+	}
+	ps.handler = h
+}
 
 // Remote returns what the remote peer declared about itself.
 func (ps *PeerSession) Remote() PeerInfo { return ps.remote }
@@ -381,18 +611,12 @@ func (ps *PeerSession) Close() {
 	}
 }
 
-// DialPeer opens an outbound peer session. done receives the session
-// (hooks not yet installed — install them in done) or an error.
-func (c *Client) DialPeer(addr netip.AddrPort, done func(*PeerSession, error)) {
-	c.host.Dial(addr, wire.PeerSpace, func(conn transport.Conn, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		ps := c.newPeerSession(conn)
-		done(ps, nil)
-		ps.attach()
-	})
+// DialPeer opens an outbound peer session; done receives it (handler
+// not yet installed — install it in done) or an error.
+func (c *Client) DialPeer(addr netip.AddrPort, done PeerDialer) {
+	ps := c.newPeerSession(nil)
+	ps.dialer = done
+	c.host.Dial(addr, wire.PeerSpace, (*sessionLink)(ps))
 }
 
 func (c *Client) helloBody() (ed2k.Hash, uint32, uint16, wire.Tags, uint32, uint16) {
@@ -403,11 +627,21 @@ func (c *Client) helloBody() (ed2k.Hash, uint32, uint16, wire.Tags, uint32, uint
 			sip, sport = ep.IP, ep.Port
 		}
 	}
-	tags := wire.Tags{
-		wire.StringTag(wire.TagName, c.cfg.Name),
-		wire.UintTag(wire.TagVersion, c.cfg.Version),
+	return c.cfg.UserHash, uint32(c.clientID), c.cfg.Port, c.helloTags, sip, sport
+}
+
+// completeFile is the FILE-STATUS bitmap of a file whose every part is
+// present, shared read-only by every answer. It covers the 65,535 parts
+// the message's part count can name.
+var completeFile = bytes.Repeat([]byte{0xFF}, 1<<16/8)
+
+// completeBitmap returns the all-ones bitmap of a file with n parts.
+func completeBitmap(n int) []byte {
+	w := (n + 7) / 8
+	if w > len(completeFile) {
+		return bytes.Repeat([]byte{0xFF}, w)
 	}
-	return c.cfg.UserHash, uint32(c.clientID), c.cfg.Port, tags, sip, sport
+	return completeFile[:w:w]
 }
 
 // SendHello starts the conversation on an outbound session.
@@ -460,14 +694,10 @@ func (ps *PeerSession) onMessage(m wire.Message) {
 		// Built-in: answer the handshake.
 		h, id, port, tags, sip, sport := ps.client.helloBody()
 		ps.conn.Send(&wire.HelloAnswer{UserHash: h, ClientID: id, Port: port, Tags: tags, ServerIP: sip, ServerPort: sport})
-		if ps.hooks.OnHello != nil {
-			ps.hooks.OnHello(ps.remote)
-		}
+		ps.handler.HandleHello(ps.remote)
 	case *wire.HelloAnswer:
 		ps.remote = peerInfoFrom(msg.UserHash, msg.ClientID, msg.Port, msg.Tags, msg.ServerIP, msg.ServerPort)
-		if ps.hooks.OnHelloAnswer != nil {
-			ps.hooks.OnHelloAnswer(ps.remote)
-		}
+		ps.handler.HandleHelloAnswer(ps.remote)
 	case *wire.RequestFileName:
 		if f, ok := ps.client.SharedFile(msg.Hash); ok {
 			ps.conn.Send(&wire.FileReqAnswer{Hash: msg.Hash, Name: f.Name})
@@ -478,11 +708,7 @@ func (ps *PeerSession) onMessage(m wire.Message) {
 		ps.currentFile = msg.Hash
 		if f, ok := ps.client.SharedFile(msg.Hash); ok {
 			parts := ed2k.NumParts(f.Size)
-			bitmap := make([]byte, (parts+7)/8)
-			for i := range bitmap {
-				bitmap[i] = 0xFF
-			}
-			ps.conn.Send(&wire.FileStatus{Hash: msg.Hash, Parts: uint16(parts), Bitmap: bitmap})
+			ps.conn.Send(&wire.FileStatus{Hash: msg.Hash, Parts: uint16(parts), Bitmap: completeBitmap(parts)})
 		} else {
 			ps.conn.Send(&wire.FileReqAnsNoFile{Hash: msg.Hash})
 		}
@@ -491,42 +717,26 @@ func (ps *PeerSession) onMessage(m wire.Message) {
 		if file.Zero() {
 			file = ps.currentFile
 		}
-		if ps.hooks.OnStartUpload != nil {
-			ps.hooks.OnStartUpload(file)
-		}
+		ps.handler.HandleStartUpload(file)
 	case *wire.AcceptUploadReq:
-		if ps.hooks.OnAcceptUpload != nil {
-			ps.hooks.OnAcceptUpload()
-		}
+		ps.handler.HandleAcceptUpload()
 	case *wire.QueueRank:
-		if ps.hooks.OnQueueRank != nil {
-			ps.hooks.OnQueueRank(msg.Rank)
-		}
+		ps.handler.HandleQueueRank(msg.Rank)
 	case *wire.RequestParts:
-		if ps.hooks.OnRequestParts != nil {
-			ps.hooks.OnRequestParts(msg)
-		}
+		ps.handler.HandleRequestParts(msg)
 	case *wire.SendingPart:
-		if ps.hooks.OnSendingPart != nil {
-			ps.hooks.OnSendingPart(msg)
-		}
+		ps.handler.HandleSendingPart(msg)
 	case *wire.AskSharedFiles:
 		// Built-in: honour the Browseable setting.
 		ans := &wire.AskSharedFilesAnswer{}
 		if ps.client.cfg.Browseable {
-			for _, f := range ps.client.shared {
-				ans.Files = append(ans.Files, f.Entry())
-			}
+			ans.Files = ps.client.entryList()
 		}
 		ps.conn.Send(ans)
 	case *wire.AskSharedFilesAnswer:
-		if ps.hooks.OnSharedList != nil {
-			ps.hooks.OnSharedList(msg.Files)
-		}
+		ps.handler.HandleSharedList(msg.Files)
 	case *wire.EndOfDownload:
-		if ps.hooks.OnEndOfDownload != nil {
-			ps.hooks.OnEndOfDownload(msg.Hash)
-		}
+		ps.handler.HandleEndOfDownload(msg.Hash)
 	case *wire.HashSetRequest:
 		// The honeypot's synthetic files have no real content; answer
 		// with a deterministic fake hashset as the random-content
@@ -540,7 +750,5 @@ func (ps *PeerSession) onMessage(m wire.Message) {
 			ps.conn.Send(&wire.HashSetAnswer{Hash: msg.Hash, Parts: parts})
 		}
 	}
-	if ps.hooks.OnMessage != nil {
-		ps.hooks.OnMessage(m)
-	}
+	ps.handler.HandleMessage(m)
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -134,18 +135,18 @@ func TestPeerHandshakeAndBrowse(t *testing.T) {
 
 	var helloAnswer PeerInfo
 	var browse []wire.FileEntry
-	alice.DialPeer(netip.AddrPortFrom(bob.Host().Addr(), 4663), func(ps *PeerSession, err error) {
+	alice.DialPeer(netip.AddrPortFrom(bob.Host().Addr(), 4663), PeerDialFunc(func(ps *PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial peer: %v", err)
 			return
 		}
-		ps.SetHooks(PeerHooks{
+		ps.SetHandler(PeerHooks{
 			OnHelloAnswer: func(info PeerInfo) { helloAnswer = info },
 			OnSharedList:  func(files []wire.FileEntry) { browse = files },
 		})
 		ps.SendHello()
 		ps.AskSharedFiles()
-	})
+	}))
 	w.settle()
 
 	if helloAnswer.UserHash != bob.Config().UserHash {
@@ -162,6 +163,69 @@ func TestPeerHandshakeAndBrowse(t *testing.T) {
 	}
 }
 
+// TestSharedListSnapshot guards the entry cache's aliasing: every
+// ASK-SHARED-FILES answer carries a snapshot of the sender's append-only
+// entry list. An answer sent before a later Share (a greedy adoption)
+// still delivers the old list, a receiver appending to what it got
+// cannot reach the sender's list, and the entries stay as Share encoded
+// them.
+func TestSharedListSnapshot(t *testing.T) {
+	w := newWorld(t)
+	alice := w.newClient(t, "alice", 4662, true)
+	bob := w.newClient(t, "bob", 4663, true)
+	b3 := SharedFile{Hash: ed2k.SyntheticHash("b3"), Name: "adopted.later.avi", Size: 9 << 20, Type: "Video"}
+	bob.Share(
+		SharedFile{Hash: ed2k.SyntheticHash("b1"), Name: "bobs.song.mp3", Size: 4 << 20, Type: "Audio"},
+		SharedFile{Hash: ed2k.SyntheticHash("b2"), Name: "bobs.movie.avi", Size: 700 << 20},
+	)
+	// Bob adopts a file right after answering the first browse, while
+	// the answer is still on its way.
+	bob.OnPeerSession = func(ps *PeerSession) {
+		ps.SetHandler(PeerHooks{OnMessage: func(m wire.Message) {
+			if _, ok := m.(*wire.AskSharedFiles); ok {
+				bob.Share(b3)
+			}
+		}})
+	}
+	var answers [][]wire.FileEntry
+	var session *PeerSession
+	alice.DialPeer(netip.AddrPortFrom(bob.Host().Addr(), 4663), PeerDialFunc(func(ps *PeerSession, err error) {
+		if err != nil {
+			t.Fatalf("dial peer: %v", err)
+		}
+		session = ps
+		ps.SetHandler(PeerHooks{OnSharedList: func(files []wire.FileEntry) {
+			answers = append(answers, files)
+			// A careless receiver: the append must not write into the
+			// sender's list.
+			_ = append(files, wire.NewFileEntry(ed2k.SyntheticHash("junk"), "junk", 1, ""))
+		}})
+		ps.AskSharedFiles()
+	}))
+	w.settle()
+	session.AskSharedFiles()
+	w.settle()
+
+	if len(answers) != 2 || len(answers[0]) != 2 || len(answers[1]) != 3 {
+		t.Fatalf("answers of %v entries, want [2 3]", func() (n []int) {
+			for _, a := range answers {
+				n = append(n, len(a))
+			}
+			return n
+		}())
+	}
+	want := make([]wire.FileEntry, 0, 3)
+	for _, f := range bob.Shared() {
+		want = append(want, wire.NewFileEntry(f.Hash, f.Name, f.Size, f.Type))
+	}
+	if !reflect.DeepEqual(answers[0], want[:2]) || !reflect.DeepEqual(answers[1], want) {
+		t.Errorf("answers differ from the shared list's encoding:\n%v\n%v\nwant %v", answers[0], answers[1], want)
+	}
+	if got := bob.entryList(); !reflect.DeepEqual(got, want) || cap(got) != len(got) {
+		t.Errorf("the sender's list changed or its snapshot is appendable: %v (cap %d)", got, cap(got))
+	}
+}
+
 func TestBrowseDisabled(t *testing.T) {
 	w := newWorld(t)
 	alice := w.newClient(t, "alice", 4662, true)
@@ -169,15 +233,15 @@ func TestBrowseDisabled(t *testing.T) {
 	bob.Share(SharedFile{Hash: ed2k.SyntheticHash("b1"), Name: "private.mp3", Size: 1 << 20, Type: "Audio"})
 
 	got := -1
-	alice.DialPeer(netip.AddrPortFrom(bob.Host().Addr(), 4663), func(ps *PeerSession, err error) {
+	alice.DialPeer(netip.AddrPortFrom(bob.Host().Addr(), 4663), PeerDialFunc(func(ps *PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		ps.SetHooks(PeerHooks{OnSharedList: func(files []wire.FileEntry) { got = len(files) }})
+		ps.SetHandler(PeerHooks{OnSharedList: func(files []wire.FileEntry) { got = len(files) }})
 		ps.SendHello()
 		ps.AskSharedFiles()
-	})
+	}))
 	w.settle()
 	if got != 0 {
 		t.Errorf("browse-disabled peer revealed %d files", got)
@@ -194,15 +258,15 @@ func TestUploadConversation(t *testing.T) {
 
 	// Provider-side policy: accept uploads, serve zero bytes as content.
 	provider.OnPeerSession = func(ps *PeerSession) {
-		ps.SetHooks(PeerHooks{
+		ps.SetHandler(PeerHooks{
 			OnStartUpload: func(h ed2k.Hash) {
 				if h == file.Hash {
 					ps.AcceptUpload()
 				}
 			},
 			OnRequestParts: func(req *wire.RequestParts) {
-				for _, r := range req.Ranges() {
-					ps.SendPart(req.Hash, r[0], r[1], make([]byte, r[1]-r[0]))
+				for start, end := range req.Ranges() {
+					ps.SendPart(req.Hash, start, end, make([]byte, end-start))
 				}
 			},
 		})
@@ -212,12 +276,12 @@ func TestUploadConversation(t *testing.T) {
 	var accepted bool
 	var gotParts []*wire.SendingPart
 	var fileStatus *wire.FileStatus
-	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), func(ps *PeerSession, err error) {
+	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		ps.SetHooks(PeerHooks{
+		ps.SetHandler(PeerHooks{
 			OnAcceptUpload: func() {
 				accepted = true
 				ps.RequestParts(file.Hash, [2]uint32{0, 1000}, [2]uint32{1000, 2000})
@@ -231,7 +295,7 @@ func TestUploadConversation(t *testing.T) {
 		})
 		ps.SendHello()
 		ps.StartUpload(file.Hash)
-	})
+	}))
 	w.settle()
 
 	if !accepted {
@@ -255,18 +319,18 @@ func TestStartUploadForUnknownFileStillSignalsHook(t *testing.T) {
 	p := w.newClient(t, "p", 4662, true)
 	var got ed2k.Hash
 	p.OnPeerSession = func(ps *PeerSession) {
-		ps.SetHooks(PeerHooks{OnStartUpload: func(h ed2k.Hash) { got = h }})
+		ps.SetHandler(PeerHooks{OnStartUpload: func(h ed2k.Hash) { got = h }})
 	}
 	q := w.newClient(t, "q", 4663, true)
 	unknown := ed2k.SyntheticHash("unknown")
-	q.DialPeer(netip.AddrPortFrom(p.Host().Addr(), 4662), func(ps *PeerSession, err error) {
+	q.DialPeer(netip.AddrPortFrom(p.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
 		ps.SendHello()
 		ps.Send(&wire.StartUploadReq{Hash: unknown})
-	})
+	}))
 	w.settle()
 	if got != unknown {
 		t.Errorf("hook got %v", got)
@@ -281,12 +345,12 @@ func TestRequestFileName(t *testing.T) {
 	q := w.newClient(t, "q", 4663, true)
 	var gotName string
 	var noFile bool
-	q.DialPeer(netip.AddrPortFrom(p.Host().Addr(), 4662), func(ps *PeerSession, err error) {
+	q.DialPeer(netip.AddrPortFrom(p.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		ps.SetHooks(PeerHooks{OnMessage: func(m wire.Message) {
+		ps.SetHandler(PeerHooks{OnMessage: func(m wire.Message) {
 			switch msg := m.(type) {
 			case *wire.FileReqAnswer:
 				gotName = msg.Name
@@ -297,7 +361,7 @@ func TestRequestFileName(t *testing.T) {
 		ps.SendHello()
 		ps.Send(&wire.RequestFileName{Hash: f.Hash})
 		ps.Send(&wire.RequestFileName{Hash: ed2k.SyntheticHash("missing")})
-	})
+	}))
 	w.settle()
 	if gotName != "the name.avi" {
 		t.Errorf("file name answer %q", gotName)
@@ -366,25 +430,25 @@ func TestQueueRankAndCancel(t *testing.T) {
 	file := SharedFile{Hash: ed2k.SyntheticHash("queued"), Name: "q.avi", Size: 1 << 20, Type: "Video"}
 	provider.Share(file)
 	provider.OnPeerSession = func(ps *PeerSession) {
-		ps.SetHooks(PeerHooks{
+		ps.SetHandler(PeerHooks{
 			OnStartUpload: func(h ed2k.Hash) { ps.SendQueueRank(17) },
 		})
 	}
 	leech := w.newClient(t, "leech", 4663, true)
 	var rank uint32
-	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), func(ps *PeerSession, err error) {
+	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		ps.SetHooks(PeerHooks{OnQueueRank: func(r uint32) {
+		ps.SetHandler(PeerHooks{OnQueueRank: func(r uint32) {
 			rank = r
 			ps.Send(&wire.CancelTransfer{})
 			ps.Close()
 		}})
 		ps.SendHello()
 		ps.StartUpload(file.Hash)
-	})
+	}))
 	w.settle()
 	if rank != 17 {
 		t.Errorf("queue rank = %d", rank)
@@ -398,17 +462,17 @@ func TestEndOfDownloadHook(t *testing.T) {
 	provider.Share(file)
 	var got ed2k.Hash
 	provider.OnPeerSession = func(ps *PeerSession) {
-		ps.SetHooks(PeerHooks{OnEndOfDownload: func(h ed2k.Hash) { got = h }})
+		ps.SetHandler(PeerHooks{OnEndOfDownload: func(h ed2k.Hash) { got = h }})
 	}
 	leech := w.newClient(t, "leech2", 4663, true)
-	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), func(ps *PeerSession, err error) {
+	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
 		ps.SendHello()
 		ps.Send(&wire.EndOfDownload{Hash: file.Hash})
-	})
+	}))
 	w.settle()
 	if got != file.Hash {
 		t.Errorf("EndOfDownload hook got %v", got)
@@ -423,19 +487,19 @@ func TestHashSetRequestAnswered(t *testing.T) {
 	provider.Share(file)
 	leech := w.newClient(t, "leech3", 4663, true)
 	var parts int
-	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), func(ps *PeerSession, err error) {
+	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		ps.SetHooks(PeerHooks{OnMessage: func(m wire.Message) {
+		ps.SetHandler(PeerHooks{OnMessage: func(m wire.Message) {
 			if hs, ok := m.(*wire.HashSetAnswer); ok {
 				parts = len(hs.Parts)
 			}
 		}})
 		ps.SendHello()
 		ps.Send(&wire.HashSetRequest{Hash: file.Hash})
-	})
+	}))
 	w.settle()
 	if parts != 3 {
 		t.Errorf("hashset has %d parts, want 3", parts)

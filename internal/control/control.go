@@ -208,7 +208,7 @@ func (a *Agent) Close() {
 }
 
 func (a *Agent) accept(conn transport.Conn) {
-	conn.SetHooks(transport.ConnHooks{
+	conn.SetHandler(transport.ConnHooks{
 		OnMessage: func(m wire.Message) {
 			env, err := unmarshalEnvelope(m)
 			if err != nil {
@@ -318,18 +318,18 @@ type Link struct {
 // Dial connects to a honeypot's control port. done runs on the manager's
 // executor.
 func Dial(host transport.Host, id string, addr netip.AddrPort, done func(*Link, error)) {
-	host.Dial(addr, wire.ServerSpace, func(conn transport.Conn, err error) {
+	host.Dial(addr, wire.ServerSpace, transport.DialFunc(func(conn transport.Conn, err error) {
 		if err != nil {
 			done(nil, err)
 			return
 		}
 		l := &Link{host: host, id: id, addr: addr, conn: conn, pending: make(map[uint64]*pendingReq)}
-		conn.SetHooks(transport.ConnHooks{
+		conn.SetHandler(transport.ConnHooks{
 			OnMessage: l.onMessage,
 			OnClose:   l.onClose,
 		})
 		done(l, nil)
-	})
+	}))
 }
 
 // ID returns the honeypot identifier this link serves.

@@ -141,14 +141,14 @@ func (w *world) contact(t *testing.T, label string, file ed2k.Hash) {
 		t.Fatal(err)
 	}
 	hpAddr := netip.AddrPortFrom(w.hp.Client().Host().Addr(), 4662)
-	peer.DialPeer(hpAddr, func(ps *client.PeerSession, err error) {
+	peer.DialPeer(hpAddr, client.PeerDialFunc(func(ps *client.PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial hp: %v", err)
 			return
 		}
 		ps.SendHello()
 		ps.StartUpload(file)
-	})
+	}))
 	w.settle()
 }
 
@@ -236,19 +236,19 @@ func TestBadEnvelopeAnswered(t *testing.T) {
 	// with an error envelope, not crash or stay silent.
 	h := w.net.NewHost("garbler")
 	var replies []Envelope
-	h.Dial(netip.AddrPortFrom(w.hp.Client().Host().Addr(), DefaultPort), wire.ServerSpace, func(c transport.Conn, err error) {
+	h.Dial(netip.AddrPortFrom(w.hp.Client().Host().Addr(), DefaultPort), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		c.SetHooks(transport.ConnHooks{OnMessage: func(m wire.Message) {
+		c.SetHandler(transport.ConnHooks{OnMessage: func(m wire.Message) {
 			if env, err := unmarshalEnvelope(m); err == nil {
 				replies = append(replies, env)
 			}
 		}})
 		c.Send(&wire.ServerMessage{Text: "{this is not json"})
 		c.Send(marshalEnvelope(Envelope{Seq: 1, Type: "no-such-request"}))
-	})
+	}))
 	w.settle()
 	if len(replies) != 2 {
 		t.Fatalf("got %d replies", len(replies))

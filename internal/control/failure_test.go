@@ -76,7 +76,7 @@ type flakyAgent struct {
 }
 
 func (f *flakyAgent) accept(conn transport.Conn) {
-	conn.SetHooks(transport.ConnHooks{
+	conn.SetHandler(transport.ConnHooks{
 		OnMessage: func(m wire.Message) {
 			env, err := unmarshalEnvelope(m)
 			if err != nil {
@@ -161,7 +161,7 @@ func TestLateReplyAfterExpiryIsDropped(t *testing.T) {
 	agentHost := nw.NewHost("agent")
 	seen := 0
 	_, err := agentHost.Listen(DefaultPort, wire.ServerSpace, func(conn transport.Conn) {
-		conn.SetHooks(transport.ConnHooks{
+		conn.SetHandler(transport.ConnHooks{
 			OnMessage: func(m wire.Message) {
 				env, uerr := unmarshalEnvelope(m)
 				if uerr != nil {

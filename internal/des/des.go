@@ -10,7 +10,8 @@
 //
 // An event has one callback form: a static func(recv, arg any) and its
 // two operands (AtCall/AfterCall); At/After(fn) are that form with fn as
-// arg. Pointers, funcs and interface values convert to any without
+// arg, and AfterCallGuarded adds a flag that mutes the call if it is
+// false when the event comes due (a simulated host's "up"). Pointers, funcs and interface values convert to any without
 // allocating, so a caller that passes a top-level function schedules
 // without a closure. The loop drops all three references when it
 // recycles an event — before the call runs, and when it reaps a
@@ -37,6 +38,7 @@ type event struct {
 	seq       uint64
 	call      func(recv, arg any)
 	recv, arg any
+	guard     *bool // when non-nil, call runs only if *guard is true
 	canceled  bool
 	gen       uint32 // bumped on recycle; stale Timers no longer match
 }
@@ -177,7 +179,7 @@ func (l *Loop) NewRand(label string) *rand.Rand {
 }
 
 // alloc takes an event off the free list, or makes one.
-func (l *Loop) alloc(t time.Time, call func(recv, arg any), recv, arg any) *event {
+func (l *Loop) alloc(t time.Time, guard *bool, call func(recv, arg any), recv, arg any) *event {
 	var e *event
 	if n := len(l.free); n > 0 {
 		e = l.free[n-1]
@@ -189,7 +191,7 @@ func (l *Loop) alloc(t time.Time, call func(recv, arg any), recv, arg any) *even
 		l.allocated++
 	}
 	e.when, e.seq, e.canceled = t, l.seq, false
-	e.call, e.recv, e.arg = call, recv, arg
+	e.call, e.recv, e.arg, e.guard = call, recv, arg, guard
 	l.seq++
 	return e
 }
@@ -198,7 +200,7 @@ func (l *Loop) alloc(t time.Time, call func(recv, arg any), recv, arg any) *even
 // free list. The operands are dropped so the free list never pins a
 // fired closure, connection or message.
 func (l *Loop) recycle(e *event) {
-	e.call, e.recv, e.arg = nil, nil, nil
+	e.call, e.recv, e.arg, e.guard = nil, nil, nil, nil
 	e.gen++
 	l.free = append(l.free, e)
 }
@@ -218,10 +220,14 @@ func (l *Loop) At(t time.Time, fn func()) Timer {
 // (pointers, funcs, interface values) the hot paths of the simulated
 // network schedule without allocating a closure per event.
 func (l *Loop) AtCall(t time.Time, call func(recv, arg any), recv, arg any) Timer {
+	return l.schedule(t, nil, call, recv, arg)
+}
+
+func (l *Loop) schedule(t time.Time, guard *bool, call func(recv, arg any), recv, arg any) Timer {
 	if t.Before(l.now) {
 		t = l.now
 	}
-	e := l.alloc(t, call, recv, arg)
+	e := l.alloc(t, guard, call, recv, arg)
 	l.sched.schedule(e)
 	if p := l.sched.pending(); p > l.maxQueue {
 		l.maxQueue = p
@@ -240,6 +246,18 @@ func (l *Loop) AfterCall(d time.Duration, call func(recv, arg any), recv, arg an
 		d = 0
 	}
 	return l.AtCall(l.now.Add(d), call, recv, arg)
+}
+
+// AfterCallGuarded is AfterCall whose call runs only if *guard is still
+// true when the event comes due. A muted event is executed all the
+// same: it is popped, counted and recycled in its place in the order, so
+// muting changes no other event's time or sequence. A simulated host
+// passes its "up" flag, so a crashed host's timers never fire.
+func (l *Loop) AfterCallGuarded(d time.Duration, guard *bool, call func(recv, arg any), recv, arg any) Timer {
+	if d < 0 {
+		d = 0
+	}
+	return l.schedule(l.now.Add(d), guard, call, recv, arg)
 }
 
 // runNext pops and executes the earliest pending event, advancing the
@@ -263,9 +281,11 @@ func (l *Loop) runNext(deadline time.Time, bounded bool) bool {
 		}
 		l.now = e.when
 		l.executed++
-		call, recv, arg := e.call, e.recv, e.arg
+		call, recv, arg, guard := e.call, e.recv, e.arg, e.guard
 		l.recycle(e) // before the call: nested scheduling may reuse it
-		call(recv, arg)
+		if guard == nil || *guard {
+			call(recv, arg)
+		}
 		return true
 	}
 }

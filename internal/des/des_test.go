@@ -97,12 +97,33 @@ func TestAfterCallAndNoPinning(t *testing.T) {
 		t.Fatal("no event reached the free list")
 	}
 	for _, e := range l.free {
-		if e.call != nil || e.recv != nil || e.arg != nil {
-			t.Fatalf("free-listed event still holds call=%v recv=%v arg=%v", e.call != nil, e.recv, e.arg)
+		if e.call != nil || e.recv != nil || e.arg != nil || e.guard != nil {
+			t.Fatalf("free-listed event still holds call=%v recv=%v arg=%v guard=%v", e.call != nil, e.recv, e.arg, e.guard != nil)
 		}
 	}
 	if s, _ := (Timer{}).Handle(); s != nil {
 		t.Error("zero Timer's Handle is not nil")
+	}
+}
+
+// TestAfterCallGuarded: a guarded event runs its call only if the guard
+// is true when it comes due, and a muted one is still executed in its
+// place: the count and the order of every other event are unchanged.
+func TestAfterCallGuarded(t *testing.T) {
+	l := NewLoop(t0, 1)
+	var order []string
+	say := func(_, arg any) { order = append(order, arg.(string)) }
+	up := false // down when the first guarded event comes due
+	l.AfterCallGuarded(time.Second, &up, say, nil, "muted")
+	l.AfterCall(time.Second, say, nil, "plain")
+	l.AfterCall(2*time.Second, func(_, _ any) { up = true }, nil, nil)
+	l.AfterCallGuarded(2*time.Second, &up, say, nil, "runs")
+	l.Run()
+	if got := fmt.Sprint(order); got != "[plain runs]" {
+		t.Errorf("order = %s, want [plain runs]", got)
+	}
+	if st := l.Stats(); st.Executed != 4 || st.Scheduled != 4 {
+		t.Errorf("executed %d of %d scheduled, want 4 of 4: a muted event still counts", st.Executed, st.Scheduled)
 	}
 }
 

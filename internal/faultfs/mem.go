@@ -12,7 +12,7 @@ import (
 )
 
 // Mem is an in-memory FS: a map from clean path to node — a directory or
-// a file's growable byte slice — under one mutex. It keeps the semantics
+// a file's contents in fixed-size chunks — under one mutex. It keeps the semantics
 // the logstore takes from a real disk: O_CREATE|O_EXCL, O_TRUNC,
 // O_APPEND, Truncate, Rename over an existing file, name-sorted ReadDir
 // and fs.ErrNotExist for missing paths. It renames and removes files
@@ -25,9 +25,94 @@ type Mem struct {
 	nodes map[string]*memNode
 }
 
+// memChunk is the size of a file's chunks: a file grows a chunk at a
+// time, so a long append-only file allocates each byte about once
+// instead of re-copying itself on every doubling. Only the first chunk
+// grows by doubling up to this size, so a small file stays small.
+const memChunk = 64 << 10
+
 type memNode struct {
 	dir bool
-	b   []byte
+	// chunks[i] holds bytes [i*memChunk, i*memChunk+len(chunks[i])):
+	// memChunk of them for every chunk but the last, which holds the
+	// rest (possibly none).
+	chunks [][]byte
+	size   int64
+}
+
+// readAt copies the contents from off on into p. Caller holds mu.
+func (n *memNode) readAt(p []byte, off int64) int {
+	k := 0
+	for k < len(p) && off < n.size {
+		c := copy(p[k:], n.chunks[off/memChunk][off%memChunk:])
+		k += c
+		off += int64(c)
+	}
+	return k
+}
+
+// writeAt writes p at off, zero-filling any gap past the end. Caller
+// holds mu.
+func (n *memNode) writeAt(p []byte, off int64) {
+	if off > n.size {
+		n.resize(off)
+	}
+	for len(p) > 0 {
+		i, o := int(off/memChunk), int(off%memChunk)
+		if i == len(n.chunks) {
+			n.chunks = append(n.chunks, nil)
+		}
+		k := min(len(p), memChunk-o)
+		// o is at most the chunk's length (off <= size), so the copy
+		// overwrites whatever the chunk's growth exposes.
+		c := growChunk(n.chunks[i], i, max(o+k, len(n.chunks[i])))
+		copy(c[o:], p[:k])
+		n.chunks[i] = c
+		p = p[k:]
+		off += int64(k)
+	}
+	n.size = max(n.size, off)
+}
+
+// resize sets the size: growth reads as zeros, and a shrink keeps the
+// chunk the new end falls in. Caller holds mu.
+func (n *memNode) resize(size int64) {
+	if size <= n.size {
+		if i := int(size / memChunk); i < len(n.chunks) {
+			clear(n.chunks[i+1:])
+			n.chunks = n.chunks[:i+1]
+			n.chunks[i] = n.chunks[i][:size%memChunk]
+		}
+		n.size = size
+		return
+	}
+	for n.size < size {
+		i, o := int(n.size/memChunk), int(n.size%memChunk)
+		if i == len(n.chunks) {
+			n.chunks = append(n.chunks, nil)
+		}
+		end := int(min(memChunk, size-int64(i)*memChunk))
+		c := growChunk(n.chunks[i], i, end)
+		clear(c[o:end]) // a shrink may have left old bytes past the end
+		n.chunks[i] = c
+		n.size = int64(i)*memChunk + int64(end)
+	}
+}
+
+// growChunk returns chunk i, c, with length end (at most memChunk),
+// reallocating it by doubling if it is the first and whole otherwise;
+// the bytes past len(c) are unspecified.
+func growChunk(c []byte, i, end int) []byte {
+	if end <= cap(c) {
+		return c[:end]
+	}
+	size := memChunk
+	if i == 0 {
+		size = min(memChunk, max(end, 2*cap(c)))
+	}
+	g := make([]byte, end, size)
+	copy(g, c)
+	return g
 }
 
 // NewMem returns an empty in-memory filesystem; "/" and "." exist.
@@ -58,7 +143,7 @@ func (m *Mem) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 		n = &memNode{}
 		m.nodes[name] = n
 	case flag&os.O_TRUNC != 0:
-		n.b = n.b[:0]
+		n.resize(0)
 	}
 	return &memFile{m: m, n: n, append: flag&os.O_APPEND != 0}, nil
 }
@@ -90,7 +175,7 @@ func (m *Mem) info(p string) fs.FileInfo {
 	case n.dir:
 		return memInfo{name: filepath.Base(p), mode: fs.ModeDir | 0o755}
 	}
-	return memInfo{name: filepath.Base(p), size: int64(len(n.b)), mode: 0o644}
+	return memInfo{name: filepath.Base(p), size: n.size, mode: 0o644}
 }
 
 func (m *Mem) ReadDir(name string) ([]fs.DirEntry, error) {
@@ -187,10 +272,10 @@ type memFile struct {
 
 func (f *memFile) Read(p []byte) (int, error) {
 	defer f.m.lock()()
-	if f.off >= int64(len(f.n.b)) {
+	if f.off >= f.n.size {
 		return 0, io.EOF
 	}
-	k := copy(p, f.n.b[f.off:])
+	k := f.n.readAt(p, f.off)
 	f.off += int64(k)
 	return k, nil
 }
@@ -198,20 +283,11 @@ func (f *memFile) Read(p []byte) (int, error) {
 func (f *memFile) Write(p []byte) (int, error) {
 	defer f.m.lock()()
 	if f.append {
-		f.off = int64(len(f.n.b))
+		f.off = f.n.size
 	}
-	f.n.grow(f.off)
-	k := copy(f.n.b[f.off:], p)
-	f.n.b = append(f.n.b, p[k:]...)
+	f.n.writeAt(p, f.off)
 	f.off += int64(len(p))
 	return len(p), nil
-}
-
-// grow zero-fills the contents out to size. Caller holds mu.
-func (n *memNode) grow(size int64) {
-	if gap := size - int64(len(n.b)); gap > 0 {
-		n.b = append(n.b, make([]byte, gap)...)
-	}
 }
 
 func (f *memFile) Seek(offset int64, whence int) (int64, error) {
@@ -220,7 +296,7 @@ func (f *memFile) Seek(offset int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		offset += f.off
 	case io.SeekEnd:
-		offset += int64(len(f.n.b))
+		offset += f.n.size
 	}
 	if offset < 0 {
 		return 0, syscall.EINVAL
@@ -234,8 +310,7 @@ func (f *memFile) Truncate(size int64) error {
 	if size < 0 {
 		return syscall.EINVAL
 	}
-	f.n.b = f.n.b[:min(size, int64(len(f.n.b)))]
-	f.n.grow(size)
+	f.n.resize(size)
 	return nil
 }
 

@@ -188,14 +188,14 @@ func (hp *Honeypot) ConnectServer(server netip.AddrPort) {
 	}
 	hp.serverAddr = server
 	hp.serverStr = server.String()
-	hp.cl.ConnectServer(server, client.ServerHooks{})
+	hp.cl.ConnectServer(server, nil)
 }
 
 // Reconnect retries the current server, used by the manager when a status
 // poll finds the honeypot disconnected.
 func (hp *Honeypot) Reconnect() {
 	if hp.serverAddr.IsValid() && !hp.cl.Connected() {
-		hp.cl.ConnectServer(hp.serverAddr, client.ServerHooks{})
+		hp.cl.ConnectServer(hp.serverAddr, nil)
 	}
 }
 
@@ -258,58 +258,73 @@ func (hp *Honeypot) onPeerSession(ps *client.PeerSession) {
 	hp.stats.Connections++
 	// Step 1 of the paper's anonymization: hash the peer address on accept,
 	// before any record of the session exists. The raw address is not kept.
-	peer := hp.hasher.HashIP(ps.RemoteAddr().Addr())
-	ps.SetHooks(client.PeerHooks{
-		OnHello: func(info client.PeerInfo) {
-			hp.stats.Hello++
-			r := hp.base(ps, peer)
-			r.Kind = logging.KindHello
-			hp.log(r)
-			if hp.cfg.BrowseContacts {
-				ps.AskSharedFiles()
-			}
-		},
-		OnStartUpload: func(file ed2k.Hash) {
-			hp.stats.StartUpload++
-			r := hp.base(ps, peer)
-			r.Kind = logging.KindStartUpload
-			r.FileHash = file
-			if f, ok := hp.cl.SharedFile(file); ok {
-				r.FileName = f.Name
-			}
-			hp.log(r)
-			// Both strategies accept the slot: the paper observes the two
-			// groups behave identically up to this point.
-			ps.AcceptUpload()
-		},
-		OnRequestParts: func(req *wire.RequestParts) {
-			hp.stats.RequestParts++
-			r := hp.base(ps, peer)
-			r.Kind = logging.KindRequestPart
-			r.FileHash = req.Hash
-			if f, ok := hp.cl.SharedFile(req.Hash); ok {
-				r.FileName = f.Name
-			}
-			hp.log(r)
-			if hp.cfg.Strategy == RandomContent {
-				hp.sendRandomParts(ps, req)
-			}
-		},
-		OnSharedList: func(files []wire.FileEntry) {
-			if len(files) == 0 {
-				return // peer has browsing disabled
-			}
-			hp.stats.SharedLists++
-			r := hp.base(ps, peer)
-			r.Kind = logging.KindSharedList
-			r.Files = make([]logging.SharedFile, 0, len(files))
-			for _, f := range files {
-				r.Files = append(r.Files, logging.SharedFile{Hash: f.Hash, Name: f.Name(), Size: f.Size()})
-			}
-			hp.log(r)
-			hp.maybeAdopt(files)
-		},
-	})
+	ps.SetHandler(&session{hp: hp, ps: ps, peer: hp.hasher.HashIP(ps.RemoteAddr().Addr())})
+}
+
+// session is one inbound peer session's handler: it holds the session's
+// step-1 peer identity and logs the paper's records.
+type session struct {
+	client.NopPeerHandler
+	hp   *Honeypot
+	ps   *client.PeerSession
+	peer logging.PeerID
+}
+
+func (s *session) HandleHello(client.PeerInfo) {
+	hp := s.hp
+	hp.stats.Hello++
+	r := hp.base(s.ps, s.peer)
+	r.Kind = logging.KindHello
+	hp.log(r)
+	if hp.cfg.BrowseContacts {
+		s.ps.AskSharedFiles()
+	}
+}
+
+func (s *session) HandleStartUpload(file ed2k.Hash) {
+	hp := s.hp
+	hp.stats.StartUpload++
+	r := hp.base(s.ps, s.peer)
+	r.Kind = logging.KindStartUpload
+	r.FileHash = file
+	if f, ok := hp.cl.SharedFile(file); ok {
+		r.FileName = f.Name
+	}
+	hp.log(r)
+	// Both strategies accept the slot: the paper observes the two
+	// groups behave identically up to this point.
+	s.ps.AcceptUpload()
+}
+
+func (s *session) HandleRequestParts(req *wire.RequestParts) {
+	hp := s.hp
+	hp.stats.RequestParts++
+	r := hp.base(s.ps, s.peer)
+	r.Kind = logging.KindRequestPart
+	r.FileHash = req.Hash
+	if f, ok := hp.cl.SharedFile(req.Hash); ok {
+		r.FileName = f.Name
+	}
+	hp.log(r)
+	if hp.cfg.Strategy == RandomContent {
+		hp.sendRandomParts(s.ps, req)
+	}
+}
+
+func (s *session) HandleSharedList(files []wire.FileEntry) {
+	if len(files) == 0 {
+		return // peer has browsing disabled
+	}
+	hp := s.hp
+	hp.stats.SharedLists++
+	r := hp.base(s.ps, s.peer)
+	r.Kind = logging.KindSharedList
+	r.Files = make([]logging.SharedFile, 0, len(files))
+	for _, f := range files {
+		r.Files = append(r.Files, logging.SharedFile{Hash: f.Hash, Name: f.Name(), Size: f.Size()})
+	}
+	hp.log(r)
+	hp.maybeAdopt(files)
 }
 
 // sendRandomParts answers each requested range with random bytes — the
@@ -317,13 +332,13 @@ func (hp *Honeypot) onPeerSession(ps *client.PeerSession) {
 // at a random offset: cheap, yet never hash-verifiable.
 func (hp *Honeypot) sendRandomParts(ps *client.PeerSession, req *wire.RequestParts) {
 	rng := hp.cl.Host().Rand()
-	for _, rg := range req.Ranges() {
-		n := int(rg[1] - rg[0])
+	for start, end := range req.Ranges() {
+		n := int(end - start)
 		if n > hp.cfg.MaxPartBytes {
 			n = hp.cfg.MaxPartBytes
 		}
 		off := rng.Intn(len(hp.junkPool) - n + 1)
-		ps.SendPart(req.Hash, rg[0], rg[0]+uint32(n), hp.junkPool[off:off+n])
+		ps.SendPart(req.Hash, start, start+uint32(n), hp.junkPool[off:off+n])
 		hp.stats.PartsSent++
 		hp.stats.BytesSent += int64(n)
 	}

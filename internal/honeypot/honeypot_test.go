@@ -25,7 +25,7 @@ type world struct {
 	srv  *server.Server
 }
 
-func newWorld(t *testing.T) *world {
+func newWorld(t testing.TB) *world {
 	t.Helper()
 	loop := des.NewLoop(t0, 31)
 	nw := netsim.New(loop, netsim.DefaultConfig())
@@ -53,7 +53,7 @@ func takeRecords(hp *Honeypot) []logging.Record {
 	return recs
 }
 
-func (w *world) newHoneypot(t *testing.T, cfg Config) *Honeypot {
+func (w *world) newHoneypot(t testing.TB, cfg Config) *Honeypot {
 	t.Helper()
 	if cfg.Port == 0 {
 		cfg.Port = 4662
@@ -70,7 +70,7 @@ func (w *world) newHoneypot(t *testing.T, cfg Config) *Honeypot {
 	return hp
 }
 
-func (w *world) newPeer(t *testing.T, label string, port uint16, browseable bool) *client.Client {
+func (w *world) newPeer(t testing.TB, label string, port uint16, browseable bool) *client.Client {
 	t.Helper()
 	c := client.New(w.net.NewHost(label), client.Config{
 		Label: label, UserHash: ed2k.NewUserHash(label), Port: port, Browseable: browseable,
@@ -105,12 +105,12 @@ func driveContact(t *testing.T, w *world, hp *Honeypot, peerLabel string, port u
 	t.Helper()
 	peer := w.newPeer(t, peerLabel, port, browseable)
 	parts := 0
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), hp.Config().Port), func(ps *client.PeerSession, err error) {
+	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), hp.Config().Port), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial honeypot: %v", err)
 			return
 		}
-		ps.SetHooks(client.PeerHooks{
+		ps.SetHandler(client.PeerHooks{
 			OnAcceptUpload: func() {
 				ps.RequestParts(testFile.Hash, [2]uint32{0, 180000})
 			},
@@ -118,7 +118,7 @@ func driveContact(t *testing.T, w *world, hp *Honeypot, peerLabel string, port u
 		})
 		ps.SendHello()
 		ps.StartUpload(testFile.Hash)
-	})
+	}))
 	w.settle()
 	return parts
 }
@@ -190,13 +190,13 @@ func TestSameIPHashesIdenticallyAcrossHoneypots(t *testing.T) {
 	peer := w.newPeer(t, "one-peer", 4663, true)
 	for _, hp := range []*Honeypot{hp1, hp2} {
 		target := netip.AddrPortFrom(hp.Client().Host().Addr(), hp.Config().Port)
-		peer.DialPeer(target, func(ps *client.PeerSession, err error) {
+		peer.DialPeer(target, client.PeerDialFunc(func(ps *client.PeerSession, err error) {
 			if err != nil {
 				t.Errorf("dial: %v", err)
 				return
 			}
 			ps.SendHello()
-		})
+		}))
 	}
 	w.settle()
 	r1, r2 := takeRecords(hp1), takeRecords(hp2)
@@ -217,13 +217,13 @@ func TestBrowseHarvestsSharedLists(t *testing.T) {
 		client.SharedFile{Hash: ed2k.SyntheticHash("s1"), Name: "song.one.mp3", Size: 4 << 20, Type: "Audio"},
 		client.SharedFile{Hash: ed2k.SyntheticHash("s2"), Name: "film.two.avi", Size: 700 << 20, Type: "Video"},
 	)
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), func(ps *client.PeerSession, err error) {
+	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
 		ps.SendHello()
-	})
+	}))
 	w.settle()
 	var list *logging.Record
 	for _, r := range takeRecords(hp) {
@@ -246,13 +246,13 @@ func TestBrowseDisabledPeerYieldsNoList(t *testing.T) {
 	hp.Advertise(testFile)
 	peer := w.newPeer(t, "private", 4663, false)
 	peer.Share(client.SharedFile{Hash: ed2k.SyntheticHash("s3"), Name: "hidden.mp3", Size: 1 << 20, Type: "Audio"})
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), func(ps *client.PeerSession, err error) {
+	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
 		ps.SendHello()
-	})
+	}))
 	w.settle()
 	for _, r := range takeRecords(hp) {
 		if r.Kind == logging.KindSharedList {
@@ -278,13 +278,13 @@ func TestGreedyAdoption(t *testing.T) {
 		client.SharedFile{Hash: ed2k.SyntheticHash("g3"), Name: "c.mp3", Size: 1 << 20, Type: "Audio"},
 		client.SharedFile{Hash: ed2k.SyntheticHash("g4"), Name: "d.mp3", Size: 1 << 20, Type: "Audio"},
 	)
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), func(ps *client.PeerSession, err error) {
+	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
 		ps.SendHello()
-	})
+	}))
 	w.settle()
 	// Cap is 3 total shared (1 seed + 2 adopted).
 	if got := len(hp.Advertised()); got != 3 {
@@ -310,13 +310,13 @@ func TestGreedyWindowCloses(t *testing.T) {
 	w.loop.RunUntil(w.loop.Now().Add(2 * time.Hour))
 	peer := w.newPeer(t, "late", 4663, true)
 	peer.Share(client.SharedFile{Hash: ed2k.SyntheticHash("late1"), Name: "late.mp3", Size: 1 << 20, Type: "Audio"})
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), func(ps *client.PeerSession, err error) {
+	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
 		ps.SendHello()
-	})
+	}))
 	w.settle()
 	if hp.Stats().Adopted != 0 {
 		t.Errorf("adopted after window: %d", hp.Stats().Adopted)
@@ -411,7 +411,7 @@ func TestSessionStampFollowsHello(t *testing.T) {
 	hp.Advertise(testFile)
 	peer := w.newPeer(t, "stamped", 4663, true)
 	first, second := ed2k.NewUserHash("stamped"), ed2k.NewUserHash("stamped/reinstalled")
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), hp.Config().Port), func(ps *client.PeerSession, err error) {
+	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), hp.Config().Port), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial honeypot: %v", err)
 			return
@@ -422,7 +422,7 @@ func TestSessionStampFollowsHello(t *testing.T) {
 		ps.Send(&wire.Hello{UserHash: second, Port: 4663})
 		ps.StartUpload(testFile.Hash)
 		ps.RequestParts(testFile.Hash, [2]uint32{180000, 360000})
-	})
+	}))
 	w.settle()
 	recs := takeRecords(hp)
 	if len(recs) != 6 {
@@ -449,13 +449,13 @@ func TestRecordsBeforeConnectServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer := w.newPeer(t, "early", 4663, true)
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), func(ps *client.PeerSession, err error) {
+	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
 		ps.SendHello()
-	})
+	}))
 	w.settle()
 	recs := takeRecords(hp)
 	if len(recs) != 1 || recs[0].Server != "invalid AddrPort" {

@@ -81,6 +81,12 @@ func (h *Host) Post(fn func()) {
 	h.execCond.Signal()
 }
 
+// PostCall implements transport.Host. livenet is not on any simulated
+// path, so it spends the closure.
+func (h *Host) PostCall(fn func(recv, arg any), recv, arg any) {
+	h.Post(func() { fn(recv, arg) })
+}
+
 // Close shuts the host down: listeners and connections are closed, the
 // executor drains and exits. Close blocks until the executor has stopped.
 func (h *Host) Close() {
@@ -153,6 +159,11 @@ func (h *Host) After(d time.Duration, fn func()) transport.Timer {
 	return transport.NewTimer(lt, 0)
 }
 
+// AfterCall implements transport.Host.
+func (h *Host) AfterCall(d time.Duration, fn func(recv, arg any), recv, arg any) transport.Timer {
+	return h.After(d, func() { fn(recv, arg) })
+}
+
 type listener struct {
 	host  *Host
 	ln    net.Listener
@@ -199,18 +210,18 @@ func (h *Host) Listen(port uint16, space wire.Space, accept func(transport.Conn)
 }
 
 // Dial implements transport.Host.
-func (h *Host) Dial(remote netip.AddrPort, space wire.Space, done func(transport.Conn, error)) {
+func (h *Host) Dial(remote netip.AddrPort, space wire.Space, done transport.DialHandler) {
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
 		d := net.Dialer{Timeout: 10 * time.Second, LocalAddr: &net.TCPAddr{IP: h.addr.AsSlice()}}
 		nc, err := d.Dial("tcp", remote.String())
 		if err != nil {
-			h.Post(func() { done(nil, fmt.Errorf("%w: %v", transport.ErrConnRefused, err)) })
+			h.Post(func() { done.HandleDial(nil, fmt.Errorf("%w: %v", transport.ErrConnRefused, err)) })
 			return
 		}
 		c := h.newConn(nc, space)
-		h.Post(func() { done(c, nil) })
+		h.Post(func() { done.HandleDial(c, nil) })
 	}()
 }
 
@@ -220,10 +231,10 @@ type conn struct {
 	space wire.Space
 
 	// Executor-owned state (only touched via Post).
-	hooks    transport.ConnHooks
-	hooksSet bool
-	buffered []wire.Message
-	notified bool
+	handler    transport.ConnHandler
+	handlerSet bool
+	buffered   []wire.Message
+	notified   bool
 
 	// Outbound queue.
 	outMu     sync.Mutex
@@ -303,12 +314,12 @@ func (c *conn) writeLoop() {
 
 // dispatch runs on the executor.
 func (c *conn) dispatch(m wire.Message) {
-	if !c.hooksSet {
+	if !c.handlerSet {
 		c.buffered = append(c.buffered, m)
 		return
 	}
-	if c.hooks.OnMessage != nil {
-		c.hooks.OnMessage(m)
+	if c.handler != nil {
+		c.handler.HandleMessage(m)
 	}
 }
 
@@ -321,19 +332,19 @@ func (c *conn) notifyClose(err error) {
 	c.host.mu.Lock()
 	delete(c.host.conns, c)
 	c.host.mu.Unlock()
-	if c.hooks.OnClose != nil {
-		c.hooks.OnClose(err)
+	if c.handler != nil {
+		c.handler.HandleClose(err)
 	}
 }
 
-// SetHooks implements transport.Conn. Must be called on the executor
+// SetHandler implements transport.Conn. Must be called on the executor
 // (i.e. from an accept/dial/message callback), like all actor code.
-func (c *conn) SetHooks(h transport.ConnHooks) {
-	c.hooks = h
-	c.hooksSet = true
+func (c *conn) SetHandler(h transport.ConnHandler) {
+	c.handler = h
+	c.handlerSet = true
 	for _, m := range c.buffered {
-		if c.hooks.OnMessage != nil {
-			c.hooks.OnMessage(m)
+		if h != nil {
+			h.HandleMessage(m)
 		}
 	}
 	c.buffered = nil

@@ -36,7 +36,7 @@ func TestLiveExchange(t *testing.T) {
 	var serverGot, clientGot []wire.Message
 
 	l, err := srv.Listen(0, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHooks(transport.ConnHooks{
+		c.SetHandler(transport.ConnHooks{
 			OnMessage: func(m wire.Message) {
 				mu.Lock()
 				serverGot = append(serverGot, m)
@@ -49,12 +49,12 @@ func TestLiveExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cli.Dial(l.Addr(), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(l.Addr(), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		c.SetHooks(transport.ConnHooks{
+		c.SetHandler(transport.ConnHooks{
 			OnMessage: func(m wire.Message) {
 				mu.Lock()
 				clientGot = append(clientGot, m)
@@ -62,7 +62,7 @@ func TestLiveExchange(t *testing.T) {
 			},
 		})
 		c.Send(&wire.LoginRequest{UserHash: ed2k.NewUserHash("u"), Port: 4662})
-	})
+	}))
 
 	waitFor(t, "message exchange", func() bool {
 		mu.Lock()
@@ -89,7 +89,7 @@ func TestLiveOrdering(t *testing.T) {
 	var mu sync.Mutex
 	var got []uint32
 	l, err := srv.Listen(0, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHooks(transport.ConnHooks{
+		c.SetHandler(transport.ConnHooks{
 			OnMessage: func(m wire.Message) {
 				mu.Lock()
 				got = append(got, m.(*wire.IDChange).ClientID)
@@ -100,7 +100,7 @@ func TestLiveOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.Dial(l.Addr(), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(l.Addr(), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
@@ -108,7 +108,7 @@ func TestLiveOrdering(t *testing.T) {
 		for i := uint32(0); i < n; i++ {
 			c.Send(&wire.IDChange{ClientID: i})
 		}
-	})
+	}))
 	waitFor(t, "all messages", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -130,12 +130,12 @@ func TestLiveDialRefused(t *testing.T) {
 	var dialErr error
 	gotResult := false
 	// Port 1 is essentially guaranteed closed for unprivileged tests.
-	cli.Dial(netip.AddrPortFrom(loopback, 1), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netip.AddrPortFrom(loopback, 1), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		mu.Lock()
 		dialErr = err
 		gotResult = true
 		mu.Unlock()
-	})
+	}))
 	waitFor(t, "dial result", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -155,7 +155,7 @@ func TestLiveCloseNotifiesPeer(t *testing.T) {
 	var mu sync.Mutex
 	closed := false
 	l, err := srv.Listen(0, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHooks(transport.ConnHooks{
+		c.SetHandler(transport.ConnHooks{
 			OnClose: func(err error) {
 				mu.Lock()
 				closed = true
@@ -166,13 +166,13 @@ func TestLiveCloseNotifiesPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.Dial(l.Addr(), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(l.Addr(), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
 		c.Close()
-	})
+	}))
 	waitFor(t, "close notification", func() bool {
 		mu.Lock()
 		defer mu.Unlock()

@@ -154,7 +154,7 @@ func TestCollectRefusesRawAddress(t *testing.T) {
 	const leak = `{"records":[{"time":"2008-10-01T00:00:00Z","honeypot":"hp-leak","kind":1,` +
 		`"peer_ip":"192.0.2.55","peer_port":4662}]}`
 	_, err := hpHost.Listen(control.DefaultPort, wire.ServerSpace, func(conn transport.Conn) {
-		conn.SetHooks(transport.ConnHooks{OnMessage: func(msg wire.Message) {
+		conn.SetHandler(transport.ConnHooks{OnMessage: func(msg wire.Message) {
 			var req control.Envelope
 			if err := json.Unmarshal([]byte(msg.(*wire.ServerMessage).Text), &req); err != nil {
 				t.Errorf("agent: %v", err)

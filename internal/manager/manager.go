@@ -67,6 +67,17 @@ type LocalHandle struct {
 	hp      *honeypot.Honeypot
 	shard   *logstore.Shard
 	mgrHost transport.Host
+	// spare is a status reply no event refers to any more, kept for the
+	// next poll.
+	spare *statusReply
+}
+
+// statusReply carries one status poll to the honeypot's executor and
+// its answer back to the manager's.
+type statusReply struct {
+	h  *LocalHandle
+	cb func(honeypot.Status, error)
+	st honeypot.Status
 }
 
 // NewLocalHandle wraps hp, whose Sink is shard; callbacks run on
@@ -81,12 +92,37 @@ func (h *LocalHandle) Shard() *logstore.Shard { return h.shard }
 // ID implements Handle.
 func (h *LocalHandle) ID() string { return h.id }
 
-// Status implements Handle.
+// Status implements Handle. A poll costs no closure: the periodic
+// health check polls every honeypot every few simulated minutes.
 func (h *LocalHandle) Status(cb func(honeypot.Status, error)) {
-	h.hp.Client().Host().Post(func() {
-		st := h.hp.Status()
-		h.mgrHost.Post(func() { cb(st, nil) })
-	})
+	r := h.spare
+	if r != nil {
+		h.spare = nil
+	} else {
+		r = &statusReply{h: h}
+	}
+	r.cb = cb
+	h.hp.Client().Host().PostCall(statusAskEvent, r, nil)
+}
+
+// statusAskEvent reads the status on the honeypot's executor and posts
+// it back to the manager's.
+func statusAskEvent(recv, _ any) {
+	r := recv.(*statusReply)
+	r.st = r.h.hp.Status()
+	r.h.mgrHost.PostCall(statusAnswerEvent, r, nil)
+}
+
+// statusAnswerEvent hands the status to the poll's callback on the
+// manager's executor. After it, no event refers to the reply, so the
+// handle may reuse it. A poll whose honeypot (or manager) crashed never
+// gets here, and its reply is simply dropped.
+func statusAnswerEvent(recv, _ any) {
+	r := recv.(*statusReply)
+	cb, st := r.cb, r.st
+	r.cb, r.st = nil, honeypot.Status{}
+	r.h.spare = r
+	cb(st, nil)
 }
 
 // Advertise implements Handle.
@@ -200,6 +236,8 @@ type HoneypotState struct {
 	MissedRounds int
 
 	shard *logstore.Shard // where ingest files this honeypot's records
+	// onStatus is the health poll's callback, bound at the first poll.
+	onStatus func(honeypot.Status, error)
 }
 
 // Manager coordinates a fleet of honeypots.
@@ -350,23 +388,25 @@ func (m *Manager) Stop() {
 }
 
 func (m *Manager) scheduleCollect() {
-	m.collectTimer = m.host.After(m.cfg.CollectEvery, func() {
-		if !m.running {
-			return
-		}
+	m.collectTimer = m.host.AfterCall(m.cfg.CollectEvery, collectEvent, m, nil)
+}
+
+func collectEvent(recv, _ any) {
+	if m := recv.(*Manager); m.running {
 		m.CollectNow(nil)
 		m.scheduleCollect()
-	})
+	}
 }
 
 func (m *Manager) scheduleHealth() {
-	m.healthTimer = m.host.After(m.cfg.HealthEvery, func() {
-		if !m.running {
-			return
-		}
-		m.HealthCheckNow(nil)
+	m.healthTimer = m.host.AfterCall(m.cfg.HealthEvery, healthEvent, m, nil)
+}
+
+func healthEvent(recv, _ any) {
+	if m := recv.(*Manager); m.running {
+		m.HealthCheckNow()
 		m.scheduleHealth()
-	})
+	}
 }
 
 // collectBatch bounds one incremental transfer; collection loops until a
@@ -526,41 +566,32 @@ func (m *Manager) ingest(st *HoneypotState, recs []logging.Record) error {
 }
 
 // HealthCheckNow polls every honeypot's status; dead or disconnected ones
-// are relaunched (via the Relaunch hook) or told to reconnect. done
-// (optional) fires when all polls resolved.
-func (m *Manager) HealthCheckNow(done func()) {
-	remaining := len(m.hps)
-	if remaining == 0 {
-		if done != nil {
-			done()
-		}
-		return
-	}
-	finish := func() {
-		remaining--
-		if remaining == 0 && done != nil {
-			done()
-		}
-	}
+// are relaunched (via the Relaunch hook) or told to reconnect. Each
+// answer goes to its honeypot's own callback, bound once, so a poll
+// costs no closure.
+func (m *Manager) HealthCheckNow() {
 	for _, st := range m.hps {
-		st := st
-		st.Handle.Status(func(s honeypot.Status, err error) {
-			switch {
-			case err != nil:
-				st.Healthy = false
-				m.relaunch(st, finish)
-				return
-			case !s.Connected:
-				// Honeypot alive but off-server: re-push its assignment.
-				st.LastStatus = s
-				st.Healthy = true
-				m.push(st)
-			default:
-				st.LastStatus = s
-				st.Healthy = true
-			}
-			finish()
-		})
+		if st.onStatus == nil {
+			st.onStatus = func(s honeypot.Status, err error) { m.applyStatus(st, s, err) }
+		}
+		st.Handle.Status(st.onStatus)
+	}
+}
+
+// applyStatus acts on one poll's answer.
+func (m *Manager) applyStatus(st *HoneypotState, s honeypot.Status, err error) {
+	switch {
+	case err != nil:
+		st.Healthy = false
+		m.relaunch(st)
+	case !s.Connected:
+		// Honeypot alive but off-server: re-push its assignment.
+		st.LastStatus = s
+		st.Healthy = true
+		m.push(st)
+	default:
+		st.LastStatus = s
+		st.Healthy = true
 	}
 }
 
@@ -604,9 +635,8 @@ func (m *Manager) Redial(id string, done func(Handle, error)) {
 	})
 }
 
-func (m *Manager) relaunch(st *HoneypotState, finish func()) {
+func (m *Manager) relaunch(st *HoneypotState) {
 	if m.Relaunch == nil {
-		finish()
 		return
 	}
 	id := st.Handle.ID()
@@ -614,7 +644,6 @@ func (m *Manager) relaunch(st *HoneypotState, finish func()) {
 		if err == nil && h != nil {
 			m.ReplaceHandle(id, h)
 		}
-		finish()
 	})
 }
 

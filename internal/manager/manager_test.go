@@ -110,14 +110,14 @@ func (w *world) newPeer(t *testing.T, label string) *client.Client {
 func (w *world) contactFrom(t *testing.T, peer *client.Client, hp *honeypot.Honeypot) {
 	t.Helper()
 	addr := netip.AddrPortFrom(hp.Client().Host().Addr(), 4662)
-	peer.DialPeer(addr, func(ps *client.PeerSession, err error) {
+	peer.DialPeer(addr, client.PeerDialFunc(func(ps *client.PeerSession, err error) {
 		if err != nil {
 			t.Errorf("dial hp: %v", err)
 			return
 		}
 		ps.SendHello()
 		ps.StartUpload(baitFiles[0].Hash)
-	})
+	}))
 	w.settle()
 }
 
@@ -379,7 +379,7 @@ func TestCollectNowEmptyManager(t *testing.T) {
 	m := New(nw.NewHost("m"), DefaultConfig())
 	called := false
 	m.CollectNow(func() { called = true })
-	m.HealthCheckNow(nil)
+	m.HealthCheckNow()
 	loop.RunUntil(t0.Add(time.Minute))
 	if !called {
 		t.Error("CollectNow callback with zero honeypots")
@@ -692,7 +692,7 @@ func TestRedialCollectsAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w.mgr.HealthCheckNow(nil)
+	w.mgr.HealthCheckNow()
 	w.settle()
 	if st.Handle == old || st.Relaunches != 1 || !st.Healthy {
 		t.Fatalf("the health check did not redial: relaunches %d, healthy %v", st.Relaunches, st.Healthy)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -24,12 +25,12 @@ func establishedPair(tb testing.TB, cfg Config) (loop *des.Loop, srv *Host, srvC
 	srv = nw.NewHost("server")
 	cli := nw.NewHost("client")
 	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) { srvConn = c })
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			tb.Fatalf("dial: %v", err)
 		}
 		cliConn = c
-	})
+	}))
 	loop.Run()
 	if srvConn == nil || cliConn == nil {
 		tb.Fatal("no connection")
@@ -37,16 +38,22 @@ func establishedPair(tb testing.TB, cfg Config) (loop *des.Loop, srv *Host, srvC
 	return loop, srv, srvConn, cliConn
 }
 
+// countCall is a static timer callback: it counts into recv.
+func countCall(recv, _ any) { *recv.(*int)++ }
+
 // TestEventsDoNotAllocate pins the point of the closure-free event form:
 // with a warm event free list, a message, a post and a timer cost the
-// network model no heap allocation at all.
+// network model no heap allocation at all, in the func form (the
+// caller's closure made once) and in the static form (AfterCall,
+// PostCall) alike.
 func TestEventsDoNotAllocate(t *testing.T) {
 	loop, srv, srvConn, cliConn := establishedPair(t, DefaultConfig())
 	got := 0
-	srvConn.SetHooks(transport.ConnHooks{OnMessage: func(wire.Message) { got++ }})
+	srvConn.SetHandler(transport.ConnHooks{OnMessage: func(wire.Message) { got++ }})
 	var msg wire.Message = &wire.GetServerList{}
 	ran := 0
 	fn := func() { ran++ } // the caller's own closure, made once
+	calls := 0
 
 	cases := []struct {
 		name string
@@ -56,6 +63,9 @@ func TestEventsDoNotAllocate(t *testing.T) {
 		{"Post+fire", func() { srv.Post(fn); loop.Run() }},
 		{"After+fire+Stop", func() { tm := srv.After(time.Second, fn); loop.Run(); tm.Stop() }},
 		{"After+Stop+reap", func() { tm := srv.After(time.Second, fn); tm.Stop(); loop.Run() }},
+		{"PostCall+fire", func() { srv.PostCall(countCall, &calls, nil); loop.Run() }},
+		{"AfterCall+fire+Stop", func() { tm := srv.AfterCall(time.Second, countCall, &calls, nil); loop.Run(); tm.Stop() }},
+		{"AfterCall+Stop+reap", func() { tm := srv.AfterCall(time.Second, countCall, &calls, nil); tm.Stop(); loop.Run() }},
 	}
 	for _, c := range cases {
 		c.run() // warm the free list and the wheel's buckets
@@ -65,8 +75,43 @@ func TestEventsDoNotAllocate(t *testing.T) {
 	}
 	// Each case ran 202 times (warm-up, AllocsPerRun's own, 200 measured);
 	// a stopped timer's callback never did.
-	if got != 202 || ran != 2*202 {
-		t.Errorf("delivered %d messages and ran %d callbacks, want 202 and 404", got, ran)
+	if got != 202 || ran != 2*202 || calls != 2*202 {
+		t.Errorf("delivered %d messages and ran %d func and %d static callbacks, want 202, 404 and 404", got, ran, calls)
+	}
+}
+
+// TestDialDoesNotAllocateClosures: a dial costs its two connections and
+// nothing else — no closure per attempt, established or refused.
+func TestDialDoesNotAllocateClosures(t *testing.T) {
+	loop := des.NewLoop(t0, 1)
+	nw := New(loop, DefaultConfig())
+	srv, cli := nw.NewHost("server"), nw.NewHost("client")
+	var accepted transport.Conn
+	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) { accepted = c })
+	var dialed transport.Conn
+	var dialErr error
+	done := transport.DialFunc(func(c transport.Conn, err error) { dialed, dialErr = c, err })
+	established := func() {
+		cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, done)
+		loop.Run()
+		dialed.Close()
+		accepted.Close()
+		loop.Run()
+	}
+	refused := func() {
+		cli.Dial(netipAddrPortFrom(srv.Addr(), 4662), wire.ServerSpace, done)
+		loop.Run()
+	}
+	established()
+	refused()
+	if n := testing.AllocsPerRun(100, established); n != 2 {
+		t.Errorf("an established dial: %v allocations, want 2 (the connection pair)", n)
+	}
+	if n := testing.AllocsPerRun(100, refused); n != 1 {
+		t.Errorf("a refused dial: %v allocations, want 1 (the dialing side's connection)", n)
+	}
+	if !errors.Is(dialErr, transport.ErrConnRefused) {
+		t.Errorf("refused dial reported %v", dialErr)
 	}
 }
 
@@ -136,17 +181,17 @@ func TestSameInstantClosesAreOrdered(t *testing.T) {
 				hub.Listen(4662, wire.PeerSpace, func(c transport.Conn) {
 					i := accepted
 					accepted++
-					c.SetHooks(transport.ConnHooks{OnClose: func(error) { order = append(order, fmt.Sprint("hub", i)) }})
+					c.SetHandler(transport.ConnHooks{OnClose: func(error) { order = append(order, fmt.Sprint("hub", i)) }})
 				})
 				var conns [16]transport.Conn
 				for i := range conns {
-					nw.NewHost(fmt.Sprint("peer", i)).Dial(netipAddrPortFrom(hub.Addr(), 4662), wire.PeerSpace, func(c transport.Conn, err error) {
+					nw.NewHost(fmt.Sprint("peer", i)).Dial(netipAddrPortFrom(hub.Addr(), 4662), wire.PeerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 						if err != nil {
 							t.Fatalf("dial: %v", err)
 						}
 						conns[i] = c
-						c.SetHooks(transport.ConnHooks{OnClose: func(error) { order = append(order, fmt.Sprint("peer", i)) }})
-					})
+						c.SetHandler(transport.ConnHooks{OnClose: func(error) { order = append(order, fmt.Sprint("peer", i)) }})
+					}))
 				}
 				loop.Run()
 				conns[3].Close() // exercise removal from the middle and the end
@@ -203,7 +248,7 @@ func TestReencodeDeliversTheDecodedCopy(t *testing.T) {
 		cfg.Reencode = reencode
 		loop, _, srvConn, cliConn := establishedPair(t, cfg)
 		var got wire.Message
-		srvConn.SetHooks(transport.ConnHooks{OnMessage: func(m wire.Message) { got = m }})
+		srvConn.SetHandler(transport.ConnHooks{OnMessage: func(m wire.Message) { got = m }})
 		sent := &wire.GetSources{Hash: ed2k.SyntheticHash("f")}
 		cliConn.Send(sent)
 		loop.Run()
@@ -222,8 +267,8 @@ func BenchmarkNetsimPingPong(b *testing.B) {
 	loop, _, srvConn, cliConn := establishedPair(b, DefaultConfig())
 	var ping, pong wire.Message = &wire.GetServerList{}, &wire.ServerStatus{}
 	replies := 0
-	srvConn.SetHooks(transport.ConnHooks{OnMessage: func(wire.Message) { srvConn.Send(pong) }})
-	cliConn.SetHooks(transport.ConnHooks{OnMessage: func(wire.Message) { replies++ }})
+	srvConn.SetHandler(transport.ConnHooks{OnMessage: func(wire.Message) { srvConn.Send(pong) }})
+	cliConn.SetHandler(transport.ConnHooks{OnMessage: func(wire.Message) { replies++ }})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

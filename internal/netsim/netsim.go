@@ -198,16 +198,14 @@ func (h *Host) SetLinkDown(down bool) {
 }
 
 // The functions below are the calls of the events netsim schedules per
-// message, timer, post and close (des.Loop.AfterCall): top-level
-// functions over two pointer-shaped operands, where a closure would cost
-// an allocation each.
+// message, timer, post, dial and close (des.Loop.AfterCall and
+// AfterCallGuarded): top-level functions over two pointer-shaped
+// operands, where a closure would cost an allocation each. Events that
+// run actor code on a host are guarded by the host's up flag, so a
+// crashed host's timers and dial results are muted.
 
-// hostEvent runs fn (arg) on h (recv) unless the host has crashed.
-func hostEvent(recv, arg any) {
-	if recv.(*Host).up {
-		arg.(func())()
-	}
-}
+// runFunc runs fn (arg): the form of After and Post.
+func runFunc(_, arg any) { arg.(func())() }
 
 // deliverEvent hands message arg to connection recv, one latency after
 // the far side's Send.
@@ -217,7 +215,7 @@ func deliverEvent(recv, arg any) {
 		return
 	}
 	m := arg.(wire.Message)
-	if !c.hooksSet {
+	if !c.handlerSet {
 		c.buffered = append(c.buffered, m)
 		return
 	}
@@ -231,22 +229,75 @@ func remoteClosedEvent(recv, arg any) {
 	recv.(*conn).remoteClosed(err)
 }
 
-// localClosedEvent reports error arg to the hooks of connection recv,
+// localClosedEvent reports error arg to the handler of connection recv,
 // whose own host severed it.
 func localClosedEvent(recv, arg any) {
-	if c := recv.(*conn); c.hooks.OnClose != nil {
-		c.hooks.OnClose(arg.(error))
+	if c := recv.(*conn); c.handler != nil {
+		c.handler.HandleClose(arg.(error))
 	}
+}
+
+// synEvent is a dial reaching its target, one latency after Dial: recv
+// is the dialing side's connection, not yet established. The target
+// accepts at once; the dialer learns the outcome one latency later.
+func synEvent(recv, _ any) {
+	a := recv.(*conn)
+	h := a.host
+	target, ok := h.net.hosts[a.remote.Addr()]
+	if !ok || !target.up || target.linkDown {
+		h.net.loop.AfterCallGuarded(a.latency, &h.up, dialFailedEvent, a, transport.ErrHostDown)
+		return
+	}
+	l, ok := target.listeners[a.remote.Port()]
+	if !ok || l.closed {
+		h.net.loop.AfterCallGuarded(a.latency, &h.up, dialFailedEvent, a, transport.ErrConnRefused)
+		return
+	}
+	// Establish the pair: the accept side fires now, the dialer side
+	// one latency later (its SYN-ACK).
+	b := &conn{host: target, latency: a.latency, local: a.remote, remote: a.local, space: l.space}
+	a.peer, b.peer = b, a
+	h.track(a)
+	target.track(b)
+	l.accept(b)
+	h.net.loop.AfterCallGuarded(a.latency, &h.up, dialedEvent, a, nil)
+}
+
+// dialedEvent hands the established connection recv to its dialer.
+func dialedEvent(recv, _ any) {
+	a := recv.(*conn)
+	d := a.dialer
+	a.dialer = nil
+	d.HandleDial(a, nil)
+}
+
+// dialFailedEvent reports error arg to the dialer of connection recv,
+// which was never established.
+func dialFailedEvent(recv, arg any) {
+	a := recv.(*conn)
+	d := a.dialer
+	a.dialer = nil
+	d.HandleDial(nil, arg.(error))
 }
 
 // After implements transport.Host.
 func (h *Host) After(d time.Duration, fn func()) transport.Timer {
-	return transport.NewTimer(h.net.loop.AfterCall(d, hostEvent, h, fn).Handle())
+	return h.AfterCall(d, runFunc, nil, fn)
+}
+
+// AfterCall implements transport.Host.
+func (h *Host) AfterCall(d time.Duration, fn func(recv, arg any), recv, arg any) transport.Timer {
+	return transport.NewTimer(h.net.loop.AfterCallGuarded(d, &h.up, fn, recv, arg).Handle())
 }
 
 // Post implements transport.Host.
 func (h *Host) Post(fn func()) {
-	h.net.loop.AfterCall(0, hostEvent, h, fn)
+	h.net.loop.AfterCallGuarded(0, &h.up, runFunc, nil, fn)
+}
+
+// PostCall implements transport.Host.
+func (h *Host) PostCall(fn func(recv, arg any), recv, arg any) {
+	h.net.loop.AfterCallGuarded(0, &h.up, fn, recv, arg)
 }
 
 type listener struct {
@@ -257,7 +308,15 @@ type listener struct {
 	closed bool
 }
 
-func (l *listener) Close() { l.closed = true; delete(l.host.listeners, l.port) }
+// Close implements transport.Listener. It unbinds the port only while
+// the port is still this listener's: after a crash and restart the
+// relaunched process may have bound it again.
+func (l *listener) Close() {
+	l.closed = true
+	if l.host.listeners[l.port] == l {
+		delete(l.host.listeners, l.port)
+	}
+}
 
 func (l *listener) Addr() netip.AddrPort { return netip.AddrPortFrom(l.host.addr, l.port) }
 
@@ -283,59 +342,26 @@ func (h *Host) ephemeralPort() uint16 {
 	return p
 }
 
-// Dial implements transport.Host.
-func (h *Host) Dial(remote netip.AddrPort, space wire.Space, done func(transport.Conn, error)) {
+// Dial implements transport.Host. The dialing side's connection is
+// made at once and carries the attempt through its events (synEvent,
+// then dialedEvent or dialFailedEvent); it joins the host's open
+// connections only once established.
+func (h *Host) Dial(remote netip.AddrPort, space wire.Space, done transport.DialHandler) {
 	if !h.up {
 		return
 	}
 	lat := h.net.connLatency()
-	localPort := h.ephemeralPort()
+	a := &conn{host: h, latency: lat, local: netip.AddrPortFrom(h.addr, h.ephemeralPort()), remote: remote, space: space, dialer: done}
 	if h.linkDown {
-		h.net.loop.After(lat, func() {
-			if h.up {
-				done(nil, transport.ErrHostDown)
-			}
-		})
+		h.net.loop.AfterCallGuarded(lat, &h.up, dialFailedEvent, a, transport.ErrHostDown)
 		return
 	}
-	h.net.loop.After(lat, func() {
-		target, ok := h.net.hosts[remote.Addr()]
-		if !ok || !target.up || target.linkDown {
-			h.net.loop.After(lat, func() {
-				if h.up {
-					done(nil, transport.ErrHostDown)
-				}
-			})
-			return
-		}
-		l, ok := target.listeners[remote.Port()]
-		if !ok || l.closed {
-			h.net.loop.After(lat, func() {
-				if h.up {
-					done(nil, transport.ErrConnRefused)
-				}
-			})
-			return
-		}
-		// Establish the pair: the accept side fires now, the dialer side
-		// one latency later (its SYN-ACK).
-		local := netip.AddrPortFrom(h.addr, localPort)
-		a := &conn{host: h, latency: lat, local: local, remote: remote, space: space}
-		b := &conn{host: target, latency: lat, local: remote, remote: local, space: l.space}
-		a.peer, b.peer = b, a
-		h.track(a)
-		target.track(b)
-		l.accept(b)
-		h.net.loop.After(lat, func() {
-			if h.up {
-				done(a, nil)
-			}
-		})
-	})
+	h.net.loop.AfterCall(lat, synEvent, a, nil)
 }
 
 // Crash takes the host down abruptly: every connection dies (peers observe
-// an error after one latency), listeners are dropped, timers are muted.
+// an error after one latency), listeners are closed and dropped, timers
+// are muted.
 func (h *Host) Crash() {
 	if !h.up {
 		return
@@ -346,6 +372,9 @@ func (h *Host) Crash() {
 		h.net.loop.AfterCall(c.latency, remoteClosedEvent, c.peer, transport.ErrHostDown)
 	}
 	h.conns = nil
+	for _, l := range h.listeners {
+		l.closed = true
+	}
 	h.listeners = make(map[uint16]*listener)
 }
 
@@ -354,17 +383,19 @@ func (h *Host) Crash() {
 func (h *Host) Restart() { h.up = true; h.linkDown = false }
 
 type conn struct {
-	host     *Host
-	idx      int // position in host.conns while open
-	peer     *conn
-	latency  time.Duration
-	space    wire.Space
-	hooks    transport.ConnHooks
-	hooksSet bool
-	buffered []wire.Message
-	closed   bool
-	local    netip.AddrPort
-	remote   netip.AddrPort
+	host    *Host
+	idx     int // position in host.conns while open
+	peer    *conn
+	latency time.Duration
+	space   wire.Space
+	dialer  transport.DialHandler // until the dial's outcome is handed over
+	handler transport.ConnHandler
+	// handlerSet ends the buffering of early messages.
+	handlerSet bool
+	buffered   []wire.Message
+	closed     bool
+	local      netip.AddrPort
+	remote     netip.AddrPort
 }
 
 var _ transport.Conn = (*conn)(nil)
@@ -372,10 +403,10 @@ var _ transport.Conn = (*conn)(nil)
 func (c *conn) LocalAddr() netip.AddrPort  { return c.local }
 func (c *conn) RemoteAddr() netip.AddrPort { return c.remote }
 
-// SetHooks implements transport.Conn.
-func (c *conn) SetHooks(h transport.ConnHooks) {
-	c.hooks = h
-	c.hooksSet = true
+// SetHandler implements transport.Conn.
+func (c *conn) SetHandler(h transport.ConnHandler) {
+	c.handler = h
+	c.handlerSet = true
 	for _, m := range c.buffered {
 		c.deliver(m)
 	}
@@ -383,8 +414,8 @@ func (c *conn) SetHooks(h transport.ConnHooks) {
 }
 
 func (c *conn) deliver(m wire.Message) {
-	if c.hooks.OnMessage != nil {
-		c.hooks.OnMessage(m)
+	if c.handler != nil {
+		c.handler.HandleMessage(m)
 	}
 }
 
@@ -425,7 +456,7 @@ func (c *conn) remoteClosed(err error) {
 	}
 	c.closed = true
 	c.host.untrack(c)
-	if c.hooks.OnClose != nil {
-		c.hooks.OnClose(err)
+	if c.handler != nil {
+		c.handler.HandleClose(err)
 	}
 }

@@ -32,7 +32,7 @@ func TestDialAndExchange(t *testing.T) {
 
 	var serverGot []wire.Message
 	_, err := srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHooks(transport.ConnHooks{
+		c.SetHandler(transport.ConnHooks{
 			OnMessage: func(m wire.Message) {
 				serverGot = append(serverGot, m)
 				c.Send(&wire.IDChange{ClientID: 99})
@@ -44,16 +44,16 @@ func TestDialAndExchange(t *testing.T) {
 	}
 
 	var clientGot []wire.Message
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		c.SetHooks(transport.ConnHooks{
+		c.SetHandler(transport.ConnHooks{
 			OnMessage: func(m wire.Message) { clientGot = append(clientGot, m) },
 		})
 		c.Send(&wire.LoginRequest{UserHash: ed2k.NewUserHash("u"), Port: 4662})
-	})
+	}))
 	loop.Run()
 
 	if len(serverGot) != 1 {
@@ -76,14 +76,14 @@ func TestDialRefusedAndHostDown(t *testing.T) {
 	b := nw.NewHost("b")
 
 	var refusedErr, downErr error
-	a.Dial(netipAddrPortFrom(b.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	a.Dial(netipAddrPortFrom(b.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		refusedErr = err
-	})
+	}))
 	loop.Run() // b is up but has no listener: refused
 	b.Crash()
-	a.Dial(netipAddrPortFrom(b.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	a.Dial(netipAddrPortFrom(b.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		downErr = err
-	})
+	}))
 	loop.Run()
 
 	if !errors.Is(refusedErr, transport.ErrConnRefused) {
@@ -101,13 +101,13 @@ func TestMessagesArriveInOrder(t *testing.T) {
 
 	var got []uint32
 	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHooks(transport.ConnHooks{
+		c.SetHandler(transport.ConnHooks{
 			OnMessage: func(m wire.Message) {
 				got = append(got, m.(*wire.IDChange).ClientID)
 			},
 		})
 	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
@@ -115,7 +115,7 @@ func TestMessagesArriveInOrder(t *testing.T) {
 		for i := uint32(0); i < 50; i++ {
 			c.Send(&wire.IDChange{ClientID: i})
 		}
-	})
+	}))
 	loop.Run()
 	if len(got) != 50 {
 		t.Fatalf("got %d messages, want 50", len(got))
@@ -137,19 +137,19 @@ func TestBufferingBeforeHooks(t *testing.T) {
 	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
 		acceptConn = c // deliberately do not set hooks yet
 	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
 		c.Send(&wire.GetServerList{})
 		c.Send(&wire.GetSources{Hash: ed2k.SyntheticHash("x")})
-	})
+	}))
 	loop.Run()
 	if acceptConn == nil {
 		t.Fatal("no connection accepted")
 	}
-	acceptConn.SetHooks(transport.ConnHooks{
+	acceptConn.SetHandler(transport.ConnHooks{
 		OnMessage: func(m wire.Message) { got = append(got, m) },
 	})
 	if len(got) != 2 {
@@ -168,17 +168,17 @@ func TestCloseNotifiesPeer(t *testing.T) {
 	closed := false
 	var closeErr error = errors.New("sentinel-not-called")
 	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHooks(transport.ConnHooks{
+		c.SetHandler(transport.ConnHooks{
 			OnClose: func(err error) { closed = true; closeErr = err },
 		})
 	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
 		c.Close()
-	})
+	}))
 	loop.Run()
 	if !closed {
 		t.Fatal("peer not notified of close")
@@ -195,17 +195,17 @@ func TestCrashKillsConnections(t *testing.T) {
 
 	var gotErr error
 	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHooks(transport.ConnHooks{})
+		c.SetHandler(transport.ConnHooks{})
 	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		c.SetHooks(transport.ConnHooks{OnClose: func(err error) { gotErr = err }})
+		c.SetHandler(transport.ConnHooks{OnClose: func(err error) { gotErr = err }})
 		// Crash the server after establishment.
 		cli.After(time.Second, func() { srv.Crash() })
-	})
+	}))
 	loop.Run()
 	if !errors.Is(gotErr, transport.ErrHostDown) {
 		t.Errorf("crash notification: %v", gotErr)
@@ -257,7 +257,7 @@ func TestReencodeCatchesEverything(t *testing.T) {
 
 	var got *wire.FoundSources
 	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHooks(transport.ConnHooks{
+		c.SetHandler(transport.ConnHooks{
 			OnMessage: func(m wire.Message) {
 				c.Send(&wire.FoundSources{
 					Hash:    ed2k.SyntheticHash("f"),
@@ -266,16 +266,16 @@ func TestReencodeCatchesEverything(t *testing.T) {
 			},
 		})
 	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		c.SetHooks(transport.ConnHooks{
+		c.SetHandler(transport.ConnHooks{
 			OnMessage: func(m wire.Message) { got = m.(*wire.FoundSources) },
 		})
 		c.Send(&wire.GetSources{Hash: ed2k.SyntheticHash("f")})
-	})
+	}))
 	loop.Run()
 	if got == nil || len(got.Sources) != 1 || got.Sources[0].IP != 7 {
 		t.Errorf("reencoded exchange failed: %#v", got)
@@ -291,9 +291,9 @@ func TestLossRateDropsMessages(t *testing.T) {
 
 	got := 0
 	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHooks(transport.ConnHooks{OnMessage: func(wire.Message) { got++ }})
+		c.SetHandler(transport.ConnHooks{OnMessage: func(wire.Message) { got++ }})
 	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
@@ -301,7 +301,7 @@ func TestLossRateDropsMessages(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			c.Send(&wire.GetServerList{})
 		}
-	})
+	}))
 	loop.Run()
 	if got != 0 {
 		t.Errorf("full loss still delivered %d messages", got)
@@ -328,7 +328,7 @@ func TestDeterministicReplay(t *testing.T) {
 		srv := nw.NewHost("server")
 		var order []uint32
 		srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-			c.SetHooks(transport.ConnHooks{
+			c.SetHandler(transport.ConnHooks{
 				OnMessage: func(m wire.Message) {
 					order = append(order, m.(*wire.IDChange).ClientID)
 				},
@@ -337,12 +337,12 @@ func TestDeterministicReplay(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			cli := nw.NewHost("client")
 			id := uint32(i)
-			cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+			cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 				if err != nil {
 					return
 				}
 				c.Send(&wire.IDChange{ClientID: id})
-			})
+			}))
 		}
 		loop.Run()
 		return order
@@ -370,12 +370,42 @@ func TestListenerClose(t *testing.T) {
 	}
 	l.Close()
 	var dialErr error
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		dialErr = err
-	})
+	}))
 	loop.Run()
 	if !errors.Is(dialErr, transport.ErrConnRefused) {
 		t.Errorf("dial after close: %v", dialErr)
+	}
+}
+
+// TestStaleListenerKeepsSuccessorsPort: after Crash → Restart → a
+// relaunched process's Listen on the same port, closing the crashed
+// process's listener must not unbind its successor.
+func TestStaleListenerKeepsSuccessorsPort(t *testing.T) {
+	loop, nw := newNet(t, DefaultConfig())
+	srv := nw.NewHost("server")
+	cli := nw.NewHost("client")
+	stale, err := srv.Listen(4661, wire.ServerSpace, func(transport.Conn) {
+		t.Error("the crashed process's listener accepted")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Crash()
+	srv.Restart()
+	accepted := 0
+	if _, err := srv.Listen(4661, wire.ServerSpace, func(transport.Conn) { accepted++ }); err != nil {
+		t.Fatal(err)
+	}
+	stale.Close() // the crashed process's cleanup, late
+	var dialErr error
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
+		dialErr = err
+	}))
+	loop.Run()
+	if dialErr != nil || accepted != 1 {
+		t.Errorf("dial after the stale Close: err %v, accepted %d; the relaunched listener lost its port", dialErr, accepted)
 	}
 }
 
@@ -397,12 +427,12 @@ func BenchmarkMessageDelivery(b *testing.B) {
 	cli := nw.NewHost("client")
 	count := 0
 	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHooks(transport.ConnHooks{OnMessage: func(wire.Message) { count++ }})
+		c.SetHandler(transport.ConnHooks{OnMessage: func(wire.Message) { count++ }})
 	})
 	var conn transport.Conn
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		conn = c
-	})
+	}))
 	loop.Run()
 	if conn == nil {
 		b.Fatal("no connection")
@@ -426,16 +456,16 @@ func TestLinkFlap(t *testing.T) {
 
 	var srvClosed, cliClosed error
 	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHooks(transport.ConnHooks{OnClose: func(err error) { srvClosed = err }})
+		c.SetHandler(transport.ConnHooks{OnClose: func(err error) { srvClosed = err }})
 	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		c.SetHooks(transport.ConnHooks{OnClose: func(err error) { cliClosed = err }})
+		c.SetHandler(transport.ConnHooks{OnClose: func(err error) { cliClosed = err }})
 		cli.After(time.Second, func() { srv.SetLinkDown(true) })
-	})
+	}))
 	loop.Run()
 
 	// Both ends observe the break as a failure, not a graceful close.
@@ -451,8 +481,8 @@ func TestLinkFlap(t *testing.T) {
 
 	// Unreachable in both directions while down.
 	var inErr, outErr error = errors.New("not called"), errors.New("not called")
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(_ transport.Conn, err error) { inErr = err })
-	srv.Dial(netipAddrPortFrom(cli.Addr(), 4661), wire.ServerSpace, func(_ transport.Conn, err error) { outErr = err })
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(_ transport.Conn, err error) { inErr = err }))
+	srv.Dial(netipAddrPortFrom(cli.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(_ transport.Conn, err error) { outErr = err }))
 	loop.Run()
 	if !errors.Is(inErr, transport.ErrHostDown) {
 		t.Errorf("dial toward severed host: %v, want ErrHostDown", inErr)
@@ -464,13 +494,13 @@ func TestLinkFlap(t *testing.T) {
 	// Restore: the listener survived the flap, dials go through again.
 	srv.SetLinkDown(false)
 	dialed := false
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, func(c transport.Conn, err error) {
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial after restore: %v", err)
 			return
 		}
 		dialed = true
-	})
+	}))
 	loop.Run()
 	if !dialed {
 		t.Fatal("no connection after link restore")

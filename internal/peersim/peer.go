@@ -1,10 +1,10 @@
 package peersim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"net/netip"
+	"strconv"
 	"time"
 
 	"repro/internal/catalog"
@@ -38,7 +38,7 @@ type peer struct {
 	cursor    int // rotation over silent sources: move on after failures
 	hardFails int
 	done      bool
-	roundTick func() // pe.round, bound once for every re-arm
+	asked     int // FOUND-SOURCES answers received
 
 	// Daily activity window.
 	windowStartHour float64
@@ -109,8 +109,11 @@ func (p *Population) spawnHeavyHitter(rng *rand.Rand, idx int) {
 // start creates the host/client and begins the first session.
 func (pe *peer) start() {
 	p := pe.pop
-	pe.roundTick = pe.round
-	host := p.net.NewHost(fmt.Sprintf("%s/peer%d", p.cfg.Label, pe.id))
+	// "<label>/peer<id>" names the host and seeds the user hash; its
+	// "peer<id>" tail labels the client.
+	p.nameBuf = strconv.AppendInt(append(append(p.nameBuf[:0], p.cfg.Label...), "/peer"...), int64(pe.id), 10)
+	name := string(p.nameBuf)
+	host := p.net.NewHost(name)
 	if pe.lowID {
 		p.stats.LowID++
 	}
@@ -120,8 +123,8 @@ func (pe *peer) start() {
 	}
 	browseable := pe.rng.Float64() < p.cfg.BrowseableFraction
 	pe.cl = client.New(host, client.Config{
-		Label:      fmt.Sprintf("peer%d", pe.id),
-		UserHash:   ed2k.NewUserHash(fmt.Sprintf("%s/peer%d", p.cfg.Label, pe.id)),
+		Label:      name[len(p.cfg.Label)+1:],
+		UserHash:   ed2k.NewUserHash(name),
 		Name:       p.clientTag[pe.rng.Intn(len(p.clientTag))],
 		Version:    uint32(0x30 + pe.rng.Intn(16)),
 		Port:       port,
@@ -195,44 +198,50 @@ func (pe *peer) sampleWindowStart() float64 {
 }
 
 // loginAndAsk connects to the peer's directory server and requests
-// sources for the wanted files.
+// sources for the wanted files; the peer is the session's handler.
 func (pe *peer) loginAndAsk() {
 	p := pe.pop
-	asked := 0
 	server := p.cfg.Server
 	if len(p.cfg.Servers) > 0 {
 		server = p.cfg.Servers[pe.rng.Intn(len(p.cfg.Servers))]
 	}
-	pe.cl.ConnectServer(server, client.ServerHooks{
-		OnConnected: func(id ed2k.ClientID) {
-			for _, w := range pe.wants {
-				pe.cl.GetSources(w.Hash)
-			}
-		},
-		OnSources: func(h ed2k.Hash, srcs []wire.Endpoint) {
-			asked++
-			eps := make([]netip.AddrPort, 0, len(srcs))
-			for _, s := range srcs {
-				if ap := s.AddrPort(); ap.IsValid() {
-					eps = append(eps, ap)
-				}
-			}
-			if len(eps) > 0 {
-				p.gossip[h] = eps // feed peer exchange
-			}
-			pe.setSources(eps)
-			if asked == len(pe.wants) {
-				if len(pe.sources) == 0 {
-					p.stats.NoSources++
-					pe.quit()
-					return
-				}
-				pe.nextAction(0)
-			}
-		},
-		OnDisconnected: func(err error) {},
-	})
+	pe.cl.ConnectServer(server, pe)
 }
+
+// HandleConnected implements client.ServerHandler.
+func (pe *peer) HandleConnected(ed2k.ClientID) {
+	for _, w := range pe.wants {
+		pe.cl.GetSources(w.Hash)
+	}
+}
+
+// HandleSources implements client.ServerHandler.
+func (pe *peer) HandleSources(h ed2k.Hash, srcs []wire.Endpoint) {
+	p := pe.pop
+	pe.asked++
+	eps := make([]netip.AddrPort, 0, len(srcs))
+	for _, s := range srcs {
+		if ap := s.AddrPort(); ap.IsValid() {
+			eps = append(eps, ap)
+		}
+	}
+	if len(eps) > 0 {
+		p.gossip[h] = eps // feed peer exchange
+	}
+	pe.setSources(eps)
+	if pe.asked == len(pe.wants) {
+		if len(pe.sources) == 0 {
+			p.stats.NoSources++
+			pe.quit()
+			return
+		}
+		pe.nextAction(0)
+	}
+}
+
+func (pe *peer) HandleSearchResult([]wire.FileEntry) {}
+func (pe *peer) HandleStatus(users, files uint32)    {}
+func (pe *peer) HandleDisconnected(error)            {}
 
 // setSources merges newly learned sources, bounded by MaxSourcesPerPeer
 // (heavy hitters take everything). Selection is biased toward the head
@@ -248,9 +257,9 @@ func (pe *peer) setSources(eps []netip.AddrPort) {
 	if bias <= 0 || bias > 1 {
 		bias = 1
 	}
-	remaining := make([]int, len(eps))
-	for i := range remaining {
-		remaining[i] = i
+	remaining := pe.pop.remainBuf[:0]
+	for i := range eps {
+		remaining = append(remaining, i)
 	}
 	for len(remaining) > 0 && len(pe.sources) < limit {
 		// Weighted draw without replacement: weight bias^origPos.
@@ -280,6 +289,7 @@ func (pe *peer) setSources(eps []netip.AddrPort) {
 			pe.sources = append(pe.sources, &srcState{addr: ep})
 		}
 	}
+	pe.pop.remainBuf = remaining[:0]
 }
 
 func pow(b float64, n int) float64 {
@@ -310,8 +320,11 @@ func (pe *peer) nextAction(delay time.Duration) {
 			delay = 0
 		}
 	}
-	host.After(delay, pe.roundTick)
+	host.AfterCall(delay, roundEvent, pe, nil)
 }
+
+// roundEvent is peer recv's next contact round.
+func roundEvent(recv, _ any) { recv.(*peer).round() }
 
 // scheduleNextDay decides whether the user comes back tomorrow; heavy
 // hitters always return (after a plateau-inducing pause).
@@ -361,7 +374,7 @@ func (pe *peer) round() {
 	// a source that has been delivering data keeps the peer engaged
 	// ("sticky" — the user believes the download progresses), while
 	// silent sources make the client rotate to the next candidate.
-	var targets []*srcState
+	targets := pe.pop.targetBuf[:0]
 	if !pe.heavy {
 		for _, s := range pe.sources {
 			if !s.blacklisted && s.gotData {
@@ -402,6 +415,8 @@ func (pe *peer) round() {
 	for _, s := range targets {
 		pe.contact(s)
 	}
+	clear(targets)
+	pe.pop.targetBuf = targets[:0]
 	retry := pe.pop.cfg.RetryInterval
 	if pe.heavy {
 		retry = pe.pop.cfg.HeavyHitterRetry
@@ -416,77 +431,95 @@ func (pe *peer) contact(s *srcState) {
 	p := pe.pop
 	p.stats.Contacts++
 	s.attempts++
-	want := pe.wants[pe.rng.Intn(len(pe.wants))]
+	c := &contact{pe: pe, s: s, want: pe.wants[pe.rng.Intn(len(pe.wants))]}
+	pe.cl.DialPeer(s.addr, c)
+}
 
-	pe.cl.DialPeer(s.addr, func(ps *client.PeerSession, err error) {
-		if err != nil {
-			pe.contactDone(s, true)
-			return
-		}
-		budget := pe.reqBudget(s)
-		sent := 0
-		gotData := false
-		offset := uint32(pe.rng.Intn(64)) * uint32(ed2k.BlockSize)
-		var timeout transport.Timer
-		var step func()
-		finish := func() {
-			timeout.Stop()
-			ps.Close()
-			s.gotData = s.gotData || gotData
-			pe.contactDone(s, !gotData)
-		}
-		step = func() {
-			if ps.Closed() || pe.done {
-				return
-			}
-			if sent >= budget {
-				finish()
-				return
-			}
-			sent++
-			start := offset + uint32(sent)*uint32(ed2k.BlockSize)
-			ps.RequestParts(want.Hash, [2]uint32{start, start + uint32(ed2k.BlockSize)})
-			// Arm the part timeout: constant for silent sources (this is
-			// what makes the no-content curves smooth).
-			timeout = pe.cl.Host().After(p.cfg.PartTimeout, func() {
-				if ps.Closed() || pe.done {
-					return
-				}
-				step() // no data in time: next request or finish
-			})
-		}
-		ps.SetHooks(client.PeerHooks{
-			OnHelloAnswer: func(client.PeerInfo) {
-				ps.StartUpload(want.Hash)
-			},
-			OnAcceptUpload: func() {
-				step()
-			},
-			OnQueueRank: func(uint32) {
-				finish() // queued: come back later
-			},
-			OnSendingPart: func(part *wire.SendingPart) {
-				gotData = true
-				timeout.Stop()
-				// Content-paced: simulate transfer/verify delay before the
-				// next request (variable, unlike the timeout path).
-				d := time.Duration(2+pe.rng.Intn(14)) * time.Second
-				pe.cl.Host().After(d, func() {
-					if !ps.Closed() && !pe.done {
-						step()
-					}
-				})
-			},
-			OnClose: func(error) {},
-		})
-		ps.SendHello()
-		// Whole-contact guard: if the handshake itself stalls, give up.
-		pe.cl.Host().After(p.cfg.PartTimeout*time.Duration(budget+2), func() {
-			if !ps.Closed() && !pe.done {
-				finish()
-			}
-		})
-	})
+// contact is one exchange in flight: the dial's and the session's
+// handler and the operand of its three timers (the part timeout, the
+// content pacing and the whole-contact guard), so a contact allocates
+// one struct for all of its state.
+type contact struct {
+	client.NopPeerHandler
+	pe      *peer
+	s       *srcState
+	want    TargetFile
+	ps      *client.PeerSession
+	budget  int    // REQUEST-PARTs to send
+	sent    int    // REQUEST-PARTs sent
+	gotData bool   // a SENDING-PART arrived
+	offset  uint32 // where the requested ranges start
+	timeout transport.Timer
+}
+
+// HandlePeerDial implements client.PeerDialer.
+func (c *contact) HandlePeerDial(ps *client.PeerSession, err error) {
+	pe := c.pe
+	if err != nil {
+		pe.contactDone(c.s, true)
+		return
+	}
+	c.ps = ps
+	c.budget = pe.reqBudget(c.s)
+	c.offset = uint32(pe.rng.Intn(64)) * uint32(ed2k.BlockSize)
+	ps.SetHandler(c)
+	ps.SendHello()
+	// Whole-contact guard: if the handshake itself stalls, give up.
+	pe.cl.Host().AfterCall(pe.pop.cfg.PartTimeout*time.Duration(c.budget+2), guardEvent, c, nil)
+}
+
+func (c *contact) HandleHelloAnswer(client.PeerInfo) { c.ps.StartUpload(c.want.Hash) }
+
+func (c *contact) HandleAcceptUpload() { c.step() }
+
+func (c *contact) HandleQueueRank(uint32) { c.finish() } // queued: come back later
+
+func (c *contact) HandleSendingPart(*wire.SendingPart) {
+	pe := c.pe
+	c.gotData = true
+	c.timeout.Stop()
+	// Content-paced: simulate transfer/verify delay before the next
+	// request (variable, unlike the timeout path).
+	d := time.Duration(2+pe.rng.Intn(14)) * time.Second
+	pe.cl.Host().AfterCall(d, stepEvent, c, nil)
+}
+
+// live reports whether the contact is still running.
+func (c *contact) live() bool { return !c.ps.Closed() && !c.pe.done }
+
+// step sends the next REQUEST-PART, or finishes once the budget is spent.
+func (c *contact) step() {
+	if !c.live() {
+		return
+	}
+	if c.sent >= c.budget {
+		c.finish()
+		return
+	}
+	c.sent++
+	start := c.offset + uint32(c.sent)*uint32(ed2k.BlockSize)
+	c.ps.RequestParts(c.want.Hash, [2]uint32{start, start + uint32(ed2k.BlockSize)})
+	// Arm the part timeout: constant for silent sources (this is what
+	// makes the no-content curves smooth).
+	c.timeout = c.pe.cl.Host().AfterCall(c.pe.pop.cfg.PartTimeout, stepEvent, c, nil)
+}
+
+func (c *contact) finish() {
+	c.timeout.Stop()
+	c.ps.Close()
+	c.s.gotData = c.s.gotData || c.gotData
+	c.pe.contactDone(c.s, !c.gotData)
+}
+
+// stepEvent is contact recv's part timeout (no data in time: next
+// request or finish) and its content pacing.
+func stepEvent(recv, _ any) { recv.(*contact).step() }
+
+// guardEvent is contact recv's whole-contact guard.
+func guardEvent(recv, _ any) {
+	if c := recv.(*contact); c.live() {
+		c.finish()
+	}
 }
 
 // reqBudget draws the REQUEST-PART budget for one contact, larger when
@@ -528,11 +561,7 @@ func (pe *peer) contactDone(s *srcState, hard bool) {
 			// right away (the paper's Figs 8-9 asymmetry).
 			if pe.rng.Float64() < p.cfg.HeavyFollowUp {
 				gap := time.Duration(1+pe.rng.Intn(3)) * time.Minute
-				pe.cl.Host().After(gap, func() {
-					if !pe.done && pe.cl.Host().Now().Before(pe.activeUntil) {
-						pe.contact(s)
-					}
-				})
+				pe.cl.Host().AfterCall(gap, followUpEvent, pe, s)
 			}
 		} else if s.attempts >= p.cfg.AttemptsContent {
 			s.blacklisted = true
@@ -548,6 +577,13 @@ func (pe *peer) contactDone(s *srcState, hard bool) {
 	}
 	if !pe.heavy && pe.hardFails >= p.cfg.QuitAfterHardFails {
 		pe.quit()
+	}
+}
+
+// followUpEvent is peer recv's chained query to source arg.
+func followUpEvent(recv, arg any) {
+	if pe := recv.(*peer); !pe.done && pe.cl.Host().Now().Before(pe.activeUntil) {
+		pe.contact(arg.(*srcState))
 	}
 }
 

@@ -25,6 +25,7 @@ package peersim
 
 import (
 	"math"
+	"math/rand"
 	"net/netip"
 	"time"
 
@@ -205,6 +206,14 @@ type Population struct {
 	peerSeq   int
 	stopped   bool
 	clientTag []string
+	// Scratch a peer's step reuses: nothing keeps them past the call.
+	nameBuf   []byte      // a spawned peer's name (start)
+	targetBuf []*srcState // a round's sources to contact (round)
+	remainBuf []int       // sources not yet drawn (setSources)
+
+	// The arrival process: the host its events run on and its stream.
+	clock    *netsim.Host
+	arrivals *rand.Rand
 }
 
 // New creates a population; call Start to begin arrivals.
@@ -250,39 +259,8 @@ func (p *Population) Start() {
 		clockHost.After(p.cfg.RefreshTargets, refresh)
 	}
 
-	// Non-homogeneous Poisson arrivals by thinning: candidates at the
-	// peak rate, accepted with probability rate(t)/peak.
-	var next func()
-	next = func() {
-		if p.stopped {
-			return
-		}
-		now := clockHost.Now()
-		if now.After(p.cfg.End) {
-			return
-		}
-		peak := p.peakRatePerSec()
-		if peak <= 0 {
-			// No targets yet (greedy warm-up): look again shortly.
-			clockHost.After(time.Minute, next)
-			return
-		}
-		gap := time.Duration(rng.ExpFloat64() / peak * float64(time.Second))
-		if gap > 6*time.Hour {
-			gap = 6 * time.Hour // re-evaluate the rate at least every 6h
-		}
-		clockHost.After(gap, func() {
-			now := clockHost.Now()
-			if p.stopped || now.After(p.cfg.End) {
-				return
-			}
-			if rate := p.ratePerSec(now); rate > 0 && rng.Float64() < rate/p.peakRatePerSec() {
-				p.spawnPeer(rng)
-			}
-			next()
-		})
-	}
-	clockHost.After(p.cfg.WarmupDelay, next)
+	p.clock, p.arrivals = clockHost, rng
+	clockHost.AfterCall(p.cfg.WarmupDelay, nextArrivalEvent, p, nil)
 
 	for i := 0; i < p.cfg.HeavyHitters; i++ {
 		idx := i
@@ -290,6 +268,45 @@ func (p *Population) Start() {
 			p.spawnHeavyHitter(rng, idx)
 		})
 	}
+}
+
+// Arrivals are a non-homogeneous Poisson process, drawn by thinning:
+// candidates come at the peak rate (nextArrivalEvent draws the gap to
+// the next), and each is accepted with probability rate(t)/peak
+// (candidateEvent).
+
+func nextArrivalEvent(recv, _ any) {
+	p := recv.(*Population)
+	if p.stopped {
+		return
+	}
+	now := p.clock.Now()
+	if now.After(p.cfg.End) {
+		return
+	}
+	peak := p.peakRatePerSec()
+	if peak <= 0 {
+		// No targets yet (greedy warm-up): look again shortly.
+		p.clock.AfterCall(time.Minute, nextArrivalEvent, p, nil)
+		return
+	}
+	gap := time.Duration(p.arrivals.ExpFloat64() / peak * float64(time.Second))
+	if gap > 6*time.Hour {
+		gap = 6 * time.Hour // re-evaluate the rate at least every 6h
+	}
+	p.clock.AfterCall(gap, candidateEvent, p, nil)
+}
+
+func candidateEvent(recv, _ any) {
+	p := recv.(*Population)
+	now := p.clock.Now()
+	if p.stopped || now.After(p.cfg.End) {
+		return
+	}
+	if rate := p.ratePerSec(now); rate > 0 && p.arrivals.Float64() < rate/p.peakRatePerSec() {
+		p.spawnPeer(p.arrivals)
+	}
+	nextArrivalEvent(p, nil)
 }
 
 func (p *Population) refreshTargets() {

@@ -82,7 +82,8 @@ type Server struct {
 
 	lowIDNext uint32
 	stats     Stats
-	reapTick  func() // s.reap, bound once for every re-arm
+	// identTags are the tags of every SERVER-IDENT, built once.
+	identTags wire.Tags
 }
 
 type fileRecord struct {
@@ -95,7 +96,10 @@ type provider struct {
 	port     uint16
 }
 
+// session is one client's connection; it is that connection's handler,
+// and the dial handler of its callback probe.
 type session struct {
+	srv      *Server
 	conn     transport.Conn
 	userHash ed2k.Hash
 	clientID ed2k.ClientID
@@ -104,6 +108,8 @@ type session struct {
 	shared   []ed2k.Hash
 	lastSeen time.Time
 	loggedIn bool
+	// probeID is the high ID a pending callback probe grants.
+	probeID ed2k.ClientID
 }
 
 // New creates a server on the host. Call Start to begin listening.
@@ -122,6 +128,7 @@ func New(host transport.Host, cfg Config) *Server {
 		files:     make(map[ed2k.Hash]*fileRecord),
 		keywords:  make(map[string]map[ed2k.Hash]struct{}),
 		lowIDNext: 1,
+		identTags: wire.Tags{wire.StringTag(wire.TagName, cfg.Name)},
 	}
 }
 
@@ -147,8 +154,7 @@ func (s *Server) Start() error {
 	}
 	s.listener = l
 	if s.cfg.SessionTimeout > 0 {
-		s.reapTick = s.reap
-		s.host.After(s.cfg.SessionTimeout/2, s.reapTick)
+		s.host.AfterCall(s.cfg.SessionTimeout/2, reapEvent, s, nil)
 	}
 	return nil
 }
@@ -161,7 +167,9 @@ func (s *Server) Stop() {
 	}
 }
 
-func (s *Server) reap() {
+// reapEvent is the keep-alive reaper of server recv.
+func reapEvent(recv, _ any) {
+	s := recv.(*Server)
 	now := s.host.Now()
 	for id, sess := range s.sessions {
 		if now.Sub(sess.lastSeen) > s.cfg.SessionTimeout {
@@ -170,15 +178,32 @@ func (s *Server) reap() {
 			delete(s.sessions, id)
 		}
 	}
-	s.host.After(s.cfg.SessionTimeout/2, s.reapTick)
+	s.host.AfterCall(s.cfg.SessionTimeout/2, reapEvent, s, nil)
 }
 
 func (s *Server) accept(conn transport.Conn) {
-	sess := &session{conn: conn, lastSeen: s.host.Now()}
-	conn.SetHooks(transport.ConnHooks{
-		OnMessage: func(m wire.Message) { s.onMessage(sess, m) },
-		OnClose:   func(error) { s.onClose(sess) },
-	})
+	sess := &session{srv: s, conn: conn, lastSeen: s.host.Now()}
+	conn.SetHandler(sess)
+}
+
+// HandleMessage implements transport.ConnHandler.
+func (sess *session) HandleMessage(m wire.Message) { sess.srv.onMessage(sess, m) }
+
+// HandleClose implements transport.ConnHandler.
+func (sess *session) HandleClose(error) { sess.srv.onClose(sess) }
+
+// HandleDial implements transport.DialHandler: the outcome of the
+// callback probe of the session's login.
+func (sess *session) HandleDial(c transport.Conn, err error) {
+	s := sess.srv
+	if err != nil {
+		s.stats.LowIDLogins++
+		s.finishLogin(sess, s.allocLowID())
+		return
+	}
+	c.SetHandler(nil)
+	c.Close()
+	s.finishLogin(sess, sess.probeID)
 }
 
 func (s *Server) onClose(sess *session) {
@@ -247,56 +272,45 @@ func (s *Server) handleLogin(sess *session, msg *wire.LoginRequest) {
 	sess.name = msg.Tags.Str(wire.TagName)
 	s.stats.Logins++
 
-	finish := func(id ed2k.ClientID) {
-		sess.clientID = id
-		sess.loggedIn = true
-		if old, ok := s.sessions[uint32(id)]; ok && old != sess {
-			s.dropSession(old)
-			old.conn.Close()
-		}
-		s.sessions[uint32(id)] = sess
-		sess.conn.Send(&wire.IDChange{ClientID: uint32(id), Flags: 1})
-		if s.cfg.Welcome != "" {
-			sess.conn.Send(&wire.ServerMessage{Text: s.cfg.Welcome})
-		}
-		sess.conn.Send(&wire.ServerStatus{Users: uint32(len(s.sessions)), Files: uint32(len(s.files))})
-		ip, err := wire.EndpointFromAddrPort(s.Addr())
-		if err == nil {
-			sess.conn.Send(&wire.ServerIdent{
-				Hash: s.hash, IP: ip.IP, Port: s.cfg.Port,
-				Tags: wire.Tags{wire.StringTag(wire.TagName, s.cfg.Name)},
-			})
-		}
-	}
-
 	remote := sess.conn.RemoteAddr()
 	highID, err := ed2k.HighIDFor(remote.Addr())
 	if err != nil || ed2k.ClientID(highID).Low() {
-		finish(s.allocLowID())
+		s.finishLogin(sess, s.allocLowID())
 		return
 	}
 	if !s.cfg.ProbeCallback || msg.Port == 0 {
 		if msg.Port == 0 {
 			s.stats.LowIDLogins++
-			finish(s.allocLowID())
+			s.finishLogin(sess, s.allocLowID())
 		} else {
-			finish(highID)
+			s.finishLogin(sess, highID)
 		}
 		return
 	}
 	// Callback probe: can we reach the advertised client port? Peers
 	// behind NAT (which do not listen) become low IDs.
-	target := netip.AddrPortFrom(remote.Addr(), msg.Port)
-	s.host.Dial(target, wire.PeerSpace, func(c transport.Conn, err error) {
-		if err != nil {
-			s.stats.LowIDLogins++
-			finish(s.allocLowID())
-			return
-		}
-		c.SetHooks(transport.ConnHooks{})
-		c.Close()
-		finish(highID)
-	})
+	sess.probeID = highID
+	s.host.Dial(netip.AddrPortFrom(remote.Addr(), msg.Port), wire.PeerSpace, sess)
+}
+
+// finishLogin grants sess the client ID id and sends the login answers.
+func (s *Server) finishLogin(sess *session, id ed2k.ClientID) {
+	sess.clientID = id
+	sess.loggedIn = true
+	if old, ok := s.sessions[uint32(id)]; ok && old != sess {
+		s.dropSession(old)
+		old.conn.Close()
+	}
+	s.sessions[uint32(id)] = sess
+	sess.conn.Send(&wire.IDChange{ClientID: uint32(id), Flags: 1})
+	if s.cfg.Welcome != "" {
+		sess.conn.Send(&wire.ServerMessage{Text: s.cfg.Welcome})
+	}
+	sess.conn.Send(&wire.ServerStatus{Users: uint32(len(s.sessions)), Files: uint32(len(s.files))})
+	ip, err := wire.EndpointFromAddrPort(s.Addr())
+	if err == nil {
+		sess.conn.Send(&wire.ServerIdent{Hash: s.hash, IP: ip.IP, Port: s.cfg.Port, Tags: s.identTags})
+	}
 }
 
 func (s *Server) allocLowID() ed2k.ClientID {

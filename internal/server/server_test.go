@@ -51,21 +51,21 @@ func (w *world) dialRaw(t *testing.T, label string, listenPort uint16) *rawClien
 	rc := &rawClient{host: w.net.NewHost(label)}
 	if listenPort != 0 {
 		if _, err := rc.host.Listen(listenPort, wire.PeerSpace, func(c transport.Conn) {
-			c.SetHooks(transport.ConnHooks{}) // accept the server's probe
+			c.SetHandler(transport.ConnHooks{}) // accept the server's probe
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rc.host.Dial(w.srv.Addr(), wire.ServerSpace, func(c transport.Conn, err error) {
+	rc.host.Dial(w.srv.Addr(), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
 		rc.conn = c
-		c.SetHooks(transport.ConnHooks{
+		c.SetHandler(transport.ConnHooks{
 			OnMessage: func(m wire.Message) { rc.got = append(rc.got, m) },
 		})
-	})
+	}))
 	w.settle()
 	if rc.conn == nil {
 		t.Fatal("no server connection")

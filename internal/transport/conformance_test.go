@@ -25,6 +25,9 @@ type fixture struct {
 	newHost func(label string) transport.Host
 	// settle lets in-flight work finish (virtual or real time).
 	settle func()
+	// crash stops a host the way the implementation can: netsim crashes
+	// it, livenet closes it.
+	crash func(h transport.Host)
 	// close tears the fixture down.
 	close func()
 }
@@ -40,6 +43,7 @@ func fixtures(t *testing.T) []*fixture {
 		name:    "netsim",
 		newHost: func(label string) transport.Host { return simNet.NewHost(label) },
 		settle:  func() { loop.RunUntil(loop.Now().Add(30 * time.Second)) },
+		crash:   func(h transport.Host) { h.(*netsim.Host).Crash() },
 		close:   func() {},
 	})
 
@@ -56,6 +60,7 @@ func fixtures(t *testing.T) []*fixture {
 			return h
 		},
 		settle: func() { time.Sleep(150 * time.Millisecond) },
+		crash:  func(h transport.Host) { h.(*livenet.Host).Close() },
 		close: func() {
 			for _, h := range liveHosts {
 				h.Close()
@@ -112,14 +117,14 @@ func TestConformanceExchangeAndOrder(t *testing.T) {
 		rec := &recorder{}
 
 		l, err := srv.Listen(14100, wire.ServerSpace, func(c transport.Conn) {
-			c.SetHooks(rec.hooks())
+			c.SetHandler(rec.hooks())
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer l.Close()
 
-		cli.Dial(netip.AddrPortFrom(srv.Addr(), 14100), wire.ServerSpace, func(c transport.Conn, err error) {
+		cli.Dial(netip.AddrPortFrom(srv.Addr(), 14100), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 			if err != nil {
 				t.Errorf("dial: %v", err)
 				return
@@ -127,7 +132,7 @@ func TestConformanceExchangeAndOrder(t *testing.T) {
 			for i := uint32(0); i < 20; i++ {
 				c.Send(&wire.IDChange{ClientID: i})
 			}
-		})
+		}))
 		for i := 0; i < 30; i++ {
 			f.settle()
 			if n, _ := rec.snapshot(); n == 20 {
@@ -154,11 +159,11 @@ func TestConformanceDialRefused(t *testing.T) {
 		var mu sync.Mutex
 		var dialErr error
 		got := false
-		a.Dial(netip.AddrPortFrom(b.Addr(), 14199), wire.ServerSpace, func(c transport.Conn, err error) {
+		a.Dial(netip.AddrPortFrom(b.Addr(), 14199), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 			mu.Lock()
 			dialErr, got = err, true
 			mu.Unlock()
-		})
+		}))
 		for i := 0; i < 100; i++ {
 			f.settle()
 			mu.Lock()
@@ -185,20 +190,20 @@ func TestConformanceCloseNotifiesPeer(t *testing.T) {
 		cli := f.newHost("cli")
 		rec := &recorder{}
 		l, err := srv.Listen(14101, wire.ServerSpace, func(c transport.Conn) {
-			c.SetHooks(rec.hooks())
+			c.SetHandler(rec.hooks())
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		cli.Dial(netip.AddrPortFrom(srv.Addr(), 14101), wire.ServerSpace, func(c transport.Conn, err error) {
+		cli.Dial(netip.AddrPortFrom(srv.Addr(), 14101), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 			if err != nil {
 				t.Errorf("dial: %v", err)
 				return
 			}
 			c.Send(&wire.GetServerList{})
 			c.Close()
-		})
+		}))
 		for i := 0; i < 30; i++ {
 			f.settle()
 			if _, closed := rec.snapshot(); closed {
@@ -231,14 +236,14 @@ func TestConformanceBufferingBeforeHooks(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		cli.Dial(netip.AddrPortFrom(srv.Addr(), 14102), wire.ServerSpace, func(c transport.Conn, err error) {
+		cli.Dial(netip.AddrPortFrom(srv.Addr(), 14102), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
 			if err != nil {
 				t.Errorf("dial: %v", err)
 				return
 			}
 			c.Send(&wire.GetServerList{})
 			c.Send(&wire.GetSources{Hash: ed2k.SyntheticHash("x")})
-		})
+		}))
 		var conn transport.Conn
 		for i := 0; i < 30; i++ {
 			f.settle()
@@ -257,7 +262,7 @@ func TestConformanceBufferingBeforeHooks(t *testing.T) {
 		f.settle()
 		rec := &recorder{}
 		// SetHooks must run on the host executor in live mode.
-		srv.Post(func() { conn.SetHooks(rec.hooks()) })
+		srv.Post(func() { conn.SetHandler(rec.hooks()) })
 		for i := 0; i < 30; i++ {
 			f.settle()
 			if n, _ := rec.snapshot(); n == 2 {
@@ -311,6 +316,68 @@ func TestConformanceTimers(t *testing.T) {
 		}
 		if ran.Stop() {
 			t.Error("Stop after the callback ran must report false")
+		}
+	})
+}
+
+// callCounter is the operand of the static callbacks below; the mutex
+// covers livenet, whose callbacks run on another goroutine than the test.
+type callCounter struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (c *callCounter) get() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
+}
+
+// addCall adds arg to counter recv: a top-level function, the form
+// AfterCall and PostCall schedule without a closure.
+func addCall(recv, arg any) {
+	c := recv.(*callCounter)
+	c.mu.Lock()
+	c.n += arg.(int)
+	c.mu.Unlock()
+}
+
+// TestConformanceStaticCallbacks: AfterCall and PostCall keep the
+// contract of After and Post. The callback fires with its operands,
+// Stop reports exactly whether it prevented the call, and a crashed
+// host's timers never fire.
+func TestConformanceStaticCallbacks(t *testing.T) {
+	forEachFixture(t, func(t *testing.T, f *fixture) {
+		h := f.newHost("h")
+		c := &callCounter{}
+		ran := h.AfterCall(20*time.Millisecond, addCall, c, 1)
+		stopped := h.AfterCall(50*time.Millisecond, addCall, c, 100)
+		if !stopped.Stop() {
+			t.Error("Stop on a pending AfterCall must report true")
+		}
+		if stopped.Stop() {
+			t.Error("second Stop must report false")
+		}
+		h.PostCall(addCall, c, 1000)
+		for i := 0; i < 30 && c.get() < 1001; i++ {
+			f.settle()
+		}
+		if got := c.get(); got != 1001 {
+			t.Errorf("callbacks added %d, want 1001 (the timer and the post, not the stopped timer)", got)
+		}
+		if ran.Stop() {
+			t.Error("Stop after the callback ran must report false")
+		}
+
+		down := f.newHost("down")
+		muted := &callCounter{}
+		down.AfterCall(20*time.Millisecond, addCall, muted, 1)
+		f.crash(down)
+		for i := 0; i < 3; i++ {
+			f.settle()
+		}
+		if got := muted.get(); got != 0 {
+			t.Errorf("a crashed host's AfterCall fired (%d)", got)
 		}
 	})
 }

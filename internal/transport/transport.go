@@ -5,9 +5,17 @@
 // the identical actor code over real TCP sockets.
 //
 // Threading contract: all callbacks delivered to a given Host — accept
-// callbacks, connection hooks, timers, functions passed to Post — are
-// serialized. Actor code therefore needs no locks of its own, exactly like
-// a handler running inside an event loop.
+// callbacks, dial handlers, connection handlers, timers, functions passed
+// to Post — are serialized. Actor code therefore needs no locks of its
+// own, exactly like a handler running inside an event loop.
+//
+// Callbacks on hot paths take a closure-free form, so that a simulated
+// campaign's millions of messages, sessions and timers cost no closure
+// each: a connection reports to a ConnHandler and a dial to a
+// DialHandler, both interfaces an owner struct implements once for every
+// connection it holds, and AfterCall/PostCall schedule a static
+// func(recv, arg any) over two pointer-shaped operands. ConnHooks and
+// DialFunc adapt plain funcs to the handlers, for cold paths and tests.
 package transport
 
 import (
@@ -28,23 +36,56 @@ var ErrHostDown = errors.New("transport: host down")
 // ErrClosed is reported on use of a closed connection.
 var ErrClosed = errors.New("transport: connection closed")
 
-// ConnHooks receive connection events. Hooks are optional; nil members are
-// skipped.
-type ConnHooks struct {
-	// OnMessage is called for every decoded message, in order.
-	OnMessage func(m wire.Message)
-	// OnClose is called exactly once when the connection dies, with nil on
-	// graceful close by either side and an error otherwise.
-	OnClose func(err error)
+// ConnHandler receives connection events.
+type ConnHandler interface {
+	// HandleMessage is called for every decoded message, in order.
+	HandleMessage(m wire.Message)
+	// HandleClose is called exactly once when the connection dies, with
+	// nil on graceful close by either side and an error otherwise.
+	HandleClose(err error)
 }
+
+// ConnHooks adapts two funcs to a ConnHandler; nil members are skipped.
+// Each SetHandler(ConnHooks{...}) boxes the pair, so hot paths implement
+// ConnHandler on an owner struct instead.
+type ConnHooks struct {
+	OnMessage func(m wire.Message)
+	OnClose   func(err error)
+}
+
+// HandleMessage implements ConnHandler.
+func (h ConnHooks) HandleMessage(m wire.Message) {
+	if h.OnMessage != nil {
+		h.OnMessage(m)
+	}
+}
+
+// HandleClose implements ConnHandler.
+func (h ConnHooks) HandleClose(err error) {
+	if h.OnClose != nil {
+		h.OnClose(err)
+	}
+}
+
+// DialHandler receives the outcome of Host.Dial: the connection, or an
+// error.
+type DialHandler interface {
+	HandleDial(c Conn, err error)
+}
+
+// DialFunc adapts a func to a DialHandler.
+type DialFunc func(c Conn, err error)
+
+// HandleDial implements DialHandler.
+func (f DialFunc) HandleDial(c Conn, err error) { f(c, err) }
 
 // Conn is one bidirectional, ordered eDonkey message stream.
 type Conn interface {
-	// SetHooks installs the receive callbacks. Messages arriving before
-	// SetHooks are buffered.
-	SetHooks(h ConnHooks)
+	// SetHandler installs the receiver of the connection's events; nil
+	// discards them. Messages arriving before SetHandler are buffered.
+	SetHandler(h ConnHandler)
 	// Send enqueues a message. Sends on a closed connection are dropped
-	// silently (the OnClose hook already reported the death).
+	// silently (HandleClose already reported the death).
 	Send(m wire.Message)
 	// Close tears the connection down gracefully.
 	Close()
@@ -69,7 +110,8 @@ type Stopper interface {
 	StopTimer(gen uint32) bool
 }
 
-// Timer is a cancelable scheduled callback, returned by Host.After. It
+// Timer is a cancelable scheduled callback, returned by Host.After and
+// Host.AfterCall. It
 // is a small value: a pointer-shaped Stopper and the generation it was
 // scheduled under, so handing one out allocates nothing and a handle
 // kept past its callback cannot reach whatever reuses the Stopper. The
@@ -94,12 +136,19 @@ type Host interface {
 	Addr() netip.Addr
 	// Now returns the host's current time (virtual under simulation).
 	Now() time.Time
-	// After schedules fn on the host's executor after d.
+	// After schedules fn on the host's executor after d. A crashed
+	// host's timers never fire.
 	After(d time.Duration, fn func()) Timer
+	// AfterCall is After in the closure-free form: it schedules
+	// fn(recv, arg) after d. With a top-level fn and pointer-shaped
+	// operands it allocates nothing under simulation.
+	AfterCall(d time.Duration, fn func(recv, arg any), recv, arg any) Timer
 	// Post schedules fn on the host's executor as soon as possible. It is
 	// safe to call from any goroutine; this is the bridge for external
 	// inputs in live mode.
 	Post(fn func())
+	// PostCall is Post in the closure-free form.
+	PostCall(fn func(recv, arg any), recv, arg any)
 	// Rand returns the host's random stream. Must only be used from the
 	// host's executor.
 	Rand() *rand.Rand
@@ -108,5 +157,5 @@ type Host interface {
 	Listen(port uint16, space wire.Space, accept func(Conn)) (Listener, error)
 	// Dial opens a connection to remote speaking the given space. done is
 	// invoked on the host executor with the connection or an error.
-	Dial(remote netip.AddrPort, space wire.Space, done func(Conn, error))
+	Dial(remote netip.AddrPort, space wire.Space, done DialHandler)
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"iter"
 	"net/netip"
 
 	"repro/internal/ed2k"
@@ -59,14 +60,17 @@ func (f FileEntry) Type() string { return f.Tags.Str(TagType) }
 
 // NewFileEntry builds an entry with the standard name/size/type tags.
 func NewFileEntry(h ed2k.Hash, name string, size int64, typ string) FileEntry {
-	tags := Tags{
-		StringTag(TagName, name),
-		UintTag(TagSize, uint32(size)),
-	}
+	return FileEntry{Hash: h, Tags: AppendFileTags(make(Tags, 0, 3), name, size, typ)}
+}
+
+// AppendFileTags appends a file's standard name/size/type tags (two or
+// three) to ts, so that a list of entries can share one backing array.
+func AppendFileTags(ts Tags, name string, size int64, typ string) Tags {
+	ts = append(ts, StringTag(TagName, name), UintTag(TagSize, uint32(size)))
 	if typ != "" {
-		tags = append(tags, StringTag(TagType, typ))
+		ts = append(ts, StringTag(TagType, typ))
 	}
-	return FileEntry{Hash: h, Tags: tags}
+	return ts
 }
 
 func (f FileEntry) encode(e *encoder) {
@@ -414,15 +418,16 @@ func (m *RequestParts) encode(e *encoder) {
 	}
 }
 
-// Ranges returns the non-empty ranges.
-func (m *RequestParts) Ranges() [][2]uint32 {
-	var out [][2]uint32
-	for i := 0; i < 3; i++ {
-		if m.End[i] > m.Start[i] {
-			out = append(out, [2]uint32{m.Start[i], m.End[i]})
+// Ranges yields the non-empty ranges as (start, end) pairs, without
+// building a slice.
+func (m *RequestParts) Ranges() iter.Seq2[uint32, uint32] {
+	return func(yield func(start, end uint32) bool) {
+		for i, start := range m.Start {
+			if m.End[i] > start && !yield(start, m.End[i]) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // SendingPart carries one block of file content.

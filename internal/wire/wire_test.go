@@ -298,9 +298,20 @@ func TestFileEntryAccessors(t *testing.T) {
 
 func TestRequestPartsRanges(t *testing.T) {
 	m := &RequestParts{Start: [3]uint32{0, 100, 0}, End: [3]uint32{50, 200, 0}}
-	r := m.Ranges()
+	var r [][2]uint32
+	for start, end := range m.Ranges() {
+		r = append(r, [2]uint32{start, end})
+	}
 	if len(r) != 2 || r[0] != [2]uint32{0, 50} || r[1] != [2]uint32{100, 200} {
 		t.Errorf("Ranges() = %v", r)
+	}
+	n := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		for start, end := range m.Ranges() {
+			n += int(end - start)
+		}
+	}); allocs != 0 {
+		t.Errorf("ranging over Ranges allocates %v times, want 0", allocs)
 	}
 }
 
