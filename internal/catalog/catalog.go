@@ -5,20 +5,21 @@
 // distinct files averaging ≈330 MB; the default archetype mix matches
 // that order of magnitude.
 //
-// Generate draws every file from one seeded RNG on the calling goroutine
-// and hands the hashing and the rest of each file to GOMAXPROCS workers,
-// so the default 300,000-file catalog builds on every core while staying
-// bit-for-bit a function of its Config alone.
+// Generate makes one serial pass over a seeded RNG for each file's kind,
+// name and size. A file's hash is minted the first time a caller reads
+// the file, so a campaign hashes only the files it touches, and the
+// catalog stays bit-for-bit a function of its Config alone.
 package catalog
 
 import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ed2k"
 	"repro/internal/md4"
@@ -109,15 +110,30 @@ func DefaultConfig() Config {
 	return Config{NumFiles: 300_000, Vocabulary: 8_000, PopularityExp: 0.9, Seed: 1}
 }
 
-// Catalog is an immutable generated file universe.
+// Catalog is an immutable generated file universe, safe for concurrent
+// use: columns Generate fills, and hashes minted by their first reader.
 type Catalog struct {
-	files []File
-	cum   []float64 // cumulative weights for popularity sampling
-	total float64
+	kinds  []uint8
+	sizes  []int64
+	ends   []uint32 // ends[i]: chunk<<chunkBits | where file i's name ends in it
+	chunks []string // names, back to back, at most chunkBytes per chunk
+	hashes []hashSlot
+	cum    []float64 // cumulative weights for popularity sampling
+	total  float64
+	exp    float64
+	prefix string // the synthetic-hash preimage up to the file's index
 
 	byHashOnce sync.Once
 	byHash     map[ed2k.Hash]int // built by the first ByHash call
 }
+
+// hashSlot holds one file's hash once its state is minted.
+type hashSlot struct {
+	state atomic.Uint32 // cold, minting or minted
+	hash  ed2k.Hash
+}
+
+const cold, minting, minted uint32 = 0, 1, 2
 
 // kindMix is the archetype distribution; tuned so the mean size is a few
 // hundred MB as in the paper's Table I.
@@ -158,39 +174,23 @@ var syllables = [...]string{
 // untrusted spec would exhaust memory before any check could run.
 const MaxFiles = 1 << 22
 
-// chunkBytes bounds the name bytes of one chunk handed from the draw
-// stage to the mint workers; chunks in flight stay a few hundred KiB.
-const chunkBytes = 64 << 10
+// Names are written back to back into chunks of at most chunkBytes, so
+// a name's end fits under its chunk's index in one uint32. maxNameLen is
+// the longest name appendName writes: five words of four three-letter
+// syllables, four dots, a ".yyyy" year and a four-byte extension; a chunk
+// is closed before the next name could overflow it.
+const (
+	chunkBits  = 16
+	chunkBytes = 1 << chunkBits
+	maxNameLen = 5*4*3 + 4 + 5 + 4
+)
 
-// maxNameLen is the longest name appendName writes: five words of four
-// three-letter syllables, four dots, a ".yyyy" year and a four-byte
-// extension. A chunk is handed over before the next name could overflow
-// its buffer.
-const maxNameLen = 5*4*3 + 4 + 5 + 4
-
-// chunk carries consecutive files from the draw stage to a mint worker.
-type chunk struct {
-	first int     // index of the chunk's first file
-	names []byte  // the files' names, back to back
-	ends  []int32 // ends[k] is where file first+k's name ends in names
-}
-
-// Generate builds a catalog. It is deterministic in cfg: the result does
-// not depend on GOMAXPROCS.
-//
-// It runs in two stages. The calling goroutine is the draw stage and the
-// only consumer of the seeded RNG: in index order, exactly as a serial
-// generator would, it draws each file's kind, name and size, storing the
-// kind and size in the file and the name into a chunk of at most
-// chunkBytes of names. GOMAXPROCS(0) mint workers take finished chunks
-// and complete their files: the hash over the synthetic-hash preimage
-// "repro/ed2k/synthetic:catalog/<seed>/<i>/<name>" (what
-// ed2k.SyntheticHash hashes for "catalog/<seed>/<i>/<name>"), the
-// popularity weight, and the name, sliced from one string per chunk.
-// Workers write disjoint files, and once they have all returned one
-// serial pass sums the weights in index order, so the cumulative table
-// is bit-for-bit what a serial generator computes. No goroutine outlives
-// the call.
+// Generate builds a catalog. It is deterministic in cfg: one pass over
+// the seeded RNG draws each file's kind, name and size while a goroutine
+// sums the weights 1/(i+1)^exp, both in index order. A file's hash, md4
+// of "repro/ed2k/synthetic:catalog/<seed>/<i>/<name>" (what
+// ed2k.SyntheticHash hashes for "catalog/<seed>/<i>/<name>"), depends on
+// nothing else, so it is minted when first read.
 func Generate(cfg Config) *Catalog {
 	if cfg.NumFiles <= 0 {
 		panic("catalog: NumFiles must be positive")
@@ -203,100 +203,43 @@ func Generate(cfg Config) *Catalog {
 	}
 	rng := rand.New(randsrc.New(cfg.Seed))
 	vocab := drawVocabulary(rng, cfg.Vocabulary)
-	// Zipf over the vocabulary: word rank r has weight 1/(r+1)^1.0.
-	wordZipf := rand.NewZipf(rng, 1.4, 1, uint64(cfg.Vocabulary-1))
+	// Zipf over the vocabulary: word rank r has weight 1/(r+1)^1.4.
+	words := newWordDraw(rng, 1.4, 1, uint64(cfg.Vocabulary-1))
 
 	c := &Catalog{
-		files: make([]File, cfg.NumFiles),
-		cum:   make([]float64, cfg.NumFiles),
+		kinds:  make([]uint8, cfg.NumFiles),
+		sizes:  make([]int64, cfg.NumFiles),
+		ends:   make([]uint32, cfg.NumFiles),
+		hashes: make([]hashSlot, cfg.NumFiles),
+		cum:    make([]float64, cfg.NumFiles),
+		exp:    cfg.PopularityExp,
+		prefix: "repro/ed2k/synthetic:catalog/" + strconv.FormatInt(cfg.Seed, 10) + "/",
 	}
-	prefix := strconv.AppendInt([]byte("repro/ed2k/synthetic:catalog/"), cfg.Seed, 10)
-	prefix = append(prefix, '/')
-
-	// Each worker can have a chunk queued behind the one it mints while
-	// the draw stage fills the next. free holds every chunk buffer ever
-	// made (at most 2*workers), so returning one never blocks.
-	workers := runtime.GOMAXPROCS(0)
-	full := make(chan *chunk, workers)
-	free := make(chan *chunk, 2*workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(pre []byte) {
-			defer wg.Done()
-			for ch := range full {
-				pre = mint(c.files, ch, pre, len(prefix), cfg.PopularityExp)
-				ch.names, ch.ends = ch.names[:0], ch.ends[:0]
-				free <- ch
-			}
-		}(slices.Clone(prefix))
-	}
-	draw(c.files, rng, vocab, wordZipf, full, free, 2*workers)
-	wg.Wait()
-
-	for i := range c.files {
-		c.total += c.files[i].Weight
-		c.cum[i] = c.total
-	}
-	return c
-}
-
-// draw is the sequential stage of Generate: it draws every file's kind,
-// name and size in index order and sends the names to the mint workers
-// in chunks, taking at most maxChunks chunk buffers and recycling them
-// through free. It closes full when done.
-func draw(files []File, rng *rand.Rand, vocab []string, wordZipf *rand.Zipf, full chan<- *chunk, free <-chan *chunk, maxChunks int) {
-	defer close(full)
-	made := 0
-	next := func(first int) *chunk {
-		var ch *chunk
-		select {
-		case ch = <-free:
-		default:
-			if made < maxChunks {
-				made++
-				ch = &chunk{names: make([]byte, 0, chunkBytes), ends: make([]int32, 0, chunkBytes/16)}
-			} else {
-				ch = <-free
-			}
+	// The popularity table draws no uniform: a goroutine sums it meanwhile.
+	summed := make(chan struct{})
+	go func() {
+		defer close(summed)
+		for i := range c.cum {
+			c.total += c.weight(i)
+			c.cum[i] = c.total
 		}
-		ch.first = first
-		return ch
-	}
-	ch := next(0)
-	for i := range files {
-		if len(ch.names) > chunkBytes-maxNameLen {
-			full <- ch
-			ch = next(i)
+	}()
+	var b strings.Builder
+	b.Grow(chunkBytes)
+	for i := range cfg.NumFiles {
+		if b.Len() > chunkBytes-1-maxNameLen {
+			c.chunks = append(c.chunks, b.String())
+			b = strings.Builder{}
+			b.Grow(chunkBytes)
 		}
 		kind := sampleKind(rng)
-		ch.names = appendName(ch.names, rng, vocab, wordZipf, kind)
-		ch.ends = append(ch.ends, int32(len(ch.names)))
-		f := &files[i]
-		f.Index, f.Kind, f.Size = i, kind, sampleSize(rng, kind)
+		appendName(&b, rng, vocab, words, kind)
+		c.ends[i] = uint32(len(c.chunks)<<chunkBits | b.Len())
+		c.kinds[i], c.sizes[i] = uint8(kind), sampleSize(rng, kind)
 	}
-	full <- ch
-}
-
-// mint completes the files of one chunk: hash, name and weight. pre
-// holds the synthetic-hash preimage prefix in its first prefixLen bytes
-// and is returned for reuse.
-func mint(files []File, ch *chunk, pre []byte, prefixLen int, exp float64) []byte {
-	names := string(ch.names)
-	start := 0
-	for k, end := range ch.ends {
-		i := ch.first + k
-		name := names[start:end]
-		pre = strconv.AppendInt(pre[:prefixLen], int64(i), 10)
-		pre = append(pre, '/')
-		pre = append(pre, name...)
-		f := &files[i]
-		f.Hash = md4.Sum(pre)
-		f.Name = name
-		f.Weight = 1.0 / math.Pow(float64(i+1), exp)
-		start = int(end)
-	}
-	return pre
+	c.chunks = append(c.chunks, b.String())
+	<-summed
+	return c
 }
 
 // drawVocabulary draws n distinct words from rng. The words share one
@@ -334,21 +277,21 @@ func drawVocabulary(rng *rand.Rand, n int) []string {
 	return vocab
 }
 
-// appendName appends one file name to buf: 2-5 Zipf-drawn vocabulary
+// appendName appends one file name to b: 2-5 Zipf-drawn vocabulary
 // words joined by dots, a year on 30 % of names, the kind's extension.
-func appendName(buf []byte, rng *rand.Rand, vocab []string, wordZipf *rand.Zipf, kind Kind) []byte {
+func appendName(b *strings.Builder, rng *rand.Rand, vocab []string, words *wordDraw, kind Kind) {
 	n := 2 + rng.Intn(4)
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			buf = append(buf, '.')
+			b.WriteByte('.')
 		}
-		buf = append(buf, vocab[int(wordZipf.Uint64())%len(vocab)]...)
+		b.WriteString(vocab[int(words.next())%len(vocab)])
 	}
 	if rng.Float64() < 0.3 {
-		buf = append(buf, '.')
-		buf = strconv.AppendInt(buf, int64(1995+rng.Intn(14)), 10)
+		var year [5]byte
+		b.Write(strconv.AppendInt(append(year[:0], '.'), int64(1995+rng.Intn(14)), 10))
 	}
-	return append(buf, kind.extension()...)
+	b.WriteString(kind.extension())
 }
 
 func sampleKind(rng *rand.Rand) Kind {
@@ -386,50 +329,75 @@ func sampleSize(rng *rand.Rand, kind Kind) int64 {
 }
 
 // Len returns the catalog size.
-func (c *Catalog) Len() int { return len(c.files) }
+func (c *Catalog) Len() int { return len(c.kinds) }
 
 // File returns entry i.
-func (c *Catalog) File(i int) File { return c.files[i] }
+func (c *Catalog) File(i int) File {
+	return File{Index: i, Hash: c.hash(i), Name: c.name(i), Size: c.sizes[i], Kind: Kind(c.kinds[i]), Weight: c.weight(i)}
+}
+
+// name starts where file i-1's ends, unless that is in an earlier chunk.
+func (c *Catalog) name(i int) string {
+	end := c.ends[i]
+	start := end &^ (chunkBytes - 1)
+	if i > 0 && c.ends[i-1] > start {
+		start = c.ends[i-1]
+	}
+	return c.chunks[end>>chunkBits][start&(chunkBytes-1) : end&(chunkBytes-1)]
+}
+
+func (c *Catalog) weight(i int) float64 { return 1.0 / math.Pow(float64(i+1), c.exp) }
+
+// hash returns file i's hash, minting it on the first call. A caller
+// that races the minting one waits for it.
+func (c *Catalog) hash(i int) ed2k.Hash {
+	slot := &c.hashes[i]
+	if slot.state.CompareAndSwap(cold, minting) {
+		var buf [160]byte
+		pre := strconv.AppendInt(append(buf[:0], c.prefix...), int64(i), 10)
+		slot.hash = md4.Sum(append(append(pre, '/'), c.name(i)...))
+		slot.state.Store(minted)
+	}
+	for slot.state.Load() != minted {
+		runtime.Gosched()
+	}
+	return slot.hash
+}
 
 // ByHash finds a file by its ed2k hash. The index is built on the first
 // call, not by Generate: campaigns never look files up by hash.
 func (c *Catalog) ByHash(h ed2k.Hash) (File, bool) {
 	c.byHashOnce.Do(func() {
-		c.byHash = make(map[ed2k.Hash]int, len(c.files))
-		for i := range c.files {
-			c.byHash[c.files[i].Hash] = i
+		c.byHash = make(map[ed2k.Hash]int, c.Len())
+		for i := range c.Len() {
+			c.byHash[c.hash(i)] = i
 		}
 	})
 	i, ok := c.byHash[h]
 	if !ok {
 		return File{}, false
 	}
-	return c.files[i], true
+	return c.File(i), true
 }
 
 // Sample draws a file according to the popularity law.
-func (c *Catalog) Sample(rng *rand.Rand) File {
+func (c *Catalog) Sample(rng *rand.Rand) File { return c.File(c.sample(rng)) }
+
+func (c *Catalog) sample(rng *rand.Rand) int {
 	x := rng.Float64() * c.total
-	i := sort.SearchFloat64s(c.cum, x)
-	if i >= len(c.files) {
-		i = len(c.files) - 1
-	}
-	return c.files[i]
+	return min(sort.SearchFloat64s(c.cum, x), c.Len()-1)
 }
 
 // SampleLibrary draws up to n distinct files, popularity-weighted: a
 // simulated peer's shared folder.
 func (c *Catalog) SampleLibrary(rng *rand.Rand, n int) []File {
-	if n > len(c.files) {
-		n = len(c.files)
-	}
+	n = min(n, c.Len())
 	out := make([]File, 0, n)
 	taken := make(map[int]bool, n)
 	for attempts := 0; len(out) < n && attempts < 20*n; attempts++ {
-		f := c.Sample(rng)
-		if !taken[f.Index] {
-			taken[f.Index] = true
-			out = append(out, f)
+		if i := c.sample(rng); !taken[i] {
+			taken[i] = true
+			out = append(out, c.File(i))
 		}
 	}
 	return out
@@ -437,23 +405,22 @@ func (c *Catalog) SampleLibrary(rng *rand.Rand, n int) []File {
 
 // TopN returns the n most popular files (lowest indices).
 func (c *Catalog) TopN(n int) []File {
-	if n > len(c.files) {
-		n = len(c.files)
+	out := make([]File, min(n, c.Len()))
+	for i := range out {
+		out[i] = c.File(i)
 	}
-	out := make([]File, n)
-	copy(out, c.files[:n])
 	return out
 }
 
 // MeanSize returns the average file size, used to reproduce the "space
 // used by distinct files" row of Table I.
 func (c *Catalog) MeanSize() int64 {
-	if len(c.files) == 0 {
+	if c.Len() == 0 {
 		return 0
 	}
 	var sum int64
-	for _, f := range c.files {
-		sum += f.Size
+	for _, s := range c.sizes {
+		sum += s
 	}
-	return sum / int64(len(c.files))
+	return sum / int64(c.Len())
 }

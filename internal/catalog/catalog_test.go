@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,7 +58,7 @@ func digestCatalog(c *Catalog) string {
 // TestGenerateGolden pins every byte Generate produces. The digests were
 // taken from the string-concatenating, fmt.Sprintf-hashing generator that
 // preceded the in-place one, so they are a pin, not a self-comparison.
-// The catalog must not depend on how many mint workers built it.
+// The catalog must not depend on GOMAXPROCS.
 func TestGenerateGolden(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4, 8} {
@@ -77,8 +78,8 @@ func TestGenerateGolden(t *testing.T) {
 	}
 }
 
-// The cumulative popularity table is summed in index order, so Sample
-// sees the same floats however many workers computed the weights.
+// The cumulative popularity table is the running sum, in index order, of
+// the weights File reports.
 func TestCumulativeWeightsSerial(t *testing.T) {
 	c := Generate(small())
 	total := 0.0
@@ -93,11 +94,9 @@ func TestCumulativeWeightsSerial(t *testing.T) {
 	}
 }
 
-// The mint workers are joined before Generate returns. A worker calls
-// wg.Done a moment before its goroutine exits, so the count is given a
-// second to settle; a worker left blocked would never let it. The
-// baseline settles first, so a goroutine an earlier test left exiting
-// is not counted in it.
+// No goroutine outlives Generate. The count is given a second to
+// settle, and the baseline settles first, so a goroutine an earlier test
+// left exiting is not counted in it.
 func TestGenerateLeavesNoGoroutine(t *testing.T) {
 	before := settledGoroutines()
 	for _, n := range []int{1, 10, 2000, 20000} {
@@ -129,8 +128,9 @@ func settledGoroutines() int {
 	return n
 }
 
-// A chunk is handed over before a name could overflow its buffer only
-// while maxNameLen bounds every name appendName writes.
+// A name chunk is closed before the next name could overflow it, and a
+// hash preimage fits its stack buffer, only while maxNameLen bounds every
+// name appendName writes.
 func TestNamesFitMaxNameLen(t *testing.T) {
 	for _, s := range syllables {
 		if len(s) > 3 {
@@ -172,6 +172,53 @@ func TestSyllablesPrefixFree(t *testing.T) {
 	}
 	if MaxVocabulary != 900+27_000+810_000 {
 		t.Errorf("MaxVocabulary = %d", MaxVocabulary)
+	}
+}
+
+// A catalog costs its columns: kind, size, name end, hash slot and
+// cumulative weight per file, plus the names themselves, about 80 bytes
+// per file. The generator that built one File struct per file allocated
+// 110; a copy of the names (≈ 35 bytes per file) would break the bound.
+func TestGenerateBytesPerFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the 300,000-file default catalog")
+	}
+	cfg := DefaultConfig()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Generate(cfg)
+	runtime.ReadMemStats(&after)
+	if perFile := float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.NumFiles); perFile > 90 {
+		t.Errorf("Generate(DefaultConfig()): %.1f bytes per file, want <= 90", perFile)
+	}
+}
+
+// Goroutines that read the same cold files at once see what one reader
+// sees: each hash is minted once, and a racing reader waits for it.
+func TestConcurrentFirstAccess(t *testing.T) {
+	want := Generate(small())
+	c := Generate(small())
+	const readers = 8
+	got := make([][]File, readers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g % 2)))
+			for i := 0; i < c.Len(); i += 3 {
+				got[g] = append(got[g], c.File(i), c.Sample(rng))
+			}
+		}()
+	}
+	wg.Wait()
+	for g, files := range got {
+		rng := rand.New(rand.NewSource(int64(g % 2)))
+		for k, i := 0, 0; i < want.Len(); k, i = k+2, i+3 {
+			if files[k] != want.File(i) || files[k+1] != want.Sample(rng) {
+				t.Fatalf("reader %d: file %d or the sample after it differs from a lone reader's", g, i)
+			}
+		}
 	}
 }
 

@@ -140,10 +140,10 @@ func HashBytes(data []byte) (Hash, []Hash) {
 // whose contents are never materialized (the paper advertised fake files
 // with arbitrary hashes in exactly the same way).
 //
-// catalog.Generate does not call this: it builds the same preimage —
-// "repro/ed2k/synthetic:" + "catalog/<seed>/<i>/<name>" — in place in a
-// reused buffer and hashes that. A catalog test holds the two together;
-// change the prefix here and there at once.
+// The catalog does not call this: it builds the same preimage —
+// "repro/ed2k/synthetic:" + "catalog/<seed>/<i>/<name>" — in a stack
+// buffer and hashes that when a file is first read. A catalog test holds
+// the two together; change the prefix here and there at once.
 func SyntheticHash(seed string) Hash {
 	var h Hash
 	s := md4.Sum([]byte("repro/ed2k/synthetic:" + seed))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"strconv"
 	"time"
 
@@ -257,20 +258,25 @@ func (pe *peer) setSources(eps []netip.AddrPort) {
 	if bias <= 0 || bias > 1 {
 		bias = 1
 	}
+	// The weight of each position, computed once: the draws below sum the
+	// same floats in the same order as recomputing them per pick would.
+	weights := pe.pop.weightBuf[:0]
 	remaining := pe.pop.remainBuf[:0]
 	for i := range eps {
+		weights = append(weights, pow(bias, i))
 		remaining = append(remaining, i)
 	}
-	for len(remaining) > 0 && len(pe.sources) < limit {
+	added := pe.pop.addedBuf[:0]
+	for len(remaining) > 0 && len(pe.sources)+len(added) < limit {
 		// Weighted draw without replacement: weight bias^origPos.
 		total := 0.0
 		for _, orig := range remaining {
-			total += pow(bias, orig)
+			total += weights[orig]
 		}
 		x := pe.rng.Float64() * total
 		pick := 0
 		for j, orig := range remaining {
-			x -= pow(bias, orig)
+			x -= weights[orig]
 			if x <= 0 {
 				pick = j
 				break
@@ -278,7 +284,7 @@ func (pe *peer) setSources(eps []netip.AddrPort) {
 		}
 		ep := eps[remaining[pick]]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		dup := false
+		dup := slices.Contains(added, ep)
 		for _, s := range pe.sources {
 			if s.addr == ep {
 				dup = true
@@ -286,10 +292,20 @@ func (pe *peer) setSources(eps []netip.AddrPort) {
 			}
 		}
 		if !dup {
-			pe.sources = append(pe.sources, &srcState{addr: ep})
+			added = append(added, ep)
 		}
 	}
-	pe.pop.remainBuf = remaining[:0]
+	// One block holds the call's new sources; the pointers into it stay
+	// valid however pe.sources grows.
+	block := make([]srcState, len(added))
+	if n := len(pe.sources) + len(added); n > cap(pe.sources) {
+		pe.sources = append(make([]*srcState, 0, n), pe.sources...)
+	}
+	for j, ep := range added {
+		block[j].addr = ep
+		pe.sources = append(pe.sources, &block[j])
+	}
+	pe.pop.weightBuf, pe.pop.remainBuf, pe.pop.addedBuf = weights[:0], remaining[:0], added[:0]
 }
 
 func pow(b float64, n int) float64 {

@@ -108,6 +108,27 @@ func TestHeavySourcesUnlimited(t *testing.T) {
 	}
 }
 
+// A call that adds sources allocates their one block and, at most, a
+// larger pe.sources: never an object per source.
+func TestSetSourcesAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxSourcesPerPeer = 8
+	cfg.SourceOrderBias = 0.7
+	pe := newBarePeer(cfg, 5)
+	eps := make([]netip.AddrPort, 12)
+	for i := range eps {
+		eps[i] = addrN(i)
+	}
+	pe.setSources(eps) // sizes the population's scratch
+	allocs := testing.AllocsPerRun(100, func() {
+		pe.sources = nil
+		pe.setSources(eps)
+	})
+	if len(pe.sources) != 8 || allocs != 2 {
+		t.Errorf("setSources of 8 new sources: %d sources, %.1f allocs, want 8 and 2", len(pe.sources), allocs)
+	}
+}
+
 func TestReqBudgetRanges(t *testing.T) {
 	cfg := DefaultConfig()
 	pe := newBarePeer(cfg, 4)

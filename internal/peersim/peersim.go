@@ -207,9 +207,11 @@ type Population struct {
 	stopped   bool
 	clientTag []string
 	// Scratch a peer's step reuses: nothing keeps them past the call.
-	nameBuf   []byte      // a spawned peer's name (start)
-	targetBuf []*srcState // a round's sources to contact (round)
-	remainBuf []int       // sources not yet drawn (setSources)
+	nameBuf   []byte           // a spawned peer's name (start)
+	targetBuf []*srcState      // a round's sources to contact (round)
+	remainBuf []int            // sources not yet drawn (setSources)
+	weightBuf []float64        // each position's draw weight (setSources)
+	addedBuf  []netip.AddrPort // sources a call adds (setSources)
 
 	// The arrival process: the host its events run on and its stream.
 	clock    *netsim.Host
