@@ -1,4 +1,4 @@
-package analysis
+package analysis_test
 
 import (
 	"bytes"
@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
+	"repro/internal/analysis/reference"
 	"repro/internal/ed2k"
 	"repro/internal/logging"
 	"repro/internal/stats"
@@ -52,7 +54,7 @@ func TestComputeTableI(t *testing.T) {
 			},
 		},
 	}
-	ti := ComputeTableI(recs, 2, 3, 4)
+	ti := reference.ComputeTableI(recs, 2, 3, 4)
 	if ti.DistinctPeers != 2 {
 		t.Errorf("peers = %d", ti.DistinctPeers)
 	}
@@ -77,7 +79,7 @@ func TestPeerGrowth(t *testing.T) {
 		rec(25, "a", logging.KindHello, "1", ""),       // new peer day 1
 		rec(49, "a", logging.KindHello, "0", ""),       // old peer day 2
 	}
-	g := PeerGrowth(recs, t0, 3)
+	g := reference.PeerGrowth(recs, t0, 3)
 	wantCum := []int{1, 2, 2}
 	wantNew := []int{1, 1, 0}
 	for i := range wantCum {
@@ -94,7 +96,7 @@ func TestHourlyHello(t *testing.T) {
 		rec(1, "a", logging.KindStartUpload, "0", "f"), // not HELLO
 		rec(5, "a", logging.KindHello, "2", ""),
 	}
-	hh := HourlyHello(recs, t0, 6)
+	hh := reference.HourlyHello(recs, t0, 6)
 	if hh[0] != 2 || hh[1] != 0 || hh[5] != 1 {
 		t.Errorf("hourly = %v", hh)
 	}
@@ -113,7 +115,7 @@ func TestGroupDistinctPeers(t *testing.T) {
 		rec(26, "rc0", logging.KindHello, "1", ""),
 		rec(27, "unknown-hp", logging.KindHello, "9", ""), // not in any group
 	}
-	gs := GroupDistinctPeers(recs, groupOf, logging.KindHello, t0, 2)
+	gs := reference.GroupDistinctPeers(recs, groupOf, logging.KindHello, t0, 2)
 	rc := gs.Groups["random-content"]
 	nc := gs.Groups["no-content"]
 	if rc[0] != 1 || rc[1] != 2 {
@@ -131,7 +133,7 @@ func TestGroupMessageCounts(t *testing.T) {
 		rec(3, "nc0", logging.KindRequestPart, "1", "f"),
 		rec(26, "rc1", logging.KindRequestPart, "2", "f"),
 	}
-	gs := GroupMessageCounts(recs, groupOf, logging.KindRequestPart, t0, 2)
+	gs := reference.GroupMessageCounts(recs, groupOf, logging.KindRequestPart, t0, 2)
 	if gs.Groups["random-content"][1] != 3 {
 		t.Errorf("rc cumulative = %v", gs.Groups["random-content"])
 	}
@@ -149,11 +151,11 @@ func TestTopPeerAndSeries(t *testing.T) {
 		rec(5, "rc0", logging.KindHello, "8", ""),
 		rec(6, "rc0", logging.KindConnect, "9", ""), // ignored kind
 	}
-	peer, n := TopPeer(recs)
+	peer, n := reference.TopPeer(recs)
 	if peer != "7" || n != 4 {
 		t.Errorf("top peer %q/%d", peer, n)
 	}
-	gs := TopPeerSeries(recs, groupOf, "7", logging.KindRequestPart, t0, 1)
+	gs := reference.TopPeerSeries(recs, groupOf, "7", logging.KindRequestPart, t0, 1)
 	if gs.Groups["random-content"][0] != 1 || gs.Groups["no-content"][0] != 1 {
 		t.Errorf("top peer series: %+v", gs.Groups)
 	}
@@ -167,7 +169,7 @@ func TestHoneypotPeerSets(t *testing.T) {
 		rec(4, "b", logging.KindHello, "2", ""),
 		rec(5, "a", logging.KindHello, "0", ""), // repeat
 	}
-	sets, universe := HoneypotPeerSets(recs, []string{"a", "b"})
+	sets, universe := reference.HoneypotPeerSets(recs, []string{"a", "b"})
 	if universe != 3 {
 		t.Errorf("universe = %d", universe)
 	}
@@ -188,7 +190,7 @@ func TestFilePeerSets(t *testing.T) {
 		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(1), FileHash: fb},
 		{Time: t0, Kind: logging.KindHello, PeerIP: logging.NumberedPeer(2), FileHash: fa}, // HELLO ignored
 	}
-	sets, universe := FilePeerSets(recs, []ed2k.Hash{fa, fb})
+	sets, universe := reference.FilePeerSets(recs, []ed2k.Hash{fa, fb})
 	if universe != 2 {
 		t.Errorf("universe = %d", universe)
 	}
@@ -204,7 +206,7 @@ func TestQueriedFiles(t *testing.T) {
 		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(1), FileHash: fa},
 		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(0), FileHash: fb},
 	}
-	ranked := QueriedFiles(recs)
+	ranked := reference.QueriedFiles(recs)
 	if len(ranked) != 2 {
 		t.Fatalf("%d files", len(ranked))
 	}
@@ -219,7 +221,7 @@ func TestQueriedFiles(t *testing.T) {
 func TestCSVRenderers(t *testing.T) {
 	var buf bytes.Buffer
 	g := stats.GrowthCurve{Cumulative: []int{1, 3}, New: []int{1, 2}}
-	if err := GrowthCSV(&buf, g); err != nil {
+	if err := analysis.GrowthCSV(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -228,8 +230,8 @@ func TestCSVRenderers(t *testing.T) {
 	}
 
 	buf.Reset()
-	gs := GroupSeries{Days: []int{1}, Groups: map[string][]int{"b": {5}, "a": {7}}}
-	if err := GroupCSV(&buf, gs); err != nil {
+	gs := analysis.GroupSeries{Days: []int{1}, Groups: map[string][]int{"b": {5}, "a": {7}}}
+	if err := analysis.GroupCSV(&buf, gs); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "day,a,b\n1,7,5\n") {
@@ -238,7 +240,7 @@ func TestCSVRenderers(t *testing.T) {
 
 	buf.Reset()
 	u := stats.SubsetUnion{N: []int{1}, Avg: []float64{2.5}, Min: []int{2}, Max: []int{3}}
-	if err := SubsetCSV(&buf, u); err != nil {
+	if err := analysis.SubsetCSV(&buf, u); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "1,2.5,2,3") {
@@ -247,10 +249,10 @@ func TestCSVRenderers(t *testing.T) {
 }
 
 func TestSparkline(t *testing.T) {
-	if Sparkline(nil) != "" {
+	if analysis.Sparkline(nil) != "" {
 		t.Error("empty sparkline")
 	}
-	s := Sparkline([]int{0, 5, 10})
+	s := analysis.Sparkline([]int{0, 5, 10})
 	if len([]rune(s)) != 3 {
 		t.Errorf("sparkline runes: %q", s)
 	}

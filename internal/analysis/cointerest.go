@@ -5,8 +5,8 @@ package analysis
 // interested in the same files, and conversely study relations between
 // files from the fact that they are downloaded by the same peers." This
 // file implements that analysis on the collected datasets: the structure
-// of the bipartite peer-file interest graph. BuildInterestGraph
-// (analysis.go) builds the graph itself from a record slice and is the
+// of the bipartite peer-file interest graph. reference.BuildInterestGraph
+// builds the graph itself from a record slice and is the
 // reference for the frame's InterestStats.
 
 // InterestStats summarizes the bipartite structure.
@@ -28,8 +28,8 @@ type InterestStats struct {
 }
 
 // InterestStats summarizes the bipartite interest graph of the frame's
-// query records with the numbers BuildInterestGraph(recs).Stats() gives
-// over the source records. A peer is a frame symbol, exactly as
+// query records with the numbers reference.BuildInterestGraph(recs).Stats()
+// gives over the source records. A peer is a frame symbol, exactly as
 // DistinctPeers counts it.
 //
 // It is one pass over the shared query-pair index (query records
@@ -37,9 +37,7 @@ type InterestStats struct {
 // peers, a dense count tallies each peer's distinct files, and every
 // edge unions its endpoints in an int32 union-find over peer symbols
 // [0, nPeers) and file symbols [nPeers, nPeers+nFiles). A last pass over
-// the graph's vertices sizes the components. Counts and components do
-// not depend on the order edges are visited in, so the index's row
-// split cannot change the result.
+// the graph's vertices sizes the components.
 func (f *Frame) InterestStats() InterestStats {
 	grouped, off, cnt := f.queryPairs()
 	nPeers := f.peerTab.Len()

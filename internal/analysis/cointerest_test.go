@@ -1,9 +1,11 @@
-package analysis
+package analysis_test
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/analysis/reference"
 	"repro/internal/ed2k"
 	"repro/internal/logging"
 )
@@ -25,7 +27,7 @@ func interestRecs() []logging.Record {
 }
 
 func TestBuildInterestGraph(t *testing.T) {
-	g := BuildInterestGraph(interestRecs())
+	g := reference.BuildInterestGraph(interestRecs())
 	if len(g.PeerFiles) != 4 {
 		t.Fatalf("peers = %d", len(g.PeerFiles))
 	}
@@ -42,7 +44,7 @@ func TestBuildInterestGraph(t *testing.T) {
 }
 
 func TestInterestStats(t *testing.T) {
-	st := BuildInterestGraph(interestRecs()).Stats()
+	st := reference.BuildInterestGraph(interestRecs()).Stats()
 	if st.Peers != 4 || st.Files != 4 {
 		t.Errorf("peers/files = %d/%d", st.Peers, st.Files)
 	}
@@ -63,7 +65,7 @@ func TestInterestStats(t *testing.T) {
 }
 
 func TestInterestGraphEmpty(t *testing.T) {
-	g := BuildInterestGraph(nil)
+	g := reference.BuildInterestGraph(nil)
 	st := g.Stats()
 	if st.Peers != 0 || st.Files != 0 || st.Edges != 0 || st.Components != 0 {
 		t.Errorf("empty stats: %+v", st)
@@ -71,12 +73,9 @@ func TestInterestGraphEmpty(t *testing.T) {
 }
 
 // TestInterestStatsMatchesReference pins the frame's co-interest pass
-// to the record-slice graph: campaign-shaped samples of every size at
-// several row-worker counts (the pair index splits its rows by them),
-// the hand-built graph, an empty frame and a frame without any query
-// record.
+// to the record-slice graph: campaign-shaped samples of every size, the
+// hand-built graph, an empty frame and a frame without any query record.
 func TestInterestStatsMatchesReference(t *testing.T) {
-	defer setRowWorkers(0)
 	noQueries := []logging.Record{
 		{Time: t0, Kind: logging.KindHello, PeerIP: logging.NumberedPeer(1), FileHash: ed2k.SyntheticHash("fa")},
 		{Time: t0, Kind: logging.KindSharedList, PeerIP: logging.NumberedPeer(2)},
@@ -90,18 +89,15 @@ func TestInterestStatsMatchesReference(t *testing.T) {
 		"interest":   interestRecs(),
 	}
 	for _, n := range []int{0, 1, 10, 500, 20000} {
-		cases[fmt.Sprint("sample-", n)] = frameSample(t0, n)
+		cases[fmt.Sprint("sample-", n)] = analysis.FrameSample(t0, n)
 	}
 	for name, recs := range cases {
-		want := BuildInterestGraph(recs).Stats()
-		for _, workers := range []int{1, 2, 5} {
-			setRowWorkers(workers)
-			if got := BuildFrame(recs).InterestStats(); got != want {
-				t.Errorf("%s at %d workers:\n got %+v\nwant %+v", name, workers, got, want)
-			}
+		want := reference.BuildInterestGraph(recs).Stats()
+		if got := analysis.BuildFrame(recs).InterestStats(); got != want {
+			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
-	if st := BuildFrame(noQueries).InterestStats(); st != (InterestStats{}) {
+	if st := analysis.BuildFrame(noQueries).InterestStats(); st != (analysis.InterestStats{}) {
 		t.Errorf("frame without queries: %+v", st)
 	}
 }
@@ -116,10 +112,10 @@ func TestInterestStatsKeysPeersBySymbol(t *testing.T) {
 		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(1000000000000031), FileHash: ed2k.SyntheticHash("fa")},
 		{Time: t0, Kind: logging.KindStartUpload, PeerIP: logging.HashedPeer(0x1000000000000031), FileHash: ed2k.SyntheticHash("fb")},
 	}
-	if ref := BuildInterestGraph(recs).Stats(); ref.Peers != 1 {
+	if ref := reference.BuildInterestGraph(recs).Stats(); ref.Peers != 1 {
 		t.Fatalf("reference peers = %d, want the two texts merged into 1", ref.Peers)
 	}
-	f := BuildFrame(recs)
+	f := analysis.BuildFrame(recs)
 	st := f.InterestStats()
 	if st.Peers != f.DistinctPeers() || st.Peers != 2 || st.Components != 2 || st.LargestComponent != 2 {
 		t.Errorf("frame stats %+v, distinct peers %d", st, f.DistinctPeers())
@@ -130,8 +126,8 @@ func TestInterestStatsKeysPeersBySymbol(t *testing.T) {
 // fixed number of allocations — its dense arrays — whatever the size.
 func TestInterestStatsAllocs(t *testing.T) {
 	for _, n := range []int{500, 20000} {
-		f := BuildFrame(frameSample(t0, n))
-		f.queryPairs()
+		f := analysis.BuildFrame(analysis.FrameSample(t0, n))
+		f.QueryPairs()
 		if got := testing.AllocsPerRun(20, func() { f.InterestStats() }); got > 8 {
 			t.Errorf("%d records: %.0f allocs per InterestStats, want <= 8", n, got)
 		}
@@ -152,8 +148,8 @@ func BenchmarkInterestStats(b *testing.B) {
 			})
 		}
 	}
-	f := BuildFrame(recs)
-	f.queryPairs()
+	f := analysis.BuildFrame(recs)
+	f.QueryPairs()
 	b.ReportAllocs()
 	for b.Loop() {
 		f.InterestStats()

@@ -3,12 +3,13 @@ package analysis
 // This file is the columnar analysis engine: a campaign is compiled once
 // into a Frame — a struct-of-arrays image of the merged log with every
 // string column interned to a dense ID — and every figure extractor then
-// runs over flat integer columns. The slice-based extractors in
-// analysis.go remain as the reference implementations (and the API for
-// one-off calls); the Frame versions return bit-identical results while
-// replacing per-record map lookups and time.Time arithmetic with array
-// indexing, and hash-map distinct-tracking with epoch-stamped dense
-// arrays and bitsets. Memory per record is 19 bytes
+// runs over flat integer columns. The record-slice extractors of the
+// reference subpackage are the reference implementations; the Frame
+// versions return bit-identical results while replacing per-record map
+// lookups and time.Time arithmetic with array indexing, and hash-map
+// distinct-tracking with epoch-stamped dense arrays and bitsets. Each
+// is a serial pass over the columns; Exec's pool is what runs queries
+// side by side. Memory per record is 19 bytes
 // regardless of string sizes; the peer table is 16 bytes per peer, with
 // no map while the peers are step-2 numbers in first-seen order (every
 // finalize stream and exported frame file: see peerTable). Per-extractor
@@ -18,7 +19,6 @@ package analysis
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"os"
 	"slices"
 	"sort"
@@ -457,14 +457,10 @@ func (f *Frame) TopPeerSeries(groupOf map[string]string, peer string, kind loggi
 // exactly that — it uses one bitset per unit; otherwise it degrades to
 // per-unit hash sets with the reference implementation's semantics.
 type peerSetCollector struct {
-	units int
-	maxID int64
-
 	words   int
 	bits    []uint64 // units × words, nil in map mode
 	sets    [][]int32
 	fallbak []map[int32]bool
-	merged  bool // a merge invalidated sets; finish rebuilds from bits
 }
 
 // bitsetWordLimit bounds the dense path's total footprint — units ×
@@ -473,7 +469,7 @@ type peerSetCollector struct {
 const bitsetWordLimit = 1 << 23
 
 func newPeerSetCollector(units int, maxID, minN int64) *peerSetCollector {
-	c := &peerSetCollector{units: units, maxID: maxID, sets: make([][]int32, units)}
+	c := &peerSetCollector{sets: make([][]int32, units)}
 	words := maxID/64 + 1
 	if maxID >= 0 && minN >= 0 && words*int64(units) <= bitsetWordLimit {
 		c.words = int(words)
@@ -501,56 +497,12 @@ func (c *peerSetCollector) observe(unit int, n int64) {
 	m[int32(n)] = true
 }
 
-// merge folds another collector of identical shape into this one: the
-// per-unit distinct sets become unions. Used by the row-parallel
-// builds; the merged sets surface only through finish, which emits
-// them sorted, so merge order cannot influence results.
-func (c *peerSetCollector) merge(o *peerSetCollector) {
-	if c.bits != nil {
-		for i, w := range o.bits {
-			c.bits[i] |= w
-		}
-		c.merged = true
-		return
-	}
-	for u, m := range o.fallbak {
-		if m == nil {
-			continue
-		}
-		dst := c.fallbak[u]
-		if dst == nil {
-			c.fallbak[u] = m
-			continue
-		}
-		for n := range m {
-			dst[n] = true
-		}
-	}
-}
-
 func (c *peerSetCollector) finish() [][]int32 {
 	if c.bits == nil {
 		for u, m := range c.fallbak {
 			s := make([]int32, 0, len(m))
 			for n := range m {
 				s = append(s, n)
-			}
-			c.sets[u] = s
-		}
-	} else if c.merged {
-		// The per-unit discovery lists only cover this collector's own
-		// observations; re-enumerate the merged bitsets instead. Bits
-		// come out ascending, i.e. already in the sorted order the
-		// serial path reaches below.
-		for u := 0; u < c.units; u++ {
-			s := c.sets[u][:0]
-			base := u * c.words
-			for w := 0; w < c.words; w++ {
-				word := c.bits[base+w]
-				for word != 0 {
-					s = append(s, int32(w*64+bits.TrailingZeros64(word)))
-					word &= word - 1
-				}
 			}
 			c.sets[u] = s
 		}
@@ -564,36 +516,27 @@ func (c *peerSetCollector) finish() [][]int32 {
 	return c.sets
 }
 
-// numBounds merges per-chunk (max, min) scans of the matching peer
-// numbers — the shape both peer-set builds share. max/min commute, so
-// chunking cannot change the result.
-type numBounds struct {
-	maxID, minN int64
-}
-
-func newNumBounds() numBounds { return numBounds{maxID: -1, minN: math.MaxInt64} }
-
-func (b *numBounds) observe(n int64) {
-	if n > b.maxID {
-		b.maxID = n
+// peerSets builds one distinct peer-number set per unit over the rows
+// match accepts, match naming the row's unit and peer number: a bounds
+// pass sizes the collector, a collect pass fills it.
+func (f *Frame) peerSets(units int, match func(i int) (unit int, n int64, ok bool)) (sets [][]int32, universe int) {
+	maxID, minN := int64(-1), int64(math.MaxInt64)
+	for i := range f.peers {
+		if _, n, ok := match(i); ok {
+			maxID, minN = max(maxID, n), min(minN, n)
+		}
 	}
-	if n < b.minN {
-		b.minN = n
+	c := newPeerSetCollector(units, maxID, minN)
+	for i := range f.peers {
+		if unit, n, ok := match(i); ok {
+			c.observe(unit, n)
+		}
 	}
-}
-
-func (b *numBounds) merge(o numBounds) {
-	if o.maxID > b.maxID {
-		b.maxID = o.maxID
-	}
-	if o.minN < b.minN {
-		b.minN = o.minN
-	}
+	return c.finish(), int(maxID) + 1
 }
 
 // HoneypotPeerSets builds Fig 10's per-honeypot distinct peer-number
-// sets from the frame. Distinctness is tracked in one bitset per
-// honeypot, and both scans split across row ranges.
+// sets from the frame, tracking distinctness in one bitset per honeypot.
 func (f *Frame) HoneypotPeerSets(honeypotIDs []string) (sets [][]int32, universe int) {
 	pos := make([]int32, f.hpTab.Len())
 	for i := range pos {
@@ -604,41 +547,15 @@ func (f *Frame) HoneypotPeerSets(honeypotIDs []string) (sets [][]int32, universe
 			pos[sym] = int32(i)
 		}
 	}
-	match := func(i int) (int, int64, bool) {
+	return f.peerSets(len(honeypotIDs), func(i int) (int, int64, bool) {
 		hi := pos[f.hps[i]]
 		n, ok := f.peerNumber(f.peers[i])
 		return int(hi), n, ok && hi >= 0
-	}
-	n := len(f.peers)
-	workers := resolveWorkers(n)
-	chunkBnds := make([]numBounds, workers)
-	parallelChunks(n, workers, func(c, lo, hi int) {
-		b := newNumBounds()
-		for i := lo; i < hi; i++ {
-			if _, num, ok := match(i); ok {
-				b.observe(num)
-			}
-		}
-		chunkBnds[c] = b
 	})
-	bnds := newNumBounds()
-	for _, b := range chunkBnds {
-		bnds.merge(b)
-	}
-	out := collectPeerSets(n, len(honeypotIDs), bnds.maxID, bnds.minN,
-		func(c *peerSetCollector, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if unit, num, ok := match(i); ok {
-					c.observe(unit, num)
-				}
-			}
-		})
-	return out, int(bnds.maxID) + 1
 }
 
 // FilePeerSets builds Figs 11-12's per-file distinct peer-number sets
-// from the frame (START-UPLOAD / REQUEST-PART records only), with both
-// the bounds scan and the collection split across row ranges.
+// from the frame (START-UPLOAD / REQUEST-PART records only).
 func (f *Frame) FilePeerSets(files []ed2k.Hash) (sets [][]int32, universe int) {
 	pos := make([]int32, f.fileTab.Len())
 	for i := range pos {
@@ -649,7 +566,7 @@ func (f *Frame) FilePeerSets(files []ed2k.Hash) (sets [][]int32, universe int) {
 			pos[sym] = int32(i)
 		}
 	}
-	match := func(i int) (int, int64, bool) {
+	return f.peerSets(len(files), func(i int) (int, int64, bool) {
 		k := logging.Kind(f.kinds[i])
 		if k != logging.KindStartUpload && k != logging.KindRequestPart {
 			return 0, 0, false
@@ -657,32 +574,7 @@ func (f *Frame) FilePeerSets(files []ed2k.Hash) (sets [][]int32, universe int) {
 		fi := pos[f.files[i]]
 		n, ok := f.peerNumber(f.peers[i])
 		return int(fi), n, ok && fi >= 0
-	}
-	n := len(f.kinds)
-	workers := resolveWorkers(n)
-	chunkBnds := make([]numBounds, workers)
-	parallelChunks(n, workers, func(c, lo, hi int) {
-		b := newNumBounds()
-		for i := lo; i < hi; i++ {
-			if _, num, ok := match(i); ok {
-				b.observe(num)
-			}
-		}
-		chunkBnds[c] = b
 	})
-	bnds := newNumBounds()
-	for _, b := range chunkBnds {
-		bnds.merge(b)
-	}
-	out := collectPeerSets(n, len(files), bnds.maxID, bnds.minN,
-		func(c *peerSetCollector, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if unit, num, ok := match(i); ok {
-					c.observe(unit, num)
-				}
-			}
-		})
-	return out, int(bnds.maxID) + 1
 }
 
 // queryIndex is the file-grouped view of the query records, cached on
@@ -706,13 +598,7 @@ func (f *Frame) queryPairs() (groupedPeers []uint32, perFileOff []int32, perFile
 }
 
 func (f *Frame) buildQueryPairs() {
-	zeroSym := uint32(0)
-	hasZero := false
-	if sym, ok := f.fileTab.Lookup(ed2k.Hash{}); ok {
-		zeroSym, hasZero = sym, true
-	}
-	nFiles := f.fileTab.Len()
-	cnt := make([]int32, nFiles)
+	zeroSym, hasZero := f.fileTab.Lookup(ed2k.Hash{})
 	match := func(i int) bool {
 		k := logging.Kind(f.kinds[i])
 		if k != logging.KindStartUpload && k != logging.KindRequestPart {
@@ -721,55 +607,36 @@ func (f *Frame) buildQueryPairs() {
 		if f.peers[i] == NoPeer {
 			return false
 		}
-		if hasZero && f.files[i] == zeroSym {
-			return false
-		}
-		return true
+		return !hasZero || f.files[i] != zeroSym
 	}
-	// Row-parallel counting sort: per-chunk counts, then one exclusive
-	// prefix pass that turns each chunk's counts into its write bases —
-	// chunk c's rows for a file land right after chunk c-1's, so the
-	// grouped array is bit-identical to a serial row scan at any worker
-	// count.
-	n := len(f.kinds)
-	workers := resolveWorkers(n)
-	chunkCnt := make([][]int32, workers)
-	parallelChunks(n, workers, func(c, lo, hi int) {
-		local := make([]int32, nFiles)
-		for i := lo; i < hi; i++ {
-			if match(i) {
-				local[f.files[i]]++
-			}
+	// Counting sort: per-file counts, their prefix offsets, then a fill
+	// in row order.
+	cnt := make([]int32, f.fileTab.Len())
+	for i := range f.kinds {
+		if match(i) {
+			cnt[f.files[i]]++
 		}
-		chunkCnt[c] = local
-	})
-	off := make([]int32, nFiles)
+	}
+	off := make([]int32, len(cnt))
 	run := int32(0)
-	for s := 0; s < nFiles; s++ {
+	for s, c := range cnt {
 		off[s] = run
-		for c := 0; c < workers; c++ {
-			v := chunkCnt[c][s]
-			chunkCnt[c][s] = run // becomes chunk c's write base for file s
-			run += v
-		}
-		cnt[s] = run - off[s]
+		run += c
 	}
 	grouped := make([]uint32, run)
-	parallelChunks(n, workers, func(c, lo, hi int) {
-		fill := chunkCnt[c]
-		for i := lo; i < hi; i++ {
-			if match(i) {
-				fs := f.files[i]
-				grouped[fill[fs]] = f.peers[i]
-				fill[fs]++
-			}
+	fill := slices.Clone(off)
+	for i := range f.kinds {
+		if match(i) {
+			fs := f.files[i]
+			grouped[fill[fs]] = f.peers[i]
+			fill[fs]++
 		}
-	})
+	}
 	f.pairs = &queryIndex{peers: grouped, off: off, cnt: cnt}
 }
 
 // QueriedFiles ranks queried files by distinct peers from the frame,
-// identically to the slice-based QueriedFiles.
+// identically to the record-slice reference.
 func (f *Frame) QueriedFiles() []FilePopularity {
 	grouped, off, cnt := f.queryPairs()
 	mark := make([]int32, f.peerTab.Len())

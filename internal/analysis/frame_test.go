@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/ed2k"
 	"repro/internal/logging"
 	"repro/internal/logstore"
+	"repro/internal/stats"
 )
 
 // frameSample fabricates a campaign-shaped merged log exercising every
@@ -64,84 +66,27 @@ var frameGroups = map[string]string{
 	"nc0": "no-content", "nc1": "no-content",
 }
 
-func TestFrameExtractorsMatchReference(t *testing.T) {
-	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
-	const days = 7
-	recs := frameSample(start, 4000)
-	f := BuildFrame(recs)
-
-	if f.Len() != len(recs) {
-		t.Fatalf("frame holds %d records, want %d", f.Len(), len(recs))
-	}
-
-	wantTable := ComputeTableI(recs, 24, days, 4)
-	if got := f.TableI(24, days, 4); got != wantTable {
-		t.Errorf("TableI:\n got %+v\nwant %+v", got, wantTable)
-	}
-
-	if got, want := f.PeerGrowth(start, days), PeerGrowth(recs, start, days); !reflect.DeepEqual(got, want) {
-		t.Errorf("PeerGrowth:\n got %+v\nwant %+v", got, want)
-	}
-
-	if got, want := f.HourlyHello(start, 100), HourlyHello(recs, start, 100); !reflect.DeepEqual(got, want) {
-		t.Errorf("HourlyHello:\n got %v\nwant %v", got, want)
-	}
-
-	for _, kind := range []logging.Kind{logging.KindHello, logging.KindStartUpload} {
-		got := f.GroupDistinctPeers(frameGroups, kind, start, days)
-		want := GroupDistinctPeers(recs, frameGroups, kind, start, days)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("GroupDistinctPeers(%v):\n got %+v\nwant %+v", kind, got, want)
-		}
-	}
-
-	gotGM := f.GroupMessageCounts(frameGroups, logging.KindRequestPart, start, days)
-	wantGM := GroupMessageCounts(recs, frameGroups, logging.KindRequestPart, start, days)
-	if !reflect.DeepEqual(gotGM, wantGM) {
-		t.Errorf("GroupMessageCounts:\n got %+v\nwant %+v", gotGM, wantGM)
-	}
-
-	gotPeer, gotN := f.TopPeer()
-	wantPeer, wantN := TopPeer(recs)
-	if gotPeer != wantPeer || gotN != wantN {
-		t.Errorf("TopPeer: got %q/%d want %q/%d", gotPeer, gotN, wantPeer, wantN)
-	}
-
-	for _, peer := range []string{gotPeer, "no-such-peer", ""} {
-		got := f.TopPeerSeries(frameGroups, peer, logging.KindRequestPart, start, days)
-		want := TopPeerSeries(recs, frameGroups, peer, logging.KindRequestPart, start, days)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("TopPeerSeries(%q):\n got %+v\nwant %+v", peer, got, want)
-		}
-	}
-
-	hpIDs := []string{"rc0", "rc1", "nc0", "nc1", "absent-hp"}
-	gotSets, gotUni := f.HoneypotPeerSets(hpIDs)
-	wantSets, wantUni := HoneypotPeerSets(recs, hpIDs)
-	if gotUni != wantUni || !reflect.DeepEqual(gotSets, wantSets) {
-		t.Errorf("HoneypotPeerSets: universe %d vs %d, sets\n got %v\nwant %v",
-			gotUni, wantUni, gotSets, wantSets)
-	}
-
-	ranked := QueriedFiles(recs)
-	if got := f.QueriedFiles(); !reflect.DeepEqual(got, ranked) {
-		t.Errorf("QueriedFiles:\n got %v\nwant %v", got, ranked)
-	}
-
-	var files []ed2k.Hash
-	for i := 0; i < len(ranked) && i < 10; i++ {
-		files = append(files, ranked[i].Hash)
-	}
-	files = append(files, ed2k.SyntheticHash("never-queried"))
-	gotFS, gotFU := f.FilePeerSets(files)
-	wantFS, wantFU := FilePeerSets(recs, files)
-	if gotFU != wantFU || !reflect.DeepEqual(gotFS, wantFS) {
-		t.Errorf("FilePeerSets: universe %d vs %d, sets\n got %v\nwant %v",
-			gotFU, wantFU, gotFS, wantFS)
-	}
-
-	if got, want := f.InterestStats(), BuildInterestGraph(recs).Stats(); got != want {
-		t.Errorf("InterestStats:\n got %+v\nwant %+v", got, want)
+// TestPeerSetUnionMemoryIgnoresPeerNumber: one record whose peer number
+// is huge — a crafted export or frame file can carry any — must not make
+// Figs 10-12 allocate in proportion to it. Its universe reaches the
+// subset estimator, which compacts it to the numbers present.
+func TestPeerSetUnionMemoryIgnoresPeerNumber(t *testing.T) {
+	for _, big := range []uint64{1 << 27, 1<<32 + 5, 1 << 40} {
+		t.Run(fmt.Sprint("peer-", big), func(t *testing.T) {
+			recs := frameSample(time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC), 2000)
+			recs[0].Honeypot, recs[0].PeerIP = "rc0", logging.NumberedPeer(big)
+			sets, universe := BuildFrame(recs).HoneypotPeerSets([]string{"rc0", "rc1", "nc0", "nc1", "stray"})
+			if universe <= int(big) {
+				t.Fatalf("universe %d does not cover peer %d", universe, big)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			stats.UnionEstimate(sets, universe, stats.SubsetUnionConfig{Samples: 100, Seed: 1, IncludeZero: true})
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("UnionEstimate allocated %d KiB, want <= 1024", got>>10)
+			}
+		})
 	}
 }
 
@@ -338,25 +283,6 @@ func TestOpenFrame(t *testing.T) {
 	}
 }
 
-// TestFramePeerSetFallback drives the collector through its hash-set
-// path (peer numbers too sparse for bitsets) and checks it against the
-// reference implementation.
-func TestFramePeerSetFallback(t *testing.T) {
-	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
-	recs := []logging.Record{
-		{Time: start, Honeypot: "a", Kind: logging.KindHello, PeerIP: logging.NumberedPeer(999999999)},
-		{Time: start, Honeypot: "a", Kind: logging.KindHello, PeerIP: logging.NumberedPeer(3)},
-		{Time: start, Honeypot: "b", Kind: logging.KindHello, PeerIP: logging.NumberedPeer(1<<64 - 7)},
-		{Time: start, Honeypot: "b", Kind: logging.KindHello, PeerIP: logging.NumberedPeer(999999999)},
-	}
-	f := BuildFrame(recs)
-	gotSets, gotU := f.HoneypotPeerSets([]string{"a", "b"})
-	wantSets, wantU := HoneypotPeerSets(recs, []string{"a", "b"})
-	if gotU != wantU || !reflect.DeepEqual(gotSets, wantSets) {
-		t.Errorf("fallback path: got %v/%d want %v/%d", gotSets, gotU, wantSets, wantU)
-	}
-}
-
 // textStore writes recs round-robin over three shards of a store under
 // dir, at increasing timestamps so that the merged scan replays recs in
 // order, gives every record text of its own in each column the frame
@@ -457,21 +383,5 @@ func TestBuildFrameIterMapKeepsText(t *testing.T) {
 	}
 	if it.DropText() {
 		t.Error("DropText accepted after BuildFrameIter drained the scan")
-	}
-}
-
-// TestTopPeerTieBreaksOnText: peers 9 and 10 tie, and both the frame and
-// the slice reference pick "10", the smaller text — the order Figs 8-9
-// have always selected by, which numeric order would flip.
-func TestTopPeerTieBreaksOnText(t *testing.T) {
-	var recs []logging.Record
-	for _, n := range []uint64{9, 10, 10, 9, 3} {
-		recs = append(recs, logging.Record{Time: t0, Honeypot: "a", Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(n)})
-	}
-	if peer, n := BuildFrame(recs).TopPeer(); peer != "10" || n != 2 {
-		t.Errorf("frame TopPeer = %q/%d, want \"10\"/2", peer, n)
-	}
-	if peer, n := TopPeer(recs); peer != "10" || n != 2 {
-		t.Errorf("reference TopPeer = %q/%d, want \"10\"/2", peer, n)
 	}
 }

@@ -1,0 +1,160 @@
+package analysis_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/analysis"
+	"repro/internal/analysis/reference"
+	"repro/internal/ed2k"
+	"repro/internal/logging"
+)
+
+func TestFrameExtractorsMatchReference(t *testing.T) {
+	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
+	const days = 7
+	recs := analysis.FrameSample(start, 4000)
+	f := analysis.BuildFrame(recs)
+
+	if f.Len() != len(recs) {
+		t.Fatalf("frame holds %d records, want %d", f.Len(), len(recs))
+	}
+
+	wantTable := reference.ComputeTableI(recs, 24, days, 4)
+	if got := f.TableI(24, days, 4); got != wantTable {
+		t.Errorf("TableI:\n got %+v\nwant %+v", got, wantTable)
+	}
+
+	if got, want := f.PeerGrowth(start, days), reference.PeerGrowth(recs, start, days); !reflect.DeepEqual(got, want) {
+		t.Errorf("PeerGrowth:\n got %+v\nwant %+v", got, want)
+	}
+
+	if got, want := f.HourlyHello(start, 100), reference.HourlyHello(recs, start, 100); !reflect.DeepEqual(got, want) {
+		t.Errorf("HourlyHello:\n got %v\nwant %v", got, want)
+	}
+
+	for _, kind := range []logging.Kind{logging.KindHello, logging.KindStartUpload} {
+		got := f.GroupDistinctPeers(analysis.FrameGroups, kind, start, days)
+		want := reference.GroupDistinctPeers(recs, analysis.FrameGroups, kind, start, days)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("reference.GroupDistinctPeers(%v):\n got %+v\nwant %+v", kind, got, want)
+		}
+	}
+
+	gotGM := f.GroupMessageCounts(analysis.FrameGroups, logging.KindRequestPart, start, days)
+	wantGM := reference.GroupMessageCounts(recs, analysis.FrameGroups, logging.KindRequestPart, start, days)
+	if !reflect.DeepEqual(gotGM, wantGM) {
+		t.Errorf("GroupMessageCounts:\n got %+v\nwant %+v", gotGM, wantGM)
+	}
+
+	gotPeer, gotN := f.TopPeer()
+	wantPeer, wantN := reference.TopPeer(recs)
+	if gotPeer != wantPeer || gotN != wantN {
+		t.Errorf("TopPeer: got %q/%d want %q/%d", gotPeer, gotN, wantPeer, wantN)
+	}
+
+	for _, peer := range []string{gotPeer, "no-such-peer", ""} {
+		got := f.TopPeerSeries(analysis.FrameGroups, peer, logging.KindRequestPart, start, days)
+		want := reference.TopPeerSeries(recs, analysis.FrameGroups, peer, logging.KindRequestPart, start, days)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("reference.TopPeerSeries(%q):\n got %+v\nwant %+v", peer, got, want)
+		}
+	}
+
+	hpIDs := []string{"rc0", "rc1", "nc0", "nc1", "absent-hp"}
+	gotSets, gotUni := f.HoneypotPeerSets(hpIDs)
+	wantSets, wantUni := reference.HoneypotPeerSets(recs, hpIDs)
+	if gotUni != wantUni || !reflect.DeepEqual(gotSets, wantSets) {
+		t.Errorf("HoneypotPeerSets: universe %d vs %d, sets\n got %v\nwant %v",
+			gotUni, wantUni, gotSets, wantSets)
+	}
+
+	ranked := reference.QueriedFiles(recs)
+	if got := f.QueriedFiles(); !reflect.DeepEqual(got, ranked) {
+		t.Errorf("QueriedFiles:\n got %v\nwant %v", got, ranked)
+	}
+
+	var files []ed2k.Hash
+	for i := 0; i < len(ranked) && i < 10; i++ {
+		files = append(files, ranked[i].Hash)
+	}
+	files = append(files, ed2k.SyntheticHash("never-queried"))
+	gotFS, gotFU := f.FilePeerSets(files)
+	wantFS, wantFU := reference.FilePeerSets(recs, files)
+	if gotFU != wantFU || !reflect.DeepEqual(gotFS, wantFS) {
+		t.Errorf("FilePeerSets: universe %d vs %d, sets\n got %v\nwant %v",
+			gotFU, wantFU, gotFS, wantFS)
+	}
+
+	if got, want := f.InterestStats(), reference.BuildInterestGraph(recs).Stats(); got != want {
+		t.Errorf("InterestStats:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestFramePeerSetFallback drives the collector through its hash-set
+// path (peer numbers too sparse for bitsets) and checks it against the
+// reference implementation.
+func TestFramePeerSetFallback(t *testing.T) {
+	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
+	recs := []logging.Record{
+		{Time: start, Honeypot: "a", Kind: logging.KindHello, PeerIP: logging.NumberedPeer(999999999)},
+		{Time: start, Honeypot: "a", Kind: logging.KindHello, PeerIP: logging.NumberedPeer(3)},
+		{Time: start, Honeypot: "b", Kind: logging.KindHello, PeerIP: logging.NumberedPeer(1<<64 - 7)},
+		{Time: start, Honeypot: "b", Kind: logging.KindHello, PeerIP: logging.NumberedPeer(999999999)},
+	}
+	f := analysis.BuildFrame(recs)
+	gotSets, gotU := f.HoneypotPeerSets([]string{"a", "b"})
+	wantSets, wantU := reference.HoneypotPeerSets(recs, []string{"a", "b"})
+	if gotU != wantU || !reflect.DeepEqual(gotSets, wantSets) {
+		t.Errorf("fallback path: got %v/%d want %v/%d", gotSets, gotU, wantSets, wantU)
+	}
+}
+
+// TestFramePeerSetsMapMode drives both peer-set builds through the
+// collector's hash-set mode on a campaign-shaped sample: peer numbers
+// past MaxInt64, negative as int64, disable the dense bitsets. Sets and
+// universes must match the record-slice references.
+func TestFramePeerSetsMapMode(t *testing.T) {
+	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
+	recs := analysis.FrameSample(start, 6000)
+	for i := range recs {
+		if i%17 == 0 {
+			recs[i].PeerIP = logging.NumberedPeer(uint64(-1 - i%40)) // negative as int64
+		}
+	}
+	honeypots := []string{"rc0", "rc1", "nc0", "nc1", "stray"}
+	var files []ed2k.Hash
+	for i := 0; i < 25; i++ {
+		files = append(files, ed2k.SyntheticHash(fmt.Sprint("file-", i)))
+	}
+	f := analysis.BuildFrame(recs)
+
+	gotHP, gotHPU := f.HoneypotPeerSets(honeypots)
+	wantHP, wantHPU := reference.HoneypotPeerSets(recs, honeypots)
+	if !reflect.DeepEqual(gotHP, wantHP) || gotHPU != wantHPU {
+		t.Errorf("map-mode honeypot peer sets: universe %d vs %d, sets\n got %v\nwant %v", gotHPU, wantHPU, gotHP, wantHP)
+	}
+	gotF, gotFU := f.FilePeerSets(files)
+	wantF, wantFU := reference.FilePeerSets(recs, files)
+	if !reflect.DeepEqual(gotF, wantF) || gotFU != wantFU {
+		t.Errorf("map-mode file peer sets: universe %d vs %d, sets\n got %v\nwant %v", gotFU, wantFU, gotF, wantF)
+	}
+}
+
+// TestTopPeerTieBreaksOnText: peers 9 and 10 tie, and both the frame and
+// the slice reference pick "10", the smaller text — the order Figs 8-9
+// have always selected by, which numeric order would flip.
+func TestTopPeerTieBreaksOnText(t *testing.T) {
+	var recs []logging.Record
+	for _, n := range []uint64{9, 10, 10, 9, 3} {
+		recs = append(recs, logging.Record{Time: t0, Honeypot: "a", Kind: logging.KindStartUpload, PeerIP: logging.NumberedPeer(n)})
+	}
+	if peer, n := analysis.BuildFrame(recs).TopPeer(); peer != "10" || n != 2 {
+		t.Errorf("frame TopPeer = %q/%d, want \"10\"/2", peer, n)
+	}
+	if peer, n := reference.TopPeer(recs); peer != "10" || n != 2 {
+		t.Errorf("reference TopPeer = %q/%d, want \"10\"/2", peer, n)
+	}
+}

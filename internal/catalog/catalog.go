@@ -381,9 +381,12 @@ func (c *Catalog) ByHash(h ed2k.Hash) (File, bool) {
 }
 
 // Sample draws a file according to the popularity law.
-func (c *Catalog) Sample(rng *rand.Rand) File { return c.File(c.sample(rng)) }
+func (c *Catalog) Sample(rng *rand.Rand) File { return c.File(c.SampleIndex(rng)) }
 
-func (c *Catalog) sample(rng *rand.Rand) int {
+// SampleIndex draws a file's index as Sample does, from the same random
+// numbers, without reading the file: a caller that may reject the draw
+// reads (and so hashes) only the files it keeps.
+func (c *Catalog) SampleIndex(rng *rand.Rand) int {
 	x := rng.Float64() * c.total
 	return min(sort.SearchFloat64s(c.cum, x), c.Len()-1)
 }
@@ -395,7 +398,7 @@ func (c *Catalog) SampleLibrary(rng *rand.Rand, n int) []File {
 	out := make([]File, 0, n)
 	taken := make(map[int]bool, n)
 	for attempts := 0; len(out) < n && attempts < 20*n; attempts++ {
-		if i := c.sample(rng); !taken[i] {
+		if i := c.SampleIndex(rng); !taken[i] {
 			taken[i] = true
 			out = append(out, c.File(i))
 		}

@@ -280,6 +280,24 @@ func TestPopularitySampling(t *testing.T) {
 	}
 }
 
+// SampleIndex draws the indices Sample draws from the same seed, and
+// reads no file: every hash slot stays cold.
+func TestSampleIndexMatchesSampleColdly(t *testing.T) {
+	c := Generate(small())
+	want := Generate(small())
+	rng, wantRng := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	for k := 0; k < 5000; k++ {
+		if i, f := c.SampleIndex(rng), want.Sample(wantRng); i != f.Index {
+			t.Fatalf("draw %d: SampleIndex %d, Sample file %d", k, i, f.Index)
+		}
+	}
+	for i := range c.hashes {
+		if c.hashes[i].state.Load() != cold {
+			t.Fatalf("file %d hashed by SampleIndex", i)
+		}
+	}
+}
+
 func TestSampleLibraryDistinct(t *testing.T) {
 	c := Generate(small())
 	rng := rand.New(rand.NewSource(2))

@@ -168,10 +168,10 @@ func (pe *peer) loadLibrary() {
 		files = make([]catalog.File, 0, n)
 		seen := map[int]bool{}
 		for tries := 0; len(files) < n && tries < 30*n; tries++ {
-			f := p.cfg.Catalog.Sample(pe.rng)
-			if f.Index < p.cfg.LibraryRegion && !seen[f.Index] {
-				seen[f.Index] = true
-				files = append(files, f)
+			i := p.cfg.Catalog.SampleIndex(pe.rng)
+			if i < p.cfg.LibraryRegion && !seen[i] {
+				seen[i] = true
+				files = append(files, p.cfg.Catalog.File(i))
 			}
 		}
 	} else {

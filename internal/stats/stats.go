@@ -10,13 +10,16 @@
 // where walking the id lists touched one. Memory is units ×
 // ⌈universe/64⌉ × 8 bytes for the sets (Fig 10 at full scale: 24 × 110k
 // peers, 330 KiB; Figs 11–12 on the benchmark's greedy campaign: 100 ×
-// 4949, 62 KiB) plus one ⌈universe/64⌉-word accumulator per worker.
+// 4949, 62 KiB) plus one ⌈universe/64⌉-word accumulator per worker. A
+// universe far wider than the sets hold is compacted to the ids present
+// first, so no id, however large, sizes an allocation by itself.
 package stats
 
 import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -227,9 +230,53 @@ const listCost = 8
 // the words its elements touch, so a sparse input never pays for the
 // width of its universe.
 //
+// A universe wider than 64 × (total set size + 1) — one stray huge id
+// among small ones — is first compacted: the in-range ids are renamed to
+// their ranks among the distinct ids present. Union sizes do not depend
+// on the names, so the estimate is unchanged, and memory stays bounded
+// by the sets, not by the largest id.
+//
 // Subset sizes are processed in parallel; the per-(n, sample) RNG streams
 // are derived deterministically, so results do not depend on scheduling.
 func UnionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUnion {
+	total := 0
+	for _, set := range sets {
+		total += len(set)
+	}
+	if universe > 64*(total+1) {
+		sets, universe = compactIDs(sets, universe)
+	}
+	return unionEstimate(sets, universe, cfg)
+}
+
+// compactIDs renames the in-range ids of sets to their ranks among the
+// distinct in-range ids and drops the rest; the new universe is the
+// number of distinct ids.
+func compactIDs(sets [][]int32, universe int) ([][]int32, int) {
+	var ids []int32
+	for _, set := range sets {
+		for _, el := range set {
+			if uint(el) < uint(universe) {
+				ids = append(ids, el)
+			}
+		}
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	out := make([][]int32, len(sets))
+	for u, set := range sets {
+		for _, el := range set {
+			if uint(el) < uint(universe) {
+				r, _ := slices.BinarySearch(ids, el)
+				out[u] = append(out[u], int32(r))
+			}
+		}
+	}
+	return out, len(ids)
+}
+
+// unionEstimate is UnionEstimate over a universe it does not compact.
+func unionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUnion {
 	if cfg.Samples <= 0 {
 		cfg.Samples = 100
 	}

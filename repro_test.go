@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/analysis"
+	"repro/internal/analysis/reference"
 	"repro/internal/catalog"
 	"repro/internal/logging"
 	"repro/internal/scenario"
@@ -132,37 +132,37 @@ func TestAnalyzeMatchesReferenceExtractors(t *testing.T) {
 	rep := repro.Analyze(res)
 	recs := res.Dataset.Records
 
-	if want := analysis.ComputeTableI(recs, len(res.HoneypotIDs), res.Days, len(res.Advertised)); rep.TableI != want {
+	if want := reference.ComputeTableI(recs, len(res.HoneypotIDs), res.Days, len(res.Advertised)); rep.TableI != want {
 		t.Errorf("TableI:\n got %+v\nwant %+v", rep.TableI, want)
 	}
-	if want := analysis.PeerGrowth(recs, res.Start, res.Days); !reflect.DeepEqual(rep.PeerGrowth, want) {
+	if want := reference.PeerGrowth(recs, res.Start, res.Days); !reflect.DeepEqual(rep.PeerGrowth, want) {
 		t.Errorf("PeerGrowth differs from reference")
 	}
-	if want := analysis.HourlyHello(recs, res.Start, res.Days*24); !reflect.DeepEqual(rep.HourlyHello, want) {
+	if want := reference.HourlyHello(recs, res.Start, res.Days*24); !reflect.DeepEqual(rep.HourlyHello, want) {
 		t.Errorf("HourlyHello differs from reference")
 	}
-	if want := analysis.GroupDistinctPeers(recs, res.GroupOf, logging.KindHello, res.Start, res.Days); !reflect.DeepEqual(rep.HelloPeersByGroup, want) {
+	if want := reference.GroupDistinctPeers(recs, res.GroupOf, logging.KindHello, res.Start, res.Days); !reflect.DeepEqual(rep.HelloPeersByGroup, want) {
 		t.Errorf("HelloPeersByGroup differs from reference")
 	}
-	if want := analysis.GroupDistinctPeers(recs, res.GroupOf, logging.KindStartUpload, res.Start, res.Days); !reflect.DeepEqual(rep.StartUploadPeersByGroup, want) {
+	if want := reference.GroupDistinctPeers(recs, res.GroupOf, logging.KindStartUpload, res.Start, res.Days); !reflect.DeepEqual(rep.StartUploadPeersByGroup, want) {
 		t.Errorf("StartUploadPeersByGroup differs from reference")
 	}
-	if want := analysis.GroupMessageCounts(recs, res.GroupOf, logging.KindRequestPart, res.Start, res.Days); !reflect.DeepEqual(rep.RequestPartsByGroup, want) {
+	if want := reference.GroupMessageCounts(recs, res.GroupOf, logging.KindRequestPart, res.Start, res.Days); !reflect.DeepEqual(rep.RequestPartsByGroup, want) {
 		t.Errorf("RequestPartsByGroup differs from reference")
 	}
-	peer, n := analysis.TopPeer(recs)
+	peer, n := reference.TopPeer(recs)
 	if rep.TopPeer != peer || rep.TopPeerQueries != n {
 		t.Errorf("TopPeer: got %q/%d want %q/%d", rep.TopPeer, rep.TopPeerQueries, peer, n)
 	}
-	if want := analysis.TopPeerSeries(recs, res.GroupOf, peer, logging.KindStartUpload, res.Start, res.Days); !reflect.DeepEqual(rep.TopPeerStartUpload, want) {
+	if want := reference.TopPeerSeries(recs, res.GroupOf, peer, logging.KindStartUpload, res.Start, res.Days); !reflect.DeepEqual(rep.TopPeerStartUpload, want) {
 		t.Errorf("TopPeerStartUpload differs from reference")
 	}
-	sets, universe := analysis.HoneypotPeerSets(recs, res.HoneypotIDs)
+	sets, universe := reference.HoneypotPeerSets(recs, res.HoneypotIDs)
 	want := stats.UnionEstimate(sets, universe, stats.SubsetUnionConfig{Samples: 100, Seed: 1, IncludeZero: true})
 	if !reflect.DeepEqual(rep.HoneypotSubsets, want) {
 		t.Errorf("HoneypotSubsets differs from reference")
 	}
-	if want := analysis.BuildInterestGraph(recs).Stats(); rep.CoInterest != want {
+	if want := reference.BuildInterestGraph(recs).Stats(); rep.CoInterest != want {
 		t.Errorf("CoInterest:\n got %+v\nwant %+v", rep.CoInterest, want)
 	}
 
@@ -176,13 +176,13 @@ func TestAnalyzeMatchesReferenceExtractors(t *testing.T) {
 	}
 	grep := repro.Analyze(gres)
 	grecs := gres.Dataset.Records
-	ranked := analysis.QueriedFiles(grecs)
+	ranked := reference.QueriedFiles(grecs)
 	for i, h := range grep.PopularFiles {
 		if ranked[i].Hash != h {
 			t.Fatalf("PopularFiles[%d] diverges from reference ranking", i)
 		}
 	}
-	fsets, funiverse := analysis.FilePeerSets(grecs, grep.PopularFiles)
+	fsets, funiverse := reference.FilePeerSets(grecs, grep.PopularFiles)
 	fwant := stats.UnionEstimate(fsets, funiverse, stats.SubsetUnionConfig{Samples: 100, Seed: 1})
 	if !reflect.DeepEqual(grep.PopularFileSubsets, fwant) {
 		t.Errorf("PopularFileSubsets differs from reference")
