@@ -453,9 +453,10 @@ func (f *Frame) TopPeerSeries(groupOf map[string]string, peer string, kind loggi
 
 // peerSetCollector accumulates distinct step-2 peer numbers per unit
 // (honeypot or file) for the Fig 10-12 subset estimators. When the
-// numbers are dense and non-negative — the step-2 renumbering guarantees
-// exactly that — it uses one bitset per unit; otherwise it degrades to
-// per-unit hash sets with the reference implementation's semantics.
+// numbers are dense — no more bitset words than the rows that carry
+// them, which the step-2 renumbering guarantees — it uses one bitset per
+// unit; otherwise it degrades to per-unit hash sets with the reference
+// implementation's semantics.
 type peerSetCollector struct {
 	words   int
 	bits    []uint64 // units × words, nil in map mode
@@ -468,10 +469,10 @@ type peerSetCollector struct {
 // universe degrades to hash sets instead of one huge allocation.
 const bitsetWordLimit = 1 << 23
 
-func newPeerSetCollector(units int, maxID, minN int64) *peerSetCollector {
+func newPeerSetCollector(units int, maxID, matched int64) *peerSetCollector {
 	c := &peerSetCollector{sets: make([][]int32, units)}
 	words := maxID/64 + 1
-	if maxID >= 0 && minN >= 0 && words*int64(units) <= bitsetWordLimit {
+	if words <= matched+1 && words*int64(units) <= bitsetWordLimit {
 		c.words = int(words)
 		c.bits = make([]uint64, units*c.words)
 	} else {
@@ -518,17 +519,18 @@ func (c *peerSetCollector) finish() [][]int32 {
 
 // peerSets builds one distinct peer-number set per unit over the rows
 // match accepts, match naming the row's unit and peer number: a bounds
-// pass sizes the collector, a collect pass fills it.
+// pass sizes the collector, a collect pass fills it. A number outside
+// [0, 2³¹) is not observed (see PeerSets).
 func (f *Frame) peerSets(units int, match func(i int) (unit int, n int64, ok bool)) (sets [][]int32, universe int) {
-	maxID, minN := int64(-1), int64(math.MaxInt64)
+	maxID, matched := int64(-1), int64(0)
 	for i := range f.peers {
-		if _, n, ok := match(i); ok {
-			maxID, minN = max(maxID, n), min(minN, n)
+		if _, n, ok := match(i); ok && uint64(n) <= math.MaxInt32 {
+			maxID, matched = max(maxID, n), matched+1
 		}
 	}
-	c := newPeerSetCollector(units, maxID, minN)
+	c := newPeerSetCollector(units, maxID, matched)
 	for i := range f.peers {
-		if unit, n, ok := match(i); ok {
+		if unit, n, ok := match(i); ok && uint64(n) <= math.MaxInt32 {
 			c.observe(unit, n)
 		}
 	}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -68,16 +69,17 @@ var frameGroups = map[string]string{
 
 // TestPeerSetUnionMemoryIgnoresPeerNumber: one record whose peer number
 // is huge — a crafted export or frame file can carry any — must not make
-// Figs 10-12 allocate in proportion to it. Its universe reaches the
-// subset estimator, which compacts it to the numbers present.
+// Figs 10-12 allocate in proportion to it. A number that fits an int32
+// widens the universe, which the subset estimator compacts to the
+// numbers present; a wider one is not observed.
 func TestPeerSetUnionMemoryIgnoresPeerNumber(t *testing.T) {
-	for _, big := range []uint64{1 << 27, 1<<32 + 5, 1 << 40} {
+	for _, big := range []uint64{1 << 27, 1<<31 - 1, 1<<32 + 5, 1 << 40} {
 		t.Run(fmt.Sprint("peer-", big), func(t *testing.T) {
 			recs := frameSample(time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC), 2000)
 			recs[0].Honeypot, recs[0].PeerIP = "rc0", logging.NumberedPeer(big)
 			sets, universe := BuildFrame(recs).HoneypotPeerSets([]string{"rc0", "rc1", "nc0", "nc1", "stray"})
-			if universe <= int(big) {
-				t.Fatalf("universe %d does not cover peer %d", universe, big)
+			if covered, fits := universe > int(big), big <= math.MaxInt32; covered != fits {
+				t.Fatalf("universe %d: covers peer %d %v, want %v", universe, big, covered, fits)
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -30,7 +30,10 @@ type TopPeerInfo struct {
 
 // PeerSets is a peer-set query's result: per-unit (honeypot or file)
 // sorted distinct step-2 peer numbers, plus the smallest array size
-// covering every number — the inputs of stats.UnionEstimate.
+// covering every number — the inputs of stats.UnionEstimate. A peer
+// number that does not fit an int32 (a crafted export or frame file can
+// carry any) is not observed: it is in no set and does not widen the
+// universe, as a negative id counts toward no union.
 type PeerSets struct {
 	Sets     [][]int32 `json:"sets"`
 	Universe int       `json:"universe"`

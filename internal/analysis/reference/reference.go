@@ -6,6 +6,7 @@
 package reference
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -171,7 +172,8 @@ func TopPeerSeries(recs []logging.Record, groupOf map[string]string, peer string
 
 // HoneypotPeerSets builds, for Fig 10, the set of distinct peer numbers
 // each honeypot observed. Records must be renumbered (step 2); the
-// returned universe is the smallest array size covering all numbers.
+// returned universe is the smallest array size covering all numbers. A
+// number that does not fit an int32 is not observed.
 func HoneypotPeerSets(recs []logging.Record, honeypotIDs []string) (sets [][]int32, universe int) {
 	idx := make(map[string]int, len(honeypotIDs))
 	for i, id := range honeypotIDs {
@@ -187,6 +189,9 @@ func HoneypotPeerSets(recs []logging.Record, honeypotIDs []string) (sets [][]int
 		hi, ok := idx[r.Honeypot]
 		if !ok || r.PeerIP.Kind() != logging.PeerNumbered {
 			continue
+		}
+		if r.PeerIP.Value() > math.MaxInt32 {
+			continue // not observed: the sets hold int32s
 		}
 		n := int(r.PeerIP.Value())
 		if n > maxID {
@@ -226,6 +231,9 @@ func FilePeerSets(recs []logging.Record, files []ed2k.Hash) (sets [][]int32, uni
 		fi, ok := idx[r.FileHash]
 		if !ok || r.PeerIP.Kind() != logging.PeerNumbered {
 			continue
+		}
+		if r.PeerIP.Value() > math.MaxInt32 {
+			continue // not observed: the sets hold int32s
 		}
 		n := int(r.PeerIP.Value())
 		if n > maxID {

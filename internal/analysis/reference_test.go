@@ -2,7 +2,10 @@ package analysis_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -114,14 +117,19 @@ func TestFramePeerSetFallback(t *testing.T) {
 
 // TestFramePeerSetsMapMode drives both peer-set builds through the
 // collector's hash-set mode on a campaign-shaped sample: peer numbers
-// past MaxInt64, negative as int64, disable the dense bitsets. Sets and
-// universes must match the record-slice references.
+// near 2³¹ need more bitset words than there are rows, which disables
+// the dense bitsets, and numbers past MaxInt64 (negative as int64) are
+// not observed. Sets and universes must match the record-slice
+// references.
 func TestFramePeerSetsMapMode(t *testing.T) {
 	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
 	recs := analysis.FrameSample(start, 6000)
 	for i := range recs {
-		if i%17 == 0 {
+		switch {
+		case i%17 == 0:
 			recs[i].PeerIP = logging.NumberedPeer(uint64(-1 - i%40)) // negative as int64
+		case i%19 == 0:
+			recs[i].PeerIP = logging.NumberedPeer(math.MaxInt32 - uint64(i%40))
 		}
 	}
 	honeypots := []string{"rc0", "rc1", "nc0", "nc1", "stray"}
@@ -140,6 +148,49 @@ func TestFramePeerSetsMapMode(t *testing.T) {
 	wantF, wantFU := reference.FilePeerSets(recs, files)
 	if !reflect.DeepEqual(gotF, wantF) || gotFU != wantFU {
 		t.Errorf("map-mode file peer sets: universe %d vs %d, sets\n got %v\nwant %v", gotFU, wantFU, gotF, wantF)
+	}
+}
+
+// TestFramePeerSetsWideNumbers puts one record at a wide peer number
+// into a 2,000-record sample. A number up to 2³¹−1 is observed: at 2²⁰
+// or 2²⁶ it needs more bitset words than there are rows, so the sets are
+// hashed and HoneypotPeerSets allocates under 1 MiB. A number that does
+// not fit an int32 is not observed, so it aliases onto no small peer:
+// 2³², 2³²+5 and 2⁴⁰ truncate to 0, 5 and 0, which no other record
+// carries here. Frame and reference agree on every case.
+func TestFramePeerSetsWideNumbers(t *testing.T) {
+	start := time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
+	honeypots := []string{"rc0", "rc1", "nc0", "nc1", "stray"}
+	for _, big := range []uint64{1 << 20, 1 << 26, 1 << 31, 1 << 32, 1<<32 + 5, 1 << 40} {
+		t.Run(fmt.Sprint("peer-", big), func(t *testing.T) {
+			recs := analysis.FrameSample(start, 2000)
+			alias := int32(big)
+			for i := range recs {
+				if recs[i].PeerIP == logging.NumberedPeer(uint64(uint32(alias))) {
+					recs[i].PeerIP = logging.NumberedPeer(1)
+				}
+			}
+			recs[0].Honeypot, recs[0].PeerIP = "rc0", logging.NumberedPeer(big)
+			f := analysis.BuildFrame(recs)
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sets, universe := f.HoneypotPeerSets(honeypots)
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("HoneypotPeerSets allocated %d KiB, want < 1024", got>>10)
+			}
+			wantSets, wantU := reference.HoneypotPeerSets(recs, honeypots)
+			if universe != wantU || !reflect.DeepEqual(sets, wantSets) {
+				t.Errorf("universe %d vs %d, sets\n got %v\nwant %v", universe, wantU, sets, wantSets)
+			}
+			fits := big <= math.MaxInt32
+			for u, set := range sets {
+				if got, want := slices.Contains(set, alias), fits && u == 0; got != want {
+					t.Errorf("set %d holds %d: %v, want %v", u, alias, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -16,7 +16,9 @@
 // So a Source keeps x₀ and a draw count, computes those two words per
 // draw, and builds the full register — replaying the feed writes made so
 // far — only when a stream reaches its 274th draw. Most of the
-// simulation's streams (one per peer) never do.
+// simulation's streams (one per peer) never do. Seed keeps a built
+// register, and the next stream to reach its 274th draw refills it, so
+// one Source reseeded per stream allocates its register once.
 //
 // The cooked table is not copied from the standard library: init derives
 // it from the first 607 outputs of a math/rand source with a known seed,
@@ -98,9 +100,12 @@ func mulmod(a, b uint64) uint64 {
 // Like math/rand's own source it is not safe for concurrent use.
 type Source struct {
 	x0  uint32    // normalized seed, in [1, 2³¹−2]
-	n   uint32    // draws served before reg was built
-	reg *register // nil until the stream's 274th draw
+	n   uint32    // draws served while lazy, or built
+	reg *register // nil until a stream's 274th draw; kept by Seed
 }
+
+// built is n once the stream draws from reg; n ≤ regTap while lazy.
+const built = regTap + 1
 
 // register is math/rand's source state, built on demand.
 type register struct {
@@ -115,7 +120,8 @@ func New(seed int64) *Source {
 	return s
 }
 
-// Seed resets the source to the stream of seed, as math/rand's does.
+// Seed resets the source to the stream of seed, as math/rand's does. A
+// register an earlier stream built is kept for the next build.
 func (s *Source) Seed(seed int64) {
 	seed %= modulus
 	if seed < 0 {
@@ -124,14 +130,14 @@ func (s *Source) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	*s = Source{x0: uint32(seed)}
+	s.x0, s.n = uint32(seed), 0
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer: Uint64's
 // value with the top bit cleared. It repeats Uint64's body so that a
 // built stream's draw stays one call, as math/rand's is.
 func (s *Source) Int63() int64 {
-	if s.reg == nil {
+	if s.n != built {
 		return int64(s.lazy() & int63)
 	}
 	return int64(s.reg.next() & int63)
@@ -139,7 +145,7 @@ func (s *Source) Int63() int64 {
 
 // Uint64 returns a pseudo-random 64-bit value.
 func (s *Source) Uint64() uint64 {
-	if s.reg == nil {
+	if s.n != built {
 		return s.lazy()
 	}
 	return s.reg.next()
@@ -182,17 +188,65 @@ func (s *Source) word(i int) int64 {
 }
 
 // build makes the register math/rand would hold after the s.n draws
-// served so far: the seeded words, with each draw's feed write replayed.
-// Draw j ≤ 273 wrote slot 334−j and read slot 607−j, which no draw
-// writes before the 335th, so the replays are independent.
+// served so far, in the one an earlier stream built if there is one:
+// the seeded words, with each draw's feed write replayed. Draw j ≤ 273
+// wrote slot 334−j and read slot 607−j, which no draw writes before the
+// 335th, so the replays are independent.
 func (s *Source) build() {
 	n := int(s.n)
-	r := &register{tap: regLen - n, feed: feed0 - n}
+	if s.reg == nil {
+		s.reg = new(register)
+	}
+	r := s.reg
+	r.tap, r.feed = regLen-n, feed0-n
 	for i := range r.vec {
 		r.vec[i] = s.word(i)
 	}
 	for j := 1; j <= n; j++ {
 		r.vec[feed0-j] += r.vec[regLen-j]
 	}
-	s.reg = r
+	s.n = built
+}
+
+// Intn returns, as a non-negative int, a pseudo-random number in [0, n):
+// the number rand.New(s).Intn(n) would return, with no interface call.
+// It panics if n <= 0. Intn, Int31n, Int31 and Int63n are copied
+// expression for expression from the Go standard library's
+// math/rand/rand.go (Copyright 2009 The Go Authors, BSD-style license),
+// the n <= 0 checks of the last two left to Intn's, so they consume the
+// stream as math/rand's do.
+func (s *Source) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		return int(s.int31n(int32(n)))
+	}
+	return int(s.int63n(int64(n)))
+}
+
+func (s *Source) int31() int32 { return int32(s.Int63() >> 32) }
+
+func (s *Source) int31n(n int32) int32 {
+	if n&(n-1) == 0 { // n is power of two, can mask
+		return s.int31() & (n - 1)
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	v := s.int31()
+	for v > max {
+		v = s.int31()
+	}
+	return v % n
+}
+
+func (s *Source) int63n(n int64) int64 {
+	if n&(n-1) == 0 { // n is power of two, can mask
+		return s.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := s.Int63()
+	for v > max {
+		v = s.Int63()
+	}
+	return v % n
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // edgeSeeds are the seeds whose normalization math/rand special-cases:
@@ -141,6 +142,65 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 			t.Fatalf("seed %d: streams diverge after the method mix", seed)
 		}
 	})
+}
+
+// intnBounds are the bounds FuzzReseededIntn draws under besides its
+// own: Int31n's mask (powers of two) and rejection paths, the largest
+// bound Int31n serves (2³¹−1), and Int63n's beyond it.
+var intnBounds = []int{1, 2, 3, 7, 64, 100, 1 << 16, 1<<30 + 1, 1 << 30, 1<<31 - 1, 1 << 31, 1<<40 + 3, 1 << 62, math.MaxInt64}
+
+// FuzzReseededIntn reseeds one Source before its register is built or
+// after (draws%1214 raw draws first), and again once the reseeded stream
+// has built one: each time, Intn must equal
+// rand.New(rand.NewSource(seed)).Intn for every bound, across the
+// reseeded stream's own switch at draw 274.
+func FuzzReseededIntn(f *testing.F) {
+	f.Add(int64(1), int64(2), uint16(0), int64(10))
+	f.Add(int64(-5), int64(0), uint16(273), int64(1<<31-1))
+	f.Add(int64(modulus), int64(7), uint16(274), int64(1<<20))
+	f.Add(int64(3), int64(3), uint16(700), int64(-1))
+	f.Fuzz(func(t *testing.T, first, seed int64, draws uint16, bound int64) {
+		s := New(first)
+		for j := 0; j < int(draws)%(2*regLen); j++ {
+			s.Uint64()
+		}
+		own := int(uint64(bound)%math.MaxInt64) + 1
+		for round, seed := range []int64{seed, first} {
+			s.Seed(seed)
+			want := rand.New(rand.NewSource(seed))
+			for i := 0; i < 320; i++ {
+				n := own
+				if i%3 != 0 {
+					n = intnBounds[i%len(intnBounds)]
+				}
+				if w, g := want.Intn(n), s.Intn(n); w != g {
+					t.Fatalf("round %d, seed %d, call %d: Intn(%d) = %d, math/rand %d", round, seed, i, n, g, w)
+				}
+			}
+		}
+	})
+}
+
+// TestReseedAllocs: a Source reseeded after its register was built
+// keeps it, so a stream that builds one again (300 draws) allocates
+// nothing; and a Source stays 16 bytes, as every simulated peer holds
+// one.
+func TestReseedAllocs(t *testing.T) {
+	s := New(1)
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(50, func() {
+		seed++
+		s.Seed(seed)
+		for j := 0; j < 300; j++ {
+			s.Intn(1000)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("reseed + 300 draws: %.1f allocations, want 0", allocs)
+	}
+	if size := unsafe.Sizeof(Source{}); size != 16 {
+		t.Errorf("Source is %d bytes, want 16", size)
+	}
 }
 
 var benchSink int64

@@ -4,20 +4,26 @@
 // subsets of n units, report average/min/max of the union of peers they
 // observed), parallelized across subset sizes.
 //
-// The estimator works on bitsets: each unit's peer set becomes one bit
-// per peer of the universe, built once per call, and a sample's union is
-// a word-wise OR of its units and a popcount — 64 peers per operation,
-// where walking the id lists touched one. Memory is units ×
-// ⌈universe/64⌉ × 8 bytes for the sets (Fig 10 at full scale: 24 × 110k
-// peers, 330 KiB; Figs 11–12 on the benchmark's greedy campaign: 100 ×
-// 4949, 62 KiB) plus one ⌈universe/64⌉-word accumulator per worker. A
-// universe far wider than the sets hold is compacted to the ids present
-// first, so no id, however large, sizes an allocation by itself.
+// The estimator works on tables of bitsets, built once per call. A peer
+// that only one unit observed adds one to every union that unit is in,
+// so it is a count on the unit (solo). The shared peers — seen by two
+// units or more — are renamed to their ranks among themselves, and each
+// block of four units gets a table of the 2⁴−1 ORs of its non-empty
+// unit subsets over them. A sample's union is the sum of its units'
+// solo counts plus the popcount of the OR of at most one row per block:
+// ⌈units/4⌉ row ORs, 64 shared peers per operation, however many units
+// the sample holds. Memory is (2⁴−1)/4 × units × ⌈shared/64⌉ words for
+// the tables (units rounded up to a block) plus one solo count per unit
+// — 1.2 MB for Fig 10's 24 honeypots × 110k peers, 120 KB for Figs
+// 11–12's 100 files × 4949 peers, ≈ 2,500 of them shared — one
+// ⌈shared/64⌉-word accumulator per worker, and, while the tables are
+// built, two bitsets over the universe. A universe far wider than the
+// sets hold is compacted to the ids present first, so no id, however
+// large, sizes an allocation by itself.
 package stats
 
 import (
 	"math/bits"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -205,13 +211,6 @@ type SubsetUnionConfig struct {
 	Parallel int
 }
 
-// listCost is the bitset/list break-even: a unit whose set holds fewer
-// than words/listCost elements stays a plain element list. A list
-// element costs two random read-modify-writes of the accumulator (set,
-// then count-and-clear), each about four sequential word ORs on this
-// class of machine, so a list wins below one element per eight words.
-const listCost = 8
-
 // UnionEstimate runs the estimator: sets[u] lists the element IDs observed
 // by unit u (a honeypot for Fig 10, an advertised file for Figs 11–12);
 // element IDs must be dense non-negative ints (the step-2 renumbering
@@ -222,13 +221,10 @@ const listCost = 8
 // random subsets of units and reports average, minimum and maximum union
 // cardinality.
 //
-// Each unit's set is turned into a bitset over the universe once per
-// call (units × ⌈universe/64⌉ × 8 bytes when every unit is dense); a
-// sample is the OR of its units into one accumulator and a popcount. A
-// unit sparser than one element per listCost words is used as the list
-// it came in, and a sample drawn from lists alone counts and clears only
-// the words its elements touch, so a sparse input never pays for the
-// width of its universe.
+// The units are tabled once per call (see unionTables): a sample's union
+// is the sum of its units' solo counts plus the popcount of the OR of at
+// most one table row per block of blockUnits units, ⌈units/4⌉ row ORs
+// over the shared ids however large the sample.
 //
 // A universe wider than 64 × (total set size + 1) — one stray huge id
 // among small ones — is first compacted: the in-range ids are renamed to
@@ -295,31 +291,7 @@ func unionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 		Min: make([]int, len(rows)),
 		Max: make([]int, len(rows)),
 	}
-
-	// Each unit once per call, out-of-range ids dropped here and nowhere
-	// else: a bitset over the universe, or its in-range ids as they came.
-	words := (universe + 63) / 64
-	bitsets := make([][]uint64, nUnits)
-	lists := make([][]int32, nUnits)
-	listElems := 0
-	for u, set := range sets {
-		if len(set)*listCost < words {
-			for _, el := range set {
-				if uint(el) < uint(universe) {
-					lists[u] = append(lists[u], el)
-				}
-			}
-			listElems += len(lists[u])
-			continue
-		}
-		bs := make([]uint64, words)
-		for _, el := range set {
-			if uint(el) < uint(universe) {
-				bs[el>>6] |= 1 << (uint(el) & 63)
-			}
-		}
-		bitsets[u] = bs
-	}
+	t := newUnionTables(sets, universe)
 
 	workers := cfg.Parallel
 	if workers <= 0 {
@@ -339,8 +311,8 @@ func unionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			k := unionKernel{bitsets: bitsets, lists: lists,
-				acc: make([]uint64, words), touched: make([]int32, listElems)}
+			acc := make([]uint64, t.words)
+			masks := make([]uint8, (nUnits+blockUnits-1)/blockUnits)
 			// perm is kept as the identity permutation between samples:
 			// the partial Fisher-Yates below records its swaps and undoes
 			// them afterwards, so each sample touches O(n) entries instead
@@ -350,8 +322,11 @@ func unionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 				perm[i] = i
 			}
 			swaps := make([]int, nUnits)
+			// One source, reseeded per size: a register built for one
+			// size is refilled, not reallocated, by the next.
+			var rng randsrc.Source
 			for j := range jobs {
-				rng := rand.New(randsrc.New(cfg.Seed + int64(j.n)*1_000_003))
+				rng.Seed(cfg.Seed + int64(j.n)*1_000_003)
 				sum := 0.0
 				minU, maxU := -1, -1
 				for s := 0; s < cfg.Samples; s++ {
@@ -361,7 +336,7 @@ func unionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 						perm[i], perm[k] = perm[k], perm[i]
 						swaps[i] = k
 					}
-					union := k.union(perm[:j.n])
+					union := t.union(perm[:j.n], masks, acc)
 					// Undo the swaps in reverse to restore the identity.
 					for i := j.n - 1; i >= 0; i-- {
 						k := swaps[i]
@@ -392,47 +367,131 @@ func unionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 	return out
 }
 
-// unionKernel is one worker's view of a call's units plus its scratch.
-type unionKernel struct {
-	bitsets [][]uint64 // unit u as a bitset over the universe, or nil:
-	lists   [][]int32  // then its in-range ids
-	acc     []uint64   // the current sample's union; all-zero between samples
-	touched []int32    // words of acc the current sample's list units set
+// blockUnits is how many units share a table: a block's table holds the
+// OR of each of its blockRows non-empty unit subsets.
+const blockUnits, blockRows = 4, 1<<4 - 1
+
+// unionTables is a call's units as the estimator reads them. An id held
+// by one unit only adds one to every union that unit is in, so it is
+// counted in solo[u] and kept nowhere else. The shared ids are renamed
+// to their ranks among the shared ids, and each block of blockUnits
+// units gets a table of rows over them: row m−1 is the OR of the units
+// whose bits are set in m. The one-bit rows are the units' bitsets; a
+// short last block's rows for its missing units stay empty.
+type unionTables struct {
+	solo  []int    // per unit: its in-range ids no other unit holds
+	words int      // ⌈shared ids / 64⌉, the width of every row
+	rows  []uint64 // per block, blockRows rows of words apiece
 }
 
-// union returns the cardinality of the union of the sampled units. It is
-// a function of its own so that its loops get registers of their own: the
-// same code inlined into the worker's closure ran a quarter slower.
-func (k *unionKernel) union(sample []int) int {
-	acc, touched := k.acc, k.touched
-	dense, nt := false, 0
-	for _, u := range sample {
-		if bs := k.bitsets[u]; bs != nil {
-			dense = true
-			for w, x := range bs[:len(acc)] {
-				acc[w] |= x
+// newUnionTables tables sets over [0, universe) in two universe-word
+// bitsets of scratch and no universe-sized array.
+func newUnionTables(sets [][]int32, universe int) *unionTables {
+	in := func(el int32) bool { return uint(el) < uint(universe) }
+	// once: ids held by some unit; twice: by two or more. Each unit is
+	// first checked against once as the units before it left it, so an
+	// id a unit lists twice is not its own second holder.
+	once := make([]uint64, (universe+63)/64)
+	twice := make([]uint64, len(once))
+	for _, set := range sets {
+		for _, el := range set {
+			if in(el) && once[el>>6]&(1<<(el&63)) != 0 {
+				twice[el>>6] |= 1 << (el & 63)
 			}
+		}
+		for _, el := range set {
+			if in(el) {
+				once[el>>6] |= 1 << (el & 63)
+			}
+		}
+	}
+	t := &unionTables{solo: make([]int, len(sets))}
+	for u, set := range sets {
+		for _, el := range set {
+			if w, b := el>>6, uint64(1)<<(el&63); in(el) && (once[w]&^twice[w])&b != 0 {
+				t.solo[u]++
+				once[w] &^= b // counted: a duplicate must not count again
+			}
+		}
+	}
+	// once is spent; it now holds, per word, the shared ids below it.
+	shared := 0
+	for w, x := range twice {
+		once[w] = uint64(shared)
+		shared += bits.OnesCount64(x)
+	}
+	t.words = (shared + 63) / 64
+	blocks := (len(sets) + blockUnits - 1) / blockUnits
+	t.rows = make([]uint64, blocks*blockRows*t.words)
+	for u, set := range sets {
+		row := t.row(u/blockUnits, 1<<(u%blockUnits))
+		for _, el := range set {
+			if w, b := el>>6, uint64(1)<<(el&63); in(el) && twice[w]&b != 0 {
+				r := int(once[w]) + bits.OnesCount64(twice[w]&(b-1))
+				row[r>>6] |= 1 << (r & 63)
+			}
+		}
+	}
+	for b := 0; b < blocks; b++ {
+		for m := 3; m <= blockRows; m++ {
+			if lo := m & -m; lo != m {
+				dst, x, y := t.row(b, m), t.row(b, m^lo), t.row(b, lo)
+				for w := range dst {
+					dst[w] = x[w] | y[w]
+				}
+			}
+		}
+	}
+	return t
+}
+
+// row returns block b's row for unit mask m (m ≥ 1).
+func (t *unionTables) row(b, m int) []uint64 {
+	i := (b*blockRows + m - 1) * t.words
+	return t.rows[i : i+t.words]
+}
+
+// union returns the cardinality of the union of the sampled units: their
+// solo counts, plus the shared ids of the one row per block that names
+// exactly the block's sampled units. masks (one per block) is all-zero
+// between calls; acc is scratch of t.words words.
+func (t *unionTables) union(sample []int, masks []uint8, acc []uint64) int {
+	union := 0
+	for _, u := range sample {
+		union += t.solo[u]
+		masks[u/blockUnits] |= 1 << (u % blockUnits)
+	}
+	// The first row is read in place, the second ORed with it into acc,
+	// each later one ORed into acc: one pass per row, and no clearing.
+	var first []uint64
+	rows := 0
+	for b, m := range masks {
+		if m == 0 {
 			continue
 		}
-		for _, el := range k.lists[u] {
-			acc[el>>6] |= 1 << (uint(el) & 63)
-			touched[nt] = el >> 6
-			nt++
+		masks[b] = 0
+		row := t.row(b, int(m))[:len(acc)]
+		switch rows {
+		case 0:
+			first = row
+		case 1:
+			for w, x := range row {
+				acc[w] = first[w] | x
+			}
+		default:
+			for w, x := range row {
+				acc[w] |= x
+			}
 		}
+		rows++
 	}
-	union := 0
-	if dense {
-		for w, x := range acc {
+	if rows == 1 {
+		acc = first
+	}
+	if rows > 0 {
+		for _, x := range acc {
 			union += bits.OnesCount64(x)
-			acc[w] = 0
 		}
-		return union
-	}
-	// Lists alone: count and clear only the words they set. A word set
-	// twice is counted on its first visit and reads zero on the second.
-	for _, w := range touched[:nt] {
-		union += bits.OnesCount64(acc[w])
-		acc[w] = 0
 	}
 	return union
 }

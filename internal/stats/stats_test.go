@@ -2,10 +2,10 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -199,12 +199,11 @@ func unionShape(units, universe, lo, hi int) [][]int32 {
 	return sets
 }
 
-// BenchmarkUnionEstimate runs the estimator and its mark/stamp reference
-// on the three shapes that matter: Figs 11/12 as measured on the
-// benchmark's greedy campaign (100 files × 4949 peers, ~80 peers each),
-// a sparse input where the universe dwarfs every set (lists only — the
-// bitset form must not lose here), and Fig 10 (24 honeypots × 110k
-// peers, ~30k each).
+// BenchmarkUnionEstimate runs the estimator on the three shapes that
+// matter: Figs 11/12 as measured on the benchmark's greedy campaign (100
+// files × 4949 peers, ~80 peers each), a sparse input where the universe
+// dwarfs every set (compacted, and almost every id held by one unit),
+// and Fig 10 (24 honeypots × 110k peers, ~30k each).
 func BenchmarkUnionEstimate(b *testing.B) {
 	shapes := []struct {
 		name            string
@@ -218,14 +217,10 @@ func BenchmarkUnionEstimate(b *testing.B) {
 	for _, sh := range shapes {
 		sets := unionShape(sh.units, sh.universe, sh.lo, sh.hi)
 		cfg := SubsetUnionConfig{Samples: 100, Seed: 9, Parallel: 1}
-		b.Run(sh.name+"/bitset", func(b *testing.B) {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				UnionEstimate(sets, sh.universe, cfg)
-			}
-		})
-		b.Run(sh.name+"/reference", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				unionEstimateRef(sets, sh.universe, cfg)
 			}
 		})
 	}
@@ -263,9 +258,14 @@ func TestDenseDistinctMatchesMap(t *testing.T) {
 }
 
 // naiveUnion mirrors UnionEstimate with a freshly initialized identity
-// permutation per sample — the behavior the swap-undo optimization must
-// reproduce exactly, RNG stream included.
+// permutation and a map of the in-range ids per sample, math/rand's own
+// source and one size after another — the behavior the tables, the
+// swap-undo and the reseeded source must reproduce exactly, RNG stream
+// included.
 func naiveUnion(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUnion {
+	if cfg.Samples <= 0 {
+		cfg.Samples = 100
+	}
 	nUnits := len(sets)
 	lo := 1
 	if cfg.IncludeZero {
@@ -273,6 +273,12 @@ func naiveUnion(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUnion
 	}
 	var out SubsetUnion
 	for n := lo; n <= nUnits; n++ {
+		out.N = append(out.N, n)
+	}
+	out.Avg = make([]float64, len(out.N))
+	out.Min = make([]int, len(out.N))
+	out.Max = make([]int, len(out.N))
+	for row, n := range out.N {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)*1_000_003))
 		sum, minU, maxU := 0.0, -1, -1
 		for s := 0; s < cfg.Samples; s++ {
@@ -287,7 +293,9 @@ func naiveUnion(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUnion
 			seen := map[int32]bool{}
 			for i := 0; i < n; i++ {
 				for _, el := range sets[perm[i]] {
-					seen[el] = true
+					if el >= 0 && int(el) < universe {
+						seen[el] = true
+					}
 				}
 			}
 			u := len(seen)
@@ -302,10 +310,9 @@ func naiveUnion(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUnion
 		if n == 0 {
 			minU, maxU = 0, 0
 		}
-		out.N = append(out.N, n)
-		out.Avg = append(out.Avg, sum/float64(cfg.Samples))
-		out.Min = append(out.Min, minU)
-		out.Max = append(out.Max, maxU)
+		out.Avg[row] = sum / float64(cfg.Samples)
+		out.Min[row] = minU
+		out.Max[row] = maxU
 	}
 	return out
 }
@@ -331,120 +338,11 @@ func TestUnionEstimateMatchesNaive(t *testing.T) {
 	}
 }
 
-// unionEstimateRef is the estimator's previous kernel, kept verbatim as
-// the reference the bitset form is tested and benchmarked against: an
-// epoch-stamped mark array over the universe, one random access per
-// element of every sampled unit. Same RNG seeding, draws and undo.
-func unionEstimateRef(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUnion {
-	if cfg.Samples <= 0 {
-		cfg.Samples = 100
-	}
-	nUnits := len(sets)
-	lo := 1
-	if cfg.IncludeZero {
-		lo = 0
-	}
-	var rows []int
-	for n := lo; n <= nUnits; n++ {
-		rows = append(rows, n)
-	}
-	out := SubsetUnion{
-		N:   rows,
-		Avg: make([]float64, len(rows)),
-		Min: make([]int, len(rows)),
-		Max: make([]int, len(rows)),
-	}
-
-	workers := cfg.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	type job struct{ row, n int }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Epoch-stamped scratch: mark[i] == stamp means element i is in
-			// the current union. Reused across samples without clearing.
-			mark := make([]int32, universe)
-			stamp := int32(0)
-			// perm is kept as the identity permutation between samples:
-			// the partial Fisher-Yates below records its swaps and undoes
-			// them afterwards, so each sample touches O(n) entries instead
-			// of re-initializing all nUnits.
-			perm := make([]int, nUnits)
-			for i := range perm {
-				perm[i] = i
-			}
-			swaps := make([]int, nUnits)
-			for j := range jobs {
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(j.n)*1_000_003))
-				sum := 0.0
-				minU, maxU := -1, -1
-				for s := 0; s < cfg.Samples; s++ {
-					stamp++
-					// Partial Fisher-Yates: the first j.n entries are the sample.
-					for i := 0; i < j.n; i++ {
-						k := i + rng.Intn(nUnits-i)
-						perm[i], perm[k] = perm[k], perm[i]
-						swaps[i] = k
-					}
-					union := 0
-					for i := 0; i < j.n; i++ {
-						for _, el := range sets[perm[i]] {
-							if el < 0 || int(el) >= universe {
-								continue
-							}
-							if mark[el] != stamp {
-								mark[el] = stamp
-								union++
-							}
-						}
-					}
-					// Undo the swaps in reverse to restore the identity.
-					for i := j.n - 1; i >= 0; i-- {
-						k := swaps[i]
-						perm[i], perm[k] = perm[k], perm[i]
-					}
-					sum += float64(union)
-					if minU < 0 || union < minU {
-						minU = union
-					}
-					if union > maxU {
-						maxU = union
-					}
-				}
-				if j.n == 0 {
-					minU, maxU = 0, 0
-				}
-				out.Avg[j.row] = sum / float64(cfg.Samples)
-				out.Min[j.row] = minU
-				out.Max[j.row] = maxU
-			}
-		}()
-	}
-	for i, n := range rows {
-		jobs <- job{row: i, n: n}
-	}
-	close(jobs)
-	wg.Wait()
-	return out
-}
-
-// Property: the bitset estimator equals the mark/stamp reference —
-// every row, bit for bit — over inputs that hit each representation
-// (bitset, list, mixed) and each edge: empty sets, negative and
-// ≥ universe ids, duplicate ids, universes of 0, 1 and off a word
-// boundary, 0 and 1 units, both IncludeZero settings, 1 and 8 workers.
+// Property: the estimator equals naiveUnion — every row, bit for bit —
+// over inputs that hit each edge: empty sets, negative and ≥ universe
+// ids, duplicate ids, universes of 0, 1 and off a word boundary, 0 and 1
+// units, a partial last block, both IncludeZero settings, 1 and 8
+// workers.
 func TestUnionEstimateMatchesReference(t *testing.T) {
 	universes := []int{0, 1, 63, 64, 65, 200, 5000, 100_000}
 	for seed := int64(0); seed < 240; seed++ {
@@ -456,9 +354,8 @@ func TestUnionEstimateMatchesReference(t *testing.T) {
 		}
 		sets := make([][]int32, units)
 		for u := range sets {
-			// One unit in four is empty, one a handful of ids (a list
-			// on the wide universes), the rest up to 600 (bitsets, or
-			// lists again under the 100k universe's break-even of 196).
+			// One unit in four is empty, one a handful of ids, the rest
+			// up to 600.
 			size := 0
 			switch rng.Intn(4) {
 			case 0:
@@ -486,7 +383,7 @@ func TestUnionEstimateMatchesReference(t *testing.T) {
 			for _, par := range []int{1, 8} {
 				cfg := SubsetUnionConfig{Samples: 12, Seed: seed, IncludeZero: zero, Parallel: par}
 				got := UnionEstimate(sets, universe, cfg)
-				want := unionEstimateRef(sets, universe, cfg)
+				want := naiveUnion(sets, universe, cfg)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d universe %d units %d zero %v parallel %d:\n got %+v\nwant %+v",
 						seed, universe, units, zero, par, got, want)
@@ -531,4 +428,138 @@ func TestUnionEstimateCompactionPreservesEstimate(t *testing.T) {
 			t.Fatalf("seed %d universe %d units %d:\n got %+v\nwant %+v", seed, universe, len(sets), got, want)
 		}
 	}
+}
+
+// exactMean returns E[U_k], the mean union of a uniform k-subset of the
+// units, for k = 0..len(sets). An id held by m of the n units is missed
+// by a k-subset with probability C(n−m,k)/C(n,k) = Π_{i<k} (n−m−i)/(n−i),
+// so E[U_k] = Σ_m c_m·(1 − C(n−m,k)/C(n,k)), where c_m counts the
+// in-range ids held by exactly m units. No sampling, no seed.
+func exactMean(sets [][]int32, universe int) []float64 {
+	n := len(sets)
+	holders := map[int32]int{}
+	for _, set := range sets {
+		seen := map[int32]bool{}
+		for _, el := range set {
+			if el >= 0 && int(el) < universe && !seen[el] {
+				seen[el] = true
+				holders[el]++
+			}
+		}
+	}
+	c := make([]int, n+1)
+	for _, m := range holders {
+		c[m]++
+	}
+	mean := make([]float64, n+1)
+	for k := range mean {
+		for m := 1; m <= n; m++ {
+			miss := 1.0
+			for i := 0; i < k && miss > 0; i++ {
+				miss *= max(float64(n-m-i), 0) / float64(n-i)
+			}
+			mean[k] += float64(c[m]) * (1 - miss)
+		}
+	}
+	return mean
+}
+
+// Property: on seeded random set systems — up to 70 units of very
+// unequal sizes, ids overlapping across units — the sampler agrees with
+// the exact mean at 10,000 samples per size: Min ≤ E[U_k] ≤ Max, and Avg
+// lies within five standard errors of E[U_k], σ bounded by half the
+// range (Popoviciu) and the range by Max − Min. Both allow for unions no
+// sample drew: one of probability 5/samples is missed by all of them
+// with probability e⁻⁵, and such unions move the mean by at most their
+// probability times the largest union, all the in-range ids.
+func TestUnionEstimateExactMean(t *testing.T) {
+	const samples = 10_000
+	for _, units := range []int{1, 2, 5, 9, 23, 41, 70} {
+		rng := rand.New(rand.NewSource(int64(units)))
+		universe := 50 + rng.Intn(3000)
+		sets := make([][]int32, units)
+		for u := range sets {
+			// Cubed uniforms: most units small, a few holding much of
+			// the universe; a duplicate now and then.
+			p := rng.Float64()
+			for i := int(p * p * p * float64(universe)); i >= 0; i-- {
+				sets[u] = append(sets[u], int32(rng.Intn(universe)))
+			}
+		}
+		got := UnionEstimate(sets, universe, SubsetUnionConfig{Samples: samples, Seed: int64(units), IncludeZero: true})
+		mean := exactMean(sets, universe)
+		unseen := 5 * mean[units] / samples // mean[units]: every in-range id
+		for row, k := range got.N {
+			e, lo, hi := mean[k], float64(got.Min[row]), float64(got.Max[row])
+			slack := unseen + 1e-9*(1+e)
+			if e < lo-slack || e > hi+slack {
+				t.Errorf("%d units, k=%d: exact mean %.3f outside [min %d, max %d]", units, k, e, got.Min[row], got.Max[row])
+			}
+			if bound := 5 * (hi - lo) / (2 * math.Sqrt(samples)); math.Abs(got.Avg[row]-e) > bound+slack {
+				t.Errorf("%d units, k=%d: avg %.3f, exact mean %.3f, off by more than %.3f", units, k, got.Avg[row], e, bound)
+			}
+		}
+	}
+}
+
+// TestUnionEstimateAllocs pins the estimator's per-call memory on the
+// Figs 11/12 shape of the benchmark's greedy campaign at the benchmark's
+// two workers: the tables of 25 blocks over the shared peers, ≈ 150 KB
+// (the universe-wide bitsets and lists before them took ≈ 600 KB).
+func TestUnionEstimateAllocs(t *testing.T) {
+	sets := unionShape(100, 4949, 1, 160)
+	cfg := SubsetUnionConfig{Samples: 100, Seed: 9, Parallel: 2}
+	UnionEstimate(sets, 4949, cfg)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		UnionEstimate(sets, 4949, cfg)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 256<<10 {
+		t.Errorf("UnionEstimate allocated %d KiB per call, want ≤ 256", got>>10)
+	}
+}
+
+// FuzzUnionEstimate holds the estimator to naiveUnion on arbitrary set
+// systems: data is read as units (its first byte, mod 71), each a length
+// byte (mod 64) and that many little-endian int16 ids, so sets are empty
+// or not, repeat ids, and hold ids below 0 and at or above universe,
+// which may be 0 or wide enough to be compacted. flags picks the
+// samples (1-8), IncludeZero and 1-3 workers.
+func FuzzUnionEstimate(f *testing.F) {
+	f.Add([]byte{}, uint16(0), int64(1), uint8(0))
+	f.Add([]byte{3, 2, 1, 0, 2, 0, 1, 2, 0, 0, 0, 0xff, 0xff, 0, 0}, uint16(3), int64(2), uint8(0x1f))
+	f.Add([]byte{5, 4, 0, 1, 5, 0, 9, 0, 0, 1, 4, 1, 0, 9, 0, 0x40, 0, 0, 0, 1, 7, 0, 3, 1, 1, 0},
+		uint16(65), int64(3), uint8(0x2a))
+	f.Add([]byte{70, 8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint16(40000), int64(4), uint8(0x13))
+	f.Fuzz(func(t *testing.T, data []byte, universe uint16, seed int64, flags uint8) {
+		var sets [][]int32
+		if len(data) > 0 {
+			sets = make([][]int32, int(data[0])%71)
+			data = data[1:]
+		}
+		for u := range sets {
+			if len(data) == 0 {
+				break
+			}
+			n := int(data[0]) % 64
+			data = data[1:]
+			for ; n > 0 && len(data) >= 2; n-- {
+				sets[u] = append(sets[u], int32(int16(uint16(data[0])|uint16(data[1])<<8)))
+				data = data[2:]
+			}
+		}
+		cfg := SubsetUnionConfig{
+			Samples:     1 + int(flags%8),
+			Seed:        seed,
+			IncludeZero: flags&8 != 0,
+			Parallel:    1 + int(flags>>4)%3,
+		}
+		got := UnionEstimate(sets, int(universe), cfg)
+		if want := naiveUnion(sets, int(universe), cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("universe %d, %d units, %+v:\n got %+v\nwant %+v", universe, len(sets), cfg, got, want)
+		}
+	})
 }
