@@ -58,8 +58,11 @@ func digestCatalog(c *Catalog) string {
 // TestGenerateGolden pins every byte Generate produces. The digests were
 // taken from the string-concatenating, fmt.Sprintf-hashing generator that
 // preceded the in-place one, so they are a pin, not a self-comparison.
-// The catalog must not depend on GOMAXPROCS.
+// The catalog must not depend on GOMAXPROCS. It runs in parallel with
+// the package's other long test; both start once the sequential tests,
+// which count goroutines and allocations, are done.
 func TestGenerateGolden(t *testing.T) {
+	t.Parallel()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(procs)

@@ -24,6 +24,7 @@ func wordDrawDiffers(seed int64, s, v float64, imax uint64, n int) (int, uint64,
 // uniform: the catalog's parameters over 10M draws, and other exponents,
 // offsets and ranges (a one-word vocabulary, the largest one) over 1M.
 func TestWordDrawMatchesStdlib(t *testing.T) {
+	t.Parallel()
 	draws := 1_000_000
 	if testing.Short() {
 		draws = 100_000

@@ -15,10 +15,21 @@
 // peer session's events. ServerHooks, PeerHooks and PeerDialFunc adapt
 // plain funcs to the same interfaces for cold paths and tests.
 //
-// A shared file's wire entry is encoded once, the first time the list
-// is offered or browsed, and every later answer carries a snapshot of
-// the append-only entry list: receivers must treat the entries of an
-// OFFER-FILES or ASK-SHARED-FILES-ANSWER as read-only.
+// A session is memory its owner may provide: DialPeerSession runs an
+// outbound session in a PeerSession the caller embeds in its
+// per-contact struct, and a PeerAcceptor returns the one for each
+// inbound connection, so a contact allocates only its owners.
+//
+// Messages are read-only once sent (see package wire), so a message
+// whose content depends only on the sender's state is built once and
+// sent to every receiver: a client keeps one HELLO and one
+// HELLO-ANSWER (rebuilt when its server address or client ID changes),
+// one FILE-STATUS per shared file, one ASK-SHARED-FILES-ANSWER per
+// length of its shared list, and the last SET-REQ-FILE-ID and
+// START-UPLOAD it sent, reused while the next names the same file. A
+// shared file's wire entry is encoded once, the first time the list is
+// offered or browsed, and every later answer carries a snapshot of the
+// append-only entry list.
 package client
 
 import (
@@ -138,17 +149,31 @@ type Client struct {
 	// helloTags are the name and version tags every HELLO and
 	// HELLO-ANSWER carries, built once.
 	helloTags wire.Tags
+	// hello and helloAnswer are the handshake messages this client
+	// sends, built on first need and dropped when the server address
+	// or the client ID they carry changes.
+	hello       *wire.Hello
+	helloAnswer *wire.HelloAnswer
+	// The last SET-REQ-FILE-ID and START-UPLOAD sent: a peer asks its
+	// sources for the same file again and again.
+	setReqFileID *wire.SetReqFileID
+	startUpload  *wire.StartUploadReq
 
 	shared      []SharedFile
 	sharedByKey map[ed2k.Hash]int
 	// entries[i] is shared[i]'s wire entry, encoded on first need
 	// (entryList); the slice is only ever appended to.
 	entries []wire.FileEntry
+	// fileStatus[i] is shared[i]'s FILE-STATUS, built on first need.
+	fileStatus []*wire.FileStatus
+	// listAnswer is the ASK-SHARED-FILES-ANSWER of a browseable
+	// client, rebuilt when the shared list has grown since.
+	listAnswer *wire.AskSharedFilesAnswer
 
 	listener transport.Listener
-	// OnPeerSession is invoked for every inbound peer session right after
-	// creation, before any message is processed; install its handler there.
-	OnPeerSession func(ps *PeerSession)
+	// Acceptor owns the inbound peer sessions; nil runs each in a new
+	// PeerSession whose events nobody observes.
+	Acceptor PeerAcceptor
 }
 
 // New creates a client on host. Call Listen and/or ConnectServer next.
@@ -188,10 +213,13 @@ func (c *Client) Listen() error {
 		return nil
 	}
 	l, err := c.host.Listen(c.cfg.Port, wire.PeerSpace, func(conn transport.Conn) {
-		ps := c.newPeerSession(conn)
-		if c.OnPeerSession != nil {
-			c.OnPeerSession(ps)
+		var ps *PeerSession
+		if c.Acceptor != nil {
+			ps = c.Acceptor.AcceptPeer(conn.RemoteAddr())
+		} else {
+			ps = new(PeerSession)
 		}
+		ps.init(c, conn)
 		ps.attach()
 	})
 	if err != nil {
@@ -221,6 +249,9 @@ func (c *Client) Close() {
 // ConnectServer dials the directory server and logs in; h (nil for
 // none) observes the session.
 func (c *Client) ConnectServer(addr netip.AddrPort, h ServerHandler) {
+	if addr != c.serverAddr {
+		c.hello, c.helloAnswer = nil, nil
+	}
 	c.serverAddr = addr
 	c.serverHandler = h
 	c.host.Dial(addr, wire.ServerSpace, (*serverLink)(c))
@@ -269,7 +300,10 @@ func (s *serverLink) HandleClose(err error) {
 func (c *Client) onServerMessage(m wire.Message) {
 	switch msg := m.(type) {
 	case *wire.IDChange:
-		c.clientID = ed2k.ClientID(msg.ClientID)
+		if id := ed2k.ClientID(msg.ClientID); id != c.clientID {
+			c.clientID = id
+			c.hello, c.helloAnswer = nil, nil
+		}
 		c.connected = true
 		if len(c.shared) > 0 && !c.cfg.NoOffer {
 			c.sendOffer(0)
@@ -535,7 +569,20 @@ type PeerDialFunc func(ps *PeerSession, err error)
 // HandlePeerDial implements PeerDialer.
 func (f PeerDialFunc) HandlePeerDial(ps *PeerSession, err error) { f(ps, err) }
 
-// PeerSession is one client<->client conversation.
+// PeerAcceptor owns a client's inbound peer sessions.
+type PeerAcceptor interface {
+	// AcceptPeer is called for each inbound connection, from remote,
+	// before any message is processed. It returns the session to run
+	// the conversation in: a zero PeerSession, typically embedded in
+	// the acceptor's own per-session struct, whose handler it may
+	// install first (SetHandler). The session is connected once
+	// AcceptPeer returns.
+	AcceptPeer(remote netip.AddrPort) *PeerSession
+}
+
+// PeerSession is one client<->client conversation. Its zero value is
+// session memory for DialPeerSession or a PeerAcceptor; a session is
+// only ever run once.
 type PeerSession struct {
 	client  *Client
 	conn    transport.Conn
@@ -548,8 +595,13 @@ type PeerSession struct {
 	closed      bool
 }
 
-func (c *Client) newPeerSession(conn transport.Conn) *PeerSession {
-	return &PeerSession{client: c, conn: conn, handler: NopPeerHandler{}}
+// init binds the session to its client and connection (nil until an
+// outbound dial resolves), keeping a handler installed before.
+func (ps *PeerSession) init(c *Client, conn transport.Conn) {
+	ps.client, ps.conn = c, conn
+	if ps.handler == nil {
+		ps.handler = NopPeerHandler{}
+	}
 }
 
 // sessionLink is a PeerSession as the dial and connection handler of
@@ -585,8 +637,9 @@ func (l *sessionLink) HandleClose(err error) {
 }
 
 // SetHandler installs the session's observer; nil ignores every event.
-// For inbound sessions call it from Client.OnPeerSession; for outbound
-// sessions call it before any reply can arrive (in the PeerDialer).
+// For inbound sessions call it from the client's PeerAcceptor; for
+// outbound sessions call it before any reply can arrive (in the
+// PeerDialer).
 func (ps *PeerSession) SetHandler(h PeerHandler) {
 	if h == nil {
 		h = NopPeerHandler{}
@@ -614,12 +667,33 @@ func (ps *PeerSession) Close() {
 // DialPeer opens an outbound peer session; done receives it (handler
 // not yet installed — install it in done) or an error.
 func (c *Client) DialPeer(addr netip.AddrPort, done PeerDialer) {
-	ps := c.newPeerSession(nil)
+	c.DialPeerSession(new(PeerSession), addr, done)
+}
+
+// DialPeerSession is DialPeer in ps, a zero PeerSession the caller
+// owns — typically embedded in its per-contact struct, so the contact
+// allocates no session of its own. done receives ps itself.
+func (c *Client) DialPeerSession(ps *PeerSession, addr netip.AddrPort, done PeerDialer) {
+	ps.init(c, nil)
 	ps.dialer = done
 	c.host.Dial(addr, wire.PeerSpace, (*sessionLink)(ps))
 }
 
-func (c *Client) helloBody() (ed2k.Hash, uint32, uint16, wire.Tags, uint32, uint16) {
+// builtHook, when set, sees every message a client builds to send more
+// than once, as it is built. Tests use it to check that what receivers
+// were sent was never written to.
+var builtHook func(wire.Message)
+
+// built passes a message built to be sent more than once to builtHook.
+func built[M wire.Message](m M) M {
+	if builtHook != nil {
+		builtHook(m)
+	}
+	return m
+}
+
+// helloBody is what HELLO and HELLO-ANSWER carry about the client.
+func (c *Client) helloBody() wire.Hello {
 	var sip uint32
 	var sport uint16
 	if c.serverAddr.IsValid() {
@@ -627,7 +701,56 @@ func (c *Client) helloBody() (ed2k.Hash, uint32, uint16, wire.Tags, uint32, uint
 			sip, sport = ep.IP, ep.Port
 		}
 	}
-	return c.cfg.UserHash, uint32(c.clientID), c.cfg.Port, c.helloTags, sip, sport
+	return wire.Hello{UserHash: c.cfg.UserHash, ClientID: uint32(c.clientID), Port: c.cfg.Port, Tags: c.helloTags, ServerIP: sip, ServerPort: sport}
+}
+
+// helloMsg returns the client's HELLO, building it on first need.
+func (c *Client) helloMsg() *wire.Hello {
+	if c.hello == nil {
+		h := c.helloBody()
+		c.hello = built(&h)
+	}
+	return c.hello
+}
+
+// helloAnswerMsg returns the client's HELLO-ANSWER, building it on
+// first need.
+func (c *Client) helloAnswerMsg() *wire.HelloAnswer {
+	if c.helloAnswer == nil {
+		a := wire.HelloAnswer(c.helloBody())
+		c.helloAnswer = built(&a)
+	}
+	return c.helloAnswer
+}
+
+// fileStatusMsg returns the FILE-STATUS of shared file i, building it
+// on first need.
+func (c *Client) fileStatusMsg(i int) *wire.FileStatus {
+	if n := len(c.shared); len(c.fileStatus) < n {
+		c.fileStatus = append(c.fileStatus, make([]*wire.FileStatus, n-len(c.fileStatus))...)
+	}
+	if c.fileStatus[i] == nil {
+		f := c.shared[i]
+		parts := ed2k.NumParts(f.Size)
+		c.fileStatus[i] = built(&wire.FileStatus{Hash: f.Hash, Parts: uint16(parts), Bitmap: completeBitmap(parts)})
+	}
+	return c.fileStatus[i]
+}
+
+// emptyListAnswer is the ASK-SHARED-FILES-ANSWER of every client that
+// does not allow browsing.
+var emptyListAnswer = &wire.AskSharedFilesAnswer{}
+
+// listAnswerMsg returns the client's ASK-SHARED-FILES-ANSWER, rebuilt
+// when the shared list has grown since the last one.
+func (c *Client) listAnswerMsg() *wire.AskSharedFilesAnswer {
+	if !c.cfg.Browseable {
+		return emptyListAnswer
+	}
+	if c.listAnswer == nil || len(c.listAnswer.Files) != len(c.shared) {
+		c.listAnswer = built(&wire.AskSharedFilesAnswer{Files: c.entryList()})
+	}
+	return c.listAnswer
 }
 
 // completeFile is the FILE-STATUS bitmap of a file whose every part is
@@ -645,16 +768,18 @@ func completeBitmap(n int) []byte {
 }
 
 // SendHello starts the conversation on an outbound session.
-func (ps *PeerSession) SendHello() {
-	h, id, port, tags, sip, sport := ps.client.helloBody()
-	ps.conn.Send(&wire.Hello{UserHash: h, ClientID: id, Port: port, Tags: tags, ServerIP: sip, ServerPort: sport})
-}
+func (ps *PeerSession) SendHello() { ps.conn.Send(ps.client.helloMsg()) }
 
 // StartUpload requests an upload slot for file h (SET-REQ-FILE-ID then
 // START-UPLOAD, as real clients do).
 func (ps *PeerSession) StartUpload(h ed2k.Hash) {
-	ps.conn.Send(&wire.SetReqFileID{Hash: h})
-	ps.conn.Send(&wire.StartUploadReq{Hash: h})
+	c := ps.client
+	if c.setReqFileID == nil || c.setReqFileID.Hash != h {
+		c.setReqFileID = built(&wire.SetReqFileID{Hash: h})
+		c.startUpload = built(&wire.StartUploadReq{Hash: h})
+	}
+	ps.conn.Send(c.setReqFileID)
+	ps.conn.Send(c.startUpload)
 }
 
 // AcceptUpload grants the remote peer's upload request.
@@ -692,8 +817,7 @@ func (ps *PeerSession) onMessage(m wire.Message) {
 		ps.remote = peerInfoFrom(msg.UserHash, msg.ClientID, msg.Port, msg.Tags, msg.ServerIP, msg.ServerPort)
 		ps.gotHello = true
 		// Built-in: answer the handshake.
-		h, id, port, tags, sip, sport := ps.client.helloBody()
-		ps.conn.Send(&wire.HelloAnswer{UserHash: h, ClientID: id, Port: port, Tags: tags, ServerIP: sip, ServerPort: sport})
+		ps.conn.Send(ps.client.helloAnswerMsg())
 		ps.handler.HandleHello(ps.remote)
 	case *wire.HelloAnswer:
 		ps.remote = peerInfoFrom(msg.UserHash, msg.ClientID, msg.Port, msg.Tags, msg.ServerIP, msg.ServerPort)
@@ -706,9 +830,8 @@ func (ps *PeerSession) onMessage(m wire.Message) {
 		}
 	case *wire.SetReqFileID:
 		ps.currentFile = msg.Hash
-		if f, ok := ps.client.SharedFile(msg.Hash); ok {
-			parts := ed2k.NumParts(f.Size)
-			ps.conn.Send(&wire.FileStatus{Hash: msg.Hash, Parts: uint16(parts), Bitmap: completeBitmap(parts)})
+		if i, ok := ps.client.sharedByKey[msg.Hash]; ok {
+			ps.conn.Send(ps.client.fileStatusMsg(i))
 		} else {
 			ps.conn.Send(&wire.FileReqAnsNoFile{Hash: msg.Hash})
 		}
@@ -728,11 +851,7 @@ func (ps *PeerSession) onMessage(m wire.Message) {
 		ps.handler.HandleSendingPart(msg)
 	case *wire.AskSharedFiles:
 		// Built-in: honour the Browseable setting.
-		ans := &wire.AskSharedFilesAnswer{}
-		if ps.client.cfg.Browseable {
-			ans.Files = ps.client.entryList()
-		}
-		ps.conn.Send(ans)
+		ps.conn.Send(ps.client.listAnswerMsg())
 	case *wire.AskSharedFilesAnswer:
 		ps.handler.HandleSharedList(msg.Files)
 	case *wire.EndOfDownload:

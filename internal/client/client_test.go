@@ -32,6 +32,16 @@ func newWorld(t *testing.T) *world {
 	return &world{loop: loop, net: nw, srv: srv}
 }
 
+// acceptFunc is a PeerAcceptor that runs each inbound session in a new
+// PeerSession, on which the func installs its handler.
+type acceptFunc func(ps *PeerSession)
+
+func (f acceptFunc) AcceptPeer(netip.AddrPort) *PeerSession {
+	ps := new(PeerSession)
+	f(ps)
+	return ps
+}
+
 func (w *world) settle() {
 	w.loop.RunUntil(w.loop.Now().Add(30 * time.Second))
 }
@@ -180,13 +190,13 @@ func TestSharedListSnapshot(t *testing.T) {
 	)
 	// Bob adopts a file right after answering the first browse, while
 	// the answer is still on its way.
-	bob.OnPeerSession = func(ps *PeerSession) {
+	bob.Acceptor = acceptFunc(func(ps *PeerSession) {
 		ps.SetHandler(PeerHooks{OnMessage: func(m wire.Message) {
 			if _, ok := m.(*wire.AskSharedFiles); ok {
 				bob.Share(b3)
 			}
 		}})
-	}
+	})
 	var answers [][]wire.FileEntry
 	var session *PeerSession
 	alice.DialPeer(netip.AddrPortFrom(bob.Host().Addr(), 4663), PeerDialFunc(func(ps *PeerSession, err error) {
@@ -257,7 +267,7 @@ func TestUploadConversation(t *testing.T) {
 	provider.Share(file)
 
 	// Provider-side policy: accept uploads, serve zero bytes as content.
-	provider.OnPeerSession = func(ps *PeerSession) {
+	provider.Acceptor = acceptFunc(func(ps *PeerSession) {
 		ps.SetHandler(PeerHooks{
 			OnStartUpload: func(h ed2k.Hash) {
 				if h == file.Hash {
@@ -270,7 +280,7 @@ func TestUploadConversation(t *testing.T) {
 				}
 			},
 		})
-	}
+	})
 
 	leech := w.newClient(t, "leech", 4663, true)
 	var accepted bool
@@ -318,9 +328,9 @@ func TestStartUploadForUnknownFileStillSignalsHook(t *testing.T) {
 	w := newWorld(t)
 	p := w.newClient(t, "p", 4662, true)
 	var got ed2k.Hash
-	p.OnPeerSession = func(ps *PeerSession) {
+	p.Acceptor = acceptFunc(func(ps *PeerSession) {
 		ps.SetHandler(PeerHooks{OnStartUpload: func(h ed2k.Hash) { got = h }})
-	}
+	})
 	q := w.newClient(t, "q", 4663, true)
 	unknown := ed2k.SyntheticHash("unknown")
 	q.DialPeer(netip.AddrPortFrom(p.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
@@ -429,11 +439,11 @@ func TestQueueRankAndCancel(t *testing.T) {
 	provider := w.newClient(t, "busy", 4662, true)
 	file := SharedFile{Hash: ed2k.SyntheticHash("queued"), Name: "q.avi", Size: 1 << 20, Type: "Video"}
 	provider.Share(file)
-	provider.OnPeerSession = func(ps *PeerSession) {
+	provider.Acceptor = acceptFunc(func(ps *PeerSession) {
 		ps.SetHandler(PeerHooks{
 			OnStartUpload: func(h ed2k.Hash) { ps.SendQueueRank(17) },
 		})
-	}
+	})
 	leech := w.newClient(t, "leech", 4663, true)
 	var rank uint32
 	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
@@ -461,9 +471,9 @@ func TestEndOfDownloadHook(t *testing.T) {
 	file := SharedFile{Hash: ed2k.SyntheticHash("eod"), Name: "e.mp3", Size: 1 << 20, Type: "Audio"}
 	provider.Share(file)
 	var got ed2k.Hash
-	provider.OnPeerSession = func(ps *PeerSession) {
+	provider.Acceptor = acceptFunc(func(ps *PeerSession) {
 		ps.SetHandler(PeerHooks{OnEndOfDownload: func(h ed2k.Hash) { got = h }})
-	}
+	})
 	leech := w.newClient(t, "leech2", 4663, true)
 	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
 		if err != nil {

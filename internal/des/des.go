@@ -22,6 +22,7 @@ package des
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"time"
 
@@ -34,7 +35,7 @@ import (
 // millions of timers cost a bounded set of allocations; the generation
 // counter makes handles held past an event's lifetime inert.
 type event struct {
-	when      time.Time
+	when      int64 // virtual nanoseconds since the loop's start
 	seq       uint64
 	call      func(recv, arg any)
 	recv, arg any
@@ -91,8 +92,15 @@ func (t Timer) Canceled() bool {
 
 // Loop is a single-threaded discrete-event loop. All callbacks run on the
 // goroutine that calls Run/RunUntil/Step, so event handlers never race.
+//
+// Virtual time is kept as int64 nanoseconds since the loop's start, so
+// scheduling and ordering are integer arithmetic; the time.Time API
+// converts at the edge (At and RunUntil in, Now out). That horizon is
+// about 292 years: later times saturate to it, and events there still
+// fire in sequence order.
 type Loop struct {
-	now       time.Time
+	start     time.Time
+	now       int64 // virtual nanoseconds since start
 	sched     *wheelScheduler
 	seq       uint64
 	seed      int64
@@ -148,15 +156,34 @@ func (l *Loop) Stats() Stats {
 // random streams derive from seed.
 func NewLoop(start time.Time, seed int64) *Loop {
 	return &Loop{
-		now:   start,
-		sched: newWheelScheduler(start),
+		start: start,
+		sched: newWheelScheduler(),
 		seed:  seed,
 		rng:   rand.New(randsrc.New(seed)),
 	}
 }
 
 // Now returns the current virtual time.
-func (l *Loop) Now() time.Time { return l.now }
+func (l *Loop) Now() time.Time { return l.start.Add(time.Duration(l.now)) }
+
+// offset converts a virtual time to the loop's clock: nanoseconds since
+// start, saturated at the int64 horizon and clamped to now, so an event
+// is never scheduled into the past.
+func (l *Loop) offset(t time.Time) int64 {
+	return max(int64(t.Sub(l.start)), l.now) // Sub saturates
+}
+
+// after returns now + d, with d clamped at zero and the sum saturated
+// at the int64 horizon.
+func (l *Loop) after(d time.Duration) int64 {
+	if d <= 0 {
+		return l.now
+	}
+	if int64(d) > math.MaxInt64-l.now {
+		return math.MaxInt64
+	}
+	return l.now + int64(d)
+}
 
 // Executed returns the number of events processed so far.
 func (l *Loop) Executed() uint64 { return l.executed }
@@ -179,7 +206,7 @@ func (l *Loop) NewRand(label string) *rand.Rand {
 }
 
 // alloc takes an event off the free list, or makes one.
-func (l *Loop) alloc(t time.Time, guard *bool, call func(recv, arg any), recv, arg any) *event {
+func (l *Loop) alloc(t int64, guard *bool, call func(recv, arg any), recv, arg any) *event {
 	var e *event
 	if n := len(l.free); n > 0 {
 		e = l.free[n-1]
@@ -220,13 +247,11 @@ func (l *Loop) At(t time.Time, fn func()) Timer {
 // (pointers, funcs, interface values) the hot paths of the simulated
 // network schedule without allocating a closure per event.
 func (l *Loop) AtCall(t time.Time, call func(recv, arg any), recv, arg any) Timer {
-	return l.schedule(t, nil, call, recv, arg)
+	return l.schedule(l.offset(t), nil, call, recv, arg)
 }
 
-func (l *Loop) schedule(t time.Time, guard *bool, call func(recv, arg any), recv, arg any) Timer {
-	if t.Before(l.now) {
-		t = l.now
-	}
+// schedule queues an event at t, which is never before now.
+func (l *Loop) schedule(t int64, guard *bool, call func(recv, arg any), recv, arg any) Timer {
 	e := l.alloc(t, guard, call, recv, arg)
 	l.sched.schedule(e)
 	if p := l.sched.pending(); p > l.maxQueue {
@@ -242,10 +267,7 @@ func (l *Loop) After(d time.Duration, fn func()) Timer {
 
 // AfterCall is AtCall d from now. Negative durations clamp to zero.
 func (l *Loop) AfterCall(d time.Duration, call func(recv, arg any), recv, arg any) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return l.AtCall(l.now.Add(d), call, recv, arg)
+	return l.schedule(l.after(d), nil, call, recv, arg)
 }
 
 // AfterCallGuarded is AfterCall whose call runs only if *guard is still
@@ -254,24 +276,18 @@ func (l *Loop) AfterCall(d time.Duration, call func(recv, arg any), recv, arg an
 // muting changes no other event's time or sequence. A simulated host
 // passes its "up" flag, so a crashed host's timers never fire.
 func (l *Loop) AfterCallGuarded(d time.Duration, guard *bool, call func(recv, arg any), recv, arg any) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return l.schedule(l.now.Add(d), guard, call, recv, arg)
+	return l.schedule(l.after(d), guard, call, recv, arg)
 }
 
 // runNext pops and executes the earliest pending event, advancing the
 // clock to it; canceled events are reaped and recycled along the way.
-// With bounded set, events past the deadline stay queued and unreaped.
+// Events past the deadline stay queued and unreaped.
 // It returns false when nothing (within bounds) is left to run. This is
 // the single pop/execute body shared by Step, Run and RunUntil.
-func (l *Loop) runNext(deadline time.Time, bounded bool) bool {
+func (l *Loop) runNext(deadline int64) bool {
 	for {
 		e := l.sched.peek()
-		if e == nil {
-			return false
-		}
-		if bounded && e.when.After(deadline) {
+		if e == nil || e.when > deadline {
 			return false
 		}
 		l.sched.pop()
@@ -293,7 +309,7 @@ func (l *Loop) runNext(deadline time.Time, bounded bool) bool {
 // Step executes the earliest pending event and advances the clock to it.
 // It returns false when the queue is empty.
 func (l *Loop) Step() bool {
-	return l.runNext(time.Time{}, false)
+	return l.runNext(math.MaxInt64)
 }
 
 // Run executes events until the queue is empty.
@@ -303,11 +319,11 @@ func (l *Loop) Run() {
 }
 
 // RunUntil executes every event scheduled at or before t, then sets the
-// clock to t. Events scheduled later remain queued.
+// clock to t (a t before now leaves it). Events scheduled later remain
+// queued.
 func (l *Loop) RunUntil(t time.Time) {
-	for l.runNext(t, true) {
+	deadline := l.offset(t)
+	for l.runNext(deadline) {
 	}
-	if t.After(l.now) {
-		l.now = t
-	}
+	l.now = deadline
 }

@@ -2,6 +2,8 @@ package des
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -210,6 +212,65 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	l.RunUntil(t0.Add(time.Hour))
 	if !ran {
 		t.Error("event exactly at boundary should run")
+	}
+}
+
+// TestClockHorizon pins the edges of the loop's integer clock: a time
+// before the start clamps to now, and one past the int64-nanosecond
+// horizon (about 292 years) saturates to it, After included; either way
+// events fire in (when, seq) order, the saturated ones in the order
+// they were scheduled.
+func TestClockHorizon(t *testing.T) {
+	l := NewLoop(t0, 1)
+	var got []int
+	record := func(i int) func() { return func() { got = append(got, i) } }
+	horizon := t0.Add(time.Duration(math.MaxInt64))
+	l.At(t0.AddDate(400, 0, 0), record(0)) // past the horizon
+	l.At(t0.AddDate(-1, 0, 0), record(1))  // before the start
+	l.At(t0.AddDate(200, 0, 0), record(2)) // inside the horizon
+	l.After(time.Duration(math.MaxInt64), record(3))
+	l.At(t0.AddDate(300, 0, 0), record(4)) // past it, scheduled later
+	l.At(t0, record(5))
+	l.Run()
+	if want := []int{1, 5, 2, 0, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if !l.Now().Equal(horizon) {
+		t.Fatalf("now = %v after the saturated events, want the horizon %v", l.Now(), horizon)
+	}
+	// At the horizon, every delay saturates and nothing wraps around.
+	l.After(time.Hour, record(6))
+	l.At(t0.AddDate(500, 0, 0), record(7))
+	l.At(t0, record(8))
+	l.Run()
+	if want := []int{1, 5, 2, 0, 3, 4, 6, 7, 8}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v at the horizon, want %v", got, want)
+	}
+	if !l.Now().Equal(horizon) {
+		t.Fatalf("now = %v, want the horizon", l.Now())
+	}
+}
+
+// TestRunUntilSetsNow pins that RunUntil(t) leaves Now() == t whether or
+// not an event fired at t, at any nanosecond; a t before now leaves the
+// clock where it is, and one past the horizon parks it at the horizon.
+func TestRunUntilSetsNow(t *testing.T) {
+	l := NewLoop(t0, 1)
+	l.After(3*time.Second, func() {})
+	for _, d := range []time.Duration{1, time.Second + 7, 3 * time.Second, 1<<40 + 3} {
+		l.RunUntil(t0.Add(d))
+		if got := l.Now(); got != t0.Add(d) {
+			t.Fatalf("RunUntil(t0+%v): now = %v", d, got)
+		}
+	}
+	before := l.Now()
+	l.RunUntil(t0)
+	if l.Now() != before {
+		t.Fatalf("RunUntil into the past moved the clock to %v", l.Now())
+	}
+	l.RunUntil(t0.AddDate(1000, 0, 0))
+	if !l.Now().Equal(t0.Add(time.Duration(math.MaxInt64))) {
+		t.Fatalf("RunUntil past the horizon: now = %v", l.Now())
 	}
 }
 

@@ -3,17 +3,17 @@ package des
 import (
 	"cmp"
 	"slices"
-	"sort"
-	"time"
 )
 
 // Wheel geometry. A tick is 2^30 ns ≈ 1.07 virtual seconds — the
 // campaign workload is second-granularity timers (HELLO every ~5 min,
 // QUERY bursts, hourly collects), so one tick groups roughly one
-// second of simultaneous-ish events into one bucket. Three levels of
-// 256 slots cover deltas up to 2^24 ticks ≈ 208 virtual days — longer
-// than any campaign — so the overflow list is effectively never used,
-// but it keeps the scheduler correct for arbitrary horizons.
+// second of simultaneous-ish events into one bucket. An event's tick is
+// its time on the loop's integer clock shifted right by tickShift.
+// Three levels of 256 slots cover deltas up to 2^24 ticks ≈ 208
+// virtual days — longer than any campaign — so the overflow list is
+// effectively never used, but it keeps the scheduler correct for
+// arbitrary horizons.
 const (
 	tickShift   = 30 // ns per tick = 1 << tickShift
 	wheelBits   = 8
@@ -38,13 +38,12 @@ const (
 // The wheel only changes where pending events are *stored*; every event
 // surfaces in the ready queue no later than its tick, and the ready
 // queue is kept sorted by (when, seq) — bucket collection sorts, and
-// late arrivals for ticks already reached binary-search into the
-// unpopped tail (they carry the largest seq yet issued, so FIFO among
-// simultaneous events is preserved). Pop order is therefore the
-// (when, seq) order itself.
+// late arrivals for ticks already reached are appended to or
+// binary-searched into the unpopped tail (they carry the largest seq
+// yet issued, so FIFO among simultaneous events is preserved). Pop
+// order is therefore the (when, seq) order itself.
 type wheelScheduler struct {
-	epoch time.Time // tick origin: the loop's start time
-	cur   int64     // every event with tick <= cur has moved to ready
+	cur int64 // every event with tick <= cur has moved to ready
 
 	levels [wheelLevels][wheelSlots][]*event
 	counts [wheelLevels]int // pending events per level, across all slots
@@ -58,8 +57,8 @@ type wheelScheduler struct {
 	overflowScans uint64
 }
 
-func newWheelScheduler(start time.Time) *wheelScheduler {
-	w := &wheelScheduler{epoch: start}
+func newWheelScheduler() *wheelScheduler {
+	w := &wheelScheduler{}
 	backing := make([]*event, wheelLevels*wheelSlots*bucketSeedCap)
 	for l := 0; l < wheelLevels; l++ {
 		for i := 0; i < wheelSlots; i++ {
@@ -68,17 +67,6 @@ func newWheelScheduler(start time.Time) *wheelScheduler {
 		}
 	}
 	return w
-}
-
-// tickOf maps a virtual time to its wheel tick. Times never precede the
-// epoch (At clamps to now, and now starts at the epoch), but guard
-// anyway so a negative delta cannot corrupt bucket indexing.
-func (w *wheelScheduler) tickOf(t time.Time) int64 {
-	d := t.Sub(w.epoch)
-	if d < 0 {
-		return 0
-	}
-	return int64(d) >> tickShift
 }
 
 func (w *wheelScheduler) schedule(e *event) {
@@ -92,7 +80,7 @@ func (w *wheelScheduler) schedule(e *event) {
 // level-l index equals the window the clock is already inside would
 // otherwise wait a full extra wrap to cascade.
 func (w *wheelScheduler) place(e *event) {
-	t := w.tickOf(e.when)
+	t := e.when >> tickShift
 	switch {
 	case t <= w.cur:
 		w.insertReady(e)
@@ -113,23 +101,35 @@ func (w *wheelScheduler) place(e *event) {
 	}
 }
 
-// insertReady binary-searches the event into the sorted unpopped tail
-// of the ready queue. This is the path for events scheduled at or
-// before the tick the wheel has already reached — nested scheduling at
-// the current instant, and scheduling after RunUntil parked the clock
-// past the last event.
+// insertReady files the event into the sorted unpopped tail of the
+// ready queue. This is the path for events scheduled at or before the
+// tick the wheel has already reached — nested scheduling at the current
+// instant, and scheduling after RunUntil parked the clock past the last
+// event. A new event carries the largest seq yet issued, so it sorts
+// after every event at or before its time: most land last and are
+// appended; the rest binary-search the first later event.
 func (w *wheelScheduler) insertReady(e *event) {
-	tail := w.ready[w.head:]
-	i := sort.Search(len(tail), func(i int) bool {
-		return eventCompare(tail[i], e) > 0
-	})
+	n := len(w.ready)
+	if n == w.head || w.ready[n-1].when <= e.when {
+		w.ready = append(w.ready, e)
+		return
+	}
+	lo, hi := w.head, n-1 // ready[hi] is later than e
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if w.ready[mid].when > e.when {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
 	w.ready = append(w.ready, nil)
-	copy(w.ready[w.head+i+1:], w.ready[w.head+i:])
-	w.ready[w.head+i] = e
+	copy(w.ready[lo+1:], w.ready[lo:n])
+	w.ready[lo] = e
 }
 
 func eventCompare(a, b *event) int {
-	if c := a.when.Compare(b.when); c != 0 {
+	if c := cmp.Compare(a.when, b.when); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.seq, b.seq)
@@ -242,7 +242,7 @@ func (w *wheelScheduler) drainOverflow() {
 	kept := w.over[:0]
 	for _, e := range w.over {
 		w.overflowScans++
-		t := w.tickOf(e.when)
+		t := e.when >> tickShift
 		if (t>>(2*wheelBits))-(w.cur>>(2*wheelBits)) < wheelSlots {
 			w.place(e) // cannot re-enter overflow: the guard above is place's overflow test
 		} else {

@@ -11,12 +11,13 @@ import (
 )
 
 // contactDriver is one peer-side contact shaped like the simulated
-// population's: a single struct is the dial's and the session's handler.
-// After HELLO → HELLO-ANSWER it asks for the bait; once the honeypot
-// accepts, it sends its REQUEST-PARTs and closes.
+// population's: a single struct is the client session and the dial's
+// and the session's handler. After HELLO → HELLO-ANSWER it asks for the
+// bait; once the honeypot accepts, it sends its REQUEST-PARTs and
+// closes.
 type contactDriver struct {
 	client.NopPeerHandler
-	ps       *client.PeerSession
+	ps       client.PeerSession
 	requests int
 }
 
@@ -24,7 +25,6 @@ func (d *contactDriver) HandlePeerDial(ps *client.PeerSession, err error) {
 	if err != nil {
 		return
 	}
-	d.ps = ps
 	ps.SetHandler(d)
 	ps.SendHello()
 }
@@ -54,7 +54,8 @@ func contactWorld(t testing.TB) (contact func(requests int), sink *countSink) {
 	peer := w.newPeer(t, "steady", 4663, false)
 	addr := netip.AddrPortFrom(hp.Client().Host().Addr(), hp.Config().Port)
 	contact = func(requests int) {
-		peer.DialPeer(addr, &contactDriver{requests: requests})
+		d := &contactDriver{requests: requests}
+		peer.DialPeerSession(&d.ps, addr, d)
 		w.loop.RunUntil(w.loop.Now().Add(5 * time.Second))
 	}
 	for i := 0; i < 3; i++ {
@@ -65,13 +66,15 @@ func contactWorld(t testing.TB) (contact func(requests int), sink *countSink) {
 
 // TestContactAllocs pins what one full peer→honeypot contact costs on a
 // warm world — HELLO → START-UPLOAD → ACCEPT → n × REQUEST-PART → close:
-// a small constant per contact (the two sessions, the connection pair,
-// the driver, the honeypot's session and the handshake's messages), plus
-// at most the message itself per extra REQUEST-PART. No closure is
-// allocated per session, message or timer.
+// its owners and nothing else — the driver and the honeypot's session,
+// each with its client session embedded, and the connection pair — plus
+// at most the message itself per REQUEST-PART. The handshake's
+// messages (HELLO, HELLO-ANSWER, SET-REQ-FILE-ID, START-UPLOAD,
+// FILE-STATUS) are each client's, built once and shared read-only. No
+// closure is allocated per session, message or timer.
 func TestContactAllocs(t *testing.T) {
 	contact, sink := contactWorld(t)
-	const perContact = 11 // besides the REQUEST-PART messages
+	const perContact = 3 // besides the REQUEST-PART messages
 	one := testing.AllocsPerRun(100, func() { contact(1) })
 	five := testing.AllocsPerRun(100, func() { contact(5) })
 	if one > perContact+1 {

@@ -155,7 +155,7 @@ func New(host transport.Host, cfg Config) *Honeypot {
 		Browseable: false, // honeypots do not expose their own fake list to browsing
 		KeepAlive:  cfg.KeepAlive,
 	})
-	hp.cl.OnPeerSession = hp.onPeerSession
+	hp.cl.Acceptor = (*acceptor)(hp)
 	if cfg.Strategy == RandomContent {
 		hp.junkPool = make([]byte, 2*cfg.MaxPartBytes)
 		host.Rand().Read(hp.junkPool)
@@ -254,26 +254,35 @@ func (hp *Honeypot) base(ps *client.PeerSession, peer logging.PeerID) logging.Re
 	}
 }
 
-func (hp *Honeypot) onPeerSession(ps *client.PeerSession) {
+// acceptor is the Honeypot as its client's PeerAcceptor: a conversion,
+// so accepting costs only the session.
+type acceptor Honeypot
+
+// AcceptPeer implements client.PeerAcceptor.
+func (a *acceptor) AcceptPeer(remote netip.AddrPort) *client.PeerSession {
+	hp := (*Honeypot)(a)
 	hp.stats.Connections++
 	// Step 1 of the paper's anonymization: hash the peer address on accept,
 	// before any record of the session exists. The raw address is not kept.
-	ps.SetHandler(&session{hp: hp, ps: ps, peer: hp.hasher.HashIP(ps.RemoteAddr().Addr())})
+	s := &session{hp: hp, peer: hp.hasher.HashIP(remote.Addr())}
+	s.ps.SetHandler(s)
+	return &s.ps
 }
 
-// session is one inbound peer session's handler: it holds the session's
-// step-1 peer identity and logs the paper's records.
+// session is one inbound peer session and its handler: it holds the
+// client session itself and the session's step-1 peer identity, and
+// logs the paper's records.
 type session struct {
 	client.NopPeerHandler
 	hp   *Honeypot
-	ps   *client.PeerSession
+	ps   client.PeerSession
 	peer logging.PeerID
 }
 
 func (s *session) HandleHello(client.PeerInfo) {
 	hp := s.hp
 	hp.stats.Hello++
-	r := hp.base(s.ps, s.peer)
+	r := hp.base(&s.ps, s.peer)
 	r.Kind = logging.KindHello
 	hp.log(r)
 	if hp.cfg.BrowseContacts {
@@ -284,7 +293,7 @@ func (s *session) HandleHello(client.PeerInfo) {
 func (s *session) HandleStartUpload(file ed2k.Hash) {
 	hp := s.hp
 	hp.stats.StartUpload++
-	r := hp.base(s.ps, s.peer)
+	r := hp.base(&s.ps, s.peer)
 	r.Kind = logging.KindStartUpload
 	r.FileHash = file
 	if f, ok := hp.cl.SharedFile(file); ok {
@@ -299,7 +308,7 @@ func (s *session) HandleStartUpload(file ed2k.Hash) {
 func (s *session) HandleRequestParts(req *wire.RequestParts) {
 	hp := s.hp
 	hp.stats.RequestParts++
-	r := hp.base(s.ps, s.peer)
+	r := hp.base(&s.ps, s.peer)
 	r.Kind = logging.KindRequestPart
 	r.FileHash = req.Hash
 	if f, ok := hp.cl.SharedFile(req.Hash); ok {
@@ -307,7 +316,7 @@ func (s *session) HandleRequestParts(req *wire.RequestParts) {
 	}
 	hp.log(r)
 	if hp.cfg.Strategy == RandomContent {
-		hp.sendRandomParts(s.ps, req)
+		hp.sendRandomParts(&s.ps, req)
 	}
 }
 
@@ -317,7 +326,7 @@ func (s *session) HandleSharedList(files []wire.FileEntry) {
 	}
 	hp := s.hp
 	hp.stats.SharedLists++
-	r := hp.base(s.ps, s.peer)
+	r := hp.base(&s.ps, s.peer)
 	r.Kind = logging.KindSharedList
 	r.Files = make([]logging.SharedFile, 0, len(files))
 	for _, f := range files {

@@ -470,6 +470,11 @@ func TestRecordsBeforeConnectServer(t *testing.T) {
 	}
 }
 
+// acceptFunc adapts a func to a client.PeerAcceptor.
+type acceptFunc func(remote netip.AddrPort) *client.PeerSession
+
+func (f acceptFunc) AcceptPeer(remote netip.AddrPort) *client.PeerSession { return f(remote) }
+
 type discardSink struct{}
 
 func (discardSink) Append(logging.Record) {}
@@ -482,10 +487,10 @@ func TestRecordStampAllocs(t *testing.T) {
 	hp := w.newHoneypot(t, Config{ID: "hp-z", Strategy: NoContent, Sink: discardSink{}})
 	hp.Advertise(testFile)
 	var session *client.PeerSession
-	hp.Client().OnPeerSession = func(ps *client.PeerSession) {
-		session = ps
-		hp.onPeerSession(ps)
-	}
+	hp.Client().Acceptor = acceptFunc(func(remote netip.AddrPort) *client.PeerSession {
+		session = (*acceptor)(hp).AcceptPeer(remote)
+		return session
+	})
 	driveContact(t, w, hp, "steady", 4663, true)
 	if session == nil {
 		t.Fatal("no session")

@@ -29,18 +29,18 @@ const (
 	// maxFrameBytes bounds one record's encoding (matches the logging
 	// stream codec's limit); larger lengths mark a corrupt frame.
 	maxFrameBytes = 64 << 20
-	// segBufSize sizes the bufio layer on the append path. Frames are
-	// tens of bytes, so 256 KiB keeps the syscall rate (the path's actual
-	// cost; see BenchmarkLogstoreIngest) three orders of magnitude below
-	// the record rate. Readers call Flush/snapshotFlushed, so write
-	// buffering never hides records from collection.
-	segBufSize = 256 << 10
-	// segReadBufSize sizes a segment reader's bufio layer. A scan holds
-	// one reader per shard at once — 24 for a distributed campaign — so
-	// the buffers are a scan's largest live allocation; 64 KiB still
-	// reads over a thousand frames per syscall and keeps 24 of them at
-	// 1.5 MiB. A frame that fits is decoded straight out of the buffer.
-	segReadBufSize = 64 << 10
+	// segBufSize sizes the bufio layer of every shard's appends and of
+	// every segment reader. A campaign holds one writer per shard for
+	// its whole run, and a finalize one reader per raw shard and one
+	// writer per export shard at once — 24 each for a distributed
+	// campaign — so the buffers are the store's largest live
+	// allocation. Frames are tens of bytes: 64 KiB still moves over a
+	// thousand frames per syscall (the path's actual cost; see
+	// BenchmarkLogstoreIngest), and keeps 24 buffers at 1.5 MiB. A
+	// frame that fits is decoded straight out of a reader's buffer.
+	// Readers call Flush/snapshotFlushed, so write buffering never
+	// hides records from collection.
+	segBufSize = 64 << 10
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -132,7 +132,7 @@ func openSegmentReader(fsys faultfs.FS, path string, pool *intern.Pool, m storeM
 		}
 		return nil, err
 	}
-	return &segmentReader{f: f, br: bufio.NewReaderSize(f, segReadBufSize), off: segHeaderSize, pool: pool, m: m}, nil
+	return &segmentReader{f: f, br: bufio.NewReaderSize(f, segBufSize), off: segHeaderSize, pool: pool, m: m}, nil
 }
 
 // frame returns the next frame's body, its CRC checked, and its size on

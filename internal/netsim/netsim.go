@@ -238,8 +238,9 @@ func localClosedEvent(recv, arg any) {
 }
 
 // synEvent is a dial reaching its target, one latency after Dial: recv
-// is the dialing side's connection, not yet established. The target
-// accepts at once; the dialer learns the outcome one latency later.
+// is the dialing side's connection, not yet established, whose peer is
+// already the accepting side's memory. The target accepts at once; the
+// dialer learns the outcome one latency later.
 func synEvent(recv, _ any) {
 	a := recv.(*conn)
 	h := a.host
@@ -255,8 +256,8 @@ func synEvent(recv, _ any) {
 	}
 	// Establish the pair: the accept side fires now, the dialer side
 	// one latency later (its SYN-ACK).
-	b := &conn{host: target, latency: a.latency, local: a.remote, remote: a.local, space: l.space}
-	a.peer, b.peer = b, a
+	b := a.peer
+	*b = conn{host: target, peer: a, latency: a.latency, local: a.remote, remote: a.local, space: l.space}
 	h.track(a)
 	target.track(b)
 	l.accept(b)
@@ -342,16 +343,19 @@ func (h *Host) ephemeralPort() uint16 {
 	return p
 }
 
-// Dial implements transport.Host. The dialing side's connection is
-// made at once and carries the attempt through its events (synEvent,
-// then dialedEvent or dialFailedEvent); it joins the host's open
-// connections only once established.
+// Dial implements transport.Host. A dial allocates its two connections
+// as one value: the dialing side's is made at once and carries the
+// attempt through its events (synEvent, then dialedEvent or
+// dialFailedEvent); it joins the host's open connections only once
+// established, when the accepting side's is filled in.
 func (h *Host) Dial(remote netip.AddrPort, space wire.Space, done transport.DialHandler) {
 	if !h.up {
 		return
 	}
 	lat := h.net.connLatency()
-	a := &conn{host: h, latency: lat, local: netip.AddrPortFrom(h.addr, h.ephemeralPort()), remote: remote, space: space, dialer: done}
+	pair := new([2]conn)
+	a := &pair[0]
+	*a = conn{host: h, peer: &pair[1], latency: lat, local: netip.AddrPortFrom(h.addr, h.ephemeralPort()), remote: remote, space: space, dialer: done}
 	if h.linkDown {
 		h.net.loop.AfterCallGuarded(lat, &h.up, dialFailedEvent, a, transport.ErrHostDown)
 		return

@@ -448,19 +448,19 @@ func (pe *peer) contact(s *srcState) {
 	p.stats.Contacts++
 	s.attempts++
 	c := &contact{pe: pe, s: s, want: pe.wants[pe.rng.Intn(len(pe.wants))]}
-	pe.cl.DialPeer(s.addr, c)
+	pe.cl.DialPeerSession(&c.ps, s.addr, c)
 }
 
-// contact is one exchange in flight: the dial's and the session's
-// handler and the operand of its three timers (the part timeout, the
-// content pacing and the whole-contact guard), so a contact allocates
-// one struct for all of its state.
+// contact is one exchange in flight: the client session itself, the
+// dial's and the session's handler and the operand of its three timers
+// (the part timeout, the content pacing and the whole-contact guard),
+// so a contact allocates one struct for all of its state.
 type contact struct {
 	client.NopPeerHandler
 	pe      *peer
 	s       *srcState
 	want    TargetFile
-	ps      *client.PeerSession
+	ps      client.PeerSession
 	budget  int    // REQUEST-PARTs to send
 	sent    int    // REQUEST-PARTs sent
 	gotData bool   // a SENDING-PART arrived
@@ -475,7 +475,6 @@ func (c *contact) HandlePeerDial(ps *client.PeerSession, err error) {
 		pe.contactDone(c.s, true)
 		return
 	}
-	c.ps = ps
 	c.budget = pe.reqBudget(c.s)
 	c.offset = uint32(pe.rng.Intn(64)) * uint32(ed2k.BlockSize)
 	ps.SetHandler(c)

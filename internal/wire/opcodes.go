@@ -12,6 +12,13 @@
 //
 // where size counts opcode+payload, protocol is 0xE3 for plain eDonkey
 // frames and 0xD4 for zlib-compressed payloads.
+//
+// A message is read-only once it is sent. A sender may share one
+// message between many receivers and sends (the simulated network
+// delivers the sender's value itself, not a copy), so a message a
+// handler receives — its fields, tags, entries and byte slices — must
+// never be written; a receiver that wants to change one copies it
+// first.
 package wire
 
 import "fmt"
