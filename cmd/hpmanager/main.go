@@ -217,6 +217,9 @@ func main() {
 	log.Printf("wrote %d records (%d distinct peers) to %s",
 		n, res.ds.DistinctPeers(), *out)
 	logContributions(res.ds.PerHoneypot())
+	logged := make(chan struct{})
+	host.Post(func() { logTrouble(mgr.States()); close(logged) })
+	<-logged
 }
 
 // drain writes the finalized dataset it to the JSONL file at out and,
@@ -255,6 +258,17 @@ func drain(out string, it logging.Iterator, export *logstore.Store) (n int, err 
 func logContributions(perHP map[string]int) {
 	for _, id := range slices.Sorted(maps.Keys(perHP)) {
 		log.Printf("  %s contributed %d records", id, perHP[id])
+	}
+}
+
+// logTrouble logs each relaunched or degraded honeypot in ID order; a
+// clean fleet logs nothing. Call it on the manager's executor.
+func logTrouble(states []*manager.HoneypotState) {
+	byID := func(a, b *manager.HoneypotState) int { return strings.Compare(a.Handle.ID(), b.Handle.ID()) }
+	for _, st := range slices.SortedFunc(slices.Values(states), byID) {
+		if st.Relaunches > 0 || st.MissedRounds > 0 {
+			log.Printf("  %s: %d relaunches, %d missed collection rounds", st.Handle.ID(), st.Relaunches, st.MissedRounds)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/logging"
 	"repro/internal/logstore"
+	"repro/internal/manager"
 )
 
 // TestLogContributionsSorted: the per-honeypot summary comes out in
@@ -39,6 +40,44 @@ func TestLogContributionsSorted(t *testing.T) {
 		if got := buf.String(); got != want {
 			t.Fatalf("run %d:\n%s\nwant\n%s", i, got, strings.TrimSpace(want))
 		}
+	}
+}
+
+// named is a manager.Handle that only answers its ID.
+type named struct {
+	manager.Handle
+	id string
+}
+
+func (n named) ID() string { return n.id }
+
+// TestLogTroubleSorted: the closing trouble summary names each relaunched
+// or degraded honeypot in ID order, and nothing for a clean fleet.
+func TestLogTroubleSorted(t *testing.T) {
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	log.SetFlags(0)
+	t.Cleanup(func() {
+		log.SetOutput(os.Stderr)
+		log.SetFlags(log.LstdFlags)
+	})
+	states := []*manager.HoneypotState{
+		{Handle: named{id: "hp-03"}, MissedRounds: 2},
+		{Handle: named{id: "hp-00"}},
+		{Handle: named{id: "hp-11"}, Relaunches: 1},
+		{Handle: named{id: "hp-01"}, Relaunches: 3, MissedRounds: 1},
+	}
+	logTrouble(states)
+	want := "  hp-01: 3 relaunches, 1 missed collection rounds\n" +
+		"  hp-03: 0 relaunches, 2 missed collection rounds\n" +
+		"  hp-11: 1 relaunches, 0 missed collection rounds\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("got\n%s\nwant\n%s", got, want)
+	}
+	buf.Reset()
+	logTrouble(states[1:2])
+	if got := buf.String(); got != "" {
+		t.Errorf("a clean fleet logged %q", got)
 	}
 }
 

@@ -155,58 +155,71 @@ func main() {
 	fmt.Printf("from %d distinct peers\n", stream.DistinctPeers())
 }
 
+// peer is one scripted eDonkey peer: its server session asks for the
+// bait's sources, its session with the first one runs Fig. 1's exchange.
+type peer struct {
+	client.NopServerHandler
+	client.NopPeerHandler
+	i        int
+	cl       *client.Client
+	ps       client.PeerSession // the session with the honeypot
+	bait     client.SharedFile
+	finished chan struct{}
+}
+
+func (p *peer) HandleConnected(id ed2k.ClientID) {
+	fmt.Printf("peer-%d logged in as %v, asking for sources\n", p.i, id)
+	p.cl.GetSources(p.bait.Hash)
+}
+
+func (p *peer) HandleSources(_ ed2k.Hash, sources []wire.Endpoint) {
+	if len(sources) == 0 {
+		fmt.Printf("peer-%d: no sources!\n", p.i)
+		close(p.finished)
+		return
+	}
+	target := sources[0].AddrPort()
+	fmt.Printf("peer-%d found %d source(s), contacting %s\n", p.i, len(sources), target)
+	p.cl.DialPeerSession(&p.ps, target, p)
+}
+
+func (p *peer) HandlePeerDial(ps *client.PeerSession, err error) {
+	if err != nil {
+		log.Fatalf("peer %d dial honeypot: %v", p.i, err)
+	}
+	ps.SetHandler(p)
+	ps.SendHello()
+	ps.StartUpload(p.bait.Hash)
+}
+
+func (p *peer) HandleAcceptUpload() { p.ps.RequestParts(p.bait.Hash, [2]uint32{0, 184320}) }
+
+func (p *peer) HandleSendingPart(part *wire.SendingPart) {
+	fmt.Printf("peer-%d got %d bytes of \"content\" (junk!)\n", p.i, len(part.Data))
+	p.ps.Close()
+	close(p.finished)
+}
+
 // runPeer performs one full peer contact and blocks until it finishes.
 func runPeer(i int, serverAddr netip.AddrPort, bait client.SharedFile) {
 	host := livenet.NewHost(peerIP(i), int64(100+i))
 	defer host.Close()
-	finished := make(chan struct{})
-
+	p := &peer{i: i, bait: bait, finished: make(chan struct{})}
 	host.Post(func() {
-		peer := client.New(host, client.Config{
+		p.cl = client.New(host, client.Config{
 			Label:    fmt.Sprintf("peer-%d", i),
 			UserHash: ed2k.NewUserHash(fmt.Sprintf("quickstart-peer-%d", i)),
 			Name:     "aMule 2.2.2",
 			Port:     uint16(15000 + i),
 		})
-		if err := peer.Listen(); err != nil {
+		if err := p.cl.Listen(); err != nil {
 			log.Fatalf("peer %d listen: %v", i, err)
 		}
-		peer.ConnectServer(serverAddr, client.ServerHooks{
-			OnConnected: func(id ed2k.ClientID) {
-				fmt.Printf("peer-%d logged in as %v, asking for sources\n", i, id)
-				peer.GetSources(bait.Hash)
-			},
-			OnSources: func(h ed2k.Hash, sources []wire.Endpoint) {
-				if len(sources) == 0 {
-					fmt.Printf("peer-%d: no sources!\n", i)
-					close(finished)
-					return
-				}
-				target := sources[0].AddrPort()
-				fmt.Printf("peer-%d found %d source(s), contacting %s\n", i, len(sources), target)
-				peer.DialPeer(target, client.PeerDialFunc(func(ps *client.PeerSession, err error) {
-					if err != nil {
-						log.Fatalf("peer %d dial honeypot: %v", i, err)
-					}
-					ps.SetHandler(client.PeerHooks{
-						OnAcceptUpload: func() {
-							ps.RequestParts(bait.Hash, [2]uint32{0, 184320})
-						},
-						OnSendingPart: func(p *wire.SendingPart) {
-							fmt.Printf("peer-%d got %d bytes of \"content\" (junk!)\n", i, len(p.Data))
-							ps.Close()
-							close(finished)
-						},
-					})
-					ps.SendHello()
-					ps.StartUpload(bait.Hash)
-				}))
-			},
-		})
+		p.cl.ConnectServer(serverAddr, p)
 	})
 
 	select {
-	case <-finished:
+	case <-p.finished:
 	case <-time.After(10 * time.Second):
 		log.Fatalf("peer %d timed out", i)
 	}

@@ -236,6 +236,68 @@ func TestGreedyCampaignShape(t *testing.T) {
 // TestLiveControlPlaneEndToEnd exercises the real-TCP deployment path:
 // edonkeyd-equivalent server, two honeypotd-equivalent honeypots with
 // control agents, a manager driving them over TCP, and scripted peers.
+// itPeer is a scripted peer of the live end-to-end test: it asks the
+// server for the bait's sources and contacts every one of them. done
+// closes once each session has ended.
+type itPeer struct {
+	client.NopServerHandler
+	t         *testing.T
+	cl        *client.Client
+	bait      ed2k.Hash
+	remaining int
+	done      chan struct{}
+}
+
+func (p *itPeer) HandleConnected(ed2k.ClientID) { p.cl.GetSources(p.bait) }
+
+func (p *itPeer) HandleSources(_ ed2k.Hash, srcs []wire.Endpoint) {
+	if len(srcs) == 0 {
+		p.t.Error("no sources for bait")
+		close(p.done)
+		return
+	}
+	p.remaining = len(srcs)
+	for _, src := range srcs {
+		s := &itSession{p: p}
+		p.cl.DialPeerSession(&s.ps, src.AddrPort(), s)
+	}
+}
+
+// ended counts one session ended.
+func (p *itPeer) ended() {
+	if p.remaining--; p.remaining == 0 {
+		close(p.done)
+	}
+}
+
+// itSession is an itPeer's session with one honeypot: HELLO and
+// START-UPLOAD, then one REQUEST-PART once the upload is accepted.
+type itSession struct {
+	client.NopPeerHandler
+	p  *itPeer
+	ps client.PeerSession
+}
+
+func (s *itSession) HandlePeerDial(ps *client.PeerSession, err error) {
+	if err != nil {
+		s.p.t.Errorf("dial honeypot: %v", err)
+		s.p.ended()
+		return
+	}
+	ps.SetHandler(s)
+	ps.SendHello()
+	ps.StartUpload(s.p.bait)
+}
+
+func (s *itSession) HandleAcceptUpload() {
+	s.ps.RequestParts(s.p.bait, [2]uint32{0, 1000})
+	// Close shortly after; both strategies logged by now.
+	s.p.cl.Host().After(150*time.Millisecond, func() {
+		s.ps.Close()
+		s.p.ended()
+	})
+}
+
 func TestLiveControlPlaneEndToEnd(t *testing.T) {
 	mk := func(b byte) netip.Addr { return netip.AddrFrom4([4]byte{127, 0, 2, b}) }
 
@@ -357,56 +419,21 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 	// Scripted peers contact both honeypots.
 	for i := 0; i < 3; i++ {
 		peerHost := livenet.NewHost(mk(byte(50+i)), int64(50+i))
-		peerDone := make(chan struct{})
+		p := &itPeer{t: t, bait: bait.Hash, done: make(chan struct{})}
 		peerHost.Post(func() {
-			peer := client.New(peerHost, client.Config{
+			p.cl = client.New(peerHost, client.Config{
 				Label: "it-peer", UserHash: ed2k.NewUserHash(fmt.Sprintf("it-peer-%d", i)),
 				Port: 24663,
 			})
-			if err := peer.Listen(); err != nil {
+			if err := p.cl.Listen(); err != nil {
 				t.Errorf("peer listen: %v", err)
-				close(peerDone)
+				close(p.done)
 				return
 			}
-			peer.ConnectServer(serverAddr, client.ServerHooks{
-				OnConnected: func(ed2k.ClientID) { peer.GetSources(bait.Hash) },
-				OnSources: func(h ed2k.Hash, srcs []wire.Endpoint) {
-					if len(srcs) == 0 {
-						t.Error("no sources for bait")
-						close(peerDone)
-						return
-					}
-					remaining := len(srcs)
-					for _, s := range srcs {
-						target := s.AddrPort()
-						peer.DialPeer(target, client.PeerDialFunc(func(ps *client.PeerSession, err error) {
-							if err != nil {
-								t.Errorf("dial honeypot: %v", err)
-								remaining--
-								return
-							}
-							ps.SetHandler(client.PeerHooks{
-								OnAcceptUpload: func() {
-									ps.RequestParts(bait.Hash, [2]uint32{0, 1000})
-									// Close shortly after; both strategies logged by now.
-									peerHost.After(150*time.Millisecond, func() {
-										ps.Close()
-										remaining--
-										if remaining == 0 {
-											close(peerDone)
-										}
-									})
-								},
-							})
-							ps.SendHello()
-							ps.StartUpload(bait.Hash)
-						}))
-					}
-				},
-			})
+			p.cl.ConnectServer(serverAddr, p)
 		})
 		select {
-		case <-peerDone:
+		case <-p.done:
 		case <-time.After(10 * time.Second):
 			t.Fatal("peer timed out")
 		}

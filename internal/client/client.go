@@ -11,9 +11,8 @@
 // Owners observe sessions through handler interfaces (ServerHandler,
 // PeerHandler, PeerDialer), which one owner struct per session or
 // contact implements, so a simulated campaign pays no closure per
-// session or message; embed NopPeerHandler to implement only some of a
-// peer session's events. ServerHooks, PeerHooks and PeerDialFunc adapt
-// plain funcs to the same interfaces for cold paths and tests.
+// session or message. Embed NopServerHandler or NopPeerHandler to
+// implement only some of a session's events.
 //
 // A session is memory its owner may provide: DialPeerSession runs an
 // outbound session in a PeerSession the caller embeds in its
@@ -91,49 +90,14 @@ type ServerHandler interface {
 	HandleDisconnected(err error)
 }
 
-// ServerHooks adapts funcs to a ServerHandler; nil members are skipped.
-type ServerHooks struct {
-	OnConnected    func(id ed2k.ClientID)
-	OnSources      func(file ed2k.Hash, sources []wire.Endpoint)
-	OnSearchResult func(files []wire.FileEntry)
-	OnStatus       func(users, files uint32)
-	OnDisconnected func(err error)
-}
+// NopServerHandler ignores every event; embed it to implement only some.
+type NopServerHandler struct{}
 
-// HandleConnected implements ServerHandler.
-func (h ServerHooks) HandleConnected(id ed2k.ClientID) {
-	if h.OnConnected != nil {
-		h.OnConnected(id)
-	}
-}
-
-// HandleSources implements ServerHandler.
-func (h ServerHooks) HandleSources(file ed2k.Hash, sources []wire.Endpoint) {
-	if h.OnSources != nil {
-		h.OnSources(file, sources)
-	}
-}
-
-// HandleSearchResult implements ServerHandler.
-func (h ServerHooks) HandleSearchResult(files []wire.FileEntry) {
-	if h.OnSearchResult != nil {
-		h.OnSearchResult(files)
-	}
-}
-
-// HandleStatus implements ServerHandler.
-func (h ServerHooks) HandleStatus(users, files uint32) {
-	if h.OnStatus != nil {
-		h.OnStatus(users, files)
-	}
-}
-
-// HandleDisconnected implements ServerHandler.
-func (h ServerHooks) HandleDisconnected(err error) {
-	if h.OnDisconnected != nil {
-		h.OnDisconnected(err)
-	}
-}
+func (NopServerHandler) HandleConnected(ed2k.ClientID)            {}
+func (NopServerHandler) HandleSources(ed2k.Hash, []wire.Endpoint) {}
+func (NopServerHandler) HandleSearchResult([]wire.FileEntry)      {}
+func (NopServerHandler) HandleStatus(uint32, uint32)              {}
+func (NopServerHandler) HandleDisconnected(error)                 {}
 
 // Client is the engine instance bound to one host.
 type Client struct {
@@ -142,10 +106,12 @@ type Client struct {
 
 	serverConn    transport.Conn
 	serverAddr    netip.AddrPort
-	serverHandler ServerHandler // nil: nobody listens
+	serverHandler ServerHandler
 	clientID      ed2k.ClientID
 	connected     bool
-	keepAlive     transport.Timer
+	// dialing: a server dial is in flight; redial: drop its outcome, redial.
+	dialing, redial bool
+	keepAlive       transport.Timer
 	// helloTags are the name and version tags every HELLO and
 	// HELLO-ANSWER carries, built once.
 	helloTags wire.Tags
@@ -247,13 +213,29 @@ func (c *Client) Close() {
 // Server session.
 
 // ConnectServer dials the directory server and logs in; h (nil for
-// none) observes the session.
+// none) observes the session. A live session is dropped first, unseen by
+// its handler, so that its close cannot end the new one; so is the
+// outcome of a dial in flight, which is then made again.
 func (c *Client) ConnectServer(addr netip.AddrPort, h ServerHandler) {
+	if h == nil {
+		h = NopServerHandler{}
+	}
+	if c.serverConn != nil {
+		c.serverConn.SetHandler(nil)
+		c.serverConn.Close()
+		c.serverConn, c.connected = nil, false
+		c.keepAlive.Stop()
+	}
 	if addr != c.serverAddr {
 		c.hello, c.helloAnswer = nil, nil
 	}
 	c.serverAddr = addr
 	c.serverHandler = h
+	if c.dialing {
+		c.redial = true
+		return
+	}
+	c.dialing = true
 	c.host.Dial(addr, wire.ServerSpace, (*serverLink)(c))
 }
 
@@ -264,10 +246,14 @@ type serverLink Client
 // HandleDial implements transport.DialHandler.
 func (s *serverLink) HandleDial(conn transport.Conn, err error) {
 	c := (*Client)(s)
+	c.dialing = false
+	if c.redial { // ConnectServer drops conn, if any, and dials again
+		c.redial, c.serverConn = false, conn
+		c.ConnectServer(c.serverAddr, c.serverHandler)
+		return
+	}
 	if err != nil {
-		if c.serverHandler != nil {
-			c.serverHandler.HandleDisconnected(err)
-		}
+		c.serverHandler.HandleDisconnected(err)
 		return
 	}
 	c.serverConn = conn
@@ -292,9 +278,7 @@ func (s *serverLink) HandleClose(err error) {
 	c.connected = false
 	c.serverConn = nil
 	c.keepAlive.Stop()
-	if c.serverHandler != nil {
-		c.serverHandler.HandleDisconnected(err)
-	}
+	c.serverHandler.HandleDisconnected(err)
 }
 
 func (c *Client) onServerMessage(m wire.Message) {
@@ -309,21 +293,13 @@ func (c *Client) onServerMessage(m wire.Message) {
 			c.sendOffer(0)
 		}
 		c.scheduleKeepAlive()
-		if c.serverHandler != nil {
-			c.serverHandler.HandleConnected(c.clientID)
-		}
+		c.serverHandler.HandleConnected(c.clientID)
 	case *wire.FoundSources:
-		if c.serverHandler != nil {
-			c.serverHandler.HandleSources(msg.Hash, msg.Sources)
-		}
+		c.serverHandler.HandleSources(msg.Hash, msg.Sources)
 	case *wire.SearchResult:
-		if c.serverHandler != nil {
-			c.serverHandler.HandleSearchResult(msg.Files)
-		}
+		c.serverHandler.HandleSearchResult(msg.Files)
 	case *wire.ServerStatus:
-		if c.serverHandler != nil {
-			c.serverHandler.HandleStatus(msg.Users, msg.Files)
-		}
+		c.serverHandler.HandleStatus(msg.Users, msg.Files)
 	case *wire.ServerMessage, *wire.ServerIdent, *wire.ServerList, *wire.Reject:
 		// informational
 	}
@@ -474,100 +450,11 @@ func (NopPeerHandler) HandleEndOfDownload(ed2k.Hash)         {}
 func (NopPeerHandler) HandleMessage(wire.Message)            {}
 func (NopPeerHandler) HandleClose(error)                     {}
 
-// PeerHooks adapts funcs to a PeerHandler; nil members are skipped.
-type PeerHooks struct {
-	OnHello         func(info PeerInfo)
-	OnHelloAnswer   func(info PeerInfo)
-	OnStartUpload   func(file ed2k.Hash)
-	OnAcceptUpload  func()
-	OnQueueRank     func(rank uint32)
-	OnRequestParts  func(req *wire.RequestParts)
-	OnSendingPart   func(part *wire.SendingPart)
-	OnSharedList    func(files []wire.FileEntry)
-	OnEndOfDownload func(file ed2k.Hash)
-	OnMessage       func(m wire.Message)
-	OnClose         func(err error)
-}
-
-// The Handle methods of PeerHooks implement PeerHandler.
-
-func (h PeerHooks) HandleHello(info PeerInfo) {
-	if h.OnHello != nil {
-		h.OnHello(info)
-	}
-}
-
-func (h PeerHooks) HandleHelloAnswer(info PeerInfo) {
-	if h.OnHelloAnswer != nil {
-		h.OnHelloAnswer(info)
-	}
-}
-
-func (h PeerHooks) HandleStartUpload(file ed2k.Hash) {
-	if h.OnStartUpload != nil {
-		h.OnStartUpload(file)
-	}
-}
-
-func (h PeerHooks) HandleAcceptUpload() {
-	if h.OnAcceptUpload != nil {
-		h.OnAcceptUpload()
-	}
-}
-
-func (h PeerHooks) HandleQueueRank(rank uint32) {
-	if h.OnQueueRank != nil {
-		h.OnQueueRank(rank)
-	}
-}
-
-func (h PeerHooks) HandleRequestParts(req *wire.RequestParts) {
-	if h.OnRequestParts != nil {
-		h.OnRequestParts(req)
-	}
-}
-
-func (h PeerHooks) HandleSendingPart(part *wire.SendingPart) {
-	if h.OnSendingPart != nil {
-		h.OnSendingPart(part)
-	}
-}
-
-func (h PeerHooks) HandleSharedList(files []wire.FileEntry) {
-	if h.OnSharedList != nil {
-		h.OnSharedList(files)
-	}
-}
-
-func (h PeerHooks) HandleEndOfDownload(file ed2k.Hash) {
-	if h.OnEndOfDownload != nil {
-		h.OnEndOfDownload(file)
-	}
-}
-
-func (h PeerHooks) HandleMessage(m wire.Message) {
-	if h.OnMessage != nil {
-		h.OnMessage(m)
-	}
-}
-
-func (h PeerHooks) HandleClose(err error) {
-	if h.OnClose != nil {
-		h.OnClose(err)
-	}
-}
-
-// PeerDialer receives the outcome of DialPeer: the session (its handler
+// PeerDialer receives the outcome of DialPeerSession: the session (its handler
 // not yet installed — install it here) or an error.
 type PeerDialer interface {
 	HandlePeerDial(ps *PeerSession, err error)
 }
-
-// PeerDialFunc adapts a func to a PeerDialer.
-type PeerDialFunc func(ps *PeerSession, err error)
-
-// HandlePeerDial implements PeerDialer.
-func (f PeerDialFunc) HandlePeerDial(ps *PeerSession, err error) { f(ps, err) }
 
 // PeerAcceptor owns a client's inbound peer sessions.
 type PeerAcceptor interface {
@@ -664,15 +551,10 @@ func (ps *PeerSession) Close() {
 	}
 }
 
-// DialPeer opens an outbound peer session; done receives it (handler
-// not yet installed — install it in done) or an error.
-func (c *Client) DialPeer(addr netip.AddrPort, done PeerDialer) {
-	c.DialPeerSession(new(PeerSession), addr, done)
-}
-
-// DialPeerSession is DialPeer in ps, a zero PeerSession the caller
-// owns — typically embedded in its per-contact struct, so the contact
-// allocates no session of its own. done receives ps itself.
+// DialPeerSession opens an outbound peer session in ps, a zero
+// PeerSession the caller owns — typically embedded in its per-contact
+// struct, so the contact allocates no session of its own. done receives
+// ps (handler not yet installed — install it in done) or an error.
 func (c *Client) DialPeerSession(ps *PeerSession, addr netip.AddrPort, done PeerDialer) {
 	ps.init(c, nil)
 	ps.dialer = done

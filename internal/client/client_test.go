@@ -32,14 +32,70 @@ func newWorld(t *testing.T) *world {
 	return &world{loop: loop, net: nw, srv: srv}
 }
 
-// acceptFunc is a PeerAcceptor that runs each inbound session in a new
-// PeerSession, on which the func installs its handler.
-type acceptFunc func(ps *PeerSession)
+// serverRec records what a server session reports.
+type serverRec struct {
+	NopServerHandler
+	id           ed2k.ClientID
+	sources      []wire.Endpoint
+	disconnected bool
+}
 
-func (f acceptFunc) AcceptPeer(netip.AddrPort) *PeerSession {
-	ps := new(PeerSession)
-	f(ps)
-	return ps
+func (r *serverRec) HandleConnected(id ed2k.ClientID)               { r.id = id }
+func (r *serverRec) HandleSources(_ ed2k.Hash, src []wire.Endpoint) { r.sources = src }
+func (r *serverRec) HandleDisconnected(error)                       { r.disconnected = true }
+
+// peerRec records what a peer session reports. As a PeerDialer it
+// observes the session it dials, and as a PeerAcceptor the last one it
+// accepted.
+type peerRec struct {
+	NopPeerHandler
+	ps          *PeerSession
+	dialErr     error
+	helloAnswer PeerInfo
+	lists       [][]wire.FileEntry
+	started     ed2k.Hash
+	accepted    bool
+	rank        uint32
+	reqs        []*wire.RequestParts
+	parts       []*wire.SendingPart
+	ended       ed2k.Hash
+	msgs        []wire.Message
+}
+
+func (r *peerRec) HandlePeerDial(ps *PeerSession, err error) {
+	r.ps, r.dialErr = ps, err
+	if ps != nil {
+		ps.SetHandler(r)
+	}
+}
+
+func (r *peerRec) AcceptPeer(netip.AddrPort) *PeerSession {
+	r.ps = new(PeerSession)
+	r.ps.SetHandler(r)
+	return r.ps
+}
+
+func (r *peerRec) HandleHelloAnswer(info PeerInfo)           { r.helloAnswer = info }
+func (r *peerRec) HandleSharedList(files []wire.FileEntry)   { r.lists = append(r.lists, files) }
+func (r *peerRec) HandleStartUpload(h ed2k.Hash)             { r.started = h }
+func (r *peerRec) HandleAcceptUpload()                       { r.accepted = true }
+func (r *peerRec) HandleQueueRank(rank uint32)               { r.rank = rank }
+func (r *peerRec) HandleRequestParts(req *wire.RequestParts) { r.reqs = append(r.reqs, req) }
+func (r *peerRec) HandleSendingPart(p *wire.SendingPart)     { r.parts = append(r.parts, p) }
+func (r *peerRec) HandleEndOfDownload(h ed2k.Hash)           { r.ended = h }
+func (r *peerRec) HandleMessage(m wire.Message)              { r.msgs = append(r.msgs, m) }
+
+// dial opens a peer session from c to the peer port of to, settles, and
+// returns the session's recorder.
+func (w *world) dial(t *testing.T, c, to *Client) *peerRec {
+	t.Helper()
+	r := &peerRec{}
+	c.DialPeerSession(new(PeerSession), netip.AddrPortFrom(to.Host().Addr(), to.Config().Port), r)
+	w.settle()
+	if r.ps == nil {
+		t.Fatalf("dial peer: %v", r.dialErr)
+	}
+	return r
 }
 
 func (w *world) settle() {
@@ -61,9 +117,9 @@ func (w *world) newClient(t *testing.T, label string, port uint16, browseable bo
 	return c
 }
 
-func (w *world) connect(t *testing.T, c *Client, hooks ServerHooks) {
+func (w *world) connect(t *testing.T, c *Client, h ServerHandler) {
 	t.Helper()
-	c.ConnectServer(w.srv.Addr(), hooks)
+	c.ConnectServer(w.srv.Addr(), h)
 	w.settle()
 	if !c.Connected() {
 		t.Fatalf("%s failed to connect", c.Config().Label)
@@ -73,12 +129,12 @@ func (w *world) connect(t *testing.T, c *Client, hooks ServerHooks) {
 func TestLoginAndIDAssignment(t *testing.T) {
 	w := newWorld(t)
 	c := w.newClient(t, "alice", 4662, true)
-	var gotID ed2k.ClientID
-	w.connect(t, c, ServerHooks{OnConnected: func(id ed2k.ClientID) { gotID = id }})
-	if gotID.Low() {
+	r := &serverRec{}
+	w.connect(t, c, r)
+	if gotID := r.id; gotID.Low() {
 		t.Errorf("listening client got low ID %v", gotID)
 	}
-	if c.ClientID() != gotID {
+	if c.ClientID() != r.id {
 		t.Error("ClientID() mismatch")
 	}
 }
@@ -86,7 +142,7 @@ func TestLoginAndIDAssignment(t *testing.T) {
 func TestLowIDClient(t *testing.T) {
 	w := newWorld(t)
 	c := w.newClient(t, "natted", 0, false) // port 0: never listens
-	w.connect(t, c, ServerHooks{})
+	w.connect(t, c, nil)
 	if !c.ClientID().Low() {
 		t.Errorf("non-listening client got high ID %v", c.ClientID())
 	}
@@ -95,27 +151,55 @@ func TestLowIDClient(t *testing.T) {
 func TestShareAndGetSources(t *testing.T) {
 	w := newWorld(t)
 	provider := w.newClient(t, "prov", 4662, true)
-	w.connect(t, provider, ServerHooks{})
+	w.connect(t, provider, nil)
 	file := SharedFile{Hash: ed2k.SyntheticHash("m"), Name: "movie.avi", Size: 700 << 20, Type: "Video"}
 	provider.Share(file)
 	w.settle()
 
-	var sources []wire.Endpoint
 	seeker := w.newClient(t, "seek", 4663, true)
-	w.connect(t, seeker, ServerHooks{
-		OnSources: func(h ed2k.Hash, src []wire.Endpoint) {
-			if h == file.Hash {
-				sources = src
-			}
-		},
-	})
+	r := &serverRec{}
+	w.connect(t, seeker, r)
 	seeker.GetSources(file.Hash)
 	w.settle()
+	sources := r.sources
 	if len(sources) != 1 {
 		t.Fatalf("sources = %v", sources)
 	}
 	if sources[0].Port != 4662 {
 		t.Errorf("provider port %d", sources[0].Port)
+	}
+}
+
+// TestConnectServerOnLiveSession: a second ConnectServer replaces the
+// live session. The server closes the old connection when the new login
+// arrives, and that close must not end the new session: the client
+// stays connected on its new connection and indexed as a source. So
+// does a burst of calls, each made while the last one's dial is in
+// flight.
+func TestConnectServerOnLiveSession(t *testing.T) {
+	w := newWorld(t)
+	provider := w.newClient(t, "prov", 4662, true)
+	w.connect(t, provider, nil)
+	file := SharedFile{Hash: ed2k.SyntheticHash("m"), Name: "movie.avi", Size: 700 << 20, Type: "Video"}
+	provider.Share(file)
+	w.settle()
+	seeker := w.newClient(t, "seek", 4663, true)
+	r := &serverRec{}
+	w.connect(t, seeker, r)
+	for _, calls := range []int{1, 3} {
+		for i := 0; i < calls; i++ {
+			provider.ConnectServer(w.srv.Addr(), nil)
+		}
+		w.settle()
+		if !provider.Connected() || provider.serverConn == nil {
+			t.Fatalf("after %d calls: connected %v, holding a server connection %v", calls, provider.Connected(), provider.serverConn != nil)
+		}
+		r.sources = nil
+		seeker.GetSources(file.Hash)
+		w.settle()
+		if len(r.sources) != 1 {
+			t.Errorf("sources after %d calls: %v", calls, r.sources)
+		}
 	}
 }
 
@@ -138,37 +222,26 @@ func TestPeerHandshakeAndBrowse(t *testing.T) {
 	w := newWorld(t)
 	alice := w.newClient(t, "alice", 4662, true)
 	bob := w.newClient(t, "bob", 4663, true)
-	w.connect(t, alice, ServerHooks{})
-	w.connect(t, bob, ServerHooks{})
+	w.connect(t, alice, nil)
+	w.connect(t, bob, nil)
 	bob.Share(SharedFile{Hash: ed2k.SyntheticHash("b1"), Name: "bobs.song.mp3", Size: 4 << 20, Type: "Audio"})
 	bob.Share(SharedFile{Hash: ed2k.SyntheticHash("b2"), Name: "bobs.movie.avi", Size: 700 << 20, Type: "Video"})
 
-	var helloAnswer PeerInfo
-	var browse []wire.FileEntry
-	alice.DialPeer(netip.AddrPortFrom(bob.Host().Addr(), 4663), PeerDialFunc(func(ps *PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial peer: %v", err)
-			return
-		}
-		ps.SetHandler(PeerHooks{
-			OnHelloAnswer: func(info PeerInfo) { helloAnswer = info },
-			OnSharedList:  func(files []wire.FileEntry) { browse = files },
-		})
-		ps.SendHello()
-		ps.AskSharedFiles()
-	}))
+	r := w.dial(t, alice, bob)
+	r.ps.SendHello()
+	r.ps.AskSharedFiles()
 	w.settle()
 
-	if helloAnswer.UserHash != bob.Config().UserHash {
+	if helloAnswer := r.helloAnswer; helloAnswer.UserHash != bob.Config().UserHash {
 		t.Errorf("hello answer from %v", helloAnswer.UserHash)
 	}
-	if helloAnswer.Name != "aMule 2.2.2" {
-		t.Errorf("remote name %q", helloAnswer.Name)
+	if r.helloAnswer.Name != "aMule 2.2.2" {
+		t.Errorf("remote name %q", r.helloAnswer.Name)
 	}
-	if len(browse) != 2 {
-		t.Fatalf("browse returned %d files", len(browse))
+	if len(r.lists) != 1 || len(r.lists[0]) != 2 {
+		t.Fatalf("browse returned %v", r.lists)
 	}
-	if browse[0].Name() != "bobs.song.mp3" {
+	if browse := r.lists[0]; browse[0].Name() != "bobs.song.mp3" {
 		t.Errorf("browse[0] = %q", browse[0].Name())
 	}
 }
@@ -188,33 +261,22 @@ func TestSharedListSnapshot(t *testing.T) {
 		SharedFile{Hash: ed2k.SyntheticHash("b1"), Name: "bobs.song.mp3", Size: 4 << 20, Type: "Audio"},
 		SharedFile{Hash: ed2k.SyntheticHash("b2"), Name: "bobs.movie.avi", Size: 700 << 20},
 	)
+	bobRec := &peerRec{}
+	bob.Acceptor = bobRec
+	r := w.dial(t, alice, bob)
+	r.ps.AskSharedFiles()
 	// Bob adopts a file right after answering the first browse, while
 	// the answer is still on its way.
-	bob.Acceptor = acceptFunc(func(ps *PeerSession) {
-		ps.SetHandler(PeerHooks{OnMessage: func(m wire.Message) {
-			if _, ok := m.(*wire.AskSharedFiles); ok {
-				bob.Share(b3)
-			}
-		}})
-	})
-	var answers [][]wire.FileEntry
-	var session *PeerSession
-	alice.DialPeer(netip.AddrPortFrom(bob.Host().Addr(), 4663), PeerDialFunc(func(ps *PeerSession, err error) {
-		if err != nil {
-			t.Fatalf("dial peer: %v", err)
-		}
-		session = ps
-		ps.SetHandler(PeerHooks{OnSharedList: func(files []wire.FileEntry) {
-			answers = append(answers, files)
-			// A careless receiver: the append must not write into the
-			// sender's list.
-			_ = append(files, wire.NewFileEntry(ed2k.SyntheticHash("junk"), "junk", 1, ""))
-		}})
-		ps.AskSharedFiles()
-	}))
+	for len(bobRec.msgs) == 0 && w.loop.Step() {
+	}
+	bob.Share(b3)
 	w.settle()
-	session.AskSharedFiles()
+	// A careless receiver: the append must not write into the sender's
+	// list.
+	_ = append(r.lists[0], wire.NewFileEntry(ed2k.SyntheticHash("junk"), "junk", 1, ""))
+	r.ps.AskSharedFiles()
 	w.settle()
+	answers := r.lists
 
 	if len(answers) != 2 || len(answers[0]) != 2 || len(answers[1]) != 3 {
 		t.Fatalf("answers of %v entries, want [2 3]", func() (n []int) {
@@ -242,19 +304,12 @@ func TestBrowseDisabled(t *testing.T) {
 	bob := w.newClient(t, "bob", 4663, false) // browse disabled
 	bob.Share(SharedFile{Hash: ed2k.SyntheticHash("b1"), Name: "private.mp3", Size: 1 << 20, Type: "Audio"})
 
-	got := -1
-	alice.DialPeer(netip.AddrPortFrom(bob.Host().Addr(), 4663), PeerDialFunc(func(ps *PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		ps.SetHandler(PeerHooks{OnSharedList: func(files []wire.FileEntry) { got = len(files) }})
-		ps.SendHello()
-		ps.AskSharedFiles()
-	}))
+	r := w.dial(t, alice, bob)
+	r.ps.SendHello()
+	r.ps.AskSharedFiles()
 	w.settle()
-	if got != 0 {
-		t.Errorf("browse-disabled peer revealed %d files", got)
+	if len(r.lists) != 1 || len(r.lists[0]) != 0 {
+		t.Errorf("browse-disabled peer answered %v", r.lists)
 	}
 }
 
@@ -266,54 +321,42 @@ func TestUploadConversation(t *testing.T) {
 	file := SharedFile{Hash: ed2k.SyntheticHash("f"), Name: "f.avi", Size: 3 << 20, Type: "Video"}
 	provider.Share(file)
 
-	// Provider-side policy: accept uploads, serve zero bytes as content.
-	provider.Acceptor = acceptFunc(func(ps *PeerSession) {
-		ps.SetHandler(PeerHooks{
-			OnStartUpload: func(h ed2k.Hash) {
-				if h == file.Hash {
-					ps.AcceptUpload()
-				}
-			},
-			OnRequestParts: func(req *wire.RequestParts) {
-				for start, end := range req.Ranges() {
-					ps.SendPart(req.Hash, start, end, make([]byte, end-start))
-				}
-			},
-		})
-	})
-
+	// The provider accepts the upload and serves zero bytes as content.
+	prov := &peerRec{}
+	provider.Acceptor = prov
 	leech := w.newClient(t, "leech", 4663, true)
-	var accepted bool
-	var gotParts []*wire.SendingPart
-	var fileStatus *wire.FileStatus
-	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		ps.SetHandler(PeerHooks{
-			OnAcceptUpload: func() {
-				accepted = true
-				ps.RequestParts(file.Hash, [2]uint32{0, 1000}, [2]uint32{1000, 2000})
-			},
-			OnSendingPart: func(p *wire.SendingPart) { gotParts = append(gotParts, p) },
-			OnMessage: func(m wire.Message) {
-				if fs, ok := m.(*wire.FileStatus); ok {
-					fileStatus = fs
-				}
-			},
-		})
-		ps.SendHello()
-		ps.StartUpload(file.Hash)
-	}))
+	r := w.dial(t, leech, provider)
+	r.ps.SendHello()
+	r.ps.StartUpload(file.Hash)
+	w.settle()
+	if prov.started != file.Hash {
+		t.Fatalf("START-UPLOAD for %v", prov.started)
+	}
+	prov.ps.AcceptUpload()
+	w.settle()
+	if !r.accepted {
+		t.Fatal("upload not accepted")
+	}
+	r.ps.RequestParts(file.Hash, [2]uint32{0, 1000}, [2]uint32{1000, 2000})
+	w.settle()
+	if len(prov.reqs) != 1 {
+		t.Fatalf("%d REQUEST-PARTS", len(prov.reqs))
+	}
+	for start, end := range prov.reqs[0].Ranges() {
+		prov.ps.SendPart(file.Hash, start, end, make([]byte, end-start))
+	}
 	w.settle()
 
-	if !accepted {
-		t.Fatal("upload not accepted")
+	var fileStatus *wire.FileStatus
+	for _, m := range r.msgs {
+		if fs, ok := m.(*wire.FileStatus); ok {
+			fileStatus = fs
+		}
 	}
 	if fileStatus == nil || fileStatus.Parts != 1 {
 		t.Errorf("file status: %+v", fileStatus)
 	}
+	gotParts := r.parts
 	if len(gotParts) != 2 {
 		t.Fatalf("got %d parts", len(gotParts))
 	}
@@ -327,23 +370,16 @@ func TestStartUploadForUnknownFileStillSignalsHook(t *testing.T) {
 	// advertises; the engine must not suppress the hook.
 	w := newWorld(t)
 	p := w.newClient(t, "p", 4662, true)
-	var got ed2k.Hash
-	p.Acceptor = acceptFunc(func(ps *PeerSession) {
-		ps.SetHandler(PeerHooks{OnStartUpload: func(h ed2k.Hash) { got = h }})
-	})
+	pr := &peerRec{}
+	p.Acceptor = pr
 	q := w.newClient(t, "q", 4663, true)
 	unknown := ed2k.SyntheticHash("unknown")
-	q.DialPeer(netip.AddrPortFrom(p.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		ps.SendHello()
-		ps.Send(&wire.StartUploadReq{Hash: unknown})
-	}))
+	r := w.dial(t, q, p)
+	r.ps.SendHello()
+	r.ps.Send(&wire.StartUploadReq{Hash: unknown})
 	w.settle()
-	if got != unknown {
-		t.Errorf("hook got %v", got)
+	if pr.started != unknown {
+		t.Errorf("hook got %v", pr.started)
 	}
 }
 
@@ -353,26 +389,21 @@ func TestRequestFileName(t *testing.T) {
 	f := SharedFile{Hash: ed2k.SyntheticHash("named"), Name: "the name.avi", Size: 1 << 20, Type: "Video"}
 	p.Share(f)
 	q := w.newClient(t, "q", 4663, true)
+	r := w.dial(t, q, p)
+	r.ps.SendHello()
+	r.ps.Send(&wire.RequestFileName{Hash: f.Hash})
+	r.ps.Send(&wire.RequestFileName{Hash: ed2k.SyntheticHash("missing")})
+	w.settle()
 	var gotName string
 	var noFile bool
-	q.DialPeer(netip.AddrPortFrom(p.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
+	for _, m := range r.msgs {
+		switch msg := m.(type) {
+		case *wire.FileReqAnswer:
+			gotName = msg.Name
+		case *wire.FileReqAnsNoFile:
+			noFile = true
 		}
-		ps.SetHandler(PeerHooks{OnMessage: func(m wire.Message) {
-			switch msg := m.(type) {
-			case *wire.FileReqAnswer:
-				gotName = msg.Name
-			case *wire.FileReqAnsNoFile:
-				noFile = true
-			}
-		}})
-		ps.SendHello()
-		ps.Send(&wire.RequestFileName{Hash: f.Hash})
-		ps.Send(&wire.RequestFileName{Hash: ed2k.SyntheticHash("missing")})
-	}))
-	w.settle()
+	}
 	if gotName != "the name.avi" {
 		t.Errorf("file name answer %q", gotName)
 	}
@@ -384,15 +415,15 @@ func TestRequestFileName(t *testing.T) {
 func TestServerDisconnectHook(t *testing.T) {
 	w := newWorld(t)
 	c := w.newClient(t, "c", 4662, true)
-	disconnected := false
-	w.connect(t, c, ServerHooks{OnDisconnected: func(err error) { disconnected = true }})
+	r := &serverRec{}
+	w.connect(t, c, r)
 	w.srv.Stop()
 	// Crash the server host to sever the session.
 	if h, ok := w.net.HostAt(w.srv.Addr().Addr()); ok {
 		h.Crash()
 	}
 	w.settle()
-	if !disconnected {
+	if !r.disconnected {
 		t.Error("no disconnect notification")
 	}
 	if c.Connected() {
@@ -417,7 +448,7 @@ func TestKeepAliveRefreshesSession(t *testing.T) {
 	if err := c.Listen(); err != nil {
 		t.Fatal(err)
 	}
-	c.ConnectServer(srv.Addr(), ServerHooks{})
+	c.ConnectServer(srv.Addr(), nil)
 	loop.RunUntil(t0.Add(30 * time.Second))
 	if !c.Connected() {
 		t.Fatal("not connected")
@@ -439,29 +470,23 @@ func TestQueueRankAndCancel(t *testing.T) {
 	provider := w.newClient(t, "busy", 4662, true)
 	file := SharedFile{Hash: ed2k.SyntheticHash("queued"), Name: "q.avi", Size: 1 << 20, Type: "Video"}
 	provider.Share(file)
-	provider.Acceptor = acceptFunc(func(ps *PeerSession) {
-		ps.SetHandler(PeerHooks{
-			OnStartUpload: func(h ed2k.Hash) { ps.SendQueueRank(17) },
-		})
-	})
+	prov := &peerRec{}
+	provider.Acceptor = prov
 	leech := w.newClient(t, "leech", 4663, true)
-	var rank uint32
-	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		ps.SetHandler(PeerHooks{OnQueueRank: func(r uint32) {
-			rank = r
-			ps.Send(&wire.CancelTransfer{})
-			ps.Close()
-		}})
-		ps.SendHello()
-		ps.StartUpload(file.Hash)
-	}))
+	r := w.dial(t, leech, provider)
+	r.ps.SendHello()
+	r.ps.StartUpload(file.Hash)
 	w.settle()
-	if rank != 17 {
-		t.Errorf("queue rank = %d", rank)
+	prov.ps.SendQueueRank(17)
+	w.settle()
+	if r.rank != 17 {
+		t.Errorf("queue rank = %d", r.rank)
+	}
+	r.ps.Send(&wire.CancelTransfer{})
+	r.ps.Close()
+	w.settle()
+	if !prov.ps.Closed() {
+		t.Error("the provider's session outlived the cancel")
 	}
 }
 
@@ -470,22 +495,15 @@ func TestEndOfDownloadHook(t *testing.T) {
 	provider := w.newClient(t, "prov2", 4662, true)
 	file := SharedFile{Hash: ed2k.SyntheticHash("eod"), Name: "e.mp3", Size: 1 << 20, Type: "Audio"}
 	provider.Share(file)
-	var got ed2k.Hash
-	provider.Acceptor = acceptFunc(func(ps *PeerSession) {
-		ps.SetHandler(PeerHooks{OnEndOfDownload: func(h ed2k.Hash) { got = h }})
-	})
+	prov := &peerRec{}
+	provider.Acceptor = prov
 	leech := w.newClient(t, "leech2", 4663, true)
-	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		ps.SendHello()
-		ps.Send(&wire.EndOfDownload{Hash: file.Hash})
-	}))
+	r := w.dial(t, leech, provider)
+	r.ps.SendHello()
+	r.ps.Send(&wire.EndOfDownload{Hash: file.Hash})
 	w.settle()
-	if got != file.Hash {
-		t.Errorf("EndOfDownload hook got %v", got)
+	if prov.ended != file.Hash {
+		t.Errorf("EndOfDownload hook got %v", prov.ended)
 	}
 }
 
@@ -496,21 +514,16 @@ func TestHashSetRequestAnswered(t *testing.T) {
 	file := SharedFile{Hash: ed2k.SyntheticHash("hs"), Name: "big.avi", Size: 3 * 9728000, Type: "Video"}
 	provider.Share(file)
 	leech := w.newClient(t, "leech3", 4663, true)
-	var parts int
-	leech.DialPeer(netip.AddrPortFrom(provider.Host().Addr(), 4662), PeerDialFunc(func(ps *PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		ps.SetHandler(PeerHooks{OnMessage: func(m wire.Message) {
-			if hs, ok := m.(*wire.HashSetAnswer); ok {
-				parts = len(hs.Parts)
-			}
-		}})
-		ps.SendHello()
-		ps.Send(&wire.HashSetRequest{Hash: file.Hash})
-	}))
+	r := w.dial(t, leech, provider)
+	r.ps.SendHello()
+	r.ps.Send(&wire.HashSetRequest{Hash: file.Hash})
 	w.settle()
+	parts := 0
+	for _, m := range r.msgs {
+		if hs, ok := m.(*wire.HashSetAnswer); ok {
+			parts = len(hs.Parts)
+		}
+	}
 	if parts != 3 {
 		t.Errorf("hashset has %d parts, want 3", parts)
 	}
@@ -527,7 +540,7 @@ func TestListenTwiceIsNoop(t *testing.T) {
 func TestCloseIdempotent(t *testing.T) {
 	w := newWorld(t)
 	c := w.newClient(t, "cls", 4662, true)
-	w.connect(t, c, ServerHooks{})
+	w.connect(t, c, nil)
 	c.Close()
 	c.Close() // must not panic
 	w.settle()

@@ -192,7 +192,7 @@ func NewAgent(host transport.Host, hp *honeypot.Honeypot, src RecordSource, port
 		return nil, errors.New("control: an agent needs a record source")
 	}
 	a := &Agent{hp: hp, src: src}
-	l, err := host.Listen(port, wire.ServerSpace, a.accept)
+	l, err := host.Listen(port, wire.ServerSpace, func(c transport.Conn) { c.SetHandler(&agentConn{a, c}) })
 	if err != nil {
 		return nil, err
 	}
@@ -207,18 +207,24 @@ func (a *Agent) Close() {
 	}
 }
 
-func (a *Agent) accept(conn transport.Conn) {
-	conn.SetHandler(transport.ConnHooks{
-		OnMessage: func(m wire.Message) {
-			env, err := unmarshalEnvelope(m)
-			if err != nil {
-				conn.Send(marshalEnvelope(Envelope{Type: TypeResponse, Error: err.Error()}))
-				return
-			}
-			conn.Send(marshalEnvelope(a.handle(env)))
-		},
-	})
+// agentConn serves the requests that arrive on one control connection.
+type agentConn struct {
+	a    *Agent
+	conn transport.Conn
 }
+
+// HandleMessage implements transport.ConnHandler: it answers a request.
+func (c *agentConn) HandleMessage(m wire.Message) {
+	env, err := unmarshalEnvelope(m)
+	if err != nil {
+		c.conn.Send(marshalEnvelope(Envelope{Type: TypeResponse, Error: err.Error()}))
+		return
+	}
+	c.conn.Send(marshalEnvelope(c.a.handle(env)))
+}
+
+// HandleClose implements transport.ConnHandler.
+func (*agentConn) HandleClose(error) {}
 
 func (a *Agent) handle(req Envelope) Envelope {
 	resp := Envelope{Seq: req.Seq, Type: TypeResponse}
@@ -318,18 +324,24 @@ type Link struct {
 // Dial connects to a honeypot's control port. done runs on the manager's
 // executor.
 func Dial(host transport.Host, id string, addr netip.AddrPort, done func(*Link, error)) {
-	host.Dial(addr, wire.ServerSpace, transport.DialFunc(func(conn transport.Conn, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		l := &Link{host: host, id: id, addr: addr, conn: conn, pending: make(map[uint64]*pendingReq)}
-		conn.SetHandler(transport.ConnHooks{
-			OnMessage: l.onMessage,
-			OnClose:   l.onClose,
-		})
-		done(l, nil)
-	}))
+	host.Dial(addr, wire.ServerSpace, linkDial{&Link{host: host, id: id, addr: addr}, done})
+}
+
+// linkDial is a Dial in flight: the Link it connects, and the callback.
+type linkDial struct {
+	l    *Link
+	done func(*Link, error)
+}
+
+// HandleDial implements transport.DialHandler.
+func (d linkDial) HandleDial(conn transport.Conn, err error) {
+	if err != nil {
+		d.done(nil, err)
+		return
+	}
+	d.l.conn, d.l.pending = conn, make(map[uint64]*pendingReq)
+	conn.SetHandler(d.l)
+	d.done(d.l, nil)
 }
 
 // ID returns the honeypot identifier this link serves.
@@ -351,23 +363,19 @@ func (l *Link) SetPolicy(p Policy) { l.policy = p }
 // the manager's executor.
 func (l *Link) Redial(done func(*Link, error)) {
 	l.Close()
-	Dial(l.host, l.id, l.addr, func(nl *Link, err error) {
-		if nl != nil {
-			nl.policy = l.policy
-		}
-		done(nl, err)
-	})
+	l.host.Dial(l.addr, wire.ServerSpace, linkDial{&Link{host: l.host, id: l.id, addr: l.addr, policy: l.policy}, done})
 }
 
 // Close tears the link down; pending requests fail with ErrLinkClosed.
 func (l *Link) Close() {
 	if !l.closed {
 		l.conn.Close()
-		l.onClose(nil)
+		l.HandleClose(nil)
 	}
 }
 
-func (l *Link) onClose(error) {
+// HandleClose implements transport.ConnHandler.
+func (l *Link) HandleClose(error) {
 	if l.closed {
 		return
 	}
@@ -379,7 +387,8 @@ func (l *Link) onClose(error) {
 	}
 }
 
-func (l *Link) onMessage(m wire.Message) {
+// HandleMessage implements transport.ConnHandler.
+func (l *Link) HandleMessage(m wire.Message) {
 	env, err := unmarshalEnvelope(m)
 	if err != nil {
 		return // ignore garbage responses

@@ -131,6 +131,20 @@ func TestAdvertiseViaControl(t *testing.T) {
 	}
 }
 
+// starter is a PeerDialer that sends HELLO and START-UPLOAD of file on
+// the session it dials.
+type starter struct {
+	file ed2k.Hash
+	err  error
+}
+
+func (s *starter) HandlePeerDial(ps *client.PeerSession, err error) {
+	if s.err = err; err == nil {
+		ps.SendHello()
+		ps.StartUpload(s.file)
+	}
+}
+
 // contact drives one HELLO + START-UPLOAD from a fresh peer.
 func (w *world) contact(t *testing.T, label string, file ed2k.Hash) {
 	t.Helper()
@@ -141,15 +155,12 @@ func (w *world) contact(t *testing.T, label string, file ed2k.Hash) {
 		t.Fatal(err)
 	}
 	hpAddr := netip.AddrPortFrom(w.hp.Client().Host().Addr(), 4662)
-	peer.DialPeer(hpAddr, client.PeerDialFunc(func(ps *client.PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial hp: %v", err)
-			return
-		}
-		ps.SendHello()
-		ps.StartUpload(file)
-	}))
+	d := &starter{file: file}
+	peer.DialPeerSession(new(client.PeerSession), hpAddr, d)
 	w.settle()
+	if d.err != nil {
+		t.Errorf("dial hp: %v", d.err)
+	}
 }
 
 func TestTakeRecordsSinceViaControl(t *testing.T) {
@@ -230,30 +241,46 @@ func TestLinkFailurePropagatesToPending(t *testing.T) {
 	}
 }
 
+// rawConn is a test's control connection, the handler of its dial and
+// of the connection: it keeps the envelopes that arrive.
+type rawConn struct {
+	conn    transport.Conn
+	err     error
+	replies []Envelope
+}
+
+func (r *rawConn) HandleDial(c transport.Conn, err error) {
+	r.conn, r.err = c, err
+	if c != nil {
+		c.SetHandler(r)
+	}
+}
+
+func (r *rawConn) HandleMessage(m wire.Message) {
+	if env, err := unmarshalEnvelope(m); err == nil {
+		r.replies = append(r.replies, env)
+	}
+}
+
+func (*rawConn) HandleClose(error) {}
+
 func TestBadEnvelopeAnswered(t *testing.T) {
 	w := newWorld(t)
 	// Speak garbage directly to the agent port; the agent must answer
 	// with an error envelope, not crash or stay silent.
-	h := w.net.NewHost("garbler")
-	var replies []Envelope
-	h.Dial(netip.AddrPortFrom(w.hp.Client().Host().Addr(), DefaultPort), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		c.SetHandler(transport.ConnHooks{OnMessage: func(m wire.Message) {
-			if env, err := unmarshalEnvelope(m); err == nil {
-				replies = append(replies, env)
-			}
-		}})
-		c.Send(&wire.ServerMessage{Text: "{this is not json"})
-		c.Send(marshalEnvelope(Envelope{Seq: 1, Type: "no-such-request"}))
-	}))
+	r := &rawConn{}
+	w.net.NewHost("garbler").Dial(netip.AddrPortFrom(w.hp.Client().Host().Addr(), DefaultPort), wire.ServerSpace, r)
 	w.settle()
-	if len(replies) != 2 {
-		t.Fatalf("got %d replies", len(replies))
+	if r.conn == nil {
+		t.Fatalf("dial: %v", r.err)
 	}
-	for i, r := range replies {
+	r.conn.Send(&wire.ServerMessage{Text: "{this is not json"})
+	r.conn.Send(marshalEnvelope(Envelope{Seq: 1, Type: "no-such-request"}))
+	w.settle()
+	if len(r.replies) != 2 {
+		t.Fatalf("got %d replies", len(r.replies))
+	}
+	for i, r := range r.replies {
 		if r.Error == "" {
 			t.Errorf("reply %d carries no error: %+v", i, r)
 		}

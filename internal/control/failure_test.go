@@ -67,38 +67,47 @@ func TestLinkRedialKeepsPolicy(t *testing.T) {
 	}
 }
 
-// flakyAgent is a control responder that swallows the first drop
-// requests of each type and answers the rest, for exercising the
-// deadline/retry machinery without a honeypot.
+// flakyAgent is a control responder for exercising the deadline/retry
+// machinery without a honeypot: it answers the first drop requests after
+// lag, or never when lag is 0, and the rest at once.
 type flakyAgent struct {
+	host transport.Host
+	conn transport.Conn
 	drop int
+	lag  time.Duration
 	seen int
 }
 
 func (f *flakyAgent) accept(conn transport.Conn) {
-	conn.SetHandler(transport.ConnHooks{
-		OnMessage: func(m wire.Message) {
-			env, err := unmarshalEnvelope(m)
-			if err != nil {
-				return
-			}
-			f.seen++
-			if f.seen <= f.drop {
-				return // silence: let the deadline do its work
-			}
-			b, _ := json.Marshal(honeypot.Status{ID: "flaky"})
-			conn.Send(marshalEnvelope(Envelope{Seq: env.Seq, Type: TypeResponse, Payload: b}))
-		},
-	})
+	f.conn = conn
+	conn.SetHandler(f)
 }
+
+func (f *flakyAgent) HandleMessage(m wire.Message) {
+	env, err := unmarshalEnvelope(m)
+	if err != nil {
+		return
+	}
+	f.seen++
+	b, _ := json.Marshal(honeypot.Status{ID: "flaky"})
+	answer := marshalEnvelope(Envelope{Seq: env.Seq, Type: TypeResponse, Payload: b})
+	switch {
+	case f.seen > f.drop:
+		f.conn.Send(answer)
+	case f.lag > 0:
+		f.host.After(f.lag, func() { f.conn.Send(answer) })
+	} // otherwise silence: let the deadline do its work
+}
+
+func (*flakyAgent) HandleClose(error) {}
 
 // flakyWorld wires a Link to a flakyAgent under the given policy.
 func flakyWorld(t *testing.T, drop int, p Policy) (*des.Loop, *flakyAgent, *Link) {
 	t.Helper()
 	loop := des.NewLoop(t0, 7)
 	nw := netsim.New(loop, netsim.DefaultConfig())
-	fa := &flakyAgent{drop: drop}
 	agentHost := nw.NewHost("agent")
+	fa := &flakyAgent{host: agentHost, drop: drop}
 	if _, err := agentHost.Listen(DefaultPort, wire.ServerSpace, fa.accept); err != nil {
 		t.Fatal(err)
 	}
@@ -156,41 +165,8 @@ func TestLateReplyAfterExpiryIsDropped(t *testing.T) {
 	// An answer that arrives after its attempt expired must not reach
 	// the callback (the retry owns the request now) and must not confuse
 	// the retry's bookkeeping.
-	loop := des.NewLoop(t0, 7)
-	nw := netsim.New(loop, netsim.DefaultConfig())
-	agentHost := nw.NewHost("agent")
-	seen := 0
-	_, err := agentHost.Listen(DefaultPort, wire.ServerSpace, func(conn transport.Conn) {
-		conn.SetHandler(transport.ConnHooks{
-			OnMessage: func(m wire.Message) {
-				env, uerr := unmarshalEnvelope(m)
-				if uerr != nil {
-					return
-				}
-				seen++
-				delay := time.Duration(0)
-				if seen == 1 {
-					delay = 10 * time.Second // past the 2s deadline
-				}
-				b, _ := json.Marshal(honeypot.Status{ID: "late"})
-				agentHost.After(delay, func() {
-					conn.Send(marshalEnvelope(Envelope{Seq: env.Seq, Type: TypeResponse, Payload: b}))
-				})
-			},
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var link *Link
-	Dial(nw.NewHost("manager"), "late", netip.AddrPortFrom(agentHost.Addr(), DefaultPort), func(l *Link, derr error) {
-		link = l
-	})
-	loop.RunUntil(loop.Now().Add(time.Minute))
-	if link == nil {
-		t.Fatal("no link")
-	}
-	link.SetPolicy(Policy{Timeout: 2 * time.Second, Attempts: 3, Backoff: time.Second})
+	loop, fa, link := flakyWorld(t, 1, Policy{Timeout: 2 * time.Second, Attempts: 3, Backoff: time.Second})
+	fa.lag = 10 * time.Second // past the 2s deadline
 	calls := 0
 	var gotErr error
 	link.Status(func(_ honeypot.Status, err error) { calls++; gotErr = err })
@@ -201,7 +177,7 @@ func TestLateReplyAfterExpiryIsDropped(t *testing.T) {
 	if gotErr != nil {
 		t.Fatalf("retried status: %v", gotErr)
 	}
-	if seen != 2 {
-		t.Errorf("agent saw %d requests, want 2 (expired + retry)", seen)
+	if fa.seen != 2 {
+		t.Errorf("agent saw %d requests, want 2 (expired + retry)", fa.seen)
 	}
 }

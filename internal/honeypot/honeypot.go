@@ -112,8 +112,7 @@ type Honeypot struct {
 	cl     *client.Client
 	hasher *anonymize.IPHasher
 
-	serverAddr netip.AddrPort
-	serverStr  string // serverAddr.String(), rendered once per ConnectServer
+	serverStr  string // the server's address, rendered once per ConnectServer
 	logged     int    // total records appended
 	stats      Stats
 	started    time.Time
@@ -179,24 +178,15 @@ func (hp *Honeypot) Start(server netip.AddrPort) error {
 	return nil
 }
 
-// ConnectServer (re)connects to a directory server; the manager calls it
-// for initial placement and for redirections. The first placement anchors
-// the greedy adoption window.
+// ConnectServer (re)connects to a directory server, dropping a live
+// session first; the manager calls it to place, redirect and re-push a
+// honeypot. The first placement anchors the greedy adoption window.
 func (hp *Honeypot) ConnectServer(server netip.AddrPort) {
 	if hp.started.IsZero() {
 		hp.started = hp.cl.Host().Now()
 	}
-	hp.serverAddr = server
 	hp.serverStr = server.String()
 	hp.cl.ConnectServer(server, nil)
-}
-
-// Reconnect retries the current server, used by the manager when a status
-// poll finds the honeypot disconnected.
-func (hp *Honeypot) Reconnect() {
-	if hp.serverAddr.IsValid() && !hp.cl.Connected() {
-		hp.cl.ConnectServer(hp.serverAddr, nil)
-	}
 }
 
 // Advertise publishes fake files (the manager decides which, per the

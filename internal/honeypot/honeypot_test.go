@@ -99,28 +99,54 @@ func TestAdvertiseReachesServerIndex(t *testing.T) {
 	}
 }
 
+// contact is a test peer's session with a honeypot: the PeerDialer of
+// the dial and the handler of the session it opens.
+type contact struct {
+	client.NopPeerHandler
+	ps       *client.PeerSession
+	err      error
+	accepted bool
+	parts    int
+}
+
+func (c *contact) HandlePeerDial(ps *client.PeerSession, err error) {
+	c.ps, c.err = ps, err
+	if ps != nil {
+		ps.SetHandler(c)
+	}
+}
+
+func (c *contact) HandleAcceptUpload()                 { c.accepted = true }
+func (c *contact) HandleSendingPart(*wire.SendingPart) { c.parts++ }
+
+// hello contacts hp from peer with a HELLO, settles, and returns the
+// contact.
+func (w *world) hello(t testing.TB, peer *client.Client, hp *Honeypot) *contact {
+	t.Helper()
+	c := &contact{}
+	peer.DialPeerSession(new(client.PeerSession), netip.AddrPortFrom(hp.Client().Host().Addr(), hp.Config().Port), c)
+	w.settle()
+	if c.ps == nil {
+		t.Fatalf("dial honeypot: %v", c.err)
+	}
+	c.ps.SendHello()
+	w.settle()
+	return c
+}
+
 // driveContact runs a full peer contact against the honeypot: HELLO,
-// START-UPLOAD, one REQUEST-PART, returns received parts count.
+// START-UPLOAD, one REQUEST-PART once the upload is accepted; it returns
+// the number of parts received.
 func driveContact(t *testing.T, w *world, hp *Honeypot, peerLabel string, port uint16, browseable bool) int {
 	t.Helper()
-	peer := w.newPeer(t, peerLabel, port, browseable)
-	parts := 0
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), hp.Config().Port), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial honeypot: %v", err)
-			return
-		}
-		ps.SetHandler(client.PeerHooks{
-			OnAcceptUpload: func() {
-				ps.RequestParts(testFile.Hash, [2]uint32{0, 180000})
-			},
-			OnSendingPart: func(p *wire.SendingPart) { parts++ },
-		})
-		ps.SendHello()
-		ps.StartUpload(testFile.Hash)
-	}))
+	c := w.hello(t, w.newPeer(t, peerLabel, port, browseable), hp)
+	c.ps.StartUpload(testFile.Hash)
 	w.settle()
-	return parts
+	if c.accepted {
+		c.ps.RequestParts(testFile.Hash, [2]uint32{0, 180000})
+		w.settle()
+	}
+	return c.parts
 }
 
 func TestNoContentStrategyLogsButStaysSilent(t *testing.T) {
@@ -188,17 +214,8 @@ func TestSameIPHashesIdenticallyAcrossHoneypots(t *testing.T) {
 	hp1.Advertise(testFile)
 	hp2.Advertise(testFile)
 	peer := w.newPeer(t, "one-peer", 4663, true)
-	for _, hp := range []*Honeypot{hp1, hp2} {
-		target := netip.AddrPortFrom(hp.Client().Host().Addr(), hp.Config().Port)
-		peer.DialPeer(target, client.PeerDialFunc(func(ps *client.PeerSession, err error) {
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
-			ps.SendHello()
-		}))
-	}
-	w.settle()
+	w.hello(t, peer, hp1)
+	w.hello(t, peer, hp2)
 	r1, r2 := takeRecords(hp1), takeRecords(hp2)
 	if len(r1) == 0 || len(r2) == 0 {
 		t.Fatal("missing records")
@@ -217,14 +234,7 @@ func TestBrowseHarvestsSharedLists(t *testing.T) {
 		client.SharedFile{Hash: ed2k.SyntheticHash("s1"), Name: "song.one.mp3", Size: 4 << 20, Type: "Audio"},
 		client.SharedFile{Hash: ed2k.SyntheticHash("s2"), Name: "film.two.avi", Size: 700 << 20, Type: "Video"},
 	)
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		ps.SendHello()
-	}))
-	w.settle()
+	w.hello(t, peer, hp)
 	var list *logging.Record
 	for _, r := range takeRecords(hp) {
 		if r.Kind == logging.KindSharedList {
@@ -246,14 +256,7 @@ func TestBrowseDisabledPeerYieldsNoList(t *testing.T) {
 	hp.Advertise(testFile)
 	peer := w.newPeer(t, "private", 4663, false)
 	peer.Share(client.SharedFile{Hash: ed2k.SyntheticHash("s3"), Name: "hidden.mp3", Size: 1 << 20, Type: "Audio"})
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		ps.SendHello()
-	}))
-	w.settle()
+	w.hello(t, peer, hp)
 	for _, r := range takeRecords(hp) {
 		if r.Kind == logging.KindSharedList {
 			t.Error("browse-disabled peer produced a SHARED-LIST record")
@@ -278,14 +281,7 @@ func TestGreedyAdoption(t *testing.T) {
 		client.SharedFile{Hash: ed2k.SyntheticHash("g3"), Name: "c.mp3", Size: 1 << 20, Type: "Audio"},
 		client.SharedFile{Hash: ed2k.SyntheticHash("g4"), Name: "d.mp3", Size: 1 << 20, Type: "Audio"},
 	)
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		ps.SendHello()
-	}))
-	w.settle()
+	w.hello(t, peer, hp)
 	// Cap is 3 total shared (1 seed + 2 adopted).
 	if got := len(hp.Advertised()); got != 3 {
 		t.Errorf("advertised %d files, want cap 3", got)
@@ -310,14 +306,7 @@ func TestGreedyWindowCloses(t *testing.T) {
 	w.loop.RunUntil(w.loop.Now().Add(2 * time.Hour))
 	peer := w.newPeer(t, "late", 4663, true)
 	peer.Share(client.SharedFile{Hash: ed2k.SyntheticHash("late1"), Name: "late.mp3", Size: 1 << 20, Type: "Audio"})
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		ps.SendHello()
-	}))
-	w.settle()
+	w.hello(t, peer, hp)
 	if hp.Stats().Adopted != 0 {
 		t.Errorf("adopted after window: %d", hp.Stats().Adopted)
 	}
@@ -364,7 +353,7 @@ func TestReconnectAfterServerLoss(t *testing.T) {
 	if err := srv2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	hp.Reconnect()
+	hp.ConnectServer(w.srv.Addr())
 	w.settle()
 	if !hp.Status().Connected {
 		t.Error("reconnect failed")
@@ -411,18 +400,12 @@ func TestSessionStampFollowsHello(t *testing.T) {
 	hp.Advertise(testFile)
 	peer := w.newPeer(t, "stamped", 4663, true)
 	first, second := ed2k.NewUserHash("stamped"), ed2k.NewUserHash("stamped/reinstalled")
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), hp.Config().Port), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial honeypot: %v", err)
-			return
-		}
-		ps.SendHello()
-		ps.StartUpload(testFile.Hash)
-		ps.RequestParts(testFile.Hash, [2]uint32{0, 180000})
-		ps.Send(&wire.Hello{UserHash: second, Port: 4663})
-		ps.StartUpload(testFile.Hash)
-		ps.RequestParts(testFile.Hash, [2]uint32{180000, 360000})
-	}))
+	ps := w.hello(t, peer, hp).ps
+	ps.StartUpload(testFile.Hash)
+	ps.RequestParts(testFile.Hash, [2]uint32{0, 180000})
+	ps.Send(&wire.Hello{UserHash: second, Port: 4663})
+	ps.StartUpload(testFile.Hash)
+	ps.RequestParts(testFile.Hash, [2]uint32{180000, 360000})
 	w.settle()
 	recs := takeRecords(hp)
 	if len(recs) != 6 {
@@ -449,14 +432,7 @@ func TestRecordsBeforeConnectServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer := w.newPeer(t, "early", 4663, true)
-	peer.DialPeer(netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), client.PeerDialFunc(func(ps *client.PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		ps.SendHello()
-	}))
-	w.settle()
+	w.hello(t, peer, hp)
 	recs := takeRecords(hp)
 	if len(recs) != 1 || recs[0].Server != "invalid AddrPort" {
 		t.Fatalf("pre-connect records: %+v", recs)
@@ -470,10 +446,16 @@ func TestRecordsBeforeConnectServer(t *testing.T) {
 	}
 }
 
-// acceptFunc adapts a func to a client.PeerAcceptor.
-type acceptFunc func(remote netip.AddrPort) *client.PeerSession
+// sessionSpy is a honeypot's acceptor that keeps the last session.
+type sessionSpy struct {
+	hp   *Honeypot
+	last *client.PeerSession
+}
 
-func (f acceptFunc) AcceptPeer(remote netip.AddrPort) *client.PeerSession { return f(remote) }
+func (s *sessionSpy) AcceptPeer(remote netip.AddrPort) *client.PeerSession {
+	s.last = (*acceptor)(s.hp).AcceptPeer(remote)
+	return s.last
+}
 
 type discardSink struct{}
 
@@ -486,12 +468,10 @@ func TestRecordStampAllocs(t *testing.T) {
 	w := newWorld(t)
 	hp := w.newHoneypot(t, Config{ID: "hp-z", Strategy: NoContent, Sink: discardSink{}})
 	hp.Advertise(testFile)
-	var session *client.PeerSession
-	hp.Client().Acceptor = acceptFunc(func(remote netip.AddrPort) *client.PeerSession {
-		session = (*acceptor)(hp).AcceptPeer(remote)
-		return session
-	})
+	spy := &sessionSpy{hp: hp}
+	hp.Client().Acceptor = spy
 	driveContact(t, w, hp, "steady", 4663, true)
+	session := spy.last
 	if session == nil {
 		t.Fatal("no session")
 	}

@@ -26,56 +26,93 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timeout waiting for %s", what)
 }
 
+// rec is a test's handler of one connection, and of the dial or accept
+// that makes it. Its events run on a host's executor, so the test reads
+// it through wait.
+type rec struct {
+	mu      sync.Mutex
+	conn    transport.Conn
+	dialed  bool
+	dialErr error
+	msgs    []wire.Message
+	closed  bool
+	reply   wire.Message // sent back for every message, when set
+}
+
+func (r *rec) HandleDial(c transport.Conn, err error) {
+	if c != nil {
+		c.SetHandler(r)
+	}
+	r.mu.Lock()
+	r.conn, r.dialErr, r.dialed = c, err, true
+	r.mu.Unlock()
+}
+
+// accept is a Listen callback: an accepted connection reports to r.
+func (r *rec) accept(c transport.Conn) {
+	r.mu.Lock()
+	r.conn = c
+	r.mu.Unlock()
+	c.SetHandler(r)
+}
+
+func (r *rec) HandleMessage(m wire.Message) {
+	r.mu.Lock()
+	r.msgs = append(r.msgs, m)
+	r.mu.Unlock()
+	if r.reply != nil {
+		r.conn.Send(r.reply)
+	}
+}
+
+func (r *rec) HandleClose(error) {
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
+}
+
+// wait polls cond on r, under its lock, until it holds.
+func (r *rec) wait(t *testing.T, what string, cond func(r *rec) bool) {
+	t.Helper()
+	waitFor(t, what, func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return cond(r)
+	})
+}
+
+// dial connects cli to addr and returns the client end's recorder.
+func dial(t *testing.T, cli *Host, addr netip.AddrPort) *rec {
+	t.Helper()
+	r := &rec{}
+	cli.Dial(addr, wire.ServerSpace, r)
+	r.wait(t, "dial result", func(r *rec) bool { return r.dialed })
+	if r.dialErr != nil {
+		t.Fatalf("dial: %v", r.dialErr)
+	}
+	return r
+}
+
 func TestLiveExchange(t *testing.T) {
 	srv := NewHost(loopback, 1)
 	cli := NewHost(loopback, 2)
 	defer srv.Close()
 	defer cli.Close()
 
-	var mu sync.Mutex
-	var serverGot, clientGot []wire.Message
-
-	l, err := srv.Listen(0, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHandler(transport.ConnHooks{
-			OnMessage: func(m wire.Message) {
-				mu.Lock()
-				serverGot = append(serverGot, m)
-				mu.Unlock()
-				c.Send(&wire.IDChange{ClientID: 7})
-			},
-		})
-	})
+	sr := &rec{reply: &wire.IDChange{ClientID: 7}}
+	l, err := srv.Listen(0, wire.ServerSpace, sr.accept)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cli.Dial(l.Addr(), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		c.SetHandler(transport.ConnHooks{
-			OnMessage: func(m wire.Message) {
-				mu.Lock()
-				clientGot = append(clientGot, m)
-				mu.Unlock()
-			},
-		})
-		c.Send(&wire.LoginRequest{UserHash: ed2k.NewUserHash("u"), Port: 4662})
-	}))
-
-	waitFor(t, "message exchange", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(serverGot) == 1 && len(clientGot) == 1
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := serverGot[0].(*wire.LoginRequest); !ok {
-		t.Errorf("server got %T", serverGot[0])
+	cr := dial(t, cli, l.Addr())
+	cr.conn.Send(&wire.LoginRequest{UserHash: ed2k.NewUserHash("u"), Port: 4662})
+	sr.wait(t, "login", func(r *rec) bool { return len(r.msgs) == 1 })
+	cr.wait(t, "answer", func(r *rec) bool { return len(r.msgs) == 1 })
+	if _, ok := sr.msgs[0].(*wire.LoginRequest); !ok {
+		t.Errorf("server got %T", sr.msgs[0])
 	}
-	if id, ok := clientGot[0].(*wire.IDChange); !ok || id.ClientID != 7 {
-		t.Errorf("client got %#v", clientGot[0])
+	if id, ok := cr.msgs[0].(*wire.IDChange); !ok || id.ClientID != 7 {
+		t.Errorf("client got %#v", cr.msgs[0])
 	}
 }
 
@@ -86,38 +123,18 @@ func TestLiveOrdering(t *testing.T) {
 	defer cli.Close()
 
 	const n = 200
-	var mu sync.Mutex
-	var got []uint32
-	l, err := srv.Listen(0, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHandler(transport.ConnHooks{
-			OnMessage: func(m wire.Message) {
-				mu.Lock()
-				got = append(got, m.(*wire.IDChange).ClientID)
-				mu.Unlock()
-			},
-		})
-	})
+	sr := &rec{}
+	l, err := srv.Listen(0, wire.ServerSpace, sr.accept)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.Dial(l.Addr(), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		for i := uint32(0); i < n; i++ {
-			c.Send(&wire.IDChange{ClientID: i})
-		}
-	}))
-	waitFor(t, "all messages", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == n
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	for i, v := range got {
-		if v != uint32(i) {
+	c := dial(t, cli, l.Addr()).conn
+	for i := uint32(0); i < n; i++ {
+		c.Send(&wire.IDChange{ClientID: i})
+	}
+	sr.wait(t, "all messages", func(r *rec) bool { return len(r.msgs) == n })
+	for i, m := range sr.msgs {
+		if m.(*wire.IDChange).ClientID != uint32(i) {
 			t.Fatalf("out of order at %d", i)
 		}
 	}
@@ -126,22 +143,11 @@ func TestLiveOrdering(t *testing.T) {
 func TestLiveDialRefused(t *testing.T) {
 	cli := NewHost(loopback, 1)
 	defer cli.Close()
-	var mu sync.Mutex
-	var dialErr error
-	gotResult := false
+	r := &rec{}
 	// Port 1 is essentially guaranteed closed for unprivileged tests.
-	cli.Dial(netip.AddrPortFrom(loopback, 1), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		mu.Lock()
-		dialErr = err
-		gotResult = true
-		mu.Unlock()
-	}))
-	waitFor(t, "dial result", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return gotResult
-	})
-	if dialErr == nil {
+	cli.Dial(netip.AddrPortFrom(loopback, 1), wire.ServerSpace, r)
+	r.wait(t, "dial result", func(r *rec) bool { return r.dialed })
+	if r.dialErr == nil {
 		t.Error("dial to closed port should fail")
 	}
 }
@@ -152,32 +158,13 @@ func TestLiveCloseNotifiesPeer(t *testing.T) {
 	defer srv.Close()
 	defer cli.Close()
 
-	var mu sync.Mutex
-	closed := false
-	l, err := srv.Listen(0, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHandler(transport.ConnHooks{
-			OnClose: func(err error) {
-				mu.Lock()
-				closed = true
-				mu.Unlock()
-			},
-		})
-	})
+	sr := &rec{}
+	l, err := srv.Listen(0, wire.ServerSpace, sr.accept)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.Dial(l.Addr(), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		c.Close()
-	}))
-	waitFor(t, "close notification", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return closed
-	})
+	dial(t, cli, l.Addr()).conn.Close()
+	sr.wait(t, "close notification", func(r *rec) bool { return r.closed })
 }
 
 func TestLiveTimer(t *testing.T) {

@@ -140,6 +140,32 @@ func TestCollectDegradesAfterBudget(t *testing.T) {
 	}
 }
 
+// leakyAgent is a control agent whose take-records-since answer carries
+// a raw address; it answers every other request with an empty payload.
+type leakyAgent struct {
+	t    *testing.T
+	conn transport.Conn
+}
+
+const leak = `{"records":[{"time":"2008-10-01T00:00:00Z","honeypot":"hp-leak","kind":1,` +
+	`"peer_ip":"192.0.2.55","peer_port":4662}]}`
+
+func (a *leakyAgent) HandleMessage(msg wire.Message) {
+	var req control.Envelope
+	if err := json.Unmarshal([]byte(msg.(*wire.ServerMessage).Text), &req); err != nil {
+		a.t.Errorf("agent: %v", err)
+		return
+	}
+	resp := control.Envelope{Seq: req.Seq, Type: control.TypeResponse, Payload: json.RawMessage(`{}`)}
+	if req.Type == control.TypeTakeRecordsSince {
+		resp.Payload = json.RawMessage(leak)
+	}
+	b, _ := json.Marshal(resp)
+	a.conn.Send(&wire.ServerMessage{Text: string(b)})
+}
+
+func (*leakyAgent) HandleClose(error) {}
+
 // TestCollectRefusesRawAddress: a honeypot whose control agent serves a
 // raw address ("peer_ip":"192.0.2.55") over a real control link gets no
 // record into the manager: the take-records-since answer fails to decode
@@ -151,22 +177,8 @@ func TestCollectRefusesRawAddress(t *testing.T) {
 	nw := netsim.New(loop, netsim.DefaultConfig())
 	settle := func() { loop.RunUntil(loop.Now().Add(time.Minute)) }
 	hpHost := nw.NewHost("hp-leak")
-	const leak = `{"records":[{"time":"2008-10-01T00:00:00Z","honeypot":"hp-leak","kind":1,` +
-		`"peer_ip":"192.0.2.55","peer_port":4662}]}`
 	_, err := hpHost.Listen(control.DefaultPort, wire.ServerSpace, func(conn transport.Conn) {
-		conn.SetHandler(transport.ConnHooks{OnMessage: func(msg wire.Message) {
-			var req control.Envelope
-			if err := json.Unmarshal([]byte(msg.(*wire.ServerMessage).Text), &req); err != nil {
-				t.Errorf("agent: %v", err)
-				return
-			}
-			resp := control.Envelope{Seq: req.Seq, Type: control.TypeResponse, Payload: json.RawMessage(`{}`)}
-			if req.Type == control.TypeTakeRecordsSince {
-				resp.Payload = json.RawMessage(leak)
-			}
-			b, _ := json.Marshal(resp)
-			conn.Send(&wire.ServerMessage{Text: string(b)})
-		}})
+		conn.SetHandler(&leakyAgent{t, conn})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 var t0 = time.Date(2008, 10, 1, 0, 0, 0, 0, time.UTC)
@@ -106,19 +107,26 @@ func (w *world) newPeer(t *testing.T, label string) *client.Client {
 	return peer
 }
 
+// starter is a PeerDialer that sends HELLO and START-UPLOAD of the bait
+// on the session it dials.
+type starter struct{ err error }
+
+func (s *starter) HandlePeerDial(ps *client.PeerSession, err error) {
+	if s.err = err; err == nil {
+		ps.SendHello()
+		ps.StartUpload(baitFiles[0].Hash)
+	}
+}
+
 // contactFrom drives one contact (HELLO + START-UPLOAD) from peer to hp.
 func (w *world) contactFrom(t *testing.T, peer *client.Client, hp *honeypot.Honeypot) {
 	t.Helper()
-	addr := netip.AddrPortFrom(hp.Client().Host().Addr(), 4662)
-	peer.DialPeer(addr, client.PeerDialFunc(func(ps *client.PeerSession, err error) {
-		if err != nil {
-			t.Errorf("dial hp: %v", err)
-			return
-		}
-		ps.SendHello()
-		ps.StartUpload(baitFiles[0].Hash)
-	}))
+	d := &starter{}
+	peer.DialPeerSession(new(client.PeerSession), netip.AddrPortFrom(hp.Client().Host().Addr(), 4662), d)
 	w.settle()
+	if d.err != nil {
+		t.Errorf("dial hp: %v", d.err)
+	}
 }
 
 // contact drives one peer contact from a fresh peer labeled label.
@@ -281,6 +289,46 @@ func TestReplaceHandle(t *testing.T) {
 	}
 	if hp2.Status().Advertised == 0 {
 		t.Error("assignment not re-pushed")
+	}
+}
+
+// sourceRec observes a server session, keeping the last sources found.
+type sourceRec struct {
+	client.NopServerHandler
+	sources []wire.Endpoint
+}
+
+func (r *sourceRec) HandleSources(_ ed2k.Hash, src []wire.Endpoint) { r.sources = src }
+
+// TestRepushKeepsLiveHoneypotPlaced: a re-push (ReplaceHandle) to a
+// honeypot that is still connected and advertising places it again. It
+// stays connected, and the server still names it as a source of its
+// bait.
+func TestRepushKeepsLiveHoneypotPlaced(t *testing.T) {
+	w := newWorld(t, 1, DefaultConfig())
+	hp := w.hps[0]
+	if st := hp.Status(); !st.Connected || st.Advertised == 0 {
+		t.Fatalf("not placed: %+v", st)
+	}
+	shard, err := w.mgr.Store().Shard("hp-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.mgr.ReplaceHandle("hp-0", NewLocalHandle("hp-0", hp, shard, w.mgr.Host())) {
+		t.Fatal("known id rejected")
+	}
+	w.settle()
+	if !hp.Status().Connected {
+		t.Error("the re-pushed honeypot is disconnected")
+	}
+	r := &sourceRec{}
+	peer := w.newPeer(t, "seeker")
+	peer.ConnectServer(w.srv.Addr(), r)
+	w.settle()
+	peer.GetSources(baitFiles[0].Hash)
+	w.settle()
+	if len(r.sources) != 1 || r.sources[0].AddrPort().Addr() != hp.Client().Host().Addr() {
+		t.Errorf("sources of the bait after the re-push: %v", r.sources)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 )
 
 // establishedPair dials a client host → srv on a fresh network and
-// returns both ends once the loop has drained; hooks are the caller's to
-// set.
+// returns both ends once the loop has drained; neither has a handler,
+// which is the caller's to set.
 func establishedPair(tb testing.TB, cfg Config) (loop *des.Loop, srv *Host, srvConn, cliConn transport.Conn) {
 	tb.Helper()
 	loop = des.NewLoop(t0, 1)
@@ -25,16 +25,8 @@ func establishedPair(tb testing.TB, cfg Config) (loop *des.Loop, srv *Host, srvC
 	srv = nw.NewHost("server")
 	cli := nw.NewHost("client")
 	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) { srvConn = c })
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			tb.Fatalf("dial: %v", err)
-		}
-		cliConn = c
-	}))
-	loop.Run()
-	if srvConn == nil || cliConn == nil {
-		tb.Fatal("no connection")
-	}
+	cliConn = dial(tb, loop, cli, srv).conn
+	cliConn.SetHandler(nil)
 	return loop, srv, srvConn, cliConn
 }
 
@@ -48,8 +40,8 @@ func countCall(recv, _ any) { *recv.(*int)++ }
 // PostCall) alike.
 func TestEventsDoNotAllocate(t *testing.T) {
 	loop, srv, srvConn, cliConn := establishedPair(t, DefaultConfig())
-	got := 0
-	srvConn.SetHandler(transport.ConnHooks{OnMessage: func(wire.Message) { got++ }})
+	var got counter
+	srvConn.SetHandler(&got)
 	var msg wire.Message = &wire.GetServerList{}
 	ran := 0
 	fn := func() { ran++ } // the caller's own closure, made once
@@ -89,18 +81,16 @@ func TestDialDoesNotAllocateClosures(t *testing.T) {
 	srv, cli := nw.NewHost("server"), nw.NewHost("client")
 	var accepted transport.Conn
 	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) { accepted = c })
-	var dialed transport.Conn
-	var dialErr error
-	done := transport.DialFunc(func(c transport.Conn, err error) { dialed, dialErr = c, err })
+	var r rec
 	established := func() {
-		cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, done)
+		cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, &r)
 		loop.Run()
-		dialed.Close()
+		r.conn.Close()
 		accepted.Close()
 		loop.Run()
 	}
 	refused := func() {
-		cli.Dial(netipAddrPortFrom(srv.Addr(), 4662), wire.ServerSpace, done)
+		cli.Dial(netipAddrPortFrom(srv.Addr(), 4662), wire.ServerSpace, &r)
 		loop.Run()
 	}
 	established()
@@ -111,8 +101,8 @@ func TestDialDoesNotAllocateClosures(t *testing.T) {
 	if n := testing.AllocsPerRun(100, refused); n != 1 {
 		t.Errorf("a refused dial: %v allocations, want 1 (the connection pair)", n)
 	}
-	if !errors.Is(dialErr, transport.ErrConnRefused) {
-		t.Errorf("refused dial reported %v", dialErr)
+	if !errors.Is(r.dialErr, transport.ErrConnRefused) {
+		t.Errorf("refused dial reported %v", r.dialErr)
 	}
 }
 
@@ -178,27 +168,23 @@ func TestSameInstantClosesAreOrdered(t *testing.T) {
 				loop := des.NewLoop(t0, 5)
 				nw := New(loop, Config{BaseLatency: 40 * time.Millisecond}) // no jitter: equal latencies
 				hub := nw.NewHost("hub")
+				var hubs, peers [16]rec
 				accepted := 0
 				hub.Listen(4662, wire.PeerSpace, func(c transport.Conn) {
-					i := accepted
+					hubs[accepted].accept(c)
 					accepted++
-					c.SetHandler(transport.ConnHooks{OnClose: func(error) { order = append(order, fmt.Sprint("hub", i)) }})
 				})
-				var conns [16]transport.Conn
-				for i := range conns {
-					nw.NewHost(fmt.Sprint("peer", i)).Dial(netipAddrPortFrom(hub.Addr(), 4662), wire.PeerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-						if err != nil {
-							t.Fatalf("dial: %v", err)
-						}
-						conns[i] = c
-						c.SetHandler(transport.ConnHooks{OnClose: func(error) { order = append(order, fmt.Sprint("peer", i)) }})
-					}))
+				for i := range peers {
+					nw.NewHost(fmt.Sprint("peer", i)).Dial(netipAddrPortFrom(hub.Addr(), 4662), wire.PeerSpace, &peers[i])
 				}
 				loop.Run()
-				conns[3].Close() // exercise removal from the middle and the end
-				conns[15].Close()
+				peers[3].conn.Close() // exercise removal from the middle and the end
+				peers[15].conn.Close()
 				loop.Run()
-				order = nil
+				for i := range peers {
+					hubs[i].conn.SetHandler(closeLog{fmt.Sprint("hub", i), &order})
+					peers[i].conn.SetHandler(closeLog{fmt.Sprint("peer", i), &order})
+				}
 				sever.do(hub)
 				loop.Run()
 				return order
@@ -215,6 +201,16 @@ func TestSameInstantClosesAreOrdered(t *testing.T) {
 		})
 	}
 }
+
+// closeLog is a connection handler that appends its name to the log
+// when the connection closes.
+type closeLog struct {
+	name string
+	log  *[]string
+}
+
+func (closeLog) HandleMessage(wire.Message) {}
+func (c closeLog) HandleClose(error)        { *c.log = append(*c.log, c.name) }
 
 // TestStaleTimerCannotStopRecycledEvent: a transport.Timer kept past its
 // callback must not reach the pending event that reuses its slot.
@@ -248,11 +244,15 @@ func TestReencodeDeliversTheDecodedCopy(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Reencode = reencode
 		loop, _, srvConn, cliConn := establishedPair(t, cfg)
-		var got wire.Message
-		srvConn.SetHandler(transport.ConnHooks{OnMessage: func(m wire.Message) { got = m }})
+		sr := &rec{}
+		srvConn.SetHandler(sr)
 		sent := &wire.GetSources{Hash: ed2k.SyntheticHash("f")}
 		cliConn.Send(sent)
 		loop.Run()
+		if len(sr.msgs) != 1 {
+			t.Fatalf("reencode=%v: %d messages delivered", reencode, len(sr.msgs))
+		}
+		got := sr.msgs[0]
 		if !reflect.DeepEqual(got, wire.Message(sent)) {
 			t.Fatalf("reencode=%v: got %#v, want %#v", reencode, got, sent)
 		}
@@ -266,20 +266,29 @@ func TestReencodeDeliversTheDecodedCopy(t *testing.T) {
 // established pair: Send → deliver → Send → deliver.
 func BenchmarkNetsimPingPong(b *testing.B) {
 	loop, _, srvConn, cliConn := establishedPair(b, DefaultConfig())
-	var ping, pong wire.Message = &wire.GetServerList{}, &wire.ServerStatus{}
-	replies := 0
-	srvConn.SetHandler(transport.ConnHooks{OnMessage: func(wire.Message) { srvConn.Send(pong) }})
-	cliConn.SetHandler(transport.ConnHooks{OnMessage: func(wire.Message) { replies++ }})
+	var ping wire.Message = &wire.GetServerList{}
+	var replies counter
+	srvConn.SetHandler(echo{srvConn, &wire.ServerStatus{}})
+	cliConn.SetHandler(&replies)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cliConn.Send(ping)
 		loop.Run()
 	}
-	if replies != b.N {
+	if int(replies) != b.N {
 		b.Fatalf("%d replies to %d pings", replies, b.N)
 	}
 }
+
+// echo is a connection handler that answers every message with reply.
+type echo struct {
+	conn  transport.Conn
+	reply wire.Message
+}
+
+func (e echo) HandleMessage(wire.Message) { e.conn.Send(e.reply) }
+func (echo) HandleClose(error)            {}
 
 // BenchmarkHostAfter arms, fires and stops one host timer.
 func BenchmarkHostAfter(b *testing.B) {

@@ -25,37 +25,66 @@ func newNet(t *testing.T, cfg Config) (*des.Loop, *Network) {
 	return loop, New(loop, cfg)
 }
 
+// rec is a test's handler of one connection, and of the dial or accept
+// that makes it: it keeps the connection and what happens on it.
+type rec struct {
+	conn     transport.Conn
+	dialErr  error
+	msgs     []wire.Message
+	closed   bool
+	closeErr error
+}
+
+// HandleDial implements transport.DialHandler: a dialed connection
+// reports to r.
+func (r *rec) HandleDial(c transport.Conn, err error) {
+	r.conn, r.dialErr = c, err
+	if c != nil {
+		c.SetHandler(r)
+	}
+}
+
+// accept is a Listen callback: an accepted connection reports to r.
+func (r *rec) accept(c transport.Conn) { r.conn = c; c.SetHandler(r) }
+
+func (r *rec) HandleMessage(m wire.Message) { r.msgs = append(r.msgs, m) }
+func (r *rec) HandleClose(err error)        { r.closed, r.closeErr = true, err }
+
+// counter is a connection handler that counts messages.
+type counter int
+
+func (c *counter) HandleMessage(wire.Message) { *c++ }
+func (*counter) HandleClose(error)            {}
+
+// dial connects cli to port 4661 of srv, runs the loop, and returns the
+// client end's recorder.
+func dial(t testing.TB, loop *des.Loop, cli, srv *Host) *rec {
+	t.Helper()
+	r := &rec{}
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, r)
+	loop.Run()
+	if r.conn == nil {
+		t.Fatalf("dial: %v", r.dialErr)
+	}
+	return r
+}
+
 func TestDialAndExchange(t *testing.T) {
 	loop, nw := newNet(t, DefaultConfig())
 	srv := nw.NewHost("server")
 	cli := nw.NewHost("client")
 
-	var serverGot []wire.Message
-	_, err := srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHandler(transport.ConnHooks{
-			OnMessage: func(m wire.Message) {
-				serverGot = append(serverGot, m)
-				c.Send(&wire.IDChange{ClientID: 99})
-			},
-		})
-	})
-	if err != nil {
+	sr := &rec{}
+	if _, err := srv.Listen(4661, wire.ServerSpace, sr.accept); err != nil {
 		t.Fatal(err)
 	}
-
-	var clientGot []wire.Message
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		c.SetHandler(transport.ConnHooks{
-			OnMessage: func(m wire.Message) { clientGot = append(clientGot, m) },
-		})
-		c.Send(&wire.LoginRequest{UserHash: ed2k.NewUserHash("u"), Port: 4662})
-	}))
+	cr := dial(t, loop, cli, srv)
+	cr.conn.Send(&wire.LoginRequest{UserHash: ed2k.NewUserHash("u"), Port: 4662})
+	loop.Run()
+	sr.conn.Send(&wire.IDChange{ClientID: 99})
 	loop.Run()
 
+	serverGot, clientGot := sr.msgs, cr.msgs
 	if len(serverGot) != 1 {
 		t.Fatalf("server got %d messages", len(serverGot))
 	}
@@ -75,22 +104,18 @@ func TestDialRefusedAndHostDown(t *testing.T) {
 	a := nw.NewHost("a")
 	b := nw.NewHost("b")
 
-	var refusedErr, downErr error
-	a.Dial(netipAddrPortFrom(b.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		refusedErr = err
-	}))
+	var refused, down rec
+	a.Dial(netipAddrPortFrom(b.Addr(), 4661), wire.ServerSpace, &refused)
 	loop.Run() // b is up but has no listener: refused
 	b.Crash()
-	a.Dial(netipAddrPortFrom(b.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		downErr = err
-	}))
+	a.Dial(netipAddrPortFrom(b.Addr(), 4661), wire.ServerSpace, &down)
 	loop.Run()
 
-	if !errors.Is(refusedErr, transport.ErrConnRefused) {
-		t.Errorf("refused dial: %v", refusedErr)
+	if !errors.Is(refused.dialErr, transport.ErrConnRefused) {
+		t.Errorf("refused dial: %v", refused.dialErr)
 	}
-	if !errors.Is(downErr, transport.ErrHostDown) {
-		t.Errorf("down dial: %v", downErr)
+	if !errors.Is(down.dialErr, transport.ErrHostDown) {
+		t.Errorf("down dial: %v", down.dialErr)
 	}
 }
 
@@ -99,30 +124,19 @@ func TestMessagesArriveInOrder(t *testing.T) {
 	srv := nw.NewHost("server")
 	cli := nw.NewHost("client")
 
-	var got []uint32
-	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHandler(transport.ConnHooks{
-			OnMessage: func(m wire.Message) {
-				got = append(got, m.(*wire.IDChange).ClientID)
-			},
-		})
-	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		for i := uint32(0); i < 50; i++ {
-			c.Send(&wire.IDChange{ClientID: i})
-		}
-	}))
-	loop.Run()
-	if len(got) != 50 {
-		t.Fatalf("got %d messages, want 50", len(got))
+	sr := &rec{}
+	srv.Listen(4661, wire.ServerSpace, sr.accept)
+	cr := dial(t, loop, cli, srv)
+	for i := uint32(0); i < 50; i++ {
+		cr.conn.Send(&wire.IDChange{ClientID: i})
 	}
-	for i, v := range got {
-		if v != uint32(i) {
-			t.Fatalf("out of order at %d: %v", i, got)
+	loop.Run()
+	if len(sr.msgs) != 50 {
+		t.Fatalf("got %d messages, want 50", len(sr.msgs))
+	}
+	for i, m := range sr.msgs {
+		if m.(*wire.IDChange).ClientID != uint32(i) {
+			t.Fatalf("out of order at %d", i)
 		}
 	}
 }
@@ -132,26 +146,20 @@ func TestBufferingBeforeHooks(t *testing.T) {
 	srv := nw.NewHost("server")
 	cli := nw.NewHost("client")
 
-	var got []wire.Message
 	var acceptConn transport.Conn
 	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		acceptConn = c // deliberately do not set hooks yet
+		acceptConn = c // deliberately do not set a handler yet
 	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		c.Send(&wire.GetServerList{})
-		c.Send(&wire.GetSources{Hash: ed2k.SyntheticHash("x")})
-	}))
+	cr := dial(t, loop, cli, srv)
+	cr.conn.Send(&wire.GetServerList{})
+	cr.conn.Send(&wire.GetSources{Hash: ed2k.SyntheticHash("x")})
 	loop.Run()
 	if acceptConn == nil {
 		t.Fatal("no connection accepted")
 	}
-	acceptConn.SetHandler(transport.ConnHooks{
-		OnMessage: func(m wire.Message) { got = append(got, m) },
-	})
+	sr := &rec{}
+	acceptConn.SetHandler(sr)
+	got := sr.msgs
 	if len(got) != 2 {
 		t.Fatalf("buffered delivery: got %d messages", len(got))
 	}
@@ -165,26 +173,15 @@ func TestCloseNotifiesPeer(t *testing.T) {
 	srv := nw.NewHost("server")
 	cli := nw.NewHost("client")
 
-	closed := false
-	var closeErr error = errors.New("sentinel-not-called")
-	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHandler(transport.ConnHooks{
-			OnClose: func(err error) { closed = true; closeErr = err },
-		})
-	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		c.Close()
-	}))
+	sr := &rec{}
+	srv.Listen(4661, wire.ServerSpace, sr.accept)
+	dial(t, loop, cli, srv).conn.Close()
 	loop.Run()
-	if !closed {
+	if !sr.closed {
 		t.Fatal("peer not notified of close")
 	}
-	if closeErr != nil {
-		t.Errorf("graceful close should deliver nil, got %v", closeErr)
+	if sr.closeErr != nil {
+		t.Errorf("graceful close should deliver nil, got %v", sr.closeErr)
 	}
 }
 
@@ -193,22 +190,12 @@ func TestCrashKillsConnections(t *testing.T) {
 	srv := nw.NewHost("server")
 	cli := nw.NewHost("client")
 
-	var gotErr error
-	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHandler(transport.ConnHooks{})
-	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		c.SetHandler(transport.ConnHooks{OnClose: func(err error) { gotErr = err }})
-		// Crash the server after establishment.
-		cli.After(time.Second, func() { srv.Crash() })
-	}))
+	srv.Listen(4661, wire.ServerSpace, (&rec{}).accept)
+	cr := dial(t, loop, cli, srv)
+	srv.Crash() // after establishment
 	loop.Run()
-	if !errors.Is(gotErr, transport.ErrHostDown) {
-		t.Errorf("crash notification: %v", gotErr)
+	if !errors.Is(cr.closeErr, transport.ErrHostDown) {
+		t.Errorf("crash notification: %v", cr.closeErr)
 	}
 	if srv.Up() {
 		t.Error("server still up")
@@ -255,29 +242,21 @@ func TestReencodeCatchesEverything(t *testing.T) {
 	srv := nw.NewHost("server")
 	cli := nw.NewHost("client")
 
-	var got *wire.FoundSources
-	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHandler(transport.ConnHooks{
-			OnMessage: func(m wire.Message) {
-				c.Send(&wire.FoundSources{
-					Hash:    ed2k.SyntheticHash("f"),
-					Sources: []wire.Endpoint{{IP: 7, Port: 8}},
-				})
-			},
-		})
-	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		c.SetHandler(transport.ConnHooks{
-			OnMessage: func(m wire.Message) { got = m.(*wire.FoundSources) },
-		})
-		c.Send(&wire.GetSources{Hash: ed2k.SyntheticHash("f")})
-	}))
+	sr := &rec{}
+	srv.Listen(4661, wire.ServerSpace, sr.accept)
+	cr := dial(t, loop, cli, srv)
+	cr.conn.Send(&wire.GetSources{Hash: ed2k.SyntheticHash("f")})
 	loop.Run()
-	if got == nil || len(got.Sources) != 1 || got.Sources[0].IP != 7 {
+	if len(sr.msgs) != 1 {
+		t.Fatalf("the server got %d requests", len(sr.msgs))
+	}
+	sent := &wire.FoundSources{Hash: ed2k.SyntheticHash("f"), Sources: []wire.Endpoint{{IP: 7, Port: 8}}}
+	sr.conn.Send(sent)
+	loop.Run()
+	if len(cr.msgs) != 1 {
+		t.Fatalf("got %d replies", len(cr.msgs))
+	}
+	if got := cr.msgs[0].(*wire.FoundSources); len(got.Sources) != 1 || got.Sources[0].IP != 7 || got == sent {
 		t.Errorf("reencoded exchange failed: %#v", got)
 	}
 }
@@ -289,22 +268,15 @@ func TestLossRateDropsMessages(t *testing.T) {
 	srv := nw.NewHost("server")
 	cli := nw.NewHost("client")
 
-	got := 0
-	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHandler(transport.ConnHooks{OnMessage: func(wire.Message) { got++ }})
-	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		for i := 0; i < 10; i++ {
-			c.Send(&wire.GetServerList{})
-		}
-	}))
+	sr := &rec{}
+	srv.Listen(4661, wire.ServerSpace, sr.accept)
+	cr := dial(t, loop, cli, srv)
+	for i := 0; i < 10; i++ {
+		cr.conn.Send(&wire.GetServerList{})
+	}
 	loop.Run()
-	if got != 0 {
-		t.Errorf("full loss still delivered %d messages", got)
+	if len(sr.msgs) != 0 {
+		t.Errorf("full loss still delivered %d messages", len(sr.msgs))
 	}
 }
 
@@ -328,21 +300,10 @@ func TestDeterministicReplay(t *testing.T) {
 		srv := nw.NewHost("server")
 		var order []uint32
 		srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-			c.SetHandler(transport.ConnHooks{
-				OnMessage: func(m wire.Message) {
-					order = append(order, m.(*wire.IDChange).ClientID)
-				},
-			})
+			c.SetHandler(idLog{&order})
 		})
 		for i := 0; i < 20; i++ {
-			cli := nw.NewHost("client")
-			id := uint32(i)
-			cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-				if err != nil {
-					return
-				}
-				c.Send(&wire.IDChange{ClientID: id})
-			}))
+			nw.NewHost("client").Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, idSender(i))
 		}
 		loop.Run()
 		return order
@@ -358,6 +319,23 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// idSender is a dial handler that sends its ID as soon as the dial
+// completes.
+type idSender uint32
+
+func (id idSender) HandleDial(c transport.Conn, err error) {
+	if err == nil {
+		c.Send(&wire.IDChange{ClientID: uint32(id)})
+	}
+}
+
+// idLog is a connection handler that appends each IDChange's ClientID
+// to one log shared by every connection, in arrival order.
+type idLog struct{ log *[]uint32 }
+
+func (l idLog) HandleMessage(m wire.Message) { *l.log = append(*l.log, m.(*wire.IDChange).ClientID) }
+func (idLog) HandleClose(error)              {}
+
 func TestListenerClose(t *testing.T) {
 	loop, nw := newNet(t, DefaultConfig())
 	srv := nw.NewHost("server")
@@ -369,13 +347,11 @@ func TestListenerClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	var dialErr error
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		dialErr = err
-	}))
+	var r rec
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, &r)
 	loop.Run()
-	if !errors.Is(dialErr, transport.ErrConnRefused) {
-		t.Errorf("dial after close: %v", dialErr)
+	if !errors.Is(r.dialErr, transport.ErrConnRefused) {
+		t.Errorf("dial after close: %v", r.dialErr)
 	}
 }
 
@@ -399,13 +375,11 @@ func TestStaleListenerKeepsSuccessorsPort(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale.Close() // the crashed process's cleanup, late
-	var dialErr error
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		dialErr = err
-	}))
+	var r rec
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, &r)
 	loop.Run()
-	if dialErr != nil || accepted != 1 {
-		t.Errorf("dial after the stale Close: err %v, accepted %d; the relaunched listener lost its port", dialErr, accepted)
+	if r.dialErr != nil || accepted != 1 {
+		t.Errorf("dial after the stale Close: err %v, accepted %d; the relaunched listener lost its port", r.dialErr, accepted)
 	}
 }
 
@@ -425,18 +399,9 @@ func BenchmarkMessageDelivery(b *testing.B) {
 	nw := New(loop, DefaultConfig())
 	srv := nw.NewHost("server")
 	cli := nw.NewHost("client")
-	count := 0
-	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHandler(transport.ConnHooks{OnMessage: func(wire.Message) { count++ }})
-	})
-	var conn transport.Conn
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		conn = c
-	}))
-	loop.Run()
-	if conn == nil {
-		b.Fatal("no connection")
-	}
+	var count counter
+	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) { c.SetHandler(&count) })
+	conn := dial(b, loop, cli, srv).conn
 	msg := &wire.GetServerList{}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -454,55 +419,36 @@ func TestLinkFlap(t *testing.T) {
 	srv := nw.NewHost("server")
 	cli := nw.NewHost("client")
 
-	var srvClosed, cliClosed error
-	srv.Listen(4661, wire.ServerSpace, func(c transport.Conn) {
-		c.SetHandler(transport.ConnHooks{OnClose: func(err error) { srvClosed = err }})
-	})
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		c.SetHandler(transport.ConnHooks{OnClose: func(err error) { cliClosed = err }})
-		cli.After(time.Second, func() { srv.SetLinkDown(true) })
-	}))
+	sr := &rec{}
+	srv.Listen(4661, wire.ServerSpace, sr.accept)
+	cr := dial(t, loop, cli, srv)
+	srv.SetLinkDown(true)
 	loop.Run()
 
 	// Both ends observe the break as a failure, not a graceful close.
-	if !errors.Is(srvClosed, transport.ErrHostDown) {
-		t.Errorf("server side saw %v, want ErrHostDown", srvClosed)
+	if !errors.Is(sr.closeErr, transport.ErrHostDown) {
+		t.Errorf("server side saw %v, want ErrHostDown", sr.closeErr)
 	}
-	if !errors.Is(cliClosed, transport.ErrHostDown) {
-		t.Errorf("client side saw %v, want ErrHostDown", cliClosed)
+	if !errors.Is(cr.closeErr, transport.ErrHostDown) {
+		t.Errorf("client side saw %v, want ErrHostDown", cr.closeErr)
 	}
 	if !srv.Up() || !srv.LinkDown() {
 		t.Fatalf("link-down host: up=%v linkDown=%v, want true/true", srv.Up(), srv.LinkDown())
 	}
 
 	// Unreachable in both directions while down.
-	var inErr, outErr error = errors.New("not called"), errors.New("not called")
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(_ transport.Conn, err error) { inErr = err }))
-	srv.Dial(netipAddrPortFrom(cli.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(_ transport.Conn, err error) { outErr = err }))
+	var in, out rec
+	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, &in)
+	srv.Dial(netipAddrPortFrom(cli.Addr(), 4661), wire.ServerSpace, &out)
 	loop.Run()
-	if !errors.Is(inErr, transport.ErrHostDown) {
-		t.Errorf("dial toward severed host: %v, want ErrHostDown", inErr)
+	if !errors.Is(in.dialErr, transport.ErrHostDown) {
+		t.Errorf("dial toward severed host: %v, want ErrHostDown", in.dialErr)
 	}
-	if !errors.Is(outErr, transport.ErrHostDown) {
-		t.Errorf("dial from severed host: %v, want ErrHostDown", outErr)
+	if !errors.Is(out.dialErr, transport.ErrHostDown) {
+		t.Errorf("dial from severed host: %v, want ErrHostDown", out.dialErr)
 	}
 
 	// Restore: the listener survived the flap, dials go through again.
 	srv.SetLinkDown(false)
-	dialed := false
-	cli.Dial(netipAddrPortFrom(srv.Addr(), 4661), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial after restore: %v", err)
-			return
-		}
-		dialed = true
-	}))
-	loop.Run()
-	if !dialed {
-		t.Fatal("no connection after link restore")
-	}
+	dial(t, loop, cli, srv)
 }

@@ -39,36 +39,39 @@ func newWorld(t *testing.T, cfg Config) *world {
 	return &world{loop: loop, net: nw, srv: srv}
 }
 
-// rawClient drives the server with hand-built wire messages.
+// rawClient drives the server with hand-built wire messages; it handles
+// its dial and connection itself.
 type rawClient struct {
-	host *netsim.Host
-	conn transport.Conn
-	got  []wire.Message
+	host    *netsim.Host
+	conn    transport.Conn
+	dialErr error
+	got     []wire.Message
 }
+
+func (rc *rawClient) HandleDial(c transport.Conn, err error) {
+	rc.conn, rc.dialErr = c, err
+	if c != nil {
+		c.SetHandler(rc)
+	}
+}
+
+func (rc *rawClient) HandleMessage(m wire.Message) { rc.got = append(rc.got, m) }
+func (*rawClient) HandleClose(error)               {}
 
 func (w *world) dialRaw(t *testing.T, label string, listenPort uint16) *rawClient {
 	t.Helper()
 	rc := &rawClient{host: w.net.NewHost(label)}
 	if listenPort != 0 {
 		if _, err := rc.host.Listen(listenPort, wire.PeerSpace, func(c transport.Conn) {
-			c.SetHandler(transport.ConnHooks{}) // accept the server's probe
+			c.SetHandler(nil) // accept the server's probe
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rc.host.Dial(w.srv.Addr(), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		rc.conn = c
-		c.SetHandler(transport.ConnHooks{
-			OnMessage: func(m wire.Message) { rc.got = append(rc.got, m) },
-		})
-	}))
+	rc.host.Dial(w.srv.Addr(), wire.ServerSpace, rc)
 	w.settle()
 	if rc.conn == nil {
-		t.Fatal("no server connection")
+		t.Fatalf("no server connection: %v", rc.dialErr)
 	}
 	return rc
 }

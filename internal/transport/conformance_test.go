@@ -70,34 +70,74 @@ func fixtures(t *testing.T) []*fixture {
 	return fs
 }
 
-// recorder collects events safely under both threading models.
+// recorder is a test's handler of one connection, and of the dial or
+// accept that makes it; it collects events safely under both threading
+// models.
 type recorder struct {
-	mu     sync.Mutex
-	msgs   []wire.Message
-	closed bool
-	err    error
+	mu      sync.Mutex
+	conn    transport.Conn
+	dialed  bool
+	dialErr error
+	msgs    []wire.Message
+	closed  bool
 }
 
-func (r *recorder) hooks() transport.ConnHooks {
-	return transport.ConnHooks{
-		OnMessage: func(m wire.Message) {
-			r.mu.Lock()
-			r.msgs = append(r.msgs, m)
-			r.mu.Unlock()
-		},
-		OnClose: func(err error) {
-			r.mu.Lock()
-			r.closed = true
-			r.err = err
-			r.mu.Unlock()
-		},
+func (r *recorder) HandleDial(c transport.Conn, err error) {
+	if c != nil {
+		c.SetHandler(r)
 	}
+	r.mu.Lock()
+	r.conn, r.dialErr, r.dialed = c, err, true
+	r.mu.Unlock()
+}
+
+// accept is a Listen callback: an accepted connection reports to r.
+func (r *recorder) accept(c transport.Conn) {
+	r.mu.Lock()
+	r.conn = c
+	r.mu.Unlock()
+	c.SetHandler(r)
+}
+
+func (r *recorder) HandleMessage(m wire.Message) {
+	r.mu.Lock()
+	r.msgs = append(r.msgs, m)
+	r.mu.Unlock()
+}
+
+func (r *recorder) HandleClose(error) {
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
 }
 
 func (r *recorder) snapshot() (int, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.msgs), r.closed
+}
+
+// until settles f until cond holds, 30 times at most, and reports
+// whether it held.
+func (f *fixture) until(cond func() bool) bool {
+	for i := 0; i < 30 && !cond(); i++ {
+		f.settle()
+	}
+	return cond()
+}
+
+// dial connects from to addr and returns the client end's recorder.
+func (f *fixture) dial(t *testing.T, from transport.Host, addr netip.AddrPort) *recorder {
+	t.Helper()
+	r := &recorder{}
+	from.Dial(addr, wire.ServerSpace, r)
+	if !f.until(func() bool { r.mu.Lock(); defer r.mu.Unlock(); return r.dialed }) {
+		t.Fatal("dial callback never fired")
+	}
+	if r.dialErr != nil {
+		t.Fatalf("dial: %v", r.dialErr)
+	}
+	return r
 }
 
 func forEachFixture(t *testing.T, run func(t *testing.T, f *fixture)) {
@@ -115,30 +155,19 @@ func TestConformanceExchangeAndOrder(t *testing.T) {
 		srv := f.newHost("srv")
 		cli := f.newHost("cli")
 		rec := &recorder{}
-
-		l, err := srv.Listen(14100, wire.ServerSpace, func(c transport.Conn) {
-			c.SetHandler(rec.hooks())
-		})
+		l, err := srv.Listen(14100, wire.ServerSpace, rec.accept)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer l.Close()
 
-		cli.Dial(netip.AddrPortFrom(srv.Addr(), 14100), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
+		c := f.dial(t, cli, netip.AddrPortFrom(srv.Addr(), 14100)).conn
+		cli.Post(func() {
 			for i := uint32(0); i < 20; i++ {
 				c.Send(&wire.IDChange{ClientID: i})
 			}
-		}))
-		for i := 0; i < 30; i++ {
-			f.settle()
-			if n, _ := rec.snapshot(); n == 20 {
-				break
-			}
-		}
+		})
+		f.until(func() bool { n, _ := rec.snapshot(); return n == 20 })
 		rec.mu.Lock()
 		defer rec.mu.Unlock()
 		if len(rec.msgs) != 20 {
@@ -156,29 +185,12 @@ func TestConformanceDialRefused(t *testing.T) {
 	forEachFixture(t, func(t *testing.T, f *fixture) {
 		a := f.newHost("a")
 		b := f.newHost("b")
-		var mu sync.Mutex
-		var dialErr error
-		got := false
-		a.Dial(netip.AddrPortFrom(b.Addr(), 14199), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-			mu.Lock()
-			dialErr, got = err, true
-			mu.Unlock()
-		}))
-		for i := 0; i < 100; i++ {
-			f.settle()
-			mu.Lock()
-			done := got
-			mu.Unlock()
-			if done {
-				break
-			}
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if !got {
+		r := &recorder{}
+		a.Dial(netip.AddrPortFrom(b.Addr(), 14199), wire.ServerSpace, r)
+		if !f.until(func() bool { r.mu.Lock(); defer r.mu.Unlock(); return r.dialed }) {
 			t.Fatal("dial callback never fired")
 		}
-		if dialErr == nil {
+		if r.dialErr == nil {
 			t.Error("dial to closed port must fail")
 		}
 	})
@@ -189,27 +201,17 @@ func TestConformanceCloseNotifiesPeer(t *testing.T) {
 		srv := f.newHost("srv")
 		cli := f.newHost("cli")
 		rec := &recorder{}
-		l, err := srv.Listen(14101, wire.ServerSpace, func(c transport.Conn) {
-			c.SetHandler(rec.hooks())
-		})
+		l, err := srv.Listen(14101, wire.ServerSpace, rec.accept)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		cli.Dial(netip.AddrPortFrom(srv.Addr(), 14101), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
+		c := f.dial(t, cli, netip.AddrPortFrom(srv.Addr(), 14101)).conn
+		cli.Post(func() {
 			c.Send(&wire.GetServerList{})
 			c.Close()
-		}))
-		for i := 0; i < 30; i++ {
-			f.settle()
-			if _, closed := rec.snapshot(); closed {
-				break
-			}
-		}
+		})
+		f.until(func() bool { _, closed := rec.snapshot(); return closed })
 		n, closed := rec.snapshot()
 		if !closed {
 			t.Fatal("peer not notified of close")
@@ -229,31 +231,25 @@ func TestConformanceBufferingBeforeHooks(t *testing.T) {
 		var pending transport.Conn
 		l, err := srv.Listen(14102, wire.ServerSpace, func(c transport.Conn) {
 			mu.Lock()
-			pending = c // hooks deliberately not installed yet
+			pending = c // no handler installed yet, deliberately
 			mu.Unlock()
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		cli.Dial(netip.AddrPortFrom(srv.Addr(), 14102), wire.ServerSpace, transport.DialFunc(func(c transport.Conn, err error) {
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
+		c := f.dial(t, cli, netip.AddrPortFrom(srv.Addr(), 14102)).conn
+		cli.Post(func() {
 			c.Send(&wire.GetServerList{})
 			c.Send(&wire.GetSources{Hash: ed2k.SyntheticHash("x")})
-		}))
+		})
 		var conn transport.Conn
-		for i := 0; i < 30; i++ {
-			f.settle()
+		f.until(func() bool {
 			mu.Lock()
+			defer mu.Unlock()
 			conn = pending
-			mu.Unlock()
-			if conn != nil {
-				break
-			}
-		}
+			return conn != nil
+		})
 		if conn == nil {
 			t.Fatal("no inbound connection")
 		}
@@ -261,14 +257,9 @@ func TestConformanceBufferingBeforeHooks(t *testing.T) {
 		f.settle()
 		f.settle()
 		rec := &recorder{}
-		// SetHooks must run on the host executor in live mode.
-		srv.Post(func() { conn.SetHandler(rec.hooks()) })
-		for i := 0; i < 30; i++ {
-			f.settle()
-			if n, _ := rec.snapshot(); n == 2 {
-				break
-			}
-		}
+		// SetHandler must run on the host executor in live mode.
+		srv.Post(func() { conn.SetHandler(rec) })
+		f.until(func() bool { n, _ := rec.snapshot(); return n == 2 })
 		if n, _ := rec.snapshot(); n != 2 {
 			t.Errorf("buffered delivery: got %d messages, want 2", n)
 		}
@@ -300,15 +291,7 @@ func TestConformanceTimers(t *testing.T) {
 		if stopped.Stop() {
 			t.Error("second Stop must report false")
 		}
-		for i := 0; i < 30; i++ {
-			f.settle()
-			mu.Lock()
-			n := fired
-			mu.Unlock()
-			if n >= 1 {
-				break
-			}
-		}
+		f.until(func() bool { mu.Lock(); defer mu.Unlock(); return fired >= 1 })
 		mu.Lock()
 		defer mu.Unlock()
 		if fired != 1 {
@@ -359,9 +342,7 @@ func TestConformanceStaticCallbacks(t *testing.T) {
 			t.Error("second Stop must report false")
 		}
 		h.PostCall(addCall, c, 1000)
-		for i := 0; i < 30 && c.get() < 1001; i++ {
-			f.settle()
-		}
+		f.until(func() bool { return c.get() >= 1001 })
 		if got := c.get(); got != 1001 {
 			t.Errorf("callbacks added %d, want 1001 (the timer and the post, not the stopped timer)", got)
 		}
@@ -395,15 +376,7 @@ func TestConformancePostSerializes(t *testing.T) {
 				mu.Unlock()
 			})
 		}
-		for i := 0; i < 30; i++ {
-			f.settle()
-			mu.Lock()
-			n := len(order)
-			mu.Unlock()
-			if n == 50 {
-				break
-			}
-		}
+		f.until(func() bool { mu.Lock(); defer mu.Unlock(); return len(order) == 50 })
 		mu.Lock()
 		defer mu.Unlock()
 		if len(order) != 50 {

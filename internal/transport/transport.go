@@ -14,8 +14,7 @@
 // each: a connection reports to a ConnHandler and a dial to a
 // DialHandler, both interfaces an owner struct implements once for every
 // connection it holds, and AfterCall/PostCall schedule a static
-// func(recv, arg any) over two pointer-shaped operands. ConnHooks and
-// DialFunc adapt plain funcs to the handlers, for cold paths and tests.
+// func(recv, arg any) over two pointer-shaped operands.
 package transport
 
 import (
@@ -45,39 +44,11 @@ type ConnHandler interface {
 	HandleClose(err error)
 }
 
-// ConnHooks adapts two funcs to a ConnHandler; nil members are skipped.
-// Each SetHandler(ConnHooks{...}) boxes the pair, so hot paths implement
-// ConnHandler on an owner struct instead.
-type ConnHooks struct {
-	OnMessage func(m wire.Message)
-	OnClose   func(err error)
-}
-
-// HandleMessage implements ConnHandler.
-func (h ConnHooks) HandleMessage(m wire.Message) {
-	if h.OnMessage != nil {
-		h.OnMessage(m)
-	}
-}
-
-// HandleClose implements ConnHandler.
-func (h ConnHooks) HandleClose(err error) {
-	if h.OnClose != nil {
-		h.OnClose(err)
-	}
-}
-
 // DialHandler receives the outcome of Host.Dial: the connection, or an
 // error.
 type DialHandler interface {
 	HandleDial(c Conn, err error)
 }
-
-// DialFunc adapts a func to a DialHandler.
-type DialFunc func(c Conn, err error)
-
-// HandleDial implements DialHandler.
-func (f DialFunc) HandleDial(c Conn, err error) { f(c, err) }
 
 // Conn is one bidirectional, ordered eDonkey message stream.
 type Conn interface {
