@@ -236,9 +236,26 @@ type HoneypotState struct {
 	MissedRounds int
 
 	shard *logstore.Shard // where ingest files this honeypot's records
-	// onStatus is the health poll's callback, bound at the first poll.
+	// onStatus is the health poll's callback, bound to Handle at its
+	// first poll.
 	onStatus func(honeypot.Status, error)
+	// relaunch is where the Relaunch hook stands for this honeypot.
+	relaunch relaunchState
 }
+
+// relaunchState follows one honeypot's relaunches. While the hook runs,
+// a failed poll starts no second relaunch: the polls still pending on
+// the link a redial closed fail too. Once the hook has handed over a
+// handle, a poll that times out finds a honeypot that was reached but
+// stalls, and redialing it again would only re-push its placement; a
+// status answer ends that state.
+type relaunchState uint8
+
+const (
+	relaunchIdle relaunchState = iota
+	relaunchRunning
+	relaunchHandedOver
+)
 
 // Manager coordinates a fleet of honeypots.
 type Manager struct {
@@ -256,10 +273,12 @@ type Manager struct {
 	store *logstore.Store
 
 	// Relaunch, when set, is invoked for a honeypot whose control path
-	// died; it must reach the honeypot again and return a fresh handle.
-	// cmd/hpmanager sets Redial. The simulation sets none: its fault
-	// injector restarts the crashed host itself and installs the new
-	// handle with ReplaceHandle.
+	// died; it must reach the honeypot again and call done once, with a
+	// fresh handle or an error. It is not invoked again for that
+	// honeypot before done, nor after a handover while polls only time
+	// out (see relaunchState). cmd/hpmanager sets Redial. The
+	// simulation sets none: its fault injector restarts the crashed host
+	// itself and installs the new handle with ReplaceHandle.
 	Relaunch func(id string, done func(Handle, error))
 
 	running      bool
@@ -567,12 +586,19 @@ func (m *Manager) ingest(st *HoneypotState, recs []logging.Record) error {
 
 // HealthCheckNow polls every honeypot's status; dead or disconnected ones
 // are relaunched (via the Relaunch hook) or told to reconnect. Each
-// answer goes to its honeypot's own callback, bound once, so a poll
-// costs no closure.
+// answer goes to its handle's own callback, bound once per handle, so a
+// poll costs no closure. An answer from a handle since replaced says
+// nothing about the honeypot (a poll that outlived the link a relaunch
+// closed fails late) and is dropped.
 func (m *Manager) HealthCheckNow() {
 	for _, st := range m.hps {
 		if st.onStatus == nil {
-			st.onStatus = func(s honeypot.Status, err error) { m.applyStatus(st, s, err) }
+			h := st.Handle
+			st.onStatus = func(s honeypot.Status, err error) {
+				if st.Handle == h {
+					m.applyStatus(st, s, err)
+				}
+			}
 		}
 		st.Handle.Status(st.onStatus)
 	}
@@ -580,18 +606,21 @@ func (m *Manager) HealthCheckNow() {
 
 // applyStatus acts on one poll's answer.
 func (m *Manager) applyStatus(st *HoneypotState, s honeypot.Status, err error) {
-	switch {
-	case err != nil:
+	if err != nil {
 		st.Healthy = false
-		m.relaunch(st)
-	case !s.Connected:
+		if st.relaunch == relaunchIdle || (st.relaunch == relaunchHandedOver && !errors.Is(err, control.ErrTimeout)) {
+			m.relaunch(st)
+		}
+		return
+	}
+	st.LastStatus = s
+	st.Healthy = true
+	if st.relaunch == relaunchHandedOver {
+		st.relaunch = relaunchIdle
+	}
+	if !s.Connected {
 		// Honeypot alive but off-server: re-push its assignment.
-		st.LastStatus = s
-		st.Healthy = true
 		m.push(st)
-	default:
-		st.LastStatus = s
-		st.Healthy = true
 	}
 }
 
@@ -605,7 +634,7 @@ func (m *Manager) ReplaceHandle(id string, h Handle) bool {
 	if st == nil || !m.collectable(h) {
 		return false
 	}
-	st.Handle = h
+	st.Handle, st.onStatus = h, nil
 	st.Relaunches++
 	st.Healthy = true
 	m.push(st)
@@ -639,10 +668,12 @@ func (m *Manager) relaunch(st *HoneypotState) {
 	if m.Relaunch == nil {
 		return
 	}
+	st.relaunch = relaunchRunning
 	id := st.Handle.ID()
 	m.Relaunch(id, func(h Handle, err error) {
-		if err == nil && h != nil {
-			m.ReplaceHandle(id, h)
+		st.relaunch = relaunchIdle
+		if err == nil && h != nil && m.ReplaceHandle(id, h) {
+			st.relaunch = relaunchHandedOver
 		}
 	})
 }

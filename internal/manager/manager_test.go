@@ -3,6 +3,7 @@ package manager
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net/netip"
 	"os"
@@ -256,6 +257,110 @@ func TestRelaunchHook(t *testing.T) {
 	}
 	if w.mgr.States()[0].Relaunches == 0 {
 		t.Error("relaunch not recorded")
+	}
+}
+
+// heldHandle keeps each status poll's callback, shared with the handles
+// relaunched after it, for the test to answer.
+type heldHandle struct {
+	fakeHandle
+	polls *[]func(honeypot.Status, error)
+}
+
+func (h *heldHandle) Status(cb func(honeypot.Status, error)) { *h.polls = append(*h.polls, cb) }
+
+// TestRelaunchOncePerStall answers each poll with the next error of a
+// script (nil: an OK answer). After the Relaunch hook handed over a new
+// handle, polls that time out relaunch nothing more — the honeypot is
+// reachable but stalled, as under kill -STOP — while a dead link, a
+// status answer in between or a failed hook let the next failed poll
+// relaunch again. A poll that fails while the hook runs (its link was
+// the one the redial closed) starts no second relaunch.
+func TestRelaunchOncePerStall(t *testing.T) {
+	timeout := fmt.Errorf("status: %w", control.ErrTimeout)
+	cases := []struct {
+		name     string
+		answers  []error
+		failCall int  // the hook call that fails (1-based; 0: none)
+		holdOne  bool // the hook's first call answers after the second poll
+		want     int  // hook calls
+	}{
+		{"four timeouts", []error{timeout, timeout, timeout, timeout}, 0, false, 1},
+		{"link closed after a relaunch", []error{timeout, timeout, control.ErrLinkClosed}, 0, false, 2},
+		{"an answer, then a timeout", []error{timeout, nil, timeout}, 0, false, 2},
+		{"a failed hook", []error{timeout, control.ErrLinkClosed, timeout, timeout}, 2, false, 3},
+		{"a poll failing while the hook runs", []error{timeout, control.ErrLinkClosed, timeout}, 0, true, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := New(netsim.New(des.NewLoop(t0, 3), netsim.DefaultConfig()).NewHost("mgr"), DefaultConfig())
+			var polls []func(honeypot.Status, error)
+			if err := m.Add(&heldHandle{fakeHandle{id: "hp-a"}, &polls}, Assignment{}); err != nil {
+				t.Fatal(err)
+			}
+			calls := 0
+			var held func()
+			m.Relaunch = func(id string, done func(Handle, error)) {
+				calls++
+				answer := func() { done(&heldHandle{fakeHandle{id: id}, &polls}, nil) }
+				if calls == c.failCall {
+					answer = func() { done(nil, errors.New("redial refused")) }
+				}
+				if calls == 1 && c.holdOne {
+					held = answer
+					return
+				}
+				answer()
+			}
+			for i, err := range c.answers {
+				m.HealthCheckNow()
+				polls[i](honeypot.Status{Connected: err == nil}, err)
+				if i == 1 && held != nil {
+					held()
+				}
+			}
+			if calls != c.want {
+				t.Errorf("%d polls made %d relaunches, want %d", len(c.answers), calls, c.want)
+			}
+			handed := calls
+			if c.failCall > 0 {
+				handed--
+			}
+			if st := m.States()[0]; st.Relaunches != handed {
+				t.Errorf("%d relaunches recorded for %d handles handed over", st.Relaunches, handed)
+			}
+		})
+	}
+}
+
+// TestLateAnswerFromReplacedHandle: a poll that outlives the handle it
+// was sent on — its link closed by the redial, its retry failing later —
+// relaunches nothing, while the new handle's answers still count.
+func TestLateAnswerFromReplacedHandle(t *testing.T) {
+	m := New(netsim.New(des.NewLoop(t0, 3), netsim.DefaultConfig()).NewHost("mgr"), DefaultConfig())
+	var polls []func(honeypot.Status, error)
+	if err := m.Add(&heldHandle{fakeHandle{id: "hp-a"}, &polls}, Assignment{}); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	m.Relaunch = func(id string, done func(Handle, error)) {
+		calls++
+		done(&heldHandle{fakeHandle{id: id}, &polls}, nil)
+	}
+	timeout := fmt.Errorf("status: %w", control.ErrTimeout)
+	m.HealthCheckNow()
+	m.HealthCheckNow()
+	polls[0](honeypot.Status{}, timeout) // relaunches
+	polls[1](honeypot.Status{}, control.ErrLinkClosed)
+	if calls != 1 {
+		t.Fatalf("a late answer from the replaced handle relaunched: %d relaunches", calls)
+	}
+	m.HealthCheckNow()
+	polls[2](honeypot.Status{Connected: true}, nil)
+	m.HealthCheckNow()
+	polls[3](honeypot.Status{}, timeout)
+	if calls != 2 {
+		t.Errorf("the new handle's answer, then a timeout, made %d relaunches in all, want 2", calls)
 	}
 }
 

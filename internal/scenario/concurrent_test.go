@@ -14,14 +14,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/obs"
 )
 
 // concurrentSpec derives a distinct campaign from validSpec: its own
 // name (which seeds workload streams), seed, intensity and spill dir.
+// Its workload reports the catalog it gets (catalog_share_test.go).
 func concurrentSpec(name string, seed int64, arrivals float64, spill string) Spec {
-	spec := validSpec()
-	spec.Name = name
+	spec := probeSpec(name, validSpec().Catalog)
 	spec.Seed = seed
 	spec.Workloads[0].Label = name + "-pop"
 	spec.Workloads[0].ArrivalsPerDay = arrivals
@@ -32,7 +33,9 @@ func concurrentSpec(name string, seed int64, arrivals float64, spill string) Spe
 // TestConcurrentRunsMatchSerial runs two different campaigns serially,
 // then the same two concurrently (tapped, with independent registries
 // and spill stores), and requires both concurrent datasets to be
-// bit-identical to their serial baselines.
+// bit-identical to their serial baselines. The pair starts with another
+// catalog in the shared entry, so one of the two generates their common
+// catalog and the other takes it: both mint its hashes at once.
 func TestConcurrentRunsMatchSerial(t *testing.T) {
 	dirSerial, dirConc := t.TempDir(), t.TempDir()
 	specs := []Spec{
@@ -49,6 +52,7 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 		baseline[i] = res
 	}
 
+	catalogFor(catalog.Config{NumFiles: 1}) // evict the pair's catalog
 	results := make([]*Result, len(specs))
 	errs := make([]error, len(specs))
 	regs := make([]*obs.Registry, len(specs))
@@ -101,6 +105,15 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 			t.Errorf("%s: registry counted %d events, run executed %d — registries shared?",
 				spec.Name, snap.Gauges["engine.events"], got.Events)
 		}
+	}
+
+	// One catalog served the pair: one generated it, the other took it.
+	reused := regs[0].Snapshot().Counters["engine.catalog.reused"] + regs[1].Snapshot().Counters["engine.catalog.reused"]
+	if reused != 1 {
+		t.Errorf("the concurrent pair reports %d shared catalogs, want 1", reused)
+	}
+	if probedCatalog(specs[0].Name) != probedCatalog(specs[1].Name) {
+		t.Error("the concurrent pair ran over two catalogs")
 	}
 
 	// The two campaigns are genuinely different workloads — identical

@@ -15,6 +15,7 @@ package scenario
 // TestTappedRunIdenticalDataset).
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/catalog"
@@ -145,8 +146,9 @@ type engineMetrics struct {
 	arrivals   *obs.Gauge // workload.arrivals (all workloads)
 	quits      *obs.Gauge // workload.quits
 
-	catalogNanos *obs.Counter // engine.build.catalog_nanos (wall time of catalog.Generate)
-	catalogFiles *obs.Gauge   // engine.catalog.files
+	catalogNanos  *obs.Counter // engine.build.catalog_nanos (wall time to get the catalog)
+	catalogFiles  *obs.Gauge   // engine.catalog.files
+	catalogReused *obs.Counter // engine.catalog.reused (1: the shared catalog; 0: generated)
 }
 
 func newEngineMetrics(r *obs.Registry) engineMetrics {
@@ -168,22 +170,54 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		arrivals:   r.Gauge("workload.arrivals"),
 		quits:      r.Gauge("workload.quits"),
 
-		catalogNanos: r.Counter("engine.build.catalog_nanos"),
-		catalogFiles: r.Gauge("engine.catalog.files"),
+		catalogNanos:  r.Counter("engine.build.catalog_nanos"),
+		catalogFiles:  r.Gauge("engine.catalog.files"),
+		catalogReused: r.Counter("engine.catalog.reused"),
 	}
 }
 
-// generateCatalog builds the campaign's file universe and, when metrics
-// are on, records how long that took and how many files it holds.
-// Without a registry it reads no clock.
+// sharedCatalog is the process's one cached file universe. A Catalog
+// is immutable and a function of its Config alone (a hash a campaign
+// mints is the same whoever minted it first), so campaigns with the
+// same config — the daemon's workers, the golden table, a bench loop —
+// share one instead of each regenerating it. The mutex is held across
+// Generate, so concurrent first campaigns share one build; a different
+// config replaces the entry, so the process keeps at most one catalog
+// beyond those its live campaigns hold.
+var sharedCatalog struct {
+	mu  sync.Mutex
+	cfg catalog.Config
+	cat *catalog.Catalog
+}
+
+// catalogFor returns the catalog of cfg, and whether it was the shared
+// one rather than a new build.
+func catalogFor(cfg catalog.Config) (c *catalog.Catalog, reused bool) {
+	sharedCatalog.mu.Lock()
+	defer sharedCatalog.mu.Unlock()
+	if sharedCatalog.cat != nil && sharedCatalog.cfg == cfg {
+		return sharedCatalog.cat, true
+	}
+	sharedCatalog.cat = nil // let the old universe go before building the next
+	sharedCatalog.cfg, sharedCatalog.cat = cfg, catalog.Generate(cfg)
+	return sharedCatalog.cat, false
+}
+
+// generateCatalog gets the campaign's file universe and, when metrics
+// are on, records how long that took, how many files it holds and
+// whether it was shared. Without a registry it reads no clock.
 func (w *world) generateCatalog(cfg catalog.Config) *catalog.Catalog {
 	if w.em.catalogNanos == nil {
-		return catalog.Generate(cfg)
+		c, _ := catalogFor(cfg)
+		return c
 	}
 	start := time.Now()
-	c := catalog.Generate(cfg)
+	c, reused := catalogFor(cfg)
 	w.em.catalogNanos.Add(uint64(time.Since(start)))
 	w.em.catalogFiles.Set(int64(c.Len()))
+	if reused {
+		w.em.catalogReused.Inc()
+	}
 	return c
 }
 

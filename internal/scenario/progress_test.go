@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/catalog"
 	"repro/internal/obs"
 )
 
@@ -172,19 +173,26 @@ func TestTappedRunIdenticalDataset(t *testing.T) {
 // TestCatalogBuildTelemetry pins the world-build counters: a run with a
 // registry records the catalog's build time and size, so -metrics-file
 // and GET /runs/{id}/metrics show what the world cost before the first
-// event.
+// event, and engine.catalog.reused says whether the campaign generated
+// its catalog (0) or took the one an earlier campaign left (1).
 func TestCatalogBuildTelemetry(t *testing.T) {
 	spec := validSpec()
-	reg := obs.New()
-	if _, err := RunWith(spec, RunOptions{Metrics: reg}); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["engine.build.catalog_nanos"] == 0 {
-		t.Error("engine.build.catalog_nanos not recorded")
-	}
-	if got := snap.Gauges["engine.catalog.files"]; got != int64(spec.Catalog.NumFiles) {
-		t.Errorf("engine.catalog.files = %d, want %d", got, spec.Catalog.NumFiles)
+	catalogFor(catalog.Config{NumFiles: 1}) // evict spec's catalog
+	for _, wantReused := range []uint64{0, 1} {
+		reg := obs.New()
+		if _, err := RunWith(spec, RunOptions{Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		if got := snap.Counters["engine.catalog.reused"]; got != wantReused {
+			t.Errorf("engine.catalog.reused = %d, want %d", got, wantReused)
+		}
+		if got := snap.Gauges["engine.catalog.files"]; got != int64(spec.Catalog.NumFiles) {
+			t.Errorf("engine.catalog.files = %d, want %d", got, spec.Catalog.NumFiles)
+		}
+		if wantReused == 0 && snap.Counters["engine.build.catalog_nanos"] == 0 {
+			t.Error("engine.build.catalog_nanos not recorded")
+		}
 	}
 }
 
