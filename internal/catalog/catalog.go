@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -336,6 +337,12 @@ func (c *Catalog) File(i int) File {
 	return File{Index: i, Hash: c.hash(i), Name: c.name(i), Size: c.sizes[i], Kind: Kind(c.kinds[i]), Weight: c.weight(i)}
 }
 
+// Entry returns what File(i) says of the file itself, its hash, name,
+// size and kind, without working out its popularity weight.
+func (c *Catalog) Entry(i int) (ed2k.Hash, string, int64, Kind) {
+	return c.hash(i), c.name(i), c.sizes[i], Kind(c.kinds[i])
+}
+
 // name starts where file i-1's ends, unless that is in an earlier chunk.
 func (c *Catalog) name(i int) string {
 	end := c.ends[i]
@@ -391,19 +398,23 @@ func (c *Catalog) SampleIndex(rng *rand.Rand) int {
 	return min(sort.SearchFloat64s(c.cum, x), c.Len()-1)
 }
 
-// SampleLibrary draws up to n distinct files, popularity-weighted: a
-// simulated peer's shared folder.
-func (c *Catalog) SampleLibrary(rng *rand.Rand, n int) []File {
-	n = min(n, c.Len())
-	out := make([]File, 0, n)
-	taken := make(map[int]bool, n)
-	for attempts := 0; len(out) < n && attempts < 20*n; attempts++ {
-		if i := c.SampleIndex(rng); !taken[i] {
-			taken[i] = true
-			out = append(out, c.File(i))
+// SampleDistinct fills buf with up to n distinct indices drawn as
+// SampleIndex draws them: below region when it narrows the catalog, in
+// at most 30 draws an index, else clamped to the catalog, in 20.
+func (c *Catalog) SampleDistinct(rng *rand.Rand, buf []int, n, region int) []int {
+	bound, perIndex := c.Len(), 20
+	if region > 0 && region < bound {
+		bound, perIndex = region, 30
+	} else {
+		n = min(n, bound)
+	}
+	buf = buf[:0]
+	for tries := perIndex * n; len(buf) < n && tries > 0; tries-- {
+		if i := c.SampleIndex(rng); i < bound && !slices.Contains(buf, i) {
+			buf = append(buf, i)
 		}
 	}
-	return out
+	return buf
 }
 
 // TopN returns the n most popular files (lowest indices).

@@ -304,25 +304,37 @@ func TestSampleIndexMatchesSampleColdly(t *testing.T) {
 func TestSampleLibraryDistinct(t *testing.T) {
 	c := Generate(small())
 	rng := rand.New(rand.NewSource(2))
-	lib := c.SampleLibrary(rng, 50)
+	lib := c.SampleDistinct(rng, nil, 50, 0)
 	if len(lib) != 50 {
 		t.Fatalf("library size %d", len(lib))
 	}
 	seen := map[int]bool{}
-	for _, f := range lib {
-		if seen[f.Index] {
-			t.Fatalf("duplicate file %d in library", f.Index)
+	for _, i := range lib {
+		if seen[i] {
+			t.Fatalf("duplicate file %d in library", i)
 		}
-		seen[f.Index] = true
+		seen[i] = true
 	}
 }
 
 func TestSampleLibraryClampsToCatalog(t *testing.T) {
 	c := Generate(Config{NumFiles: 10, Vocabulary: 50, PopularityExp: 0.9, Seed: 1})
 	rng := rand.New(rand.NewSource(3))
-	lib := c.SampleLibrary(rng, 100)
+	lib := c.SampleDistinct(rng, nil, 100, 0)
 	if len(lib) > 10 {
 		t.Errorf("library larger than catalog: %d", len(lib))
+	}
+}
+
+// Entry is File without the weight: the same hash, name, size and kind.
+func TestEntryMatchesFile(t *testing.T) {
+	c := Generate(small())
+	for i := 0; i < c.Len(); i += 37 {
+		f := c.File(i)
+		h, name, size, kind := c.Entry(i)
+		if h != f.Hash || name != f.Name || size != f.Size || kind != f.Kind {
+			t.Fatalf("Entry(%d) = %v %q %d %v, File says %v %q %d %v", i, h, name, size, kind, f.Hash, f.Name, f.Size, f.Kind)
+		}
 	}
 }
 

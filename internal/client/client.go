@@ -125,6 +125,8 @@ type Client struct {
 	setReqFileID *wire.SetReqFileID
 	startUpload  *wire.StartUploadReq
 
+	// shared and sharedByKey stay nil until the first Share: most
+	// simulated peers share nothing.
 	shared      []SharedFile
 	sharedByKey map[ed2k.Hash]int
 	// entries[i] is shared[i]'s wire entry, encoded on first need
@@ -157,7 +159,6 @@ func New(host transport.Host, cfg Config) *Client {
 			wire.StringTag(wire.TagName, cfg.Name),
 			wire.UintTag(wire.TagVersion, cfg.Version),
 		},
-		sharedByKey: make(map[ed2k.Hash]int),
 	}
 }
 
@@ -353,6 +354,10 @@ func (c *Client) entryList() []wire.FileEntry {
 // Share adds files to the shared list and announces new ones to the
 // server. Duplicates (by hash) are ignored.
 func (c *Client) Share(files ...SharedFile) {
+	if c.sharedByKey == nil {
+		c.sharedByKey = make(map[ed2k.Hash]int, len(files))
+		c.shared = make([]SharedFile, 0, len(files))
+	}
 	from := len(c.shared)
 	for _, f := range files {
 		if _, dup := c.sharedByKey[f.Hash]; dup {

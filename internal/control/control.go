@@ -19,7 +19,8 @@
 //     Envelope.Error (human-readable); the Link surfaces it as a
 //     *RemoteError.
 //   - Dead links. When the connection drops, every pending callback fails
-//     with ErrLinkClosed, and so does every later request on that Link.
+//     with ErrLinkClosed at once, in request order, those waiting out a
+//     retry backoff included; so does every later request on that Link.
 //     ErrLinkClosed matches transport.ErrClosed under errors.Is, so
 //     callers watching either sentinel agree.
 //   - Silence. With a Policy set (SetPolicy), each request attempt runs
@@ -42,7 +43,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/client"
@@ -303,10 +306,14 @@ type Policy struct {
 }
 
 // pendingReq is an in-flight request: its callback and, under a policy
-// deadline, the timer that expires the attempt.
+// deadline, the timer that expires the attempt. A request whose attempt
+// expired and that waits out its retry backoff stays under that
+// attempt's seq, waiting, with the backoff as its timer: a late answer
+// to the attempt is dropped, and a close fails the request at once.
 type pendingReq struct {
-	cb    func(Envelope, error)
-	timer transport.Timer
+	cb      func(Envelope, error)
+	timer   transport.Timer
+	waiting bool
 }
 
 // Link is the manager's connection to one honeypot agent.
@@ -380,7 +387,9 @@ func (l *Link) HandleClose(error) {
 		return
 	}
 	l.closed = true
-	for seq, p := range l.pending {
+	// Fail in seq order: each callback may schedule events.
+	for _, seq := range slices.Sorted(maps.Keys(l.pending)) {
+		p := l.pending[seq]
 		delete(l.pending, seq)
 		p.timer.Stop()
 		p.cb(Envelope{}, ErrLinkClosed)
@@ -394,7 +403,7 @@ func (l *Link) HandleMessage(m wire.Message) {
 		return // ignore garbage responses
 	}
 	p, ok := l.pending[env.Seq]
-	if !ok {
+	if !ok || p.waiting {
 		return // expired attempt's late answer; the retry owns the request now
 	}
 	delete(l.pending, env.Seq)
@@ -437,19 +446,24 @@ func (l *Link) send(typ string, body json.RawMessage, attempt int, cb func(Envel
 }
 
 // expire handles a per-attempt deadline firing: the attempt is
-// abandoned (its seq removed, so a late answer is dropped) and, if the
-// budget allows, re-issued after a jittered exponential backoff.
+// abandoned (its seq kept waiting, so a late answer is dropped) and, if
+// the budget allows, re-issued after a jittered exponential backoff.
 func (l *Link) expire(seq uint64, typ string, body json.RawMessage, attempt int, cb func(Envelope, error)) {
-	if _, ok := l.pending[seq]; !ok {
+	p, ok := l.pending[seq]
+	if !ok || p.waiting {
 		return // answered or failed before the timer ran
 	}
-	delete(l.pending, seq)
 	if attempt < l.policy.Attempts && !l.closed {
-		l.host.After(l.retryDelay(attempt), func() {
-			l.send(typ, body, attempt+1, cb)
+		p.waiting = true
+		p.timer = l.host.After(l.retryDelay(attempt), func() {
+			if l.pending[seq] == p {
+				delete(l.pending, seq)
+				l.send(typ, body, attempt+1, cb)
+			}
 		})
 		return
 	}
+	delete(l.pending, seq)
 	cb(Envelope{}, fmt.Errorf("control: %s to %s: no answer after %d attempt(s): %w",
 		typ, l.id, attempt, ErrTimeout))
 }

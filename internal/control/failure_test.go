@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -164,20 +165,72 @@ func TestRequestTimeoutExhaustsBudget(t *testing.T) {
 func TestLateReplyAfterExpiryIsDropped(t *testing.T) {
 	// An answer that arrives after its attempt expired must not reach
 	// the callback (the retry owns the request now) and must not confuse
-	// the retry's bookkeeping.
-	loop, fa, link := flakyWorld(t, 1, Policy{Timeout: 2 * time.Second, Attempts: 3, Backoff: time.Second})
-	fa.lag = 10 * time.Second // past the 2s deadline
+	// the retry's bookkeeping, whether it lands after the retry went out
+	// or while the request still waits out its backoff.
+	for _, tc := range []struct{ lag, backoff time.Duration }{
+		{10 * time.Second, time.Second},
+		{4 * time.Second, 20 * time.Second},
+	} {
+		loop, fa, link := flakyWorld(t, 1, Policy{Timeout: 2 * time.Second, Attempts: 3, Backoff: tc.backoff, BackoffMax: tc.backoff})
+		fa.lag = tc.lag // past the 2s deadline
+		calls := 0
+		var gotErr error
+		link.Status(func(_ honeypot.Status, err error) { calls++; gotErr = err })
+		loop.RunUntil(loop.Now().Add(5 * time.Minute))
+		if calls != 1 {
+			t.Fatalf("lag %v: callback ran %d times, want exactly once", tc.lag, calls)
+		}
+		if gotErr != nil {
+			t.Fatalf("lag %v: retried status: %v", tc.lag, gotErr)
+		}
+		if fa.seen != 2 {
+			t.Errorf("lag %v: agent saw %d requests, want 2 (expired + retry)", tc.lag, fa.seen)
+		}
+	}
+}
+
+// A request waiting out its retry backoff is still the link's: a close
+// fails it at once, at the close's sim time, and its backoff timer sends
+// nothing afterwards.
+func TestCloseFailsRequestInBackoff(t *testing.T) {
+	loop, fa, link := flakyWorld(t, 1<<30, Policy{
+		Timeout: 2 * time.Second, Attempts: 3, Backoff: 20 * time.Second, BackoffMax: 20 * time.Second,
+	})
 	calls := 0
-	var gotErr error
-	link.Status(func(_ honeypot.Status, err error) { calls++; gotErr = err })
+	var gotErr error = errNotCalled
+	var failedAt time.Time
+	link.Status(func(_ honeypot.Status, err error) { calls++; gotErr, failedAt = err, loop.Now() })
+	loop.RunUntil(loop.Now().Add(5 * time.Second)) // past the deadline, inside the 10-20 s backoff
+	if calls != 0 || fa.seen != 1 {
+		t.Fatalf("before the close: %d callbacks, %d requests seen; want 0 and 1", calls, fa.seen)
+	}
+	closedAt := loop.Now()
+	link.Close()
+	if calls != 1 || !errors.Is(gotErr, ErrLinkClosed) || !failedAt.Equal(closedAt) {
+		t.Fatalf("after the close: %d callbacks, last %v at %v; want one ErrLinkClosed at %v", calls, gotErr, failedAt, closedAt)
+	}
 	loop.RunUntil(loop.Now().Add(5 * time.Minute))
-	if calls != 1 {
-		t.Fatalf("callback ran %d times, want exactly once", calls)
+	if calls != 1 || fa.seen != 1 {
+		t.Errorf("after the backoff: %d callbacks, %d requests seen; want 1 and 1", calls, fa.seen)
 	}
-	if gotErr != nil {
-		t.Fatalf("retried status: %v", gotErr)
+}
+
+// A close fails its pending requests in the order they were made: each
+// callback may schedule events, so the order must not be a map's.
+func TestCloseFailsPendingInSeqOrder(t *testing.T) {
+	_, _, link := flakyWorld(t, 1<<30, Policy{})
+	var order []int
+	const n = 20
+	for i := range n {
+		link.Status(func(_ honeypot.Status, err error) {
+			if !errors.Is(err, ErrLinkClosed) {
+				t.Errorf("request %d failed with %v, want ErrLinkClosed", i, err)
+			}
+			order = append(order, i)
+		})
 	}
-	if fa.seen != 2 {
-		t.Errorf("agent saw %d requests, want 2 (expired + retry)", fa.seen)
+	link.Close()
+	if len(order) != n || !slices.IsSorted(order) {
+		t.Errorf("pending requests failed in order %v, want 0..%d", order, n-1)
 	}
 }

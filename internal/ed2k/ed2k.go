@@ -144,11 +144,13 @@ func HashBytes(data []byte) (Hash, []Hash) {
 // "repro/ed2k/synthetic:" + "catalog/<seed>/<i>/<name>" — in a stack
 // buffer and hashes that when a file is first read. A catalog test holds
 // the two together; change the prefix here and there at once.
-func SyntheticHash(seed string) Hash {
-	var h Hash
-	s := md4.Sum([]byte("repro/ed2k/synthetic:" + seed))
-	copy(h[:], s[:])
-	return h
+func SyntheticHash(seed string) Hash { return syntheticHash("", seed) }
+
+// syntheticHash is SyntheticHash(kind + seed), its preimage built in a
+// stack buffer.
+func syntheticHash(kind, seed string) Hash {
+	var buf [96]byte
+	return md4.Sum(append(append(append(buf[:0], "repro/ed2k/synthetic:"...), kind...), seed...))
 }
 
 // NewUserHash derives the stable cross-session user hash for a client from
@@ -156,7 +158,7 @@ func SyntheticHash(seed string) Hash {
 // determinism matters more here. Bytes 5 and 14 carry the conventional
 // eMule marker values so the hash is recognizable in logs.
 func NewUserHash(seed string) Hash {
-	h := SyntheticHash("user:" + seed)
+	h := syntheticHash("user:", seed)
 	h[5] = 14
 	h[14] = 111
 	return h

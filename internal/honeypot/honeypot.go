@@ -18,13 +18,16 @@
 package honeypot
 
 import (
+	"math/rand"
 	"net/netip"
+	"sync"
 	"time"
 
 	"repro/internal/anonymize"
 	"repro/internal/client"
 	"repro/internal/ed2k"
 	"repro/internal/logging"
+	"repro/internal/randsrc"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -117,11 +120,11 @@ type Honeypot struct {
 	stats      Stats
 	started    time.Time
 	greedyOver bool
-	// junkPool is pre-generated random content; SENDING-PART replies
-	// slice it instead of generating fresh bytes per block (the paper's
-	// honeypots stream random data; what matters behaviourally is that
-	// peers receive non-verifiable content, not that every byte is
-	// freshly random).
+	// junkPool is pre-generated random content, the process's one pool
+	// (junkPool); SENDING-PART replies slice it instead of generating
+	// fresh bytes per block (the paper's honeypots stream random data;
+	// what matters behaviourally is that peers receive non-verifiable
+	// content, not that every byte is freshly random).
 	junkPool []byte
 
 	// OnRecord, when set, observes every record as it is appended.
@@ -156,10 +159,36 @@ func New(host transport.Host, cfg Config) *Honeypot {
 	})
 	hp.cl.Acceptor = (*acceptor)(hp)
 	if cfg.Strategy == RandomContent {
-		hp.junkPool = make([]byte, 2*cfg.MaxPartBytes)
-		host.Rand().Read(hp.junkPool)
+		hp.junkPool = junkPool(2 * cfg.MaxPartBytes)
+		// The host's stream once filled the pool: advance it by the
+		// ⌈n/7⌉ Int63 draws that rand.Read spent on n bytes, so every
+		// later draw on it is the one it was.
+		rng := host.Rand()
+		for range (len(hp.junkPool) + 6) / 7 {
+			rng.Int63()
+		}
 	}
 	return hp
+}
+
+// junk is the process's random content, which every random-content
+// honeypot's SENDING-PART replies slice. It is generated from a fixed
+// seed and regenerated into a larger array when a honeypot asks for
+// more, so a slice once handed out is never written again.
+var junk struct {
+	sync.Mutex
+	pool []byte
+}
+
+// junkPool returns n bytes of the process's random content.
+func junkPool(n int) []byte {
+	junk.Lock()
+	defer junk.Unlock()
+	if len(junk.pool) < n {
+		junk.pool = make([]byte, n)
+		rand.New(randsrc.New(1)).Read(junk.pool)
+	}
+	return junk.pool[:n:n]
 }
 
 // Client exposes the underlying engine (examples and tests use it).

@@ -79,12 +79,11 @@ func (n *Network) NewHost(label string) *Host {
 
 func (n *Network) addHost(label string, addr netip.Addr) *Host {
 	h := &Host{
-		net:       n,
-		addr:      addr,
-		label:     label,
-		up:        true,
-		listeners: make(map[uint16]*listener),
-		nextPort:  50000,
+		net:      n,
+		addr:     addr,
+		label:    label,
+		up:       true,
+		nextPort: 50000,
 	}
 	n.hosts[addr] = h
 	return h
@@ -127,10 +126,10 @@ type Host struct {
 	addr      netip.Addr
 	label     string
 	up        bool
-	linkDown  bool       // uplink severed (host alive, unreachable)
-	rng       *rand.Rand // nil until the first Rand call
-	listeners map[uint16]*listener
-	conns     []*conn // open connections; conn.idx is the position here
+	linkDown  bool                 // uplink severed (host alive, unreachable)
+	rng       *rand.Rand           // nil until the first Rand call
+	listeners map[uint16]*listener // nil until the first Listen
+	conns     []*conn              // open connections; conn.idx is the position here
 	nextPort  uint16
 }
 
@@ -156,6 +155,9 @@ func (h *Host) Rand() *rand.Rand {
 // track and untrack keep h.conns: a slice, not a map, so that Crash and
 // SetLinkDown close connections in an order the history alone decides.
 func (h *Host) track(c *conn) {
+	if h.conns == nil {
+		h.conns = make([]*conn, 0, 4) // a peer keeps a few contacts open
+	}
 	c.idx = len(h.conns)
 	h.conns = append(h.conns, c)
 }
@@ -330,6 +332,9 @@ func (h *Host) Listen(port uint16, space wire.Space, accept func(transport.Conn)
 		return nil, fmt.Errorf("netsim: port %d already bound on %v", port, h.addr)
 	}
 	l := &listener{host: h, port: port, space: space, accept: accept}
+	if h.listeners == nil {
+		h.listeners = make(map[uint16]*listener, 1)
+	}
 	h.listeners[port] = l
 	return l, nil
 }
@@ -379,7 +384,7 @@ func (h *Host) Crash() {
 	for _, l := range h.listeners {
 		l.closed = true
 	}
-	h.listeners = make(map[uint16]*listener)
+	clear(h.listeners)
 }
 
 // Restart brings a crashed host back up with no listeners or connections

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/client"
 	"repro/internal/ed2k"
 	"repro/internal/netsim"
@@ -27,8 +26,10 @@ type srcState struct {
 
 // peer is one simulated eDonkey user.
 type peer struct {
-	pop   *Population
-	rng   *rand.Rand
+	pop *Population
+	// rng draws from src: both live in the peer, not behind pointers.
+	rng   rand.Rand
+	src   randsrc.Source
 	id    int
 	cl    *client.Client
 	lowID bool
@@ -60,13 +61,14 @@ func (p *Population) spawnPeer(rng *rand.Rand) {
 		pop:   p,
 		id:    id,
 		lowID: rng.Float64() < p.cfg.LowIDFraction,
-		wants: []TargetFile{target},
 	}
-	pe.rng = rand.New(randsrc.New(rng.Int63()))
+	pe.seed(rng.Int63())
+	// The wants list is sized once, after its length is drawn.
 	if p.cfg.WantsMax > 1 {
 		n := 1 + pe.rng.Intn(p.cfg.WantsMax)
+		pe.wants = append(make([]TargetFile, 0, n), target)
 		for len(pe.wants) < n {
-			t2, ok := p.pickTarget(pe.rng)
+			t2, ok := p.pickTarget(&pe.rng)
 			if !ok {
 				break
 			}
@@ -83,9 +85,12 @@ func (p *Population) spawnPeer(rng *rand.Rand) {
 			pe.wants = append(pe.wants, t2)
 		}
 	} else if p.cfg.SecondFileProb > 0 && pe.rng.Float64() < p.cfg.SecondFileProb {
-		if t2, ok := p.pickTarget(pe.rng); ok && t2.Hash != target.Hash {
-			pe.wants = append(pe.wants, t2)
+		if t2, ok := p.pickTarget(&pe.rng); ok && t2.Hash != target.Hash {
+			pe.wants = []TargetFile{target, t2}
 		}
+	}
+	if pe.wants == nil {
+		pe.wants = []TargetFile{target}
 	}
 	pe.start()
 }
@@ -103,8 +108,14 @@ func (p *Population) spawnHeavyHitter(rng *rand.Rand, idx int) {
 		heavy: true,
 		wants: []TargetFile{target},
 	}
-	pe.rng = rand.New(randsrc.New(rng.Int63() ^ int64(idx)))
+	pe.seed(rng.Int63() ^ int64(idx))
 	pe.start()
+}
+
+// seed starts the peer's random stream.
+func (pe *peer) seed(seed int64) {
+	pe.src.Seed(seed)
+	pe.rng = *rand.New(&pe.src)
 }
 
 // start creates the host/client and begins the first session.
@@ -158,30 +169,19 @@ func (pe *peer) start() {
 	pe.loginAndAsk()
 }
 
-// loadLibrary samples the peer's shared folder from the catalog.
+// loadLibrary shares a popularity-weighted library from LibraryRegion.
 func (pe *peer) loadLibrary() {
 	p := pe.pop
+	cat := p.cfg.Catalog
 	n := 1 + pe.rng.Intn(2*p.cfg.LibraryMean)
-	var files []catalog.File
-	if p.cfg.LibraryRegion > 0 && p.cfg.LibraryRegion < p.cfg.Catalog.Len() {
-		// Sample within the popular region: draw until inside.
-		files = make([]catalog.File, 0, n)
-		seen := map[int]bool{}
-		for tries := 0; len(files) < n && tries < 30*n; tries++ {
-			i := p.cfg.Catalog.SampleIndex(pe.rng)
-			if i < p.cfg.LibraryRegion && !seen[i] {
-				seen[i] = true
-				files = append(files, p.cfg.Catalog.File(i))
-			}
-		}
-	} else {
-		files = p.cfg.Catalog.SampleLibrary(pe.rng, n)
+	picked := cat.SampleDistinct(&pe.rng, p.libBuf, n, p.cfg.LibraryRegion)
+	shared := p.sharedBuf[:0]
+	for _, i := range picked {
+		h, name, size, kind := cat.Entry(i)
+		shared = append(shared, client.SharedFile{Hash: h, Name: name, Size: size, Type: kind.String()})
 	}
-	shared := make([]client.SharedFile, 0, len(files))
-	for _, f := range files {
-		shared = append(shared, client.SharedFile{Hash: f.Hash, Name: f.Name, Size: f.Size, Type: f.Kind.String()})
-	}
-	pe.cl.Share(shared...)
+	pe.cl.Share(shared...) // copies the list
+	p.libBuf, p.sharedBuf = picked[:0], shared[:0]
 }
 
 // sampleWindowStart picks the hour the peer's user comes online, biased
@@ -220,7 +220,9 @@ func (pe *peer) HandleConnected(ed2k.ClientID) {
 func (pe *peer) HandleSources(h ed2k.Hash, srcs []wire.Endpoint) {
 	p := pe.pop
 	pe.asked++
-	eps := make([]netip.AddrPort, 0, len(srcs))
+	// The hash's gossip list is rebuilt in place: setSources copies
+	// what it keeps.
+	eps := p.gossip[h][:0]
 	for _, s := range srcs {
 		if ap := s.AddrPort(); ap.IsValid() {
 			eps = append(eps, ap)

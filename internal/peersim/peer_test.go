@@ -9,10 +9,9 @@ import (
 // newBarePeer builds a peer with just enough state for unit-testing the
 // pure decision logic.
 func newBarePeer(cfg Config, seed int64) *peer {
-	return &peer{
-		pop: &Population{cfg: cfg},
-		rng: rand.New(rand.NewSource(seed)),
-	}
+	pe := &peer{pop: &Population{cfg: cfg}}
+	pe.seed(seed)
+	return pe
 }
 
 func addrN(i int) netip.AddrPort {

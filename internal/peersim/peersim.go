@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/client"
 	"repro/internal/ed2k"
 	"repro/internal/netsim"
 )
@@ -55,6 +56,8 @@ type Config struct {
 	Servers []netip.AddrPort
 	// Targets returns the currently advertised files; re-polled every
 	// RefreshTargets (the greedy honeypot's list grows during day one).
+	// The population reads a returned list only until the next call, so
+	// a Targets function may rewrite the list it returned last.
 	Targets func() []TargetFile
 	// RefreshTargets is the target-list refresh period.
 	RefreshTargets time.Duration
@@ -207,11 +210,13 @@ type Population struct {
 	stopped   bool
 	clientTag []string
 	// Scratch a peer's step reuses: nothing keeps them past the call.
-	nameBuf   []byte           // a spawned peer's name (start)
-	targetBuf []*srcState      // a round's sources to contact (round)
-	remainBuf []int            // sources not yet drawn (setSources)
-	weightBuf []float64        // each position's draw weight (setSources)
-	addedBuf  []netip.AddrPort // sources a call adds (setSources)
+	nameBuf   []byte              // a spawned peer's name (start)
+	targetBuf []*srcState         // a round's sources to contact (round)
+	remainBuf []int               // sources not yet drawn (setSources)
+	weightBuf []float64           // each position's draw weight (setSources)
+	addedBuf  []netip.AddrPort    // sources a call adds (setSources)
+	libBuf    []int               // a library's catalog indices (loadLibrary)
+	sharedBuf []client.SharedFile // a library, before Share copies it
 
 	// The arrival process: the host its events run on and its stream.
 	clock    *netsim.Host

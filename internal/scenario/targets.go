@@ -142,10 +142,17 @@ func buildAdvertisedRampTargets(env *Env, ws WorkloadSpec) (func() []peersim.Tar
 
 	hpHost := hp.Client().Host()
 	addedAt := map[ed2k.Hash]time.Time{}
+	// Each refresh rewrites the last one's list (peersim reads a list
+	// only until its next refresh) and extends the rank weights table.
+	var out []peersim.TargetFile
+	var weights []float64
 	fn := func() []peersim.TargetFile {
 		now := hpHost.Now()
 		adv := hp.Advertised()
-		out := make([]peersim.TargetFile, 0, len(adv))
+		for len(weights) < len(adv) {
+			weights = append(weights, rankWeight(len(weights), ts.Exp))
+		}
+		out = out[:0]
 		for i, f := range adv {
 			t0, seen := addedAt[f.Hash]
 			if !seen {
@@ -158,7 +165,7 @@ func buildAdvertisedRampTargets(env *Env, ws WorkloadSpec) (func() []peersim.Tar
 			}
 			out = append(out, peersim.TargetFile{
 				Hash: f.Hash, Name: f.Name, Size: f.Size,
-				Weight: rankWeight(i, ts.Exp) * r,
+				Weight: weights[i] * r,
 			})
 		}
 		return out
