@@ -342,13 +342,20 @@ func (f *Frame) GroupDistinctPeers(groupOf map[string]string, kind logging.Kind,
 
 // GroupMessageCounts computes Fig 7 from the frame.
 func (f *Frame) GroupMessageCounts(groupOf map[string]string, kind logging.Kind, start time.Time, days int) GroupSeries {
+	return f.groupDailyCounts(groupOf, kind, start, days, false, NoPeer)
+}
+
+// groupDailyCounts counts kind's records per group and day from start,
+// cumulated. With onePeer it counts only the records of peer symbol
+// peer (NoPeer: the records without a peer).
+func (f *Frame) groupDailyCounts(groupOf map[string]string, kind logging.Kind, start time.Time, days int, onePeer bool, peer uint32) GroupSeries {
 	hpGroup, names := f.groupIndex(groupOf)
 	startNs := start.UnixNano()
 	dayNs := int64(Day)
 	k8 := uint8(kind)
 	perDay := make([][]int, len(names))
 	for i, k := range f.kinds {
-		if k != k8 {
+		if k != k8 || onePeer && f.peers[i] != peer {
 			continue
 		}
 		gi := hpGroup[f.hps[i]]
@@ -413,42 +420,10 @@ func (f *Frame) TopPeerSeries(groupOf map[string]string, peer string, kind loggi
 	if !ok && id.UnmarshalText([]byte(peer)) == nil {
 		target, ok = f.peerTab.Lookup(id)
 	}
-	hpGroup, names := f.groupIndex(groupOf)
-	startNs := start.UnixNano()
-	dayNs := int64(Day)
-	k8 := uint8(kind)
-	perDay := make([][]int, len(names))
-	if ok {
-		for i, k := range f.kinds {
-			if k != k8 || f.peers[i] != target {
-				continue
-			}
-			gi := hpGroup[f.hps[i]]
-			if gi < 0 {
-				continue
-			}
-			t := f.times[i]
-			if t < startNs {
-				continue
-			}
-			d := (t - startNs) / dayNs
-			if d >= int64(days) {
-				continue
-			}
-			if perDay[gi] == nil {
-				perDay[gi] = make([]int, days)
-			}
-			perDay[gi][d]++
-		}
+	if !ok {
+		return GroupSeries{Days: dayAxis(days), Groups: map[string][]int{}}
 	}
-	out := GroupSeries{Days: dayAxis(days), Groups: map[string][]int{}}
-	for gi, xs := range perDay {
-		if xs == nil {
-			continue
-		}
-		out.Groups[names[gi]] = stats.CumulativeInts(xs)
-	}
-	return out
+	return f.groupDailyCounts(groupOf, kind, start, days, true, target)
 }
 
 // peerSetCollector accumulates distinct step-2 peer numbers per unit

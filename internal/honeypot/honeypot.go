@@ -73,16 +73,19 @@ type Config struct {
 	GreedyWindow time.Duration
 	// GreedyMaxFiles caps adopted files (0 = unlimited).
 	GreedyMaxFiles int
-	// KeepAlive is the server keep-alive interval.
-	KeepAlive time.Duration
-	// MaxPartBytes caps bytes served per SENDING-PART reply.
-	MaxPartBytes int
 	// Sink receives every record as it is produced. Mandatory: in every
 	// deployment it is a logstore shard, which the manager collects from
 	// by checkpoint (or owns outright, for an in-process honeypot whose
 	// shard lives in the manager's own store).
 	Sink logging.Sink
 }
+
+const (
+	// keepAlive is the server keep-alive interval.
+	keepAlive = 30 * time.Minute
+	// maxPartBytes caps bytes served per SENDING-PART reply.
+	maxPartBytes = ed2k.BlockSize
+)
 
 // Stats counts honeypot activity.
 type Stats struct {
@@ -139,12 +142,6 @@ func New(host transport.Host, cfg Config) *Honeypot {
 	if cfg.Sink == nil {
 		panic("honeypot: a record sink is mandatory")
 	}
-	if cfg.MaxPartBytes <= 0 {
-		cfg.MaxPartBytes = ed2k.BlockSize
-	}
-	if cfg.KeepAlive <= 0 {
-		cfg.KeepAlive = 30 * time.Minute
-	}
 	hp := &Honeypot{
 		cfg:       cfg,
 		hasher:    anonymize.NewIPHasher(cfg.Secret),
@@ -155,11 +152,11 @@ func New(host transport.Host, cfg Config) *Honeypot {
 		UserHash:   ed2k.NewUserHash("honeypot/" + cfg.ID),
 		Port:       cfg.Port,
 		Browseable: false, // honeypots do not expose their own fake list to browsing
-		KeepAlive:  cfg.KeepAlive,
+		KeepAlive:  keepAlive,
 	})
 	hp.cl.Acceptor = (*acceptor)(hp)
 	if cfg.Strategy == RandomContent {
-		hp.junkPool = junkPool(2 * cfg.MaxPartBytes)
+		hp.junkPool = junkPool()
 		// The host's stream once filled the pool: advance it by the
 		// ⌈n/7⌉ Int63 draws that rand.Read spent on n bytes, so every
 		// later draw on it is the one it was.
@@ -172,23 +169,17 @@ func New(host transport.Host, cfg Config) *Honeypot {
 }
 
 // junk is the process's random content, which every random-content
-// honeypot's SENDING-PART replies slice. It is generated from a fixed
-// seed and regenerated into a larger array when a honeypot asks for
-// more, so a slice once handed out is never written again.
+// honeypot's SENDING-PART replies slice: two parts' worth, generated
+// once from a fixed seed and never written again.
 var junk struct {
-	sync.Mutex
-	pool []byte
+	once sync.Once
+	pool [2 * maxPartBytes]byte
 }
 
-// junkPool returns n bytes of the process's random content.
-func junkPool(n int) []byte {
-	junk.Lock()
-	defer junk.Unlock()
-	if len(junk.pool) < n {
-		junk.pool = make([]byte, n)
-		rand.New(randsrc.New(1)).Read(junk.pool)
-	}
-	return junk.pool[:n:n]
+// junkPool returns the process's random content.
+func junkPool() []byte {
+	junk.once.Do(func() { rand.New(randsrc.New(1)).Read(junk.pool[:]) })
+	return junk.pool[:]
 }
 
 // Client exposes the underlying engine (examples and tests use it).
@@ -362,8 +353,8 @@ func (hp *Honeypot) sendRandomParts(ps *client.PeerSession, req *wire.RequestPar
 	rng := hp.cl.Host().Rand()
 	for start, end := range req.Ranges() {
 		n := int(end - start)
-		if n > hp.cfg.MaxPartBytes {
-			n = hp.cfg.MaxPartBytes
+		if n > maxPartBytes {
+			n = maxPartBytes
 		}
 		off := rng.Intn(len(hp.junkPool) - n + 1)
 		ps.SendPart(req.Hash, start, start+uint32(n), hp.junkPool[off:off+n])

@@ -16,6 +16,46 @@ import (
 	"repro/internal/wire"
 )
 
+// The behaviour model, calibrated against the paper's aggregate
+// statistics. These are not parameters of a campaign: the paper's
+// parameters are its duration, its fleet and its advertised files.
+const (
+	// secondFileProb is the chance a peer wants a second target file
+	// (used when WantsMax is 0).
+	secondFileProb = 0.20
+	// retryInterval paces re-contacts while the download is incomplete.
+	retryInterval = 30 * time.Minute
+	// attemptsSilent and attemptsContent are the per-source contact
+	// budgets before implicit blacklisting — the asymmetry at the heart
+	// of the paper's strategy comparison.
+	attemptsSilent  = 3
+	attemptsContent = 4
+	// quitAfterHardFails abandons the download after this many
+	// consecutive totally-silent contacts.
+	quitAfterHardFails = 3
+	// abandonAfterJunk is the chance a peer gives up on the file
+	// completely once a content-bearing source turns out to serve junk
+	// (its "download" finished but failed verification).
+	abandonAfterJunk = 0.6
+	// partTimeout is the wait for a SENDING-PART before giving up on a
+	// request (constant, hence the smooth no-content curves of Fig 9).
+	partTimeout = 40 * time.Second
+	// reqSilentMin/Max and reqContentMin/Max bound REQUEST-PART messages
+	// per contact for silent and content-bearing sources.
+	reqSilentMin, reqSilentMax   = 3, 5
+	reqContentMin, reqContentMax = 2, 4
+	// activeHours is the user's daily online window length.
+	activeHours = 10 * time.Hour
+	// extraDaysMean is the mean number of additional days a peer keeps
+	// retrying (geometric).
+	extraDaysMean = 1.5
+	// heavyFollowUp is the chance a heavy hitter immediately re-contacts
+	// a source that just delivered data ("as fast as it can, provided
+	// the previous query finished" — and content queries finish fast,
+	// the paper's explanation for Figs 8-9's group asymmetry).
+	heavyFollowUp = 0.35
+)
+
 // srcState tracks one peer's relationship with one source.
 type srcState struct {
 	addr        netip.AddrPort
@@ -84,7 +124,7 @@ func (p *Population) spawnPeer(rng *rand.Rand) {
 			}
 			pe.wants = append(pe.wants, t2)
 		}
-	} else if p.cfg.SecondFileProb > 0 && pe.rng.Float64() < p.cfg.SecondFileProb {
+	} else if pe.rng.Float64() < secondFileProb {
 		if t2, ok := p.pickTarget(&pe.rng); ok && t2.Hash != target.Hash {
 			pe.wants = []TargetFile{target, t2}
 		}
@@ -155,7 +195,7 @@ func (pe *peer) start() {
 	pe.windowStartHour = pe.sampleWindowStart()
 	now := host.Now()
 	pe.lastDayStart = now
-	pe.activeUntil = now.Add(time.Duration(p.cfg.ActiveHours * float64(time.Hour)))
+	pe.activeUntil = now.Add(activeHours)
 
 	// Peer-exchange arrivals skip the server when gossip knows sources.
 	if pe.rng.Float64() < p.cfg.PeerExchangeFraction {
@@ -190,12 +230,12 @@ func (pe *peer) sampleWindowStart() float64 {
 	p := pe.pop
 	for i := 0; i < 8; i++ {
 		h := pe.rng.Float64() * 24
-		w := 1 + p.cfg.DiurnalAmplitude*math.Cos(2*math.Pi*(h-p.cfg.PeakHour)/24)
+		w := 1 + p.cfg.DiurnalAmplitude*math.Cos(2*math.Pi*(h-peakHour)/24)
 		if pe.rng.Float64()*(1+p.cfg.DiurnalAmplitude) < w {
 			return h
 		}
 	}
-	return p.cfg.PeakHour
+	return peakHour
 }
 
 // loginAndAsk connects to the peer's directory server and requests
@@ -333,7 +373,7 @@ func (pe *peer) nextAction(delay time.Duration) {
 		if !pe.scheduleNextDay() {
 			return
 		}
-		delay = pe.activeUntil.Add(-time.Duration(pe.pop.cfg.ActiveHours * float64(time.Hour))).Sub(host.Now())
+		delay = pe.activeUntil.Add(-activeHours).Sub(host.Now())
 		if delay < 0 {
 			delay = 0
 		}
@@ -347,8 +387,7 @@ func roundEvent(recv, _ any) { recv.(*peer).round() }
 // scheduleNextDay decides whether the user comes back tomorrow; heavy
 // hitters always return (after a plateau-inducing pause).
 func (pe *peer) scheduleNextDay() bool {
-	p := pe.pop
-	cont := p.cfg.ExtraDaysMean / (1 + p.cfg.ExtraDaysMean)
+	cont := extraDaysMean / (1 + extraDaysMean)
 	if pe.heavy {
 		cont = 1.0
 	}
@@ -362,7 +401,7 @@ func (pe *peer) scheduleNextDay() bool {
 	}
 	pe.lastDayStart = pe.lastDayStart.Add(time.Duration(skip) * 24 * time.Hour)
 	start := pe.lastDayStart
-	winLen := time.Duration(p.cfg.ActiveHours * float64(time.Hour))
+	winLen := activeHours
 	if pe.heavy {
 		winLen = 16 * time.Hour
 	}
@@ -435,7 +474,7 @@ func (pe *peer) round() {
 	}
 	clear(targets)
 	pe.pop.targetBuf = targets[:0]
-	retry := pe.pop.cfg.RetryInterval
+	retry := retryInterval
 	if pe.heavy {
 		retry = pe.pop.cfg.HeavyHitterRetry
 	}
@@ -482,7 +521,7 @@ func (c *contact) HandlePeerDial(ps *client.PeerSession, err error) {
 	ps.SetHandler(c)
 	ps.SendHello()
 	// Whole-contact guard: if the handshake itself stalls, give up.
-	pe.cl.Host().AfterCall(pe.pop.cfg.PartTimeout*time.Duration(c.budget+2), guardEvent, c, nil)
+	pe.cl.Host().AfterCall(partTimeout*time.Duration(c.budget+2), guardEvent, c, nil)
 }
 
 func (c *contact) HandleHelloAnswer(client.PeerInfo) { c.ps.StartUpload(c.want.Hash) }
@@ -518,7 +557,7 @@ func (c *contact) step() {
 	c.ps.RequestParts(c.want.Hash, [2]uint32{start, start + uint32(ed2k.BlockSize)})
 	// Arm the part timeout: constant for silent sources (this is what
 	// makes the no-content curves smooth).
-	c.timeout = c.pe.cl.Host().AfterCall(c.pe.pop.cfg.PartTimeout, stepEvent, c, nil)
+	c.timeout = c.pe.cl.Host().AfterCall(partTimeout, stepEvent, c, nil)
 }
 
 func (c *contact) finish() {
@@ -542,19 +581,10 @@ func guardEvent(recv, _ any) {
 // reqBudget draws the REQUEST-PART budget for one contact, larger when
 // the source has been feeding us data. Heavy hitters pipeline uniformly.
 func (pe *peer) reqBudget(s *srcState) int {
-	p := pe.pop
 	if s.gotData && !pe.heavy {
-		span := p.cfg.ReqContentMax - p.cfg.ReqContentMin
-		if span <= 0 {
-			return p.cfg.ReqContentMin
-		}
-		return p.cfg.ReqContentMin + pe.rng.Intn(span+1)
+		return reqContentMin + pe.rng.Intn(reqContentMax-reqContentMin+1)
 	}
-	span := p.cfg.ReqSilentMax - p.cfg.ReqSilentMin
-	if span <= 0 {
-		return p.cfg.ReqSilentMin
-	}
-	return p.cfg.ReqSilentMin + pe.rng.Intn(span+1)
+	return reqSilentMin + pe.rng.Intn(reqSilentMax-reqSilentMin+1)
 }
 
 // contactDone applies the blacklisting and quitting rules.
@@ -566,7 +596,7 @@ func (pe *peer) contactDone(s *srcState, hard bool) {
 	if hard {
 		p.stats.HardFails++
 		pe.hardFails++
-		if !pe.heavy && s.attempts >= p.cfg.AttemptsSilent {
+		if !pe.heavy && s.attempts >= attemptsSilent {
 			s.blacklisted = true
 			p.stats.Blacklists++
 		}
@@ -576,23 +606,23 @@ func (pe *peer) contactDone(s *srcState, hard bool) {
 			// Heavy hitters chain queries to responsive sources: a
 			// content query completes quickly, so the next one starts
 			// right away (the paper's Figs 8-9 asymmetry).
-			if pe.rng.Float64() < p.cfg.HeavyFollowUp {
+			if pe.rng.Float64() < heavyFollowUp {
 				gap := time.Duration(1+pe.rng.Intn(3)) * time.Minute
 				pe.cl.Host().AfterCall(gap, followUpEvent, pe, s)
 			}
-		} else if s.attempts >= p.cfg.AttemptsContent {
+		} else if s.attempts >= attemptsContent {
 			s.blacklisted = true
 			p.stats.Blacklists++
 			// The peer "completed" chunks of junk and the hash check
 			// failed: many users give up on the file entirely instead of
 			// hunting further sources.
-			if pe.rng.Float64() < p.cfg.AbandonAfterJunk {
+			if pe.rng.Float64() < abandonAfterJunk {
 				pe.quit()
 				return
 			}
 		}
 	}
-	if !pe.heavy && pe.hardFails >= p.cfg.QuitAfterHardFails {
+	if !pe.heavy && pe.hardFails >= quitAfterHardFails {
 		pe.quit()
 	}
 }

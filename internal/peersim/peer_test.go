@@ -129,22 +129,21 @@ func TestSetSourcesAllocs(t *testing.T) {
 }
 
 func TestReqBudgetRanges(t *testing.T) {
-	cfg := DefaultConfig()
-	pe := newBarePeer(cfg, 4)
+	pe := newBarePeer(DefaultConfig(), 4)
 	silent := &srcState{}
 	content := &srcState{gotData: true}
 	for i := 0; i < 200; i++ {
-		if b := pe.reqBudget(silent); b < cfg.ReqSilentMin || b > cfg.ReqSilentMax {
-			t.Fatalf("silent budget %d outside [%d,%d]", b, cfg.ReqSilentMin, cfg.ReqSilentMax)
+		if b := pe.reqBudget(silent); b < reqSilentMin || b > reqSilentMax {
+			t.Fatalf("silent budget %d outside [%d,%d]", b, reqSilentMin, reqSilentMax)
 		}
-		if b := pe.reqBudget(content); b < cfg.ReqContentMin || b > cfg.ReqContentMax {
-			t.Fatalf("content budget %d outside [%d,%d]", b, cfg.ReqContentMin, cfg.ReqContentMax)
+		if b := pe.reqBudget(content); b < reqContentMin || b > reqContentMax {
+			t.Fatalf("content budget %d outside [%d,%d]", b, reqContentMin, reqContentMax)
 		}
 	}
 	// Heavy hitters pipeline uniformly: content sources use silent range.
 	pe.heavy = true
 	for i := 0; i < 50; i++ {
-		if b := pe.reqBudget(content); b < cfg.ReqSilentMin || b > cfg.ReqSilentMax {
+		if b := pe.reqBudget(content); b < reqSilentMin || b > reqSilentMax {
 			t.Fatalf("heavy content budget %d outside silent range", b)
 		}
 	}
@@ -185,7 +184,6 @@ func TestPickTargetEmpty(t *testing.T) {
 func TestSampleWindowStartBiasedTowardPeak(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DiurnalAmplitude = 0.9
-	cfg.PeakHour = 15
 	pe := newBarePeer(cfg, 6)
 	near, far := 0, 0
 	for i := 0; i < 3000; i++ {
@@ -193,7 +191,7 @@ func TestSampleWindowStartBiasedTowardPeak(t *testing.T) {
 		if h < 0 || h >= 24 {
 			t.Fatalf("window start %v out of range", h)
 		}
-		d := h - 15
+		d := h - peakHour
 		if d < 0 {
 			d = -d
 		}

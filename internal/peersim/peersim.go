@@ -73,10 +73,8 @@ type Config struct {
 	// WarmupDelay suppresses arrivals right after start (the paper saw
 	// its first query after ten minutes).
 	WarmupDelay time.Duration
-	// DiurnalAmplitude (0..1) is the day/night swing; PeakHour is the
-	// local hour of maximal activity.
+	// DiurnalAmplitude (0..1) is the day/night swing around peakHour.
 	DiurnalAmplitude float64
-	PeakHour         float64
 
 	// LowIDFraction of peers cannot listen (NAT); BrowseableFraction
 	// expose their shared list; PeerExchangeFraction learn sources by
@@ -92,11 +90,8 @@ type Config struct {
 	LibraryMean   int
 	LibraryRegion int
 
-	// SecondFileProb is the chance a peer wants a second target file
-	// (used when WantsMax is 0).
-	SecondFileProb float64
 	// WantsMax, when positive, draws the number of wanted files
-	// uniformly from 1..WantsMax instead of the SecondFileProb rule.
+	// uniformly from 1..WantsMax instead of the secondFileProb rule.
 	// The greedy campaign uses it: its per-file peer sums imply peers
 	// asked for ≈3 files on average.
 	WantsMax int
@@ -109,47 +104,18 @@ type Config struct {
 	// This produces the large per-honeypot spread of the paper's Fig 10
 	// (one honeypot saw 37k peers, another 13k).
 	SourceOrderBias float64
-	// RetryInterval paces re-contacts while the download is incomplete.
-	RetryInterval time.Duration
-	// AttemptsSilent and AttemptsContent are the per-source contact
-	// budgets before implicit blacklisting — the asymmetry at the heart
-	// of the paper's strategy comparison.
-	AttemptsSilent  int
-	AttemptsContent int
-	// QuitAfterHardFails abandons the download after this many
-	// consecutive totally-silent contacts.
-	QuitAfterHardFails int
-	// AbandonAfterJunk is the chance a peer gives up on the file
-	// completely once a content-bearing source turns out to serve junk
-	// (its "download" finished but failed verification).
-	AbandonAfterJunk float64
-	// PartTimeout is the wait for a SENDING-PART before giving up on a
-	// request (constant, hence the smooth no-content curves of Fig 9).
-	PartTimeout time.Duration
-	// ReqSilentMin/Max and ReqContentMin/Max bound REQUEST-PART messages
-	// per contact for silent and content-bearing sources.
-	ReqSilentMin, ReqSilentMax   int
-	ReqContentMin, ReqContentMax int
-	// ActiveHours is the user's daily online window length.
-	ActiveHours float64
-	// ExtraDaysMean is the mean number of additional days a peer keeps
-	// retrying (geometric).
-	ExtraDaysMean float64
 
 	// HeavyHitters is the number of crawler-like peers that contact every
 	// source as fast as they can, forever, with occasional long pauses.
 	HeavyHitters int
 	// HeavyHitterRetry paces heavy-hitter rounds.
 	HeavyHitterRetry time.Duration
-	// HeavyFollowUp is the chance a heavy hitter immediately re-contacts
-	// a source that just delivered data ("as fast as it can, provided
-	// the previous query finished" — and content queries finish fast,
-	// the paper's explanation for Figs 8-9's group asymmetry).
-	HeavyFollowUp float64
 }
 
-// DefaultConfig returns behaviour parameters calibrated against the
-// paper's aggregate statistics.
+// DefaultConfig returns the population's tunable defaults. The
+// behaviour model the paper's statistics calibrate is not tunable: it
+// is the constants beside the code that reads them (peakHour below, the
+// contact budgets and retry pacing in peer.go).
 func DefaultConfig() Config {
 	return Config{
 		RefreshTargets:          time.Hour,
@@ -158,29 +124,14 @@ func DefaultConfig() Config {
 		DecayPerDay:             1.0,
 		WarmupDelay:             10 * time.Minute,
 		DiurnalAmplitude:        0.65,
-		PeakHour:                15.0,
 		LowIDFraction:           0.25,
 		BrowseableFraction:      0.30,
 		PeerExchangeFraction:    0.05,
 		LibraryMean:             15,
-		SecondFileProb:          0.20,
 		MaxSourcesPerPeer:       10,
 		SourceOrderBias:         0.95,
-		RetryInterval:           30 * time.Minute,
-		AttemptsSilent:          3,
-		AttemptsContent:         4,
-		QuitAfterHardFails:      3,
-		AbandonAfterJunk:        0.6,
-		PartTimeout:             40 * time.Second,
-		ReqSilentMin:            3,
-		ReqSilentMax:            5,
-		ReqContentMin:           2,
-		ReqContentMax:           4,
-		ActiveHours:             10,
-		ExtraDaysMean:           1.5,
 		HeavyHitters:            0,
 		HeavyHitterRetry:        45 * time.Minute,
-		HeavyFollowUp:           0.35,
 	}
 }
 
@@ -344,11 +295,15 @@ func (p *Population) peakRatePerSec() float64 {
 	return perDay / 86400
 }
 
-// diurnal is the day/night modulation: cosine with a configurable peak
-// hour, mimicking the European activity profile of Fig 4.
+// peakHour is the local hour of maximal activity, calibrated against
+// the paper's Fig 4.
+const peakHour = 15.0
+
+// diurnal is the day/night modulation: cosine peaking at peakHour,
+// mimicking the European activity profile of Fig 4.
 func (p *Population) diurnal(t time.Time) float64 {
 	h := float64(t.Hour()) + float64(t.Minute())/60
-	phase := 2 * math.Pi * (h - p.cfg.PeakHour) / 24
+	phase := 2 * math.Pi * (h - peakHour) / 24
 	return 1 + p.cfg.DiurnalAmplitude*math.Cos(phase)
 }
 

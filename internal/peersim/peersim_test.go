@@ -381,7 +381,6 @@ func TestNoSourcesMeansQuietQuit(t *testing.T) {
 func TestDiurnalRateShape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DiurnalAmplitude = 0.5
-	cfg.PeakHour = 15
 	p := &Population{cfg: cfg}
 	peak := p.diurnal(time.Date(2008, 10, 1, 15, 0, 0, 0, time.UTC))
 	trough := p.diurnal(time.Date(2008, 10, 1, 3, 0, 0, 0, time.UTC))

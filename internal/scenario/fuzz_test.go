@@ -16,7 +16,8 @@ import (
 // memory or looping, a duration that fits a time.Duration, finite
 // arrival intensities within MaxArrivalsPerDay (on its first day and,
 // decay applied, on its last) and MaxTargetWeight, finite rank weights,
-// and must survive a marshal/unmarshal round trip with its JSON form
+// servers, library means, wants and heavy hitters within their Max
+// bounds, and must survive a marshal/unmarshal round trip with its JSON form
 // unchanged.
 func FuzzSpecJSON(f *testing.F) {
 	for _, name := range Names() {
@@ -46,6 +47,13 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"x","days":106752,"scale":1,"catalog":{"NumFiles":10},"topology":{"servers":1},` +
 		`"fleet":[{"id":"a","strategy":"no-content","files":{"kind":"four-bait"}}],` +
 		`"workloads":[{"label":"w","arrivals_per_day":10,"decay_per_day":1e6,"targets":{"kind":"advertised-ramp","exp":-1000}}]}`))
+	// Counts that size what the engine builds: a library mean whose
+	// double overflows Intn, and wants, heavy hitters and servers no
+	// process can allocate.
+	f.Add([]byte(`{"name":"x","days":1,"scale":0.05,"catalog":{"NumFiles":10},"topology":{"servers":1000000000},` +
+		`"fleet":[{"id":"a","strategy":"no-content","files":{"kind":"four-bait"}}],` +
+		`"workloads":[{"label":"w","arrivals_per_day":10,"library_mean":4611686018427387904,` +
+		`"wants_max":1000000000,"heavy_hitters":1000000000,"targets":{"kind":"static"}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec Spec
 		if json.Unmarshal(data, &spec) != nil {
@@ -63,6 +71,9 @@ func FuzzSpecJSON(f *testing.F) {
 		if v := spec.Catalog.Vocabulary; v > catalog.MaxVocabulary {
 			t.Fatalf("accepted catalog.vocabulary %d above %d", v, catalog.MaxVocabulary)
 		}
+		if n := spec.Topology.Servers; n > MaxServers {
+			t.Fatalf("accepted topology.servers %d above %d", n, MaxServers)
+		}
 		for _, w := range spec.Workloads {
 			if !finite(spec.Scale) || !finite(w.ArrivalsPerDay) || !finite(w.DecayPerDay) || !finite(w.Targets.Exp) {
 				t.Fatalf("accepted a non-finite intensity: scale %g, workload %+v", spec.Scale, w)
@@ -74,6 +85,10 @@ func FuzzSpecJSON(f *testing.F) {
 				if last := spec.Scale * w.ArrivalsPerDay * math.Pow(w.DecayPerDay, float64(spec.Days-1)); last > MaxArrivalsPerDay {
 					t.Fatalf("accepted decay %g growing to %g arrivals a day, above %d", w.DecayPerDay, last, MaxArrivalsPerDay)
 				}
+			}
+			if w.LibraryMean > MaxLibraryMean || w.WantsMax > MaxWants || w.HeavyHitters > MaxHeavyHitters {
+				t.Fatalf("accepted a count above its bound: library_mean %d, wants_max %d, heavy_hitters %d",
+					w.LibraryMean, w.WantsMax, w.HeavyHitters)
 			}
 			ranks := max(spec.Catalog.NumFiles, w.Targets.NormFiles)
 			if wgt := rankWeight(ranks-1, w.Targets.Exp); !finite(wgt) {

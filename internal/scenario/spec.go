@@ -304,6 +304,26 @@ const (
 	MaxTargetWeight = 100
 )
 
+// Bounds on a spec's counts: each sizes what the engine builds, so an
+// unbounded one exhausts memory or overflows. Each is 100 times the
+// largest value a registered scenario uses.
+const (
+	// MaxServers bounds topology.servers: the world builds one host and
+	// one directory server each. federation-mixed uses 3.
+	MaxServers = 100 * 3
+	// MaxLibraryMean bounds each workload's library_mean: a browseable
+	// peer shares up to 2 × library_mean files, and a larger mean
+	// overflows that product. The paper campaigns use at most 15.
+	MaxLibraryMean = 100 * 15
+	// MaxWants bounds each workload's wants_max: every peer reserves
+	// room for up to that many wanted files. greedy uses 5.
+	MaxWants = 100 * 5
+	// MaxHeavyHitters bounds each workload's heavy_hitters: each one is
+	// a peer scheduled at start that never leaves. The registered
+	// scenarios use at most 1.
+	MaxHeavyHitters = 100 * 1
+)
+
 // FieldError reports one invalid spec field. Validate wraps every
 // problem it finds in one of these, so callers can tell exactly which
 // knob is wrong (errors.As unwraps them through the joined error).
@@ -340,6 +360,8 @@ func (s Spec) Validate() error {
 	}
 	if s.Topology.Servers < 1 {
 		bad("topology.servers", "must be at least 1, got %d", s.Topology.Servers)
+	} else if s.Topology.Servers > MaxServers {
+		bad("topology.servers", "must not exceed %d, got %d", MaxServers, s.Topology.Servers)
 	}
 	if s.Catalog.NumFiles < 1 {
 		bad("catalog.num_files", "must be at least 1, got %d", s.Catalog.NumFiles)
@@ -423,6 +445,15 @@ func (s Spec) Validate() error {
 		}
 		if w.EndOffset != 0 && time.Duration(w.EndOffset) <= time.Duration(w.StartOffset) {
 			bad(field("end_offset"), "must be after start_offset")
+		}
+		if w.LibraryMean > MaxLibraryMean {
+			bad(field("library_mean"), "must not exceed %d, got %d", MaxLibraryMean, w.LibraryMean)
+		}
+		if w.WantsMax > MaxWants {
+			bad(field("wants_max"), "must not exceed %d, got %d", MaxWants, w.WantsMax)
+		}
+		if w.HeavyHitters > MaxHeavyHitters {
+			bad(field("heavy_hitters"), "must not exceed %d, got %d", MaxHeavyHitters, w.HeavyHitters)
 		}
 		for j, idx := range w.Servers {
 			if idx < 0 || idx >= s.Topology.Servers {

@@ -74,6 +74,15 @@ func TestValidateAcceptsValidSpec(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Errorf("bounded growth rejected: %v", err)
 	}
+	// Counts at their bounds are still campaigns.
+	spec = validSpec()
+	spec.Topology.Servers = MaxServers
+	spec.Workloads[0].LibraryMean = MaxLibraryMean
+	spec.Workloads[0].WantsMax = MaxWants
+	spec.Workloads[0].HeavyHitters = MaxHeavyHitters
+	if err := spec.Validate(); err != nil {
+		t.Errorf("counts at their bounds rejected: %v", err)
+	}
 }
 
 // TestValidateFieldErrors breaks one field at a time and checks that
@@ -157,6 +166,16 @@ func TestValidateFieldErrors(t *testing.T) {
 			s.Workloads[0].Targets.Exp = -60
 			s.Workloads[0].Targets.NormFiles = 1 << 40
 		}},
+		// Counts that size what the engine builds. 1<<62 doubled is
+		// negative: Intn(2*library_mean) would panic the run.
+		{"topology.servers", func(s *Spec) { s.Topology.Servers = MaxServers + 1 }},
+		{"topology.servers", func(s *Spec) { s.Topology.Servers = 1 << 62 }},
+		{"workloads[0].library_mean", func(s *Spec) { s.Workloads[0].LibraryMean = MaxLibraryMean + 1 }},
+		{"workloads[0].library_mean", func(s *Spec) { s.Workloads[0].LibraryMean = 1 << 62 }},
+		{"workloads[0].wants_max", func(s *Spec) { s.Workloads[0].WantsMax = MaxWants + 1 }},
+		{"workloads[0].wants_max", func(s *Spec) { s.Workloads[0].WantsMax = 1 << 62 }},
+		{"workloads[0].heavy_hitters", func(s *Spec) { s.Workloads[0].HeavyHitters = MaxHeavyHitters + 1 }},
+		{"workloads[0].heavy_hitters", func(s *Spec) { s.Workloads[0].HeavyHitters = 1 << 62 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {

@@ -27,13 +27,9 @@ type Config struct {
 	Port uint16
 	// MaxSources caps the endpoints per FOUND-SOURCES reply.
 	MaxSources int
-	// MaxSearchResults caps SEARCH-RESULT entries.
-	MaxSearchResults int
 	// SessionTimeout drops clients that stay silent this long (clients
 	// refresh with empty OFFER-FILES keep-alives).
 	SessionTimeout time.Duration
-	// Welcome is the MOTD sent after login.
-	Welcome string
 	// ProbeCallback controls low/high ID assignment: when true the server
 	// dials back the client's advertised port and assigns a low ID when
 	// the probe fails. When false every client gets a high ID.
@@ -46,15 +42,16 @@ type Config struct {
 // DefaultConfig returns production-like defaults.
 func DefaultConfig(name string) Config {
 	return Config{
-		Name:             name,
-		Port:             4661,
-		MaxSources:       100,
-		MaxSearchResults: 50,
-		SessionTimeout:   90 * time.Minute,
-		Welcome:          "server " + name + " (repro build)",
-		ProbeCallback:    true,
+		Name:           name,
+		Port:           4661,
+		MaxSources:     100,
+		SessionTimeout: 90 * time.Minute,
+		ProbeCallback:  true,
 	}
 }
+
+// maxSearchResults caps SEARCH-RESULT entries.
+const maxSearchResults = 50
 
 // Stats counts server activity.
 type Stats struct {
@@ -84,6 +81,8 @@ type Server struct {
 	stats     Stats
 	// identTags are the tags of every SERVER-IDENT, built once.
 	identTags wire.Tags
+	// welcome is the MOTD sent after login.
+	welcome string
 }
 
 type fileRecord struct {
@@ -114,12 +113,6 @@ type session struct {
 
 // New creates a server on the host. Call Start to begin listening.
 func New(host transport.Host, cfg Config) *Server {
-	if cfg.MaxSources <= 0 {
-		cfg.MaxSources = 100
-	}
-	if cfg.MaxSearchResults <= 0 {
-		cfg.MaxSearchResults = 50
-	}
 	return &Server{
 		host:      host,
 		cfg:       cfg,
@@ -129,6 +122,7 @@ func New(host transport.Host, cfg Config) *Server {
 		keywords:  make(map[string]map[ed2k.Hash]struct{}),
 		lowIDNext: 1,
 		identTags: wire.Tags{wire.StringTag(wire.TagName, cfg.Name)},
+		welcome:   "server " + cfg.Name + " (repro build)",
 	}
 }
 
@@ -303,9 +297,7 @@ func (s *Server) finishLogin(sess *session, id ed2k.ClientID) {
 	}
 	s.sessions[uint32(id)] = sess
 	sess.conn.Send(&wire.IDChange{ClientID: uint32(id), Flags: 1})
-	if s.cfg.Welcome != "" {
-		sess.conn.Send(&wire.ServerMessage{Text: s.cfg.Welcome})
-	}
+	sess.conn.Send(&wire.ServerMessage{Text: s.welcome})
 	sess.conn.Send(&wire.ServerStatus{Users: uint32(len(s.sessions)), Files: uint32(len(s.files))})
 	ip, err := wire.EndpointFromAddrPort(s.Addr())
 	if err == nil {
@@ -388,7 +380,7 @@ func (s *Server) handleSearch(sess *session, msg *wire.SearchRequest) {
 	seen := make(map[ed2k.Hash]bool)
 	for _, word := range tokenize(msg.Query) {
 		for h := range s.keywords[word] {
-			if seen[h] || len(reply.Files) >= s.cfg.MaxSearchResults {
+			if seen[h] || len(reply.Files) >= maxSearchResults {
 				continue
 			}
 			seen[h] = true
