@@ -222,7 +222,7 @@ func main() {
 	<-logged
 }
 
-// drain writes the finalized dataset it to the JSONL file at out and,
+// drain writes the finalized dataset to the JSONL file at out and,
 // when export is set, tees every record into that store on the way.
 // Both are closed before it returns, and a failed close is the run's
 // error, naming the file: the export's Close is where each shard's last

@@ -262,12 +262,10 @@ func summarizeRun(w io.Writer, res *repro.Result, elapsed time.Duration) {
 	perSec, eventsPerSec := 0.0, 0.0
 	if s := elapsed.Seconds(); s > 0 {
 		perSec = float64(records) / s
-		// Engine throughput comes from the loop's own counters: Executed
-		// equals res.Events, but Stats is the scheduler's authoritative view.
 		eventsPerSec = float64(res.Engine.Executed) / s
 	}
 	fmt.Fprintf(w, "simulated %d events in %v; %d records, %d distinct peers\n",
-		res.Events, elapsed.Round(time.Millisecond), records, res.Dataset.DistinctPeers)
+		res.Engine.Executed, elapsed.Round(time.Millisecond), records, res.Dataset.DistinctPeers)
 	// Degraded campaigns say so: the gap audit is part of the dataset's
 	// provenance, not a detail buried in a metrics file.
 	if len(res.CollectionGaps) > 0 || res.DroppedRecords > 0 || res.HeldRecords > 0 {

@@ -37,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("done: %d simulation events in %v\n\n", res.Events, time.Since(t0).Round(time.Millisecond))
+	fmt.Printf("done: %d simulation events in %v\n\n", res.Engine.Executed, time.Since(t0).Round(time.Millisecond))
 
 	rep := repro.Analyze(res)
 

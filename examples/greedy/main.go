@@ -37,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("done: %d simulation events in %v\n\n", res.Events, time.Since(t0).Round(time.Millisecond))
+	fmt.Printf("done: %d simulation events in %v\n\n", res.Engine.Executed, time.Since(t0).Round(time.Millisecond))
 
 	hp := res.HoneypotStats["hp-greedy"]
 	fmt.Printf("the honeypot adopted %d files from harvested shared lists\n", hp.Adopted)

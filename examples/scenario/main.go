@@ -83,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("done: %d simulation events in %v\n\n", res.Events, time.Since(t0).Round(time.Millisecond))
+	fmt.Printf("done: %d simulation events in %v\n\n", res.Engine.Executed, time.Since(t0).Round(time.Millisecond))
 
 	for _, f := range res.Faults {
 		fmt.Printf("fault: %-15s %-10s at %s\n", f.Kind, f.Target, f.At.Format("Mon 15:04"))

@@ -240,7 +240,7 @@ func runGolden(t *testing.T, name string, m goldenMode) goldenRow {
 	return goldenRow{
 		Dataset: datasetDigest(recs, res),
 		Report:  reportDigest(t, repro.Analyze(res)),
-		Events:  res.Events,
+		Events:  res.Engine.Executed,
 	}
 }
 

@@ -243,9 +243,8 @@ func filePeerSets(filesQuery string) func(*QueryContext) (any, error) {
 
 func fileSubsets(filesQuery, setsQuery string) func(*QueryContext) (any, error) {
 	return func(qc *QueryContext) (any, error) {
-		// An empty file set yields the zero estimate, not a zero-row one
-		// (matching the pre-engine report assembly, which skipped the
-		// estimator entirely).
+		// An empty file set yields the zero estimate, not a zero-row one:
+		// the estimator does not run at all.
 		if len(dep[[]ed2k.Hash](qc, filesQuery)) == 0 {
 			return stats.SubsetUnion{}, nil
 		}

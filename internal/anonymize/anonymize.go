@@ -9,8 +9,9 @@
 //     identically at every honeypot, which step 2 requires.
 //  2. The manager replaces each hash value — coherently across all
 //     honeypot logs — by a small integer in order of first appearance
-//     (Renumberer.RenumberIter, a stateful single-pass map stage),
-//     defeating the 2^32 dictionary attack the paper warns about.
+//     (Renumberer.Renumber, applied to each record as the merged logs
+//     stream past), defeating the 2^32 dictionary attack the paper
+//     warns about.
 //  3. File names are anonymized by replacing every word that appears less
 //     often than a threshold with an integer token (NameAnonymizer), an
 //     explicitly two-pass stage: Observe counts the occurrences of each
@@ -118,19 +119,6 @@ func (r *Renumberer) Renumber(rec *logging.Record) {
 	if !rec.PeerIP.IsZero() {
 		rec.PeerIP = r.Number(rec.PeerIP)
 	}
-}
-
-// RenumberIter is the streaming step-2 stage: records flow through with
-// PeerIP rewritten from step-1 hashes to first-appearance numbers. The
-// renumberer's state — one map entry per distinct peer, never per
-// record — accumulates across everything streamed, so one Renumberer
-// keeps the numbering coherent over all of a campaign's logs. Count is
-// final once the stream is drained.
-func (r *Renumberer) RenumberIter(src logging.Iterator) logging.Iterator {
-	return logging.Map(src, func(rec *logging.Record) error {
-		r.Renumber(rec)
-		return nil
-	})
 }
 
 // ---------------------------------------------------------------------------

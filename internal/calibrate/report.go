@@ -10,8 +10,6 @@ package calibrate
 // timings, so a report is byte-identical across runs of the same seed.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -91,18 +89,6 @@ func (r Report) Failing() []Row {
 		}
 	}
 	return out
-}
-
-// ParseReport decodes a report from JSON, rejecting unknown fields —
-// the round-trip half of the report's "reports are data" contract.
-func ParseReport(data []byte) (Report, error) {
-	var rep Report
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rep); err != nil {
-		return Report{}, fmt.Errorf("calibrate: decoding report: %w", err)
-	}
-	return rep, nil
 }
 
 // Diff evaluates one campaign's expectations against an executed

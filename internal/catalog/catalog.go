@@ -416,25 +416,3 @@ func (c *Catalog) SampleDistinct(rng *rand.Rand, buf []int, n, region int) []int
 	}
 	return buf
 }
-
-// TopN returns the n most popular files (lowest indices).
-func (c *Catalog) TopN(n int) []File {
-	out := make([]File, min(n, c.Len()))
-	for i := range out {
-		out[i] = c.File(i)
-	}
-	return out
-}
-
-// MeanSize returns the average file size, used to reproduce the "space
-// used by distinct files" row of Table I.
-func (c *Catalog) MeanSize() int64 {
-	if c.Len() == 0 {
-		return 0
-	}
-	var sum int64
-	for _, s := range c.sizes {
-		sum += s
-	}
-	return sum / int64(c.Len())
-}

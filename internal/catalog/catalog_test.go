@@ -338,22 +338,6 @@ func TestEntryMatchesFile(t *testing.T) {
 	}
 }
 
-func TestTopN(t *testing.T) {
-	c := Generate(small())
-	top := c.TopN(10)
-	if len(top) != 10 {
-		t.Fatalf("TopN length %d", len(top))
-	}
-	for i, f := range top {
-		if f.Index != i {
-			t.Errorf("TopN[%d].Index = %d", i, f.Index)
-		}
-	}
-	if got := c.TopN(1 << 20); len(got) != c.Len() {
-		t.Errorf("TopN over catalog size: %d", len(got))
-	}
-}
-
 func TestNamesLookRealistic(t *testing.T) {
 	c := Generate(small())
 	exts := map[string]bool{".avi": true, ".mp3": true, ".iso": true, ".pdf": true, ".rar": true, ".jpg": true}
@@ -394,7 +378,11 @@ func TestWordReuseAcrossNames(t *testing.T) {
 
 func TestMeanSizeInPaperBallpark(t *testing.T) {
 	c := Generate(Config{NumFiles: 20000, Vocabulary: 2000, PopularityExp: 0.9, Seed: 5})
-	mean := c.MeanSize()
+	var sum int64
+	for _, size := range c.sizes {
+		sum += size
+	}
+	mean := sum / int64(c.Len())
 	// Paper: 9TB/28,007 ≈ 321 MB and 90TB/267,047 ≈ 337 MB per file.
 	if mean < 150<<20 || mean > 700<<20 {
 		t.Errorf("mean size %d MB outside the paper's ballpark", mean>>20)

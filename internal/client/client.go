@@ -672,9 +672,6 @@ func (ps *PeerSession) StartUpload(h ed2k.Hash) {
 // AcceptUpload grants the remote peer's upload request.
 func (ps *PeerSession) AcceptUpload() { ps.conn.Send(&wire.AcceptUploadReq{}) }
 
-// SendQueueRank reports a queue position instead of accepting.
-func (ps *PeerSession) SendQueueRank(rank uint32) { ps.conn.Send(&wire.QueueRank{Rank: rank}) }
-
 // RequestParts asks for up to three byte ranges of file h.
 func (ps *PeerSession) RequestParts(h ed2k.Hash, ranges ...[2]uint32) {
 	req := &wire.RequestParts{Hash: h}

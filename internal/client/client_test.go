@@ -477,7 +477,7 @@ func TestQueueRankAndCancel(t *testing.T) {
 	r.ps.SendHello()
 	r.ps.StartUpload(file.Hash)
 	w.settle()
-	prov.ps.SendQueueRank(17)
+	prov.ps.Send(&wire.QueueRank{Rank: 17})
 	w.settle()
 	if r.rank != 17 {
 		t.Errorf("queue rank = %d", r.rank)

@@ -31,8 +31,9 @@
 //     callback with an error wrapping ErrTimeout. Stale replies to an
 //     expired attempt are dropped by sequence number, so a retry can
 //     never double-apply. The zero Policy — no deadline, one attempt —
-//     is the pre-policy behavior and keeps fault-free runs byte-stable:
-//     jitter is drawn from the host's random stream only on error paths.
+//     waits for each answer as long as the link lives, and keeps
+//     fault-free runs byte-stable: jitter is drawn from the host's
+//     random stream only on error paths.
 //
 // The manager layers its own degradation on top: a honeypot whose
 // collection round exhausts this budget is skipped and audited, not
@@ -290,8 +291,8 @@ func (a *Agent) handle(req Envelope) Envelope {
 // Link (manager side).
 
 // Policy bounds how long a Link waits for answers. The zero value — no
-// deadline, a single attempt — reproduces the pre-policy behavior and
-// is what fault-free simulations run under.
+// deadline, a single attempt — waits for each answer until the link
+// dies, and is what fault-free simulations run under.
 type Policy struct {
 	// Timeout is the per-attempt deadline. 0 waits forever.
 	Timeout time.Duration

@@ -1,6 +1,7 @@
-// Package ed2k implements the eDonkey2000 identifier model: file and user
-// hashes (MD4-based), the high/low clientID rules, part/block geometry used
-// by the transfer protocol, and ed2k:// link formatting.
+// Package ed2k implements the eDonkey2000 identifier model: synthetic
+// file and user hashes (MD4-based), the high/low clientID rules, the
+// part and block sizes used by the transfer protocol, and ed2k:// link
+// formatting.
 //
 // The conventions follow the eMule protocol specification (Kulbak &
 // Bickson, 2005), which the reproduced paper cites as reference [6].
@@ -11,7 +12,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net/netip"
 	"net/url"
 	"strconv"
@@ -63,76 +63,6 @@ func NumParts(size int64) int {
 		return 1
 	}
 	return int((size + PartSize - 1) / PartSize)
-}
-
-// NumBlocks returns the number of BlockSize blocks covering size bytes.
-func NumBlocks(size int64) int {
-	if size <= 0 {
-		return 0
-	}
-	return int((size + BlockSize - 1) / BlockSize)
-}
-
-// PartRange returns the byte range [start, end) of part i of a file of the
-// given size.
-func PartRange(size int64, i int) (start, end int64) {
-	start = int64(i) * PartSize
-	end = start + PartSize
-	if end > size {
-		end = size
-	}
-	if start > size {
-		start = size
-	}
-	return start, end
-}
-
-// HashReader computes the ed2k file hash of the stream r, which must
-// deliver exactly size bytes. The ed2k method is:
-//
-//   - files of at most one part: hash = MD4(content);
-//   - larger files: hash = MD4(MD4(part1) || MD4(part2) || ...).
-//
-// It also returns the individual part hashes (the "hashset").
-func HashReader(r io.Reader, size int64) (Hash, []Hash, error) {
-	n := NumParts(size)
-	parts := make([]Hash, 0, n)
-	var remaining = size
-	buf := make([]byte, 256<<10)
-	for i := 0; i < n; i++ {
-		h := md4.New()
-		partLen := int64(PartSize)
-		if remaining < partLen {
-			partLen = remaining
-		}
-		if _, err := io.CopyBuffer(h, io.LimitReader(r, partLen), buf); err != nil {
-			return Hash{}, nil, fmt.Errorf("ed2k: hashing part %d: %w", i, err)
-		}
-		var ph Hash
-		copy(ph[:], h.Sum(nil))
-		parts = append(parts, ph)
-		remaining -= partLen
-	}
-	if n == 1 {
-		return parts[0], parts, nil
-	}
-	root := md4.New()
-	for _, ph := range parts {
-		root.Write(ph[:])
-	}
-	var fh Hash
-	copy(fh[:], root.Sum(nil))
-	return fh, parts, nil
-}
-
-// HashBytes computes the ed2k file hash of in-memory content.
-func HashBytes(data []byte) (Hash, []Hash) {
-	h, parts, err := HashReader(strings.NewReader(string(data)), int64(len(data)))
-	if err != nil {
-		// strings.Reader cannot fail.
-		panic("ed2k: " + err.Error())
-	}
-	return h, parts
 }
 
 // SyntheticHash derives a stable pseudo file hash from a seed string. The

@@ -173,17 +173,6 @@ func SameServer(server netip.AddrPort, files []client.SharedFile, n int) []Assig
 	return out
 }
 
-// SpreadServers assigns honeypots round-robin over several servers — the
-// paper's "different server for each honeypot, for a more global view"
-// strategy.
-func SpreadServers(servers []netip.AddrPort, files []client.SharedFile, n int) []Assignment {
-	out := make([]Assignment, n)
-	for i := range out {
-		out[i] = Assignment{Server: servers[i%len(servers)], Files: files}
-	}
-	return out
-}
-
 // Config tunes the manager.
 type Config struct {
 	// CollectEvery is the log-gathering period.
@@ -198,8 +187,8 @@ type Config struct {
 	Metrics *obs.Registry
 	// CollectRetries is how many extra attempts a failed per-honeypot
 	// collection gets within one round before the round gives up on that
-	// honeypot (counting it in MissedRounds). 0 degrades immediately —
-	// the pre-retry behavior.
+	// honeypot (counting it in MissedRounds). 0 gives up after the
+	// first failed attempt.
 	CollectRetries int
 	// CollectRetryBackoff is the delay before the first collection
 	// retry, doubling per attempt (capped at one minute) and jittered

@@ -510,7 +510,6 @@ func TestFinalizeAuditsRecords(t *testing.T) {
 
 func TestAssignmentStrategies(t *testing.T) {
 	s1 := netip.MustParseAddrPort("10.0.0.1:4661")
-	s2 := netip.MustParseAddrPort("10.0.0.2:4661")
 	same := SameServer(s1, baitFiles, 3)
 	if len(same) != 3 {
 		t.Fatal("SameServer length")
@@ -519,10 +518,6 @@ func TestAssignmentStrategies(t *testing.T) {
 		if a.Server != s1 {
 			t.Error("SameServer mixed servers")
 		}
-	}
-	spread := SpreadServers([]netip.AddrPort{s1, s2}, baitFiles, 4)
-	if spread[0].Server != s1 || spread[1].Server != s2 || spread[2].Server != s1 || spread[3].Server != s2 {
-		t.Error("SpreadServers not round-robin")
 	}
 }
 

@@ -170,9 +170,6 @@ func (h *Host) untrack(c *conn) {
 	h.conns = h.conns[:n]
 }
 
-// Up reports whether the host is running.
-func (h *Host) Up() bool { return h.up }
-
 // LinkDown reports whether the host's uplink is severed.
 func (h *Host) LinkDown() bool { return h.linkDown }
 

@@ -76,19 +76,6 @@ func (g *Gauge) Add(delta int64) {
 	}
 }
 
-// SetMax raises the gauge to v if v exceeds the current value.
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 {
 	if g == nil {
@@ -145,14 +132,6 @@ func (h *Histogram) Observe(v int64) {
 
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
-
-// ObserveSince records the duration elapsed since start — the span-timing
-// primitive: t := time.Now(); ...; h.ObserveSince(t).
-func (h *Histogram) ObserveSince(start time.Time) {
-	if h != nil {
-		h.Observe(int64(time.Since(start)))
-	}
-}
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {

@@ -16,7 +16,6 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	r := New()
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	gm := r.Gauge("gmax")
 	h := r.Histogram("h", []int64{10, 100})
 	const workers, per = 8, 10_000
 	var wg sync.WaitGroup
@@ -28,7 +27,6 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 				c.Inc()
 				c.Add(2)
 				g.Add(1)
-				gm.SetMax(int64(i))
 				h.Observe(int64(i % 200))
 			}
 		}()
@@ -40,25 +38,8 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	if got, want := g.Load(), int64(workers*per); got != want {
 		t.Errorf("gauge = %d, want %d", got, want)
 	}
-	if got, want := gm.Load(), int64(per-1); got != want {
-		t.Errorf("max gauge = %d, want %d", got, want)
-	}
 	if got, want := h.Count(), uint64(workers*per); got != want {
 		t.Errorf("histogram count = %d, want %d", got, want)
-	}
-}
-
-// TestGaugeSetMax pins the CAS loop's semantics.
-func TestGaugeSetMax(t *testing.T) {
-	var g Gauge
-	g.Set(5)
-	g.SetMax(3)
-	if got := g.Load(); got != 5 {
-		t.Errorf("SetMax lowered the gauge to %d", got)
-	}
-	g.SetMax(9)
-	if got := g.Load(); got != 9 {
-		t.Errorf("SetMax: got %d, want 9", got)
 	}
 }
 
@@ -76,10 +57,8 @@ func TestNilSafety(t *testing.T) {
 	c.Add(7)
 	g.Set(1)
 	g.Add(1)
-	g.SetMax(1)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	h.ObserveSince(time.Now())
 	StartSpan(h).End()
 	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil metrics must read as zero")

@@ -38,7 +38,7 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 				} else if got := len(res.Dataset.Records); got != *wantRecords {
 					b.Fatalf("dataset diverged under instrumentation: %d records, want %d", got, *wantRecords)
 				}
-				b.ReportMetric(float64(res.Events), "events")
+				b.ReportMetric(float64(res.Engine.Executed), "events")
 			}
 		}
 	}

@@ -77,8 +77,8 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 			t.Fatalf("concurrent %s: %v", spec.Name, errs[i])
 		}
 		want, got := baseline[i], results[i]
-		if want.Events != got.Events {
-			t.Errorf("%s: event counts diverge: serial %d, concurrent %d", spec.Name, want.Events, got.Events)
+		if want.Engine.Executed != got.Engine.Executed {
+			t.Errorf("%s: event counts diverge: serial %d, concurrent %d", spec.Name, want.Engine.Executed, got.Engine.Executed)
 		}
 		if want.Dataset.DistinctPeers != got.Dataset.DistinctPeers {
 			t.Errorf("%s: distinct peers diverge: %d vs %d", spec.Name, want.Dataset.DistinctPeers, got.Dataset.DistinctPeers)
@@ -101,9 +101,9 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 		if snap.Gauges["engine.events"] == 0 {
 			t.Errorf("%s: registry never saw the engine", spec.Name)
 		}
-		if uint64(snap.Gauges["engine.events"]) != got.Events {
+		if uint64(snap.Gauges["engine.events"]) != got.Engine.Executed {
 			t.Errorf("%s: registry counted %d events, run executed %d — registries shared?",
-				spec.Name, snap.Gauges["engine.events"], got.Events)
+				spec.Name, snap.Gauges["engine.events"], got.Engine.Executed)
 		}
 	}
 
@@ -119,7 +119,7 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 	// The two campaigns are genuinely different workloads — identical
 	// datasets here would mean the test compares a campaign to itself.
 	if len(baseline[0].Dataset.Records) == len(baseline[1].Dataset.Records) &&
-		baseline[0].Events == baseline[1].Events {
+		baseline[0].Engine.Executed == baseline[1].Engine.Executed {
 		t.Error("the two campaigns look identical; pick distinct specs")
 	}
 }

@@ -80,8 +80,6 @@ type Result struct {
 	DroppedRecords uint64
 	// Faults is the executed fault log, in order.
 	Faults []FaultEvent
-	// Events is the number of simulation events executed.
-	Events uint64
 	// StoreDir, when the campaign ran in spill-to-disk mode, is the
 	// logstore directory holding every record in segmented files (one
 	// shard per honeypot). Empty for in-memory campaigns.
@@ -101,7 +99,8 @@ type Result struct {
 	// (nil when it was, or there is no export). The export itself is
 	// whole; a re-analysis of it scans the segments instead.
 	FrameFileErr error
-	// Engine is the event loop's final internal counters.
+	// Engine is the event loop's final internal counters; Engine.Executed
+	// is the number of simulation events executed.
 	Engine des.Stats
 	// Aborted reports that a progress callback stopped the campaign
 	// before its scheduled end; AbortedAt is the virtual time it
@@ -837,7 +836,6 @@ func (w *world) finish(spec Spec, pops []*peersim.Population) (*Result, error) {
 		ServerStats:     w.srvs[0].Stats(),
 		HoneypotStats:   make(map[string]honeypot.Stats, len(w.hps)),
 		Faults:          w.faultLog,
-		Events:          w.loop.Executed(),
 		Engine:          w.loop.Stats(),
 		Aborted:         w.aborted,
 	}

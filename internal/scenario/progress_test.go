@@ -70,8 +70,8 @@ func TestProgressMonotonicCallbacks(t *testing.T) {
 	if res.Aborted {
 		t.Error("run with always-true callback reported Aborted")
 	}
-	if res.Engine.Executed == 0 || res.Engine.Executed != res.Events {
-		t.Errorf("Result.Engine.Executed = %d, Result.Events = %d", res.Engine.Executed, res.Events)
+	if res.Engine.Executed == 0 || res.Engine.Executed != last.Events {
+		t.Errorf("Result.Engine.Executed = %d, final snapshot's Events = %d", res.Engine.Executed, last.Events)
 	}
 }
 
@@ -139,8 +139,8 @@ func TestTappedRunIdenticalDataset(t *testing.T) {
 		t.Fatalf("tapped run: %v", err)
 	}
 
-	if plain.Events != tapped.Events {
-		t.Errorf("event counts diverge: untapped %d, tapped %d", plain.Events, tapped.Events)
+	if plain.Engine.Executed != tapped.Engine.Executed {
+		t.Errorf("event counts diverge: untapped %d, tapped %d", plain.Engine.Executed, tapped.Engine.Executed)
 	}
 	if plain.Dataset.DistinctPeers != tapped.Dataset.DistinctPeers {
 		t.Errorf("distinct peers diverge: %d vs %d",

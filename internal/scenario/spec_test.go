@@ -299,8 +299,8 @@ func TestSpecJSONRoundTripRunsIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Events != b.Events {
-		t.Errorf("event counts differ after round-trip: %d vs %d", a.Events, b.Events)
+	if a.Engine.Executed != b.Engine.Executed {
+		t.Errorf("event counts differ after round-trip: %d vs %d", a.Engine.Executed, b.Engine.Executed)
 	}
 	if len(a.Dataset.Records) != len(b.Dataset.Records) {
 		t.Fatalf("record counts differ: %d vs %d", len(a.Dataset.Records), len(b.Dataset.Records))

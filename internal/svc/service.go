@@ -514,7 +514,7 @@ func (s *Service) execute(id string) {
 	}
 	meta := res.Meta()
 	summary := &RunSummary{
-		Events:          res.Events,
+		Events:          res.Engine.Executed,
 		Records:         res.Frame.Len(),
 		DistinctPeers:   res.Dataset.DistinctPeers,
 		ExportedRecords: res.ExportedRecords,

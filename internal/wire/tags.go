@@ -45,9 +45,6 @@ func StringTag(id byte, v string) Tag { return Tag{ID: id, Str: v, IsString: tru
 // UintTag builds an integer-valued tag with a 1-byte name.
 func UintTag(id byte, v uint32) Tag { return Tag{ID: id, Uint: v} }
 
-// NamedStringTag builds a string-valued tag with a free-form name.
-func NamedStringTag(name, v string) Tag { return Tag{NameStr: name, Str: v, IsString: true} }
-
 func (t Tag) String() string {
 	name := t.NameStr
 	if name == "" {

@@ -255,7 +255,7 @@ func TestTagsLookup(t *testing.T) {
 	ts := Tags{
 		StringTag(TagName, "n"),
 		UintTag(TagSize, 123),
-		NamedStringTag("custom", "v"),
+		{NameStr: "custom", Str: "v", IsString: true},
 	}
 	if ts.Str(TagName) != "n" {
 		t.Error("Str(TagName)")

@@ -201,9 +201,9 @@ func AnalyzeFrame(res *Result, f *analysis.Frame, opt AnalyzeOptions) *Report {
 }
 
 // artifact fetches one typed result; a query the plan did not select
-// (the menu varies by campaign kind) yields the field's zero value,
-// exactly as the pre-engine assembly left those fields unset. A type
-// mismatch on a present result, by contrast, is a bug in a built-in
+// (the menu varies by campaign kind) leaves the field at its zero
+// value, so a Report carries only what its campaign's menu computes. A
+// type mismatch on a present result, by contrast, is a bug in a built-in
 // query and panics rather than silently zeroing a Report field.
 func artifact[T any](rs analysis.ReportSet, name string) T {
 	var zero T
